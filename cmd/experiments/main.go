@@ -5,6 +5,11 @@
 //
 //	experiments [-only fig12,table1] [-quick] [-seed 42] [-json dir] [-svg dir]
 //	            [-parallel N] [-scenario-workers N] [-cpuprofile f] [-memprofile f]
+//	experiments -list
+//
+// The experiments and their quick variants are defined once, in
+// experiments.Registry; -list prints its names, and an unknown -only name
+// exits 2.
 //
 // With -quick, durations and trace sizes shrink so the full suite finishes
 // in seconds; without it, the defaults match the paper-scale windows
@@ -38,15 +43,9 @@ import (
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
-// job is one experiment: it returns its rows (for -json) and optional SVG
-// renderings, writing its human-readable report to w.
-type job struct {
-	name string
-	run  func(w io.Writer) (rows any, svgs map[string]string)
-}
-
 func main() {
-	only := flag.String("only", "", "comma-separated subset: fig1,fig2,fig4,fig5,fig6,fig8,fig9,fig12,table1,fig13,fig14,fig15,fig16,ext-pools,ext-coldstart,ext-readahead,ext-keepalive,ext-percentile,ext-rack,ext-attrib,ext-pool-density,ext-merge,ext-resilience,ext-observe,ext-drilldown,ext-stateful")
+	only := flag.String("only", "", "comma-separated subset of the experiments (see -list)")
+	list := flag.Bool("list", false, "print the experiment names, one per line, and exit; wall-clock experiments, whose rows differ between runs, carry a second column 'wall-clock'")
 	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	seed := flag.Int64("seed", 42, "random seed for all synthetic traces")
 	jsonDir := flag.String("json", "", "also write each experiment's rows as JSON files into this directory (like the artifact's result files)")
@@ -63,6 +62,26 @@ func main() {
 	exemplarsOut := flag.String("exemplars", "", "retain worst-K span trees per window across every harness and write the exemplar digest to this file ('-' for stdout); most useful with -only naming a single experiment")
 	exemplarK := flag.Int("exemplar-k", exemplar.DefaultK, "worst-K retention depth for -exemplars")
 	flag.Parse()
+
+	if *list {
+		for _, e := range experiments.Registry {
+			if e.WallClock {
+				fmt.Printf("%s\twall-clock\n", e.Name)
+			} else {
+				fmt.Println(e.Name)
+			}
+		}
+		return
+	}
+	var names []string
+	if *only != "" {
+		names = strings.Split(*only, ",")
+	}
+	selected, err := experiments.Select(names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	experiments.SetWorkers(*scenarioWorkers)
 	if *cpuProfile != "" {
@@ -97,13 +116,6 @@ func main() {
 		}
 	}
 
-	scale := func(full, quickv time.Duration) time.Duration {
-		if *quick {
-			return quickv
-		}
-		return full
-	}
-
 	// Experiment harnesses pick up the process-default hub (Scenario.Telemetry
 	// falls back to it), so one flag traces every figure without plumbing.
 	var tracer *telemetry.Tracer
@@ -133,22 +145,8 @@ func main() {
 		exemplar.SetDefault(exemplars)
 	}
 
-	jobs := buildJobs(*seed, *quick, scale)
-	want := map[string]bool{}
-	if *only != "" {
-		for _, name := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
-		}
-	}
-	var selected []job
-	for _, j := range jobs {
-		if len(want) == 0 || want[j.name] {
-			selected = append(selected, j)
-		}
-	}
-
-	// Run jobs in a bounded worker pool; buffer output per job so the
-	// report prints in canonical order regardless of completion order.
+	// Run experiments in a bounded worker pool; buffer output per experiment
+	// so the report prints in canonical order regardless of completion order.
 	type result struct {
 		out  bytes.Buffer
 		rows any
@@ -167,16 +165,16 @@ func main() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i].rows, results[i].svgs = selected[i].run(&results[i].out)
+			results[i].rows, results[i].svgs = selected[i].Run(&results[i].out, *seed, *quick)
 		}(i)
 	}
 	wg.Wait()
 
-	for i, j := range selected {
+	for i, e := range selected {
 		os.Stdout.Write(results[i].out.Bytes())
 		fmt.Println()
 		if *jsonDir != "" && results[i].rows != nil {
-			writeJSON(filepath.Join(*jsonDir, j.name+".json"), results[i].rows)
+			writeJSON(filepath.Join(*jsonDir, e.Name+".json"), results[i].rows)
 		}
 		if *svgDir != "" {
 			for name, svg := range results[i].svgs {
@@ -226,217 +224,6 @@ func main() {
 		if err := drilldown.WriteExemplarsText(out, exemplars.Cells()); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-// buildJobs lists every experiment in presentation order.
-func buildJobs(seed int64, quick bool, scale func(full, quickv time.Duration) time.Duration) []job {
-	return []job{
-		{"fig1", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig1(experiments.Fig1Options{Seed: seed})
-			experiments.PrintFig1(w, rows)
-			return rows, map[string]string{"fig1": experiments.SVGFig1(rows)}
-		}},
-		{"fig2", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig2(experiments.Fig2Options{
-				Duration: scale(time.Hour, 15*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintFig2(w, rows)
-			return rows, map[string]string{"fig2": experiments.SVGFig2(rows)}
-		}},
-		{"fig4", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig4()
-			experiments.PrintFig4(w, rows)
-			return rows, nil
-		}},
-		{"fig5", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig5(experiments.Fig5Options{Seed: seed})
-			experiments.PrintFig5(w, rows)
-			return rows, map[string]string{"fig5": experiments.SVGFig5(rows)}
-		}},
-		{"fig6", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig6(experiments.Fig6Options{Seed: seed})
-			experiments.PrintFig6(w, rows)
-			return rows, nil
-		}},
-		{"fig8", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig8(experiments.Fig8Options{Seed: seed})
-			experiments.PrintFig8(w, rows)
-			return rows, nil
-		}},
-		{"fig9", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig9(25, seed)
-			experiments.PrintFig9(w, rows)
-			return rows, nil
-		}},
-		{"fig12", func(w io.Writer) (any, map[string]string) {
-			opt := experiments.Fig12Options{Duration: scale(time.Hour, 10*time.Minute), Seed: seed}
-			if quick {
-				opt.Benches = []string{"bert", "graph", "web", "json"}
-			}
-			rows := experiments.Fig12(opt)
-			experiments.PrintFig12(w, rows)
-			return rows, nil
-		}},
-		{"table1", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Table1(experiments.Table1Options{
-				Duration: scale(30*time.Minute, 8*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintTable1(w, rows)
-			return rows, nil
-		}},
-		{"fig13", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig13(experiments.Fig13Options{
-				Duration:     scale(time.Hour, 12*time.Minute),
-				Seed:         seed,
-				WithTimeline: true,
-			})
-			experiments.PrintFig13(w, rows)
-			return rows, map[string]string{"fig13": experiments.SVGFig13(rows)}
-		}},
-		{"fig14", func(w io.Writer) (any, map[string]string) {
-			opt := experiments.Fig14Options{Seed: seed}
-			if quick {
-				opt.NumFunctions = 80
-				opt.Duration = 2 * time.Hour
-			}
-			rows := experiments.Fig14(opt)
-			experiments.PrintFig14(w, rows)
-			return rows, map[string]string{"fig14": experiments.SVGFig14(rows)}
-		}},
-		{"fig15", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Fig15()
-			experiments.PrintFig15(w, rows)
-			return rows, nil
-		}},
-		{"fig16", func(w io.Writer) (any, map[string]string) {
-			opt := experiments.Fig16Options{Seed: seed}
-			if quick {
-				opt.Traces = 6
-				opt.Duration = 10 * time.Minute
-			}
-			rows := experiments.Fig16(opt)
-			experiments.PrintFig16(w, rows)
-			return rows, map[string]string{"fig16": experiments.SVGFig16(rows)}
-		}},
-		{"ext-pools", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.PoolComparison(experiments.PoolComparisonOptions{
-				Duration: scale(20*time.Minute, 8*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintPoolComparison(w, rows)
-			return rows, nil
-		}},
-		{"ext-coldstart", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.ColdStartTiming(experiments.ColdStartTimingOptions{
-				Duration: scale(20*time.Minute, 8*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintColdStartTiming(w, rows)
-			return rows, nil
-		}},
-		{"ext-readahead", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Readahead(experiments.ReadaheadOptions{
-				Duration: scale(20*time.Minute, 8*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintReadahead(w, rows)
-			return rows, map[string]string{"ext-readahead": experiments.SVGReadahead(rows)}
-		}},
-		{"ext-keepalive", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.KeepAliveStrategies(experiments.KeepAliveStrategiesOptions{
-				Duration: scale(30*time.Minute, 10*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintKeepAliveStrategies(w, rows)
-			return rows, nil
-		}},
-		{"ext-percentile", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.PercentileSweep(experiments.PercentileSweepOptions{
-				Duration: scale(20*time.Minute, 8*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintPercentileSweep(w, rows)
-			return rows, nil
-		}},
-		{"ext-rack", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.RackDensity(experiments.RackDensityOptions{
-				Duration: scale(20*time.Minute, 8*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintRackDensity(w, rows)
-			return rows, nil
-		}},
-		{"ext-attrib", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.AttribPressure(experiments.AttribPressureOptions{
-				Duration: scale(30*time.Minute, 10*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintAttribPressure(w, rows)
-			return rows, nil
-		}},
-		{"ext-pool-density", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.PoolDensity(experiments.PoolDensityOptions{
-				DRAMMBs:  []int{256, 512},
-				Duration: scale(15*time.Minute, 6*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintPoolDensity(w, rows)
-			return rows, nil
-		}},
-		{"ext-merge", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.MergeDomains(experiments.MergeDomainsOptions{
-				Duration: scale(15*time.Minute, 6*time.Minute),
-				Seed:     seed,
-			})
-			experiments.PrintMergeDomains(w, rows)
-			return rows, nil
-		}},
-		{"ext-resilience", func(w io.Writer) (any, map[string]string) {
-			rows := experiments.Resilience(experiments.ResilienceOptions{
-				Duration:  scale(12*time.Minute, 5*time.Minute),
-				KeepAlive: scale(10*time.Minute, 4*time.Minute),
-				Seed:      seed,
-				FaultSeed: seed,
-			})
-			experiments.PrintResilience(w, rows)
-			return rows, nil
-		}},
-		{"ext-observe", func(w io.Writer) (any, map[string]string) {
-			cells := experiments.Observe(experiments.ObserveOptions{
-				Duration:  scale(10*time.Minute, 4*time.Minute),
-				KeepAlive: scale(8*time.Minute, 3*time.Minute),
-				Fallback:  true,
-				Seed:      seed,
-				FaultSeed: seed,
-			})
-			experiments.PrintObserve(w, cells)
-			return cells, nil
-		}},
-		{"ext-drilldown", func(w io.Writer) (any, map[string]string) {
-			cells := experiments.Drilldown(experiments.DrilldownOptions{
-				Duration:  scale(10*time.Minute, 4*time.Minute),
-				KeepAlive: scale(8*time.Minute, 3*time.Minute),
-				Seed:      seed,
-				FaultSeed: seed,
-			})
-			experiments.PrintDrilldown(w, cells)
-			return cells, nil
-		}},
-		{"ext-stateful", func(w io.Writer) (any, map[string]string) {
-			opt := experiments.StatefulOptions{Seed: seed}
-			if quick {
-				opt.Workflows = []string{"pipeline", "fanout", "websession"}
-				opt.Widths = []int{8}
-				opt.PressuresMB = []int{64}
-				opt.Runs = 3
-			}
-			rows := experiments.Stateful(opt)
-			experiments.PrintStateful(w, rows)
-			return rows, nil
-		}},
 	}
 }
 

@@ -1,0 +1,71 @@
+package experiments
+
+import (
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestRegistryNames pins the registry's naming contract: every name is
+// unique and lowercase (Select lowercases its input, so an uppercase name
+// could never be selected), and only fig15, whose rows are measured host
+// times, is excluded from the determinism diff.
+func TestRegistryNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Registry {
+		if e.Name == "" || e.Name != strings.ToLower(e.Name) {
+			t.Errorf("name %q is not lowercase", e.Name)
+		}
+		if seen[e.Name] {
+			t.Errorf("duplicate name %q", e.Name)
+		}
+		seen[e.Name] = true
+		if e.WallClock != (e.Name == "fig15") {
+			t.Errorf("%s: WallClock = %v", e.Name, e.WallClock)
+		}
+		if e.Run == nil {
+			t.Errorf("%s: nil Run", e.Name)
+		}
+	}
+}
+
+func TestSelect(t *testing.T) {
+	cases := []struct {
+		name  string
+		in    []string
+		want  []string // nil means every registry name
+		error string   // substring of the error, "" for none
+	}{
+		{"empty selects all", nil, nil, ""},
+		{"mixed case and spaces", []string{" Fig4", "EXT-Merge "}, []string{"fig4", "ext-merge"}, ""},
+		{"registry order, not input order", []string{"fig13", "fig1"}, []string{"fig1", "fig13"}, ""},
+		{"duplicates collapse", []string{"fig9", "FIG9", "fig9"}, []string{"fig9"}, ""},
+		{"unknown name", []string{"fig1", "fig99"}, nil, `unknown experiment "fig99" (options: fig1, fig2,`},
+		{"blank name", []string{"fig1", ""}, nil, `unknown experiment ""`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Select(tc.in)
+			if tc.error != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.error) {
+					t.Fatalf("err = %v, want it to contain %q", err, tc.error)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := tc.want
+			if want == nil {
+				want = Names()
+			}
+			var names []string
+			for _, e := range got {
+				names = append(names, e.Name)
+			}
+			if !slices.Equal(names, want) {
+				t.Fatalf("Select(%q) = %v, want %v", tc.in, names, want)
+			}
+		})
+	}
+}

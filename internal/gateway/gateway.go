@@ -18,7 +18,11 @@
 //	GET  /policies            available offloading policies
 //	POST /run                 run one scenario (JSON body, JSON outcome)
 //	POST /replay              replay a multi-function trace (tracegen JSON)
-//	POST /experiments/{name}  regenerate one figure/table (quick variants)
+//	GET  /experiments         the experiment registry's names, in order
+//	POST /experiments/{name}  regenerate one figure/table (?seed=N, default 1)
+//
+// POST /experiments/{name} serves exactly the rows `cmd/experiments -quick`
+// prints for the same seed: both run the entry of experiments.Registry.
 //
 // The gateway instruments every run with a shared telemetry registry, so
 // /metrics aggregates simulation counters (cold starts, offloaded pages,
@@ -30,7 +34,9 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -226,7 +232,7 @@ func Handler() http.Handler {
 		writeJSON(w, http.StatusOK, experiments.PolicyKinds())
 	})
 	mux.HandleFunc("GET /experiments", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, experimentNames)
+		writeJSON(w, http.StatusOK, experiments.Names())
 	})
 	mux.HandleFunc("POST /run", s.handleRun)
 	mux.HandleFunc("POST /replay", s.handleReplay)
@@ -297,107 +303,26 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// experimentNames lists the regenerable experiments, in the paper's order.
-var experimentNames = []string{
-	"fig1", "fig2", "fig4", "fig5", "fig6", "fig8", "fig9",
-	"fig12", "table1", "fig13", "fig14", "fig15", "fig16",
-	"ext-pools", "ext-coldstart", "ext-readahead", "ext-keepalive",
-	"ext-percentile", "ext-rack", "ext-attrib", "ext-pool-density",
-	"ext-merge", "ext-resilience", "ext-observe", "ext-drilldown",
-	"ext-stateful",
-}
-
-// handleExperiment regenerates one figure/table at quick scale and returns
-// its rows as JSON.
+// handleExperiment regenerates one registry experiment at the CLI's -quick
+// scale and returns its rows as JSON.
 func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	name := strings.ToLower(r.PathValue("name"))
 	var seed int64 = 1
 	if q := r.URL.Query().Get("seed"); q != "" {
-		if _, err := fmt.Sscanf(q, "%d", &seed); err != nil {
+		var err error
+		if seed, err = strconv.ParseInt(q, 10, 64); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad seed %q", q))
 			return
 		}
 	}
 	s.experiments.Inc()
-	var rows any
-	switch name {
-	case "fig1":
-		rows = experiments.Fig1(experiments.Fig1Options{Seed: seed})
-	case "fig2":
-		rows = experiments.Fig2(experiments.Fig2Options{Duration: 15 * time.Minute, Seed: seed})
-	case "fig4":
-		rows = experiments.Fig4()
-	case "fig5":
-		rows = experiments.Fig5(experiments.Fig5Options{Seed: seed})
-	case "fig6":
-		rows = experiments.Fig6(experiments.Fig6Options{Seed: seed})
-	case "fig8":
-		rows = experiments.Fig8(experiments.Fig8Options{Seed: seed})
-	case "fig9":
-		rows = experiments.Fig9(25, seed)
-	case "fig12":
-		rows = experiments.Fig12(experiments.Fig12Options{
-			Duration: 10 * time.Minute,
-			Benches:  []string{"bert", "graph", "web", "json"},
-			Seed:     seed,
-		})
-	case "table1":
-		rows = experiments.Table1(experiments.Table1Options{Duration: 8 * time.Minute, Seed: seed})
-	case "fig13":
-		rows = experiments.Fig13(experiments.Fig13Options{Duration: 10 * time.Minute, Seed: seed})
-	case "fig14":
-		rows = experiments.Fig14(experiments.Fig14Options{NumFunctions: 80, Duration: 2 * time.Hour, Seed: seed})
-	case "fig15":
-		rows = experiments.Fig15()
-	case "fig16":
-		rows = experiments.Fig16(experiments.Fig16Options{Traces: 6, Duration: 10 * time.Minute, Seed: seed})
-	case "ext-pools":
-		rows = experiments.PoolComparison(experiments.PoolComparisonOptions{Duration: 8 * time.Minute, Seed: seed})
-	case "ext-coldstart":
-		rows = experiments.ColdStartTiming(experiments.ColdStartTimingOptions{Duration: 8 * time.Minute, Seed: seed})
-	case "ext-readahead":
-		rows = experiments.Readahead(experiments.ReadaheadOptions{Duration: 8 * time.Minute, Seed: seed})
-	case "ext-keepalive":
-		rows = experiments.KeepAliveStrategies(experiments.KeepAliveStrategiesOptions{Duration: 10 * time.Minute, Seed: seed})
-	case "ext-percentile":
-		rows = experiments.PercentileSweep(experiments.PercentileSweepOptions{Duration: 8 * time.Minute, Seed: seed})
-	case "ext-rack":
-		rows = experiments.RackDensity(experiments.RackDensityOptions{Duration: 8 * time.Minute, Seed: seed})
-	case "ext-attrib":
-		rows = experiments.AttribPressure(experiments.AttribPressureOptions{Duration: 10 * time.Minute, Seed: seed})
-	case "ext-pool-density":
-		rows = experiments.PoolDensity(experiments.PoolDensityOptions{Duration: 5 * time.Minute, Seed: seed})
-	case "ext-merge":
-		rows = experiments.MergeDomains(experiments.MergeDomainsOptions{
-			DRAMMB: 192, Duration: 4 * time.Minute, Seed: seed,
-		})
-	case "ext-resilience":
-		rows = experiments.Resilience(experiments.ResilienceOptions{
-			Duration: 5 * time.Minute, KeepAlive: 4 * time.Minute, Seed: seed, FaultSeed: seed,
-		})
-	case "ext-observe":
-		rows = experiments.Observe(experiments.ObserveOptions{
-			Duration: 5 * time.Minute, KeepAlive: 4 * time.Minute,
-			Fallback: true, Seed: seed, FaultSeed: seed,
-		})
-	case "ext-drilldown":
-		rows = experiments.Drilldown(experiments.DrilldownOptions{
-			Duration: 5 * time.Minute, KeepAlive: 4 * time.Minute,
-			Seed: seed, FaultSeed: seed,
-		})
-	case "ext-stateful":
-		rows = experiments.Stateful(experiments.StatefulOptions{
-			Workflows:   []string{"pipeline", "fanout", "websession"},
-			Widths:      []int{8},
-			PressuresMB: []int{64},
-			Runs:        3,
-			Seed:        seed,
-		})
-	default:
-		s.fail(w, http.StatusNotFound, fmt.Errorf("unknown experiment %q", name))
+	sel, err := experiments.Select([]string{r.PathValue("name")})
+	if err != nil {
+		s.fail(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"experiment": name, "seed": seed, "rows": rows})
+	e := sel[0]
+	rows, _ := e.Run(io.Discard, seed, true)
+	writeJSON(w, http.StatusOK, map[string]any{"experiment": e.Name, "seed": seed, "rows": rows})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

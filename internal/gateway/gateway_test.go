@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/faasmem/faasmem/internal/experiments"
 )
 
 func do(t *testing.T, method, path, body string) *httptest.ResponseRecorder {
@@ -139,9 +142,11 @@ func TestExperimentSeedParam(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	bad := do(t, http.MethodPost, "/experiments/fig9?seed=zz", "")
-	if bad.Code != http.StatusBadRequest {
-		t.Fatalf("bad seed status = %d", bad.Code)
+	for _, q := range []string{"zz", "7zz", "7.5", "0x10"} {
+		bad := do(t, http.MethodPost, "/experiments/fig9?seed="+q, "")
+		if bad.Code != http.StatusBadRequest {
+			t.Errorf("seed=%s status = %d, want 400", q, bad.Code)
+		}
 	}
 }
 
@@ -262,8 +267,11 @@ func TestExperimentsList(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &names); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 26 {
-		t.Fatalf("experiments = %d, want 26", len(names))
+	if len(names) != len(experiments.Registry) {
+		t.Fatalf("experiments = %d, want %d", len(names), len(experiments.Registry))
+	}
+	if want := experiments.Names(); !slices.Equal(names, want) {
+		t.Fatalf("GET /experiments = %v, want the registry order %v", names, want)
 	}
 	// Every advertised name must actually dispatch.
 	for _, n := range names {

@@ -12,8 +12,8 @@
 // time instead of stamping every page. Only pages that were individually promoted
 // or demoted (the access/rollback paths) leave their run, and those are
 // recorded in per-generation exception bitsets. The retired per-page
-// implementation survives as Reference (reference.go) and anchors the
-// differential tests.
+// implementation survives as the test-only Reference (reference_test.go)
+// and anchors the differential tests.
 package mglru
 
 import (

@@ -9,9 +9,10 @@
 // The Engine is a hierarchical timer wheel: near-future events live in
 // ~1 ms buckets, farther events in coarser levels, and far-future events in
 // a sorted spill heap. Events are recycled through a free list, so
-// steady-state scheduling allocates nothing. Reference preserves the
-// original container/heap engine; differential tests assert both fire the
-// exact same sequence. See DESIGN.md "Event engine".
+// steady-state scheduling allocates nothing. The test-only Reference
+// (reference_test.go) preserves the original container/heap engine;
+// differential tests assert both fire the exact same sequence. See
+// DESIGN.md "Event engine".
 package simtime
 
 import (
