@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json cover fuzz-smoke experiments experiments-quick determinism examples trace-demo attrib-demo clean
+.PHONY: all build test vet bench bench-json bench-check cover fuzz-smoke experiments experiments-quick determinism examples trace-demo attrib-demo clean
 
 all: build vet test
 
@@ -35,6 +35,12 @@ BENCH_OUT ?= BENCH_3.json
 bench-json:
 	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem . 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 -o $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT) (raw log with allocs/op: bench_gate.txt)"
+
+# The end-to-end benchmark (bench/, see BENCHMARK.json) is a nested module
+# that `go build ./...` and `go test ./...` skip; vet and test it so an
+# internal API change cannot break it unseen.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Total statement coverage, gated against the committed baseline floor
 # (COVERAGE_BASELINE.txt, the seed repo's coverage; CI runs this target).

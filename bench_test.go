@@ -23,6 +23,7 @@ import (
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
@@ -450,7 +451,7 @@ func BenchmarkDisabledSpans(b *testing.B) {
 					CoreConfig:  core.Config{},
 					SeedHistory: true,
 					Seed:        11,
-					Spans:       cfg.rec,
+					Telemetry:   telemetry.Hub{Spans: cfg.rec},
 				})
 				if out.Requests == 0 {
 					b.Fatal("no requests")
@@ -486,7 +487,7 @@ func BenchmarkDisabledTimeline(b *testing.B) {
 					CoreConfig:  core.Config{},
 					SeedHistory: true,
 					Seed:        11,
-					Timeline:    cfg.make(),
+					Telemetry:   telemetry.Hub{Timeline: cfg.make()},
 				})
 				if out.Requests == 0 {
 					b.Fatal("no requests")
@@ -522,7 +523,7 @@ func BenchmarkDisabledExemplars(b *testing.B) {
 					CoreConfig:  core.Config{},
 					SeedHistory: true,
 					Seed:        11,
-					Exemplars:   cfg.make(),
+					Telemetry:   telemetry.Hub{Exemplars: cfg.make()},
 				})
 				if out.Requests == 0 {
 					b.Fatal("no requests")

@@ -116,34 +116,24 @@ func main() {
 		}
 	}
 
-	// Experiment harnesses pick up the process-default hub (Scenario.Telemetry
-	// falls back to it), so one flag traces every figure without plumbing.
-	var tracer *telemetry.Tracer
+	// Experiment harnesses pick up the process-default hub (each nil sink of
+	// Scenario.Telemetry falls back to it), so one flag per sink captures
+	// every figure without plumbing.
+	var hub telemetry.Hub
 	if *traceOut != "" {
-		tracer = telemetry.NewTracer(*traceBuffer)
-		telemetry.SetDefault(telemetry.Hub{Tracer: tracer, Reg: telemetry.NewRegistry()})
+		hub.Tracer = telemetry.NewTracer(*traceBuffer)
+		hub.Reg = telemetry.NewRegistry()
 	}
-	// Same fallback scheme for spans: Scenario.Spans defaults to the process
-	// recorder, so one flag attributes every figure's latency.
-	var spans *span.Recorder
 	if *attrib {
-		spans = span.NewRecorder(span.DefaultCapacity)
-		span.SetDefault(spans)
+		hub.Spans = span.NewRecorder(span.DefaultCapacity)
 	}
-	// And for the timeline: Scenario.Timeline defaults to the process
-	// recorder, so one flag rolls up every figure into windowed series.
-	var timeline *timeseries.Recorder
 	if *timelineOut != "" {
-		timeline = timeseries.NewRecorder(timeseries.Config{Window: *timelineWindow})
-		timeseries.SetDefault(timeline)
+		hub.Timeline = timeseries.NewRecorder(timeseries.Config{Window: *timelineWindow})
 	}
-	// And for exemplars: Scenario.Exemplars defaults to the process
-	// recorder, so one flag retains worst-K span trees across every figure.
-	var exemplars *exemplar.Recorder
 	if *exemplarsOut != "" {
-		exemplars = exemplar.NewRecorder(exemplar.Config{Window: *timelineWindow, K: *exemplarK})
-		exemplar.SetDefault(exemplars)
+		hub.Exemplars = exemplar.NewRecorder(exemplar.Config{Window: *timelineWindow, K: *exemplarK})
 	}
+	telemetry.SetDefault(hub)
 
 	// Run experiments in a bounded worker pool; buffer output per experiment
 	// so the report prints in canonical order regardless of completion order.
@@ -185,19 +175,19 @@ func main() {
 		}
 	}
 
-	if tracer != nil {
+	if tracer := hub.Tracer; tracer != nil {
 		if err := telemetry.WriteChromeTraceFile(*traceOut, tracer); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("trace: %d events (%d dropped) written to %s — open in https://ui.perfetto.dev\n",
 			tracer.Total(), tracer.Dropped(), *traceOut)
 	}
-	if spans != nil {
-		if err := span.WriteText(os.Stdout, span.Analyze(spans.Invocations())); err != nil {
+	if hub.Spans != nil {
+		if err := span.WriteText(os.Stdout, span.Analyze(hub.Spans.Invocations())); err != nil {
 			fatal(err)
 		}
 	}
-	if timeline != nil {
+	if hub.Timeline != nil {
 		out := io.Writer(os.Stdout)
 		if *timelineOut != "-" {
 			f, err := os.Create(*timelineOut)
@@ -207,11 +197,11 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := timeseries.WriteText(out, timeline); err != nil {
+		if err := timeseries.WriteText(out, hub.Timeline); err != nil {
 			fatal(err)
 		}
 	}
-	if exemplars != nil {
+	if hub.Exemplars != nil {
 		out := io.Writer(os.Stdout)
 		if *exemplarsOut != "-" {
 			f, err := os.Create(*exemplarsOut)
@@ -221,7 +211,7 @@ func main() {
 			defer f.Close()
 			out = f
 		}
-		if err := drilldown.WriteExemplarsText(out, exemplars.Cells()); err != nil {
+		if err := drilldown.WriteExemplarsText(out, hub.Exemplars.Cells()); err != nil {
 			fatal(err)
 		}
 	}

@@ -169,22 +169,17 @@ func main() {
 	}
 	var hub telemetry.Hub
 	if *traceDump || *traceOut != "" {
-		hub = telemetry.Hub{
-			Tracer: telemetry.NewTracer(*traceBuffer),
-			Reg:    telemetry.NewRegistry(),
-		}
+		hub.Tracer = telemetry.NewTracer(*traceBuffer)
+		hub.Reg = telemetry.NewRegistry()
 	}
-	var spans *span.Recorder
 	if *attrib || *attribOut != "" {
-		spans = span.NewRecorder(span.DefaultCapacity)
+		hub.Spans = span.NewRecorder(span.DefaultCapacity)
 	}
-	var tl *timeseries.Recorder
 	if *timeline {
-		tl = timeseries.NewRecorder(timeseries.Config{Window: *timelineWindow})
+		hub.Timeline = timeseries.NewRecorder(timeseries.Config{Window: *timelineWindow})
 	}
-	var exm *exemplar.Recorder
 	if *exemplars {
-		exm = exemplar.NewRecorder(exemplar.Config{Window: *timelineWindow, K: *exemplarK})
+		hub.Exemplars = exemplar.NewRecorder(exemplar.Config{Window: *timelineWindow, K: *exemplarK})
 	}
 	sc := experiments.Scenario{
 		Profile:     prof,
@@ -195,9 +190,6 @@ func main() {
 		SeedHistory: true,
 		Seed:        *seed,
 		Telemetry:   hub,
-		Spans:       spans,
-		Timeline:    tl,
-		Exemplars:   exm,
 	}
 	if *faultIntensity > 0 {
 		sc.Pool.Faults = faultinject.New(faultinject.Config{
@@ -249,7 +241,7 @@ func main() {
 			}
 		}
 	}
-	if spans != nil {
+	if spans := hub.Spans; spans != nil {
 		if *attribOut != "" {
 			if err := span.WriteChromeTraceFile(*attribOut, spans); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -265,14 +257,14 @@ func main() {
 			}
 		}
 	}
-	if tl != nil {
+	if tl := hub.Timeline; tl != nil {
 		fmt.Println()
 		if err := timeseries.WriteText(os.Stdout, tl); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if exm != nil {
+	if exm := hub.Exemplars; exm != nil {
 		fmt.Println()
 		if err := drilldown.WriteExemplarsText(os.Stdout, exm.Cells()); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -41,6 +41,7 @@ import (
 
 	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/report"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -167,7 +168,7 @@ func runLive(rec *span.Recorder, bench, policyName string, duration, gap time.Du
 		Policy:      kind,
 		SeedHistory: true,
 		Seed:        seed,
-		Spans:       rec,
+		Telemetry:   telemetry.Hub{Spans: rec},
 	})
 	return rec.Invocations()
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -35,7 +36,7 @@ func TestQuickstartAttributionReconciles(t *testing.T) {
 		KeepAlive:   10 * time.Minute,
 		Policy:      experiments.FaaSMem,
 		Seed:        1,
-		Spans:       rec,
+		Telemetry:   telemetry.Hub{Spans: rec},
 	})
 	invs := rec.Invocations()
 	if len(invs) != n {

@@ -13,6 +13,7 @@ import (
 	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/report"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/trace"
@@ -134,8 +135,7 @@ func runTimelineScenario(prof *workload.Profile, kind experiments.PolicyKind,
 		Policy:      kind,
 		SeedHistory: true,
 		Seed:        seed,
-		Timeline:    rec,
-		Exemplars:   exm,
+		Telemetry:   telemetry.Hub{Timeline: rec, Exemplars: exm},
 	}
 	if faultIntensity > 0 {
 		sc.Pool.Faults = faultinject.New(faultinject.Config{

@@ -14,6 +14,7 @@ import (
 
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/experiments"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -34,7 +35,7 @@ func main() {
 			CoreConfig:  cfg,
 			SeedHistory: true,
 			Seed:        7,
-			Spans:       rec,
+			Telemetry:   telemetry.Hub{Spans: rec},
 		})
 		fmt.Printf("--- %s ---\n", label)
 		if err := span.WriteText(os.Stdout, span.Analyze(rec.Invocations())); err != nil {

@@ -133,8 +133,8 @@ func (c *Cluster) Invoke(fnID string) {
 	n, faultResched := c.pickNode(fnID)
 	if faultResched {
 		c.rescheduledFault++
-		if c.cfg.Node.Timeline.Enabled() {
-			c.cfg.Node.Timeline.AddCounter(c.engine.Now(), timeseries.SeriesRescheduledFault,
+		if c.cfg.Node.Telemetry.Timeline.Enabled() {
+			c.cfg.Node.Telemetry.Timeline.AddCounter(c.engine.Now(), timeseries.SeriesRescheduledFault,
 				timeseries.Dims{Node: "rack", Tenant: fnID}, 1)
 		}
 		n.InvokeRescheduled(fnID)
@@ -150,8 +150,8 @@ func (c *Cluster) InvokeStage(fnID string, hooks *faas.StageHooks) {
 	n, faultResched := c.pickNode(fnID)
 	if faultResched {
 		c.rescheduledFault++
-		if c.cfg.Node.Timeline.Enabled() {
-			c.cfg.Node.Timeline.AddCounter(c.engine.Now(), timeseries.SeriesRescheduledFault,
+		if c.cfg.Node.Telemetry.Timeline.Enabled() {
+			c.cfg.Node.Telemetry.Timeline.AddCounter(c.engine.Now(), timeseries.SeriesRescheduledFault,
 				timeseries.Dims{Node: "rack", Tenant: fnID}, 1)
 		}
 		n.InvokeStageRescheduled(fnID, hooks)

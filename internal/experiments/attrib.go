@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/core"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -82,8 +83,8 @@ func AttribPressure(opt AttribPressureOptions) []AttribRow {
 				MinIntervalSamples:    1 << 30,
 				FallbackSemiWarmDelay: d,
 			},
-			Seed:  opt.Seed,
-			Spans: recs[i],
+			Seed:      opt.Seed,
+			Telemetry: telemetry.Hub{Spans: recs[i]},
 		}
 	}
 	outs := RunScenarios(scs)

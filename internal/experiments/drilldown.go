@@ -15,6 +15,7 @@ import (
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/trace"
@@ -111,8 +112,7 @@ func Drilldown(opt DrilldownOptions) []DrilldownCell {
 				Seed:             opt.Seed,
 				Swap:             fastswap.Config{FallbackReadLatency: 50 * time.Microsecond},
 				RequestLogSize:   1 << 16,
-				Timeline:         rec,
-				Exemplars:        exm,
+				Telemetry:        telemetry.Hub{Timeline: rec, Exemplars: exm},
 			},
 			Pool: rmem.Config{Node: &nodeCfg, Faults: plan},
 		}, func() policy.Policy { return core.New(core.Config{}) })

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/faultinject"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -86,7 +87,7 @@ func TestFlowConservationAcrossFaultPlans(t *testing.T) {
 				Policy:      FaaSMem,
 				SeedHistory: true,
 				Seed:        seed,
-				Timeline:    rec,
+				Telemetry:   telemetry.Hub{Timeline: rec},
 			}
 			if intensity > 0 {
 				sc.Pool.Faults = faultinject.New(faultinject.Config{

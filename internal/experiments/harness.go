@@ -20,9 +20,6 @@ import (
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
-	"github.com/faasmem/faasmem/internal/telemetry/span"
-	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -73,22 +70,11 @@ type Scenario struct {
 	MemTimeline *metrics.Series
 	// MemSampleEvery defaults to 10 s when MemTimeline is set.
 	MemSampleEvery time.Duration
-	// Telemetry attaches an event tracer / metric registry to the run. The
-	// zero Hub falls back to the process default (telemetry.SetDefault), so
-	// cmd/experiments' -trace flags capture every harness without plumbing.
+	// Telemetry attaches the run's sinks: tracer, registry, spans, timeline
+	// and exemplars. Each nil sink falls back to the process default
+	// (telemetry.Hub.OrDefault), so cmd/experiments' -trace, -attrib,
+	// -timeline and -exemplars flags capture every harness without plumbing.
 	Telemetry telemetry.Hub
-	// Spans attaches a causal-span recorder for latency attribution. Nil
-	// falls back to the process default (span.SetDefault), mirroring
-	// Telemetry, so -attrib flags capture every harness without plumbing.
-	Spans *span.Recorder
-	// Timeline attaches a time-series recorder for per-window rollups. Nil
-	// falls back to the process default (timeseries.SetDefault), mirroring
-	// Spans, so -timeline flags capture every harness without plumbing.
-	Timeline *timeseries.Recorder
-	// Exemplars attaches a tail-exemplar recorder (worst-K span trees per
-	// window). Nil falls back to the process default (exemplar.SetDefault),
-	// mirroring Timeline.
-	Exemplars *exemplar.Recorder
 }
 
 // Outcome summarizes one scenario run.
@@ -186,9 +172,6 @@ func RunScenario(sc Scenario) Outcome {
 		Pool:             sc.Pool,
 		Swap:             sc.Swap,
 		Telemetry:        sc.Telemetry.OrDefault(),
-		Spans:            sc.Spans.OrDefault(),
-		Timeline:         sc.Timeline.OrDefault(),
-		Exemplars:        sc.Exemplars.OrDefault(),
 	}, pol)
 	fnID := sc.Profile.Name
 	f := p.Register(fnID, sc.Profile)

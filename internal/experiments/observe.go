@@ -14,6 +14,7 @@ import (
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -98,7 +99,7 @@ func Observe(opt ObserveOptions) []ObserveCell {
 				Seed:             opt.Seed,
 				Swap:             swapCfg,
 				RequestLogSize:   1 << 16,
-				Timeline:         rec,
+				Telemetry:        telemetry.Hub{Timeline: rec},
 			},
 			Pool: rmem.Config{Node: &nodeCfg, Faults: plan},
 		}, func() policy.Policy { return core.New(core.Config{}) })

@@ -6,9 +6,6 @@ import (
 	"sync/atomic"
 
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
-	"github.com/faasmem/faasmem/internal/telemetry/span"
-	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
 // workerCount holds the scenario-level fan-out width; 0 means GOMAXPROCS.
@@ -87,67 +84,10 @@ func runGrid(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// scenarioShard holds the private sinks one scenario records into while
-// running concurrently with its siblings.
-type scenarioShard struct {
-	tracer *telemetry.Tracer
-	spans  *span.Recorder
-	tl     *timeseries.Recorder
-	exm    *exemplar.Recorder
-}
-
-// shardScenario replaces any shared process-default sink the scenario would
-// record into with a freshly built private shard of the same capacity, and
-// returns the shard set (zero when the scenario carries its own sinks).
-func shardScenario(sc *Scenario) scenarioShard {
-	var sh scenarioShard
-	if !sc.Telemetry.Enabled() {
-		if def := telemetry.Default(); def.Enabled() {
-			h := def
-			if def.Tracer != nil {
-				sh.tracer = telemetry.NewTracer(def.Tracer.Cap())
-				h.Tracer = sh.tracer
-			}
-			// Registry counters are atomic and order-independent; the
-			// shared registry stays in place.
-			sc.Telemetry = h
-		}
-	}
-	if sc.Spans == nil {
-		if def := span.Default(); def != nil {
-			sh.spans = span.NewRecorder(def.Cap())
-			sc.Spans = sh.spans
-		}
-	}
-	if sc.Timeline == nil {
-		if def := timeseries.Default(); def != nil {
-			sh.tl = timeseries.NewRecorder(def.Config())
-			sc.Timeline = sh.tl
-		}
-	}
-	if sc.Exemplars == nil {
-		if def := exemplar.Default(); def != nil {
-			sh.exm = exemplar.NewRecorder(def.Config())
-			sc.Exemplars = sh.exm
-		}
-	}
-	return sh
-}
-
-// merge folds the shard's sinks back into the process defaults. The timeline
-// shard was built from the sink's own Config, so the window-mismatch error
-// cannot arise; a nil shard or sink is a defined no-op.
-func (sh scenarioShard) merge() {
-	telemetry.Default().Tracer.MergeFrom(sh.tracer)
-	span.Default().MergeFrom(sh.spans)
-	_ = timeseries.Default().MergeFrom(sh.tl)
-	_ = exemplar.Default().MergeFrom(sh.exm)
-}
-
 // RunScenarios executes every scenario through RunScenario across the worker
 // pool and returns outcomes in input order. Scenarios that would record into
-// a shared process-default telemetry/span/timeline sink get a shard-local
-// sink each while running; after the barrier the shards fold back into the
+// a shared process-default sink get a shard-local one each while running
+// (telemetry.Hub.Shard); after the barrier the shards fold back into the
 // shared sink in scenario-index order. Sharding applies at every width —
 // including serial — so stateful sink behavior (ring eviction, SLO burn
 // alarms, flight dumps) is evaluated per scenario and the retained contents
@@ -162,13 +102,16 @@ func RunScenarios(scs []Scenario) []Outcome {
 	}
 	local := make([]Scenario, len(scs))
 	copy(local, scs)
-	shards := make([]scenarioShard, len(scs))
+	shards := make([]telemetry.Hub, len(scs))
 	for i := range local {
-		shards[i] = shardScenario(&local[i])
+		local[i].Telemetry, shards[i] = local[i].Telemetry.Shard()
 	}
 	runGrid(len(local), func(i int) { outs[i] = RunScenario(local[i]) })
+	def := telemetry.Default()
 	for _, sh := range shards {
-		sh.merge()
+		// Each shard was built from its sink's own Config, so the
+		// window-mismatch error cannot arise.
+		_ = def.MergeFrom(sh)
 	}
 	return outs
 }

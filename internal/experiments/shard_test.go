@@ -25,14 +25,8 @@ func runWithSharedSinks(t *testing.T, scs []Scenario, width int) sinkState {
 	tr := telemetry.NewTracer(1 << 14)
 	sp := span.NewRecorder(1 << 12)
 	tl := timeseries.NewRecorder(timeseries.Config{})
-	telemetry.SetDefault(telemetry.Hub{Tracer: tr})
-	span.SetDefault(sp)
-	timeseries.SetDefault(tl)
-	defer func() {
-		telemetry.SetDefault(telemetry.Hub{})
-		span.SetDefault(nil)
-		timeseries.SetDefault(nil)
-	}()
+	telemetry.SetDefault(telemetry.Hub{Tracer: tr, Spans: sp, Timeline: tl})
+	defer telemetry.SetDefault(telemetry.Hub{})
 	prev := Workers()
 	SetWorkers(width)
 	defer SetWorkers(prev)

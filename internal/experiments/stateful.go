@@ -14,6 +14,7 @@ import (
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -196,7 +197,7 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 			KeepAliveTimeout: opt.KeepAlive,
 			Seed:             opt.Seed,
 			RequestLogSize:   1 << 14,
-			Timeline:         rec,
+			Telemetry:        telemetry.Hub{Timeline: rec},
 		},
 		Pool: rmem.Config{Node: &nodeCfg},
 	}, func() policy.Policy { return core.New(core.Config{}) })

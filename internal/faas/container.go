@@ -468,24 +468,24 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 		FaultPages:  c.curFaults,
 		StallTime:   c.curStall,
 	})
-	if c.p.spans.Enabled() || c.p.exm.Enabled() {
+	if c.p.tel.Spans.Enabled() || c.p.tel.Exemplars.Enabled() {
 		// Build the span tree once and feed whichever sinks are on: the
 		// exemplar recorder works standalone so drill-down does not require
 		// retaining every request's spans.
 		inv := c.buildInvocation(arrival, now)
-		if c.p.spans.Enabled() {
-			c.p.spans.Record(inv)
+		if c.p.tel.Spans.Enabled() {
+			c.p.tel.Spans.Record(inv)
 		}
-		c.p.exm.Record(now, c.p.tlNode, c.fn.id, time.Duration(now-arrival), inv)
+		c.p.tel.Exemplars.Record(now, c.p.tlNode, c.fn.id, time.Duration(now-arrival), inv)
 	}
 	c.p.met.reqLatency.Observe((now - arrival).Seconds())
-	if c.p.tl.Enabled() {
+	if c.p.tel.Timeline.Enabled() {
 		d := timeseries.Dims{Node: c.p.tlNode, Tenant: c.fn.id}
-		c.p.tl.AddCounter(now, timeseries.SeriesRequests, d, 1)
+		c.p.tel.Timeline.AddCounter(now, timeseries.SeriesRequests, d, 1)
 		if c.curKind == ColdStart {
-			c.p.tl.AddCounter(now, timeseries.SeriesColdStarts, d, 1)
+			c.p.tel.Timeline.AddCounter(now, timeseries.SeriesColdStarts, d, 1)
 		}
-		c.p.tl.ObserveLatency(now, timeseries.SeriesRequestLatency, d, now-arrival)
+		c.p.tel.Timeline.ObserveLatency(now, timeseries.SeriesRequestLatency, d, now-arrival)
 	}
 	// Recovery attribution is per-request; clear it before any queued
 	// follow-on request reuses this container.
@@ -729,7 +729,7 @@ func (c *Container) Trace() *telemetry.Tracer { return c.p.tel.Tracer }
 
 // Spans implements policy.View: the platform's causal-span recorder (nil
 // when span recording is disabled; span.Recorder methods are nil-safe).
-func (c *Container) Spans() *span.Recorder { return c.p.spans }
+func (c *Container) Spans() *span.Recorder { return c.p.tel.Spans }
 
 // Cgroup exposes the container's memory accounting (read-only use).
 func (c *Container) Cgroup() *cgroup.Group { return c.cg }
@@ -835,14 +835,14 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 	}
 	bytes := int64(len(moved)) * pageBytes
 	c.cg.Offload(now, bytes)
-	if c.p.spans.Enabled() {
+	if c.p.tel.Spans.Enabled() {
 		start, done := c.p.pool.LastTransferWindow()
-		c.p.spans.RecordBackground(span.Background{
+		c.p.tel.Spans.RecordBackground(span.Background{
 			Kind: span.BGOffload, Function: c.fn.id, Container: c.id,
 			Start: start, Dur: time.Duration(done - start), Bytes: bytes,
 		})
 	}
-	if c.p.tel.Enabled() {
+	if c.p.tel.Tracer != nil || c.p.tel.Reg != nil {
 		// The accepted per-class counts are the moved pages by lifecycle
 		// segment (memnode.Class numbering matches telemetry.Stage), so the
 		// trace and per-stage counters show which Pucket the savings came
@@ -863,12 +863,12 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 		}
 		c.p.syncMemGauges()
 	}
-	if c.p.tl.Enabled() {
+	if c.p.tel.Timeline.Enabled() {
 		for cls, n := range accepted {
 			if n == 0 {
 				continue
 			}
-			c.p.tl.AddCounter(now, timeseries.SeriesOffloadPages, timeseries.Dims{
+			c.p.tel.Timeline.AddCounter(now, timeseries.SeriesOffloadPages, timeseries.Dims{
 				Node: c.p.tlNode, Tenant: c.fn.id, Class: memnode.Class(cls).String(),
 			}, int64(n))
 		}

@@ -23,9 +23,6 @@ import (
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
-	"github.com/faasmem/faasmem/internal/telemetry/span"
-	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -70,29 +67,19 @@ type Config struct {
 	// RequestLogSize keeps a ring of the most recent N request records for
 	// inspection (gateway, debugging). Zero disables the log.
 	RequestLogSize int
-	// Telemetry attaches an event tracer and metric registry to the platform
-	// and everything it owns: container lifecycles, the pool link, the swap
-	// device, and the policy via View.Trace. The zero Hub disables all
-	// instrumentation; the disabled path is allocation-free.
+	// Telemetry attaches the platform's sinks (telemetry.Hub). The tracer
+	// and registry instrument everything the platform owns: container
+	// lifecycles, the pool link, the swap device, and the policy via
+	// View.Trace. Spans yields one causal span tree per completed request
+	// (queue → launch → init → exec with fault-stall / restore / backlog
+	// children), and policies record their background link work through
+	// View.Spans. Timeline rolls requests, latencies, page traffic and
+	// recovery into per-window points and arms a per-window gauge sampler
+	// (local/remote bytes, live containers, pool occupancy). Exemplars
+	// offers each completed request's span tree to the per-window worst-K
+	// cells keyed by (node, tenant), with or without Spans. The zero Hub
+	// disables all instrumentation; every disabled path is allocation-free.
 	Telemetry telemetry.Hub
-	// Spans attaches a causal-span recorder: every completed request then
-	// yields a span tree (queue → launch → init → exec with fault-stall /
-	// restore / backlog children) for latency attribution, and policies
-	// record their background link work through View.Spans. Nil disables
-	// span recording; the disabled path is allocation-free.
-	Spans *span.Recorder
-	// Timeline attaches a time-series recorder: requests, latencies, page
-	// traffic, and recovery activity roll up into per-window points on the
-	// virtual clock, and the platform arms a per-window gauge sampler
-	// (local/remote bytes, live containers, pool occupancy). Nil disables
-	// timeline recording; the disabled path is allocation-free.
-	Timeline *timeseries.Recorder
-	// Exemplars attaches a tail-exemplar recorder: each completed request's
-	// span tree is offered to the per-window worst-K cells keyed by
-	// (node, tenant), linking timeline spikes back to concrete requests.
-	// Works with or without Spans (the span tree is built either way when
-	// exemplars are on). Nil disables; the disabled path is allocation-free.
-	Exemplars *exemplar.Recorder
 	// FetchTimeout bounds how long one request's page fetch may sit in
 	// backoff retries against an unhealthy pool link before giving up and
 	// recovering (local-swap fallback when the swap device keeps a
@@ -294,9 +281,6 @@ type Platform struct {
 	swap       *fastswap.Device
 	reqLog     RequestLog
 	tel        telemetry.Hub
-	spans      *span.Recorder
-	tl         *timeseries.Recorder
-	exm        *exemplar.Recorder
 	tlNode     string
 	met        platformMetrics
 	containers int // ever created
@@ -327,9 +311,6 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 		governor: rmem.NewGovernor(pool, 0.7),
 		swap:     fastswap.NewDevice(c.Swap),
 		tel:      c.Telemetry,
-		spans:    c.Spans,
-		tl:       c.Timeline,
-		exm:      c.Exemplars,
 	}
 	p.met = newPlatformMetrics(p.tel.Reg)
 	pool.Instrument(p.tel.Tracer, p.tel.Reg)
@@ -538,14 +519,6 @@ func (p *Platform) ContainersCreated() int { return p.containers }
 // RequestLog exposes the platform's recent-request ring (enabled via
 // Config.RequestLogSize).
 func (p *Platform) RequestLog() *RequestLog { return &p.reqLog }
-
-// SpanRecorder exposes the platform's causal-span recorder (nil when span
-// recording is disabled).
-func (p *Platform) SpanRecorder() *span.Recorder { return p.spans }
-
-// ExemplarRecorder returns the attached tail-exemplar recorder (nil when
-// exemplars are disabled).
-func (p *Platform) ExemplarRecorder() *exemplar.Recorder { return p.exm }
 
 // EvictedContainers counts idle containers force-recycled to keep the node
 // within its memory limit.

@@ -221,8 +221,8 @@ func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches,
 			At: now, Dur: stall.Backoff + fbLat, Kind: telemetry.KindLocalFallback,
 			Actor: c.id, Fn: c.fn.id, Value: int64(pages),
 		})
-		if c.p.tl.Enabled() {
-			c.p.tl.AddCounter(now, timeseries.SeriesFallbackPages,
+		if c.p.tel.Timeline.Enabled() {
+			c.p.tel.Timeline.AddCounter(now, timeseries.SeriesFallbackPages,
 				timeseries.Dims{Node: c.p.tlNode, Tenant: c.fn.id}, int64(pages))
 		}
 		c.curFaults = faults
@@ -257,8 +257,8 @@ func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches,
 		At: now, Dur: waited, Kind: telemetry.KindColdReinit,
 		Actor: c.id, Fn: c.fn.id, Value: int64(stall.Retries),
 	})
-	if c.p.tl.Enabled() {
-		c.p.tl.AddCounter(now, timeseries.SeriesColdReinits,
+	if c.p.tel.Timeline.Enabled() {
+		c.p.tel.Timeline.AddCounter(now, timeseries.SeriesColdReinits,
 			timeseries.Dims{Node: c.p.tlNode, Tenant: c.fn.id}, 1)
 	}
 	c.recycle()

@@ -7,6 +7,7 @@ import (
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 )
 
@@ -36,7 +37,7 @@ func TestSpanTreesReconcileWithRequestLog(t *testing.T) {
 		KeepAliveTimeout:         10 * time.Second,
 		MaxContainersPerFunction: 1,
 		RequestLogSize:           128,
-		Spans:                    rec,
+		Telemetry:                telemetry.Hub{Spans: rec},
 		Seed:                     1,
 	}, policy.NoOffload{})
 	p.Register("f", tinyProfile())
@@ -94,7 +95,7 @@ func TestSpanStallChildren(t *testing.T) {
 	})
 	p := New(e, Config{
 		KeepAliveTimeout: time.Minute,
-		Spans:            rec,
+		Telemetry:        telemetry.Hub{Spans: rec},
 		Seed:             1,
 	}, pol)
 	p.Register("f", tinyProfile())
@@ -153,7 +154,7 @@ func TestSpansDisabledMatchesEnabledLatency(t *testing.T) {
 		p := New(e, Config{
 			KeepAliveTimeout: 10 * time.Second,
 			RequestLogSize:   64,
-			Spans:            rec,
+			Telemetry:        telemetry.Hub{Spans: rec},
 			Seed:             7,
 		}, policy.NoOffload{})
 		p.Register("f", tinyProfile())

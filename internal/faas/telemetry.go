@@ -72,7 +72,3 @@ func (p *Platform) syncMemGauges() {
 	p.met.localBytes.Set(p.nodeCG.LocalBytes())
 	p.met.remoteBytes.Set(p.nodeCG.RemoteBytes())
 }
-
-// Telemetry returns the hub the platform was instrumented with (zero Hub
-// when disabled).
-func (p *Platform) Telemetry() telemetry.Hub { return p.tel }

@@ -5,7 +5,7 @@ import (
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
-// armTimeline wires the platform into its Config.Timeline recorder: it
+// armTimeline wires the platform into its Config.Telemetry.Timeline recorder: it
 // caches the node dimension, attaches the pool (arming the flight
 // recorder's fault-window triggers), and starts a per-window ticker that
 // samples the node's occupancy gauges. On a rack-shared pool the first
@@ -18,22 +18,19 @@ func (p *Platform) armTimeline() {
 	if p.tlNode == "" {
 		p.tlNode = "n0"
 	}
-	if !p.tl.Enabled() {
+	tl := p.tel.Timeline
+	if !tl.Enabled() {
 		return
 	}
-	poolOwner := p.pool.InstrumentTimeline(p.tl)
+	poolOwner := p.pool.InstrumentTimeline(tl)
 	nodeDims := timeseries.Dims{Node: p.tlNode}
-	simtime.NewTicker(p.engine, p.tl.Window(), func(e *simtime.Engine) {
+	simtime.NewTicker(p.engine, tl.Window(), func(e *simtime.Engine) {
 		now := e.Now()
-		p.tl.SetGauge(now, timeseries.SeriesNodeLocalBytes, nodeDims, p.NodeLocalBytes())
-		p.tl.SetGauge(now, timeseries.SeriesNodeRemoteBytes, nodeDims, p.NodeRemoteBytes())
-		p.tl.SetGauge(now, timeseries.SeriesLiveContainers, nodeDims, int64(p.liveTotal))
+		tl.SetGauge(now, timeseries.SeriesNodeLocalBytes, nodeDims, p.NodeLocalBytes())
+		tl.SetGauge(now, timeseries.SeriesNodeRemoteBytes, nodeDims, p.NodeRemoteBytes())
+		tl.SetGauge(now, timeseries.SeriesLiveContainers, nodeDims, int64(p.liveTotal))
 		if poolOwner {
 			p.pool.SampleTimeline(now)
 		}
 	})
 }
-
-// Timeline returns the recorder the platform was built with (nil when
-// timeline recording is disabled).
-func (p *Platform) Timeline() *timeseries.Recorder { return p.tl }

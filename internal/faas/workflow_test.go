@@ -10,6 +10,7 @@ import (
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -191,7 +192,7 @@ func TestWorkflowStateSpansReconcile(t *testing.T) {
 		KeepAliveTimeout: 30 * time.Second,
 		Seed:             1,
 		Pool:             rmem.Config{Node: &memnode.Config{}},
-		Spans:            rec,
+		Telemetry:        telemetry.Hub{Spans: rec},
 	}, policy.NoOffload{})
 	m := sharedmem.New(sharedmem.Config{PageSize: int64(p.Config().PageSize), Pool: p.Pool()})
 	wf, err := workload.WorkflowByName("pipeline")

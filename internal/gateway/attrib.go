@@ -14,7 +14,7 @@ import (
 // the rendering: text (default, the faasmem-stat table), json (the full
 // span.Analysis), or prometheus (per-phase gauges for scraping).
 func (s *server) handleAttrib(w http.ResponseWriter, r *http.Request) {
-	an := span.Analyze(s.spans.Invocations())
+	an := span.Analyze(s.tel.Spans.Invocations())
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

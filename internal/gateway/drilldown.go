@@ -13,13 +13,13 @@ import (
 // starts at zero, so repeated runs compete within the same windows and the
 // surface keeps only the globally worst span trees per cell.
 func (s *server) handleExemplars(w http.ResponseWriter, _ *http.Request) {
-	cells := s.exemplars.Cells()
+	cells := s.tel.Exemplars.Cells()
 	if cells == nil {
 		cells = []exemplar.Cell{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"window_sec": s.exemplars.Window().Seconds(),
-		"k":          s.exemplars.K(),
+		"window_sec": s.tel.Exemplars.Window().Seconds(),
+		"k":          s.tel.Exemplars.K(),
 		"cells":      cells,
 	})
 }
@@ -29,12 +29,12 @@ func (s *server) handleExemplars(w http.ResponseWriter, _ *http.Request) {
 // recorder the audit reports per-run occupancy checks where it can and marks
 // the aggregate as merged otherwise — the flows themselves stay additive.
 func (s *server) handleFlows(w http.ResponseWriter, _ *http.Request) {
-	rows := s.timeline.FlowRows()
+	rows := s.tel.Timeline.FlowRows()
 	if rows == nil {
 		rows = []timeseries.FlowRow{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"flows": rows,
-		"audit": timeseries.AuditFlows(s.timeline),
+		"audit": timeseries.AuditFlows(s.tel.Timeline),
 	})
 }

@@ -180,13 +180,15 @@ type WorkflowRunResponse struct {
 	Row      experiments.StatefulRow `json:"row"`
 }
 
-// server holds the gateway's shared state: the telemetry registry every
-// simulation run reports into, plus the gateway's own request counters.
+// server holds the gateway's shared state: the service-lifetime telemetry
+// hub every simulation run reports into, plus the gateway's own request
+// counters.
 type server struct {
-	reg         *telemetry.Registry
-	spans       *span.Recorder
-	timeline    *timeseries.Recorder
-	exemplars   *exemplar.Recorder
+	// tel is passed whole into every /run and /replay simulation. Metrics
+	// aggregate into its registry, and spans, timeline and exemplars
+	// accumulate across runs; per-event tracing stays off (a
+	// service-lifetime ring of interleaved runs would not be meaningful).
+	tel         telemetry.Hub
 	runs        *telemetry.Metric
 	replays     *telemetry.Metric
 	experiments *telemetry.Metric
@@ -196,21 +198,18 @@ type server struct {
 func newServer() *server {
 	reg := telemetry.NewRegistry()
 	return &server{
-		reg:         reg,
-		spans:       span.NewRecorder(span.DefaultCapacity),
-		timeline:    timeseries.NewRecorder(timeseries.Config{}),
-		exemplars:   exemplar.NewRecorder(exemplar.Config{}),
+		tel: telemetry.Hub{
+			Reg:       reg,
+			Spans:     span.NewRecorder(span.DefaultCapacity),
+			Timeline:  timeseries.NewRecorder(timeseries.Config{}),
+			Exemplars: exemplar.NewRecorder(exemplar.Config{}),
+		},
 		runs:        reg.Counter("gateway_runs_total", "POST /run scenarios executed"),
 		replays:     reg.Counter("gateway_replays_total", "POST /replay traces executed"),
 		experiments: reg.Counter("gateway_experiments_total", "POST /experiments regenerations executed"),
 		errors:      reg.Counter("gateway_errors_total", "requests rejected with an error status"),
 	}
 }
-
-// hub is the telemetry wiring passed into simulation runs: metrics aggregate
-// into the shared registry; per-event tracing stays off (a service-lifetime
-// ring of interleaved runs would not be meaningful).
-func (s *server) hub() telemetry.Hub { return telemetry.Hub{Reg: s.reg} }
 
 // Handler builds the gateway's HTTP handler.
 func Handler() http.Handler {
@@ -219,7 +218,7 @@ func Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.Handle("GET /metrics", telemetry.PrometheusHandler(s.reg))
+	mux.Handle("GET /metrics", telemetry.PrometheusHandler(s.tel.Reg))
 	mux.HandleFunc("GET /attrib", s.handleAttrib)
 	mux.HandleFunc("GET /timeline", s.handleTimeline)
 	mux.HandleFunc("GET /flight", s.handleFlight)
@@ -275,10 +274,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Policy:      experiments.PolicyKind(req.Policy),
 		SeedHistory: true,
 		Seed:        req.Seed,
-		Telemetry:   s.hub(),
-		Spans:       s.spans,
-		Timeline:    s.timeline,
-		Exemplars:   s.exemplars,
+		Telemetry:   s.tel,
 	}
 	if req.MergeScope != "" || req.CacheMB > 0 {
 		sc.Pool.Node = &memnode.Config{

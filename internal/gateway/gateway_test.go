@@ -186,6 +186,65 @@ func TestReplayEndpoint(t *testing.T) {
 	}
 }
 
+// TestReplayFeedsEverySink pins that POST /replay records into the same
+// service-lifetime sinks as /run: spans, timeline, flows and exemplars all
+// grow, so /exemplars never lags /timeline after a replay.
+func TestReplayFeedsEverySink(t *testing.T) {
+	h := Handler()
+	var sizes struct {
+		Attrib struct {
+			Overall struct {
+				N int `json:"n"`
+			} `json:"overall"`
+		}
+		Timeline struct {
+			Rows []json.RawMessage `json:"rows"`
+		}
+		Flows struct {
+			Flows []json.RawMessage `json:"flows"`
+		}
+		Exemplars struct {
+			Cells []json.RawMessage `json:"cells"`
+		}
+	}
+	measure := func() [4]int {
+		t.Helper()
+		for path, v := range map[string]any{
+			"/attrib?format=json":   &sizes.Attrib,
+			"/timeline?format=json": &sizes.Timeline,
+			"/flows":                &sizes.Flows,
+			"/exemplars":            &sizes.Exemplars,
+		} {
+			rec := doOn(t, h, http.MethodGet, path, "")
+			if rec.Code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", path, rec.Code)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+		}
+		return [4]int{sizes.Attrib.Overall.N, len(sizes.Timeline.Rows),
+			len(sizes.Flows.Flows), len(sizes.Exemplars.Cells)}
+	}
+	before := measure()
+	rec := doOn(t, h, http.MethodPost, "/replay", `{
+		"trace": {"duration": 600000000000, "functions": [
+			{"id": "a", "invocations": [0, 30000000000, 200000000000]},
+			{"id": "b", "invocations": [1000000000, 400000000000]}
+		]},
+		"profile": "web", "policy": "faasmem", "keep_alive_sec": 300, "seed": 5
+	}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/replay status = %d: %s", rec.Code, rec.Body.String())
+	}
+	after := measure()
+	for i, name := range []string{"/attrib invocations", "/timeline rows", "/flows rows", "/exemplars cells"} {
+		if after[i] <= before[i] {
+			t.Errorf("%s did not grow after a replay: %d -> %d", name, before[i], after[i])
+		}
+	}
+}
+
 func TestReplayValidation(t *testing.T) {
 	cases := []struct {
 		body string

@@ -179,9 +179,7 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		Pool:             poolCfg,
 		RequestLogSize:   64,
 		Seed:             req.Seed,
-		Telemetry:        s.hub(),
-		Spans:            s.spans,
-		Timeline:         s.timeline,
+		Telemetry:        s.tel,
 	}, pol)
 	p.ReplayTrace(req.Trace, func(i int, f *trace.Function) *workload.Profile {
 		base := *pick(i, f)

@@ -18,9 +18,9 @@ func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = timeseries.WriteText(w, s.timeline)
+		_ = timeseries.WriteText(w, s.tel.Timeline)
 	case "json":
-		writeJSON(w, http.StatusOK, timeseries.TakeSnapshot(s.timeline))
+		writeJSON(w, http.StatusOK, timeseries.TakeSnapshot(s.tel.Timeline))
 	default:
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want text or json)", format))
 	}
@@ -30,12 +30,12 @@ func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 // high-resolution event windows snapshotted when a fault-injection window
 // opened or an SLO burn-rate alarm fired.
 func (s *server) handleFlight(w http.ResponseWriter, _ *http.Request) {
-	dumps := s.timeline.Dumps()
+	dumps := s.tel.Timeline.Dumps()
 	if dumps == nil {
 		dumps = []timeseries.Dump{}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"dumps":         dumps,
-		"dumps_dropped": s.timeline.DumpsDropped(),
+		"dumps_dropped": s.tel.Timeline.DumpsDropped(),
 	})
 }

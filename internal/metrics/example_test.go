@@ -27,16 +27,3 @@ func ExampleTimeWeighted() {
 	// Output:
 	// avg over 20s: 50
 }
-
-// ExampleHistogram shows the bounded-memory latency histogram.
-func ExampleHistogram() {
-	h := metrics.NewLatencyHistogram()
-	for i := 0; i < 1000; i++ {
-		h.Add(0.1)
-	}
-	h.Add(5.0) // one outlier
-	fmt.Printf("count %d, max %.1fs, P99 within 5%% of 0.1: %v\n",
-		h.Count(), h.Max(), h.P99() > 0.095 && h.P99() < 0.105)
-	// Output:
-	// count 1001, max 5.0s, P99 within 5% of 0.1: true
-}

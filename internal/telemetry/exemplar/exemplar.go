@@ -354,33 +354,3 @@ func (r *Recorder) Cells() []Cell {
 	})
 	return out
 }
-
-var defaultRec struct {
-	mu sync.RWMutex
-	r  *Recorder
-}
-
-// SetDefault installs the process-wide fallback recorder, mirroring
-// span.SetDefault and timeseries.SetDefault: cmd/experiments' -exemplars
-// flag wires it here so every harness retains exemplars without threading a
-// recorder through each figure.
-func SetDefault(r *Recorder) {
-	defaultRec.mu.Lock()
-	defaultRec.r = r
-	defaultRec.mu.Unlock()
-}
-
-// Default returns the process-wide fallback recorder (nil when unset).
-func Default() *Recorder {
-	defaultRec.mu.RLock()
-	defer defaultRec.mu.RUnlock()
-	return defaultRec.r
-}
-
-// OrDefault returns r when non-nil and the process default otherwise.
-func (r *Recorder) OrDefault() *Recorder {
-	if r != nil {
-		return r
-	}
-	return Default()
-}

@@ -3,8 +3,6 @@ package span
 import (
 	"sort"
 	"time"
-
-	"github.com/faasmem/faasmem/internal/metrics"
 )
 
 // Quantiles are the percentiles every attribution table reports.
@@ -44,12 +42,6 @@ type Attribution struct {
 	// Breakdowns holds one order-statistic decomposition per entry of
 	// Quantiles.
 	Breakdowns []Breakdown `json:"breakdowns"`
-	// TotalHist is the end-to-end latency distribution in seconds, for
-	// callers that want histogram quantiles (smoothed, non-reconciling).
-	TotalHist *metrics.Histogram `json:"-"`
-	// PhaseHist is the per-phase critical-path time distribution in
-	// seconds, one histogram per phase with at least one sample.
-	PhaseHist [NumPhases]*metrics.Histogram `json:"-"`
 }
 
 // invProfile is one invocation reduced to its critical-path phase times.
@@ -136,20 +128,12 @@ func aggregate(fn string, profs []invProfile, kinds [numStartKinds]int) Attribut
 	if len(profs) == 0 {
 		return at
 	}
-	at.TotalHist = metrics.NewLatencyHistogram()
 	var sumTotal time.Duration
 	var sumPhase [NumPhases]time.Duration
 	for _, p := range profs {
 		sumTotal += p.total
-		at.TotalHist.Add(p.total.Seconds())
 		for ph, d := range p.phase {
 			sumPhase[ph] += d
-			if d > 0 {
-				if at.PhaseHist[ph] == nil {
-					at.PhaseHist[ph] = metrics.NewLatencyHistogram()
-				}
-				at.PhaseHist[ph].Add(d.Seconds())
-			}
 		}
 	}
 	n := float64(len(profs))
@@ -186,7 +170,7 @@ func aggregate(fn string, profs []invProfile, kinds [numStartKinds]int) Attribut
 }
 
 // quantileIndex returns the 0-based rank of quantile q among n sorted
-// samples using the ceil(q·n) convention (matches metrics.Histogram).
+// samples: the sample of 1-based rank ⌈q·n⌉, clamped to [1, n].
 func quantileIndex(q float64, n int) int {
 	if n <= 0 {
 		return 0

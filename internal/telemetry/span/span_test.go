@@ -57,9 +57,6 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	if r.Invocations() != nil || r.Backgrounds() != nil {
 		t.Fatal("nil recorder must return nil slices")
 	}
-	if r.OrDefault() != nil {
-		t.Fatal("OrDefault with no default must stay nil")
-	}
 }
 
 func TestDisabledSpansZeroAlloc(t *testing.T) {
@@ -97,22 +94,6 @@ func TestRecorderRing(t *testing.T) {
 	r.Reset()
 	if r.Len() != 0 || r.Total() != 0 {
 		t.Fatal("reset must clear everything")
-	}
-}
-
-func TestDefaultRecorder(t *testing.T) {
-	defer SetDefault(nil)
-	if Default() != nil {
-		t.Fatal("default must start nil")
-	}
-	r := NewRecorder(8)
-	SetDefault(r)
-	var unset *Recorder
-	if unset.OrDefault() != r {
-		t.Fatal("OrDefault must fall back to the process default")
-	}
-	if r.OrDefault() != r {
-		t.Fatal("OrDefault must prefer the explicit recorder")
 	}
 }
 

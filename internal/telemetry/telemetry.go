@@ -2,7 +2,8 @@
 // typed, timestamped event tracing on the virtual clock plus a registry of
 // live counters and gauges, with exporters for Chrome trace-event JSON
 // (Perfetto / chrome://tracing), Prometheus text format, and human-readable
-// dumps.
+// dumps. Hub bundles the tracer and registry with the span, timeseries and
+// exemplar recorders into the one handle a simulation is instrumented with.
 //
 // Design constraints, in order:
 //
@@ -25,10 +26,14 @@
 package telemetry
 
 import (
+	"errors"
 	"sync"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
+	"github.com/faasmem/faasmem/internal/telemetry/span"
+	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
 // Kind is the type of a traced event. Each kind maps to one mechanism of the
@@ -352,18 +357,26 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// Hub bundles the tracer and metric registry a simulation is instrumented
-// with. The zero Hub is fully disabled; either field may be nil
-// independently.
+// Hub is the one instrumentation handle a simulation is given: every sink
+// the simulator records into travels in it, from the CLIs and the gateway
+// through experiments.Scenario and faas.Config down to the platform. The zero
+// Hub is fully disabled; every field may be nil independently, and each hot
+// path guards on the sink it feeds (a timeline-only run does no tracer work).
 type Hub struct {
-	// Tracer receives events; nil disables tracing.
+	// Tracer receives typed events; nil disables tracing.
 	Tracer *Tracer
 	// Reg hosts counters and gauges; nil disables metrics.
 	Reg *Registry
+	// Spans receives one causal span tree per completed request for
+	// latency attribution; nil disables span recording.
+	Spans *span.Recorder
+	// Timeline rolls requests, latencies, page traffic and recovery into
+	// per-window series and the byte-flow ledger; nil disables it.
+	Timeline *timeseries.Recorder
+	// Exemplars retains the worst-K span trees per (window, node, tenant);
+	// nil disables it.
+	Exemplars *exemplar.Recorder
 }
-
-// Enabled reports whether any telemetry sink is attached.
-func (h Hub) Enabled() bool { return h.Tracer != nil || h.Reg != nil }
 
 var defaultHub struct {
 	mu sync.RWMutex
@@ -371,8 +384,9 @@ var defaultHub struct {
 }
 
 // SetDefault installs the process-wide fallback hub used by runs that were
-// not given one explicitly (cmd/experiments wires its -trace flags here so
-// every harness is captured without threading a hub through each figure).
+// not given a sink explicitly (cmd/experiments wires its -trace, -attrib,
+// -timeline and -exemplars flags here so every harness is captured without
+// threading a hub through each figure).
 func SetDefault(h Hub) {
 	defaultHub.mu.Lock()
 	defaultHub.h = h
@@ -386,11 +400,61 @@ func Default() Hub {
 	return defaultHub.h
 }
 
-// OrDefault returns h when any sink is attached and the process default
-// otherwise.
+// OrDefault fills each sink h leaves nil from the process default. Tracer and
+// Reg are one sink for this purpose: they fall back together, and only when
+// both are nil. A sink h sets is never replaced.
 func (h Hub) OrDefault() Hub {
-	if h.Enabled() {
-		return h
+	def := Default()
+	if h.Tracer == nil && h.Reg == nil {
+		h.Tracer, h.Reg = def.Tracer, def.Reg
 	}
-	return Default()
+	if h.Spans == nil {
+		h.Spans = def.Spans
+	}
+	if h.Timeline == nil {
+		h.Timeline = def.Timeline
+	}
+	if h.Exemplars == nil {
+		h.Exemplars = def.Exemplars
+	}
+	return h
+}
+
+// Shard resolves h against the process default for one of several
+// concurrently running simulations. It returns the hub to run with, which is
+// h.OrDefault() except that every sink taken from the default is replaced by
+// a private one of the same capacity and configuration, and the hub of those
+// private sinks alone, to be folded back with Default().MergeFrom once every
+// simulation is done. The registry stays shared: its counters are atomic and
+// order-independent.
+func (h Hub) Shard() (run, shard Hub) {
+	run = h.OrDefault()
+	if run.Tracer != h.Tracer {
+		shard.Tracer = NewTracer(run.Tracer.Cap())
+		run.Tracer = shard.Tracer
+	}
+	if run.Spans != h.Spans {
+		shard.Spans = span.NewRecorder(run.Spans.Cap())
+		run.Spans = shard.Spans
+	}
+	if run.Timeline != h.Timeline {
+		shard.Timeline = timeseries.NewRecorder(run.Timeline.Config())
+		run.Timeline = shard.Timeline
+	}
+	if run.Exemplars != h.Exemplars {
+		shard.Exemplars = exemplar.NewRecorder(run.Exemplars.Config())
+		run.Exemplars = shard.Exemplars
+	}
+	return run, shard
+}
+
+// MergeFrom folds src's tracer, spans, timeline and exemplars into h's, in
+// that order; the registry is not touched. Shards merged in a fixed order
+// yield the same sink contents a serial run would. Nil sinks on either side
+// are skipped; the error joins any timeline or exemplar configuration
+// mismatch.
+func (h Hub) MergeFrom(src Hub) error {
+	h.Tracer.MergeFrom(src.Tracer)
+	h.Spans.MergeFrom(src.Spans)
+	return errors.Join(h.Timeline.MergeFrom(src.Timeline), h.Exemplars.MergeFrom(src.Exemplars))
 }

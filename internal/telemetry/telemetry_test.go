@@ -213,22 +213,6 @@ func TestSanitizeName(t *testing.T) {
 	}
 }
 
-func TestHubDefault(t *testing.T) {
-	defer SetDefault(Hub{})
-	if Default().Enabled() {
-		t.Fatal("default hub must start disabled")
-	}
-	h := Hub{Tracer: NewTracer(4)}
-	SetDefault(h)
-	if got := (Hub{}).OrDefault(); got.Tracer != h.Tracer {
-		t.Fatal("OrDefault must fall back to the installed default")
-	}
-	own := Hub{Reg: NewRegistry()}
-	if got := own.OrDefault(); got.Reg != own.Reg || got.Tracer != nil {
-		t.Fatal("OrDefault must keep an explicitly provided hub")
-	}
-}
-
 func TestKindAndStageStrings(t *testing.T) {
 	for k := KindNone; k < numKinds; k++ {
 		if k.String() == "unknown" || k.String() == "" {

@@ -714,33 +714,3 @@ func (r *Recorder) Reset() {
 	r.flowRuns = 0
 	r.mu.Unlock()
 }
-
-var defaultRec struct {
-	mu sync.RWMutex
-	r  *Recorder
-}
-
-// SetDefault installs the process-wide fallback recorder, mirroring
-// telemetry.SetDefault and span.SetDefault: cmd/experiments' -timeline flag
-// wires it here so every harness records a timeline without threading a
-// recorder through each figure.
-func SetDefault(r *Recorder) {
-	defaultRec.mu.Lock()
-	defaultRec.r = r
-	defaultRec.mu.Unlock()
-}
-
-// Default returns the process-wide fallback recorder (nil when unset).
-func Default() *Recorder {
-	defaultRec.mu.RLock()
-	defer defaultRec.mu.RUnlock()
-	return defaultRec.r
-}
-
-// OrDefault returns r when non-nil and the process default otherwise.
-func (r *Recorder) OrDefault() *Recorder {
-	if r != nil {
-		return r
-	}
-	return Default()
-}
