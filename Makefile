@@ -27,14 +27,13 @@ bench:
 # see cmd/benchjson). One run feeds three artifacts: the raw log
 # (bench_gate.txt, which records allocs/op for the regression gate), the JSON
 # snapshot, and a per-bench speedup table against the latest committed
-# BENCH_*.json printed to stderr. CI writes its snapshot to
-# BENCH_OUT=BENCH_CI.json so the committed BENCH_3.json is never overwritten
-# there.
+# BENCH_*.json printed to stderr. With BENCH_OUT unset the snapshot goes to
+# the next free number (BENCH_3.json → BENCH_4.json), so committed snapshots
+# are never overwritten; CI sets BENCH_OUT=BENCH_CI.json.
 BENCH_GATE = Fig|Table|BarrierInsert|PucketOffloadScan|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|PoolDensity|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|DAGPipeline
-BENCH_OUT ?= BENCH_3.json
 bench-json:
-	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem . 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 -o $(BENCH_OUT)
-	@echo "wrote $(BENCH_OUT) (raw log with allocs/op: bench_gate.txt)"
+	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem . 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
+	@echo "raw log with allocs/op: bench_gate.txt"
 
 # The end-to-end benchmark (bench/, see BENCHMARK.json) is a nested module
 # that `go build ./...` and `go test ./...` skip; vet and test it so an

@@ -187,10 +187,11 @@ func BenchmarkFig15Rollback(b *testing.B) {
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
 	lru := mglru.New(space)
 	space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-	runtimeGen, runtimeRange := lru.InsertBarrier()
+	lru.InsertBarrier()
 	space.AllocBytes(pagemem.SegInit, prof.InitBytes)
 	initGen, initRange := lru.InsertBarrier()
-	_ = runtimeGen
+	pucket := core.Pucket{Seg: initRange, Gen: initGen}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Promote the hot set, then roll it back.
@@ -199,14 +200,8 @@ func BenchmarkFig15Rollback(b *testing.B) {
 			space.SetState(id, pagemem.Hot)
 			lru.Promote(id)
 		}
-		for id := initRange.Start; id < initRange.End; id++ {
-			if space.State(id) == pagemem.Hot {
-				space.SetState(id, pagemem.Inactive)
-				lru.Demote(id, initGen)
-			}
-		}
+		pucket.Rollback(space, lru)
 	}
-	_ = runtimeRange
 }
 
 func BenchmarkFig15Overhead(b *testing.B) {

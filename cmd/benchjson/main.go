@@ -8,15 +8,18 @@
 //
 //	go test -bench=. -benchmem ./... | benchjson -o BENCH_3.json
 //	benchjson -o BENCH_3.json bench_output.txt
+//	go test -bench=. -benchmem . | benchjson -latest 'BENCH_*.json'
 //
 // Lines that are not benchmark results (test chatter, PASS/ok trailers) are
 // ignored, so the full `go test` stream can be piped in unfiltered.
 //
 // With -latest GLOB the tool also loads the most recent committed snapshot
 // matching the glob (highest numeric suffix, the -o target excluded) and
-// prints a per-benchmark ns/op speedup table to stderr. -allocs-gate PCT
-// turns that comparison into a regression gate: the exit status is nonzero
-// if any benchmark's allocs/op grew more than PCT percent over the snapshot.
+// prints a per-benchmark ns/op speedup table to stderr. Without -o it then
+// writes the next snapshot in that sequence (BENCH_3.json → BENCH_4.json),
+// so no committed snapshot is overwritten. -allocs-gate PCT turns that
+// comparison into a regression gate: the exit status is nonzero if any
+// benchmark's allocs/op grew more than PCT percent over the snapshot.
 package main
 
 import (
@@ -60,7 +63,7 @@ type Doc struct {
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
 func main() {
-	out := flag.String("o", "", "write JSON here instead of stdout")
+	out := flag.String("o", "", "write JSON here (default: the snapshot after the -latest match, else stdout)")
 	baseline := flag.String("baseline", "", "prior benchjson snapshot to embed and compute ns/op speedups against (missing file is skipped)")
 	latest := flag.String("latest", "", "glob of committed snapshots; compare against the highest-numbered match (excluding -o) and print per-bench speedups")
 	allocsGate := flag.Float64("allocs-gate", 0, "with -latest: exit nonzero if any benchmark's allocs/op regressed more than this percentage")
@@ -116,6 +119,9 @@ func main() {
 			if *allocsGate > 0 {
 				gateOK = checkAllocs(os.Stderr, path, prior, results, *allocsGate)
 			}
+			if *out == "" {
+				*out = nextSnapshot(path)
+			}
 		}
 	}
 
@@ -134,6 +140,9 @@ func main() {
 	if err := enc.Encode(doc); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	if *out != "" {
+		fmt.Fprintf(os.Stderr, "benchjson: wrote %s\n", *out)
 	}
 	if !gateOK {
 		os.Exit(1)
@@ -173,6 +182,14 @@ func loadLatest(glob, exclude string) (string, []Result, error) {
 		return "", nil, err
 	}
 	return best, prior, nil
+}
+
+// nextSnapshot names the snapshot after path in its numbered sequence:
+// BENCH_3.json → BENCH_4.json. path must carry a numeric suffix.
+func nextSnapshot(path string) string {
+	loc := snapshotNum.FindStringSubmatchIndex(path)
+	n, _ := strconv.Atoi(path[loc[2]:loc[3]])
+	return path[:loc[2]] + strconv.Itoa(n+1) + path[loc[3]:]
 }
 
 // printComparison writes a per-benchmark ns/op speedup table versus the

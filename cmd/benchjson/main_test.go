@@ -140,3 +140,15 @@ func TestParseLineRejectsChatter(t *testing.T) {
 		}
 	}
 }
+
+func TestNextSnapshot(t *testing.T) {
+	for in, want := range map[string]string{
+		"BENCH_3.json":              "BENCH_4.json",
+		"BENCH_9.json":              "BENCH_10.json",
+		"dir/BENCH_2/BENCH_41.json": "dir/BENCH_2/BENCH_42.json",
+	} {
+		if got := nextSnapshot(in); got != want {
+			t.Errorf("nextSnapshot(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
@@ -78,11 +80,20 @@ func (p Pucket) stage(v policy.View) telemetry.Stage {
 
 // Rollback demotes every hot-pool page of this Pucket back to its inactive
 // list (clearing access bits so the next request-window re-evaluates them)
-// and returns the number of pages rolled back. Non-hot pages are skipped
-// word-at-a-time via the Hot-state bitset.
+// and returns the number of pages rolled back. Each 64-page word of hot
+// pages moves with three word operations — state, access bits, generation —
+// and words without hot pages cost one probe.
 func (p Pucket) Rollback(s *pagemem.Space, lru *mglru.LRU) int {
-	return s.TransitionRange(p.Seg, pagemem.Hot, pagemem.Inactive, func(id pagemem.PageID) {
-		s.ClearAccessed(id)
-		lru.Demote(id, p.Gen)
-	})
+	moved := 0
+	for w := int(p.Seg.Start) / 64; w < (int(p.Seg.End)+63)/64; w++ {
+		hot := s.StateWord(w, pagemem.Hot) & p.Seg.WordMask(w)
+		if hot == 0 {
+			continue
+		}
+		s.TransitionMasked(w, hot, pagemem.Hot, pagemem.Inactive)
+		s.ClearAccessedMasked(w, hot)
+		lru.DemoteMasked(pagemem.PageID(w*64), hot, p.Gen)
+		moved += bits.OnesCount64(hot)
+	}
+	return moved
 }

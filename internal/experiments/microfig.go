@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
@@ -267,12 +268,12 @@ func Fig15() []Fig15Row {
 
 		space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
 		t0 := time.Now()
-		_, runtimeRange := lru.InsertBarrier()
+		runtimeGen, runtimeRange := lru.InsertBarrier()
 		d1 := time.Since(t0)
 
 		space.AllocBytes(pagemem.SegInit, prof.InitBytes)
 		t1 := time.Now()
-		_, initRange := lru.InsertBarrier()
+		initGen, initRange := lru.InsertBarrier()
 		d2 := time.Since(t1)
 
 		// Populate the hot pool with the per-request hot set, then measure a
@@ -288,18 +289,8 @@ func Fig15() []Fig15Row {
 			lru.Promote(id)
 		}
 		t2 := time.Now()
-		for id := runtimeRange.Start; id < runtimeRange.End; id++ {
-			if space.State(id) == pagemem.Hot {
-				space.SetState(id, pagemem.Inactive)
-				lru.Demote(id, 0)
-			}
-		}
-		for id := initRange.Start; id < initRange.End; id++ {
-			if space.State(id) == pagemem.Hot {
-				space.SetState(id, pagemem.Inactive)
-				lru.Demote(id, 1)
-			}
-		}
+		core.Pucket{Seg: runtimeRange, Gen: runtimeGen}.Rollback(space, lru)
+		core.Pucket{Seg: initRange, Gen: initGen}.Rollback(space, lru)
 		d3 := time.Since(t2)
 
 		rows = append(rows, Fig15Row{

@@ -72,11 +72,9 @@ type Container struct {
 	loadedAt         simtime.Time // when the runtime finished loading
 	recycleEv        simtime.Handle
 	dead             bool
-	// offCand/offMoved are per-container scratch for OffloadPages victim
-	// selection, reused across calls to keep steady-state offloads
-	// allocation-free.
-	offCand  []pagemem.PageID
-	offMoved []pagemem.PageID
+	// offCand is per-container scratch for OffloadPages victim selection,
+	// reused across calls to keep steady-state offloads allocation-free.
+	offCand []pagemem.PageID
 	// wbCand is scratch for write-break recall page selection.
 	wbCand []pagemem.PageID
 }
@@ -370,59 +368,89 @@ func (c *Container) touchSpans(seg pagemem.Range, spans []workload.Span) (faults
 	return faults, readahead
 }
 
-// touchRange touches pages [start, end) word-at-a-time. Hot pages only need
-// their access bit, which TouchRange sets in bulk; words holding only
-// Inactive pages transition to Hot with masked word operations; only words
-// containing Remote pages fall back to the per-page fault + readahead walk.
-// The per-page recheck keeps the walk equivalent to the sequential loop:
-// readahead only converts pages at higher IDs, so a fresh state read per
-// word (and per page on the slow path) observes exactly what a sequential
-// walk would.
+// touchRange touches pages [start, end) word-at-a-time, equivalent to a
+// sequential per-page walk: Hot pages only need their access bit, which
+// TouchRange sets in bulk; Inactive pages move to Hot; each Remote page
+// faults in unless an earlier fault's readahead already recalled it. Every
+// word costs one masked transition per source state and one PromoteMasked;
+// only readahead spilling into later words takes extra masked calls.
 func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
-	sp.TouchRange(pagemem.Range{Start: start, End: end})
-	w0, w1 := int(start)/64, (int(end)+63)/64
-	for w := w0; w < w1; w++ {
-		mask := ^uint64(0)
-		if base := w * 64; base < int(start) {
-			mask &= ^uint64(0) << (uint(start) % 64)
-		}
-		if int(end) < (w+1)*64 {
-			mask &= ^uint64(0) >> (64 - uint(end)%64)
-		}
-		rem := sp.StateWord(w, pagemem.Remote) & mask
+	r := pagemem.Range{Start: start, End: end}
+	sp.TouchRange(r)
+	for w := int(start) / 64; w < (int(end)+63)/64; w++ {
+		mask := r.WordMask(w)
 		inact := sp.StateWord(w, pagemem.Inactive) & mask
-		if rem == 0 {
-			if inact != 0 {
-				sp.TransitionMasked(w, inact, pagemem.Inactive, pagemem.Hot)
-				c.lru.PromoteMasked(pagemem.PageID(w*64), inact)
+		rem := sp.StateWord(w, pagemem.Remote) & mask
+		sp.TransitionMasked(w, inact, pagemem.Inactive, pagemem.Hot)
+		if rem != 0 {
+			if window == 0 {
+				faults += bits.OnesCount64(rem)
+			} else {
+				var f, ra int
+				rem, f, ra = c.faultWord(seg, w, rem, window)
+				faults += f
+				readahead += ra
 			}
-			continue
+			sp.TransitionMasked(w, rem, pagemem.Remote, pagemem.Hot)
 		}
-		for word := rem | inact; word != 0; {
-			id := pagemem.PageID(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
-			switch sp.State(id) {
-			case pagemem.Remote:
-				faults++
-				sp.SetState(id, pagemem.Hot)
-				c.lru.Promote(id)
-				for ra := 0; ra < window; ra++ {
-					next := id + 1 + pagemem.PageID(ra)
-					if next >= seg.End || sp.State(next) != pagemem.Remote {
-						break
-					}
-					readahead++
-					sp.SetState(next, pagemem.Hot)
-					c.lru.Promote(next)
-				}
-			case pagemem.Inactive:
-				sp.SetState(id, pagemem.Hot)
-				c.lru.Promote(id)
-			}
-		}
+		c.lru.PromoteMasked(pagemem.PageID(w*64), inact|rem)
 	}
 	return faults, readahead
+}
+
+// faultWord resolves the remote pages rem of word w in page order with a
+// readahead window: each page not already recalled faults, and its fault
+// recalls up to window virtually-contiguous Remote successors below seg.End.
+// It returns the word's pages to recall (faults plus in-word readahead) and
+// recalls readahead that spills past the word itself.
+func (c *Container) faultWord(seg pagemem.Range, w int, rem uint64, window int) (recall uint64, faults, readahead int) {
+	avail := c.space.StateWord(w, pagemem.Remote) & seg.WordMask(w)
+	for rem != 0 {
+		p := uint(bits.TrailingZeros64(rem))
+		faults++
+		// The Remote run right after p, capped by the window; it never
+		// crosses the word (avail>>(p+1) has zero top bits).
+		n := bits.TrailingZeros64(^(avail >> (p + 1)))
+		if n > window {
+			n = window
+		}
+		run := (uint64(1)<<uint(n) - 1) << (p + 1)
+		recall |= 1<<p | run
+		rem &^= 1<<p | run
+		readahead += n
+		if int(p)+n == 63 && n < window {
+			readahead += c.readaheadFrom(seg, w+1, window-n)
+		}
+	}
+	return recall, faults, readahead
+}
+
+// readaheadFrom recalls up to left contiguous Remote pages from the start of
+// word w onward, stopping at the first non-Remote page or seg.End, and
+// returns how many it recalled.
+func (c *Container) readaheadFrom(seg pagemem.Range, w, left int) int {
+	sp := c.space
+	total := 0
+	for left > 0 && w*64 < int(seg.End) {
+		n := bits.TrailingZeros64(^(sp.StateWord(w, pagemem.Remote) & seg.WordMask(w)))
+		if n > left {
+			n = left
+		}
+		m := ^uint64(0)
+		if n < 64 {
+			m = 1<<uint(n) - 1
+		}
+		sp.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
+		c.lru.PromoteMasked(pagemem.PageID(w*64), m)
+		total += n
+		left -= n
+		if n < 64 {
+			break
+		}
+		w++
+	}
+	return total
 }
 
 // finishRequest tears down the exec segment, records stats, runs policy
@@ -788,20 +816,7 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 	max = c.p.swap.Allocate(max)
 	// Select offloadable candidates and describe them by lifecycle class;
 	// the pool (and its memory node, when attached) admits per class.
-	cand := c.offCand[:0]
-	var counts rmem.ClassCounts
-	for _, id := range ids {
-		if len(cand) >= max {
-			break
-		}
-		st := c.space.State(id)
-		if st != pagemem.Inactive && st != pagemem.Hot {
-			continue
-		}
-		cand = append(cand, id)
-		counts[c.classOf(id)]++
-	}
-	c.offCand = cand
+	cand, counts := c.offloadCandidates(ids, max)
 	if len(cand) == 0 {
 		c.p.swap.Release(max)
 		return 0
@@ -813,27 +828,16 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 		c.p.swap.Release(max)
 		return 0
 	}
-	moved := c.offMoved[:0]
-	rem := accepted
-	for _, id := range cand {
-		cls := c.classOf(id)
-		if rem[cls] == 0 {
-			continue
-		}
-		rem[cls]--
-		c.space.SetState(id, pagemem.Remote)
-		moved = append(moved, id)
-	}
-	c.offMoved = moved
-	if len(moved) < max {
+	moved := c.offloadAccepted(cand, accepted)
+	if moved < max {
 		// Return the slots we claimed but did not fill (state-filtered
 		// candidates plus node-rejected pages).
-		c.p.swap.Release(max - len(moved))
+		c.p.swap.Release(max - moved)
 	}
-	if len(moved) == 0 {
+	if moved == 0 {
 		return 0
 	}
-	bytes := int64(len(moved)) * pageBytes
+	bytes := int64(moved) * pageBytes
 	c.cg.Offload(now, bytes)
 	if c.p.tel.Spans.Enabled() {
 		start, done := c.p.pool.LastTransferWindow()
@@ -873,5 +877,67 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 			}, int64(n))
 		}
 	}
-	return len(moved)
+	return moved
+}
+
+// offloadCandidates returns, in ids order, the first max pages of ids that
+// are locally resident (Inactive or Hot), counted by lifecycle class. The
+// residency test reads one cached occupancy word per 64-page word, so a run
+// of ids in one word costs one probe each.
+func (c *Container) offloadCandidates(ids []pagemem.PageID, max int) ([]pagemem.PageID, rmem.ClassCounts) {
+	cand := c.offCand[:0]
+	var counts rmem.ClassCounts
+	w, local := -1, uint64(0)
+	for _, id := range ids {
+		if len(cand) >= max {
+			break
+		}
+		if iw := int(id) / 64; iw != w {
+			w = iw
+			local = c.space.StateWord(w, pagemem.Inactive) | c.space.StateWord(w, pagemem.Hot)
+		}
+		if local&(1<<(uint(id)%64)) == 0 {
+			continue
+		}
+		cand = append(cand, id)
+		counts[c.classOf(id)]++
+	}
+	c.offCand = cand
+	return cand, counts
+}
+
+// offloadAccepted moves to Remote, in cand order, the first accepted[cls]
+// candidates of each lifecycle class and returns how many moved. Pages are
+// batched into one mask per 64-page word; ids need not be sorted (victim
+// lists concatenate states and segments), so the mask flushes whenever the
+// word changes, and each flush splits it by current source state.
+func (c *Container) offloadAccepted(cand []pagemem.PageID, accepted rmem.ClassCounts) int {
+	moved := 0
+	w, mask := -1, uint64(0)
+	for _, id := range cand {
+		cls := c.classOf(id)
+		if accepted[cls] == 0 {
+			continue
+		}
+		accepted[cls]--
+		if iw := int(id) / 64; iw != w {
+			c.offloadWord(w, mask)
+			w, mask = iw, 0
+		}
+		mask |= 1 << (uint(id) % 64)
+		moved++
+	}
+	c.offloadWord(w, mask)
+	return moved
+}
+
+// offloadWord moves the masked pages of word w that are still local to
+// Remote, one masked transition per source state.
+func (c *Container) offloadWord(w int, mask uint64) {
+	if mask == 0 {
+		return
+	}
+	for _, st := range [...]pagemem.State{pagemem.Inactive, pagemem.Hot} {
+		c.space.TransitionMasked(w, c.space.StateWord(w, st)&mask, st, pagemem.Remote)
+	}
 }

@@ -91,7 +91,7 @@ func (p *diffPair) check(t *testing.T, step int) {
 // step applies one scripted operation to both trackers. op and the operands
 // come from an arbitrary byte stream so the fuzzer can drive it too.
 func (p *diffPair) step(op, a, b byte) {
-	switch op % 7 {
+	switch op % 8 {
 	case 0: // allocate a fresh chunk and stamp it
 		p.alloc(pagemem.Segment(int(a)%int(pagemem.NumSegments)), int(b)%97)
 		p.fast.AssignNew()
@@ -119,6 +119,18 @@ func (p *diffPair) step(op, a, b byte) {
 		p.fast.PromoteMasked(base, mask)
 		for rem := mask; rem != 0; rem &= rem - 1 {
 			p.slow.Promote(base + pagemem.PageID(bits.TrailingZeros64(rem)))
+		}
+	case 7: // bulk rollback path: masked word demote vs per-bit ascending
+		words := p.slowSpc.NumPages()/64 + 1
+		base := pagemem.PageID(int(b) % words * 64)
+		mask := ^uint64(0)
+		if a&1 != 0 {
+			mask = uint64(b) | uint64(a)<<13 | uint64(b)<<29 | uint64(a)<<45
+		}
+		g := GenID(int(a>>1) % p.slow.NumGenerations())
+		p.fast.DemoteMasked(base, mask, g)
+		for rem := mask; rem != 0; rem &= rem - 1 {
+			p.slow.Demote(base+pagemem.PageID(bits.TrailingZeros64(rem)), g)
 		}
 	}
 }
@@ -168,6 +180,51 @@ func TestDifferentialPromoteHeavy(t *testing.T) {
 		}
 	}
 	p.check(t, 4000)
+}
+
+// TestDifferentialDemoteMasked builds words holding every case DemoteMasked
+// distinguishes — plain pages of several base runs, an unmonitored (NoGen)
+// run, pages already at the target generation, and exceptions in every
+// generation — then demotes whole and partial words to each generation and
+// compares against per-page Demote.
+func TestDifferentialDemoteMasked(t *testing.T) {
+	for g := GenID(0); g < 4; g++ {
+		for _, mask := range []uint64{^uint64(0), 0xaaaa_5555_f0f0_0f0f, 1 << 63, 0} {
+			p := newDiffPair()
+			p.alloc(pagemem.SegRuntime, 40) // gen 0: pages 0..39
+			p.fast.InsertBarrier()
+			p.slow.InsertBarrier()
+			p.alloc(pagemem.SegExec, 30) // NoGen: pages 40..69
+			p.fast.SkipNew()
+			p.slow.SkipNew()
+			p.alloc(pagemem.SegInit, 60) // gen 1: pages 70..129
+			p.fast.InsertBarrier()
+			p.slow.InsertBarrier()
+			p.fast.InsertBarrier() // gen 3 is the youngest
+			p.slow.InsertBarrier()
+			for id := pagemem.PageID(0); id < 130; id++ {
+				switch id % 5 {
+				case 0, 1:
+					p.fast.Promote(id)
+					p.slow.Promote(id)
+				case 2:
+					p.fast.Demote(id, 2)
+					p.slow.Demote(id, 2)
+				case 3:
+					p.fast.Demote(id, GenID(id%2))
+					p.slow.Demote(id, GenID(id%2))
+				}
+			}
+			p.check(t, 0)
+			for base := pagemem.PageID(0); base < 192; base += 64 {
+				p.fast.DemoteMasked(base, mask, g)
+				for rem := mask; rem != 0; rem &= rem - 1 {
+					p.slow.Demote(base+pagemem.PageID(bits.TrailingZeros64(rem)), g)
+				}
+				p.check(t, int(base))
+			}
+		}
+	}
 }
 
 // FuzzDifferentialOps lets the fuzzer drive arbitrary operation scripts

@@ -202,60 +202,108 @@ func (l *LRU) Promote(id pagemem.PageID) {
 // PromoteMasked promotes to the youngest generation every page in the
 // 64-page word starting at base whose mask bit is set. base must be
 // 64-aligned. It is semantically identical to calling Promote for each set
-// bit in ascending order, but exception-free pages of a single run move with
-// word-level bit operations — the fast path behind bulk span touches.
+// bit in ascending order — the fast path behind bulk span touches.
 func (l *LRU) PromoteMasked(base pagemem.PageID, mask uint64) {
-	if mask == 0 || int(base) >= l.tracked {
-		return
-	}
-	if rem := l.tracked - int(base); rem < 64 {
-		mask &= ^uint64(0) >> (64 - uint(rem))
-		if mask == 0 {
-			return
-		}
-	}
-	young := l.Youngest()
-	w := int(base) / 64
-	for mask != 0 {
-		id := base + pagemem.PageID(bits.TrailingZeros64(mask))
-		ri := l.runIndex(id)
-		span := mask
-		if end := l.runEnd(ri); int(end) < int(base)+64 {
-			span &= 1<<uint(int(end)-int(base)) - 1
-		}
-		mask &^= span
-		g := l.runs[ri].gen
-		if g == NoGen {
-			continue
-		}
-		excw := l.excAny.WordAt(w) & span
-		if plain := span &^ excw; plain != 0 && g != young {
-			k := bits.OnesCount64(plain)
-			l.count[g] -= k
-			l.count[young] += k
-			if l.exc[young] == nil {
-				l.exc[young] = &pagemem.Bitset{}
-			}
-			l.exc[young].OrWordAt(w, plain)
-			l.excAny.OrWordAt(w, plain)
-			l.promotions += uint64(k)
-		}
-		for rem := excw; rem != 0; {
-			t := bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			l.moveTo(base+pagemem.PageID(t), young)
-		}
-	}
+	l.moveMasked(base, mask, l.Youngest())
 }
 
 // Demote returns page id to generation g — the rollback path of FaaSMem's
 // periodic re-evaluation (paper §5.3). Demoting to a nonexistent generation
 // panics, as that indicates Pucket bookkeeping has been corrupted.
 func (l *LRU) Demote(id pagemem.PageID, g GenID) {
+	l.checkGen(g)
+	l.moveTo(id, g)
+}
+
+// DemoteMasked returns to generation g every page in the 64-page word
+// starting at base whose mask bit is set — the mirror of PromoteMasked and
+// semantically identical to calling Demote for each set bit in ascending
+// order. base must be 64-aligned.
+func (l *LRU) DemoteMasked(base pagemem.PageID, mask uint64, g GenID) {
+	if mask == 0 {
+		return
+	}
+	l.checkGen(g)
+	l.moveMasked(base, mask, g)
+}
+
+// checkGen panics unless g is an existing generation.
+func (l *LRU) checkGen(g GenID) {
 	if g < 0 || int(g) >= len(l.count) {
 		panic(fmt.Sprintf("mglru: demote to invalid generation %d", g))
 	}
-	l.moveTo(id, g)
+}
+
+// moveMasked is moveTo for every masked page of the 64-aligned word at base,
+// with word operations: a base run's plain pages move by one popcount, and
+// its exception pages move per exception generation, so the cost is
+// O(runs + generations) per word rather than O(pages).
+func (l *LRU) moveMasked(base pagemem.PageID, mask uint64, g GenID) {
+	if mask == 0 || int(base) >= l.tracked {
+		return
+	}
+	if rem := l.tracked - int(base); rem < 64 {
+		mask &= ^uint64(0) >> (64 - uint(rem))
+	}
+	w := int(base) / 64
+	excAll := l.excAny.WordAt(w)
+	for mask != 0 {
+		ri := l.runIndex(base + pagemem.PageID(bits.TrailingZeros64(mask)))
+		span := mask
+		if end := l.runEnd(ri); int(end) < int(base)+64 {
+			span &= 1<<uint(int(end)-int(base)) - 1
+		}
+		mask &^= span
+		rg := l.runs[ri].gen
+		if rg == NoGen {
+			// Unmonitored pages stay unmonitored (see moveTo).
+			continue
+		}
+		excw := excAll & span
+		if plain := span &^ excw; plain != 0 && rg != g {
+			l.shift(rg, g, bits.OnesCount64(plain))
+			l.excBits(g).OrWordAt(w, plain)
+			l.excAny.OrWordAt(w, plain)
+		}
+		for eg := 0; excw != 0 && eg < len(l.exc); eg++ {
+			b := l.exc[eg]
+			if b == nil {
+				continue
+			}
+			m := b.WordAt(w) & excw
+			excw &^= m
+			if m == 0 || GenID(eg) == g {
+				continue
+			}
+			l.shift(GenID(eg), g, bits.OnesCount64(m))
+			b.ClearWordAt(w, m)
+			if g == rg {
+				l.excAny.ClearWordAt(w, m)
+			} else {
+				l.excBits(g).OrWordAt(w, m)
+			}
+		}
+	}
+}
+
+// shift moves k pages' worth of generation counts from old to g and tallies
+// them as promotions or demotions.
+func (l *LRU) shift(old, g GenID, k int) {
+	l.count[old] -= k
+	l.count[g] += k
+	if g > old {
+		l.promotions += uint64(k)
+	} else {
+		l.demotions += uint64(k)
+	}
+}
+
+// excBits returns generation g's exception bitset, creating it on first use.
+func (l *LRU) excBits(g GenID) *pagemem.Bitset {
+	if l.exc[g] == nil {
+		l.exc[g] = &pagemem.Bitset{}
+	}
+	return l.exc[g]
 }
 
 func (l *LRU) moveTo(id pagemem.PageID, g GenID) {
@@ -271,26 +319,17 @@ func (l *LRU) moveTo(id pagemem.PageID, g GenID) {
 		// silently add it to a Pucket it was never part of.
 		return
 	}
-	l.count[old]--
-	l.count[g]++
+	l.shift(old, g, 1)
 	base := l.baseGen(id)
 	if old != base {
 		l.exc[old].Clear(int(id))
 	}
 	if g != base {
-		if l.exc[g] == nil {
-			l.exc[g] = &pagemem.Bitset{}
-		}
-		l.exc[g].Set(int(id))
+		l.excBits(g).Set(int(id))
 		l.excAny.Set(int(id))
 	} else {
 		// Back to its base run: no exception needed anymore.
 		l.excAny.Clear(int(id))
-	}
-	if g > old {
-		l.promotions++
-	} else {
-		l.demotions++
 	}
 }
 

@@ -134,6 +134,14 @@ func (b *Bitset) OrWordAt(w int, mask uint64) {
 	b.words[w] |= mask
 }
 
+// ClearWordAt clears mask's bits in the word covering bits
+// [w*64, w*64+64); words beyond the current capacity are already clear.
+func (b *Bitset) ClearWordAt(w int, mask uint64) {
+	if w < len(b.words) {
+		b.words[w] &^= mask
+	}
+}
+
 // ForEachSet calls fn for every set bit in [start, end), skipping zero words
 // whole. fn receives the bit index.
 func (b *Bitset) ForEachSet(start, end int, fn func(int)) {

@@ -60,7 +60,8 @@ func TestStateWordAndTransitionMasked(t *testing.T) {
 }
 
 // TestBulkRestateMixedSegments drives FreeRange across a word straddling two
-// segments, forcing the non-uniform fallback, and checks per-segment counts.
+// segments, so the word's counter move splits into one popcount per segment
+// run, and checks per-segment counts.
 func TestBulkRestateMixedSegments(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	s.Alloc(SegRuntime, 40) // pages 0..39

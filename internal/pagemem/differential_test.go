@@ -43,15 +43,21 @@ func (n *naiveSpace) reuseRange(r Range) {
 	}
 }
 
-func (n *naiveSpace) transitionRange(r Range, from, to State) int {
-	moved := 0
-	for id := r.Start; id < r.End; id++ {
-		if n.state[id] == from {
+// transitionMasked moves the masked pages of word w that are in state from
+// to state to, and clears the access bits of the clear-masked pages.
+func (n *naiveSpace) transitionMasked(w int, mask uint64, from, to State, clear uint64) {
+	for b := 0; b < 64; b++ {
+		id := w*64 + b
+		if id >= len(n.state) {
+			break
+		}
+		if mask&(1<<uint(b)) != 0 && n.state[id] == from {
 			n.state[id] = to
-			moved++
+		}
+		if clear&(1<<uint(b)) != 0 {
+			n.accessed[id] = false
 		}
 	}
-	return moved
 }
 
 func (n *naiveSpace) scanAndClear(r Range) []PageID {
@@ -178,16 +184,35 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if want := p.slow.state[id]; got != want {
 			t.Fatalf("Touch(%d) = %v, want %v", id, got, want)
 		}
-	case 5: // bulk transition (offload/recall sweeps)
-		r := p.rangeFrom(a, b)
+	case 5: // masked word transition + access-bit clear (rollback, offload)
+		if n == 0 {
+			return
+		}
+		w := int(a) % ((n + 63) / 64)
 		from := State(1 + int(a)%3)
 		to := State(1 + int(b)%3)
 		if from == to {
 			return
 		}
-		got := p.fast.TransitionRange(r, from, to, nil)
-		if want := p.slow.transitionRange(r, from, to); got != want {
-			t.Fatalf("TransitionRange(%v, %v->%v) moved %d, want %d", r, from, to, got, want)
+		// Full words half the time; otherwise a byte-derived sparse pattern.
+		pattern := ^uint64(0)
+		if b&1 != 0 {
+			pattern = uint64(a)*0x0101010101010101 ^ uint64(b)<<19 ^ uint64(b)<<41
+		}
+		mask := p.fast.StateWord(w, from) & pattern
+		clear := pattern &^ (uint64(b) << 32)
+		if rem := n - w*64; rem < 64 {
+			clear &= 1<<uint(rem) - 1
+		}
+		p.fast.TransitionMasked(w, mask, from, to)
+		p.fast.ClearAccessedMasked(w, clear)
+		p.slow.transitionMasked(w, pattern, from, to, clear)
+		r := Range{Start: PageID(w * 64), End: PageID(min(n, w*64+64))}
+		for st := Free; st < numStates; st++ {
+			if got, want := p.fast.CountInRange(r, st), p.slow.countInRange(r, st); got != want {
+				t.Fatalf("TransitionMasked(%d, %#x, %v->%v): CountInRange(%v) = %d, want %d",
+					w, mask, from, to, st, got, want)
+			}
 		}
 	case 6: // accessed-bit scan (DAMON/TMO sampling)
 		r := p.rangeFrom(a, b)
@@ -234,6 +259,9 @@ func (p *spacePair) check(t *testing.T, step int) {
 	for id := range p.slow.state {
 		if got, want := p.fast.State(PageID(id)), p.slow.state[id]; got != want {
 			t.Fatalf("step %d: State(%d) = %v, want %v", step, id, got, want)
+		}
+		if got, want := p.fast.SegmentOf(PageID(id)), p.slow.seg[id]; got != want {
+			t.Fatalf("step %d: SegmentOf(%d) = %v, want %v", step, id, got, want)
 		}
 		if got, want := p.fast.Accessed(PageID(id)), p.slow.accessed[id]; got != want {
 			t.Fatalf("step %d: Accessed(%d) = %v, want %v", step, id, got, want)

@@ -11,7 +11,6 @@ package pagemem
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -98,22 +97,23 @@ func (r Range) Contains(id PageID) bool { return id >= r.Start && id < r.End }
 
 // Space is a page-granularity address space for one container. The zero
 // value is not usable; construct with NewSpace.
+//
+// Page state lives only in bitsets: stateBits[st] marks every page in state
+// st, so a page's state is a few bit probes and every bulk move (offload,
+// recall, rollback, exec teardown) is a word operation. A page's segment
+// lives only in segRuns.
 type Space struct {
 	pageSize int
-	state    []State
-	seg      []Segment
-	accessed Bitset
-	// stateBits[st] marks every page currently in state st, so range scans
-	// (offload victim collection, Pucket occupancy counts) walk words instead
-	// of pages. The state slice stays authoritative for O(1) State lookups;
-	// the bitsets are a maintained index over it.
+	// n is the number of page slots ever allocated.
+	n         int
+	accessed  Bitset
 	stateBits [numStates]Bitset
 	// counts[seg][state] tracks pages per segment and state.
 	counts [NumSegments][numStates]int
-	// segRuns records the contiguous allocation runs sharing a segment (the
-	// seg slice is piecewise constant by construction), so bulk range ops can
-	// prove in O(1) that a whole word shares one segment and update counters
-	// per word instead of per page. lastSegRun caches the most recent hit.
+	// segRuns records the contiguous allocation runs sharing a segment
+	// (segments are piecewise constant by construction), so word moves
+	// update counters per run by popcount. lastSegRun caches the most recent
+	// hit.
 	segRuns    []segRun
 	lastSegRun int
 }
@@ -125,30 +125,38 @@ type segRun struct {
 	seg   Segment
 }
 
-// uniformSeg reports whether pages [first, last] all belong to one segment,
-// and which.
-func (s *Space) uniformSeg(first, last int) (Segment, bool) {
+// segRunIndex returns the index of the run containing page id (which must
+// be allocated), serving from the cache when possible.
+func (s *Space) segRunIndex(id int) int {
 	i := s.lastSegRun
-	if i >= len(s.segRuns) || s.segRuns[i].start > first ||
-		(i+1 < len(s.segRuns) && s.segRuns[i+1].start <= first) {
-		i = sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > first }) - 1
+	if i >= len(s.segRuns) || s.segRuns[i].start > id ||
+		(i+1 < len(s.segRuns) && s.segRuns[i+1].start <= id) {
+		i = sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > id }) - 1
 		s.lastSegRun = i
 	}
-	if i+1 < len(s.segRuns) && s.segRuns[i+1].start <= last {
-		return 0, false
-	}
-	return s.segRuns[i].seg, true
+	return i
 }
 
-// stateFills[st] is a word-sized run of st, for bulk state-slice fills.
-var stateFills = func() (f [numStates][64]State) {
-	for st := range f {
-		for i := range f[st] {
-			f[st][i] = State(st)
+// recount moves the pages of word (a bitmask within word index w) from
+// state `from` to state `to` in the per-segment counters: one popcount per
+// segment run the word overlaps.
+func (s *Space) recount(w int, word uint64, from, to State) {
+	base := w * 64
+	for word != 0 {
+		i := s.segRunIndex(base + bits.TrailingZeros64(word))
+		span := word
+		if i+1 < len(s.segRuns) {
+			if end := s.segRuns[i+1].start; end < base+64 {
+				span &= 1<<uint(end-base) - 1
+			}
 		}
+		k := bits.OnesCount64(span)
+		seg := s.segRuns[i].seg
+		s.counts[seg][from] -= k
+		s.counts[seg][to] += k
+		word &^= span
 	}
-	return
-}()
+}
 
 // NewSpace returns an empty address space with the given page size in bytes.
 // pageSize must be positive; use DefaultPageSize unless a test needs tiny
@@ -165,7 +173,7 @@ func (s *Space) PageSize() int { return s.pageSize }
 
 // NumPages returns the total number of page slots ever allocated (including
 // freed exec pages, whose slots are not reused).
-func (s *Space) NumPages() int { return len(s.state) }
+func (s *Space) NumPages() int { return s.n }
 
 // Alloc appends n pages of the given segment in the Inactive state and
 // returns their range. Newly allocated pages carry a set access bit: the
@@ -175,27 +183,22 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 	if n < 0 {
 		panic("pagemem: negative allocation")
 	}
-	start := PageID(len(s.state))
-	total := len(s.state) + n
+	start := s.n
+	total := start + n
 	if k := len(s.segRuns); n > 0 && (k == 0 || s.segRuns[k-1].seg != seg) {
-		s.segRuns = append(s.segRuns, segRun{start: int(start), seg: seg})
+		s.segRuns = append(s.segRuns, segRun{start: start, seg: seg})
 	}
-	s.state = slices.Grow(s.state, n)[:total]
-	s.seg = slices.Grow(s.seg, n)[:total]
-	for i := int(start); i < total; i++ {
-		s.state[i] = Inactive
-		s.seg[i] = seg
-	}
+	s.n = total
 	// Pre-grow every bitset to the new page count so hot-path Set/Clear
 	// calls never hit the grow check's slow path.
 	s.accessed.Grow(total)
 	for st := range s.stateBits {
 		s.stateBits[st].Grow(total)
 	}
-	s.accessed.SetRange(int(start), total)
-	s.stateBits[Inactive].SetRange(int(start), total)
+	s.accessed.SetRange(start, total)
+	s.stateBits[Inactive].SetRange(start, total)
 	s.counts[seg][Inactive] += n
-	return Range{Start: start, End: start + PageID(n)}
+	return Range{Start: PageID(start), End: PageID(total)}
 }
 
 // AllocBytes allocates enough pages to hold the given byte count, rounding
@@ -208,24 +211,28 @@ func (s *Space) AllocBytes(seg Segment, bytes int64) Range {
 	return s.Alloc(seg, n)
 }
 
-// clampRange narrows [start, end) to the allocated page span and reports
-// whether anything remains.
-func (s *Space) clampRange(r Range) (start, end int, ok bool) {
-	start, end = int(r.Start), int(r.End)
-	if end > len(s.state) {
-		end = len(s.state)
+// clampRange narrows r to the allocated page span and returns it with the
+// span of words [w0, w1) it covers, empty when no page remains.
+func (s *Space) clampRange(r Range) (clamped Range, w0, w1 int) {
+	if int(r.End) > s.n {
+		r.End = PageID(s.n)
 	}
-	return start, end, end > start
+	if r.End <= r.Start {
+		return r, 0, 0
+	}
+	return r, int(r.Start) / 64, (int(r.End) + 63) / 64
 }
 
-// rangeMask returns the bitmask of range bits within word w.
-func rangeMask(w, start, end int) uint64 {
+// WordMask returns the bitmask of the range's pages within the 64-page word
+// w, covering pages [w*64, w*64+64) — the per-word mask the word-at-a-time
+// page walks intersect with StateWord. w must overlap the range.
+func (r Range) WordMask(w int) uint64 {
 	m := ^uint64(0)
-	if base := w * 64; base < start {
-		m &= ^uint64(0) << (uint(start) % 64)
+	if base := w * 64; base < int(r.Start) {
+		m &= ^uint64(0) << (uint(r.Start) % 64)
 	}
-	if end < (w+1)*64 {
-		m &= ^uint64(0) >> (64 - uint(end)%64)
+	if int(r.End) < (w+1)*64 {
+		m &= ^uint64(0) >> (64 - uint(r.End)%64)
 	}
 	return m
 }
@@ -234,12 +241,9 @@ func rangeMask(w, start, end int) uint64 {
 // temporaries are reclaimed at request completion. Already-free pages are
 // skipped word-at-a-time, so re-freeing a mostly-free range is cheap.
 func (s *Space) FreeRange(r Range) {
-	start, end, ok := s.clampRange(r)
-	if !ok {
-		return
-	}
-	for w := start / 64; w < (end+63)/64; w++ {
-		mask := rangeMask(w, start, end)
+	r, w0, w1 := s.clampRange(r)
+	for w := w0; w < w1; w++ {
+		mask := r.WordMask(w)
 		for st := Inactive; st < numStates; st++ {
 			word := s.stateBits[st].words[w] & mask
 			if word == 0 {
@@ -247,40 +251,9 @@ func (s *Space) FreeRange(r Range) {
 			}
 			s.stateBits[st].words[w] &^= word
 			s.stateBits[Free].words[w] |= word
-			s.bulkRestate(w, word, st, Free)
+			s.recount(w, word, st, Free)
 		}
 		s.accessed.words[w] &^= mask
-	}
-}
-
-// bulkRestate moves the pages of word (a bitmask within word index w) from
-// state st to state to, updating the state slice and segment counters. When
-// the whole word sits in one segment the counters move by popcount and a
-// full word's state bytes fill by copy; otherwise it falls back to per-page
-// updates.
-func (s *Space) bulkRestate(w int, word uint64, st, to State) {
-	base := w * 64
-	first := base + bits.TrailingZeros64(word)
-	last := base + 63 - bits.LeadingZeros64(word)
-	if seg, ok := s.uniformSeg(first, last); ok {
-		k := bits.OnesCount64(word)
-		s.counts[seg][st] -= k
-		s.counts[seg][to] += k
-		if word == ^uint64(0) {
-			copy(s.state[base:base+64], stateFills[to][:])
-			return
-		}
-		for ; word != 0; word &= word - 1 {
-			s.state[base+bits.TrailingZeros64(word)] = to
-		}
-		return
-	}
-	for ; word != 0; word &= word - 1 {
-		id := base + bits.TrailingZeros64(word)
-		seg := s.seg[id]
-		s.counts[seg][st]--
-		s.counts[seg][to]++
-		s.state[id] = to
 	}
 }
 
@@ -288,84 +261,63 @@ func (s *Space) bulkRestate(w int, word uint64, st, to State) {
 // access bit — the allocation path for exec-segment temporaries, which reuse
 // the same page slots on every request instead of growing the space.
 func (s *Space) ReuseRange(r Range) {
-	start, end, ok := s.clampRange(r)
-	if !ok {
-		return
-	}
-	for w := start / 64; w < (end+63)/64; w++ {
-		word := s.stateBits[Free].words[w] & rangeMask(w, start, end)
+	r, w0, w1 := s.clampRange(r)
+	for w := w0; w < w1; w++ {
+		word := s.stateBits[Free].words[w] & r.WordMask(w)
 		if word == 0 {
 			continue
 		}
 		s.stateBits[Free].words[w] &^= word
 		s.stateBits[Inactive].words[w] |= word
 		s.accessed.words[w] |= word
-		s.bulkRestate(w, word, Free, Inactive)
+		s.recount(w, word, Free, Inactive)
 	}
 }
 
-// State returns the state of page id.
-func (s *Space) State(id PageID) State { return s.state[id] }
+// checkID panics unless id is an allocated page slot.
+func (s *Space) checkID(id PageID) {
+	if id < 0 || int(id) >= s.n {
+		panic(fmt.Sprintf("pagemem: page %d out of range [0, %d)", id, s.n))
+	}
+}
+
+// State returns the state of page id. Probing an unallocated id panics.
+func (s *Space) State(id PageID) State {
+	s.checkID(id)
+	// Every state bitset is grown to n pages, so the probes index directly.
+	w, bit := int(id)/64, uint64(1)<<(uint(id)%64)
+	switch {
+	case s.stateBits[Inactive].words[w]&bit != 0:
+		return Inactive
+	case s.stateBits[Hot].words[w]&bit != 0:
+		return Hot
+	case s.stateBits[Remote].words[w]&bit != 0:
+		return Remote
+	}
+	return Free
+}
 
 // SegmentOf returns the lifecycle segment page id was allocated in.
-func (s *Space) SegmentOf(id PageID) Segment { return s.seg[id] }
+func (s *Space) SegmentOf(id PageID) Segment {
+	s.checkID(id)
+	return s.segRuns[s.segRunIndex(int(id))].seg
+}
 
 // SetState transitions page id to st, keeping the aggregate counters
 // consistent. Transitioning a Free page is a programming error.
 func (s *Space) SetState(id PageID, st State) {
-	old := s.state[id]
+	old := s.State(id)
 	if old == st {
 		return
 	}
 	if old == Free {
 		panic(fmt.Sprintf("pagemem: page %d is free; Alloc before SetState", id))
 	}
-	seg := s.seg[id]
+	seg := s.SegmentOf(id)
 	s.counts[seg][old]--
 	s.counts[seg][st]++
-	s.state[id] = st
 	s.stateBits[old].Clear(int(id))
 	s.stateBits[st].Set(int(id))
-}
-
-// TransitionRange moves every page of state `from` inside r to state `to`,
-// calling fn (if non-nil) for each moved page after its state changed. Pages
-// in other states are skipped word-at-a-time, so sweeping a segment for the
-// (usually few) hot pages costs O(words), not O(pages). Returns the number of
-// pages moved.
-func (s *Space) TransitionRange(r Range, from, to State, fn func(PageID)) int {
-	if from == Free || to == Free {
-		panic("pagemem: TransitionRange cannot move pages into or out of Free")
-	}
-	if from == to {
-		return 0
-	}
-	start, end, ok := s.clampRange(r)
-	if !ok {
-		return 0
-	}
-	moved := 0
-	for w := start / 64; w < (end+63)/64; w++ {
-		word := s.stateBits[from].words[w] & rangeMask(w, start, end)
-		if word == 0 {
-			continue
-		}
-		s.stateBits[from].words[w] &^= word
-		s.stateBits[to].words[w] |= word
-		moved += bits.OnesCount64(word)
-		for rem := word; rem != 0; {
-			id := w*64 + bits.TrailingZeros64(rem)
-			rem &= rem - 1
-			seg := s.seg[id]
-			s.counts[seg][from]--
-			s.counts[seg][to]++
-			s.state[id] = to
-			if fn != nil {
-				fn(PageID(id))
-			}
-		}
-	}
-	return moved
 }
 
 // ForEachInState calls fn for every page of state st inside r, in page order,
@@ -378,8 +330,8 @@ func (s *Space) ForEachInState(r Range, st State, fn func(PageID)) {
 // skipping all-zero words, until fn returns false. b may be nil for a
 // single-set walk.
 func (s *Space) forEachUnion(a, b *Bitset, start, end int, fn func(int) bool) {
-	if mx := len(s.state); end > mx {
-		end = mx
+	if end > s.n {
+		end = s.n
 	}
 	for i := start; i < end; {
 		w := i / 64
@@ -408,12 +360,9 @@ func (s *Space) forEachUnion(a, b *Bitset, start, end int, fn func(int) bool) {
 // to dst and returns it — the word-at-a-time victim scan behind offload
 // collection.
 func (s *Space) CollectInState(dst []PageID, r Range, st State, max int) []PageID {
-	start, end, ok := s.clampRange(r)
-	if !ok {
-		return dst
-	}
-	for w := start / 64; w < (end+63)/64; w++ {
-		word := s.stateBits[st].words[w] & rangeMask(w, start, end)
+	r, w0, w1 := s.clampRange(r)
+	for w := w0; w < w1; w++ {
+		word := s.stateBits[st].words[w] & r.WordMask(w)
 		for word != 0 {
 			dst = append(dst, PageID(w*64+bits.TrailingZeros64(word)))
 			word &= word - 1
@@ -447,27 +396,28 @@ func (s *Space) CollectLocal(dst []PageID, r Range, max int) []PageID {
 // Touch sets the access bit of page id and returns its current state so the
 // caller can decide whether a promotion or a remote fault is needed.
 func (s *Space) Touch(id PageID) State {
+	st := s.State(id)
 	s.accessed.Set(int(id))
-	return s.state[id]
+	return st
 }
 
 // TouchRange sets the access bits of every page in r in bulk — the fast path
 // for request spans, which touch contiguous page runs.
 func (s *Space) TouchRange(r Range) {
-	if start, end, ok := s.clampRange(r); ok {
-		s.accessed.SetRange(start, end)
-	}
+	r, _, _ = s.clampRange(r)
+	s.accessed.SetRange(int(r.Start), int(r.End))
 }
 
 // StateWord returns the 64-page occupancy mask of state st covering pages
-// [w*64, w*64+64). Together with TransitionMasked it lets hot loops (the
-// request touch path) move whole words of pages without per-page calls.
+// [w*64, w*64+64). Together with TransitionMasked it lets hot loops (request
+// touches, offload, rollback) move whole words of pages without per-page
+// calls.
 func (s *Space) StateWord(w int, st State) uint64 { return s.stateBits[st].word(w) }
 
 // TransitionMasked moves every page in the 64-page word w whose mask bit is
 // set from state `from` to state `to`. Every masked page must currently be in
 // state `from` (callers derive mask from StateWord). Free is not a valid
-// endpoint, mirroring TransitionRange.
+// endpoint: FreeRange and ReuseRange own those moves.
 func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
 	if mask == 0 {
 		return
@@ -477,15 +427,12 @@ func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
 	}
 	s.stateBits[from].words[w] &^= mask
 	s.stateBits[to].words[w] |= mask
-	for rem := mask; rem != 0; {
-		id := w*64 + bits.TrailingZeros64(rem)
-		rem &= rem - 1
-		seg := s.seg[id]
-		s.counts[seg][from]--
-		s.counts[seg][to]++
-		s.state[id] = to
-	}
+	s.recount(w, mask, from, to)
 }
+
+// ClearAccessedMasked clears the access bits of the masked pages of the
+// 64-page word w.
+func (s *Space) ClearAccessedMasked(w int, mask uint64) { s.accessed.words[w] &^= mask }
 
 // Accessed reports the access bit of page id without clearing it.
 func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }

@@ -108,6 +108,29 @@ func TestSetStateOnFreePagePanics(t *testing.T) {
 	s.SetState(r.Start, Hot)
 }
 
+// TestOutOfRangeIDPanics checks that probing a never-allocated page panics
+// instead of reading as Free — including ids inside the last bitset word.
+func TestOutOfRangeIDPanics(t *testing.T) {
+	s := NewSpace(DefaultPageSize)
+	s.Alloc(SegRuntime, 10)
+	for _, id := range []PageID{-1, 10, 63, 64, 1000} {
+		for name, probe := range map[string]func(){
+			"State":     func() { s.State(id) },
+			"SegmentOf": func() { s.SegmentOf(id) },
+			"Touch":     func() { s.Touch(id) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) on a 10-page space did not panic", name, id)
+					}
+				}()
+				probe()
+			}()
+		}
+	}
+}
+
 func TestFreeRange(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	r := s.Alloc(SegExec, 8)
