@@ -28,11 +28,21 @@ bench:
 # (bench_gate.txt, which records allocs/op for the regression gate), the JSON
 # snapshot, and a per-bench speedup table against the latest committed
 # BENCH_*.json printed to stderr. With BENCH_OUT unset the snapshot goes to
-# the next free number (BENCH_3.json → BENCH_4.json), so committed snapshots
+# the next free number (BENCH_4.json → BENCH_5.json), so committed snapshots
 # are never overwritten; CI sets BENCH_OUT=BENCH_CI.json.
-BENCH_GATE = Fig|Table|BarrierInsert|PucketOffloadScan|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|PoolDensity|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|DAGPipeline
+#
+# The seeded benches run iteration i at Seed i, so their allocs/op is a mean
+# over seeds 0..b.N-1; they run a fixed number of iterations so that mean,
+# and the gate reading it, cannot move with machine load: 10 for the
+# scenario-sized ones, 1000 for the two sub-millisecond scans. The other
+# benches repeat one identical workload and keep time-based b.N.
+BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
+BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|BarrierInsert|PucketOffloadScan|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
 bench-json:
-	$(GO) test -run='^$$' -bench='$(BENCH_GATE)' -benchmem . 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
+	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
+	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
 	@echo "raw log with allocs/op: bench_gate.txt"
 
 # The end-to-end benchmark (bench/, see BENCHMARK.json) is a nested module

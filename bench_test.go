@@ -355,9 +355,9 @@ func BenchmarkBarrierInsert(b *testing.B) {
 }
 
 // BenchmarkPucketOffloadScan measures the victim scan behind
-// Pucket.OffloadInactive: collecting the inactive list of a mostly-offloaded
-// Bert-sized segment. The Inactive bitset lets the scan skip the offloaded
-// majority word-at-a-time.
+// Pucket.OffloadInactive: building the word-mask victim list of a
+// mostly-offloaded Bert-sized segment's inactive pages. The Inactive bitset
+// lets the scan skip the offloaded majority word-at-a-time.
 func BenchmarkPucketOffloadScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
@@ -370,12 +370,13 @@ func BenchmarkPucketOffloadScan(b *testing.B) {
 			space.SetState(id, pagemem.Remote)
 		}
 	}
-	var ids []pagemem.PageID
+	var victims []pagemem.WordMask
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ids = space.CollectInState(ids[:0], seg, pagemem.Inactive, 0)
-		if len(ids) == 0 {
+		var n int
+		victims, n = space.AppendWords(victims[:0], seg, pagemem.Inactive, 0)
+		if n == 0 {
 			b.Fatal("no victims")
 		}
 	}

@@ -350,9 +350,9 @@ type container struct {
 	rollbackArmed bool
 	reqsSinceRB   int
 
-	// idBuf is the reusable victim-list scratch shared by every offload this
-	// container issues (single-threaded per engine).
-	idBuf []pagemem.PageID
+	// victims is the reusable victim-list scratch shared by every offload
+	// this container issues (single-threaded per engine).
+	victims []pagemem.WordMask
 
 	// Semi-warm.
 	idleStart    simtime.Time
@@ -407,7 +407,7 @@ func (c *container) RequestEnd(e *simtime.Engine) {
 // Runtime Pucket after the first request goes remote.
 func (c *container) offloadRuntimePucket(e *simtime.Engine) {
 	var n int
-	n, c.idBuf = c.runtimePucket().OffloadInactiveBuf(e, c.view, c.idBuf)
+	n, c.victims = c.runtimePucket().OffloadInactiveBuf(e, c.view, c.victims)
 	if n > 0 {
 		c.parent.stat.RuntimeOffloads++
 	}
@@ -457,7 +457,7 @@ func (c *container) fixWindowAndOffload(e *simtime.Engine, n int) {
 		Stage: telemetry.StageInit, Value: int64(n),
 	})
 	var moved int
-	moved, c.idBuf = c.initPucket().OffloadInactiveBuf(e, c.view, c.idBuf)
+	moved, c.victims = c.initPucket().OffloadInactiveBuf(e, c.view, c.victims)
 	if moved > 0 {
 		c.parent.stat.InitOffloads++
 	}
@@ -477,8 +477,8 @@ func (c *container) rollbackCycle(e *simtime.Engine, n int) {
 	if c.rollbackArmed {
 		if c.reqsSinceRB >= w {
 			// Re-evaluation window over: pages not re-promoted are cold.
-			_, c.idBuf = c.runtimePucket().OffloadInactiveBuf(e, c.view, c.idBuf)
-			_, c.idBuf = c.initPucket().OffloadInactiveBuf(e, c.view, c.idBuf)
+			_, c.victims = c.runtimePucket().OffloadInactiveBuf(e, c.view, c.victims)
+			_, c.victims = c.initPucket().OffloadInactiveBuf(e, c.view, c.victims)
 			c.rollbackArmed = false
 			c.reqsSinceRB = 0
 			c.lastRB = e.Now()
@@ -559,21 +559,23 @@ func (c *container) gradualOffload(e *simtime.Engine) {
 	if pages <= 0 {
 		return
 	}
-	ids := c.idBuf[:0]
+	victims, left := c.victims[:0], pages
 	for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot} {
 		for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-			if len(ids) >= pages {
+			if left == 0 {
 				break
 			}
-			ids = s.CollectInState(ids, r, st, pages)
+			var n int
+			victims, n = s.AppendWords(victims, r, st, left)
+			left -= n
 		}
 	}
-	c.idBuf = ids
-	if len(ids) == 0 {
+	c.victims = victims
+	if len(victims) == 0 {
 		c.stopTicker()
 		return
 	}
-	c.view.OffloadPages(e, ids)
+	c.view.OffloadPages(e, victims)
 }
 
 func (c *container) stopTicker() {

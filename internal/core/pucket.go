@@ -47,15 +47,15 @@ func (p Pucket) OffloadInactive(e *simtime.Engine, v policy.View) int {
 }
 
 // OffloadInactiveBuf is OffloadInactive with a caller-owned scratch buffer:
-// the victim list is built in buf (reused, grown as needed) and the grown
-// buffer is returned for the next call, keeping steady-state Pucket offloads
-// allocation-free.
-func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagemem.PageID) (int, []pagemem.PageID) {
-	ids := v.Space().CollectInState(buf[:0], p.Seg, pagemem.Inactive, 0)
-	if len(ids) == 0 {
-		return 0, ids
+// the victim word masks are built in buf (reused, grown as needed) and the
+// grown buffer is returned for the next call, keeping steady-state Pucket
+// offloads allocation-free.
+func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagemem.WordMask) (int, []pagemem.WordMask) {
+	victims, _ := v.Space().AppendWords(buf[:0], p.Seg, pagemem.Inactive, 0)
+	if len(victims) == 0 {
+		return 0, victims
 	}
-	moved := v.OffloadPages(e, ids)
+	moved := v.OffloadPages(e, victims)
 	if moved > 0 {
 		v.Trace().Record(telemetry.Event{
 			At: e.Now(), Kind: telemetry.KindPucketOffload,
@@ -63,7 +63,7 @@ func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagem
 			Value: int64(moved), Aux: int64(p.Gen),
 		})
 	}
-	return moved, ids
+	return moved, victims
 }
 
 // stage names the lifecycle segment this Pucket seals.

@@ -74,9 +74,7 @@ type Container struct {
 	dead             bool
 	// offCand is per-container scratch for OffloadPages victim selection,
 	// reused across calls to keep steady-state offloads allocation-free.
-	offCand []pagemem.PageID
-	// wbCand is scratch for write-break recall page selection.
-	wbCand []pagemem.PageID
+	offCand []pagemem.WordMask
 }
 
 // launch creates a container; memory arrives as lifecycle stages complete.
@@ -301,9 +299,11 @@ func (c *Container) priceRuntimeWrites(now simtime.Time) rmem.FaultStall {
 		// The node had no room for the private copy: those pages come home.
 		// Flip that many remote runtime pages local (they were just
 		// written, so they land hot) and release their swap slots.
-		c.wbCand = c.space.CollectInState(c.wbCand[:0], c.runtimeRange, pagemem.Remote, out.Recalled)
-		for _, id := range c.wbCand {
-			c.space.SetState(id, pagemem.Hot)
+		left := out.Recalled
+		for w := int(c.runtimeRange.Start) / 64; left > 0 && w < (int(c.runtimeRange.End)+63)/64; w++ {
+			m := pagemem.LowestBits(c.space.StateWord(w, pagemem.Remote)&c.runtimeRange.WordMask(w), left)
+			c.space.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
+			left -= bits.OnesCount64(m)
 		}
 		c.cg.Recall(now, int64(out.Recalled)*pageBytes)
 		c.p.syncMemGauges()
@@ -782,25 +782,26 @@ func (c *Container) greedyDualPriority() float64 {
 // Dead reports whether the container has been recycled.
 func (c *Container) Dead() bool { return c.dead }
 
-// classOf maps a page to its lifecycle class for pool-side description.
-func (c *Container) classOf(id pagemem.PageID) memnode.Class {
-	switch {
-	case c.runtimeRange.Contains(id):
-		return memnode.ClassRuntime
-	case c.initRange.Contains(id):
-		return memnode.ClassInit
-	case c.execRange.Contains(id):
-		return memnode.ClassExec
-	default:
-		return memnode.ClassOther
-	}
+// classMask splits the pages of the 64-page word w by lifecycle class for
+// pool-side description: pages outside the runtime, init and exec ranges
+// are ClassOther.
+func (c *Container) classMask(w int) (m [memnode.NumClasses]uint64) {
+	m[memnode.ClassRuntime] = c.runtimeRange.WordMask(w)
+	m[memnode.ClassInit] = c.initRange.WordMask(w)
+	m[memnode.ClassExec] = c.execRange.WordMask(w)
+	m[memnode.ClassOther] = ^(m[memnode.ClassRuntime] | m[memnode.ClassInit] | m[memnode.ClassExec])
+	return m
 }
 
 // OffloadPages implements policy.View: it moves local pages to the remote
 // pool, clamped to remaining pool capacity, charging the cgroup, node
 // accounting and link bandwidth.
-func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
-	if c.dead || len(ids) == 0 {
+func (c *Container) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int {
+	max := 0
+	for _, v := range victims {
+		max += bits.OnesCount64(v.Mask)
+	}
+	if c.dead || max == 0 {
 		return 0
 	}
 	now := e.Now()
@@ -809,14 +810,13 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 	// pool capacity and the queued-backlog horizon), and the swap device
 	// must have free slots; truncated pages stay local and later offload
 	// attempts pick them up.
-	max := len(ids)
 	if budget := int(c.p.pool.AcceptableBytes(now) / pageBytes); budget < max {
 		max = budget
 	}
 	max = c.p.swap.Allocate(max)
 	// Select offloadable candidates and describe them by lifecycle class;
 	// the pool (and its memory node, when attached) admits per class.
-	cand, counts := c.offloadCandidates(ids, max)
+	cand, counts := c.offloadCandidates(victims, max)
 	if len(cand) == 0 {
 		c.p.swap.Release(max)
 		return 0
@@ -880,54 +880,51 @@ func (c *Container) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
 	return moved
 }
 
-// offloadCandidates returns, in ids order, the first max pages of ids that
-// are locally resident (Inactive or Hot), counted by lifecycle class. The
-// residency test reads one cached occupancy word per 64-page word, so a run
-// of ids in one word costs one probe each.
-func (c *Container) offloadCandidates(ids []pagemem.PageID, max int) ([]pagemem.PageID, rmem.ClassCounts) {
+// offloadCandidates returns, in victims order, the first max pages of
+// victims that are locally resident (Inactive or Hot), counted by lifecycle
+// class: one residency probe and one popcount per class for each word mask.
+func (c *Container) offloadCandidates(victims []pagemem.WordMask, max int) ([]pagemem.WordMask, rmem.ClassCounts) {
 	cand := c.offCand[:0]
 	var counts rmem.ClassCounts
-	w, local := -1, uint64(0)
-	for _, id := range ids {
-		if len(cand) >= max {
+	n := 0
+	for _, v := range victims {
+		if n >= max {
 			break
 		}
-		if iw := int(id) / 64; iw != w {
-			w = iw
-			local = c.space.StateWord(w, pagemem.Inactive) | c.space.StateWord(w, pagemem.Hot)
-		}
-		if local&(1<<(uint(id)%64)) == 0 {
+		m := v.Mask & c.space.StateWord(v.W, pagemem.Local)
+		if m == 0 {
 			continue
 		}
-		cand = append(cand, id)
-		counts[c.classOf(id)]++
+		m = pagemem.LowestBits(m, max-n)
+		n += bits.OnesCount64(m)
+		for cls, cm := range c.classMask(v.W) {
+			counts[cls] += bits.OnesCount64(m & cm)
+		}
+		cand = append(cand, pagemem.WordMask{W: v.W, Mask: m})
 	}
 	c.offCand = cand
 	return cand, counts
 }
 
 // offloadAccepted moves to Remote, in cand order, the first accepted[cls]
-// candidates of each lifecycle class and returns how many moved. Pages are
-// batched into one mask per 64-page word; ids need not be sorted (victim
-// lists concatenate states and segments), so the mask flushes whenever the
-// word changes, and each flush splits it by current source state.
-func (c *Container) offloadAccepted(cand []pagemem.PageID, accepted rmem.ClassCounts) int {
+// candidate pages of each lifecycle class and returns how many moved. Each
+// word mask splits by class, truncates each class to its remaining
+// admission, and moves as one masked transition per source state.
+func (c *Container) offloadAccepted(cand []pagemem.WordMask, accepted rmem.ClassCounts) int {
 	moved := 0
-	w, mask := -1, uint64(0)
-	for _, id := range cand {
-		cls := c.classOf(id)
-		if accepted[cls] == 0 {
-			continue
+	for _, v := range cand {
+		take := uint64(0)
+		for cls, cm := range c.classMask(v.W) {
+			if m := v.Mask & cm; m != 0 && accepted[cls] > 0 {
+				m = pagemem.LowestBits(m, accepted[cls])
+				k := bits.OnesCount64(m)
+				accepted[cls] -= k
+				moved += k
+				take |= m
+			}
 		}
-		accepted[cls]--
-		if iw := int(id) / 64; iw != w {
-			c.offloadWord(w, mask)
-			w, mask = iw, 0
-		}
-		mask |= 1 << (uint(id) % 64)
-		moved++
+		c.offloadWord(v.W, take)
 	}
-	c.offloadWord(w, mask)
 	return moved
 }
 

@@ -1,9 +1,12 @@
 package faas
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -43,6 +46,33 @@ func refTouchRange(c *Container, seg pagemem.Range, start, end pagemem.PageID, w
 	return faults, readahead
 }
 
+// refClassOf is the per-page lifecycle class the word-level classMask
+// replaces.
+func refClassOf(c *Container, id pagemem.PageID) memnode.Class {
+	switch {
+	case c.runtimeRange.Contains(id):
+		return memnode.ClassRuntime
+	case c.initRange.Contains(id):
+		return memnode.ClassInit
+	case c.execRange.Contains(id):
+		return memnode.ClassExec
+	default:
+		return memnode.ClassOther
+	}
+}
+
+// expandWords lists the pages of a word-mask list in walk order: the order
+// the per-page references visit them.
+func expandWords(ws []pagemem.WordMask) []pagemem.PageID {
+	var ids []pagemem.PageID
+	for _, v := range ws {
+		for m := v.Mask; m != 0; m &= m - 1 {
+			ids = append(ids, pagemem.PageID(v.W*64+bits.TrailingZeros64(m)))
+		}
+	}
+	return ids
+}
+
 // refOffloadCandidates is the per-page candidate filter: the first max
 // locally resident pages of ids, counted by class.
 func refOffloadCandidates(c *Container, ids []pagemem.PageID, max int) ([]pagemem.PageID, rmem.ClassCounts) {
@@ -57,7 +87,7 @@ func refOffloadCandidates(c *Container, ids []pagemem.PageID, max int) ([]pageme
 			continue
 		}
 		cand = append(cand, id)
-		counts[c.classOf(id)]++
+		counts[refClassOf(c, id)]++
 	}
 	return cand, counts
 }
@@ -67,7 +97,7 @@ func refOffloadCandidates(c *Container, ids []pagemem.PageID, max int) ([]pageme
 func refOffloadAccepted(c *Container, cand []pagemem.PageID, accepted rmem.ClassCounts) []pagemem.PageID {
 	var moved []pagemem.PageID
 	for _, id := range cand {
-		cls := c.classOf(id)
+		cls := refClassOf(c, id)
 		if accepted[cls] == 0 {
 			continue
 		}
@@ -79,9 +109,9 @@ func refOffloadAccepted(c *Container, cand []pagemem.PageID, accepted rmem.Class
 }
 
 // walkContainer builds a container with runtime, init and exec segments of
-// sizes that make words straddle segment boundaries, then scatters runs of
-// Inactive, Hot and Remote pages over the monitored segments. The same seed
-// builds the same container.
+// sizes that make words straddle segment boundaries, plus pages outside
+// every segment range, then scatters runs of Inactive, Hot and Remote pages
+// over the monitored segments. The same seed builds the same container.
 func walkContainer(seed int64) *Container {
 	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
 	c := &Container{space: sp, lru: mglru.New(sp)}
@@ -91,6 +121,7 @@ func walkContainer(seed int64) *Container {
 	c.initGen, c.initRange = c.lru.InsertBarrier()
 	sp.Alloc(pagemem.SegExec, 97)
 	c.execRange = c.lru.SkipNew()
+	sp.Alloc(pagemem.SegExec, 40) // outside every range: ClassOther
 	rng := rand.New(rand.NewSource(seed))
 	for _, r := range []pagemem.Range{c.runtimeRange, c.initRange} {
 		for id := r.Start; id < r.End; {
@@ -169,40 +200,63 @@ func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 	}
 }
 
-// TestOffloadMatchesPerPageMove drives victim lists shaped like the
-// semi-warm offloader's — Inactive then Hot pages, runtime then init, so ids
-// go back to earlier words — plus shuffled lists with stale (already
-// Remote) entries, through the word-batched candidate filter and move and
-// the per-page reference, with pool admission trimming random classes.
+// offloadVictims builds one of four victim-list shapes over c:
+//   - state-major, as the semi-warm offloader builds it: Inactive then Hot
+//     pages, runtime then init, so the list goes back to earlier words;
+//   - single-bit masks in shuffled order, some of them stale (not local);
+//   - random masks over random, often repeated words, overlaps included;
+//   - DAMON-shaped: the local pages of adjacent regions, so neighbouring
+//     masks share a word.
+func offloadVictims(c *Container, shape int, rng *rand.Rand) []pagemem.WordMask {
+	var ws []pagemem.WordMask
+	words := (c.space.NumPages() + 63) / 64
+	switch shape {
+	case 0:
+		for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot} {
+			for _, r := range []pagemem.Range{c.runtimeRange, c.initRange} {
+				ws, _ = c.space.AppendWords(ws, r, st, 0)
+			}
+		}
+	case 1:
+		for id := 0; id < c.space.NumPages(); id++ {
+			if rng.Intn(2) == 0 {
+				ws = append(ws, pagemem.WordMask{W: id / 64, Mask: 1 << (uint(id) % 64)})
+			}
+		}
+		rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+	case 2:
+		for i := 0; i < 3*words; i++ {
+			w := rng.Intn(words)
+			m := rng.Uint64() & pagemem.Range{End: pagemem.PageID(c.space.NumPages())}.WordMask(w)
+			ws = append(ws, pagemem.WordMask{W: w, Mask: m})
+		}
+	case 3:
+		for id := pagemem.PageID(0); int(id) < c.space.NumPages(); {
+			end := min(id+pagemem.PageID(1+rng.Intn(90)), pagemem.PageID(c.space.NumPages()))
+			if rng.Intn(3) != 0 {
+				ws, _ = c.space.AppendWords(ws, pagemem.Range{Start: id, End: end}, pagemem.Local, 0)
+			}
+			id = end
+		}
+	}
+	return ws
+}
+
+// TestOffloadMatchesPerPageMove drives every victim-list shape through the
+// word-mask candidate filter and move and through the per-page reference on
+// the expanded list, with the pool truncating the batch and admission
+// trimming random classes.
 func TestOffloadMatchesPerPageMove(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
+	for seed := int64(1); seed <= 80; seed++ {
 		fast, slow := walkContainer(seed), walkContainer(seed)
 		rng := rand.New(rand.NewSource(seed * 17))
-		var ids []pagemem.PageID
-		if seed%2 == 0 {
-			for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot} {
-				for _, r := range []pagemem.Range{fast.runtimeRange, fast.initRange} {
-					ids = fast.space.CollectInState(ids, r, st, 0)
-				}
-			}
-		} else {
-			for id := pagemem.PageID(0); int(id) < fast.space.NumPages(); id++ {
-				if rng.Intn(2) == 0 {
-					ids = append(ids, id)
-				}
-			}
-			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-		}
+		victims := offloadVictims(fast, int(seed%4), rng)
+		ids := expandWords(victims)
 		max := 1 + rng.Intn(len(ids)+1)
-		cand, counts := fast.offloadCandidates(ids, max)
+		cand, counts := fast.offloadCandidates(victims, max)
 		wantCand, wantCounts := refOffloadCandidates(slow, ids, max)
-		if len(cand) != len(wantCand) || counts != wantCounts {
-			t.Fatalf("seed %d: %d candidates %v, want %d %v", seed, len(cand), counts, len(wantCand), wantCounts)
-		}
-		for i := range cand {
-			if cand[i] != wantCand[i] {
-				t.Fatalf("seed %d: candidate %d = %d, want %d", seed, i, cand[i], wantCand[i])
-			}
+		if got := expandWords(cand); !slices.Equal(got, wantCand) || counts != wantCounts {
+			t.Fatalf("seed %d: candidates %v %v, want %v %v", seed, got, counts, wantCand, wantCounts)
 		}
 		accepted := counts
 		for cls := range accepted {

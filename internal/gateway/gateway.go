@@ -16,8 +16,9 @@
 //	GET  /flows               page byte-flow ledger + conservation audit
 //	GET  /benchmarks          the 11 benchmark profiles
 //	GET  /policies            available offloading policies
-//	POST /run                 run one scenario (JSON body, JSON outcome)
-//	POST /replay              replay a multi-function trace (tracegen JSON)
+//	POST /run                 run one scenario (JSON body ≤ 1 MiB, JSON outcome)
+//	POST /replay              replay a multi-function trace (tracegen JSON,
+//	                          body ≤ 16 MiB)
 //	GET  /experiments         the experiment registry's names, in order
 //	POST /experiments/{name}  regenerate one figure/table (?seed=N, default 1)
 //
@@ -33,6 +34,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -239,10 +241,34 @@ func Handler() http.Handler {
 	return mux
 }
 
+// Request body caps. A /run body is a handful of scalar fields; a /replay
+// body carries a whole trace, sized so a trace at the replay invocation
+// ceiling fits with room for indentation.
+const (
+	maxRunBody    = 1 << 20
+	maxReplayBody = 16 << 20
+)
+
+// decodeBody decodes the JSON request body into v, reading at most limit
+// bytes. On failure it writes the error response — 413 for an oversized
+// body, 400 for any other decode error — and returns false.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.fail(w, status, fmt.Errorf("decode request: %w", err))
+	return false
+}
+
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !s.decodeBody(w, r, maxRunBody, &req) {
 		return
 	}
 	if err := req.normalize(); err != nil {

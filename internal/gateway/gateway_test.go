@@ -276,6 +276,32 @@ func TestReplayValidation(t *testing.T) {
 	}
 }
 
+// TestRunBodyCap pins the /run body cap: a body past it is a 413, while a
+// body padded to just under it still decodes and is validated as usual.
+func TestRunBodyCap(t *testing.T) {
+	big := `{"bench": "` + strings.Repeat("a", maxRunBody) + `"}`
+	if rec := do(t, http.MethodPost, "/run", big); rec.Code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("oversized /run: status %d, body %.200q", rec.Code, rec.Body.String())
+	}
+	padded := `{"bench": "nope"` + strings.Repeat(" ", maxRunBody-100) + `}`
+	if rec := do(t, http.MethodPost, "/run", padded); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "unknown bench") {
+		t.Fatalf("padded /run under the cap: status %d, body %.200q", rec.Code, rec.Body.String())
+	}
+}
+
+// TestReplayBodyCap pins the /replay body cap: a trace body past it is a
+// 413 before any of it is validated or replayed.
+func TestReplayBodyCap(t *testing.T) {
+	big := `{"trace": {"duration": 60000000000, "functions": [{"id": "a", "invocations": [` +
+		strings.Repeat("0, ", maxReplayBody/3) + `0]}]}}`
+	if rec := do(t, http.MethodPost, "/replay", big); rec.Code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("oversized /replay: status %d, body %.200q", rec.Code, rec.Body.String())
+	}
+}
+
 func TestReplayMemNode(t *testing.T) {
 	body := `{
 		"trace": {"duration": 180000000000, "functions": [

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -150,8 +149,7 @@ type ReplayResponse struct {
 
 func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	var req ReplayRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !s.decodeBody(w, r, maxReplayBody, &req) {
 		return
 	}
 	if err := req.validate(); err != nil {

@@ -64,26 +64,6 @@ func (b *Bitset) SetRange(start, end int) {
 	}
 }
 
-// ClearRange clears bits [start, end).
-func (b *Bitset) ClearRange(start, end int) {
-	if end <= start || len(b.words) == 0 {
-		return
-	}
-	if max := len(b.words) * 64; end > max {
-		end = max
-	}
-	for i := start; i < end; {
-		w := i / 64
-		lo := uint(i) % 64
-		hi := uint(64)
-		if end-(w*64) < 64 {
-			hi = uint(end - w*64)
-		}
-		b.words[w] &^= (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-		i = (w + 1) * 64
-	}
-}
-
 // CountRange returns the number of set bits in [start, end).
 func (b *Bitset) CountRange(start, end int) int {
 	if end <= start || len(b.words) == 0 {

@@ -6,6 +6,27 @@ import (
 	"testing/quick"
 )
 
+// ClearRange clears bits [start, end) — the range clear behind the tests'
+// ScanAndClear; the page engine itself clears access bits by word mask.
+func (b *Bitset) ClearRange(start, end int) {
+	if end <= start || len(b.words) == 0 {
+		return
+	}
+	if max := len(b.words) * 64; end > max {
+		end = max
+	}
+	for i := start; i < end; {
+		w := i / 64
+		lo := uint(i) % 64
+		hi := uint(64)
+		if end-(w*64) < 64 {
+			hi = uint(end - w*64)
+		}
+		b.words[w] &^= (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
+		i = (w + 1) * 64
+	}
+}
+
 func TestBitsetSetGetClear(t *testing.T) {
 	var b Bitset
 	if b.Get(0) || b.Get(1000) {

@@ -91,10 +91,14 @@ func (n *naiveSpace) count(seg Segment, st State) int {
 	return c
 }
 
+// collectInState is the per-page victim scan AppendWords replaces: up to
+// max pages of r (max <= 0: no limit) in state st, where Local selects
+// Inactive or Hot.
 func (n *naiveSpace) collectInState(r Range, st State, max int) []PageID {
 	var out []PageID
 	for id := r.Start; id < r.End; id++ {
-		if n.state[id] == st {
+		cur := n.state[id]
+		if cur == st || st == Local && (cur == Inactive || cur == Hot) {
 			out = append(out, id)
 			if max > 0 && len(out) >= max {
 				break
@@ -104,17 +108,39 @@ func (n *naiveSpace) collectInState(r Range, st State, max int) []PageID {
 	return out
 }
 
-func (n *naiveSpace) collectLocal(r Range, max int) []PageID {
+// collectIdleLocal is TMO's per-page walk: local pages of r in page order,
+// an accessed one loses its bit and is skipped, an idle one is a victim, and
+// the walk ends at the max-th victim.
+func (n *naiveSpace) collectIdleLocal(r Range, max int) []PageID {
 	var out []PageID
 	for id := r.Start; id < r.End; id++ {
-		if n.state[id] == Inactive || n.state[id] == Hot {
-			out = append(out, id)
-			if max > 0 && len(out) >= max {
-				break
-			}
+		if n.state[id] != Inactive && n.state[id] != Hot {
+			continue
+		}
+		if n.accessed[id] {
+			n.accessed[id] = false
+			continue
+		}
+		out = append(out, id)
+		if max > 0 && len(out) >= max {
+			break
 		}
 	}
 	return out
+}
+
+// wordsOf groups an ascending page list into the word masks a page-order
+// scan returns.
+func wordsOf(ids []PageID) []WordMask {
+	var ws []WordMask
+	for _, id := range ids {
+		w := int(id) / 64
+		if len(ws) == 0 || ws[len(ws)-1].W != w {
+			ws = append(ws, WordMask{W: w})
+		}
+		ws[len(ws)-1].Mask |= 1 << (uint(id) % 64)
+	}
+	return ws
 }
 
 // spacePair drives one script through the bitset-backed Space and the model.
@@ -149,7 +175,7 @@ func (p *spacePair) rangeFrom(a, b byte) Range {
 func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	t.Helper()
 	n := len(p.slow.state)
-	switch op % 8 {
+	switch op % 9 {
 	case 0: // grow
 		seg := Segment(int(a) % int(NumSegments))
 		count := int(b) % 97
@@ -221,17 +247,33 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if want := p.slow.scanAndClear(r); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ScanAndClear(%v) = %v, want %v", r, got, want)
 		}
-	case 7: // bounded victim collection
+	case 7: // bounded victim scan (offload): one state or the local union
 		r := p.rangeFrom(a, b)
-		st := State(int(a) % int(numStates))
-		max := int(b) % 5
-		got := p.fast.CollectInState(nil, r, st, max)
-		if want := p.slow.collectInState(r, st, max); !reflect.DeepEqual(got, want) {
-			t.Fatalf("CollectInState(%v, %v, %d) = %v, want %v", r, st, max, got, want)
+		st := State(int(a) % int(numStates+1)) // numStates is Local
+		max := 0
+		if b%4 != 0 {
+			max = int(b) / 4
 		}
-		gotLocal := p.fast.CollectLocal(nil, r, max)
-		if want := p.slow.collectLocal(r, max); !reflect.DeepEqual(gotLocal, want) {
-			t.Fatalf("CollectLocal(%v, %d) = %v, want %v", r, max, gotLocal, want)
+		want := p.slow.collectInState(r, st, max)
+		got, k := p.fast.AppendWords(nil, r, st, max)
+		if !reflect.DeepEqual(got, wordsOf(want)) || k != len(want) {
+			t.Fatalf("AppendWords(%v, %v, %d) = %v (%d pages), want %v", r, st, max, got, k, wordsOf(want))
+		}
+	case 8: // TMO's idle scan: victims plus the access bits it clears
+		r := p.rangeFrom(a, b)
+		max := 0
+		if b%4 != 0 {
+			max = int(b) / 4
+		}
+		want := p.slow.collectIdleLocal(r, max)
+		got, k := p.fast.AppendIdleLocalWords(nil, r, max)
+		if !reflect.DeepEqual(got, wordsOf(want)) || k != len(want) {
+			t.Fatalf("AppendIdleLocalWords(%v, %d) = %v (%d pages), want %v", r, max, got, k, wordsOf(want))
+		}
+		for id := r.Start; id < r.End; id++ {
+			if g, w := p.fast.Accessed(id), p.slow.accessed[id]; g != w {
+				t.Fatalf("AppendIdleLocalWords(%v, %d): page %d accessed %v, want %v", r, max, id, g, w)
+			}
 		}
 	}
 }

@@ -50,6 +50,8 @@ func (s State) String() string {
 		return "hot"
 	case Remote:
 		return "remote"
+	case Local:
+		return "local"
 	default:
 		return fmt.Sprintf("state(%d)", uint8(s))
 	}
@@ -225,16 +227,44 @@ func (s *Space) clampRange(r Range) (clamped Range, w0, w1 int) {
 
 // WordMask returns the bitmask of the range's pages within the 64-page word
 // w, covering pages [w*64, w*64+64) — the per-word mask the word-at-a-time
-// page walks intersect with StateWord. w must overlap the range.
+// page walks intersect with StateWord. It is zero when w lies outside the
+// range.
 func (r Range) WordMask(w int) uint64 {
+	base := w * 64
+	if base >= int(r.End) || base+64 <= int(r.Start) {
+		return 0
+	}
 	m := ^uint64(0)
-	if base := w * 64; base < int(r.Start) {
+	if base < int(r.Start) {
 		m &= ^uint64(0) << (uint(r.Start) % 64)
 	}
-	if int(r.End) < (w+1)*64 {
+	if int(r.End) < base+64 {
 		m &= ^uint64(0) >> (64 - uint(r.End)%64)
 	}
 	return m
+}
+
+// WordMask is a set of pages within one 64-page word: page W*64+i is in the
+// set when bit i of Mask is set. Victim lists are slices of word masks in
+// walk order; within one mask pages go in ascending order.
+type WordMask struct {
+	W    int
+	Mask uint64
+}
+
+// LowestBits returns the k lowest set bits of m (all of m when it has at
+// most k) — how a word-mask walk truncates at a page budget.
+func LowestBits(m uint64, k int) uint64 {
+	if k >= bits.OnesCount64(m) {
+		return m
+	}
+	var low uint64
+	for ; k > 0; k-- {
+		b := m & -m
+		low |= b
+		m ^= b
+	}
+	return low
 }
 
 // FreeRange releases every non-free page in r. Used when exec-segment
@@ -320,77 +350,62 @@ func (s *Space) SetState(id PageID, st State) {
 	s.stateBits[st].Set(int(id))
 }
 
-// ForEachInState calls fn for every page of state st inside r, in page order,
-// skipping zero words whole.
-func (s *Space) ForEachInState(r Range, st State, fn func(PageID)) {
-	s.stateBits[st].ForEachSet(int(r.Start), int(r.End), func(i int) { fn(PageID(i)) })
-}
+// Local is not a page state: passed to StateWord or AppendWords it selects
+// every locally resident page, Inactive or Hot.
+const Local State = numStates
 
-// forEachUnion walks the set bits of a|b in [start, end) in ascending order,
-// skipping all-zero words, until fn returns false. b may be nil for a
-// single-set walk.
-func (s *Space) forEachUnion(a, b *Bitset, start, end int, fn func(int) bool) {
-	if end > s.n {
-		end = s.n
-	}
-	for i := start; i < end; {
-		w := i / 64
-		lo := uint(i) % 64
-		hi := uint(64)
-		if end-(w*64) < 64 {
-			hi = uint(end - w*64)
-		}
-		word := a.word(w)
-		if b != nil {
-			word |= b.word(w)
-		}
-		word &= (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-		for word != 0 {
-			tz := bits.TrailingZeros64(word)
-			if !fn(w*64 + tz) {
-				return
-			}
-			word &^= 1 << uint(tz)
-		}
-		i = (w + 1) * 64
-	}
-}
-
-// CollectInState appends up to max pages of state st inside r (0 = no limit)
-// to dst and returns it — the word-at-a-time victim scan behind offload
-// collection.
-func (s *Space) CollectInState(dst []PageID, r Range, st State, max int) []PageID {
+// AppendWords appends to dst, in page order, the word masks of the pages
+// inside r in state st (Local: Inactive or Hot), truncated to the first max
+// pages (max <= 0: no limit). It returns dst and the number of pages
+// appended — the victim scan behind every offload, one probe per word.
+func (s *Space) AppendWords(dst []WordMask, r Range, st State, max int) ([]WordMask, int) {
 	r, w0, w1 := s.clampRange(r)
+	n := 0
 	for w := w0; w < w1; w++ {
-		word := s.stateBits[st].words[w] & r.WordMask(w)
-		for word != 0 {
-			dst = append(dst, PageID(w*64+bits.TrailingZeros64(word)))
-			word &= word - 1
-			if max > 0 && len(dst) >= max {
-				return dst
-			}
+		m := s.StateWord(w, st) & r.WordMask(w)
+		if m == 0 {
+			continue
+		}
+		k := bits.OnesCount64(m)
+		if max > 0 && n+k >= max {
+			return append(dst, WordMask{W: w, Mask: LowestBits(m, max-n)}), max
+		}
+		dst = append(dst, WordMask{W: w, Mask: m})
+		n += k
+	}
+	return dst, n
+}
+
+// AppendIdleLocalWords is TMO's scan: it walks the local pages of r in page
+// order, clearing the access bit of each accessed one and appending each
+// idle one to dst as a victim, and stops at the max-th victim (max <= 0: no
+// limit), so accessed pages past it keep their bits. It returns dst and the
+// number of victims appended.
+func (s *Space) AppendIdleLocalWords(dst []WordMask, r Range, max int) ([]WordMask, int) {
+	r, w0, w1 := s.clampRange(r)
+	n := 0
+	for w := w0; w < w1; w++ {
+		local := s.StateWord(w, Local) & r.WordMask(w)
+		if local == 0 {
+			continue
+		}
+		seen := local & s.accessed.words[w]
+		idle := local &^ seen
+		if k := bits.OnesCount64(idle); max > 0 && n+k >= max {
+			idle = LowestBits(idle, max-n)
+			// The walk stops at the last victim: only accessed pages below
+			// it were visited.
+			last := 63 - bits.LeadingZeros64(idle)
+			s.accessed.words[w] &^= seen & (1<<uint(last) - 1)
+			return append(dst, WordMask{W: w, Mask: idle}), max
+		}
+		s.accessed.words[w] &^= seen
+		if idle != 0 {
+			dst = append(dst, WordMask{W: w, Mask: idle})
+			n += bits.OnesCount64(idle)
 		}
 	}
-	return dst
-}
-
-// ForEachLocal calls fn for every locally resident page (Inactive or Hot)
-// inside r in page order, stopping early when fn returns false — the union
-// scan the TMO/DAMON-style policies use to pick eviction victims, where
-// visit order across the two states must match a per-page walk.
-func (s *Space) ForEachLocal(r Range, fn func(PageID) bool) {
-	s.forEachUnion(&s.stateBits[Inactive], &s.stateBits[Hot], int(r.Start), int(r.End),
-		func(i int) bool { return fn(PageID(i)) })
-}
-
-// CollectLocal appends up to max locally resident pages inside r to dst in
-// page order.
-func (s *Space) CollectLocal(dst []PageID, r Range, max int) []PageID {
-	s.ForEachLocal(r, func(id PageID) bool {
-		dst = append(dst, id)
-		return max <= 0 || len(dst) < max
-	})
-	return dst
+	return dst, n
 }
 
 // Touch sets the access bit of page id and returns its current state so the
@@ -408,11 +423,16 @@ func (s *Space) TouchRange(r Range) {
 	s.accessed.SetRange(int(r.Start), int(r.End))
 }
 
-// StateWord returns the 64-page occupancy mask of state st covering pages
-// [w*64, w*64+64). Together with TransitionMasked it lets hot loops (request
-// touches, offload, rollback) move whole words of pages without per-page
-// calls.
-func (s *Space) StateWord(w int, st State) uint64 { return s.stateBits[st].word(w) }
+// StateWord returns the 64-page occupancy mask of state st (Local: Inactive
+// or Hot) covering pages [w*64, w*64+64). Together with TransitionMasked it
+// lets hot loops (request touches, offload, rollback) move whole words of
+// pages without per-page calls.
+func (s *Space) StateWord(w int, st State) uint64 {
+	if st == Local {
+		return s.stateBits[Inactive].word(w) | s.stateBits[Hot].word(w)
+	}
+	return s.stateBits[st].word(w)
+}
 
 // TransitionMasked moves every page in the 64-page word w whose mask bit is
 // set from state `from` to state `to`. Every masked page must currently be in
@@ -439,21 +459,6 @@ func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }
 
 // ClearAccessed clears the access bit of page id.
 func (s *Space) ClearAccessed(id PageID) { s.accessed.Clear(int(id)) }
-
-// ScanAndClear invokes fn for every page in r whose access bit is set, then
-// clears the bit — the moral equivalent of a page-table Accessed-bit scan.
-// Zero words are skipped whole, so scanning a cold container is cheap.
-func (s *Space) ScanAndClear(r Range, fn func(PageID)) {
-	if fn != nil {
-		s.accessed.ForEachSet(int(r.Start), int(r.End), func(i int) { fn(PageID(i)) })
-	}
-	s.accessed.ClearRange(int(r.Start), int(r.End))
-}
-
-// CountAccessed tallies set access bits in r without clearing them.
-func (s *Space) CountAccessed(r Range) int {
-	return s.accessed.CountRange(int(r.Start), int(r.End))
-}
 
 // CountInRange tallies pages of the given state inside r by popcounting the
 // state's bitset, so per-request occupancy polls cost O(words).

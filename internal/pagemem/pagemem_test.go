@@ -169,6 +169,78 @@ func TestTouchSetsAccessBit(t *testing.T) {
 	}
 }
 
+// ScanAndClear invokes fn for every page in r whose access bit is set, then
+// clears the bit — a page-table Accessed-bit scan over the bitset's
+// word-skipping walk. The policies' own scans (AppendIdleLocalWords, DAMON's
+// sampling) do not need it; the tests use it to drive and check access bits.
+func (s *Space) ScanAndClear(r Range, fn func(PageID)) {
+	if fn != nil {
+		s.accessed.ForEachSet(int(r.Start), int(r.End), func(i int) { fn(PageID(i)) })
+	}
+	s.accessed.ClearRange(int(r.Start), int(r.End))
+}
+
+// CountAccessed tallies set access bits in r without clearing them.
+func (s *Space) CountAccessed(r Range) int {
+	return s.accessed.CountRange(int(r.Start), int(r.End))
+}
+
+// TestAppendIdleLocalWordsStopsMidWord pins the budget edge of TMO's scan:
+// when the max-th victim falls inside a word, accessed pages before it lose
+// their bits and accessed pages after it keep them, as the per-page walk
+// never reaches them.
+func TestAppendIdleLocalWordsStopsMidWord(t *testing.T) {
+	s := NewSpace(DefaultPageSize)
+	r := s.Alloc(SegRuntime, 128)
+	s.ScanAndClear(r, nil)
+	for _, id := range []PageID{3, 10, 40, 70} {
+		s.Touch(id)
+	}
+	s.SetState(5, Remote) // not local: neither a victim nor scanned
+	s.Touch(5)
+	ws, n := s.AppendIdleLocalWords(nil, r, 8)
+	// Idle local pages in order: 0 1 2 4 6 7 8 9 — the 8th is page 9.
+	want := []WordMask{{W: 0, Mask: 0b11_1101_0111}}
+	if n != 8 || len(ws) != 1 || ws[0] != want[0] {
+		t.Fatalf("AppendIdleLocalWords = %v (%d pages), want %v", ws, n, want)
+	}
+	for id, acc := range map[PageID]bool{3: false, 5: true, 10: true, 40: true, 70: true} {
+		if s.Accessed(id) != acc {
+			t.Errorf("page %d accessed = %v, want %v", id, !acc, acc)
+		}
+	}
+	// Without a budget the scan clears every accessed local page in r;
+	// pages 10, 40 and 70 are still accessed, page 3 is idle again.
+	if _, n := s.AppendIdleLocalWords(nil, r, 0); n != 128-1-3 {
+		t.Fatalf("unbounded scan found %d victims, want %d", n, 128-1-3)
+	}
+	if s.CountAccessed(r) != 1 || !s.Accessed(5) {
+		t.Fatalf("unbounded scan left %d accessed pages, want only remote page 5", s.CountAccessed(r))
+	}
+}
+
+// TestLowestBits covers the truncation helper at its edges.
+func TestLowestBits(t *testing.T) {
+	for _, tc := range []struct {
+		m    uint64
+		k    int
+		want uint64
+	}{
+		{0, 3, 0},
+		{0b1011_0100, 0, 0},
+		{0b1011_0100, 2, 0b0001_0100},
+		{0b1011_0100, 4, 0b1011_0100},
+		{0b1011_0100, 9, 0b1011_0100},
+		{^uint64(0), 64, ^uint64(0)},
+		{^uint64(0), 63, ^uint64(0) >> 1},
+		{1 << 63, 1, 1 << 63},
+	} {
+		if got := LowestBits(tc.m, tc.k); got != tc.want {
+			t.Errorf("LowestBits(%#b, %d) = %#b, want %#b", tc.m, tc.k, got, tc.want)
+		}
+	}
+}
+
 func TestScanAndClear(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	r := s.Alloc(SegInit, 10)

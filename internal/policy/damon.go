@@ -103,6 +103,8 @@ type damonContainer struct {
 	rng     *rand.Rand
 	regions []damonRegion
 	samples int
+	// victims is the reusable per-aggregation victim-list scratch.
+	victims []pagemem.WordMask
 }
 
 // InitDone implements ContainerPolicy: monitoring targets exist once the
@@ -185,7 +187,7 @@ func (c *damonContainer) sample(e *simtime.Engine) {
 // damon_split_regions adaptation step).
 func (c *damonContainer) aggregate(e *simtime.Engine) {
 	s := c.view.Space()
-	var victims []pagemem.PageID
+	victims := c.victims[:0]
 	for i := range c.regions {
 		r := &c.regions[i]
 		if r.nrAccesses == 0 {
@@ -195,11 +197,12 @@ func (c *damonContainer) aggregate(e *simtime.Engine) {
 		}
 		if r.age >= c.cfg.AggregationsCold {
 			// DAMOS pageout: evict every local page of the region.
-			victims = s.CollectLocal(victims, pagemem.Range{Start: r.start, End: r.end}, 0)
+			victims, _ = s.AppendWords(victims, pagemem.Range{Start: r.start, End: r.end}, pagemem.Local, 0)
 			r.age = 0 // paged out; restart aging
 		}
 		r.nrAccesses = 0
 	}
+	c.victims = victims
 	if len(victims) > 0 {
 		c.view.OffloadPages(e, victims)
 	}

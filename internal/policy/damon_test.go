@@ -5,6 +5,7 @@ package policy
 // policy_test.go through the full platform.
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -50,15 +51,19 @@ func (v *fakeView) StallFraction() float64      { return 0 }
 func (v *fakeView) OffloadScale() float64       { return 1 }
 func (v *fakeView) Trace() *telemetry.Tracer    { return nil }
 func (v *fakeView) Spans() *span.Recorder       { return nil }
-func (v *fakeView) OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int {
-	for _, id := range ids {
-		st := v.space.State(id)
-		if st == pagemem.Inactive || st == pagemem.Hot {
-			v.space.SetState(id, pagemem.Remote)
-			v.offloaded = append(v.offloaded, id)
+func (v *fakeView) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int {
+	n := 0
+	for _, wm := range victims {
+		for m := wm.Mask; m != 0; m &= m - 1 {
+			id := pagemem.PageID(wm.W*64 + bits.TrailingZeros64(m))
+			n++
+			if st := v.space.State(id); st == pagemem.Inactive || st == pagemem.Hot {
+				v.space.SetState(id, pagemem.Remote)
+				v.offloaded = append(v.offloaded, id)
+			}
 		}
 	}
-	return len(ids)
+	return n
 }
 
 var _ View = (*fakeView)(nil)

@@ -7,7 +7,10 @@
 // init done, request start/end, idle, recycle). Policies act on the
 // container through the View interface; local→remote movement must go
 // through View.OffloadPages so that cgroup accounting, pool capacity, and
-// link bandwidth are charged consistently.
+// link bandwidth are charged consistently. Victims travel as
+// pagemem.WordMask lists — 64-page masks in walk order, built by the
+// pagemem scans (AppendWords, AppendIdleLocalWords) — never as per-page id
+// lists.
 package policy
 
 import (
@@ -51,11 +54,13 @@ type View interface {
 	// StallFraction estimates the recent share of request time spent waiting
 	// on remote-memory faults — the simulation's stand-in for TMO's PSI.
 	StallFraction() float64
-	// OffloadPages moves the given local (inactive or hot) pages to the
-	// remote pool, charging cgroup accounting and link bandwidth. It returns
-	// how many pages were actually offloaded; fewer than requested means the
-	// pool filled up.
-	OffloadPages(e *simtime.Engine, ids []pagemem.PageID) int
+	// OffloadPages moves the victim pages to the remote pool, charging
+	// cgroup accounting and link bandwidth. victims lists word masks in walk
+	// order; the pages are taken in that order (ascending within a mask) and
+	// any no longer local (inactive or hot) are skipped. It returns how many
+	// pages were actually offloaded; fewer than requested means the pool or
+	// link truncated the batch.
+	OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int
 	// OffloadScale returns the platform bandwidth governor's current factor
 	// in (0, 1]: gradual offloaders multiply their per-tick budget by it so
 	// that aggregate offload traffic stays within the link budget (§6.2).
@@ -134,13 +139,6 @@ func (Base) Idle(*simtime.Engine) {}
 
 // Recycle implements ContainerPolicy.
 func (Base) Recycle(*simtime.Engine) {}
-
-// CollectPages gathers up to max page IDs in r whose state matches st.
-// max <= 0 means no limit. The scan walks the space's per-state bitset
-// word-at-a-time rather than checking every page.
-func CollectPages(s *pagemem.Space, r pagemem.Range, st pagemem.State, max int) []pagemem.PageID {
-	return s.CollectInState(nil, r, st, max)
-}
 
 // NoOffload is the paper's baseline: FaaSMem's platform with memory
 // offloading disabled.

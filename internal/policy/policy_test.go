@@ -1,6 +1,7 @@
 package policy_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -160,6 +161,8 @@ func TestDAMONVsBaselineP95(t *testing.T) {
 	}
 }
 
+// TestCollectPages checks the per-page victim reference and that the
+// word-mask scan agrees with it.
 func TestCollectPages(t *testing.T) {
 	s := pagemem.NewSpace(4096)
 	r := s.Alloc(pagemem.SegInit, 10)
@@ -173,6 +176,23 @@ func TestCollectPages(t *testing.T) {
 	hot := policy.CollectPages(s, r, pagemem.Hot, 1)
 	if len(hot) != 1 || hot[0] != r.Start+2 {
 		t.Fatalf("hot with max=1 = %v", hot)
+	}
+	for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot, pagemem.Remote, pagemem.Local} {
+		for max := 0; max <= 10; max++ {
+			want := policy.CollectPages(s, r, st, max)
+			ws, n := s.AppendWords(nil, r, st, max)
+			var got []pagemem.PageID
+			for _, wm := range ws {
+				for i := 0; i < 64; i++ {
+					if wm.Mask&(1<<uint(i)) != 0 {
+						got = append(got, pagemem.PageID(wm.W*64+i))
+					}
+				}
+			}
+			if n != len(want) || !slices.Equal(got, want) {
+				t.Fatalf("AppendWords(%v, %d) = %v (%d), want %v", st, max, got, n, want)
+			}
+		}
 	}
 }
 

@@ -61,6 +61,8 @@ type tmoContainer struct {
 	// carry accumulates sub-page budget across steps so small containers
 	// still converge to StepFraction per step on average.
 	carry int64
+	// victims is the reusable victim-list scratch.
+	victims []pagemem.WordMask
 }
 
 // step performs one conservative offload increment: clear access bits over
@@ -79,22 +81,17 @@ func (c *tmoContainer) step(e *simtime.Engine) {
 		return
 	}
 	c.carry -= int64(budget) * pageBytes
-	var victims []pagemem.PageID
+	victims := c.victims[:0]
 	for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-		s.ForEachLocal(r, func(id pagemem.PageID) bool {
-			if s.Accessed(id) {
-				// Touched since the last step: young, leave it and clear the
-				// bit so the next step can re-evaluate.
-				s.ClearAccessed(id)
-				return true
-			}
-			victims = append(victims, id)
-			return len(victims) < budget
-		})
-		if len(victims) >= budget {
+		// Pages touched since the last step are young: the scan leaves them
+		// and clears their bits so the next step can re-evaluate.
+		var n int
+		victims, n = s.AppendIdleLocalWords(victims, r, budget)
+		if budget -= n; budget == 0 {
 			break
 		}
 	}
+	c.victims = victims
 	if len(victims) > 0 {
 		c.view.OffloadPages(e, victims)
 	}

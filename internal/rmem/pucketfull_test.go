@@ -34,9 +34,9 @@ type drainContainer struct {
 func (c *drainContainer) Idle(e *simtime.Engine) {
 	s := c.view.Space()
 	for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-		ids := policy.CollectPages(s, r, pagemem.Inactive, 0)
-		ids = append(ids, policy.CollectPages(s, r, pagemem.Hot, 0)...)
-		c.view.OffloadPages(e, ids)
+		victims, _ := s.AppendWords(nil, r, pagemem.Inactive, 0)
+		victims, _ = s.AppendWords(victims, r, pagemem.Hot, 0)
+		c.view.OffloadPages(e, victims)
 	}
 }
 
