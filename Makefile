@@ -83,12 +83,24 @@ experiments-quick:
 
 # Rows must be byte-identical at any scenario fan-out width. The experiment
 # list comes from the registry (-list); wall-clock entries (fig15) are
-# skipped because their rows are measured host times.
+# skipped because their rows are measured host times. A second pass runs
+# fig13 with every sink on (trace, timeline, exemplars, attribution) and
+# diffs all four outputs across the same widths; each width writes the same
+# paths, which are renamed afterwards, so the attribution output's trace
+# line matches too.
 determinism:
 	@figs=$$($(GO) run ./cmd/experiments -list | awk 'NF == 1' | paste -sd, -) && \
 	$(GO) run ./cmd/experiments -quick -seed 42 -only "$$figs" -scenario-workers 1 > rows_w1.txt && \
 	$(GO) run ./cmd/experiments -quick -seed 42 -only "$$figs" -scenario-workers 8 > rows_w8.txt && \
 	diff rows_w1.txt rows_w8.txt && echo "determinism: rows identical at widths 1 and 8 ($$figs)"
+	@for w in 1 8; do \
+		$(GO) run ./cmd/experiments -quick -seed 42 -only fig13 -scenario-workers $$w \
+			-trace-out fig13_trace.json -timeline fig13_timeline.txt -exemplars fig13_exemplars.txt \
+			-attrib > fig13_attrib.txt || exit 1; \
+		for f in trace.json timeline.txt exemplars.txt attrib.txt; do mv fig13_$$f fig13_w$${w}_$$f; done; \
+	done && \
+	for f in trace.json timeline.txt exemplars.txt attrib.txt; do diff fig13_w1_$$f fig13_w8_$$f || exit 1; done && \
+	echo "determinism: fig13 trace, timeline, exemplars and attribution identical at widths 1 and 8"
 
 # Figures + machine-readable rows.
 results:
@@ -113,4 +125,4 @@ examples:
 	$(GO) run ./examples/attribution
 
 clean:
-	rm -rf results test_output.txt bench_output.txt coverage.out faasmem-trace.json faasmem-spans.json attrib_quick.txt timeline_quick.txt rows_w1.txt rows_w8.txt
+	rm -rf results test_output.txt bench_output.txt coverage.out faasmem-trace.json faasmem-spans.json attrib_quick.txt timeline_quick.txt rows_w1.txt rows_w8.txt fig13_w*_*

@@ -16,7 +16,7 @@ import (
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -82,6 +82,8 @@ type Cluster struct {
 	// containers whose remote pages were unreachable (memnode down or link
 	// flapping); those containers become eligible again on recovery.
 	rescheduledFault int
+	// tel is the rack's telemetry, labelled "rack".
+	tel telemetry.Hub
 }
 
 // New builds a rack. newPolicy is invoked once per node so policies keep
@@ -94,6 +96,7 @@ func New(engine *simtime.Engine, cfg Config, newPolicy func() policy.Policy) *Cl
 		engine: engine,
 		cfg:    cfg,
 		pool:   rmem.NewPool(cfg.Pool),
+		tel:    cfg.Node.Telemetry.Attach("rack"),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeCfg := cfg.Node
@@ -133,10 +136,7 @@ func (c *Cluster) Invoke(fnID string) {
 	n, faultResched := c.pickNode(fnID)
 	if faultResched {
 		c.rescheduledFault++
-		if c.cfg.Node.Telemetry.Timeline.Enabled() {
-			c.cfg.Node.Telemetry.Timeline.AddCounter(c.engine.Now(), timeseries.SeriesRescheduledFault,
-				timeseries.Dims{Node: "rack", Tenant: fnID}, 1)
-		}
+		c.tel.RescheduledFault(c.engine.Now(), fnID)
 		n.InvokeRescheduled(fnID)
 		return
 	}
@@ -150,10 +150,7 @@ func (c *Cluster) InvokeStage(fnID string, hooks *faas.StageHooks) {
 	n, faultResched := c.pickNode(fnID)
 	if faultResched {
 		c.rescheduledFault++
-		if c.cfg.Node.Telemetry.Timeline.Enabled() {
-			c.cfg.Node.Telemetry.Timeline.AddCounter(c.engine.Now(), timeseries.SeriesRescheduledFault,
-				timeseries.Dims{Node: "rack", Tenant: fnID}, 1)
-		}
+		c.tel.RescheduledFault(c.engine.Now(), fnID)
 		n.InvokeStageRescheduled(fnID, hooks)
 		return
 	}

@@ -30,8 +30,6 @@ import (
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/span"
 )
 
 // Config tunes FaaSMem. The zero value plus defaults reproduces the paper's
@@ -451,11 +449,7 @@ func (c *container) fixWindowAndOffload(e *simtime.Engine, n int) {
 	c.window = n
 	c.initOffloaded = true
 	c.parent.stat.WindowSizes = append(c.parent.stat.WindowSizes, n)
-	c.view.Trace().Record(telemetry.Event{
-		At: e.Now(), Kind: telemetry.KindWindowFixed,
-		Actor: c.view.ID(), Fn: c.view.FunctionID(),
-		Stage: telemetry.StageInit, Value: int64(n),
-	})
+	c.view.Telemetry().WindowFixed(e.Now(), c.view.ID(), c.view.FunctionID(), n)
 	var moved int
 	moved, c.victims = c.initPucket().OffloadInactiveBuf(e, c.view, c.victims)
 	if moved > 0 {
@@ -501,15 +495,7 @@ func (c *container) rollback(e *simtime.Engine) {
 	lru := c.view.LRU()
 	n := c.runtimePucket().Rollback(s, lru)
 	n += c.initPucket().Rollback(s, lru)
-	c.view.Trace().Record(telemetry.Event{
-		At: e.Now(), Kind: telemetry.KindRollback,
-		Actor: c.view.ID(), Fn: c.view.FunctionID(), Value: int64(n),
-	})
-	c.view.Spans().RecordBackground(span.Background{
-		Kind: span.BGRollback, Function: c.view.FunctionID(),
-		Container: c.view.ID(), Start: e.Now(),
-		Bytes: int64(n) * int64(s.PageSize()),
-	})
+	c.view.Telemetry().Rollback(e.Now(), c.view.ID(), c.view.FunctionID(), n, int64(n)*int64(s.PageSize()))
 }
 
 // Idle implements policy.ContainerPolicy: schedule the semi-warm period.
@@ -530,11 +516,7 @@ func (c *container) startSemiWarm(e *simtime.Engine) {
 	c.semiWarm = true
 	c.semiWarmFrom = e.Now()
 	c.parent.stat.SemiWarmEntries++
-	c.view.Trace().Record(telemetry.Event{
-		At: e.Now(), Kind: telemetry.KindSemiWarmEnter,
-		Actor: c.view.ID(), Fn: c.view.FunctionID(),
-		Value: c.view.Space().LocalBytes(),
-	})
+	c.view.Telemetry().SemiWarmEnter(e.Now(), c.view.ID(), c.view.FunctionID(), c.view.Space().LocalBytes())
 	c.semiWarmTick = simtime.NewTicker(e, c.cfg.OffloadTick, c.gradualOffload)
 }
 
@@ -592,18 +574,7 @@ func (c *container) stopSemiWarm(e *simtime.Engine) {
 	if c.semiWarm {
 		c.semiWarmTime += e.Now() - c.semiWarmFrom
 		c.semiWarm = false
-		c.view.Trace().Record(telemetry.Event{
-			At: c.semiWarmFrom, Dur: time.Duration(e.Now() - c.semiWarmFrom),
-			Kind:  telemetry.KindSemiWarmExit,
-			Actor: c.view.ID(), Fn: c.view.FunctionID(),
-			Value: c.view.Space().RemoteBytes(),
-		})
-		c.view.Spans().RecordBackground(span.Background{
-			Kind: span.BGSemiWarm, Function: c.view.FunctionID(),
-			Container: c.view.ID(), Start: c.semiWarmFrom,
-			Dur:   time.Duration(e.Now() - c.semiWarmFrom),
-			Bytes: c.view.Space().RemoteBytes(),
-		})
+		c.view.Telemetry().SemiWarmExit(c.semiWarmFrom, e.Now(), c.view.ID(), c.view.FunctionID(), c.view.Space().RemoteBytes())
 	}
 	c.stopTicker()
 }

@@ -57,11 +57,7 @@ func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagem
 	}
 	moved := v.OffloadPages(e, victims)
 	if moved > 0 {
-		v.Trace().Record(telemetry.Event{
-			At: e.Now(), Kind: telemetry.KindPucketOffload,
-			Actor: v.ID(), Fn: v.FunctionID(), Stage: p.stage(v),
-			Value: int64(moved), Aux: int64(p.Gen),
-		})
+		v.Telemetry().PucketOffload(e.Now(), v.ID(), v.FunctionID(), p.stage(v), moved, int64(p.Gen))
 	}
 	return moved, victims
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/faultinject"
+	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -77,8 +78,8 @@ func TestResilienceConservationAndMonotonicity(t *testing.T) {
 
 // zeroCostPlan builds a non-empty fault plan whose windows all lie beyond
 // the horizon: the fault machinery is armed (Pool.FaultsPlanned() is true,
-// so requests run through executeFaulty/FetchRetry) but no window is ever
-// active during the run.
+// so requests pre-count their remote set and fetch through FetchRetry) but
+// no window is ever active during the run.
 func zeroCostPlan(horizon time.Duration) *faultinject.Plan {
 	far := simtime.Time(horizon) + simtime.Time(time.Hour)
 	return faultinject.FromWindows([]faultinject.Window{
@@ -90,52 +91,78 @@ func zeroCostPlan(horizon time.Duration) *faultinject.Plan {
 // TestFaultPlanZeroCostWhenOff pins the zero-cost-when-off contract at the
 // platform level: a run under an armed-but-never-active fault plan produces
 // a request log and aggregate stats bit-identical to the plan-free run.
-// This is the strongest check on the pre-count/replay design — the faulty
-// request path must reproduce the fault-free path exactly whenever the plan
-// is quiet, including runs with real remote page faults.
+// This is the strongest check on the pre-count design — the request path
+// under a plan must reproduce the plan-free path exactly whenever the plan
+// is quiet, including runs with real remote page faults and, against a
+// merging memory node, the copy-on-write unmerge of write-hot runtime pages.
 func TestFaultPlanZeroCostWhenOff(t *testing.T) {
 	const keepAlive = 8 * time.Minute
 	duration := 20 * time.Minute
 	horizon := duration + keepAlive
 
-	run := func(plan *faultinject.Plan) (faas.AggregateStats, []faas.RequestRecord, faas.RecoveryStats) {
-		e := simtime.NewEngine()
-		p := faas.New(e, faas.Config{
-			KeepAliveTimeout: keepAlive,
-			Seed:             11,
-			Pool:             rmem.Config{Faults: plan},
-			RequestLogSize:   1 << 14,
-		}, core.New(core.Config{}))
-		prof := workload.ByName("json")
-		p.Register(prof.Name, prof)
-		p.ScheduleInvocations(prof.Name, LowLoadInvocations(duration, 11))
-		e.RunUntil(horizon)
-		return p.Aggregate(), p.RequestLog().Records(), p.Recovery()
+	type result struct {
+		agg         faas.AggregateStats
+		log         []faas.RequestRecord
+		rec         faas.RecoveryStats
+		writeBreaks int64
 	}
-
-	wantAgg, wantLog, wantRec := run(nil)
-	gotAgg, gotLog, gotRec := run(zeroCostPlan(horizon))
-
-	if wantAgg.FaultPages == 0 {
-		t.Fatalf("workload produced no remote faults; the parity check is vacuous: %+v", wantAgg)
-	}
-	if !reflect.DeepEqual(wantAgg, gotAgg) {
-		t.Errorf("aggregate stats diverge under a quiet fault plan:\n  off: %+v\n  on:  %+v", wantAgg, gotAgg)
-	}
-	if !reflect.DeepEqual(wantLog, gotLog) {
-		t.Errorf("request logs diverge under a quiet fault plan (%d vs %d records)", len(wantLog), len(gotLog))
-		for i := range wantLog {
-			if i < len(gotLog) && !reflect.DeepEqual(wantLog[i], gotLog[i]) {
-				t.Errorf("first divergent record %d:\n  off: %+v\n  on:  %+v", i, wantLog[i], gotLog[i])
-				break
+	for _, tc := range []struct {
+		name       string
+		writeRatio float64
+		node       *memnode.Config
+		invs       []simtime.Time
+	}{
+		{"read-only", 0, nil, LowLoadInvocations(duration, 11)},
+		{"merge-write", 0.3, &memnode.Config{MergeScope: memnode.MergeFunction}, HighLoadInvocations(duration, 11)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(plan *faultinject.Plan) result {
+				e := simtime.NewEngine()
+				p := faas.New(e, faas.Config{
+					KeepAliveTimeout: keepAlive,
+					Seed:             11,
+					Pool:             rmem.Config{Faults: plan, Node: tc.node},
+					RequestLogSize:   1 << 14,
+				}, core.New(core.Config{}))
+				prof := *workload.ByName("json")
+				prof.RuntimeWriteRatio = tc.writeRatio
+				p.Register(prof.Name, &prof)
+				p.ScheduleInvocations(prof.Name, tc.invs)
+				e.RunUntil(horizon)
+				return result{p.Aggregate(), p.RequestLog().Records(), p.Recovery(),
+					p.Function(prof.Name).Stats().WriteBreakPages}
 			}
-		}
-	}
-	if (wantRec != faas.RecoveryStats{DoneNormal: wantRec.DoneNormal}) {
-		t.Errorf("plan-free run shows recovery activity: %+v", wantRec)
-	}
-	if !reflect.DeepEqual(wantRec, gotRec) {
-		t.Errorf("recovery stats diverge under a quiet fault plan:\n  off: %+v\n  on:  %+v", wantRec, gotRec)
+
+			want, got := run(nil), run(zeroCostPlan(horizon))
+
+			if want.agg.FaultPages == 0 {
+				t.Fatalf("workload produced no remote faults; the parity check is vacuous: %+v", want.agg)
+			}
+			if tc.writeRatio > 0 && want.writeBreaks == 0 {
+				t.Fatal("write-hot workload broke no merged pages; the parity check is vacuous")
+			}
+			if want.writeBreaks != got.writeBreaks {
+				t.Errorf("write-break pages diverge under a quiet fault plan: off %d, on %d", want.writeBreaks, got.writeBreaks)
+			}
+			if !reflect.DeepEqual(want.agg, got.agg) {
+				t.Errorf("aggregate stats diverge under a quiet fault plan:\n  off: %+v\n  on:  %+v", want.agg, got.agg)
+			}
+			if !reflect.DeepEqual(want.log, got.log) {
+				t.Errorf("request logs diverge under a quiet fault plan (%d vs %d records)", len(want.log), len(got.log))
+				for i := range want.log {
+					if i < len(got.log) && !reflect.DeepEqual(want.log[i], got.log[i]) {
+						t.Errorf("first divergent record %d:\n  off: %+v\n  on:  %+v", i, want.log[i], got.log[i])
+						break
+					}
+				}
+			}
+			if (want.rec != faas.RecoveryStats{DoneNormal: want.rec.DoneNormal}) {
+				t.Errorf("plan-free run shows recovery activity: %+v", want.rec)
+			}
+			if !reflect.DeepEqual(want.rec, got.rec) {
+				t.Errorf("recovery stats diverge under a quiet fault plan:\n  off: %+v\n  on:  %+v", want.rec, got.rec)
+			}
+		})
 	}
 }
 

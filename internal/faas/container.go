@@ -16,7 +16,6 @@ import (
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
-	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
@@ -99,11 +98,7 @@ func (p *Platform) launch(f *Function) *Container {
 		c.owner = p.cfg.NodeID + "/" + c.id
 	}
 	c.lru = mglru.New(c.space)
-	p.met.launches.Inc()
-	p.met.live.Set(int64(p.liveTotal))
-	p.tel.Tracer.Record(telemetry.Event{
-		At: now, Kind: telemetry.KindContainerLaunch, Actor: c.id, Fn: f.id,
-	})
+	p.tel.Launch(now, c.id, f.id, p.liveTotal)
 	c.pol = p.pol.Attach(p.engine, c)
 	return c
 }
@@ -116,16 +111,7 @@ func (c *Container) runtimeLoaded(now simtime.Time) {
 	bytes := c.space.BytesOf(c.runtimeRange.Len())
 	c.cg.Charge(now, bytes)
 	c.loadedAt = now
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: c.launched, Dur: time.Duration(now - c.launched),
-		Kind: telemetry.KindRuntimeLoaded, Actor: c.id, Fn: c.fn.id,
-		Stage: telemetry.StageRuntime, Value: int64(c.runtimeRange.Len()),
-	})
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: now, Kind: telemetry.KindBarrierInsert, Actor: c.id, Fn: c.fn.id,
-		Stage: telemetry.StageRuntime, Value: int64(c.runtimeRange.Len()),
-		Aux: int64(c.runtimeGen),
-	})
+	c.p.tel.Barrier(telemetry.StageRuntime, c.launched, now, c.id, c.fn.id, c.runtimeRange.Len(), int64(c.runtimeGen))
 	c.p.syncMemGauges()
 	c.p.enforceMemoryLimit(now)
 	c.pol.RuntimeLoaded(c.p.engine)
@@ -138,16 +124,7 @@ func (c *Container) initDone(now simtime.Time) {
 	c.initGen, c.initRange = c.lru.InsertBarrier()
 	initBytes := c.space.BytesOf(c.initRange.Len())
 	c.cg.Charge(now, initBytes)
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: c.loadedAt, Dur: time.Duration(now - c.loadedAt),
-		Kind: telemetry.KindInitDone, Actor: c.id, Fn: c.fn.id,
-		Stage: telemetry.StageInit, Value: int64(c.initRange.Len()),
-	})
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: now, Kind: telemetry.KindBarrierInsert, Actor: c.id, Fn: c.fn.id,
-		Stage: telemetry.StageInit, Value: int64(c.initRange.Len()),
-		Aux: int64(c.initGen),
-	})
+	c.p.tel.Barrier(telemetry.StageInit, c.loadedAt, now, c.id, c.fn.id, c.initRange.Len(), int64(c.initGen))
 	c.p.syncMemGauges()
 	c.p.enforceMemoryLimit(now)
 
@@ -169,15 +146,11 @@ func (c *Container) wake() {
 
 // execute runs one request to completion. arrival is when the request
 // entered the system (before any cold-start work), so recorded end-to-end
-// latency includes cold-start time.
+// latency includes cold-start time. When the pool has a fault plan armed the
+// remote set is pre-counted and fetched through the retry machinery before
+// the walk (see recovery.go); a fetch that times out diverts to
+// recoverFetch.
 func (c *Container) execute(arrival simtime.Time) {
-	if c.p.pool.FaultsPlanned() {
-		// The fault-injected path pre-counts the remote set and routes the
-		// fetch through the retry/recovery machinery. It is a separate
-		// function so this fault-free path stays byte-for-byte unchanged.
-		c.executeFaulty(arrival)
-		return
-	}
 	e := c.p.engine
 	now := e.Now()
 	c.started = now
@@ -193,6 +166,16 @@ func (c *Container) execute(arrival simtime.Time) {
 
 	// Replay the request's page accesses.
 	touches := prof.RequestTouches(c.rng)
+	planned := c.p.pool.FaultsPlanned()
+	var stall rmem.FaultStall
+	var preFaults rmem.ClassCounts
+	var preRA int
+	if planned {
+		var ok bool
+		if stall, preFaults, preRA, ok = c.fetchPlanned(arrival, touches); !ok {
+			return
+		}
+	}
 	runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, touches.Runtime)
 	initFaults, initRA := c.touchSpans(c.initRange, touches.Init)
 	c.touchSpans(c.execRange, []workload.Span{{Start: 0, End: execBytes}})
@@ -205,18 +188,23 @@ func (c *Container) execute(arrival simtime.Time) {
 	// readahead pages ride along on the cluster reads without adding fault
 	// rounds to the request's critical path.
 	var faultLat time.Duration
-	var stall rmem.FaultStall
 	if faults+readahead > 0 {
 		pageBytes := int64(c.space.PageSize())
-		var fc rmem.ClassCounts
+		var fc, ra rmem.ClassCounts
 		fc[memnode.ClassRuntime] = runtimeFaults
 		fc[memnode.ClassInit] = initFaults
-		stall = c.p.pool.FaultBatchOwner(now, c.owner, c.fn.id, fc, pageBytes)
+		ra[memnode.ClassRuntime] = runtimeRA
+		ra[memnode.ClassInit] = initRA
+		if !planned {
+			stall = c.p.pool.FaultBatchOwner(now, c.owner, c.fn.id, fc, pageBytes)
+		} else if fc != preFaults || readahead != preRA {
+			// The fetch was paid for the pre-counted set; a walk that
+			// diverges from it means the wrong pages were priced.
+			panic(fmt.Sprintf("faas: fault pre-count (%v faults, %d readahead) diverged from the walk (%v, %d)",
+				preFaults, preRA, fc, readahead))
+		}
 		faultLat = stall.Total
 		if readahead > 0 {
-			var ra rmem.ClassCounts
-			ra[memnode.ClassRuntime] = runtimeRA
-			ra[memnode.ClassInit] = initRA
 			c.p.pool.RecallDescribed(now, c.owner, c.fn.id, ra, pageBytes)
 			c.p.swap.NoteClusterRead(readahead)
 		}
@@ -226,22 +214,7 @@ func (c *Container) execute(arrival simtime.Time) {
 		c.p.enforceMemoryLimit(now)
 		c.p.swap.Release(faults + readahead)
 		c.fn.stats.FaultPages += int64(faults)
-		c.p.met.faultPages.Add(int64(faults))
-		c.p.met.readaheadPages.Add(int64(readahead))
-		if runtimeFaults+runtimeRA > 0 {
-			c.p.tel.Tracer.Record(telemetry.Event{
-				At: now, Dur: faultLat, Kind: telemetry.KindPageFault,
-				Actor: c.id, Fn: c.fn.id, Stage: telemetry.StageRuntime,
-				Value: int64(runtimeFaults), Aux: int64(runtimeRA),
-			})
-		}
-		if initFaults+initRA > 0 {
-			c.p.tel.Tracer.Record(telemetry.Event{
-				At: now, Dur: faultLat, Kind: telemetry.KindPageFault,
-				Actor: c.id, Fn: c.fn.id, Stage: telemetry.StageInit,
-				Value: int64(initFaults), Aux: int64(initRA),
-			})
-		}
+		c.p.tel.FaultStall(now, faultLat, c.id, c.fn.id, fc, ra)
 	}
 
 	if wb := c.priceRuntimeWrites(now); wb.Total > 0 {
@@ -257,6 +230,9 @@ func (c *Container) execute(arrival simtime.Time) {
 	c.curStall = faultLat
 	c.curQueueing = stall.Queueing
 	c.curBacklogBytes = stall.BacklogBytes
+	// += rather than =: a re-init replay carries the original request's
+	// backoff on the fresh container, and finishRequest resets it.
+	c.curRetryWait += stall.Backoff
 	stateLat := c.priceStateHooks(now)
 	latency := prof.ExecTime + faultLat + stateLat
 	if faultLat > 0 {
@@ -312,14 +288,7 @@ func (c *Container) priceRuntimeWrites(now simtime.Time) rmem.FaultStall {
 	}
 	c.fn.stats.WriteBreakPages += int64(out.Pages)
 	c.fn.stats.WriteBreakRecallPages += int64(out.Recalled)
-	c.p.met.writeBreaks.Add(int64(out.Pages))
-	if out.Stall.Total > 0 {
-		c.p.tel.Tracer.Record(telemetry.Event{
-			At: now, Dur: out.Stall.Total, Kind: telemetry.KindPageFault,
-			Actor: c.id, Fn: c.fn.id, Stage: telemetry.StageRuntime,
-			Value: int64(out.Pages), Aux: int64(out.Recalled),
-		})
-	}
+	c.p.tel.WriteBreak(now, out.Stall.Total, c.id, c.fn.id, out.Pages, out.Recalled)
 	return out.Stall
 }
 
@@ -476,12 +445,6 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 	default:
 		c.fn.stats.DoneNormal++
 	}
-	c.p.met.requests.Inc()
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: c.started, Dur: time.Duration(now - c.started),
-		Kind: telemetry.KindRequest, Actor: c.id, Fn: c.fn.id,
-		Value: int64(c.curFaults), Aux: int64(c.curKind),
-	})
 	c.p.syncMemGauges()
 	c.fn.stats.Latency.AddDuration(now - arrival)
 	c.fn.stats.ExecLatency.AddDuration(now - c.started)
@@ -496,25 +459,10 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 		FaultPages:  c.curFaults,
 		StallTime:   c.curStall,
 	})
-	if c.p.tel.Spans.Enabled() || c.p.tel.Exemplars.Enabled() {
-		// Build the span tree once and feed whichever sinks are on: the
-		// exemplar recorder works standalone so drill-down does not require
-		// retaining every request's spans.
-		inv := c.buildInvocation(arrival, now)
-		if c.p.tel.Spans.Enabled() {
-			c.p.tel.Spans.Record(inv)
-		}
-		c.p.tel.Exemplars.Record(now, c.p.tlNode, c.fn.id, time.Duration(now-arrival), inv)
-	}
-	c.p.met.reqLatency.Observe((now - arrival).Seconds())
-	if c.p.tel.Timeline.Enabled() {
-		d := timeseries.Dims{Node: c.p.tlNode, Tenant: c.fn.id}
-		c.p.tel.Timeline.AddCounter(now, timeseries.SeriesRequests, d, 1)
-		if c.curKind == ColdStart {
-			c.p.tel.Timeline.AddCounter(now, timeseries.SeriesColdStarts, d, 1)
-		}
-		c.p.tel.Timeline.ObserveLatency(now, timeseries.SeriesRequestLatency, d, now-arrival)
-	}
+	c.p.tel.RequestDone(telemetry.Request{
+		Container: c.id, Fn: c.fn.id, Kind: span.StartKind(c.curKind),
+		Arrival: arrival, Start: c.started, End: now, Faults: c.curFaults,
+	}, func() span.Invocation { return c.buildInvocation(arrival, now) })
 	// Recovery attribution is per-request; clear it before any queued
 	// follow-on request reuses this container.
 	c.curReinit, c.curResched = false, false
@@ -538,7 +486,7 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 		q := c.fn.queue[0]
 		c.fn.queue = c.fn.queue[1:]
 		c.fn.stats.WarmStarts++
-		c.p.met.warmStarts.Inc()
+		c.p.tel.WarmStart(false)
 		c.curKind = QueuedStart
 		c.curHooks = q.hooks
 		c.execute(q.at)
@@ -549,9 +497,7 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 	c.idle = true
 	c.idleSince = now
 	c.fn.idle = append(c.fn.idle, c)
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: now, Kind: telemetry.KindContainerIdle, Actor: c.id, Fn: c.fn.id,
-	})
+	c.p.tel.Idle(now, c.id, c.fn.id)
 	c.recycleEv = e.After(c.p.keepAliveFor(c.fn), func(*simtime.Engine) { c.recycle() })
 	c.pol.Idle(e)
 
@@ -694,12 +640,7 @@ func (c *Container) recycle() {
 	c.p.addLive(now, -1)
 	c.p.liveTotal--
 	c.fn.live--
-	c.p.met.recycles.Inc()
-	c.p.met.live.Set(int64(c.p.liveTotal))
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: now, Kind: telemetry.KindContainerRecycle, Actor: c.id, Fn: c.fn.id,
-		Value: remote,
-	})
+	c.p.tel.Recycle(now, c.id, c.fn.id, remote, c.p.liveTotal)
 	c.p.syncMemGauges()
 	c.pol.Recycle(c.p.engine)
 }
@@ -751,13 +692,8 @@ func (c *Container) OffloadScale() float64 {
 	return c.p.governor.Scale(c.p.engine.Now())
 }
 
-// Trace implements policy.View: the platform's event tracer (nil when
-// tracing is disabled; telemetry.Tracer methods are nil-safe).
-func (c *Container) Trace() *telemetry.Tracer { return c.p.tel.Tracer }
-
-// Spans implements policy.View: the platform's causal-span recorder (nil
-// when span recording is disabled; span.Recorder methods are nil-safe).
-func (c *Container) Spans() *span.Recorder { return c.p.tel.Spans }
+// Telemetry implements policy.View: the platform's attached hub.
+func (c *Container) Telemetry() *telemetry.Hub { return &c.p.tel }
 
 // Cgroup exposes the container's memory accounting (read-only use).
 func (c *Container) Cgroup() *cgroup.Group { return c.cg }
@@ -839,44 +775,12 @@ func (c *Container) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) 
 	}
 	bytes := int64(moved) * pageBytes
 	c.cg.Offload(now, bytes)
-	if c.p.tel.Spans.Enabled() {
-		start, done := c.p.pool.LastTransferWindow()
-		c.p.tel.Spans.RecordBackground(span.Background{
-			Kind: span.BGOffload, Function: c.fn.id, Container: c.id,
-			Start: start, Dur: time.Duration(done - start), Bytes: bytes,
-		})
-	}
-	if c.p.tel.Tracer != nil || c.p.tel.Reg != nil {
-		// The accepted per-class counts are the moved pages by lifecycle
-		// segment (memnode.Class numbering matches telemetry.Stage), so the
-		// trace and per-stage counters show which Pucket the savings came
-		// from.
-		var perStage [memnode.NumClasses]int64
-		for cls, n := range accepted {
-			perStage[cls] = int64(n)
-		}
-		for st, n := range perStage {
-			if n == 0 {
-				continue
-			}
-			c.p.met.offloadedPages[st].Add(n)
-			c.p.tel.Tracer.Record(telemetry.Event{
-				At: now, Kind: telemetry.KindPageOffload, Actor: c.id,
-				Fn: c.fn.id, Stage: telemetry.Stage(st), Value: n,
-			})
-		}
-		c.p.syncMemGauges()
-	}
-	if c.p.tel.Timeline.Enabled() {
-		for cls, n := range accepted {
-			if n == 0 {
-				continue
-			}
-			c.p.tel.Timeline.AddCounter(now, timeseries.SeriesOffloadPages, timeseries.Dims{
-				Node: c.p.tlNode, Tenant: c.fn.id, Class: memnode.Class(cls).String(),
-			}, int64(n))
-		}
-	}
+	// The accepted per-class counts are the moved pages by lifecycle segment
+	// (memnode.Class numbering matches telemetry.Stage), so every sink shows
+	// which Pucket the savings came from.
+	start, done := c.p.pool.LastTransferWindow()
+	c.p.tel.OffloadBatch(now, start, done, c.id, c.fn.id, accepted, bytes)
+	c.p.syncMemGauges()
 	return moved
 }
 

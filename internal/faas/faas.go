@@ -67,18 +67,18 @@ type Config struct {
 	// RequestLogSize keeps a ring of the most recent N request records for
 	// inspection (gateway, debugging). Zero disables the log.
 	RequestLogSize int
-	// Telemetry attaches the platform's sinks (telemetry.Hub). The tracer
-	// and registry instrument everything the platform owns: container
-	// lifecycles, the pool link, the swap device, and the policy via
-	// View.Trace. Spans yields one causal span tree per completed request
-	// (queue → launch → init → exec with fault-stall / restore / backlog
-	// children), and policies record their background link work through
-	// View.Spans. Timeline rolls requests, latencies, page traffic and
-	// recovery into per-window points and arms a per-window gauge sampler
-	// (local/remote bytes, live containers, pool occupancy). Exemplars
-	// offers each completed request's span tree to the per-window worst-K
-	// cells keyed by (node, tenant), with or without Spans. The zero Hub
-	// disables all instrumentation; every disabled path is allocation-free.
+	// Telemetry attaches the platform's sinks (telemetry.Hub), bound to
+	// NodeID ("n0" when empty). Every occurrence on the node — container
+	// lifecycles, requests, faults, offloads, pool link traffic and fault
+	// recovery, and the policy's own through View.Telemetry — is one emit
+	// call fanned out to the sinks that are on: the tracer and registry,
+	// one causal span tree per completed request (queue → launch → init →
+	// exec with fault-stall / restore / backlog children) plus background
+	// link work, the timeline's per-window counters and latency with a
+	// per-window gauge sampler (local/remote bytes, live containers, pool
+	// occupancy), and the per-window worst-K exemplar cells keyed by (node,
+	// tenant). The zero Hub disables all instrumentation; every disabled
+	// path is allocation-free.
 	Telemetry telemetry.Hub
 	// FetchTimeout bounds how long one request's page fetch may sit in
 	// backoff retries against an unhealthy pool link before giving up and
@@ -281,8 +281,6 @@ type Platform struct {
 	swap       *fastswap.Device
 	reqLog     RequestLog
 	tel        telemetry.Hub
-	tlNode     string
-	met        platformMetrics
 	containers int // ever created
 	liveTotal  int
 	evicted    int
@@ -310,13 +308,15 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 		liveTW:   metrics.NewTimeWeighted(engine.Now(), 0),
 		governor: rmem.NewGovernor(pool, 0.7),
 		swap:     fastswap.NewDevice(c.Swap),
-		tel:      c.Telemetry,
 	}
-	p.met = newPlatformMetrics(p.tel.Reg)
-	pool.Instrument(p.tel.Tracer, p.tel.Reg)
+	node := c.NodeID
+	if node == "" {
+		node = "n0"
+	}
+	p.tel = c.Telemetry.Attach(node)
 	p.swap.Instrument(p.tel.Reg)
 	p.reqLog.SetCapacity(c.RequestLogSize)
-	p.armTimeline()
+	p.armTimeline(pool.Instrument(p.tel))
 	return p
 }
 
@@ -445,12 +445,11 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 		if sw, ok := c.pol.(policy.SemiWarmer); ok && sw.InSemiWarm() {
 			f.stats.SemiWarmStarts++
 			c.curKind = SemiWarmStart
-			p.met.semiWarmStarts.Inc()
 		} else {
 			f.stats.WarmStarts++
 			c.curKind = WarmStart
-			p.met.warmStarts.Inc()
 		}
+		p.tel.WarmStart(c.curKind == SemiWarmStart)
 		c.curResched = resched
 		c.curHooks = hooks
 		c.wake()
@@ -460,15 +459,10 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 	if p.cfg.MaxContainersPerFunction > 0 && f.live >= p.cfg.MaxContainersPerFunction {
 		// At the scale-out cap with every container busy: queue FIFO.
 		f.queue = append(f.queue, queuedReq{at: arrival, hooks: hooks})
-		p.met.queuedReqs.Inc()
-		p.tel.Tracer.Record(telemetry.Event{
-			At: now, Kind: telemetry.KindRequestQueued, Actor: "node", Fn: f.id,
-			Value: int64(len(f.queue)),
-		})
+		p.tel.Queued(now, f.id, len(f.queue))
 		return
 	}
 	f.stats.ColdStarts++
-	p.met.coldStarts.Inc()
 	c := p.launch(f)
 	c.curKind = ColdStart
 	c.curResched = resched
@@ -554,12 +548,7 @@ func (p *Platform) enforceMemoryLimit(now simtime.Time) {
 			return // nothing idle to reclaim
 		}
 		p.evicted++
-		p.met.evictions.Inc()
-		p.tel.Tracer.Record(telemetry.Event{
-			At: now, Kind: telemetry.KindContainerEvict,
-			Actor: victim.id, Fn: victim.fn.id,
-			Value: victim.space.LocalBytes(),
-		})
+		p.tel.Evict(now, victim.id, victim.fn.id, victim.space.LocalBytes())
 		victim.recycle()
 	}
 }

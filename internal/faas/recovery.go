@@ -1,28 +1,22 @@
 package faas
 
 import (
-	"fmt"
-	"time"
-
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
-// This file is the container side of the fault-recovery state machine. It is
-// only entered when the pool has a fault plan injected (Pool.FaultsPlanned);
-// Container.execute dispatches here before touching any state, so the
-// fault-free request path is untouched by this machinery.
+// This file is the container side of the fault-recovery state machine. It
+// is only entered when the pool has a fault plan injected
+// (Pool.FaultsPlanned); without one, Container.execute never calls into it.
 //
 // The request flow under a fault plan:
 //
 //	countSpans (pure pre-count of the remote set)
 //	  → Pool.FetchRetry (bounded backoff against the plan)
-//	      success → touchSpans replay + normal fault accounting
+//	      success → execute's touchSpans walk + normal fault accounting
 //	      timeout → recoverFetch:
 //	          swap fallback enabled → serve pages from the local copy
 //	          otherwise            → recycle + cold re-init, replay request
@@ -69,113 +63,28 @@ func (c *Container) countSpans(seg pagemem.Range, spans []workload.Span, flipped
 	return faults, readahead
 }
 
-// executeFaulty is Container.execute for a fault-injected pool. It mirrors
-// the fault-free path exactly on success (same RNG draws, same accounting
-// order) and diverts to recoverFetch when the fetch times out.
-func (c *Container) executeFaulty(arrival simtime.Time) {
-	e := c.p.engine
-	now := e.Now()
-	c.started = now
-	prof := c.fn.profile
-
-	c.space.ReuseRange(c.execRange)
-	execBytes := c.space.BytesOf(c.execRange.Len())
-	c.cg.Charge(now, execBytes)
-	c.p.enforceMemoryLimit(now)
-
-	c.pol.RequestStart(e)
-
-	touches := prof.RequestTouches(c.rng)
+// fetchPlanned pre-counts the request's remote set and fetches it through
+// Pool.FetchRetry. It returns the fetch's stall and the pre-counted demand
+// faults per class and readahead pages, which execute's walk must
+// reproduce; ok is false when the fetch timed out and recoverFetch has taken
+// the request over.
+func (c *Container) fetchPlanned(arrival simtime.Time, touches workload.Touches) (stall rmem.FaultStall, faults rmem.ClassCounts, readahead int, ok bool) {
 	flipped := make(map[pagemem.PageID]struct{})
-	runtimeFaults, runtimeRA := c.countSpans(c.runtimeRange, touches.Runtime, flipped)
-	initFaults, initRA := c.countSpans(c.initRange, touches.Init, flipped)
-	faults := runtimeFaults + initFaults
-	readahead := runtimeRA + initRA
-
-	var faultLat time.Duration
-	var stall rmem.FaultStall
-	if faults+readahead > 0 {
-		pageBytes := int64(c.space.PageSize())
-		var fc rmem.ClassCounts
-		fc[memnode.ClassRuntime] = runtimeFaults
-		fc[memnode.ClassInit] = initFaults
-		var err error
-		stall, err = c.p.pool.FetchRetry(now, c.owner, c.fn.id, fc, pageBytes, c.p.cfg.FetchTimeout)
-		if err != nil {
-			c.recoverFetch(arrival, touches, stall)
-			return
-		}
-		c.fn.stats.FetchRetries += int64(stall.Retries)
-
-		// Fetch succeeded: replay the walk with mutation. The replay must
-		// reproduce the pre-count — anything else means the fetch was paid
-		// for the wrong page set.
-		mrf, mrra := c.touchSpans(c.runtimeRange, touches.Runtime)
-		mif, mira := c.touchSpans(c.initRange, touches.Init)
-		if mrf != runtimeFaults || mif != initFaults || mrra+mira != readahead {
-			panic(fmt.Sprintf("faas: fault pre-count (%d/%d faults, %d ra) diverged from replay (%d/%d, %d)",
-				runtimeFaults, initFaults, readahead, mrf, mif, mrra+mira))
-		}
-		c.touchSpans(c.execRange, []workload.Span{{Start: 0, End: execBytes}})
-
-		faultLat = stall.Total
-		if readahead > 0 {
-			var ra rmem.ClassCounts
-			ra[memnode.ClassRuntime] = runtimeRA
-			ra[memnode.ClassInit] = initRA
-			c.p.pool.RecallDescribed(now, c.owner, c.fn.id, ra, pageBytes)
-			c.p.swap.NoteClusterRead(readahead)
-		}
-		recalled := int64(faults+readahead) * pageBytes
-		c.cg.Recall(now, recalled)
-		c.p.syncMemGauges()
-		c.p.enforceMemoryLimit(now)
-		c.p.swap.Release(faults + readahead)
-		c.fn.stats.FaultPages += int64(faults)
-		c.p.met.faultPages.Add(int64(faults))
-		c.p.met.readaheadPages.Add(int64(readahead))
-		if runtimeFaults+runtimeRA > 0 {
-			c.p.tel.Tracer.Record(telemetry.Event{
-				At: now, Dur: faultLat, Kind: telemetry.KindPageFault,
-				Actor: c.id, Fn: c.fn.id, Stage: telemetry.StageRuntime,
-				Value: int64(runtimeFaults), Aux: int64(runtimeRA),
-			})
-		}
-		if initFaults+initRA > 0 {
-			c.p.tel.Tracer.Record(telemetry.Event{
-				At: now, Dur: faultLat, Kind: telemetry.KindPageFault,
-				Actor: c.id, Fn: c.fn.id, Stage: telemetry.StageInit,
-				Value: int64(initFaults), Aux: int64(initRA),
-			})
-		}
-	} else {
-		// Nothing remote: walk with mutation straight away (promotions and
-		// accessed bits still happen), no pool interaction.
-		c.touchSpans(c.runtimeRange, touches.Runtime)
-		c.touchSpans(c.initRange, touches.Init)
-		c.touchSpans(c.execRange, []workload.Span{{Start: 0, End: execBytes}})
+	rf, rra := c.countSpans(c.runtimeRange, touches.Runtime, flipped)
+	inf, ira := c.countSpans(c.initRange, touches.Init, flipped)
+	faults[memnode.ClassRuntime] = rf
+	faults[memnode.ClassInit] = inf
+	readahead = rra + ira
+	if rf+inf+readahead == 0 {
+		return stall, faults, 0, true
 	}
-	c.fn.stats.RuntimeFaultPages += int64(runtimeFaults)
-	c.fn.stats.InitFaultPages += int64(initFaults)
-
-	c.curFaults = faults
-	c.curRA = readahead
-	c.curStall = faultLat
-	c.curQueueing = stall.Queueing
-	c.curBacklogBytes = stall.BacklogBytes
-	// += rather than =: a re-init replay carries the original request's
-	// backoff on the fresh container, and finishRequest resets it.
-	c.curRetryWait += stall.Backoff
-	c.curFallbackLat = 0
-	stateLat := c.priceStateHooks(now)
-	latency := prof.ExecTime + faultLat + stateLat
-	if faultLat > 0 {
-		c.psi.AddStall(now+simtime.Time(latency), faultLat)
+	stall, err := c.p.pool.FetchRetry(c.p.engine.Now(), c.owner, c.fn.id, faults, int64(c.space.PageSize()), c.p.cfg.FetchTimeout)
+	if err != nil {
+		c.recoverFetch(arrival, touches, stall)
+		return stall, faults, readahead, false
 	}
-
-	e.After(latency, func(e *simtime.Engine) {
-		c.finishRequest(arrival)
-	})
+	c.fn.stats.FetchRetries += int64(stall.Retries)
+	return stall, faults, readahead, true
 }
 
 // recoverFetch handles a fetch that timed out against an unhealthy pool:
@@ -215,16 +124,7 @@ func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches,
 		c.fn.stats.RuntimeFaultPages += int64(runtimeFaults)
 		c.fn.stats.InitFaultPages += int64(initFaults)
 		c.fn.stats.FallbackPages += int64(pages)
-		c.p.met.faultPages.Add(int64(faults))
-		c.p.met.fallbackPages.Add(int64(pages))
-		c.p.tel.Tracer.Record(telemetry.Event{
-			At: now, Dur: stall.Backoff + fbLat, Kind: telemetry.KindLocalFallback,
-			Actor: c.id, Fn: c.fn.id, Value: int64(pages),
-		})
-		if c.p.tel.Timeline.Enabled() {
-			c.p.tel.Timeline.AddCounter(now, timeseries.SeriesFallbackPages,
-				timeseries.Dims{Node: c.p.tlNode, Tenant: c.fn.id}, int64(pages))
-		}
+		c.p.tel.LocalFallback(now, stall.Backoff+fbLat, c.id, c.fn.id, faults, pages)
 		c.curFaults = faults
 		c.curRA = readahead
 		c.curStall = stall.Backoff + fbLat
@@ -252,20 +152,11 @@ func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches,
 	hooks := c.curHooks
 	waited := stall.Backoff
 	f.stats.ColdReinits++
-	c.p.met.coldReinits.Inc()
-	c.p.tel.Tracer.Record(telemetry.Event{
-		At: now, Dur: waited, Kind: telemetry.KindColdReinit,
-		Actor: c.id, Fn: c.fn.id, Value: int64(stall.Retries),
-	})
-	if c.p.tel.Timeline.Enabled() {
-		c.p.tel.Timeline.AddCounter(now, timeseries.SeriesColdReinits,
-			timeseries.Dims{Node: c.p.tlNode, Tenant: c.fn.id}, 1)
-	}
+	c.p.tel.ColdReinit(now, waited, c.id, c.fn.id, stall.Retries)
 	c.recycle()
 
 	relaunch := func(e *simtime.Engine) {
 		f.stats.ColdStarts++
-		c.p.met.coldStarts.Inc()
 		nc := c.p.launch(f)
 		nc.curKind = ColdStart
 		nc.curResched = resched

@@ -5,25 +5,18 @@ import (
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
-// armTimeline wires the platform into its Config.Telemetry.Timeline recorder: it
-// caches the node dimension, attaches the pool (arming the flight
-// recorder's fault-window triggers), and starts a per-window ticker that
-// samples the node's occupancy gauges. On a rack-shared pool the first
-// platform to attach also owns the pool-side gauge sampling, so pool series
-// are sampled once per rack rather than once per node. No-op when the
-// timeline is disabled — nothing is scheduled and the DES hot path keeps
-// its single nil check.
-func (p *Platform) armTimeline() {
-	p.tlNode = p.cfg.NodeID
-	if p.tlNode == "" {
-		p.tlNode = "n0"
-	}
+// armTimeline starts the per-window ticker that samples the node's
+// occupancy gauges into the Config.Telemetry.Timeline recorder. poolOwner
+// reports that this platform owns the pool-side sampling too (the first
+// platform to attach a rack-shared pool), so pool series are sampled once
+// per rack rather than once per node. No-op when the timeline is disabled —
+// nothing is scheduled and the DES hot path keeps its single nil check.
+func (p *Platform) armTimeline(poolOwner bool) {
 	tl := p.tel.Timeline
-	if !tl.Enabled() {
+	if tl == nil {
 		return
 	}
-	poolOwner := p.pool.InstrumentTimeline(tl)
-	nodeDims := timeseries.Dims{Node: p.tlNode}
+	nodeDims := timeseries.Dims{Node: p.tel.Node()}
 	simtime.NewTicker(p.engine, tl.Window(), func(e *simtime.Engine) {
 		now := e.Now()
 		tl.SetGauge(now, timeseries.SeriesNodeLocalBytes, nodeDims, p.NodeLocalBytes())
@@ -33,4 +26,9 @@ func (p *Platform) armTimeline() {
 			p.pool.SampleTimeline(now)
 		}
 	})
+}
+
+// syncMemGauges samples the node memory gauges after an accounting change.
+func (p *Platform) syncMemGauges() {
+	p.tel.NodeMemory(p.nodeCG.LocalBytes(), p.nodeCG.RemoteBytes())
 }

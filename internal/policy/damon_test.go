@@ -13,7 +13,6 @@ import (
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
@@ -49,8 +48,7 @@ func (v *fakeView) RequestsServed() int         { return 1 }
 func (v *fakeView) Idle() bool                  { return true }
 func (v *fakeView) StallFraction() float64      { return 0 }
 func (v *fakeView) OffloadScale() float64       { return 1 }
-func (v *fakeView) Trace() *telemetry.Tracer    { return nil }
-func (v *fakeView) Spans() *span.Recorder       { return nil }
+func (v *fakeView) Telemetry() *telemetry.Hub   { return &telemetry.Hub{} }
 func (v *fakeView) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int {
 	n := 0
 	for _, wm := range victims {

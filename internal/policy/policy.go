@@ -7,7 +7,8 @@
 // init done, request start/end, idle, recycle). Policies act on the
 // container through the View interface; local→remote movement must go
 // through View.OffloadPages so that cgroup accounting, pool capacity, and
-// link bandwidth are charged consistently. Victims travel as
+// link bandwidth are charged consistently, and what a policy reports goes
+// through View.Telemetry's emit methods. Victims travel as
 // pagemem.WordMask lists — 64-page masks in walk order, built by the
 // pagemem scans (AppendWords, AppendIdleLocalWords) — never as per-page id
 // lists.
@@ -18,7 +19,6 @@ import (
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
@@ -65,17 +65,12 @@ type View interface {
 	// in (0, 1]: gradual offloaders multiply their per-tick budget by it so
 	// that aggregate offload traffic stays within the link budget (§6.2).
 	OffloadScale() float64
-	// Trace returns the platform's event tracer, nil when tracing is
-	// disabled. Policies record their mechanism-level events (Pucket drains,
-	// rollbacks, semi-warm transitions) through it; telemetry.Tracer methods
-	// are nil-safe, so call sites need no guard.
-	Trace() *telemetry.Tracer
-	// Spans returns the platform's causal-span recorder, nil when span
-	// recording is disabled. Policies record background work that competes
-	// with request stalls for the link (offload waves, rollbacks, semi-warm
-	// drains) through it; span.Recorder methods are nil-safe, but work done
-	// only to build a span should be guarded with Spans().Enabled().
-	Spans() *span.Recorder
+	// Telemetry returns the platform's attached telemetry hub, never nil.
+	// Policies report their mechanism-level occurrences (Pucket drains,
+	// window fixes, rollbacks, semi-warm transitions) through its emit
+	// methods, one call per occurrence; the hub fans each out to whichever
+	// sinks are on, so call sites need no guard.
+	Telemetry() *telemetry.Hub
 }
 
 // Policy manufactures per-container policy instances.

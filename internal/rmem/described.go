@@ -1,6 +1,8 @@
 package rmem
 
 import (
+	"time"
+
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
 )
@@ -62,22 +64,17 @@ func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts Class
 // owner's holdings (freeing the resident copy on last reference) and the
 // tier surcharge for compressed/spilled fractions is added to the stall.
 func (p *Pool) FaultBatchOwner(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) FaultStall {
+	var tier time.Duration
 	if p.node != nil {
-		var tier FaultStall
 		for cls := range counts {
 			if counts[cls] == 0 {
 				continue
 			}
-			tier.Tier += p.node.Recall(owner, fn, memnode.Class(cls), counts[cls]).Latency
+			tier += p.node.Recall(owner, fn, memnode.Class(cls), counts[cls]).Latency
 		}
-		p.stageFlow(fn, counts, pageBytes)
-		stall := p.FaultBatchDetail(now, counts.Total(), pageBytes)
-		stall.Tier = tier.Tier
-		stall.Total += tier.Tier
-		return stall
 	}
 	p.stageFlow(fn, counts, pageBytes)
-	return p.FaultBatchDetail(now, counts.Total(), pageBytes)
+	return p.faultBatch(now, counts.Total(), pageBytes, tier)
 }
 
 // RecallDescribed is RecallBytes for a described batch (bulk recalls and

@@ -6,7 +6,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
@@ -68,45 +67,7 @@ func (p *Pool) noteHealth(now simtime.Time) {
 		return
 	}
 	p.healthy = healthy
-	p.met.degraded.Inc()
-	kind := telemetry.KindDegradedEnter
-	var unhealthy int64 = 1
-	if healthy {
-		kind = telemetry.KindDegradedExit
-		unhealthy = 0
-	}
-	p.tr.Record(telemetry.Event{At: now, Kind: kind, Actor: "pool"})
-	p.tl.SetGauge(now, timeseries.SeriesPoolUnhealthy, poolDims, unhealthy)
-}
-
-// traceFaultWindows dumps the plan's schedule into the tracer once, so trace
-// viewers show fault windows alongside the activity they perturb.
-func (p *Pool) traceFaultWindows(tr *telemetry.Tracer) {
-	if p.flt == nil || tr == nil || p.windowsTraced {
-		return
-	}
-	p.windowsTraced = true
-	for _, w := range p.flt.Windows() {
-		tr.Record(telemetry.Event{
-			At: w.Start, Dur: time.Duration(w.End - w.Start),
-			Kind: telemetry.KindFaultWindow, Actor: "faultplan",
-			Value: int64(w.Factor * 100), Aux: int64(w.Kind),
-		})
-	}
-}
-
-// faultLatencyAt is the per-round fault latency at now, inflated by an
-// active latency-spike window.
-func (p *Pool) faultLatencyAt(now simtime.Time) time.Duration {
-	lat := p.cfg.FaultLatency
-	if p.flt != nil {
-		if f := p.flt.LatencyFactor(now); f > 1 {
-			inj := time.Duration(float64(lat) * (f - 1))
-			p.met.injectedStall.Add(inj.Microseconds())
-			lat += inj
-		}
-	}
-	return lat
+	p.tel.DegradedEdge(now, healthy)
 }
 
 // FetchRetry is FaultBatchOwner behind the recovery state machine: when the
@@ -137,12 +98,7 @@ func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts
 		}
 		retries++
 		if retries > p.cfg.RetryMax || (timeout > 0 && waited+backoff > timeout) {
-			p.met.fetchTimeouts.Inc()
-			p.tl.AddCounter(now, timeseries.SeriesFetchTimeouts, poolDims, 1)
-			p.tr.Record(telemetry.Event{
-				At: now, Dur: waited, Kind: telemetry.KindFetchTimeout,
-				Actor: owner, Fn: fn, Value: int64(counts.Total()),
-			})
+			p.tel.FetchTimeout(now, waited, owner, fn, counts.Total())
 			err := ErrPoolDown
 			if !p.flt.PoolDown(now + simtime.Time(waited)) {
 				err = ErrLinkDown
@@ -150,12 +106,7 @@ func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts
 			return FaultStall{Backoff: waited, Retries: retries},
 				fmt.Errorf("%w after %d attempts (%v waited): %w", ErrFetchTimeout, retries, waited, err)
 		}
-		p.met.fetchRetries.Inc()
-		p.tr.Record(telemetry.Event{
-			At: now + simtime.Time(waited), Kind: telemetry.KindFetchRetry,
-			Actor: owner, Fn: fn, Value: int64(retries), Aux: backoff.Microseconds(),
-		})
-		p.tl.AddCounter(now+simtime.Time(waited), timeseries.SeriesFetchRetries, poolDims, 1)
+		p.tel.FetchRetry(now+simtime.Time(waited), owner, fn, retries, backoff)
 		waited += backoff
 		backoff *= 2
 	}
@@ -180,7 +131,7 @@ func (p *Pool) RecallLocal(now simtime.Time, owner, fn string, counts ClassCount
 		bytes = p.used
 	}
 	p.used -= bytes
-	p.met.usedBytes.Set(p.used)
+	p.tel.PoolUsed(p.used)
 	p.stageFlow(fn, counts, pageBytes)
 	p.recordFlow(now, timeseries.FlowFallback, bytes)
 }

@@ -7,11 +7,11 @@ import (
 )
 
 // This file feeds the timeline's page byte-flow ledger. Every mutation of
-// the pool's byte occupancy (commitOffload, RecallBytes, Fault,
-// FaultBatchDetail, Discard, RecallLocal) calls recordFlow with the exact
-// clamped byte count it applied, which both accumulates the flow and
-// checkpoints the resulting occupancy — the pair the conservation audit
-// (timeseries.AuditFlows) verifies per window.
+// the pool's byte occupancy (commitOffload, RecallBytes, faultBatch,
+// Discard, RecallLocal, WriteBreakOwner's recalled remainder) calls
+// recordFlow with the exact clamped byte count it applied, which both
+// accumulates the flow and checkpoints the resulting occupancy — the pair
+// the conservation audit (timeseries.AuditFlows) verifies per window.
 //
 // Attribution uses a staging pattern: the described wrappers (OffloadDescribed,
 // FaultBatchOwner, RecallDescribed, DiscardOwner, RecallLocal) know the
@@ -39,7 +39,7 @@ type flowPending struct {
 // matters because a staged batch the mover never consumes would leak into a
 // later unrelated flow.
 func (p *Pool) stageFlow(fn string, counts ClassCounts, pageBytes int64) {
-	if p.tl == nil || counts.Total() == 0 || pageBytes <= 0 {
+	if p.tel.Timeline == nil || counts.Total() == 0 || pageBytes <= 0 {
 		return
 	}
 	p.pend = flowPending{active: true, tenant: fn, counts: counts, pageBytes: pageBytes}
@@ -47,7 +47,7 @@ func (p *Pool) stageFlow(fn string, counts ClassCounts, pageBytes int64) {
 
 // stageFlowTenant stages tenant-only provenance (no per-class split).
 func (p *Pool) stageFlowTenant(fn string) {
-	if p.tl == nil {
+	if p.tel.Timeline == nil {
 		return
 	}
 	p.pend = flowPending{active: true, tenant: fn}
@@ -64,7 +64,8 @@ func (p *Pool) clearFlowStage() { p.pend.active = false }
 // page class under the staged tenant, capped so the recorded total equals
 // the applied total even when the mover clamped the batch.
 func (p *Pool) recordFlow(now simtime.Time, kind timeseries.FlowKind, bytes int64) {
-	if p.tl == nil {
+	tl := p.tel.Timeline
+	if tl == nil {
 		return
 	}
 	if pend := p.pend; pend.active {
@@ -83,28 +84,28 @@ func (p *Pool) recordFlow(now simtime.Time, kind timeseries.FlowKind, bytes int6
 				if b > rem {
 					b = rem
 				}
-				p.tl.AddFlow(now, kind, timeseries.Dims{
+				tl.AddFlow(now, kind, timeseries.Dims{
 					Node: "pool", Tenant: pend.tenant, Class: memnode.Class(cls).String(),
 				}, b)
 				rem -= b
 			}
 			if rem > 0 {
-				p.tl.AddFlow(now, kind, poolDims, rem)
+				tl.AddFlow(now, kind, poolDims, rem)
 			}
 		default:
-			p.tl.AddFlow(now, kind, timeseries.Dims{Node: "pool", Tenant: pend.tenant}, bytes)
+			tl.AddFlow(now, kind, timeseries.Dims{Node: "pool", Tenant: pend.tenant}, bytes)
 		}
 	} else {
-		p.tl.AddFlow(now, kind, poolDims, bytes)
+		tl.AddFlow(now, kind, poolDims, bytes)
 	}
-	p.tl.FlowOccupancy(now, p.used)
+	tl.FlowOccupancy(now, p.used)
 }
 
 // tierFlowsBefore snapshots the memory node's cumulative compressed/spilled/
 // merged page counters ahead of a node call that may evict or merge (zeros
 // when flows are off or no node is attached).
 func (p *Pool) tierFlowsBefore() (comp, spill, merged int64) {
-	if p.tl == nil || p.node == nil {
+	if p.tel.Timeline == nil || p.node == nil {
 		return 0, 0, 0
 	}
 	return p.node.CompressedPages(), p.node.SpilledPages(), p.node.MergedPages()
@@ -116,19 +117,20 @@ func (p *Pool) tierFlowsBefore() (comp, spill, merged int64) {
 // They are attributed to the tenant whose batch triggered the movement (the
 // evicted pages themselves may belong to anyone).
 func (p *Pool) recordTierFlows(now simtime.Time, fn string, compBefore, spillBefore, mergedBefore, pageBytes int64) {
-	if p.tl == nil || p.node == nil || pageBytes <= 0 {
+	tl := p.tel.Timeline
+	if tl == nil || p.node == nil || pageBytes <= 0 {
 		return
 	}
 	if d := p.node.CompressedPages() - compBefore; d > 0 {
-		p.tl.AddFlow(now, timeseries.FlowCompress,
+		tl.AddFlow(now, timeseries.FlowCompress,
 			timeseries.Dims{Node: "pool", Tenant: fn}, d*pageBytes)
 	}
 	if d := p.node.SpilledPages() - spillBefore; d > 0 {
-		p.tl.AddFlow(now, timeseries.FlowSpill,
+		tl.AddFlow(now, timeseries.FlowSpill,
 			timeseries.Dims{Node: "pool", Tenant: fn}, d*pageBytes)
 	}
 	if d := p.node.MergedPages() - mergedBefore; d > 0 {
-		p.tl.AddFlow(now, timeseries.FlowMerge,
+		tl.AddFlow(now, timeseries.FlowMerge,
 			timeseries.Dims{Node: "pool", Tenant: fn, Class: memnode.ClassRuntime.String()}, d*pageBytes)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
@@ -60,12 +59,11 @@ func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode
 	// pool like a fault.
 	fetch := int64(broke) * pageBytes
 	p.meter[Recall].Record(now, fetch)
-	p.met.recallBytes.Add(fetch)
-	if p.tl != nil {
-		p.tl.AddFlow(now, timeseries.FlowUnmerge, timeseries.Dims{
+	if tl := p.tel.Timeline; tl != nil {
+		tl.AddFlow(now, timeseries.FlowUnmerge, timeseries.Dims{
 			Node: "pool", Tenant: fn, Class: class.String(),
 		}, fetch)
-		p.tl.FlowOccupancy(now, p.used)
+		tl.FlowOccupancy(now, p.used)
 	}
 	if res.Recalled > 0 {
 		out := int64(res.Recalled) * pageBytes
@@ -78,28 +76,7 @@ func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode
 			p.recordFlow(now, timeseries.FlowFault, out)
 		}
 	}
-
-	rounds := (broke + p.cfg.FaultPipeline - 1) / p.cfg.FaultPipeline
-	lat := time.Duration(rounds)*p.cfg.FaultLatency + p.transferTimeAt(now, fetch)
-	stall := FaultStall{BacklogBytes: p.BacklogBytes(now), Tier: res.Latency}
-	if p.flt != nil {
-		if f := p.flt.LatencyFactor(now); f > 1 {
-			stall.Injected = time.Duration(float64(time.Duration(rounds)*p.cfg.FaultLatency) * (f - 1))
-			lat += stall.Injected
-			p.met.injectedStall.Add(stall.Injected.Microseconds())
-		}
-	}
-	util := p.Utilization(now)
-	if util > p.cfg.SaturationPoint {
-		over := (util - p.cfg.SaturationPoint) / (1 - p.cfg.SaturationPoint)
-		if over > 1 {
-			over = 1
-		}
-		stall.Queueing = time.Duration(float64(lat) * over * p.cfg.SaturationFactor)
-		lat += stall.Queueing
-		p.recordSaturation(now, util)
-	}
-	stall.Total = lat + res.Latency
+	stall := p.demandFetch(now, broke, fetch, res.Latency)
 
 	// The private writeback rides the bulk offload link; the writer waits
 	// for its commit like sharedmem's CoW break waits for the region copy.
@@ -107,16 +84,12 @@ func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode
 		wb := int64(res.Pages) * pageBytes
 		_, done := p.reserve(now, wb)
 		p.meter[Offload].Record(now, wb)
-		p.met.offloadBytes.Add(wb)
+		p.tel.LinkBytes(now, int(Offload), wb, 0, 0)
 		if done > now {
 			stall.Total += time.Duration(done - now)
 		}
 	}
-
-	p.tr.Record(telemetry.Event{
-		At: now, Dur: stall.Total, Kind: telemetry.KindLinkTransfer, Actor: "link",
-		Value: fetch, Aux: int64(Recall),
-	})
+	p.tel.LinkBytes(now, int(Recall), fetch, now, stall.Total)
 	return BreakOutcome{Stall: stall, Pages: res.Pages, Recalled: res.Recalled}, nil
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
@@ -20,7 +21,7 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 		TenantOf:   func(string) string { return "t0" },
 	})
 	tl := timeseries.NewRecorder(timeseries.Config{})
-	p.InstrumentTimeline(tl)
+	p.Instrument(telemetry.Hub{Timeline: tl})
 
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 100
@@ -88,7 +89,7 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 		DisableCompression: true,
 	})
 	tl := timeseries.NewRecorder(timeseries.Config{})
-	p.InstrumentTimeline(tl)
+	p.Instrument(telemetry.Hub{Timeline: tl})
 
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 8

@@ -159,8 +159,8 @@ type Pool struct {
 	lastDone  simtime.Time
 	meter     [2]*Meter // per direction
 	node      *memnode.Node
-	tr        *telemetry.Tracer
-	met       poolMetrics
+	// tel is the attached telemetry (Instrument), labelled "pool".
+	tel telemetry.Hub
 
 	// flt is the injected fault plan; nil when no (or an empty) plan is
 	// configured, so every fault branch below is a single nil check on the
@@ -172,49 +172,12 @@ type Pool struct {
 	// windowsTraced guards the one-time fault-window trace dump (a rack-
 	// shared pool is instrumented once per attached platform).
 	windowsTraced bool
-	// tl is the attached time-series recorder (nil disables); tlClaimed
-	// marks that one platform already owns the per-window pool sampler.
-	tl        *timeseries.Recorder
+	// tlClaimed marks that one platform already owns the per-window pool
+	// sampler.
 	tlClaimed bool
 	// pend stages a described batch's provenance for the byte-flow ledger
 	// (see flow.go).
 	pend flowPending
-}
-
-// poolMetrics are the pool's live counters; every field is a no-op nil
-// *telemetry.Metric until Instrument attaches a registry.
-type poolMetrics struct {
-	offloadBytes  *telemetry.Metric
-	recallBytes   *telemetry.Metric
-	usedBytes     *telemetry.Metric
-	saturation    *telemetry.Metric
-	fetchRetries  *telemetry.Metric
-	fetchTimeouts *telemetry.Metric
-	degraded      *telemetry.Metric
-	injectedStall *telemetry.Metric
-}
-
-// Instrument attaches a tracer and metric registry to the pool. Either may
-// be nil. A rack-shared pool is instrumented by every platform that attaches
-// to it; later calls with only nil sinks are ignored so a telemetry-disabled
-// node cannot detach a sibling's instrumentation.
-func (p *Pool) Instrument(tr *telemetry.Tracer, reg *telemetry.Registry) {
-	if tr == nil && reg == nil {
-		return
-	}
-	p.tr = tr
-	p.met = poolMetrics{
-		offloadBytes:  reg.Counter("faasmem_link_offload_bytes_total", "bytes bulk-transferred node->pool"),
-		recallBytes:   reg.Counter("faasmem_link_recall_bytes_total", "bytes transferred pool->node (bulk and faults)"),
-		usedBytes:     reg.Gauge("faasmem_pool_used_bytes", "bytes currently stored in the remote pool"),
-		saturation:    reg.Counter("faasmem_link_saturation_events_total", "faults served while link utilization was past the saturation point"),
-		fetchRetries:  reg.Counter("faasmem_fetch_retries_total", "page-fetch attempts retried after a transient link/pool fault"),
-		fetchTimeouts: reg.Counter("faasmem_fetch_timeouts_total", "page fetches abandoned after exhausting retries or the fetch timeout"),
-		degraded:      reg.Counter("faasmem_degraded_transitions_total", "degraded-mode enter+exit transitions observed by the pool"),
-		injectedStall: reg.Counter("faasmem_injected_stall_us_total", "microseconds of fault-latency added by injected latency spikes"),
-	}
-	p.node.Instrument(reg)
-	p.traceFaultWindows(tr)
 }
 
 // NewPool creates a pool from cfg, applying defaults for zero fields.
@@ -380,15 +343,9 @@ func (p *Pool) commitOffload(now simtime.Time, bytes int64) simtime.Time {
 	p.used += bytes
 	start, done := p.reserve(now, bytes)
 	p.meter[Offload].Record(now, bytes)
-	p.met.offloadBytes.Add(bytes)
-	p.met.usedBytes.Set(p.used)
-	p.tl.AddCounter(now, timeseries.SeriesOffloadBytes, poolDims, bytes)
+	p.tel.PoolUsed(p.used)
+	p.tel.LinkBytes(now, int(Offload), bytes, start, time.Duration(done-start))
 	p.recordFlow(now, timeseries.FlowOffload, bytes)
-	p.tr.Record(telemetry.Event{
-		At: start, Dur: time.Duration(done - start),
-		Kind: telemetry.KindLinkTransfer, Actor: "link",
-		Value: bytes, Aux: int64(Offload),
-	})
 	return done
 }
 
@@ -407,46 +364,10 @@ func (p *Pool) RecallBytes(now simtime.Time, bytes int64) simtime.Time {
 	p.used -= bytes
 	start, done := p.reserve(now, bytes)
 	p.meter[Recall].Record(now, bytes)
-	p.met.recallBytes.Add(bytes)
-	p.met.usedBytes.Set(p.used)
-	p.tl.AddCounter(now, timeseries.SeriesRecallBytes, poolDims, bytes)
+	p.tel.PoolUsed(p.used)
+	p.tel.LinkBytes(now, int(Recall), bytes, start, time.Duration(done-start))
 	p.recordFlow(now, timeseries.FlowRecall, bytes)
-	p.tr.Record(telemetry.Event{
-		At: start, Dur: time.Duration(done - start),
-		Kind: telemetry.KindLinkTransfer, Actor: "link",
-		Value: bytes, Aux: int64(Recall),
-	})
 	return done
-}
-
-// Fault performs a demand fetch of pageBytes on a page fault. Faults bypass
-// the bulk FIFO (RDMA reads interleave with streaming writes) but slow down
-// as the link saturates. The returned latency is what the faulting request
-// observes; the page's bytes leave the pool.
-func (p *Pool) Fault(now simtime.Time, pageBytes int64) time.Duration {
-	if pageBytes < 0 {
-		panic("rmem: negative fault size")
-	}
-	if pageBytes > p.used {
-		pageBytes = p.used
-	}
-	p.used -= pageBytes
-	p.meter[Recall].Record(now, pageBytes)
-	p.met.recallBytes.Add(pageBytes)
-	p.met.usedBytes.Set(p.used)
-	p.tl.AddCounter(now, timeseries.SeriesRecallBytes, poolDims, pageBytes)
-	p.recordFlow(now, timeseries.FlowFault, pageBytes)
-	lat := p.faultLatencyAt(now) + p.transferTimeAt(now, pageBytes)
-	util := p.Utilization(now)
-	if util > p.cfg.SaturationPoint {
-		over := (util - p.cfg.SaturationPoint) / (1 - p.cfg.SaturationPoint)
-		if over > 1 {
-			over = 1
-		}
-		lat += time.Duration(float64(lat) * over * p.cfg.SaturationFactor)
-		p.recordSaturation(now, util)
-	}
-	return lat
 }
 
 // FaultStall decomposes the latency a batch of demand faults adds to a
@@ -482,6 +403,11 @@ func (p *Pool) FaultBatch(now simtime.Time, n int, pageBytes int64) time.Duratio
 
 // FaultBatchDetail is FaultBatch returning the latency decomposition.
 func (p *Pool) FaultBatchDetail(now simtime.Time, n int, pageBytes int64) FaultStall {
+	return p.faultBatch(now, n, pageBytes, 0)
+}
+
+// faultBatch is FaultBatchDetail with a pool-side tier surcharge added.
+func (p *Pool) faultBatch(now simtime.Time, n int, pageBytes int64, tier time.Duration) FaultStall {
 	if n < 0 || pageBytes < 0 {
 		panic("rmem: negative fault batch")
 	}
@@ -494,18 +420,27 @@ func (p *Pool) FaultBatchDetail(now simtime.Time, n int, pageBytes int64) FaultS
 	}
 	p.used -= total
 	p.meter[Recall].Record(now, total)
-	p.met.recallBytes.Add(total)
-	p.met.usedBytes.Set(p.used)
-	p.tl.AddCounter(now, timeseries.SeriesRecallBytes, poolDims, total)
+	p.tel.PoolUsed(p.used)
+	p.tel.LinkBytes(now, int(Recall), total, 0, 0)
 	p.recordFlow(now, timeseries.FlowFault, total)
-	rounds := (n + p.cfg.FaultPipeline - 1) / p.cfg.FaultPipeline
-	lat := time.Duration(rounds)*p.cfg.FaultLatency + p.transferTimeAt(now, total)
-	stall := FaultStall{BacklogBytes: p.BacklogBytes(now)}
+	return p.demandFetch(now, n, total, tier)
+}
+
+// demandFetch prices a pipelined demand read of pages pages, bytes on the
+// wire, whose bytes the caller already metered: one FaultLatency per
+// pipeline round plus the wire time, inflated by an active latency spike and
+// then by the saturation surcharge, plus the pool-side tier surcharge tier.
+// Fault batches, copy-on-write unmerge fetches and shared-region reads all
+// pay this price.
+func (p *Pool) demandFetch(now simtime.Time, pages int, bytes int64, tier time.Duration) FaultStall {
+	rounds := time.Duration((pages + p.cfg.FaultPipeline - 1) / p.cfg.FaultPipeline)
+	lat := rounds*p.cfg.FaultLatency + p.transferTimeAt(now, bytes)
+	stall := FaultStall{BacklogBytes: p.BacklogBytes(now), Tier: tier}
 	if p.flt != nil {
 		if f := p.flt.LatencyFactor(now); f > 1 {
-			stall.Injected = time.Duration(float64(time.Duration(rounds)*p.cfg.FaultLatency) * (f - 1))
+			stall.Injected = time.Duration(float64(rounds*p.cfg.FaultLatency) * (f - 1))
 			lat += stall.Injected
-			p.met.injectedStall.Add(stall.Injected.Microseconds())
+			p.tel.InjectedStall(stall.Injected)
 		}
 	}
 	util := p.Utilization(now)
@@ -516,19 +451,10 @@ func (p *Pool) FaultBatchDetail(now simtime.Time, n int, pageBytes int64) FaultS
 		}
 		stall.Queueing = time.Duration(float64(lat) * over * p.cfg.SaturationFactor)
 		lat += stall.Queueing
-		p.recordSaturation(now, util)
+		p.tel.LinkSaturation(now, util)
 	}
-	stall.Total = lat
+	stall.Total = lat + tier
 	return stall
-}
-
-// recordSaturation notes one fault served on a saturated link.
-func (p *Pool) recordSaturation(now simtime.Time, util float64) {
-	p.met.saturation.Inc()
-	p.tr.Record(telemetry.Event{
-		At: now, Kind: telemetry.KindLinkSaturation, Actor: "link",
-		Value: int64(util * 100),
-	})
 }
 
 // Discard drops bytes from the pool without a transfer — used when a
@@ -539,7 +465,7 @@ func (p *Pool) Discard(now simtime.Time, bytes int64) {
 		bytes = p.used
 	}
 	p.used -= bytes
-	p.met.usedBytes.Set(p.used)
+	p.tel.PoolUsed(p.used)
 	p.recordFlow(now, timeseries.FlowDiscard, bytes)
 }
 

@@ -104,7 +104,7 @@ func TestRecallReturnsBytes(t *testing.T) {
 func TestFaultLatencyBase(t *testing.T) {
 	p := NewPool(Config{FaultLatency: 6 * time.Microsecond})
 	p.OffloadBytes(0, 4096)
-	lat := p.Fault(time.Hour, 4096) // long after, link idle
+	lat := p.FaultBatch(time.Hour, 1, 4096) // long after, link idle
 	if lat < 6*time.Microsecond {
 		t.Errorf("fault latency %v < base fetch latency", lat)
 	}
@@ -119,14 +119,14 @@ func TestFaultLatencyBase(t *testing.T) {
 func TestFaultLatencyGrowsWhenSaturated(t *testing.T) {
 	p := NewPool(Config{Bandwidth: 1 << 20, FaultLatency: 6 * time.Microsecond})
 	p.OffloadBytes(0, 100<<20) // keep pool stocked
-	idle := p.Fault(time.Hour, 4096)
+	idle := p.FaultBatch(time.Hour, 1, 4096)
 
 	// Saturate: record sustained traffic near bandwidth.
 	now := 2 * time.Hour
 	for i := 0; i < 50; i++ {
 		p.meter[Offload].Record(now, 1<<20)
 	}
-	busy := p.Fault(now, 4096)
+	busy := p.FaultBatch(now, 1, 4096)
 	if busy <= idle {
 		t.Errorf("saturated fault %v not slower than idle fault %v", busy, idle)
 	}
@@ -154,7 +154,7 @@ func TestNegativeSizesPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"offload": func() { p.OffloadBytes(0, -1) },
 		"recall":  func() { p.RecallBytes(0, -1) },
-		"fault":   func() { p.Fault(0, -1) },
+		"fault":   func() { p.FaultBatch(0, 1, -1) },
 	} {
 		func() {
 			defer func() {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
@@ -38,38 +37,14 @@ func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int, pageByte
 	}
 	total := int64(pages) * pageBytes
 	p.meter[Recall].Record(now, total)
-	p.met.recallBytes.Add(total)
-	if p.tl != nil {
-		p.tl.AddFlow(now, timeseries.FlowShareRead, timeseries.Dims{
+	if tl := p.tel.Timeline; tl != nil {
+		tl.AddFlow(now, timeseries.FlowShareRead, timeseries.Dims{
 			Node: "pool", Tenant: fn, Class: memnode.ClassShared.String(),
 		}, total)
-		p.tl.FlowOccupancy(now, p.used)
+		tl.FlowOccupancy(now, p.used)
 	}
-	rounds := (pages + p.cfg.FaultPipeline - 1) / p.cfg.FaultPipeline
-	lat := time.Duration(rounds)*p.cfg.FaultLatency + p.transferTimeAt(now, total)
-	stall := FaultStall{BacklogBytes: p.BacklogBytes(now), Tier: tier}
-	if p.flt != nil {
-		if f := p.flt.LatencyFactor(now); f > 1 {
-			stall.Injected = time.Duration(float64(time.Duration(rounds)*p.cfg.FaultLatency) * (f - 1))
-			lat += stall.Injected
-			p.met.injectedStall.Add(stall.Injected.Microseconds())
-		}
-	}
-	util := p.Utilization(now)
-	if util > p.cfg.SaturationPoint {
-		over := (util - p.cfg.SaturationPoint) / (1 - p.cfg.SaturationPoint)
-		if over > 1 {
-			over = 1
-		}
-		stall.Queueing = time.Duration(float64(lat) * over * p.cfg.SaturationFactor)
-		lat += stall.Queueing
-		p.recordSaturation(now, util)
-	}
-	stall.Total = lat + tier
-	p.tr.Record(telemetry.Event{
-		At: now, Dur: stall.Total, Kind: telemetry.KindLinkTransfer, Actor: "link",
-		Value: total, Aux: int64(Recall),
-	})
+	stall := p.demandFetch(now, pages, total, tier)
+	p.tel.LinkBytes(now, int(Recall), total, now, stall.Total)
 	return stall, nil
 }
 

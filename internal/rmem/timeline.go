@@ -2,6 +2,7 @@ package rmem
 
 import (
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
@@ -9,22 +10,31 @@ import (
 // package-level value keeps the enabled hot path allocation-free.
 var poolDims = timeseries.Dims{Node: "pool"}
 
-// InstrumentTimeline attaches a time-series recorder to the pool and arms
-// its flight-recorder triggers from the fault plan's window starts. A
-// rack-shared pool is instrumented by every platform that attaches to it;
-// the first caller with a non-nil recorder becomes the sampling owner
-// (reported by the return value) so per-window pool gauges are sampled
-// exactly once per rack, not once per node.
-func (p *Pool) InstrumentTimeline(tl *timeseries.Recorder) (owner bool) {
-	if tl == nil {
+// Instrument attaches a platform's telemetry to the pool, labelled "pool",
+// and reports whether the caller owns the per-window pool sampling
+// (SampleTimeline). A rack-shared pool is instrumented by every platform
+// that attaches to it: a hub with no sinks is ignored so a
+// telemetry-disabled node cannot detach a sibling's instrumentation; the
+// first caller with a timeline becomes the sampling owner, arms the flight
+// recorder's fault-window triggers and starts the flow-ledger run; and the
+// fault plan's windows are traced once.
+func (p *Pool) Instrument(h telemetry.Hub) (owner bool) {
+	if h.Tracer == nil && h.Reg == nil && h.Timeline == nil && h.Spans == nil && h.Exemplars == nil {
 		return false
 	}
-	claimed := p.tlClaimed
-	p.tl = tl
+	p.tel = h.Attach(poolDims.Node)
+	p.node.Instrument(h.Reg)
+	if p.flt != nil && h.Tracer != nil && !p.windowsTraced {
+		p.windowsTraced = true
+		for _, w := range p.flt.Windows() {
+			p.tel.FaultWindow(w.Start, w.End, int(w.Kind), w.Factor)
+		}
+	}
+	tl := h.Timeline
+	if tl == nil || p.tlClaimed {
+		return false
+	}
 	p.tlClaimed = true
-	if claimed {
-		return false
-	}
 	// One pool lifetime = one flow-ledger run: a recorder that outlives the
 	// pool (a gateway's service-lifetime sink) accumulates multiple runs and
 	// its conservation audit reports itself not-applicable instead of
@@ -46,36 +56,37 @@ func (p *Pool) InstrumentTimeline(tl *timeseries.Recorder) (owner bool) {
 // savings and per-tenant quota pressure. The owning platform's window
 // ticker calls this once per window.
 func (p *Pool) SampleTimeline(now simtime.Time) {
-	if !p.tl.Enabled() {
+	tl := p.tel.Timeline
+	if tl == nil {
 		return
 	}
-	p.tl.SetGauge(now, timeseries.SeriesPoolUsedBytes, poolDims, p.used)
+	tl.SetGauge(now, timeseries.SeriesPoolUsedBytes, poolDims, p.used)
 	if p.flt != nil {
-		p.tl.SetGauge(now, timeseries.SeriesFaultActiveKinds, poolDims, int64(p.flt.ActiveKinds(now)))
+		tl.SetGauge(now, timeseries.SeriesFaultActiveKinds, poolDims, int64(p.flt.ActiveKinds(now)))
 		var unhealthy int64
 		if p.flt.Unhealthy(now) {
 			unhealthy = 1
 		}
-		p.tl.SetGauge(now, timeseries.SeriesPoolUnhealthy, poolDims, unhealthy)
+		tl.SetGauge(now, timeseries.SeriesPoolUnhealthy, poolDims, unhealthy)
 	}
 	if p.node == nil {
 		return
 	}
 	if logical := p.node.LogicalBytes(); logical > 0 {
-		p.tl.SetGauge(now, timeseries.SeriesDedupSavedPermille, poolDims,
+		tl.SetGauge(now, timeseries.SeriesDedupSavedPermille, poolDims,
 			p.node.DedupSavedBytes()*1000/logical)
 	}
 	if quota := p.node.Config().TenantQuotaBytes; quota > 0 {
 		for _, u := range p.node.TenantUsages() {
-			p.tl.SetGauge(now, timeseries.SeriesTenantQuotaPct,
+			tl.SetGauge(now, timeseries.SeriesTenantQuotaPct,
 				timeseries.Dims{Node: "pool", Tenant: u.Tenant},
 				u.LogicalBytes*100/quota)
 		}
 	}
 	if cacheCap := p.node.Config().CacheBytes; cacheCap > 0 {
-		p.tl.SetGauge(now, timeseries.SeriesCacheUsedBytes, poolDims, p.node.CacheUsedBytes())
+		tl.SetGauge(now, timeseries.SeriesCacheUsedBytes, poolDims, p.node.CacheUsedBytes())
 		for _, u := range p.node.CacheOccupancies() {
-			p.tl.SetGauge(now, timeseries.SeriesCacheOccupancyPct,
+			tl.SetGauge(now, timeseries.SeriesCacheOccupancyPct,
 				timeseries.Dims{Node: "pool", Tenant: u.Tenant},
 				u.LogicalBytes*100/cacheCap)
 		}

@@ -1,45 +1,15 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"io"
-	"os"
 	"sort"
+
+	"github.com/faasmem/faasmem/internal/telemetry/chrome"
 )
 
-// Chrome trace-event JSON ("JSON Object Format"), loadable by Perfetto
-// (https://ui.perfetto.dev) and chrome://tracing. One thread (track) per
-// actor — container, node, or link — all under a single process. Spans
-// become complete events ("X"), instants become instant events ("i"), and
-// thread-name metadata events label the tracks. Timestamps are virtual-time
-// microseconds, so the viewer's timeline is the simulation's timeline.
-
-type chromeEvent struct {
-	Name string      `json:"name"`
-	Cat  string      `json:"cat,omitempty"`
-	Ph   string      `json:"ph"`
-	Ts   float64     `json:"ts"`
-	Dur  float64     `json:"dur,omitempty"`
-	Pid  int         `json:"pid"`
-	Tid  int         `json:"tid"`
-	S    string      `json:"s,omitempty"`
-	Args *chromeArgs `json:"args,omitempty"`
-}
-
-// chromeArgs is a fixed struct (not a map) so field order — and therefore
-// the exported bytes — is deterministic for golden-file comparison.
-type chromeArgs struct {
-	Name     string `json:"name,omitempty"` // metadata events only
-	Function string `json:"function,omitempty"`
-	Stage    string `json:"stage,omitempty"`
-	Value    int64  `json:"value,omitempty"`
-	Aux      int64  `json:"aux,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// Chrome trace-event export of the tracer ring (see package chrome): one
+// track per actor (container, node, link) under process 1. Spans become
+// complete events, instants become thread-scoped instant events.
 
 const chromePid = 1
 
@@ -50,74 +20,25 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	evs := t.Events()
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 
-	out := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(evs)+8),
-		DisplayTimeUnit: "ms",
-	}
-	out.TraceEvents = append(out.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: chromePid,
-		Args: &chromeArgs{Name: "faasmem"},
-	})
-
-	tids := map[string]int{}
-	tidOf := func(actor string) int {
-		if actor == "" {
-			actor = "sim"
-		}
-		if id, ok := tids[actor]; ok {
-			return id
-		}
-		id := len(tids) + 1
-		tids[actor] = id
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: id,
-			Args: &chromeArgs{Name: actor},
-		})
-		return id
-	}
-
+	b := chrome.NewEncoder(chromePid, "faasmem", len(evs))
 	for _, ev := range evs {
-		ce := chromeEvent{
-			Name: ev.Kind.String(),
-			Cat:  eventCategory(ev.Kind),
-			Ts:   float64(ev.At) / 1e3, // ns → µs
-			Pid:  chromePid,
-			Tid:  tidOf(ev.Actor),
+		tid := b.Track(ev.Actor)
+		var args *chrome.Args
+		if ev.Fn != "" || ev.Stage != StageNone || ev.Value != 0 || ev.Aux != 0 {
+			args = &chrome.Args{Function: ev.Fn, Stage: ev.Stage.String(), Value: ev.Value, Aux: ev.Aux}
 		}
 		if ev.Dur > 0 {
-			ce.Ph = "X"
-			ce.Dur = float64(ev.Dur) / 1e3
+			b.Span(ev.Kind.String(), eventCategory(ev.Kind), tid, ev.At, ev.Dur, args)
 		} else {
-			ce.Ph = "i"
-			ce.S = "t" // thread-scoped instant
+			b.Instant(ev.Kind.String(), eventCategory(ev.Kind), tid, ev.At, args)
 		}
-		if ev.Fn != "" || ev.Stage != StageNone || ev.Value != 0 || ev.Aux != 0 {
-			ce.Args = &chromeArgs{
-				Function: ev.Fn,
-				Stage:    ev.Stage.String(),
-				Value:    ev.Value,
-				Aux:      ev.Aux,
-			}
-		}
-		out.TraceEvents = append(out.TraceEvents, ce)
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return b.Encode(w)
 }
 
 // WriteChromeTraceFile writes the trace to path, creating or truncating it.
 func WriteChromeTraceFile(path string, t *Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return chrome.WriteFile(path, func(w io.Writer) error { return WriteChromeTrace(w, t) })
 }
 
 // eventCategory groups kinds into the filterable categories Perfetto shows.
@@ -133,7 +54,7 @@ func eventCategory(k Kind) string {
 		return "offload"
 	case KindPageFault:
 		return "fault"
-	case KindLinkTransfer, KindLinkSaturation, KindSwapFull:
+	case KindLinkTransfer, KindLinkSaturation:
 		return "link"
 	default:
 		return "misc"

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"github.com/faasmem/faasmem/internal/telemetry/chrome"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -19,16 +21,16 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func goldenTracer() *Tracer {
 	tr := NewTracer(64)
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	tr.Record(Event{At: sec(0), Kind: KindContainerLaunch, Actor: "web#1", Fn: "web"})
-	tr.Record(Event{At: sec(0), Dur: sec(1.2), Kind: KindRuntimeLoaded, Actor: "web#1", Fn: "web", Stage: StageRuntime, Value: 2048})
-	tr.Record(Event{At: sec(1.2), Dur: sec(0.4), Kind: KindInitDone, Actor: "web#1", Fn: "web", Stage: StageInit, Value: 1024})
-	tr.Record(Event{At: sec(1.6), Dur: sec(0.25), Kind: KindRequest, Actor: "web#1", Fn: "web"})
-	tr.Record(Event{At: sec(1.85), Kind: KindPucketOffload, Actor: "web#1", Fn: "web", Stage: StageRuntime, Value: 1500, Aux: 0})
-	tr.Record(Event{At: sec(1.85), Dur: sec(0.05), Kind: KindLinkTransfer, Actor: "link", Value: 6144000, Aux: 0})
-	tr.Record(Event{At: sec(1.85), Kind: KindContainerIdle, Actor: "web#1", Fn: "web"})
-	tr.Record(Event{At: sec(30), Dur: sec(0.26), Kind: KindRequest, Actor: "web#1", Fn: "web", Value: 3})
-	tr.Record(Event{At: sec(30), Dur: sec(0.01), Kind: KindPageFault, Actor: "web#1", Fn: "web", Stage: StageRuntime, Value: 3, Aux: 8})
-	tr.Record(Event{At: sec(630), Kind: KindContainerRecycle, Actor: "web#1", Fn: "web", Value: 6144000})
+	tr.record(Event{At: sec(0), Kind: KindContainerLaunch, Actor: "web#1", Fn: "web"})
+	tr.record(Event{At: sec(0), Dur: sec(1.2), Kind: KindRuntimeLoaded, Actor: "web#1", Fn: "web", Stage: StageRuntime, Value: 2048})
+	tr.record(Event{At: sec(1.2), Dur: sec(0.4), Kind: KindInitDone, Actor: "web#1", Fn: "web", Stage: StageInit, Value: 1024})
+	tr.record(Event{At: sec(1.6), Dur: sec(0.25), Kind: KindRequest, Actor: "web#1", Fn: "web"})
+	tr.record(Event{At: sec(1.85), Kind: KindPucketOffload, Actor: "web#1", Fn: "web", Stage: StageRuntime, Value: 1500, Aux: 0})
+	tr.record(Event{At: sec(1.85), Dur: sec(0.05), Kind: KindLinkTransfer, Actor: "link", Value: 6144000, Aux: 0})
+	tr.record(Event{At: sec(1.85), Kind: KindContainerIdle, Actor: "web#1", Fn: "web"})
+	tr.record(Event{At: sec(30), Dur: sec(0.26), Kind: KindRequest, Actor: "web#1", Fn: "web", Value: 3})
+	tr.record(Event{At: sec(30), Dur: sec(0.01), Kind: KindPageFault, Actor: "web#1", Fn: "web", Stage: StageRuntime, Value: 3, Aux: 8})
+	tr.record(Event{At: sec(630), Kind: KindContainerRecycle, Actor: "web#1", Fn: "web", Value: 6144000})
 	return tr
 }
 
@@ -107,14 +109,14 @@ func TestChromeTraceStructure(t *testing.T) {
 func TestChromeTraceSortsByTime(t *testing.T) {
 	tr := NewTracer(8)
 	// Recorded out of order: the link reserves into the future.
-	tr.Record(Event{At: 5 * time.Second, Dur: time.Second, Kind: KindLinkTransfer, Actor: "link"})
-	tr.Record(Event{At: 1 * time.Second, Kind: KindRequest, Actor: "a#1"})
+	tr.record(Event{At: 5 * time.Second, Dur: time.Second, Kind: KindLinkTransfer, Actor: "link"})
+	tr.record(Event{At: 1 * time.Second, Kind: KindRequest, Actor: "a#1"})
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	var doc chromeTrace
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	doc, err := chrome.Decode(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var last float64 = -1

@@ -205,11 +205,6 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{cfg: cfg.withDefaults(), cells: make(map[Key]*cell)}
 }
 
-// Enabled reports whether the recorder stores anything. It is the
-// documented guard for work that exists only to build exemplar records —
-// notably span-tree construction when the span recorder itself is off.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Window returns the rollup window (DefaultWindow on nil).
 func (r *Recorder) Window() time.Duration {
 	if r == nil {

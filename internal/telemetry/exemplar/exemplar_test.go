@@ -29,9 +29,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Len() != 0 || r.Cells() != nil {
 		t.Error("nil recorder retained state")
 	}
-	if r.Enabled() {
-		t.Error("nil recorder reports Enabled")
-	}
 	if r.Window() != DefaultWindow || r.K() != DefaultK {
 		t.Error("nil recorder accessors differ from defaults")
 	}

@@ -101,7 +101,7 @@ func record(h Hub, i int) {
 		lat := time.Duration(100*i+10*k+1) * time.Millisecond
 		inv := span.Invocation{Function: fn, Container: fn + "#1",
 			Root: span.Span{Phase: span.PhaseRequest, Start: at, Dur: lat}}
-		h.Tracer.Record(Event{At: at, Kind: KindRequest, Fn: fn, Value: int64(k)})
+		h.Tracer.record(Event{At: at, Kind: KindRequest, Fn: fn, Value: int64(k)})
 		h.Reg.Counter("requests_total", "requests").Add(1)
 		h.Spans.Record(inv)
 		h.Timeline.AddCounter(at, timeseries.SeriesRequests, timeseries.Dims{Node: "n0", Tenant: fn}, 1)
@@ -150,5 +150,42 @@ func TestHubShardMergeMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(want[i], got[i]) {
 			t.Errorf("%s: shard-then-merge differs from serial recording", name)
 		}
+	}
+}
+
+// TestEmitAllocFree pins the emit methods' cost contract: with every sink
+// off, or with only the registry on (its handles resolved by Attach),
+// reporting an occurrence allocates nothing, and a request's span tree is
+// never built while the span and exemplar recorders are both off.
+func TestEmitAllocFree(t *testing.T) {
+	for name, h := range map[string]Hub{
+		"off":      Hub{}.Attach("n0"),
+		"registry": Hub{Reg: NewRegistry()}.Attach("n0"),
+	} {
+		built := false
+		tree := func() span.Invocation { built = true; return span.Invocation{} }
+		pages := [NumStages]int{StageRuntime: 3, StageInit: 1}
+		allocs := testing.AllocsPerRun(100, func() {
+			h.Launch(0, "web#1", "web", 1)
+			h.Barrier(StageRuntime, 0, time.Second, "web#1", "web", 10, 0)
+			h.RequestDone(Request{Container: "web#1", Fn: "web", End: time.Second}, tree)
+			h.FaultStall(0, time.Millisecond, "web#1", "web", pages, pages)
+			h.OffloadBatch(0, 0, time.Millisecond, "web#1", "web", pages, 4<<12)
+			h.Rollback(0, "web#1", "web", 4, 4<<12)
+			h.LinkBytes(0, 1, 4<<12, 0, time.Millisecond)
+			h.FetchRetry(0, "web#1", "web", 1, time.Millisecond)
+			h.Recycle(0, "web#1", "web", 0, 0)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: emitting allocates %v times per round, want 0", name, allocs)
+		}
+		if built {
+			t.Errorf("%s: span tree built with spans and exemplars off", name)
+		}
+	}
+	h := Hub{Reg: NewRegistry()}.Attach("n0")
+	h.RequestDone(Request{Fn: "web", End: time.Second}, func() span.Invocation { return span.Invocation{} })
+	if got := h.Reg.Get("faasmem_requests_completed_total").Value(); got != 1 {
+		t.Errorf("attached registry counted %d requests, want 1", got)
 	}
 }

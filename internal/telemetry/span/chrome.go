@@ -1,7 +1,6 @@
 package span
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry/chrome"
 )
 
 // Chrome trace-event export of span trees: every span becomes a complete
@@ -18,35 +18,6 @@ import (
 // per-container "<id> bg" track. The exported file round-trips: ReadChromeTrace
 // rebuilds the invocation trees by time containment, which is what the
 // faasmem-stat CLI ingests.
-
-type chromeSpanEvent struct {
-	Name string          `json:"name"`
-	Cat  string          `json:"cat,omitempty"`
-	Ph   string          `json:"ph"`
-	Ts   float64         `json:"ts"`
-	Dur  float64         `json:"dur,omitempty"`
-	Pid  int             `json:"pid"`
-	Tid  int             `json:"tid"`
-	Args *chromeSpanArgs `json:"args,omitempty"`
-}
-
-// chromeSpanArgs is a fixed struct (not a map) so field order — and
-// therefore the exported bytes — is deterministic for golden files.
-type chromeSpanArgs struct {
-	Name     string `json:"name,omitempty"` // metadata events only
-	Function string `json:"function,omitempty"`
-	Kind     string `json:"kind,omitempty"`
-	Phase    string `json:"phase,omitempty"`
-	Pages    int64  `json:"pages,omitempty"`
-	Bytes    int64  `json:"bytes,omitempty"`
-	StartNS  int64  `json:"start_ns,omitempty"`
-	DurNS    int64  `json:"dur_ns,omitempty"`
-}
-
-type chromeSpanTrace struct {
-	TraceEvents     []chromeSpanEvent `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-}
 
 const chromeSpanPid = 2 // distinct from the flat tracer's pid 1
 
@@ -62,36 +33,11 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	sort.SliceStable(invs, func(i, j int) bool { return invs[i].Root.Start < invs[j].Root.Start })
 	sort.SliceStable(bgs, func(i, j int) bool { return bgs[i].Start < bgs[j].Start })
 
-	out := chromeSpanTrace{
-		TraceEvents:     make([]chromeSpanEvent, 0, len(invs)*4+len(bgs)+8),
-		DisplayTimeUnit: "ms",
-	}
-	out.TraceEvents = append(out.TraceEvents, chromeSpanEvent{
-		Name: "process_name", Ph: "M", Pid: chromeSpanPid,
-		Args: &chromeSpanArgs{Name: "faasmem spans"},
-	})
-
-	tids := map[string]int{}
-	tidOf := func(track string) int {
-		if track == "" {
-			track = "sim"
-		}
-		if id, ok := tids[track]; ok {
-			return id
-		}
-		id := len(tids) + 1
-		tids[track] = id
-		out.TraceEvents = append(out.TraceEvents, chromeSpanEvent{
-			Name: "thread_name", Ph: "M", Pid: chromeSpanPid, Tid: id,
-			Args: &chromeSpanArgs{Name: track},
-		})
-		return id
-	}
-
+	b := chrome.NewEncoder(chromeSpanPid, "faasmem spans", len(invs)*4+len(bgs))
 	var emit func(s Span, tid int, inv *Invocation, root bool)
 	emit = func(s Span, tid int, inv *Invocation, root bool) {
 		name := s.Phase.String()
-		args := &chromeSpanArgs{
+		args := &chrome.Args{
 			Phase:   s.Phase.String(),
 			Pages:   s.Pages,
 			StartNS: int64(s.Start),
@@ -102,51 +48,31 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 			args.Function = inv.Function
 			args.Kind = inv.Kind.String()
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeSpanEvent{
-			Name: name, Cat: "span", Ph: "X",
-			Ts: float64(s.Start) / 1e3, Dur: float64(s.Dur) / 1e3, // ns → µs
-			Pid: chromeSpanPid, Tid: tid, Args: args,
-		})
+		b.Span(name, "span", tid, s.Start, s.Dur, args)
 		for _, c := range s.Children {
 			emit(c, tid, inv, false)
 		}
 	}
 	for i := range invs {
 		inv := &invs[i]
-		emit(inv.Root, tidOf(inv.Container), inv, true)
+		emit(inv.Root, b.Track(inv.Container), inv, true)
 	}
 	for _, bg := range bgs {
-		out.TraceEvents = append(out.TraceEvents, chromeSpanEvent{
-			Name: "bg:" + bg.Kind.String(), Cat: "background", Ph: "X",
-			Ts: float64(bg.Start) / 1e3, Dur: float64(bg.Dur) / 1e3,
-			Pid: chromeSpanPid, Tid: tidOf(bg.Container + " bg"),
-			Args: &chromeSpanArgs{
-				Function: bg.Function,
-				Kind:     bg.Kind.String(),
-				Bytes:    bg.Bytes,
-				StartNS:  int64(bg.Start),
-				DurNS:    int64(bg.Dur),
-			},
+		b.Span("bg:"+bg.Kind.String(), "background", b.Track(bg.Container+" bg"), bg.Start, bg.Dur, &chrome.Args{
+			Function: bg.Function,
+			Kind:     bg.Kind.String(),
+			Bytes:    bg.Bytes,
+			StartNS:  int64(bg.Start),
+			DurNS:    int64(bg.Dur),
 		})
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return b.Encode(w)
 }
 
 // WriteChromeTraceFile writes the span trace to path, creating or
 // truncating it.
 func WriteChromeTraceFile(path string, r *Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteChromeTrace(f, r); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return chrome.WriteFile(path, func(w io.Writer) error { return WriteChromeTrace(w, r) })
 }
 
 // ReadChromeTrace parses span trace-event JSON produced by WriteChromeTrace
@@ -154,14 +80,13 @@ func WriteChromeTraceFile(path string, r *Recorder) error {
 // time containment within each track, the same rule Perfetto uses to draw
 // the stacks, so export → import → Analyze gives identical attribution.
 func ReadChromeTrace(rd io.Reader) ([]Invocation, []Background, error) {
-	var tr chromeSpanTrace
-	dec := json.NewDecoder(rd)
-	if err := dec.Decode(&tr); err != nil {
+	tr, err := chrome.Decode(rd)
+	if err != nil {
 		return nil, nil, fmt.Errorf("span: parse chrome trace: %w", err)
 	}
 	tracks := map[int]string{}
 	type rawSpan struct {
-		ev  chromeSpanEvent
+		ev  chrome.Event
 		pos int
 	}
 	perTid := map[int][]rawSpan{}

@@ -15,9 +15,10 @@
 // Design constraints match the tracer's:
 //
 //   - The disabled path is free. A nil *Recorder is a fully functional
-//     no-op; platform call sites guard tree *construction* with Enabled()
-//     and pay only a nil check per request when spans are off (verified by
-//     BenchmarkDisabledSpans and TestDisabledSpansZeroAlloc).
+//     no-op; telemetry.Hub builds a request's tree only when this recorder
+//     or the exemplar recorder is on, so the platform pays only a nil check
+//     per request when both are off (verified by BenchmarkDisabledSpans and
+//     TestDisabledSpansZeroAlloc).
 //   - Bounded memory. Completed invocations and background spans live in
 //     fixed-capacity rings; multi-hour runs overwrite the oldest.
 //   - Virtual time only. Every timestamp is simtime.Time, so the span trees
@@ -268,10 +269,6 @@ func NewRecorder(capacity int) *Recorder {
 		bg:   make([]Background, 0, capacity),
 	}
 }
-
-// Enabled reports whether the recorder stores anything. It is the documented
-// guard for work that exists only to build a span tree.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Record stores one completed invocation, overwriting the oldest once the
 // ring is full. Safe for concurrent use; no-op on a nil recorder.

@@ -45,9 +45,6 @@ func warmInv(fn, ctr string, base simtime.Time, total, stall float64) Invocation
 
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder must report disabled")
-	}
 	r.Record(coldInv("web", "web#1", 0))
 	r.RecordBackground(Background{Kind: BGOffload})
 	r.Reset()
@@ -63,9 +60,7 @@ func TestDisabledSpansZeroAlloc(t *testing.T) {
 	var r *Recorder
 	inv := coldInv("web", "web#1", 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		if r.Enabled() {
-			r.Record(inv)
-		}
+		r.Record(inv)
 		r.RecordBackground(Background{})
 	})
 	if allocs != 0 {
@@ -75,9 +70,6 @@ func TestDisabledSpansZeroAlloc(t *testing.T) {
 
 func TestRecorderRing(t *testing.T) {
 	r := NewRecorder(3)
-	if !r.Enabled() {
-		t.Fatal("live recorder must report enabled")
-	}
 	for i := 0; i < 5; i++ {
 		r.Record(warmInv("f", "f#1", simtime.Time(sec(float64(i))), 0.1, 0))
 	}

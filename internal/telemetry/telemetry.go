@@ -3,15 +3,16 @@
 // live counters and gauges, with exporters for Chrome trace-event JSON
 // (Perfetto / chrome://tracing), Prometheus text format, and human-readable
 // dumps. Hub bundles the tracer and registry with the span, timeseries and
-// exemplar recorders into the one handle a simulation is instrumented with.
+// exemplar recorders into the one handle a simulation is instrumented with,
+// and its emit methods are the one point each occurrence is reported from.
 //
 // Design constraints, in order:
 //
 //   - The disabled path must be free. A nil *Tracer and nil *Metric are
 //     fully functional no-ops, so subsystems instrument unconditionally and
 //     pay a nil check — zero allocations, no branches on config structs —
-//     when telemetry is off (verified by BenchmarkDisabledTracer and
-//     TestDisabledTracerZeroAlloc).
+//     when telemetry is off (verified by BenchmarkDisabledTracer,
+//     TestDisabledTracerZeroAlloc and TestEmitAllocFree).
 //   - Bounded memory. The Tracer is a fixed-capacity ring: once full, the
 //     oldest events are overwritten and counted in Dropped, so tracing a
 //     multi-hour simulation cannot exhaust the host.
@@ -97,9 +98,6 @@ const (
 	// KindLinkSaturation marks a fault served while link utilization was
 	// past the saturation point. Value is utilization in percent.
 	KindLinkSaturation
-	// KindSwapFull marks a swap-device allocation that was truncated for
-	// lack of free slots. Value is the pages denied.
-	KindSwapFull
 	// KindFaultWindow spans one scheduled fault-plan window. Aux is the
 	// faultinject.Kind; Value is the severity factor ×100 (0 for binary
 	// kinds).
@@ -144,7 +142,6 @@ var kindNames = [numKinds]string{
 	KindSemiWarmExit:     "semiwarm-exit",
 	KindLinkTransfer:     "link-transfer",
 	KindLinkSaturation:   "link-saturation",
-	KindSwapFull:         "swap-full",
 	KindFaultWindow:      "fault-window",
 	KindDegradedEnter:    "degraded-enter",
 	KindDegradedExit:     "degraded-exit",
@@ -225,8 +222,9 @@ type Event struct {
 const DefaultCapacity = 1 << 16
 
 // Tracer records events into a fixed-capacity ring. A nil *Tracer is the
-// disabled tracer: Record is a zero-allocation no-op, so call sites never
-// need to branch. Construct with NewTracer.
+// disabled tracer. Events reach it only through the Hub's emit methods
+// (emit.go), so each occurrence is traced from the one point that also feeds
+// the other sinks. Construct with NewTracer.
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []Event
@@ -243,14 +241,9 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]Event, 0, capacity)}
 }
 
-// Enabled reports whether the tracer records anything. It is the documented
-// way to guard work that exists only to build an event (e.g. classifying
-// offloaded pages by stage).
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// Record stores one event, overwriting the oldest once the ring is full.
+// record stores one event, overwriting the oldest once the ring is full.
 // Safe for concurrent use; no-op on a nil tracer.
-func (t *Tracer) Record(ev Event) {
+func (t *Tracer) record(ev Event) {
 	if t == nil {
 		return
 	}
@@ -336,7 +329,7 @@ func (t *Tracer) MergeFrom(src *Tracer) {
 	}
 	dropped := src.Dropped()
 	for _, ev := range src.Events() {
-		t.Record(ev)
+		t.record(ev)
 	}
 	if dropped > 0 {
 		t.mu.Lock()
@@ -359,9 +352,11 @@ func (t *Tracer) Reset() {
 
 // Hub is the one instrumentation handle a simulation is given: every sink
 // the simulator records into travels in it, from the CLIs and the gateway
-// through experiments.Scenario and faas.Config down to the platform. The zero
-// Hub is fully disabled; every field may be nil independently, and each hot
-// path guards on the sink it feeds (a timeline-only run does no tracer work).
+// through experiments.Scenario and faas.Config down to the platform, and
+// every occurrence the simulator reports is one of its emit methods
+// (emit.go), called on a hub bound by Attach. The zero Hub is fully
+// disabled; every field may be nil independently, and each emit method pays
+// one nil check per sink it feeds (a timeline-only run does no tracer work).
 type Hub struct {
 	// Tracer receives typed events; nil disables tracing.
 	Tracer *Tracer
@@ -376,6 +371,11 @@ type Hub struct {
 	// Exemplars retains the worst-K span trees per (window, node, tenant);
 	// nil disables it.
 	Exemplars *exemplar.Recorder
+
+	// node and met are bound by Attach: the emitter's node label and its
+	// resolved registry handles (all nil without a registry).
+	node string
+	met  handles
 }
 
 var defaultHub struct {

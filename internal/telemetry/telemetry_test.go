@@ -12,7 +12,7 @@ import (
 func TestTracerRecordAndOrder(t *testing.T) {
 	tr := NewTracer(8)
 	for i := 0; i < 5; i++ {
-		tr.Record(Event{At: simtime.Time(i) * time.Second, Kind: KindRequest, Actor: "c#1"})
+		tr.record(Event{At: simtime.Time(i) * time.Second, Kind: KindRequest, Actor: "c#1"})
 	}
 	if tr.Len() != 5 || tr.Total() != 5 || tr.Dropped() != 0 {
 		t.Fatalf("Len/Total/Dropped = %d/%d/%d", tr.Len(), tr.Total(), tr.Dropped())
@@ -28,7 +28,7 @@ func TestTracerRecordAndOrder(t *testing.T) {
 func TestTracerRingWrap(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Record(Event{At: simtime.Time(i), Value: int64(i)})
+		tr.record(Event{At: simtime.Time(i), Value: int64(i)})
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want capacity 4", tr.Len())
@@ -50,9 +50,9 @@ func TestTracerRingWrap(t *testing.T) {
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Record(Event{Kind: KindPageFault})
+	tr.record(Event{Kind: KindPageFault})
 	tr.Reset()
-	if tr.Enabled() || tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must be inert")
 	}
 }
@@ -60,7 +60,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 func TestDisabledTracerZeroAlloc(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Record(Event{
+		tr.record(Event{
 			At:    time.Second,
 			Dur:   time.Millisecond,
 			Kind:  KindPageOffload,
@@ -79,10 +79,10 @@ func TestEnabledTracerSteadyStateZeroAlloc(t *testing.T) {
 	tr := NewTracer(64)
 	// Warm the ring to capacity; steady-state recording then reuses slots.
 	for i := 0; i < 64; i++ {
-		tr.Record(Event{At: simtime.Time(i)})
+		tr.record(Event{At: simtime.Time(i)})
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.Record(Event{At: time.Second, Kind: KindRequest, Actor: "c#1", Fn: "f"})
+		tr.record(Event{At: time.Second, Kind: KindRequest, Actor: "c#1", Fn: "f"})
 	})
 	if allocs != 0 {
 		t.Fatalf("full-ring Record allocates %v per op, want 0", allocs)
@@ -93,7 +93,7 @@ func BenchmarkDisabledTracer(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Record(Event{At: simtime.Time(i), Kind: KindPageFault, Actor: "bert#1", Fn: "bert", Value: 8})
+		tr.record(Event{At: simtime.Time(i), Kind: KindPageFault, Actor: "bert#1", Fn: "bert", Value: 8})
 	}
 }
 
@@ -101,7 +101,7 @@ func BenchmarkEnabledTracer(b *testing.B) {
 	tr := NewTracer(1 << 12)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Record(Event{At: simtime.Time(i), Kind: KindPageFault, Actor: "bert#1", Fn: "bert", Value: 8})
+		tr.record(Event{At: simtime.Time(i), Kind: KindPageFault, Actor: "bert#1", Fn: "bert", Value: 8})
 	}
 }
 
@@ -113,7 +113,7 @@ func TestTracerConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				tr.Record(Event{At: simtime.Time(i), Kind: KindRequest})
+				tr.record(Event{At: simtime.Time(i), Kind: KindRequest})
 			}
 		}()
 	}
@@ -231,7 +231,7 @@ func TestKindAndStageStrings(t *testing.T) {
 func TestWriteTextMentionsDrops(t *testing.T) {
 	tr := NewTracer(2)
 	for i := 0; i < 5; i++ {
-		tr.Record(Event{At: simtime.Time(i) * time.Second, Kind: KindRequest, Actor: "a"})
+		tr.record(Event{At: simtime.Time(i) * time.Second, Kind: KindRequest, Actor: "a"})
 	}
 	var b strings.Builder
 	if err := WriteText(&b, tr); err != nil {

@@ -270,7 +270,7 @@ func WriteJSON(w io.Writer, r *Recorder) error {
 // the shared text form behind faasmem-stat timeline, faasmem-sim -timeline,
 // and the gateway's GET /timeline.
 func WriteText(w io.Writer, r *Recorder) error {
-	if !r.Enabled() {
+	if r == nil {
 		_, err := fmt.Fprintln(w, "timeline: recording disabled")
 		return err
 	}

@@ -57,10 +57,14 @@ const (
 	// SeriesPoolUnhealthy gauges the pool health probe (0 healthy, 1
 	// degraded or down).
 	SeriesPoolUnhealthy = "pool_unhealthy"
-	// SeriesOffloadBytes counts bytes offloaded to the pool (counter).
+	// SeriesOffloadBytes counts bytes crossing the pool link node → pool
+	// (counter, pool): bulk offloads and copy-on-write private writebacks.
+	// It reads the same as faasmem_link_offload_bytes_total.
 	SeriesOffloadBytes = "offload_bytes_total"
-	// SeriesRecallBytes counts bytes recalled or demand-fetched back
-	// (counter).
+	// SeriesRecallBytes counts bytes crossing the pool link pool → node
+	// (counter, pool): bulk recalls, demand-fault batches, copy-on-write
+	// unmerge fetches and shared-region reads. It reads the same as
+	// faasmem_link_recall_bytes_total.
 	SeriesRecallBytes = "recall_bytes_total"
 	// SeriesOffloadPages counts pages admitted to the pool per page class
 	// (counter, node+tenant+class).
@@ -309,8 +313,8 @@ func (c Config) withDefaults() Config {
 
 // Recorder rolls events up into per-window points and feeds the flight
 // recorder. A nil *Recorder is the disabled recorder: every method is a
-// zero-allocation no-op, so instrumentation sites record unconditionally
-// behind an Enabled() guard. Construct with NewRecorder. Safe for
+// zero-allocation no-op, so instrumentation sites record unconditionally.
+// Construct with NewRecorder. Safe for
 // concurrent use; within one engine, recording order is the deterministic
 // event order of the virtual clock.
 type Recorder struct {
@@ -355,10 +359,6 @@ func NewRecorder(cfg Config) *Recorder {
 		occ:      make(map[int64]*occWindow),
 	}
 }
-
-// Enabled reports whether the recorder stores anything. It is the
-// documented guard for work that exists only to build timeline samples.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Window returns the rollup window (DefaultWindow on nil, so callers can
 // arm samplers unconditionally).
