@@ -382,6 +382,34 @@ func BenchmarkPucketOffloadScan(b *testing.B) {
 	}
 }
 
+// BenchmarkSemiWarmScan measures the semi-warm tick's victim scan: a
+// budget of 256 hot pages sought in a Bert-sized init range that is already
+// all remote except its last word, which is hot. The summary words let the
+// scan skip the remote majority 64 words at a time.
+func BenchmarkSemiWarmScan(b *testing.B) {
+	prof := workload.Bert()
+	space := pagemem.NewSpace(pagemem.DefaultPageSize)
+	seg := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
+	last := (int(seg.End) - 1) / 64
+	for w := int(seg.Start) / 64; w <= last; w++ {
+		to := pagemem.Remote
+		if w == last {
+			to = pagemem.Hot
+		}
+		space.TransitionMasked(w, space.StateWord(w, pagemem.Inactive)&seg.WordMask(w), pagemem.Inactive, to)
+	}
+	var victims []pagemem.WordMask
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var n int
+		victims, n = space.AppendWords(victims[:0], seg, pagemem.Hot, 256)
+		if n == 0 {
+			b.Fatal("no victims")
+		}
+	}
+}
+
 // BenchmarkHarnessParallelFanout runs the same 8-scenario grid through the
 // experiment harness's worker pool at width 1 and at GOMAXPROCS, verifying
 // the fan-out path and exposing its scaling on multi-core hosts.

@@ -78,18 +78,20 @@ func (p Pucket) stage(v policy.View) telemetry.Stage {
 // list (clearing access bits so the next request-window re-evaluates them)
 // and returns the number of pages rolled back. Each 64-page word of hot
 // pages moves with three word operations — state, access bits, generation —
-// and words without hot pages cost one probe.
+// and only words holding a hot page are visited.
 func (p Pucket) Rollback(s *pagemem.Space, lru *mglru.LRU) int {
 	moved := 0
-	for w := int(p.Seg.Start) / 64; w < (int(p.Seg.End)+63)/64; w++ {
-		hot := s.StateWord(w, pagemem.Hot) & p.Seg.WordMask(w)
-		if hot == 0 {
-			continue
+	for it := s.Words(p.Seg, pagemem.Hot); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			hot := s.StateWord(w, pagemem.Hot) & p.Seg.WordMask(w)
+			if hot == 0 {
+				continue
+			}
+			s.TransitionMasked(w, hot, pagemem.Hot, pagemem.Inactive)
+			s.ClearAccessedMasked(w, hot)
+			lru.DemoteMasked(pagemem.PageID(w*64), hot, p.Gen)
+			moved += bits.OnesCount64(hot)
 		}
-		s.TransitionMasked(w, hot, pagemem.Hot, pagemem.Inactive)
-		s.ClearAccessedMasked(w, hot)
-		lru.DemoteMasked(pagemem.PageID(w*64), hot, p.Gen)
-		moved += bits.OnesCount64(hot)
 	}
 	return moved
 }

@@ -276,10 +276,12 @@ func (c *Container) priceRuntimeWrites(now simtime.Time) rmem.FaultStall {
 		// Flip that many remote runtime pages local (they were just
 		// written, so they land hot) and release their swap slots.
 		left := out.Recalled
-		for w := int(c.runtimeRange.Start) / 64; left > 0 && w < (int(c.runtimeRange.End)+63)/64; w++ {
-			m := pagemem.LowestBits(c.space.StateWord(w, pagemem.Remote)&c.runtimeRange.WordMask(w), left)
-			c.space.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
-			left -= bits.OnesCount64(m)
+		for it := c.space.Words(c.runtimeRange, pagemem.Remote); left > 0 && it.Next(); {
+			for w := it.Start; left > 0 && w < it.End; w++ {
+				m := pagemem.LowestBits(c.space.StateWord(w, pagemem.Remote)&c.runtimeRange.WordMask(w), left)
+				c.space.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
+				left -= bits.OnesCount64(m)
+			}
 		}
 		c.cg.Recall(now, int64(out.Recalled)*pageBytes)
 		c.p.syncMemGauges()
@@ -340,30 +342,33 @@ func (c *Container) touchSpans(seg pagemem.Range, spans []workload.Span) (faults
 // touchRange touches pages [start, end) word-at-a-time, equivalent to a
 // sequential per-page walk: Hot pages only need their access bit, which
 // TouchRange sets in bulk; Inactive pages move to Hot; each Remote page
-// faults in unless an earlier fault's readahead already recalled it. Every
-// word costs one masked transition per source state and one PromoteMasked;
-// only readahead spilling into later words takes extra masked calls.
+// faults in unless an earlier fault's readahead already recalled it. Only
+// words holding an Inactive or Remote page are visited, each costing one
+// masked transition per source state and one PromoteMasked; readahead
+// spilling into later words takes extra masked calls.
 func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
 	r := pagemem.Range{Start: start, End: end}
 	sp.TouchRange(r)
-	for w := int(start) / 64; w < (int(end)+63)/64; w++ {
-		mask := r.WordMask(w)
-		inact := sp.StateWord(w, pagemem.Inactive) & mask
-		rem := sp.StateWord(w, pagemem.Remote) & mask
-		sp.TransitionMasked(w, inact, pagemem.Inactive, pagemem.Hot)
-		if rem != 0 {
-			if window == 0 {
-				faults += bits.OnesCount64(rem)
-			} else {
-				var f, ra int
-				rem, f, ra = c.faultWord(seg, w, rem, window)
-				faults += f
-				readahead += ra
+	for it := sp.Words(r, pagemem.Inactive, pagemem.Remote); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			mask := r.WordMask(w)
+			inact := sp.StateWord(w, pagemem.Inactive) & mask
+			rem := sp.StateWord(w, pagemem.Remote) & mask
+			sp.TransitionMasked(w, inact, pagemem.Inactive, pagemem.Hot)
+			if rem != 0 {
+				if window == 0 {
+					faults += bits.OnesCount64(rem)
+				} else {
+					var f, ra int
+					rem, f, ra = c.faultWord(seg, w, rem, window)
+					faults += f
+					readahead += ra
+				}
+				sp.TransitionMasked(w, rem, pagemem.Remote, pagemem.Hot)
 			}
-			sp.TransitionMasked(w, rem, pagemem.Remote, pagemem.Hot)
+			c.lru.PromoteMasked(pagemem.PageID(w*64), inact|rem)
 		}
-		c.lru.PromoteMasked(pagemem.PageID(w*64), inact|rem)
 	}
 	return faults, readahead
 }

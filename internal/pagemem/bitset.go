@@ -46,48 +46,26 @@ func (b *Bitset) Get(i int) bool {
 	return w < len(b.words) && b.words[w]&(1<<(uint(i)%64)) != 0
 }
 
-// SetRange sets bits [start, end).
+// SetRange sets bits [start, end): it ORs a head mask into the first word,
+// fills the words between and ORs a tail mask into the last.
 func (b *Bitset) SetRange(start, end int) {
 	if end <= start {
 		return
 	}
 	b.grow(end - 1)
-	for i := start; i < end; {
-		w := i / 64
-		lo := uint(i) % 64
-		hi := uint(64)
-		if end-(w*64) < 64 {
-			hi = uint(end - w*64)
-		}
-		b.words[w] |= (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-		i = (w + 1) * 64
+	w0, w1 := start/64, (end-1)/64
+	head := ^uint64(0) << (uint(start) % 64)
+	tail := ^uint64(0) >> (63 - uint(end-1)%64)
+	if w0 == w1 {
+		b.words[w0] |= head & tail
+		return
 	}
-}
-
-// CountRange returns the number of set bits in [start, end).
-func (b *Bitset) CountRange(start, end int) int {
-	if end <= start || len(b.words) == 0 {
-		return 0
+	b.words[w0] |= head
+	mid := b.words[w0+1 : w1]
+	for i := range mid {
+		mid[i] = ^uint64(0)
 	}
-	if max := len(b.words) * 64; end > max {
-		end = max
-	}
-	if start >= end {
-		return 0
-	}
-	n := 0
-	for i := start; i < end; {
-		w := i / 64
-		lo := uint(i) % 64
-		hi := uint(64)
-		if end-(w*64) < 64 {
-			hi = uint(end - w*64)
-		}
-		mask := (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-		n += bits.OnesCount64(b.words[w] & mask)
-		i = (w + 1) * 64
-	}
-	return n
+	b.words[w1] |= tail
 }
 
 // word returns word w, treating words beyond the current capacity as zero.

@@ -1,6 +1,7 @@
 package pagemem
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -25,6 +26,33 @@ func (b *Bitset) ClearRange(start, end int) {
 		b.words[w] &^= (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
 		i = (w + 1) * 64
 	}
+}
+
+// CountRange returns the number of set bits in [start, end) — the
+// per-bit-range count the tests check bitsets with.
+func (b *Bitset) CountRange(start, end int) int {
+	if end <= start || len(b.words) == 0 {
+		return 0
+	}
+	if max := len(b.words) * 64; end > max {
+		end = max
+	}
+	if start >= end {
+		return 0
+	}
+	n := 0
+	for i := start; i < end; {
+		w := i / 64
+		lo := uint(i) % 64
+		hi := uint(64)
+		if end-(w*64) < 64 {
+			hi = uint(end - w*64)
+		}
+		mask := (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
+		n += bits.OnesCount64(b.words[w] & mask)
+		i = (w + 1) * 64
+	}
+	return n
 }
 
 func TestBitsetSetGetClear(t *testing.T) {
@@ -63,6 +91,47 @@ func TestBitsetSetRange(t *testing.T) {
 		t.Fatalf("CountRange = %d, want 130", got)
 	}
 	b.SetRange(5, 5) // empty range is a no-op
+}
+
+// TestBitsetSetRangeEdges checks the head/middle/tail fill of SetRange
+// against a per-bit reference on a bitset already holding scattered bits:
+// ranges starting or ending on a word boundary, inside one word, over two
+// adjacent words, and across the 4,096-bit span of one summary word.
+func TestBitsetSetRangeEdges(t *testing.T) {
+	cases := []struct{ start, end int }{
+		{64, 100},    // starts on a word boundary
+		{10, 128},    // ends on a word boundary
+		{64, 192},    // both on word boundaries
+		{70, 80},     // inside one word
+		{64, 128},    // exactly one word
+		{63, 64},     // last bit of a word
+		{60, 70},     // two adjacent words
+		{0, 128},     // two whole words
+		{4000, 8300}, // across a summary word
+		{4095, 4097}, // the summary-word boundary itself
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(int64(c.start)))
+		var b Bitset
+		ref := make([]bool, 8448)
+		for i := 0; i < 200; i++ {
+			k := rng.Intn(len(ref))
+			b.Set(k)
+			ref[k] = true
+		}
+		b.SetRange(c.start, c.end)
+		for i := c.start; i < c.end; i++ {
+			ref[i] = true
+		}
+		if len(b.words)*64 < c.end {
+			t.Fatalf("SetRange(%d, %d): capacity %d bits", c.start, c.end, len(b.words)*64)
+		}
+		for i := range ref {
+			if b.Get(i) != ref[i] {
+				t.Fatalf("SetRange(%d, %d): bit %d = %v, want %v", c.start, c.end, i, b.Get(i), ref[i])
+			}
+		}
+	}
 }
 
 func TestBitsetClearRange(t *testing.T) {

@@ -176,9 +176,12 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	t.Helper()
 	n := len(p.slow.state)
 	switch op % 9 {
-	case 0: // grow
+	case 0: // grow: a few pages, or (odd multiples of 9) 64 to 1024 pages
 		seg := Segment(int(a) % int(NumSegments))
 		count := int(b) % 97
+		if op/9%2 == 1 {
+			count = 64 * (1 + int(b)%16)
+		}
 		p.fast.Alloc(seg, count)
 		p.slow.alloc(seg, count)
 	case 1: // release a range (exec teardown)
@@ -214,7 +217,7 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if n == 0 {
 			return
 		}
-		w := int(a) % ((n + 63) / 64)
+		w := (int(b)<<8 | int(a)) % ((n + 63) / 64)
 		from := State(1 + int(a)%3)
 		to := State(1 + int(b)%3)
 		if from == to {
@@ -258,6 +261,23 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		got, k := p.fast.AppendWords(nil, r, st, max)
 		if !reflect.DeepEqual(got, wordsOf(want)) || k != len(want) {
 			t.Fatalf("AppendWords(%v, %v, %d) = %v (%d pages), want %v", r, st, max, got, k, wordsOf(want))
+		}
+		// With nothing moving, Words visits exactly the words overlapping r
+		// that hold a page of st (anywhere in the word).
+		var words, wantWords []int
+		for it := p.fast.Words(r, st); it.Next(); {
+			for w := it.Start; w < it.End; w++ {
+				words = append(words, w)
+			}
+		}
+		if r.End > r.Start {
+			whole := Range{Start: r.Start / 64 * 64, End: PageID(min(n, (int(r.End)+63)/64*64))}
+			for _, wm := range wordsOf(p.slow.collectInState(whole, st, 0)) {
+				wantWords = append(wantWords, wm.W)
+			}
+		}
+		if !reflect.DeepEqual(words, wantWords) {
+			t.Fatalf("Words(%v, %v) = %v, want %v", r, st, words, wantWords)
 		}
 	case 8: // TMO's idle scan: victims plus the access bits it clears
 		r := p.rangeFrom(a, b)
@@ -313,6 +333,18 @@ func (p *spacePair) check(t *testing.T, step int) {
 	if got, want := p.fast.CountAccessed(all), len(p.slow.scanAndClearPreview()); got != want {
 		t.Fatalf("step %d: CountAccessed = %d, want %d", step, got, want)
 	}
+	words := (len(p.slow.state) + 63) / 64
+	if len(p.fast.summary) < (words+63)/64*numStates {
+		t.Fatalf("step %d: summary has %d words for %d page words", step, len(p.fast.summary), words)
+	}
+	for w := 0; w < words; w++ {
+		for st := Free; st < numStates; st++ {
+			got := p.fast.summary[w/64*numStates+int(st)]&(1<<(uint(w)%64)) != 0
+			if want := p.fast.stateBits[st].words[w] != 0; got != want {
+				t.Fatalf("step %d: summary bit of %v word %d = %v, want %v", step, st, w, got, want)
+			}
+		}
+	}
 }
 
 // scanAndClearPreview returns the accessed set without clearing (model-side
@@ -329,7 +361,8 @@ func (n *naiveSpace) scanAndClearPreview() []PageID {
 
 // TestSpaceDifferentialRandomOps replays long random scripts through the
 // bitset-backed Space and the naive model, comparing complete observable
-// state periodically.
+// state periodically. The scripts' large grows take every seed past 4,096
+// pages, the span of one summary word.
 func TestSpaceDifferentialRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -341,6 +374,9 @@ func TestSpaceDifferentialRandomOps(t *testing.T) {
 			}
 		}
 		p.check(t, 500)
+		if n := p.fast.NumPages(); n <= 64*64 {
+			t.Fatalf("seed %d: script reached only %d pages", seed, n)
+		}
 	}
 }
 

@@ -4,8 +4,10 @@
 // state the offloading policies act on (inactive / hot / remote / free), the
 // lifecycle segment it was allocated in (runtime / init / exec), and an
 // access bit, mirroring the page-table Accessed bit that the paper's
-// mechanisms (and DAMON/TMO) sample. Aggregate counters are maintained
-// incrementally so "how much local memory does this container hold" is O(1).
+// mechanisms (and DAMON/TMO) sample. Per-state page totals are maintained
+// incrementally so "how much local memory does this container hold" is O(1),
+// and per-state summary words (one bit per 64-page word) let every walk
+// skip empty words, so a scan costs O(occupied words + range/4096).
 package pagemem
 
 import (
@@ -102,22 +104,25 @@ func (r Range) Contains(id PageID) bool { return id >= r.Start && id < r.End }
 //
 // Page state lives only in bitsets: stateBits[st] marks every page in state
 // st, so a page's state is a few bit probes and every bulk move (offload,
-// recall, rollback, exec teardown) is a word operation. A page's segment
-// lives only in segRuns.
+// recall, rollback, exec teardown) is a word operation. Each state bitset
+// has a summary, one bit per 64-page word set iff that word holds a page of
+// the state, so walks skip empty words 64 at a time (see Words). A page's
+// segment lives only in segRuns.
 type Space struct {
 	pageSize int
 	// n is the number of page slots ever allocated.
 	n         int
 	accessed  Bitset
 	stateBits [numStates]Bitset
-	// counts[seg][state] tracks pages per segment and state.
-	counts [NumSegments][numStates]int
+	// summary[sw*numStates+st] has bit j set iff word sw*64+j of
+	// stateBits[st] is nonzero: all states' summaries share one slice, so
+	// growing them is one append.
+	summary []uint64
+	// total[st] is the number of pages in state st.
+	total [numStates]int
 	// segRuns records the contiguous allocation runs sharing a segment
-	// (segments are piecewise constant by construction), so word moves
-	// update counters per run by popcount. lastSegRun caches the most recent
-	// hit.
-	segRuns    []segRun
-	lastSegRun int
+	// (segments are piecewise constant by construction).
+	segRuns []segRun
 }
 
 // segRun is a maximal range of pages allocated to one segment; its end is
@@ -127,37 +132,21 @@ type segRun struct {
 	seg   Segment
 }
 
-// segRunIndex returns the index of the run containing page id (which must
-// be allocated), serving from the cache when possible.
-func (s *Space) segRunIndex(id int) int {
-	i := s.lastSegRun
-	if i >= len(s.segRuns) || s.segRuns[i].start > id ||
-		(i+1 < len(s.segRuns) && s.segRuns[i+1].start <= id) {
-		i = sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > id }) - 1
-		s.lastSegRun = i
+// move moves the masked pages of word w, all currently in state from, to
+// state to, keeping both states' summary bits and totals. mask must be
+// nonzero, or the target's summary bit could be set for an empty word.
+func (s *Space) move(w int, mask uint64, from, to State) {
+	src, dst := &s.stateBits[from].words[w], &s.stateBits[to].words[w]
+	*src &^= mask
+	*dst |= mask
+	sum, bit := s.summary[w/64*numStates:], uint64(1)<<(uint(w)%64)
+	if *src == 0 {
+		sum[from] &^= bit
 	}
-	return i
-}
-
-// recount moves the pages of word (a bitmask within word index w) from
-// state `from` to state `to` in the per-segment counters: one popcount per
-// segment run the word overlaps.
-func (s *Space) recount(w int, word uint64, from, to State) {
-	base := w * 64
-	for word != 0 {
-		i := s.segRunIndex(base + bits.TrailingZeros64(word))
-		span := word
-		if i+1 < len(s.segRuns) {
-			if end := s.segRuns[i+1].start; end < base+64 {
-				span &= 1<<uint(end-base) - 1
-			}
-		}
-		k := bits.OnesCount64(span)
-		seg := s.segRuns[i].seg
-		s.counts[seg][from] -= k
-		s.counts[seg][to] += k
-		word &^= span
-	}
+	sum[to] |= bit
+	k := bits.OnesCount64(mask)
+	s.total[from] -= k
+	s.total[to] += k
 }
 
 // NewSpace returns an empty address space with the given page size in bytes.
@@ -197,9 +186,15 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 	for st := range s.stateBits {
 		s.stateBits[st].Grow(total)
 	}
+	if need := (total + 64*64 - 1) / (64 * 64) * numStates; len(s.summary) < need {
+		s.summary = append(s.summary, make([]uint64, need-len(s.summary))...)
+	}
 	s.accessed.SetRange(start, total)
 	s.stateBits[Inactive].SetRange(start, total)
-	s.counts[seg][Inactive] += n
+	for w := start / 64; w < (total+63)/64; w++ {
+		s.summary[w/64*numStates+int(Inactive)] |= 1 << (uint(w) % 64)
+	}
+	s.total[Inactive] += n
 	return Range{Start: PageID(start), End: PageID(total)}
 }
 
@@ -267,21 +262,18 @@ func LowestBits(m uint64, k int) uint64 {
 	return low
 }
 
-// FreeRange releases every non-free page in r. Used when exec-segment
-// temporaries are reclaimed at request completion. Already-free pages are
-// skipped word-at-a-time, so re-freeing a mostly-free range is cheap.
+// FreeRange releases every non-free page in r and clears the access bits
+// of the whole range (a free page may have been touched). Used when
+// exec-segment temporaries are reclaimed at request completion; words with
+// nothing left to free cost one probe per state.
 func (s *Space) FreeRange(r Range) {
 	r, w0, w1 := s.clampRange(r)
 	for w := w0; w < w1; w++ {
 		mask := r.WordMask(w)
 		for st := Inactive; st < numStates; st++ {
-			word := s.stateBits[st].words[w] & mask
-			if word == 0 {
-				continue
+			if word := s.stateBits[st].words[w] & mask; word != 0 {
+				s.move(w, word, st, Free)
 			}
-			s.stateBits[st].words[w] &^= word
-			s.stateBits[Free].words[w] |= word
-			s.recount(w, word, st, Free)
 		}
 		s.accessed.words[w] &^= mask
 	}
@@ -291,16 +283,13 @@ func (s *Space) FreeRange(r Range) {
 // access bit — the allocation path for exec-segment temporaries, which reuse
 // the same page slots on every request instead of growing the space.
 func (s *Space) ReuseRange(r Range) {
-	r, w0, w1 := s.clampRange(r)
-	for w := w0; w < w1; w++ {
-		word := s.stateBits[Free].words[w] & r.WordMask(w)
-		if word == 0 {
-			continue
+	for it := s.Words(r, Free); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			if word := s.stateBits[Free].words[w] & r.WordMask(w); word != 0 {
+				s.move(w, word, Free, Inactive)
+				s.accessed.words[w] |= word
+			}
 		}
-		s.stateBits[Free].words[w] &^= word
-		s.stateBits[Inactive].words[w] |= word
-		s.accessed.words[w] |= word
-		s.recount(w, word, Free, Inactive)
 	}
 }
 
@@ -330,7 +319,8 @@ func (s *Space) State(id PageID) State {
 // SegmentOf returns the lifecycle segment page id was allocated in.
 func (s *Space) SegmentOf(id PageID) Segment {
 	s.checkID(id)
-	return s.segRuns[s.segRunIndex(int(id))].seg
+	i := sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > int(id) })
+	return s.segRuns[i-1].seg
 }
 
 // SetState transitions page id to st, keeping the aggregate counters
@@ -343,35 +333,106 @@ func (s *Space) SetState(id PageID, st State) {
 	if old == Free {
 		panic(fmt.Sprintf("pagemem: page %d is free; Alloc before SetState", id))
 	}
-	seg := s.SegmentOf(id)
-	s.counts[seg][old]--
-	s.counts[seg][st]++
-	s.stateBits[old].Clear(int(id))
-	s.stateBits[st].Set(int(id))
+	s.move(int(id)/64, 1<<(uint(id)%64), old, st)
 }
 
-// Local is not a page state: passed to StateWord or AppendWords it selects
-// every locally resident page, Inactive or Hot.
+// Local is not a page state: passed to StateWord, Words or AppendWords it
+// selects every locally resident page, Inactive or Hot.
 const Local State = numStates
+
+// WordIter walks, in ascending order, the 64-page words overlapping a
+// range that hold a page in any of a set of states, one run of consecutive
+// such words at a time:
+//
+//	for it := s.Words(r, pagemem.Hot); it.Next(); {
+//		for w := it.Start; w < it.End; w++ {
+//			hot := s.StateWord(w, pagemem.Hot) & r.WordMask(w)
+//			...
+//		}
+//	}
+//
+// It reads one summary word per 64 words and skips empty words whole, and
+// the caller walks each run with a plain counter loop, so a dense range
+// costs what a word-by-word loop does. A run's edge word may hold its pages
+// outside r, hence the WordMask. A summary word is read when the walk
+// reaches it, so the body may move pages out of the walked states anywhere
+// (an emptied word ahead may still be visited, and then reads zero) but must
+// not move pages into them ahead of the cursor.
+type WordIter struct {
+	// Start and End bound the current run of occupied words, valid after
+	// Next returns true.
+	Start, End int
+	s          *Space
+	// states has bit st set for every walked state.
+	states uint8
+	// span is the word range [w0, w1), held as a Range one level up: its
+	// WordMask(sw) masks summary word sw to the span.
+	span Range
+	// sw is the current summary word and occ its occupied words not yet
+	// walked.
+	sw  int
+	occ uint64
+}
+
+// Words returns a walk over the words overlapping r that hold a page in any
+// of sts (Local: Inactive or Hot).
+func (s *Space) Words(r Range, sts ...State) WordIter {
+	_, w0, w1 := s.clampRange(r)
+	it := WordIter{s: s, span: Range{Start: PageID(w0), End: PageID(w1)}, sw: w0/64 - 1}
+	for _, st := range sts {
+		if st == Local {
+			it.states |= 1<<Inactive | 1<<Hot
+		} else {
+			it.states |= 1 << st
+		}
+	}
+	return it
+}
+
+// Next advances to the next run of occupied words and reports whether
+// there is one, loading summary words until one has an occupied word left.
+func (it *WordIter) Next() bool {
+	for it.occ == 0 {
+		it.sw++
+		if PageID(it.sw*64) >= it.span.End {
+			return false
+		}
+		sum := it.s.summary[it.sw*numStates : it.sw*numStates+numStates]
+		for st, word := range sum {
+			if it.states&(1<<st) != 0 {
+				it.occ |= word
+			}
+		}
+		it.occ &= it.span.WordMask(it.sw)
+	}
+	lo := bits.TrailingZeros64(it.occ)
+	it.Start = it.sw*64 + lo
+	it.End = it.Start + bits.TrailingZeros64(^(it.occ >> uint(lo)))
+	// Adding the lowest set bit carries through the run and clears it.
+	it.occ &= it.occ + it.occ&-it.occ
+	return true
+}
 
 // AppendWords appends to dst, in page order, the word masks of the pages
 // inside r in state st (Local: Inactive or Hot), truncated to the first max
 // pages (max <= 0: no limit). It returns dst and the number of pages
-// appended — the victim scan behind every offload, one probe per word.
+// appended — the victim scan behind every offload, visiting only words that
+// hold a page in st.
 func (s *Space) AppendWords(dst []WordMask, r Range, st State, max int) ([]WordMask, int) {
-	r, w0, w1 := s.clampRange(r)
 	n := 0
-	for w := w0; w < w1; w++ {
-		m := s.StateWord(w, st) & r.WordMask(w)
-		if m == 0 {
-			continue
+	for it := s.Words(r, st); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			m := s.StateWord(w, st) & r.WordMask(w)
+			if m == 0 {
+				continue
+			}
+			k := bits.OnesCount64(m)
+			if max > 0 && n+k >= max {
+				return append(dst, WordMask{W: w, Mask: LowestBits(m, max-n)}), max
+			}
+			dst = append(dst, WordMask{W: w, Mask: m})
+			n += k
 		}
-		k := bits.OnesCount64(m)
-		if max > 0 && n+k >= max {
-			return append(dst, WordMask{W: w, Mask: LowestBits(m, max-n)}), max
-		}
-		dst = append(dst, WordMask{W: w, Mask: m})
-		n += k
 	}
 	return dst, n
 }
@@ -382,27 +443,28 @@ func (s *Space) AppendWords(dst []WordMask, r Range, st State, max int) ([]WordM
 // limit), so accessed pages past it keep their bits. It returns dst and the
 // number of victims appended.
 func (s *Space) AppendIdleLocalWords(dst []WordMask, r Range, max int) ([]WordMask, int) {
-	r, w0, w1 := s.clampRange(r)
 	n := 0
-	for w := w0; w < w1; w++ {
-		local := s.StateWord(w, Local) & r.WordMask(w)
-		if local == 0 {
-			continue
-		}
-		seen := local & s.accessed.words[w]
-		idle := local &^ seen
-		if k := bits.OnesCount64(idle); max > 0 && n+k >= max {
-			idle = LowestBits(idle, max-n)
-			// The walk stops at the last victim: only accessed pages below
-			// it were visited.
-			last := 63 - bits.LeadingZeros64(idle)
-			s.accessed.words[w] &^= seen & (1<<uint(last) - 1)
-			return append(dst, WordMask{W: w, Mask: idle}), max
-		}
-		s.accessed.words[w] &^= seen
-		if idle != 0 {
-			dst = append(dst, WordMask{W: w, Mask: idle})
-			n += bits.OnesCount64(idle)
+	for it := s.Words(r, Local); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			local := s.StateWord(w, Local) & r.WordMask(w)
+			if local == 0 {
+				continue
+			}
+			seen := local & s.accessed.words[w]
+			idle := local &^ seen
+			if k := bits.OnesCount64(idle); max > 0 && n+k >= max {
+				idle = LowestBits(idle, max-n)
+				// The walk stops at the last victim: only accessed pages
+				// below it were visited.
+				last := 63 - bits.LeadingZeros64(idle)
+				s.accessed.words[w] &^= seen & (1<<uint(last) - 1)
+				return append(dst, WordMask{W: w, Mask: idle}), max
+			}
+			s.accessed.words[w] &^= seen
+			if idle != 0 {
+				dst = append(dst, WordMask{W: w, Mask: idle})
+				n += bits.OnesCount64(idle)
+			}
 		}
 	}
 	return dst, n
@@ -445,9 +507,7 @@ func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
 	if from == Free || to == Free {
 		panic("pagemem: TransitionMasked cannot move pages into or out of Free")
 	}
-	s.stateBits[from].words[w] &^= mask
-	s.stateBits[to].words[w] |= mask
-	s.recount(w, mask, from, to)
+	s.move(w, mask, from, to)
 }
 
 // ClearAccessedMasked clears the access bits of the masked pages of the
@@ -460,23 +520,37 @@ func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }
 // ClearAccessed clears the access bit of page id.
 func (s *Space) ClearAccessed(id PageID) { s.accessed.Clear(int(id)) }
 
-// CountInRange tallies pages of the given state inside r by popcounting the
-// state's bitset, so per-request occupancy polls cost O(words).
+// CountInRange tallies pages of the given state inside r by popcounting
+// the state's occupied words.
 func (s *Space) CountInRange(r Range, st State) int {
-	return s.stateBits[st].CountRange(int(r.Start), int(r.End))
-}
-
-// Count returns the number of pages in the given segment and state.
-func (s *Space) Count(seg Segment, st State) int { return s.counts[seg][st] }
-
-// CountState sums a state's pages across all segments.
-func (s *Space) CountState(st State) int {
 	n := 0
-	for seg := 0; seg < NumSegments; seg++ {
-		n += s.counts[seg][st]
+	for it := s.Words(r, st); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			n += bits.OnesCount64(s.stateBits[st].words[w] & r.WordMask(w))
+		}
 	}
 	return n
 }
+
+// Count returns the number of pages in the given segment and state,
+// summed over the segment's allocation runs.
+func (s *Space) Count(seg Segment, st State) int {
+	n := 0
+	for i, run := range s.segRuns {
+		if run.seg != seg {
+			continue
+		}
+		end := s.n
+		if i+1 < len(s.segRuns) {
+			end = s.segRuns[i+1].start
+		}
+		n += s.CountInRange(Range{Start: PageID(run.start), End: PageID(end)}, st)
+	}
+	return n
+}
+
+// CountState returns the number of pages in a state across all segments.
+func (s *Space) CountState(st State) int { return s.total[st] }
 
 // LocalBytes reports resident local memory: inactive plus hot pages.
 func (s *Space) LocalBytes() int64 {
