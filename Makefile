@@ -23,7 +23,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Tier-1 figure/table benchmarks plus the page-engine and event-engine
-# micro-benches, snapshotted as machine-readable JSON (the CI perf artifact;
+# micro-benches and the fault pre-count (FaultPrecount, in internal/faas
+# beside the unexported walk it times), snapshotted as machine-readable JSON (the CI perf artifact;
 # see cmd/benchjson). One run feeds three artifacts: the raw log
 # (bench_gate.txt, which records allocs/op for the regression gate), the JSON
 # snapshot, and a per-bench speedup table against the latest committed
@@ -38,11 +39,11 @@ bench:
 # benches repeat one identical workload and keep time-based b.N.
 BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
 BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
-BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|BarrierInsert|PucketOffloadScan|SemiWarmScan|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|BarrierInsert|PucketOffloadScan|SemiWarmScan|FaultPrecount|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
 bench-json:
 	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
+	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ./internal/faas ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
 	@echo "raw log with allocs/op: bench_gate.txt"
 
 # The end-to-end benchmark (bench/, see BENCHMARK.json) is a nested module
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTraceJSON$$'     -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzReadProfiles$$'      -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkflowDAG$$'       -fuzztime=$(FUZZTIME) ./internal/faas
+	$(GO) test -run='^$$' -fuzz='^FuzzTouchWalk$$'         -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeDomains$$'      -fuzztime=$(FUZZTIME) ./internal/memnode
 
 # Regenerate every figure/table at paper scale (see EXPERIMENTS.md).

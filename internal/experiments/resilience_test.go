@@ -7,6 +7,7 @@ import (
 
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
+	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -189,4 +190,38 @@ func TestRunScenarioRecoveryField(t *testing.T) {
 		t.Errorf("quiet plan: DoneNormal = %d, want every request (%d)",
 			out.Recovery.DoneNormal, out.Requests)
 	}
+}
+
+// TestReadaheadUnderFaultPlan runs swap readahead under an active fault
+// plan, so every request's fault pre-count resolves readahead runs and
+// execute's walk must reproduce them (it panics on a divergence). The run
+// must retry fetches and still fault and read ahead remote pages.
+func TestReadaheadUnderFaultPlan(t *testing.T) {
+	const keepAlive = 4 * time.Minute
+	duration := 12 * time.Minute
+	horizon := duration + keepAlive
+	e := simtime.NewEngine()
+	p := faas.New(e, faas.Config{
+		KeepAliveTimeout: keepAlive,
+		Seed:             5,
+		Pool: rmem.Config{Faults: faultinject.New(faultinject.Config{
+			Horizon:   horizon,
+			Intensity: 0.3,
+			Seed:      5,
+		})},
+		Swap: fastswap.Config{ReadaheadPages: 8},
+	}, core.New(core.Config{}))
+	for i, name := range []string{"json", "web"} {
+		prof := workload.ByName(name)
+		p.Register(name, prof)
+		p.ScheduleInvocations(name, LowLoadInvocations(duration, int64(5+i)))
+	}
+	e.RunUntil(horizon)
+	agg, rec := p.Aggregate(), p.Recovery()
+	_, raPages := p.Swap().ClusterReads()
+	if rec.FetchRetries == 0 || agg.FaultPages == 0 || raPages == 0 {
+		t.Fatalf("readahead under the fault plan went unexercised: %d fetch retries, %d fault pages, %d readahead pages",
+			rec.FetchRetries, agg.FaultPages, raPages)
+	}
+	t.Logf("%d requests, %d fetch retries, %d fault pages, %d readahead pages", agg.Requests, rec.FetchRetries, agg.FaultPages, raPages)
 }

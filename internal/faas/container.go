@@ -321,22 +321,31 @@ func (c *Container) priceStateHooks(now simtime.Time) time.Duration {
 // the readahead window of virtually-contiguous remote neighbours, which are
 // recalled (counted separately) without their own fault rounds.
 func (c *Container) touchSpans(seg pagemem.Range, spans []workload.Span) (faults, readahead int) {
-	ps := int64(c.space.PageSize())
 	window := c.p.swap.Readahead()
-	for _, sp := range spans {
-		start := seg.Start + pagemem.PageID(sp.Start/ps)
-		end := seg.Start + pagemem.PageID((sp.End+ps-1)/ps)
-		if end > seg.End {
-			end = seg.End
-		}
-		if end <= start {
+	for _, s := range spans {
+		r, ok := spanPages(c.space, seg, s)
+		if !ok {
 			continue
 		}
-		f, ra := c.touchRange(seg, start, end, window)
+		f, ra := c.touchRange(seg, r.Start, r.End, window)
 		faults += f
 		readahead += ra
 	}
 	return faults, readahead
+}
+
+// spanPages returns the pages of seg that byte span s, relative to seg's
+// start, covers, clipped to seg.End; ok is false when none are left.
+func spanPages(sp *pagemem.Space, seg pagemem.Range, s workload.Span) (r pagemem.Range, ok bool) {
+	ps := int64(sp.PageSize())
+	r = pagemem.Range{
+		Start: seg.Start + pagemem.PageID(s.Start/ps),
+		End:   seg.Start + pagemem.PageID((s.End+ps-1)/ps),
+	}
+	if r.End > seg.End {
+		r.End = seg.End
+	}
+	return r, r.End > r.Start
 }
 
 // touchRange touches pages [start, end) word-at-a-time, equivalent to a
@@ -361,7 +370,7 @@ func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, win
 					faults += bits.OnesCount64(rem)
 				} else {
 					var f, ra int
-					rem, f, ra = c.faultWord(seg, w, rem, window)
+					rem, f, ra = c.faultWord(seg, w, rem, window, nil)
 					faults += f
 					readahead += ra
 				}
@@ -373,13 +382,27 @@ func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, win
 	return faults, readahead
 }
 
+// The fault arithmetic below serves both walks: touchRange passes a nil
+// overlay and the recalls happen, countSpans passes its overlay and they
+// are only recorded there.
+
+// remoteWord returns the pages of word w inside seg that are Remote and not
+// in gone (nil: none are).
+func (c *Container) remoteWord(seg pagemem.Range, w int, gone *pageOverlay) uint64 {
+	m := c.space.StateWord(w, pagemem.Remote) & seg.WordMask(w)
+	if gone != nil {
+		m &^= gone.word(w)
+	}
+	return m
+}
+
 // faultWord resolves the remote pages rem of word w in page order with a
 // readahead window: each page not already recalled faults, and its fault
 // recalls up to window virtually-contiguous Remote successors below seg.End.
 // It returns the word's pages to recall (faults plus in-word readahead) and
-// recalls readahead that spills past the word itself.
-func (c *Container) faultWord(seg pagemem.Range, w int, rem uint64, window int) (recall uint64, faults, readahead int) {
-	avail := c.space.StateWord(w, pagemem.Remote) & seg.WordMask(w)
+// has readaheadFrom recall the readahead that spills past the word itself.
+func (c *Container) faultWord(seg pagemem.Range, w int, rem uint64, window int, gone *pageOverlay) (recall uint64, faults, readahead int) {
+	avail := c.remoteWord(seg, w, gone)
 	for rem != 0 {
 		p := uint(bits.TrailingZeros64(rem))
 		faults++
@@ -394,20 +417,21 @@ func (c *Container) faultWord(seg pagemem.Range, w int, rem uint64, window int) 
 		rem &^= 1<<p | run
 		readahead += n
 		if int(p)+n == 63 && n < window {
-			readahead += c.readaheadFrom(seg, w+1, window-n)
+			readahead += c.readaheadFrom(seg, w+1, window-n, gone)
 		}
 	}
 	return recall, faults, readahead
 }
 
 // readaheadFrom recalls up to left contiguous Remote pages from the start of
-// word w onward, stopping at the first non-Remote page or seg.End, and
-// returns how many it recalled.
-func (c *Container) readaheadFrom(seg pagemem.Range, w, left int) int {
+// word w onward, stopping at the first page that is not Remote or is in
+// gone, or at seg.End, and returns how many it recalled. With a non-nil gone
+// the pages are added to it instead of moving to Hot.
+func (c *Container) readaheadFrom(seg pagemem.Range, w, left int, gone *pageOverlay) int {
 	sp := c.space
 	total := 0
 	for left > 0 && w*64 < int(seg.End) {
-		n := bits.TrailingZeros64(^(sp.StateWord(w, pagemem.Remote) & seg.WordMask(w)))
+		n := bits.TrailingZeros64(^c.remoteWord(seg, w, gone))
 		if n > left {
 			n = left
 		}
@@ -415,8 +439,12 @@ func (c *Container) readaheadFrom(seg pagemem.Range, w, left int) int {
 		if n < 64 {
 			m = 1<<uint(n) - 1
 		}
-		sp.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
-		c.lru.PromoteMasked(pagemem.PageID(w*64), m)
+		if gone != nil {
+			gone.or(w, m)
+		} else {
+			sp.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
+			c.lru.PromoteMasked(pagemem.PageID(w*64), m)
+		}
 		total += n
 		left -= n
 		if n < 64 {

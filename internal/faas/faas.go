@@ -284,6 +284,9 @@ type Platform struct {
 	containers int // ever created
 	liveTotal  int
 	evicted    int
+	// gone is the fault pre-count's scratch overlay (see countSpans),
+	// empty between requests.
+	gone pageOverlay
 }
 
 // New creates a platform over engine with the given configuration and

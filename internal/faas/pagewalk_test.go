@@ -1,15 +1,19 @@
 package faas
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
+	"github.com/faasmem/faasmem/internal/workload"
 )
 
 // The request touch path and the offload path move pages a word at a time.
@@ -41,6 +45,60 @@ func refTouchRange(c *Container, seg pagemem.Range, start, end pagemem.PageID, w
 		case pagemem.Inactive:
 			sp.SetState(id, pagemem.Hot)
 			c.lru.Promote(id)
+		}
+	}
+	return faults, readahead
+}
+
+// refCountSpans is the per-page fault pre-count: touchSpans without the
+// mutation, one state probe per touched page. flipped carries pages the
+// walk would have recalled already, so revisits within one request count
+// exactly like the mutating walk.
+func refCountSpans(c *Container, seg pagemem.Range, spans []workload.Span, flipped map[pagemem.PageID]struct{}) (faults, readahead int) {
+	ps := int64(c.space.PageSize())
+	window := c.p.swap.Readahead()
+	remote := func(id pagemem.PageID) bool {
+		if _, ok := flipped[id]; ok {
+			return false
+		}
+		return c.space.State(id) == pagemem.Remote
+	}
+	for _, sp := range spans {
+		start := seg.Start + pagemem.PageID(sp.Start/ps)
+		end := seg.Start + pagemem.PageID((sp.End+ps-1)/ps)
+		if end > seg.End {
+			end = seg.End
+		}
+		for id := start; id < end; id++ {
+			if !remote(id) {
+				continue
+			}
+			faults++
+			flipped[id] = struct{}{}
+			for ra := 0; ra < window; ra++ {
+				next := id + 1 + pagemem.PageID(ra)
+				if next >= seg.End || !remote(next) {
+					break
+				}
+				readahead++
+				flipped[next] = struct{}{}
+			}
+		}
+	}
+	return faults, readahead
+}
+
+// refTouchSpans drives refTouchRange over the pages each byte span covers,
+// clipped to seg.End.
+func refTouchSpans(c *Container, seg pagemem.Range, spans []workload.Span) (faults, readahead int) {
+	ps := int64(c.space.PageSize())
+	for _, sp := range spans {
+		start := seg.Start + pagemem.PageID(sp.Start/ps)
+		end := min(seg.Start+pagemem.PageID((sp.End+ps-1)/ps), seg.End)
+		if start < end {
+			f, ra := refTouchRange(c, seg, start, end, c.p.swap.Readahead())
+			faults += f
+			readahead += ra
 		}
 	}
 	return faults, readahead
@@ -135,6 +193,13 @@ func walkContainer(seed int64) *Container {
 			}
 		}
 	}
+	return c
+}
+
+// withWindow gives c a platform whose swap device reads ahead window pages,
+// which is all the touch and pre-count walks read from it.
+func withWindow(c *Container, window int) *Container {
+	c.p = &Platform{swap: fastswap.NewDevice(fastswap.Config{ReadaheadPages: window})}
 	return c
 }
 
@@ -273,5 +338,164 @@ func TestOffloadMatchesPerPageMove(t *testing.T) {
 			}
 		}
 		sameContainer(t, "offload", fast, slow)
+	}
+}
+
+// spanCall is one touch or pre-count call: byte spans relative to seg.
+type spanCall struct {
+	seg   pagemem.Range
+	spans []workload.Span
+}
+
+// checkSpanCalls replays calls through the word pre-count (one overlay
+// shared by every call), the per-page pre-count (one flipped map), the
+// mutating word walk and the per-page walk, on four identical containers
+// built by build. Every call's counts must agree four ways, the two walks
+// must leave identical containers, and both pre-counts must leave theirs as
+// built.
+func checkSpanCalls(t *testing.T, label string, build func() *Container, calls []spanCall) {
+	t.Helper()
+	count, ref, walk, slow := build(), build(), build(), build()
+	var gone pageOverlay
+	flipped := make(map[pagemem.PageID]struct{})
+	for i, call := range calls {
+		f, ra := count.countSpans(call.seg, call.spans, &gone)
+		rf, rra := refCountSpans(ref, call.seg, call.spans, flipped)
+		wf, wra := walk.touchSpans(call.seg, call.spans)
+		sf, sra := refTouchSpans(slow, call.seg, call.spans)
+		if f != rf || ra != rra || f != wf || ra != wra || wf != sf || wra != sra {
+			t.Fatalf("%s call %d %v: faults/readahead pre-count %d/%d, per-page pre-count %d/%d, walk %d/%d, per-page walk %d/%d",
+				label, i, call.spans, f, ra, rf, rra, wf, wra, sf, sra)
+		}
+	}
+	sameContainer(t, label+": walk", walk, slow)
+	sameContainer(t, label+": pre-count", count, build())
+	sameContainer(t, label+": per-page pre-count", ref, build())
+}
+
+// TestCountSpansMatchesWalk drives random calls through the word pre-count
+// and checks it against the per-page pre-count and against what the
+// mutating walk then does. Calls alternate between the runtime and init
+// ranges at random, so a range is revisited through the shared overlay;
+// spans start at unaligned bytes, overlap, and clip at the segment end; the
+// readahead windows stay in the word (1, 8), spill across one word boundary
+// (8) or across several (70).
+func TestCountSpansMatchesWalk(t *testing.T) {
+	for _, window := range []int{0, 1, 8, 70} {
+		for seed := int64(1); seed <= 40; seed++ {
+			build := func() *Container { return withWindow(walkContainer(seed), window) }
+			c := build()
+			ps := int64(c.space.PageSize())
+			rng := rand.New(rand.NewSource(seed*131 + int64(window)))
+			calls := make([]spanCall, 2+rng.Intn(4))
+			for i := range calls {
+				seg := c.runtimeRange
+				if rng.Intn(2) == 0 {
+					seg = c.initRange
+				}
+				bytes := int64(seg.Len()) * ps
+				spans := make([]workload.Span, 1+rng.Intn(6))
+				for j := range spans {
+					start := rng.Int63n(bytes)
+					spans[j] = workload.Span{Start: start, End: start + 1 + rng.Int63n(bytes/2)}
+				}
+				calls[i] = spanCall{seg: seg, spans: spans}
+			}
+			checkSpanCalls(t, fmt.Sprintf("window %d seed %d", window, seed), build, calls)
+		}
+	}
+}
+
+// FuzzTouchWalk checks the word walk and the word pre-count against their
+// per-page references on fuzzer-chosen layouts, spans and windows.
+// runtime and init size the two monitored segments (in pages); each layout
+// byte paints the next run of pages, runtime then init, with state
+// 1+b%3 (Inactive, Hot, Remote) over 1+b/3 pages; window%80 is the
+// readahead window. spans is read in 5-byte records: flags, then the
+// start and the length in 64-byte units (little-endian uint16s). flags bit
+// 0 picks the init segment, bit 1 appends the span to the previous call
+// when that call is on the same segment.
+func FuzzTouchWalk(f *testing.F) {
+	f.Add(uint16(300), uint16(221), uint8(8), []byte{8, 200, 254, 254, 254}, []byte{0, 0, 15, 0, 1, 1, 0, 0, 0, 16})
+	f.Fuzz(func(t *testing.T, runtime, init uint16, window uint8, layout, spans []byte) {
+		if len(spans) > 5*16 {
+			spans = spans[:5*16]
+		}
+		build := func() *Container {
+			sp := pagemem.NewSpace(pagemem.DefaultPageSize)
+			c := &Container{space: sp, lru: mglru.New(sp)}
+			sp.Alloc(pagemem.SegRuntime, 1+int(runtime)%700)
+			c.runtimeGen, c.runtimeRange = c.lru.InsertBarrier()
+			sp.Alloc(pagemem.SegInit, 1+int(init)%700)
+			c.initGen, c.initRange = c.lru.InsertBarrier()
+			sp.Alloc(pagemem.SegExec, 37)
+			c.execRange = c.lru.SkipNew()
+			id, end := c.runtimeRange.Start, c.initRange.End
+			for _, b := range layout {
+				st := pagemem.State(1 + b%3)
+				for stop := min(id+1+pagemem.PageID(b/3), end); id < stop; id++ {
+					sp.SetState(id, st)
+					if st == pagemem.Hot {
+						c.lru.Promote(id)
+					}
+				}
+			}
+			return withWindow(c, int(window)%80)
+		}
+		c := build()
+		var calls []spanCall
+		for ; len(spans) >= 5; spans = spans[5:] {
+			seg := c.runtimeRange
+			if spans[0]&1 != 0 {
+				seg = c.initRange
+			}
+			start := int64(binary.LittleEndian.Uint16(spans[1:])) * 64
+			span := workload.Span{Start: start, End: start + int64(binary.LittleEndian.Uint16(spans[3:]))*64 + 1}
+			if k := len(calls) - 1; spans[0]&2 != 0 && k >= 0 && calls[k].seg == seg {
+				calls[k].spans = append(calls[k].spans, span)
+				continue
+			}
+			calls = append(calls, spanCall{seg: seg, spans: []workload.Span{span}})
+		}
+		checkSpanCalls(t, "fuzz", build, calls)
+	})
+}
+
+// BenchmarkFaultPrecount measures the fault-plan pre-count alone: the web
+// profile's request touches counted over a container whose runtime and init
+// segments are about three quarters Remote, the rest Hot.
+func BenchmarkFaultPrecount(b *testing.B) {
+	prof := workload.Web()
+	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
+	c := withWindow(&Container{space: sp, lru: mglru.New(sp)}, 0)
+	c.runtimeRange = sp.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
+	c.initRange = sp.AllocBytes(pagemem.SegInit, prof.InitBytes)
+	rng := rand.New(rand.NewSource(1))
+	for w := int(c.runtimeRange.Start) / 64; w*64 < int(c.initRange.End); w++ {
+		in := sp.StateWord(w, pagemem.Inactive)
+		remote := in & (rng.Uint64() | rng.Uint64())
+		sp.TransitionMasked(w, remote, pagemem.Inactive, pagemem.Remote)
+		sp.TransitionMasked(w, in&^remote, pagemem.Inactive, pagemem.Hot)
+	}
+	touches := make([]workload.Touches, 64)
+	for i := range touches {
+		touches[i] = prof.RequestTouches(rng)
+	}
+	var gone pageOverlay
+	precount := func(t workload.Touches) int {
+		rf, rra := c.countSpans(c.runtimeRange, t.Runtime, &gone)
+		inf, ira := c.countSpans(c.initRange, t.Init, &gone)
+		gone.reset()
+		return rf + rra + inf + ira
+	}
+	for _, t := range touches {
+		precount(t)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if precount(touches[i%len(touches)]) == 0 {
+			b.Fatal("pre-count found no remote pages")
+		}
 	}
 }

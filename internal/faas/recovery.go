@@ -1,6 +1,8 @@
 package faas
 
 import (
+	"math/bits"
+
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -23,40 +25,76 @@ import (
 //
 // The pre-count exists because touchSpans mutates page state (Remote→Hot) as
 // it walks; fetching only after a successful FetchRetry keeps a timed-out
-// request's container consistent for the fallback and re-init paths.
+// request's container consistent for the fallback and re-init paths. It is
+// the same word walk as touchRange, over Remote words only, with a page
+// overlay standing in for the Remote→Hot moves it does not make.
+
+// pageOverlay is a word-indexed page set that remembers the words it has
+// set, so clearing it costs only those words.
+type pageOverlay struct {
+	words []uint64
+	set   []int
+}
+
+// word returns word w of the set.
+func (o *pageOverlay) word(w int) uint64 {
+	if w < len(o.words) {
+		return o.words[w]
+	}
+	return 0
+}
+
+// or adds the pages of mask to word w.
+func (o *pageOverlay) or(w int, mask uint64) {
+	if mask == 0 {
+		return
+	}
+	if w >= len(o.words) {
+		o.words = append(o.words, make([]uint64, w+1-len(o.words))...)
+	}
+	if o.words[w] == 0 {
+		o.set = append(o.set, w)
+	}
+	o.words[w] |= mask
+}
+
+// reset empties the set.
+func (o *pageOverlay) reset() {
+	for _, w := range o.set {
+		o.words[w] = 0
+	}
+	o.set = o.set[:0]
+}
 
 // countSpans is touchSpans without the mutation: it walks the same byte
 // spans and counts the demand faults and readahead pulls the walk would
-// perform. flipped carries pages the walk would have recalled already, so
-// revisits within one request count exactly like the mutating walk.
-func (c *Container) countSpans(seg pagemem.Range, spans []workload.Span, flipped map[pagemem.PageID]struct{}) (faults, readahead int) {
-	ps := int64(c.space.PageSize())
+// perform. gone holds the pages the walk would have recalled already and
+// gains this call's, so revisits within one request — across spans and
+// across calls sharing gone — count exactly like the mutating walk. Only
+// words holding a Remote page are visited.
+func (c *Container) countSpans(seg pagemem.Range, spans []workload.Span, gone *pageOverlay) (faults, readahead int) {
+	sp := c.space
 	window := c.p.swap.Readahead()
-	remote := func(id pagemem.PageID) bool {
-		if _, ok := flipped[id]; ok {
-			return false
+	for _, s := range spans {
+		r, ok := spanPages(sp, seg, s)
+		if !ok {
+			continue
 		}
-		return c.space.State(id) == pagemem.Remote
-	}
-	for _, sp := range spans {
-		start := seg.Start + pagemem.PageID(sp.Start/ps)
-		end := seg.Start + pagemem.PageID((sp.End+ps-1)/ps)
-		if end > seg.End {
-			end = seg.End
-		}
-		for id := start; id < end; id++ {
-			if !remote(id) {
-				continue
-			}
-			faults++
-			flipped[id] = struct{}{}
-			for ra := 0; ra < window; ra++ {
-				next := id + 1 + pagemem.PageID(ra)
-				if next >= seg.End || !remote(next) {
-					break
+		for it := sp.Words(r, pagemem.Remote); it.Next(); {
+			for w := it.Start; w < it.End; w++ {
+				rem := sp.StateWord(w, pagemem.Remote) & r.WordMask(w) &^ gone.word(w)
+				if rem == 0 {
+					continue
 				}
-				readahead++
-				flipped[next] = struct{}{}
+				if window == 0 {
+					faults += bits.OnesCount64(rem)
+				} else {
+					var f, ra int
+					rem, f, ra = c.faultWord(seg, w, rem, window, gone)
+					faults += f
+					readahead += ra
+				}
+				gone.or(w, rem)
 			}
 		}
 	}
@@ -69,9 +107,10 @@ func (c *Container) countSpans(seg pagemem.Range, spans []workload.Span, flipped
 // reproduce; ok is false when the fetch timed out and recoverFetch has taken
 // the request over.
 func (c *Container) fetchPlanned(arrival simtime.Time, touches workload.Touches) (stall rmem.FaultStall, faults rmem.ClassCounts, readahead int, ok bool) {
-	flipped := make(map[pagemem.PageID]struct{})
-	rf, rra := c.countSpans(c.runtimeRange, touches.Runtime, flipped)
-	inf, ira := c.countSpans(c.initRange, touches.Init, flipped)
+	gone := &c.p.gone
+	rf, rra := c.countSpans(c.runtimeRange, touches.Runtime, gone)
+	inf, ira := c.countSpans(c.initRange, touches.Init, gone)
+	gone.reset()
 	faults[memnode.ClassRuntime] = rf
 	faults[memnode.ClassInit] = inf
 	readahead = rra + ira
