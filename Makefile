@@ -89,7 +89,10 @@ experiments-quick:
 # fig13 with every sink on (trace, timeline, exemplars, attribution) and
 # diffs all four outputs across the same widths; each width writes the same
 # paths, which are renamed afterwards, so the attribution output's trace
-# line matches too.
+# line matches too. A third pass does the same for every entry at once,
+# twice at width 8 and once at width 1, so the sinks must fill the same way
+# on every run as well as at every width; it asks for 8 concurrent
+# experiments, which a sink flag must override.
 determinism:
 	@figs=$$($(GO) run ./cmd/experiments -list | awk 'NF == 1' | paste -sd, -) && \
 	$(GO) run ./cmd/experiments -quick -seed 42 -only "$$figs" -scenario-workers 1 > rows_w1.txt && \
@@ -103,6 +106,17 @@ determinism:
 	done && \
 	for f in trace.json timeline.txt exemplars.txt attrib.txt; do diff fig13_w1_$$f fig13_w8_$$f || exit 1; done && \
 	echo "determinism: fig13 trace, timeline, exemplars and attribution identical at widths 1 and 8"
+	@figs=$$($(GO) run ./cmd/experiments -list | awk 'NF == 1' | paste -sd, -) && \
+	for run in w8:8 w8again:8 w1:1; do \
+		$(GO) run ./cmd/experiments -quick -seed 42 -only "$$figs" -parallel 8 -scenario-workers $${run#*:} \
+			-trace-out all_trace.json -timeline all_timeline.txt -exemplars all_exemplars.txt \
+			-attrib > all_attrib.txt || exit 1; \
+		for f in trace.json timeline.txt exemplars.txt attrib.txt; do mv all_$$f all_$${run%:*}_$$f; done; \
+	done && \
+	for f in trace.json timeline.txt exemplars.txt attrib.txt; do \
+		diff all_w8_$$f all_w8again_$$f && diff all_w1_$$f all_w8_$$f || exit 1; \
+	done && \
+	echo "determinism: all-entries trace, timeline, exemplars and attribution identical across runs and at widths 1 and 8"
 
 # Figures + machine-readable rows.
 results:
@@ -127,4 +141,4 @@ examples:
 	$(GO) run ./examples/attribution
 
 clean:
-	rm -rf results test_output.txt bench_output.txt coverage.out faasmem-trace.json faasmem-spans.json attrib_quick.txt timeline_quick.txt rows_w1.txt rows_w8.txt fig13_w*_*
+	rm -rf results test_output.txt bench_output.txt coverage.out faasmem-trace.json faasmem-spans.json attrib_quick.txt timeline_quick.txt rows_w1.txt rows_w8.txt fig13_w*_* all_w*_*

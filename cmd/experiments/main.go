@@ -17,8 +17,11 @@
 // goroutines (-parallel), and each figure's scenario grid additionally fans
 // out across a scenario-level pool (-scenario-workers, default GOMAXPROCS);
 // every simulation is single-threaded and deterministic and rows assemble in
-// canonical order, so output is identical at any width. -cpuprofile and
-// -memprofile capture pprof profiles of the run.
+// canonical order, so output is identical at any width. When a sink flag
+// (-trace-out, -attrib, -timeline, -exemplars) is set, experiments run one
+// after another in registry order instead, so each folds its scenarios into
+// the shared sinks in a fixed order and the captures are identical at any
+// width too. -cpuprofile and -memprofile capture pprof profiles of the run.
 package main
 
 import (
@@ -50,16 +53,16 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed for all synthetic traces")
 	jsonDir := flag.String("json", "", "also write each experiment's rows as JSON files into this directory (like the artifact's result files)")
 	svgDir := flag.String("svg", "", "also write SVG charts of the main figures into this directory (like the artifact's draw scripts)")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "number of experiments to run concurrently")
+	parallel := flag.Int("parallel", runtime.NumCPU(), "number of experiments to run concurrently (1 when a sink flag is set)")
 	scenarioWorkers := flag.Int("scenario-workers", 0, "scenario-level fan-out inside each figure's grid (0 = GOMAXPROCS); rows are identical for any width")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	traceOut := flag.String("trace-out", "", "record every harness's simulation events into one Chrome trace-event JSON file; most useful with -only naming a single experiment (parallel experiments interleave in the shared ring)")
+	traceOut := flag.String("trace-out", "", "record every harness's simulation events into one Chrome trace-event JSON file")
 	traceBuffer := flag.Int("trace-buffer", telemetry.DefaultCapacity, "event ring capacity for -trace-out")
-	attrib := flag.Bool("attrib", false, "record causal spans across every harness and print one latency-attribution table at the end; most useful with -only naming a single experiment")
-	timelineOut := flag.String("timeline", "", "record per-window time-series rollups across every harness and write the timeline table to this file ('-' for stdout); most useful with -only naming a single experiment")
+	attrib := flag.Bool("attrib", false, "record causal spans across every harness and print one latency-attribution table at the end")
+	timelineOut := flag.String("timeline", "", "record per-window time-series rollups across every harness and write the timeline table to this file ('-' for stdout)")
 	timelineWindow := flag.Duration("timeline-window", 10*time.Second, "rollup window for -timeline (virtual time)")
-	exemplarsOut := flag.String("exemplars", "", "retain worst-K span trees per window across every harness and write the exemplar digest to this file ('-' for stdout); most useful with -only naming a single experiment")
+	exemplarsOut := flag.String("exemplars", "", "retain worst-K span trees per window across every harness and write the exemplar digest to this file ('-' for stdout)")
 	exemplarK := flag.Int("exemplar-k", exemplar.DefaultK, "worst-K retention depth for -exemplars")
 	flag.Parse()
 
@@ -137,6 +140,9 @@ func main() {
 
 	// Run experiments in a bounded worker pool; buffer output per experiment
 	// so the report prints in canonical order regardless of completion order.
+	// Each experiment folds its scenario shards into the shared sinks when
+	// it finishes, so with a sink on they run one at a time, in registry
+	// order, and the sinks fill the same way on every run.
 	type result struct {
 		out  bytes.Buffer
 		rows any
@@ -144,16 +150,16 @@ func main() {
 	}
 	results := make([]result, len(selected))
 	workers := *parallel
-	if workers < 1 {
+	if workers < 1 || hub != (telemetry.Hub{}) {
 		workers = 1
 	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := range selected {
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			results[i].rows, results[i].svgs = selected[i].Run(&results[i].out, *seed, *quick)
 		}(i)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
+	"github.com/faasmem/faasmem/internal/telemetry/hist"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -147,6 +149,48 @@ func TestSinksCoherent(t *testing.T) {
 		reading{"request events", events[telemetry.KindRequest]},
 		reading{"timeline", timeline[timeseries.SeriesRequests]},
 		reading{"span trees", int64(h.Spans.Total())})
+
+	// The registry's latency histogram and the timeline's latency series
+	// bucket the same samples the same way: every exposed le is a hist edge,
+	// and its cumulative count is the timeline's merged count at that edge.
+	var lat telemetry.HistSample
+	for _, s := range h.Reg.HistSnapshot() {
+		if s.Name == "faasmem_request_latency_seconds" {
+			lat = s
+		}
+	}
+	tlBuckets := h.Timeline.Buckets(timeseries.SeriesRequestLatency)
+	var tlSamples, tlCount int64
+	for _, n := range tlBuckets {
+		tlCount += n
+	}
+	for _, r := range h.Timeline.Rows() {
+		if r.Name == timeseries.SeriesRequestLatency {
+			tlSamples += r.Count
+		}
+	}
+	check("latency samples",
+		reading{"registry _count", lat.Count},
+		reading{"timeline samples", tlSamples},
+		reading{"timeline buckets", tlCount},
+		reading{"completed requests", counter("faasmem_requests_completed_total")})
+	if len(lat.Buckets) == 0 {
+		t.Fatal("registry exposes no latency buckets")
+	}
+	var cum int64
+	edge := 0
+	for i, n := range tlBuckets {
+		cum += n
+		if edge < len(lat.Buckets) && time.Duration(hist.Upper(i)).Seconds() == lat.Buckets[edge].Upper {
+			check(fmt.Sprintf("latency count at le=%g", lat.Buckets[edge].Upper),
+				reading{"registry", lat.Buckets[edge].Count},
+				reading{"timeline", cum})
+			edge++
+		}
+	}
+	if edge != len(lat.Buckets) {
+		t.Errorf("le=%g is not a hist bucket edge", lat.Buckets[edge].Upper)
+	}
 
 	// Every path the checks cover must have run, or they compare zeros.
 	for what, v := range map[string]int64{

@@ -73,7 +73,7 @@ func newHandles(reg *Registry) handles {
 		live:        reg.Gauge("faasmem_live_containers", "containers currently alive on the node"),
 		localBytes:  reg.Gauge("faasmem_node_local_bytes", "node-local DRAM currently charged"),
 		remoteBytes: reg.Gauge("faasmem_node_remote_bytes", "bytes resident in the remote pool for this node"),
-		reqLatency:  reg.Histogram("faasmem_request_latency_seconds", "end-to-end request latency (arrival to completion)", DefBuckets),
+		reqLatency:  reg.Histogram("faasmem_request_latency_seconds", "end-to-end request latency (arrival to completion)"),
 		linkBytes: [2]*Metric{
 			reg.Counter("faasmem_link_offload_bytes_total", "bytes bulk-transferred node->pool"),
 			reg.Counter("faasmem_link_recall_bytes_total", "bytes transferred pool->node (bulk and faults)"),
@@ -204,7 +204,7 @@ type Request struct {
 func (h *Hub) RequestDone(r Request, tree func() span.Invocation) {
 	latency := time.Duration(r.End - r.Arrival)
 	h.met.requests.Inc()
-	h.met.reqLatency.Observe(latency.Seconds())
+	h.met.reqLatency.Observe(latency)
 	h.trace(Event{
 		At: r.Start, Dur: time.Duration(r.End - r.Start), Kind: KindRequest,
 		Actor: r.Container, Fn: r.Fn, Value: int64(r.Faults), Aux: int64(r.Kind),

@@ -4,25 +4,33 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
+
+	"github.com/faasmem/faasmem/internal/telemetry/hist"
 )
 
-// DefBuckets are the default histogram upper bounds, chosen to resolve
-// request latencies in seconds from 5 ms to 10 s (the Prometheus client
-// defaults, which downstream dashboards expect).
-var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
+// The hist buckets a histogram exposes as `le` bounds: indices promLo to
+// promHi, whose upper edges 2^i − 1 ns run from ≈1.05 ms to ≈17.2 s,
+// spanning the 5 ms–10 s range request latencies are read in. Observations
+// below the first edge count toward every bound; those above the last count
+// only toward +Inf.
+const (
+	promLo = 20
+	promHi = 34
+)
 
-// Histogram is a fixed-bucket distribution metric. Like *Metric, a nil
-// *Histogram (from a nil Registry) absorbs observations for free, so
-// subsystems observe unconditionally.
+// Histogram is a latency distribution metric over the power-of-two buckets
+// of package hist, the same buckets the timeline's latency series keep. Like
+// *Metric, a nil *Histogram (from a nil Registry) absorbs observations for
+// free, so subsystems observe unconditionally.
 type Histogram struct {
-	name  string
-	help  string
-	upper []float64 // sorted, exclusive of +Inf
+	name string
+	help string
 
-	mu     sync.Mutex
-	counts []int64 // per-bucket (non-cumulative), len(upper)+1 with +Inf last
-	sum    float64
-	count  int64
+	mu      sync.Mutex
+	buckets hist.Buckets
+	sum     time.Duration
+	count   int64
 }
 
 // Name returns the histogram's registered name.
@@ -33,22 +41,22 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Observe records one value. No-op on nil.
-func (h *Histogram) Observe(v float64) {
+// Observe records one duration. No-op on nil.
+func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
 	h.mu.Lock()
-	i := sort.SearchFloat64s(h.upper, v) // first bucket with upper >= v
-	h.counts[i]++
-	h.sum += v
+	h.buckets.Observe(int64(d))
+	h.sum += d
 	h.count++
 	h.mu.Unlock()
 }
 
 // HistBucket is one cumulative bucket of a histogram snapshot.
 type HistBucket struct {
-	// Upper is the bucket's inclusive upper bound (the `le` label).
+	// Upper is the bucket's inclusive upper bound in seconds (the `le`
+	// label): hist.Upper of the bucket index, converted.
 	Upper float64
 	// Count is the cumulative count of observations <= Upper.
 	Count int64
@@ -59,10 +67,10 @@ type HistSample struct {
 	// Name and Help identify the histogram.
 	Name string
 	Help string
-	// Buckets are cumulative, ascending by Upper, excluding +Inf (whose
-	// cumulative count is Count).
+	// Buckets are cumulative, one per hist index promLo..promHi, excluding
+	// +Inf (whose cumulative count is Count).
 	Buckets []HistBucket
-	// Sum is the sum of all observed values.
+	// Sum is the sum of all observed values, in seconds.
 	Sum float64
 	// Count is the total number of observations.
 	Count int64
@@ -72,21 +80,22 @@ type HistSample struct {
 func (h *Histogram) snapshot() HistSample {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := HistSample{Name: h.name, Help: h.help, Sum: h.sum, Count: h.count}
-	s.Buckets = make([]HistBucket, len(h.upper))
+	s := HistSample{Name: h.name, Help: h.help, Sum: h.sum.Seconds(), Count: h.count}
+	s.Buckets = make([]HistBucket, 0, promHi-promLo+1)
 	var cum int64
-	for i, u := range h.upper {
-		cum += h.counts[i]
-		s.Buckets[i] = HistBucket{Upper: u, Count: cum}
+	for i, n := range h.buckets[:promHi+1] {
+		cum += n
+		if i >= promLo {
+			s.Buckets = append(s.Buckets, HistBucket{Upper: time.Duration(hist.Upper(i)).Seconds(), Count: cum})
+		}
 	}
 	return s
 }
 
-// Histogram returns the named histogram, creating it on first use with the
-// given upper bounds (nil or empty selects DefBuckets). Registration is
-// idempotent by name; re-registering a scalar metric's name as a histogram
-// panics, matching the counter/gauge type-conflict rule.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+// Registration is idempotent by name; re-registering a scalar metric's name
+// as a histogram panics, matching the counter/gauge type-conflict rule.
+func (r *Registry) Histogram(name, help string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -102,18 +111,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	if len(buckets) == 0 {
-		buckets = DefBuckets
-	}
-	upper := make([]float64, len(buckets))
-	copy(upper, buckets)
-	sort.Float64s(upper)
-	h := &Histogram{
-		name:   name,
-		help:   help,
-		upper:  upper,
-		counts: make([]int64, len(upper)+1),
-	}
+	h := &Histogram{name: name, help: help}
 	r.hists[name] = h
 	r.histOrder = append(r.histOrder, h)
 	return h

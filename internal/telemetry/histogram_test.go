@@ -5,16 +5,23 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/faasmem/faasmem/internal/telemetry/hist"
 )
 
 func TestHistogramObserveAndSnapshot(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("req_seconds", "request latency", []float64{0.1, 1, 10})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50) // lands in +Inf
+	h := r.Histogram("req_seconds", "request latency")
+	for _, d := range []time.Duration{
+		500 * time.Microsecond, // below the first bound: counts toward every le
+		3 * time.Millisecond,
+		3 * time.Millisecond,
+		2 * time.Second,
+		50 * time.Second, // above the last bound: +Inf only
+	} {
+		h.Observe(d)
+	}
 
 	snaps := r.HistSnapshot()
 	if len(snaps) != 1 {
@@ -24,29 +31,45 @@ func TestHistogramObserveAndSnapshot(t *testing.T) {
 	if s.Count != 5 {
 		t.Fatalf("Count = %d, want 5", s.Count)
 	}
-	if s.Sum != 0.05+0.5+0.5+5+50 {
-		t.Fatalf("Sum = %v", s.Sum)
+	if s.Sum != 52.0065 {
+		t.Fatalf("Sum = %v, want 52.0065", s.Sum)
 	}
-	wantCum := []int64{1, 3, 4}
-	for i, b := range s.Buckets {
-		if b.Count != wantCum[i] {
-			t.Fatalf("bucket %d (le=%v) = %d, want %d", i, b.Upper, b.Count, wantCum[i])
+	if len(s.Buckets) != promHi-promLo+1 {
+		t.Fatalf("got %d buckets, want %d", len(s.Buckets), promHi-promLo+1)
+	}
+	for j, b := range s.Buckets {
+		i := promLo + j
+		if want := time.Duration(hist.Upper(i)).Seconds(); b.Upper != want {
+			t.Fatalf("bucket %d: le = %v, want the hist edge %v", i, b.Upper, want)
+		}
+		var want int64 = 1 // the 500 µs sample
+		if b.Upper >= 0.003 {
+			want += 2
+		}
+		if b.Upper >= 2 {
+			want++
+		}
+		if b.Count != want {
+			t.Fatalf("bucket %d (le=%v) = %d, want %d", i, b.Upper, b.Count, want)
 		}
 	}
 }
 
 func TestHistogramBoundaryIsInclusive(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("edge_seconds", "", []float64{1})
-	h.Observe(1) // le="1" is inclusive per the exposition format
-	if got := r.HistSnapshot()[0].Buckets[0].Count; got != 1 {
-		t.Fatalf("observation at the bound fell outside: count = %d", got)
+	h := r.Histogram("edge_seconds", "")
+	edge := time.Duration(hist.Upper(promLo))
+	h.Observe(edge) // le is inclusive per the exposition format
+	h.Observe(edge + 1)
+	b := r.HistSnapshot()[0].Buckets
+	if b[0].Count != 1 || b[1].Count != 2 {
+		t.Fatalf("observations at and past the first bound read %d and %d, want 1 and 2", b[0].Count, b[1].Count)
 	}
 }
 
 func TestHistogramNilSafe(t *testing.T) {
 	var r *Registry
-	h := r.Histogram("x", "", nil)
+	h := r.Histogram("x", "")
 	if h != nil {
 		t.Fatal("nil registry returned non-nil histogram")
 	}
@@ -58,8 +81,8 @@ func TestHistogramNilSafe(t *testing.T) {
 
 func TestHistogramIdempotentAndTypeConflicts(t *testing.T) {
 	r := NewRegistry()
-	a := r.Histogram("h", "", nil)
-	b := r.Histogram("h", "", []float64{1, 2})
+	a := r.Histogram("h", "")
+	b := r.Histogram("h", "other help")
 	if a != b {
 		t.Fatal("re-registration returned a different histogram")
 	}
@@ -78,7 +101,7 @@ func TestHistogramIdempotentAndTypeConflicts(t *testing.T) {
 				t.Fatal("registering a histogram over a counter did not panic")
 			}
 		}()
-		r.Histogram("c", "", nil)
+		r.Histogram("c", "")
 	}()
 }
 
@@ -90,10 +113,10 @@ func TestHistogramExpositionConformance(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("aa_total", "before").Add(1)
 	r.Counter("zz_total", "after").Add(2)
-	h := r.Histogram("req_seconds", "request latency", []float64{0.25, 0.5, 1})
-	h.Observe(0.1)
-	h.Observe(0.3)
-	h.Observe(2)
+	h := r.Histogram("req_seconds", "request latency")
+	h.Observe(100 * time.Millisecond)
+	h.Observe(300 * time.Millisecond)
+	h.Observe(2 * time.Second)
 
 	var b strings.Builder
 	if err := WritePrometheus(&b, r); err != nil {
@@ -114,8 +137,8 @@ func TestHistogramExpositionConformance(t *testing.T) {
 	// Parse the bucket lines and check cumulativity and the +Inf closure.
 	bucketRe := regexp.MustCompile(`(?m)^req_seconds_bucket\{le="([^"]+)"\} (\d+)$`)
 	matches := bucketRe.FindAllStringSubmatch(out, -1)
-	if len(matches) != 4 {
-		t.Fatalf("got %d bucket lines, want 4:\n%s", len(matches), out)
+	if want := promHi - promLo + 2; len(matches) != want {
+		t.Fatalf("got %d bucket lines, want %d:\n%s", len(matches), want, out)
 	}
 	var prev int64 = -1
 	for _, m := range matches {
@@ -140,8 +163,10 @@ func TestHistogramExpositionConformance(t *testing.T) {
 	if !strings.Contains(out, "req_seconds_sum 2.4\n") {
 		t.Fatalf("missing or wrong _sum:\n%s", out)
 	}
-	// le label values render without exponents for typical bounds.
-	if !strings.Contains(out, `le="0.25"`) || !strings.Contains(out, `le="1"`) {
+	// le label values are the hist edges in seconds, rendered without
+	// exponents: 2^20−1 ns and 2^34−1 ns.
+	if !strings.Contains(out, `req_seconds_bucket{le="0.001048575"} 0`) ||
+		!strings.Contains(out, `req_seconds_bucket{le="17.179869183"} 3`) {
 		t.Fatalf("le formatting drifted:\n%s", out)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry/hist"
 )
 
 // Row is one (series, dims, window) cell flattened for export, the
@@ -67,7 +68,7 @@ func (r *Recorder) Rows() []Row {
 				Max:    p.max,
 			}
 			if s.kind == Sample {
-				row.P99 = p.quantile(0.99)
+				row.P99 = p.buckets.Quantile(0.99, p.count, p.max)
 			}
 			out = append(out, row)
 		}
@@ -89,6 +90,28 @@ func (r *Recorder) Rows() []Row {
 		return a.Class < b.Class
 	})
 	return out
+}
+
+// Buckets returns the named series' histogram merged across every
+// dimension and window: the distribution the registry's histogram of the
+// same samples holds.
+func (r *Recorder) Buckets(name string) (b hist.Buckets) {
+	if r == nil {
+		return b
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, s := range r.series {
+		if k.name != name {
+			continue
+		}
+		for _, p := range s.points {
+			if p.buckets != nil {
+				b.Merge(p.buckets)
+			}
+		}
+	}
+	return b
 }
 
 // SummaryRow is one window of the cross-dimension rollup: the headline
@@ -134,7 +157,7 @@ func Summarize(r *Recorder) []SummaryRow {
 		requests, retries, timeouts   int64
 		fallback, reinits, faultKinds int64
 		latCount, latMax              int64
-		latBuckets                    [nBuckets]int64
+		latBuckets                    hist.Buckets
 	}
 	cells := make(map[int64]*agg)
 	lo, hi := int64(1<<62), int64(-1<<62)
@@ -184,9 +207,7 @@ func Summarize(r *Recorder) []SummaryRow {
 					a.latMax = p.max
 				}
 				if p.buckets != nil {
-					for i, c := range p.buckets {
-						a.latBuckets[i] += c
-					}
+					a.latBuckets.Merge(p.buckets)
 				}
 			}
 		}
@@ -213,8 +234,7 @@ func Summarize(r *Recorder) []SummaryRow {
 			row.Reinits = a.reinits
 			row.FaultKinds = a.faultKinds
 			if a.latCount > 0 {
-				merged := point{count: a.latCount, max: a.latMax, buckets: &a.latBuckets}
-				row.P99Ms = float64(merged.quantile(0.99)) / float64(time.Millisecond)
+				row.P99Ms = float64(a.latBuckets.Quantile(0.99, a.latCount, a.latMax)) / float64(time.Millisecond)
 			}
 		}
 		out = append(out, row)

@@ -20,19 +20,21 @@
 //     width (each engine owns its recorder; the CI determinism gate diffs
 //     ext-observe output across widths).
 //   - Bounded memory. The flight recorder is a fixed-capacity overwrite-
-//     oldest ring; dumps are capped at MaxDumps; latency distributions use
-//     a fixed 65-slot power-of-two bucket array per (series, window).
+//     oldest ring (package ring); dumps are capped at MaxDumps; latency
+//     distributions use one power-of-two bucket array (package hist) per
+//     (series, window).
 package timeseries
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry/hist"
+	"github.com/faasmem/faasmem/internal/telemetry/ring"
 )
 
 // Canonical series names. Subsystems and exporters share these constants so
@@ -138,10 +140,6 @@ type Dims struct {
 	Class string `json:"class,omitempty"`
 }
 
-// nBuckets spans every positive int64: bucket i holds values whose bit
-// length is i, i.e. [2^(i-1), 2^i). Bucket 0 holds zero.
-const nBuckets = 65
-
 // point is one (series, window) cell.
 type point struct {
 	count   int64
@@ -149,7 +147,7 @@ type point struct {
 	last    int64
 	min     int64
 	max     int64
-	buckets *[nBuckets]int64 // Sample series only
+	buckets *hist.Buckets // Sample series only
 }
 
 func (p *point) observe(v int64) {
@@ -162,51 +160,6 @@ func (p *point) observe(v int64) {
 	p.count++
 	p.sum += v
 	p.last = v
-}
-
-// quantile estimates quantile q (0..1] from the bucket histogram as the
-// upper edge of the bucket where the cumulative count crosses q·count,
-// clamped to the window's observed max. Deterministic and bounded, which is
-// what a per-window P99 on the DES hot path needs.
-func (p *point) quantile(q float64) int64 {
-	if p.buckets == nil || p.count == 0 {
-		return p.max
-	}
-	rank := int64(q * float64(p.count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i < nBuckets; i++ {
-		cum += p.buckets[i]
-		if cum >= rank {
-			edge := bucketUpper(i)
-			if edge > p.max {
-				return p.max
-			}
-			return edge
-		}
-	}
-	return p.max
-}
-
-// bucketOf maps a value to its bucket index.
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// bucketUpper is the inclusive upper edge of bucket i.
-func bucketUpper(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	if i >= 63 {
-		return 1<<63 - 1
-	}
-	return 1<<i - 1
 }
 
 // seriesKey identifies one series; comparable so map lookup is allocation-
@@ -322,10 +275,7 @@ type Recorder struct {
 	cfg    Config
 	series map[seriesKey]*seriesData
 
-	// Flight ring: fixed capacity, overwrite oldest.
-	flight []FlightEvent
-	fNext  int
-	fTotal uint64
+	flight ring.Ring[FlightEvent]
 
 	// Fault-window triggers: sorted start times not yet crossed.
 	trigAt   []simtime.Time
@@ -353,7 +303,7 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{
 		cfg:      cfg,
 		series:   make(map[seriesKey]*seriesData),
-		flight:   make([]FlightEvent, 0, cfg.FlightCapacity),
+		flight:   ring.New[FlightEvent](cfg.FlightCapacity),
 		alarmWin: -1 << 62,
 		flows:    make(map[flowKey]map[int64]int64),
 		occ:      make(map[int64]*occWindow),
@@ -384,7 +334,7 @@ func (r *Recorder) AddCounter(at simtime.Time, name string, d Dims, delta int64)
 	r.crossTriggers(at)
 	p := r.pointAt(at, name, d, Counter)
 	p.observe(delta)
-	r.record(FlightEvent{At: at, Name: name, Dims: d, Value: delta})
+	r.flight.Push(FlightEvent{At: at, Name: name, Dims: d, Value: delta})
 	r.mu.Unlock()
 }
 
@@ -445,10 +395,10 @@ func (r *Recorder) observeLocked(at simtime.Time, name string, d Dims, v int64, 
 	p := r.pointAt(at, name, d, Sample)
 	p.observe(v)
 	if p.buckets == nil {
-		p.buckets = new([nBuckets]int64)
+		p.buckets = new(hist.Buckets)
 	}
-	p.buckets[bucketOf(v)]++
-	r.record(FlightEvent{At: at, Name: name, Dims: d, Value: v})
+	p.buckets.Observe(v)
+	r.flight.Push(FlightEvent{At: at, Name: name, Dims: d, Value: v})
 }
 
 // sealAlarmWindow evaluates the burn-rate alarm for the window that just
@@ -485,20 +435,6 @@ func (r *Recorder) pointAt(at simtime.Time, name string, d Dims, kind SeriesKind
 	s.lastWin = win
 	s.lastPt = p
 	return p
-}
-
-// record appends one event to the flight ring (overwrite oldest when full).
-func (r *Recorder) record(ev FlightEvent) {
-	if len(r.flight) < cap(r.flight) {
-		r.flight = append(r.flight, ev)
-	} else {
-		r.flight[r.fNext] = ev
-		r.fNext++
-		if r.fNext == len(r.flight) {
-			r.fNext = 0
-		}
-	}
-	r.fTotal++
 }
 
 // ArmFaultStarts registers fault-window start times: the first event
@@ -542,19 +478,11 @@ func (r *Recorder) dump(trigger Trigger, series string, at simtime.Time) {
 	}
 	horizon := at - simtime.Time(r.cfg.FlightWindows)*r.cfg.Window
 	var events []FlightEvent
-	appendRecent := func(evs []FlightEvent) {
-		for _, ev := range evs {
-			if ev.At >= horizon {
-				events = append(events, ev)
-			}
+	r.flight.Each(func(ev FlightEvent) {
+		if ev.At >= horizon {
+			events = append(events, ev)
 		}
-	}
-	if len(r.flight) == cap(r.flight) && cap(r.flight) > 0 {
-		appendRecent(r.flight[r.fNext:])
-		appendRecent(r.flight[:r.fNext])
-	} else {
-		appendRecent(r.flight)
-	}
+	})
 	r.dumps = append(r.dumps, Dump{
 		Trigger: trigger,
 		Series:  series,
@@ -593,7 +521,7 @@ func (r *Recorder) FlightTotal() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.fTotal
+	return r.flight.Total()
 }
 
 // Config returns the recorder's effective configuration, so a shard
@@ -657,28 +585,13 @@ func (r *Recorder) MergeFrom(src *Recorder) error {
 			dp.last = p.last
 			if p.buckets != nil {
 				if dp.buckets == nil {
-					dp.buckets = new([nBuckets]int64)
+					dp.buckets = new(hist.Buckets)
 				}
-				for b, n := range p.buckets {
-					dp.buckets[b] += n
-				}
+				dp.buckets.Merge(p.buckets)
 			}
 		}
 	}
-	var retained int
-	mergeFlight := func(evs []FlightEvent) {
-		for _, ev := range evs {
-			r.record(ev)
-		}
-		retained += len(evs)
-	}
-	if len(src.flight) == cap(src.flight) && cap(src.flight) > 0 {
-		mergeFlight(src.flight[src.fNext:])
-		mergeFlight(src.flight[:src.fNext])
-	} else {
-		mergeFlight(src.flight)
-	}
-	r.fTotal += src.fTotal - uint64(retained) // record() counted the retained ones
+	r.flight.MergeFrom(&src.flight)
 	for _, d := range src.dumps {
 		if len(r.dumps) >= r.cfg.MaxDumps {
 			r.dumpsDropped++
@@ -699,9 +612,7 @@ func (r *Recorder) Reset() {
 	}
 	r.mu.Lock()
 	r.series = make(map[seriesKey]*seriesData)
-	r.flight = r.flight[:0]
-	r.fNext = 0
-	r.fTotal = 0
+	r.flight.Reset()
 	r.alarmWin = -1 << 62
 	r.alarmCount = 0
 	r.alarmOver = 0

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -83,7 +84,8 @@ type kaContainer struct {
 // ordered by idleSince — a container finishing its request is always the
 // newest idler, so expiry pops from the front and the longest-idle pick *is*
 // the front — which makes the whole replay O(n) instead of the reference's
-// O(n·pool). Unsorted timelines fall back to simulateKeepAliveReference.
+// O(n·pool). An unsorted timeline is replayed as its sorted copy, the order
+// a discrete-event simulation fires the arrivals in.
 func SimulateKeepAlive(invocations []simtime.Time, execTime, timeout time.Duration) KeepAliveResult {
 	return simulateKeepAlive(invocations, execTime, timeout, true)
 }
@@ -97,16 +99,9 @@ func SimulateKeepAliveScalars(invocations []simtime.Time, execTime, timeout time
 }
 
 func simulateKeepAlive(invocations []simtime.Time, execTime, timeout time.Duration, collect bool) KeepAliveResult {
-	for i := 1; i < len(invocations); i++ {
-		if invocations[i] < invocations[i-1] {
-			res := simulateKeepAliveReference(invocations, execTime, timeout)
-			if !collect {
-				res.RequestsPerContainer = nil
-				res.ReusedIntervals = nil
-				res.ContainerLifetimes = nil
-			}
-			return res
-		}
+	if !slices.IsSorted(invocations) {
+		invocations = slices.Clone(invocations)
+		slices.Sort(invocations)
 	}
 
 	var res KeepAliveResult
@@ -177,62 +172,6 @@ func simulateKeepAlive(invocations []simtime.Time, execTime, timeout time.Durati
 	// Drain: every surviving container idles out after its timeout.
 	for i := head; i < len(pool); i++ {
 		retire(&pool[i], pool[i].idleSince+timeout)
-	}
-	return res
-}
-
-// simulateKeepAliveReference is the retired O(n·pool) pool-walk
-// implementation, kept as the oracle for the differential tests and as the
-// fallback for unsorted timelines. Its per-container bookkeeping defines the
-// semantics SimulateKeepAlive must reproduce.
-func simulateKeepAliveReference(invocations []simtime.Time, execTime, timeout time.Duration) KeepAliveResult {
-	var res KeepAliveResult
-	var pool []*kaContainer // containers, alive
-
-	retire := func(c *kaContainer, at simtime.Time) {
-		res.ActiveTime += c.active
-		res.InactiveTime += (at - c.launched) - c.active
-		res.RequestsPerContainer = append(res.RequestsPerContainer, c.requests)
-		res.ContainerLifetimes = append(res.ContainerLifetimes, at-c.launched)
-	}
-
-	for _, at := range invocations {
-		// Expire idle containers whose keep-alive lapsed before this request.
-		alive := pool[:0]
-		for _, c := range pool {
-			if c.busyUntil <= at && at-c.idleSince > timeout {
-				retire(c, c.idleSince+timeout)
-				continue
-			}
-			alive = append(alive, c)
-		}
-		pool = alive
-
-		// Pick the idle container that has waited longest.
-		var pick *kaContainer
-		for _, c := range pool {
-			if c.busyUntil <= at && (pick == nil || c.idleSince < pick.idleSince) {
-				pick = c
-			}
-		}
-		if pick != nil {
-			res.WarmStarts++
-			res.ReusedIntervals = append(res.ReusedIntervals, (at - pick.idleSince))
-		} else {
-			res.ColdStarts++
-			pick = &kaContainer{launched: at}
-			pool = append(pool, pick)
-		}
-		pick.requests++
-		pick.active += execTime
-		pick.busyUntil = at + execTime
-		pick.idleSince = pick.busyUntil
-	}
-
-	// Drain: every surviving container idles out after its timeout.
-	for _, c := range pool {
-		end := c.idleSince + timeout
-		retire(c, end)
 	}
 	return res
 }

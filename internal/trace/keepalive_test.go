@@ -263,17 +263,85 @@ func TestKeepAliveDifferential(t *testing.T) {
 	}
 }
 
-// TestKeepAliveUnsortedFallback: unsorted timelines take the reference path
-// and still produce its exact result.
+// TestKeepAliveUnsortedFallback: an unsorted timeline replays as its sorted
+// copy, and the caller's slice is left as it was.
 func TestKeepAliveUnsortedFallback(t *testing.T) {
 	inv := []simtime.Time{
 		simtime.Time(30 * time.Second),
 		simtime.Time(10 * time.Second),
 		simtime.Time(20 * time.Second),
+		simtime.Time(10 * time.Second),
+		simtime.Time(200 * time.Second),
 	}
+	orig := append([]simtime.Time(nil), inv...)
+	sorted := append([]simtime.Time(nil), inv...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	got := SimulateKeepAlive(inv, time.Second, time.Minute)
-	want := simulateKeepAliveReference(inv, time.Second, time.Minute)
+	want := SimulateKeepAlive(sorted, time.Second, time.Minute)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("unsorted fallback diverges: %+v vs %+v", got, want)
+		t.Fatalf("unsorted replay diverges from the sorted copy: %+v vs %+v", got, want)
 	}
+	if !reflect.DeepEqual(inv, orig) {
+		t.Fatalf("SimulateKeepAlive reordered the caller's timeline: %v", inv)
+	}
+	scalars := SimulateKeepAliveScalars(inv, time.Second, time.Minute)
+	if scalars.ColdStarts != want.ColdStarts || scalars.ActiveTime != want.ActiveTime || scalars.InactiveTime != want.InactiveTime {
+		t.Fatalf("unsorted scalars diverge: %+v vs %+v", scalars, want)
+	}
+}
+
+// simulateKeepAliveReference is the retired O(n·pool) pool-walk
+// implementation, kept as the oracle for the differential tests. Its
+// per-container bookkeeping defines the semantics SimulateKeepAlive must
+// reproduce on a sorted timeline.
+func simulateKeepAliveReference(invocations []simtime.Time, execTime, timeout time.Duration) KeepAliveResult {
+	var res KeepAliveResult
+	var pool []*kaContainer // containers, alive
+
+	retire := func(c *kaContainer, at simtime.Time) {
+		res.ActiveTime += c.active
+		res.InactiveTime += (at - c.launched) - c.active
+		res.RequestsPerContainer = append(res.RequestsPerContainer, c.requests)
+		res.ContainerLifetimes = append(res.ContainerLifetimes, at-c.launched)
+	}
+
+	for _, at := range invocations {
+		// Expire idle containers whose keep-alive lapsed before this request.
+		alive := pool[:0]
+		for _, c := range pool {
+			if c.busyUntil <= at && at-c.idleSince > timeout {
+				retire(c, c.idleSince+timeout)
+				continue
+			}
+			alive = append(alive, c)
+		}
+		pool = alive
+
+		// Pick the idle container that has waited longest.
+		var pick *kaContainer
+		for _, c := range pool {
+			if c.busyUntil <= at && (pick == nil || c.idleSince < pick.idleSince) {
+				pick = c
+			}
+		}
+		if pick != nil {
+			res.WarmStarts++
+			res.ReusedIntervals = append(res.ReusedIntervals, (at - pick.idleSince))
+		} else {
+			res.ColdStarts++
+			pick = &kaContainer{launched: at}
+			pool = append(pool, pick)
+		}
+		pick.requests++
+		pick.active += execTime
+		pick.busyUntil = at + execTime
+		pick.idleSince = pick.busyUntil
+	}
+
+	// Drain: every surviving container idles out after its timeout.
+	for _, c := range pool {
+		end := c.idleSince + timeout
+		retire(c, end)
+	}
+	return res
 }
