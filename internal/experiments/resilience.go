@@ -145,7 +145,7 @@ func Resilience(opt ResilienceOptions) []ResilienceRow {
 		}
 		var lat metrics.Sampler
 		for _, n := range c.Nodes() {
-			for _, rec := range n.RequestLog().Records() {
+			for _, rec := range n.RequestLog().Items() {
 				lat.AddDuration(rec.Latency)
 			}
 		}

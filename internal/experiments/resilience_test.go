@@ -130,7 +130,7 @@ func TestFaultPlanZeroCostWhenOff(t *testing.T) {
 				p.Register(prof.Name, &prof)
 				p.ScheduleInvocations(prof.Name, tc.invs)
 				e.RunUntil(horizon)
-				return result{p.Aggregate(), p.RequestLog().Records(), p.Recovery(),
+				return result{p.Aggregate(), p.RequestLog().Items(), p.Recovery(),
 					p.Function(prof.Name).Stats().WriteBreakPages}
 			}
 

@@ -263,7 +263,7 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 	}
 	var stageLat metrics.Sampler
 	for _, n := range c.Nodes() {
-		for _, r := range n.RequestLog().Records() {
+		for _, r := range n.RequestLog().Items() {
 			stageLat.AddDuration(r.Latency)
 		}
 	}

@@ -481,7 +481,7 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 	c.p.syncMemGauges()
 	c.fn.stats.Latency.AddDuration(now - arrival)
 	c.fn.stats.ExecLatency.AddDuration(now - c.started)
-	c.p.reqLog.Add(RequestRecord{
+	c.p.reqLog.Push(RequestRecord{
 		Function:    c.fn.id,
 		Container:   c.id,
 		Kind:        c.curKind,

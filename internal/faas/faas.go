@@ -23,6 +23,7 @@ import (
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
+	"github.com/faasmem/faasmem/internal/telemetry/ring"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -279,7 +280,7 @@ type Platform struct {
 	liveTW     *metrics.TimeWeighted
 	governor   *rmem.Governor
 	swap       *fastswap.Device
-	reqLog     RequestLog
+	reqLog     ring.Ring[RequestRecord]
 	tel        telemetry.Hub
 	containers int // ever created
 	liveTotal  int
@@ -318,7 +319,9 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 	}
 	p.tel = c.Telemetry.Attach(node)
 	p.swap.Instrument(p.tel.Reg)
-	p.reqLog.SetCapacity(c.RequestLogSize)
+	if c.RequestLogSize > 0 {
+		p.reqLog = ring.New[RequestRecord](c.RequestLogSize)
+	}
 	p.armTimeline(pool.Instrument(p.tel))
 	return p
 }
@@ -513,9 +516,9 @@ func (p *Platform) LiveContainersAvg() float64 { return p.liveTW.Average(p.engin
 // ContainersCreated returns how many containers were ever launched.
 func (p *Platform) ContainersCreated() int { return p.containers }
 
-// RequestLog exposes the platform's recent-request ring (enabled via
-// Config.RequestLogSize).
-func (p *Platform) RequestLog() *RequestLog { return &p.reqLog }
+// RequestLog exposes the platform's ring of recent request records, oldest
+// first in Items. It holds nothing unless Config.RequestLogSize is set.
+func (p *Platform) RequestLog() *ring.Ring[RequestRecord] { return &p.reqLog }
 
 // EvictedContainers counts idle containers force-recycled to keep the node
 // within its memory limit.

@@ -473,7 +473,7 @@ func TestRequestLogRecordsPaths(t *testing.T) {
 	p.Register("f", tinyProfile())
 	p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
 	e.RunUntil(5 * time.Second)
-	recs := p.RequestLog().Records()
+	recs := p.RequestLog().Items()
 	if len(recs) != 2 {
 		t.Fatalf("records = %d, want 2", len(recs))
 	}
@@ -489,21 +489,35 @@ func TestRequestLogRecordsPaths(t *testing.T) {
 }
 
 func TestRequestLogRingEviction(t *testing.T) {
-	var l RequestLog
-	if l.Enabled() {
-		t.Fatal("zero log should be disabled")
+	arrivals := []simtime.Time{0, 2 * time.Second, 4 * time.Second, 6 * time.Second, 8 * time.Second}
+	run := func(size int) []RequestRecord {
+		e := simtime.NewEngine()
+		p := New(e, Config{
+			KeepAliveTimeout: 30 * time.Second,
+			RequestLogSize:   size,
+			Seed:             1,
+		}, offloadAllPolicy{})
+		p.Register("f", tinyProfile())
+		p.ScheduleInvocations("f", arrivals)
+		e.RunUntil(15 * time.Second)
+		if got := p.RequestLog().Total(); got != uint64(len(arrivals)) {
+			t.Fatalf("size %d: pushed %d records, want %d", size, got, len(arrivals))
+		}
+		return p.RequestLog().Items()
 	}
-	l.Add(RequestRecord{Function: "dropped"}) // no-op while disabled
-	l.SetCapacity(3)
-	for i := 0; i < 5; i++ {
-		l.Add(RequestRecord{Container: string(rune('a' + i))})
+	for _, size := range []int{0, -1} {
+		if recs := run(size); len(recs) != 0 {
+			t.Fatalf("size %d should keep no records, got %d", size, len(recs))
+		}
 	}
-	recs := l.Records()
+	recs := run(3)
 	if len(recs) != 3 {
 		t.Fatalf("len = %d, want 3", len(recs))
 	}
-	if recs[0].Container != "c" || recs[2].Container != "e" {
-		t.Fatalf("ring order wrong: %+v", recs)
+	for i, r := range recs {
+		if want := arrivals[len(arrivals)-3+i]; r.Arrival != want {
+			t.Fatalf("record %d arrived at %v, want %v (ring order wrong)", i, r.Arrival, want)
+		}
 	}
 }
 

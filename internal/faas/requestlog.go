@@ -57,57 +57,3 @@ type RequestRecord struct {
 	// StallTime is the latency share spent waiting on remote memory.
 	StallTime time.Duration `json:"stall_time"`
 }
-
-// RequestLog is a bounded ring of recent request records. The zero value is
-// disabled; enable with SetCapacity or the platform's Config.RequestLogSize.
-type RequestLog struct {
-	buf  []RequestRecord
-	next int
-	full bool
-}
-
-// SetCapacity sizes the ring (dropping existing records). Zero disables.
-func (l *RequestLog) SetCapacity(n int) {
-	if n <= 0 {
-		l.buf = nil
-	} else {
-		l.buf = make([]RequestRecord, n)
-	}
-	l.next = 0
-	l.full = false
-}
-
-// Enabled reports whether records are being kept.
-func (l *RequestLog) Enabled() bool { return len(l.buf) > 0 }
-
-// Add appends a record, evicting the oldest when full.
-func (l *RequestLog) Add(r RequestRecord) {
-	if len(l.buf) == 0 {
-		return
-	}
-	l.buf[l.next] = r
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.full = true
-	}
-}
-
-// Len returns the number of stored records.
-func (l *RequestLog) Len() int {
-	if l.full {
-		return len(l.buf)
-	}
-	return l.next
-}
-
-// Records returns stored records oldest-first.
-func (l *RequestLog) Records() []RequestRecord {
-	n := l.Len()
-	out := make([]RequestRecord, 0, n)
-	if l.full {
-		out = append(out, l.buf[l.next:]...)
-	}
-	out = append(out, l.buf[:l.next]...)
-	return out
-}

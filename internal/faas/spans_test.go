@@ -47,7 +47,7 @@ func TestSpanTreesReconcileWithRequestLog(t *testing.T) {
 	e.Run()
 
 	invs := rec.Invocations()
-	recs := p.RequestLog().Records()
+	recs := p.RequestLog().Items()
 	if len(invs) != 3 || len(recs) != 3 {
 		t.Fatalf("got %d spans / %d log records, want 3/3", len(invs), len(recs))
 	}
@@ -160,7 +160,7 @@ func TestSpansDisabledMatchesEnabledLatency(t *testing.T) {
 		p.Register("f", tinyProfile())
 		p.ScheduleInvocations("f", []simtime.Time{0, time.Second, 2 * time.Second})
 		e.Run()
-		return p.RequestLog().Records()
+		return p.RequestLog().Items()
 	}
 	off := run(nil)
 	on := run(span.NewRecorder(64))

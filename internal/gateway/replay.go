@@ -192,7 +192,7 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		PeakLocalMB:   float64(p.NodeLocalPeak()) / 1e6,
 		OffloadedMB:   float64(p.Pool().Meter(rmem.Offload).Total()) / 1e6,
 		OffloadBWMBps: p.Pool().Meter(rmem.Offload).Average(engine.Now()) / 1e6,
-		Recent:        p.RequestLog().Records(),
+		Recent:        p.RequestLog().Items(),
 	}
 	agg := p.Aggregate()
 	resp.Requests = agg.Requests
