@@ -196,7 +196,7 @@ func (c *Cluster) pickNode(fnID string) (n *faas.Platform, faultResched bool) {
 		var warmIdle, strappedIdle simtime.Time
 		var footprint int64
 		faultAvoided := false
-		degraded := c.pool.Degraded(c.engine.Now())
+		degraded := !c.pool.Healthy(c.engine.Now())
 		for _, n := range c.nodes {
 			f := n.Function(fnID)
 			if f == nil {

@@ -1,10 +1,12 @@
 package rmem
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
 // ClassCounts counts a described batch's pages per memnode.Class. Index with
@@ -24,85 +26,114 @@ func (c ClassCounts) Total() int {
 // compute-side container (rack-unique), fn its function, counts the pages per
 // lifecycle class. With a memory node attached each class is admitted through
 // dedup/quota/capacity and the accepted subset may be smaller than requested;
-// without one the whole batch is accepted (or ErrPoolFull, matching
-// OffloadBytes). Accepted pages cross the wire in full — dedup saves pool
-// DRAM, not link bandwidth (the node merges after receipt, as in UPM-style
-// page merging).
-func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) (accepted ClassCounts, done simtime.Time, err error) {
-	if p.node == nil {
-		p.stageFlow(fn, counts, pageBytes)
-		done, err = p.OffloadBytes(now, int64(counts.Total())*pageBytes)
-		if err != nil {
-			p.clearFlowStage()
-			return ClassCounts{}, done, err
-		}
-		return counts, done, nil
+// without one the whole batch is accepted, or nothing with ErrPoolFull when
+// it would exceed Capacity (pages then stay local; the paper leaves
+// rescheduling of this case as future work). Accepted pages cross the wire in
+// full — dedup saves pool DRAM, not link bandwidth (the node merges after
+// receipt, as in UPM-style page merging). [start, done) is the link window
+// the transfer reserved; both are now when nothing crossed the wire.
+func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) (accepted ClassCounts, start, done simtime.Time, err error) {
+	bytes := int64(counts.Total()) * pageBytes
+	if bytes < 0 {
+		panic(fmt.Sprintf("rmem: negative offload %d", bytes))
+	}
+	if p.node == nil && bytes == 0 {
+		return counts, now, now, nil
 	}
 	if err := p.probeHealth(now); err != nil {
-		return ClassCounts{}, now, err
+		return ClassCounts{}, now, now, err
 	}
-	comp0, spill0, merged0 := p.tierFlowsBefore()
-	total := 0
-	for cls := range counts {
-		if counts[cls] == 0 {
-			continue
+	if p.node == nil {
+		if p.cfg.Capacity > 0 && p.used+bytes > p.cfg.Capacity {
+			return ClassCounts{}, now, now, ErrPoolFull
 		}
-		acc := p.node.Offload(owner, fn, memnode.Class(cls), counts[cls])
-		accepted[cls] = acc
-		total += acc
+		accepted = counts
+	} else {
+		comp0, spill0, merged0 := p.tierFlowsBefore()
+		for cls, n := range counts {
+			if n != 0 {
+				accepted[cls] = p.node.Offload(owner, fn, memnode.Class(cls), n)
+			}
+		}
+		p.recordTierFlows(now, fn, comp0, spill0, merged0, pageBytes)
+		if accepted.Total() == 0 {
+			return accepted, now, now, nil
+		}
+		bytes = int64(accepted.Total()) * pageBytes
 	}
-	p.recordTierFlows(now, fn, comp0, spill0, merged0, pageBytes)
-	if total == 0 {
-		return accepted, now, nil
-	}
-	p.stageFlow(fn, accepted, pageBytes)
-	return accepted, p.commitOffload(now, int64(total)*pageBytes), nil
+	start, done = p.reserve(now, bytes)
+	p.move(now, timeseries.FlowOffload, p.meter[Offload], fn, accepted, pageBytes, bytes)
+	p.tel.LinkBytes(now, int(Offload), bytes, start, time.Duration(done-start))
+	return accepted, start, done, nil
 }
 
-// FaultBatchOwner is FaultBatchDetail for a described batch of demand faults:
-// with a memory node attached, the recalled pages' provenance releases the
-// owner's holdings (freeing the resident copy on last reference) and the
-// tier surcharge for compressed/spilled fractions is added to the stall.
+// FaultBatchOwner performs a described batch of demand faults during one
+// request execution. Fetches pipeline FaultPipeline-deep, so the request
+// observes one FaultLatency per pipeline-full plus the wire time of the
+// data, with saturation inflation once the link is busy. The pages' bytes
+// leave the pool. With a memory node attached, the recalled pages'
+// provenance releases the owner's holdings (freeing the resident copy on
+// last reference) and the tier surcharge for compressed/spilled fractions is
+// added to the stall.
 func (p *Pool) FaultBatchOwner(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) FaultStall {
-	var tier time.Duration
-	if p.node != nil {
-		for cls := range counts {
-			if counts[cls] == 0 {
-				continue
-			}
-			tier += p.node.Recall(owner, fn, memnode.Class(cls), counts[cls]).Latency
-		}
+	n := counts.Total()
+	if n < 0 || pageBytes < 0 {
+		panic("rmem: negative fault batch")
 	}
-	p.stageFlow(fn, counts, pageBytes)
-	return p.faultBatch(now, counts.Total(), pageBytes, tier)
+	tier := p.nodeRecall(owner, fn, counts)
+	if n == 0 {
+		return FaultStall{}
+	}
+	bytes := p.move(now, timeseries.FlowFault, p.meter[Recall], fn, counts, pageBytes, int64(n)*pageBytes)
+	p.tel.LinkBytes(now, int(Recall), bytes, 0, 0)
+	return p.demandFetch(now, n, bytes, tier)
 }
 
-// RecallDescribed is RecallBytes for a described batch (bulk recalls and
-// swap readahead). The node's holdings are released; the tier latency is
+// RecallDescribed moves a described batch back from the pool in bulk (swap
+// readahead, prefetching a semi-warm container's hot set) and returns the
+// completion time. The node's holdings are released; the tier latency is
 // absorbed by the bulk transfer (readahead pages ride the cluster read off
-// the request's critical path), so only the completion time is returned.
+// the request's critical path).
 func (p *Pool) RecallDescribed(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) simtime.Time {
-	if p.node != nil {
-		for cls := range counts {
-			if counts[cls] == 0 {
-				continue
-			}
-			p.node.Recall(owner, fn, memnode.Class(cls), counts[cls])
-		}
+	bytes := int64(counts.Total()) * pageBytes
+	if bytes < 0 {
+		panic(fmt.Sprintf("rmem: negative recall %d", bytes))
 	}
-	p.stageFlow(fn, counts, pageBytes)
-	return p.RecallBytes(now, int64(counts.Total())*pageBytes)
+	p.nodeRecall(owner, fn, counts)
+	if bytes == 0 {
+		return now
+	}
+	bytes = p.move(now, timeseries.FlowRecall, p.meter[Recall], fn, counts, pageBytes, bytes)
+	start, done := p.reserve(now, bytes)
+	p.tel.LinkBytes(now, int(Recall), bytes, start, time.Duration(done-start))
+	return done
 }
 
-// DiscardOwner drops a recycled container's remote bytes. With a memory node
-// attached its described holdings are released too (refcounts drop; shared
-// copies persist while other containers still reference them). bytes is the
-// compute side's remote-byte count, which governs the pool's byte ledger; fn
-// attributes the discard flow to the container's function (tenant).
+// DiscardOwner drops a recycled container's remote bytes without a
+// transfer. With a memory node attached its described holdings are released
+// too (refcounts drop; shared copies persist while other containers still
+// reference them). bytes is the compute side's remote-byte count, which
+// governs the pool's byte ledger; fn attributes the discard flow to the
+// container's function (tenant), stamped at now.
 func (p *Pool) DiscardOwner(now simtime.Time, owner, fn string, bytes int64) {
 	if p.node != nil {
 		p.node.DiscardOwner(owner)
 	}
-	p.stageFlowTenant(fn)
-	p.Discard(now, bytes)
+	p.move(now, timeseries.FlowDiscard, nil, fn, ClassCounts{}, 0, bytes)
+}
+
+// nodeRecall releases a described batch's holdings on the memory node and
+// returns the tier surcharge for its compressed/spilled fractions (zero
+// without a node).
+func (p *Pool) nodeRecall(owner, fn string, counts ClassCounts) time.Duration {
+	if p.node == nil {
+		return 0
+	}
+	var tier time.Duration
+	for cls, n := range counts {
+		if n != 0 {
+			tier += p.node.Recall(owner, fn, memnode.Class(cls), n).Latency
+		}
+	}
+	return tier
 }

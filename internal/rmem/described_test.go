@@ -17,18 +17,18 @@ func nodePool(node memnode.Config) *Pool {
 
 func TestOffloadExactlyAtCapacity(t *testing.T) {
 	p := NewPool(Config{Capacity: 3 * pageB})
-	if _, err := p.OffloadBytes(0, 2*pageB); err != nil {
+	if _, err := pushBytes(p, 0, 2*pageB); err != nil {
 		t.Fatal(err)
 	}
 	// The last page lands exactly on the boundary — must succeed.
-	if _, err := p.OffloadBytes(0, pageB); err != nil {
+	if _, err := pushBytes(p, 0, pageB); err != nil {
 		t.Fatalf("offload to exact capacity rejected: %v", err)
 	}
 	if p.Used() != 3*pageB {
 		t.Fatalf("Used = %d, want full capacity %d", p.Used(), 3*pageB)
 	}
 	// One more byte tips over.
-	if _, err := p.OffloadBytes(0, 1); !errors.Is(err, ErrPoolFull) {
+	if _, err := pushBytes(p, 0, 1); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}
 	if p.Used() != 3*pageB {
@@ -39,11 +39,11 @@ func TestOffloadExactlyAtCapacity(t *testing.T) {
 func TestAcceptableBytesTruncatesAtFreeSpace(t *testing.T) {
 	// Backlog budget is huge; free capacity is the binding constraint.
 	p := NewPool(Config{Capacity: 10 * pageB, MaxBacklog: time.Hour})
-	p.OffloadBytes(0, 9*pageB)
+	pushBytes(p, 0, 9*pageB)
 	if got := p.AcceptableBytes(time.Hour); got != pageB {
 		t.Fatalf("budget = %d, want exact free space %d", got, pageB)
 	}
-	p.OffloadBytes(time.Hour, pageB)
+	pushBytes(p, time.Hour, pageB)
 	if got := p.AcceptableBytes(2 * time.Hour); got != 0 {
 		t.Fatalf("budget at full capacity = %d, want 0", got)
 	}
@@ -53,7 +53,7 @@ func TestOffloadDescribedNilNodeIsAllOrNothing(t *testing.T) {
 	p := NewPool(Config{Capacity: 4 * pageB})
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 5
-	acc, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
+	acc, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
 	if !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}
@@ -61,7 +61,7 @@ func TestOffloadDescribedNilNodeIsAllOrNothing(t *testing.T) {
 		t.Fatalf("failed offload accepted %d pages, used %d", acc.Total(), p.Used())
 	}
 	counts[memnode.ClassRuntime] = 4
-	acc, done, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
+	acc, _, done, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
 	if err != nil || acc != counts {
 		t.Fatalf("fitting offload = (%v, %v), want full acceptance", acc, err)
 	}
@@ -80,7 +80,7 @@ func TestOffloadDescribedPartialWithNode(t *testing.T) {
 	})
 	var counts ClassCounts
 	counts[memnode.ClassExec] = 10
-	acc, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
+	acc, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestOffloadDescribedDedupAdmitsBeyondDRAM(t *testing.T) {
 	var counts ClassCounts
 	counts[memnode.ClassInit] = 8
 	for _, owner := range []string{"c0", "c1"} {
-		acc, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB)
+		acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB)
 		if err != nil || acc != counts {
 			t.Fatalf("owner %s: accepted %v (err %v), want full batch", owner, acc, err)
 		}
@@ -139,7 +139,7 @@ func TestAcceptableBytesConsultsNode(t *testing.T) {
 	}
 	var counts ClassCounts
 	counts[memnode.ClassExec] = 4
-	if _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.AcceptableBytes(time.Hour); got != pageB {
@@ -157,7 +157,7 @@ func TestFaultBatchOwnerAddsTierSurcharge(t *testing.T) {
 	})
 	var counts ClassCounts
 	counts[memnode.ClassExec] = 10 // 4 hot + 6 spilled
-	if _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
 		t.Fatal(err)
 	}
 	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts, pageB)
@@ -180,7 +180,7 @@ func TestFaultBatchOwnerAddsTierSurcharge(t *testing.T) {
 
 func TestFaultBatchOwnerNilNodeHasNoTier(t *testing.T) {
 	p := NewPool(Config{})
-	p.OffloadBytes(0, 10*pageB)
+	pushBytes(p, 0, 10*pageB)
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 10
 	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts, pageB)
@@ -194,7 +194,7 @@ func TestDiscardOwnerReleasesNodeAndLedger(t *testing.T) {
 	var counts ClassCounts
 	counts[memnode.ClassInit] = 4
 	counts[memnode.ClassExec] = 3
-	if _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
 		t.Fatal(err)
 	}
 	p.DiscardOwner(0, "c0", "f", int64(counts.Total())*pageB)

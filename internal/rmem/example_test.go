@@ -4,19 +4,29 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/rmem"
 )
+
+// runtimePages describes n runtime-segment pages of one container.
+func runtimePages(n int) rmem.ClassCounts {
+	var c rmem.ClassCounts
+	c[memnode.ClassRuntime] = n
+	return c
+}
 
 // Example models an offload followed by a demand fault on the default
 // 56 Gbps pool.
 func Example() {
 	pool := rmem.NewPool(rmem.Config{})
-	done, err := pool.OffloadBytes(0, 100<<20) // 100 MiB page-out
+	// 100 MiB page-out of 4 KiB pages.
+	_, _, done, err := pool.OffloadDescribed(0, "c0", "fn", runtimePages(100<<20/4096), 4096)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("offload wire time: ~%dms\n", done.Milliseconds())
-	lat := pool.FaultBatch(time.Second, 1, 4096) // one 4 KiB demand fault
+	// One 4 KiB demand fault.
+	lat := pool.FaultBatchOwner(time.Second, "c0", "fn", runtimePages(1), 4096).Total
 	fmt.Printf("single fault: %dus\n", lat.Microseconds())
 	// Output:
 	// offload wire time: ~14ms
@@ -27,7 +37,7 @@ func Example() {
 // write bandwidth makes even a small offload take minutes.
 func ExampleSSDConfig() {
 	ssd := rmem.NewPool(rmem.SSDConfig())
-	done, _ := ssd.OffloadBytes(0, 100<<20)
+	_, _, done, _ := ssd.OffloadDescribed(0, "c0", "fn", runtimePages(100<<20/4096), 4096)
 	fmt.Printf("100 MiB to SSD: ~%.0fs\n", done.Seconds())
 	// Output:
 	// 100 MiB to SSD: ~105s

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
@@ -22,16 +21,6 @@ func (p *Pool) FaultsPlanned() bool { return p.flt != nil }
 // and no pool-node crash in force. Always true without a fault plan.
 func (p *Pool) Healthy(now simtime.Time) bool {
 	return p.flt == nil || !p.flt.Unhealthy(now)
-}
-
-// Degraded is the complement of Healthy — the degraded-mode predicate the
-// governor and schedulers branch on.
-func (p *Pool) Degraded(now simtime.Time) bool { return !p.Healthy(now) }
-
-// NodeDown reports whether the pool node itself is crashed at now (the
-// cluster reschedules remote-heavy work away while this holds).
-func (p *Pool) NodeDown(now simtime.Time) bool {
-	return p.flt != nil && p.flt.PoolDown(now)
 }
 
 // probeHealth returns the typed error describing the remote path's state at
@@ -118,20 +107,6 @@ func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts
 // or fault latency is modeled here. The release lands in the flow ledger as
 // a fallback flow stamped at now.
 func (p *Pool) RecallLocal(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) {
-	if p.node != nil {
-		for cls := range counts {
-			if counts[cls] == 0 {
-				continue
-			}
-			p.node.Recall(owner, fn, memnode.Class(cls), counts[cls])
-		}
-	}
-	bytes := int64(counts.Total()) * pageBytes
-	if bytes > p.used {
-		bytes = p.used
-	}
-	p.used -= bytes
-	p.tel.PoolUsed(p.used)
-	p.stageFlow(fn, counts, pageBytes)
-	p.recordFlow(now, timeseries.FlowFallback, bytes)
+	p.nodeRecall(owner, fn, counts)
+	p.move(now, timeseries.FlowFallback, nil, fn, counts, pageBytes, int64(counts.Total())*pageBytes)
 }

@@ -45,9 +45,9 @@ func TestTypedFaultErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.pool.OffloadBytes(tc.at, 4096)
+			_, err := pushBytes(tc.pool, tc.at, 4096)
 			if !errors.Is(err, tc.want) {
-				t.Fatalf("OffloadBytes at %v: err = %v, want %v", tc.at, err, tc.want)
+				t.Fatalf("offload at %v: err = %v, want %v", tc.at, err, tc.want)
 			}
 			var counts ClassCounts
 			counts[memnode.ClassRuntime] = 1
@@ -87,10 +87,10 @@ func TestFullPoolStaysErrPoolFull(t *testing.T) {
 	p := NewPool(Config{Capacity: 4096, Faults: planWith(
 		faultinject.Window{Kind: faultinject.LinkFlap, Start: sec(100), End: sec(200)},
 	)})
-	if _, err := p.OffloadBytes(0, 4096); err != nil {
+	if _, err := pushBytes(p, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.OffloadBytes(0, 1)
+	_, err := pushBytes(p, 0, 1)
 	if !errors.Is(err, ErrPoolFull) || errors.Is(err, ErrLinkDown) {
 		t.Fatalf("full-pool err = %v, want pure ErrPoolFull", err)
 	}
@@ -111,7 +111,7 @@ func TestFetchRetrySucceedsAfterFlap(t *testing.T) {
 		RetryBackoff: 20 * time.Millisecond,
 		RetryMax:     6,
 	})
-	if _, err := p.OffloadBytes(0, 4096); err != nil {
+	if _, err := pushBytes(p, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
 	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 4096, 0)
@@ -144,7 +144,7 @@ func TestFetchRetryTimesOutAndLeavesLedger(t *testing.T) {
 		}),
 		RetryBackoff: 10 * time.Millisecond,
 	})
-	if _, err := p.OffloadBytes(0, 4096); err != nil {
+	if _, err := pushBytes(p, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
 	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 4096, 25*time.Millisecond)
@@ -228,8 +228,8 @@ func TestDegradedTransitionsCount(t *testing.T) {
 		t.Error("pool unhealthy after window closed")
 	}
 	// Transitions: healthy→degraded at 11, degraded→healthy at 21.
-	if p.Degraded(sec(15)) != true || p.Degraded(sec(5)) != false {
-		t.Error("Degraded() disagrees with plan windows")
+	if p.Healthy(sec(15)) || !p.Healthy(sec(5)) {
+		t.Error("Healthy() disagrees with plan windows")
 	}
 }
 
@@ -242,18 +242,18 @@ func TestBandwidthFactorSlowsTransfers(t *testing.T) {
 	healthyPool := NewPool(Config{Bandwidth: 1 << 20})
 	degradedPool := NewPool(Config{Bandwidth: 1 << 20, Faults: planWith(degrade)})
 
-	dHealthy, err := healthyPool.OffloadBytes(sec(50), 1<<20)
+	dHealthy, err := pushBytes(healthyPool, sec(50), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dSame, err := degradedPool.OffloadBytes(sec(50), 1<<20)
+	dSame, err := pushBytes(degradedPool, sec(50), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dSame != dHealthy {
 		t.Errorf("outside window transfer = %v, want %v (factor must not leak)", dSame, dHealthy)
 	}
-	dSlow, err := degradedPool.OffloadBytes(sec(150), 1<<20)
+	dSlow, err := pushBytes(degradedPool, sec(150), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

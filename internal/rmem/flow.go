@@ -6,97 +6,68 @@ import (
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
-// This file feeds the timeline's page byte-flow ledger. Every mutation of
-// the pool's byte occupancy (commitOffload, RecallBytes, faultBatch,
-// Discard, RecallLocal, WriteBreakOwner's recalled remainder) calls
-// recordFlow with the exact clamped byte count it applied, which both
-// accumulates the flow and checkpoints the resulting occupancy — the pair
-// the conservation audit (timeseries.AuditFlows) verifies per window.
+// This file feeds the timeline's page byte-flow ledger. Every change to the
+// pool's byte occupancy goes through move, which clamps the bytes, applies
+// them, meters them, refreshes the pool gauge and calls recordFlow with the
+// exact count it applied. recordFlow both accumulates the flow and
+// checkpoints the resulting occupancy — the pair the conservation audit
+// (timeseries.AuditFlows) verifies per window. Movements that leave
+// occupancy unchanged (ShareRead, WriteBreakOwner's unmerge fetch) call
+// recordFlow directly with a direction-0 kind.
 //
-// Attribution uses a staging pattern: the described wrappers (OffloadDescribed,
-// FaultBatchOwner, RecallDescribed, DiscardOwner, RecallLocal) know the
-// batch's tenant and per-class page counts but delegate the occupancy
-// mutation to the low-level movers, which are also public entry points of
-// their own. The wrapper stages its provenance just before delegating; the
-// mover's recordFlow consumes it, splitting the clamped bytes per page class
-// under the staged tenant. The DES engine is single-threaded, so a plain
-// field carries the hand-off. Un-described calls fall back to the aggregate
-// pool dimension.
+// Attribution travels as arguments: the entry point knows the batch's
+// tenant (fn) and per-class page counts and passes them down, so each flow
+// lands under node "pool", the tenant and, when pageBytes is known, the page
+// class.
 
-// flowPending stages one described batch's provenance between a wrapper and
-// the mover it delegates to.
-type flowPending struct {
-	active bool
-	tenant string
-	// counts/pageBytes describe the per-class split; pageBytes == 0 means
-	// tenant-only attribution (DiscardOwner knows bytes, not pages).
-	counts    ClassCounts
-	pageBytes int64
-}
-
-// stageFlow stages per-class provenance for the next mover's flow record.
-// No-op when no timeline is attached or the batch is empty — the guard
-// matters because a staged batch the mover never consumes would leak into a
-// later unrelated flow.
-func (p *Pool) stageFlow(fn string, counts ClassCounts, pageBytes int64) {
-	if p.tel.Timeline == nil || counts.Total() == 0 || pageBytes <= 0 {
-		return
+// move applies one pool byte movement of kind at now and returns the bytes
+// applied: an outflow is clamped to the bytes the pool holds, occupancy
+// moves by kind's direction, meter (nil when nothing crosses the wire)
+// records the bytes, the pool gauge is refreshed and the flow is recorded
+// under fn's provenance (see recordFlow).
+func (p *Pool) move(now simtime.Time, kind timeseries.FlowKind, meter *Meter, fn string, counts ClassCounts, pageBytes, bytes int64) int64 {
+	dir := int64(kind.Direction())
+	if dir < 0 && bytes > p.used {
+		bytes = p.used
 	}
-	p.pend = flowPending{active: true, tenant: fn, counts: counts, pageBytes: pageBytes}
-}
-
-// stageFlowTenant stages tenant-only provenance (no per-class split).
-func (p *Pool) stageFlowTenant(fn string) {
-	if p.tel.Timeline == nil {
-		return
+	p.used += dir * bytes
+	if meter != nil {
+		meter.Record(now, bytes)
 	}
-	p.pend = flowPending{active: true, tenant: fn}
+	p.tel.PoolUsed(p.used)
+	p.recordFlow(now, kind, fn, counts, pageBytes, bytes)
+	return bytes
 }
-
-// clearFlowStage drops staged provenance after a wrapper's delegate bailed
-// out before mutating occupancy (health-probe or capacity error).
-func (p *Pool) clearFlowStage() { p.pend.active = false }
 
 // recordFlow accumulates bytes of flow kind at now into the ledger and
 // checkpoints the pool's occupancy. bytes must be exactly what the caller
 // applied to p.used (after clamping); the conservation audit holds the two
-// to account. Staged provenance is consumed here: the bytes are split per
-// page class under the staged tenant, capped so the recorded total equals
-// the applied total even when the mover clamped the batch.
-func (p *Pool) recordFlow(now simtime.Time, kind timeseries.FlowKind, bytes int64) {
+// to account. With pageBytes > 0 the bytes are split per page class by
+// counts under tenant fn, capped so the recorded total equals bytes even
+// when the caller clamped the batch; with pageBytes == 0 (DiscardOwner knows
+// bytes, not pages) they are attributed to fn alone.
+func (p *Pool) recordFlow(now simtime.Time, kind timeseries.FlowKind, fn string, counts ClassCounts, pageBytes, bytes int64) {
 	tl := p.tel.Timeline
 	if tl == nil {
 		return
 	}
-	if pend := p.pend; pend.active {
-		p.pend.active = false
-		switch {
-		case pend.pageBytes > 0:
-			rem := bytes
-			for cls := range pend.counts {
-				if rem <= 0 {
-					break
-				}
-				if pend.counts[cls] == 0 {
-					continue
-				}
-				b := int64(pend.counts[cls]) * pend.pageBytes
-				if b > rem {
-					b = rem
-				}
-				tl.AddFlow(now, kind, timeseries.Dims{
-					Node: "pool", Tenant: pend.tenant, Class: memnode.Class(cls).String(),
-				}, b)
-				rem -= b
-			}
-			if rem > 0 {
-				tl.AddFlow(now, kind, poolDims, rem)
-			}
-		default:
-			tl.AddFlow(now, kind, timeseries.Dims{Node: "pool", Tenant: pend.tenant}, bytes)
-		}
+	if pageBytes <= 0 {
+		tl.AddFlow(now, kind, timeseries.Dims{Node: "pool", Tenant: fn}, bytes)
 	} else {
-		tl.AddFlow(now, kind, poolDims, bytes)
+		rem := bytes
+		for cls, n := range counts {
+			if rem <= 0 {
+				break
+			}
+			if n == 0 {
+				continue
+			}
+			b := min(int64(n)*pageBytes, rem)
+			tl.AddFlow(now, kind, timeseries.Dims{
+				Node: "pool", Tenant: fn, Class: memnode.Class(cls).String(),
+			}, b)
+			rem -= b
+		}
 	}
 	tl.FlowOccupancy(now, p.used)
 }

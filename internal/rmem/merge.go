@@ -59,22 +59,11 @@ func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode
 	// pool like a fault.
 	fetch := int64(broke) * pageBytes
 	p.meter[Recall].Record(now, fetch)
-	if tl := p.tel.Timeline; tl != nil {
-		tl.AddFlow(now, timeseries.FlowUnmerge, timeseries.Dims{
-			Node: "pool", Tenant: fn, Class: class.String(),
-		}, fetch)
-		tl.FlowOccupancy(now, p.used)
-	}
-	if res.Recalled > 0 {
-		out := int64(res.Recalled) * pageBytes
-		if out > p.used {
-			out = p.used
-		}
-		if out > 0 {
-			p.used -= out
-			p.stageFlowTenant(fn)
-			p.recordFlow(now, timeseries.FlowFault, out)
-		}
+	var dirtied ClassCounts
+	dirtied[class] = broke
+	p.recordFlow(now, timeseries.FlowUnmerge, fn, dirtied, pageBytes, fetch)
+	if out := min(int64(res.Recalled)*pageBytes, p.used); out > 0 {
+		p.move(now, timeseries.FlowFault, nil, fn, ClassCounts{}, 0, out)
 	}
 	stall := p.demandFetch(now, broke, fetch, res.Latency)
 

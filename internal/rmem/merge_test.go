@@ -26,7 +26,7 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 100
 	for _, owner := range []string{"c0", "c1"} {
-		if acc, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB); err != nil || acc != counts {
+		if acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB); err != nil || acc != counts {
 			t.Fatalf("owner %s: accepted %v (err %v), want full batch", owner, acc, err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 // TestWriteBreakOwnerRecallsWhenNodeFull: when the private copy does not fit
 // beside the still-referenced master, the remainder leaves the pool like a
 // fault — the ledger shrinks by exactly the recalled bytes and the caller
-// folds them back into local memory.
+// folds them back into local memory, and the pool gauge follows the ledger.
 func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 	p := nodePool(memnode.Config{
 		DRAMBytes:          8 * pageB,
@@ -89,12 +89,13 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 		DisableCompression: true,
 	})
 	tl := timeseries.NewRecorder(timeseries.Config{})
-	p.Instrument(telemetry.Hub{Timeline: tl})
+	reg := telemetry.NewRegistry()
+	p.Instrument(telemetry.Hub{Timeline: tl, Reg: reg})
 
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 8
 	for _, owner := range []string{"c0", "c1"} {
-		if acc, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB); err != nil || acc != counts {
+		if acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB); err != nil || acc != counts {
 			t.Fatalf("owner %s: accepted %v (err %v), want full batch", owner, acc, err)
 		}
 	}
@@ -112,6 +113,9 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 	}
 	if got, want := p.Used(), p.Node().Stats().LogicalBytes; got != want {
 		t.Fatalf("pool ledger %d != node logical %d", got, want)
+	}
+	if got := reg.Get("faasmem_pool_used_bytes").Value(); got != p.Used() {
+		t.Fatalf("faasmem_pool_used_bytes = %d, want the ledger's %d", got, p.Used())
 	}
 	if tot := tl.FlowTotals(); tot[timeseries.FlowFault] != 2*pageB {
 		t.Fatalf("FlowFault total = %d, want recalled bytes %d", tot[timeseries.FlowFault], 2*pageB)
@@ -145,7 +149,7 @@ func TestWriteBreakOwnerNilNodeAndOutage(t *testing.T) {
 	})
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 10
-	if _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.WriteBreakOwner(sec(15), "c0", "f", memnode.ClassRuntime, 5, pageB); !errors.Is(err, ErrLinkDown) {

@@ -60,10 +60,11 @@ func drainProfile() *workload.Profile {
 
 func TestErrPoolFullDirect(t *testing.T) {
 	p := rmem.NewPool(rmem.Config{Capacity: 4096})
-	if _, err := p.OffloadBytes(0, 4096); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "fn", runtimePages(1), 4096); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.OffloadBytes(0, 1)
+	// One more byte tips over.
+	_, _, _, err := p.OffloadDescribed(0, "c0", "fn", runtimePages(1), 1)
 	if !errors.Is(err, rmem.ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}

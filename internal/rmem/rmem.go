@@ -15,14 +15,12 @@ package rmem
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
 // Config describes a memory pool node and its link.
@@ -155,8 +153,6 @@ type Pool struct {
 	cfg       Config
 	used      int64
 	busyUntil simtime.Time
-	lastStart simtime.Time
-	lastDone  simtime.Time
 	meter     [2]*Meter // per direction
 	node      *memnode.Node
 	// tel is the attached telemetry (Instrument), labelled "pool".
@@ -175,9 +171,6 @@ type Pool struct {
 	// tlClaimed marks that one platform already owns the per-window pool
 	// sampler.
 	tlClaimed bool
-	// pend stages a described batch's provenance for the byte-flow ledger
-	// (see flow.go).
-	pend flowPending
 }
 
 // NewPool creates a pool from cfg, applying defaults for zero fields.
@@ -200,14 +193,8 @@ func NewPool(cfg Config) *Pool {
 // Node returns the attached pool-side memory node, or nil.
 func (p *Pool) Node() *memnode.Node { return p.node }
 
-// AttachNode attaches a (possibly shared) memory node after construction.
-func (p *Pool) AttachNode(n *memnode.Node) { p.node = n }
-
 // Used returns bytes currently stored in the pool.
 func (p *Pool) Used() int64 { return p.used }
-
-// Capacity returns the configured capacity (0 = unlimited).
-func (p *Pool) Capacity() int64 { return p.cfg.Capacity }
 
 // Config returns the effective configuration.
 func (p *Pool) Config() Config { return p.cfg }
@@ -256,14 +243,7 @@ func (p *Pool) reserve(now simtime.Time, bytes int64) (start, done simtime.Time)
 	}
 	done = start + p.transferTimeAt(start, bytes)
 	p.busyUntil = done
-	p.lastStart, p.lastDone = start, done
 	return start, done
-}
-
-// LastTransferWindow returns the [start, done) window of the most recent
-// bulk transfer reserved on the link — the span an offloader just caused.
-func (p *Pool) LastTransferWindow() (start, done simtime.Time) {
-	return p.lastStart, p.lastDone
 }
 
 // Backlog returns how long the link's queued bulk work extends past now:
@@ -318,58 +298,6 @@ func (p *Pool) AcceptableBytes(now simtime.Time) int64 {
 	return budget
 }
 
-// OffloadBytes moves bytes from a compute node into the pool. It returns the
-// virtual time at which the transfer completes, or ErrPoolFull if capacity
-// would be exceeded (pages then stay local; the paper leaves rescheduling of
-// this case as future work).
-func (p *Pool) OffloadBytes(now simtime.Time, bytes int64) (simtime.Time, error) {
-	if bytes < 0 {
-		panic(fmt.Sprintf("rmem: negative offload %d", bytes))
-	}
-	if bytes == 0 {
-		return now, nil
-	}
-	if err := p.probeHealth(now); err != nil {
-		return now, err
-	}
-	if p.node == nil && p.cfg.Capacity > 0 && p.used+bytes > p.cfg.Capacity {
-		return now, ErrPoolFull
-	}
-	return p.commitOffload(now, bytes), nil
-}
-
-// commitOffload performs the wire and accounting side of an admitted offload.
-func (p *Pool) commitOffload(now simtime.Time, bytes int64) simtime.Time {
-	p.used += bytes
-	start, done := p.reserve(now, bytes)
-	p.meter[Offload].Record(now, bytes)
-	p.tel.PoolUsed(p.used)
-	p.tel.LinkBytes(now, int(Offload), bytes, start, time.Duration(done-start))
-	p.recordFlow(now, timeseries.FlowOffload, bytes)
-	return done
-}
-
-// RecallBytes moves bytes back from the pool in bulk (e.g. prefetching a
-// semi-warm container's hot set). It returns the completion time.
-func (p *Pool) RecallBytes(now simtime.Time, bytes int64) simtime.Time {
-	if bytes < 0 {
-		panic(fmt.Sprintf("rmem: negative recall %d", bytes))
-	}
-	if bytes == 0 {
-		return now
-	}
-	if bytes > p.used {
-		bytes = p.used
-	}
-	p.used -= bytes
-	start, done := p.reserve(now, bytes)
-	p.meter[Recall].Record(now, bytes)
-	p.tel.PoolUsed(p.used)
-	p.tel.LinkBytes(now, int(Recall), bytes, start, time.Duration(done-start))
-	p.recordFlow(now, timeseries.FlowRecall, bytes)
-	return done
-}
-
 // FaultStall decomposes the latency a batch of demand faults adds to a
 // request: Total is what the request observes, Queueing the share caused by
 // link congestion (the saturation surcharge), and BacklogBytes the bulk
@@ -390,40 +318,6 @@ type FaultStall struct {
 	// attempts. Both are zero outside FetchRetry.
 	Backoff time.Duration
 	Retries int
-}
-
-// FaultBatch performs n demand fetches of pageBytes each during one request
-// execution. Fetches pipeline FaultPipeline-deep, so the request observes
-// one FaultLatency per pipeline-full plus the wire time of the data, with
-// the same saturation inflation as single faults. The pages' bytes leave the
-// pool. It returns the total added latency the request observes.
-func (p *Pool) FaultBatch(now simtime.Time, n int, pageBytes int64) time.Duration {
-	return p.FaultBatchDetail(now, n, pageBytes).Total
-}
-
-// FaultBatchDetail is FaultBatch returning the latency decomposition.
-func (p *Pool) FaultBatchDetail(now simtime.Time, n int, pageBytes int64) FaultStall {
-	return p.faultBatch(now, n, pageBytes, 0)
-}
-
-// faultBatch is FaultBatchDetail with a pool-side tier surcharge added.
-func (p *Pool) faultBatch(now simtime.Time, n int, pageBytes int64, tier time.Duration) FaultStall {
-	if n < 0 || pageBytes < 0 {
-		panic("rmem: negative fault batch")
-	}
-	if n == 0 {
-		return FaultStall{}
-	}
-	total := int64(n) * pageBytes
-	if total > p.used {
-		total = p.used
-	}
-	p.used -= total
-	p.meter[Recall].Record(now, total)
-	p.tel.PoolUsed(p.used)
-	p.tel.LinkBytes(now, int(Recall), total, 0, 0)
-	p.recordFlow(now, timeseries.FlowFault, total)
-	return p.demandFetch(now, n, total, tier)
 }
 
 // demandFetch prices a pipelined demand read of pages pages, bytes on the
@@ -455,18 +349,6 @@ func (p *Pool) demandFetch(now simtime.Time, pages int, bytes int64, tier time.D
 	}
 	stall.Total = lat + tier
 	return stall
-}
-
-// Discard drops bytes from the pool without a transfer — used when a
-// container is recycled and its remote pages are simply freed. now stamps
-// the flow ledger's window.
-func (p *Pool) Discard(now simtime.Time, bytes int64) {
-	if bytes > p.used {
-		bytes = p.used
-	}
-	p.used -= bytes
-	p.tel.PoolUsed(p.used)
-	p.recordFlow(now, timeseries.FlowDiscard, bytes)
 }
 
 // Utilization estimates current link utilization in [0, 1+] from the recent

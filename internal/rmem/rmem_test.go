@@ -5,8 +5,34 @@ import (
 	"testing"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
 )
+
+// The node-less tests below drive byte-exact movements through the
+// described calls: bytes travel as that many one-byte ClassOther pages.
+
+func bytePages(n int64) ClassCounts {
+	var c ClassCounts
+	c[memnode.ClassOther] = int(n)
+	return c
+}
+
+// pushBytes offloads bytes and returns the transfer's completion time.
+func pushBytes(p *Pool, now simtime.Time, bytes int64) (simtime.Time, error) {
+	_, _, done, err := p.OffloadDescribed(now, "c", "f", bytePages(bytes), 1)
+	return done, err
+}
+
+// pullBytes recalls bytes in bulk and returns the completion time.
+func pullBytes(p *Pool, now simtime.Time, bytes int64) simtime.Time {
+	return p.RecallDescribed(now, "c", "f", bytePages(bytes), 1)
+}
+
+// faultLat returns the latency n demand faults of pageBytes each add.
+func faultLat(p *Pool, now simtime.Time, n int, pageBytes int64) time.Duration {
+	return p.FaultBatchOwner(now, "c", "f", bytePages(int64(n)), pageBytes).Total
+}
 
 func TestDefaultsApplied(t *testing.T) {
 	p := NewPool(Config{})
@@ -24,7 +50,7 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestOffloadAccountsUsedBytes(t *testing.T) {
 	p := NewPool(Config{Capacity: 1 << 20})
-	done, err := p.OffloadBytes(0, 4096)
+	done, err := pushBytes(p, 0, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +64,7 @@ func TestOffloadAccountsUsedBytes(t *testing.T) {
 
 func TestOffloadZeroBytesIsFree(t *testing.T) {
 	p := NewPool(Config{})
-	done, err := p.OffloadBytes(time.Second, 0)
+	done, err := pushBytes(p, time.Second, 0)
 	if err != nil || done != time.Second {
 		t.Fatalf("zero offload = (%v, %v)", done, err)
 	}
@@ -46,10 +72,10 @@ func TestOffloadZeroBytesIsFree(t *testing.T) {
 
 func TestOffloadRespectsCapacity(t *testing.T) {
 	p := NewPool(Config{Capacity: 8192})
-	if _, err := p.OffloadBytes(0, 8192); err != nil {
+	if _, err := pushBytes(p, 0, 8192); err != nil {
 		t.Fatal(err)
 	}
-	_, err := p.OffloadBytes(0, 1)
+	_, err := pushBytes(p, 0, 1)
 	if !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}
@@ -60,7 +86,7 @@ func TestOffloadRespectsCapacity(t *testing.T) {
 
 func TestUnlimitedCapacity(t *testing.T) {
 	p := NewPool(Config{Capacity: 0})
-	if _, err := p.OffloadBytes(0, 1<<40); err != nil {
+	if _, err := pushBytes(p, 0, 1<<40); err != nil {
 		t.Fatalf("unlimited pool rejected offload: %v", err)
 	}
 }
@@ -68,11 +94,11 @@ func TestUnlimitedCapacity(t *testing.T) {
 func TestTransfersSerializeOnLink(t *testing.T) {
 	// 1 MB/s link: 1 MB takes 1 s.
 	p := NewPool(Config{Bandwidth: 1 << 20})
-	d1, err := p.OffloadBytes(0, 1<<20)
+	d1, err := pushBytes(p, 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := p.OffloadBytes(0, 1<<20)
+	d2, err := pushBytes(p, 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +112,8 @@ func TestTransfersSerializeOnLink(t *testing.T) {
 
 func TestRecallReturnsBytes(t *testing.T) {
 	p := NewPool(Config{})
-	p.OffloadBytes(0, 10000)
-	done := p.RecallBytes(time.Second, 4000)
+	pushBytes(p, 0, 10000)
+	done := pullBytes(p, time.Second, 4000)
 	if done < time.Second {
 		t.Errorf("recall completes at %v, before request", done)
 	}
@@ -95,7 +121,7 @@ func TestRecallReturnsBytes(t *testing.T) {
 		t.Errorf("Used after recall = %d, want 6000", p.Used())
 	}
 	// Recalling more than stored clamps.
-	p.RecallBytes(2*time.Second, 1<<30)
+	pullBytes(p, 2*time.Second, 1<<30)
 	if p.Used() != 0 {
 		t.Errorf("Used after over-recall = %d, want 0", p.Used())
 	}
@@ -103,8 +129,8 @@ func TestRecallReturnsBytes(t *testing.T) {
 
 func TestFaultLatencyBase(t *testing.T) {
 	p := NewPool(Config{FaultLatency: 6 * time.Microsecond})
-	p.OffloadBytes(0, 4096)
-	lat := p.FaultBatch(time.Hour, 1, 4096) // long after, link idle
+	pushBytes(p, 0, 4096)
+	lat := faultLat(p, time.Hour, 1, 4096) // long after, link idle
 	if lat < 6*time.Microsecond {
 		t.Errorf("fault latency %v < base fetch latency", lat)
 	}
@@ -118,15 +144,15 @@ func TestFaultLatencyBase(t *testing.T) {
 
 func TestFaultLatencyGrowsWhenSaturated(t *testing.T) {
 	p := NewPool(Config{Bandwidth: 1 << 20, FaultLatency: 6 * time.Microsecond})
-	p.OffloadBytes(0, 100<<20) // keep pool stocked
-	idle := p.FaultBatch(time.Hour, 1, 4096)
+	pushBytes(p, 0, 100<<20) // keep pool stocked
+	idle := faultLat(p, time.Hour, 1, 4096)
 
 	// Saturate: record sustained traffic near bandwidth.
 	now := 2 * time.Hour
 	for i := 0; i < 50; i++ {
 		p.meter[Offload].Record(now, 1<<20)
 	}
-	busy := p.FaultBatch(now, 1, 4096)
+	busy := faultLat(p, now, 1, 4096)
 	if busy <= idle {
 		t.Errorf("saturated fault %v not slower than idle fault %v", busy, idle)
 	}
@@ -134,16 +160,16 @@ func TestFaultLatencyGrowsWhenSaturated(t *testing.T) {
 
 func TestDiscardDropsWithoutTransfer(t *testing.T) {
 	p := NewPool(Config{})
-	p.OffloadBytes(0, 10000)
+	pushBytes(p, 0, 10000)
 	before := p.Meter(Recall).Total()
-	p.Discard(0, 4000)
+	p.DiscardOwner(0, "c", "f", 4000)
 	if p.Used() != 6000 {
 		t.Errorf("Used = %d, want 6000", p.Used())
 	}
 	if p.Meter(Recall).Total() != before {
-		t.Error("Discard moved bytes through the link meter")
+		t.Error("DiscardOwner moved bytes through the link meter")
 	}
-	p.Discard(0, 1<<30)
+	p.DiscardOwner(0, "c", "f", 1<<30)
 	if p.Used() != 0 {
 		t.Errorf("Used after over-discard = %d", p.Used())
 	}
@@ -152,9 +178,9 @@ func TestDiscardDropsWithoutTransfer(t *testing.T) {
 func TestNegativeSizesPanic(t *testing.T) {
 	p := NewPool(Config{})
 	for name, fn := range map[string]func(){
-		"offload": func() { p.OffloadBytes(0, -1) },
-		"recall":  func() { p.RecallBytes(0, -1) },
-		"fault":   func() { p.FaultBatch(0, 1, -1) },
+		"offload": func() { pushBytes(p, 0, -1) },
+		"recall":  func() { pullBytes(p, 0, -1) },
+		"fault":   func() { faultLat(p, 0, 1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -275,9 +301,9 @@ func TestUtilization(t *testing.T) {
 
 func TestFaultBatchPipelines(t *testing.T) {
 	p := NewPool(Config{FaultLatency: 10 * time.Microsecond, FaultPipeline: 8})
-	p.OffloadBytes(0, 1<<30)
+	pushBytes(p, 0, 1<<30)
 	// 16 pages = 2 pipeline rounds of latency + wire time.
-	lat := p.FaultBatch(time.Hour, 16, 4096)
+	lat := faultLat(p, time.Hour, 16, 4096)
 	if lat < 20*time.Microsecond {
 		t.Errorf("batch latency %v < 2 pipeline rounds", lat)
 	}
@@ -292,7 +318,7 @@ func TestFaultBatchPipelines(t *testing.T) {
 
 func TestFaultBatchZero(t *testing.T) {
 	p := NewPool(Config{})
-	if lat := p.FaultBatch(0, 0, 4096); lat != 0 {
+	if lat := faultLat(p, 0, 0, 4096); lat != 0 {
 		t.Errorf("zero batch latency = %v", lat)
 	}
 }
@@ -304,7 +330,7 @@ func TestFaultBatchNegativePanics(t *testing.T) {
 			t.Error("negative batch did not panic")
 		}
 	}()
-	p.FaultBatch(0, -1, 4096)
+	faultLat(p, 0, -1, 4096)
 }
 
 func TestPresets(t *testing.T) {
@@ -332,7 +358,7 @@ func TestAcceptableBytesRespectsBacklog(t *testing.T) {
 		t.Fatalf("idle budget = %d, want 1 MiB", got)
 	}
 	// Saturate the backlog.
-	p.OffloadBytes(0, 1<<20)
+	pushBytes(p, 0, 1<<20)
 	if got := p.AcceptableBytes(0); got > 4096 {
 		t.Fatalf("budget after saturation = %d, want ~0", got)
 	}
@@ -344,7 +370,7 @@ func TestAcceptableBytesRespectsBacklog(t *testing.T) {
 
 func TestAcceptableBytesRespectsCapacity(t *testing.T) {
 	p := NewPool(Config{Capacity: 8192, MaxBacklog: time.Hour})
-	p.OffloadBytes(0, 4096)
+	pushBytes(p, 0, 4096)
 	if got := p.AcceptableBytes(time.Hour); got != 4096 {
 		t.Fatalf("budget = %d, want remaining capacity 4096", got)
 	}

@@ -18,7 +18,7 @@ import (
 // ShareRead prices a read-shared mapping of pages held by owner (a region's
 // synthetic owner) under tenant fn: pipelined demand fetches plus wire time
 // plus the memnode tier surcharge for compressed/spilled fractions, with the
-// same saturation inflation as FaultBatchDetail. The pool's byte ledger and
+// same saturation inflation as FaultBatchOwner. The pool's byte ledger and
 // the owner's holdings are untouched. Returns an error while the remote path
 // is down (fault plans); the caller replays the producer instead.
 func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int, pageBytes int64) (FaultStall, error) {
@@ -37,23 +37,10 @@ func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int, pageByte
 	}
 	total := int64(pages) * pageBytes
 	p.meter[Recall].Record(now, total)
-	if tl := p.tel.Timeline; tl != nil {
-		tl.AddFlow(now, timeseries.FlowShareRead, timeseries.Dims{
-			Node: "pool", Tenant: fn, Class: memnode.ClassShared.String(),
-		}, total)
-		tl.FlowOccupancy(now, p.used)
-	}
+	var shared ClassCounts
+	shared[memnode.ClassShared] = pages
+	p.recordFlow(now, timeseries.FlowShareRead, fn, shared, pageBytes, total)
 	stall := p.demandFetch(now, pages, total, tier)
 	p.tel.LinkBytes(now, int(Recall), total, now, stall.Total)
 	return stall, nil
-}
-
-// SharedPages reports how many pages of a region's synthetic owner the
-// pool-side memory node still holds under ClassShared (equal to what was
-// admitted at produce time; 0 without a node).
-func (p *Pool) SharedPages(owner, fn string) int {
-	if p.node == nil {
-		return 0
-	}
-	return p.node.OwnerPages(owner, fn, memnode.ClassShared)
 }

@@ -29,7 +29,7 @@ func TestCreateMapReleaseLifecycle(t *testing.T) {
 	if res.Resident != 64 || res.Shortfall != 0 {
 		t.Fatalf("resident=%d shortfall=%d, want 64/0", res.Resident, res.Shortfall)
 	}
-	if got := pool.SharedPages(Owner("stage0-out"), "wf"); got != 64 {
+	if got := pool.Node().OwnerPages(Owner("stage0-out"), "wf", memnode.ClassShared); got != 64 {
 		t.Fatalf("node holds %d shared pages, want 64", got)
 	}
 	if pool.Used() != 64*pageSize {
@@ -117,7 +117,7 @@ func TestWriteBreakChargesWriterTenant(t *testing.T) {
 		t.Fatalf("producer tenant charged %d, want %d", got, 32*pageSize)
 	}
 	// Region copy intact; pool occupancy grew by exactly the private pages.
-	if got := pool.SharedPages(Owner("cache"), "producer"); got != 32 {
+	if got := pool.Node().OwnerPages(Owner("cache"), "producer", memnode.ClassShared); got != 32 {
 		t.Fatalf("region pages %d after CoW, want 32", got)
 	}
 	if pool.Used() != 40*pageSize {
