@@ -405,7 +405,7 @@ func (c *container) RequestEnd(e *simtime.Engine) {
 // Runtime Pucket after the first request goes remote.
 func (c *container) offloadRuntimePucket(e *simtime.Engine) {
 	var n int
-	n, c.victims = c.runtimePucket().OffloadInactiveBuf(e, c.view, c.victims)
+	n, c.victims = c.runtimePucket().OffloadInactive(e, c.view, c.victims)
 	if n > 0 {
 		c.parent.stat.RuntimeOffloads++
 	}
@@ -451,7 +451,7 @@ func (c *container) fixWindowAndOffload(e *simtime.Engine, n int) {
 	c.parent.stat.WindowSizes = append(c.parent.stat.WindowSizes, n)
 	c.view.Telemetry().WindowFixed(e.Now(), c.view.ID(), c.view.FunctionID(), n)
 	var moved int
-	moved, c.victims = c.initPucket().OffloadInactiveBuf(e, c.view, c.victims)
+	moved, c.victims = c.initPucket().OffloadInactive(e, c.view, c.victims)
 	if moved > 0 {
 		c.parent.stat.InitOffloads++
 	}
@@ -471,8 +471,8 @@ func (c *container) rollbackCycle(e *simtime.Engine, n int) {
 	if c.rollbackArmed {
 		if c.reqsSinceRB >= w {
 			// Re-evaluation window over: pages not re-promoted are cold.
-			_, c.victims = c.runtimePucket().OffloadInactiveBuf(e, c.view, c.victims)
-			_, c.victims = c.initPucket().OffloadInactiveBuf(e, c.view, c.victims)
+			_, c.victims = c.runtimePucket().OffloadInactive(e, c.view, c.victims)
+			_, c.victims = c.initPucket().OffloadInactive(e, c.view, c.victims)
 			c.rollbackArmed = false
 			c.reqsSinceRB = 0
 			c.lastRB = e.Now()

@@ -40,17 +40,11 @@ func (p Pucket) RemotePages(s *pagemem.Space) int {
 // OffloadInactive offloads the whole inactive list through the view and
 // returns how many pages actually moved (the pool/link may truncate). The
 // victim scan walks the Inactive bitset word-at-a-time, so a fully hot or
-// fully offloaded Pucket costs O(words).
-func (p Pucket) OffloadInactive(e *simtime.Engine, v policy.View) int {
-	n, _ := p.OffloadInactiveBuf(e, v, nil)
-	return n
-}
-
-// OffloadInactiveBuf is OffloadInactive with a caller-owned scratch buffer:
-// the victim word masks are built in buf (reused, grown as needed) and the
+// fully offloaded Pucket costs O(words). The victim word masks are built in
+// the caller-owned scratch buffer buf (reused, grown as needed) and the
 // grown buffer is returned for the next call, keeping steady-state Pucket
 // offloads allocation-free.
-func (p Pucket) OffloadInactiveBuf(e *simtime.Engine, v policy.View, buf []pagemem.WordMask) (int, []pagemem.WordMask) {
+func (p Pucket) OffloadInactive(e *simtime.Engine, v policy.View, buf []pagemem.WordMask) (int, []pagemem.WordMask) {
 	victims, _ := v.Space().AppendWords(buf[:0], p.Seg, pagemem.Inactive, 0)
 	if len(victims) == 0 {
 		return 0, victims

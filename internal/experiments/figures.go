@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/faasmem/faasmem/internal/report"
-	"github.com/faasmem/faasmem/internal/trace"
 )
 
 // This file turns experiment rows into SVG charts — the repository's
@@ -135,19 +134,4 @@ func SVGReadahead(rows []ReadaheadRow) string {
 		YLabel: "P99 latency (s)",
 		YMin:   0,
 	}, p99)
-}
-
-// ShareCDFOf is a small helper for tests: extracts one class's CDF points.
-func ShareCDFOf(rows []Fig14Class, cl trace.LoadClass) ([]float64, []float64) {
-	for _, r := range rows {
-		if r.Class == cl {
-			vals := make([]float64, len(r.ShareCDF))
-			fracs := make([]float64, len(r.ShareCDF))
-			for i, pt := range r.ShareCDF {
-				vals[i], fracs[i] = pt.Value, pt.Fraction
-			}
-			return vals, fracs
-		}
-	}
-	return nil, nil
 }

@@ -338,9 +338,6 @@ func (p *Platform) Swap() *fastswap.Device { return p.swap }
 // Config returns the effective configuration.
 func (p *Platform) Config() Config { return p.cfg }
 
-// PolicyName names the active offloading policy.
-func (p *Platform) PolicyName() string { return p.pol.Name() }
-
 // Register adds a function backed by the given profile. Registering the same
 // ID twice panics: it would silently split statistics.
 func (p *Platform) Register(id string, prof *workload.Profile) *Function {
@@ -483,10 +480,6 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 		})
 	})
 }
-
-// NodeCgroup returns the node-level memory control group; container groups
-// are its children, so it aggregates the whole node.
-func (p *Platform) NodeCgroup() *cgroup.Group { return p.nodeCG }
 
 // NodeLocalBytes returns the node's current local memory consumption across
 // all containers.

@@ -42,8 +42,6 @@ type Device struct {
 
 	clusterReads  int64             // cluster reads served (faults that pulled readahead)
 	clusterPages  int64             // pages prefetched by cluster reads
-	fallbackReads int64             // timed-out fetches served from the local copy
-	fallbackPages int64             // pages read via the local fallback
 	slotsUsed     *telemetry.Metric // gauge, nil no-op until Instrument
 	truncations   *telemetry.Metric
 	clusterReadsM *telemetry.Metric
@@ -160,14 +158,6 @@ func (d *Device) FallbackRead(pages int) time.Duration {
 	if pages <= 0 || !d.FallbackEnabled() {
 		return 0
 	}
-	d.fallbackReads++
-	d.fallbackPages += int64(pages)
 	d.fallbackPgsM.Add(int64(pages))
 	return time.Duration(pages) * d.cfg.FallbackReadLatency
-}
-
-// FallbackReads returns how many timed-out fetches were served locally, and
-// the pages they covered.
-func (d *Device) FallbackReads() (reads, pages int64) {
-	return d.fallbackReads, d.fallbackPages
 }

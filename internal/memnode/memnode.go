@@ -503,9 +503,6 @@ func (n *Node) AcceptableBytes() int64 {
 // (counted as full rejects). Recalls and discards are unaffected.
 func (n *Node) SetForceFull(v bool) { n.forceFull = v }
 
-// ForceFull reports whether an injected tier-full storm is active.
-func (n *Node) ForceFull() bool { return n.forceFull }
-
 // key returns the store key a described batch lands under.
 func (n *Node) key(owner, fn string, class Class) entryKey {
 	if class.Shared() && !n.cfg.DisableDedup {

@@ -80,10 +80,6 @@ func (l *LRU) Youngest() GenID { return GenID(len(l.count) - 1) }
 // NumGenerations returns how many generations exist.
 func (l *LRU) NumGenerations() int { return len(l.count) }
 
-// NumRuns returns how many base-generation runs cover the tracked pages —
-// the O(runs) working set a barrier or scan actually touches.
-func (l *LRU) NumRuns() int { return len(l.runs) }
-
 // GenPages returns the number of pages currently stamped with generation g.
 func (l *LRU) GenPages(g GenID) int {
 	if g < 0 || int(g) >= len(l.count) {
