@@ -1,0 +1,63 @@
+package experiments
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// rackEntries are the registry entries that simulate a rack sharing one
+// memory pool.
+var rackEntries = []string{
+	"ext-rack", "ext-pool-density", "ext-merge",
+	"ext-resilience", "ext-observe", "ext-drilldown",
+}
+
+// TestRackRowsGolden pins the quick, seed-42 rows of every rack experiment.
+// Each section is the entry's name followed by its rows exactly as
+// `cmd/experiments -json` writes them, so a change to how any rack is built,
+// loaded or run shows up as a diff. Run with -update to rewrite the golden
+// file.
+func TestRackRowsGolden(t *testing.T) {
+	entries, err := Select(rackEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, e := range entries {
+		rows, _ := e.Run(io.Discard, 42, true)
+		fmt.Fprintf(&got, "== %s ==\n", e.Name)
+		enc := json.NewEncoder(&got)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rows); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+	}
+	golden := filepath.Join("testdata", "rack_rows_golden.txt")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w []byte
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if !bytes.Equal(g, w) {
+			t.Fatalf("rack rows drifted from %s at line %d:\n got: %s\nwant: %s", golden, i+1, g, w)
+		}
+	}
+}
