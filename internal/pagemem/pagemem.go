@@ -191,8 +191,12 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 	}
 	s.accessed.SetRange(start, total)
 	s.stateBits[Inactive].SetRange(start, total)
-	for w := start / 64; w < (total+63)/64; w++ {
-		s.summary[w/64*numStates+int(Inactive)] |= 1 << (uint(w) % 64)
+	// Only words that gain a page get a summary bit: Alloc(seg, 0) with s.n
+	// mid-word must not mark a word whose Inactive bits may all be clear.
+	if n > 0 {
+		for w := start / 64; w < (total+63)/64; w++ {
+			s.summary[w/64*numStates+int(Inactive)] |= 1 << (uint(w) % 64)
+		}
 	}
 	s.total[Inactive] += n
 	return Range{Start: PageID(start), End: PageID(total)}
