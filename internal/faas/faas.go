@@ -53,8 +53,9 @@ type Config struct {
 	AdaptiveKeepAliveMin time.Duration
 	// MaxContainersPerFunction caps how many containers one function may
 	// scale out to. Requests beyond the cap queue FIFO and are picked up as
-	// containers finish — the congestion that inflates tail latency under
-	// surges (Table 1's trace ID-5). Zero means unlimited scale-out.
+	// containers finish. Zero means unlimited scale-out. Only tests set the
+	// cap today: no experiment, CLI or gateway path does, and Table 1's
+	// trace ID-5 surge comes from its bursty arrivals, not from queueing.
 	MaxContainersPerFunction int
 	// Eviction selects which idle container the node reclaims first when
 	// NodeMemoryLimit is exceeded. Default EvictLongestIdle.
