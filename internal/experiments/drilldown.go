@@ -5,21 +5,10 @@ import (
 	"io"
 	"time"
 
-	"github.com/faasmem/faasmem/internal/cluster"
-	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/drilldown"
-	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
-	"github.com/faasmem/faasmem/internal/faultinject"
-	"github.com/faasmem/faasmem/internal/memnode"
-	"github.com/faasmem/faasmem/internal/policy"
-	"github.com/faasmem/faasmem/internal/rmem"
-	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
-	"github.com/faasmem/faasmem/internal/trace"
-	"github.com/faasmem/faasmem/internal/workload"
 )
 
 // DrilldownCell is one fault-intensity cell of the ext-drilldown sweep: the
@@ -93,40 +82,11 @@ func Drilldown(opt DrilldownOptions) []DrilldownCell {
 	if opt.Window <= 0 {
 		opt.Window = 30 * time.Second
 	}
-	horizon := opt.Duration + opt.KeepAlive + time.Minute
-
 	run := func(intensity float64) DrilldownCell {
-		plan := faultinject.New(faultinject.Config{
-			Horizon:   horizon,
-			Intensity: intensity,
-			Seed:      opt.FaultSeed,
-		})
 		rec := timeseries.NewRecorder(timeseries.Config{Window: opt.Window})
 		exm := exemplar.NewRecorder(exemplar.Config{Window: opt.Window, K: opt.K})
-		nodeCfg := memnode.Config{DRAMBytes: 512 << 20, SpillBytes: 512 << 20}
-		e := simtime.NewEngine()
-		c := cluster.New(e, cluster.Config{
-			Nodes: opt.Nodes,
-			Node: faas.Config{
-				KeepAliveTimeout: opt.KeepAlive,
-				Seed:             opt.Seed,
-				Swap:             fastswap.Config{FallbackReadLatency: 50 * time.Microsecond},
-				RequestLogSize:   1 << 16,
-				Telemetry:        telemetry.Hub{Timeline: rec, Exemplars: exm},
-			},
-			Pool: rmem.Config{Node: &nodeCfg, Faults: plan},
-		}, func() policy.Policy { return core.New(core.Config{}) })
-		for i, prof := range workload.Profiles() {
-			p := *prof
-			fn := trace.GenerateFunction(p.Name, opt.Duration,
-				time.Duration(3+i)*time.Second, true, opt.Seed+int64(i))
-			if len(fn.Invocations) == 0 {
-				continue
-			}
-			c.Register(p.Name, &p)
-			c.ScheduleInvocations(p.Name, fn.Invocations)
-		}
-		e.RunUntil(horizon)
+		faultRack(opt.Nodes, opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+			intensity, true, telemetry.Hub{Timeline: rec, Exemplars: exm})
 
 		cells := exm.Cells()
 		cell := DrilldownCell{

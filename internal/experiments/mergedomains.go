@@ -6,12 +6,9 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/cluster"
-	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/memnode"
-	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
-	"github.com/faasmem/faasmem/internal/simtime"
 )
 
 // MergeDomainsRow is one (merge scope, runtime write ratio) cell of the
@@ -139,22 +136,14 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 		if scope != memnode.MergeFunction {
 			nodeCfg.CacheBytes = int64(opt.CacheMB) << 20
 		}
-		e := simtime.NewEngine()
-		c := cluster.New(e, cluster.Config{
+		c := runMixedRack(cluster.Config{
 			Nodes: opt.Nodes,
 			Node: faas.Config{
 				KeepAliveTimeout: opt.KeepAlive,
 				Seed:             opt.Seed,
 			},
 			Pool: rmem.Config{Node: &nodeCfg},
-		}, func() policy.Policy { return core.New(core.Config{}) })
-		for _, f := range fns {
-			p := *f.prof
-			p.RuntimeWriteRatio = ratio
-			c.Register(p.Name, &p)
-			c.ScheduleInvocations(p.Name, f.inv)
-		}
-		e.RunUntil(opt.Duration + opt.KeepAlive + time.Minute)
+		}, FaaSMem, fns, ratio, opt.Duration+opt.KeepAlive+time.Minute)
 
 		st := c.Stats()
 		row := MergeDomainsRow{Scope: scope, WriteRatio: ratio, Requests: st.Requests}

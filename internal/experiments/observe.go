@@ -5,19 +5,8 @@ import (
 	"io"
 	"time"
 
-	"github.com/faasmem/faasmem/internal/cluster"
-	"github.com/faasmem/faasmem/internal/core"
-	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
-	"github.com/faasmem/faasmem/internal/faultinject"
-	"github.com/faasmem/faasmem/internal/memnode"
-	"github.com/faasmem/faasmem/internal/policy"
-	"github.com/faasmem/faasmem/internal/rmem"
-	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
-	"github.com/faasmem/faasmem/internal/trace"
-	"github.com/faasmem/faasmem/internal/workload"
 )
 
 // ObserveCell is one fault-intensity cell of the ext-observe sweep: the
@@ -49,14 +38,12 @@ type ObserveOptions struct {
 	// Window is the rollup window. Default 30 s (coarse enough for a
 	// readable table over a 10-minute run).
 	Window time.Duration
-	// Fallback enables the local-swap fallback recovery path.
-	Fallback bool
 	// Seed drives the workload; FaultSeed drives the fault plan.
 	Seed, FaultSeed int64
 }
 
-// Observe replays the resilience workload with a time-series recorder
-// attached to every node and renders one timeline per fault intensity. Each
+// Observe replays the resilience rack, with the local-swap fallback on and a
+// time-series recorder attached to every node, and renders one timeline per fault intensity. Each
 // cell owns its engine and recorder, so rows are bit-identical at any
 // -scenario-workers width (the CI determinism gate diffs widths 1 and 8),
 // and the fault-free cell doubles as the zero-cost baseline the disabled-
@@ -77,43 +64,10 @@ func Observe(opt ObserveOptions) []ObserveCell {
 	if opt.Window <= 0 {
 		opt.Window = 30 * time.Second
 	}
-	horizon := opt.Duration + opt.KeepAlive + time.Minute
-
 	run := func(intensity float64) ObserveCell {
-		plan := faultinject.New(faultinject.Config{
-			Horizon:   horizon,
-			Intensity: intensity,
-			Seed:      opt.FaultSeed,
-		})
 		rec := timeseries.NewRecorder(timeseries.Config{Window: opt.Window})
-		nodeCfg := memnode.Config{DRAMBytes: 512 << 20, SpillBytes: 512 << 20}
-		swapCfg := fastswap.Config{}
-		if opt.Fallback {
-			swapCfg.FallbackReadLatency = 50 * time.Microsecond
-		}
-		e := simtime.NewEngine()
-		c := cluster.New(e, cluster.Config{
-			Nodes: opt.Nodes,
-			Node: faas.Config{
-				KeepAliveTimeout: opt.KeepAlive,
-				Seed:             opt.Seed,
-				Swap:             swapCfg,
-				RequestLogSize:   1 << 16,
-				Telemetry:        telemetry.Hub{Timeline: rec},
-			},
-			Pool: rmem.Config{Node: &nodeCfg, Faults: plan},
-		}, func() policy.Policy { return core.New(core.Config{}) })
-		for i, prof := range workload.Profiles() {
-			p := *prof
-			fn := trace.GenerateFunction(p.Name, opt.Duration,
-				time.Duration(3+i)*time.Second, true, opt.Seed+int64(i))
-			if len(fn.Invocations) == 0 {
-				continue
-			}
-			c.Register(p.Name, &p)
-			c.ScheduleInvocations(p.Name, fn.Invocations)
-		}
-		e.RunUntil(horizon)
+		_, plan := faultRack(opt.Nodes, opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+			intensity, true, telemetry.Hub{Timeline: rec})
 
 		cell := ObserveCell{
 			Intensity:    intensity,

@@ -12,7 +12,6 @@ func shortObserveOpts() ObserveOptions {
 		Duration:    4 * time.Minute,
 		KeepAlive:   3 * time.Minute,
 		Window:      30 * time.Second,
-		Fallback:    true,
 		Seed:        11,
 		FaultSeed:   7,
 	}

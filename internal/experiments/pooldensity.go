@@ -6,40 +6,10 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/cluster"
-	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/memnode"
-	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
-	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/trace"
-	"github.com/faasmem/faasmem/internal/workload"
 )
-
-// mixedFn is one function of the mixed density workload: a benchmark profile
-// plus its generated invocation schedule.
-type mixedFn struct {
-	prof *workload.Profile
-	inv  []simtime.Time
-}
-
-// mixedWorkload generates the mixed 11-benchmark invocation schedule the
-// density-family sweeps (ext-pool-density, ext-merge) share: one function per
-// benchmark, bursty arrivals so busy functions scale out to several
-// concurrent containers. Sharing the generator is what lets the merge sweep's
-// function-scope cell reproduce the density sweep's dedup rows exactly.
-func mixedWorkload(d time.Duration, seed int64) []mixedFn {
-	var fns []mixedFn
-	for i, prof := range workload.Profiles() {
-		fn := trace.GenerateFunction(prof.Name, d,
-			time.Duration(3+i)*time.Second, true, seed+int64(i))
-		if len(fn.Invocations) == 0 {
-			continue
-		}
-		fns = append(fns, mixedFn{prof: prof, inv: fn.Invocations})
-	}
-	return fns
-}
 
 // PoolDensityMode names one memory-node configuration under study.
 type PoolDensityMode string
@@ -132,24 +102,14 @@ func PoolDensity(opt PoolDensityOptions) []PoolDensityRow {
 			DisableDedup:       mode == DensityOff,
 			DisableCompression: mode != DensityDedupZswap,
 		}
-		e := simtime.NewEngine()
-		c := cluster.New(e, cluster.Config{
+		c := runMixedRack(cluster.Config{
 			Nodes: opt.Nodes,
 			Node: faas.Config{
 				KeepAliveTimeout: opt.KeepAlive,
 				Seed:             opt.Seed,
 			},
 			Pool: rmem.Config{Node: &nodeCfg},
-		}, func() policy.Policy { return core.New(core.Config{}) })
-		// The mixed workload: one function per benchmark, bursty arrivals so
-		// busy functions scale out to several concurrent containers (the
-		// dedup fan-in the paper's rack deployment would see).
-		for _, f := range fns {
-			p := *f.prof
-			c.Register(p.Name, &p)
-			c.ScheduleInvocations(p.Name, f.inv)
-		}
-		e.RunUntil(opt.Duration + opt.KeepAlive + time.Minute)
+		}, FaaSMem, fns, 0, opt.Duration+opt.KeepAlive+time.Minute)
 
 		st := c.Stats()
 		row := PoolDensityRow{

@@ -8,12 +8,95 @@ import (
 	"github.com/faasmem/faasmem/internal/cluster"
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
+	"github.com/faasmem/faasmem/internal/fastswap"
+	"github.com/faasmem/faasmem/internal/faultinject"
+	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
+
+// mixedFn is one function of a rack workload: a benchmark profile plus its
+// generated invocation schedule.
+type mixedFn struct {
+	prof *workload.Profile
+	inv  []simtime.Time
+}
+
+// mixedWorkload generates the mixed 11-benchmark invocation schedule that
+// the pool-backed racks share (ext-pool-density, ext-merge and the three
+// fault sweeps): one function per benchmark, bursty arrivals so busy
+// functions scale out to several concurrent containers. Sharing the
+// generator is what lets the merge sweep's function-scope cell reproduce the
+// density sweep's dedup rows exactly.
+func mixedWorkload(d time.Duration, seed int64) []mixedFn {
+	var fns []mixedFn
+	for i, prof := range workload.Profiles() {
+		fn := trace.GenerateFunction(prof.Name, d,
+			time.Duration(3+i)*time.Second, true, seed+int64(i))
+		if len(fn.Invocations) == 0 {
+			continue
+		}
+		fns = append(fns, mixedFn{prof: prof, inv: fn.Invocations})
+	}
+	return fns
+}
+
+// runMixedRack is the one build path of every scheduled rack experiment: it
+// builds a cluster from cfg with a kind policy on each node, registers and
+// schedules fns (each on its own copy of the profile, with the given runtime
+// write ratio), and runs the rack to horizon.
+func runMixedRack(cfg cluster.Config, kind PolicyKind, fns []mixedFn, writeRatio float64, horizon time.Duration) *cluster.Cluster {
+	e := simtime.NewEngine()
+	c := cluster.New(e, cfg, func() policy.Policy {
+		pol, _ := BuildPolicy(kind, core.Config{})
+		return pol
+	})
+	for _, f := range fns {
+		p := *f.prof
+		p.RuntimeWriteRatio = writeRatio
+		c.Register(p.Name, &p)
+		c.ScheduleInvocations(p.Name, f.inv)
+	}
+	e.RunUntil(horizon)
+	return c
+}
+
+// faultRack runs the rack the fault sweeps (ext-resilience, ext-observe,
+// ext-drilldown) share: the mixed workload on FaaSMem nodes over a 512 MB
+// memory node, under a fault plan of the given intensity that spans the run
+// (trace, keep-alive drain and one more minute). fallback turns on the
+// local-swap fallback read path, and hub carries the sweep's recorders. The
+// run ends at the plan's horizon, so c.Engine().Now() is that horizon.
+func faultRack(nodes int, d, keepAlive time.Duration, seed, faultSeed int64,
+	intensity float64, fallback bool, hub telemetry.Hub) (*cluster.Cluster, *faultinject.Plan) {
+	horizon := d + keepAlive + time.Minute
+	plan := faultinject.New(faultinject.Config{
+		Horizon:   horizon,
+		Intensity: intensity,
+		Seed:      faultSeed,
+	})
+	var swap fastswap.Config
+	if fallback {
+		swap.FallbackReadLatency = 50 * time.Microsecond
+	}
+	nodeCfg := memnode.Config{DRAMBytes: 512 << 20, SpillBytes: 512 << 20}
+	c := runMixedRack(cluster.Config{
+		Nodes: nodes,
+		Node: faas.Config{
+			KeepAliveTimeout: keepAlive,
+			Seed:             seed,
+			Swap:             swap,
+			RequestLogSize:   1 << 16,
+			Telemetry:        hub,
+		},
+		Pool: rmem.Config{Node: &nodeCfg, Faults: plan},
+	}, FaaSMem, mixedWorkload(d, seed), 0, horizon)
+	return c, plan
+}
 
 // RackRow summarizes one policy's rack-wide outcome under a DRAM limit.
 type RackRow struct {
@@ -65,36 +148,30 @@ func RackDensity(opt RackDensityOptions) []RackRow {
 	if opt.Duration <= 0 {
 		opt.Duration = 20 * time.Minute
 	}
+	// The renamed-app workload: functions round-robin over three apps, each
+	// with its own rate and every other one bursty.
 	apps := []*workload.Profile{workload.Bert(), workload.Graph(), workload.Web()}
+	var fns []mixedFn
+	for i := 0; i < opt.Functions; i++ {
+		prof := *apps[i%len(apps)]
+		prof.Name = fmt.Sprintf("%s-%d", prof.Name, i)
+		fn := trace.GenerateFunction(prof.Name, opt.Duration,
+			time.Duration(20+7*i)*time.Second, i%2 == 0, opt.Seed+int64(i))
+		if len(fn.Invocations) == 0 {
+			continue
+		}
+		fns = append(fns, mixedFn{prof: &prof, inv: fn.Invocations})
+	}
 
 	run := func(kind PolicyKind) RackRow {
-		e := simtime.NewEngine()
-		c := cluster.New(e, cluster.Config{
+		c := runMixedRack(cluster.Config{
 			Nodes: opt.Nodes,
 			Node: faas.Config{
 				KeepAliveTimeout: 10 * time.Minute,
 				NodeMemoryLimit:  opt.NodeMemoryLimitMB * 1_000_000,
 				Seed:             opt.Seed,
 			},
-			Pool: rmem.Config{},
-		}, func() policy.Policy {
-			if kind == Baseline {
-				return policy.NoOffload{}
-			}
-			return core.New(core.Config{})
-		})
-		for i := 0; i < opt.Functions; i++ {
-			prof := *apps[i%len(apps)]
-			prof.Name = fmt.Sprintf("%s-%d", prof.Name, i)
-			fn := trace.GenerateFunction(prof.Name, opt.Duration,
-				time.Duration(20+7*i)*time.Second, i%2 == 0, opt.Seed+int64(i))
-			if len(fn.Invocations) == 0 {
-				continue
-			}
-			c.Register(prof.Name, &prof)
-			c.ScheduleInvocations(prof.Name, fn.Invocations)
-		}
-		e.RunUntil(opt.Duration + 10*time.Minute)
+		}, kind, fns, 0, opt.Duration+10*time.Minute)
 		st := c.Stats()
 		row := RackRow{
 			Policy:        kind,

@@ -210,7 +210,6 @@ var Registry = []Experiment{
 		cells := Observe(ObserveOptions{
 			Duration:  scale(quick, 10*time.Minute, 4*time.Minute),
 			KeepAlive: scale(quick, 8*time.Minute, 3*time.Minute),
-			Fallback:  true,
 			Seed:      seed,
 			FaultSeed: seed,
 		})

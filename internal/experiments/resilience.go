@@ -5,18 +5,8 @@ import (
 	"io"
 	"time"
 
-	"github.com/faasmem/faasmem/internal/cluster"
-	"github.com/faasmem/faasmem/internal/core"
-	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
-	"github.com/faasmem/faasmem/internal/faultinject"
-	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/metrics"
-	"github.com/faasmem/faasmem/internal/policy"
-	"github.com/faasmem/faasmem/internal/rmem"
-	"github.com/faasmem/faasmem/internal/simtime"
-	"github.com/faasmem/faasmem/internal/trace"
-	"github.com/faasmem/faasmem/internal/workload"
+	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
 // ResilienceRow is one fault-intensity cell of the ext-resilience sweep.
@@ -62,10 +52,6 @@ type ResilienceOptions struct {
 	Duration time.Duration
 	// KeepAlive of idle containers. Default 10 m.
 	KeepAlive time.Duration
-	// Fallback enables the local-swap fallback path (dual-backend swap):
-	// fetch timeouts are served from the local copy instead of forcing a
-	// cold re-init.
-	Fallback bool
 	// Seed drives the workload; FaultSeed drives the fault plan.
 	Seed, FaultSeed int64
 }
@@ -75,7 +61,8 @@ type ResilienceOptions struct {
 // increasing intensity (each plan's windows contain the weaker plan's, so
 // the exposure is strictly nested), and each row reports tail latency, the
 // cold-start ratio, and where the recovery machinery routed the affected
-// requests. Request conservation — completed + rescheduled + failed ==
+// requests. The local-swap fallback is off, so a fetch timeout ends in a
+// cold re-init. Request conservation — completed + rescheduled + failed ==
 // submitted — holds on every row by construction.
 func Resilience(opt ResilienceOptions) []ResilienceRow {
 	if len(opt.Intensities) == 0 {
@@ -90,46 +77,14 @@ func Resilience(opt ResilienceOptions) []ResilienceRow {
 	if opt.KeepAlive <= 0 {
 		opt.KeepAlive = 10 * time.Minute
 	}
-	horizon := opt.Duration + opt.KeepAlive + time.Minute
-
 	run := func(intensity float64) ResilienceRow {
-		plan := faultinject.New(faultinject.Config{
-			Horizon:   horizon,
-			Intensity: intensity,
-			Seed:      opt.FaultSeed,
-		})
-		nodeCfg := memnode.Config{DRAMBytes: 512 << 20, SpillBytes: 512 << 20}
-		swapCfg := fastswap.Config{}
-		if opt.Fallback {
-			swapCfg.FallbackReadLatency = 50 * time.Microsecond
-		}
-		e := simtime.NewEngine()
-		c := cluster.New(e, cluster.Config{
-			Nodes: opt.Nodes,
-			Node: faas.Config{
-				KeepAliveTimeout: opt.KeepAlive,
-				Seed:             opt.Seed,
-				Swap:             swapCfg,
-				RequestLogSize:   1 << 16,
-			},
-			Pool: rmem.Config{Node: &nodeCfg, Faults: plan},
-		}, func() policy.Policy { return core.New(core.Config{}) })
-		for i, prof := range workload.Profiles() {
-			p := *prof
-			fn := trace.GenerateFunction(p.Name, opt.Duration,
-				time.Duration(3+i)*time.Second, true, opt.Seed+int64(i))
-			if len(fn.Invocations) == 0 {
-				continue
-			}
-			c.Register(p.Name, &p)
-			c.ScheduleInvocations(p.Name, fn.Invocations)
-		}
-		e.RunUntil(horizon)
+		c, plan := faultRack(opt.Nodes, opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+			intensity, false, telemetry.Hub{})
 
 		st := c.Stats()
 		row := ResilienceRow{
 			Intensity:        intensity,
-			UnhealthyPct:     plan.UnhealthyFraction(horizon) * 100,
+			UnhealthyPct:     plan.UnhealthyFraction(c.Engine().Now()) * 100,
 			Submitted:        st.Submitted,
 			Completed:        st.Recovery.DoneNormal,
 			Rescheduled:      st.Recovery.DoneRescheduled,

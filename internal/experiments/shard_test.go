@@ -3,10 +3,12 @@ package experiments
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
+	"github.com/faasmem/faasmem/internal/workload"
 )
 
 // sinkState snapshots everything the shared sinks retained.
@@ -60,5 +62,48 @@ func TestSharedSinksDeterministicAcrossWidths(t *testing.T) {
 				len(want.invs), len(got.invs), len(want.bgs), len(got.bgs),
 				want.flight, got.flight)
 		}
+	}
+}
+
+// TestSweepSharedSinksDeterministicAcrossWidths holds Sweep to the same
+// contract: a sweep over all six policies retains identical tracer events
+// and timeline rows in process-default sinks at widths 1 and 4.
+func TestSweepSharedSinksDeterministicAcrossWidths(t *testing.T) {
+	inv := HighLoadInvocations(4*time.Minute, 11)
+	var points []SweepPoint
+	for _, pk := range PolicyKinds() {
+		points = append(points, SweepPoint{Label: string(pk), Scenario: Scenario{
+			Profile:     workload.ByName("web"),
+			Invocations: inv,
+			Duration:    4 * time.Minute,
+			KeepAlive:   2 * time.Minute,
+			Policy:      pk,
+			Seed:        11,
+		}})
+	}
+	sweep := func(width int) ([]telemetry.Event, []timeseries.Row) {
+		tr := telemetry.NewTracer(1 << 14)
+		tl := timeseries.NewRecorder(timeseries.Config{})
+		telemetry.SetDefault(telemetry.Hub{Tracer: tr, Timeline: tl})
+		defer telemetry.SetDefault(telemetry.Hub{})
+		prev := Workers()
+		SetWorkers(width)
+		defer SetWorkers(prev)
+		Sweep(points)
+		return tr.Events(), tl.Rows()
+	}
+	wantEvents, wantRows := sweep(1)
+	if len(wantEvents) == 0 || len(wantRows) == 0 {
+		t.Fatalf("serial sweep retained %d events and %d timeline rows; test is vacuous",
+			len(wantEvents), len(wantRows))
+	}
+	gotEvents, gotRows := sweep(4)
+	if !reflect.DeepEqual(wantEvents, gotEvents) {
+		t.Errorf("tracer events differ between workers=1 and workers=4 (%d vs %d events)",
+			len(wantEvents), len(gotEvents))
+	}
+	if !reflect.DeepEqual(wantRows, gotRows) {
+		t.Errorf("timeline rows differ between workers=1 and workers=4 (%d vs %d rows)",
+			len(wantRows), len(gotRows))
 	}
 }

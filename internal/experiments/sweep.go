@@ -21,15 +21,19 @@ type SweepResult struct {
 	Outcome Outcome
 }
 
-// Sweep runs every point across the scenario worker pool (see SetWorkers)
-// and collects outcomes in input order. Sweeps are the building block for
-// sensitivity studies beyond the paper's fixed configurations (keep-alive
-// sweeps, bandwidth sweeps, timing sweeps).
+// Sweep runs every point through RunScenarios and collects outcomes in input
+// order, so process-default sinks fill the same way at any worker width.
+// Sweeps are the building block for sensitivity studies beyond the paper's
+// fixed configurations (keep-alive sweeps, bandwidth sweeps, timing sweeps).
 func Sweep(points []SweepPoint) []SweepResult {
+	scs := make([]Scenario, len(points))
+	for i, p := range points {
+		scs[i] = p.Scenario
+	}
 	out := make([]SweepResult, len(points))
-	runGrid(len(points), func(i int) {
-		out[i] = SweepResult{Label: points[i].Label, Outcome: RunScenario(points[i].Scenario)}
-	})
+	for i, o := range RunScenarios(scs) {
+		out[i] = SweepResult{Label: points[i].Label, Outcome: o}
+	}
 	return out
 }
 
