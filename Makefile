@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-check cover fuzz-smoke experiments experiments-quick determinism examples trace-demo attrib-demo clean
+.PHONY: all build test vet loc bench bench-json bench-check cover fuzz-smoke experiments experiments-quick determinism examples trace-demo attrib-demo clean
 
 all: build vet test
 
@@ -14,6 +14,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines outside bench/: the total, then each internal/* and
+# cmd/* directory (subpackages included). Line budgets quote these figures.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*' -exec cat {} + | wc -l | awk '{ print "total (non-test, outside bench/): " $$1 }'
+	@for d in internal/* cmd/*; do \
+		printf '%7d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l) $$d; \
+	done
 
 # Full test log, as recorded in test_output.txt.
 test-log:
