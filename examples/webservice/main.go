@@ -22,8 +22,9 @@ func main() {
 	// Show the access skew first: which cached objects do 40 requests touch?
 	rng := rand.New(rand.NewSource(3))
 	hits := map[int64]int{}
+	var t workload.Touches
 	for i := 0; i < 40; i++ {
-		t := prof.RequestTouches(rng)
+		prof.RequestTouches(rng, &t)
 		if len(t.Init) > 1 {
 			hits[t.Init[1].Start/1e6]++
 		}

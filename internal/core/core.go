@@ -319,7 +319,7 @@ func (f *FaaSMem) semiWarmDelay(fnID string) time.Duration {
 // Attach implements policy.Policy.
 func (f *FaaSMem) Attach(e *simtime.Engine, v policy.View) policy.ContainerPolicy {
 	f.history(v.FunctionID()).coldStarts++
-	return &container{
+	c := &container{
 		parent:  f,
 		cfg:     f.cfg,
 		view:    v,
@@ -327,6 +327,8 @@ func (f *FaaSMem) Attach(e *simtime.Engine, v policy.View) policy.ContainerPolic
 		lastRB:  e.Now(),
 		history: make([]int, 0, 8),
 	}
+	c.semiWarmFn = c.startSemiWarm
+	return c
 }
 
 // container is the per-container FaaSMem state machine.
@@ -355,6 +357,7 @@ type container struct {
 	// Semi-warm.
 	idleStart    simtime.Time
 	semiWarmEv   simtime.Handle
+	semiWarmFn   simtime.Func // startSemiWarm, bound once so Idle allocates nothing
 	semiWarmTick *simtime.Ticker
 	semiWarm     bool
 	semiWarmTime time.Duration // accumulated semi-warm duration
@@ -505,7 +508,7 @@ func (c *container) Idle(e *simtime.Engine) {
 		return
 	}
 	delay := c.parent.semiWarmDelay(c.view.FunctionID())
-	c.semiWarmEv = e.After(delay, c.startSemiWarm)
+	c.semiWarmEv = e.After(delay, c.semiWarmFn)
 }
 
 // startSemiWarm begins gradual hot-page offloading (§6.2).
@@ -517,7 +520,11 @@ func (c *container) startSemiWarm(e *simtime.Engine) {
 	c.semiWarmFrom = e.Now()
 	c.parent.stat.SemiWarmEntries++
 	c.view.Telemetry().SemiWarmEnter(e.Now(), c.view.ID(), c.view.FunctionID(), c.view.Space().LocalBytes())
-	c.semiWarmTick = simtime.NewTicker(e, c.cfg.OffloadTick, c.gradualOffload)
+	if c.semiWarmTick == nil {
+		c.semiWarmTick = simtime.NewTicker(e, c.cfg.OffloadTick, c.gradualOffload)
+	} else {
+		c.semiWarmTick.Reset(c.cfg.OffloadTick)
+	}
 }
 
 // gradualOffload moves one tick's budget of pages to the pool: inactive
@@ -560,10 +567,11 @@ func (c *container) gradualOffload(e *simtime.Engine) {
 	c.view.OffloadPages(e, victims)
 }
 
+// stopTicker stops the gradual offload; the ticker is kept for the next
+// semi-warm period.
 func (c *container) stopTicker() {
 	if c.semiWarmTick != nil {
 		c.semiWarmTick.Stop()
-		c.semiWarmTick = nil
 	}
 }
 

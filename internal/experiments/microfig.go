@@ -143,8 +143,9 @@ func Fig6(opt Fig6Options) []Fig6Row {
 	}
 	// Requests: runtime hot + init hot + jitter + exec temporaries.
 	start := initSec + 3 // idle gap before the first request, as in the scan
+	var touches workload.Touches
 	for i := 0; i < opt.Requests; i++ {
-		touches := prof.RequestTouches(rng)
+		prof.RequestTouches(rng, &touches)
 		var initTouched int64
 		for _, sp := range touches.Init {
 			initTouched += sp.Len()
@@ -206,8 +207,9 @@ func Fig9(requests int, seed int64) []Fig9Row {
 	prof := workload.Web()
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([]Fig9Row, 0, requests)
+	var touches workload.Touches
 	for i := 0; i < requests; i++ {
-		touches := prof.RequestTouches(rng)
+		prof.RequestTouches(rng, &touches)
 		row := Fig9Row{Request: i}
 		if len(touches.Init) > 0 {
 			row.SharedMB = float64(touches.Init[0].Len()) / 1e6

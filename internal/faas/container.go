@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/cgroup"
@@ -41,6 +42,7 @@ type Container struct {
 
 	requests  int
 	idle      bool
+	arrival   simtime.Time // current request's arrival, before any cold start
 	started   simtime.Time // current request's execution start
 	curKind   StartKind    // how the current request found this container
 	curFaults int
@@ -71,9 +73,11 @@ type Container struct {
 	loadedAt         simtime.Time // when the runtime finished loading
 	recycleEv        simtime.Handle
 	dead             bool
-	// offCand is per-container scratch for OffloadPages victim selection,
-	// reused across calls to keep steady-state offloads allocation-free.
-	offCand []pagemem.WordMask
+	// touches holds the current request's spans, refilled by every execute.
+	touches workload.Touches
+	// finish and expire are the request-completion and keep-alive-expiry
+	// events, built once at launch so a warm request allocates no closure.
+	finish, expire simtime.Func
 }
 
 // launch creates a container; memory arrives as lifecycle stages complete.
@@ -97,7 +101,13 @@ func (p *Platform) launch(f *Function) *Container {
 	if p.cfg.NodeID != "" {
 		c.owner = p.cfg.NodeID + "/" + c.id
 	}
+	// Every segment's size is known from the profile: size the page state
+	// once for all three instead of growing it per segment.
+	sp, prof := c.space, f.profile
+	sp.Reserve(sp.PagesOf(prof.RuntimeBytes) + sp.PagesOf(prof.InitBytes) + sp.PagesOf(prof.ExecBytes))
 	c.lru = mglru.New(c.space)
+	c.finish = func(*simtime.Engine) { c.finishRequest() }
+	c.expire = func(*simtime.Engine) { c.recycle() }
 	p.tel.Launch(now, c.id, f.id, p.liveTotal)
 	c.pol = p.pol.Attach(p.engine, c)
 	return c
@@ -153,6 +163,7 @@ func (c *Container) wake() {
 func (c *Container) execute(arrival simtime.Time) {
 	e := c.p.engine
 	now := e.Now()
+	c.arrival = arrival
 	c.started = now
 	prof := c.fn.profile
 
@@ -165,19 +176,19 @@ func (c *Container) execute(arrival simtime.Time) {
 	c.pol.RequestStart(e)
 
 	// Replay the request's page accesses.
-	touches := prof.RequestTouches(c.rng)
+	prof.RequestTouches(c.rng, &c.touches)
 	planned := c.p.pool.FaultsPlanned()
 	var stall rmem.FaultStall
 	var preFaults rmem.ClassCounts
 	var preRA int
 	if planned {
 		var ok bool
-		if stall, preFaults, preRA, ok = c.fetchPlanned(arrival, touches); !ok {
+		if stall, preFaults, preRA, ok = c.fetchPlanned(); !ok {
 			return
 		}
 	}
-	runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, touches.Runtime)
-	initFaults, initRA := c.touchSpans(c.initRange, touches.Init)
+	runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, c.touches.Runtime)
+	initFaults, initRA := c.touchSpans(c.initRange, c.touches.Init)
 	c.touchSpans(c.execRange, []workload.Span{{Start: 0, End: execBytes}})
 	faults := runtimeFaults + initFaults
 	readahead := runtimeRA + initRA
@@ -240,9 +251,7 @@ func (c *Container) execute(arrival simtime.Time) {
 		c.psi.AddStall(now+simtime.Time(latency), faultLat)
 	}
 
-	e.After(latency, func(e *simtime.Engine) {
-		c.finishRequest(arrival)
-	})
+	e.After(latency, c.finish)
 }
 
 // priceRuntimeWrites models the request's write-hot runtime accesses: the
@@ -457,9 +466,10 @@ func (c *Container) readaheadFrom(seg pagemem.Range, w, left int, gone *pageOver
 
 // finishRequest tears down the exec segment, records stats, runs policy
 // hooks and puts the container into keep-alive.
-func (c *Container) finishRequest(arrival simtime.Time) {
+func (c *Container) finishRequest() {
 	e := c.p.engine
 	now := e.Now()
+	arrival := c.arrival
 
 	// Exec temporaries are freed immediately on completion (paper §3.3).
 	freed := c.space.BytesOf(c.execRange.Len() - c.space.CountInRange(c.execRange, pagemem.Free))
@@ -531,7 +541,7 @@ func (c *Container) finishRequest(arrival simtime.Time) {
 	c.idleSince = now
 	c.fn.idle = append(c.fn.idle, c)
 	c.p.tel.Idle(now, c.id, c.fn.id)
-	c.recycleEv = e.After(c.p.keepAliveFor(c.fn), func(*simtime.Engine) { c.recycle() })
+	c.recycleEv = e.After(c.p.keepAliveFor(c.fn), c.expire)
 	c.pol.Idle(e)
 
 	// An over-committed node reclaims as soon as something becomes
@@ -656,12 +666,10 @@ func (c *Container) recycle() {
 	c.dead = true
 	now := c.p.engine.Now()
 
-	// Remove from the idle stack.
-	for i, ic := range c.fn.idle {
-		if ic == c {
-			c.fn.idle = append(c.fn.idle[:i], c.fn.idle[i+1:]...)
-			break
-		}
+	// Remove from the idle stack; slices.Delete zeroes the vacated slot, so
+	// the stack's spare capacity does not keep the dead container reachable.
+	if i := slices.Index(c.fn.idle, c); i >= 0 {
+		c.fn.idle = slices.Delete(c.fn.idle, i, i+1)
 	}
 	local := c.space.LocalBytes()
 	remote := c.space.RemoteBytes()
@@ -817,7 +825,7 @@ func (c *Container) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) 
 // victims that are locally resident (Inactive or Hot), counted by lifecycle
 // class: one residency probe and one popcount per class for each word mask.
 func (c *Container) offloadCandidates(victims []pagemem.WordMask, max int) ([]pagemem.WordMask, rmem.ClassCounts) {
-	cand := c.offCand[:0]
+	cand := c.p.offCand[:0]
 	var counts rmem.ClassCounts
 	n := 0
 	for _, v := range victims {
@@ -835,7 +843,7 @@ func (c *Container) offloadCandidates(victims []pagemem.WordMask, max int) ([]pa
 		}
 		cand = append(cand, pagemem.WordMask{W: v.W, Mask: m})
 	}
-	c.offCand = cand
+	c.p.offCand = cand
 	return cand, counts
 }
 

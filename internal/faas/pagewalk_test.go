@@ -313,7 +313,8 @@ func offloadVictims(c *Container, shape int, rng *rand.Rand) []pagemem.WordMask 
 // trimming random classes.
 func TestOffloadMatchesPerPageMove(t *testing.T) {
 	for seed := int64(1); seed <= 80; seed++ {
-		fast, slow := walkContainer(seed), walkContainer(seed)
+		// The word-mask filter keeps its candidates in platform scratch.
+		fast, slow := withWindow(walkContainer(seed), 0), walkContainer(seed)
 		rng := rand.New(rand.NewSource(seed * 17))
 		victims := offloadVictims(fast, int(seed%4), rng)
 		ids := expandWords(victims)
@@ -479,7 +480,7 @@ func BenchmarkFaultPrecount(b *testing.B) {
 	}
 	touches := make([]workload.Touches, 64)
 	for i := range touches {
-		touches[i] = prof.RequestTouches(rng)
+		prof.RequestTouches(rng, &touches[i])
 	}
 	var gone pageOverlay
 	precount := func(t workload.Touches) int {

@@ -106,10 +106,10 @@ func (c *Container) countSpans(seg pagemem.Range, spans []workload.Span, gone *p
 // faults per class and readahead pages, which execute's walk must
 // reproduce; ok is false when the fetch timed out and recoverFetch has taken
 // the request over.
-func (c *Container) fetchPlanned(arrival simtime.Time, touches workload.Touches) (stall rmem.FaultStall, faults rmem.ClassCounts, readahead int, ok bool) {
+func (c *Container) fetchPlanned() (stall rmem.FaultStall, faults rmem.ClassCounts, readahead int, ok bool) {
 	gone := &c.p.gone
-	rf, rra := c.countSpans(c.runtimeRange, touches.Runtime, gone)
-	inf, ira := c.countSpans(c.initRange, touches.Init, gone)
+	rf, rra := c.countSpans(c.runtimeRange, c.touches.Runtime, gone)
+	inf, ira := c.countSpans(c.initRange, c.touches.Init, gone)
 	gone.reset()
 	faults[memnode.ClassRuntime] = rf
 	faults[memnode.ClassInit] = inf
@@ -119,7 +119,7 @@ func (c *Container) fetchPlanned(arrival simtime.Time, touches workload.Touches)
 	}
 	stall, err := c.p.pool.FetchRetry(c.p.engine.Now(), c.owner, c.fn.id, faults, int64(c.space.PageSize()), c.p.cfg.FetchTimeout)
 	if err != nil {
-		c.recoverFetch(arrival, touches, stall)
+		c.recoverFetch(stall)
 		return stall, faults, readahead, false
 	}
 	c.fn.stats.FetchRetries += int64(stall.Retries)
@@ -131,7 +131,7 @@ func (c *Container) fetchPlanned(arrival simtime.Time, touches workload.Touches)
 // discard the container and replay the request through a cold re-init.
 // stall carries the backoff already spent (stall.Backoff) — wall time the
 // request has lost either way.
-func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches, stall rmem.FaultStall) {
+func (c *Container) recoverFetch(stall rmem.FaultStall) {
 	e := c.p.engine
 	now := e.Now()
 	c.fn.stats.FetchRetries += int64(stall.Retries)
@@ -143,8 +143,8 @@ func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches,
 		// fallback read latency and the pool ledger is released without
 		// wire traffic.
 		pageBytes := int64(c.space.PageSize())
-		runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, touches.Runtime)
-		initFaults, initRA := c.touchSpans(c.initRange, touches.Init)
+		runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, c.touches.Runtime)
+		initFaults, initRA := c.touchSpans(c.initRange, c.touches.Init)
 		execBytes := c.space.BytesOf(c.execRange.Len())
 		c.touchSpans(c.execRange, []workload.Span{{Start: 0, End: execBytes}})
 		faults := runtimeFaults + initFaults
@@ -176,9 +176,7 @@ func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches,
 		if c.curStall > 0 {
 			c.psi.AddStall(now+simtime.Time(latency), c.curStall)
 		}
-		e.After(latency, func(e *simtime.Engine) {
-			c.finishRequest(arrival)
-		})
+		e.After(latency, c.finish)
 		return
 	}
 
@@ -187,6 +185,7 @@ func (c *Container) recoverFetch(arrival simtime.Time, touches workload.Touches,
 	// offload stays paused while the link is unhealthy, so the replayed
 	// request cannot re-enter this path for the same outage.
 	f := c.fn
+	arrival := c.arrival
 	resched := c.curResched
 	hooks := c.curHooks
 	waited := stall.Backoff

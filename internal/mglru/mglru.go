@@ -294,10 +294,15 @@ func (l *LRU) shift(old, g GenID, k int) {
 	}
 }
 
-// excBits returns generation g's exception bitset, creating it on first use.
+// excBits returns generation g's exception bitset, creating it on first use
+// with room for every tracked page, and sized excAny likewise, so exception
+// bits are set without growing word by word.
 func (l *LRU) excBits(g GenID) *pagemem.Bitset {
 	if l.exc[g] == nil {
-		l.exc[g] = &pagemem.Bitset{}
+		b := &pagemem.Bitset{}
+		b.Reserve(l.tracked)
+		l.exc[g] = b
+		l.excAny.Reserve(l.tracked)
 	}
 	return l.exc[g]
 }

@@ -1,6 +1,9 @@
 package pagemem
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Bitset is a growable bit vector used for page access bits: 8× denser than
 // []bool and word-at-a-time scans for the Accessed-bit walks every policy
@@ -21,6 +24,15 @@ func (b *Bitset) grow(i int) {
 func (b *Bitset) Grow(n int) {
 	if n > 0 {
 		b.grow(n - 1)
+	}
+}
+
+// Reserve sets the capacity to address bits [0, n) so later growth up to n
+// bits reuses one allocation. It changes no bit and no observable length:
+// words beyond the current length still read as zero.
+func (b *Bitset) Reserve(n int) {
+	if need := (n + 63) / 64; need > len(b.words) {
+		b.words = slices.Grow(b.words, need-len(b.words))
 	}
 }
 

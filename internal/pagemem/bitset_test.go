@@ -78,6 +78,24 @@ func TestBitsetSetGetClear(t *testing.T) {
 	b.Clear(1 << 20) // beyond capacity is a no-op
 }
 
+// TestBitsetReserve checks that Reserve keeps every bit, leaves the bits
+// beyond the old length clear, and makes growth up to the reservation free.
+func TestBitsetReserve(t *testing.T) {
+	var b Bitset
+	b.SetRange(3, 70)
+	b.Reserve(1000)
+	b.Reserve(10) // smaller than the capacity: a no-op
+	if got := b.CountRange(0, 1000); got != 67 || !b.Get(3) || !b.Get(69) || b.Get(70) {
+		t.Fatalf("Reserve changed bits: %d set", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { b.Set(999); b.OrWordAt(15, 1); b.SetRange(100, 1000) }); n != 0 {
+		t.Fatalf("growth within the reservation made %v allocations, want 0", n)
+	}
+	if got := b.CountRange(0, 1000); got != 67+900 {
+		t.Fatalf("CountRange = %d, want %d", got, 67+900)
+	}
+}
+
 func TestBitsetSetRange(t *testing.T) {
 	var b Bitset
 	b.SetRange(10, 140)

@@ -177,6 +177,12 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	n := len(p.slow.state)
 	switch op % 9 {
 	case 0: // grow: a few pages, or (odd multiples of 9) 64 to 1024 pages
+		// With a >= 128 the space first reserves 16*b pages, below, at or
+		// beyond what the grow needs; the reserve must change nothing the
+		// model can see.
+		if a >= 128 {
+			p.fast.Reserve(16 * int(b))
+		}
 		seg := Segment(int(a) % int(NumSegments))
 		count := int(b) % 97
 		if op/9%2 == 1 {
@@ -386,6 +392,7 @@ func TestSpaceDifferentialRandomOps(t *testing.T) {
 func FuzzSpaceDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 70, 4, 0, 5, 3, 1, 9, 5, 0, 255, 6, 0, 255, 7, 2, 3})
 	f.Add([]byte{0, 2, 96, 1, 20, 200, 2, 10, 128, 0, 1, 33, 5, 64, 250})
+	f.Add([]byte{0, 129, 40, 9, 128, 3, 5, 2, 255, 0, 200, 250, 7, 3, 255, 9, 130, 15, 1, 60, 200, 0, 128, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*300 {
 			script = script[:3*300]

@@ -13,6 +13,7 @@ package pagemem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -157,6 +158,22 @@ func NewSpace(pageSize int) *Space {
 		panic("pagemem: page size must be positive")
 	}
 	return &Space{pageSize: pageSize}
+}
+
+// Reserve sizes the space's page state for pages page slots, one
+// allocation per bitset plus room for one run per segment, so Alloc calls
+// up to that total allocate nothing while each segment is allocated in one
+// run. It changes no page: a container whose segment sizes are known at
+// launch reserves their sum once instead of growing per segment.
+func (s *Space) Reserve(pages int) {
+	s.segRuns = slices.Grow(s.segRuns, NumSegments)
+	s.accessed.Reserve(pages)
+	for st := range s.stateBits {
+		s.stateBits[st].Reserve(pages)
+	}
+	if need := (pages + 64*64 - 1) / (64 * 64) * numStates; need > len(s.summary) {
+		s.summary = slices.Grow(s.summary, need-len(s.summary))
+	}
 }
 
 // PageSize returns the page size in bytes.

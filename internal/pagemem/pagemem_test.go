@@ -65,6 +65,45 @@ func TestAllocBytesRoundsUp(t *testing.T) {
 	}
 }
 
+// TestReserveMakesAllocAllocationFree allocates a container's three
+// segments into spaces reserved for exactly their total: no Alloc call may
+// allocate, and the result must match an unreserved space.
+func TestReserveMakesAllocAllocationFree(t *testing.T) {
+	const runtime, init, exec = 7000, 30001, 4097 // spans summary words
+	build := func(s *Space) {
+		s.Alloc(SegRuntime, runtime)
+		s.Alloc(SegInit, init)
+		s.Alloc(SegExec, exec)
+	}
+	const runs = 10
+	spaces := make([]*Space, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range spaces {
+		spaces[i] = NewSpace(DefaultPageSize)
+		spaces[i].Reserve(runtime + init + exec)
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { build(spaces[next]); next++ }); n != 0 {
+		t.Fatalf("Alloc within a reservation made %v allocations per container, want 0", n)
+	}
+	want := NewSpace(DefaultPageSize)
+	build(want)
+	got := spaces[0]
+	all := Range{Start: 0, End: PageID(want.NumPages())}
+	for st := Free; st < numStates; st++ {
+		if g, w := got.CountInRange(all, st), want.CountInRange(all, st); g != w {
+			t.Fatalf("CountInRange(%v) = %d, want %d", st, g, w)
+		}
+	}
+	for seg := Segment(0); seg < NumSegments; seg++ {
+		if g, w := got.Count(seg, Inactive), want.Count(seg, Inactive); g != w {
+			t.Fatalf("Count(%v, inactive) = %d, want %d", seg, g, w)
+		}
+	}
+	if g, w := got.CountAccessed(all), want.CountAccessed(all); g != w {
+		t.Fatalf("CountAccessed = %d, want %d", g, w)
+	}
+}
+
 func TestNegativeAllocPanics(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	defer func() {

@@ -102,6 +102,9 @@ type damonContainer struct {
 	ticker  *simtime.Ticker
 	rng     *rand.Rand
 	regions []damonRegion
+	// spare is adaptRegions' split buffer, swapped with regions on each
+	// split pass so neither is reallocated once both have grown.
+	spare   []damonRegion
 	samples int
 	// victims is the reusable per-aggregation victim-list scratch.
 	victims []pagemem.WordMask
@@ -232,7 +235,7 @@ func (c *damonContainer) adaptRegions() {
 	c.regions = merged
 	// Split pass: bisect regions at random points while under the cap.
 	if len(c.regions)*2 <= c.cfg.MaxRegions {
-		split := make([]damonRegion, 0, len(c.regions)*2)
+		split := c.spare[:0]
 		for _, r := range c.regions {
 			if r.len() < 2 {
 				split = append(split, r)
@@ -243,7 +246,7 @@ func (c *damonContainer) adaptRegions() {
 				damonRegion{start: r.start, end: cut, age: r.age},
 				damonRegion{start: cut, end: r.end, age: r.age})
 		}
-		c.regions = split
+		c.regions, c.spare = split, c.regions
 	}
 }
 

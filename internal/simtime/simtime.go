@@ -587,6 +587,20 @@ func NewTicker(e *Engine, period time.Duration, fn Func) *Ticker {
 	return t
 }
 
+// Reset rearms the ticker, stopped or not, to fire every period from now
+// on, first one period from now, without allocating: a policy that starts
+// and stops the same periodic work many times keeps one Ticker. period must
+// be positive.
+func (t *Ticker) Reset(period time.Duration) {
+	if period <= 0 {
+		panic("simtime: ticker period must be positive")
+	}
+	t.engine.Cancel(t.ev)
+	t.period = period
+	t.stopped = false
+	t.ev = t.engine.After(period, t.tick)
+}
+
 // Stop cancels future firings. Idempotent.
 func (t *Ticker) Stop() {
 	if t.stopped {

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -224,6 +225,35 @@ func TestTickerStopIsIdempotent(t *testing.T) {
 	e.Run()
 	if e.Fired() != 0 {
 		t.Fatalf("stopped ticker fired %d events", e.Fired())
+	}
+}
+
+func TestTickerResetRearms(t *testing.T) {
+	e := NewEngine()
+	var fires []Time
+	var tk *Ticker
+	tk = NewTicker(e, time.Second, func(e *Engine) {
+		fires = append(fires, e.Now())
+		if len(fires) == 2 {
+			tk.Stop()
+		}
+	})
+	e.RunUntil(5 * time.Second)
+	// Rearm a stopped ticker at a new period, then rearm a running one: the
+	// pending firing moves rather than doubling.
+	tk.Reset(2 * time.Second)
+	e.RunUntil(8 * time.Second)
+	tk.Reset(3 * time.Second)
+	tk.Reset(3 * time.Second)
+	e.RunUntil(14 * time.Second)
+	tk.Stop()
+	e.Run()
+	want := []Time{1 * time.Second, 2 * time.Second, 7 * time.Second, 11 * time.Second, 14 * time.Second}
+	if !slices.Equal(fires, want) {
+		t.Fatalf("fires = %v, want %v", fires, want)
+	}
+	if n := testing.AllocsPerRun(10, func() { tk.Reset(time.Second); tk.Stop() }); n != 0 {
+		t.Fatalf("Reset allocates %v times per call, want 0", n)
 	}
 }
 

@@ -25,7 +25,8 @@ func Example() {
 func ExampleProfile_RequestTouches() {
 	p := workload.Web()
 	rng := rand.New(rand.NewSource(1))
-	t := p.RequestTouches(rng)
+	var t workload.Touches
+	p.RequestTouches(rng, &t)
 	fmt.Printf("runtime spans: %d, init spans: %d (shared %d MB first)\n",
 		len(t.Runtime), len(t.Init), t.Init[0].Len()/workload.MB)
 	// Output:

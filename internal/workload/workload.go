@@ -205,10 +205,15 @@ func (p *Profile) Micro() bool { return p.CPUShare <= 0.1 }
 func (p *Profile) TotalBytes() int64 { return p.RuntimeBytes + p.InitBytes + p.ExecBytes }
 
 // Touches lists the byte spans a request touches in the runtime and init
-// segments. Spans are relative to each segment's start.
+// segments. Spans are relative to each segment's start. RequestTouches
+// refills a Touches in place, so a caller that keeps one value allocates
+// only while its buffers first grow.
 type Touches struct {
 	Runtime []Span
 	Init    []Span
+	// seen is RequestTouches' scratch set of the objects a request has
+	// already drawn, cleared on each call.
+	seen map[int]struct{}
 }
 
 // paretoIndex draws an object index in [0, n) with Pareto-distributed
@@ -230,10 +235,12 @@ func paretoIndex(rng *rand.Rand, alpha float64, n int) int {
 	return idx
 }
 
-// RequestTouches returns the spans a single request accesses, using rng for
-// the pattern's stochastic parts. It is deterministic given the rng state.
-func (p *Profile) RequestTouches(rng *rand.Rand) Touches {
-	var t Touches
+// RequestTouches fills t with the spans a single request accesses, using rng
+// for the pattern's stochastic parts, and reuses t's buffers: the spans are
+// valid until the next call with the same t. It is deterministic given the
+// rng state.
+func (p *Profile) RequestTouches(rng *rand.Rand, t *Touches) {
+	t.Runtime, t.Init = t.Runtime[:0], t.Init[:0]
 	if p.RuntimeHotBytes > 0 {
 		hot := min64(p.RuntimeHotBytes, p.RuntimeBytes)
 		t.Runtime = append(t.Runtime, Span{0, hot})
@@ -255,13 +262,16 @@ func (p *Profile) RequestTouches(rng *rand.Rand) Touches {
 				if k <= 0 {
 					k = 1
 				}
-				seen := make(map[int]bool, k)
+				if t.seen == nil {
+					t.seen = make(map[int]struct{}, k)
+				}
+				clear(t.seen)
 				for i := 0; i < k; i++ {
 					idx := paretoIndex(rng, p.alpha(), p.Objects)
-					if seen[idx] {
+					if _, dup := t.seen[idx]; dup {
 						continue
 					}
-					seen[idx] = true
+					t.seen[idx] = struct{}{}
 					start := shared + int64(idx)*objBytes
 					t.Init = append(t.Init, Span{start, min64(start+objBytes, p.InitBytes)})
 				}
@@ -286,7 +296,6 @@ func (p *Profile) RequestTouches(rng *rand.Rand) Touches {
 			t.Init = append(t.Init, Span{start, start + span})
 		}
 	}
-	return t
 }
 
 func (p *Profile) alpha() float64 {

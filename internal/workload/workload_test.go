@@ -110,7 +110,8 @@ func TestQuotaCoversFootprint(t *testing.T) {
 func TestFixedHotTouches(t *testing.T) {
 	p := Bert()
 	rng := rand.New(rand.NewSource(1))
-	tc := p.RequestTouches(rng)
+	var tc Touches
+	p.RequestTouches(rng, &tc)
 	if len(tc.Runtime) != 1 || tc.Runtime[0].Len() != p.RuntimeHotBytes {
 		t.Fatalf("runtime touches = %+v", tc.Runtime)
 	}
@@ -134,7 +135,8 @@ func TestFixedHotTouches(t *testing.T) {
 func TestFullScanTouchesEverything(t *testing.T) {
 	p := Graph()
 	rng := rand.New(rand.NewSource(1))
-	tc := p.RequestTouches(rng)
+	var tc Touches
+	p.RequestTouches(rng, &tc)
 	if len(tc.Init) != 1 || tc.Init[0] != (Span{0, p.InitBytes}) {
 		t.Fatalf("graph init touches = %+v, want full segment", tc.Init)
 	}
@@ -144,8 +146,9 @@ func TestParetoTouches(t *testing.T) {
 	p := Web()
 	rng := rand.New(rand.NewSource(1))
 	counts := make(map[int64]int)
+	var tc Touches
 	for i := 0; i < 5000; i++ {
-		tc := p.RequestTouches(rng)
+		p.RequestTouches(rng, &tc)
 		// Shared base plus up to ObjectsPerRequest distinct object spans.
 		if len(tc.Init) < 2 || len(tc.Init) > 1+p.ObjectsPerRequest {
 			t.Fatalf("web touches = %+v, want shared + 1..%d objects", tc.Init, p.ObjectsPerRequest)
