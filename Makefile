@@ -85,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTouchWalk$$'         -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeDomains$$'      -fuzztime=$(FUZZTIME) ./internal/memnode
 	$(GO) test -run='^$$' -fuzz='^FuzzPoolLedger$$'        -fuzztime=$(FUZZTIME) ./internal/rmem
+	$(GO) test -run='^$$' -fuzz='^FuzzRecorderDifferential$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/timeseries
 
 # Regenerate every figure/table at paper scale (see EXPERIMENTS.md).
 experiments:

@@ -17,11 +17,14 @@ func (p *Platform) armTimeline(poolOwner bool) {
 		return
 	}
 	nodeDims := timeseries.Dims{Node: p.tel.Node()}
+	local := tl.Series(timeseries.SeriesNodeLocalBytes, nodeDims, timeseries.Gauge)
+	remote := tl.Series(timeseries.SeriesNodeRemoteBytes, nodeDims, timeseries.Gauge)
+	live := tl.Series(timeseries.SeriesLiveContainers, nodeDims, timeseries.Gauge)
 	simtime.NewTicker(p.engine, tl.Window(), func(e *simtime.Engine) {
 		now := e.Now()
-		tl.SetGauge(now, timeseries.SeriesNodeLocalBytes, nodeDims, p.NodeLocalBytes())
-		tl.SetGauge(now, timeseries.SeriesNodeRemoteBytes, nodeDims, p.NodeRemoteBytes())
-		tl.SetGauge(now, timeseries.SeriesLiveContainers, nodeDims, int64(p.liveTotal))
+		tl.SetGauge(now, local, p.NodeLocalBytes())
+		tl.SetGauge(now, remote, p.NodeRemoteBytes())
+		tl.SetGauge(now, live, int64(p.liveTotal))
 		if poolOwner {
 			p.pool.SampleTimeline(now)
 		}

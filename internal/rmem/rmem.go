@@ -168,9 +168,9 @@ type Pool struct {
 	// windowsTraced guards the one-time fault-window trace dump (a rack-
 	// shared pool is instrumented once per attached platform).
 	windowsTraced bool
-	// tlClaimed marks that one platform already owns the per-window pool
-	// sampler.
-	tlClaimed bool
+	// gauges is the per-window pool sampler; its recorder is set once a
+	// platform claims it.
+	gauges poolGauges
 }
 
 // NewPool creates a pool from cfg, applying defaults for zero fields.

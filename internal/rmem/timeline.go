@@ -6,18 +6,24 @@ import (
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
-// poolDims is the shared dimension set for pool-side timeline series. A
-// package-level value keeps the enabled hot path allocation-free.
+// poolDims is the shared dimension set for pool-side timeline series.
 var poolDims = timeseries.Dims{Node: "pool"}
+
+// poolGauges are the pool's per-window timeline gauges, resolved on the
+// recorder of the platform that claims the sampler (nil until one does).
+type poolGauges struct {
+	tl                                                 *timeseries.Recorder
+	used, faultKinds, unhealthy, dedupSaved, cacheUsed timeseries.SeriesID
+}
 
 // Instrument attaches a platform's telemetry to the pool, labelled "pool",
 // and reports whether the caller owns the per-window pool sampling
 // (SampleTimeline). A rack-shared pool is instrumented by every platform
 // that attaches to it: a hub with no sinks is ignored so a
 // telemetry-disabled node cannot detach a sibling's instrumentation; the
-// first caller with a timeline becomes the sampling owner, arms the flight
-// recorder's fault-window triggers and starts the flow-ledger run; and the
-// fault plan's windows are traced once.
+// first caller with a timeline becomes the sampling owner, resolves the pool
+// gauges, arms the flight recorder's fault-window triggers and starts the
+// recorder's run; and the fault plan's windows are traced once.
 func (p *Pool) Instrument(h telemetry.Hub) (owner bool) {
 	if h.Tracer == nil && h.Reg == nil && h.Timeline == nil && h.Spans == nil && h.Exemplars == nil {
 		return false
@@ -31,15 +37,24 @@ func (p *Pool) Instrument(h telemetry.Hub) (owner bool) {
 		}
 	}
 	tl := h.Timeline
-	if tl == nil || p.tlClaimed {
+	if tl == nil || p.gauges.tl != nil {
 		return false
 	}
-	p.tlClaimed = true
-	// One pool lifetime = one flow-ledger run: a recorder that outlives the
-	// pool (a gateway's service-lifetime sink) accumulates multiple runs and
+	gauge := func(name string) timeseries.SeriesID { return tl.Series(name, poolDims, timeseries.Gauge) }
+	p.gauges = poolGauges{
+		tl:         tl,
+		used:       gauge(timeseries.SeriesPoolUsedBytes),
+		faultKinds: gauge(timeseries.SeriesFaultActiveKinds),
+		unhealthy:  gauge(timeseries.SeriesPoolUnhealthy),
+		dedupSaved: gauge(timeseries.SeriesDedupSavedPermille),
+		cacheUsed:  gauge(timeseries.SeriesCacheUsedBytes),
+	}
+	// One pool lifetime = one recorder run: a recorder that outlives the
+	// pool (a gateway's service-lifetime sink) accumulates multiple runs, so
 	// its conservation audit reports itself not-applicable instead of
-	// flagging cross-run occupancy jumps.
-	tl.StartFlowRun()
+	// flagging cross-run occupancy jumps, and its burn-rate alarm seals the
+	// previous run's last window.
+	tl.StartRun()
 	if p.flt != nil {
 		windows := p.flt.Windows()
 		starts := make([]simtime.Time, len(windows))
@@ -56,38 +71,38 @@ func (p *Pool) Instrument(h telemetry.Hub) (owner bool) {
 // savings and per-tenant quota pressure. The owning platform's window
 // ticker calls this once per window.
 func (p *Pool) SampleTimeline(now simtime.Time) {
-	tl := p.tel.Timeline
+	g := &p.gauges
+	tl := g.tl
 	if tl == nil {
 		return
 	}
-	tl.SetGauge(now, timeseries.SeriesPoolUsedBytes, poolDims, p.used)
+	tl.SetGauge(now, g.used, p.used)
 	if p.flt != nil {
-		tl.SetGauge(now, timeseries.SeriesFaultActiveKinds, poolDims, int64(p.flt.ActiveKinds(now)))
+		tl.SetGauge(now, g.faultKinds, int64(p.flt.ActiveKinds(now)))
 		var unhealthy int64
 		if p.flt.Unhealthy(now) {
 			unhealthy = 1
 		}
-		tl.SetGauge(now, timeseries.SeriesPoolUnhealthy, poolDims, unhealthy)
+		tl.SetGauge(now, g.unhealthy, unhealthy)
 	}
 	if p.node == nil {
 		return
 	}
 	if logical := p.node.LogicalBytes(); logical > 0 {
-		tl.SetGauge(now, timeseries.SeriesDedupSavedPermille, poolDims,
-			p.node.DedupSavedBytes()*1000/logical)
+		tl.SetGauge(now, g.dedupSaved, p.node.DedupSavedBytes()*1000/logical)
 	}
 	if quota := p.node.Config().TenantQuotaBytes; quota > 0 {
 		for _, u := range p.node.TenantUsages() {
-			tl.SetGauge(now, timeseries.SeriesTenantQuotaPct,
-				timeseries.Dims{Node: "pool", Tenant: u.Tenant},
+			d := timeseries.Dims{Node: poolDims.Node, Tenant: u.Tenant}
+			tl.SetGauge(now, tl.Series(timeseries.SeriesTenantQuotaPct, d, timeseries.Gauge),
 				u.LogicalBytes*100/quota)
 		}
 	}
 	if cacheCap := p.node.Config().CacheBytes; cacheCap > 0 {
-		tl.SetGauge(now, timeseries.SeriesCacheUsedBytes, poolDims, p.node.CacheUsedBytes())
+		tl.SetGauge(now, g.cacheUsed, p.node.CacheUsedBytes())
 		for _, u := range p.node.CacheOccupancies() {
-			tl.SetGauge(now, timeseries.SeriesCacheOccupancyPct,
-				timeseries.Dims{Node: "pool", Tenant: u.Tenant},
+			d := timeseries.Dims{Node: poolDims.Node, Tenant: u.Tenant}
+			tl.SetGauge(now, tl.Series(timeseries.SeriesCacheOccupancyPct, d, timeseries.Gauge),
 				u.LogicalBytes*100/cacheCap)
 		}
 	}

@@ -16,8 +16,11 @@ import (
 // of a completed request. The node, function and stage or class labels of
 // every sink come from the method's one set of arguments, so the sinks
 // cannot disagree about what happened. Each sink costs one nil check when it
-// is off (nil metrics and recorders are no-ops); registry handles are
-// resolved by Attach, so no method looks a name up or allocates.
+// is off (nil metrics and recorders are no-ops). Attach resolves the
+// registry handles and the timeline series that carry only the node
+// dimension, so those emits look no name up; a timeline series with a tenant
+// dimension is resolved at its emit site, one key probe. No method
+// allocates once its timeline window exists.
 //
 // State samples (node and pool gauges, the timeline's byte-flow ledger) are
 // not occurrences and stay with their owners.
@@ -46,9 +49,15 @@ type handles struct {
 	poolUsed                               *Metric
 	saturation, fetchRetries, fetchTimeout *Metric
 	degraded, injectedStall                *Metric
+
+	// The timeline series with only the node dimension. linkSeries is
+	// indexed like linkBytes.
+	linkSeries                                  [2]timeseries.SeriesID
+	retrySeries, timeoutSeries, unhealthySeries timeseries.SeriesID
 }
 
-func newHandles(reg *Registry) handles {
+func newHandles(reg *Registry, tl *timeseries.Recorder, node string) handles {
+	nd := timeseries.Dims{Node: node}
 	return handles{
 		launches:       reg.Counter("faasmem_containers_launched_total", "containers ever cold-started"),
 		coldStarts:     reg.Counter("faasmem_cold_starts_total", "requests that launched a new container"),
@@ -84,16 +93,25 @@ func newHandles(reg *Registry) handles {
 		fetchTimeout:  reg.Counter("faasmem_fetch_timeouts_total", "page fetches abandoned after exhausting retries or the fetch timeout"),
 		degraded:      reg.Counter("faasmem_degraded_transitions_total", "degraded-mode enter+exit transitions observed by the pool"),
 		injectedStall: reg.Counter("faasmem_injected_stall_us_total", "microseconds of fault-latency added by injected latency spikes"),
+		linkSeries: [2]timeseries.SeriesID{
+			tl.Series(timeseries.SeriesOffloadBytes, nd, timeseries.Counter),
+			tl.Series(timeseries.SeriesRecallBytes, nd, timeseries.Counter),
+		},
+		retrySeries:     tl.Series(timeseries.SeriesFetchRetries, nd, timeseries.Counter),
+		timeoutSeries:   tl.Series(timeseries.SeriesFetchTimeouts, nd, timeseries.Counter),
+		unhealthySeries: tl.Series(timeseries.SeriesPoolUnhealthy, nd, timeseries.Gauge),
 	}
 }
 
 // Attach returns h bound to one emitting component: node labels the
 // timeline dimensions and exemplar cells of everything it emits ("n0" for a
-// compute node, "pool", "rack"), and the registry handles are resolved now.
-// An unattached hub's emit methods skip the registry.
+// compute node, "pool", "rack"), and the registry handles and node-level
+// timeline series are resolved now, so set the sinks before attaching. An
+// unattached hub's emit methods skip the registry and the node-level
+// timeline series.
 func (h Hub) Attach(node string) Hub {
 	h.node = node
-	h.met = newHandles(h.Reg)
+	h.met = newHandles(h.Reg, h.Timeline, node)
 	return h
 }
 
@@ -218,11 +236,11 @@ func (h *Hub) RequestDone(r Request, tree func() span.Invocation) {
 	}
 	if tl := h.Timeline; tl != nil {
 		d := h.dims(r.Fn)
-		tl.AddCounter(r.End, timeseries.SeriesRequests, d, 1)
+		tl.AddCounter(r.End, tl.Series(timeseries.SeriesRequests, d, timeseries.Counter), 1)
 		if r.Kind == span.Cold {
-			tl.AddCounter(r.End, timeseries.SeriesColdStarts, d, 1)
+			tl.AddCounter(r.End, tl.Series(timeseries.SeriesColdStarts, d, timeseries.Counter), 1)
 		}
-		tl.ObserveLatency(r.End, timeseries.SeriesRequestLatency, d, latency)
+		tl.ObserveLatency(r.End, tl.Series(timeseries.SeriesRequestLatency, d, timeseries.Sample), latency)
 	}
 }
 
@@ -261,7 +279,8 @@ func (h *Hub) LocalFallback(now simtime.Time, dur time.Duration, container, fn s
 	h.met.faultPages.Add(int64(faults))
 	h.met.fallbackPages.Add(int64(pages))
 	h.trace(Event{At: now, Dur: dur, Kind: KindLocalFallback, Actor: container, Fn: fn, Value: int64(pages)})
-	h.Timeline.AddCounter(now, timeseries.SeriesFallbackPages, h.dims(fn), int64(pages))
+	tl := h.Timeline
+	tl.AddCounter(now, tl.Series(timeseries.SeriesFallbackPages, h.dims(fn), timeseries.Counter), int64(pages))
 }
 
 // ColdReinit reports a container discarded for a cold re-init after retries
@@ -269,13 +288,15 @@ func (h *Hub) LocalFallback(now simtime.Time, dur time.Duration, container, fn s
 func (h *Hub) ColdReinit(now simtime.Time, dur time.Duration, container, fn string, retries int) {
 	h.met.coldReinits.Inc()
 	h.trace(Event{At: now, Dur: dur, Kind: KindColdReinit, Actor: container, Fn: fn, Value: int64(retries)})
-	h.Timeline.AddCounter(now, timeseries.SeriesColdReinits, h.dims(fn), 1)
+	tl := h.Timeline
+	tl.AddCounter(now, tl.Series(timeseries.SeriesColdReinits, h.dims(fn), timeseries.Counter), 1)
 }
 
 // RescheduledFault reports a request of fn routed away from a
 // fault-degraded node.
 func (h *Hub) RescheduledFault(now simtime.Time, fn string) {
-	h.Timeline.AddCounter(now, timeseries.SeriesRescheduledFault, h.dims(fn), 1)
+	tl := h.Timeline
+	tl.AddCounter(now, tl.Series(timeseries.SeriesRescheduledFault, h.dims(fn), timeseries.Counter), 1)
 }
 
 // --- offload policy ---
@@ -287,14 +308,15 @@ func (h *Hub) OffloadBatch(now, start, done simtime.Time, container, fn string, 
 		Kind: span.BGOffload, Function: fn, Container: container,
 		Start: start, Dur: time.Duration(done - start), Bytes: bytes,
 	})
+	tl := h.Timeline
 	for st, n := range pages {
 		if n == 0 {
 			continue
 		}
 		h.met.offloadedPages[st].Add(int64(n))
 		h.trace(Event{At: now, Kind: KindPageOffload, Actor: container, Fn: fn, Stage: Stage(st), Value: int64(n)})
-		h.Timeline.AddCounter(now, timeseries.SeriesOffloadPages,
-			timeseries.Dims{Node: h.node, Tenant: fn, Class: stageClass[st]}, int64(n))
+		d := timeseries.Dims{Node: h.node, Tenant: fn, Class: stageClass[st]}
+		tl.AddCounter(now, tl.Series(timeseries.SeriesOffloadPages, d, timeseries.Counter), int64(n))
 	}
 }
 
@@ -340,11 +362,7 @@ func (h *Hub) SemiWarmExit(from, now simtime.Time, container, fn string, remoteB
 // private writebacks) counts the bytes only.
 func (h *Hub) LinkBytes(now simtime.Time, dir int, bytes int64, start simtime.Time, dur time.Duration) {
 	h.met.linkBytes[dir].Add(bytes)
-	series := timeseries.SeriesOffloadBytes
-	if dir == 1 {
-		series = timeseries.SeriesRecallBytes
-	}
-	h.Timeline.AddCounter(now, series, timeseries.Dims{Node: h.node}, bytes)
+	h.Timeline.AddCounter(now, h.met.linkSeries[dir], bytes)
 	if dur > 0 {
 		h.trace(Event{At: start, Dur: dur, Kind: KindLinkTransfer, Actor: "link", Value: bytes, Aux: int64(dir)})
 	}
@@ -368,14 +386,14 @@ func (h *Hub) InjectedStall(d time.Duration) { h.met.injectedStall.Add(d.Microse
 func (h *Hub) FetchRetry(at simtime.Time, container, fn string, attempt int, backoff time.Duration) {
 	h.met.fetchRetries.Inc()
 	h.trace(Event{At: at, Kind: KindFetchRetry, Actor: container, Fn: fn, Value: int64(attempt), Aux: backoff.Microseconds()})
-	h.Timeline.AddCounter(at, timeseries.SeriesFetchRetries, timeseries.Dims{Node: h.node}, 1)
+	h.Timeline.AddCounter(at, h.met.retrySeries, 1)
 }
 
 // FetchTimeout reports a fetch of pages pages abandoned at now after
 // waiting dur in retries.
 func (h *Hub) FetchTimeout(now simtime.Time, dur time.Duration, container, fn string, pages int) {
 	h.met.fetchTimeout.Inc()
-	h.Timeline.AddCounter(now, timeseries.SeriesFetchTimeouts, timeseries.Dims{Node: h.node}, 1)
+	h.Timeline.AddCounter(now, h.met.timeoutSeries, 1)
 	h.trace(Event{At: now, Dur: dur, Kind: KindFetchTimeout, Actor: container, Fn: fn, Value: int64(pages)})
 }
 
@@ -388,7 +406,7 @@ func (h *Hub) DegradedEdge(now simtime.Time, healthy bool) {
 		kind, unhealthy = KindDegradedExit, 0
 	}
 	h.trace(Event{At: now, Kind: kind, Actor: "pool"})
-	h.Timeline.SetGauge(now, timeseries.SeriesPoolUnhealthy, timeseries.Dims{Node: h.node}, unhealthy)
+	h.Timeline.SetGauge(now, h.met.unhealthySeries, unhealthy)
 }
 
 // FaultWindow reports one scheduled fault-plan window [start, end) of kind

@@ -104,7 +104,8 @@ func record(h Hub, i int) {
 		h.Tracer.record(Event{At: at, Kind: KindRequest, Fn: fn, Value: int64(k)})
 		h.Reg.Counter("requests_total", "requests").Add(1)
 		h.Spans.Record(inv)
-		h.Timeline.AddCounter(at, timeseries.SeriesRequests, timeseries.Dims{Node: "n0", Tenant: fn}, 1)
+		tl := h.Timeline
+		tl.AddCounter(at, tl.Series(timeseries.SeriesRequests, timeseries.Dims{Node: "n0", Tenant: fn}, timeseries.Counter), 1)
 		h.Exemplars.Record(at, "n0", fn, lat, inv)
 	}
 }

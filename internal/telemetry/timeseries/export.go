@@ -43,7 +43,7 @@ type Row struct {
 }
 
 // Rows flattens every cell, sorted by (Window, Name, Node, Tenant, Class)
-// so output is deterministic regardless of map iteration order.
+// so output does not depend on the order series were resolved in.
 func (r *Recorder) Rows() []Row {
 	if r == nil {
 		return nil
@@ -51,15 +51,20 @@ func (r *Recorder) Rows() []Row {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Row
-	for k, s := range r.series {
-		for win, p := range s.points {
+	for i := range r.series {
+		s := &r.series[i]
+		for win := range s.cells {
+			p := &s.cells[win]
+			if p.count == 0 {
+				continue
+			}
 			row := Row{
-				Window: win,
+				Window: int64(win),
 				Start:  simtime.Time(win) * r.cfg.Window,
-				Name:   k.name,
-				Node:   k.dims.Node,
-				Tenant: k.dims.Tenant,
-				Class:  k.dims.Class,
+				Name:   s.name,
+				Node:   s.dims.Node,
+				Tenant: s.dims.Tenant,
+				Class:  s.dims.Class,
 				Kind:   s.kind.String(),
 				Count:  p.count,
 				Sum:    p.sum,
@@ -101,12 +106,13 @@ func (r *Recorder) Buckets(name string) (b hist.Buckets) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, s := range r.series {
-		if k.name != name {
+	for i := range r.series {
+		s := &r.series[i]
+		if s.name != name {
 			continue
 		}
-		for _, p := range s.points {
-			if p.buckets != nil {
+		for win := range s.cells {
+			if p := &s.cells[win]; p.buckets != nil {
 				b.Merge(p.buckets)
 			}
 		}
@@ -159,26 +165,26 @@ func Summarize(r *Recorder) []SummaryRow {
 		latCount, latMax              int64
 		latBuckets                    hist.Buckets
 	}
-	cells := make(map[int64]*agg)
-	lo, hi := int64(1<<62), int64(-1<<62)
-	cell := func(win int64) *agg {
-		if win < lo {
-			lo = win
-		}
-		if win > hi {
-			hi = win
-		}
-		a := cells[win]
-		if a == nil {
-			a = &agg{}
-			cells[win] = a
-		}
-		return a
+	// aggs is indexed by window, like the series cells it sums; lo is the
+	// first window with a sample (-1 while there is none).
+	var n int
+	for i := range r.series {
+		n = max(n, len(r.series[i].cells))
 	}
-	for k, s := range r.series {
-		for win, p := range s.points {
-			a := cell(win)
-			switch k.name {
+	aggs := make([]agg, n)
+	lo := -1
+	for i := range r.series {
+		s := &r.series[i]
+		for win := range s.cells {
+			p := &s.cells[win]
+			if p.count == 0 {
+				continue
+			}
+			if lo < 0 || win < lo {
+				lo = win
+			}
+			a := &aggs[win]
+			switch s.name {
 			case SeriesNodeLocalBytes:
 				a.local += p.last
 			case SeriesPoolUsedBytes:
@@ -212,30 +218,31 @@ func Summarize(r *Recorder) []SummaryRow {
 			}
 		}
 	}
-	if len(cells) == 0 {
+	if lo < 0 {
 		return nil
 	}
 	const mb = 1 << 20
-	out := make([]SummaryRow, 0, hi-lo+1)
-	for win := lo; win <= hi; win++ {
+	// A series' last cell always holds a sample, so the last window of aggs
+	// is the last window seen.
+	out := make([]SummaryRow, 0, len(aggs)-lo)
+	for win := lo; win < len(aggs); win++ {
+		a := &aggs[win]
 		row := SummaryRow{
-			Window:   win,
-			StartSec: (simtime.Time(win) * r.cfg.Window).Seconds(),
+			Window:        int64(win),
+			StartSec:      (simtime.Time(win) * r.cfg.Window).Seconds(),
+			LocalMB:       float64(a.local) / mb,
+			PoolMB:        float64(a.pool) / mb,
+			OffloadMB:     float64(a.offload) / mb,
+			RecallMB:      float64(a.recall) / mb,
+			Requests:      a.requests,
+			Retries:       a.retries,
+			Timeouts:      a.timeouts,
+			FallbackPages: a.fallback,
+			Reinits:       a.reinits,
+			FaultKinds:    a.faultKinds,
 		}
-		if a := cells[win]; a != nil {
-			row.LocalMB = float64(a.local) / mb
-			row.PoolMB = float64(a.pool) / mb
-			row.OffloadMB = float64(a.offload) / mb
-			row.RecallMB = float64(a.recall) / mb
-			row.Requests = a.requests
-			row.Retries = a.retries
-			row.Timeouts = a.timeouts
-			row.FallbackPages = a.fallback
-			row.Reinits = a.reinits
-			row.FaultKinds = a.faultKinds
-			if a.latCount > 0 {
-				row.P99Ms = float64(a.latBuckets.Quantile(0.99, a.latCount, a.latMax)) / float64(time.Millisecond)
-			}
+		if a.latCount > 0 {
+			row.P99Ms = float64(a.latBuckets.Quantile(0.99, a.latCount, a.latMax)) / float64(time.Millisecond)
 		}
 		out = append(out, row)
 	}
@@ -294,12 +301,18 @@ func WriteText(w io.Writer, r *Recorder) error {
 		_, err := fmt.Fprintln(w, "timeline: recording disabled")
 		return err
 	}
-	rows := Summarize(r)
+	return writeText(w, r.Window(), Summarize(r), r, r.Dumps(), r.DumpsDropped())
+}
+
+// writeText is WriteText over its parts: the rollup window, the summary
+// rows, the recorder whose flow ledger is digested (nil for none) and the
+// flight dumps with the count dropped past the cap.
+func writeText(w io.Writer, window time.Duration, rows []SummaryRow, flows *Recorder, dumps []Dump, dropped int) error {
 	if len(rows) == 0 {
-		_, err := fmt.Fprintf(w, "timeline: no samples recorded (window %s)\n", r.Window())
+		_, err := fmt.Fprintf(w, "timeline: no samples recorded (window %s)\n", window)
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "timeline: %d windows of %s\n\n", len(rows), r.Window()); err != nil {
+	if _, err := fmt.Fprintf(w, "timeline: %d windows of %s\n\n", len(rows), window); err != nil {
 		return err
 	}
 	header := []string{
@@ -327,18 +340,17 @@ func WriteText(w io.Writer, r *Recorder) error {
 	if err := writeTable(w, header, cells); err != nil {
 		return err
 	}
-	if err := writeFlowDigest(w, r); err != nil {
+	if err := writeFlowDigest(w, flows); err != nil {
 		return err
 	}
-	dumps := r.Dumps()
-	if len(dumps) == 0 && r.DumpsDropped() == 0 {
+	if len(dumps) == 0 && dropped == 0 {
 		return nil
 	}
 	if _, err := fmt.Fprintf(w, "\nflight dumps: %d", len(dumps)); err != nil {
 		return err
 	}
-	if d := r.DumpsDropped(); d > 0 {
-		if _, err := fmt.Fprintf(w, " (+%d past cap)", d); err != nil {
+	if dropped > 0 {
+		if _, err := fmt.Fprintf(w, " (+%d past cap)", dropped); err != nil {
 			return err
 		}
 	}

@@ -161,21 +161,6 @@ func (r *Recorder) FlowOccupancy(at simtime.Time, occ int64) {
 	r.mu.Unlock()
 }
 
-// StartFlowRun marks the beginning of an independent simulation run feeding
-// this recorder. Occupancy conservation is only meaningful within one run
-// (each run's pool starts empty at virtual time zero); when a recorder has
-// accumulated more than one run — a service-lifetime gateway recorder, or a
-// shared sink merged from scenario shards — the audit reports itself
-// not-applicable instead of flagging spurious violations.
-func (r *Recorder) StartFlowRun() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.flowRuns++
-	r.mu.Unlock()
-}
-
 // FlowRow is one (flow, dims, window) ledger cell flattened for export.
 type FlowRow struct {
 	// Window is the window index (Start = Window · window size).

@@ -74,7 +74,7 @@ func TestFlowAuditDetectsMissingHook(t *testing.T) {
 func TestFlowAuditMerged(t *testing.T) {
 	r := NewRecorder(Config{Window: 10 * time.Second})
 	for run := 0; run < 2; run++ {
-		r.StartFlowRun()
+		r.StartRun()
 		r.AddFlow(1*sec, FlowOffload, Dims{Node: "pool"}, 4096)
 		r.FlowOccupancy(1*sec, 4096) // each run's pool restarts at 0 → would "violate"
 	}
@@ -96,7 +96,7 @@ func TestFlowMergeAdditive(t *testing.T) {
 	cfg := Config{Window: 10 * time.Second}
 	mk := func(bytes int64) *Recorder {
 		r := NewRecorder(cfg)
-		r.StartFlowRun()
+		r.StartRun()
 		r.AddFlow(1*sec, FlowOffload, Dims{Node: "pool", Tenant: "web"}, bytes)
 		r.FlowOccupancy(1*sec, bytes)
 		r.AddFlow(12*sec, FlowRecall, Dims{Node: "pool", Tenant: "web"}, bytes/2)
@@ -149,7 +149,7 @@ func TestMergeFromEdgeCases(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRecorder(Config{Window: 10 * time.Second})
-			r.AddCounter(1*sec, SeriesRequests, Dims{Node: "n0"}, 1)
+			r.AddCounter(1*sec, r.Series(SeriesRequests, Dims{Node: "n0"}, Counter), 1)
 			r.AddFlow(1*sec, FlowOffload, Dims{Node: "pool"}, 4096)
 			beforeRows := r.Rows()
 			beforeFlows := r.FlowRows()
@@ -172,36 +172,13 @@ func TestMergeFromEdgeCases(t *testing.T) {
 	}
 }
 
-// TestResetClearsFlows: Reset must drop the ledger and run counter along with
-// the series, so a reused recorder audits fresh.
-func TestResetClearsFlows(t *testing.T) {
-	r := NewRecorder(Config{Window: 10 * time.Second})
-	r.StartFlowRun()
-	r.AddFlow(1*sec, FlowOffload, Dims{Node: "pool"}, 4096)
-	r.FlowOccupancy(1*sec, 4096)
-	r.Reset()
-	if rows := r.FlowRows(); len(rows) != 0 {
-		t.Errorf("rows after Reset = %+v", rows)
-	}
-	a := AuditFlows(r)
-	if !a.OK || a.Runs != 0 || a.Checks != 0 {
-		t.Errorf("audit after Reset = %+v, want pristine", a)
-	}
-	// The ledger must keep working after a Reset.
-	r.AddFlow(2*sec, FlowOffload, Dims{Node: "pool"}, 1024)
-	r.FlowOccupancy(2*sec, 1024)
-	if a := AuditFlows(r); !a.OK || a.Checks != 1 {
-		t.Errorf("audit after reuse = %+v", a)
-	}
-}
-
 // TestNilRecorderFlowNoOp extends the nil-recorder contract to the flow
 // surface.
 func TestNilRecorderFlowNoOp(t *testing.T) {
 	var r *Recorder
 	r.AddFlow(0, FlowOffload, Dims{}, 4096)
 	r.FlowOccupancy(0, 4096)
-	r.StartFlowRun()
+	r.StartRun()
 	if rows := r.FlowRows(); rows != nil {
 		t.Errorf("nil FlowRows = %+v", rows)
 	}

@@ -23,6 +23,15 @@
 //     oldest ring (package ring); dumps are capped at MaxDumps; latency
 //     distributions use one power-of-two bucket array (package hist) per
 //     (series, window).
+//   - Resolve once, emit by handle. Series resolves a (name, Dims, kind)
+//     triple to a SeriesID, the one lookup by key; the emit methods take
+//     the ID. Each series keeps its cells in a dense slice indexed by
+//     absolute window, so an emit into an existing cell hashes nothing and
+//     allocates nothing (TestTimelineEmitAllocationFree). Cells are indexed
+//     by window, not appended in arrival order, because windows are
+//     revisited: a service-lifetime recorder (the gateway's) restarts
+//     virtual time at 0 on every run. Memory is bounded by the highest
+//     window a series has seen.
 package timeseries
 
 import (
@@ -162,20 +171,25 @@ func (p *point) observe(v int64) {
 	p.last = v
 }
 
-// seriesKey identifies one series; comparable so map lookup is allocation-
-// free on the enabled path.
+// seriesKey identifies one series; comparable, so resolving a series
+// allocates nothing once it exists.
 type seriesKey struct {
 	name string
 	dims Dims
 }
 
+// SeriesID is a series resolved by one Recorder's Series; the emit methods
+// take it. An ID is only meaningful to the recorder that returned it. The
+// zero SeriesID names no series: a nil recorder resolves everything to it,
+// and emitting by it is a no-op.
+type SeriesID int32
+
 type seriesData struct {
-	kind   SeriesKind
-	points map[int64]*point
-	// lastWin/lastPt cache the most recent window, the overwhelmingly
-	// common case on the hot path.
-	lastWin int64
-	lastPt  *point
+	name string
+	dims Dims
+	kind SeriesKind
+	// cells is indexed by absolute window; a cell with count 0 is absent.
+	cells []point
 }
 
 // FlightEvent is one high-resolution event kept by the flight recorder.
@@ -271,9 +285,12 @@ func (c Config) withDefaults() Config {
 // concurrent use; within one engine, recording order is the deterministic
 // event order of the virtual clock.
 type Recorder struct {
-	mu     sync.Mutex
-	cfg    Config
-	series map[seriesKey]*seriesData
+	mu  sync.Mutex
+	cfg Config
+	// ids maps each resolved key to its SeriesID; series[id-1] holds the
+	// series' cells.
+	ids    map[seriesKey]SeriesID
+	series []seriesData
 
 	flight ring.Ring[FlightEvent]
 
@@ -281,7 +298,8 @@ type Recorder struct {
 	trigAt   []simtime.Time
 	trigNext int
 
-	// Burn-rate alarm state for the newest latency window seen.
+	// Burn-rate alarm state for the newest latency window seen in the
+	// current run.
 	alarmWin    int64
 	alarmCount  int64
 	alarmOver   int64
@@ -302,9 +320,9 @@ func NewRecorder(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
 		cfg:      cfg,
-		series:   make(map[seriesKey]*seriesData),
+		ids:      make(map[seriesKey]SeriesID),
 		flight:   ring.New[FlightEvent](cfg.FlightCapacity),
-		alarmWin: -1 << 62,
+		alarmWin: noWindow,
 		flows:    make(map[flowKey]map[int64]int64),
 		occ:      make(map[int64]*occWindow),
 	}
@@ -319,86 +337,111 @@ func (r *Recorder) Window() time.Duration {
 	return r.cfg.Window
 }
 
+// noWindow is the alarm's window before a run's first latency sample.
+const noWindow = -1 << 62
+
 // windowOf maps a virtual time onto its window index.
 func (r *Recorder) windowOf(at simtime.Time) int64 {
 	return int64(at / r.cfg.Window)
 }
 
-// AddCounter accumulates a delta into the named counter series for the
-// window containing at. No-op on nil.
-func (r *Recorder) AddCounter(at simtime.Time, name string, d Dims, delta int64) {
+// Series resolves the series (name, d) to its ID, creating it with kind on
+// first use; the first caller fixes the kind. Resolve once and emit through
+// the ID; a series whose dimensions vary per call (a tenant) is resolved at
+// the emit site, one key probe. Returns the zero SeriesID on nil.
+func (r *Recorder) Series(name string, d Dims, kind SeriesKind) SeriesID {
 	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	id := r.resolve(seriesKey{name: name, dims: d}, kind)
+	r.mu.Unlock()
+	return id
+}
+
+// resolve finds or creates the series k; r.mu is held.
+func (r *Recorder) resolve(k seriesKey, kind SeriesKind) SeriesID {
+	if id, ok := r.ids[k]; ok {
+		return id
+	}
+	r.series = append(r.series, seriesData{name: k.name, dims: k.dims, kind: kind})
+	id := SeriesID(len(r.series))
+	r.ids[k] = id
+	return id
+}
+
+// cell returns series id and its cell for the window containing at, growing
+// the series' cells to reach that window; r.mu is held. Virtual time starts
+// at 0, so at is never negative.
+func (r *Recorder) cell(id SeriesID, at simtime.Time) (*seriesData, *point) {
+	s := &r.series[id-1]
+	win := r.windowOf(at)
+	if n := win + 1 - int64(len(s.cells)); n > 0 {
+		s.cells = append(s.cells, make([]point, n)...)
+	}
+	return s, &s.cells[win]
+}
+
+// AddCounter accumulates a delta into counter series id for the window
+// containing at. No-op on nil or the zero SeriesID.
+func (r *Recorder) AddCounter(at simtime.Time, id SeriesID, delta int64) {
+	if r == nil || id == 0 {
 		return
 	}
 	r.mu.Lock()
 	r.crossTriggers(at)
-	p := r.pointAt(at, name, d, Counter)
+	s, p := r.cell(id, at)
 	p.observe(delta)
-	r.flight.Push(FlightEvent{At: at, Name: name, Dims: d, Value: delta})
+	r.flight.Push(FlightEvent{At: at, Name: s.name, Dims: s.dims, Value: delta})
 	r.mu.Unlock()
 }
 
-// SetGauge stores the latest value of the named gauge series in the window
+// SetGauge stores the latest value of gauge series id in the window
 // containing at. Gauges do not feed the flight recorder (they are sampled
-// periodically, not event-driven). No-op on nil.
-func (r *Recorder) SetGauge(at simtime.Time, name string, d Dims, v int64) {
-	if r == nil {
+// periodically, not event-driven). No-op on nil or the zero SeriesID.
+func (r *Recorder) SetGauge(at simtime.Time, id SeriesID, v int64) {
+	if r == nil || id == 0 {
 		return
 	}
 	r.mu.Lock()
 	r.crossTriggers(at)
-	p := r.pointAt(at, name, d, Gauge)
+	_, p := r.cell(id, at)
 	p.observe(v)
 	r.mu.Unlock()
 }
 
-// Observe records one sample into the named distribution series. No-op on
-// nil.
-func (r *Recorder) Observe(at simtime.Time, name string, d Dims, v int64) {
-	if r == nil {
+// ObserveLatency records one latency sample into series id and feeds the
+// SLO burn-rate alarm: when the window containing at seals (a later window
+// of the same run arrives, or the next run starts) with an over-SLO fraction
+// at or above BurnThreshold, a flight dump is taken. No-op on nil or the
+// zero SeriesID.
+func (r *Recorder) ObserveLatency(at simtime.Time, id SeriesID, lat time.Duration) {
+	if r == nil || id == 0 {
 		return
 	}
+	v := int64(lat)
 	r.mu.Lock()
-	r.observeLocked(at, name, d, v, false)
-	r.mu.Unlock()
-}
-
-// ObserveLatency records one latency sample and feeds the SLO burn-rate
-// alarm: when the window containing at seals (a later window arrives) with
-// an over-SLO fraction at or above BurnThreshold, a flight dump is taken.
-// No-op on nil.
-func (r *Recorder) ObserveLatency(at simtime.Time, name string, d Dims, v time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.observeLocked(at, name, d, int64(v), true)
-	r.mu.Unlock()
-}
-
-func (r *Recorder) observeLocked(at simtime.Time, name string, d Dims, v int64, latency bool) {
 	r.crossTriggers(at)
-	if latency {
-		win := r.windowOf(at)
-		if win > r.alarmWin {
-			r.sealAlarmWindow(at)
-			r.alarmWin = win
-		}
-		if win == r.alarmWin {
-			r.alarmCount++
-			r.alarmSeries = name
-			if v >= int64(r.cfg.SLO) {
-				r.alarmOver++
-			}
+	s, p := r.cell(id, at)
+	win := r.windowOf(at)
+	if win > r.alarmWin {
+		r.sealAlarmWindow(at)
+		r.alarmWin = win
+	}
+	if win == r.alarmWin {
+		r.alarmCount++
+		r.alarmSeries = s.name
+		if v >= int64(r.cfg.SLO) {
+			r.alarmOver++
 		}
 	}
-	p := r.pointAt(at, name, d, Sample)
 	p.observe(v)
 	if p.buckets == nil {
 		p.buckets = new(hist.Buckets)
 	}
 	p.buckets.Observe(v)
-	r.flight.Push(FlightEvent{At: at, Name: name, Dims: d, Value: v})
+	r.flight.Push(FlightEvent{At: at, Name: s.name, Dims: s.dims, Value: v})
+	r.mu.Unlock()
 }
 
 // sealAlarmWindow evaluates the burn-rate alarm for the window that just
@@ -412,29 +455,24 @@ func (r *Recorder) sealAlarmWindow(now simtime.Time) {
 	r.alarmOver = 0
 }
 
-// pointAt finds or creates the (series, window) cell. The first caller of a
-// name fixes its kind; later mismatched kinds fold into the same cell
-// (callers use the canonical Series* constants, so this does not arise in
-// practice).
-func (r *Recorder) pointAt(at simtime.Time, name string, d Dims, kind SeriesKind) *point {
-	k := seriesKey{name: name, dims: d}
-	s := r.series[k]
-	if s == nil {
-		s = &seriesData{kind: kind, points: make(map[int64]*point), lastWin: -1 << 62}
-		r.series[k] = s
+// StartRun marks the beginning of an independent simulation run feeding
+// this recorder; each run restarts virtual time at zero. It bounds the flow
+// ledger: once a recorder holds more than one run (a gateway's
+// service-lifetime sink, or a sink merged from scenario shards), the
+// occupancy audit reports itself not-applicable. It bounds the burn-rate
+// alarm: the previous run's last latency window, which no later window will
+// seal, is sealed as of its end, and the new run's windows count afresh.
+func (r *Recorder) StartRun() {
+	if r == nil {
+		return
 	}
-	win := r.windowOf(at)
-	if win == s.lastWin {
-		return s.lastPt
+	r.mu.Lock()
+	if r.alarmCount > 0 {
+		r.sealAlarmWindow(simtime.Time(r.alarmWin+1) * r.cfg.Window)
 	}
-	p := s.points[win]
-	if p == nil {
-		p = &point{}
-		s.points[win] = p
-	}
-	s.lastWin = win
-	s.lastPt = p
-	return p
+	r.alarmWin = noWindow
+	r.flowRuns++
+	r.mu.Unlock()
 }
 
 // ArmFaultStarts registers fault-window start times: the first event
@@ -559,18 +597,15 @@ func (r *Recorder) MergeFrom(src *Recorder) error {
 	defer src.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, sd := range src.series {
-		dst := r.series[k]
-		if dst == nil {
-			dst = &seriesData{kind: sd.kind, points: make(map[int64]*point), lastWin: -1 << 62}
-			r.series[k] = dst
+	for i := range src.series {
+		ss := &src.series[i]
+		id := r.resolve(seriesKey{name: ss.name, dims: ss.dims}, ss.kind)
+		dst := &r.series[id-1]
+		if n := len(ss.cells) - len(dst.cells); n > 0 {
+			dst.cells = append(dst.cells, make([]point, n)...)
 		}
-		for win, p := range sd.points {
-			dp := dst.points[win]
-			if dp == nil {
-				dp = &point{}
-				dst.points[win] = dp
-			}
+		for win := range ss.cells {
+			p, dp := &ss.cells[win], &dst.cells[win]
 			if p.count == 0 {
 				continue
 			}
@@ -602,26 +637,4 @@ func (r *Recorder) MergeFrom(src *Recorder) error {
 	r.dumpsDropped += src.dumpsDropped
 	r.mergeFlowsLocked(src)
 	return nil
-}
-
-// Reset drops all series, flight events, dumps, and alarm state, keeping
-// configuration and armed fault starts that have not yet crossed.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.series = make(map[seriesKey]*seriesData)
-	r.flight.Reset()
-	r.alarmWin = -1 << 62
-	r.alarmCount = 0
-	r.alarmOver = 0
-	r.alarmSeries = ""
-	r.dumps = nil
-	r.dumpsDropped = 0
-	r.flows = make(map[flowKey]map[int64]int64)
-	r.occ = make(map[int64]*occWindow)
-	r.flowNet = 0
-	r.flowRuns = 0
-	r.mu.Unlock()
 }

@@ -9,12 +9,10 @@ import (
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.AddCounter(time.Second, SeriesRequests, Dims{Node: "n0"}, 1)
-	r.SetGauge(time.Second, SeriesPoolUsedBytes, Dims{}, 5)
-	r.Observe(time.Second, "x", Dims{}, 5)
-	r.ObserveLatency(time.Second, SeriesRequestLatency, Dims{}, time.Second)
+	r.AddCounter(time.Second, r.Series(SeriesRequests, Dims{Node: "n0"}, Counter), 1)
+	r.SetGauge(time.Second, r.Series(SeriesPoolUsedBytes, Dims{}, Gauge), 5)
+	r.ObserveLatency(time.Second, r.Series(SeriesRequestLatency, Dims{}, Sample), time.Second)
 	r.ArmFaultStarts([]time.Duration{time.Second})
-	r.Reset()
 	if r.Rows() != nil || r.Dumps() != nil || Summarize(r) != nil {
 		t.Fatal("nil recorder returned data")
 	}
@@ -27,9 +25,9 @@ func TestDisabledTimelineZeroAlloc(t *testing.T) {
 	var r *Recorder
 	d := Dims{Node: "n0", Tenant: "fn"}
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.AddCounter(3*time.Second, SeriesRequests, d, 1)
-		r.SetGauge(3*time.Second, SeriesPoolUsedBytes, d, 7)
-		r.ObserveLatency(3*time.Second, SeriesRequestLatency, d, 250*time.Millisecond)
+		r.AddCounter(3*time.Second, r.Series(SeriesRequests, d, Counter), 1)
+		r.SetGauge(3*time.Second, r.Series(SeriesPoolUsedBytes, d, Gauge), 7)
+		r.ObserveLatency(3*time.Second, r.Series(SeriesRequestLatency, d, Sample), 250*time.Millisecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled recorder allocated %.1f times per op", allocs)
@@ -38,12 +36,13 @@ func TestDisabledTimelineZeroAlloc(t *testing.T) {
 
 func TestWindowedRollups(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second})
-	d := Dims{Node: "n0", Tenant: "fn"}
-	r.AddCounter(100*time.Millisecond, SeriesRequests, d, 1)
-	r.AddCounter(900*time.Millisecond, SeriesRequests, d, 1)
-	r.AddCounter(1100*time.Millisecond, SeriesRequests, d, 1)
-	r.SetGauge(500*time.Millisecond, SeriesPoolUsedBytes, Dims{Node: "pool"}, 10)
-	r.SetGauge(800*time.Millisecond, SeriesPoolUsedBytes, Dims{Node: "pool"}, 20)
+	reqs := r.Series(SeriesRequests, Dims{Node: "n0", Tenant: "fn"}, Counter)
+	pool := r.Series(SeriesPoolUsedBytes, Dims{Node: "pool"}, Gauge)
+	r.AddCounter(100*time.Millisecond, reqs, 1)
+	r.AddCounter(900*time.Millisecond, reqs, 1)
+	r.AddCounter(1100*time.Millisecond, reqs, 1)
+	r.SetGauge(500*time.Millisecond, pool, 10)
+	r.SetGauge(800*time.Millisecond, pool, 20)
 
 	rows := r.Rows()
 	if len(rows) != 3 {
@@ -71,14 +70,14 @@ func TestWindowedRollups(t *testing.T) {
 
 func TestSampleQuantile(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second})
-	d := Dims{Node: "n0"}
+	lat := r.Series(SeriesRequestLatency, Dims{Node: "n0"}, Sample)
 	// 99 fast observations and one slow one: P99 must land at or above the
 	// fast cohort and at or below the recorded max.
 	for i := 0; i < 99; i++ {
-		r.Observe(10*time.Millisecond, SeriesRequestLatency, d, int64(time.Millisecond))
+		r.ObserveLatency(10*time.Millisecond, lat, time.Millisecond)
 	}
 	slow := int64(800 * time.Millisecond)
-	r.Observe(20*time.Millisecond, SeriesRequestLatency, d, slow)
+	r.ObserveLatency(20*time.Millisecond, lat, time.Duration(slow))
 	rows := r.Rows()
 	if len(rows) != 1 {
 		t.Fatalf("got %d rows, want 1", len(rows))
@@ -96,12 +95,12 @@ func TestFaultWindowDump(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second, FlightWindows: 4})
 	r.ArmFaultStarts([]time.Duration{10 * time.Second})
 	d := Dims{Node: "n0"}
-	r.AddCounter(7*time.Second, SeriesRequests, d, 1)    // within 4 windows of 10s
-	r.AddCounter(2*time.Second, SeriesRecallBytes, d, 5) // too old for the dump
+	r.AddCounter(7*time.Second, r.Series(SeriesRequests, d, Counter), 1)    // within 4 windows of 10s
+	r.AddCounter(2*time.Second, r.Series(SeriesRecallBytes, d, Counter), 5) // too old for the dump
 	if got := len(r.Dumps()); got != 0 {
 		t.Fatalf("dump before trigger: %d", got)
 	}
-	r.AddCounter(10500*time.Millisecond, SeriesRequests, d, 1)
+	r.AddCounter(10500*time.Millisecond, r.Series(SeriesRequests, d, Counter), 1)
 	dumps := r.Dumps()
 	if len(dumps) != 1 {
 		t.Fatalf("got %d dumps, want 1", len(dumps))
@@ -119,37 +118,97 @@ func TestFaultWindowDump(t *testing.T) {
 
 func TestBurnRateDump(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second, SLO: 100 * time.Millisecond, BurnThreshold: 0.5})
-	d := Dims{Node: "n0"}
+	lat := r.Series(SeriesRequestLatency, Dims{Node: "n0"}, Sample)
 	// Window 0: all observations breach the SLO.
-	r.ObserveLatency(200*time.Millisecond, SeriesRequestLatency, d, 500*time.Millisecond)
-	r.ObserveLatency(600*time.Millisecond, SeriesRequestLatency, d, 300*time.Millisecond)
+	r.ObserveLatency(200*time.Millisecond, lat, 500*time.Millisecond)
+	r.ObserveLatency(600*time.Millisecond, lat, 300*time.Millisecond)
 	if got := len(r.Dumps()); got != 0 {
 		t.Fatalf("dump before window sealed: %d", got)
 	}
 	// First observation in window 1 seals window 0 and trips the alarm.
-	r.ObserveLatency(1500*time.Millisecond, SeriesRequestLatency, d, 10*time.Millisecond)
+	r.ObserveLatency(1500*time.Millisecond, lat, 10*time.Millisecond)
 	dumps := r.Dumps()
 	if len(dumps) != 1 || dumps[0].Trigger != TriggerSLOBurn {
 		t.Fatalf("dumps = %+v, want one slo-burn dump", dumps)
 	}
 	// Window 1 is healthy: sealing it must not dump again.
-	r.ObserveLatency(2500*time.Millisecond, SeriesRequestLatency, d, 10*time.Millisecond)
+	r.ObserveLatency(2500*time.Millisecond, lat, 10*time.Millisecond)
 	if got := len(r.Dumps()); got != 1 {
 		t.Fatalf("healthy window dumped: %d dumps", got)
 	}
 }
 
+// TestBurnAlarmAcrossRuns runs the same four over-SLO windows twice on one
+// recorder, as the gateway's service-lifetime recorder sees consecutive
+// runs. Within a run each window is sealed by the next; StartRun seals the
+// previous run's last window, and the second run's windows, though their
+// indices were seen before, must burn the alarm again.
+func TestBurnAlarmAcrossRuns(t *testing.T) {
+	r := NewRecorder(Config{Window: time.Second, SLO: 100 * time.Millisecond, BurnThreshold: 0.5})
+	lat := r.Series(SeriesRequestLatency, Dims{Node: "n0"}, Sample)
+	run := func() {
+		r.StartRun()
+		for w := 0; w < 4; w++ {
+			r.ObserveLatency(time.Duration(w)*time.Second+500*time.Millisecond, lat, 200*time.Millisecond)
+		}
+	}
+	run()
+	if got := len(r.Dumps()); got != 3 {
+		t.Fatalf("after run 1: %d dumps, want 3 (windows 0-2 sealed)", got)
+	}
+	run()
+	dumps := r.Dumps()
+	if len(dumps) != 7 {
+		t.Fatalf("after run 2: %d dumps, want 7 (run 1's window 3, then run 2's windows 0-2)", len(dumps))
+	}
+	// Run 1's last window is sealed as of its end, and its dump holds run
+	// 1's tail.
+	if d := dumps[3]; d.Trigger != TriggerSLOBurn || d.At != 4*time.Second || d.Window != 4 || len(d.Events) == 0 {
+		t.Fatalf("boundary dump = %+v, want slo-burn at 4s, window 4, with events", d)
+	}
+	// A run with nothing pending seals nothing.
+	empty := NewRecorder(Config{})
+	empty.StartRun()
+	empty.StartRun()
+	if got := len(empty.Dumps()); got != 0 {
+		t.Fatalf("StartRun on an idle recorder dumped %d times", got)
+	}
+}
+
+// TestTimelineEmitAllocationFree: once a series' cell for the window exists,
+// emitting through the resolved handle, and resolving an existing series
+// again, allocates nothing.
+func TestTimelineEmitAllocationFree(t *testing.T) {
+	r := NewRecorder(Config{})
+	d := Dims{Node: "n0", Tenant: "fn"}
+	reqs := r.Series(SeriesRequests, d, Counter)
+	pool := r.Series(SeriesPoolUsedBytes, Dims{Node: "pool"}, Gauge)
+	lat := r.Series(SeriesRequestLatency, d, Sample)
+	at := 3 * time.Second
+	r.AddCounter(at, reqs, 1)
+	r.SetGauge(at, pool, 1)
+	r.ObserveLatency(at, lat, time.Millisecond)
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.AddCounter(at, r.Series(SeriesRequests, d, Counter), 1)
+		r.SetGauge(at, pool, 7)
+		r.ObserveLatency(at, lat, 250*time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("enabled emits allocated %.1f times per op", allocs)
+	}
+}
+
 func TestFlightRingBounded(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second, FlightCapacity: 8, FlightWindows: 100})
-	d := Dims{Node: "n0"}
+	reqs := r.Series(SeriesRequests, Dims{Node: "n0"}, Counter)
 	for i := 0; i < 20; i++ {
-		r.AddCounter(time.Duration(i)*time.Millisecond, SeriesRequests, d, int64(i))
+		r.AddCounter(time.Duration(i)*time.Millisecond, reqs, int64(i))
 	}
 	if got := r.FlightTotal(); got != 20 {
 		t.Fatalf("FlightTotal = %d, want 20", got)
 	}
 	r.ArmFaultStarts([]time.Duration{30 * time.Millisecond})
-	r.AddCounter(40*time.Millisecond, SeriesRequests, d, 1)
+	r.AddCounter(40*time.Millisecond, reqs, 1)
 	dumps := r.Dumps()
 	if len(dumps) != 1 {
 		t.Fatalf("got %d dumps", len(dumps))
@@ -167,13 +226,13 @@ func TestFlightRingBounded(t *testing.T) {
 
 func TestSummarizeAndWriteText(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second})
-	r.SetGauge(500*time.Millisecond, SeriesNodeLocalBytes, Dims{Node: "n0"}, 2<<20)
-	r.SetGauge(500*time.Millisecond, SeriesNodeLocalBytes, Dims{Node: "n1"}, 3<<20)
-	r.SetGauge(500*time.Millisecond, SeriesPoolUsedBytes, Dims{Node: "pool"}, 4<<20)
-	r.AddCounter(600*time.Millisecond, SeriesOffloadBytes, Dims{Node: "pool"}, 1<<20)
-	r.AddCounter(2500*time.Millisecond, SeriesFetchRetries, Dims{Node: "pool"}, 3)
-	r.ObserveLatency(700*time.Millisecond, SeriesRequestLatency, Dims{Node: "n0", Tenant: "fn"}, 40*time.Millisecond)
-	r.AddCounter(700*time.Millisecond, SeriesRequests, Dims{Node: "n0", Tenant: "fn"}, 1)
+	r.SetGauge(500*time.Millisecond, r.Series(SeriesNodeLocalBytes, Dims{Node: "n0"}, Gauge), 2<<20)
+	r.SetGauge(500*time.Millisecond, r.Series(SeriesNodeLocalBytes, Dims{Node: "n1"}, Gauge), 3<<20)
+	r.SetGauge(500*time.Millisecond, r.Series(SeriesPoolUsedBytes, Dims{Node: "pool"}, Gauge), 4<<20)
+	r.AddCounter(600*time.Millisecond, r.Series(SeriesOffloadBytes, Dims{Node: "pool"}, Counter), 1<<20)
+	r.AddCounter(2500*time.Millisecond, r.Series(SeriesFetchRetries, Dims{Node: "pool"}, Counter), 3)
+	r.ObserveLatency(700*time.Millisecond, r.Series(SeriesRequestLatency, Dims{Node: "n0", Tenant: "fn"}, Sample), 40*time.Millisecond)
+	r.AddCounter(700*time.Millisecond, r.Series(SeriesRequests, Dims{Node: "n0", Tenant: "fn"}, Counter), 1)
 
 	sum := Summarize(r)
 	if len(sum) != 3 {
@@ -207,7 +266,7 @@ func TestRowsDeterministicOrder(t *testing.T) {
 		r := NewRecorder(Config{Window: time.Second})
 		for i := 0; i < 50; i++ {
 			d := Dims{Node: "n" + string(rune('0'+i%3)), Tenant: "t" + string(rune('0'+i%5))}
-			r.AddCounter(time.Duration(i)*137*time.Millisecond, SeriesRequests, d, 1)
+			r.AddCounter(time.Duration(i)*137*time.Millisecond, r.Series(SeriesRequests, d, Counter), 1)
 		}
 		return r.Rows()
 	}
@@ -226,7 +285,7 @@ func TestMaxDumpsCap(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second, MaxDumps: 2})
 	starts := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second}
 	r.ArmFaultStarts(starts)
-	r.AddCounter(5*time.Second, SeriesRequests, Dims{}, 1)
+	r.AddCounter(5*time.Second, r.Series(SeriesRequests, Dims{}, Counter), 1)
 	if got := len(r.Dumps()); got != 2 {
 		t.Fatalf("got %d dumps, want 2", got)
 	}
