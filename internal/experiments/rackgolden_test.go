@@ -10,20 +10,22 @@ import (
 	"testing"
 )
 
-// rackEntries are the registry entries that simulate a rack sharing one
-// memory pool.
-var rackEntries = []string{
+// goldenEntries are the registry entries whose rows the golden file pins:
+// fig12, the single-node policy grid on the paper's main path, and every
+// entry that simulates a rack sharing one memory pool.
+var goldenEntries = []string{
+	"fig12",
 	"ext-rack", "ext-pool-density", "ext-merge",
 	"ext-resilience", "ext-observe", "ext-drilldown",
 }
 
-// TestRackRowsGolden pins the quick, seed-42 rows of every rack experiment.
-// Each section is the entry's name followed by its rows exactly as
-// `cmd/experiments -json` writes them, so a change to how any rack is built,
-// loaded or run shows up as a diff. Run with -update to rewrite the golden
-// file.
+// TestRackRowsGolden pins the quick, seed-42 rows of fig12 and of every rack
+// experiment. Each section is the entry's name followed by its rows exactly
+// as `cmd/experiments -json` writes them, so a change to how the node grid
+// or any rack is built, loaded or run shows up as a diff. Run with -update
+// to rewrite the golden file.
 func TestRackRowsGolden(t *testing.T) {
-	entries, err := Select(rackEntries)
+	entries, err := Select(goldenEntries)
 	if err != nil {
 		t.Fatal(err)
 	}
