@@ -36,9 +36,12 @@ type Container struct {
 
 	runtimeRange pagemem.Range
 	initRange    pagemem.Range
-	execRange    pagemem.Range
-	runtimeGen   mglru.GenID
-	initGen      mglru.GenID
+	// execPages is the exec segment's size. Its temporaries hold no page
+	// state: a request in flight is charged their bytes, and completion
+	// uncharges them (paper §3.3); no policy ever monitors them (§4).
+	execPages  int
+	runtimeGen mglru.GenID
+	initGen    mglru.GenID
 
 	requests  int
 	idle      bool
@@ -101,10 +104,11 @@ func (p *Platform) launch(f *Function) *Container {
 	if p.cfg.NodeID != "" {
 		c.owner = p.cfg.NodeID + "/" + c.id
 	}
-	// Every segment's size is known from the profile: size the page state
-	// once for all three instead of growing it per segment.
+	// The runtime and init sizes are known from the profile: size the page
+	// state once for both instead of growing it per segment.
 	sp, prof := c.space, f.profile
-	sp.Reserve(sp.PagesOf(prof.RuntimeBytes) + sp.PagesOf(prof.InitBytes) + sp.PagesOf(prof.ExecBytes))
+	sp.Reserve(sp.PagesOf(prof.RuntimeBytes) + sp.PagesOf(prof.InitBytes))
+	c.execPages = sp.PagesOf(prof.ExecBytes)
 	c.lru = mglru.New(c.space)
 	c.finish = func(*simtime.Engine) { c.finishRequest() }
 	c.expire = func(*simtime.Engine) { c.recycle() }
@@ -127,8 +131,8 @@ func (c *Container) runtimeLoaded(now simtime.Time) {
 	c.pol.RuntimeLoaded(c.p.engine)
 }
 
-// initDone materializes the init segment, inserts the Init-Execution time
-// barrier, and pre-allocates the (reused) exec-segment slots.
+// initDone materializes the init segment and inserts the Init-Execution
+// time barrier.
 func (c *Container) initDone(now simtime.Time) {
 	c.space.AllocBytes(pagemem.SegInit, c.fn.profile.InitBytes)
 	c.initGen, c.initRange = c.lru.InsertBarrier()
@@ -137,13 +141,6 @@ func (c *Container) initDone(now simtime.Time) {
 	c.p.tel.Barrier(telemetry.StageInit, c.loadedAt, now, c.id, c.fn.id, c.initRange.Len(), int64(c.initGen))
 	c.p.syncMemGauges()
 	c.p.enforceMemoryLimit(now)
-
-	// Exec slots exist from here on but stay Free between requests; FaaSMem
-	// does not monitor them (paper §4), hence SkipNew.
-	c.space.AllocBytes(pagemem.SegExec, c.fn.profile.ExecBytes)
-	c.execRange = c.lru.SkipNew()
-	c.space.FreeRange(c.execRange)
-
 	c.pol.InitDone(c.p.engine)
 }
 
@@ -168,9 +165,7 @@ func (c *Container) execute(arrival simtime.Time) {
 	prof := c.fn.profile
 
 	// Exec-segment temporaries come to life.
-	c.space.ReuseRange(c.execRange)
-	execBytes := c.space.BytesOf(c.execRange.Len())
-	c.cg.Charge(now, execBytes)
+	c.cg.Charge(now, c.space.BytesOf(c.execPages))
 	c.p.enforceMemoryLimit(now)
 
 	c.pol.RequestStart(e)
@@ -189,7 +184,6 @@ func (c *Container) execute(arrival simtime.Time) {
 	}
 	runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, c.touches.Runtime)
 	initFaults, initRA := c.touchSpans(c.initRange, c.touches.Init)
-	c.touchSpans(c.execRange, []workload.Span{{Start: 0, End: execBytes}})
 	faults := runtimeFaults + initFaults
 	readahead := runtimeRA + initRA
 	c.fn.stats.RuntimeFaultPages += int64(runtimeFaults)
@@ -464,17 +458,15 @@ func (c *Container) readaheadFrom(seg pagemem.Range, w, left int, gone *pageOver
 	return total
 }
 
-// finishRequest tears down the exec segment, records stats, runs policy
-// hooks and puts the container into keep-alive.
+// finishRequest frees the exec segment, records stats, runs policy hooks
+// and puts the container into keep-alive.
 func (c *Container) finishRequest() {
 	e := c.p.engine
 	now := e.Now()
 	arrival := c.arrival
 
 	// Exec temporaries are freed immediately on completion (paper §3.3).
-	freed := c.space.BytesOf(c.execRange.Len() - c.space.CountInRange(c.execRange, pagemem.Free))
-	c.space.FreeRange(c.execRange)
-	c.cg.Uncharge(now, freed)
+	c.cg.Uncharge(now, c.space.BytesOf(c.execPages))
 
 	c.requests++
 	c.fn.stats.Requests++
@@ -671,9 +663,10 @@ func (c *Container) recycle() {
 	if i := slices.Index(c.fn.idle, c); i >= 0 {
 		c.fn.idle = slices.Delete(c.fn.idle, i, i+1)
 	}
-	local := c.space.LocalBytes()
+	// The cgroup's local bytes include an in-flight request's exec charge
+	// (a cold re-init recycles mid-request).
 	remote := c.space.RemoteBytes()
-	c.cg.Uncharge(now, local)
+	c.cg.Uncharge(now, c.cg.LocalBytes())
 	c.cg.DropRemote(now, remote)
 	c.p.pool.DiscardOwner(now, c.owner, c.fn.id, remote)
 	c.p.swap.Release(c.space.CountState(pagemem.Remote))
@@ -728,6 +721,10 @@ func (c *Container) StallFraction() float64 { return c.psi.Avg10(c.p.engine.Now(
 // PSI exposes the container's pressure-stall accounting.
 func (c *Container) PSI() *cgroup.PSI { return c.psi }
 
+// MemoryBytes implements policy.View: the container cgroup's local plus
+// remote bytes.
+func (c *Container) MemoryBytes() int64 { return c.cg.LocalBytes() + c.cg.RemoteBytes() }
+
 // OffloadScale implements policy.View: the node's bandwidth-governor factor.
 func (c *Container) OffloadScale() float64 {
 	return c.p.governor.Scale(c.p.engine.Now())
@@ -757,13 +754,12 @@ func (c *Container) greedyDualPriority() float64 {
 }
 
 // classMask splits the pages of the 64-page word w by lifecycle class for
-// pool-side description: pages outside the runtime, init and exec ranges
-// are ClassOther.
+// pool-side description: pages outside the runtime and init ranges are
+// ClassOther.
 func (c *Container) classMask(w int) (m [memnode.NumClasses]uint64) {
 	m[memnode.ClassRuntime] = c.runtimeRange.WordMask(w)
 	m[memnode.ClassInit] = c.initRange.WordMask(w)
-	m[memnode.ClassExec] = c.execRange.WordMask(w)
-	m[memnode.ClassOther] = ^(m[memnode.ClassRuntime] | m[memnode.ClassInit] | m[memnode.ClassExec])
+	m[memnode.ClassOther] = ^(m[memnode.ClassRuntime] | m[memnode.ClassInit])
 	return m
 }
 

@@ -112,8 +112,6 @@ func refClassOf(c *Container, id pagemem.PageID) memnode.Class {
 		return memnode.ClassRuntime
 	case c.initRange.Contains(id):
 		return memnode.ClassInit
-	case c.execRange.Contains(id):
-		return memnode.ClassExec
 	default:
 		return memnode.ClassOther
 	}
@@ -166,10 +164,10 @@ func refOffloadAccepted(c *Container, cand []pagemem.PageID, accepted rmem.Class
 	return moved
 }
 
-// walkContainer builds a container with runtime, init and exec segments of
-// sizes that make words straddle segment boundaries, plus pages outside
-// every segment range, then scatters runs of Inactive, Hot and Remote pages
-// over the monitored segments. The same seed builds the same container.
+// walkContainer builds a container with runtime and init segments of sizes
+// that make words straddle segment boundaries, plus untracked pages outside
+// both ranges, then scatters runs of Inactive, Hot and Remote pages over the
+// monitored segments. The same seed builds the same container.
 func walkContainer(seed int64) *Container {
 	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
 	c := &Container{space: sp, lru: mglru.New(sp)}
@@ -177,14 +175,12 @@ func walkContainer(seed int64) *Container {
 	c.runtimeGen, c.runtimeRange = c.lru.InsertBarrier()
 	sp.Alloc(pagemem.SegInit, 221)
 	c.initGen, c.initRange = c.lru.InsertBarrier()
-	sp.Alloc(pagemem.SegExec, 97)
-	c.execRange = c.lru.SkipNew()
-	sp.Alloc(pagemem.SegExec, 40) // outside every range: ClassOther
+	sp.Alloc(pagemem.SegExec, 137) // outside both ranges: ClassOther
 	rng := rand.New(rand.NewSource(seed))
 	for _, r := range []pagemem.Range{c.runtimeRange, c.initRange} {
 		for id := r.Start; id < r.End; {
 			n := pagemem.PageID(1 + rng.Intn(160))
-			st := pagemem.State(1 + rng.Intn(3))
+			st := pagemem.State(rng.Intn(3))
 			for end := min(id+n, r.End); id < end; id++ {
 				sp.SetState(id, st)
 				if st == pagemem.Hot {
@@ -208,7 +204,7 @@ func withWindow(c *Container, window int) *Container {
 func sameContainer(t *testing.T, label string, got, want *Container) {
 	t.Helper()
 	for seg := pagemem.Segment(0); seg < pagemem.NumSegments; seg++ {
-		for st := pagemem.Free; st <= pagemem.Remote; st++ {
+		for st := pagemem.Inactive; st <= pagemem.Remote; st++ {
 			if g, w := got.space.Count(seg, st), want.space.Count(seg, st); g != w {
 				t.Fatalf("%s: Count(%v, %v) = %d, want %d", label, seg, st, g, w)
 			}
@@ -429,11 +425,10 @@ func FuzzTouchWalk(f *testing.F) {
 			c.runtimeGen, c.runtimeRange = c.lru.InsertBarrier()
 			sp.Alloc(pagemem.SegInit, 1+int(init)%700)
 			c.initGen, c.initRange = c.lru.InsertBarrier()
-			sp.Alloc(pagemem.SegExec, 37)
-			c.execRange = c.lru.SkipNew()
+			sp.Alloc(pagemem.SegExec, 37) // untracked pages past the init segment
 			id, end := c.runtimeRange.Start, c.initRange.End
 			for _, b := range layout {
-				st := pagemem.State(1 + b%3)
+				st := pagemem.State(b % 3)
 				for stop := min(id+1+pagemem.PageID(b/3), end); id < stop; id++ {
 					sp.SetState(id, st)
 					if st == pagemem.Hot {

@@ -145,8 +145,6 @@ func (c *Container) recoverFetch(stall rmem.FaultStall) {
 		pageBytes := int64(c.space.PageSize())
 		runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, c.touches.Runtime)
 		initFaults, initRA := c.touchSpans(c.initRange, c.touches.Init)
-		execBytes := c.space.BytesOf(c.execRange.Len())
-		c.touchSpans(c.execRange, []workload.Span{{Start: 0, End: execBytes}})
 		faults := runtimeFaults + initFaults
 		readahead := runtimeRA + initRA
 		pages := faults + readahead

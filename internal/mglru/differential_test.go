@@ -12,7 +12,6 @@ import (
 // differential drivers below can replay one script through both.
 type tracker interface {
 	AssignNew() pagemem.Range
-	SkipNew() pagemem.Range
 	InsertBarrier() (GenID, pagemem.Range)
 	GenOf(pagemem.PageID) GenID
 	Promote(pagemem.PageID)
@@ -96,10 +95,8 @@ func (p *diffPair) step(op, a, b byte) {
 		p.alloc(pagemem.Segment(int(a)%int(pagemem.NumSegments)), int(b)%97)
 		p.fast.AssignNew()
 		p.slow.AssignNew()
-	case 1: // allocate a fresh chunk untracked
+	case 1: // allocate a fresh chunk, untracked until the next stamp
 		p.alloc(pagemem.SegExec, int(b)%97)
-		p.fast.SkipNew()
-		p.slow.SkipNew()
 	case 2: // time barrier (also stamps any untracked tail)
 		p.fast.InsertBarrier()
 		p.slow.InsertBarrier()
@@ -183,10 +180,10 @@ func TestDifferentialPromoteHeavy(t *testing.T) {
 }
 
 // TestDifferentialDemoteMasked builds words holding every case DemoteMasked
-// distinguishes — plain pages of several base runs, an unmonitored (NoGen)
-// run, pages already at the target generation, and exceptions in every
-// generation — then demotes whole and partial words to each generation and
-// compares against per-page Demote.
+// distinguishes — plain pages of several base runs, pages already at the
+// target generation, exceptions in every generation, and untracked pages
+// past the last run — then demotes whole and partial words to each
+// generation and compares against per-page Demote.
 func TestDifferentialDemoteMasked(t *testing.T) {
 	for g := GenID(0); g < 4; g++ {
 		for _, mask := range []uint64{^uint64(0), 0xaaaa_5555_f0f0_0f0f, 1 << 63, 0} {
@@ -194,14 +191,12 @@ func TestDifferentialDemoteMasked(t *testing.T) {
 			p.alloc(pagemem.SegRuntime, 40) // gen 0: pages 0..39
 			p.fast.InsertBarrier()
 			p.slow.InsertBarrier()
-			p.alloc(pagemem.SegExec, 30) // NoGen: pages 40..69
-			p.fast.SkipNew()
-			p.slow.SkipNew()
-			p.alloc(pagemem.SegInit, 60) // gen 1: pages 70..129
+			p.alloc(pagemem.SegInit, 60) // gen 1: pages 40..99
 			p.fast.InsertBarrier()
 			p.slow.InsertBarrier()
 			p.fast.InsertBarrier() // gen 3 is the youngest
 			p.slow.InsertBarrier()
+			p.alloc(pagemem.SegExec, 30) // untracked: pages 100..129
 			for id := pagemem.PageID(0); id < 130; id++ {
 				switch id % 5 {
 				case 0, 1:

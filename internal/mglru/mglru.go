@@ -8,7 +8,7 @@
 // generation; this package matches that cost profile by representing
 // generations as contiguous *runs* of page IDs plus a small exception set.
 // Pages allocated between two barriers are contiguous by construction, so
-// AssignNew/SkipNew/InsertBarrier extend or append a run in O(1) amortized
+// AssignNew/InsertBarrier extend or append a run in O(1) amortized
 // time instead of stamping every page. Only pages that were individually promoted
 // or demoted (the access/rollback paths) leave their run, and those are
 // recorded in per-generation exception bitsets. The retired per-page
@@ -27,8 +27,8 @@ import (
 // GenID identifies a generation. Older generations have smaller IDs.
 type GenID int32
 
-// NoGen marks a page that has not been assigned to any generation (for
-// example exec-segment temporaries, which FaaSMem does not monitor).
+// NoGen is GenOf's answer for a page that has not been assigned to any
+// generation: one beyond the tracked prefix.
 const NoGen GenID = -1
 
 // genRun is a maximal range of pages sharing a base generation. Its end is
@@ -105,19 +105,6 @@ func (l *LRU) AssignNew() pagemem.Range {
 	return pagemem.Range{Start: start, End: end}
 }
 
-// SkipNew marks every not-yet-tracked page as unmonitored (NoGen) and
-// returns the covered range. FaaSMem uses this for the execution segment,
-// whose page accesses are deliberately not tracked (paper §4).
-func (l *LRU) SkipNew() pagemem.Range {
-	start := pagemem.PageID(l.tracked)
-	end := pagemem.PageID(l.space.NumPages())
-	if end > start {
-		l.appendRun(start, NoGen)
-		l.tracked = int(end)
-	}
-	return pagemem.Range{Start: start, End: end}
-}
-
 // appendRun extends coverage to a new run starting at start. If the previous
 // run has the same generation the new pages merge into it for free, since
 // run ends are implicit.
@@ -141,8 +128,8 @@ func (l *LRU) InsertBarrier() (sealed GenID, stamped pagemem.Range) {
 	return sealed, stamped
 }
 
-// GenOf returns the generation of page id, or NoGen if the page is
-// unmonitored or beyond the tracked prefix.
+// GenOf returns the generation of page id, or NoGen if the page is beyond
+// the tracked prefix.
 func (l *LRU) GenOf(id pagemem.PageID) GenID {
 	if int(id) >= l.tracked {
 		return NoGen
@@ -190,7 +177,7 @@ func (l *LRU) runEnd(ri int) pagemem.PageID {
 }
 
 // Promote moves page id to the youngest generation (the access path). It is
-// a no-op for unmonitored pages.
+// a no-op for untracked pages.
 func (l *LRU) Promote(id pagemem.PageID) {
 	l.moveTo(id, l.Youngest())
 }
@@ -251,10 +238,6 @@ func (l *LRU) moveMasked(base pagemem.PageID, mask uint64, g GenID) {
 		}
 		mask &^= span
 		rg := l.runs[ri].gen
-		if rg == NoGen {
-			// Unmonitored pages stay unmonitored (see moveTo).
-			continue
-		}
 		excw := excAll & span
 		if plain := span &^ excw; plain != 0 && rg != g {
 			l.shift(rg, g, bits.OnesCount64(plain))
@@ -313,11 +296,6 @@ func (l *LRU) moveTo(id pagemem.PageID, g GenID) {
 	}
 	old := l.genOf(id)
 	if old == g {
-		return
-	}
-	if old == NoGen {
-		// Unmonitored pages stay unmonitored: promoting an exec page would
-		// silently add it to a Pucket it was never part of.
 		return
 	}
 	l.shift(old, g, 1)

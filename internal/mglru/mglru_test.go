@@ -72,8 +72,7 @@ func TestTwoBarriersMakeThreePuckets(t *testing.T) {
 	runtimeGen, _ := l.InsertBarrier()
 	s.Alloc(pagemem.SegInit, 5)
 	initGen, _ := l.InsertBarrier()
-	s.Alloc(pagemem.SegExec, 2)
-	execRange := l.SkipNew()
+	execRange := s.Alloc(pagemem.SegExec, 2) // never stamped: untracked
 
 	if runtimeGen != 0 || initGen != 1 {
 		t.Fatalf("generations = %d,%d, want 0,1", runtimeGen, initGen)
@@ -134,8 +133,7 @@ func TestDemoteInvalidGenPanics(t *testing.T) {
 
 func TestUnmonitoredPagesStayUnmonitored(t *testing.T) {
 	s, l := newSpaceLRU()
-	r := s.Alloc(pagemem.SegExec, 3)
-	l.SkipNew()
+	r := s.Alloc(pagemem.SegExec, 3) // never stamped: untracked
 	l.Promote(r.Start)
 	if l.GenOf(r.Start) != NoGen {
 		t.Fatalf("promote changed unmonitored page to gen %d", l.GenOf(r.Start))

@@ -59,20 +59,8 @@ func (l *Reference) AssignNew() pagemem.Range {
 	return pagemem.Range{Start: start, End: end}
 }
 
-// SkipNew marks every not-yet-tracked page as unmonitored (NoGen).
-func (l *Reference) SkipNew() pagemem.Range {
-	start := pagemem.PageID(l.tracked)
-	end := pagemem.PageID(l.space.NumPages())
-	l.growGen(int(end))
-	for id := start; id < end; id++ {
-		l.gen = append(l.gen, NoGen)
-	}
-	l.tracked = int(end)
-	return pagemem.Range{Start: start, End: end}
-}
-
-// growGen reserves capacity for n tracked pages so the stamp loops above
-// never reallocate mid-walk.
+// growGen reserves capacity for n tracked pages so the stamp loop above
+// never reallocates mid-walk.
 func (l *Reference) growGen(n int) {
 	if cap(l.gen) >= n {
 		return
@@ -120,13 +108,8 @@ func (l *Reference) moveTo(id pagemem.PageID, g GenID) {
 	if old == g {
 		return
 	}
-	if old != NoGen {
-		l.count[old]--
-	}
-	if old == NoGen {
-		return
-	}
 	l.gen[id] = g
+	l.count[old]--
 	l.count[g]++
 	if g > old {
 		l.promotions++

@@ -12,10 +12,13 @@ type Bitset struct {
 	words []uint64
 }
 
-// grow ensures capacity for bit i.
+// grow ensures capacity for bit i. It lengthens the slice in place when
+// capacity suffices (appending a made slice would still allocate under race
+// instrumentation) and zeroes the new words.
 func (b *Bitset) grow(i int) {
-	if need := i/64 + 1; len(b.words) < need {
-		b.words = append(b.words, make([]uint64, need-len(b.words))...)
+	if need, n := i/64+1, len(b.words); n < need {
+		b.words = slices.Grow(b.words, need-n)[:need]
+		clear(b.words[n:])
 	}
 }
 

@@ -58,31 +58,3 @@ func TestStateWordAndTransitionMasked(t *testing.T) {
 		t.Fatalf("inactive pages left after masked transition: %d", n)
 	}
 }
-
-// TestBulkRestateMixedSegments drives FreeRange across a word straddling two
-// segments, so the word's counter move splits into one popcount per segment
-// run, and checks per-segment counts.
-func TestBulkRestateMixedSegments(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	s.Alloc(SegRuntime, 40) // pages 0..39
-	s.Alloc(SegExec, 56)    // pages 40..95: word 0 straddles both segments
-	s.FreeRange(Range{Start: 30, End: 70})
-	if got := s.Count(SegRuntime, Free); got != 10 {
-		t.Fatalf("runtime free pages = %d, want 10", got)
-	}
-	if got := s.Count(SegExec, Free); got != 30 {
-		t.Fatalf("exec free pages = %d, want 30", got)
-	}
-	s.ReuseRange(Range{Start: 30, End: 70})
-	if got := s.Count(SegRuntime, Free); got != 0 {
-		t.Fatalf("runtime free pages after reuse = %d, want 0", got)
-	}
-	if got := s.Count(SegExec, Inactive); got != 56 {
-		t.Fatalf("exec inactive pages after reuse = %d, want 56", got)
-	}
-	for id := PageID(30); id < 70; id++ {
-		if st := s.State(id); st != Inactive {
-			t.Fatalf("page %d after reuse: state %v, want inactive", id, st)
-		}
-	}
-}

@@ -27,19 +27,9 @@ func (n *naiveSpace) alloc(seg Segment, count int) {
 	}
 }
 
-func (n *naiveSpace) freeRange(r Range) {
+func (n *naiveSpace) touchRange(r Range) {
 	for id := r.Start; id < r.End; id++ {
-		n.state[id] = Free
-		n.accessed[id] = false
-	}
-}
-
-func (n *naiveSpace) reuseRange(r Range) {
-	for id := r.Start; id < r.End; id++ {
-		if n.state[id] == Free {
-			n.state[id] = Inactive
-			n.accessed[id] = true
-		}
+		n.accessed[id] = true
 	}
 }
 
@@ -190,23 +180,16 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		}
 		p.fast.Alloc(seg, count)
 		p.slow.alloc(seg, count)
-	case 1: // release a range (exec teardown)
+	case 1, 2: // bulk access path (request spans)
 		r := p.rangeFrom(a, b)
-		p.fast.FreeRange(r)
-		p.slow.freeRange(r)
-	case 2: // revive freed slots (exec reuse)
-		r := p.rangeFrom(a, b)
-		p.fast.ReuseRange(r)
-		p.slow.reuseRange(r)
+		p.fast.TouchRange(r)
+		p.slow.touchRange(r)
 	case 3: // single-page transition
 		if n == 0 {
 			return
 		}
 		id := PageID((int(a)<<8 | int(b)) % n)
-		st := State(1 + int(a)%3) // Inactive, Hot or Remote — never Free
-		if p.slow.state[id] == Free {
-			return
-		}
+		st := State(int(a) % numStates)
 		p.fast.SetState(id, st)
 		p.slow.state[id] = st
 	case 4: // access path
@@ -224,8 +207,8 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 			return
 		}
 		w := (int(b)<<8 | int(a)) % ((n + 63) / 64)
-		from := State(1 + int(a)%3)
-		to := State(1 + int(b)%3)
+		from := State(int(a) % numStates)
+		to := State(int(b) % numStates)
 		if from == to {
 			return
 		}
@@ -243,7 +226,7 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		p.fast.ClearAccessedMasked(w, clear)
 		p.slow.transitionMasked(w, pattern, from, to, clear)
 		r := Range{Start: PageID(w * 64), End: PageID(min(n, w*64+64))}
-		for st := Free; st < numStates; st++ {
+		for st := Inactive; st < numStates; st++ {
 			if got, want := p.fast.CountInRange(r, st), p.slow.countInRange(r, st); got != want {
 				t.Fatalf("TransitionMasked(%d, %#x, %v->%v): CountInRange(%v) = %d, want %d",
 					w, mask, from, to, st, got, want)
@@ -310,7 +293,7 @@ func (p *spacePair) check(t *testing.T, step int) {
 	if got, want := p.fast.NumPages(), len(p.slow.state); got != want {
 		t.Fatalf("step %d: NumPages = %d, want %d", step, got, want)
 	}
-	for st := Free; st < numStates; st++ {
+	for st := Inactive; st < numStates; st++ {
 		all := Range{Start: 0, End: PageID(len(p.slow.state))}
 		if got, want := p.fast.CountInRange(all, st), p.slow.countInRange(all, st); got != want {
 			t.Fatalf("step %d: CountInRange(all, %v) = %d, want %d", step, st, got, want)
@@ -344,7 +327,7 @@ func (p *spacePair) check(t *testing.T, step int) {
 		t.Fatalf("step %d: summary has %d words for %d page words", step, len(p.fast.summary), words)
 	}
 	for w := 0; w < words; w++ {
-		for st := Free; st < numStates; st++ {
+		for st := Inactive; st < numStates; st++ {
 			got := p.fast.summary[w/64*numStates+int(st)]&(1<<(uint(w)%64)) != 0
 			if want := p.fast.stateBits[st].words[w] != 0; got != want {
 				t.Fatalf("step %d: summary bit of %v word %d = %v, want %v", step, st, w, got, want)

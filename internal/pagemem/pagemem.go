@@ -1,7 +1,7 @@
 // Package pagemem models a container's memory at page granularity.
 //
 // A Space is a growable array of fixed-size pages. Each page carries the
-// state the offloading policies act on (inactive / hot / remote / free), the
+// state the offloading policies act on (inactive / hot / remote), the
 // lifecycle segment it was allocated in (runtime / init / exec), and an
 // access bit, mirroring the page-table Accessed bit that the paper's
 // mechanisms (and DAMON/TMO) sample. Per-state page totals are maintained
@@ -28,11 +28,9 @@ type PageID int32
 type State uint8
 
 const (
-	// Free marks an unallocated (or released) page slot.
-	Free State = iota
 	// Inactive pages sit in their Pucket's inactive list: allocated but not
 	// re-accessed since the last demotion; candidates for offloading.
-	Inactive
+	Inactive State = iota
 	// Hot pages live in the shared hot page pool: they were accessed after
 	// allocation (or recalled from remote) and are kept local.
 	Hot
@@ -45,8 +43,6 @@ const (
 // String implements fmt.Stringer for diagnostics.
 func (s State) String() string {
 	switch s {
-	case Free:
-		return "free"
 	case Inactive:
 		return "inactive"
 	case Hot:
@@ -69,7 +65,9 @@ const (
 	SegRuntime Segment = iota
 	// SegInit pages are allocated during user-code initialization.
 	SegInit
-	// SegExec pages hold per-request temporaries, freed on completion.
+	// SegExec is the segment of per-request temporaries, freed on
+	// completion. The platform charges them by count and allocates no pages
+	// for them.
 	SegExec
 	// NumSegments is the number of lifecycle segments.
 	NumSegments = iota
@@ -105,7 +103,7 @@ func (r Range) Contains(id PageID) bool { return id >= r.Start && id < r.End }
 //
 // Page state lives only in bitsets: stateBits[st] marks every page in state
 // st, so a page's state is a few bit probes and every bulk move (offload,
-// recall, rollback, exec teardown) is a word operation. Each state bitset
+// recall, rollback) is a word operation. Each state bitset
 // has a summary, one bit per 64-page word set iff that word holds a page of
 // the state, so walks skip empty words 64 at a time (see Words). A page's
 // segment lives only in segRuns.
@@ -179,8 +177,7 @@ func (s *Space) Reserve(pages int) {
 // PageSize returns the page size in bytes.
 func (s *Space) PageSize() int { return s.pageSize }
 
-// NumPages returns the total number of page slots ever allocated (including
-// freed exec pages, whose slots are not reused).
+// NumPages returns the total number of pages allocated.
 func (s *Space) NumPages() int { return s.n }
 
 // Alloc appends n pages of the given segment in the Inactive state and
@@ -203,8 +200,9 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 	for st := range s.stateBits {
 		s.stateBits[st].Grow(total)
 	}
-	if need := (total + 64*64 - 1) / (64 * 64) * numStates; len(s.summary) < need {
-		s.summary = append(s.summary, make([]uint64, need-len(s.summary))...)
+	if need, k := (total+64*64-1)/(64*64)*numStates, len(s.summary); k < need {
+		s.summary = slices.Grow(s.summary, need-k)[:need]
+		clear(s.summary[k:])
 	}
 	s.accessed.SetRange(start, total)
 	s.stateBits[Inactive].SetRange(start, total)
@@ -283,37 +281,6 @@ func LowestBits(m uint64, k int) uint64 {
 	return low
 }
 
-// FreeRange releases every non-free page in r and clears the access bits
-// of the whole range (a free page may have been touched). Used when
-// exec-segment temporaries are reclaimed at request completion; words with
-// nothing left to free cost one probe per state.
-func (s *Space) FreeRange(r Range) {
-	r, w0, w1 := s.clampRange(r)
-	for w := w0; w < w1; w++ {
-		mask := r.WordMask(w)
-		for st := Inactive; st < numStates; st++ {
-			if word := s.stateBits[st].words[w] & mask; word != 0 {
-				s.move(w, word, st, Free)
-			}
-		}
-		s.accessed.words[w] &^= mask
-	}
-}
-
-// ReuseRange reactivates every Free page in r back to Inactive with a set
-// access bit — the allocation path for exec-segment temporaries, which reuse
-// the same page slots on every request instead of growing the space.
-func (s *Space) ReuseRange(r Range) {
-	for it := s.Words(r, Free); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			if word := s.stateBits[Free].words[w] & r.WordMask(w); word != 0 {
-				s.move(w, word, Free, Inactive)
-				s.accessed.words[w] |= word
-			}
-		}
-	}
-}
-
 // checkID panics unless id is an allocated page slot.
 func (s *Space) checkID(id PageID) {
 	if id < 0 || int(id) >= s.n {
@@ -324,17 +291,16 @@ func (s *Space) checkID(id PageID) {
 // State returns the state of page id. Probing an unallocated id panics.
 func (s *Space) State(id PageID) State {
 	s.checkID(id)
-	// Every state bitset is grown to n pages, so the probes index directly.
+	// Every state bitset is grown to n pages, so the probes index directly,
+	// and an allocated page is in exactly one state.
 	w, bit := int(id)/64, uint64(1)<<(uint(id)%64)
 	switch {
 	case s.stateBits[Inactive].words[w]&bit != 0:
 		return Inactive
 	case s.stateBits[Hot].words[w]&bit != 0:
 		return Hot
-	case s.stateBits[Remote].words[w]&bit != 0:
-		return Remote
 	}
-	return Free
+	return Remote
 }
 
 // SegmentOf returns the lifecycle segment page id was allocated in.
@@ -345,14 +311,11 @@ func (s *Space) SegmentOf(id PageID) Segment {
 }
 
 // SetState transitions page id to st, keeping the aggregate counters
-// consistent. Transitioning a Free page is a programming error.
+// consistent. Setting an unallocated id panics.
 func (s *Space) SetState(id PageID, st State) {
 	old := s.State(id)
 	if old == st {
 		return
-	}
-	if old == Free {
-		panic(fmt.Sprintf("pagemem: page %d is free; Alloc before SetState", id))
 	}
 	s.move(int(id)/64, 1<<(uint(id)%64), old, st)
 }
@@ -519,14 +482,10 @@ func (s *Space) StateWord(w int, st State) uint64 {
 
 // TransitionMasked moves every page in the 64-page word w whose mask bit is
 // set from state `from` to state `to`. Every masked page must currently be in
-// state `from` (callers derive mask from StateWord). Free is not a valid
-// endpoint: FreeRange and ReuseRange own those moves.
+// state `from` (callers derive mask from StateWord).
 func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
 	if mask == 0 {
 		return
-	}
-	if from == Free || to == Free {
-		panic("pagemem: TransitionMasked cannot move pages into or out of Free")
 	}
 	s.move(w, mask, from, to)
 }
@@ -583,7 +542,7 @@ func (s *Space) RemoteBytes() int64 {
 	return int64(s.CountState(Remote)) * int64(s.pageSize)
 }
 
-// TotalBytes reports all allocated (non-free) memory, local plus remote.
+// TotalBytes reports all allocated memory, local plus remote.
 func (s *Space) TotalBytes() int64 { return s.LocalBytes() + s.RemoteBytes() }
 
 // BytesOf converts a page count to bytes at this space's page size.

@@ -89,7 +89,7 @@ func TestReserveMakesAllocAllocationFree(t *testing.T) {
 	build(want)
 	got := spaces[0]
 	all := Range{Start: 0, End: PageID(want.NumPages())}
-	for st := Free; st < numStates; st++ {
+	for st := Inactive; st < numStates; st++ {
 		if g, w := got.CountInRange(all, st), want.CountInRange(all, st); g != w {
 			t.Fatalf("CountInRange(%v) = %d, want %d", st, g, w)
 		}
@@ -135,20 +135,9 @@ func TestSetStateMaintainsCounters(t *testing.T) {
 	}
 }
 
-func TestSetStateOnFreePagePanics(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegExec, 1)
-	s.FreeRange(r)
-	defer func() {
-		if recover() == nil {
-			t.Error("SetState on free page did not panic")
-		}
-	}()
-	s.SetState(r.Start, Hot)
-}
-
-// TestOutOfRangeIDPanics checks that probing a never-allocated page panics
-// instead of reading as Free — including ids inside the last bitset word.
+// TestOutOfRangeIDPanics checks that probing or setting a never-allocated
+// page panics instead of reading as some state — including ids inside the
+// last bitset word.
 func TestOutOfRangeIDPanics(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	s.Alloc(SegRuntime, 10)
@@ -157,6 +146,7 @@ func TestOutOfRangeIDPanics(t *testing.T) {
 			"State":     func() { s.State(id) },
 			"SegmentOf": func() { s.SegmentOf(id) },
 			"Touch":     func() { s.Touch(id) },
+			"SetState":  func() { s.SetState(id, Hot) },
 		} {
 			func() {
 				defer func() {
@@ -166,29 +156,6 @@ func TestOutOfRangeIDPanics(t *testing.T) {
 				}()
 				probe()
 			}()
-		}
-	}
-}
-
-func TestFreeRange(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegExec, 8)
-	s.SetState(r.Start, Hot)
-	s.FreeRange(r)
-	if got := s.CountState(Inactive) + s.CountState(Hot) + s.CountState(Remote); got != 0 {
-		t.Fatalf("non-free pages after FreeRange = %d, want 0", got)
-	}
-	if got := s.Count(SegExec, Free); got != 8 {
-		t.Fatalf("free count = %d, want 8", got)
-	}
-	// Freeing twice is harmless.
-	s.FreeRange(r)
-	if got := s.Count(SegExec, Free); got != 8 {
-		t.Fatalf("free count after double free = %d, want 8", got)
-	}
-	for id := r.Start; id < r.End; id++ {
-		if s.Accessed(id) {
-			t.Fatalf("freed page %d still has access bit", id)
 		}
 	}
 }
@@ -376,7 +343,7 @@ func TestRangeHelpers(t *testing.T) {
 }
 
 func TestStateStrings(t *testing.T) {
-	cases := map[State]string{Free: "free", Inactive: "inactive", Hot: "hot", Remote: "remote"}
+	cases := map[State]string{Inactive: "inactive", Hot: "hot", Remote: "remote", Local: "local"}
 	for st, want := range cases {
 		if st.String() != want {
 			t.Errorf("%d.String() = %q, want %q", st, st.String(), want)
@@ -396,38 +363,27 @@ func TestCountersMatchBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewSpace(4096)
-		var ranges []Range
 		for op := 0; op < 300; op++ {
-			switch rng.Intn(4) {
+			switch rng.Intn(3) {
 			case 0:
-				ranges = append(ranges, s.Alloc(Segment(rng.Intn(NumSegments)), rng.Intn(20)))
+				s.Alloc(Segment(rng.Intn(NumSegments)), rng.Intn(20))
 			case 1:
 				if s.NumPages() > 0 {
-					id := PageID(rng.Intn(s.NumPages()))
-					if s.State(id) != Free {
-						s.SetState(id, State(1+rng.Intn(3)))
-					}
+					s.SetState(PageID(rng.Intn(s.NumPages())), State(rng.Intn(numStates)))
 				}
 			case 2:
 				if s.NumPages() > 0 {
-					id := PageID(rng.Intn(s.NumPages()))
-					if s.State(id) != Free {
-						s.Touch(id)
-					}
-				}
-			case 3:
-				if len(ranges) > 0 {
-					s.FreeRange(ranges[rng.Intn(len(ranges))])
+					s.Touch(PageID(rng.Intn(s.NumPages())))
 				}
 			}
 		}
 		// Brute-force recount.
-		var want [NumSegments][4]int
+		var want [NumSegments][numStates]int
 		for id := 0; id < s.NumPages(); id++ {
 			want[s.SegmentOf(PageID(id))][s.State(PageID(id))]++
 		}
 		for seg := 0; seg < NumSegments; seg++ {
-			for st := 0; st < 4; st++ {
+			for st := 0; st < numStates; st++ {
 				if got := s.Count(Segment(seg), State(st)); got != want[seg][st] {
 					t.Logf("seed %d: count[%v][%v] = %d, want %d", seed, Segment(seg), State(st), got, want[seg][st])
 					return false
@@ -438,26 +394,5 @@ func TestCountersMatchBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReuseRange(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegExec, 4)
-	s.FreeRange(r)
-	s.ReuseRange(r)
-	if got := s.Count(SegExec, Inactive); got != 4 {
-		t.Fatalf("inactive after reuse = %d, want 4", got)
-	}
-	for id := r.Start; id < r.End; id++ {
-		if !s.Accessed(id) {
-			t.Fatalf("reused page %d should be born accessed", id)
-		}
-	}
-	// Reusing non-free pages is a no-op.
-	s.SetState(r.Start, Hot)
-	s.ReuseRange(r)
-	if got := s.Count(SegExec, Hot); got != 1 {
-		t.Fatalf("reuse disturbed non-free page states: hot = %d", got)
 	}
 }

@@ -48,6 +48,7 @@ func (v *fakeView) RequestsServed() int         { return 1 }
 func (v *fakeView) Idle() bool                  { return true }
 func (v *fakeView) StallFraction() float64      { return 0 }
 func (v *fakeView) OffloadScale() float64       { return 1 }
+func (v *fakeView) MemoryBytes() int64          { return v.space.TotalBytes() }
 func (v *fakeView) Telemetry() *telemetry.Hub   { return &telemetry.Hub{} }
 func (v *fakeView) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int {
 	n := 0

@@ -61,6 +61,10 @@ type View interface {
 	// pages were actually offloaded; fewer than requested means the pool or
 	// link truncated the batch.
 	OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int
+	// MemoryBytes is the container cgroup's local plus remote bytes, the
+	// kernel's memory.current: its page-state bytes plus the exec segment
+	// charged to a request in flight.
+	MemoryBytes() int64
 	// OffloadScale returns the platform bandwidth governor's current factor
 	// in (0, 1]: gradual offloaders multiply their per-tick budget by it so
 	// that aggregate offload traffic stays within the link budget (§6.2).
@@ -93,10 +97,10 @@ type ContainerPolicy interface {
 	// Init-Execution time barrier was inserted.
 	InitDone(e *simtime.Engine)
 	// RequestStart fires when a request begins executing on the container
-	// (after exec-segment pages were allocated).
+	// (after the exec segment was charged).
 	RequestStart(e *simtime.Engine)
-	// RequestEnd fires when a request completes (after exec-segment pages
-	// were freed).
+	// RequestEnd fires when a request completes (after the exec segment was
+	// uncharged).
 	RequestEnd(e *simtime.Engine)
 	// Idle fires when the container enters keep-alive.
 	Idle(e *simtime.Engine)

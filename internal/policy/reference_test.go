@@ -57,7 +57,7 @@ func scatteredView(seed int64) *fakeView {
 	v := newFakeView(300, 221)
 	rng := rand.New(rand.NewSource(seed))
 	for id := pagemem.PageID(0); int(id) < v.space.NumPages(); {
-		st := pagemem.State(1 + rng.Intn(3))
+		st := pagemem.State(rng.Intn(3))
 		for end := min(id+pagemem.PageID(1+rng.Intn(100)), pagemem.PageID(v.space.NumPages())); id < end; id++ {
 			v.space.SetState(id, st)
 			if rng.Intn(3) == 0 {

@@ -74,7 +74,7 @@ func (c *tmoContainer) step(e *simtime.Engine) {
 		return // feedback loop: performance is already degrading
 	}
 	s := c.view.Space()
-	c.carry += int64(float64(s.TotalBytes()) * c.cfg.StepFraction)
+	c.carry += int64(float64(c.view.MemoryBytes()) * c.cfg.StepFraction)
 	pageBytes := int64(s.PageSize())
 	budget := int(c.carry / pageBytes)
 	if budget <= 0 {
