@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet loc bench bench-json bench-check cover fuzz-smoke experiments experiments-quick determinism examples trace-demo attrib-demo clean
+.PHONY: all build test vet loc bench bench-json bench-check cover fuzz-smoke experiments determinism examples trace-demo attrib-demo clean
 
 all: build vet test
 
@@ -48,7 +48,7 @@ bench:
 # benches repeat one identical workload and keep time-based b.N.
 BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
 BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
-BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|BarrierInsert|PucketOffloadScan|SemiWarmScan|FaultPrecount|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|BarrierInsert|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|FaultPrecount|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
 bench-json:
 	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
@@ -91,9 +91,6 @@ fuzz-smoke:
 experiments:
 	$(GO) run ./cmd/experiments -seed 42 | tee experiments_full.txt
 
-experiments-quick:
-	$(GO) run ./cmd/experiments -quick
-
 # Rows must be byte-identical at any scenario fan-out width. The experiment
 # list comes from the registry (-list); wall-clock entries (fig15) are
 # skipped because their rows are measured host times. A second pass runs
@@ -106,11 +103,11 @@ experiments-quick:
 # experiments, which a sink flag must override.
 determinism:
 	@figs=$$($(GO) run ./cmd/experiments -list | awk 'NF == 1' | paste -sd, -) && \
-	$(GO) run ./cmd/experiments -quick -seed 42 -only "$$figs" -scenario-workers 1 > rows_w1.txt && \
-	$(GO) run ./cmd/experiments -quick -seed 42 -only "$$figs" -scenario-workers 8 > rows_w8.txt && \
+	$(GO) run ./cmd/experiments -seed 42 -only "$$figs" -scenario-workers 1 > rows_w1.txt && \
+	$(GO) run ./cmd/experiments -seed 42 -only "$$figs" -scenario-workers 8 > rows_w8.txt && \
 	diff rows_w1.txt rows_w8.txt && echo "determinism: rows identical at widths 1 and 8 ($$figs)"
 	@for w in 1 8; do \
-		$(GO) run ./cmd/experiments -quick -seed 42 -only fig13 -scenario-workers $$w \
+		$(GO) run ./cmd/experiments -seed 42 -only fig13 -scenario-workers $$w \
 			-trace-out fig13_trace.json -timeline fig13_timeline.txt -exemplars fig13_exemplars.txt \
 			-attrib > fig13_attrib.txt || exit 1; \
 		for f in trace.json timeline.txt exemplars.txt attrib.txt; do mv fig13_$$f fig13_w$${w}_$$f; done; \
@@ -119,7 +116,7 @@ determinism:
 	echo "determinism: fig13 trace, timeline, exemplars and attribution identical at widths 1 and 8"
 	@figs=$$($(GO) run ./cmd/experiments -list | awk 'NF == 1' | paste -sd, -) && \
 	for run in w8:8 w8again:8 w1:1; do \
-		$(GO) run ./cmd/experiments -quick -seed 42 -only "$$figs" -parallel 8 -scenario-workers $${run#*:} \
+		$(GO) run ./cmd/experiments -seed 42 -only "$$figs" -parallel 8 -scenario-workers $${run#*:} \
 			-trace-out all_trace.json -timeline all_timeline.txt -exemplars all_exemplars.txt \
 			-attrib > all_attrib.txt || exit 1; \
 		for f in trace.json timeline.txt exemplars.txt attrib.txt; do mv all_$$f all_$${run%:*}_$$f; done; \

@@ -410,6 +410,22 @@ func BenchmarkSemiWarmScan(b *testing.B) {
 	}
 }
 
+// BenchmarkSeedReuseIntervals seeds one function's reuse history from a
+// 100k-interval offline trace analysis, in the unsorted order a trace yields
+// them. Only the last HistoryLimit intervals can survive the trim, so the
+// cost is bounded by the limit rather than by the trace's length.
+func BenchmarkSeedReuseIntervals(b *testing.B) {
+	iv := make([]time.Duration, 100_000)
+	for i := range iv {
+		iv[i] = time.Duration(i*7919%100_003) * time.Millisecond
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.New(core.Config{}).SeedReuseIntervals("f", iv)
+	}
+}
+
 // BenchmarkHarnessParallelFanout runs the same 8-scenario grid through the
 // experiment harness's worker pool at width 1 and at GOMAXPROCS, verifying
 // the fan-out path and exposing its scaling on multi-core hosts.

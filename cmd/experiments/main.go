@@ -3,25 +3,22 @@
 //
 // Usage:
 //
-//	experiments [-only fig12,table1] [-quick] [-seed 42] [-json dir] [-svg dir]
+//	experiments [-only fig12,table1] [-seed 42] [-json dir] [-svg dir]
 //	            [-parallel N] [-scenario-workers N] [-cpuprofile f] [-memprofile f]
 //	experiments -list
 //
-// The experiments and their quick variants are defined once, in
-// experiments.Registry; -list prints its names, and an unknown -only name
-// exits 2.
-//
-// With -quick, durations and trace sizes shrink so the full suite finishes
-// in seconds; without it, the defaults match the paper-scale windows
-// (1-hour traces, 424-function studies). Experiments run in parallel worker
-// goroutines (-parallel), and each figure's scenario grid additionally fans
-// out across a scenario-level pool (-scenario-workers, default GOMAXPROCS);
-// every simulation is single-threaded and deterministic and rows assemble in
-// canonical order, so output is identical at any width. When a sink flag
-// (-trace-out, -attrib, -timeline, -exemplars) is set, experiments run one
-// after another in registry order instead, so each folds its scenarios into
-// the shared sinks in a fixed order and the captures are identical at any
-// width too. -cpuprofile and -memprofile capture pprof profiles of the run.
+// The experiments are defined once, in experiments.Registry, at the
+// paper-scale windows (1-hour traces, 424-function studies); -list prints
+// their names, and an unknown -only name exits 2. Experiments run in
+// parallel worker goroutines (-parallel), and each figure's scenario grid
+// additionally fans out across a scenario-level pool (-scenario-workers,
+// default GOMAXPROCS); every simulation is single-threaded and deterministic
+// and rows assemble in canonical order, so output is identical at any
+// width. When a sink flag (-trace-out, -attrib, -timeline, -exemplars) is
+// set, experiments run one after another in registry order instead, so each
+// folds its scenarios into the shared sinks in a fixed order and the
+// captures are identical at any width too. -cpuprofile and -memprofile
+// capture pprof profiles of the run.
 package main
 
 import (
@@ -49,7 +46,6 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated subset of the experiments (see -list)")
 	list := flag.Bool("list", false, "print the experiment names, one per line, and exit; wall-clock experiments, whose rows differ between runs, carry a second column 'wall-clock'")
-	quick := flag.Bool("quick", false, "shrink workloads for a fast smoke run")
 	seed := flag.Int64("seed", 42, "random seed for all synthetic traces")
 	jsonDir := flag.String("json", "", "also write each experiment's rows as JSON files into this directory (like the artifact's result files)")
 	svgDir := flag.String("svg", "", "also write SVG charts of the main figures into this directory (like the artifact's draw scripts)")
@@ -161,7 +157,7 @@ func main() {
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i].rows, results[i].svgs = selected[i].Run(&results[i].out, *seed, *quick)
+			results[i].rows, results[i].svgs = selected[i].Run(&results[i].out, *seed)
 		}(i)
 	}
 	wg.Wait()

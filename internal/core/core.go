@@ -252,9 +252,13 @@ func (f *FaaSMem) SetSemiWarmTiming(fnID string, d time.Duration) {
 }
 
 // SeedReuseIntervals pre-populates a function's container reused-interval
-// history from an offline trace analysis.
+// history from an offline trace analysis. Only the last HistoryLimit
+// intervals can survive the trim, so only those are inserted.
 func (f *FaaSMem) SeedReuseIntervals(fnID string, intervals []time.Duration) {
 	h := f.history(fnID)
+	if over := len(intervals) - f.cfg.HistoryLimit; over > 0 {
+		intervals = intervals[over:]
+	}
 	for _, d := range intervals {
 		h.intervals = append(h.intervals, d)
 		h.insertSorted(d)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -247,6 +248,27 @@ func TestHistoryTrimming(t *testing.T) {
 	// Trim keeps the most recent entries.
 	if fm.history("f").intervals[0] != 40*time.Second {
 		t.Fatalf("trim kept wrong window: %v", fm.history("f").intervals[0])
+	}
+
+	// A prior history, then more unsorted seeds (with duplicates) than the
+	// limit, then recorded reuses: the history keeps the last 10 values in
+	// arrival order and its sorted mirror stays the sorted copy of them.
+	fm = New(Config{HistoryLimit: 10})
+	fm.SeedReuseIntervals("g", []time.Duration{5, 3, 8})
+	seeds := []time.Duration{9, 1, 4, 4, 7, 2, 9, 6, 3, 3, 8, 1, 5}
+	fm.SeedReuseIntervals("g", seeds)
+	for _, d := range []time.Duration{4, 0, 9} {
+		fm.recordReuse("g", d)
+	}
+	h := fm.history("g")
+	want := append(slices.Clone(seeds[6:]), 4, 0, 9)
+	if !slices.Equal(h.intervals, want) {
+		t.Fatalf("intervals = %v, want %v", h.intervals, want)
+	}
+	sorted := slices.Clone(h.intervals)
+	slices.Sort(sorted)
+	if !slices.Equal(h.sorted, sorted) {
+		t.Fatalf("sorted = %v, want sorted %v", h.sorted, h.intervals)
 	}
 }
 

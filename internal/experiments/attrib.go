@@ -39,6 +39,7 @@ type AttribRow struct {
 
 // AttribPressureOptions sizes the study.
 type AttribPressureOptions struct {
+	// Duration of the generated bert trace. Default 30 m.
 	Duration time.Duration
 	Seed     int64
 }
@@ -61,7 +62,7 @@ func stallShare(bd span.Breakdown) float64 {
 // pinned to the restore phase instead of inferred from end-to-end deltas.
 func AttribPressure(opt AttribPressureOptions) []AttribRow {
 	if opt.Duration <= 0 {
-		opt.Duration = 20 * time.Minute
+		opt.Duration = 30 * time.Minute
 	}
 	prof := workload.Bert()
 	inv := trace.GenerateFunction("bert", opt.Duration, 25*time.Second, false, opt.Seed).Invocations

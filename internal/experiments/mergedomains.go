@@ -64,7 +64,7 @@ type MergeDomainsOptions struct {
 	// sweep always carries a non-consenting tenant across the security
 	// boundary. Default 3.
 	Tenants int
-	// Duration of the generated trace. Default 8 m.
+	// Duration of the generated trace. Default 15 m.
 	Duration time.Duration
 	// KeepAlive of idle containers. Default 10 m.
 	KeepAlive time.Duration
@@ -102,7 +102,7 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 		opt.Tenants = 3
 	}
 	if opt.Duration <= 0 {
-		opt.Duration = 8 * time.Minute
+		opt.Duration = 15 * time.Minute
 	}
 	if opt.KeepAlive <= 0 {
 		opt.KeepAlive = 10 * time.Minute

@@ -57,7 +57,7 @@ type PoolDensityOptions struct {
 	SpillMB int
 	// Nodes is the rack's compute-node count. Default 3.
 	Nodes int
-	// Duration of the generated trace. Default 8 m.
+	// Duration of the generated trace. Default 15 m.
 	Duration time.Duration
 	// KeepAlive of idle containers. Default 10 m.
 	KeepAlive time.Duration
@@ -84,7 +84,7 @@ func PoolDensity(opt PoolDensityOptions) []PoolDensityRow {
 		opt.Nodes = 3
 	}
 	if opt.Duration <= 0 {
-		opt.Duration = 8 * time.Minute
+		opt.Duration = 15 * time.Minute
 	}
 	if opt.KeepAlive <= 0 {
 		opt.KeepAlive = 10 * time.Minute

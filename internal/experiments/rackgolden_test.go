@@ -19,11 +19,11 @@ var goldenEntries = []string{
 	"ext-resilience", "ext-observe", "ext-drilldown",
 }
 
-// TestRackRowsGolden pins the quick, seed-42 rows of fig12 and of every rack
-// experiment. Each section is the entry's name followed by its rows exactly
-// as `cmd/experiments -json` writes them, so a change to how the node grid
-// or any rack is built, loaded or run shows up as a diff. Run with -update
-// to rewrite the golden file.
+// TestRackRowsGolden pins the paper-scale, seed-42 rows of fig12 and of
+// every rack experiment. Each section is the entry's name followed by its
+// rows exactly as `cmd/experiments -json` writes them, so a change to how the
+// node grid or any rack is built, loaded or run shows up as a diff. Run with
+// -update to rewrite the golden file.
 func TestRackRowsGolden(t *testing.T) {
 	entries, err := Select(goldenEntries)
 	if err != nil {
@@ -31,7 +31,7 @@ func TestRackRowsGolden(t *testing.T) {
 	}
 	var got bytes.Buffer
 	for _, e := range entries {
-		rows, _ := e.Run(io.Discard, 42, true)
+		rows, _ := e.Run(io.Discard, 42)
 		fmt.Fprintf(&got, "== %s ==\n", e.Name)
 		enc := json.NewEncoder(&got)
 		enc.SetIndent("", "  ")

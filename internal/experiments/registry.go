@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"time"
 )
 
 // Experiment is one regenerable figure, table or extension sweep. The
@@ -18,223 +17,141 @@ type Experiment struct {
 	// WallClock marks an experiment whose rows are measured host times, so
 	// they differ between any two runs and are left out of determinism diffs.
 	WallClock bool
-	// Run regenerates the experiment at seed, writes its human-readable
-	// report to w, and returns its rows plus any SVG renderings keyed by file
-	// stem. quick shrinks durations and trace sizes to the smoke scale the
-	// gateway serves.
-	Run func(w io.Writer, seed int64, quick bool) (rows any, svgs map[string]string)
-}
-
-// scale picks the paper-scale or the quick value of a duration knob.
-func scale(quick bool, full, quickv time.Duration) time.Duration {
-	if quick {
-		return quickv
-	}
-	return full
+	// Run regenerates the experiment at paper scale and seed, writes its
+	// human-readable report to w, and returns its rows plus any SVG
+	// renderings keyed by file stem.
+	Run func(w io.Writer, seed int64) (rows any, svgs map[string]string)
 }
 
 // Registry lists every experiment in presentation order.
 var Registry = []Experiment{
-	{Name: "fig1", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
+	{Name: "fig1", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig1(Fig1Options{Seed: seed})
 		PrintFig1(w, rows)
 		return rows, map[string]string{"fig1": SVGFig1(rows)}
 	}},
-	{Name: "fig2", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := Fig2(Fig2Options{
-			Duration: scale(quick, time.Hour, 15*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "fig2", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Fig2(Fig2Options{Seed: seed})
 		PrintFig2(w, rows)
 		return rows, map[string]string{"fig2": SVGFig2(rows)}
 	}},
-	{Name: "fig4", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
+	{Name: "fig4", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig4()
 		PrintFig4(w, rows)
 		return rows, nil
 	}},
-	{Name: "fig5", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
+	{Name: "fig5", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig5(Fig5Options{Seed: seed})
 		PrintFig5(w, rows)
 		return rows, map[string]string{"fig5": SVGFig5(rows)}
 	}},
-	{Name: "fig6", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
+	{Name: "fig6", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig6(Fig6Options{Seed: seed})
 		PrintFig6(w, rows)
 		return rows, nil
 	}},
-	{Name: "fig8", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
+	{Name: "fig8", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig8(Fig8Options{Seed: seed})
 		PrintFig8(w, rows)
 		return rows, nil
 	}},
-	{Name: "fig9", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
+	{Name: "fig9", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig9(25, seed)
 		PrintFig9(w, rows)
 		return rows, nil
 	}},
-	{Name: "fig12", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		opt := Fig12Options{Duration: scale(quick, time.Hour, 10*time.Minute), Seed: seed}
-		if quick {
-			opt.Benches = []string{"bert", "graph", "web", "json"}
-		}
-		rows := Fig12(opt)
+	{Name: "fig12", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Fig12(Fig12Options{Seed: seed})
 		PrintFig12(w, rows)
 		return rows, nil
 	}},
-	{Name: "table1", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := Table1(Table1Options{
-			Duration: scale(quick, 30*time.Minute, 8*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "table1", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Table1(Table1Options{Seed: seed})
 		PrintTable1(w, rows)
 		return rows, nil
 	}},
-	{Name: "fig13", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := Fig13(Fig13Options{
-			Duration:     scale(quick, time.Hour, 12*time.Minute),
-			Seed:         seed,
-			WithTimeline: true,
-		})
+	{Name: "fig13", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Fig13(Fig13Options{Seed: seed, WithTimeline: true})
 		PrintFig13(w, rows)
 		return rows, map[string]string{"fig13": SVGFig13(rows)}
 	}},
-	{Name: "fig14", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		opt := Fig14Options{Seed: seed}
-		if quick {
-			opt.NumFunctions = 80
-			opt.Duration = 2 * time.Hour
-		}
-		rows := Fig14(opt)
+	{Name: "fig14", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Fig14(Fig14Options{Seed: seed})
 		PrintFig14(w, rows)
 		return rows, map[string]string{"fig14": SVGFig14(rows)}
 	}},
-	{Name: "fig15", WallClock: true, Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
+	{Name: "fig15", WallClock: true, Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig15()
 		PrintFig15(w, rows)
 		return rows, nil
 	}},
-	{Name: "fig16", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		opt := Fig16Options{Seed: seed}
-		if quick {
-			opt.Traces = 6
-			opt.Duration = 10 * time.Minute
-		}
-		rows := Fig16(opt)
+	{Name: "fig16", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Fig16(Fig16Options{Seed: seed})
 		PrintFig16(w, rows)
 		return rows, map[string]string{"fig16": SVGFig16(rows)}
 	}},
-	{Name: "ext-pools", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := PoolComparison(PoolComparisonOptions{
-			Duration: scale(quick, 20*time.Minute, 8*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-pools", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := PoolComparison(PoolComparisonOptions{Seed: seed})
 		PrintPoolComparison(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-coldstart", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := ColdStartTiming(ColdStartTimingOptions{
-			Duration: scale(quick, 20*time.Minute, 8*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-coldstart", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := ColdStartTiming(ColdStartTimingOptions{Seed: seed})
 		PrintColdStartTiming(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-readahead", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := Readahead(ReadaheadOptions{
-			Duration: scale(quick, 20*time.Minute, 8*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-readahead", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Readahead(ReadaheadOptions{Seed: seed})
 		PrintReadahead(w, rows)
 		return rows, map[string]string{"ext-readahead": SVGReadahead(rows)}
 	}},
-	{Name: "ext-keepalive", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := KeepAliveStrategies(KeepAliveStrategiesOptions{
-			Duration: scale(quick, 30*time.Minute, 10*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-keepalive", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := KeepAliveStrategies(KeepAliveStrategiesOptions{Seed: seed})
 		PrintKeepAliveStrategies(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-percentile", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := PercentileSweep(PercentileSweepOptions{
-			Duration: scale(quick, 20*time.Minute, 8*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-percentile", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := PercentileSweep(PercentileSweepOptions{Seed: seed})
 		PrintPercentileSweep(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-rack", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := RackDensity(RackDensityOptions{
-			Duration: scale(quick, 20*time.Minute, 8*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-rack", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := RackDensity(RackDensityOptions{Seed: seed})
 		PrintRackDensity(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-attrib", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := AttribPressure(AttribPressureOptions{
-			Duration: scale(quick, 30*time.Minute, 10*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-attrib", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := AttribPressure(AttribPressureOptions{Seed: seed})
 		PrintAttribPressure(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-pool-density", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := PoolDensity(PoolDensityOptions{
-			Duration: scale(quick, 15*time.Minute, 6*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-pool-density", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := PoolDensity(PoolDensityOptions{Seed: seed})
 		PrintPoolDensity(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-merge", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := MergeDomains(MergeDomainsOptions{
-			Duration: scale(quick, 15*time.Minute, 6*time.Minute),
-			Seed:     seed,
-		})
+	{Name: "ext-merge", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := MergeDomains(MergeDomainsOptions{Seed: seed})
 		PrintMergeDomains(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-resilience", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		rows := Resilience(ResilienceOptions{
-			Duration:  scale(quick, 12*time.Minute, 5*time.Minute),
-			KeepAlive: scale(quick, 10*time.Minute, 4*time.Minute),
-			Seed:      seed,
-			FaultSeed: seed,
-		})
+	{Name: "ext-resilience", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Resilience(ResilienceOptions{Seed: seed, FaultSeed: seed})
 		PrintResilience(w, rows)
 		return rows, nil
 	}},
-	{Name: "ext-observe", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		cells := Observe(ObserveOptions{
-			Duration:  scale(quick, 10*time.Minute, 4*time.Minute),
-			KeepAlive: scale(quick, 8*time.Minute, 3*time.Minute),
-			Seed:      seed,
-			FaultSeed: seed,
-		})
+	{Name: "ext-observe", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		cells := Observe(ObserveOptions{Seed: seed, FaultSeed: seed})
 		PrintObserve(w, cells)
 		return cells, nil
 	}},
-	{Name: "ext-drilldown", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		cells := Drilldown(DrilldownOptions{
-			Duration:  scale(quick, 10*time.Minute, 4*time.Minute),
-			KeepAlive: scale(quick, 8*time.Minute, 3*time.Minute),
-			Seed:      seed,
-			FaultSeed: seed,
-		})
+	{Name: "ext-drilldown", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		cells := Drilldown(DrilldownOptions{Seed: seed, FaultSeed: seed})
 		PrintDrilldown(w, cells)
 		return cells, nil
 	}},
-	{Name: "ext-stateful", Run: func(w io.Writer, seed int64, quick bool) (any, map[string]string) {
-		opt := StatefulOptions{Seed: seed}
-		if quick {
-			opt.Workflows = []string{"pipeline", "fanout", "websession"}
-			opt.Widths = []int{8}
-			opt.PressuresMB = []int{64}
-			opt.Runs = 3
-		}
-		rows := Stateful(opt)
+	{Name: "ext-stateful", Run: func(w io.Writer, seed int64) (any, map[string]string) {
+		rows := Stateful(StatefulOptions{Seed: seed})
 		PrintStateful(w, rows)
 		return rows, nil
 	}},

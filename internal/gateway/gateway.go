@@ -22,8 +22,8 @@
 //	GET  /experiments         the experiment registry's names, in order
 //	POST /experiments/{name}  regenerate one figure/table (?seed=N, default 1)
 //
-// POST /experiments/{name} serves exactly the rows `cmd/experiments -quick`
-// prints for the same seed: both run the entry of experiments.Registry.
+// POST /experiments/{name} serves exactly the rows `cmd/experiments` prints
+// for the same seed: both run the entry of experiments.Registry.
 //
 // The gateway instruments every run with a shared telemetry registry, so
 // /metrics aggregates simulation counters (cold starts, offloaded pages,
@@ -52,6 +52,10 @@ import (
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
+
+// maxInvocations is the most invocations one /run or /replay may simulate,
+// so every accepted request has a bounded host cost.
+const maxInvocations = 200000
 
 // RunRequest is the POST /run body.
 type RunRequest struct {
@@ -140,6 +144,8 @@ func (r *RunRequest) normalize() error {
 		if _, err := workload.WorkflowByName(r.Workflow); err != nil {
 			return fmt.Errorf("unknown workflow %q (options: %s)", r.Workflow, strings.Join(workload.WorkflowNames(), ", "))
 		}
+	} else if n := r.DurationSec / r.MeanGapSec; n > maxInvocations {
+		return fmt.Errorf("duration_sec/mean_gap_sec asks for %.0f invocations, limit %d", n, maxInvocations)
 	}
 	switch r.StateMode {
 	case "":
@@ -325,8 +331,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleExperiment regenerates one registry experiment at the CLI's -quick
-// scale and returns its rows as JSON.
+// handleExperiment regenerates one registry experiment, at the paper scale
+// the CLI runs, and returns its rows as JSON.
 func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var seed int64 = 1
 	if q := r.URL.Query().Get("seed"); q != "" {
@@ -343,7 +349,7 @@ func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e := sel[0]
-	rows, _ := e.Run(io.Discard, seed, true)
+	rows, _ := e.Run(io.Discard, seed)
 	writeJSON(w, http.StatusOK, map[string]any{"experiment": e.Name, "seed": seed, "rows": rows})
 }
 

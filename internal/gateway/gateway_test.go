@@ -101,6 +101,7 @@ func TestRunValidation(t *testing.T) {
 		`{"bench":"nope"}`,
 		`{"policy":"nope"}`,
 		`{"duration_sec":999999999}`,
+		`{"bench":"json","duration_sec":2001,"mean_gap_sec":0.01}`,
 		`not json`,
 	}
 	for i, body := range cases {
@@ -108,6 +109,11 @@ func TestRunValidation(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("case %d: status = %d, want 400", i, rec.Code)
 		}
+	}
+	// The invocation ceiling names its limit.
+	rec := do(t, http.MethodPost, "/run", cases[3])
+	if !strings.Contains(rec.Body.String(), "limit 200000") {
+		t.Errorf("ceiling error = %s, want it to name the limit", rec.Body.String())
 	}
 }
 

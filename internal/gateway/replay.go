@@ -102,9 +102,8 @@ func (req *ReplayRequest) validate() error {
 	if err := req.Trace.Validate(); err != nil {
 		return err
 	}
-	const ceiling = 200000
-	if req.MaxInvocations <= 0 || req.MaxInvocations > ceiling {
-		req.MaxInvocations = ceiling
+	if req.MaxInvocations <= 0 || req.MaxInvocations > maxInvocations {
+		req.MaxInvocations = maxInvocations
 	}
 	if n := req.Trace.TotalInvocations(); n > req.MaxInvocations {
 		return fmt.Errorf("trace has %d invocations, limit %d", n, req.MaxInvocations)
