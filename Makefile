@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet loc bench bench-json bench-check cover fuzz-smoke experiments determinism examples trace-demo attrib-demo clean
+.PHONY: all build test vet loc bench bench-json bench-ab bench-check cover fuzz-smoke experiments determinism examples trace-demo attrib-demo clean
 
 all: build vet test
 
@@ -54,6 +54,32 @@ bench-json:
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ./internal/faas ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
 	@echo "raw log with allocs/op: bench_gate.txt"
+
+# Side-by-side ns/op comparison of two trees: the root test binary is built
+# from BASE (a git revision, exported with git archive under a temporary
+# directory) and from the working tree, and the two run the BENCH_AB
+# benchmarks (default: the BENCH_TIMED list) alternately COUNT times, the
+# side that goes first alternating too. cmd/benchjson -ab prints each
+# benchmark's median ns/op, quartiles and paired wins. Committed ns/op
+# snapshots taken at different times on a shared host are not comparable;
+# alternating runs on one host are. It gates nothing.
+#
+#   make bench-ab BASE=HEAD~1 COUNT=10 BENCH_AB='PucketOffloadScan|SemiWarmScan'
+COUNT ?= 10
+BENCH_AB ?= $(BENCH_TIMED)
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [COUNT=10] [BENCH_AB='A|B']"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .) && \
+	$(GO) test -c -o "$$tmp/new.test" . && \
+	for i in $$(seq $(COUNT)); do \
+		order="base new"; [ $$((i % 2)) -eq 0 ] && order="new base"; \
+		for side in $$order; do \
+			"$$tmp/$$side.test" -test.run='^$$' -test.bench='^Benchmark($(BENCH_AB))$$' -test.benchmem >> "$$tmp/$$side.log" || exit 1; \
+		done; \
+	done && \
+	$(GO) run ./cmd/benchjson -ab "$$tmp/base.log" "$$tmp/new.log"
 
 # The end-to-end benchmark (bench/, see BENCHMARK.json) is a nested module
 # that `go build ./...` and `go test ./...` skip; vet and test it so an

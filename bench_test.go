@@ -354,10 +354,10 @@ func BenchmarkBarrierInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkPucketOffloadScan measures the victim scan behind
-// Pucket.OffloadInactive: building the word-mask victim list of a
-// mostly-offloaded Bert-sized segment's inactive pages. The Inactive bitset
-// lets the scan skip the offloaded majority word-at-a-time.
+// BenchmarkPucketOffloadScan measures the victim count behind
+// Pucket.OffloadInactive: the Prefix walk over a mostly-offloaded
+// Bert-sized segment's inactive pages, without a budget. The Inactive
+// bitset lets the walk skip the offloaded majority word-at-a-time.
 func BenchmarkPucketOffloadScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
@@ -370,22 +370,19 @@ func BenchmarkPucketOffloadScan(b *testing.B) {
 			space.SetState(id, pagemem.Remote)
 		}
 	}
-	var victims []pagemem.WordMask
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var n int
-		victims, n = space.AppendWords(victims[:0], seg, pagemem.Inactive, 0)
-		if n == 0 {
+		if _, n := space.Prefix(seg, pagemem.Inactive, 0); n == 0 {
 			b.Fatal("no victims")
 		}
 	}
 }
 
-// BenchmarkSemiWarmScan measures the semi-warm tick's victim scan: a
-// budget of 256 hot pages sought in a Bert-sized init range that is already
-// all remote except its last word, which is hot. The summary words let the
-// scan skip the remote majority 64 words at a time.
+// BenchmarkSemiWarmScan measures the semi-warm tick's victim count: the
+// Prefix holding a budget of 256 hot pages, sought in a Bert-sized init
+// range that is already all remote except its last word, which is hot. The
+// summary words let the walk skip the remote majority 64 words at a time.
 func BenchmarkSemiWarmScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
@@ -398,13 +395,10 @@ func BenchmarkSemiWarmScan(b *testing.B) {
 		}
 		space.TransitionMasked(w, space.StateWord(w, pagemem.Inactive)&seg.WordMask(w), pagemem.Inactive, to)
 	}
-	var victims []pagemem.WordMask
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var n int
-		victims, n = space.AppendWords(victims[:0], seg, pagemem.Hot, 256)
-		if n == 0 {
+		if _, n := space.Prefix(seg, pagemem.Hot, 256); n == 0 {
 			b.Fatal("no victims")
 		}
 	}

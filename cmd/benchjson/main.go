@@ -20,6 +20,15 @@
 // so no committed snapshot is overwritten. -allocs-gate PCT turns that
 // comparison into a regression gate: the exit status is nonzero if any
 // benchmark's allocs/op grew more than PCT percent over the snapshot.
+//
+// With -ab the tool compares two logs of the same benchmarks run
+// alternately, several times each (`make bench-ab` writes them):
+//
+//	benchjson -ab base.log new.log
+//
+// It prints, per benchmark, the median ns/op and quartiles of each side,
+// the change of the medians, and in how many runs, paired by run index, the
+// new side was faster. It gates nothing.
 package main
 
 import (
@@ -67,7 +76,41 @@ func main() {
 	baseline := flag.String("baseline", "", "prior benchjson snapshot to embed and compute ns/op speedups against (missing file is skipped)")
 	latest := flag.String("latest", "", "glob of committed snapshots; compare against the highest-numbered match (excluding -o) and print per-bench speedups")
 	allocsGate := flag.Float64("allocs-gate", 0, "with -latest: exit nonzero if any benchmark's allocs/op regressed more than this percentage")
+	ab := flag.Bool("ab", false, "compare two alternately run logs, BASE NEW: per-bench median ns/op, quartiles and paired wins")
 	flag.Parse()
+
+	if *ab {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchjson -ab BASE.log NEW.log")
+			os.Exit(2)
+		}
+		var sides [2]map[string][]float64
+		var names []string
+		for i := range sides {
+			f, err := os.Open(flag.Arg(i))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			var order []string
+			order, sides[i], err = parseRuns(f)
+			f.Close()
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			if i == 0 {
+				names = order
+			}
+		}
+		rows := compareAB(names, sides[0], sides[1])
+		if len(rows) == 0 {
+			fmt.Fprintln(os.Stderr, "benchjson: no benchmark appears in both logs")
+			os.Exit(1)
+		}
+		writeAB(os.Stdout, rows)
+		return
+	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -303,6 +346,83 @@ func Parse(r io.Reader) ([]Result, error) {
 		results[i] = byName[name]
 	}
 	return results, nil
+}
+
+// parseRuns reads a `go test -bench` stream holding each benchmark any
+// number of times and returns every benchmark's ns/op samples in stream
+// order, with the names in first-seen order.
+func parseRuns(r io.Reader) ([]string, map[string][]float64, error) {
+	var names []string
+	runs := map[string][]float64{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		res, ok := parseLine(sc.Text())
+		if !ok || res.NsPerOp <= 0 {
+			continue
+		}
+		if _, seen := runs[res.Name]; !seen {
+			names = append(names, res.Name)
+		}
+		runs[res.Name] = append(runs[res.Name], res.NsPerOp)
+	}
+	return names, runs, sc.Err()
+}
+
+// abRow compares one benchmark's ns/op between two alternately run sides.
+type abRow struct {
+	Name string
+	// Base and New are the first quartile, median and third quartile.
+	Base, New [3]float64
+	// Wins counts the runs, paired by index, where the new side was faster,
+	// out of Pairs.
+	Wins, Pairs int
+}
+
+// compareAB builds one row per benchmark in names that both sides ran.
+func compareAB(names []string, base, cur map[string][]float64) []abRow {
+	var rows []abRow
+	for _, name := range names {
+		b, c := base[name], cur[name]
+		if len(b) == 0 || len(c) == 0 {
+			continue
+		}
+		row := abRow{Name: name, Base: quartiles(b), New: quartiles(c), Pairs: min(len(b), len(c))}
+		for i := 0; i < row.Pairs; i++ {
+			if c[i] < b[i] {
+				row.Wins++
+			}
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// quartiles returns the 25th, 50th and 75th percentiles of xs, linearly
+// interpolated between order statistics.
+func quartiles(xs []float64) [3]float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	var q [3]float64
+	for i, p := range [3]float64{0.25, 0.5, 0.75} {
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		hi := min(lo+1, len(s)-1)
+		q[i] = s[lo] + (pos-float64(lo))*(s[hi]-s[lo])
+	}
+	return q
+}
+
+// writeAB prints the comparison table: medians with quartiles, the change
+// of the medians (negative is faster) and the paired wins.
+func writeAB(w io.Writer, rows []abRow) {
+	fmt.Fprintf(w, "%-30s %12s %10s %10s %12s %10s %10s %8s %6s\n",
+		"benchmark", "base ns/op", "q1", "q3", "new ns/op", "q1", "q3", "change", "wins")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-30s %12.0f %10.0f %10.0f %12.0f %10.0f %10.0f %+7.1f%% %3d/%d\n",
+			r.Name, r.Base[1], r.Base[0], r.Base[2], r.New[1], r.New[0], r.New[2],
+			100*(r.New[1]/r.Base[1]-1), r.Wins, r.Pairs)
+	}
 }
 
 // parseLine decodes one "BenchmarkX-8   123   456 ns/op   789 B/op ..." line.

@@ -152,3 +152,56 @@ func TestNextSnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareAB parses two alternately run logs, with chatter between runs
+// and a benchmark only one side ran, and checks the quartiles, the paired
+// wins and the printed row.
+func TestCompareAB(t *testing.T) {
+	base := `BenchmarkScan-2   	 100	  100 ns/op	 0 B/op	 0 allocs/op
+PASS
+BenchmarkScan-2   	 100	  300 ns/op
+BenchmarkOnlyBase-2   	 100	  7 ns/op
+BenchmarkScan-2   	 100	  200 ns/op
+BenchmarkScan-2   	 100	  400 ns/op
+`
+	cur := `BenchmarkScan-2   	 100	  90 ns/op
+BenchmarkScan-2   	 100	  310 ns/op
+BenchmarkScan-2   	 100	  150 ns/op
+BenchmarkScan-2   	 100	  100 ns/op
+`
+	names, b, err := parseRuns(strings.NewReader(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 2 || names[0] != "Scan" || names[1] != "OnlyBase" {
+		t.Fatalf("names = %v, want [Scan OnlyBase]", names)
+	}
+	if got := b["Scan"]; len(got) != 4 || got[1] != 300 {
+		t.Fatalf("Scan samples = %v, want 4 in stream order", got)
+	}
+	_, c, err := parseRuns(strings.NewReader(cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := compareAB(names, b, c)
+	if len(rows) != 1 {
+		t.Fatalf("rows = %+v, want only Scan", rows)
+	}
+	r := rows[0]
+	// Base sorted 100 200 300 400: q1 175, median 250, q3 325. New sorted
+	// 90 100 150 310: q1 97.5, median 125, q3 190. New wins runs 1, 3, 4.
+	if r.Base != [3]float64{175, 250, 325} || r.New != [3]float64{97.5, 125, 190} || r.Wins != 3 || r.Pairs != 4 {
+		t.Fatalf("row = %+v", r)
+	}
+	var out bytes.Buffer
+	writeAB(&out, rows)
+	if line := strings.Fields(strings.Split(out.String(), "\n")[1]); line[0] != "Scan" || line[1] != "250" || line[4] != "125" || line[7] != "-50.0%" || line[8] != "3/4" {
+		t.Fatalf("row printed as %q", out.String())
+	}
+}
+
+func TestQuartilesOneSample(t *testing.T) {
+	if q := quartiles([]float64{42}); q != [3]float64{42, 42, 42} {
+		t.Fatalf("quartiles of one sample = %v", q)
+	}
+}

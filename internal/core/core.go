@@ -193,7 +193,11 @@ func (s *Stats) ContainerLifetimes() []time.Duration {
 }
 
 type funcHistory struct {
+	// intervals is a ring of the last HistoryLimit reuse intervals: it
+	// grows by append until full, then head is the oldest interval, the
+	// next to be overwritten.
 	intervals []time.Duration
+	head      int
 	// sorted mirrors intervals in ascending order so percentile queries are a
 	// single index instead of a copy+sort per idle transition. Every mutation
 	// of intervals updates it in place.
@@ -204,18 +208,29 @@ type funcHistory struct {
 	reuses     int
 }
 
-// insertSorted adds d to the sorted mirror.
-func (h *funcHistory) insertSorted(d time.Duration) {
-	i, _ := slices.BinarySearch(h.sorted, d)
-	h.sorted = append(h.sorted, 0)
-	copy(h.sorted[i+1:], h.sorted[i:])
-	h.sorted[i] = d
-}
-
-// removeSorted drops one occurrence of d from the sorted mirror.
-func (h *funcHistory) removeSorted(d time.Duration) {
-	if i, ok := slices.BinarySearch(h.sorted, d); ok {
-		h.sorted = append(h.sorted[:i], h.sorted[i+1:]...)
+// push records one reuse interval in a history of at most limit: it
+// appends until the history is full, then overwrites the oldest interval
+// and replaces it in the sorted mirror with one shifted copy.
+func (h *funcHistory) push(d time.Duration, limit int) {
+	if len(h.intervals) < limit {
+		h.intervals = append(h.intervals, d)
+		i, _ := slices.BinarySearch(h.sorted, d)
+		h.sorted = slices.Insert(h.sorted, i, d)
+		return
+	}
+	old := h.intervals[h.head]
+	h.intervals[h.head] = d
+	if h.head++; h.head == limit {
+		h.head = 0
+	}
+	i, _ := slices.BinarySearch(h.sorted, old)
+	j, _ := slices.BinarySearch(h.sorted, d)
+	if j <= i {
+		copy(h.sorted[j+1:i+1], h.sorted[j:i])
+		h.sorted[j] = d
+	} else {
+		copy(h.sorted[i:j-1], h.sorted[i+1:j])
+		h.sorted[j-1] = d
 	}
 }
 
@@ -253,17 +268,15 @@ func (f *FaaSMem) SetSemiWarmTiming(fnID string, d time.Duration) {
 
 // SeedReuseIntervals pre-populates a function's container reused-interval
 // history from an offline trace analysis. Only the last HistoryLimit
-// intervals can survive the trim, so only those are inserted.
+// intervals can stay in the history, so only those are recorded.
 func (f *FaaSMem) SeedReuseIntervals(fnID string, intervals []time.Duration) {
 	h := f.history(fnID)
 	if over := len(intervals) - f.cfg.HistoryLimit; over > 0 {
 		intervals = intervals[over:]
 	}
 	for _, d := range intervals {
-		h.intervals = append(h.intervals, d)
-		h.insertSorted(d)
+		h.push(d, f.cfg.HistoryLimit)
 	}
-	f.trim(h)
 }
 
 func (f *FaaSMem) history(fnID string) *funcHistory {
@@ -275,21 +288,10 @@ func (f *FaaSMem) history(fnID string) *funcHistory {
 	return h
 }
 
-func (f *FaaSMem) trim(h *funcHistory) {
-	if over := len(h.intervals) - f.cfg.HistoryLimit; over > 0 {
-		for _, d := range h.intervals[:over] {
-			h.removeSorted(d)
-		}
-		h.intervals = append(h.intervals[:0], h.intervals[over:]...)
-	}
-}
-
 func (f *FaaSMem) recordReuse(fnID string, idle time.Duration) {
 	h := f.history(fnID)
-	h.intervals = append(h.intervals, idle)
-	h.insertSorted(idle)
+	h.push(idle, f.cfg.HistoryLimit)
 	h.reuses++
-	f.trim(h)
 }
 
 // semiWarmDelay computes a function's semi-warm start timing: the explicit
@@ -354,9 +356,12 @@ type container struct {
 	rollbackArmed bool
 	reqsSinceRB   int
 
-	// victims is the reusable victim-list scratch shared by every offload
-	// this container issues (single-threaded per engine).
-	victims []pagemem.WordMask
+	// sels is the semi-warm offloader's reusable selection-list scratch: a
+	// list built per tick would escape through the View interface.
+	sels []pagemem.Selection
+	// rt and init are the Runtime and Init Puckets, refreshed from the view
+	// on every use; they hold their OffloadInactive selection lists.
+	rt, init Pucket
 
 	// Semi-warm.
 	idleStart    simtime.Time
@@ -370,12 +375,14 @@ type container struct {
 
 // runtimePucket and initPucket view the container's sealed segments as the
 // paper's Puckets.
-func (c *container) runtimePucket() Pucket {
-	return Pucket{Seg: c.view.RuntimeRange(), Gen: c.view.RuntimeGen()}
+func (c *container) runtimePucket() *Pucket {
+	c.rt.Seg, c.rt.Gen = c.view.RuntimeRange(), c.view.RuntimeGen()
+	return &c.rt
 }
 
-func (c *container) initPucket() Pucket {
-	return Pucket{Seg: c.view.InitRange(), Gen: c.view.InitGen()}
+func (c *container) initPucket() *Pucket {
+	c.init.Seg, c.init.Gen = c.view.InitRange(), c.view.InitGen()
+	return &c.init
 }
 
 // InSemiWarm implements policy.SemiWarmer.
@@ -411,9 +418,7 @@ func (c *container) RequestEnd(e *simtime.Engine) {
 // offloadRuntimePucket applies §5.1: everything still inactive in the
 // Runtime Pucket after the first request goes remote.
 func (c *container) offloadRuntimePucket(e *simtime.Engine) {
-	var n int
-	n, c.victims = c.runtimePucket().OffloadInactive(e, c.view, c.victims)
-	if n > 0 {
+	if c.runtimePucket().OffloadInactive(e, c.view) > 0 {
 		c.parent.stat.RuntimeOffloads++
 	}
 }
@@ -457,9 +462,7 @@ func (c *container) fixWindowAndOffload(e *simtime.Engine, n int) {
 	c.initOffloaded = true
 	c.parent.stat.WindowSizes = append(c.parent.stat.WindowSizes, n)
 	c.view.Telemetry().WindowFixed(e.Now(), c.view.ID(), c.view.FunctionID(), n)
-	var moved int
-	moved, c.victims = c.initPucket().OffloadInactive(e, c.view, c.victims)
-	if moved > 0 {
+	if c.initPucket().OffloadInactive(e, c.view) > 0 {
 		c.parent.stat.InitOffloads++
 	}
 	c.reqsSinceRB = 0
@@ -478,8 +481,8 @@ func (c *container) rollbackCycle(e *simtime.Engine, n int) {
 	if c.rollbackArmed {
 		if c.reqsSinceRB >= w {
 			// Re-evaluation window over: pages not re-promoted are cold.
-			_, c.victims = c.runtimePucket().OffloadInactive(e, c.view, c.victims)
-			_, c.victims = c.initPucket().OffloadInactive(e, c.view, c.victims)
+			c.runtimePucket().OffloadInactive(e, c.view)
+			c.initPucket().OffloadInactive(e, c.view)
 			c.rollbackArmed = false
 			c.reqsSinceRB = 0
 			c.lastRB = e.Now()
@@ -552,23 +555,20 @@ func (c *container) gradualOffload(e *simtime.Engine) {
 	if pages <= 0 {
 		return
 	}
-	victims, left := c.victims[:0], pages
-	for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot} {
-		for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-			if left == 0 {
-				break
-			}
-			var n int
-			victims, n = s.AppendWords(victims, r, st, left)
-			left -= n
-		}
-	}
-	c.victims = victims
-	if len(victims) == 0 {
-		c.stopTicker()
+	rt, init := c.view.RuntimeRange(), c.view.InitRange()
+	sels := append(c.sels[:0],
+		pagemem.Selection{R: rt, St: pagemem.Inactive}, pagemem.Selection{R: init, St: pagemem.Inactive},
+		pagemem.Selection{R: rt, St: pagemem.Hot}, pagemem.Selection{R: init, St: pagemem.Hot})
+	c.sels = sels
+	if c.view.OffloadPages(e, sels, pages) > 0 {
 		return
 	}
-	c.view.OffloadPages(e, victims)
+	// Nothing moved: stop once no local page is left to offload.
+	if _, n := s.Prefix(rt, pagemem.Local, 1); n == 0 {
+		if _, n := s.Prefix(init, pagemem.Local, 1); n == 0 {
+			c.stopTicker()
+		}
+	}
 }
 
 // stopTicker stops the gradual offload; the ticker is kept for the next

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -262,13 +263,86 @@ func TestHistoryTrimming(t *testing.T) {
 	}
 	h := fm.history("g")
 	want := append(slices.Clone(seeds[6:]), 4, 0, 9)
-	if !slices.Equal(h.intervals, want) {
-		t.Fatalf("intervals = %v, want %v", h.intervals, want)
+	if got := arrivalOrder(h); !slices.Equal(got, want) {
+		t.Fatalf("intervals = %v, want %v", got, want)
 	}
 	sorted := slices.Clone(h.intervals)
 	slices.Sort(sorted)
 	if !slices.Equal(h.sorted, sorted) {
 		t.Fatalf("sorted = %v, want sorted %v", h.sorted, h.intervals)
+	}
+}
+
+// arrivalOrder unrolls a history's ring, oldest interval first.
+func arrivalOrder(h *funcHistory) []time.Duration {
+	return append(slices.Clone(h.intervals[h.head:]), h.intervals[:h.head]...)
+}
+
+// appendTrimHistory is the history the ring replaces: every interval is
+// appended to both slices, then the oldest beyond limit are trimmed from
+// the front of each, one shift per trimmed value.
+type appendTrimHistory struct {
+	limit             int
+	intervals, sorted []time.Duration
+	reuses            int
+}
+
+func (h *appendTrimHistory) add(d time.Duration) {
+	h.intervals = append(h.intervals, d)
+	i, _ := slices.BinarySearch(h.sorted, d)
+	h.sorted = slices.Insert(h.sorted, i, d)
+	if over := len(h.intervals) - h.limit; over > 0 {
+		for _, old := range h.intervals[:over] {
+			if i, ok := slices.BinarySearch(h.sorted, old); ok {
+				h.sorted = slices.Delete(h.sorted, i, i+1)
+			}
+		}
+		h.intervals = append(h.intervals[:0], h.intervals[over:]...)
+	}
+}
+
+// TestReuseRingMatchesAppendTrim drives random seed and record sequences,
+// with small value ranges so duplicates are common, through the ring
+// history and the append-and-trim oracle, and checks the sorted mirror,
+// the arrival order and semiWarmDelay after every step. Limits include 1,
+// and seeds often run longer than the limit.
+func TestReuseRingMatchesAppendTrim(t *testing.T) {
+	for _, limit := range []int{1, 2, 3, 7, 16} {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed*97 + int64(limit)))
+			fm := New(Config{HistoryLimit: limit, MinIntervalSamples: 1 + rng.Intn(limit+1),
+				SemiWarmPercentile: float64(rng.Intn(101)), ColdStartAwareTiming: rng.Intn(2) == 0})
+			fm.history("f").coldStarts = rng.Intn(5)
+			ref := &appendTrimHistory{limit: limit}
+			for step := 0; step < 60; step++ {
+				if rng.Intn(4) == 0 {
+					seeds := make([]time.Duration, rng.Intn(3*limit+2))
+					for i := range seeds {
+						seeds[i] = time.Duration(rng.Intn(10)) * time.Second
+					}
+					fm.SeedReuseIntervals("f", seeds)
+					for _, d := range seeds {
+						ref.add(d)
+					}
+				} else {
+					d := time.Duration(rng.Intn(10)) * time.Second
+					fm.recordReuse("f", d)
+					ref.add(d)
+					ref.reuses++
+				}
+				h := fm.history("f")
+				if !slices.Equal(h.sorted, ref.sorted) || !slices.Equal(arrivalOrder(h), ref.intervals) {
+					t.Fatalf("limit %d seed %d step %d: ring %v sorted %v, want %v sorted %v",
+						limit, seed, step, arrivalOrder(h), h.sorted, ref.intervals, ref.sorted)
+				}
+				oracle := &FaaSMem{cfg: fm.cfg, fns: map[string]*funcHistory{"f": {
+					intervals: ref.intervals, sorted: ref.sorted, coldStarts: h.coldStarts, reuses: ref.reuses,
+				}}}
+				if got, want := fm.semiWarmDelay("f"), oracle.semiWarmDelay("f"); got != want {
+					t.Fatalf("limit %d seed %d step %d: semiWarmDelay %v, want %v", limit, seed, step, got, want)
+				}
+			}
+		}
 	}
 }
 

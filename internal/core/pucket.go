@@ -20,6 +20,9 @@ type Pucket struct {
 	Seg pagemem.Range
 	// Gen is the MGLRU generation backing the Pucket.
 	Gen mglru.GenID
+	// sels is OffloadInactive's one-selection list: a list built per call
+	// would escape through the View interface, so it lives with the Pucket.
+	sels [1]pagemem.Selection
 }
 
 // InactivePages counts the Pucket's inactive list.
@@ -39,21 +42,15 @@ func (p Pucket) RemotePages(s *pagemem.Space) int {
 
 // OffloadInactive offloads the whole inactive list through the view and
 // returns how many pages actually moved (the pool/link may truncate). The
-// victim scan walks the Inactive bitset word-at-a-time, so a fully hot or
-// fully offloaded Pucket costs O(words). The victim word masks are built in
-// the caller-owned scratch buffer buf (reused, grown as needed) and the
-// grown buffer is returned for the next call, keeping steady-state Pucket
-// offloads allocation-free.
-func (p Pucket) OffloadInactive(e *simtime.Engine, v policy.View, buf []pagemem.WordMask) (int, []pagemem.WordMask) {
-	victims, _ := v.Space().AppendWords(buf[:0], p.Seg, pagemem.Inactive, 0)
-	if len(victims) == 0 {
-		return 0, victims
-	}
-	moved := v.OffloadPages(e, victims)
+// victims are one selection, the Pucket's range in the Inactive state, so a
+// fully hot or fully offloaded Pucket costs one summary walk.
+func (p *Pucket) OffloadInactive(e *simtime.Engine, v policy.View) int {
+	p.sels[0] = pagemem.Selection{R: p.Seg, St: pagemem.Inactive}
+	moved := v.OffloadPages(e, p.sels[:], 0)
 	if moved > 0 {
 		v.Telemetry().PucketOffload(e.Now(), v.ID(), v.FunctionID(), p.stage(v), moved, int64(p.Gen))
 	}
-	return moved, victims
+	return moved
 }
 
 // stage names the lifecycle segment this Pucket seals.

@@ -278,14 +278,8 @@ func (c *Container) priceRuntimeWrites(now simtime.Time) rmem.FaultStall {
 		// The node had no room for the private copy: those pages come home.
 		// Flip that many remote runtime pages local (they were just
 		// written, so they land hot) and release their swap slots.
-		left := out.Recalled
-		for it := c.space.Words(c.runtimeRange, pagemem.Remote); left > 0 && it.Next(); {
-			for w := it.Start; left > 0 && w < it.End; w++ {
-				m := pagemem.LowestBits(c.space.StateWord(w, pagemem.Remote)&c.runtimeRange.WordMask(w), left)
-				c.space.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
-				left -= bits.OnesCount64(m)
-			}
-		}
+		r, _ := c.space.Prefix(c.runtimeRange, pagemem.Remote, out.Recalled)
+		c.space.MoveRange(r, pagemem.Remote, pagemem.Hot)
 		c.cg.Recall(now, int64(out.Recalled)*pageBytes)
 		c.p.syncMemGauges()
 		c.p.enforceMemoryLimit(now)
@@ -753,25 +747,19 @@ func (c *Container) greedyDualPriority() float64 {
 	return float64(c.requests) * cost / size
 }
 
-// classMask splits the pages of the 64-page word w by lifecycle class for
-// pool-side description: pages outside the runtime and init ranges are
-// ClassOther.
-func (c *Container) classMask(w int) (m [memnode.NumClasses]uint64) {
-	m[memnode.ClassRuntime] = c.runtimeRange.WordMask(w)
-	m[memnode.ClassInit] = c.initRange.WordMask(w)
-	m[memnode.ClassOther] = ^(m[memnode.ClassRuntime] | m[memnode.ClassInit])
-	return m
-}
-
-// OffloadPages implements policy.View: it moves local pages to the remote
-// pool, clamped to remaining pool capacity, charging the cgroup, node
-// accounting and link bandwidth.
-func (c *Container) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int {
-	max := 0
-	for _, v := range victims {
-		max += bits.OnesCount64(v.Mask)
+// OffloadPages implements policy.View: it moves the selected local pages to
+// the remote pool, at most max of them (max <= 0: no limit), clamped to what
+// the link and swap device accept and admitted per lifecycle class by the
+// pool, charging the cgroup, node accounting and link bandwidth.
+func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max int) int {
+	if c.dead {
+		return 0
 	}
-	if c.dead || max == 0 {
+	if max <= 0 {
+		max = math.MaxInt
+	}
+	pieces, total := c.cutSelections(sels, max)
+	if total == 0 {
 		return 0
 	}
 	now := e.Now()
@@ -780,29 +768,34 @@ func (c *Container) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) 
 	// pool capacity and the queued-backlog horizon), and the swap device
 	// must have free slots; truncated pages stay local and later offload
 	// attempts pick them up.
-	if budget := int(c.p.pool.AcceptableBytes(now) / pageBytes); budget < max {
-		max = budget
+	if budget := int(c.p.pool.AcceptableBytes(now) / pageBytes); budget < total {
+		total = budget
 	}
-	max = c.p.swap.Allocate(max)
-	// Select offloadable candidates and describe them by lifecycle class;
-	// the pool (and its memory node, when attached) admits per class.
-	cand, counts := c.offloadCandidates(victims, max)
-	if len(cand) == 0 {
-		c.p.swap.Release(max)
+	granted := c.p.swap.Allocate(total)
+	// Describe the first granted candidates by lifecycle class; the pool
+	// (and its memory node, when attached) admits per class.
+	var counts rmem.ClassCounts
+	left := granted
+	for _, pc := range pieces {
+		k := min(pc.n, left)
+		counts[pc.cls] += k
+		left -= k
+	}
+	if granted == 0 {
 		return 0
 	}
 	accepted, start, done, err := c.p.pool.OffloadDescribed(now, c.owner, c.fn.id, counts, pageBytes)
 	if err != nil {
 		// The capacity clamp above should prevent this (ErrPoolFull);
 		// candidates stay local and keep their swap slots released.
-		c.p.swap.Release(max)
+		c.p.swap.Release(granted)
 		return 0
 	}
-	moved := c.offloadAccepted(cand, accepted)
-	if moved < max {
-		// Return the slots we claimed but did not fill (state-filtered
-		// candidates plus node-rejected pages).
-		c.p.swap.Release(max - moved)
+	moved := c.movePieces(pieces, granted, accepted)
+	if moved < granted {
+		// Return the slots we claimed but did not fill (node-rejected
+		// pages).
+		c.p.swap.Release(granted - moved)
 	}
 	if moved == 0 {
 		return 0
@@ -817,61 +810,76 @@ func (c *Container) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) 
 	return moved
 }
 
-// offloadCandidates returns, in victims order, the first max pages of
-// victims that are locally resident (Inactive or Hot), counted by lifecycle
-// class: one residency probe and one popcount per class for each word mask.
-func (c *Container) offloadCandidates(victims []pagemem.WordMask, max int) ([]pagemem.WordMask, rmem.ClassCounts) {
-	cand := c.p.offCand[:0]
-	var counts rmem.ClassCounts
-	n := 0
-	for _, v := range victims {
-		if n >= max {
+// offloadPiece is the part of one selection inside one lifecycle class: r is
+// the shortest prefix of that part holding its n counted pages in state st.
+type offloadPiece struct {
+	r   pagemem.Range
+	st  pagemem.State
+	cls memnode.Class
+	n   int
+}
+
+// cutSelections cuts each selection, in order, at the runtime and init
+// range boundaries into at most five class pieces (pages outside both
+// ranges are ClassOther) and counts each piece's pages with Prefix until
+// limit are found. It returns the counted pieces, in platform scratch, and
+// their total.
+func (c *Container) cutSelections(sels []pagemem.Selection, limit int) ([]offloadPiece, int) {
+	pieces, total := c.p.offPieces[:0], 0
+	classes := [2]struct {
+		r   pagemem.Range
+		cls memnode.Class
+	}{{c.runtimeRange, memnode.ClassRuntime}, {c.initRange, memnode.ClassInit}}
+	if classes[1].r.Start < classes[0].r.Start {
+		classes[0], classes[1] = classes[1], classes[0]
+	}
+	add := func(r pagemem.Range, st pagemem.State, cls memnode.Class) {
+		if r.End <= r.Start || total == limit {
+			return
+		}
+		if pr, k := c.space.Prefix(r, st, limit-total); k > 0 {
+			pieces = append(pieces, offloadPiece{r: pr, st: st, cls: cls, n: k})
+			total += k
+		}
+	}
+	for _, sel := range sels {
+		cur := sel.R.Start
+		for _, cr := range classes {
+			if cr.r.End <= cr.r.Start {
+				continue
+			}
+			add(pagemem.Range{Start: cur, End: min(cr.r.Start, sel.R.End)}, sel.St, memnode.ClassOther)
+			cur = max(cur, cr.r.Start)
+			add(pagemem.Range{Start: cur, End: min(cr.r.End, sel.R.End)}, sel.St, cr.cls)
+			cur = max(cur, cr.r.End)
+		}
+		add(pagemem.Range{Start: cur, End: sel.R.End}, sel.St, memnode.ClassOther)
+	}
+	c.p.offPieces = pieces
+	return pieces, total
+}
+
+// movePieces moves to Remote, in piece order, the first granted counted
+// pages, of which the first accepted[cls] of each lifecycle class, and
+// returns how many moved: one Prefix and one MoveRange walk per piece, or
+// only the MoveRange when the whole piece goes.
+func (c *Container) movePieces(pieces []offloadPiece, granted int, accepted rmem.ClassCounts) int {
+	moved := 0
+	for _, pc := range pieces {
+		if granted == 0 {
 			break
 		}
-		m := v.Mask & c.space.StateWord(v.W, pagemem.Local)
-		if m == 0 {
+		k := min(pc.n, granted, accepted[pc.cls])
+		granted -= min(pc.n, granted)
+		if k == 0 {
 			continue
 		}
-		m = pagemem.LowestBits(m, max-n)
-		n += bits.OnesCount64(m)
-		for cls, cm := range c.classMask(v.W) {
-			counts[cls] += bits.OnesCount64(m & cm)
+		accepted[pc.cls] -= k
+		r := pc.r
+		if k < pc.n {
+			r, _ = c.space.Prefix(r, pc.st, k)
 		}
-		cand = append(cand, pagemem.WordMask{W: v.W, Mask: m})
-	}
-	c.p.offCand = cand
-	return cand, counts
-}
-
-// offloadAccepted moves to Remote, in cand order, the first accepted[cls]
-// candidate pages of each lifecycle class and returns how many moved. Each
-// word mask splits by class, truncates each class to its remaining
-// admission, and moves as one masked transition per source state.
-func (c *Container) offloadAccepted(cand []pagemem.WordMask, accepted rmem.ClassCounts) int {
-	moved := 0
-	for _, v := range cand {
-		take := uint64(0)
-		for cls, cm := range c.classMask(v.W) {
-			if m := v.Mask & cm; m != 0 && accepted[cls] > 0 {
-				m = pagemem.LowestBits(m, accepted[cls])
-				k := bits.OnesCount64(m)
-				accepted[cls] -= k
-				moved += k
-				take |= m
-			}
-		}
-		c.offloadWord(v.W, take)
+		moved += c.space.MoveRange(r, pc.st, pagemem.Remote)
 	}
 	return moved
-}
-
-// offloadWord moves the masked pages of word w that are still local to
-// Remote, one masked transition per source state.
-func (c *Container) offloadWord(w int, mask uint64) {
-	if mask == 0 {
-		return
-	}
-	for _, st := range [...]pagemem.State{pagemem.Inactive, pagemem.Hot} {
-		c.space.TransitionMasked(w, c.space.StateWord(w, st)&mask, st, pagemem.Remote)
-	}
 }

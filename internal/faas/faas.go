@@ -287,11 +287,11 @@ type Platform struct {
 	liveTotal  int
 	evicted    int
 	// gone is the fault pre-count's scratch overlay (see countSpans),
-	// empty between requests, and offCand is the OffloadPages candidate
-	// scratch (see offloadCandidates). Containers on one platform run on
-	// one engine, one call at a time, so they share both.
-	gone    pageOverlay
-	offCand []pagemem.WordMask
+	// empty between requests, and offPieces is the OffloadPages piece
+	// scratch (see cutSelections). Containers on one platform run on one
+	// engine, one call at a time, so they share both.
+	gone      pageOverlay
+	offPieces []offloadPiece
 }
 
 // New creates a platform over engine with the given configuration and

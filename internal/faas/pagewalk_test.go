@@ -3,16 +3,17 @@ package faas
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
+	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
+	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
+	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
@@ -104,8 +105,8 @@ func refTouchSpans(c *Container, seg pagemem.Range, spans []workload.Span) (faul
 	return faults, readahead
 }
 
-// refClassOf is the per-page lifecycle class the word-level classMask
-// replaces.
+// refClassOf is the per-page lifecycle class the class pieces of
+// cutSelections replace.
 func refClassOf(c *Container, id pagemem.PageID) memnode.Class {
 	switch {
 	case c.runtimeRange.Contains(id):
@@ -117,13 +118,21 @@ func refClassOf(c *Container, id pagemem.PageID) memnode.Class {
 	}
 }
 
-// expandWords lists the pages of a word-mask list in walk order: the order
-// the per-page references visit them.
-func expandWords(ws []pagemem.WordMask) []pagemem.PageID {
+// expandSelections lists the selected pages in (selection, page) order,
+// probing each page's state and access bit: the order the per-page
+// references visit them.
+func expandSelections(c *Container, sels []pagemem.Selection) []pagemem.PageID {
 	var ids []pagemem.PageID
-	for _, v := range ws {
-		for m := v.Mask; m != 0; m &= m - 1 {
-			ids = append(ids, pagemem.PageID(v.W*64+bits.TrailingZeros64(m)))
+	for _, sel := range sels {
+		for id := sel.R.Start; id < sel.R.End; id++ {
+			st := c.space.State(id)
+			local := st == pagemem.Inactive || st == pagemem.Hot
+			switch {
+			case sel.St == pagemem.Local && local,
+				sel.St == pagemem.Idle && local && !c.space.Accessed(id),
+				sel.St == st:
+				ids = append(ids, id)
+			}
 		}
 	}
 	return ids
@@ -261,81 +270,143 @@ func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 	}
 }
 
-// offloadVictims builds one of four victim-list shapes over c:
-//   - state-major, as the semi-warm offloader builds it: Inactive then Hot
-//     pages, runtime then init, so the list goes back to earlier words;
-//   - single-bit masks in shuffled order, some of them stale (not local);
-//   - random masks over random, often repeated words, overlaps included;
-//   - DAMON-shaped: the local pages of adjacent regions, so neighbouring
-//     masks share a word.
-func offloadVictims(c *Container, shape int, rng *rand.Rand) []pagemem.WordMask {
-	var ws []pagemem.WordMask
-	words := (c.space.NumPages() + 63) / 64
+// clearSomeAccessBits clears a seeded random third of c's access bits, so
+// Idle selections have idle and accessed local pages to tell apart.
+func clearSomeAccessBits(c *Container, seed int64) *Container {
+	rng := rand.New(rand.NewSource(seed))
+	for id := pagemem.PageID(0); int(id) < c.space.NumPages(); id++ {
+		if rng.Intn(3) == 0 {
+			c.space.ClearAccessed(id)
+		}
+	}
+	return c
+}
+
+// offloadSelections builds one of four producer-shaped selection lists over
+// c, with the budget its producer passes:
+//   - semi-warm: state-major, Inactive then Hot, runtime then init, so the
+//     list goes back to earlier words, with a random page budget;
+//   - DAMON: the local pages of adjacent random regions over every page,
+//     so regions straddle the runtime/init boundary and reach the
+//     ClassOther tail, and neighbouring regions share a word;
+//   - Puckets: the runtime and init ranges whole in the Inactive state;
+//   - TMO: each range's prefix holding a random number of idle pages.
+func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selection, int) {
+	rt, init := c.runtimeRange, c.initRange
 	switch shape {
 	case 0:
-		for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot} {
-			for _, r := range []pagemem.Range{c.runtimeRange, c.initRange} {
-				ws, _ = c.space.AppendWords(ws, r, st, 0)
-			}
-		}
+		return []pagemem.Selection{{R: rt, St: pagemem.Inactive}, {R: init, St: pagemem.Inactive},
+			{R: rt, St: pagemem.Hot}, {R: init, St: pagemem.Hot}}, 1 + rng.Intn(c.space.NumPages())
 	case 1:
-		for id := 0; id < c.space.NumPages(); id++ {
-			if rng.Intn(2) == 0 {
-				ws = append(ws, pagemem.WordMask{W: id / 64, Mask: 1 << (uint(id) % 64)})
-			}
-		}
-		rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
-	case 2:
-		for i := 0; i < 3*words; i++ {
-			w := rng.Intn(words)
-			m := rng.Uint64() & pagemem.Range{End: pagemem.PageID(c.space.NumPages())}.WordMask(w)
-			ws = append(ws, pagemem.WordMask{W: w, Mask: m})
-		}
-	case 3:
+		var sels []pagemem.Selection
 		for id := pagemem.PageID(0); int(id) < c.space.NumPages(); {
 			end := min(id+pagemem.PageID(1+rng.Intn(90)), pagemem.PageID(c.space.NumPages()))
 			if rng.Intn(3) != 0 {
-				ws, _ = c.space.AppendWords(ws, pagemem.Range{Start: id, End: end}, pagemem.Local, 0)
+				sels = append(sels, pagemem.Selection{R: pagemem.Range{Start: id, End: end}, St: pagemem.Local})
 			}
 			id = end
 		}
+		return sels, 0
+	case 2:
+		return []pagemem.Selection{{R: rt, St: pagemem.Inactive}, {R: init, St: pagemem.Inactive}}, 0
 	}
-	return ws
+	budget := 1 + rng.Intn(rt.Len()+init.Len())
+	p1, n := c.space.Prefix(rt, pagemem.Idle, budget)
+	p2, _ := c.space.Prefix(init, pagemem.Idle, budget-n)
+	return []pagemem.Selection{{R: p1, St: pagemem.Idle}, {R: p2, St: pagemem.Idle}}, budget
 }
 
-// TestOffloadMatchesPerPageMove drives every victim-list shape through the
-// word-mask candidate filter and move and through the per-page reference on
-// the expanded list, with the pool truncating the batch and admission
-// trimming random classes.
+// TestOffloadMatchesPerPageMove drives every producer-shaped selection list
+// through the piece count and move and through the per-page reference on
+// the expanded page list, with the budget truncating the batch and
+// admission trimming random classes. A second pass runs the same lists
+// through OffloadPages on a platform whose pool, memory node and swap
+// device truncate, and checks the pages moved and the cgroup's remote
+// bytes against Space.RemoteBytes.
 func TestOffloadMatchesPerPageMove(t *testing.T) {
 	for seed := int64(1); seed <= 80; seed++ {
-		// The word-mask filter keeps its candidates in platform scratch.
-		fast, slow := withWindow(walkContainer(seed), 0), walkContainer(seed)
+		// The piece count keeps its pieces in platform scratch.
+		fast := clearSomeAccessBits(withWindow(walkContainer(seed), 0), seed)
+		slow := clearSomeAccessBits(walkContainer(seed), seed)
 		rng := rand.New(rand.NewSource(seed * 17))
-		victims := offloadVictims(fast, int(seed%4), rng)
-		ids := expandWords(victims)
-		max := 1 + rng.Intn(len(ids)+1)
-		cand, counts := fast.offloadCandidates(victims, max)
-		wantCand, wantCounts := refOffloadCandidates(slow, ids, max)
-		if got := expandWords(cand); !slices.Equal(got, wantCand) || counts != wantCounts {
-			t.Fatalf("seed %d: candidates %v %v, want %v %v", seed, got, counts, wantCand, wantCounts)
+		sels, limit := offloadSelections(fast, int(seed%4), rng)
+		ids := expandSelections(slow, sels)
+		if limit <= 0 {
+			limit = math.MaxInt
+		}
+		pieces, total := fast.cutSelections(sels, limit)
+		if want := min(len(ids), limit); total != want {
+			t.Fatalf("seed %d: counted %d pages, want %d", seed, total, want)
+		}
+		granted := rng.Intn(total + 1)
+		var counts rmem.ClassCounts
+		left := granted
+		for _, pc := range pieces {
+			counts[pc.cls] += min(pc.n, left)
+			left -= min(pc.n, left)
+		}
+		wantCand, wantCounts := refOffloadCandidates(slow, ids, granted)
+		if counts != wantCounts {
+			t.Fatalf("seed %d: class counts %v, want %v", seed, counts, wantCounts)
 		}
 		accepted := counts
 		for cls := range accepted {
 			accepted[cls] = rng.Intn(accepted[cls] + 1)
 		}
-		moved := fast.offloadAccepted(cand, accepted)
+		moved := fast.movePieces(pieces, granted, accepted)
 		wantMoved := refOffloadAccepted(slow, wantCand, accepted)
 		if moved != len(wantMoved) {
 			t.Fatalf("seed %d: moved %d pages, want %d", seed, moved, len(wantMoved))
 		}
-		for _, id := range wantMoved {
-			if st := fast.space.State(id); st != pagemem.Remote {
-				t.Fatalf("seed %d: reference-moved page %d is %v", seed, id, st)
-			}
-		}
 		sameContainer(t, "offload", fast, slow)
 	}
+	for seed := int64(1); seed <= 40; seed++ {
+		fast := clearSomeAccessBits(walkContainer(seed), seed)
+		slow := clearSomeAccessBits(walkContainer(seed), seed)
+		rng := rand.New(rand.NewSource(seed * 29))
+		sels, limit := offloadSelections(fast, int(seed%4), rng)
+		ids := expandSelections(slow, sels)
+		if limit > 0 && limit < len(ids) {
+			ids = ids[:limit]
+		}
+		pageB := int64(fast.space.PageSize())
+		dram, slots := int64(50+rng.Intn(200))*pageB, 100+rng.Intn(300)
+		e := simtime.NewEngine()
+		p := New(e, Config{
+			Pool: rmem.Config{Node: &memnode.Config{DRAMBytes: dram, SpillBytes: pageB, DisableCompression: true}},
+			Swap: fastswap.Config{Slots: slots},
+		}, policy.NoOffload{})
+		fast.p, fast.fn, fast.owner = p, &Function{id: "f"}, "f#1"
+		fast.cg = p.nodeCG.NewChild("f#1", 0)
+		fast.cg.Charge(0, fast.space.TotalBytes())
+		fast.cg.Offload(0, fast.space.RemoteBytes())
+		granted := min(len(ids), int(p.pool.AcceptableBytes(0)/pageB), slots)
+		before := remoteByClass(fast)
+		moved := fast.OffloadPages(e, sels, limit)
+		after := remoteByClass(fast)
+		var accepted rmem.ClassCounts
+		for cls := range accepted {
+			accepted[cls] = after[cls] - before[cls]
+		}
+		wantCand, _ := refOffloadCandidates(slow, ids, granted)
+		if wantMoved := refOffloadAccepted(slow, wantCand, accepted); moved != len(wantMoved) {
+			t.Fatalf("seed %d: OffloadPages moved %d pages, want %d", seed, moved, len(wantMoved))
+		}
+		sameContainer(t, "OffloadPages", fast, slow)
+		if g, w := fast.cg.RemoteBytes(), fast.space.RemoteBytes(); g != w {
+			t.Fatalf("seed %d: cgroup remote %d bytes, space remote %d", seed, g, w)
+		}
+	}
+}
+
+// remoteByClass counts c's remote pages by lifecycle class.
+func remoteByClass(c *Container) (n rmem.ClassCounts) {
+	for id := pagemem.PageID(0); int(id) < c.space.NumPages(); id++ {
+		if c.space.State(id) == pagemem.Remote {
+			n[refClassOf(c, id)]++
+		}
+	}
+	return n
 }
 
 // spanCall is one touch or pre-count call: byte spans relative to seg.

@@ -81,14 +81,25 @@ func (n *naiveSpace) count(seg Segment, st State) int {
 	return c
 }
 
-// collectInState is the per-page victim scan AppendWords replaces: up to
-// max pages of r (max <= 0: no limit) in state st, where Local selects
-// Inactive or Hot.
+// selected reports whether page id is in st, where Local selects Inactive
+// or Hot and Idle an unaccessed Inactive or Hot page.
+func (n *naiveSpace) selected(id PageID, st State) bool {
+	cur := n.state[id]
+	switch st {
+	case Local:
+		return cur == Inactive || cur == Hot
+	case Idle:
+		return (cur == Inactive || cur == Hot) && !n.accessed[id]
+	}
+	return cur == st
+}
+
+// collectInState is the per-page victim scan Prefix replaces: up to max
+// pages of r (max <= 0: no limit) in state st, in page order.
 func (n *naiveSpace) collectInState(r Range, st State, max int) []PageID {
 	var out []PageID
 	for id := r.Start; id < r.End; id++ {
-		cur := n.state[id]
-		if cur == st || st == Local && (cur == Inactive || cur == Hot) {
+		if n.selected(id, st) {
 			out = append(out, id)
 			if max > 0 && len(out) >= max {
 				break
@@ -119,16 +130,34 @@ func (n *naiveSpace) collectIdleLocal(r Range, max int) []PageID {
 	return out
 }
 
-// wordsOf groups an ascending page list into the word masks a page-order
-// scan returns.
-func wordsOf(ids []PageID) []WordMask {
-	var ws []WordMask
-	for _, id := range ids {
-		w := int(id) / 64
-		if len(ws) == 0 || ws[len(ws)-1].W != w {
-			ws = append(ws, WordMask{W: w})
+// moveRange is MoveRange page by page: every page of r in from goes to to.
+func (n *naiveSpace) moveRange(r Range, from, to State) int {
+	moved := 0
+	for id := r.Start; id < r.End; id++ {
+		if n.selected(id, from) && n.state[id] != to {
+			n.state[id] = to
+			moved++
 		}
-		ws[len(ws)-1].Mask |= 1 << (uint(id) % 64)
+	}
+	return moved
+}
+
+// clearAccessedRange is ClearAccessedRange page by page.
+func (n *naiveSpace) clearAccessedRange(r Range, st State) {
+	for id := r.Start; id < r.End; id++ {
+		if n.selected(id, st) {
+			n.accessed[id] = false
+		}
+	}
+}
+
+// wordsOf lists the distinct 64-page words of an ascending page list.
+func wordsOf(ids []PageID) []int {
+	var ws []int
+	for _, id := range ids {
+		if w := int(id) / 64; len(ws) == 0 || ws[len(ws)-1] != w {
+			ws = append(ws, w)
+		}
 	}
 	return ws
 }
@@ -239,20 +268,25 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if want := p.slow.scanAndClear(r); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ScanAndClear(%v) = %v, want %v", r, got, want)
 		}
-	case 7: // bounded victim scan (offload): one state or the local union
+	case 7: // budgeted prefix (offload count): one state, Local or Idle;
+		// an Idle prefix then has its local access bits cleared (TMO)
 		r := p.rangeFrom(a, b)
-		st := State(int(a) % int(numStates+1)) // numStates is Local
+		st := State(int(a) % int(Idle+1))
 		max := 0
 		if b%4 != 0 {
 			max = int(b) / 4
 		}
 		want := p.slow.collectInState(r, st, max)
-		got, k := p.fast.AppendWords(nil, r, st, max)
-		if !reflect.DeepEqual(got, wordsOf(want)) || k != len(want) {
-			t.Fatalf("AppendWords(%v, %v, %d) = %v (%d pages), want %v", r, st, max, got, k, wordsOf(want))
+		wantR := r
+		if max > 0 && len(want) == max {
+			wantR.End = want[max-1] + 1
+		}
+		got, k := p.fast.Prefix(r, st, max)
+		if got != wantR || k != len(want) {
+			t.Fatalf("Prefix(%v, %v, %d) = %v (%d pages), want %v (%d)", r, st, max, got, k, wantR, len(want))
 		}
 		// With nothing moving, Words visits exactly the words overlapping r
-		// that hold a page of st (anywhere in the word).
+		// that hold a page of st (anywhere in the word; Idle walks Local).
 		var words, wantWords []int
 		for it := p.fast.Words(r, st); it.Next(); {
 			for w := it.Start; w < it.End; w++ {
@@ -261,28 +295,39 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		}
 		if r.End > r.Start {
 			whole := Range{Start: r.Start / 64 * 64, End: PageID(min(n, (int(r.End)+63)/64*64))}
-			for _, wm := range wordsOf(p.slow.collectInState(whole, st, 0)) {
-				wantWords = append(wantWords, wm.W)
+			walked := st
+			if st == Idle {
+				walked = Local
 			}
+			wantWords = wordsOf(p.slow.collectInState(whole, walked, 0))
 		}
 		if !reflect.DeepEqual(words, wantWords) {
 			t.Fatalf("Words(%v, %v) = %v, want %v", r, st, words, wantWords)
 		}
-	case 8: // TMO's idle scan: victims plus the access bits it clears
-		r := p.rangeFrom(a, b)
-		max := 0
-		if b%4 != 0 {
-			max = int(b) / 4
-		}
-		want := p.slow.collectIdleLocal(r, max)
-		got, k := p.fast.AppendIdleLocalWords(nil, r, max)
-		if !reflect.DeepEqual(got, wordsOf(want)) || k != len(want) {
-			t.Fatalf("AppendIdleLocalWords(%v, %d) = %v (%d pages), want %v", r, max, got, k, wordsOf(want))
-		}
-		for id := r.Start; id < r.End; id++ {
-			if g, w := p.fast.Accessed(id), p.slow.accessed[id]; g != w {
-				t.Fatalf("AppendIdleLocalWords(%v, %d): page %d accessed %v, want %v", r, max, id, g, w)
+		if st == Idle {
+			// TMO's step: clearing the local access bits of the idle prefix
+			// leaves exactly the bits the per-page idle walk leaves.
+			p.fast.ClearAccessedRange(got, Local)
+			if victims := p.slow.collectIdleLocal(r, max); !reflect.DeepEqual(victims, want) {
+				t.Fatalf("idle walk of %v, %d found %v, Prefix counted %v", r, max, victims, want)
 			}
+			for id := r.Start; id < r.End; id++ {
+				if g, w := p.fast.Accessed(id), p.slow.accessed[id]; g != w {
+					t.Fatalf("Prefix(%v, idle, %d) then clear: page %d accessed %v, want %v", r, max, id, g, w)
+				}
+			}
+		}
+	case 8: // range move (offload, recall) or access-bit clear (TMO)
+		r := p.rangeFrom(a, b)
+		from := State(int(a) % int(Idle+1))
+		if b%4 == 0 {
+			p.fast.ClearAccessedRange(r, from)
+			p.slow.clearAccessedRange(r, from)
+			return
+		}
+		to := State(int(b) % numStates)
+		if got, want := p.fast.MoveRange(r, from, to), p.slow.moveRange(r, from, to); got != want {
+			t.Fatalf("MoveRange(%v, %v, %v) moved %d pages, want %d", r, from, to, got, want)
 		}
 	}
 }

@@ -8,6 +8,8 @@
 // incrementally so "how much local memory does this container hold" is O(1),
 // and per-state summary words (one bit per 64-page word) let every walk
 // skip empty words, so a scan costs O(occupied words + range/4096).
+// Offload victims are Selections, (range, state) pairs: Prefix counts one
+// up to a page budget and MoveRange moves it, each in one walk.
 package pagemem
 
 import (
@@ -51,6 +53,8 @@ func (s State) String() string {
 		return "remote"
 	case Local:
 		return "local"
+	case Idle:
+		return "idle"
 	default:
 		return fmt.Sprintf("state(%d)", uint8(s))
 	}
@@ -258,16 +262,8 @@ func (r Range) WordMask(w int) uint64 {
 	return m
 }
 
-// WordMask is a set of pages within one 64-page word: page W*64+i is in the
-// set when bit i of Mask is set. Victim lists are slices of word masks in
-// walk order; within one mask pages go in ascending order.
-type WordMask struct {
-	W    int
-	Mask uint64
-}
-
 // LowestBits returns the k lowest set bits of m (all of m when it has at
-// most k) — how a word-mask walk truncates at a page budget.
+// most k) — how Prefix finds the budget-th page inside a word.
 func LowestBits(m uint64, k int) uint64 {
 	if k >= bits.OnesCount64(m) {
 		return m
@@ -320,9 +316,85 @@ func (s *Space) SetState(id PageID, st State) {
 	s.move(int(id)/64, 1<<(uint(id)%64), old, st)
 }
 
-// Local is not a page state: passed to StateWord, Words or AppendWords it
-// selects every locally resident page, Inactive or Hot.
-const Local State = numStates
+// Local and Idle are not page states but selectors. Passed to Words,
+// Prefix, MoveRange, ClearAccessedRange or a Selection (and Local to
+// StateWord), Local selects every locally resident page (Inactive or Hot),
+// and Idle the local pages whose access bit is clear (TMO's victims).
+const (
+	Local State = numStates + iota
+	Idle
+)
+
+// Selection selects the pages of R in state St (a page state, Local or
+// Idle), in page order: how a policy names its offload victims.
+type Selection struct {
+	R  Range
+	St State
+}
+
+// Prefix returns the shortest prefix of r that holds n pages in state st,
+// and how many it holds: n, or fewer when r holds fewer, in which case the
+// prefix is all of r. n <= 0 also selects all of r. The walk stops at the
+// n-th page, so a budgeted count costs the words up to it.
+func (s *Space) Prefix(r Range, st State, n int) (Range, int) {
+	k, word, idle := 0, st, st == Idle
+	if idle {
+		word = Local
+	}
+	for it := s.Words(r, st); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			m := s.StateWord(w, word) & r.WordMask(w)
+			if idle {
+				m &^= s.accessed.words[w]
+			}
+			c := bits.OnesCount64(m)
+			if n > 0 && k+c >= n {
+				last := 64 - bits.LeadingZeros64(LowestBits(m, n-k))
+				return Range{Start: r.Start, End: PageID(w*64 + last)}, n
+			}
+			k += c
+		}
+	}
+	return r, k
+}
+
+// MoveRange moves every page of r in state from (a page state, Local or
+// Idle) to the page state to, keeping the summaries and totals, and returns
+// how many pages moved.
+func (s *Space) MoveRange(r Range, from, to State) int {
+	moved, word, idle := 0, from, from == Idle
+	if idle {
+		word = Local
+	}
+	for it := s.Words(r, from); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			sel := s.StateWord(w, word) & r.WordMask(w)
+			if idle {
+				sel &^= s.accessed.words[w]
+			}
+			for st := Inactive; sel != 0 && st < numStates; st++ {
+				if m := s.stateBits[st].words[w] & sel; m != 0 && st != to {
+					s.move(w, m, st, to)
+					moved += bits.OnesCount64(m)
+				}
+			}
+		}
+	}
+	return moved
+}
+
+// ClearAccessedRange clears the access bits of the pages of r in state st
+// (a page state, Local or Idle, whose pages' bits are already clear).
+func (s *Space) ClearAccessedRange(r Range, st State) {
+	if st == Idle {
+		return
+	}
+	for it := s.Words(r, st); it.Next(); {
+		for w := it.Start; w < it.End; w++ {
+			s.accessed.words[w] &^= s.StateWord(w, st) & r.WordMask(w)
+		}
+	}
+}
 
 // WordIter walks, in ascending order, the 64-page words overlapping a
 // range that hold a page in any of a set of states, one run of consecutive
@@ -359,12 +431,13 @@ type WordIter struct {
 }
 
 // Words returns a walk over the words overlapping r that hold a page in any
-// of sts (Local: Inactive or Hot).
+// of sts (Local or Idle: Inactive or Hot, so an Idle walk may visit a word
+// whose local pages are all accessed).
 func (s *Space) Words(r Range, sts ...State) WordIter {
 	_, w0, w1 := s.clampRange(r)
 	it := WordIter{s: s, span: Range{Start: PageID(w0), End: PageID(w1)}, sw: w0/64 - 1}
 	for _, st := range sts {
-		if st == Local {
+		if st == Local || st == Idle {
 			it.states |= 1<<Inactive | 1<<Hot
 		} else {
 			it.states |= 1 << st
@@ -397,63 +470,6 @@ func (it *WordIter) Next() bool {
 	return true
 }
 
-// AppendWords appends to dst, in page order, the word masks of the pages
-// inside r in state st (Local: Inactive or Hot), truncated to the first max
-// pages (max <= 0: no limit). It returns dst and the number of pages
-// appended — the victim scan behind every offload, visiting only words that
-// hold a page in st.
-func (s *Space) AppendWords(dst []WordMask, r Range, st State, max int) ([]WordMask, int) {
-	n := 0
-	for it := s.Words(r, st); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			m := s.StateWord(w, st) & r.WordMask(w)
-			if m == 0 {
-				continue
-			}
-			k := bits.OnesCount64(m)
-			if max > 0 && n+k >= max {
-				return append(dst, WordMask{W: w, Mask: LowestBits(m, max-n)}), max
-			}
-			dst = append(dst, WordMask{W: w, Mask: m})
-			n += k
-		}
-	}
-	return dst, n
-}
-
-// AppendIdleLocalWords is TMO's scan: it walks the local pages of r in page
-// order, clearing the access bit of each accessed one and appending each
-// idle one to dst as a victim, and stops at the max-th victim (max <= 0: no
-// limit), so accessed pages past it keep their bits. It returns dst and the
-// number of victims appended.
-func (s *Space) AppendIdleLocalWords(dst []WordMask, r Range, max int) ([]WordMask, int) {
-	n := 0
-	for it := s.Words(r, Local); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			local := s.StateWord(w, Local) & r.WordMask(w)
-			if local == 0 {
-				continue
-			}
-			seen := local & s.accessed.words[w]
-			idle := local &^ seen
-			if k := bits.OnesCount64(idle); max > 0 && n+k >= max {
-				idle = LowestBits(idle, max-n)
-				// The walk stops at the last victim: only accessed pages
-				// below it were visited.
-				last := 63 - bits.LeadingZeros64(idle)
-				s.accessed.words[w] &^= seen & (1<<uint(last) - 1)
-				return append(dst, WordMask{W: w, Mask: idle}), max
-			}
-			s.accessed.words[w] &^= seen
-			if idle != 0 {
-				dst = append(dst, WordMask{W: w, Mask: idle})
-				n += bits.OnesCount64(idle)
-			}
-		}
-	}
-	return dst, n
-}
-
 // Touch sets the access bit of page id and returns its current state so the
 // caller can decide whether a promotion or a remote fault is needed.
 func (s *Space) Touch(id PageID) State {
@@ -471,8 +487,8 @@ func (s *Space) TouchRange(r Range) {
 
 // StateWord returns the 64-page occupancy mask of state st (Local: Inactive
 // or Hot) covering pages [w*64, w*64+64). Together with TransitionMasked it
-// lets hot loops (request touches, offload, rollback) move whole words of
-// pages without per-page calls.
+// lets hot loops (request touches, rollback) move whole words of pages
+// without per-page calls.
 func (s *Space) StateWord(w int, st State) uint64 {
 	if st == Local {
 		return s.stateBits[Inactive].word(w) | s.stateBits[Hot].word(w)

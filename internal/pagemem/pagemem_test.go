@@ -177,7 +177,7 @@ func TestTouchSetsAccessBit(t *testing.T) {
 
 // ScanAndClear invokes fn for every page in r whose access bit is set, then
 // clears the bit — a page-table Accessed-bit scan over the bitset's
-// word-skipping walk. The policies' own scans (AppendIdleLocalWords, DAMON's
+// word-skipping walk. The policies' own scans (TMO's idle prefix, DAMON's
 // sampling) do not need it; the tests use it to drive and check access bits.
 func (s *Space) ScanAndClear(r Range, fn func(PageID)) {
 	if fn != nil {
@@ -191,37 +191,43 @@ func (s *Space) CountAccessed(r Range) int {
 	return s.accessed.CountRange(int(r.Start), int(r.End))
 }
 
-// TestAppendIdleLocalWordsStopsMidWord pins the budget edge of TMO's scan:
-// when the max-th victim falls inside a word, accessed pages before it lose
-// their bits and accessed pages after it keep them, as the per-page walk
-// never reaches them.
-func TestAppendIdleLocalWordsStopsMidWord(t *testing.T) {
+// TestIdlePrefixStopsMidWord pins the budget edge of TMO's step: when the
+// max-th idle page falls inside a word, the prefix ends right after it, so
+// clearing the prefix's access bits clears accessed pages before it and
+// keeps those after it.
+func TestIdlePrefixStopsMidWord(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	r := s.Alloc(SegRuntime, 128)
 	s.ScanAndClear(r, nil)
 	for _, id := range []PageID{3, 10, 40, 70} {
 		s.Touch(id)
 	}
-	s.SetState(5, Remote) // not local: neither a victim nor scanned
+	s.SetState(5, Remote) // not local: neither idle nor cleared
 	s.Touch(5)
-	ws, n := s.AppendIdleLocalWords(nil, r, 8)
+	p, n := s.Prefix(r, Idle, 8)
 	// Idle local pages in order: 0 1 2 4 6 7 8 9 — the 8th is page 9.
-	want := []WordMask{{W: 0, Mask: 0b11_1101_0111}}
-	if n != 8 || len(ws) != 1 || ws[0] != want[0] {
-		t.Fatalf("AppendIdleLocalWords = %v (%d pages), want %v", ws, n, want)
+	if want := (Range{Start: 0, End: 10}); n != 8 || p != want {
+		t.Fatalf("Prefix(Idle, 8) = %v (%d pages), want %v (8)", p, n, want)
 	}
+	s.ClearAccessedRange(p, Local)
 	for id, acc := range map[PageID]bool{3: false, 5: true, 10: true, 40: true, 70: true} {
 		if s.Accessed(id) != acc {
 			t.Errorf("page %d accessed = %v, want %v", id, !acc, acc)
 		}
 	}
-	// Without a budget the scan clears every accessed local page in r;
-	// pages 10, 40 and 70 are still accessed, page 3 is idle again.
-	if _, n := s.AppendIdleLocalWords(nil, r, 0); n != 128-1-3 {
-		t.Fatalf("unbounded scan found %d victims, want %d", n, 128-1-3)
+	// Without a budget the prefix is all of r; pages 10, 40 and 70 are
+	// still accessed, page 3 is idle again.
+	if p, n := s.Prefix(r, Idle, 0); n != 128-1-3 || p != r {
+		t.Fatalf("unbounded prefix = %v with %d idle pages, want %v with %d", p, n, r, 128-1-3)
 	}
+	s.ClearAccessedRange(r, Local)
 	if s.CountAccessed(r) != 1 || !s.Accessed(5) {
-		t.Fatalf("unbounded scan left %d accessed pages, want only remote page 5", s.CountAccessed(r))
+		t.Fatalf("clear left %d accessed pages, want only remote page 5", s.CountAccessed(r))
+	}
+	// Moving the idle pages takes every local page now, and leaves the
+	// remote one.
+	if moved := s.MoveRange(r, Idle, Remote); moved != 127 || s.CountState(Remote) != 128 {
+		t.Fatalf("MoveRange(Idle, Remote) moved %d, remote %d; want 127, 128", moved, s.CountState(Remote))
 	}
 }
 

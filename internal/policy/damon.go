@@ -106,8 +106,9 @@ type damonContainer struct {
 	// split pass so neither is reallocated once both have grown.
 	spare   []damonRegion
 	samples int
-	// victims is the reusable per-aggregation victim-list scratch.
-	victims []pagemem.WordMask
+	// sels is the reusable per-aggregation selection-list scratch: a list
+	// built per aggregation would escape through the View interface.
+	sels []pagemem.Selection
 }
 
 // InitDone implements ContainerPolicy: monitoring targets exist once the
@@ -189,8 +190,7 @@ func (c *damonContainer) sample(e *simtime.Engine) {
 // merges and splits regions (the kernel's damon_merge_regions /
 // damon_split_regions adaptation step).
 func (c *damonContainer) aggregate(e *simtime.Engine) {
-	s := c.view.Space()
-	victims := c.victims[:0]
+	sels := c.sels[:0]
 	for i := range c.regions {
 		r := &c.regions[i]
 		if r.nrAccesses == 0 {
@@ -200,14 +200,14 @@ func (c *damonContainer) aggregate(e *simtime.Engine) {
 		}
 		if r.age >= c.cfg.AggregationsCold {
 			// DAMOS pageout: evict every local page of the region.
-			victims, _ = s.AppendWords(victims, pagemem.Range{Start: r.start, End: r.end}, pagemem.Local, 0)
+			sels = append(sels, pagemem.Selection{R: pagemem.Range{Start: r.start, End: r.end}, St: pagemem.Local})
 			r.age = 0 // paged out; restart aging
 		}
 		r.nrAccesses = 0
 	}
-	c.victims = victims
-	if len(victims) > 0 {
-		c.view.OffloadPages(e, victims)
+	c.sels = sels
+	if len(sels) > 0 {
+		c.view.OffloadPages(e, sels, 0)
 	}
 	c.adaptRegions()
 }

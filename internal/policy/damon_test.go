@@ -5,7 +5,6 @@ package policy
 // policy_test.go through the full platform.
 
 import (
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -50,16 +49,24 @@ func (v *fakeView) StallFraction() float64      { return 0 }
 func (v *fakeView) OffloadScale() float64       { return 1 }
 func (v *fakeView) MemoryBytes() int64          { return v.space.TotalBytes() }
 func (v *fakeView) Telemetry() *telemetry.Hub   { return &telemetry.Hub{} }
-func (v *fakeView) OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int {
+
+// OffloadPages moves the selected local pages to Remote one page at a time,
+// in (selection, page) order, up to max of them.
+func (v *fakeView) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max int) int {
 	n := 0
-	for _, wm := range victims {
-		for m := wm.Mask; m != 0; m &= m - 1 {
-			id := pagemem.PageID(wm.W*64 + bits.TrailingZeros64(m))
-			n++
-			if st := v.space.State(id); st == pagemem.Inactive || st == pagemem.Hot {
-				v.space.SetState(id, pagemem.Remote)
-				v.offloaded = append(v.offloaded, id)
+	for _, sel := range sels {
+		for id := sel.R.Start; id < sel.R.End; id++ {
+			if max > 0 && n == max {
+				return n
 			}
+			st := v.space.State(id)
+			if st == pagemem.Remote || sel.St == pagemem.Idle && v.space.Accessed(id) ||
+				sel.St != pagemem.Local && sel.St != pagemem.Idle && st != sel.St {
+				continue
+			}
+			v.space.SetState(id, pagemem.Remote)
+			v.offloaded = append(v.offloaded, id)
+			n++
 		}
 	}
 	return n

@@ -9,9 +9,9 @@
 // through View.OffloadPages so that cgroup accounting, pool capacity, and
 // link bandwidth are charged consistently, and what a policy reports goes
 // through View.Telemetry's emit methods. Victims travel as
-// pagemem.WordMask lists — 64-page masks in walk order, built by the
-// pagemem scans (AppendWords, AppendIdleLocalWords) — never as per-page id
-// lists.
+// pagemem.Selection lists — (range, state) pairs such as a Pucket's
+// inactive list, a cold DAMON region's local pages or TMO's idle prefix —
+// plus a page budget, never as per-page id lists.
 package policy
 
 import (
@@ -54,13 +54,15 @@ type View interface {
 	// StallFraction estimates the recent share of request time spent waiting
 	// on remote-memory faults — the simulation's stand-in for TMO's PSI.
 	StallFraction() float64
-	// OffloadPages moves the victim pages to the remote pool, charging
-	// cgroup accounting and link bandwidth. victims lists word masks in walk
-	// order; the pages are taken in that order (ascending within a mask) and
-	// any no longer local (inactive or hot) are skipped. It returns how many
-	// pages were actually offloaded; fewer than requested means the pool or
-	// link truncated the batch.
-	OffloadPages(e *simtime.Engine, victims []pagemem.WordMask) int
+	// OffloadPages moves the selected pages to the remote pool, charging
+	// cgroup accounting and link bandwidth. Pages are taken in (selection,
+	// page) order up to max of them (max <= 0: no limit); a selected page
+	// that is not local (inactive or hot) is skipped. Selections must select
+	// disjoint pages: a page selected twice would be counted, moved and
+	// charged twice. It returns how many pages were actually offloaded;
+	// fewer than selected means the budget, the pool or the link truncated
+	// the batch.
+	OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max int) int
 	// MemoryBytes is the container cgroup's local plus remote bytes, the
 	// kernel's memory.current: its page-state bytes plus the exec segment
 	// charged to a request in flight.

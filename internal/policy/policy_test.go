@@ -161,8 +161,9 @@ func TestDAMONVsBaselineP95(t *testing.T) {
 	}
 }
 
-// TestCollectPages checks the per-page victim reference and that the
-// word-mask scan agrees with it.
+// TestCollectPages checks the per-page victim reference and that Prefix
+// agrees with it: the prefix of r holding max pages in a state holds
+// exactly the reference's pages, and ends at the last of them.
 func TestCollectPages(t *testing.T) {
 	s := pagemem.NewSpace(4096)
 	r := s.Alloc(pagemem.SegInit, 10)
@@ -180,17 +181,11 @@ func TestCollectPages(t *testing.T) {
 	for _, st := range []pagemem.State{pagemem.Inactive, pagemem.Hot, pagemem.Remote, pagemem.Local} {
 		for max := 0; max <= 10; max++ {
 			want := policy.CollectPages(s, r, st, max)
-			ws, n := s.AppendWords(nil, r, st, max)
-			var got []pagemem.PageID
-			for _, wm := range ws {
-				for i := 0; i < 64; i++ {
-					if wm.Mask&(1<<uint(i)) != 0 {
-						got = append(got, pagemem.PageID(wm.W*64+i))
-					}
-				}
-			}
-			if n != len(want) || !slices.Equal(got, want) {
-				t.Fatalf("AppendWords(%v, %d) = %v (%d), want %v", st, max, got, n, want)
+			p, n := s.Prefix(r, st, max)
+			got := policy.CollectPages(s, p, st, 0)
+			if n != len(want) || !slices.Equal(got, want) ||
+				max > 0 && n == max && p.End != want[n-1]+1 {
+				t.Fatalf("Prefix(%v, %d) = %v (%d) holding %v, want %v", st, max, p, n, got, want)
 			}
 		}
 	}

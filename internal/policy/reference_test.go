@@ -1,6 +1,6 @@
 package policy
 
-// Per-page references for the baselines' word-mask victim scans: DAMON's
+// Per-page references for the baselines' victim selections: DAMON's
 // pageout of cold regions and TMO's idle-page step are replayed page by page
 // on an identical container and must pick the same victims in the same
 // order and leave the same access bits.
@@ -14,9 +14,9 @@ import (
 	"github.com/faasmem/faasmem/internal/simtime"
 )
 
-// CollectPages is the per-page victim scan the word-mask scans replace: up
-// to max pages of r in state st (pagemem.Local: Inactive or Hot), in page
-// order; max <= 0 means no limit.
+// CollectPages is the per-page victim scan Prefix replaces: up to max pages
+// of r in state st (pagemem.Local: Inactive or Hot), in page order; max <= 0
+// means no limit.
 func CollectPages(s *pagemem.Space, r pagemem.Range, st pagemem.State, max int) []pagemem.PageID {
 	var out []pagemem.PageID
 	for id := r.Start; id < r.End; id++ {

@@ -61,8 +61,9 @@ type tmoContainer struct {
 	// carry accumulates sub-page budget across steps so small containers
 	// still converge to StepFraction per step on average.
 	carry int64
-	// victims is the reusable victim-list scratch.
-	victims []pagemem.WordMask
+	// sels is the reusable selection-list scratch: a list built per step
+	// would escape through the View interface.
+	sels []pagemem.Selection
 }
 
 // step performs one conservative offload increment: clear access bits over
@@ -81,19 +82,27 @@ func (c *tmoContainer) step(e *simtime.Engine) {
 		return
 	}
 	c.carry -= int64(budget) * pageBytes
-	victims := c.victims[:0]
-	for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-		// Pages touched since the last step are young: the scan leaves them
-		// and clears their bits so the next step can re-evaluate.
-		var n int
-		victims, n = s.AppendIdleLocalWords(victims, r, budget)
-		if budget -= n; budget == 0 {
+	var scanned [2]pagemem.Range
+	sels, left, k := c.sels[:0], budget, 0
+	for _, r := range [...]pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
+		p, n := s.Prefix(r, pagemem.Idle, left)
+		scanned[k], k = p, k+1
+		if n > 0 {
+			sels = append(sels, pagemem.Selection{R: p, St: pagemem.Idle})
+		}
+		if left -= n; left == 0 {
 			break
 		}
 	}
-	c.victims = victims
-	if len(victims) > 0 {
-		c.view.OffloadPages(e, victims)
+	c.sels = sels
+	if len(sels) > 0 {
+		c.view.OffloadPages(e, sels, budget)
+	}
+	// Pages touched since the last step are young: the step leaves them and
+	// clears their bits, up to the last victim, so the next step can
+	// re-evaluate. The victims' bits are already clear.
+	for _, p := range scanned[:k] {
+		s.ClearAccessedRange(p, pagemem.Local)
 	}
 }
 

@@ -32,11 +32,8 @@ type drainContainer struct {
 }
 
 func (c *drainContainer) Idle(e *simtime.Engine) {
-	s := c.view.Space()
 	for _, r := range []pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-		victims, _ := s.AppendWords(nil, r, pagemem.Inactive, 0)
-		victims, _ = s.AppendWords(victims, r, pagemem.Hot, 0)
-		c.view.OffloadPages(e, victims)
+		c.view.OffloadPages(e, []pagemem.Selection{{R: r, St: pagemem.Inactive}, {R: r, St: pagemem.Hot}}, 0)
 	}
 }
 
