@@ -18,7 +18,6 @@ import (
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/memnode"
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
@@ -174,33 +173,25 @@ func BenchmarkFig15BarrierInsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		space := pagemem.NewSpace(pagemem.DefaultPageSize)
-		lru := mglru.New(space)
 		space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-		lru.InsertBarrier()
 		space.AllocBytes(pagemem.SegInit, prof.InitBytes)
-		lru.InsertBarrier()
 	}
 }
 
 func BenchmarkFig15Rollback(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	lru := mglru.New(space)
 	space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-	lru.InsertBarrier()
-	space.AllocBytes(pagemem.SegInit, prof.InitBytes)
-	initGen, initRange := lru.InsertBarrier()
-	pucket := core.Pucket{Seg: initRange, Gen: initGen}
+	pucket := core.Pucket{Seg: space.AllocBytes(pagemem.SegInit, prof.InitBytes)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Promote the hot set, then roll it back.
-		hot := initRange.Start + pagemem.PageID(prof.InitHotBytes/int64(space.PageSize()))
-		for id := initRange.Start; id < hot; id++ {
+		hot := pucket.Seg.Start + pagemem.PageID(prof.InitHotBytes/int64(space.PageSize()))
+		for id := pucket.Seg.Start; id < hot; id++ {
 			space.SetState(id, pagemem.Hot)
-			lru.Promote(id)
 		}
-		pucket.Rollback(space, lru)
+		pucket.Rollback(space)
 	}
 }
 
@@ -340,20 +331,6 @@ func BenchmarkEngineTimerWheel(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierInsert measures time-barrier insertion on the range-run
-// LRU: each iteration faults in a fresh 1 MB allocation and seals it, so the
-// cost per barrier stays O(1) no matter how many pages the space holds.
-func BenchmarkBarrierInsert(b *testing.B) {
-	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	lru := mglru.New(space)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space.AllocBytes(pagemem.SegInit, 1<<20)
-		lru.InsertBarrier()
-	}
-}
-
 // BenchmarkPucketOffloadScan measures the victim count behind
 // Pucket.OffloadInactive: the Prefix walk over a mostly-offloaded
 // Bert-sized segment's inactive pages, without a budget. The Inactive
@@ -361,9 +338,7 @@ func BenchmarkBarrierInsert(b *testing.B) {
 func BenchmarkPucketOffloadScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	lru := mglru.New(space)
-	space.AllocBytes(pagemem.SegInit, prof.InitBytes)
-	_, seg := lru.InsertBarrier()
+	seg := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
 	// Leave every 64th page inactive; the rest are already remote.
 	for id := seg.Start; id < seg.End; id++ {
 		if (id-seg.Start)%64 != 0 {

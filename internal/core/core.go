@@ -376,12 +376,12 @@ type container struct {
 // runtimePucket and initPucket view the container's sealed segments as the
 // paper's Puckets.
 func (c *container) runtimePucket() *Pucket {
-	c.rt.Seg, c.rt.Gen = c.view.RuntimeRange(), c.view.RuntimeGen()
+	c.rt.Seg = c.view.RuntimeRange()
 	return &c.rt
 }
 
 func (c *container) initPucket() *Pucket {
-	c.init.Seg, c.init.Gen = c.view.InitRange(), c.view.InitGen()
+	c.init.Seg = c.view.InitRange()
 	return &c.init
 }
 
@@ -502,9 +502,8 @@ func (c *container) rollbackCycle(e *simtime.Engine, n int) {
 // contiguous allocation epochs).
 func (c *container) rollback(e *simtime.Engine) {
 	s := c.view.Space()
-	lru := c.view.LRU()
-	n := c.runtimePucket().Rollback(s, lru)
-	n += c.initPucket().Rollback(s, lru)
+	n := c.runtimePucket().Rollback(s)
+	n += c.initPucket().Rollback(s)
 	c.view.Telemetry().Rollback(e.Now(), c.view.ID(), c.view.FunctionID(), n, int64(n)*int64(s.PageSize()))
 }
 

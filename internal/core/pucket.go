@@ -3,23 +3,20 @@ package core
 import (
 	"math/bits"
 
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
-// Pucket (Page Bucket) is the paper's §4 structure: a contiguous page range
-// sealed between two time barriers, implemented as one MGLRU generation. Its
-// *inactive list* is the set of its pages still in the Inactive state; pages
-// accessed after sealing move to the shared hot page pool (the youngest
-// generation) and can be rolled back for re-evaluation (§5.3).
+// Pucket (Page Bucket) is the paper's §4 structure: the pages allocated
+// between two time barriers, which are one contiguous range. Its *inactive
+// list* is the set of its pages still in the Inactive state; pages accessed
+// after sealing join the shared hot page pool (the Hot state) and can be
+// rolled back for re-evaluation (§5.3).
 type Pucket struct {
 	// Seg is the page range the barrier sealed.
 	Seg pagemem.Range
-	// Gen is the MGLRU generation backing the Pucket.
-	Gen mglru.GenID
 	// sels is OffloadInactive's one-selection list: a list built per call
 	// would escape through the View interface, so it lives with the Pucket.
 	sels [1]pagemem.Selection
@@ -48,7 +45,7 @@ func (p *Pucket) OffloadInactive(e *simtime.Engine, v policy.View) int {
 	p.sels[0] = pagemem.Selection{R: p.Seg, St: pagemem.Inactive}
 	moved := v.OffloadPages(e, p.sels[:], 0)
 	if moved > 0 {
-		v.Telemetry().PucketOffload(e.Now(), v.ID(), v.FunctionID(), p.stage(v), moved, int64(p.Gen))
+		v.Telemetry().PucketOffload(e.Now(), v.ID(), v.FunctionID(), p.stage(v), moved)
 	}
 	return moved
 }
@@ -68,9 +65,9 @@ func (p Pucket) stage(v policy.View) telemetry.Stage {
 // Rollback demotes every hot-pool page of this Pucket back to its inactive
 // list (clearing access bits so the next request-window re-evaluates them)
 // and returns the number of pages rolled back. Each 64-page word of hot
-// pages moves with three word operations — state, access bits, generation —
-// and only words holding a hot page are visited.
-func (p Pucket) Rollback(s *pagemem.Space, lru *mglru.LRU) int {
+// pages moves with two word operations — state and access bits — and only
+// words holding a hot page are visited.
+func (p Pucket) Rollback(s *pagemem.Space) int {
 	moved := 0
 	for it := s.Words(p.Seg, pagemem.Hot); it.Next(); {
 		for w := it.Start; w < it.End; w++ {
@@ -80,7 +77,6 @@ func (p Pucket) Rollback(s *pagemem.Space, lru *mglru.LRU) int {
 			}
 			s.TransitionMasked(w, hot, pagemem.Hot, pagemem.Inactive)
 			s.ClearAccessedMasked(w, hot)
-			lru.DemoteMasked(pagemem.PageID(w*64), hot, p.Gen)
 			moved += bits.OnesCount64(hot)
 		}
 	}

@@ -3,20 +3,16 @@ package core
 import (
 	"testing"
 
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 )
 
-func newPucketFixture() (*pagemem.Space, *mglru.LRU, Pucket) {
+func newPucketFixture() (*pagemem.Space, Pucket) {
 	s := pagemem.NewSpace(pagemem.DefaultPageSize)
-	lru := mglru.New(s)
-	s.Alloc(pagemem.SegRuntime, 10)
-	gen, seg := lru.InsertBarrier()
-	return s, lru, Pucket{Seg: seg, Gen: gen}
+	return s, Pucket{Seg: s.Alloc(pagemem.SegRuntime, 10)}
 }
 
 func TestPucketCounts(t *testing.T) {
-	s, lru, p := newPucketFixture()
+	s, p := newPucketFixture()
 	if p.InactivePages(s) != 10 || p.HotPages(s) != 0 || p.RemotePages(s) != 0 {
 		t.Fatalf("fresh pucket counts = %d/%d/%d",
 			p.InactivePages(s), p.HotPages(s), p.RemotePages(s))
@@ -24,7 +20,6 @@ func TestPucketCounts(t *testing.T) {
 	// Promote three pages to the hot pool, offload two.
 	for i := pagemem.PageID(0); i < 3; i++ {
 		s.SetState(p.Seg.Start+i, pagemem.Hot)
-		lru.Promote(p.Seg.Start + i)
 	}
 	s.SetState(p.Seg.Start+5, pagemem.Remote)
 	s.SetState(p.Seg.Start+6, pagemem.Remote)
@@ -34,31 +29,48 @@ func TestPucketCounts(t *testing.T) {
 	}
 }
 
+// TestPucketRollback checks rollback against page state: every Hot page of
+// the Pucket becomes Inactive with a clear access bit, Remote and Inactive
+// pages (and their access bits) are untouched, and pages outside the Pucket
+// keep their state.
 func TestPucketRollback(t *testing.T) {
-	s, lru, p := newPucketFixture()
-	lru.InsertBarrier() // open the hot-pool generation
-	for i := pagemem.PageID(0); i < 4; i++ {
-		s.SetState(p.Seg.Start+i, pagemem.Hot)
-		lru.Promote(p.Seg.Start + i)
-	}
-	if got := p.Rollback(s, lru); got != 4 {
-		t.Fatalf("rollback moved %d pages, want 4", got)
-	}
-	if p.HotPages(s) != 0 || p.InactivePages(s) != 10 {
-		t.Fatalf("after rollback: hot=%d inactive=%d", p.HotPages(s), p.InactivePages(s))
-	}
-	// Rolled-back pages return to the Pucket's generation with clear bits.
-	for i := pagemem.PageID(0); i < 4; i++ {
-		id := p.Seg.Start + i
-		if lru.GenOf(id) != p.Gen {
-			t.Fatalf("page %d gen = %d, want %d", id, lru.GenOf(id), p.Gen)
+	s := pagemem.NewSpace(pagemem.DefaultPageSize)
+	s.Alloc(pagemem.SegRuntime, 70)
+	// 130 pages so the Pucket spans three words and ends mid-word.
+	p := Pucket{Seg: s.Alloc(pagemem.SegInit, 130)}
+	s.Alloc(pagemem.SegExec, 20)
+	// States cycle Inactive, Hot, Remote; every fourth page's access bit is
+	// clear, so both bit values meet every state.
+	want := make([]pagemem.State, s.NumPages())
+	for id := pagemem.PageID(0); int(id) < s.NumPages(); id++ {
+		st := pagemem.State(int(id) % 3)
+		s.SetState(id, st)
+		if id%4 == 0 {
+			s.ClearAccessed(id)
 		}
-		if s.Accessed(id) {
-			t.Fatalf("page %d access bit survived rollback", id)
+		want[id] = st
+		if p.Seg.Contains(id) && st == pagemem.Hot {
+			want[id] = pagemem.Inactive
+		}
+	}
+	if got := p.Rollback(s); got != 44 {
+		t.Fatalf("rollback moved %d pages, want 44", got)
+	}
+	if p.HotPages(s) != 0 || p.InactivePages(s) != 87 || p.RemotePages(s) != 43 {
+		t.Fatalf("after rollback: hot=%d inactive=%d remote=%d",
+			p.HotPages(s), p.InactivePages(s), p.RemotePages(s))
+	}
+	for id := pagemem.PageID(0); int(id) < s.NumPages(); id++ {
+		if got := s.State(id); got != want[id] {
+			t.Fatalf("page %d state %v, want %v", id, got, want[id])
+		}
+		rolled := p.Seg.Contains(id) && pagemem.State(int(id)%3) == pagemem.Hot
+		if wantAcc := !rolled && id%4 != 0; s.Accessed(id) != wantAcc {
+			t.Fatalf("page %d accessed = %v, want %v", id, s.Accessed(id), wantAcc)
 		}
 	}
 	// Rollback is idempotent.
-	if got := p.Rollback(s, lru); got != 0 {
+	if got := p.Rollback(s); got != 0 {
 		t.Fatalf("second rollback moved %d pages", got)
 	}
 }

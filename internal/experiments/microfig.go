@@ -9,7 +9,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/simtime"
@@ -249,12 +248,15 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 // benchmark's footprint.
 type Fig15Row struct {
 	Bench string
-	// RuntimeInitBarrier is the cost of inserting the Runtime-Init barrier
-	// (stamping all runtime-segment pages).
+	// RuntimeInitBarrier is the cost of inserting the Runtime-Init barrier:
+	// allocating the runtime segment's pages and recording their range,
+	// which is the Runtime Pucket.
 	RuntimeInitBarrier time.Duration
-	// InitExecBarrier is the cost of inserting the Init-Execution barrier.
+	// InitExecBarrier is the same for the Init-Execution barrier and the
+	// init segment.
 	InitExecBarrier time.Duration
-	// Rollback is the cost of one periodic rollback over the hot pool.
+	// Rollback is the cost of one periodic rollback of both Puckets' hot
+	// pages.
 	Rollback time.Duration
 }
 
@@ -266,33 +268,27 @@ func Fig15() []Fig15Row {
 	var rows []Fig15Row
 	for _, prof := range workload.Profiles() {
 		space := pagemem.NewSpace(pagemem.DefaultPageSize)
-		lru := mglru.New(space)
-
-		space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
 		t0 := time.Now()
-		runtimeGen, runtimeRange := lru.InsertBarrier()
+		runtimeRange := space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
 		d1 := time.Since(t0)
 
-		space.AllocBytes(pagemem.SegInit, prof.InitBytes)
 		t1 := time.Now()
-		initGen, initRange := lru.InsertBarrier()
+		initRange := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
 		d2 := time.Since(t1)
 
 		// Populate the hot pool with the per-request hot set, then measure a
-		// full rollback (demote hot pages to their Puckets).
+		// full rollback (hot pages back to their Puckets' inactive lists).
 		hotRuntime := int(prof.RuntimeHotBytes / int64(space.PageSize()))
 		for id := runtimeRange.Start; id < runtimeRange.Start+pagemem.PageID(hotRuntime) && id < runtimeRange.End; id++ {
 			space.SetState(id, pagemem.Hot)
-			lru.Promote(id)
 		}
 		hotInit := int(prof.InitHotBytes / int64(space.PageSize()))
 		for id := initRange.Start; id < initRange.Start+pagemem.PageID(hotInit) && id < initRange.End; id++ {
 			space.SetState(id, pagemem.Hot)
-			lru.Promote(id)
 		}
 		t2 := time.Now()
-		core.Pucket{Seg: runtimeRange, Gen: runtimeGen}.Rollback(space, lru)
-		core.Pucket{Seg: initRange, Gen: initGen}.Rollback(space, lru)
+		core.Pucket{Seg: runtimeRange}.Rollback(space)
+		core.Pucket{Seg: initRange}.Rollback(space)
 		d3 := time.Since(t2)
 
 		rows = append(rows, Fig15Row{

@@ -10,7 +10,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/cgroup"
 	"github.com/faasmem/faasmem/internal/memnode"
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -28,20 +27,21 @@ type Container struct {
 	p     *Platform
 
 	space *pagemem.Space
-	lru   *mglru.LRU
 	cg    *cgroup.Group
 	psi   *cgroup.PSI
 	pol   policy.ContainerPolicy
 	rng   *rand.Rand
 
+	// runtimeRange and initRange are the Runtime and Init Puckets: the pages
+	// each segment's allocation returned, so a time barrier is just the end
+	// of that allocation (pages allocated between two barriers are
+	// contiguous by construction).
 	runtimeRange pagemem.Range
 	initRange    pagemem.Range
 	// execPages is the exec segment's size. Its temporaries hold no page
 	// state: a request in flight is charged their bytes, and completion
 	// uncharges them (paper §3.3); no policy ever monitors them (§4).
-	execPages  int
-	runtimeGen mglru.GenID
-	initGen    mglru.GenID
+	execPages int
 
 	requests  int
 	idle      bool
@@ -109,7 +109,6 @@ func (p *Platform) launch(f *Function) *Container {
 	sp, prof := c.space, f.profile
 	sp.Reserve(sp.PagesOf(prof.RuntimeBytes) + sp.PagesOf(prof.InitBytes))
 	c.execPages = sp.PagesOf(prof.ExecBytes)
-	c.lru = mglru.New(c.space)
 	c.finish = func(*simtime.Engine) { c.finishRequest() }
 	c.expire = func(*simtime.Engine) { c.recycle() }
 	p.tel.Launch(now, c.id, f.id, p.liveTotal)
@@ -120,12 +119,11 @@ func (p *Platform) launch(f *Function) *Container {
 // runtimeLoaded materializes the runtime segment and inserts the
 // Runtime-Init time barrier.
 func (c *Container) runtimeLoaded(now simtime.Time) {
-	c.space.AllocBytes(pagemem.SegRuntime, c.fn.profile.RuntimeBytes)
-	c.runtimeGen, c.runtimeRange = c.lru.InsertBarrier()
+	c.runtimeRange = c.space.AllocBytes(pagemem.SegRuntime, c.fn.profile.RuntimeBytes)
 	bytes := c.space.BytesOf(c.runtimeRange.Len())
 	c.cg.Charge(now, bytes)
 	c.loadedAt = now
-	c.p.tel.Barrier(telemetry.StageRuntime, c.launched, now, c.id, c.fn.id, c.runtimeRange.Len(), int64(c.runtimeGen))
+	c.p.tel.Barrier(telemetry.StageRuntime, c.launched, now, c.id, c.fn.id, c.runtimeRange.Len())
 	c.p.syncMemGauges()
 	c.p.enforceMemoryLimit(now)
 	c.pol.RuntimeLoaded(c.p.engine)
@@ -134,11 +132,10 @@ func (c *Container) runtimeLoaded(now simtime.Time) {
 // initDone materializes the init segment and inserts the Init-Execution
 // time barrier.
 func (c *Container) initDone(now simtime.Time) {
-	c.space.AllocBytes(pagemem.SegInit, c.fn.profile.InitBytes)
-	c.initGen, c.initRange = c.lru.InsertBarrier()
+	c.initRange = c.space.AllocBytes(pagemem.SegInit, c.fn.profile.InitBytes)
 	initBytes := c.space.BytesOf(c.initRange.Len())
 	c.cg.Charge(now, initBytes)
-	c.p.tel.Barrier(telemetry.StageInit, c.loadedAt, now, c.id, c.fn.id, c.initRange.Len(), int64(c.initGen))
+	c.p.tel.Barrier(telemetry.StageInit, c.loadedAt, now, c.id, c.fn.id, c.initRange.Len())
 	c.p.syncMemGauges()
 	c.p.enforceMemoryLimit(now)
 	c.pol.InitDone(c.p.engine)
@@ -350,8 +347,8 @@ func spanPages(sp *pagemem.Space, seg pagemem.Range, s workload.Span) (r pagemem
 // TouchRange sets in bulk; Inactive pages move to Hot; each Remote page
 // faults in unless an earlier fault's readahead already recalled it. Only
 // words holding an Inactive or Remote page are visited, each costing one
-// masked transition per source state and one PromoteMasked; readahead
-// spilling into later words takes extra masked calls.
+// masked transition per source state; readahead spilling into later words
+// takes extra masked calls.
 func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
 	r := pagemem.Range{Start: start, End: end}
@@ -373,7 +370,6 @@ func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, win
 				}
 				sp.TransitionMasked(w, rem, pagemem.Remote, pagemem.Hot)
 			}
-			c.lru.PromoteMasked(pagemem.PageID(w*64), inact|rem)
 		}
 	}
 	return faults, readahead
@@ -440,7 +436,6 @@ func (c *Container) readaheadFrom(seg pagemem.Range, w, left int, gone *pageOver
 			gone.or(w, m)
 		} else {
 			sp.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
-			c.lru.PromoteMasked(pagemem.PageID(w*64), m)
 		}
 		total += n
 		left -= n
@@ -687,20 +682,11 @@ func (c *Container) Profile() *workload.Profile { return c.fn.profile }
 // Space implements policy.View.
 func (c *Container) Space() *pagemem.Space { return c.space }
 
-// LRU implements policy.View.
-func (c *Container) LRU() *mglru.LRU { return c.lru }
-
 // RuntimeRange implements policy.View.
 func (c *Container) RuntimeRange() pagemem.Range { return c.runtimeRange }
 
 // InitRange implements policy.View.
 func (c *Container) InitRange() pagemem.Range { return c.initRange }
-
-// RuntimeGen implements policy.View.
-func (c *Container) RuntimeGen() mglru.GenID { return c.runtimeGen }
-
-// InitGen implements policy.View.
-func (c *Container) InitGen() mglru.GenID { return c.initGen }
 
 // RequestsServed implements policy.View.
 func (c *Container) RequestsServed() int { return c.requests }

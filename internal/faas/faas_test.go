@@ -9,6 +9,7 @@ import (
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -198,27 +199,37 @@ func TestOffloadRespectsPoolCapacity(t *testing.T) {
 	}
 }
 
+// TestSegmentRangesAndBarriers checks that the two time barriers split the
+// container's pages into the Runtime and Init Puckets, [0, r) and
+// [r, NumPages), and that their barrier events carry the Puckets'
+// generation numbers, 0 then 1.
 func TestSegmentRangesAndBarriers(t *testing.T) {
-	e, p := newTestPlatform(policy.NoOffload{})
+	e := simtime.NewEngine()
+	tr := telemetry.NewTracer(64)
+	p := New(e, Config{KeepAliveTimeout: 10 * time.Second, Seed: 1, Telemetry: telemetry.Hub{Tracer: tr}}, policy.NoOffload{})
 	f := p.Register("f", tinyProfile())
 	p.ScheduleInvocations("f", []simtime.Time{0})
 	e.RunUntil(time.Second)
 	c := f.idle[0]
-	if c.RuntimeRange().Len() == 0 || c.InitRange().Len() == 0 {
+	rt, in := c.RuntimeRange(), c.InitRange()
+	if rt.Len() == 0 || in.Len() == 0 {
 		t.Fatal("segment ranges not established")
 	}
-	if c.RuntimeRange().End != c.InitRange().Start {
-		t.Fatal("runtime and init ranges not contiguous")
+	if rt.Start != 0 || in.Start != rt.End || int(in.End) != c.Space().NumPages() {
+		t.Fatalf("runtime %v, init %v: want [0, r) and [r, %d)", rt, in, c.Space().NumPages())
 	}
-	if c.RuntimeGen() == c.InitGen() {
-		t.Fatal("puckets share a generation")
+	// Hot pages from request execution joined the hot pool.
+	if c.Space().CountState(pagemem.Hot) == 0 {
+		t.Fatal("no pages promoted to the hot pool")
 	}
-	if c.LRU().NumGenerations() != 3 {
-		t.Fatalf("generations = %d, want 3 (runtime, init, hot pool)", c.LRU().NumGenerations())
+	var gens []int64
+	for _, ev := range tr.Events() {
+		if ev.Kind == telemetry.KindBarrierInsert && ev.Actor == c.ID() {
+			gens = append(gens, ev.Aux)
+		}
 	}
-	// Hot pages from request execution moved to the youngest generation.
-	if c.LRU().GenPages(c.LRU().Youngest()) == 0 {
-		t.Fatal("no pages promoted to the hot pool generation")
+	if len(gens) != 2 || gens[0] != 0 || gens[1] != 1 {
+		t.Fatalf("barrier generations = %v, want [0 1]", gens)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/memnode"
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -33,7 +32,6 @@ func refTouchRange(c *Container, seg pagemem.Range, start, end pagemem.PageID, w
 		case pagemem.Remote:
 			faults++
 			sp.SetState(id, pagemem.Hot)
-			c.lru.Promote(id)
 			for ra := 0; ra < window; ra++ {
 				next := id + 1 + pagemem.PageID(ra)
 				if next >= seg.End || sp.State(next) != pagemem.Remote {
@@ -41,11 +39,9 @@ func refTouchRange(c *Container, seg pagemem.Range, start, end pagemem.PageID, w
 				}
 				readahead++
 				sp.SetState(next, pagemem.Hot)
-				c.lru.Promote(next)
 			}
 		case pagemem.Inactive:
 			sp.SetState(id, pagemem.Hot)
-			c.lru.Promote(id)
 		}
 	}
 	return faults, readahead
@@ -179,11 +175,9 @@ func refOffloadAccepted(c *Container, cand []pagemem.PageID, accepted rmem.Class
 // monitored segments. The same seed builds the same container.
 func walkContainer(seed int64) *Container {
 	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
-	c := &Container{space: sp, lru: mglru.New(sp)}
-	sp.Alloc(pagemem.SegRuntime, 300)
-	c.runtimeGen, c.runtimeRange = c.lru.InsertBarrier()
-	sp.Alloc(pagemem.SegInit, 221)
-	c.initGen, c.initRange = c.lru.InsertBarrier()
+	c := &Container{space: sp}
+	c.runtimeRange = sp.Alloc(pagemem.SegRuntime, 300)
+	c.initRange = sp.Alloc(pagemem.SegInit, 221)
 	sp.Alloc(pagemem.SegExec, 137) // outside both ranges: ClassOther
 	rng := rand.New(rand.NewSource(seed))
 	for _, r := range []pagemem.Range{c.runtimeRange, c.initRange} {
@@ -192,9 +186,6 @@ func walkContainer(seed int64) *Container {
 			st := pagemem.State(rng.Intn(3))
 			for end := min(id+n, r.End); id < end; id++ {
 				sp.SetState(id, st)
-				if st == pagemem.Hot {
-					c.lru.Promote(id)
-				}
 			}
 		}
 	}
@@ -209,7 +200,7 @@ func withWindow(c *Container, window int) *Container {
 }
 
 // sameContainer fails unless the two containers' pages agree in state,
-// segment counts, access bits and generations.
+// segment counts and access bits.
 func sameContainer(t *testing.T, label string, got, want *Container) {
 	t.Helper()
 	for seg := pagemem.Segment(0); seg < pagemem.NumSegments; seg++ {
@@ -226,12 +217,6 @@ func sameContainer(t *testing.T, label string, got, want *Container) {
 		if g, w := got.space.Accessed(id), want.space.Accessed(id); g != w {
 			t.Fatalf("%s: page %d accessed %v, want %v", label, id, g, w)
 		}
-		if g, w := got.lru.GenOf(id), want.lru.GenOf(id); g != w {
-			t.Fatalf("%s: page %d generation %d, want %d", label, id, g, w)
-		}
-	}
-	if g, w := got.lru.Promotions(), want.lru.Promotions(); g != w {
-		t.Fatalf("%s: promotions %d, want %d", label, g, w)
 	}
 }
 
@@ -491,20 +476,15 @@ func FuzzTouchWalk(f *testing.F) {
 		}
 		build := func() *Container {
 			sp := pagemem.NewSpace(pagemem.DefaultPageSize)
-			c := &Container{space: sp, lru: mglru.New(sp)}
-			sp.Alloc(pagemem.SegRuntime, 1+int(runtime)%700)
-			c.runtimeGen, c.runtimeRange = c.lru.InsertBarrier()
-			sp.Alloc(pagemem.SegInit, 1+int(init)%700)
-			c.initGen, c.initRange = c.lru.InsertBarrier()
+			c := &Container{space: sp}
+			c.runtimeRange = sp.Alloc(pagemem.SegRuntime, 1+int(runtime)%700)
+			c.initRange = sp.Alloc(pagemem.SegInit, 1+int(init)%700)
 			sp.Alloc(pagemem.SegExec, 37) // untracked pages past the init segment
 			id, end := c.runtimeRange.Start, c.initRange.End
 			for _, b := range layout {
 				st := pagemem.State(b % 3)
 				for stop := min(id+1+pagemem.PageID(b/3), end); id < stop; id++ {
 					sp.SetState(id, st)
-					if st == pagemem.Hot {
-						c.lru.Promote(id)
-					}
 				}
 			}
 			return withWindow(c, int(window)%80)
@@ -534,7 +514,7 @@ func FuzzTouchWalk(f *testing.F) {
 func BenchmarkFaultPrecount(b *testing.B) {
 	prof := workload.Web()
 	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
-	c := withWindow(&Container{space: sp, lru: mglru.New(sp)}, 0)
+	c := withWindow(&Container{space: sp}, 0)
 	c.runtimeRange = sp.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
 	c.initRange = sp.AllocBytes(pagemem.SegInit, prof.InitBytes)
 	rng := rand.New(rand.NewSource(1))

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
@@ -18,7 +17,6 @@ import (
 // fakeView is a minimal policy.View for driving DAMON without a platform.
 type fakeView struct {
 	space        *pagemem.Space
-	lru          *mglru.LRU
 	runtimeRange pagemem.Range
 	initRange    pagemem.Range
 	offloaded    []pagemem.PageID
@@ -26,11 +24,9 @@ type fakeView struct {
 
 func newFakeView(runtimePages, initPages int) *fakeView {
 	s := pagemem.NewSpace(pagemem.DefaultPageSize)
-	v := &fakeView{space: s, lru: mglru.New(s)}
+	v := &fakeView{space: s}
 	v.runtimeRange = s.Alloc(pagemem.SegRuntime, runtimePages)
-	v.lru.InsertBarrier()
 	v.initRange = s.Alloc(pagemem.SegInit, initPages)
-	v.lru.InsertBarrier()
 	return v
 }
 
@@ -38,11 +34,8 @@ func (v *fakeView) ID() string                  { return "fake#1" }
 func (v *fakeView) FunctionID() string          { return "fake" }
 func (v *fakeView) Profile() *workload.Profile  { return nil }
 func (v *fakeView) Space() *pagemem.Space       { return v.space }
-func (v *fakeView) LRU() *mglru.LRU             { return v.lru }
 func (v *fakeView) RuntimeRange() pagemem.Range { return v.runtimeRange }
 func (v *fakeView) InitRange() pagemem.Range    { return v.initRange }
-func (v *fakeView) RuntimeGen() mglru.GenID     { return 0 }
-func (v *fakeView) InitGen() mglru.GenID        { return 1 }
 func (v *fakeView) RequestsServed() int         { return 1 }
 func (v *fakeView) Idle() bool                  { return true }
 func (v *fakeView) StallFraction() float64      { return 0 }

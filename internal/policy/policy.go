@@ -15,7 +15,6 @@
 package policy
 
 import (
-	"github.com/faasmem/faasmem/internal/mglru"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
@@ -33,19 +32,16 @@ type View interface {
 	Profile() *workload.Profile
 	// Space returns the container's page-granularity address space.
 	Space() *pagemem.Space
-	// LRU returns the container's multi-generational LRU. The platform
-	// inserts the Runtime-Init barrier when the runtime finishes loading and
-	// the Init-Execution barrier when initialization completes, so the LRU's
-	// sealed generations are the paper's Puckets.
-	LRU() *mglru.LRU
-	// RuntimeRange is the page range of the runtime segment (Runtime Pucket).
+	// RuntimeRange is the page range of the runtime segment: the Runtime
+	// Pucket. The platform inserts the Runtime-Init time barrier when the
+	// runtime finishes loading and the Init-Execution barrier when
+	// initialization completes; a barrier is the end of a segment's
+	// allocation, so the pages between two barriers are one range, and
+	// these two ranges are the paper's Puckets. A Pucket page accessed since
+	// the last rollback is in the hot page pool: its state is Hot.
 	RuntimeRange() pagemem.Range
-	// InitRange is the page range of the init segment (Init Pucket).
+	// InitRange is the page range of the init segment: the Init Pucket.
 	InitRange() pagemem.Range
-	// RuntimeGen is the LRU generation backing the Runtime Pucket.
-	RuntimeGen() mglru.GenID
-	// InitGen is the LRU generation backing the Init Pucket.
-	InitGen() mglru.GenID
 	// RequestsServed counts completed requests on this container.
 	RequestsServed() int
 	// Idle reports whether the container is in keep-alive (no request in

@@ -158,9 +158,9 @@ func (h *Hub) Queued(now simtime.Time, fn string, depth int) {
 
 // Barrier reports a lifecycle stage of pages pages completing at now: the
 // runtime loaded (StageRuntime) or the function initialized (StageInit),
-// a phase that ran from from, and the time barrier sealing LRU generation
-// gen.
-func (h *Hub) Barrier(stage Stage, from, now simtime.Time, container, fn string, pages int, gen int64) {
+// a phase that ran from from, and the time barrier sealing that stage's
+// Pucket.
+func (h *Hub) Barrier(stage Stage, from, now simtime.Time, container, fn string, pages int) {
 	kind := KindInitDone
 	if stage == StageRuntime {
 		kind = KindRuntimeLoaded
@@ -171,7 +171,7 @@ func (h *Hub) Barrier(stage Stage, from, now simtime.Time, container, fn string,
 	})
 	h.trace(Event{
 		At: now, Kind: KindBarrierInsert, Actor: container, Fn: fn,
-		Stage: stage, Value: int64(pages), Aux: gen,
+		Stage: stage, Value: int64(pages), Aux: stage.pucketGen(),
 	})
 }
 
@@ -320,10 +320,10 @@ func (h *Hub) OffloadBatch(now, start, done simtime.Time, container, fn string, 
 	}
 }
 
-// PucketOffload reports a Pucket of stage, sealed as LRU generation gen,
-// draining pages inactive pages to the pool.
-func (h *Hub) PucketOffload(now simtime.Time, container, fn string, stage Stage, pages int, gen int64) {
-	h.trace(Event{At: now, Kind: KindPucketOffload, Actor: container, Fn: fn, Stage: stage, Value: int64(pages), Aux: gen})
+// PucketOffload reports the Pucket of stage draining pages inactive pages to
+// the pool.
+func (h *Hub) PucketOffload(now simtime.Time, container, fn string, stage Stage, pages int) {
+	h.trace(Event{At: now, Kind: KindPucketOffload, Actor: container, Fn: fn, Stage: stage, Value: int64(pages), Aux: stage.pucketGen()})
 }
 
 // WindowFixed reports the §5.2 request window sealed at n requests.

@@ -168,7 +168,7 @@ func TestEmitAllocFree(t *testing.T) {
 		pages := [NumStages]int{StageRuntime: 3, StageInit: 1}
 		allocs := testing.AllocsPerRun(100, func() {
 			h.Launch(0, "web#1", "web", 1)
-			h.Barrier(StageRuntime, 0, time.Second, "web#1", "web", 10, 0)
+			h.Barrier(StageRuntime, 0, time.Second, "web#1", "web", 10)
 			h.RequestDone(Request{Container: "web#1", Fn: "web", End: time.Second}, tree)
 			h.FaultStall(0, time.Millisecond, "web#1", "web", pages, pages)
 			h.OffloadBatch(0, 0, time.Millisecond, "web#1", "web", pages, 4<<12)

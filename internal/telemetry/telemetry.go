@@ -68,15 +68,16 @@ const (
 	KindContainerRecycle
 	// KindContainerEvict marks a forced recycle by the node memory limit.
 	KindContainerEvict
-	// KindBarrierInsert marks a Pucket time barrier (an MGLRU generation
-	// seal). Stage names the sealed segment; Value is the pages stamped.
+	// KindBarrierInsert marks a Pucket time barrier (the end of a segment's
+	// allocation). Stage names the sealed segment; Value is its pages; Aux
+	// is the Pucket's barrier-order number.
 	KindBarrierInsert
 	// KindPageOffload marks pages moving local → pool. Stage names the
 	// segment the pages belong to; Value is the page count.
 	KindPageOffload
 	// KindPucketOffload marks a Pucket draining its inactive list (the §5.1
 	// reactive and §5.2 window-based offloads). Value is the pages moved;
-	// Aux is the backing MGLRU generation.
+	// Aux is the Pucket's barrier-order number.
 	KindPucketOffload
 	// KindPageFault spans a remote-fault stall on a request's critical path.
 	// Value is the faulting page count; Aux is the readahead pages recalled
@@ -193,6 +194,16 @@ func (s Stage) String() string {
 	default:
 		return ""
 	}
+}
+
+// pucketGen numbers the Pucket a stage's time barrier seals in barrier
+// order, as a multi-generational LRU numbers its generations: the Runtime
+// Pucket is 0 and the Init Pucket 1. Other stages seal none (-1).
+func (s Stage) pucketGen() int64 {
+	if s == StageRuntime || s == StageInit {
+		return int64(s - StageRuntime)
+	}
+	return -1
 }
 
 // Event is one traced occurrence on the virtual timeline. Events with
