@@ -31,9 +31,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Tier-1 figure/table benchmarks plus the page-engine and event-engine
-# micro-benches, the fault pre-count (FaultPrecount) and one warm request on
-# a warm container (ContainerRequest, whose allocs/op is 0), both in
-# internal/faas beside the unexported code they time, snapshotted as machine-readable JSON (the CI perf artifact;
+# micro-benches, the fault pre-count (FaultPrecount), one cold start
+# (ContainerLaunch) and one warm request on a warm container
+# (ContainerRequest, whose allocs/op is 0), all three in internal/faas
+# beside the unexported code they time, snapshotted as machine-readable JSON (the CI perf artifact;
 # see cmd/benchjson). One run feeds three artifacts: the raw log
 # (bench_gate.txt, which records allocs/op for the regression gate), the JSON
 # snapshot, and a per-bench speedup table against the latest committed
@@ -48,7 +49,7 @@ bench:
 # benches repeat one identical workload and keep time-based b.N.
 BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
 BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
-BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|FaultPrecount|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|FaultPrecount|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
 bench-json:
 	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeDomains$$'      -fuzztime=$(FUZZTIME) ./internal/memnode
 	$(GO) test -run='^$$' -fuzz='^FuzzPoolLedger$$'        -fuzztime=$(FUZZTIME) ./internal/rmem
 	$(GO) test -run='^$$' -fuzz='^FuzzRecorderDifferential$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/timeseries
+	$(GO) test -run='^$$' -fuzz='^FuzzSourceMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/simtime/lazyrand
 
 # Regenerate every figure/table at paper scale (see EXPERIMENTS.md).
 experiments:

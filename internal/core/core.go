@@ -559,15 +559,9 @@ func (c *container) gradualOffload(e *simtime.Engine) {
 		pagemem.Selection{R: rt, St: pagemem.Inactive}, pagemem.Selection{R: init, St: pagemem.Inactive},
 		pagemem.Selection{R: rt, St: pagemem.Hot}, pagemem.Selection{R: init, St: pagemem.Hot})
 	c.sels = sels
-	if c.view.OffloadPages(e, sels, pages) > 0 {
-		return
-	}
-	// Nothing moved: stop once no local page is left to offload.
-	if _, n := s.Prefix(rt, pagemem.Local, 1); n == 0 {
-		if _, n := s.Prefix(init, pagemem.Local, 1); n == 0 {
-			c.stopTicker()
-		}
-	}
+	// A tick the pool refuses moves nothing and keeps the ticker: the local
+	// pages all lie in rt and init, so the next tick offers them again.
+	c.view.OffloadPages(e, sels, pages)
 }
 
 // stopTicker stops the gradual offload; the ticker is kept for the next

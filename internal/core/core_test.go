@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/faas"
+	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
+	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -184,6 +186,46 @@ func TestSemiWarmGradualOffload(t *testing.T) {
 	// Share of lifetime spent semi-warm is recorded at recycle.
 	if shares := fm.Stats().SemiWarmShares(); len(shares) != 1 || shares[0] <= 0 {
 		t.Fatalf("semi-warm shares = %v", shares)
+	}
+}
+
+// TestSemiWarmResumesAfterPoolRefuses idles a container into semi-warm
+// while a tier storm makes the pool refuse every offload. The ticks that
+// move nothing must keep semi-warm alive, so once the storm clears it
+// resumes and drains the container to zero local bytes.
+func TestSemiWarmResumesAfterPoolRefuses(t *testing.T) {
+	fm := New(Config{
+		FallbackSemiWarmDelay: 5 * time.Second,
+		BytesPerSecond:        256 * 1024,
+		DisablePucket:         true, // isolate semi-warm
+	})
+	storm := faultinject.FromWindows([]faultinject.Window{
+		{Kind: faultinject.TierStorm, Start: 0, End: simtime.Time(30 * time.Second)},
+	})
+	pool := rmem.DefaultConfig()
+	pool.Faults = storm
+	e := simtime.NewEngine()
+	p := faas.New(e, faas.Config{KeepAliveTimeout: 10 * time.Minute, Seed: 7, Pool: pool}, fm)
+	prof := testProfile()
+	f := p.Register(prof.Name, prof)
+	p.ScheduleInvocations(prof.Name, ts(0))
+
+	e.RunUntil(29 * time.Second)
+	c := f.IdleContainer()
+	if c == nil {
+		t.Fatal("no idle container")
+	}
+	if fm.Stats().SemiWarmEntries != 1 {
+		t.Fatalf("semi-warm entries = %d, want 1", fm.Stats().SemiWarmEntries)
+	}
+	local := c.Space().LocalBytes()
+	if r := c.Space().RemoteBytes(); r != 0 || local == 0 {
+		t.Fatalf("during the storm: %d local, %d remote bytes; want all local", local, r)
+	}
+
+	e.RunUntil(90 * time.Second)
+	if l, r := c.Space().LocalBytes(), c.Space().RemoteBytes(); l != 0 || r != local {
+		t.Fatalf("after the storm: %d local, %d remote bytes; want 0 and %d", l, r, local)
 	}
 }
 

@@ -1,8 +1,9 @@
 package experiments
 
 import (
-	"math/rand"
 	"reflect"
+
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 )
 
 // This file holds the reusable metamorphic-testing helpers behind the
@@ -42,7 +43,7 @@ func DivergentWidth(widths []int, run func() any) int {
 // index, so enumeration order must never leak into the rows; this is the
 // metamorphic half of the determinism contract.
 func PermuteScenarios(scs []Scenario, seed int64) []Outcome {
-	perm := rand.New(rand.NewSource(seed)).Perm(len(scs))
+	perm := lazyrand.New(seed).Perm(len(scs))
 	shuffled := make([]Scenario, len(scs))
 	for i, j := range perm {
 		shuffled[i] = scs[j]

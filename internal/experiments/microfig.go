@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
@@ -118,7 +118,7 @@ func Fig6(opt Fig6Options) []Fig6Row {
 		opt.Gap = time.Second
 	}
 	prof := workload.Bert()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	rng := lazyrand.New(opt.Seed)
 	var rows []Fig6Row
 
 	// Init phase: the paper's scan shows allocation climbing to ~1000 MB
@@ -204,7 +204,7 @@ func Fig9(requests int, seed int64) []Fig9Row {
 		requests = 25
 	}
 	prof := workload.Web()
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	rows := make([]Fig9Row, 0, requests)
 	var touches workload.Touches
 	for i := 0; i < requests; i++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -60,7 +60,7 @@ func Fig1(opt Fig1Options) []Fig1Row {
 	}
 	// Per-function heavy-tailed execution durations unless pinned.
 	durations := make([]time.Duration, len(tr.Functions))
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	rng := lazyrand.New(opt.Seed + 1)
 	for i := range durations {
 		if opt.ExecTime > 0 {
 			durations[i] = opt.ExecTime

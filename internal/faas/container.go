@@ -14,6 +14,7 @@ import (
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -90,14 +91,15 @@ func (p *Platform) launch(f *Function) *Container {
 	f.live++
 	now := p.engine.Now()
 	p.addLive(now, 1)
+	id := fmt.Sprintf("%s#%d", f.id, p.containers)
 	c := &Container{
-		id:       fmt.Sprintf("%s#%d", f.id, p.containers),
+		id:       id,
 		fn:       f,
 		p:        p,
 		space:    pagemem.NewSpace(p.cfg.PageSize),
-		cg:       p.nodeCG.NewChild(fmt.Sprintf("%s#%d", f.id, p.containers), now),
+		cg:       p.nodeCG.NewChild(id, now),
 		psi:      cgroup.NewPSI(now),
-		rng:      rand.New(rand.NewSource(p.rng.Int63())),
+		rng:      lazyrand.New(p.rng.Int63()),
 		launched: now,
 	}
 	c.owner = c.id

@@ -22,6 +22,7 @@ import (
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/ring"
 	"github.com/faasmem/faasmem/internal/trace"
@@ -310,7 +311,7 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 		cfg:      c,
 		pool:     pool,
 		pol:      pol,
-		rng:      rand.New(rand.NewSource(c.Seed)),
+		rng:      lazyrand.New(c.Seed),
 		fns:      make(map[string]*Function),
 		nodeCG:   cgroup.New("node", engine.Now()),
 		liveTW:   metrics.NewTimeWeighted(engine.Now(), 0),

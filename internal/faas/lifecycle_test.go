@@ -73,6 +73,31 @@ func TestWarmRequestAllocationFree(t *testing.T) {
 	checkOneWarmContainer(t, p)
 }
 
+// BenchmarkContainerLaunch times one cold start under the FaaSMem policy:
+// launch, the runtime and init stages, the first request and its finish,
+// then the recycle that makes the next invocation cold again.
+func BenchmarkContainerLaunch(b *testing.B) {
+	e, p := newTestPlatform(core.New(core.Config{}))
+	prof := workload.Web()
+	f := p.Register("web", prof)
+	cold := simtime.Time(prof.LaunchTime + prof.InitTime + prof.ExecTime + time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Invoke("web")
+		e.RunUntil(e.Now() + cold)
+		c := f.IdleContainer()
+		if c == nil {
+			b.Fatal("the cold request did not finish")
+		}
+		c.recycle()
+	}
+	b.StopTimer()
+	if f.stats.ColdStarts != b.N {
+		b.Fatalf("cold starts = %d, want %d", f.stats.ColdStarts, b.N)
+	}
+}
+
 // BenchmarkContainerRequest times one warm request on an already-warm
 // container under the FaaSMem policy: dispatch, execute (touch walk and
 // policy hooks), finish and keep-alive. Its steady state allocates nothing.

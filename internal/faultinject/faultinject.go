@@ -22,11 +22,11 @@ package faultinject
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 )
 
 // Kind labels one fault mechanism.
@@ -137,7 +137,7 @@ func New(cfg Config) *Plan {
 	for k := Kind(0); k < numKinds; k++ {
 		// One PRNG stream per kind so disabling a kind or lengthening the
 		// horizon never reshuffles the others.
-		rng := rand.New(rand.NewSource(cfg.Seed*int64(numKinds) + int64(k) + 1))
+		rng := lazyrand.New(cfg.Seed*int64(numKinds) + int64(k) + 1)
 		cadence := cfg.Cadence[k]
 		if cadence <= 0 {
 			cadence = defaultCadence[k]

@@ -8,17 +8,20 @@ import (
 // Bitset is a growable bit vector used for page access bits: 8× denser than
 // []bool and word-at-a-time scans for the Accessed-bit walks every policy
 // performs. The zero value is an empty set.
+//
+// words is never shortened, and the spare capacity slices.Grow adds comes
+// zeroed, so every word past len(words) is zero: growth only extends the
+// length.
 type Bitset struct {
 	words []uint64
 }
 
 // grow ensures capacity for bit i. It lengthens the slice in place when
 // capacity suffices (appending a made slice would still allocate under race
-// instrumentation) and zeroes the new words.
+// instrumentation); the new words are already zero.
 func (b *Bitset) grow(i int) {
 	if need, n := i/64+1, len(b.words); n < need {
 		b.words = slices.Grow(b.words, need-n)[:need]
-		clear(b.words[n:])
 	}
 }
 

@@ -119,7 +119,8 @@ type Space struct {
 	stateBits [numStates]Bitset
 	// summary[sw*numStates+st] has bit j set iff word sw*64+j of
 	// stateBits[st] is nonzero: all states' summaries share one slice, so
-	// growing them is one append.
+	// growing them is one append. Like Bitset.words it is never shortened,
+	// so the words growth exposes are already zero.
 	summary []uint64
 	// total[st] is the number of pages in state st.
 	total [numStates]int
@@ -206,7 +207,6 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 	}
 	if need, k := (total+64*64-1)/(64*64)*numStates, len(s.summary); k < need {
 		s.summary = slices.Grow(s.summary, need-k)[:need]
-		clear(s.summary[k:])
 	}
 	s.accessed.SetRange(start, total)
 	s.stateBits[Inactive].SetRange(start, total)

@@ -102,6 +102,26 @@ func TestReserveMakesAllocAllocationFree(t *testing.T) {
 	if g, w := got.CountAccessed(all), want.CountAccessed(all); g != w {
 		t.Fatalf("CountAccessed = %d, want %d", g, w)
 	}
+	// Growth within the reservation only lengthens the slices: the words it
+	// exposes were zeroed when the capacity was allocated, so no Hot or
+	// Remote bit or summary bit of the new pages may be set.
+	words := (got.NumPages() + 63) / 64
+	for _, st := range []State{Hot, Remote} {
+		bits := got.stateBits[st].words
+		if len(bits) < words {
+			t.Fatalf("%v bitset has %d words, want at least %d", st, len(bits), words)
+		}
+		for w, x := range bits {
+			if x != 0 {
+				t.Fatalf("%v word %d = %#x after Reserve and Alloc, want 0", st, w, x)
+			}
+		}
+		for sw := 0; sw*numStates < len(got.summary); sw++ {
+			if x := got.summary[sw*numStates+int(st)]; x != 0 {
+				t.Fatalf("%v summary word %d = %#x after Reserve and Alloc, want 0", st, sw, x)
+			}
+		}
+	}
 }
 
 func TestNegativeAllocPanics(t *testing.T) {

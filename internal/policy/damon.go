@@ -6,6 +6,7 @@ import (
 
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 )
 
 // DAMONConfig parameterizes the DAMON baseline. The implementation follows
@@ -74,7 +75,7 @@ func (d *DAMON) Attach(e *simtime.Engine, v View) ContainerPolicy {
 	c := &damonContainer{
 		cfg:  d.cfg,
 		view: v,
-		rng:  rand.New(rand.NewSource(d.cfg.Seed ^ int64(len(v.ID())+1)*2654435761)),
+		rng:  lazyrand.New(d.cfg.Seed ^ int64(len(v.ID())+1)*2654435761),
 	}
 	c.ticker = simtime.NewTicker(e, d.cfg.SamplingInterval, c.sample)
 	return c

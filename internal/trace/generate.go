@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 )
 
 // GenConfig parameterizes the synthetic Azure-like trace generator.
@@ -77,7 +78,7 @@ func (c GenConfig) withDefaults() GenConfig {
 // seeds yield identical traces.
 func Generate(cfg GenConfig, seed int64) *Trace {
 	c := cfg.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	t := &Trace{Duration: c.Duration}
 	for i := 0; i < c.NumFunctions; i++ {
 		// Log-normal daily rate, clamped to at least one invocation/day
@@ -165,7 +166,7 @@ func genArrivals(rng *rand.Rand, c GenConfig, dailyRate float64, bursty bool) []
 // experiments (Fig. 13's common vs bursty cases) without a full 424-function
 // trace.
 func GenerateFunction(id string, duration time.Duration, meanGap time.Duration, bursty bool, seed int64) *Function {
-	rng := rand.New(rand.NewSource(seed))
+	rng := lazyrand.New(seed)
 	c := GenConfig{Duration: duration}.withDefaults()
 	daily := 86400 / meanGap.Seconds()
 	return &Function{ID: id, Invocations: genArrivals(rng, c, daily, bursty)}
