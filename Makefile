@@ -107,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadAzureCSV$$'      -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTraceJSON$$'     -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzReadProfiles$$'      -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz='^FuzzRunSpec$$'           -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkflowDAG$$'       -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzTouchWalk$$'         -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeDomains$$'      -fuzztime=$(FUZZTIME) ./internal/memnode

@@ -21,12 +21,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/drilldown"
 	"github.com/faasmem/faasmem/internal/experiments"
-	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/report"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
@@ -38,13 +36,8 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "bert", "benchmark: "+strings.Join(workload.Names(), ", "))
-	policyName := flag.String("policy", "faasmem", "offloading policy")
-	duration := flag.Duration("duration", 30*time.Minute, "trace duration")
-	gap := flag.Duration("gap", 10*time.Second, "mean inter-arrival gap")
-	bursty := flag.Bool("bursty", false, "bursty (Markov-modulated) arrivals")
-	keepAlive := flag.Duration("keepalive", 10*time.Minute, "keep-alive timeout")
-	seed := flag.Int64("seed", 1, "random seed")
+	spec := experiments.Spec{Bench: "bert", Policy: "faasmem", DurationSec: 30 * 60, MeanGapSec: 10, KeepAliveSec: 10 * 60, Seed: 1}
+	spec.Flags(flag.CommandLine)
 	compare := flag.Bool("compare", false, "run every policy on the same trace and print a comparison table")
 	profilesPath := flag.String("profiles", "", "JSON file with extra workload profiles (see workload.WriteProfiles)")
 	azurePath := flag.String("azure", "", "replay the busiest function of a real Azure Functions Invocation Trace 2021 CSV instead of generating arrivals")
@@ -56,8 +49,8 @@ func main() {
 	timelineWindow := flag.Duration("timeline-window", 10*time.Second, "rollup window for -timeline and -exemplars (virtual time)")
 	exemplars := flag.Bool("exemplars", false, "retain worst-K span trees per window and print the tail-exemplar digest after the run")
 	exemplarK := flag.Int("exemplar-k", exemplar.DefaultK, "worst-K retention depth per (window, node, tenant) cell for -exemplars")
-	faultIntensity := flag.Float64("fault-intensity", 0, "arm a seed-driven fault plan at this intensity in [0, 1] (link flaps, pool crashes, tier storms, latency spikes); 0 runs fault-free")
-	faultSeed := flag.Int64("fault-seed", 0, "seed for the fault schedule; defaults to -seed")
+	flag.Float64Var(&spec.FaultIntensity, "fault-intensity", 0, "arm a seed-driven fault plan at this intensity in [0, 1] (link flaps, pool crashes, tier storms, latency spikes); 0 runs fault-free")
+	flag.Int64Var(&spec.FaultSeed, "fault-seed", 0, "seed for the fault schedule; defaults to -seed")
 	attribOut := flag.String("attrib-out", "", "record causal spans and write them as Chrome trace-event JSON (nested duration events; implies span recording)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -98,6 +91,7 @@ func main() {
 	})
 
 	available := workload.Profiles()
+	var custom *workload.Profile // a -profiles entry, which Normalize does not know
 	if *profilesPath != "" {
 		extra, err := workload.LoadProfiles(*profilesPath)
 		if err != nil {
@@ -105,63 +99,41 @@ func main() {
 			os.Exit(2)
 		}
 		available = append(available, extra...)
-	}
-	byName := func(name string) *workload.Profile {
-		for _, p := range available {
-			if p.Name == name {
-				return p
+		for _, p := range extra {
+			if custom == nil && p.Name == spec.Bench && workload.ByName(p.Name) == nil {
+				custom = p
+				spec.Bench = "" // arrivals do not depend on the name: check the default
 			}
 		}
-		return nil
 	}
-	names := make([]string, len(available))
-	for i, p := range available {
-		names[i] = p.Name
+	if err := spec.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	prof := byName(*bench)
+	prof := custom
 	if prof == nil {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q; options: %s\n", *bench, strings.Join(names, ", "))
-		os.Exit(2)
-	}
-	kind := experiments.PolicyKind(*policyName)
-	if !experiments.ValidPolicy(kind) {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policyName)
-		os.Exit(2)
-	}
-	if *faultIntensity < 0 || *faultIntensity > 1 {
-		fmt.Fprintf(os.Stderr, "-fault-intensity %g out of range [0, 1]\n", *faultIntensity)
-		os.Exit(2)
-	}
-	if *faultSeed == 0 {
-		*faultSeed = *seed
+		prof = workload.ByName(spec.Bench)
 	}
 
-	var fn *trace.Function
+	var sc experiments.Scenario
 	if *azurePath != "" {
-		var err error
-		fn, prof, err = azureFunction(*azurePath, prof, available, benchPinned)
+		fn, p, err := azureFunction(*azurePath, prof, available, benchPinned)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		*duration = lastInvocation(fn) + time.Second
+		sc = spec.ScenarioOn(p, fn.Invocations, lastInvocation(fn)+time.Second, telemetry.Hub{})
 	} else {
-		fn = trace.GenerateFunction(*bench, *duration, *gap, *bursty, *seed)
+		sc = spec.Scenario(telemetry.Hub{})
+		sc.Profile = prof
 	}
 	if *compare {
-		fmt.Printf("%s: %d requests over %v (gap %v, bursty=%v)\n\n", prof.Name, len(fn.Invocations), *duration, *gap, *bursty)
+		fmt.Printf("%s: %d requests over %v (gap %v, bursty=%v)\n\n", sc.Profile.Name, len(sc.Invocations), sc.Duration,
+			time.Duration(spec.MeanGapSec*float64(time.Second)), spec.Bursty)
 		fmt.Printf("  %-22s %8s %8s %8s %12s %12s\n", "policy", "P50", "P95", "P99", "avg mem", "offloaded")
 		for _, pk := range experiments.PolicyKinds() {
-			o := experiments.RunScenario(experiments.Scenario{
-				Profile:     prof,
-				Invocations: fn.Invocations,
-				Duration:    *duration,
-				KeepAlive:   *keepAlive,
-				Policy:      pk,
-				SeedHistory: true,
-				Seed:        *seed,
-			})
+			sc.Policy = pk
+			o := experiments.RunScenario(sc)
 			fmt.Printf("  %-22s %7.3fs %7.3fs %7.3fs %9.1f MB %9.1f MB\n",
 				pk, o.P50, o.P95, o.P99, o.AvgLocalMB, o.OffloadedMB)
 		}
@@ -181,27 +153,11 @@ func main() {
 	if *exemplars {
 		hub.Exemplars = exemplar.NewRecorder(exemplar.Config{Window: *timelineWindow, K: *exemplarK})
 	}
-	sc := experiments.Scenario{
-		Profile:     prof,
-		Invocations: fn.Invocations,
-		Duration:    *duration,
-		KeepAlive:   *keepAlive,
-		Policy:      kind,
-		SeedHistory: true,
-		Seed:        *seed,
-		Telemetry:   hub,
-	}
-	if *faultIntensity > 0 {
-		sc.Pool.Faults = faultinject.New(faultinject.Config{
-			Horizon:   *duration + *keepAlive,
-			Intensity: *faultIntensity,
-			Seed:      *faultSeed,
-		})
-	}
+	sc.Telemetry = hub
 	out := experiments.RunScenario(sc)
 
 	ok := out.Requests > 0
-	fmt.Printf("benchmark        %s (%s policy)\n", prof.Name, kind)
+	fmt.Printf("benchmark        %s (%s policy)\n", sc.Profile.Name, sc.Policy)
 	fmt.Printf("requests         %d  (cold %d, warm %d, semi-warm %d)\n",
 		out.Requests, out.ColdStarts, out.WarmStarts, out.SemiWarmStarts)
 	fmt.Printf("latency          avg %s  P50 %s  P95 %s  P99 %s\n",

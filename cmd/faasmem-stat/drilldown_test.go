@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/drilldown"
-	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
-	"github.com/faasmem/faasmem/internal/workload"
 )
 
 // writeRunFile captures one faulted quick scenario as a run-file envelope,
@@ -21,8 +19,10 @@ import (
 func writeRunFile(t *testing.T, path string, seed int64) []byte {
 	t.Helper()
 	exm := exemplar.NewRecorder(exemplar.Config{Window: 10 * time.Second, K: 3})
-	rec := runTimelineScenario(workload.ByName("web"), experiments.FaaSMem,
-		3*time.Minute, 5*time.Second, false, 10*time.Minute, seed, 10*time.Second, 1, 1, exm)
+	spec := cliSpec()
+	spec.DurationSec, spec.MeanGapSec, spec.Seed = 3*60, 5, seed
+	spec.FaultIntensity, spec.FaultSeed = 1, 1
+	rec := runTimelineScenario(liveSpec(spec, false), 10*time.Second, exm)
 	data, err := json.MarshalIndent(drilldown.Run{
 		Timeline:  timeseries.TakeSnapshot(rec),
 		Exemplars: exm.Cells(),

@@ -36,15 +36,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
-	"time"
 
 	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/report"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
-	"github.com/faasmem/faasmem/internal/trace"
-	"github.com/faasmem/faasmem/internal/workload"
 )
 
 func main() {
@@ -62,13 +58,8 @@ func main() {
 		}
 	}
 	tracePath := flag.String("trace", "", "analyze a span trace file (Chrome trace-event JSON written by -attrib-out) instead of running a scenario")
-	bench := flag.String("bench", "web", "benchmark for a live run: "+strings.Join(workload.Names(), ", "))
-	policyName := flag.String("policy", "faasmem", "offloading policy for a live run")
-	duration := flag.Duration("duration", 30*time.Minute, "trace duration for a live run")
-	gap := flag.Duration("gap", 10*time.Second, "mean inter-arrival gap")
-	bursty := flag.Bool("bursty", false, "bursty (Markov-modulated) arrivals")
-	keepAlive := flag.Duration("keepalive", 10*time.Minute, "keep-alive timeout")
-	seed := flag.Int64("seed", 1, "random seed")
+	spec := cliSpec()
+	spec.Flags(flag.CommandLine)
 	quick := flag.Bool("quick", false, "CI-sized run: 5-minute duration, 5s gap (overrides -duration/-gap)")
 	format := flag.String("format", "text", "output format: text, json, or svg")
 	outPath := flag.String("o", "", "write output to this file instead of stdout")
@@ -94,7 +85,7 @@ func main() {
 		}
 	} else {
 		rec = span.NewRecorder(*buffer)
-		invs = runLive(rec, *bench, *policyName, *duration, *gap, *bursty, *keepAlive, *seed, *quick)
+		invs = runLive(rec, liveSpec(spec, *quick))
 	}
 
 	if *attribOut != "" {
@@ -137,39 +128,29 @@ func main() {
 	}
 }
 
-// runLive executes one scenario with span recording attached and returns the
-// recorded invocations.
-func runLive(rec *span.Recorder, bench, policyName string, duration, gap time.Duration, bursty bool, keepAlive time.Duration, seed int64, quick bool) []span.Invocation {
-	var prof *workload.Profile
-	for _, p := range workload.Profiles() {
-		if p.Name == bench {
-			prof = p
-		}
-	}
-	if prof == nil {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q; options: %s\n", bench, strings.Join(workload.Names(), ", "))
-		os.Exit(2)
-	}
-	kind := experiments.PolicyKind(policyName)
-	if !experiments.ValidPolicy(kind) {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", policyName)
-		os.Exit(2)
-	}
+// cliSpec is the live-run spec before flag parsing: the web bench, 30
+// minutes at a 10 s mean gap, and a 10-minute keep-alive.
+func cliSpec() experiments.Spec {
+	return experiments.Spec{Bench: "web", Policy: "faasmem", DurationSec: 30 * 60, MeanGapSec: 10, KeepAliveSec: 10 * 60, Seed: 1}
+}
+
+// liveSpec normalizes a live run's spec; quick makes it the CI-sized run
+// (5 minutes at a 5 s gap). A spec Normalize rejects exits 2.
+func liveSpec(spec experiments.Spec, quick bool) experiments.Spec {
 	if quick {
-		duration = 5 * time.Minute
-		gap = 5 * time.Second
+		spec.DurationSec, spec.MeanGapSec = 5*60, 5
 	}
-	fn := trace.GenerateFunction(bench, duration, gap, bursty, seed)
-	experiments.RunScenario(experiments.Scenario{
-		Profile:     prof,
-		Invocations: fn.Invocations,
-		Duration:    duration,
-		KeepAlive:   keepAlive,
-		Policy:      kind,
-		SeedHistory: true,
-		Seed:        seed,
-		Telemetry:   telemetry.Hub{Spans: rec},
-	})
+	if err := spec.Normalize(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	return spec
+}
+
+// runLive runs a normalized spec with span recording attached and returns
+// the recorded invocations.
+func runLive(rec *span.Recorder, spec experiments.Spec) []span.Invocation {
+	experiments.RunScenario(spec.Scenario(telemetry.Hub{Spans: rec}))
 	return rec.Invocations()
 }
 

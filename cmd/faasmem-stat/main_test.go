@@ -80,7 +80,7 @@ func TestQuickstartAttributionReconciles(t *testing.T) {
 // experiments diff.
 func TestQuickAttributionGolden(t *testing.T) {
 	rec := span.NewRecorder(span.DefaultCapacity)
-	invs := runLive(rec, "web", "faasmem", 0, 0, false, 10*time.Minute, 1, true)
+	invs := runLive(rec, liveSpec(cliSpec(), true))
 	var buf bytes.Buffer
 	if err := span.WriteText(&buf, span.Analyze(invs)); err != nil {
 		t.Fatal(err)
@@ -107,8 +107,9 @@ func TestQuickAttributionGolden(t *testing.T) {
 // byte — the faulted per-window rollup, including which windows the flight
 // recorder dumped. CI regenerates the same table and diffs.
 func TestQuickTimelineGolden(t *testing.T) {
-	rec := runTimelineScenario(workload.ByName("web"), experiments.FaaSMem,
-		5*time.Minute, 5*time.Second, false, 10*time.Minute, 1, 10*time.Second, 1, 1, nil)
+	spec := cliSpec()
+	spec.FaultIntensity = 1
+	rec := runTimelineScenario(liveSpec(spec, true), 10*time.Second, nil)
 	var buf bytes.Buffer
 	if err := timeseries.WriteText(&buf, rec); err != nil {
 		t.Fatal(err)

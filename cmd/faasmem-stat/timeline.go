@@ -6,18 +6,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/drilldown"
 	"github.com/faasmem/faasmem/internal/experiments"
-	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/report"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
-	"github.com/faasmem/faasmem/internal/trace"
-	"github.com/faasmem/faasmem/internal/workload"
 )
 
 // timelineMain is the `faasmem-stat timeline` subcommand: run one scenario
@@ -26,17 +22,12 @@ import (
 // with the gateway's GET /timeline.
 func timelineMain(argv []string) {
 	fs := flag.NewFlagSet("faasmem-stat timeline", flag.ExitOnError)
-	bench := fs.String("bench", "web", "benchmark: "+strings.Join(workload.Names(), ", "))
-	policyName := fs.String("policy", "faasmem", "offloading policy")
-	duration := fs.Duration("duration", 30*time.Minute, "trace duration")
-	gap := fs.Duration("gap", 10*time.Second, "mean inter-arrival gap")
-	bursty := fs.Bool("bursty", false, "bursty (Markov-modulated) arrivals")
-	keepAlive := fs.Duration("keepalive", 10*time.Minute, "keep-alive timeout")
-	seed := fs.Int64("seed", 1, "random seed")
+	spec := cliSpec()
+	spec.Flags(fs)
 	quick := fs.Bool("quick", false, "CI-sized run: 5-minute duration, 5s gap (overrides -duration/-gap)")
 	window := fs.Duration("window", 10*time.Second, "rollup window (virtual time)")
-	faultIntensity := fs.Float64("fault-intensity", 0, "fault-plan intensity in [0, 1]; 0 runs fault-free")
-	faultSeed := fs.Int64("fault-seed", 0, "fault-schedule seed (default: -seed)")
+	fs.Float64Var(&spec.FaultIntensity, "fault-intensity", 0, "fault-plan intensity in [0, 1]; 0 runs fault-free")
+	fs.Int64Var(&spec.FaultSeed, "fault-seed", 0, "fault-schedule seed (default: -seed)")
 	exemplars := fs.Bool("exemplars", false, "retain worst-K span trees per window (JSON output becomes a run file for explain/diff)")
 	exemplarK := fs.Int("exemplar-k", exemplar.DefaultK, "worst-K retention depth per (window, node, tenant) cell")
 	format := fs.String("format", "text", "output format: text, json, or svg")
@@ -49,34 +40,13 @@ func timelineMain(argv []string) {
 		fmt.Fprintf(os.Stderr, "unknown format %q (want text, json, or svg)\n", *format)
 		os.Exit(2)
 	}
-	prof := workload.ByName(*bench)
-	if prof == nil {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q; options: %s\n", *bench, strings.Join(workload.Names(), ", "))
-		os.Exit(2)
-	}
-	kind := experiments.PolicyKind(*policyName)
-	if !experiments.ValidPolicy(kind) {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policyName)
-		os.Exit(2)
-	}
-	if *faultIntensity < 0 || *faultIntensity > 1 {
-		fmt.Fprintf(os.Stderr, "fault intensity %g out of range [0, 1]\n", *faultIntensity)
-		os.Exit(2)
-	}
-	if *quick {
-		*duration = 5 * time.Minute
-		*gap = 5 * time.Second
-	}
-	if *faultSeed == 0 {
-		*faultSeed = *seed
-	}
+	spec = liveSpec(spec, *quick)
 
 	var exm *exemplar.Recorder
 	if *exemplars {
 		exm = exemplar.NewRecorder(exemplar.Config{Window: *window, K: *exemplarK})
 	}
-	rec := runTimelineScenario(prof, kind, *duration, *gap, *bursty, *keepAlive,
-		*seed, *window, *faultIntensity, *faultSeed, exm)
+	rec := runTimelineScenario(spec, *window, exm)
 
 	out := io.Writer(os.Stdout)
 	if *outPath != "" {
@@ -119,32 +89,11 @@ func timelineMain(argv []string) {
 	}
 }
 
-// runTimelineScenario executes one scenario with a time-series recorder
-// attached and returns the populated recorder.
-func runTimelineScenario(prof *workload.Profile, kind experiments.PolicyKind,
-	duration, gap time.Duration, bursty bool, keepAlive time.Duration,
-	seed int64, window time.Duration, faultIntensity float64, faultSeed int64,
-	exm *exemplar.Recorder) *timeseries.Recorder {
+// runTimelineScenario runs a normalized spec with a time-series recorder
+// (and exm, when non-nil) attached and returns the populated recorder.
+func runTimelineScenario(spec experiments.Spec, window time.Duration, exm *exemplar.Recorder) *timeseries.Recorder {
 	rec := timeseries.NewRecorder(timeseries.Config{Window: window})
-	fn := trace.GenerateFunction(prof.Name, duration, gap, bursty, seed)
-	sc := experiments.Scenario{
-		Profile:     prof,
-		Invocations: fn.Invocations,
-		Duration:    duration,
-		KeepAlive:   keepAlive,
-		Policy:      kind,
-		SeedHistory: true,
-		Seed:        seed,
-		Telemetry:   telemetry.Hub{Timeline: rec, Exemplars: exm},
-	}
-	if faultIntensity > 0 {
-		sc.Pool.Faults = faultinject.New(faultinject.Config{
-			Horizon:   duration + keepAlive,
-			Intensity: faultIntensity,
-			Seed:      faultSeed,
-		})
-	}
-	experiments.RunScenario(sc)
+	experiments.RunScenario(spec.Scenario(telemetry.Hub{Timeline: rec, Exemplars: exm}))
 	return rec
 }
 

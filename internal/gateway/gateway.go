@@ -22,6 +22,13 @@
 //	GET  /experiments         the experiment registry's names, in order
 //	POST /experiments/{name}  regenerate one figure/table (?seed=N, default 1)
 //
+// Every accepted /run and /replay has a bounded cost. A /run body is an
+// experiments.Spec: its duration_sec and keep_alive_sec are each at most
+// 24 h and duration_sec/mean_gap_sec at most 200,000 invocations. A /replay
+// trace spans at most 24 h and holds at most 200,000 invocations, and its
+// keep_alive_sec is at most 24 h; slice a longer trace. Anything past a
+// bound is a 400 before any trace is generated or replayed.
+//
 // POST /experiments/{name} serves exactly the rows `cmd/experiments` prints
 // for the same seed: both run the entry of experiments.Registry.
 //
@@ -39,139 +46,18 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
-	"time"
 
 	"github.com/faasmem/faasmem/internal/experiments"
-	"github.com/faasmem/faasmem/internal/faultinject"
-	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
-	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
-// maxInvocations is the most invocations one /run or /replay may simulate,
-// so every accepted request has a bounded host cost.
-const maxInvocations = 200000
-
-// RunRequest is the POST /run body.
-type RunRequest struct {
-	// Bench names one of the 11 benchmarks.
-	Bench string `json:"bench"`
-	// Policy is one of baseline, tmo, damon, faasmem,
-	// faasmem-w/o-pucket, faasmem-w/o-semiwarm.
-	Policy string `json:"policy"`
-	// DurationSec is the trace window in seconds. Default 600.
-	DurationSec float64 `json:"duration_sec"`
-	// MeanGapSec is the mean request inter-arrival gap. Default 15.
-	MeanGapSec float64 `json:"mean_gap_sec"`
-	// Bursty selects Markov-modulated arrivals.
-	Bursty bool `json:"bursty"`
-	// KeepAliveSec is the keep-alive timeout. Default 600.
-	KeepAliveSec float64 `json:"keep_alive_sec"`
-	// Seed drives all randomness. Default 1.
-	Seed int64 `json:"seed"`
-	// FaultIntensity in [0, 1] arms a seed-driven fault plan beneath the
-	// remote-memory path (link flaps, pool crashes, tier storms, latency
-	// spikes). 0 (the default) runs fault-free.
-	FaultIntensity float64 `json:"fault_intensity"`
-	// FaultSeed drives the fault schedule independently of Seed. Defaults
-	// to Seed.
-	FaultSeed int64 `json:"fault_seed"`
-	// Workflow names a built-in workflow DAG; when set the run executes the
-	// DAG (back-to-back, WorkflowRuns times) instead of a single-bench
-	// scenario, and Bench/MeanGapSec/Bursty/Policy are ignored.
-	Workflow string `json:"workflow"`
-	// StateMode selects how the workflow passes intermediate state: "pool"
-	// (shared regions on the memory pool, the default) or "reinit" (every
-	// consumer re-derives its inputs — the stateless baseline).
-	StateMode string `json:"state_mode"`
-	// WorkflowRuns is the number of chained workflow runs. Default 4.
-	WorkflowRuns int `json:"workflow_runs"`
-	// FanoutWidth scales the workflow's replicated stages; 0 keeps the
-	// shape's declared width. Max 64.
-	FanoutWidth int `json:"fanout_width"`
-	// MergeScope widens the pool-side page-merge domain: function, tenant,
-	// or cross-tenant. Setting it (or CacheMB) backs the run's pool with a
-	// simulated memory node and the outcome reports the node's stats.
-	MergeScope string `json:"merge_scope"`
-	// MergeOptIn lists tenants consenting to cross-tenant merging.
-	MergeOptIn []string `json:"merge_opt_in"`
-	// CacheMB sizes the node's shared multi-tenant cache tier. Max 16384.
-	CacheMB int `json:"cache_mb"`
-
-	mergeScope memnode.MergeScope
-}
-
-func (r *RunRequest) normalize() error {
-	if r.Bench == "" {
-		r.Bench = "web"
-	}
-	if workload.ByName(r.Bench) == nil {
-		return fmt.Errorf("unknown benchmark %q (options: %s)", r.Bench, strings.Join(workload.Names(), ", "))
-	}
-	if r.Policy == "" {
-		r.Policy = string(experiments.FaaSMem)
-	}
-	if !experiments.ValidPolicy(experiments.PolicyKind(r.Policy)) {
-		return fmt.Errorf("unknown policy %q", r.Policy)
-	}
-	if r.DurationSec <= 0 {
-		r.DurationSec = 600
-	}
-	if r.DurationSec > 24*3600 {
-		return fmt.Errorf("duration %gs too long (max 24h)", r.DurationSec)
-	}
-	if r.MeanGapSec <= 0 {
-		r.MeanGapSec = 15
-	}
-	if r.KeepAliveSec <= 0 {
-		r.KeepAliveSec = 600
-	}
-	if r.Seed == 0 {
-		r.Seed = 1
-	}
-	if r.FaultIntensity < 0 || r.FaultIntensity > 1 {
-		return fmt.Errorf("fault_intensity %g out of range [0, 1]", r.FaultIntensity)
-	}
-	if r.FaultSeed == 0 {
-		r.FaultSeed = r.Seed
-	}
-	if r.Workflow != "" {
-		if _, err := workload.WorkflowByName(r.Workflow); err != nil {
-			return fmt.Errorf("unknown workflow %q (options: %s)", r.Workflow, strings.Join(workload.WorkflowNames(), ", "))
-		}
-	} else if n := r.DurationSec / r.MeanGapSec; n > maxInvocations {
-		return fmt.Errorf("duration_sec/mean_gap_sec asks for %.0f invocations, limit %d", n, maxInvocations)
-	}
-	switch r.StateMode {
-	case "":
-		r.StateMode = "pool"
-	case "pool", "reinit":
-	default:
-		return fmt.Errorf("unknown state_mode %q (options: pool, reinit)", r.StateMode)
-	}
-	if r.WorkflowRuns < 0 || r.WorkflowRuns > 100 {
-		return fmt.Errorf("workflow_runs %d out of range [0, 100]", r.WorkflowRuns)
-	}
-	if r.WorkflowRuns == 0 {
-		r.WorkflowRuns = 4
-	}
-	if r.FanoutWidth < 0 || r.FanoutWidth > 64 {
-		return fmt.Errorf("fanout_width %d out of range [0, 64]", r.FanoutWidth)
-	}
-	var err error
-	if r.mergeScope, err = memnode.ParseMergeScope(r.MergeScope); err != nil {
-		return err
-	}
-	if r.CacheMB < 0 || r.CacheMB > 16384 {
-		return fmt.Errorf("cache_mb %d out of range [0, 16384]", r.CacheMB)
-	}
-	return nil
-}
+// RunRequest is the POST /run body. Its defaults and bounds, and the run
+// it builds, are experiments.Spec's.
+type RunRequest = experiments.Spec
 
 // RunResponse is the POST /run result.
 type RunResponse struct {
@@ -277,7 +163,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, maxRunBody, &req) {
 		return
 	}
-	if err := req.normalize(); err != nil {
+	if err := req.Normalize(); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -294,35 +180,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	duration := time.Duration(req.DurationSec * float64(time.Second))
-	keepAlive := time.Duration(req.KeepAliveSec * float64(time.Second))
-	fn := trace.GenerateFunction(req.Bench, duration,
-		time.Duration(req.MeanGapSec*float64(time.Second)), req.Bursty, req.Seed)
-	sc := experiments.Scenario{
-		Profile:     workload.ByName(req.Bench),
-		Invocations: fn.Invocations,
-		Duration:    duration,
-		KeepAlive:   keepAlive,
-		Policy:      experiments.PolicyKind(req.Policy),
-		SeedHistory: true,
-		Seed:        req.Seed,
-		Telemetry:   s.tel,
-	}
-	if req.MergeScope != "" || req.CacheMB > 0 {
-		sc.Pool.Node = &memnode.Config{
-			MergeScope: req.mergeScope,
-			MergeOptIn: req.MergeOptIn,
-			CacheBytes: int64(req.CacheMB) << 20,
-		}
-	}
-	if req.FaultIntensity > 0 {
-		sc.Pool.Faults = faultinject.New(faultinject.Config{
-			Horizon:   duration + keepAlive,
-			Intensity: req.FaultIntensity,
-			Seed:      req.FaultSeed,
-		})
-	}
-	out := experiments.RunScenario(sc)
+	out := experiments.RunScenario(req.Scenario(s.tel))
 	writeJSON(w, http.StatusOK, RunResponse{
 		Bench:    req.Bench,
 		Policy:   req.Policy,

@@ -103,6 +103,8 @@ func TestRunValidation(t *testing.T) {
 		`{"duration_sec":999999999}`,
 		`{"bench":"json","duration_sec":2001,"mean_gap_sec":0.01}`,
 		`not json`,
+		`{"keep_alive_sec":86401}`,
+		`{"keep_alive_sec":1e10}`,
 	}
 	for i, body := range cases {
 		rec := do(t, http.MethodPost, "/run", body)
@@ -264,6 +266,10 @@ func TestReplayValidation(t *testing.T) {
 			"(options: mix, bert,"},
 		{`{"trace": {"duration": 60000000000, "functions": [{"id":"a","invocations":[0,1,2]}]}, "max_invocations": 2}`,
 			"limit 2"},
+		{`{"trace": {"duration": 60000000000, "functions": [{"id":"a","invocations":[0]}]}, "keep_alive_sec": 1e7}`,
+			"keep_alive_sec 1e+07s too long (max 24h)"},
+		{`{"trace": {"duration": 9000000000000000000, "functions": [{"id":"a","invocations":[0]}]}}`,
+			"slice the trace"},
 	}
 	for i, tc := range cases {
 		rec := do(t, http.MethodPost, "/replay", tc.body)
@@ -279,6 +285,13 @@ func TestReplayValidation(t *testing.T) {
 	rec := do(t, http.MethodPost, "/replay", `{"policy": "nope"}`)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown policy") {
 		t.Errorf("policy-only body: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	// Both 24 h bounds are inclusive: cmd/tracegen's default trace spans
+	// exactly 24 h.
+	rec = do(t, http.MethodPost, "/replay",
+		`{"trace": {"duration": 86400000000000, "functions": [{"id":"a","invocations":[0]}]}, "keep_alive_sec": 86400}`)
+	if rec.Code != http.StatusOK {
+		t.Errorf("24 h trace and keep-alive: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
 

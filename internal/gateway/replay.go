@@ -56,14 +56,15 @@ func (m *ReplayMemNode) config() *memnode.Config {
 // one node. The trace uses the same JSON schema as cmd/tracegen's output
 // (and trace.ReadAzureCSV conversions).
 type ReplayRequest struct {
-	// Trace is the invocation trace to replay.
+	// Trace is the invocation trace to replay; its duration is at most
+	// 24 h (experiments.MaxHorizon), so slice a longer one.
 	Trace *trace.Trace `json:"trace"`
 	// Profile maps every trace function onto one benchmark ("mix"
 	// round-robins the 11). Default "mix".
 	Profile string `json:"profile"`
 	// Policy is the offloading policy. Default "faasmem".
 	Policy string `json:"policy"`
-	// KeepAliveSec defaults to 600.
+	// KeepAliveSec defaults to 600, max 24 h.
 	KeepAliveSec float64 `json:"keep_alive_sec"`
 	// Seed drives workload randomness. Default 1.
 	Seed int64 `json:"seed"`
@@ -102,11 +103,17 @@ func (req *ReplayRequest) validate() error {
 	if err := req.Trace.Validate(); err != nil {
 		return err
 	}
-	if req.MaxInvocations <= 0 || req.MaxInvocations > maxInvocations {
-		req.MaxInvocations = maxInvocations
+	if req.Trace.Duration > experiments.MaxHorizon {
+		return fmt.Errorf("trace duration %v too long (max 24h); slice the trace", req.Trace.Duration)
+	}
+	if req.MaxInvocations <= 0 || req.MaxInvocations > experiments.MaxInvocations {
+		req.MaxInvocations = experiments.MaxInvocations
 	}
 	if n := req.Trace.TotalInvocations(); n > req.MaxInvocations {
 		return fmt.Errorf("trace has %d invocations, limit %d", n, req.MaxInvocations)
+	}
+	if req.KeepAliveSec > experiments.MaxHorizon.Seconds() {
+		return fmt.Errorf("keep_alive_sec %gs too long (max 24h)", req.KeepAliveSec)
 	}
 	if req.KeepAliveSec <= 0 {
 		req.KeepAliveSec = 600

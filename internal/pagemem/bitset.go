@@ -94,30 +94,6 @@ func (b *Bitset) word(w int) uint64 {
 	return 0
 }
 
-// WordAt returns the word covering bits [w*64, w*64+64), zero beyond the
-// current capacity — the word-at-a-time read the bulk page paths build on.
-func (b *Bitset) WordAt(w int) uint64 { return b.word(w) }
-
-// OrWordAt ORs mask into the word covering bits [w*64, w*64+64), growing as
-// needed.
-func (b *Bitset) OrWordAt(w int, mask uint64) {
-	if mask == 0 {
-		return
-	}
-	if w >= len(b.words) {
-		b.grow(w*64 + 63)
-	}
-	b.words[w] |= mask
-}
-
-// ClearWordAt clears mask's bits in the word covering bits
-// [w*64, w*64+64); words beyond the current capacity are already clear.
-func (b *Bitset) ClearWordAt(w int, mask uint64) {
-	if w < len(b.words) {
-		b.words[w] &^= mask
-	}
-}
-
 // ForEachSet calls fn for every set bit in [start, end), skipping zero words
 // whole. fn receives the bit index.
 func (b *Bitset) ForEachSet(start, end int, fn func(int)) {
