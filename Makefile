@@ -102,6 +102,7 @@ cover:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzEngineVsReference$$' -fuzztime=$(FUZZTIME) ./internal/simtime
+	$(GO) test -run='^$$' -fuzz='^FuzzSamplerVsTicker$$'   -fuzztime=$(FUZZTIME) ./internal/simtime
 	$(GO) test -run='^$$' -fuzz='^FuzzSpaceDifferential$$' -fuzztime=$(FUZZTIME) ./internal/pagemem
 	$(GO) test -run='^$$' -fuzz='^FuzzPlan$$'              -fuzztime=$(FUZZTIME) ./internal/faultinject
 	$(GO) test -run='^$$' -fuzz='^FuzzReadAzureCSV$$'      -fuzztime=$(FUZZTIME) ./internal/trace

@@ -186,8 +186,11 @@ func RunScenario(sc Scenario) Outcome {
 		if every <= 0 {
 			every = 10 * time.Second
 		}
-		simtime.NewTicker(e, every, func(e *simtime.Engine) {
-			sc.MemTimeline.Append(e.Now(), metrics.MB(p.NodeLocalBytes()))
+		simtime.NewSampler(e, every, func(from, to simtime.Time) {
+			mb := metrics.MB(p.NodeLocalBytes())
+			for at := from; at <= to; at += every {
+				sc.MemTimeline.Append(at, mb)
+			}
 		})
 	}
 

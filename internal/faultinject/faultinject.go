@@ -332,8 +332,10 @@ func (p *Plan) BandwidthFactor(now simtime.Time) float64 {
 }
 
 // NextTransition returns the earliest window boundary strictly after now, or
-// (0, false) when the schedule is exhausted — for callers that want to probe
-// recovery instants rather than poll.
+// (0, false) when the schedule is exhausted. Every time-dependent reading of
+// the plan is constant between two transitions, which is what lets the
+// pool's timeline sampler record a span of windows in pieces, not per
+// window.
 func (p *Plan) NextTransition(now simtime.Time) (simtime.Time, bool) {
 	if p == nil {
 		return 0, false

@@ -113,6 +113,47 @@ func TestFlightEndpoint(t *testing.T) {
 	}
 }
 
+// TestFlightNoStaleFaultDumps runs a faulted /run whose plan has a window
+// starting after the run ends, then an unfaulted one that runs past that
+// start. The service-lifetime recorder must not carry the first run's
+// uncrossed fault-window start into the second run, whose clock restarts at
+// zero: the second run takes no fault-window dump.
+func TestFlightNoStaleFaultDumps(t *testing.T) {
+	h := Handler()
+	faultDumps := func() int {
+		rec := doOn(t, h, http.MethodGet, "/flight", "")
+		var resp struct {
+			Dumps []struct {
+				Trigger string `json:"trigger"`
+			} `json:"dumps"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, d := range resp.Dumps {
+			if d.Trigger == "fault-window" {
+				n++
+			}
+		}
+		return n
+	}
+	for i, body := range []string{
+		`{"bench":"json","duration_sec":60.9,"keep_alive_sec":60,"mean_gap_sec":30,"fault_intensity":1,"seed":4}`,
+		`{"bench":"json","duration_sec":3000,"keep_alive_sec":60,"mean_gap_sec":30,"seed":7}`,
+	} {
+		before := faultDumps()
+		if run := doOn(t, h, http.MethodPost, "/run", body); run.Code != http.StatusOK {
+			t.Fatalf("run %d: /run status = %d: %s", i+1, run.Code, run.Body.String())
+		}
+		if i == 1 {
+			if got := faultDumps() - before; got != 0 {
+				t.Fatalf("the unfaulted run took %d fault-window dumps", got)
+			}
+		}
+	}
+}
+
 // TestContentTypesAndMethodNotAllowed pins the observability surface's HTTP
 // conformance: explicit charsets on every Content-Type, and 405 (not 404)
 // with an Allow header when the path exists but the method is wrong.

@@ -66,43 +66,54 @@ func (p *Pool) Instrument(h telemetry.Hub) (owner bool) {
 	return true
 }
 
-// SampleTimeline records the pool's per-window gauges at now: occupancy,
-// fault-plan activity, health, and — when a memory node is attached — dedup
-// savings and per-tenant quota pressure. The owning platform's window
-// ticker calls this once per window.
-func (p *Pool) SampleTimeline(now simtime.Time) {
+// SampleTimeline records the pool's per-window gauges for every window
+// boundary from from through to: occupancy, fault-plan activity, health,
+// and — when a memory node is attached — dedup savings and per-tenant quota
+// pressure. The owning platform's window sampler calls this once per quiet
+// span, whose boundaries are one window apart and between which no event
+// fires, so only the fault-plan gauges can change inside it, at the plan's
+// window edges.
+func (p *Pool) SampleTimeline(from, to simtime.Time) {
 	g := &p.gauges
 	tl := g.tl
 	if tl == nil {
 		return
 	}
-	tl.SetGauge(now, g.used, p.used)
+	tl.SetGauge(from, to, g.used, p.used)
 	if p.flt != nil {
-		tl.SetGauge(now, g.faultKinds, int64(p.flt.ActiveKinds(now)))
-		var unhealthy int64
-		if p.flt.Unhealthy(now) {
-			unhealthy = 1
+		window := tl.Window()
+		for cur := from; cur <= to; {
+			end := to
+			if edge, ok := p.flt.NextTransition(cur); ok && edge <= to {
+				end = cur + (edge-1-cur)/window*window
+			}
+			tl.SetGauge(cur, end, g.faultKinds, int64(p.flt.ActiveKinds(cur)))
+			var unhealthy int64
+			if p.flt.Unhealthy(cur) {
+				unhealthy = 1
+			}
+			tl.SetGauge(cur, end, g.unhealthy, unhealthy)
+			cur = end + window
 		}
-		tl.SetGauge(now, g.unhealthy, unhealthy)
 	}
 	if p.node == nil {
 		return
 	}
 	if logical := p.node.LogicalBytes(); logical > 0 {
-		tl.SetGauge(now, g.dedupSaved, p.node.DedupSavedBytes()*1000/logical)
+		tl.SetGauge(from, to, g.dedupSaved, p.node.DedupSavedBytes()*1000/logical)
 	}
 	if quota := p.node.Config().TenantQuotaBytes; quota > 0 {
 		for _, u := range p.node.TenantUsages() {
 			d := timeseries.Dims{Node: poolDims.Node, Tenant: u.Tenant}
-			tl.SetGauge(now, tl.Series(timeseries.SeriesTenantQuotaPct, d, timeseries.Gauge),
+			tl.SetGauge(from, to, tl.Series(timeseries.SeriesTenantQuotaPct, d, timeseries.Gauge),
 				u.LogicalBytes*100/quota)
 		}
 	}
 	if cacheCap := p.node.Config().CacheBytes; cacheCap > 0 {
-		tl.SetGauge(now, g.cacheUsed, p.node.CacheUsedBytes())
+		tl.SetGauge(from, to, g.cacheUsed, p.node.CacheUsedBytes())
 		for _, u := range p.node.CacheOccupancies() {
 			d := timeseries.Dims{Node: poolDims.Node, Tenant: u.Tenant}
-			tl.SetGauge(now, tl.Series(timeseries.SeriesCacheOccupancyPct, d, timeseries.Gauge),
+			tl.SetGauge(from, to, tl.Series(timeseries.SeriesCacheOccupancyPct, d, timeseries.Gauge),
 				u.LogicalBytes*100/cacheCap)
 		}
 	}

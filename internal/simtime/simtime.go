@@ -119,6 +119,11 @@ type Engine struct {
 	fired uint64
 	live  int // pending (non-cancelled) events
 
+	// deadline is the bound of the RunUntil in progress, 0 outside one: no
+	// event can be scheduled from outside the engine before it, which is
+	// what lets a Sampler cover the boundaries up to it in one firing.
+	deadline Time
+
 	// ready is the sorted run of imminent events; ready[readyIdx:] is the
 	// undrained remainder. Events scheduled before cur merge into it.
 	ready    []*event
@@ -215,23 +220,41 @@ func (e *Engine) Run() {
 // RunUntil executes events with at <= deadline and then advances the clock to
 // the deadline. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
+	outer := e.deadline
+	e.deadline = deadline
 	for {
 		ev := e.pop()
 		if ev == nil {
 			break
 		}
 		if ev.at > deadline {
-			// Un-pop: pop always returns from the ready run, so the slot
-			// just before readyIdx still belongs to this event.
-			e.readyIdx--
-			e.ready[e.readyIdx] = ev
+			e.unpop(ev)
 			break
 		}
 		e.fire(ev)
 	}
+	e.deadline = outer
 	if e.now < deadline {
 		e.now = deadline
 	}
+}
+
+// unpop returns the event pop just returned to the head of the queue: pop
+// always returns from the ready run, so the slot just before readyIdx still
+// belongs to it.
+func (e *Engine) unpop(ev *event) {
+	e.readyIdx--
+	e.ready[e.readyIdx] = ev
+}
+
+// peek reports when the earliest pending event fires, without firing it.
+func (e *Engine) peek() (Time, bool) {
+	ev := e.pop()
+	if ev == nil {
+		return 0, false
+	}
+	e.unpop(ev)
+	return ev.at, true
 }
 
 func (e *Engine) fire(ev *event) {
@@ -555,8 +578,9 @@ func (e *Engine) release(ev *event) {
 }
 
 // Ticker repeatedly invokes a callback at a fixed virtual period until
-// stopped. It is the building block for periodic policies (TMO steps, DAMON
-// sampling, semi-warm gradual offload). The rearming closure is created once,
+// stopped. It is the building block for periodic policies that change state
+// (TMO steps, DAMON sampling, semi-warm gradual offload); periodic work that
+// only reads state uses a Sampler. The rearming closure is created once,
 // so steady-state ticking allocates nothing.
 type Ticker struct {
 	engine  *Engine
@@ -608,4 +632,49 @@ func (t *Ticker) Stop() {
 	}
 	t.stopped = true
 	t.engine.Cancel(t.ev)
+}
+
+// Sampler calls a read-only callback at every multiple of a fixed virtual
+// period after it is created, like a Ticker, but fires once per quiet span:
+// a run of boundaries at which nothing else fires, so nothing the callback
+// reads can change. Firing at boundary from, it extends to over every later
+// boundary that is strictly before the earliest pending event and no later
+// than the deadline of the RunUntil in progress, calls fn(from, to), and
+// re-arms at to+period. Outside RunUntil (Step, Run) there is no deadline,
+// so every span is one boundary.
+//
+// The spans are exact: fn sees, for every boundary in [from, to], the state
+// a per-period Ticker would see there. A boundary that coincides with a
+// pending event stays a span of its own and fires after that event, as the
+// Ticker's would, and every other event keeps its relative firing order.
+// fn must only read state: it must not schedule or cancel events, or change
+// anything another event reads. A Sampler runs for the engine's lifetime.
+type Sampler struct {
+	period time.Duration
+	fn     func(from, to Time)
+	tick   Func
+}
+
+// NewSampler starts a Sampler whose first boundary is one period from now.
+// period must be positive.
+func NewSampler(e *Engine, period time.Duration, fn func(from, to Time)) *Sampler {
+	if period <= 0 {
+		panic("simtime: sampler period must be positive")
+	}
+	s := &Sampler{period: period, fn: fn}
+	s.tick = func(e *Engine) {
+		from := e.now
+		lim := e.deadline
+		if next, ok := e.peek(); ok && next-1 < lim {
+			lim = next - 1
+		}
+		to := from
+		if lim > from {
+			to += (lim - from) / s.period * s.period
+		}
+		s.fn(from, to)
+		e.At(to+s.period, s.tick)
+	}
+	e.After(period, s.tick)
+	return s
 }

@@ -406,7 +406,7 @@ func (h *Hub) DegradedEdge(now simtime.Time, healthy bool) {
 		kind, unhealthy = KindDegradedExit, 0
 	}
 	h.trace(Event{At: now, Kind: kind, Actor: "pool"})
-	h.Timeline.SetGauge(now, h.met.unhealthySeries, unhealthy)
+	h.Timeline.SetGauge(now, now, h.met.unhealthySeries, unhealthy)
 }
 
 // FaultWindow reports one scheduled fault-plan window [start, end) of kind

@@ -93,8 +93,11 @@ func (o *refRecorder) counter(at simtime.Time, k seriesKey, v int64) {
 	o.push(FlightEvent{At: at, Name: k.name, Dims: k.dims, Value: v})
 }
 
-func (o *refRecorder) gauge(at simtime.Time, k seriesKey, v int64) {
-	o.cell(k, at).add(v)
+// gauge applies a span reading as one set per window, from's through to's.
+func (o *refRecorder) gauge(from, to simtime.Time, k seriesKey, v int64) {
+	for win := from / o.cfg.Window; win <= to/o.cfg.Window; win++ {
+		o.cell(k, win*o.cfg.Window).add(v)
+	}
 }
 
 func (o *refRecorder) latency(at simtime.Time, k seriesKey, v int64) {
@@ -365,8 +368,9 @@ func (d *diffTarget) check(t *testing.T, label string) {
 // op is five bytes: an opcode whose high bit picks the target (a shard or
 // the sink it merges into), then four arguments. The opcodes resolve a
 // series, emit a counter, gauge or latency sample by a resolved handle at a
-// window and offset, start a new run (so later emits revisit windows), or
-// merge the shard into the sink and start a fresh shard.
+// window and offset (a gauge over a span of windows), start a new run (so
+// later emits revisit windows), or merge the shard into the sink and start
+// a fresh shard.
 func FuzzRecorderDifferential(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 0, 0, 1, 0, 3, 0, 5, 0, 10, 1, 0, 0, 1, 0, 3, 0, 2})
 	f.Add([]byte{
@@ -377,6 +381,9 @@ func FuzzRecorderDifferential(f *testing.F) {
 		0, 0, 1, 1, 0, 2, 0, 7, 0, 50, 128, 1, 1, 1, 0, 130, 0, 2, 0, 40,
 		5, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 7, 100, 60, 5, 0, 0, 0, 0,
 	})
+	// Gauges over spans of 1 and 3 windows (opcodes 8 and 20), then a
+	// one-window reading inside the first span.
+	f.Add([]byte{0, 1, 0, 1, 0, 8, 0, 2, 128, 9, 20, 0, 5, 0, 7, 2, 0, 3, 10, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 64 ops reach every window, series and cap several times over;
 		// the bound keeps one input's run, and so its minimization, short.
@@ -409,9 +416,11 @@ func FuzzRecorderDifferential(f *testing.F) {
 					d.ref.counter(at, k, int64(int8(v)))
 				}
 			case 2:
+				// The opcode's bits above the op pick a span of 0-3 windows.
+				to := at + simtime.Time(op&0x7f/6%4)*diffConfig.Window
 				if id != 0 {
-					d.rec.SetGauge(at, id, int64(v)<<20)
-					d.ref.gauge(at, k, int64(v)<<20)
+					d.rec.SetGauge(at, to, id, int64(v)<<20)
+					d.ref.gauge(at, to, k, int64(v)<<20)
 				}
 			case 3:
 				if id != 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -315,29 +316,7 @@ func writeText(w io.Writer, window time.Duration, rows []SummaryRow, flows *Reco
 	if _, err := fmt.Fprintf(w, "timeline: %d windows of %s\n\n", len(rows), window); err != nil {
 		return err
 	}
-	header := []string{
-		"window", "t(s)", "local(MB)", "pool(MB)", "offl(MB)", "recall(MB)",
-		"reqs", "p99(ms)", "retries", "timeouts", "fallback", "reinits", "faults",
-	}
-	cells := make([][]string, 0, len(rows))
-	for _, row := range rows {
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", row.Window),
-			fmt.Sprintf("%.0f", row.StartSec),
-			fmt.Sprintf("%.1f", row.LocalMB),
-			fmt.Sprintf("%.1f", row.PoolMB),
-			fmt.Sprintf("%.2f", row.OffloadMB),
-			fmt.Sprintf("%.2f", row.RecallMB),
-			fmt.Sprintf("%d", row.Requests),
-			fmt.Sprintf("%.2f", row.P99Ms),
-			fmt.Sprintf("%d", row.Retries),
-			fmt.Sprintf("%d", row.Timeouts),
-			fmt.Sprintf("%d", row.FallbackPages),
-			fmt.Sprintf("%d", row.Reinits),
-			fmt.Sprintf("%d", row.FaultKinds),
-		})
-	}
-	if err := writeTable(w, header, cells); err != nil {
+	if _, err := w.Write(summaryTable(rows)); err != nil {
 		return err
 	}
 	if err := writeFlowDigest(w, flows); err != nil {
@@ -427,40 +406,73 @@ func writeFlowDigest(w io.Writer, r *Recorder) error {
 	}
 }
 
-// writeTable prints a fixed-width table with right-aligned columns,
-// matching the experiment harness's rendering so timeline output sits
-// naturally beside figure tables.
-func writeTable(w io.Writer, header []string, rows [][]string) error {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
+// summaryHeader names the summary table's columns.
+var summaryHeader = [...]string{
+	"window", "t(s)", "local(MB)", "pool(MB)", "offl(MB)", "recall(MB)",
+	"reqs", "p99(ms)", "retries", "timeouts", "fallback", "reinits", "faults",
+}
+
+// summaryTable renders the summary rows as a fixed-width table with
+// right-aligned columns two spaces apart, matching the experiment harness's
+// rendering so timeline output sits naturally beside figure tables. A
+// service-lifetime timeline is re-rendered on every read, so the cells are
+// appended into one buffer rather than formatted into a string each.
+func summaryTable(rows []SummaryRow) []byte {
+	const cols = len(summaryHeader)
+	var widths [cols]int
+	for col, h := range summaryHeader {
+		widths[col] = len(h)
 	}
-	for _, row := range rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	// Cell k is cells[ends[k-1]:ends[k]]; cell takes cells with one more
+	// cell appended.
+	cells := make([]byte, 0, 64*len(rows))
+	ends := make([]int, 0, cols*len(rows))
+	cell := func(b []byte) {
+		col := len(ends) % cols
+		widths[col] = max(widths[col], len(b)-len(cells))
+		cells = b
+		ends = append(ends, len(cells))
+	}
+	for _, r := range rows {
+		cell(strconv.AppendInt(cells, r.Window, 10))
+		cell(strconv.AppendFloat(cells, r.StartSec, 'f', 0, 64))
+		cell(strconv.AppendFloat(cells, r.LocalMB, 'f', 1, 64))
+		cell(strconv.AppendFloat(cells, r.PoolMB, 'f', 1, 64))
+		cell(strconv.AppendFloat(cells, r.OffloadMB, 'f', 2, 64))
+		cell(strconv.AppendFloat(cells, r.RecallMB, 'f', 2, 64))
+		cell(strconv.AppendInt(cells, r.Requests, 10))
+		cell(strconv.AppendFloat(cells, r.P99Ms, 'f', 2, 64))
+		cell(strconv.AppendInt(cells, r.Retries, 10))
+		cell(strconv.AppendInt(cells, r.Timeouts, 10))
+		cell(strconv.AppendInt(cells, r.FallbackPages, 10))
+		cell(strconv.AppendInt(cells, r.Reinits, 10))
+		cell(strconv.AppendInt(cells, r.FaultKinds, 10))
+	}
+
+	line := 2*cols - 1
+	for _, w := range widths {
+		line += w
+	}
+	out := make([]byte, 0, line*(len(rows)+1))
+	put := func(col int, c []byte) {
+		if col > 0 {
+			out = append(out, "  "...)
+		}
+		for n := len(c); n < widths[col]; n++ {
+			out = append(out, ' ')
+		}
+		out = append(out, c...)
+		if col == cols-1 {
+			out = append(out, '\n')
 		}
 	}
-	line := func(cols []string) error {
-		var b strings.Builder
-		for i, c := range cols {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			b.WriteString(c)
-		}
-		_, err := fmt.Fprintln(w, b.String())
-		return err
+	for col, h := range summaryHeader {
+		put(col, []byte(h))
 	}
-	if err := line(header); err != nil {
-		return err
+	start := 0
+	for k, stop := range ends {
+		put(k%cols, cells[start:stop])
+		start = stop
 	}
-	for _, row := range rows {
-		if err := line(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out
 }

@@ -32,6 +32,10 @@
 //     revisited: a service-lifetime recorder (the gateway's) restarts
 //     virtual time at 0 on every run. Memory is bounded by the highest
 //     window a series has seen.
+//   - Gauges are read, not emitted. A platform samples its occupancy
+//     gauges with a simtime.Sampler, which fires once per quiet span (a run
+//     of windows in which nothing else happens, so no reading can change),
+//     and SetGauge records that one reading into every window of the span.
 package timeseries
 
 import (
@@ -396,17 +400,23 @@ func (r *Recorder) AddCounter(at simtime.Time, id SeriesID, delta int64) {
 	r.mu.Unlock()
 }
 
-// SetGauge stores the latest value of gauge series id in the window
-// containing at. Gauges do not feed the flight recorder (they are sampled
-// periodically, not event-driven). No-op on nil or the zero SeriesID.
-func (r *Recorder) SetGauge(at simtime.Time, id SeriesID, v int64) {
+// SetGauge records v as one reading of gauge series id in every window
+// from the one containing from through the one containing to: a periodic
+// sampler reports a quiet span, over which the reading cannot change, in one
+// call, and an edge-triggered reading passes (now, now). Gauges do not feed
+// the flight recorder, so crossing the fault-window triggers once at to
+// takes the same dumps as crossing them window by window. No-op on nil or
+// the zero SeriesID.
+func (r *Recorder) SetGauge(from, to simtime.Time, id SeriesID, v int64) {
 	if r == nil || id == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.crossTriggers(at)
-	_, p := r.cell(id, at)
-	p.observe(v)
+	r.crossTriggers(to)
+	s, _ := r.cell(id, to)
+	for win := r.windowOf(from); win <= r.windowOf(to); win++ {
+		s.cells[win].observe(v)
+	}
 	r.mu.Unlock()
 }
 
@@ -462,6 +472,9 @@ func (r *Recorder) sealAlarmWindow(now simtime.Time) {
 // occupancy audit reports itself not-applicable. It bounds the burn-rate
 // alarm: the previous run's last latency window, which no later window will
 // seal, is sealed as of its end, and the new run's windows count afresh.
+// It drops the previous run's fault-window starts that were never crossed:
+// the new run's clock would otherwise cross them and dump its own flight
+// ring under a fault plan it does not have.
 func (r *Recorder) StartRun() {
 	if r == nil {
 		return
@@ -471,6 +484,7 @@ func (r *Recorder) StartRun() {
 		r.sealAlarmWindow(simtime.Time(r.alarmWin+1) * r.cfg.Window)
 	}
 	r.alarmWin = noWindow
+	r.trigAt, r.trigNext = nil, 0
 	r.flowRuns++
 	r.mu.Unlock()
 }

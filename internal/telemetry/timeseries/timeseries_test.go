@@ -10,7 +10,7 @@ import (
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.AddCounter(time.Second, r.Series(SeriesRequests, Dims{Node: "n0"}, Counter), 1)
-	r.SetGauge(time.Second, r.Series(SeriesPoolUsedBytes, Dims{}, Gauge), 5)
+	r.SetGauge(time.Second, time.Second, r.Series(SeriesPoolUsedBytes, Dims{}, Gauge), 5)
 	r.ObserveLatency(time.Second, r.Series(SeriesRequestLatency, Dims{}, Sample), time.Second)
 	r.ArmFaultStarts([]time.Duration{time.Second})
 	if r.Rows() != nil || r.Dumps() != nil || Summarize(r) != nil {
@@ -26,7 +26,7 @@ func TestDisabledTimelineZeroAlloc(t *testing.T) {
 	d := Dims{Node: "n0", Tenant: "fn"}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.AddCounter(3*time.Second, r.Series(SeriesRequests, d, Counter), 1)
-		r.SetGauge(3*time.Second, r.Series(SeriesPoolUsedBytes, d, Gauge), 7)
+		r.SetGauge(3*time.Second, 3*time.Second, r.Series(SeriesPoolUsedBytes, d, Gauge), 7)
 		r.ObserveLatency(3*time.Second, r.Series(SeriesRequestLatency, d, Sample), 250*time.Millisecond)
 	})
 	if allocs != 0 {
@@ -41,8 +41,8 @@ func TestWindowedRollups(t *testing.T) {
 	r.AddCounter(100*time.Millisecond, reqs, 1)
 	r.AddCounter(900*time.Millisecond, reqs, 1)
 	r.AddCounter(1100*time.Millisecond, reqs, 1)
-	r.SetGauge(500*time.Millisecond, pool, 10)
-	r.SetGauge(800*time.Millisecond, pool, 20)
+	r.SetGauge(500*time.Millisecond, 500*time.Millisecond, pool, 10)
+	r.SetGauge(800*time.Millisecond, 800*time.Millisecond, pool, 20)
 
 	rows := r.Rows()
 	if len(rows) != 3 {
@@ -116,6 +116,27 @@ func TestFaultWindowDump(t *testing.T) {
 	}
 }
 
+// TestFaultStartsAcrossRuns arms one run's fault starts on a recorder that
+// outlives it, as the gateway's does. A gauge span crosses the starts its
+// end passes, so the first run dumps at 10 s; its 100 s start is never
+// crossed, and the next run, whose clock restarts at 0 under no fault plan,
+// must not dump there.
+func TestFaultStartsAcrossRuns(t *testing.T) {
+	r := NewRecorder(Config{Window: time.Second})
+	pool := r.Series(SeriesPoolUsedBytes, Dims{Node: "pool"}, Gauge)
+	r.StartRun()
+	r.ArmFaultStarts([]time.Duration{10 * time.Second, 100 * time.Second})
+	r.SetGauge(5*time.Second, 20*time.Second, pool, 1)
+	if dumps := r.Dumps(); len(dumps) != 1 || dumps[0].At != 10*time.Second {
+		t.Fatalf("run 1 dumps = %+v, want one at 10s", dumps)
+	}
+	r.StartRun()
+	r.SetGauge(time.Second, 200*time.Second, pool, 2)
+	if dumps := r.Dumps(); len(dumps) != 1 {
+		t.Fatalf("run 2 took a stale fault-window dump: %+v", dumps[1:])
+	}
+}
+
 func TestBurnRateDump(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second, SLO: 100 * time.Millisecond, BurnThreshold: 0.5})
 	lat := r.Series(SeriesRequestLatency, Dims{Node: "n0"}, Sample)
@@ -186,11 +207,11 @@ func TestTimelineEmitAllocationFree(t *testing.T) {
 	lat := r.Series(SeriesRequestLatency, d, Sample)
 	at := 3 * time.Second
 	r.AddCounter(at, reqs, 1)
-	r.SetGauge(at, pool, 1)
+	r.SetGauge(at, at, pool, 1)
 	r.ObserveLatency(at, lat, time.Millisecond)
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.AddCounter(at, r.Series(SeriesRequests, d, Counter), 1)
-		r.SetGauge(at, pool, 7)
+		r.SetGauge(at, at, pool, 7)
 		r.ObserveLatency(at, lat, 250*time.Millisecond)
 	})
 	if allocs != 0 {
@@ -226,9 +247,9 @@ func TestFlightRingBounded(t *testing.T) {
 
 func TestSummarizeAndWriteText(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second})
-	r.SetGauge(500*time.Millisecond, r.Series(SeriesNodeLocalBytes, Dims{Node: "n0"}, Gauge), 2<<20)
-	r.SetGauge(500*time.Millisecond, r.Series(SeriesNodeLocalBytes, Dims{Node: "n1"}, Gauge), 3<<20)
-	r.SetGauge(500*time.Millisecond, r.Series(SeriesPoolUsedBytes, Dims{Node: "pool"}, Gauge), 4<<20)
+	r.SetGauge(500*time.Millisecond, 500*time.Millisecond, r.Series(SeriesNodeLocalBytes, Dims{Node: "n0"}, Gauge), 2<<20)
+	r.SetGauge(500*time.Millisecond, 500*time.Millisecond, r.Series(SeriesNodeLocalBytes, Dims{Node: "n1"}, Gauge), 3<<20)
+	r.SetGauge(500*time.Millisecond, 500*time.Millisecond, r.Series(SeriesPoolUsedBytes, Dims{Node: "pool"}, Gauge), 4<<20)
 	r.AddCounter(600*time.Millisecond, r.Series(SeriesOffloadBytes, Dims{Node: "pool"}, Counter), 1<<20)
 	r.AddCounter(2500*time.Millisecond, r.Series(SeriesFetchRetries, Dims{Node: "pool"}, Counter), 3)
 	r.ObserveLatency(700*time.Millisecond, r.Series(SeriesRequestLatency, Dims{Node: "n0", Tenant: "fn"}, Sample), 40*time.Millisecond)
