@@ -56,28 +56,39 @@ bench-json:
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ./internal/faas ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
 	@echo "raw log with allocs/op: bench_gate.txt"
 
-# Side-by-side ns/op comparison of two trees: the root test binary is built
-# from BASE (a git revision, exported with git archive under a temporary
-# directory) and from the working tree, and the two run the BENCH_AB
-# benchmarks (default: the BENCH_TIMED list) alternately COUNT times, the
-# side that goes first alternating too. cmd/benchjson -ab prints each
-# benchmark's median ns/op, quartiles and paired wins. Committed ns/op
-# snapshots taken at different times on a shared host are not comparable;
-# alternating runs on one host are. It gates nothing.
+# Side-by-side ns/op comparison of two trees: the test binaries of the
+# BENCH_AB_PKGS packages (the root and internal/faas, which owns
+# FaultPrecount, ContainerLaunch and ContainerRequest) are built from BASE
+# (a git revision, exported with git archive under a temporary directory)
+# and from the working tree, and the two sides run the BENCH_AB benchmarks
+# (default: the BENCH_TIMED list) alternately COUNT times, the side that
+# goes first alternating too; each binary runs in its package directory,
+# as go test would run it. cmd/benchjson -ab prints each benchmark's median
+# ns/op, quartiles and paired wins. Committed ns/op snapshots taken at
+# different times on a shared host are not comparable; alternating runs on
+# one host are. It gates nothing.
 #
-#   make bench-ab BASE=HEAD~1 COUNT=10 BENCH_AB='PucketOffloadScan|SemiWarmScan'
+#   make bench-ab BASE=HEAD~1 COUNT=10 BENCH_AB='PucketOffloadScan|ContainerLaunch'
 COUNT ?= 10
 BENCH_AB ?= $(BENCH_TIMED)
+BENCH_AB_PKGS = . internal/faas
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [COUNT=10] [BENCH_AB='A|B']"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" && \
-	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .) && \
-	$(GO) test -c -o "$$tmp/new.test" . && \
+	n=0 && for pkg in $(BENCH_AB_PKGS); do \
+		n=$$((n + 1)); \
+		(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base$$n.test" ./$$pkg) && \
+		$(GO) test -c -o "$$tmp/new$$n.test" ./$$pkg || exit 1; \
+	done && \
 	for i in $$(seq $(COUNT)); do \
 		order="base new"; [ $$((i % 2)) -eq 0 ] && order="new base"; \
 		for side in $$order; do \
-			"$$tmp/$$side.test" -test.run='^$$' -test.bench='^Benchmark($(BENCH_AB))$$' -test.benchmem >> "$$tmp/$$side.log" || exit 1; \
+			tree="$$tmp/base"; [ $$side = new ] && tree="$(CURDIR)"; \
+			n=0 && for pkg in $(BENCH_AB_PKGS); do \
+				n=$$((n + 1)); \
+				(cd "$$tree/$$pkg" && "$$tmp/$$side$$n.test" -test.run='^$$' -test.bench='^Benchmark($(BENCH_AB))$$' -test.benchmem) >> "$$tmp/$$side.log" || exit 1; \
+			done; \
 		done; \
 	done && \
 	$(GO) run ./cmd/benchjson -ab "$$tmp/base.log" "$$tmp/new.log"
@@ -109,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadTraceJSON$$'     -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzReadProfiles$$'      -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzRunSpec$$'           -fuzztime=$(FUZZTIME) ./internal/experiments
+	$(GO) test -run='^$$' -fuzz='^FuzzParseRun$$'          -fuzztime=$(FUZZTIME) ./internal/drilldown
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkflowDAG$$'       -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzTouchWalk$$'         -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeDomains$$'      -fuzztime=$(FUZZTIME) ./internal/memnode

@@ -10,50 +10,36 @@ import (
 // PSI tracks memory pressure-stall information for one container, following
 // the shape of Linux's PSI accounting that TMO's feedback loop consumes
 // (paper §2.2, TMO reference [65]): the fraction of wall time recently spent
-// stalled on memory (here: waiting on remote-memory faults), exposed as
-// exponentially-decayed averages over 10 s, 60 s and 300 s horizons, plus a
-// cumulative total.
+// stalled on memory (here: waiting on remote-memory faults), exposed as an
+// exponentially-decayed average over a 10 s horizon, the kernel's avg10.
 type PSI struct {
 	last  simtime.Time
 	avg10 float64
-	avg60 float64
-	avg3m float64
-	total time.Duration
 }
 
 // NewPSI starts PSI accounting at virtual time start.
 func NewPSI(start simtime.Time) *PSI { return &PSI{last: start} }
 
-const (
-	psiWin10 = 10.0
-	psiWin60 = 60.0
-	psiWin3m = 300.0
-)
+const psiWin10 = 10.0
 
-// decayTo ages the averages forward to now with their window half-lives.
+// decayTo ages the average forward to now with its window half-life.
 func (p *PSI) decayTo(now simtime.Time) {
 	if now <= p.last {
 		return
 	}
 	dt := (now - p.last).Seconds()
 	p.avg10 *= math.Exp2(-dt / psiWin10)
-	p.avg60 *= math.Exp2(-dt / psiWin60)
-	p.avg3m *= math.Exp2(-dt / psiWin3m)
 	p.last = now
 }
 
 // AddStall records a stall of duration d that completed at virtual time now.
-// Each average absorbs the stall as "stalled seconds per window second".
+// The average absorbs the stall as "stalled seconds per window second".
 func (p *PSI) AddStall(now simtime.Time, d time.Duration) {
 	if d < 0 {
 		panic("cgroup: negative stall")
 	}
 	p.decayTo(now)
-	s := d.Seconds()
-	p.avg10 += s / psiWin10
-	p.avg60 += s / psiWin60
-	p.avg3m += s / psiWin3m
-	p.total += d
+	p.avg10 += d.Seconds() / psiWin10
 }
 
 // Avg10 returns the ~10 s stall fraction as of now (0 = no pressure;
@@ -63,18 +49,3 @@ func (p *PSI) Avg10(now simtime.Time) float64 {
 	p.decayTo(now)
 	return p.avg10
 }
-
-// Avg60 returns the ~60 s stall fraction as of now.
-func (p *PSI) Avg60(now simtime.Time) float64 {
-	p.decayTo(now)
-	return p.avg60
-}
-
-// Avg300 returns the ~300 s stall fraction as of now.
-func (p *PSI) Avg300(now simtime.Time) float64 {
-	p.decayTo(now)
-	return p.avg3m
-}
-
-// Total returns cumulative stall time.
-func (p *PSI) Total() time.Duration { return p.total }

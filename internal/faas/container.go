@@ -28,7 +28,6 @@ type Container struct {
 	p     *Platform
 
 	space *pagemem.Space
-	cg    *cgroup.Group
 	psi   *cgroup.PSI
 	pol   policy.ContainerPolicy
 	rng   *rand.Rand
@@ -40,9 +39,11 @@ type Container struct {
 	runtimeRange pagemem.Range
 	initRange    pagemem.Range
 	// execPages is the exec segment's size. Its temporaries hold no page
-	// state: a request in flight is charged their bytes, and completion
-	// uncharges them (paper §3.3); no policy ever monitors them (§4).
-	execPages int
+	// state: a request in flight is charged their bytes (execCharge, zero
+	// between requests), and completion uncharges them (paper §3.3); no
+	// policy ever monitors them (§4).
+	execPages  int
+	execCharge int64
 
 	requests  int
 	idle      bool
@@ -97,7 +98,6 @@ func (p *Platform) launch(f *Function) *Container {
 		fn:       f,
 		p:        p,
 		space:    pagemem.NewSpace(p.cfg.PageSize),
-		cg:       p.nodeCG.NewChild(id, now),
 		psi:      cgroup.NewPSI(now),
 		rng:      lazyrand.New(p.rng.Int63()),
 		launched: now,
@@ -122,11 +122,9 @@ func (p *Platform) launch(f *Function) *Container {
 // Runtime-Init time barrier.
 func (c *Container) runtimeLoaded(now simtime.Time) {
 	c.runtimeRange = c.space.AllocBytes(pagemem.SegRuntime, c.fn.profile.RuntimeBytes)
-	bytes := c.space.BytesOf(c.runtimeRange.Len())
-	c.cg.Charge(now, bytes)
+	c.p.account(now, c.space.BytesOf(c.runtimeRange.Len()))
 	c.loadedAt = now
 	c.p.tel.Barrier(telemetry.StageRuntime, c.launched, now, c.id, c.fn.id, c.runtimeRange.Len())
-	c.p.syncMemGauges()
 	c.p.enforceMemoryLimit(now)
 	c.pol.RuntimeLoaded(c.p.engine)
 }
@@ -135,10 +133,8 @@ func (c *Container) runtimeLoaded(now simtime.Time) {
 // time barrier.
 func (c *Container) initDone(now simtime.Time) {
 	c.initRange = c.space.AllocBytes(pagemem.SegInit, c.fn.profile.InitBytes)
-	initBytes := c.space.BytesOf(c.initRange.Len())
-	c.cg.Charge(now, initBytes)
+	c.p.account(now, c.space.BytesOf(c.initRange.Len()))
 	c.p.tel.Barrier(telemetry.StageInit, c.loadedAt, now, c.id, c.fn.id, c.initRange.Len())
-	c.p.syncMemGauges()
 	c.p.enforceMemoryLimit(now)
 	c.pol.InitDone(c.p.engine)
 }
@@ -164,7 +160,8 @@ func (c *Container) execute(arrival simtime.Time) {
 	prof := c.fn.profile
 
 	// Exec-segment temporaries come to life.
-	c.cg.Charge(now, c.space.BytesOf(c.execPages))
+	c.execCharge = c.space.BytesOf(c.execPages)
+	c.p.account(now, c.execCharge)
 	c.p.enforceMemoryLimit(now)
 
 	c.pol.RequestStart(e)
@@ -213,10 +210,8 @@ func (c *Container) execute(arrival simtime.Time) {
 			c.p.swap.NoteClusterRead(readahead)
 		}
 		recalled := int64(faults+readahead) * pageBytes
-		c.cg.Recall(now, recalled)
-		c.p.syncMemGauges()
+		c.p.account(now, recalled, -recalled)
 		c.p.enforceMemoryLimit(now)
-		c.p.swap.Release(faults + readahead)
 		c.fn.stats.FaultPages += int64(faults)
 		c.p.tel.FaultStall(now, faultLat, c.id, c.fn.id, fc, ra)
 	}
@@ -276,13 +271,12 @@ func (c *Container) priceRuntimeWrites(now simtime.Time) rmem.FaultStall {
 	if out.Recalled > 0 {
 		// The node had no room for the private copy: those pages come home.
 		// Flip that many remote runtime pages local (they were just
-		// written, so they land hot) and release their swap slots.
+		// written, so they land hot), which frees their swap slots.
 		r, _ := c.space.Prefix(c.runtimeRange, pagemem.Remote, out.Recalled)
 		c.space.MoveRange(r, pagemem.Remote, pagemem.Hot)
-		c.cg.Recall(now, int64(out.Recalled)*pageBytes)
-		c.p.syncMemGauges()
+		recalled := int64(out.Recalled) * pageBytes
+		c.p.account(now, recalled, -recalled)
 		c.p.enforceMemoryLimit(now)
-		c.p.swap.Release(out.Recalled)
 	}
 	c.fn.stats.WriteBreakPages += int64(out.Pages)
 	c.fn.stats.WriteBreakRecallPages += int64(out.Recalled)
@@ -457,7 +451,8 @@ func (c *Container) finishRequest() {
 	arrival := c.arrival
 
 	// Exec temporaries are freed immediately on completion (paper §3.3).
-	c.cg.Uncharge(now, c.space.BytesOf(c.execPages))
+	c.p.account(now, -c.execCharge)
+	c.execCharge = 0
 
 	c.requests++
 	c.fn.stats.Requests++
@@ -471,7 +466,6 @@ func (c *Container) finishRequest() {
 	default:
 		c.fn.stats.DoneNormal++
 	}
-	c.p.syncMemGauges()
 	c.fn.stats.Latency.AddDuration(now - arrival)
 	c.fn.stats.ExecLatency.AddDuration(now - c.started)
 	c.p.reqLog.Push(RequestRecord{
@@ -654,19 +648,16 @@ func (c *Container) recycle() {
 	if i := slices.Index(c.fn.idle, c); i >= 0 {
 		c.fn.idle = slices.Delete(c.fn.idle, i, i+1)
 	}
-	// The cgroup's local bytes include an in-flight request's exec charge
-	// (a cold re-init recycles mid-request).
+	// A cold re-init recycles mid-request, so the local bytes dropped
+	// include the in-flight exec charge.
 	remote := c.space.RemoteBytes()
-	c.cg.Uncharge(now, c.cg.LocalBytes())
-	c.cg.DropRemote(now, remote)
+	c.p.account(now, -c.localBytes(), -remote)
 	c.p.pool.DiscardOwner(now, c.owner, c.fn.id, remote)
-	c.p.swap.Release(c.space.CountState(pagemem.Remote))
 
 	c.p.addLive(now, -1)
 	c.p.liveTotal--
 	c.fn.live--
 	c.p.tel.Recycle(now, c.id, c.fn.id, remote, c.p.liveTotal)
-	c.p.syncMemGauges()
 	c.pol.Recycle(c.p.engine)
 }
 
@@ -700,12 +691,13 @@ func (c *Container) Idle() bool { return c.idle }
 // average over the short (~10 s) window — what TMO's feedback loop watches.
 func (c *Container) StallFraction() float64 { return c.psi.Avg10(c.p.engine.Now()) }
 
-// PSI exposes the container's pressure-stall accounting.
-func (c *Container) PSI() *cgroup.PSI { return c.psi }
+// localBytes returns the container's local residency: its resident pages
+// plus an in-flight request's exec charge.
+func (c *Container) localBytes() int64 { return c.space.LocalBytes() + c.execCharge }
 
-// MemoryBytes implements policy.View: the container cgroup's local plus
-// remote bytes.
-func (c *Container) MemoryBytes() int64 { return c.cg.LocalBytes() + c.cg.RemoteBytes() }
+// MemoryBytes implements policy.View: the container's local plus remote
+// bytes (the kernel's memory.current).
+func (c *Container) MemoryBytes() int64 { return c.localBytes() + c.space.RemoteBytes() }
 
 // OffloadScale implements policy.View: the node's bandwidth-governor factor.
 func (c *Container) OffloadScale() float64 {
@@ -714,9 +706,6 @@ func (c *Container) OffloadScale() float64 {
 
 // Telemetry implements policy.View: the platform's attached hub.
 func (c *Container) Telemetry() *telemetry.Hub { return &c.p.tel }
-
-// Cgroup exposes the container's memory accounting (read-only use).
-func (c *Container) Cgroup() *cgroup.Group { return c.cg }
 
 // IdleSince reports when the container last became idle (meaningful only
 // while Idle() is true).
@@ -738,7 +727,7 @@ func (c *Container) greedyDualPriority() float64 {
 // OffloadPages implements policy.View: it moves the selected local pages to
 // the remote pool, at most max of them (max <= 0: no limit), clamped to what
 // the link and swap device accept and admitted per lifecycle class by the
-// pool, charging the cgroup, node accounting and link bandwidth.
+// pool, charging the node ledger and link bandwidth.
 func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max int) int {
 	if c.dead {
 		return 0
@@ -759,7 +748,7 @@ func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, ma
 	if budget := int(c.p.pool.AcceptableBytes(now) / pageBytes); budget < total {
 		total = budget
 	}
-	granted := c.p.swap.Allocate(total)
+	granted := c.p.swap.Grant(c.p.remotePages(), total)
 	// Describe the first granted candidates by lifecycle class; the pool
 	// (and its memory node, when attached) admits per class.
 	var counts rmem.ClassCounts
@@ -775,26 +764,20 @@ func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, ma
 	accepted, start, done, err := c.p.pool.OffloadDescribed(now, c.owner, c.fn.id, counts, pageBytes)
 	if err != nil {
 		// The capacity clamp above should prevent this (ErrPoolFull);
-		// candidates stay local and keep their swap slots released.
-		c.p.swap.Release(granted)
+		// candidates stay local.
 		return 0
 	}
+	// Node-rejected pages stay local and hold no swap slot.
 	moved := c.movePieces(pieces, granted, accepted)
-	if moved < granted {
-		// Return the slots we claimed but did not fill (node-rejected
-		// pages).
-		c.p.swap.Release(granted - moved)
-	}
 	if moved == 0 {
 		return 0
 	}
 	bytes := int64(moved) * pageBytes
-	c.cg.Offload(now, bytes)
+	c.p.account(now, -bytes, bytes)
 	// The accepted per-class counts are the moved pages by lifecycle segment
 	// (memnode.Class numbering matches telemetry.Stage), so every sink shows
 	// which Pucket the savings came from.
 	c.p.tel.OffloadBatch(now, start, done, c.id, c.fn.id, accepted, bytes)
-	c.p.syncMemGauges()
 	return moved
 }
 

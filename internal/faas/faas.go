@@ -278,7 +278,10 @@ type Platform struct {
 	fns     map[string]*Function
 	fnOrder []string
 
-	nodeCG     *cgroup.Group
+	// mem is the node's memory ledger. A container's own residency is
+	// derived from its Space (see Container.localBytes), and every remote
+	// page holds one swap slot.
+	mem        cgroup.Ledger
 	liveTW     *metrics.TimeWeighted
 	governor   *rmem.Governor
 	swap       *fastswap.Device
@@ -313,7 +316,7 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 		pol:      pol,
 		rng:      lazyrand.New(c.Seed),
 		fns:      make(map[string]*Function),
-		nodeCG:   cgroup.New("node", engine.Now()),
+		mem:      cgroup.NewLedger(engine.Now()),
 		liveTW:   metrics.NewTimeWeighted(engine.Now(), 0),
 		governor: rmem.NewGovernor(pool, 0.7),
 		swap:     fastswap.NewDevice(c.Swap),
@@ -486,21 +489,34 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 	})
 }
 
+// account applies one container's residency change at now to the node
+// ledger (see cgroup.Ledger.Apply) and syncs the node memory and swap-slot
+// gauges.
+func (p *Platform) account(now simtime.Time, local int64, remote ...int64) {
+	p.mem.Apply(now, local, remote...)
+	p.tel.NodeMemory(p.NodeLocalBytes(), p.NodeRemoteBytes())
+	p.swap.SetUsed(p.remotePages())
+}
+
+// remotePages returns the node's remote pages, which are its occupied swap
+// slots.
+func (p *Platform) remotePages() int { return int(p.NodeRemoteBytes() / int64(p.cfg.PageSize)) }
+
 // NodeLocalBytes returns the node's current local memory consumption across
 // all containers.
-func (p *Platform) NodeLocalBytes() int64 { return p.nodeCG.LocalBytes() }
+func (p *Platform) NodeLocalBytes() int64 { return p.mem.LocalBytes() }
 
 // NodeLocalAvg returns the time-weighted average node-local memory in bytes.
-func (p *Platform) NodeLocalAvg() float64 { return p.nodeCG.AvgLocalBytes(p.engine.Now()) }
+func (p *Platform) NodeLocalAvg() float64 { return p.mem.AvgLocalBytes(p.engine.Now()) }
 
 // NodeLocalPeak returns the peak node-local memory in bytes.
-func (p *Platform) NodeLocalPeak() int64 { return p.nodeCG.PeakLocalBytes() }
+func (p *Platform) NodeLocalPeak() int64 { return p.mem.PeakLocalBytes() }
 
 // NodeRemoteBytes returns current remote residency across all containers.
-func (p *Platform) NodeRemoteBytes() int64 { return p.nodeCG.RemoteBytes() }
+func (p *Platform) NodeRemoteBytes() int64 { return p.mem.RemoteBytes() }
 
 // NodeRemoteAvg returns the time-weighted average remote residency in bytes.
-func (p *Platform) NodeRemoteAvg() float64 { return p.nodeCG.AvgRemoteBytes(p.engine.Now()) }
+func (p *Platform) NodeRemoteAvg() float64 { return p.mem.AvgRemoteBytes(p.engine.Now()) }
 
 // LiveContainers returns the number of containers currently alive on the
 // node.

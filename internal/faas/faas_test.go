@@ -106,6 +106,33 @@ func TestKeepAliveExpiryReleasesMemory(t *testing.T) {
 	}
 }
 
+// TestNodeLedger checks Platform.account on its own: a charge adds local
+// bytes, an offload or recall moves bytes between local and remote, a
+// recycle drops both, and the averages and the peak are time-weighted over
+// the platform's lifetime.
+func TestNodeLedger(t *testing.T) {
+	e, p := newTestPlatform(policy.NoOffload{})
+	at := func(s int) simtime.Time { return simtime.Time(time.Duration(s) * time.Second) }
+	p.account(0, 1000)            // charge
+	p.account(at(10), -400, 400)  // offload
+	p.account(at(20), 100, -100)  // recall
+	p.account(at(30), -700, -300) // recycle
+	if p.NodeLocalBytes() != 0 || p.NodeRemoteBytes() != 0 {
+		t.Fatalf("after recycle local/remote = %d/%d, want 0/0", p.NodeLocalBytes(), p.NodeRemoteBytes())
+	}
+	e.RunUntil(at(40))
+	// Local: 1000, 600, 700, 0 for 10 s each; remote: 0, 400, 300, 0.
+	if got := p.NodeLocalAvg(); got != 575 {
+		t.Errorf("NodeLocalAvg = %v, want 575", got)
+	}
+	if got := p.NodeRemoteAvg(); got != 175 {
+		t.Errorf("NodeRemoteAvg = %v, want 175", got)
+	}
+	if got := p.NodeLocalPeak(); got != 1000 {
+		t.Errorf("NodeLocalPeak = %d, want 1000", got)
+	}
+}
+
 func TestNodeMemoryDuringKeepAlive(t *testing.T) {
 	e, p := newTestPlatform(policy.NoOffload{})
 	p.Register("f", tinyProfile())
@@ -340,7 +367,7 @@ func TestSwapSlotsLimitOffloading(t *testing.T) {
 	f := p.Register("f", tinyProfile())
 	p.ScheduleInvocations("f", []simtime.Time{0})
 	e.RunUntil(2 * time.Second)
-	if got := p.Swap().Used(); got != 16 {
+	if got := p.remotePages(); got != 16 {
 		t.Fatalf("swap used = %d, want full 16 slots", got)
 	}
 	fc := f.IdleContainer()
@@ -349,7 +376,7 @@ func TestSwapSlotsLimitOffloading(t *testing.T) {
 	}
 	// Slots come back at recycle.
 	e.Run()
-	if got := p.Swap().Used(); got != 0 {
+	if got := p.remotePages(); got != 0 {
 		t.Fatalf("swap used after recycle = %d", got)
 	}
 }
@@ -360,9 +387,9 @@ func TestSwapSlotsReleasedOnFault(t *testing.T) {
 	p.Register("f", tinyProfile())
 	p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
 	var afterOffload, afterFault int
-	e.At(1500*time.Millisecond, func(*simtime.Engine) { afterOffload = p.Swap().Used() })
+	e.At(1500*time.Millisecond, func(*simtime.Engine) { afterOffload = p.remotePages() })
 	// Sample mid-execution of the second request (it re-offloads at idle).
-	e.At(2050*time.Millisecond, func(*simtime.Engine) { afterFault = p.Swap().Used() })
+	e.At(2050*time.Millisecond, func(*simtime.Engine) { afterFault = p.remotePages() })
 	e.RunUntil(5 * time.Second)
 	if afterOffload == 0 {
 		t.Fatal("no slots allocated by offload")
@@ -383,7 +410,7 @@ func TestReadaheadReducesFaults(t *testing.T) {
 		f := p.Register("f", tinyProfile())
 		p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
 		e.RunUntil(5 * time.Second)
-		return f.Stats().FaultPages, f.IdleContainer().Cgroup().RecalledBytes()
+		return f.Stats().FaultPages, p.Pool().Meter(rmem.Recall).Total()
 	}
 	f0, r0 := run(0)
 	f8, r8 := run(8)

@@ -182,10 +182,10 @@ func TestMemNodeLedgerInvariantsRandomized(t *testing.T) {
 		if got, want := p.Pool().Used(), int64(0); got != want {
 			t.Fatalf("seed %d: pool ledger %d after drain, want 0", seed, got)
 		}
-		// The node cgroup must drain too: a recycle mid-request (cold
+		// The node ledger must drain too: a recycle mid-request (cold
 		// re-init) takes the in-flight exec charge with it.
 		if local, remote := p.NodeLocalBytes(), p.NodeRemoteBytes(); local != 0 || remote != 0 {
-			t.Fatalf("seed %d: node cgroup holds %d local, %d remote bytes after drain, want 0", seed, local, remote)
+			t.Fatalf("seed %d: node ledger holds %d local, %d remote bytes after drain, want 0", seed, local, remote)
 		}
 		agg := p.Aggregate()
 		rec := p.Recovery()

@@ -306,8 +306,8 @@ func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selec
 // the expanded page list, with the budget truncating the batch and
 // admission trimming random classes. A second pass runs the same lists
 // through OffloadPages on a platform whose pool, memory node and swap
-// device truncate, and checks the pages moved and the cgroup's remote
-// bytes against Space.RemoteBytes.
+// device truncate, and checks the pages moved and the node ledger's local
+// and remote bytes against the Space's.
 func TestOffloadMatchesPerPageMove(t *testing.T) {
 	for seed := int64(1); seed <= 80; seed++ {
 		// The piece count keeps its pieces in platform scratch.
@@ -362,10 +362,11 @@ func TestOffloadMatchesPerPageMove(t *testing.T) {
 			Swap: fastswap.Config{Slots: slots},
 		}, policy.NoOffload{})
 		fast.p, fast.fn, fast.owner = p, &Function{id: "f"}, "f#1"
-		fast.cg = p.nodeCG.NewChild("f#1", 0)
-		fast.cg.Charge(0, fast.space.TotalBytes())
-		fast.cg.Offload(0, fast.space.RemoteBytes())
-		granted := min(len(ids), int(p.pool.AcceptableBytes(0)/pageB), slots)
+		// Book the container's residency in the node ledger, so its remote
+		// pages hold swap slots as they would after real offloads.
+		p.account(0, fast.space.LocalBytes(), fast.space.RemoteBytes())
+		freeSlots := max(slots-fast.space.CountState(pagemem.Remote), 0)
+		granted := min(len(ids), int(p.pool.AcceptableBytes(0)/pageB), freeSlots)
 		before := remoteByClass(fast)
 		moved := fast.OffloadPages(e, sels, limit)
 		after := remoteByClass(fast)
@@ -378,8 +379,11 @@ func TestOffloadMatchesPerPageMove(t *testing.T) {
 			t.Fatalf("seed %d: OffloadPages moved %d pages, want %d", seed, moved, len(wantMoved))
 		}
 		sameContainer(t, "OffloadPages", fast, slow)
-		if g, w := fast.cg.RemoteBytes(), fast.space.RemoteBytes(); g != w {
-			t.Fatalf("seed %d: cgroup remote %d bytes, space remote %d", seed, g, w)
+		if g, w := p.NodeRemoteBytes(), fast.space.RemoteBytes(); g != w {
+			t.Fatalf("seed %d: node remote %d bytes, space remote %d", seed, g, w)
+		}
+		if g, w := p.NodeLocalBytes(), fast.space.LocalBytes(); g != w {
+			t.Fatalf("seed %d: node local %d bytes, space local %d", seed, g, w)
 		}
 	}
 }

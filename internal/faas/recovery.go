@@ -153,10 +153,9 @@ func (c *Container) recoverFetch(stall rmem.FaultStall) {
 		all[memnode.ClassRuntime] = runtimeFaults + runtimeRA
 		all[memnode.ClassInit] = initFaults + initRA
 		c.p.pool.RecallLocal(now, c.owner, c.fn.id, all, pageBytes)
-		c.cg.Recall(now, int64(pages)*pageBytes)
-		c.p.syncMemGauges()
+		recalled := int64(pages) * pageBytes
+		c.p.account(now, recalled, -recalled)
 		c.p.enforceMemoryLimit(now)
-		c.p.swap.Release(pages)
 		c.fn.stats.FaultPages += int64(faults)
 		c.fn.stats.RuntimeFaultPages += int64(runtimeFaults)
 		c.fn.stats.InitFaultPages += int64(initFaults)

@@ -30,8 +30,3 @@ func (p *Platform) armTimeline(poolOwner bool) {
 		}
 	})
 }
-
-// syncMemGauges samples the node memory gauges after an accounting change.
-func (p *Platform) syncMemGauges() {
-	p.tel.NodeMemory(p.nodeCG.LocalBytes(), p.nodeCG.RemoteBytes())
-}

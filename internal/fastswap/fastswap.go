@@ -6,8 +6,10 @@
 // The remote pool (rmem) models the wire; this package models the kernel
 // side: a finite slot space that can fill up independently of pool capacity,
 // and the virtually-contiguous prefetch window that turns one fault into a
-// cluster read. Readahead is the hook for the §10 "prefetching remote
-// memory" (Leap) extension.
+// cluster read. Every remote page holds one slot, so the device keeps no
+// occupancy count of its own: callers pass the node's remote page count.
+// Readahead is the hook for the §10 "prefetching remote memory" (Leap)
+// extension.
 package fastswap
 
 import (
@@ -37,8 +39,7 @@ type Config struct {
 // Device is one node's swap device. The zero value is not usable; construct
 // with NewDevice.
 type Device struct {
-	cfg  Config
-	used int
+	cfg Config
 
 	clusterReads  int64             // cluster reads served (faults that pulled readahead)
 	clusterPages  int64             // pages prefetched by cluster reads
@@ -76,53 +77,25 @@ func (d *Device) Instrument(reg *telemetry.Registry) {
 	d.fallbackPgsM = reg.Counter("faasmem_swap_fallback_pages_total", "pages served from the local write-through copy after a pool fetch timeout")
 }
 
-// Used returns occupied slots.
-func (d *Device) Used() int { return d.used }
-
-// Free returns remaining slots; -1 means unlimited.
-func (d *Device) Free() int {
-	if d.cfg.Slots == 0 {
-		return -1
-	}
-	return d.cfg.Slots - d.used
-}
-
-// Allocate claims up to n slots and returns how many were granted. Swap-out
-// beyond the grant must stay in local memory, exactly as a full swapfile
-// fails page-out in the kernel.
-func (d *Device) Allocate(n int) int {
+// Grant returns how many of n pages may be swapped out while used slots are
+// occupied. Swap-out beyond the grant must stay in local memory, exactly as
+// a full swapfile fails page-out in the kernel.
+func (d *Device) Grant(used, n int) int {
 	if n < 0 {
 		panic("fastswap: negative allocation")
 	}
 	if d.cfg.Slots == 0 {
-		d.used += n
-		d.slotsUsed.Set(int64(d.used))
 		return n
 	}
-	free := d.cfg.Slots - d.used
-	if n > free {
-		n = free
+	if free := d.cfg.Slots - used; n > free {
 		d.truncations.Inc()
+		return max(free, 0)
 	}
-	if n < 0 {
-		n = 0
-	}
-	d.used += n
-	d.slotsUsed.Set(int64(d.used))
 	return n
 }
 
-// Release returns n slots to the freelist (swap-in or container teardown).
-func (d *Device) Release(n int) {
-	if n < 0 {
-		panic("fastswap: negative release")
-	}
-	d.used -= n
-	if d.used < 0 {
-		d.used = 0
-	}
-	d.slotsUsed.Set(int64(d.used))
-}
+// SetUsed records used occupied slots on the slot gauge.
+func (d *Device) SetUsed(used int) { d.slotsUsed.Set(int64(used)) }
 
 // Readahead reports the prefetch window for one fault (0 = disabled).
 func (d *Device) Readahead() int { return d.cfg.ReadaheadPages }

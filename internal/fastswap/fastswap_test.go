@@ -1,49 +1,73 @@
 package fastswap
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/faasmem/faasmem/internal/telemetry"
+)
+
+// instrumented returns a device sized to slots with its metrics attached.
+func instrumented(slots int) (*Device, *telemetry.Registry) {
+	d := NewDevice(Config{Slots: slots})
+	reg := telemetry.NewRegistry()
+	d.Instrument(reg)
+	return d, reg
+}
+
+func truncations(reg *telemetry.Registry) int64 {
+	return reg.Counter("faasmem_swap_full_truncations_total", "").Value()
+}
 
 func TestAllocateWithinCapacity(t *testing.T) {
-	d := NewDevice(Config{Slots: 10})
-	if got := d.Allocate(4); got != 4 {
-		t.Fatalf("Allocate(4) = %d", got)
+	d, reg := instrumented(10)
+	if got := d.Grant(0, 4); got != 4 {
+		t.Fatalf("Grant(0, 4) = %d", got)
 	}
-	if d.Used() != 4 || d.Free() != 6 {
-		t.Fatalf("used/free = %d/%d", d.Used(), d.Free())
+	// Filling the last free slot exactly is not a truncation.
+	if got := d.Grant(4, 6); got != 6 {
+		t.Fatalf("Grant(4, 6) = %d", got)
+	}
+	if n := truncations(reg); n != 0 {
+		t.Fatalf("%d truncations within capacity", n)
 	}
 }
 
 func TestAllocateTruncatesAtCapacity(t *testing.T) {
-	d := NewDevice(Config{Slots: 10})
-	d.Allocate(8)
-	if got := d.Allocate(5); got != 2 {
+	d, reg := instrumented(10)
+	if got := d.Grant(8, 5); got != 2 {
 		t.Fatalf("over-allocation granted %d, want 2", got)
 	}
-	if got := d.Allocate(1); got != 0 {
+	if got := d.Grant(10, 1); got != 0 {
 		t.Fatalf("full device granted %d", got)
+	}
+	if n := truncations(reg); n != 2 {
+		t.Fatalf("truncations = %d, want 2", n)
 	}
 }
 
 func TestReleaseReturnsSlots(t *testing.T) {
-	d := NewDevice(Config{Slots: 10})
-	d.Allocate(10)
-	d.Release(4)
-	if d.Free() != 4 {
-		t.Fatalf("free after release = %d", d.Free())
+	// The grant follows the caller's occupancy: slots freed by swap-in or
+	// teardown are grantable again, and the gauge shows what it is told.
+	d, reg := instrumented(10)
+	if got := d.Grant(10, 4); got != 0 {
+		t.Fatalf("full device granted %d", got)
 	}
-	// Over-release clamps rather than going negative.
-	d.Release(100)
-	if d.Used() != 0 {
-		t.Fatalf("used after over-release = %d", d.Used())
+	d.SetUsed(6)
+	if got := d.Grant(6, 10); got != 4 {
+		t.Fatalf("after release granted %d, want 4", got)
+	}
+	if got := reg.Gauge("faasmem_swap_slots_used", "").Value(); got != 6 {
+		t.Fatalf("slot gauge = %d, want 6", got)
 	}
 }
 
 func TestUnlimitedDevice(t *testing.T) {
-	d := NewDevice(Config{})
-	if got := d.Allocate(1 << 20); got != 1<<20 {
-		t.Fatalf("unlimited allocate = %d", got)
+	d, reg := instrumented(0)
+	if got := d.Grant(1<<30, 1<<20); got != 1<<20 {
+		t.Fatalf("unlimited grant = %d", got)
 	}
-	if d.Free() != -1 {
-		t.Fatalf("unlimited free = %d, want -1 sentinel", d.Free())
+	if n := truncations(reg); n != 0 {
+		t.Fatalf("unlimited device truncated %d times", n)
 	}
 }
 
@@ -59,8 +83,7 @@ func TestReadaheadConfig(t *testing.T) {
 func TestNegativePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"slots":    func() { NewDevice(Config{Slots: -1}) },
-		"allocate": func() { NewDevice(Config{}).Allocate(-1) },
-		"release":  func() { NewDevice(Config{}).Release(-1) },
+		"allocate": func() { NewDevice(Config{}).Grant(0, -1) },
 	} {
 		func() {
 			defer func() {

@@ -6,8 +6,8 @@
 // the stage boundaries the paper's analysis is built on (runtime loaded,
 // init done, request start/end, idle, recycle). Policies act on the
 // container through the View interface; local→remote movement must go
-// through View.OffloadPages so that cgroup accounting, pool capacity, and
-// link bandwidth are charged consistently, and what a policy reports goes
+// through View.OffloadPages so that node memory accounting, pool capacity,
+// and link bandwidth are charged consistently, and what a policy reports goes
 // through View.Telemetry's emit methods. Victims travel as
 // pagemem.Selection lists — (range, state) pairs such as a Pucket's
 // inactive list, a cold DAMON region's local pages or TMO's idle prefix —
@@ -51,7 +51,7 @@ type View interface {
 	// on remote-memory faults — the simulation's stand-in for TMO's PSI.
 	StallFraction() float64
 	// OffloadPages moves the selected pages to the remote pool, charging
-	// cgroup accounting and link bandwidth. Pages are taken in (selection,
+	// node memory accounting and link bandwidth. Pages are taken in (selection,
 	// page) order up to max of them (max <= 0: no limit); a selected page
 	// that is not local (inactive or hot) is skipped. Selections must select
 	// disjoint pages: a page selected twice would be counted, moved and
@@ -59,9 +59,9 @@ type View interface {
 	// fewer than selected means the budget, the pool or the link truncated
 	// the batch.
 	OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max int) int
-	// MemoryBytes is the container cgroup's local plus remote bytes, the
-	// kernel's memory.current: its page-state bytes plus the exec segment
-	// charged to a request in flight.
+	// MemoryBytes is the container's local plus remote bytes, the kernel's
+	// memory-cgroup memory.current: its page-state bytes plus the exec
+	// segment charged to a request in flight.
 	MemoryBytes() int64
 	// OffloadScale returns the platform bandwidth governor's current factor
 	// in (0, 1]: gradual offloaders multiply their per-tick budget by it so
