@@ -34,7 +34,8 @@ bench:
 # micro-benches, the fault pre-count (FaultPrecount), one cold start
 # (ContainerLaunch) and one warm request on a warm container
 # (ContainerRequest, whose allocs/op is 0), all three in internal/faas
-# beside the unexported code they time, snapshotted as machine-readable JSON (the CI perf artifact;
+# beside the unexported code they time, and the run list's worst case
+# (FragmentedSpace, in internal/pagemem), snapshotted as machine-readable JSON (the CI perf artifact;
 # see cmd/benchjson). One run feeds three artifacts: the raw log
 # (bench_gate.txt, which records allocs/op for the regression gate), the JSON
 # snapshot, and a per-bench speedup table against the latest committed
@@ -49,16 +50,17 @@ bench:
 # benches repeat one identical workload and keep time-based b.N.
 BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
 BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
-BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|FaultPrecount|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|FaultPrecount|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|FragmentedSpace
 bench-json:
 	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ./internal/faas ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
+	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ./internal/faas ./internal/pagemem ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
 	@echo "raw log with allocs/op: bench_gate.txt"
 
 # Side-by-side ns/op comparison of two trees: the test binaries of the
-# BENCH_AB_PKGS packages (the root and internal/faas, which owns
-# FaultPrecount, ContainerLaunch and ContainerRequest) are built from BASE
+# BENCH_AB_PKGS packages (the root; internal/faas, which owns
+# FaultPrecount, ContainerLaunch and ContainerRequest; and internal/pagemem,
+# which owns FragmentedSpace) are built from BASE
 # (a git revision, exported with git archive under a temporary directory)
 # and from the working tree, and the two sides run the BENCH_AB benchmarks
 # (default: the BENCH_TIMED list) alternately COUNT times, the side that
@@ -71,7 +73,7 @@ bench-json:
 #   make bench-ab BASE=HEAD~1 COUNT=10 BENCH_AB='PucketOffloadScan|ContainerLaunch'
 COUNT ?= 10
 BENCH_AB ?= $(BENCH_TIMED)
-BENCH_AB_PKGS = . internal/faas
+BENCH_AB_PKGS = . internal/faas internal/pagemem
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [COUNT=10] [BENCH_AB='A|B']"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

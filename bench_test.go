@@ -188,9 +188,7 @@ func BenchmarkFig15Rollback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Promote the hot set, then roll it back.
 		hot := pucket.Seg.Start + pagemem.PageID(prof.InitHotBytes/int64(space.PageSize()))
-		for id := pucket.Seg.Start; id < hot; id++ {
-			space.SetState(id, pagemem.Hot)
-		}
+		space.MoveRange(pagemem.Range{Start: pucket.Seg.Start, End: hot}, pagemem.Inactive, pagemem.Hot)
 		pucket.Rollback(space)
 	}
 }
@@ -333,17 +331,15 @@ func BenchmarkEngineTimerWheel(b *testing.B) {
 
 // BenchmarkPucketOffloadScan measures the victim count behind
 // Pucket.OffloadInactive: the Prefix walk over a mostly-offloaded
-// Bert-sized segment's inactive pages, without a budget. The Inactive
-// bitset lets the walk skip the offloaded majority word-at-a-time.
+// Bert-sized segment's inactive pages, without a budget. One inactive page
+// in 64 makes two runs per 64 pages, so the walk steps once per run.
 func BenchmarkPucketOffloadScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
 	seg := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
 	// Leave every 64th page inactive; the rest are already remote.
-	for id := seg.Start; id < seg.End; id++ {
-		if (id-seg.Start)%64 != 0 {
-			space.SetState(id, pagemem.Remote)
-		}
+	for id := seg.Start; id < seg.End; id += 64 {
+		space.MoveRange(pagemem.Range{Start: id + 1, End: min(id+64, seg.End)}, pagemem.Inactive, pagemem.Remote)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -356,20 +352,15 @@ func BenchmarkPucketOffloadScan(b *testing.B) {
 
 // BenchmarkSemiWarmScan measures the semi-warm tick's victim count: the
 // Prefix holding a budget of 256 hot pages, sought in a Bert-sized init
-// range that is already all remote except its last word, which is hot. The
-// summary words let the walk skip the remote majority 64 words at a time.
+// range that is already all remote except its last 64-page word, which is
+// hot. The remote majority is one run, so the walk steps over it at once.
 func BenchmarkSemiWarmScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
 	seg := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
-	last := (int(seg.End) - 1) / 64
-	for w := int(seg.Start) / 64; w <= last; w++ {
-		to := pagemem.Remote
-		if w == last {
-			to = pagemem.Hot
-		}
-		space.TransitionMasked(w, space.StateWord(w, pagemem.Inactive)&seg.WordMask(w), pagemem.Inactive, to)
-	}
+	last := pagemem.PageID((int(seg.End) - 1) / 64 * 64)
+	space.MoveRange(pagemem.Range{Start: seg.Start, End: last}, pagemem.Inactive, pagemem.Remote)
+	space.MoveRange(pagemem.Range{Start: last, End: seg.End}, pagemem.Inactive, pagemem.Hot)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -545,7 +536,8 @@ func BenchmarkDisabledExemplars(b *testing.B) {
 // ---------------------------------------------------------------- substrate
 
 // BenchmarkTouchHotSet measures the page-touch hot path that dominates
-// request replay (one Bert-sized hot-set touch).
+// request replay (one Bert-sized hot-set touch): the bulk access-bit set and
+// the Inactive → Hot promotion of a request span.
 func BenchmarkTouchHotSet(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
@@ -553,9 +545,8 @@ func BenchmarkTouchHotSet(b *testing.B) {
 	b.SetBytes(prof.InitHotBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for id := r.Start; id < r.End; id++ {
-			space.Touch(id)
-		}
+		space.TouchRange(r)
+		space.MoveRange(r, pagemem.Inactive, pagemem.Hot)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/simtime"
@@ -40,7 +38,7 @@ func (p Pucket) RemotePages(s *pagemem.Space) int {
 // OffloadInactive offloads the whole inactive list through the view and
 // returns how many pages actually moved (the pool/link may truncate). The
 // victims are one selection, the Pucket's range in the Inactive state, so a
-// fully hot or fully offloaded Pucket costs one summary walk.
+// fully hot or fully offloaded Pucket costs one walk over its few runs.
 func (p *Pucket) OffloadInactive(e *simtime.Engine, v policy.View) int {
 	p.sels[0] = pagemem.Selection{R: p.Seg, St: pagemem.Inactive}
 	moved := v.OffloadPages(e, p.sels[:], 0)
@@ -64,21 +62,9 @@ func (p Pucket) stage(v policy.View) telemetry.Stage {
 
 // Rollback demotes every hot-pool page of this Pucket back to its inactive
 // list (clearing access bits so the next request-window re-evaluates them)
-// and returns the number of pages rolled back. Each 64-page word of hot
-// pages moves with two word operations — state and access bits — and only
-// words holding a hot page are visited.
+// and returns the number of pages rolled back: two range calls, each
+// costing the runs the Pucket overlaps.
 func (p Pucket) Rollback(s *pagemem.Space) int {
-	moved := 0
-	for it := s.Words(p.Seg, pagemem.Hot); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			hot := s.StateWord(w, pagemem.Hot) & p.Seg.WordMask(w)
-			if hot == 0 {
-				continue
-			}
-			s.TransitionMasked(w, hot, pagemem.Hot, pagemem.Inactive)
-			s.ClearAccessedMasked(w, hot)
-			moved += bits.OnesCount64(hot)
-		}
-	}
-	return moved
+	s.ClearAccessedRange(p.Seg, pagemem.Hot)
+	return s.MoveRange(p.Seg, pagemem.Hot, pagemem.Inactive)
 }

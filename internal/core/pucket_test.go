@@ -19,10 +19,10 @@ func TestPucketCounts(t *testing.T) {
 	}
 	// Promote three pages to the hot pool, offload two.
 	for i := pagemem.PageID(0); i < 3; i++ {
-		s.SetState(p.Seg.Start+i, pagemem.Hot)
+		setState(s, p.Seg.Start+i, pagemem.Hot)
 	}
-	s.SetState(p.Seg.Start+5, pagemem.Remote)
-	s.SetState(p.Seg.Start+6, pagemem.Remote)
+	setState(s, p.Seg.Start+5, pagemem.Remote)
+	setState(s, p.Seg.Start+6, pagemem.Remote)
 	if p.InactivePages(s) != 5 || p.HotPages(s) != 3 || p.RemotePages(s) != 2 {
 		t.Fatalf("counts = %d/%d/%d, want 5/3/2",
 			p.InactivePages(s), p.HotPages(s), p.RemotePages(s))
@@ -41,15 +41,15 @@ func TestPucketRollback(t *testing.T) {
 	s.Alloc(pagemem.SegExec, 20)
 	// States cycle Inactive, Hot, Remote; every fourth page's access bit is
 	// clear, so both bit values meet every state.
-	want := make([]pagemem.State, s.NumPages())
-	for id := pagemem.PageID(0); int(id) < s.NumPages(); id++ {
+	want := make([]pagemem.State, numPages(s))
+	for id := pagemem.PageID(0); int(id) < numPages(s); id++ {
 		st := pagemem.State(int(id) % 3)
-		s.SetState(id, st)
+		setState(s, id, st)
 		if id%4 == 0 {
 			s.ClearAccessed(id)
 		}
 		want[id] = st
-		if p.Seg.Contains(id) && st == pagemem.Hot {
+		if p.Seg.Start <= id && id < p.Seg.End && st == pagemem.Hot {
 			want[id] = pagemem.Inactive
 		}
 	}
@@ -60,11 +60,11 @@ func TestPucketRollback(t *testing.T) {
 		t.Fatalf("after rollback: hot=%d inactive=%d remote=%d",
 			p.HotPages(s), p.InactivePages(s), p.RemotePages(s))
 	}
-	for id := pagemem.PageID(0); int(id) < s.NumPages(); id++ {
-		if got := s.State(id); got != want[id] {
+	for id := pagemem.PageID(0); int(id) < numPages(s); id++ {
+		if got := stateOf(s, id); got != want[id] {
 			t.Fatalf("page %d state %v, want %v", id, got, want[id])
 		}
-		rolled := p.Seg.Contains(id) && pagemem.State(int(id)%3) == pagemem.Hot
+		rolled := p.Seg.Start <= id && id < p.Seg.End && pagemem.State(int(id)%3) == pagemem.Hot
 		if wantAcc := !rolled && id%4 != 0; s.Accessed(id) != wantAcc {
 			t.Fatalf("page %d accessed = %v, want %v", id, s.Accessed(id), wantAcc)
 		}
@@ -73,4 +73,25 @@ func TestPucketRollback(t *testing.T) {
 	if got := p.Rollback(s); got != 0 {
 		t.Fatalf("second rollback moved %d pages", got)
 	}
+}
+
+// numPages returns the number of pages allocated in sp.
+func numPages(sp *pagemem.Space) int { return sp.PagesOf(sp.TotalBytes()) }
+
+// stateOf returns page id's state, probed through the range API.
+func stateOf(sp *pagemem.Space, id pagemem.PageID) pagemem.State {
+	r := pagemem.Range{Start: id, End: id + 1}
+	for st := pagemem.Inactive; st < pagemem.Remote; st++ {
+		if sp.CountInRange(r, st) == 1 {
+			return st
+		}
+	}
+	return pagemem.Remote
+}
+
+// setState moves page id to state st, whatever its state was.
+func setState(sp *pagemem.Space, id pagemem.PageID, st pagemem.State) {
+	r := pagemem.Range{Start: id, End: id + 1}
+	sp.MoveRange(r, pagemem.Local, st)
+	sp.MoveRange(r, pagemem.Remote, st)
 }

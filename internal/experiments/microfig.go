@@ -278,14 +278,12 @@ func Fig15() []Fig15Row {
 
 		// Populate the hot pool with the per-request hot set, then measure a
 		// full rollback (hot pages back to their Puckets' inactive lists).
-		hotRuntime := int(prof.RuntimeHotBytes / int64(space.PageSize()))
-		for id := runtimeRange.Start; id < runtimeRange.Start+pagemem.PageID(hotRuntime) && id < runtimeRange.End; id++ {
-			space.SetState(id, pagemem.Hot)
+		promote := func(seg pagemem.Range, hotBytes int64) {
+			end := min(seg.Start+pagemem.PageID(hotBytes/int64(space.PageSize())), seg.End)
+			space.MoveRange(pagemem.Range{Start: seg.Start, End: end}, pagemem.Inactive, pagemem.Hot)
 		}
-		hotInit := int(prof.InitHotBytes / int64(space.PageSize()))
-		for id := initRange.Start; id < initRange.Start+pagemem.PageID(hotInit) && id < initRange.End; id++ {
-			space.SetState(id, pagemem.Hot)
-		}
+		promote(runtimeRange, prof.RuntimeHotBytes)
+		promote(initRange, prof.InitHotBytes)
 		t2 := time.Now()
 		core.Pucket{Seg: runtimeRange}.Rollback(space)
 		core.Pucket{Seg: initRange}.Rollback(space)

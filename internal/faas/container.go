@@ -3,7 +3,6 @@ package faas
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -338,109 +337,43 @@ func spanPages(sp *pagemem.Space, seg pagemem.Range, s workload.Span) (r pagemem
 	return r, r.End > r.Start
 }
 
-// touchRange touches pages [start, end) word-at-a-time, equivalent to a
-// sequential per-page walk: Hot pages only need their access bit, which
-// TouchRange sets in bulk; Inactive pages move to Hot; each Remote page
-// faults in unless an earlier fault's readahead already recalled it. Only
-// words holding an Inactive or Remote page are visited, each costing one
-// masked transition per source state; readahead spilling into later words
-// takes extra masked calls.
+// touchRange touches pages [start, end) exactly as a sequential per-page
+// walk would: Hot pages only need their access bit, which TouchRange sets in
+// bulk; Inactive pages move to Hot in one range move; Remote pages fault in
+// run by run (recallRemote).
 func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
 	r := pagemem.Range{Start: start, End: end}
 	sp.TouchRange(r)
-	for it := sp.Words(r, pagemem.Inactive, pagemem.Remote); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			mask := r.WordMask(w)
-			inact := sp.StateWord(w, pagemem.Inactive) & mask
-			rem := sp.StateWord(w, pagemem.Remote) & mask
-			sp.TransitionMasked(w, inact, pagemem.Inactive, pagemem.Hot)
-			if rem != 0 {
-				if window == 0 {
-					faults += bits.OnesCount64(rem)
-				} else {
-					var f, ra int
-					rem, f, ra = c.faultWord(seg, w, rem, window, nil)
-					faults += f
-					readahead += ra
-				}
-				sp.TransitionMasked(w, rem, pagemem.Remote, pagemem.Hot)
-			}
-		}
+	sp.MoveRange(r, pagemem.Inactive, pagemem.Hot)
+	return recallRemote(sp, seg, r, window)
+}
+
+// recallRemote resolves the Remote pages of r in page order and moves the
+// pages it recalls to Hot: each page not already recalled faults, and its
+// fault recalls up to window contiguous Remote successors below seg.End as
+// readahead. It serves both the request walk (on the container's Space)
+// and the fault pre-count (on a scratch copy of it).
+//
+// Readahead never leaves a Remote run, so each run is resolved on its own:
+// from the run's first touched page, every (window+1)-th page faults until
+// the touched part of the run is covered. Every Remote page of r is thus
+// recalled, plus the last fault's readahead past r.End, so one MoveRange
+// recalls the lot.
+func recallRemote(sp *pagemem.Space, seg, r pagemem.Range, window int) (faults, readahead int) {
+	end := r.End
+	for it := sp.Runs(r, pagemem.Remote); it.Next(); {
+		first := max(it.Run.Start, r.Start)
+		f := (int(min(it.Run.End, r.End)-first) + window) / (window + 1)
+		last := min(first+pagemem.PageID(f*(window+1)), it.Run.End, seg.End)
+		faults += f
+		readahead += int(last-first) - f
+		end = max(end, last)
+	}
+	if faults > 0 {
+		sp.MoveRange(pagemem.Range{Start: r.Start, End: end}, pagemem.Remote, pagemem.Hot)
 	}
 	return faults, readahead
-}
-
-// The fault arithmetic below serves both walks: touchRange passes a nil
-// overlay and the recalls happen, countSpans passes its overlay and they
-// are only recorded there.
-
-// remoteWord returns the pages of word w inside seg that are Remote and not
-// in gone (nil: none are).
-func (c *Container) remoteWord(seg pagemem.Range, w int, gone *pageOverlay) uint64 {
-	m := c.space.StateWord(w, pagemem.Remote) & seg.WordMask(w)
-	if gone != nil {
-		m &^= gone.word(w)
-	}
-	return m
-}
-
-// faultWord resolves the remote pages rem of word w in page order with a
-// readahead window: each page not already recalled faults, and its fault
-// recalls up to window virtually-contiguous Remote successors below seg.End.
-// It returns the word's pages to recall (faults plus in-word readahead) and
-// has readaheadFrom recall the readahead that spills past the word itself.
-func (c *Container) faultWord(seg pagemem.Range, w int, rem uint64, window int, gone *pageOverlay) (recall uint64, faults, readahead int) {
-	avail := c.remoteWord(seg, w, gone)
-	for rem != 0 {
-		p := uint(bits.TrailingZeros64(rem))
-		faults++
-		// The Remote run right after p, capped by the window; it never
-		// crosses the word (avail>>(p+1) has zero top bits).
-		n := bits.TrailingZeros64(^(avail >> (p + 1)))
-		if n > window {
-			n = window
-		}
-		run := (uint64(1)<<uint(n) - 1) << (p + 1)
-		recall |= 1<<p | run
-		rem &^= 1<<p | run
-		readahead += n
-		if int(p)+n == 63 && n < window {
-			readahead += c.readaheadFrom(seg, w+1, window-n, gone)
-		}
-	}
-	return recall, faults, readahead
-}
-
-// readaheadFrom recalls up to left contiguous Remote pages from the start of
-// word w onward, stopping at the first page that is not Remote or is in
-// gone, or at seg.End, and returns how many it recalled. With a non-nil gone
-// the pages are added to it instead of moving to Hot.
-func (c *Container) readaheadFrom(seg pagemem.Range, w, left int, gone *pageOverlay) int {
-	sp := c.space
-	total := 0
-	for left > 0 && w*64 < int(seg.End) {
-		n := bits.TrailingZeros64(^c.remoteWord(seg, w, gone))
-		if n > left {
-			n = left
-		}
-		m := ^uint64(0)
-		if n < 64 {
-			m = 1<<uint(n) - 1
-		}
-		if gone != nil {
-			gone.or(w, m)
-		} else {
-			sp.TransitionMasked(w, m, pagemem.Remote, pagemem.Hot)
-		}
-		total += n
-		left -= n
-		if n < 64 {
-			break
-		}
-		w++
-	}
-	return total
 }
 
 // finishRequest frees the exec segment, records stats, runs policy hooks

@@ -290,11 +290,11 @@ type Platform struct {
 	containers int // ever created
 	liveTotal  int
 	evicted    int
-	// gone is the fault pre-count's scratch overlay (see countSpans),
-	// empty between requests, and offPieces is the OffloadPages piece
-	// scratch (see cutSelections). Containers on one platform run on one
-	// engine, one call at a time, so they share both.
-	gone      pageOverlay
+	// precount is the fault pre-count's scratch copy of a container's
+	// page states (see fetchPlanned), and offPieces is the OffloadPages
+	// piece scratch (see cutSelections). Containers on one platform run on
+	// one engine, one call at a time, so they share both.
+	precount  pagemem.Space
 	offPieces []offloadPiece
 }
 

@@ -242,8 +242,8 @@ func TestSegmentRangesAndBarriers(t *testing.T) {
 	if rt.Len() == 0 || in.Len() == 0 {
 		t.Fatal("segment ranges not established")
 	}
-	if rt.Start != 0 || in.Start != rt.End || int(in.End) != c.Space().NumPages() {
-		t.Fatalf("runtime %v, init %v: want [0, r) and [r, %d)", rt, in, c.Space().NumPages())
+	if rt.Start != 0 || in.Start != rt.End || int(in.End) != numPages(c.Space()) {
+		t.Fatalf("runtime %v, init %v: want [0, r) and [r, %d)", rt, in, numPages(c.Space()))
 	}
 	// Hot pages from request execution joined the hot pool.
 	if c.Space().CountState(pagemem.Hot) == 0 {

@@ -16,9 +16,30 @@ import (
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
-// The request touch path and the offload path move pages a word at a time.
+// The request touch path and the offload path move pages a run at a time.
 // The references below are the per-page walks they replace; the tests drive
 // both on identical containers and compare every observable result.
+
+// numPages returns the number of pages allocated in sp.
+func numPages(sp *pagemem.Space) int { return sp.PagesOf(sp.TotalBytes()) }
+
+// stateOf returns page id's state, probed through the range API.
+func stateOf(sp *pagemem.Space, id pagemem.PageID) pagemem.State {
+	r := pagemem.Range{Start: id, End: id + 1}
+	for st := pagemem.Inactive; st < pagemem.Remote; st++ {
+		if sp.CountInRange(r, st) == 1 {
+			return st
+		}
+	}
+	return pagemem.Remote
+}
+
+// setState moves page id to state st, whatever its state was.
+func setState(sp *pagemem.Space, id pagemem.PageID, st pagemem.State) {
+	r := pagemem.Range{Start: id, End: id + 1}
+	sp.MoveRange(r, pagemem.Local, st)
+	sp.MoveRange(r, pagemem.Remote, st)
+}
 
 // refTouchRange is the sequential per-page touch: every page in [start, end)
 // gets its access bit; Inactive pages promote to Hot; a Remote page faults,
@@ -28,20 +49,20 @@ func refTouchRange(c *Container, seg pagemem.Range, start, end pagemem.PageID, w
 	sp := c.space
 	sp.TouchRange(pagemem.Range{Start: start, End: end})
 	for id := start; id < end; id++ {
-		switch sp.State(id) {
+		switch stateOf(sp, id) {
 		case pagemem.Remote:
 			faults++
-			sp.SetState(id, pagemem.Hot)
+			setState(sp, id, pagemem.Hot)
 			for ra := 0; ra < window; ra++ {
 				next := id + 1 + pagemem.PageID(ra)
-				if next >= seg.End || sp.State(next) != pagemem.Remote {
+				if next >= seg.End || stateOf(sp, next) != pagemem.Remote {
 					break
 				}
 				readahead++
-				sp.SetState(next, pagemem.Hot)
+				setState(sp, next, pagemem.Hot)
 			}
 		case pagemem.Inactive:
-			sp.SetState(id, pagemem.Hot)
+			setState(sp, id, pagemem.Hot)
 		}
 	}
 	return faults, readahead
@@ -58,7 +79,7 @@ func refCountSpans(c *Container, seg pagemem.Range, spans []workload.Span, flipp
 		if _, ok := flipped[id]; ok {
 			return false
 		}
-		return c.space.State(id) == pagemem.Remote
+		return stateOf(c.space, id) == pagemem.Remote
 	}
 	for _, sp := range spans {
 		start := seg.Start + pagemem.PageID(sp.Start/ps)
@@ -105,9 +126,9 @@ func refTouchSpans(c *Container, seg pagemem.Range, spans []workload.Span) (faul
 // cutSelections replace.
 func refClassOf(c *Container, id pagemem.PageID) memnode.Class {
 	switch {
-	case c.runtimeRange.Contains(id):
+	case c.runtimeRange.Start <= id && id < c.runtimeRange.End:
 		return memnode.ClassRuntime
-	case c.initRange.Contains(id):
+	case c.initRange.Start <= id && id < c.initRange.End:
 		return memnode.ClassInit
 	default:
 		return memnode.ClassOther
@@ -121,7 +142,7 @@ func expandSelections(c *Container, sels []pagemem.Selection) []pagemem.PageID {
 	var ids []pagemem.PageID
 	for _, sel := range sels {
 		for id := sel.R.Start; id < sel.R.End; id++ {
-			st := c.space.State(id)
+			st := stateOf(c.space, id)
 			local := st == pagemem.Inactive || st == pagemem.Hot
 			switch {
 			case sel.St == pagemem.Local && local,
@@ -143,7 +164,7 @@ func refOffloadCandidates(c *Container, ids []pagemem.PageID, max int) ([]pageme
 		if len(cand) >= max {
 			break
 		}
-		st := c.space.State(id)
+		st := stateOf(c.space, id)
 		if st != pagemem.Inactive && st != pagemem.Hot {
 			continue
 		}
@@ -163,14 +184,14 @@ func refOffloadAccepted(c *Container, cand []pagemem.PageID, accepted rmem.Class
 			continue
 		}
 		accepted[cls]--
-		c.space.SetState(id, pagemem.Remote)
+		setState(c.space, id, pagemem.Remote)
 		moved = append(moved, id)
 	}
 	return moved
 }
 
 // walkContainer builds a container with runtime and init segments of sizes
-// that make words straddle segment boundaries, plus untracked pages outside
+// that are not multiples of 64, plus untracked pages outside
 // both ranges, then scatters runs of Inactive, Hot and Remote pages over the
 // monitored segments. The same seed builds the same container.
 func walkContainer(seed int64) *Container {
@@ -185,7 +206,7 @@ func walkContainer(seed int64) *Container {
 			n := pagemem.PageID(1 + rng.Intn(160))
 			st := pagemem.State(rng.Intn(3))
 			for end := min(id+n, r.End); id < end; id++ {
-				sp.SetState(id, st)
+				setState(sp, id, st)
 			}
 		}
 	}
@@ -200,18 +221,21 @@ func withWindow(c *Container, window int) *Container {
 }
 
 // sameContainer fails unless the two containers' pages agree in state,
-// segment counts and access bits.
+// segment counts and access bits. Both hold runtime, init and exec pages in
+// that order.
 func sameContainer(t *testing.T, label string, got, want *Container) {
 	t.Helper()
-	for seg := pagemem.Segment(0); seg < pagemem.NumSegments; seg++ {
+	segs := [pagemem.NumSegments]pagemem.Range{want.runtimeRange, want.initRange,
+		{Start: want.initRange.End, End: pagemem.PageID(numPages(want.space))}}
+	for seg, r := range segs {
 		for st := pagemem.Inactive; st <= pagemem.Remote; st++ {
-			if g, w := got.space.Count(seg, st), want.space.Count(seg, st); g != w {
-				t.Fatalf("%s: Count(%v, %v) = %d, want %d", label, seg, st, g, w)
+			if g, w := got.space.CountInRange(r, st), want.space.CountInRange(r, st); g != w {
+				t.Fatalf("%s: %v pages in %v = %d, want %d", label, st, pagemem.Segment(seg), g, w)
 			}
 		}
 	}
-	for id := pagemem.PageID(0); int(id) < want.space.NumPages(); id++ {
-		if g, w := got.space.State(id), want.space.State(id); g != w {
+	for id := pagemem.PageID(0); int(id) < numPages(want.space); id++ {
+		if g, w := stateOf(got.space, id), stateOf(want.space, id); g != w {
 			t.Fatalf("%s: page %d state %v, want %v", label, id, g, w)
 		}
 		if g, w := got.space.Accessed(id), want.space.Accessed(id); g != w {
@@ -220,10 +244,10 @@ func sameContainer(t *testing.T, label string, got, want *Container) {
 	}
 }
 
-// TestTouchRangeMatchesSequentialWalk drives random spans through the word
-// walk and the per-page reference with readahead windows that stay in the
-// word (1, 8), spill across one word boundary (8), or across several (70),
-// and clip at the segment end.
+// TestTouchRangeMatchesSequentialWalk drives random spans through the run
+// walk and the per-page reference with readahead windows of none, one page,
+// a few pages (8) and more than a typical run (70), which clip at the
+// segment end.
 func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 	for _, window := range []int{0, 1, 8, 70} {
 		for seed := int64(1); seed <= 20; seed++ {
@@ -245,9 +269,9 @@ func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 				sameContainer(t, "touch", fast, slow)
 				// Push some pages back out so later spans fault again.
 				for id := seg.Start; id < seg.End; id++ {
-					if rng.Intn(3) == 0 && fast.space.State(id) != pagemem.Remote {
-						fast.space.SetState(id, pagemem.Remote)
-						slow.space.SetState(id, pagemem.Remote)
+					if rng.Intn(3) == 0 && stateOf(fast.space, id) != pagemem.Remote {
+						setState(fast.space, id, pagemem.Remote)
+						setState(slow.space, id, pagemem.Remote)
 					}
 				}
 			}
@@ -259,7 +283,7 @@ func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 // Idle selections have idle and accessed local pages to tell apart.
 func clearSomeAccessBits(c *Container, seed int64) *Container {
 	rng := rand.New(rand.NewSource(seed))
-	for id := pagemem.PageID(0); int(id) < c.space.NumPages(); id++ {
+	for id := pagemem.PageID(0); int(id) < numPages(c.space); id++ {
 		if rng.Intn(3) == 0 {
 			c.space.ClearAccessed(id)
 		}
@@ -270,10 +294,10 @@ func clearSomeAccessBits(c *Container, seed int64) *Container {
 // offloadSelections builds one of four producer-shaped selection lists over
 // c, with the budget its producer passes:
 //   - semi-warm: state-major, Inactive then Hot, runtime then init, so the
-//     list goes back to earlier words, with a random page budget;
+//     list goes back to earlier pages, with a random page budget;
 //   - DAMON: the local pages of adjacent random regions over every page,
 //     so regions straddle the runtime/init boundary and reach the
-//     ClassOther tail, and neighbouring regions share a word;
+//     ClassOther tail, and neighbouring regions share a run;
 //   - Puckets: the runtime and init ranges whole in the Inactive state;
 //   - TMO: each range's prefix holding a random number of idle pages.
 func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selection, int) {
@@ -281,11 +305,11 @@ func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selec
 	switch shape {
 	case 0:
 		return []pagemem.Selection{{R: rt, St: pagemem.Inactive}, {R: init, St: pagemem.Inactive},
-			{R: rt, St: pagemem.Hot}, {R: init, St: pagemem.Hot}}, 1 + rng.Intn(c.space.NumPages())
+			{R: rt, St: pagemem.Hot}, {R: init, St: pagemem.Hot}}, 1 + rng.Intn(numPages(c.space))
 	case 1:
 		var sels []pagemem.Selection
-		for id := pagemem.PageID(0); int(id) < c.space.NumPages(); {
-			end := min(id+pagemem.PageID(1+rng.Intn(90)), pagemem.PageID(c.space.NumPages()))
+		for id := pagemem.PageID(0); int(id) < numPages(c.space); {
+			end := min(id+pagemem.PageID(1+rng.Intn(90)), pagemem.PageID(numPages(c.space)))
 			if rng.Intn(3) != 0 {
 				sels = append(sels, pagemem.Selection{R: pagemem.Range{Start: id, End: end}, St: pagemem.Local})
 			}
@@ -390,8 +414,8 @@ func TestOffloadMatchesPerPageMove(t *testing.T) {
 
 // remoteByClass counts c's remote pages by lifecycle class.
 func remoteByClass(c *Container) (n rmem.ClassCounts) {
-	for id := pagemem.PageID(0); int(id) < c.space.NumPages(); id++ {
-		if c.space.State(id) == pagemem.Remote {
+	for id := pagemem.PageID(0); int(id) < numPages(c.space); id++ {
+		if stateOf(c.space, id) == pagemem.Remote {
 			n[refClassOf(c, id)]++
 		}
 	}
@@ -404,19 +428,20 @@ type spanCall struct {
 	spans []workload.Span
 }
 
-// checkSpanCalls replays calls through the word pre-count (one overlay
+// checkSpanCalls replays calls through the run pre-count (one scratch copy
 // shared by every call), the per-page pre-count (one flipped map), the
-// mutating word walk and the per-page walk, on four identical containers
+// mutating run walk and the per-page walk, on four identical containers
 // built by build. Every call's counts must agree four ways, the two walks
 // must leave identical containers, and both pre-counts must leave theirs as
 // built.
 func checkSpanCalls(t *testing.T, label string, build func() *Container, calls []spanCall) {
 	t.Helper()
 	count, ref, walk, slow := build(), build(), build(), build()
-	var gone pageOverlay
+	var scratch pagemem.Space
+	scratch.CopyStates(count.space)
 	flipped := make(map[pagemem.PageID]struct{})
 	for i, call := range calls {
-		f, ra := count.countSpans(call.seg, call.spans, &gone)
+		f, ra := count.countSpans(&scratch, call.seg, call.spans)
 		rf, rra := refCountSpans(ref, call.seg, call.spans, flipped)
 		wf, wra := walk.touchSpans(call.seg, call.spans)
 		sf, sra := refTouchSpans(slow, call.seg, call.spans)
@@ -430,13 +455,13 @@ func checkSpanCalls(t *testing.T, label string, build func() *Container, calls [
 	sameContainer(t, label+": per-page pre-count", ref, build())
 }
 
-// TestCountSpansMatchesWalk drives random calls through the word pre-count
+// TestCountSpansMatchesWalk drives random calls through the run pre-count
 // and checks it against the per-page pre-count and against what the
 // mutating walk then does. Calls alternate between the runtime and init
-// ranges at random, so a range is revisited through the shared overlay;
-// spans start at unaligned bytes, overlap, and clip at the segment end; the
-// readahead windows stay in the word (1, 8), spill across one word boundary
-// (8) or across several (70).
+// ranges at random, so a range is revisited through the shared scratch
+// copy; spans start at unaligned bytes, overlap, and clip at the segment
+// end; the readahead windows are none, one page, a few pages (8) and more
+// than a typical run (70).
 func TestCountSpansMatchesWalk(t *testing.T) {
 	for _, window := range []int{0, 1, 8, 70} {
 		for seed := int64(1); seed <= 40; seed++ {
@@ -463,7 +488,7 @@ func TestCountSpansMatchesWalk(t *testing.T) {
 	}
 }
 
-// FuzzTouchWalk checks the word walk and the word pre-count against their
+// FuzzTouchWalk checks the run walk and the run pre-count against their
 // per-page references on fuzzer-chosen layouts, spans and windows.
 // runtime and init size the two monitored segments (in pages); each layout
 // byte paints the next run of pages, runtime then init, with state
@@ -488,7 +513,7 @@ func FuzzTouchWalk(f *testing.F) {
 			for _, b := range layout {
 				st := pagemem.State(b % 3)
 				for stop := min(id+1+pagemem.PageID(b/3), end); id < stop; id++ {
-					sp.SetState(id, st)
+					setState(sp, id, st)
 				}
 			}
 			return withWindow(c, int(window)%80)
@@ -523,20 +548,24 @@ func BenchmarkFaultPrecount(b *testing.B) {
 	c.initRange = sp.AllocBytes(pagemem.SegInit, prof.InitBytes)
 	rng := rand.New(rand.NewSource(1))
 	for w := int(c.runtimeRange.Start) / 64; w*64 < int(c.initRange.End); w++ {
-		in := sp.StateWord(w, pagemem.Inactive)
-		remote := in & (rng.Uint64() | rng.Uint64())
-		sp.TransitionMasked(w, remote, pagemem.Inactive, pagemem.Remote)
-		sp.TransitionMasked(w, in&^remote, pagemem.Inactive, pagemem.Hot)
+		remote := rng.Uint64() | rng.Uint64()
+		for b := 0; b < 64 && w*64+b < int(c.initRange.End); b++ {
+			st := pagemem.Hot
+			if remote&(1<<uint(b)) != 0 {
+				st = pagemem.Remote
+			}
+			setState(sp, pagemem.PageID(w*64+b), st)
+		}
 	}
 	touches := make([]workload.Touches, 64)
 	for i := range touches {
 		prof.RequestTouches(rng, &touches[i])
 	}
-	var gone pageOverlay
+	var scratch pagemem.Space
 	precount := func(t workload.Touches) int {
-		rf, rra := c.countSpans(c.runtimeRange, t.Runtime, &gone)
-		inf, ira := c.countSpans(c.initRange, t.Init, &gone)
-		gone.reset()
+		scratch.CopyStates(c.space)
+		rf, rra := c.countSpans(&scratch, c.runtimeRange, t.Runtime)
+		inf, ira := c.countSpans(&scratch, c.initRange, t.Init)
 		return rf + rra + inf + ira
 	}
 	for _, t := range touches {

@@ -1,8 +1,6 @@
 package faas
 
 import (
-	"math/bits"
-
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -26,77 +24,26 @@ import (
 // The pre-count exists because touchSpans mutates page state (Remote→Hot) as
 // it walks; fetching only after a successful FetchRetry keeps a timed-out
 // request's container consistent for the fallback and re-init paths. It is
-// the same word walk as touchRange, over Remote words only, with a page
-// overlay standing in for the Remote→Hot moves it does not make.
+// the same run arithmetic as touchRange (recallRemote), run on a Platform
+// scratch copy of the container's page states instead of the states
+// themselves.
 
-// pageOverlay is a word-indexed page set that remembers the words it has
-// set, so clearing it costs only those words.
-type pageOverlay struct {
-	words []uint64
-	set   []int
-}
-
-// word returns word w of the set.
-func (o *pageOverlay) word(w int) uint64 {
-	if w < len(o.words) {
-		return o.words[w]
-	}
-	return 0
-}
-
-// or adds the pages of mask to word w.
-func (o *pageOverlay) or(w int, mask uint64) {
-	if mask == 0 {
-		return
-	}
-	if w >= len(o.words) {
-		o.words = append(o.words, make([]uint64, w+1-len(o.words))...)
-	}
-	if o.words[w] == 0 {
-		o.set = append(o.set, w)
-	}
-	o.words[w] |= mask
-}
-
-// reset empties the set.
-func (o *pageOverlay) reset() {
-	for _, w := range o.set {
-		o.words[w] = 0
-	}
-	o.set = o.set[:0]
-}
-
-// countSpans is touchSpans without the mutation: it walks the same byte
-// spans and counts the demand faults and readahead pulls the walk would
-// perform. gone holds the pages the walk would have recalled already and
-// gains this call's, so revisits within one request — across spans and
-// across calls sharing gone — count exactly like the mutating walk. Only
-// words holding a Remote page are visited.
-func (c *Container) countSpans(seg pagemem.Range, spans []workload.Span, gone *pageOverlay) (faults, readahead int) {
-	sp := c.space
+// countSpans is touchSpans's fault arithmetic without the touch: it walks
+// the same byte spans over sp, a scratch copy of the container's page
+// states, and counts the demand faults and readahead pulls the walk would
+// perform. recallRemote moves the pages it would recall to Hot in the copy,
+// so revisits within one request — across spans and across calls on one
+// copy — count exactly like the mutating walk.
+func (c *Container) countSpans(sp *pagemem.Space, seg pagemem.Range, spans []workload.Span) (faults, readahead int) {
 	window := c.p.swap.Readahead()
 	for _, s := range spans {
 		r, ok := spanPages(sp, seg, s)
 		if !ok {
 			continue
 		}
-		for it := sp.Words(r, pagemem.Remote); it.Next(); {
-			for w := it.Start; w < it.End; w++ {
-				rem := sp.StateWord(w, pagemem.Remote) & r.WordMask(w) &^ gone.word(w)
-				if rem == 0 {
-					continue
-				}
-				if window == 0 {
-					faults += bits.OnesCount64(rem)
-				} else {
-					var f, ra int
-					rem, f, ra = c.faultWord(seg, w, rem, window, gone)
-					faults += f
-					readahead += ra
-				}
-				gone.or(w, rem)
-			}
-		}
+		f, ra := recallRemote(sp, seg, r, window)
+		faults += f
+		readahead += ra
 	}
 	return faults, readahead
 }
@@ -107,10 +54,10 @@ func (c *Container) countSpans(seg pagemem.Range, spans []workload.Span, gone *p
 // reproduce; ok is false when the fetch timed out and recoverFetch has taken
 // the request over.
 func (c *Container) fetchPlanned() (stall rmem.FaultStall, faults rmem.ClassCounts, readahead int, ok bool) {
-	gone := &c.p.gone
-	rf, rra := c.countSpans(c.runtimeRange, c.touches.Runtime, gone)
-	inf, ira := c.countSpans(c.initRange, c.touches.Init, gone)
-	gone.reset()
+	sp := &c.p.precount
+	sp.CopyStates(c.space)
+	rf, rra := c.countSpans(sp, c.runtimeRange, c.touches.Runtime)
+	inf, ira := c.countSpans(sp, c.initRange, c.touches.Init)
 	faults[memnode.ClassRuntime] = rf
 	faults[memnode.ClassInit] = inf
 	readahead = rra + ira

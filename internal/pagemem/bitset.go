@@ -25,14 +25,6 @@ func (b *Bitset) grow(i int) {
 	}
 }
 
-// Grow ensures the bitset addresses bits [0, n) without further allocation,
-// so hot-path Set calls stay on the in-capacity fast path.
-func (b *Bitset) Grow(n int) {
-	if n > 0 {
-		b.grow(n - 1)
-	}
-}
-
 // Reserve sets the capacity to address bits [0, n) so later growth up to n
 // bits reuses one allocation. It changes no bit and no observable length:
 // words beyond the current length still read as zero.
@@ -40,15 +32,6 @@ func (b *Bitset) Reserve(n int) {
 	if need := (n + 63) / 64; need > len(b.words) {
 		b.words = slices.Grow(b.words, need-len(b.words))
 	}
-}
-
-// Set sets bit i.
-func (b *Bitset) Set(i int) {
-	w := i / 64
-	if w >= len(b.words) {
-		b.grow(i)
-	}
-	b.words[w] |= 1 << (uint(i) % 64)
 }
 
 // Clear clears bit i (no-op beyond current capacity).
@@ -86,6 +69,25 @@ func (b *Bitset) SetRange(start, end int) {
 	b.words[w1] |= tail
 }
 
+// ClearRange clears bits [start, end), treating bits beyond the current
+// capacity as already clear.
+func (b *Bitset) ClearRange(start, end int) {
+	end = min(end, len(b.words)*64)
+	if end <= start {
+		return
+	}
+	w0, w1 := start/64, (end-1)/64
+	head := ^uint64(0) << (uint(start) % 64)
+	tail := ^uint64(0) >> (63 - uint(end-1)%64)
+	if w0 == w1 {
+		b.words[w0] &^= head & tail
+		return
+	}
+	b.words[w0] &^= head
+	clear(b.words[w0+1 : w1])
+	b.words[w1] &^= tail
+}
+
 // word returns word w, treating words beyond the current capacity as zero.
 func (b *Bitset) word(w int) uint64 {
 	if w < len(b.words) {
@@ -94,28 +96,17 @@ func (b *Bitset) word(w int) uint64 {
 	return 0
 }
 
-// ForEachSet calls fn for every set bit in [start, end), skipping zero words
-// whole. fn receives the bit index.
-func (b *Bitset) ForEachSet(start, end int, fn func(int)) {
-	if end <= start || len(b.words) == 0 {
-		return
+// next returns the first bit in [i, end) that is set (set true) or clear,
+// or end when there is none, a word at a time.
+func (b *Bitset) next(i, end int, set bool) int {
+	flip := ^uint64(0)
+	if set {
+		flip = 0
 	}
-	if max := len(b.words) * 64; end > max {
-		end = max
-	}
-	for i := start; i < end; {
-		w := i / 64
-		lo := uint(i) % 64
-		hi := uint(64)
-		if end-(w*64) < 64 {
-			hi = uint(end - w*64)
+	for ; i < end; i = (i/64 + 1) * 64 {
+		if m := (b.word(i/64) ^ flip) >> (uint(i) % 64); m != 0 {
+			return min(i+bits.TrailingZeros64(m), end)
 		}
-		word := b.words[w] & (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-		for word != 0 {
-			tz := bits.TrailingZeros64(word)
-			fn(w*64 + tz)
-			word &^= 1 << uint(tz)
-		}
-		i = (w + 1) * 64
 	}
+	return end
 }

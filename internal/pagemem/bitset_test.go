@@ -7,27 +7,6 @@ import (
 	"testing/quick"
 )
 
-// ClearRange clears bits [start, end) — the range clear behind the tests'
-// ScanAndClear; the page engine itself clears access bits by word mask.
-func (b *Bitset) ClearRange(start, end int) {
-	if end <= start || len(b.words) == 0 {
-		return
-	}
-	if max := len(b.words) * 64; end > max {
-		end = max
-	}
-	for i := start; i < end; {
-		w := i / 64
-		lo := uint(i) % 64
-		hi := uint(64)
-		if end-(w*64) < 64 {
-			hi = uint(end - w*64)
-		}
-		b.words[w] &^= (^uint64(0) << lo) & (^uint64(0) >> (64 - hi))
-		i = (w + 1) * 64
-	}
-}
-
 // CountRange returns the number of set bits in [start, end) — the
 // per-bit-range count the tests check bitsets with.
 func (b *Bitset) CountRange(start, end int) int {
@@ -111,10 +90,10 @@ func TestBitsetSetRange(t *testing.T) {
 	b.SetRange(5, 5) // empty range is a no-op
 }
 
-// TestBitsetSetRangeEdges checks the head/middle/tail fill of SetRange
-// against a per-bit reference on a bitset already holding scattered bits:
-// ranges starting or ending on a word boundary, inside one word, over two
-// adjacent words, and across the 4,096-bit span of one summary word.
+// TestBitsetSetRangeEdges checks the head/middle/tail fill of SetRange, and
+// then the same clear of ClearRange, against a per-bit reference on a
+// bitset already holding scattered bits: ranges starting or ending on a word
+// boundary, inside one word, over two adjacent words, and across 64 words.
 func TestBitsetSetRangeEdges(t *testing.T) {
 	cases := []struct{ start, end int }{
 		{64, 100},    // starts on a word boundary
@@ -125,8 +104,8 @@ func TestBitsetSetRangeEdges(t *testing.T) {
 		{63, 64},     // last bit of a word
 		{60, 70},     // two adjacent words
 		{0, 128},     // two whole words
-		{4000, 8300}, // across a summary word
-		{4095, 4097}, // the summary-word boundary itself
+		{4000, 8300}, // across 64 words
+		{4095, 4097}, // the 64th word boundary itself
 	}
 	for _, c := range cases {
 		rng := rand.New(rand.NewSource(int64(c.start)))
@@ -147,6 +126,15 @@ func TestBitsetSetRangeEdges(t *testing.T) {
 		for i := range ref {
 			if b.Get(i) != ref[i] {
 				t.Fatalf("SetRange(%d, %d): bit %d = %v, want %v", c.start, c.end, i, b.Get(i), ref[i])
+			}
+		}
+		b.ClearRange(c.start, c.end)
+		for i := c.start; i < c.end; i++ {
+			ref[i] = false
+		}
+		for i := range ref {
+			if b.Get(i) != ref[i] {
+				t.Fatalf("ClearRange(%d, %d): bit %d = %v, want %v", c.start, c.end, i, b.Get(i), ref[i])
 			}
 		}
 	}
@@ -228,6 +216,17 @@ func TestBitsetMatchesReference(t *testing.T) {
 				hi := lo + rng.Intn(n-lo)
 				if b.CountRange(lo, hi) != countRef(ref, lo, hi) {
 					return false
+				}
+				// next finds the first set and the first clear bit of
+				// [lo, hi), or hi.
+				for _, set := range []bool{true, false} {
+					want := lo
+					for want < hi && ref[want] != set {
+						want++
+					}
+					if b.next(lo, hi, set) != want {
+						return false
+					}
 				}
 			}
 		}

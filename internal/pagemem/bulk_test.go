@@ -26,35 +26,39 @@ func TestTouchRangeMatchesPerPage(t *testing.T) {
 	}
 }
 
-// TestStateWordAndTransitionMasked checks the word-level state snapshot and
-// masked transition against per-page SetState.
-func TestStateWordAndTransitionMasked(t *testing.T) {
+// TestMoveRangeMatchesSetState checks a range's state count against
+// per-page State probes, and a range move against per-page SetState. Every
+// third page is Hot, so the space is one run per page or two; moving the
+// second 64 pages' Inactive pages to Hot leaves them all Hot.
+func TestMoveRangeMatchesSetState(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	s.Alloc(SegRuntime, 128)
 	for id := PageID(0); id < 128; id += 3 {
 		s.SetState(id, Hot)
 	}
 	for w := 0; w < 2; w++ {
-		var want uint64
-		for b := 0; b < 64; b++ {
-			if s.State(PageID(w*64+b)) == Inactive {
-				want |= 1 << uint(b)
+		r := Range{Start: PageID(w * 64), End: PageID(w*64 + 64)}
+		want := 0
+		for id := r.Start; id < r.End; id++ {
+			if s.State(id) == Inactive {
+				want++
 			}
 		}
-		if got := s.StateWord(w, Inactive); got != want {
-			t.Fatalf("StateWord(%d, Inactive) = %#x, want %#x", w, got, want)
+		if got := s.CountInRange(r, Inactive); got != want {
+			t.Fatalf("CountInRange(%v, Inactive) = %d, want %d", r, got, want)
 		}
 	}
-	mask := s.StateWord(1, Inactive)
-	s.TransitionMasked(1, mask, Inactive, Hot)
-	for b := 0; b < 64; b++ {
-		id := PageID(64 + b)
-		want := Hot
-		if st := s.State(id); st != want {
-			t.Fatalf("page %d after TransitionMasked: state %v, want %v", id, st, want)
+	second := Range{Start: 64, End: 128}
+	want := s.CountInRange(second, Inactive)
+	if moved := s.MoveRange(second, Inactive, Hot); moved != want {
+		t.Fatalf("MoveRange(%v, Inactive, Hot) moved %d, want %d", second, moved, want)
+	}
+	for id := second.Start; id < second.End; id++ {
+		if st := s.State(id); st != Hot {
+			t.Fatalf("page %d after MoveRange: state %v, want %v", id, st, Hot)
 		}
 	}
-	if n := s.CountInRange(Range{Start: 64, End: 128}, Inactive); n != 0 {
-		t.Fatalf("inactive pages left after masked transition: %d", n)
+	if n := s.CountInRange(second, Inactive); n != 0 {
+		t.Fatalf("inactive pages left after the range move: %d", n)
 	}
 }

@@ -1,17 +1,19 @@
 package pagemem
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // naiveSpace is the obviously-correct model of Space: plain slices, no
-// bitsets, no incremental counters — every query is an O(pages) rescan. The
-// differential drivers below replay one operation script through both and
-// fail on any observable divergence, so the word-at-a-time scan paths
-// (ForEachSet unions, popcounts, range clears) are checked against
-// per-page semantics.
+// runs, no bitsets, no incremental counters — every query is an O(pages)
+// rescan. The differential drivers below replay one operation script
+// through both and fail on any observable divergence, so the run splices
+// and the word-at-a-time access-bit scans are checked against per-page
+// semantics.
 type naiveSpace struct {
 	pageSize int
 	state    []State
@@ -151,18 +153,7 @@ func (n *naiveSpace) clearAccessedRange(r Range, st State) {
 	}
 }
 
-// wordsOf lists the distinct 64-page words of an ascending page list.
-func wordsOf(ids []PageID) []int {
-	var ws []int
-	for _, id := range ids {
-		if w := int(id) / 64; len(ws) == 0 || ws[len(ws)-1] != w {
-			ws = append(ws, w)
-		}
-	}
-	return ws
-}
-
-// spacePair drives one script through the bitset-backed Space and the model.
+// spacePair drives one script through the run-backed Space and the model.
 type spacePair struct {
 	fast *Space
 	slow *naiveSpace
@@ -231,7 +222,9 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if want := p.slow.state[id]; got != want {
 			t.Fatalf("Touch(%d) = %v, want %v", id, got, want)
 		}
-	case 5: // masked word transition + access-bit clear (rollback, offload)
+	case 5: // masked window of range moves + access-bit clears (rollback,
+		// offload): the set bits of a 64-bit pattern over the 64 pages from
+		// w*64 name the pages, each maximal run of them one range call
 		if n == 0 {
 			return
 		}
@@ -246,19 +239,22 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if b&1 != 0 {
 			pattern = uint64(a)*0x0101010101010101 ^ uint64(b)<<19 ^ uint64(b)<<41
 		}
-		mask := p.fast.StateWord(w, from) & pattern
 		clear := pattern &^ (uint64(b) << 32)
 		if rem := n - w*64; rem < 64 {
 			clear &= 1<<uint(rem) - 1
 		}
-		p.fast.TransitionMasked(w, mask, from, to)
-		p.fast.ClearAccessedMasked(w, clear)
+		forMaskRuns(w*64, pattern, func(r Range) { p.fast.MoveRange(r, from, to) })
+		forMaskRuns(w*64, clear, func(r Range) {
+			for st := Inactive; st < numStates; st++ {
+				p.fast.ClearAccessedRange(r, st)
+			}
+		})
 		p.slow.transitionMasked(w, pattern, from, to, clear)
 		r := Range{Start: PageID(w * 64), End: PageID(min(n, w*64+64))}
 		for st := Inactive; st < numStates; st++ {
 			if got, want := p.fast.CountInRange(r, st), p.slow.countInRange(r, st); got != want {
-				t.Fatalf("TransitionMasked(%d, %#x, %v->%v): CountInRange(%v) = %d, want %d",
-					w, mask, from, to, st, got, want)
+				t.Fatalf("masked move (%d, %#x, %v->%v): CountInRange(%v) = %d, want %d",
+					w, pattern, from, to, st, got, want)
 			}
 		}
 	case 6: // accessed-bit scan (DAMON/TMO sampling)
@@ -285,24 +281,15 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if got != wantR || k != len(want) {
 			t.Fatalf("Prefix(%v, %v, %d) = %v (%d pages), want %v (%d)", r, st, max, got, k, wantR, len(want))
 		}
-		// With nothing moving, Words visits exactly the words overlapping r
-		// that hold a page of st (anywhere in the word; Idle walks Local).
-		var words, wantWords []int
-		for it := p.fast.Words(r, st); it.Next(); {
-			for w := it.Start; w < it.End; w++ {
-				words = append(words, w)
-			}
+		// With nothing moving, Runs walks exactly the runs overlapping r
+		// that hold a page of each page state st selects, whole (Local and
+		// Idle walk Inactive and Hot).
+		walked := []State{st}
+		if st >= Local {
+			walked = []State{Inactive, Hot}
 		}
-		if r.End > r.Start {
-			whole := Range{Start: r.Start / 64 * 64, End: PageID(min(n, (int(r.End)+63)/64*64))}
-			walked := st
-			if st == Idle {
-				walked = Local
-			}
-			wantWords = wordsOf(p.slow.collectInState(whole, walked, 0))
-		}
-		if !reflect.DeepEqual(words, wantWords) {
-			t.Fatalf("Words(%v, %v) = %v, want %v", r, st, words, wantWords)
+		for _, ws := range walked {
+			p.checkRunWalk(t, r, ws)
 		}
 		if st == Idle {
 			// TMO's step: clearing the local access bits of the idle prefix
@@ -367,17 +354,77 @@ func (p *spacePair) check(t *testing.T, step int) {
 	if got, want := p.fast.CountAccessed(all), len(p.slow.scanAndClearPreview()); got != want {
 		t.Fatalf("step %d: CountAccessed = %d, want %d", step, got, want)
 	}
-	words := (len(p.slow.state) + 63) / 64
-	if len(p.fast.summary) < (words+63)/64*numStates {
-		t.Fatalf("step %d: summary has %d words for %d page words", step, len(p.fast.summary), words)
+	p.checkRuns(t, step)
+}
+
+// checkRuns fails unless the run list is canonical: starts ascend strictly
+// from 0 below the page count (so every run is non-empty and their lengths
+// sum to it), no two adjacent runs share a state, and each state's total is
+// the sum of its runs.
+func (p *spacePair) checkRuns(t *testing.T, step int) {
+	t.Helper()
+	runs, n := p.fast.runs, len(p.slow.state)
+	if (len(runs) == 0) != (n == 0) || len(runs) > 0 && runs[0].start != 0 {
+		t.Fatalf("step %d: runs %v for %d pages, want a first run at page 0", step, runs, n)
 	}
-	for w := 0; w < words; w++ {
-		for st := Inactive; st < numStates; st++ {
-			got := p.fast.summary[w/64*numStates+int(st)]&(1<<(uint(w)%64)) != 0
-			if want := p.fast.stateBits[st].words[w] != 0; got != want {
-				t.Fatalf("step %d: summary bit of %v word %d = %v, want %v", step, st, w, got, want)
+	var sum [numStates]int
+	pages := 0
+	for i, run := range runs {
+		end := p.fast.runEnd(i)
+		if end <= run.start || int(end) > n {
+			t.Fatalf("step %d: run %d [%d, %d) empty or past %d pages", step, i, run.start, end, n)
+		}
+		if i > 0 && runs[i-1].st == run.st {
+			t.Fatalf("step %d: runs %d and %d share state %v", step, i-1, i, run.st)
+		}
+		sum[run.st] += int(end - run.start)
+		pages += int(end - run.start)
+	}
+	if pages != n {
+		t.Fatalf("step %d: run lengths sum to %d, want %d pages", step, pages, n)
+	}
+	if sum != p.fast.total {
+		t.Fatalf("step %d: run sums per state %v, totals %v", step, sum, p.fast.total)
+	}
+}
+
+// checkRunWalk walks r's runs of state st with Runs and fails unless each
+// is maximal and wholly in st, and together they cover exactly r's pages in
+// st.
+func (p *spacePair) checkRunWalk(t *testing.T, r Range, st State) {
+	t.Helper()
+	state := p.slow.state
+	var got []PageID
+	for it := p.fast.Runs(r, st); it.Next(); {
+		run := it.Run
+		if run.Start < 0 || int(run.End) > len(state) || run.End <= run.Start || len(got) > 0 && run.Start <= got[len(got)-1] {
+			t.Fatalf("Runs(%v, %v) yields %v: not an allocated run past the last one", r, st, run)
+		}
+		for id := run.Start; id < run.End; id++ {
+			if state[id] != st {
+				t.Fatalf("Runs(%v, %v) yields %v holding page %d in %v", r, st, run, id, state[id])
 			}
 		}
+		if run.Start > 0 && state[run.Start-1] == st || int(run.End) < len(state) && state[run.End] == st {
+			t.Fatalf("Runs(%v, %v) yields %v, which is not maximal", r, st, run)
+		}
+		for id := max(run.Start, r.Start); id < min(run.End, r.End); id++ {
+			got = append(got, id)
+		}
+	}
+	if want := p.slow.collectInState(r, st, 0); !slices.Equal(got, want) {
+		t.Fatalf("Runs(%v, %v) covers %v, want %v", r, st, got, want)
+	}
+}
+
+// forMaskRuns calls fn for each maximal run of set bits of m, as the pages
+// it covers in the 64-page window from page base.
+func forMaskRuns(base int, m uint64, fn func(Range)) {
+	for m != 0 {
+		lo := bits.TrailingZeros64(m)
+		k := bits.TrailingZeros64(^(m >> uint(lo)))
+		fn(Range{Start: PageID(base + lo), End: PageID(base + lo + k)})
+		m &^= (uint64(1)<<uint(k) - 1) << uint(lo)
 	}
 }
 
@@ -394,9 +441,9 @@ func (n *naiveSpace) scanAndClearPreview() []PageID {
 }
 
 // TestSpaceDifferentialRandomOps replays long random scripts through the
-// bitset-backed Space and the naive model, comparing complete observable
+// run-backed Space and the naive model, comparing complete observable
 // state periodically. The scripts' large grows take every seed past 4,096
-// pages, the span of one summary word.
+// pages, 64 access-bit words.
 func TestSpaceDifferentialRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -421,6 +468,16 @@ func FuzzSpaceDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 70, 4, 0, 5, 3, 1, 9, 5, 0, 255, 6, 0, 255, 7, 2, 3})
 	f.Add([]byte{0, 2, 96, 1, 20, 200, 2, 10, 128, 0, 1, 33, 5, 64, 250})
 	f.Add([]byte{0, 129, 40, 9, 128, 3, 5, 2, 255, 0, 200, 250, 7, 3, 255, 9, 130, 15, 1, 60, 200, 0, 128, 0})
+	// One run per page: 64 pages alternating Inactive, Hot, Remote page by
+	// page, then a budgeted Prefix, a range move, an Idle move and a masked
+	// window over them.
+	alternating := []byte{9, 0, 0}
+	for id := byte(0); id < 64; id++ {
+		if st := id % 3; st != 0 {
+			alternating = append(alternating, 3, st, id)
+		}
+	}
+	f.Add(append(alternating, 7, 1, 21, 8, 2, 255, 8, 4, 253, 5, 1, 3))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*300 {
 			script = script[:3*300]

@@ -4,19 +4,22 @@
 // state the offloading policies act on (inactive / hot / remote), the
 // lifecycle segment it was allocated in (runtime / init / exec), and an
 // access bit, mirroring the page-table Accessed bit that the paper's
-// mechanisms (and DAMON/TMO) sample. Per-state page totals are maintained
-// incrementally so "how much local memory does this container hold" is O(1),
-// and per-state summary words (one bit per 64-page word) let every walk
-// skip empty words, so a scan costs O(occupied words + range/4096).
-// Offload victims are Selections, (range, state) pairs: Prefix counts one
-// up to a page budget and MoveRange moves it, each in one walk.
+// mechanisms (and DAMON/TMO) sample.
+//
+// Every mechanism acts on page ranges — a Pucket's sealed range, a DAMON
+// region, a request span, a semi-warm drain — so page state is kept as
+// runs: one sorted list of maximal page ranges that share a state. A range
+// operation costs a binary search plus the runs it overlaps, however many
+// pages those hold, and per-state totals make "how much local memory does
+// this container hold" O(1). Access bits, which DAMON samples and clears
+// one page at a time, stay a bitset. Offload victims are Selections,
+// (range, state) pairs: Prefix counts one up to a page budget and MoveRange
+// moves it.
 package pagemem
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
-	"sort"
 )
 
 // DefaultPageSize is the page size used throughout the simulation, matching
@@ -99,29 +102,24 @@ type Range struct {
 // Len returns the number of pages in the range.
 func (r Range) Len() int { return int(r.End - r.Start) }
 
-// Contains reports whether id falls inside the range.
-func (r Range) Contains(id PageID) bool { return id >= r.Start && id < r.End }
-
-// Space is a page-granularity address space for one container. The zero
-// value is not usable; construct with NewSpace.
+// Space is a page-granularity address space for one container. Construct
+// it with NewSpace; the zero value is usable only as a CopyStates
+// destination.
 //
-// Page state lives only in bitsets: stateBits[st] marks every page in state
-// st, so a page's state is a few bit probes and every bulk move (offload,
-// recall, rollback) is a word operation. Each state bitset
-// has a summary, one bit per 64-page word set iff that word holds a page of
-// the state, so walks skip empty words 64 at a time (see Words). A page's
-// segment lives only in segRuns.
+// Page state lives only in runs: runs[i] gives the state of pages
+// [runs[i].start, runs[i+1].start), the last run ending at the page count.
+// The list is canonical — starts strictly ascend from 0, and no two
+// adjacent runs share a state — so a page's state is one binary search and
+// every bulk move (offload, recall, rollback) rewrites only the runs it
+// overlaps. A page's segment lives only in segRuns.
 type Space struct {
 	pageSize int
 	// n is the number of page slots ever allocated.
-	n         int
-	accessed  Bitset
-	stateBits [numStates]Bitset
-	// summary[sw*numStates+st] has bit j set iff word sw*64+j of
-	// stateBits[st] is nonzero: all states' summaries share one slice, so
-	// growing them is one append. Like Bitset.words it is never shortened,
-	// so the words growth exposes are already zero.
-	summary []uint64
+	n        int
+	accessed Bitset
+	runs     []stateRun
+	// spare is MoveRange's scratch for the runs it rewrites.
+	spare []stateRun
 	// total[st] is the number of pages in state st.
 	total [numStates]int
 	// segRuns records the contiguous allocation runs sharing a segment
@@ -129,28 +127,18 @@ type Space struct {
 	segRuns []segRun
 }
 
+// stateRun is a maximal range of pages in one state; its end is the next
+// run's start (or the allocated page count for the final run).
+type stateRun struct {
+	start PageID
+	st    State
+}
+
 // segRun is a maximal range of pages allocated to one segment; its end is
 // the next run's start (or the allocated page count for the final run).
 type segRun struct {
 	start int
 	seg   Segment
-}
-
-// move moves the masked pages of word w, all currently in state from, to
-// state to, keeping both states' summary bits and totals. mask must be
-// nonzero, or the target's summary bit could be set for an empty word.
-func (s *Space) move(w int, mask uint64, from, to State) {
-	src, dst := &s.stateBits[from].words[w], &s.stateBits[to].words[w]
-	*src &^= mask
-	*dst |= mask
-	sum, bit := s.summary[w/64*numStates:], uint64(1)<<(uint(w)%64)
-	if *src == 0 {
-		sum[from] &^= bit
-	}
-	sum[to] |= bit
-	k := bits.OnesCount64(mask)
-	s.total[from] -= k
-	s.total[to] += k
 }
 
 // NewSpace returns an empty address space with the given page size in bytes.
@@ -164,26 +152,19 @@ func NewSpace(pageSize int) *Space {
 }
 
 // Reserve sizes the space's page state for pages page slots, one
-// allocation per bitset plus room for one run per segment, so Alloc calls
-// up to that total allocate nothing while each segment is allocated in one
-// run. It changes no page: a container whose segment sizes are known at
-// launch reserves their sum once instead of growing per segment.
+// access-bit allocation plus room for one state and one segment run per
+// segment, so Alloc calls up to that total allocate nothing while each
+// segment is allocated in one run. It changes no page: a container whose
+// segment sizes are known at launch reserves their sum once instead of
+// growing per segment.
 func (s *Space) Reserve(pages int) {
 	s.segRuns = slices.Grow(s.segRuns, NumSegments)
+	s.runs = slices.Grow(s.runs, NumSegments)
 	s.accessed.Reserve(pages)
-	for st := range s.stateBits {
-		s.stateBits[st].Reserve(pages)
-	}
-	if need := (pages + 64*64 - 1) / (64 * 64) * numStates; need > len(s.summary) {
-		s.summary = slices.Grow(s.summary, need-len(s.summary))
-	}
 }
 
 // PageSize returns the page size in bytes.
 func (s *Space) PageSize() int { return s.pageSize }
-
-// NumPages returns the total number of pages allocated.
-func (s *Space) NumPages() int { return s.n }
 
 // Alloc appends n pages of the given segment in the Inactive state and
 // returns their range. Newly allocated pages carry a set access bit: the
@@ -195,28 +176,14 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 	}
 	start := s.n
 	total := start + n
-	if k := len(s.segRuns); n > 0 && (k == 0 || s.segRuns[k-1].seg != seg) {
-		s.segRuns = append(s.segRuns, segRun{start: start, seg: seg})
+	if n > 0 {
+		if k := len(s.segRuns); k == 0 || s.segRuns[k-1].seg != seg {
+			s.segRuns = append(s.segRuns, segRun{start: start, seg: seg})
+		}
+		s.runs = pushRun(s.runs, PageID(start), Inactive)
 	}
 	s.n = total
-	// Pre-grow every bitset to the new page count so hot-path Set/Clear
-	// calls never hit the grow check's slow path.
-	s.accessed.Grow(total)
-	for st := range s.stateBits {
-		s.stateBits[st].Grow(total)
-	}
-	if need, k := (total+64*64-1)/(64*64)*numStates, len(s.summary); k < need {
-		s.summary = slices.Grow(s.summary, need-k)[:need]
-	}
 	s.accessed.SetRange(start, total)
-	s.stateBits[Inactive].SetRange(start, total)
-	// Only words that gain a page get a summary bit: Alloc(seg, 0) with s.n
-	// mid-word must not mark a word whose Inactive bits may all be clear.
-	if n > 0 {
-		for w := start / 64; w < (total+63)/64; w++ {
-			s.summary[w/64*numStates+int(Inactive)] |= 1 << (uint(w) % 64)
-		}
-	}
 	s.total[Inactive] += n
 	return Range{Start: PageID(start), End: PageID(total)}
 }
@@ -231,99 +198,61 @@ func (s *Space) AllocBytes(seg Segment, bytes int64) Range {
 	return s.Alloc(seg, n)
 }
 
-// clampRange narrows r to the allocated page span and returns it with the
-// span of words [w0, w1) it covers, empty when no page remains.
-func (s *Space) clampRange(r Range) (clamped Range, w0, w1 int) {
-	if int(r.End) > s.n {
-		r.End = PageID(s.n)
-	}
-	if r.End <= r.Start {
-		return r, 0, 0
-	}
-	return r, int(r.Start) / 64, (int(r.End) + 63) / 64
+// CopyStates makes s's page states a copy of src's — page size, page
+// count, runs and totals — for a what-if walk that must leave src alone.
+// Access bits and segments are not copied. It reuses s's run storage, so a
+// scratch Space copied into per request stops allocating once it has held
+// the largest run list.
+func (s *Space) CopyStates(src *Space) {
+	s.pageSize, s.n, s.total = src.pageSize, src.n, src.total
+	s.runs = append(s.runs[:0], src.runs...)
 }
 
-// WordMask returns the bitmask of the range's pages within the 64-page word
-// w, covering pages [w*64, w*64+64) — the per-word mask the word-at-a-time
-// page walks intersect with StateWord. It is zero when w lies outside the
-// range.
-func (r Range) WordMask(w int) uint64 {
-	base := w * 64
-	if base >= int(r.End) || base+64 <= int(r.Start) {
-		return 0
+// pushRun appends a run of state st starting at page p, or extends the last
+// run when it already has that state.
+func pushRun(runs []stateRun, p PageID, st State) []stateRun {
+	if k := len(runs); k > 0 && runs[k-1].st == st {
+		return runs
 	}
-	m := ^uint64(0)
-	if base < int(r.Start) {
-		m &= ^uint64(0) << (uint(r.Start) % 64)
-	}
-	if int(r.End) < base+64 {
-		m &= ^uint64(0) >> (64 - uint(r.End)%64)
-	}
-	return m
+	return append(runs, stateRun{start: p, st: st})
 }
 
-// LowestBits returns the k lowest set bits of m (all of m when it has at
-// most k) — how Prefix finds the budget-th page inside a word.
-func LowestBits(m uint64, k int) uint64 {
-	if k >= bits.OnesCount64(m) {
-		return m
+// runAt returns the index of the run holding the allocated page p.
+func (s *Space) runAt(p PageID) int {
+	lo, hi := 0, len(s.runs)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if s.runs[mid].start <= p {
+			lo = mid
+		} else {
+			hi = mid
+		}
 	}
-	var low uint64
-	for ; k > 0; k-- {
-		b := m & -m
-		low |= b
-		m ^= b
-	}
-	return low
+	return lo
 }
 
-// checkID panics unless id is an allocated page slot.
-func (s *Space) checkID(id PageID) {
-	if id < 0 || int(id) >= s.n {
-		panic(fmt.Sprintf("pagemem: page %d out of range [0, %d)", id, s.n))
+// runEnd returns the page just past run i.
+func (s *Space) runEnd(i int) PageID {
+	if i+1 < len(s.runs) {
+		return s.runs[i+1].start
 	}
+	return PageID(s.n)
 }
 
-// State returns the state of page id. Probing an unallocated id panics.
-func (s *Space) State(id PageID) State {
-	s.checkID(id)
-	// Every state bitset is grown to n pages, so the probes index directly,
-	// and an allocated page is in exactly one state.
-	w, bit := int(id)/64, uint64(1)<<(uint(id)%64)
-	switch {
-	case s.stateBits[Inactive].words[w]&bit != 0:
-		return Inactive
-	case s.stateBits[Hot].words[w]&bit != 0:
-		return Hot
-	}
-	return Remote
-}
-
-// SegmentOf returns the lifecycle segment page id was allocated in.
-func (s *Space) SegmentOf(id PageID) Segment {
-	s.checkID(id)
-	i := sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > int(id) })
-	return s.segRuns[i-1].seg
-}
-
-// SetState transitions page id to st, keeping the aggregate counters
-// consistent. Setting an unallocated id panics.
-func (s *Space) SetState(id PageID, st State) {
-	old := s.State(id)
-	if old == st {
-		return
-	}
-	s.move(int(id)/64, 1<<(uint(id)%64), old, st)
-}
-
-// Local and Idle are not page states but selectors. Passed to Words,
-// Prefix, MoveRange, ClearAccessedRange or a Selection (and Local to
-// StateWord), Local selects every locally resident page (Inactive or Hot),
-// and Idle the local pages whose access bit is clear (TMO's victims).
+// Local and Idle are not page states but selectors. Passed to Prefix,
+// MoveRange, ClearAccessedRange or a Selection, Local selects every locally
+// resident page (Inactive or Hot), and Idle the local pages whose access
+// bit is clear (TMO's victims).
 const (
 	Local State = numStates + iota
 	Idle
 )
+
+// selects reports whether selector sel (a page state, Local or Idle) takes
+// pages in state st; Idle also needs the page's access bit clear.
+func selects(sel, st State) bool {
+	return sel == st || st != Remote && (sel == Local || sel == Idle)
+}
 
 // Selection selects the pages of R in state St (a page state, Local or
 // Idle), in page order: how a policy names its offload victims.
@@ -332,54 +261,111 @@ type Selection struct {
 	St State
 }
 
+// stretchIter walks, in page order, the maximal stretches of a range's
+// pages that a selector takes: the selected runs clipped to the range, with
+// an Idle walk splitting its Local runs at accessed pages.
+type stretchIter struct {
+	s   *Space
+	sel State
+	end PageID
+	// i is the next run to look at, p the first page not yet walked and
+	// cur the run of the last stretch returned.
+	i, cur int
+	p      PageID
+}
+
+// stretches starts a walk over the pages of r that sel selects.
+func (s *Space) stretches(r Range, sel State) stretchIter {
+	it := stretchIter{s: s, sel: sel, end: min(r.End, PageID(s.n)), i: len(s.runs), p: r.Start}
+	if it.p < it.end {
+		it.i = s.runAt(it.p)
+	}
+	return it
+}
+
+// next returns the next stretch and its state, or false at the end.
+func (it *stretchIter) next() (Range, State, bool) {
+	s := it.s
+	for ; it.i < len(s.runs) && s.runs[it.i].start < it.end; it.i++ {
+		st := s.runs[it.i].st
+		if !selects(it.sel, st) {
+			continue
+		}
+		a, e := max(it.p, s.runs[it.i].start), min(s.runEnd(it.i), it.end)
+		b := e
+		if it.sel == Idle {
+			a = PageID(s.accessed.next(int(a), int(e), false))
+			b = PageID(s.accessed.next(int(a), int(e), true))
+		}
+		if a < b {
+			it.p, it.cur = b, it.i
+			// An Idle stretch that ends at an accessed page leaves more of
+			// its run to walk.
+			if b == e {
+				it.i++
+			}
+			return Range{Start: a, End: b}, st, true
+		}
+	}
+	return Range{}, 0, false
+}
+
 // Prefix returns the shortest prefix of r that holds n pages in state st,
 // and how many it holds: n, or fewer when r holds fewer, in which case the
 // prefix is all of r. n <= 0 also selects all of r. The walk stops at the
-// n-th page, so a budgeted count costs the words up to it.
+// run holding the n-th page.
 func (s *Space) Prefix(r Range, st State, n int) (Range, int) {
-	k, word, idle := 0, st, st == Idle
-	if idle {
-		word = Local
-	}
-	for it := s.Words(r, st); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			m := s.StateWord(w, word) & r.WordMask(w)
-			if idle {
-				m &^= s.accessed.words[w]
-			}
-			c := bits.OnesCount64(m)
-			if n > 0 && k+c >= n {
-				last := 64 - bits.LeadingZeros64(LowestBits(m, n-k))
-				return Range{Start: r.Start, End: PageID(w*64 + last)}, n
-			}
-			k += c
+	k := 0
+	for it := s.stretches(r, st); ; {
+		x, _, ok := it.next()
+		if !ok {
+			return r, k
 		}
+		if n > 0 && k+x.Len() >= n {
+			return Range{Start: r.Start, End: x.Start + PageID(n-k)}, n
+		}
+		k += x.Len()
 	}
-	return r, k
 }
 
 // MoveRange moves every page of r in state from (a page state, Local or
-// Idle) to the page state to, keeping the summaries and totals, and returns
-// how many pages moved.
+// Idle) to the page state to, keeping the totals, and returns how many
+// pages moved. It rewrites the runs r overlaps, plus one neighbour each
+// side to coalesce with, in one splice.
 func (s *Space) MoveRange(r Range, from, to State) int {
-	moved, word, idle := 0, from, from == Idle
-	if idle {
-		word = Local
+	r.End = min(r.End, PageID(s.n))
+	if r.Start >= r.End {
+		return 0
 	}
-	for it := s.Words(r, from); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			sel := s.StateWord(w, word) & r.WordMask(w)
-			if idle {
-				sel &^= s.accessed.words[w]
+	lo, hi := max(s.runAt(r.Start)-1, 0), min(s.runAt(r.End-1)+2, len(s.runs))
+	out, moved := s.spare[:0], 0
+	it := s.stretches(r, from)
+	x, st, ok := it.next()
+	for i := lo; i < hi; i++ {
+		p, end := s.runs[i].start, s.runEnd(i)
+		// A stretch lies inside one run, so run i's stretches are the ones
+		// starting before its end, and they share its state st.
+		for ; ok && x.Start < end; x, st, ok = it.next() {
+			if st == to {
+				continue
 			}
-			for st := Inactive; sel != 0 && st < numStates; st++ {
-				if m := s.stateBits[st].words[w] & sel; m != 0 && st != to {
-					s.move(w, m, st, to)
-					moved += bits.OnesCount64(m)
-				}
+			if p < x.Start {
+				out = pushRun(out, p, st)
 			}
+			out = pushRun(out, x.Start, to)
+			s.total[st] -= x.Len()
+			s.total[to] += x.Len()
+			moved += x.Len()
+			p = x.End
+		}
+		if p < end {
+			out = pushRun(out, p, s.runs[i].st)
 		}
 	}
+	if moved > 0 {
+		s.runs = slices.Replace(s.runs, lo, hi, out...)
+	}
+	s.spare = out[:0]
 	return moved
 }
 
@@ -389,126 +375,52 @@ func (s *Space) ClearAccessedRange(r Range, st State) {
 	if st == Idle {
 		return
 	}
-	for it := s.Words(r, st); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			s.accessed.words[w] &^= s.StateWord(w, st) & r.WordMask(w)
+	for it := s.stretches(r, st); ; {
+		x, _, ok := it.next()
+		if !ok {
+			return
 		}
+		s.accessed.ClearRange(int(x.Start), int(x.End))
 	}
 }
 
-// WordIter walks, in ascending order, the 64-page words overlapping a
-// range that hold a page in any of a set of states, one run of consecutive
-// such words at a time:
+// RunIter walks, in page order, the maximal runs of one page state that
+// overlap a range, each whole — it may start before the range and end past
+// it — at a binary search plus one step per run:
 //
-//	for it := s.Words(r, pagemem.Hot); it.Next(); {
-//		for w := it.Start; w < it.End; w++ {
-//			hot := s.StateWord(w, pagemem.Hot) & r.WordMask(w)
-//			...
-//		}
+//	for it := s.Runs(r, pagemem.Remote); it.Next(); {
+//		run := it.Run
+//		...
 //	}
 //
-// It reads one summary word per 64 words and skips empty words whole, and
-// the caller walks each run with a plain counter loop, so a dense range
-// costs what a word-by-word loop does. A run's edge word may hold its pages
-// outside r, hence the WordMask. A summary word is read when the walk
-// reaches it, so the body may move pages out of the walked states anywhere
-// (an emptied word ahead may still be visited, and then reads zero) but must
-// not move pages into them ahead of the cursor.
-type WordIter struct {
-	// Start and End bound the current run of occupied words, valid after
-	// Next returns true.
-	Start, End int
-	s          *Space
-	// states has bit st set for every walked state.
-	states uint8
-	// span is the word range [w0, w1), held as a Range one level up: its
-	// WordMask(sw) masks summary word sw to the span.
-	span Range
-	// sw is the current summary word and occ its occupied words not yet
-	// walked.
-	sw  int
-	occ uint64
+// The walk reads the run list as it goes, so its body must not change page
+// states.
+type RunIter struct {
+	// Run is the current run, valid after Next returns true.
+	Run Range
+	it  stretchIter
 }
 
-// Words returns a walk over the words overlapping r that hold a page in any
-// of sts (Local or Idle: Inactive or Hot, so an Idle walk may visit a word
-// whose local pages are all accessed).
-func (s *Space) Words(r Range, sts ...State) WordIter {
-	_, w0, w1 := s.clampRange(r)
-	it := WordIter{s: s, span: Range{Start: PageID(w0), End: PageID(w1)}, sw: w0/64 - 1}
-	for _, st := range sts {
-		if st == Local || st == Idle {
-			it.states |= 1<<Inactive | 1<<Hot
-		} else {
-			it.states |= 1 << st
-		}
-	}
-	return it
+// Runs returns a walk over the runs of page state st that overlap r.
+func (s *Space) Runs(r Range, st State) RunIter {
+	return RunIter{it: s.stretches(r, st)}
 }
 
-// Next advances to the next run of occupied words and reports whether
-// there is one, loading summary words until one has an occupied word left.
-func (it *WordIter) Next() bool {
-	for it.occ == 0 {
-		it.sw++
-		if PageID(it.sw*64) >= it.span.End {
-			return false
-		}
-		sum := it.s.summary[it.sw*numStates : it.sw*numStates+numStates]
-		for st, word := range sum {
-			if it.states&(1<<st) != 0 {
-				it.occ |= word
-			}
-		}
-		it.occ &= it.span.WordMask(it.sw)
+// Next advances to the next run and reports whether there is one.
+func (it *RunIter) Next() bool {
+	if _, _, ok := it.it.next(); !ok {
+		return false
 	}
-	lo := bits.TrailingZeros64(it.occ)
-	it.Start = it.sw*64 + lo
-	it.End = it.Start + bits.TrailingZeros64(^(it.occ >> uint(lo)))
-	// Adding the lowest set bit carries through the run and clears it.
-	it.occ &= it.occ + it.occ&-it.occ
+	s, i := it.it.s, it.it.cur
+	it.Run = Range{Start: s.runs[i].start, End: s.runEnd(i)}
 	return true
-}
-
-// Touch sets the access bit of page id and returns its current state so the
-// caller can decide whether a promotion or a remote fault is needed.
-func (s *Space) Touch(id PageID) State {
-	st := s.State(id)
-	s.accessed.Set(int(id))
-	return st
 }
 
 // TouchRange sets the access bits of every page in r in bulk — the fast path
 // for request spans, which touch contiguous page runs.
 func (s *Space) TouchRange(r Range) {
-	r, _, _ = s.clampRange(r)
-	s.accessed.SetRange(int(r.Start), int(r.End))
+	s.accessed.SetRange(int(r.Start), min(int(r.End), s.n))
 }
-
-// StateWord returns the 64-page occupancy mask of state st (Local: Inactive
-// or Hot) covering pages [w*64, w*64+64). Together with TransitionMasked it
-// lets hot loops (request touches, rollback) move whole words of pages
-// without per-page calls.
-func (s *Space) StateWord(w int, st State) uint64 {
-	if st == Local {
-		return s.stateBits[Inactive].word(w) | s.stateBits[Hot].word(w)
-	}
-	return s.stateBits[st].word(w)
-}
-
-// TransitionMasked moves every page in the 64-page word w whose mask bit is
-// set from state `from` to state `to`. Every masked page must currently be in
-// state `from` (callers derive mask from StateWord).
-func (s *Space) TransitionMasked(w int, mask uint64, from, to State) {
-	if mask == 0 {
-		return
-	}
-	s.move(w, mask, from, to)
-}
-
-// ClearAccessedMasked clears the access bits of the masked pages of the
-// 64-page word w.
-func (s *Space) ClearAccessedMasked(w int, mask uint64) { s.accessed.words[w] &^= mask }
 
 // Accessed reports the access bit of page id without clearing it.
 func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }
@@ -516,33 +428,17 @@ func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }
 // ClearAccessed clears the access bit of page id.
 func (s *Space) ClearAccessed(id PageID) { s.accessed.Clear(int(id)) }
 
-// CountInRange tallies pages of the given state inside r by popcounting
-// the state's occupied words.
+// CountInRange tallies the pages of r in state st (a page state or Local)
+// over the runs r overlaps.
 func (s *Space) CountInRange(r Range, st State) int {
 	n := 0
-	for it := s.Words(r, st); it.Next(); {
-		for w := it.Start; w < it.End; w++ {
-			n += bits.OnesCount64(s.stateBits[st].words[w] & r.WordMask(w))
+	for it := s.stretches(r, st); ; {
+		x, _, ok := it.next()
+		if !ok {
+			return n
 		}
+		n += x.Len()
 	}
-	return n
-}
-
-// Count returns the number of pages in the given segment and state,
-// summed over the segment's allocation runs.
-func (s *Space) Count(seg Segment, st State) int {
-	n := 0
-	for i, run := range s.segRuns {
-		if run.seg != seg {
-			continue
-		}
-		end := s.n
-		if i+1 < len(s.segRuns) {
-			end = s.segRuns[i+1].start
-		}
-		n += s.CountInRange(Range{Start: PageID(run.start), End: PageID(end)}, st)
-	}
-	return n
 }
 
 // CountState returns the number of pages in a state across all segments.

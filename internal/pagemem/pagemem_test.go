@@ -2,6 +2,7 @@ package pagemem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,7 +70,7 @@ func TestAllocBytesRoundsUp(t *testing.T) {
 // segments into spaces reserved for exactly their total: no Alloc call may
 // allocate, and the result must match an unreserved space.
 func TestReserveMakesAllocAllocationFree(t *testing.T) {
-	const runtime, init, exec = 7000, 30001, 4097 // spans summary words
+	const runtime, init, exec = 7000, 30001, 4097 // spans many access-bit words
 	build := func(s *Space) {
 		s.Alloc(SegRuntime, runtime)
 		s.Alloc(SegInit, init)
@@ -102,25 +103,13 @@ func TestReserveMakesAllocAllocationFree(t *testing.T) {
 	if g, w := got.CountAccessed(all), want.CountAccessed(all); g != w {
 		t.Fatalf("CountAccessed = %d, want %d", g, w)
 	}
-	// Growth within the reservation only lengthens the slices: the words it
-	// exposes were zeroed when the capacity was allocated, so no Hot or
-	// Remote bit or summary bit of the new pages may be set.
-	words := (got.NumPages() + 63) / 64
-	for _, st := range []State{Hot, Remote} {
-		bits := got.stateBits[st].words
-		if len(bits) < words {
-			t.Fatalf("%v bitset has %d words, want at least %d", st, len(bits), words)
-		}
-		for w, x := range bits {
-			if x != 0 {
-				t.Fatalf("%v word %d = %#x after Reserve and Alloc, want 0", st, w, x)
-			}
-		}
-		for sw := 0; sw*numStates < len(got.summary); sw++ {
-			if x := got.summary[sw*numStates+int(st)]; x != 0 {
-				t.Fatalf("%v summary word %d = %#x after Reserve and Alloc, want 0", st, sw, x)
-			}
-		}
+	// Growth within the reservation changes no page's state: the three
+	// segments are one Inactive run, and no page is Hot or Remote.
+	if want := []stateRun{{start: 0, st: Inactive}}; !slices.Equal(got.runs, want) {
+		t.Fatalf("runs after Reserve and Alloc = %v, want %v", got.runs, want)
+	}
+	if h, r := got.CountState(Hot), got.CountState(Remote); h != 0 || r != 0 {
+		t.Fatalf("hot %d, remote %d pages after Reserve and Alloc, want 0", h, r)
 	}
 }
 
@@ -157,7 +146,7 @@ func TestSetStateMaintainsCounters(t *testing.T) {
 
 // TestOutOfRangeIDPanics checks that probing or setting a never-allocated
 // page panics instead of reading as some state — including ids inside the
-// last bitset word.
+// last access-bit word.
 func TestOutOfRangeIDPanics(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	s.Alloc(SegRuntime, 10)
@@ -248,28 +237,6 @@ func TestIdlePrefixStopsMidWord(t *testing.T) {
 	// remote one.
 	if moved := s.MoveRange(r, Idle, Remote); moved != 127 || s.CountState(Remote) != 128 {
 		t.Fatalf("MoveRange(Idle, Remote) moved %d, remote %d; want 127, 128", moved, s.CountState(Remote))
-	}
-}
-
-// TestLowestBits covers the truncation helper at its edges.
-func TestLowestBits(t *testing.T) {
-	for _, tc := range []struct {
-		m    uint64
-		k    int
-		want uint64
-	}{
-		{0, 3, 0},
-		{0b1011_0100, 0, 0},
-		{0b1011_0100, 2, 0b0001_0100},
-		{0b1011_0100, 4, 0b1011_0100},
-		{0b1011_0100, 9, 0b1011_0100},
-		{^uint64(0), 64, ^uint64(0)},
-		{^uint64(0), 63, ^uint64(0) >> 1},
-		{1 << 63, 1, 1 << 63},
-	} {
-		if got := LowestBits(tc.m, tc.k); got != tc.want {
-			t.Errorf("LowestBits(%#b, %d) = %#b, want %#b", tc.m, tc.k, got, tc.want)
-		}
 	}
 }
 

@@ -52,12 +52,12 @@ func (v *fakeView) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max
 			if max > 0 && n == max {
 				return n
 			}
-			st := v.space.State(id)
+			st := stateOf(v.space, id)
 			if st == pagemem.Remote || sel.St == pagemem.Idle && v.space.Accessed(id) ||
 				sel.St != pagemem.Local && sel.St != pagemem.Idle && st != sel.St {
 				continue
 			}
-			v.space.SetState(id, pagemem.Remote)
+			setState(v.space, id, pagemem.Remote)
 			v.offloaded = append(v.offloaded, id)
 			n++
 		}
@@ -128,7 +128,7 @@ func TestDamonCountsGenuineReaccess(t *testing.T) {
 		d.sample(e)
 		// Re-touch every page between rounds, as an active request would.
 		for id := v.initRange.Start; id < v.initRange.End; id++ {
-			v.space.Touch(id)
+			v.space.TouchRange(pagemem.Range{Start: id, End: id + 1})
 		}
 		for _, r := range d.regions {
 			total += r.nrAccesses

@@ -167,9 +167,8 @@ func TestDAMONVsBaselineP95(t *testing.T) {
 func TestCollectPages(t *testing.T) {
 	s := pagemem.NewSpace(4096)
 	r := s.Alloc(pagemem.SegInit, 10)
-	s.SetState(r.Start+2, pagemem.Hot)
-	s.SetState(r.Start+3, pagemem.Hot)
-	s.SetState(r.Start+4, pagemem.Remote)
+	s.MoveRange(pagemem.Range{Start: r.Start + 2, End: r.Start + 4}, pagemem.Inactive, pagemem.Hot)
+	s.MoveRange(pagemem.Range{Start: r.Start + 4, End: r.Start + 5}, pagemem.Inactive, pagemem.Remote)
 	inactive := policy.CollectPages(s, r, pagemem.Inactive, 0)
 	if len(inactive) != 7 {
 		t.Fatalf("inactive = %d, want 7", len(inactive))

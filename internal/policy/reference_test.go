@@ -20,7 +20,7 @@ import (
 func CollectPages(s *pagemem.Space, r pagemem.Range, st pagemem.State, max int) []pagemem.PageID {
 	var out []pagemem.PageID
 	for id := r.Start; id < r.End; id++ {
-		cur := s.State(id)
+		cur := stateOf(s, id)
 		if cur == st || st == pagemem.Local && (cur == pagemem.Inactive || cur == pagemem.Hot) {
 			out = append(out, id)
 			if max > 0 && len(out) >= max {
@@ -56,10 +56,10 @@ func refTMOVictims(s *pagemem.Space, ranges []pagemem.Range, budget int) []pagem
 func scatteredView(seed int64) *fakeView {
 	v := newFakeView(300, 221)
 	rng := rand.New(rand.NewSource(seed))
-	for id := pagemem.PageID(0); int(id) < v.space.NumPages(); {
+	for id := pagemem.PageID(0); int(id) < numPages(v.space); {
 		st := pagemem.State(rng.Intn(3))
-		for end := min(id+pagemem.PageID(1+rng.Intn(100)), pagemem.PageID(v.space.NumPages())); id < end; id++ {
-			v.space.SetState(id, st)
+		for end := min(id+pagemem.PageID(1+rng.Intn(100)), pagemem.PageID(numPages(v.space))); id < end; id++ {
+			setState(v.space, id, st)
 			if rng.Intn(3) == 0 {
 				v.space.ClearAccessed(id)
 			}
@@ -71,7 +71,7 @@ func scatteredView(seed int64) *fakeView {
 // sameAccessBits fails unless both spaces agree on every access bit.
 func sameAccessBits(t *testing.T, label string, got, want *pagemem.Space) {
 	t.Helper()
-	for id := pagemem.PageID(0); int(id) < want.NumPages(); id++ {
+	for id := pagemem.PageID(0); int(id) < numPages(want); id++ {
 		if got.Accessed(id) != want.Accessed(id) {
 			t.Fatalf("%s: page %d accessed %v, want %v", label, id, got.Accessed(id), want.Accessed(id))
 		}
@@ -121,4 +121,25 @@ func TestDamonPageoutMatchesPerPageWalk(t *testing.T) {
 			t.Fatalf("seed %d: pageout %v, want %v", seed, fast.offloaded, want)
 		}
 	}
+}
+
+// numPages returns the number of pages allocated in sp.
+func numPages(sp *pagemem.Space) int { return sp.PagesOf(sp.TotalBytes()) }
+
+// stateOf returns page id's state, probed through the range API.
+func stateOf(sp *pagemem.Space, id pagemem.PageID) pagemem.State {
+	r := pagemem.Range{Start: id, End: id + 1}
+	for st := pagemem.Inactive; st < pagemem.Remote; st++ {
+		if sp.CountInRange(r, st) == 1 {
+			return st
+		}
+	}
+	return pagemem.Remote
+}
+
+// setState moves page id to state st, whatever its state was.
+func setState(sp *pagemem.Space, id pagemem.PageID, st pagemem.State) {
+	r := pagemem.Range{Start: id, End: id + 1}
+	sp.MoveRange(r, pagemem.Local, st)
+	sp.MoveRange(r, pagemem.Remote, st)
 }
