@@ -61,10 +61,9 @@ func (p Pucket) stage(v policy.View) telemetry.Stage {
 }
 
 // Rollback demotes every hot-pool page of this Pucket back to its inactive
-// list (clearing access bits so the next request-window re-evaluates them)
-// and returns the number of pages rolled back: two range calls, each
-// costing the runs the Pucket overlaps.
+// list, so the next request window re-evaluates them, and returns the
+// number of pages rolled back: one range move, costing the runs the Pucket
+// overlaps.
 func (p Pucket) Rollback(s *pagemem.Space) int {
-	s.ClearAccessedRange(p.Seg, pagemem.Hot)
 	return s.MoveRange(p.Seg, pagemem.Hot, pagemem.Inactive)
 }

@@ -30,24 +30,19 @@ func TestPucketCounts(t *testing.T) {
 }
 
 // TestPucketRollback checks rollback against page state: every Hot page of
-// the Pucket becomes Inactive with a clear access bit, Remote and Inactive
-// pages (and their access bits) are untouched, and pages outside the Pucket
-// keep their state.
+// the Pucket becomes Inactive, Remote and Inactive pages are untouched, and
+// pages outside the Pucket keep their state.
 func TestPucketRollback(t *testing.T) {
 	s := pagemem.NewSpace(pagemem.DefaultPageSize)
 	s.Alloc(pagemem.SegRuntime, 70)
 	// 130 pages so the Pucket spans three words and ends mid-word.
 	p := Pucket{Seg: s.Alloc(pagemem.SegInit, 130)}
 	s.Alloc(pagemem.SegExec, 20)
-	// States cycle Inactive, Hot, Remote; every fourth page's access bit is
-	// clear, so both bit values meet every state.
+	// States cycle Inactive, Hot, Remote.
 	want := make([]pagemem.State, numPages(s))
 	for id := pagemem.PageID(0); int(id) < numPages(s); id++ {
 		st := pagemem.State(int(id) % 3)
 		setState(s, id, st)
-		if id%4 == 0 {
-			s.ClearAccessed(id)
-		}
 		want[id] = st
 		if p.Seg.Start <= id && id < p.Seg.End && st == pagemem.Hot {
 			want[id] = pagemem.Inactive
@@ -63,10 +58,6 @@ func TestPucketRollback(t *testing.T) {
 	for id := pagemem.PageID(0); int(id) < numPages(s); id++ {
 		if got := stateOf(s, id); got != want[id] {
 			t.Fatalf("page %d state %v, want %v", id, got, want[id])
-		}
-		rolled := p.Seg.Start <= id && id < p.Seg.End && pagemem.State(int(id)%3) == pagemem.Hot
-		if wantAcc := !rolled && id%4 != 0; s.Accessed(id) != wantAcc {
-			t.Fatalf("page %d accessed = %v, want %v", id, s.Accessed(id), wantAcc)
 		}
 	}
 	// Rollback is idempotent.

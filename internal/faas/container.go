@@ -105,11 +105,10 @@ func (p *Platform) launch(f *Function) *Container {
 	if p.cfg.NodeID != "" {
 		c.owner = p.cfg.NodeID + "/" + c.id
 	}
-	// The runtime and init sizes are known from the profile: size the page
-	// state once for both instead of growing it per segment.
-	sp, prof := c.space, f.profile
-	sp.Reserve(sp.PagesOf(prof.RuntimeBytes) + sp.PagesOf(prof.InitBytes))
-	c.execPages = sp.PagesOf(prof.ExecBytes)
+	// Each segment is allocated in one run: size the run lists once for
+	// all of them instead of growing them per segment.
+	c.space.Reserve()
+	c.execPages = c.space.PagesOf(f.profile.ExecBytes)
 	c.finish = func(*simtime.Engine) { c.finishRequest() }
 	c.expire = func(*simtime.Engine) { c.recycle() }
 	p.tel.Launch(now, c.id, f.id, p.liveTotal)
@@ -338,13 +337,13 @@ func spanPages(sp *pagemem.Space, seg pagemem.Range, s workload.Span) (r pagemem
 }
 
 // touchRange touches pages [start, end) exactly as a sequential per-page
-// walk would: Hot pages only need their access bit, which TouchRange sets in
-// bulk; Inactive pages move to Hot in one range move; Remote pages fault in
-// run by run (recallRemote).
+// walk would: the policy hears of the span once (Touched), Inactive pages
+// move to Hot in one range move, and Remote pages fault in run by run
+// (recallRemote).
 func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
 	r := pagemem.Range{Start: start, End: end}
-	sp.TouchRange(r)
+	c.pol.Touched(r)
 	sp.MoveRange(r, pagemem.Inactive, pagemem.Hot)
 	return recallRemote(sp, seg, r, window)
 }

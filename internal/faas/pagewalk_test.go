@@ -41,13 +41,11 @@ func setState(sp *pagemem.Space, id pagemem.PageID, st pagemem.State) {
 	sp.MoveRange(r, pagemem.Remote, st)
 }
 
-// refTouchRange is the sequential per-page touch: every page in [start, end)
-// gets its access bit; Inactive pages promote to Hot; a Remote page faults,
-// and its fault recalls up to window contiguous Remote successors below
-// seg.End as readahead.
+// refTouchRange is the sequential per-page touch: Inactive pages in
+// [start, end) promote to Hot; a Remote page faults, and its fault recalls
+// up to window contiguous Remote successors below seg.End as readahead.
 func refTouchRange(c *Container, seg pagemem.Range, start, end pagemem.PageID, window int) (faults, readahead int) {
 	sp := c.space
-	sp.TouchRange(pagemem.Range{Start: start, End: end})
 	for id := start; id < end; id++ {
 		switch stateOf(sp, id) {
 		case pagemem.Remote:
@@ -136,18 +134,15 @@ func refClassOf(c *Container, id pagemem.PageID) memnode.Class {
 }
 
 // expandSelections lists the selected pages in (selection, page) order,
-// probing each page's state and access bit: the order the per-page
-// references visit them.
+// probing each page's state: the order the per-page references visit
+// them.
 func expandSelections(c *Container, sels []pagemem.Selection) []pagemem.PageID {
 	var ids []pagemem.PageID
 	for _, sel := range sels {
 		for id := sel.R.Start; id < sel.R.End; id++ {
 			st := stateOf(c.space, id)
 			local := st == pagemem.Inactive || st == pagemem.Hot
-			switch {
-			case sel.St == pagemem.Local && local,
-				sel.St == pagemem.Idle && local && !c.space.Accessed(id),
-				sel.St == st:
+			if sel.St == pagemem.Local && local || sel.St == st {
 				ids = append(ids, id)
 			}
 		}
@@ -196,7 +191,7 @@ func refOffloadAccepted(c *Container, cand []pagemem.PageID, accepted rmem.Class
 // monitored segments. The same seed builds the same container.
 func walkContainer(seed int64) *Container {
 	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
-	c := &Container{space: sp}
+	c := &Container{space: sp, pol: policy.Base{}}
 	c.runtimeRange = sp.Alloc(pagemem.SegRuntime, 300)
 	c.initRange = sp.Alloc(pagemem.SegInit, 221)
 	sp.Alloc(pagemem.SegExec, 137) // outside both ranges: ClassOther
@@ -220,9 +215,8 @@ func withWindow(c *Container, window int) *Container {
 	return c
 }
 
-// sameContainer fails unless the two containers' pages agree in state,
-// segment counts and access bits. Both hold runtime, init and exec pages in
-// that order.
+// sameContainer fails unless the two containers' pages agree in state and
+// segment counts. Both hold runtime, init and exec pages in that order.
 func sameContainer(t *testing.T, label string, got, want *Container) {
 	t.Helper()
 	segs := [pagemem.NumSegments]pagemem.Range{want.runtimeRange, want.initRange,
@@ -238,20 +232,27 @@ func sameContainer(t *testing.T, label string, got, want *Container) {
 		if g, w := stateOf(got.space, id), stateOf(want.space, id); g != w {
 			t.Fatalf("%s: page %d state %v, want %v", label, id, g, w)
 		}
-		if g, w := got.space.Accessed(id), want.space.Accessed(id); g != w {
-			t.Fatalf("%s: page %d accessed %v, want %v", label, id, g, w)
-		}
 	}
 }
+
+// touchLog is a no-op policy that records the ranges it hears touched.
+type touchLog struct {
+	policy.Base
+	touched []pagemem.Range
+}
+
+func (l *touchLog) Touched(r pagemem.Range) { l.touched = append(l.touched, r) }
 
 // TestTouchRangeMatchesSequentialWalk drives random spans through the run
 // walk and the per-page reference with readahead windows of none, one page,
 // a few pages (8) and more than a typical run (70), which clip at the
-// segment end.
+// segment end. The policy hears each span touched once, whole.
 func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 	for _, window := range []int{0, 1, 8, 70} {
 		for seed := int64(1); seed <= 20; seed++ {
 			fast, slow := walkContainer(seed), walkContainer(seed)
+			log := &touchLog{}
+			fast.pol = log
 			rng := rand.New(rand.NewSource(seed * 31))
 			for i := 0; i < 12; i++ {
 				seg := fast.runtimeRange
@@ -260,11 +261,15 @@ func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 				}
 				start := seg.Start + pagemem.PageID(rng.Intn(seg.Len()))
 				end := start + pagemem.PageID(1+rng.Intn(int(seg.End-start)))
+				log.touched = log.touched[:0]
 				f1, ra1 := fast.touchRange(seg, start, end, window)
 				f2, ra2 := refTouchRange(slow, seg, start, end, window)
 				if f1 != f2 || ra1 != ra2 {
 					t.Fatalf("window %d seed %d touch [%d,%d): faults/readahead %d/%d, want %d/%d",
 						window, seed, start, end, f1, ra1, f2, ra2)
+				}
+				if want := (pagemem.Range{Start: start, End: end}); len(log.touched) != 1 || log.touched[0] != want {
+					t.Fatalf("window %d seed %d: policy heard %v touched, want [%v]", window, seed, log.touched, want)
 				}
 				sameContainer(t, "touch", fast, slow)
 				// Push some pages back out so later spans fault again.
@@ -279,18 +284,6 @@ func TestTouchRangeMatchesSequentialWalk(t *testing.T) {
 	}
 }
 
-// clearSomeAccessBits clears a seeded random third of c's access bits, so
-// Idle selections have idle and accessed local pages to tell apart.
-func clearSomeAccessBits(c *Container, seed int64) *Container {
-	rng := rand.New(rand.NewSource(seed))
-	for id := pagemem.PageID(0); int(id) < numPages(c.space); id++ {
-		if rng.Intn(3) == 0 {
-			c.space.ClearAccessed(id)
-		}
-	}
-	return c
-}
-
 // offloadSelections builds one of four producer-shaped selection lists over
 // c, with the budget its producer passes:
 //   - semi-warm: state-major, Inactive then Hot, runtime then init, so the
@@ -299,7 +292,8 @@ func clearSomeAccessBits(c *Container, seed int64) *Container {
 //     so regions straddle the runtime/init boundary and reach the
 //     ClassOther tail, and neighbouring regions share a run;
 //   - Puckets: the runtime and init ranges whole in the Inactive state;
-//   - TMO: each range's prefix holding a random number of idle pages.
+//   - TMO: disjoint stretches of each range's local runs, as Local
+//     selections, with a random page budget.
 func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selection, int) {
 	rt, init := c.runtimeRange, c.initRange
 	switch shape {
@@ -319,10 +313,19 @@ func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selec
 	case 2:
 		return []pagemem.Selection{{R: rt, St: pagemem.Inactive}, {R: init, St: pagemem.Inactive}}, 0
 	}
-	budget := 1 + rng.Intn(rt.Len()+init.Len())
-	p1, n := c.space.Prefix(rt, pagemem.Idle, budget)
-	p2, _ := c.space.Prefix(init, pagemem.Idle, budget-n)
-	return []pagemem.Selection{{R: p1, St: pagemem.Idle}, {R: p2, St: pagemem.Idle}}, budget
+	var sels []pagemem.Selection
+	for _, r := range []pagemem.Range{rt, init} {
+		for it := c.space.Runs(r, pagemem.Local); it.Next(); {
+			for p, end := max(it.Run.Start, r.Start), min(it.Run.End, r.End); p < end; {
+				q := min(p+pagemem.PageID(1+rng.Intn(40)), end)
+				if rng.Intn(3) != 0 {
+					sels = append(sels, pagemem.Selection{R: pagemem.Range{Start: p, End: q}, St: pagemem.Local})
+				}
+				p = q
+			}
+		}
+	}
+	return sels, 1 + rng.Intn(rt.Len()+init.Len())
 }
 
 // TestOffloadMatchesPerPageMove drives every producer-shaped selection list
@@ -335,8 +338,8 @@ func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selec
 func TestOffloadMatchesPerPageMove(t *testing.T) {
 	for seed := int64(1); seed <= 80; seed++ {
 		// The piece count keeps its pieces in platform scratch.
-		fast := clearSomeAccessBits(withWindow(walkContainer(seed), 0), seed)
-		slow := clearSomeAccessBits(walkContainer(seed), seed)
+		fast := withWindow(walkContainer(seed), 0)
+		slow := walkContainer(seed)
 		rng := rand.New(rand.NewSource(seed * 17))
 		sels, limit := offloadSelections(fast, int(seed%4), rng)
 		ids := expandSelections(slow, sels)
@@ -370,8 +373,8 @@ func TestOffloadMatchesPerPageMove(t *testing.T) {
 		sameContainer(t, "offload", fast, slow)
 	}
 	for seed := int64(1); seed <= 40; seed++ {
-		fast := clearSomeAccessBits(walkContainer(seed), seed)
-		slow := clearSomeAccessBits(walkContainer(seed), seed)
+		fast := walkContainer(seed)
+		slow := walkContainer(seed)
 		rng := rand.New(rand.NewSource(seed * 29))
 		sels, limit := offloadSelections(fast, int(seed%4), rng)
 		ids := expandSelections(slow, sels)
@@ -505,7 +508,7 @@ func FuzzTouchWalk(f *testing.F) {
 		}
 		build := func() *Container {
 			sp := pagemem.NewSpace(pagemem.DefaultPageSize)
-			c := &Container{space: sp}
+			c := &Container{space: sp, pol: policy.Base{}}
 			c.runtimeRange = sp.Alloc(pagemem.SegRuntime, 1+int(runtime)%700)
 			c.initRange = sp.Alloc(pagemem.SegInit, 1+int(init)%700)
 			sp.Alloc(pagemem.SegExec, 37) // untracked pages past the init segment

@@ -9,8 +9,8 @@ import (
 // BenchmarkFragmentedSpace times the run list's worst case: a Bert-sized
 // init range with one run per page, its states cycling Inactive, Hot,
 // Remote page by page. Each iteration restores that layout untimed, then
-// times one request-style touch and promote over a 10% span, one Prefix
-// seeking 256 hot pages, and one offload-style MoveRange of a 1% span.
+// times one request-style promote over a 10% span, one Prefix seeking 256
+// hot pages, and one offload-style MoveRange of a 1% span.
 func BenchmarkFragmentedSpace(b *testing.B) {
 	frag, work := NewSpace(DefaultPageSize), NewSpace(DefaultPageSize)
 	bytes := workload.Bert().InitBytes
@@ -28,7 +28,6 @@ func BenchmarkFragmentedSpace(b *testing.B) {
 		b.StopTimer()
 		work.CopyStates(frag)
 		b.StartTimer()
-		work.TouchRange(touch)
 		work.MoveRange(touch, Inactive, Hot)
 		if _, k := work.Prefix(seg, Hot, 256); k != 256 {
 			b.Fatalf("Prefix found %d hot pages, want 256", k)

@@ -2,30 +2,6 @@ package pagemem
 
 import "testing"
 
-// TestTouchRangeMatchesPerPage checks the bulk access-bit path against Touch
-// on every page, including unaligned range edges.
-func TestTouchRangeMatchesPerPage(t *testing.T) {
-	a := NewSpace(DefaultPageSize)
-	b := NewSpace(DefaultPageSize)
-	for _, s := range []*Space{a, b} {
-		s.Alloc(SegRuntime, 200)
-		for id := PageID(0); id < 200; id++ {
-			s.ClearAccessed(id)
-		}
-	}
-	r := Range{Start: 3, End: 197}
-	a.TouchRange(r)
-	for id := r.Start; id < r.End; id++ {
-		b.Touch(id)
-	}
-	for id := PageID(0); id < 200; id++ {
-		if a.Accessed(id) != b.Accessed(id) {
-			t.Fatalf("page %d: TouchRange accessed=%v, Touch accessed=%v",
-				id, a.Accessed(id), b.Accessed(id))
-		}
-	}
-}
-
 // TestMoveRangeMatchesSetState checks a range's state count against
 // per-page State probes, and a range move against per-page SetState. Every
 // third page is Hot, so the space is one run per page or two; moving the

@@ -3,41 +3,31 @@ package pagemem
 import (
 	"math/bits"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 )
 
 // naiveSpace is the obviously-correct model of Space: plain slices, no
-// runs, no bitsets, no incremental counters — every query is an O(pages)
-// rescan. The differential drivers below replay one operation script
-// through both and fail on any observable divergence, so the run splices
-// and the word-at-a-time access-bit scans are checked against per-page
-// semantics.
+// runs, no incremental counters — every query is an O(pages) rescan. The
+// differential drivers below replay one operation script through both and
+// fail on any observable divergence, so the run splices are checked against
+// per-page semantics.
 type naiveSpace struct {
 	pageSize int
 	state    []State
 	seg      []Segment
-	accessed []bool
 }
 
 func (n *naiveSpace) alloc(seg Segment, count int) {
 	for i := 0; i < count; i++ {
 		n.state = append(n.state, Inactive)
 		n.seg = append(n.seg, seg)
-		n.accessed = append(n.accessed, true)
-	}
-}
-
-func (n *naiveSpace) touchRange(r Range) {
-	for id := r.Start; id < r.End; id++ {
-		n.accessed[id] = true
 	}
 }
 
 // transitionMasked moves the masked pages of word w that are in state from
-// to state to, and clears the access bits of the clear-masked pages.
-func (n *naiveSpace) transitionMasked(w int, mask uint64, from, to State, clear uint64) {
+// to state to.
+func (n *naiveSpace) transitionMasked(w int, mask uint64, from, to State) {
 	for b := 0; b < 64; b++ {
 		id := w*64 + b
 		if id >= len(n.state) {
@@ -46,21 +36,7 @@ func (n *naiveSpace) transitionMasked(w int, mask uint64, from, to State, clear 
 		if mask&(1<<uint(b)) != 0 && n.state[id] == from {
 			n.state[id] = to
 		}
-		if clear&(1<<uint(b)) != 0 {
-			n.accessed[id] = false
-		}
 	}
-}
-
-func (n *naiveSpace) scanAndClear(r Range) []PageID {
-	var hit []PageID
-	for id := r.Start; id < r.End; id++ {
-		if n.accessed[id] {
-			hit = append(hit, id)
-			n.accessed[id] = false
-		}
-	}
-	return hit
 }
 
 func (n *naiveSpace) countInRange(r Range, st State) int {
@@ -84,14 +60,11 @@ func (n *naiveSpace) count(seg Segment, st State) int {
 }
 
 // selected reports whether page id is in st, where Local selects Inactive
-// or Hot and Idle an unaccessed Inactive or Hot page.
+// or Hot.
 func (n *naiveSpace) selected(id PageID, st State) bool {
 	cur := n.state[id]
-	switch st {
-	case Local:
+	if st == Local {
 		return cur == Inactive || cur == Hot
-	case Idle:
-		return (cur == Inactive || cur == Hot) && !n.accessed[id]
 	}
 	return cur == st
 }
@@ -111,27 +84,6 @@ func (n *naiveSpace) collectInState(r Range, st State, max int) []PageID {
 	return out
 }
 
-// collectIdleLocal is TMO's per-page walk: local pages of r in page order,
-// an accessed one loses its bit and is skipped, an idle one is a victim, and
-// the walk ends at the max-th victim.
-func (n *naiveSpace) collectIdleLocal(r Range, max int) []PageID {
-	var out []PageID
-	for id := r.Start; id < r.End; id++ {
-		if n.state[id] != Inactive && n.state[id] != Hot {
-			continue
-		}
-		if n.accessed[id] {
-			n.accessed[id] = false
-			continue
-		}
-		out = append(out, id)
-		if max > 0 && len(out) >= max {
-			break
-		}
-	}
-	return out
-}
-
 // moveRange is MoveRange page by page: every page of r in from goes to to.
 func (n *naiveSpace) moveRange(r Range, from, to State) int {
 	moved := 0
@@ -142,15 +94,6 @@ func (n *naiveSpace) moveRange(r Range, from, to State) int {
 		}
 	}
 	return moved
-}
-
-// clearAccessedRange is ClearAccessedRange page by page.
-func (n *naiveSpace) clearAccessedRange(r Range, st State) {
-	for id := r.Start; id < r.End; id++ {
-		if n.selected(id, st) {
-			n.accessed[id] = false
-		}
-	}
 }
 
 // spacePair drives one script through the run-backed Space and the model.
@@ -187,11 +130,10 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	n := len(p.slow.state)
 	switch op % 9 {
 	case 0: // grow: a few pages, or (odd multiples of 9) 64 to 1024 pages
-		// With a >= 128 the space first reserves 16*b pages, below, at or
-		// beyond what the grow needs; the reserve must change nothing the
-		// model can see.
+		// With a >= 128 the space first reserves its run lists; the
+		// reserve must change nothing the model can see.
 		if a >= 128 {
-			p.fast.Reserve(16 * int(b))
+			p.fast.Reserve()
 		}
 		seg := Segment(int(a) % int(NumSegments))
 		count := int(b) % 97
@@ -200,10 +142,13 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		}
 		p.fast.Alloc(seg, count)
 		p.slow.alloc(seg, count)
-	case 1, 2: // bulk access path (request spans)
+	case 1, 2: // request span: promote its Inactive pages, recall its Remote ones
 		r := p.rangeFrom(a, b)
-		p.fast.TouchRange(r)
-		p.slow.touchRange(r)
+		for _, from := range []State{Inactive, Remote} {
+			if got, want := p.fast.MoveRange(r, from, Hot), p.slow.moveRange(r, from, Hot); got != want {
+				t.Fatalf("span MoveRange(%v, %v, hot) moved %d pages, want %d", r, from, got, want)
+			}
+		}
 	case 3: // single-page transition
 		if n == 0 {
 			return
@@ -212,19 +157,17 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		st := State(int(a) % numStates)
 		p.fast.SetState(id, st)
 		p.slow.state[id] = st
-	case 4: // access path
+	case 4: // single-page probe
 		if n == 0 {
 			return
 		}
 		id := PageID((int(a)<<8 | int(b)) % n)
-		got := p.fast.Touch(id)
-		p.slow.accessed[id] = true
-		if want := p.slow.state[id]; got != want {
-			t.Fatalf("Touch(%d) = %v, want %v", id, got, want)
+		if got, want := p.fast.State(id), p.slow.state[id]; got != want {
+			t.Fatalf("State(%d) = %v, want %v", id, got, want)
 		}
-	case 5: // masked window of range moves + access-bit clears (rollback,
-		// offload): the set bits of a 64-bit pattern over the 64 pages from
-		// w*64 name the pages, each maximal run of them one range call
+	case 5: // masked window of range moves (rollback, offload): the set bits
+		// of a 64-bit pattern over the 64 pages from w*64 name the pages,
+		// each maximal run of them one range call
 		if n == 0 {
 			return
 		}
@@ -239,17 +182,8 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 		if b&1 != 0 {
 			pattern = uint64(a)*0x0101010101010101 ^ uint64(b)<<19 ^ uint64(b)<<41
 		}
-		clear := pattern &^ (uint64(b) << 32)
-		if rem := n - w*64; rem < 64 {
-			clear &= 1<<uint(rem) - 1
-		}
 		forMaskRuns(w*64, pattern, func(r Range) { p.fast.MoveRange(r, from, to) })
-		forMaskRuns(w*64, clear, func(r Range) {
-			for st := Inactive; st < numStates; st++ {
-				p.fast.ClearAccessedRange(r, st)
-			}
-		})
-		p.slow.transitionMasked(w, pattern, from, to, clear)
+		p.slow.transitionMasked(w, pattern, from, to)
 		r := Range{Start: PageID(w * 64), End: PageID(min(n, w*64+64))}
 		for st := Inactive; st < numStates; st++ {
 			if got, want := p.fast.CountInRange(r, st), p.slow.countInRange(r, st); got != want {
@@ -257,17 +191,16 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 					w, pattern, from, to, st, got, want)
 			}
 		}
-	case 6: // accessed-bit scan (DAMON/TMO sampling)
+	case 6: // range counts (Pucket sizes, offload sizing)
 		r := p.rangeFrom(a, b)
-		var got []PageID
-		p.fast.ScanAndClear(r, func(id PageID) { got = append(got, id) })
-		if want := p.slow.scanAndClear(r); !reflect.DeepEqual(got, want) {
-			t.Fatalf("ScanAndClear(%v) = %v, want %v", r, got, want)
+		for st := Inactive; st <= Local; st++ {
+			if got, want := p.fast.CountInRange(r, st), len(p.slow.collectInState(r, st, 0)); got != want {
+				t.Fatalf("CountInRange(%v, %v) = %d, want %d", r, st, got, want)
+			}
 		}
-	case 7: // budgeted prefix (offload count): one state, Local or Idle;
-		// an Idle prefix then has its local access bits cleared (TMO)
+	case 7: // budgeted prefix (offload count): one state or Local
 		r := p.rangeFrom(a, b)
-		st := State(int(a) % int(Idle+1))
+		st := State(int(a) % int(Local+1))
 		max := 0
 		if b%4 != 0 {
 			max = int(b) / 4
@@ -282,36 +215,18 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 			t.Fatalf("Prefix(%v, %v, %d) = %v (%d pages), want %v (%d)", r, st, max, got, k, wantR, len(want))
 		}
 		// With nothing moving, Runs walks exactly the runs overlapping r
-		// that hold a page of each page state st selects, whole (Local and
-		// Idle walk Inactive and Hot).
+		// that hold a page of each page state st selects, whole (Local
+		// walks Inactive and Hot).
 		walked := []State{st}
-		if st >= Local {
+		if st == Local {
 			walked = []State{Inactive, Hot}
 		}
 		for _, ws := range walked {
 			p.checkRunWalk(t, r, ws)
 		}
-		if st == Idle {
-			// TMO's step: clearing the local access bits of the idle prefix
-			// leaves exactly the bits the per-page idle walk leaves.
-			p.fast.ClearAccessedRange(got, Local)
-			if victims := p.slow.collectIdleLocal(r, max); !reflect.DeepEqual(victims, want) {
-				t.Fatalf("idle walk of %v, %d found %v, Prefix counted %v", r, max, victims, want)
-			}
-			for id := r.Start; id < r.End; id++ {
-				if g, w := p.fast.Accessed(id), p.slow.accessed[id]; g != w {
-					t.Fatalf("Prefix(%v, idle, %d) then clear: page %d accessed %v, want %v", r, max, id, g, w)
-				}
-			}
-		}
-	case 8: // range move (offload, recall) or access-bit clear (TMO)
+	case 8: // range move (offload, recall)
 		r := p.rangeFrom(a, b)
-		from := State(int(a) % int(Idle+1))
-		if b%4 == 0 {
-			p.fast.ClearAccessedRange(r, from)
-			p.slow.clearAccessedRange(r, from)
-			return
-		}
+		from := State(int(a) % int(Local+1))
 		to := State(int(b) % numStates)
 		if got, want := p.fast.MoveRange(r, from, to), p.slow.moveRange(r, from, to); got != want {
 			t.Fatalf("MoveRange(%v, %v, %v) moved %d pages, want %d", r, from, to, got, want)
@@ -346,13 +261,6 @@ func (p *spacePair) check(t *testing.T, step int) {
 		if got, want := p.fast.SegmentOf(PageID(id)), p.slow.seg[id]; got != want {
 			t.Fatalf("step %d: SegmentOf(%d) = %v, want %v", step, id, got, want)
 		}
-		if got, want := p.fast.Accessed(PageID(id)), p.slow.accessed[id]; got != want {
-			t.Fatalf("step %d: Accessed(%d) = %v, want %v", step, id, got, want)
-		}
-	}
-	all := Range{Start: 0, End: PageID(len(p.slow.state))}
-	if got, want := p.fast.CountAccessed(all), len(p.slow.scanAndClearPreview()); got != want {
-		t.Fatalf("step %d: CountAccessed = %d, want %d", step, got, want)
 	}
 	p.checkRuns(t, step)
 }
@@ -428,22 +336,10 @@ func forMaskRuns(base int, m uint64, fn func(Range)) {
 	}
 }
 
-// scanAndClearPreview returns the accessed set without clearing (model-side
-// helper for CountAccessed).
-func (n *naiveSpace) scanAndClearPreview() []PageID {
-	var hit []PageID
-	for id, acc := range n.accessed {
-		if acc {
-			hit = append(hit, PageID(id))
-		}
-	}
-	return hit
-}
-
 // TestSpaceDifferentialRandomOps replays long random scripts through the
 // run-backed Space and the naive model, comparing complete observable
 // state periodically. The scripts' large grows take every seed past 4,096
-// pages, 64 access-bit words.
+// pages.
 func TestSpaceDifferentialRandomOps(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -462,14 +358,14 @@ func TestSpaceDifferentialRandomOps(t *testing.T) {
 }
 
 // FuzzSpaceDifferential lets the fuzzer drive arbitrary operation scripts
-// through Space and the naive model; any divergence in scan results,
+// through Space and the naive model; any divergence in walk results,
 // counters, or per-page state fails.
 func FuzzSpaceDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 70, 4, 0, 5, 3, 1, 9, 5, 0, 255, 6, 0, 255, 7, 2, 3})
 	f.Add([]byte{0, 2, 96, 1, 20, 200, 2, 10, 128, 0, 1, 33, 5, 64, 250})
 	f.Add([]byte{0, 129, 40, 9, 128, 3, 5, 2, 255, 0, 200, 250, 7, 3, 255, 9, 130, 15, 1, 60, 200, 0, 128, 0})
 	// One run per page: 64 pages alternating Inactive, Hot, Remote page by
-	// page, then a budgeted Prefix, a range move, an Idle move and a masked
+	// page, then a budgeted Prefix, a range move, a Local move and a masked
 	// window over them.
 	alternating := []byte{9, 0, 0}
 	for id := byte(0); id < 64; id++ {
@@ -477,7 +373,7 @@ func FuzzSpaceDifferential(f *testing.F) {
 			alternating = append(alternating, 3, st, id)
 		}
 	}
-	f.Add(append(alternating, 7, 1, 21, 8, 2, 255, 8, 4, 253, 5, 1, 3))
+	f.Add(append(alternating, 7, 1, 21, 8, 2, 255, 8, 3, 253, 5, 1, 3))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 3*300 {
 			script = script[:3*300]

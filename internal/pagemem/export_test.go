@@ -2,7 +2,6 @@ package pagemem
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -58,36 +57,4 @@ func (s *Space) SegmentOf(id PageID) Segment {
 	s.checkID(id)
 	i := sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > int(id) })
 	return s.segRuns[i-1].seg
-}
-
-// Touch sets the access bit of page id and returns its state.
-func (s *Space) Touch(id PageID) State {
-	st := s.State(id)
-	s.accessed.Set(int(id))
-	return st
-}
-
-// Set sets bit i.
-func (b *Bitset) Set(i int) {
-	w := i / 64
-	if w >= len(b.words) {
-		b.grow(i)
-	}
-	b.words[w] |= 1 << (uint(i) % 64)
-}
-
-// ForEachSet calls fn for every set bit in [start, end), skipping zero words
-// whole. fn receives the bit index.
-func (b *Bitset) ForEachSet(start, end int, fn func(int)) {
-	end = min(end, len(b.words)*64)
-	for i := start; i < end; i = (i/64 + 1) * 64 {
-		w := i / 64
-		word := b.words[w] >> (uint(i) % 64) << (uint(i) % 64)
-		if hi := end - w*64; hi < 64 {
-			word &= 1<<uint(hi) - 1
-		}
-		for ; word != 0; word &= word - 1 {
-			fn(w*64 + bits.TrailingZeros64(word))
-		}
-	}
 }

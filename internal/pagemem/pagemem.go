@@ -1,20 +1,19 @@
 // Package pagemem models a container's memory at page granularity.
 //
 // A Space is a growable array of fixed-size pages. Each page carries the
-// state the offloading policies act on (inactive / hot / remote), the
-// lifecycle segment it was allocated in (runtime / init / exec), and an
-// access bit, mirroring the page-table Accessed bit that the paper's
-// mechanisms (and DAMON/TMO) sample.
+// state the offloading policies act on (inactive / hot / remote) and the
+// lifecycle segment it was allocated in (runtime / init / exec). Accessed
+// bits are not kept here: the paper's mechanism never reads them, and the
+// baselines that sample them (TMO, DAMON) own theirs in internal/policy.
 //
 // Every mechanism acts on page ranges — a Pucket's sealed range, a DAMON
 // region, a request span, a semi-warm drain — so page state is kept as
 // runs: one sorted list of maximal page ranges that share a state. A range
 // operation costs a binary search plus the runs it overlaps, however many
 // pages those hold, and per-state totals make "how much local memory does
-// this container hold" O(1). Access bits, which DAMON samples and clears
-// one page at a time, stay a bitset. Offload victims are Selections,
-// (range, state) pairs: Prefix counts one up to a page budget and MoveRange
-// moves it.
+// this container hold" O(1). Offload victims are Selections, (range,
+// state) pairs: Prefix counts one up to a page budget and MoveRange moves
+// it.
 package pagemem
 
 import (
@@ -56,8 +55,6 @@ func (s State) String() string {
 		return "remote"
 	case Local:
 		return "local"
-	case Idle:
-		return "idle"
 	default:
 		return fmt.Sprintf("state(%d)", uint8(s))
 	}
@@ -115,9 +112,8 @@ func (r Range) Len() int { return int(r.End - r.Start) }
 type Space struct {
 	pageSize int
 	// n is the number of page slots ever allocated.
-	n        int
-	accessed Bitset
-	runs     []stateRun
+	n    int
+	runs []stateRun
 	// spare is MoveRange's scratch for the runs it rewrites.
 	spare []stateRun
 	// total[st] is the number of pages in state st.
@@ -151,25 +147,20 @@ func NewSpace(pageSize int) *Space {
 	return &Space{pageSize: pageSize}
 }
 
-// Reserve sizes the space's page state for pages page slots, one
-// access-bit allocation plus room for one state and one segment run per
-// segment, so Alloc calls up to that total allocate nothing while each
-// segment is allocated in one run. It changes no page: a container whose
-// segment sizes are known at launch reserves their sum once instead of
-// growing per segment.
-func (s *Space) Reserve(pages int) {
+// Reserve sizes the space's run lists for one state and one segment run
+// per segment, so Alloc calls allocate nothing while each segment is
+// allocated in one run. It changes no page: a container whose segment sizes
+// are known at launch reserves once instead of growing per segment.
+func (s *Space) Reserve() {
 	s.segRuns = slices.Grow(s.segRuns, NumSegments)
 	s.runs = slices.Grow(s.runs, NumSegments)
-	s.accessed.Reserve(pages)
 }
 
 // PageSize returns the page size in bytes.
 func (s *Space) PageSize() int { return s.pageSize }
 
 // Alloc appends n pages of the given segment in the Inactive state and
-// returns their range. Newly allocated pages carry a set access bit: the
-// allocation itself wrote them, exactly as a faulted-in page is young in the
-// kernel.
+// returns their range.
 func (s *Space) Alloc(seg Segment, n int) Range {
 	if n < 0 {
 		panic("pagemem: negative allocation")
@@ -183,7 +174,6 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 		s.runs = pushRun(s.runs, PageID(start), Inactive)
 	}
 	s.n = total
-	s.accessed.SetRange(start, total)
 	s.total[Inactive] += n
 	return Range{Start: PageID(start), End: PageID(total)}
 }
@@ -200,9 +190,9 @@ func (s *Space) AllocBytes(seg Segment, bytes int64) Range {
 
 // CopyStates makes s's page states a copy of src's — page size, page
 // count, runs and totals — for a what-if walk that must leave src alone.
-// Access bits and segments are not copied. It reuses s's run storage, so a
-// scratch Space copied into per request stops allocating once it has held
-// the largest run list.
+// Segments are not copied. It reuses s's run storage, so a scratch Space
+// copied into per request stops allocating once it has held the largest
+// run list.
 func (s *Space) CopyStates(src *Space) {
 	s.pageSize, s.n, s.total = src.pageSize, src.n, src.total
 	s.runs = append(s.runs[:0], src.runs...)
@@ -239,31 +229,26 @@ func (s *Space) runEnd(i int) PageID {
 	return PageID(s.n)
 }
 
-// Local and Idle are not page states but selectors. Passed to Prefix,
-// MoveRange, ClearAccessedRange or a Selection, Local selects every locally
-// resident page (Inactive or Hot), and Idle the local pages whose access
-// bit is clear (TMO's victims).
-const (
-	Local State = numStates + iota
-	Idle
-)
+// Local is not a page state but a selector. Passed to Prefix, MoveRange,
+// Runs or a Selection, it selects every locally resident page (Inactive or
+// Hot).
+const Local State = numStates
 
-// selects reports whether selector sel (a page state, Local or Idle) takes
-// pages in state st; Idle also needs the page's access bit clear.
+// selects reports whether selector sel (a page state or Local) takes pages
+// in state st.
 func selects(sel, st State) bool {
-	return sel == st || st != Remote && (sel == Local || sel == Idle)
+	return sel == st || sel == Local && st != Remote
 }
 
-// Selection selects the pages of R in state St (a page state, Local or
-// Idle), in page order: how a policy names its offload victims.
+// Selection selects the pages of R in state St (a page state or Local), in
+// page order: how a policy names its offload victims.
 type Selection struct {
 	R  Range
 	St State
 }
 
 // stretchIter walks, in page order, the maximal stretches of a range's
-// pages that a selector takes: the selected runs clipped to the range, with
-// an Idle walk splitting its Local runs at accessed pages.
+// pages that a selector takes: the selected runs clipped to the range.
 type stretchIter struct {
 	s   *Space
 	sel State
@@ -291,19 +276,10 @@ func (it *stretchIter) next() (Range, State, bool) {
 		if !selects(it.sel, st) {
 			continue
 		}
-		a, e := max(it.p, s.runs[it.i].start), min(s.runEnd(it.i), it.end)
-		b := e
-		if it.sel == Idle {
-			a = PageID(s.accessed.next(int(a), int(e), false))
-			b = PageID(s.accessed.next(int(a), int(e), true))
-		}
+		a, b := max(it.p, s.runs[it.i].start), min(s.runEnd(it.i), it.end)
 		if a < b {
 			it.p, it.cur = b, it.i
-			// An Idle stretch that ends at an accessed page leaves more of
-			// its run to walk.
-			if b == e {
-				it.i++
-			}
+			it.i++
 			return Range{Start: a, End: b}, st, true
 		}
 	}
@@ -328,10 +304,10 @@ func (s *Space) Prefix(r Range, st State, n int) (Range, int) {
 	}
 }
 
-// MoveRange moves every page of r in state from (a page state, Local or
-// Idle) to the page state to, keeping the totals, and returns how many
-// pages moved. It rewrites the runs r overlaps, plus one neighbour each
-// side to coalesce with, in one splice.
+// MoveRange moves every page of r in state from (a page state or Local) to
+// the page state to, keeping the totals, and returns how many pages moved.
+// It rewrites the runs r overlaps, plus one neighbour each side to coalesce
+// with, in one splice.
 func (s *Space) MoveRange(r Range, from, to State) int {
 	r.End = min(r.End, PageID(s.n))
 	if r.Start >= r.End {
@@ -369,21 +345,6 @@ func (s *Space) MoveRange(r Range, from, to State) int {
 	return moved
 }
 
-// ClearAccessedRange clears the access bits of the pages of r in state st
-// (a page state, Local or Idle, whose pages' bits are already clear).
-func (s *Space) ClearAccessedRange(r Range, st State) {
-	if st == Idle {
-		return
-	}
-	for it := s.stretches(r, st); ; {
-		x, _, ok := it.next()
-		if !ok {
-			return
-		}
-		s.accessed.ClearRange(int(x.Start), int(x.End))
-	}
-}
-
 // RunIter walks, in page order, the maximal runs of one page state that
 // overlap a range, each whole — it may start before the range and end past
 // it — at a binary search plus one step per run:
@@ -415,18 +376,6 @@ func (it *RunIter) Next() bool {
 	it.Run = Range{Start: s.runs[i].start, End: s.runEnd(i)}
 	return true
 }
-
-// TouchRange sets the access bits of every page in r in bulk — the fast path
-// for request spans, which touch contiguous page runs.
-func (s *Space) TouchRange(r Range) {
-	s.accessed.SetRange(int(r.Start), min(int(r.End), s.n))
-}
-
-// Accessed reports the access bit of page id without clearing it.
-func (s *Space) Accessed(id PageID) bool { return s.accessed.Get(int(id)) }
-
-// ClearAccessed clears the access bit of page id.
-func (s *Space) ClearAccessed(id PageID) { s.accessed.Clear(int(id)) }
 
 // CountInRange tallies the pages of r in state st (a page state or Local)
 // over the runs r overlaps.

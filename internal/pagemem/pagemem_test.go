@@ -36,9 +36,6 @@ func TestAllocBasics(t *testing.T) {
 		if s.State(id) != Inactive {
 			t.Fatalf("page %d state %v, want inactive", id, s.State(id))
 		}
-		if !s.Accessed(id) {
-			t.Fatalf("page %d should be born accessed", id)
-		}
 		if s.SegmentOf(id) != SegRuntime {
 			t.Fatalf("page %d segment %v, want runtime", id, s.SegmentOf(id))
 		}
@@ -67,10 +64,10 @@ func TestAllocBytesRoundsUp(t *testing.T) {
 }
 
 // TestReserveMakesAllocAllocationFree allocates a container's three
-// segments into spaces reserved for exactly their total: no Alloc call may
-// allocate, and the result must match an unreserved space.
+// segments into reserved spaces: no Alloc call may allocate, and the result
+// must match an unreserved space.
 func TestReserveMakesAllocAllocationFree(t *testing.T) {
-	const runtime, init, exec = 7000, 30001, 4097 // spans many access-bit words
+	const runtime, init, exec = 7000, 30001, 4097
 	build := func(s *Space) {
 		s.Alloc(SegRuntime, runtime)
 		s.Alloc(SegInit, init)
@@ -80,7 +77,7 @@ func TestReserveMakesAllocAllocationFree(t *testing.T) {
 	spaces := make([]*Space, runs+1) // AllocsPerRun adds one warm-up call
 	for i := range spaces {
 		spaces[i] = NewSpace(DefaultPageSize)
-		spaces[i].Reserve(runtime + init + exec)
+		spaces[i].Reserve()
 	}
 	next := 0
 	if n := testing.AllocsPerRun(runs, func() { build(spaces[next]); next++ }); n != 0 {
@@ -99,9 +96,6 @@ func TestReserveMakesAllocAllocationFree(t *testing.T) {
 		if g, w := got.Count(seg, Inactive), want.Count(seg, Inactive); g != w {
 			t.Fatalf("Count(%v, inactive) = %d, want %d", seg, g, w)
 		}
-	}
-	if g, w := got.CountAccessed(all), want.CountAccessed(all); g != w {
-		t.Fatalf("CountAccessed = %d, want %d", g, w)
 	}
 	// Growth within the reservation changes no page's state: the three
 	// segments are one Inactive run, and no page is Hot or Remote.
@@ -145,8 +139,8 @@ func TestSetStateMaintainsCounters(t *testing.T) {
 }
 
 // TestOutOfRangeIDPanics checks that probing or setting a never-allocated
-// page panics instead of reading as some state — including ids inside the
-// last access-bit word.
+// page panics instead of reading as some state — including ids just past
+// the last page.
 func TestOutOfRangeIDPanics(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
 	s.Alloc(SegRuntime, 10)
@@ -154,7 +148,6 @@ func TestOutOfRangeIDPanics(t *testing.T) {
 		for name, probe := range map[string]func(){
 			"State":     func() { s.State(id) },
 			"SegmentOf": func() { s.SegmentOf(id) },
-			"Touch":     func() { s.Touch(id) },
 			"SetState":  func() { s.SetState(id, Hot) },
 		} {
 			func() {
@@ -166,107 +159,6 @@ func TestOutOfRangeIDPanics(t *testing.T) {
 				probe()
 			}()
 		}
-	}
-}
-
-func TestTouchSetsAccessBit(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegRuntime, 1)
-	s.ClearAccessed(r.Start)
-	if s.Accessed(r.Start) {
-		t.Fatal("access bit should be clear")
-	}
-	if st := s.Touch(r.Start); st != Inactive {
-		t.Fatalf("Touch returned %v, want inactive", st)
-	}
-	if !s.Accessed(r.Start) {
-		t.Fatal("Touch did not set access bit")
-	}
-}
-
-// ScanAndClear invokes fn for every page in r whose access bit is set, then
-// clears the bit — a page-table Accessed-bit scan over the bitset's
-// word-skipping walk. The policies' own scans (TMO's idle prefix, DAMON's
-// sampling) do not need it; the tests use it to drive and check access bits.
-func (s *Space) ScanAndClear(r Range, fn func(PageID)) {
-	if fn != nil {
-		s.accessed.ForEachSet(int(r.Start), int(r.End), func(i int) { fn(PageID(i)) })
-	}
-	s.accessed.ClearRange(int(r.Start), int(r.End))
-}
-
-// CountAccessed tallies set access bits in r without clearing them.
-func (s *Space) CountAccessed(r Range) int {
-	return s.accessed.CountRange(int(r.Start), int(r.End))
-}
-
-// TestIdlePrefixStopsMidWord pins the budget edge of TMO's step: when the
-// max-th idle page falls inside a word, the prefix ends right after it, so
-// clearing the prefix's access bits clears accessed pages before it and
-// keeps those after it.
-func TestIdlePrefixStopsMidWord(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegRuntime, 128)
-	s.ScanAndClear(r, nil)
-	for _, id := range []PageID{3, 10, 40, 70} {
-		s.Touch(id)
-	}
-	s.SetState(5, Remote) // not local: neither idle nor cleared
-	s.Touch(5)
-	p, n := s.Prefix(r, Idle, 8)
-	// Idle local pages in order: 0 1 2 4 6 7 8 9 — the 8th is page 9.
-	if want := (Range{Start: 0, End: 10}); n != 8 || p != want {
-		t.Fatalf("Prefix(Idle, 8) = %v (%d pages), want %v (8)", p, n, want)
-	}
-	s.ClearAccessedRange(p, Local)
-	for id, acc := range map[PageID]bool{3: false, 5: true, 10: true, 40: true, 70: true} {
-		if s.Accessed(id) != acc {
-			t.Errorf("page %d accessed = %v, want %v", id, !acc, acc)
-		}
-	}
-	// Without a budget the prefix is all of r; pages 10, 40 and 70 are
-	// still accessed, page 3 is idle again.
-	if p, n := s.Prefix(r, Idle, 0); n != 128-1-3 || p != r {
-		t.Fatalf("unbounded prefix = %v with %d idle pages, want %v with %d", p, n, r, 128-1-3)
-	}
-	s.ClearAccessedRange(r, Local)
-	if s.CountAccessed(r) != 1 || !s.Accessed(5) {
-		t.Fatalf("clear left %d accessed pages, want only remote page 5", s.CountAccessed(r))
-	}
-	// Moving the idle pages takes every local page now, and leaves the
-	// remote one.
-	if moved := s.MoveRange(r, Idle, Remote); moved != 127 || s.CountState(Remote) != 128 {
-		t.Fatalf("MoveRange(Idle, Remote) moved %d, remote %d; want 127, 128", moved, s.CountState(Remote))
-	}
-}
-
-func TestScanAndClear(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegInit, 10)
-	for id := r.Start; id < r.End; id++ {
-		s.ClearAccessed(id)
-	}
-	s.Touch(r.Start + 2)
-	s.Touch(r.Start + 5)
-	var seen []PageID
-	s.ScanAndClear(r, func(id PageID) { seen = append(seen, id) })
-	if len(seen) != 2 || seen[0] != r.Start+2 || seen[1] != r.Start+5 {
-		t.Fatalf("scan saw %v, want [2 5] offsets", seen)
-	}
-	// Bits must now be clear.
-	count := 0
-	s.ScanAndClear(r, func(PageID) { count++ })
-	if count != 0 {
-		t.Fatalf("second scan saw %d pages, want 0", count)
-	}
-}
-
-func TestScanAndClearNilFn(t *testing.T) {
-	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegInit, 3)
-	s.ScanAndClear(r, nil) // must not panic
-	if s.Accessed(r.Start) {
-		t.Fatal("nil-fn scan should still clear bits")
 	}
 }
 
@@ -365,8 +257,9 @@ func TestCountersMatchBruteForce(t *testing.T) {
 					s.SetState(PageID(rng.Intn(s.NumPages())), State(rng.Intn(numStates)))
 				}
 			case 2:
-				if s.NumPages() > 0 {
-					s.Touch(PageID(rng.Intn(s.NumPages())))
+				if n := s.NumPages(); n > 0 {
+					a, b := PageID(rng.Intn(n)), PageID(rng.Intn(n+1))
+					s.MoveRange(Range{Start: min(a, b), End: max(a, b)}, State(rng.Intn(int(Local)+1)), State(rng.Intn(numStates)))
 				}
 			}
 		}

@@ -77,6 +77,7 @@ func (d *DAMON) Attach(e *simtime.Engine, v View) ContainerPolicy {
 		view: v,
 		rng:  lazyrand.New(d.cfg.Seed ^ int64(len(v.ID())+1)*2654435761),
 	}
+	c.accessed.reserveSegments(v)
 	c.ticker = simtime.NewTicker(e, d.cfg.SamplingInterval, c.sample)
 	return c
 }
@@ -98,11 +99,14 @@ func (r damonRegion) len() int { return int(r.end - r.start) }
 
 type damonContainer struct {
 	Base
-	cfg     DAMONConfig
-	view    View
-	ticker  *simtime.Ticker
-	rng     *rand.Rand
-	regions []damonRegion
+	cfg    DAMONConfig
+	view   View
+	ticker *simtime.Ticker
+	rng    *rand.Rand
+	// accessed holds the pages' Accessed bits, set by allocation and by
+	// request touches; sampling clears one page per region.
+	accessed bitset
+	regions  []damonRegion
 	// spare is adaptRegions' split buffer, swapped with regions on each
 	// split pass so neither is reallocated once both have grown.
 	spare   []damonRegion
@@ -112,11 +116,20 @@ type damonContainer struct {
 	sels []pagemem.Selection
 }
 
-// InitDone implements ContainerPolicy: monitoring targets exist once the
-// init segment is materialized, so the initial regions are laid out here.
+// RuntimeLoaded implements ContainerPolicy: allocation wrote the runtime
+// segment, so its pages start accessed.
+func (c *damonContainer) RuntimeLoaded(*simtime.Engine) { c.accessed.setPages(c.view.RuntimeRange()) }
+
+// InitDone implements ContainerPolicy: the init segment's pages start
+// accessed, and monitoring targets exist once it is materialized, so the
+// initial regions are laid out here.
 func (c *damonContainer) InitDone(*simtime.Engine) {
+	c.accessed.setPages(c.view.InitRange())
 	c.resetRegions()
 }
+
+// Touched implements ContainerPolicy.
+func (c *damonContainer) Touched(r pagemem.Range) { c.accessed.setPages(r) }
 
 // resetRegions covers the monitored ranges (runtime + init segments) with
 // MinRegions equal slices.
@@ -165,19 +178,18 @@ func (c *damonContainer) sample(e *simtime.Engine) {
 			return
 		}
 	}
-	s := c.view.Space()
 	for i := range c.regions {
 		r := &c.regions[i]
 		if r.len() <= 0 {
 			continue
 		}
 		if r.prepared && r.samplingAddr >= r.start && r.samplingAddr < r.end &&
-			s.Accessed(r.samplingAddr) {
+			c.accessed.Get(int(r.samplingAddr)) {
 			r.nrAccesses++
 		}
 		// Prepare the next check.
 		r.samplingAddr = r.start + pagemem.PageID(c.rng.Intn(r.len()))
-		s.ClearAccessed(r.samplingAddr)
+		c.accessed.Clear(int(r.samplingAddr))
 		r.prepared = true
 	}
 	c.samples++

@@ -14,9 +14,11 @@ import (
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
-// fakeView is a minimal policy.View for driving DAMON without a platform.
+// fakeView is a minimal policy.View for driving the baselines without a
+// platform.
 type fakeView struct {
 	space        *pagemem.Space
+	prof         workload.Profile
 	runtimeRange pagemem.Range
 	initRange    pagemem.Range
 	offloaded    []pagemem.PageID
@@ -24,7 +26,10 @@ type fakeView struct {
 
 func newFakeView(runtimePages, initPages int) *fakeView {
 	s := pagemem.NewSpace(pagemem.DefaultPageSize)
-	v := &fakeView{space: s}
+	v := &fakeView{space: s, prof: workload.Profile{
+		RuntimeBytes: s.BytesOf(runtimePages),
+		InitBytes:    s.BytesOf(initPages),
+	}}
 	v.runtimeRange = s.Alloc(pagemem.SegRuntime, runtimePages)
 	v.initRange = s.Alloc(pagemem.SegInit, initPages)
 	return v
@@ -32,7 +37,7 @@ func newFakeView(runtimePages, initPages int) *fakeView {
 
 func (v *fakeView) ID() string                  { return "fake#1" }
 func (v *fakeView) FunctionID() string          { return "fake" }
-func (v *fakeView) Profile() *workload.Profile  { return nil }
+func (v *fakeView) Profile() *workload.Profile  { return &v.prof }
 func (v *fakeView) Space() *pagemem.Space       { return v.space }
 func (v *fakeView) RuntimeRange() pagemem.Range { return v.runtimeRange }
 func (v *fakeView) InitRange() pagemem.Range    { return v.initRange }
@@ -53,8 +58,7 @@ func (v *fakeView) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max
 				return n
 			}
 			st := stateOf(v.space, id)
-			if st == pagemem.Remote || sel.St == pagemem.Idle && v.space.Accessed(id) ||
-				sel.St != pagemem.Local && sel.St != pagemem.Idle && st != sel.St {
+			if st == pagemem.Remote || sel.St != pagemem.Local && st != sel.St {
 				continue
 			}
 			setState(v.space, id, pagemem.Remote)
@@ -100,11 +104,12 @@ func TestDamonResetRegionsCoversMonitoredRanges(t *testing.T) {
 func TestDamonTwoPhaseSamplingIgnoresStaleBits(t *testing.T) {
 	v := newFakeView(10, 10)
 	d := newTestDamon(v)
-	d.resetRegions()
+	e := simtime.NewEngine()
+	d.RuntimeLoaded(e)
+	d.InitDone(e)
 	// All pages carry stale access bits (set at allocation). A full
 	// aggregation of sampling rounds must report zero accesses, because the
 	// two-phase protocol only counts re-accesses after a clear.
-	e := simtime.NewEngine()
 	for i := 0; i < d.cfg.SamplesPerAggregation-1; i++ {
 		d.sample(e)
 	}
@@ -128,7 +133,7 @@ func TestDamonCountsGenuineReaccess(t *testing.T) {
 		d.sample(e)
 		// Re-touch every page between rounds, as an active request would.
 		for id := v.initRange.Start; id < v.initRange.End; id++ {
-			v.space.TouchRange(pagemem.Range{Start: id, End: id + 1})
+			d.Touched(pagemem.Range{Start: id, End: id + 1})
 		}
 		for _, r := range d.regions {
 			total += r.nrAccesses
@@ -136,6 +141,45 @@ func TestDamonCountsGenuineReaccess(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("constant re-access never observed by sampling")
+	}
+}
+
+// TestDamonSamplingSeesTouchedSpans checks the two-phase protocol against
+// the Touched hook: a span over the prepared page makes the next check
+// count an access; a span elsewhere does not, and neither does a check with
+// no touch since the last one.
+func TestDamonSamplingSeesTouchedSpans(t *testing.T) {
+	v := newFakeView(0, 64)
+	d := newTestDamon(v)
+	d.cfg.MinRegions = 1
+	e := simtime.NewEngine()
+	d.InitDone(e)
+	d.sample(e) // prepare only: the sampled page's bit is now clear
+	r := &d.regions[0]
+	// elsewhere is a span of the region that misses page p.
+	elsewhere := func(p pagemem.PageID) pagemem.Range {
+		if p == r.start {
+			return pagemem.Range{Start: p + 1, End: r.end}
+		}
+		return pagemem.Range{Start: r.start, End: p}
+	}
+	over := func(p pagemem.PageID) pagemem.Range { return pagemem.Range{Start: p, End: p + 1} }
+	for _, c := range []struct {
+		name string
+		span func(prepared pagemem.PageID) pagemem.Range
+		want int
+	}{
+		{"a span elsewhere", elsewhere, 0},
+		{"a span over the prepared page", over, 1},
+		{"no touch", nil, 1},
+	} {
+		if c.span != nil {
+			d.Touched(c.span(r.samplingAddr))
+		}
+		d.sample(e)
+		if r.nrAccesses != c.want {
+			t.Fatalf("after %s: %d accesses counted, want %d", c.name, r.nrAccesses, c.want)
+		}
 	}
 }
 

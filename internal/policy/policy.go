@@ -10,8 +10,13 @@
 // and link bandwidth are charged consistently, and what a policy reports goes
 // through View.Telemetry's emit methods. Victims travel as
 // pagemem.Selection lists — (range, state) pairs such as a Pucket's
-// inactive list, a cold DAMON region's local pages or TMO's idle prefix —
-// plus a page budget, never as per-page id lists.
+// inactive list, a cold DAMON region's local pages or TMO's idle stretches
+// — plus a page budget, never as per-page id lists.
+//
+// The page-table Accessed bits live here, not in pagemem: only the
+// baselines that sample them (TMO's idle step, DAMON's two-phase checks)
+// keep a bitset, filled from the Touched hook and from the segment hooks
+// that follow each allocation. The paper's own mechanism never reads one.
 package policy
 
 import (
@@ -53,7 +58,9 @@ type View interface {
 	// OffloadPages moves the selected pages to the remote pool, charging
 	// node memory accounting and link bandwidth. Pages are taken in (selection,
 	// page) order up to max of them (max <= 0: no limit); a selected page
-	// that is not local (inactive or hot) is skipped. Selections must select
+	// that is not local (inactive or hot) is skipped. The cost is a walk
+	// over the runs each selection overlaps, so a policy that knows its
+	// exact victims (TMO's idle stretches) passes them as Local selections. Selections must select
 	// disjoint pages: a page selected twice would be counted, moved and
 	// charged twice. It returns how many pages were actually offloaded;
 	// fewer than selected means the budget, the pool or the link truncated
@@ -89,11 +96,17 @@ type Policy interface {
 // them) but should cancel their own timers in Recycle.
 type ContainerPolicy interface {
 	// RuntimeLoaded fires when the container runtime finished loading, right
-	// after the Runtime-Init time barrier was inserted.
+	// after the Runtime-Init time barrier was inserted: the runtime segment
+	// was allocated, so its pages were just written.
 	RuntimeLoaded(e *simtime.Engine)
 	// InitDone fires when function initialization completed, right after the
-	// Init-Execution time barrier was inserted.
+	// Init-Execution time barrier was inserted: the init segment was
+	// allocated, so its pages were just written.
 	InitDone(e *simtime.Engine)
+	// Touched fires for each page range a request accesses, before the
+	// platform promotes or faults in its pages: where a kernel would set
+	// the pages' Accessed bits.
+	Touched(r pagemem.Range)
 	// RequestStart fires when a request begins executing on the container
 	// (after the exec segment was charged).
 	RequestStart(e *simtime.Engine)
@@ -124,6 +137,9 @@ func (Base) RuntimeLoaded(*simtime.Engine) {}
 
 // InitDone implements ContainerPolicy.
 func (Base) InitDone(*simtime.Engine) {}
+
+// Touched implements ContainerPolicy.
+func (Base) Touched(pagemem.Range) {}
 
 // RequestStart implements ContainerPolicy.
 func (Base) RequestStart(*simtime.Engine) {}

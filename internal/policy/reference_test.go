@@ -3,7 +3,7 @@ package policy
 // Per-page references for the baselines' victim selections: DAMON's
 // pageout of cold regions and TMO's idle-page step are replayed page by page
 // on an identical container and must pick the same victims in the same
-// order and leave the same access bits.
+// order, and TMO's step must leave the same access bits.
 
 import (
 	"math/rand"
@@ -34,12 +34,12 @@ func CollectPages(s *pagemem.Space, r pagemem.Range, st pagemem.State, max int) 
 // refTMOVictims is TMO's per-page step: local pages of each range in order,
 // an accessed one loses its bit, an idle one is a victim, until budget
 // victims are found.
-func refTMOVictims(s *pagemem.Space, ranges []pagemem.Range, budget int) []pagemem.PageID {
+func refTMOVictims(s *pagemem.Space, accessed *bitset, ranges []pagemem.Range, budget int) []pagemem.PageID {
 	var victims []pagemem.PageID
 	for _, r := range ranges {
 		for _, id := range CollectPages(s, r, pagemem.Local, 0) {
-			if s.Accessed(id) {
-				s.ClearAccessed(id)
+			if accessed.Get(int(id)) {
+				accessed.Clear(int(id))
 				continue
 			}
 			victims = append(victims, id)
@@ -52,28 +52,32 @@ func refTMOVictims(s *pagemem.Space, ranges []pagemem.Range, budget int) []pagem
 }
 
 // scatteredView is a fakeView whose runtime and init pages carry random
-// runs of states and random access bits; the same seed builds the same view.
-func scatteredView(seed int64) *fakeView {
+// runs of states, with the access bits a policy holds for them: set at
+// allocation, then cleared on a random third of the pages. The same seed
+// builds the same view and bits.
+func scatteredView(seed int64) (*fakeView, bitset) {
 	v := newFakeView(300, 221)
+	var accessed bitset
+	accessed.SetRange(0, numPages(v.space))
 	rng := rand.New(rand.NewSource(seed))
 	for id := pagemem.PageID(0); int(id) < numPages(v.space); {
 		st := pagemem.State(rng.Intn(3))
 		for end := min(id+pagemem.PageID(1+rng.Intn(100)), pagemem.PageID(numPages(v.space))); id < end; id++ {
 			setState(v.space, id, st)
 			if rng.Intn(3) == 0 {
-				v.space.ClearAccessed(id)
+				accessed.Clear(int(id))
 			}
 		}
 	}
-	return v
+	return v, accessed
 }
 
-// sameAccessBits fails unless both spaces agree on every access bit.
-func sameAccessBits(t *testing.T, label string, got, want *pagemem.Space) {
+// sameAccessBits fails unless both bitsets agree on the first n bits.
+func sameAccessBits(t *testing.T, label string, got, want *bitset, n int) {
 	t.Helper()
-	for id := pagemem.PageID(0); int(id) < numPages(want); id++ {
-		if got.Accessed(id) != want.Accessed(id) {
-			t.Fatalf("%s: page %d accessed %v, want %v", label, id, got.Accessed(id), want.Accessed(id))
+	for id := 0; id < n; id++ {
+		if got.Get(id) != want.Get(id) {
+			t.Fatalf("%s: page %d accessed %v, want %v", label, id, got.Get(id), want.Get(id))
 		}
 	}
 }
@@ -83,17 +87,18 @@ func sameAccessBits(t *testing.T, label string, got, want *pagemem.Space) {
 // per-page walk.
 func TestTMOStepMatchesPerPageWalk(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		fast, slow := scatteredView(seed), scatteredView(seed)
+		fast, fastBits := scatteredView(seed)
+		slow, slowBits := scatteredView(seed)
 		frac := []float64{0.01, 0.2, 0.45, 2}[seed%4]
-		c := &tmoContainer{cfg: TMOConfig{StepFraction: frac}.withDefaults(), view: fast}
+		c := &tmoContainer{cfg: TMOConfig{StepFraction: frac}.withDefaults(), view: fast, accessed: fastBits}
 		c.step(simtime.NewEngine())
 		s := slow.space
 		budget := int(int64(float64(s.TotalBytes())*frac) / int64(s.PageSize()))
-		want := refTMOVictims(s, []pagemem.Range{slow.runtimeRange, slow.initRange}, budget)
+		want := refTMOVictims(s, &slowBits, []pagemem.Range{slow.runtimeRange, slow.initRange}, budget)
 		if len(want) == 0 || !slices.Equal(fast.offloaded, want) {
 			t.Fatalf("seed %d budget %d: victims %v, want %v", seed, budget, fast.offloaded, want)
 		}
-		sameAccessBits(t, "tmo step", fast.space, s)
+		sameAccessBits(t, "tmo step", &c.accessed, &slowBits, numPages(s))
 	}
 }
 
@@ -101,7 +106,8 @@ func TestTMOStepMatchesPerPageWalk(t *testing.T) {
 // that one aggregation offloads exactly their local pages, region by region.
 func TestDamonPageoutMatchesPerPageWalk(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
-		fast, slow := scatteredView(seed), scatteredView(seed)
+		fast, _ := scatteredView(seed)
+		slow, _ := scatteredView(seed)
 		d := newTestDamon(fast)
 		d.cfg.MinRegions = 37 // 14-page regions: edges fall inside words
 		d.resetRegions()

@@ -49,6 +49,7 @@ func (t *TMO) Name() string { return "tmo" }
 // Attach implements Policy.
 func (t *TMO) Attach(e *simtime.Engine, v View) ContainerPolicy {
 	c := &tmoContainer{cfg: t.cfg, view: v}
+	c.accessed.reserveSegments(v)
 	c.ticker = simtime.NewTicker(e, t.cfg.StepInterval, c.step)
 	return c
 }
@@ -58,6 +59,9 @@ type tmoContainer struct {
 	cfg    TMOConfig
 	view   View
 	ticker *simtime.Ticker
+	// accessed holds the pages' Accessed bits, set by allocation and by
+	// request touches and cleared by the step.
+	accessed bitset
 	// carry accumulates sub-page budget across steps so small containers
 	// still converge to StepFraction per step on average.
 	carry int64
@@ -66,10 +70,23 @@ type tmoContainer struct {
 	sels []pagemem.Selection
 }
 
-// step performs one conservative offload increment: clear access bits over
-// the monitored segments, then offload up to the per-step budget of pages
-// that were not touched since the previous step (coldest first: runtime
-// segment before init segment, since runtime pages age out sooner).
+// RuntimeLoaded implements ContainerPolicy: allocation wrote the runtime
+// segment, so its pages start accessed, as a faulted-in page is young in
+// the kernel.
+func (c *tmoContainer) RuntimeLoaded(*simtime.Engine) { c.accessed.setPages(c.view.RuntimeRange()) }
+
+// InitDone implements ContainerPolicy: the init segment's pages start
+// accessed.
+func (c *tmoContainer) InitDone(*simtime.Engine) { c.accessed.setPages(c.view.InitRange()) }
+
+// Touched implements ContainerPolicy.
+func (c *tmoContainer) Touched(r pagemem.Range) { c.accessed.setPages(r) }
+
+// step performs one conservative offload increment: offload up to the
+// per-step budget of pages that were not touched since the previous step
+// (coldest first: runtime segment before init segment, since runtime pages
+// age out sooner), clearing the bits of the touched pages it passes on the
+// way so the next step can re-evaluate them.
 func (c *tmoContainer) step(e *simtime.Engine) {
 	if c.view.StallFraction() > c.cfg.StallThreshold {
 		return // feedback loop: performance is already degrading
@@ -82,15 +99,9 @@ func (c *tmoContainer) step(e *simtime.Engine) {
 		return
 	}
 	c.carry -= int64(budget) * pageBytes
-	var scanned [2]pagemem.Range
-	sels, left, k := c.sels[:0], budget, 0
+	sels, left := c.sels[:0], budget
 	for _, r := range [...]pagemem.Range{c.view.RuntimeRange(), c.view.InitRange()} {
-		p, n := s.Prefix(r, pagemem.Idle, left)
-		scanned[k], k = p, k+1
-		if n > 0 {
-			sels = append(sels, pagemem.Selection{R: p, St: pagemem.Idle})
-		}
-		if left -= n; left == 0 {
+		if sels, left = c.idleStretches(s, r, sels, left); left == 0 {
 			break
 		}
 	}
@@ -98,12 +109,34 @@ func (c *tmoContainer) step(e *simtime.Engine) {
 	if len(sels) > 0 {
 		c.view.OffloadPages(e, sels, budget)
 	}
-	// Pages touched since the last step are young: the step leaves them and
-	// clears their bits, up to the last victim, so the next step can
-	// re-evaluate. The victims' bits are already clear.
-	for _, p := range scanned[:k] {
-		s.ClearAccessedRange(p, pagemem.Local)
+}
+
+// idleStretches walks the local pages of r in page order, once, against the
+// access bits: each stretch of clear bits is appended to sels as a Local
+// selection, each stretch of set bits is cleared, and the walk ends at the
+// left-th idle page (left > 0), leaving the bits after it alone. It returns
+// sels and the budget left.
+func (c *tmoContainer) idleStretches(s *pagemem.Space, r pagemem.Range, sels []pagemem.Selection, left int) ([]pagemem.Selection, int) {
+	for it := s.Runs(r, pagemem.Local); it.Next(); {
+		p, end := int(max(it.Run.Start, r.Start)), int(min(it.Run.End, r.End))
+		for p < end {
+			if q := c.accessed.next(p, end, true); p < q {
+				n := min(q-p, left)
+				sels = append(sels, pagemem.Selection{
+					R:  pagemem.Range{Start: pagemem.PageID(p), End: pagemem.PageID(p + n)},
+					St: pagemem.Local,
+				})
+				if left -= n; left == 0 {
+					return sels, 0
+				}
+				p = q
+			}
+			q := c.accessed.next(p, end, false)
+			c.accessed.ClearRange(p, q)
+			p = q
+		}
 	}
+	return sels, left
 }
 
 // Recycle implements ContainerPolicy.
