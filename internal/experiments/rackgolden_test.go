@@ -39,9 +39,16 @@ func TestRackRowsGolden(t *testing.T) {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}
-	golden := filepath.Join("testdata", "rack_rows_golden.txt")
+	checkGolden(t, filepath.Join("testdata", "rack_rows_golden.txt"), got.Bytes())
+}
+
+// checkGolden compares got with the golden file at path line by line and
+// fails at the first line that differs; with -update it first rewrites the
+// file with got.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +56,7 @@ func TestRackRowsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
 		var g, w []byte
 		if i < len(gotLines) {
@@ -59,7 +66,7 @@ func TestRackRowsGolden(t *testing.T) {
 			w = wantLines[i]
 		}
 		if !bytes.Equal(g, w) {
-			t.Fatalf("rack rows drifted from %s at line %d:\n got: %s\nwant: %s", golden, i+1, g, w)
+			t.Fatalf("output drifted from %s at line %d:\n got: %s\nwant: %s", golden, i+1, g, w)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -68,4 +71,22 @@ func TestSelect(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRegistryStdoutGolden pins the human-readable report of every
+// deterministic registry entry at paper scale and seed 42: the concatenation
+// of each entry's output followed by a blank line, exactly as
+// `cmd/experiments -seed 42` prints it with fig15 (measured host times) left
+// out. A change to any cell's format or to any entry's rows shows up as a
+// diff. Run with -update to rewrite the golden file.
+func TestRegistryStdoutGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, e := range Registry {
+		if e.WallClock {
+			continue
+		}
+		e.Run(&got, 42)
+		fmt.Fprintln(&got)
+	}
+	checkGolden(t, filepath.Join("testdata", "registry_stdout_golden.txt"), got.Bytes())
 }
