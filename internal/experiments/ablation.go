@@ -13,16 +13,16 @@ import (
 
 // Fig13Row is one variant's latency/memory summary under one trace case.
 type Fig13Row struct {
-	Case    string // "common" | "bursty"
-	Variant PolicyKind
-	AvgLat  float64
-	P50     float64
-	P95     float64
-	P99     float64
+	Case    string     `col:"case"` // "common" | "bursty"
+	Variant PolicyKind `col:"variant"`
+	AvgLat  float64    `col:"avg,%.3fs"`
+	P50     float64    `col:"P50,%.3fs"`
+	P95     float64    `col:"P95,%.3fs"`
+	P99     float64    `col:"P99,%.3fs"`
 	// AvgMemMB is the average node-local memory.
-	AvgMemMB float64
+	AvgMemMB float64 `col:"avg mem,%.0f MB"`
 	// MemVsFaaSMem normalizes memory to the full FaaSMem variant.
-	MemVsFaaSMem float64
+	MemVsFaaSMem float64 `col:"vs faasmem,%.2fx"`
 	// Timeline samples node-local MB every 10 s (populated for the common
 	// case, mirroring Fig. 13a's timeline plot).
 	Timeline *metrics.Series
@@ -116,23 +116,8 @@ func Fig13(opt Fig13Options) []Fig13Row {
 	return rows
 }
 
-// PrintFig13 renders the ablation table.
-func PrintFig13(w io.Writer, rows []Fig13Row) {
-	fmt.Fprintln(w, "Figure 13: ablation of Pucket and Semi-warm (Bert)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.Case,
-			string(r.Variant),
-			fmt.Sprintf("%.3fs", r.AvgLat),
-			fmt.Sprintf("%.3fs", r.P50),
-			fmt.Sprintf("%.3fs", r.P95),
-			fmt.Sprintf("%.3fs", r.P99),
-			fmt.Sprintf("%.0f MB", r.AvgMemMB),
-			fmt.Sprintf("%.2fx", r.MemVsFaaSMem),
-		}
-	}
-	writeTable(w, []string{"case", "variant", "avg", "P50", "P95", "P99", "avg mem", "vs faasmem"}, table)
+// plotFig13 draws each row's node-local memory timeline as an ASCII plot.
+func plotFig13(w io.Writer, rows []Fig13Row) {
 	for _, r := range rows {
 		if r.Timeline == nil || r.Timeline.Len() == 0 {
 			continue

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/core"
@@ -22,16 +20,17 @@ import (
 // AttribRow is one pressure step's outcome.
 type AttribRow struct {
 	// SemiWarmDelay is the drain timing: smaller = more pressure.
-	SemiWarmDelay time.Duration
+	SemiWarmDelay time.Duration `col:"semi-warm delay"`
 	// AvgLocalMB is the average node-local memory (falls with pressure).
-	AvgLocalMB float64
+	AvgLocalMB float64 `col:"avg local,%.0f MB"`
 	// P50 and P99 are end-to-end latencies in seconds.
-	P50, P99 float64
+	P50 float64 `col:"P50,%.3fs"`
+	P99 float64 `col:"P99,%.3fs"`
 	// StallShareP99 is the fraction of the P99 invocation's latency spent
 	// in remote-memory phases (fault-stall + restore + backlog).
-	StallShareP99 float64
+	StallShareP99 float64 `col:"stall share (P99),%.1f%%,pct"`
 	// MeanStallShare is the remote-memory share of mean latency.
-	MeanStallShare float64
+	MeanStallShare float64 `col:"5:stall share (mean),%.1f%%,pct"`
 	// Analysis is the step's full attribution (per-function tables, start
 	// kinds), for -format json consumers.
 	Analysis *span.Analysis
@@ -113,21 +112,4 @@ func AttribPressure(opt AttribPressureOptions) []AttribRow {
 		rows[i] = row
 	}
 	return rows
-}
-
-// PrintAttribPressure renders the pressure sweep.
-func PrintAttribPressure(w io.Writer, rows []AttribRow) {
-	fmt.Fprintln(w, "Extension (Fig. 2 revisited): latency attribution under rising memory pressure (Bert, FaaSMem)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.SemiWarmDelay.String(),
-			fmt.Sprintf("%.0f MB", r.AvgLocalMB),
-			fmt.Sprintf("%.3fs", r.P50),
-			fmt.Sprintf("%.3fs", r.P99),
-			fmt.Sprintf("%.1f%%", 100*r.MeanStallShare),
-			fmt.Sprintf("%.1f%%", 100*r.StallShareP99),
-		}
-	}
-	writeTable(w, []string{"semi-warm delay", "avg local", "P50", "P99", "stall share (mean)", "stall share (P99)"}, table)
 }

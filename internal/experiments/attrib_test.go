@@ -54,7 +54,7 @@ func TestAttribPressureMonotonic(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintAttribPressure(&buf, rows)
+	printRows(&buf, "", rows)
 	if buf.Len() == 0 {
 		t.Fatal("printer produced nothing")
 	}

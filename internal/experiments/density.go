@@ -12,18 +12,18 @@ import (
 
 // Fig16Row is one trace's bandwidth and density outcome for one application.
 type Fig16Row struct {
-	App     string
-	TraceID int
+	App     string `col:"app"`
+	TraceID int    `col:"trace"`
 	// ReqPerMinute is the trace's average request rate.
-	ReqPerMinute float64
+	ReqPerMinute float64 `col:"req/min,%.1f"`
 	// IntervalSigmaSec is the standard deviation of request intervals.
-	IntervalSigmaSec float64
+	IntervalSigmaSec float64 `col:"interval sigma,%.1fs"`
 	// BandwidthMBps is the average remote (offload) bandwidth consumed.
-	BandwidthMBps float64
+	BandwidthMBps float64 `col:"offload BW,%.2f MB/s"`
 	// Density is the estimated deployment-density improvement: original
 	// quota divided by the quota reduced by the average offloaded amount
 	// per container (§8.6).
-	Density float64
+	Density float64 `col:"density,%.2fx"`
 }
 
 // Fig16Options sizes the production-density study.
@@ -119,21 +119,9 @@ func Fig16(opt Fig16Options) []Fig16Row {
 	return rows
 }
 
-// PrintFig16 renders the density scatter data.
-func PrintFig16(w io.Writer, rows []Fig16Row) {
-	fmt.Fprintln(w, "Figure 16: remote bandwidth and estimated density improvement")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.App,
-			fmt.Sprintf("%d", r.TraceID),
-			fmt.Sprintf("%.1f", r.ReqPerMinute),
-			fmt.Sprintf("%.1fs", r.IntervalSigmaSec),
-			fmt.Sprintf("%.2f MB/s", r.BandwidthMBps),
-			fmt.Sprintf("%.2fx", r.Density),
-		}
-	}
-	writeTable(w, []string{"app", "trace", "req/min", "interval sigma", "offload BW", "density"}, table)
+// plotFig16 draws each application's density against its request rate as an
+// ASCII plot.
+func plotFig16(w io.Writer, rows []Fig16Row) {
 	byApp := map[string][]report.Point{}
 	var order []string
 	for _, r := range rows {

@@ -337,19 +337,19 @@ func TestFig16QuickShape(t *testing.T) {
 
 func TestPrintersProduceTables(t *testing.T) {
 	var sb strings.Builder
-	PrintFig1(&sb, []Fig1Row{{Timeout: time.Minute, InactiveFraction: 0.7, ColdStartRatio: 0.1}})
-	PrintFig2(&sb, []Fig2Row{{Bench: "json", BaseP95: 0.1, DamonP95: 1.4, Slowdown: 14}})
-	PrintFig4(&sb, []Fig4Row{{Platform: workload.OpenWhisk, Language: workload.Python, InactiveMB: 22}})
+	printRows(&sb, "Figure 1", []Fig1Row{{Timeout: time.Minute, InactiveFraction: 0.7, ColdStartRatio: 0.1}})
+	printRows(&sb, "Figure 2", []Fig2Row{{Bench: "json", BaseP95: 0.1, DamonP95: 1.4, Slowdown: 14}})
+	printRows(&sb, "Figure 4", []Fig4Row{{Platform: workload.OpenWhisk, Language: workload.Python, InactiveMB: 22}})
 	PrintFig5(&sb, []Fig5Row{{Requests: 2, CumFrac: 0.6}})
-	PrintFig6(&sb, []Fig6Row{{TimeSec: 1, Phase: "init", ResidentMB: 100, AccessedMB: 100}})
-	PrintFig8(&sb, []Fig8Row{{Bench: "web", RecallPages: 1, Requests: 20}})
+	printRows(&sb, "Figure 6", []Fig6Row{{TimeSec: 1, Phase: "init", ResidentMB: 100, AccessedMB: 100}})
+	printRows(&sb, "Figure 8", []Fig8Row{{Bench: "web", RecallPages: 1, Requests: 20}})
 	PrintFig9(&sb, []Fig9Row{{Request: 0, SharedMB: 20, Objects: []Fig9Span{{21, 22}}}})
-	PrintFig12(&sb, []Fig12Row{{Bench: "web", Load: "high", Policy: FaaSMem, AvgLocalMB: 100, MemVsBase: 0.3, P95: 0.1, P95VsBase: 1.02}})
-	PrintFig13(&sb, []Fig13Row{{Case: "common", Variant: FaaSMem, AvgMemMB: 500, MemVsFaaSMem: 1}})
+	printRows(&sb, "Figure 12", []Fig12Row{{Bench: "web", Load: "high", Policy: FaaSMem, AvgLocalMB: 100, MemVsBase: 0.3, P95: 0.1, P95VsBase: 1.02}})
+	printRows(&sb, "Figure 13", []Fig13Row{{Case: "common", Variant: FaaSMem, AvgMemMB: 500, MemVsFaaSMem: 1}})
 	PrintFig14(&sb, []Fig14Class{{Class: trace.HighLoad, MedianShare: 0.5, Containers: 10}})
-	PrintFig15(&sb, []Fig15Row{{Bench: "json", RuntimeInitBarrier: time.Millisecond, InitExecBarrier: time.Millisecond, Rollback: time.Millisecond}})
-	PrintFig16(&sb, []Fig16Row{{App: "web", TraceID: 1, ReqPerMinute: 10, IntervalSigmaSec: 4, BandwidthMBps: 0.5, Density: 2.2}})
-	PrintTable1(&sb, []Table1Row{{TraceID: 1, App: "bert", Policy: FaaSMem, P95: 0.15, MemGB: 1.6, OffloadRatio: 0.4}})
+	printRows(&sb, "Figure 15", []Fig15Row{{Bench: "json", RuntimeInitBarrier: time.Millisecond, InitExecBarrier: time.Millisecond, Rollback: time.Millisecond}})
+	printRows(&sb, "Figure 16", []Fig16Row{{App: "web", TraceID: 1, ReqPerMinute: 10, IntervalSigmaSec: 4, BandwidthMBps: 0.5, Density: 2.2}})
+	printRows(&sb, "Table 1", []Table1Row{{TraceID: 1, App: "bert", Policy: FaaSMem, P95: 0.15, MemGB: 1.6, OffloadRatio: 0.4}})
 	out := sb.String()
 	for _, want := range []string{"Figure 1", "Figure 2", "Figure 4", "Figure 5", "Figure 6", "Figure 8", "Figure 9", "Figure 12", "Figure 13", "Figure 14", "Figure 15", "Figure 16", "Table 1"} {
 		if !strings.Contains(out, want) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/core"
@@ -24,13 +22,14 @@ import (
 
 // PoolRow is one memory-pool technology's outcome.
 type PoolRow struct {
-	Pool string
+	Pool string `col:"pool"`
 	// P95/P99 end-to-end latency in seconds.
-	P95, P99 float64
+	P95 float64 `col:"P95,%.3fs"`
+	P99 float64 `col:"P99,%.3fs"`
 	// AvgLocalMB is the average node-local memory.
-	AvgLocalMB float64
+	AvgLocalMB float64 `col:"avg local,%.0f MB"`
 	// OffloadedMB is cumulative offload traffic.
-	OffloadedMB float64
+	OffloadedMB float64 `col:"offloaded,%.0f MB"`
 }
 
 // PoolComparisonOptions sizes the study.
@@ -84,29 +83,13 @@ func PoolComparison(opt PoolComparisonOptions) []PoolRow {
 	return rows
 }
 
-// PrintPoolComparison renders the §9 technology comparison.
-func PrintPoolComparison(w io.Writer, rows []PoolRow) {
-	fmt.Fprintln(w, "Extension (§9): memory-pool technology comparison (Bert, FaaSMem)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.Pool,
-			fmt.Sprintf("%.3fs", r.P95),
-			fmt.Sprintf("%.3fs", r.P99),
-			fmt.Sprintf("%.0f MB", r.AvgLocalMB),
-			fmt.Sprintf("%.0f MB", r.OffloadedMB),
-		}
-	}
-	writeTable(w, []string{"pool", "P95", "P99", "avg local", "offloaded"}, table)
-}
-
 // ColdStartTimingRow compares semi-warm timing with and without the
 // cold-start-aware correction under one load shape.
 type ColdStartTimingRow struct {
-	Case      string
-	Corrected bool
-	P99       float64
-	AvgMemMB  float64
+	Case      string  `col:"case"`
+	Corrected bool    `col:"timing,cold-start-aware|collected 99%-ile"`
+	P99       float64 `col:"P99,%.3fs"`
+	AvgMemMB  float64 `col:"avg mem,%.0f MB"`
 }
 
 // ColdStartTimingOptions sizes the study.
@@ -161,34 +144,15 @@ func ColdStartTiming(opt ColdStartTimingOptions) []ColdStartTimingRow {
 	return rows
 }
 
-// PrintColdStartTiming renders the timing-correction study.
-func PrintColdStartTiming(w io.Writer, rows []ColdStartTimingRow) {
-	fmt.Fprintln(w, "Extension (§8.3.2): cold-start-aware semi-warm timing (Bert)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		mode := "collected 99%-ile"
-		if r.Corrected {
-			mode = "cold-start-aware"
-		}
-		table[i] = []string{
-			r.Case,
-			mode,
-			fmt.Sprintf("%.3fs", r.P99),
-			fmt.Sprintf("%.0f MB", r.AvgMemMB),
-		}
-	}
-	writeTable(w, []string{"case", "timing", "P99", "avg mem"}, table)
-}
-
 // ReadaheadRow compares the demand-fault path with and without swap
 // readahead for one readahead window.
 type ReadaheadRow struct {
-	Window int
-	P95    float64
-	P99    float64
+	Window int     `col:"readahead,%d pages"`
+	P95    float64 `col:"P95,%.3fs"`
+	P99    float64 `col:"P99,%.3fs"`
 	// FaultPages is the number of blocking demand faults (readahead hits
 	// ride along without their own fault rounds).
-	FaultPages int64
+	FaultPages int64 `col:"blocking faults"`
 }
 
 // ReadaheadOptions sizes the study.
@@ -232,28 +196,14 @@ func Readahead(opt ReadaheadOptions) []ReadaheadRow {
 	return rows
 }
 
-// PrintReadahead renders the prefetching study.
-func PrintReadahead(w io.Writer, rows []ReadaheadRow) {
-	fmt.Fprintln(w, "Extension (§10): swap readahead / prefetching on the recall path (Bert)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			fmt.Sprintf("%d pages", r.Window),
-			fmt.Sprintf("%.3fs", r.P95),
-			fmt.Sprintf("%.3fs", r.P99),
-			fmt.Sprintf("%d", r.FaultPages),
-		}
-	}
-	writeTable(w, []string{"readahead", "P95", "P99", "blocking faults"}, table)
-}
-
 // PercentileRow is one semi-warm timing percentile's outcome.
 type PercentileRow struct {
-	Percentile float64
-	P95, P99   float64
-	AvgMemMB   float64
+	Percentile float64 `col:"timing,P%g"`
+	P95        float64 `col:"P95,%.3fs"`
+	P99        float64 `col:"P99,%.3fs"`
+	AvgMemMB   float64 `col:"avg mem,%.0f MB"`
 	// SemiWarmStarts counts reuses that hit a semi-warm container.
-	SemiWarmStarts int
+	SemiWarmStarts int `col:"semi-warm starts"`
 }
 
 // PercentileSweepOptions sizes the study.
@@ -298,20 +248,4 @@ func PercentileSweep(opt PercentileSweepOptions) []PercentileRow {
 		})
 	}
 	return rows
-}
-
-// PrintPercentileSweep renders the timing-percentile study.
-func PrintPercentileSweep(w io.Writer, rows []PercentileRow) {
-	fmt.Fprintln(w, "Extension (§6.1): semi-warm timing percentile sweep (Bert)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			fmt.Sprintf("P%g", r.Percentile),
-			fmt.Sprintf("%.3fs", r.P95),
-			fmt.Sprintf("%.3fs", r.P99),
-			fmt.Sprintf("%.0f MB", r.AvgMemMB),
-			fmt.Sprintf("%d", r.SemiWarmStarts),
-		}
-	}
-	writeTable(w, []string{"timing", "P95", "P99", "avg mem", "semi-warm starts"}, table)
 }

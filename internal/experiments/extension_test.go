@@ -70,8 +70,8 @@ func TestColdStartTimingShape(t *testing.T) {
 
 func TestExtensionPrinters(t *testing.T) {
 	var sb strings.Builder
-	PrintPoolComparison(&sb, []PoolRow{{Pool: "cxl", P95: 0.1, P99: 0.2, AvgLocalMB: 500, OffloadedMB: 900}})
-	PrintColdStartTiming(&sb, []ColdStartTimingRow{{Case: "bursty", Corrected: true, P99: 0.2, AvgMemMB: 600}})
+	printRows(&sb, "§9", []PoolRow{{Pool: "cxl", P95: 0.1, P99: 0.2, AvgLocalMB: 500, OffloadedMB: 900}})
+	printRows(&sb, "§8.3.2", []ColdStartTimingRow{{Case: "bursty", Corrected: true, P99: 0.2, AvgMemMB: 600}})
 	for _, want := range []string{"§9", "§8.3.2", "cxl", "cold-start-aware"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("printed output missing %q", want)

@@ -7,8 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"strings"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/core"
@@ -243,36 +241,4 @@ func HighLoadInvocations(d time.Duration, seed int64) []simtime.Time {
 // LowLoadInvocations synthesizes a low-load request timeline.
 func LowLoadInvocations(d time.Duration, seed int64) []simtime.Time {
 	return trace.GenerateFunction("ll", d, 90*time.Second, false, seed).Invocations
-}
-
-// writeTable renders a fixed-width column table for the experiment printers;
-// fixed formats keep the output diff-able for EXPERIMENTS.md.
-func writeTable(w io.Writer, header []string, rows [][]string) {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, cell := range r {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, cell := range cells {
-			parts[i] = cell + strings.Repeat(" ", widths[i]-len(cell))
-		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
-	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range rows {
-		line(r)
-	}
 }

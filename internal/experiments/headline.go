@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/trace"
@@ -14,10 +12,10 @@ import (
 // Fig2Row compares one benchmark's P95 latency without offloading and with
 // DAMON.
 type Fig2Row struct {
-	Bench    string
-	BaseP95  float64 // seconds
-	DamonP95 float64 // seconds
-	Slowdown float64
+	Bench    string  `col:"benchmark"`
+	BaseP95  float64 `col:"no-offload P95,%.3fs"` // seconds
+	DamonP95 float64 `col:"DAMON P95,%.3fs"`      // seconds
+	Slowdown float64 `col:"slowdown,%.1fx"`
 }
 
 // Fig2Options sizes the DAMON motivation study.
@@ -69,30 +67,15 @@ func Fig2(opt Fig2Options) []Fig2Row {
 	return rows
 }
 
-// PrintFig2 renders Figure 2.
-func PrintFig2(w io.Writer, rows []Fig2Row) {
-	fmt.Fprintln(w, "Figure 2: P95 latency when offloading via DAMON")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.Bench,
-			fmt.Sprintf("%.3fs", r.BaseP95),
-			fmt.Sprintf("%.3fs", r.DamonP95),
-			fmt.Sprintf("%.1fx", r.Slowdown),
-		}
-	}
-	writeTable(w, []string{"benchmark", "no-offload P95", "DAMON P95", "slowdown"}, table)
-}
-
 // ---------------------------------------------------------------- Figure 8
 
 // Fig8Row reports recalls from the Runtime Pucket for one benchmark.
 type Fig8Row struct {
-	Bench string
+	Bench string `col:"benchmark"`
 	// RecallPages is how many runtime-segment pages subsequent requests
 	// recalled after the reactive offload.
-	RecallPages int64
-	Requests    int
+	RecallPages int64 `col:"recall pages"`
+	Requests    int   `col:"requests"`
 }
 
 // Fig8Options sizes the runtime-recall study.
@@ -137,31 +120,21 @@ func Fig8(opt Fig8Options) []Fig8Row {
 	return rows
 }
 
-// PrintFig8 renders Figure 8.
-func PrintFig8(w io.Writer, rows []Fig8Row) {
-	fmt.Fprintln(w, "Figure 8: pages recalled from the Runtime Pucket after reactive offload")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{r.Bench, fmt.Sprintf("%d", r.RecallPages), fmt.Sprintf("%d", r.Requests)}
-	}
-	writeTable(w, []string{"benchmark", "recall pages", "requests"}, table)
-}
-
 // ---------------------------------------------------------------- Figure 12
 
 // Fig12Row is one (benchmark, policy) cell of the headline comparison.
 type Fig12Row struct {
-	Bench  string
-	Load   string // "high" | "low"
-	Policy PolicyKind
+	Bench  string     `col:"benchmark"`
+	Load   string     `col:"1:load"` // "high" | "low"
+	Policy PolicyKind `col:"policy"`
 	// AvgLocalMB is the average node-local memory.
-	AvgLocalMB float64
+	AvgLocalMB float64 `col:"avg local mem,%.1f MB"`
 	// MemVsBase is AvgLocal normalized to the baseline (1.0 = no saving).
-	MemVsBase float64
+	MemVsBase float64 `col:"vs base,%+.1f%%,delta"`
 	// P95 is the 95%-ile end-to-end latency in seconds.
-	P95 float64
+	P95 float64 `col:"P95,%.3fs"`
 	// P95VsBase is P95 normalized to the baseline.
-	P95VsBase float64
+	P95VsBase float64 `col:"vs base,%+.1f%%,delta"`
 }
 
 // Fig12Options sizes the Azure-trace evaluation.
@@ -258,36 +231,18 @@ func Fig12(opt Fig12Options) []Fig12Row {
 	return rows
 }
 
-// PrintFig12 renders the headline table.
-func PrintFig12(w io.Writer, rows []Fig12Row) {
-	fmt.Fprintln(w, "Figure 12: normalized memory usage and P95 latency (Azure-like traces)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.Load,
-			r.Bench,
-			string(r.Policy),
-			fmt.Sprintf("%.1f MB", r.AvgLocalMB),
-			fmt.Sprintf("%+.1f%%", (r.MemVsBase-1)*100),
-			fmt.Sprintf("%.3fs", r.P95),
-			fmt.Sprintf("%+.1f%%", (r.P95VsBase-1)*100),
-		}
-	}
-	writeTable(w, []string{"load", "benchmark", "policy", "avg local mem", "vs base", "P95", "vs base"}, table)
-}
-
 // ---------------------------------------------------------------- Table 1
 
 // Table1Row is one (trace, application, policy) cell of Table 1.
 type Table1Row struct {
-	TraceID int
-	App     string
-	Policy  PolicyKind
+	TraceID int        `col:"ID"`
+	App     string     `col:"app"`
+	Policy  PolicyKind `col:"policy"`
 	// P95 latency in seconds and average memory in GB (the paper's units).
-	P95   float64
-	MemGB float64
+	P95   float64 `col:"P95,%.2fs"`
+	MemGB float64 `col:"mem,%.2fG"`
 	// OffloadRatio is the memory saved relative to the same trace's baseline.
-	OffloadRatio float64
+	OffloadRatio float64 `col:"offload,%.0f%%,pct"`
 }
 
 // Table1Options sizes the diverse-traces study.
@@ -371,21 +326,4 @@ func Table1(opt Table1Options) []Table1Row {
 		}
 	}
 	return rows
-}
-
-// PrintTable1 renders Table 1.
-func PrintTable1(w io.Writer, rows []Table1Row) {
-	fmt.Fprintln(w, "Table 1: P95 latency and average memory under diverse traces")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			fmt.Sprintf("%d", r.TraceID),
-			r.App,
-			string(r.Policy),
-			fmt.Sprintf("%.2fs", r.P95),
-			fmt.Sprintf("%.2fG", r.MemGB),
-			fmt.Sprintf("%.0f%%", r.OffloadRatio*100),
-		}
-	}
-	writeTable(w, []string{"ID", "app", "policy", "P95", "mem", "offload"}, table)
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/core"
@@ -15,14 +13,14 @@ import (
 
 // KeepAliveRow compares one (keep-alive strategy, offload policy) cell.
 type KeepAliveRow struct {
-	Strategy string // "fixed-10m" | "adaptive"
-	Policy   PolicyKind
+	Strategy string     `col:"keep-alive"` // "fixed-10m" | "adaptive"
+	Policy   PolicyKind `col:"policy"`
 	// AvgLocalMB is the average node-local memory.
-	AvgLocalMB float64
+	AvgLocalMB float64 `col:"avg local,%.0f MB"`
 	// ColdStartRatio across all requests.
-	ColdStartRatio float64
+	ColdStartRatio float64 `col:"cold-start ratio,%.2f%%,pct"`
 	// P95 end-to-end latency in seconds.
-	P95 float64
+	P95 float64 `col:"P95,%.3fs"`
 }
 
 // KeepAliveStrategiesOptions sizes the study.
@@ -94,20 +92,4 @@ func KeepAliveStrategies(opt KeepAliveStrategiesOptions) []KeepAliveRow {
 	rows := make([]KeepAliveRow, len(cells))
 	runGrid(len(cells), func(i int) { rows[i] = run(cells[i].adaptive, cells[i].kind) })
 	return rows
-}
-
-// PrintKeepAliveStrategies renders the composition study.
-func PrintKeepAliveStrategies(w io.Writer, rows []KeepAliveRow) {
-	fmt.Fprintln(w, "Extension (§10): composing FaaSMem with an adaptive keep-alive policy (Web)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.Strategy,
-			string(r.Policy),
-			fmt.Sprintf("%.0f MB", r.AvgLocalMB),
-			fmt.Sprintf("%.2f%%", r.ColdStartRatio*100),
-			fmt.Sprintf("%.3fs", r.P95),
-		}
-	}
-	writeTable(w, []string{"keep-alive", "policy", "avg local", "cold-start ratio", "P95"}, table)
 }

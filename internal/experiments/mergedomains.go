@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/cluster"
@@ -14,33 +13,33 @@ import (
 // MergeDomainsRow is one (merge scope, runtime write ratio) cell of the
 // ext-merge sweep.
 type MergeDomainsRow struct {
-	Scope      memnode.MergeScope `json:"scope"`
-	WriteRatio float64            `json:"write_ratio"`
+	Scope      memnode.MergeScope `json:"scope" col:"scope"`
+	WriteRatio float64            `json:"write_ratio" col:"write,%.2f"`
 	// Requests and the cold-start ratio: widening the merge domain must not
 	// change scheduling behavior, only pool-side density.
-	Requests       int     `json:"requests"`
-	ColdStartRatio float64 `json:"cold_start_ratio"`
+	Requests       int     `json:"requests" col:"requests"`
+	ColdStartRatio float64 `json:"cold_start_ratio" col:"cold-start,%.2f%%,pct"`
 	// Peak logical vs resident bytes and their ratio — the effective-capacity
 	// multiplier merging buys at this scope.
-	LogicalPeakMB  float64 `json:"logical_peak_mb"`
-	ResidentPeakMB float64 `json:"resident_peak_mb"`
-	Amplification  float64 `json:"amplification"`
+	LogicalPeakMB  float64 `json:"logical_peak_mb" col:"logical peak,%.0f MB"`
+	ResidentPeakMB float64 `json:"resident_peak_mb" col:"resident peak,%.0f MB"`
+	Amplification  float64 `json:"amplification" col:"amplification,%.2fx"`
 	// DedupHitPages counts all shared-master admissions; MergedPages the
 	// subset landing on a domain wider than the page's own function.
 	DedupHitPages int64 `json:"dedup_hit_pages"`
-	MergedPages   int64 `json:"merged_pages"`
+	MergedPages   int64 `json:"merged_pages" col:"merged"`
 	// Copy-on-write unmerge storms under write-hot workloads: break events,
 	// pages privatized, and pages the node had to hand back to the writer.
-	UnmergeBreaks      int64 `json:"unmerge_breaks"`
-	UnmergedPages      int64 `json:"unmerged_pages"`
+	UnmergeBreaks      int64 `json:"unmerge_breaks" col:"breaks"`
+	UnmergedPages      int64 `json:"unmerged_pages" col:"unmerged"`
 	UnmergeRecallPages int64 `json:"unmerge_recall_pages"`
 	// Shared cache tier effectiveness (zero at function scope, where the
 	// cache is off).
-	CacheHitPct    float64 `json:"cache_hit_pct"`
-	CacheEvictions int64   `json:"cache_evictions"`
+	CacheHitPct    float64 `json:"cache_hit_pct" col:"cache hit,%.1f%%"`
+	CacheEvictions int64   `json:"cache_evictions" col:"cache evict"`
 	// IsolationOK records the post-drain CheckInvariants verdict, which
 	// includes the cross-tenant isolation and cache fairness properties.
-	IsolationOK bool `json:"isolation_ok"`
+	IsolationOK bool `json:"isolation_ok" col:"isolation,ok|VIOLATED"`
 }
 
 // MergeDomainsOptions sizes the sweep.
@@ -177,36 +176,4 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 		rows[i] = run(opt.Scopes[i/len(opt.WriteRatios)], opt.WriteRatios[i%len(opt.WriteRatios)])
 	})
 	return rows
-}
-
-// PrintMergeDomains renders the sweep.
-func PrintMergeDomains(w io.Writer, rows []MergeDomainsRow) {
-	fmt.Fprintln(w, "Extension (§9): cross-tenant merge domains — density vs CoW unmerge cost")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		iso := "ok"
-		if !r.IsolationOK {
-			iso = "VIOLATED"
-		}
-		table[i] = []string{
-			string(r.Scope),
-			fmt.Sprintf("%.2f", r.WriteRatio),
-			fmt.Sprintf("%d", r.Requests),
-			fmt.Sprintf("%.2f%%", r.ColdStartRatio*100),
-			fmt.Sprintf("%.0f MB", r.LogicalPeakMB),
-			fmt.Sprintf("%.0f MB", r.ResidentPeakMB),
-			fmt.Sprintf("%.2fx", r.Amplification),
-			fmt.Sprintf("%d", r.MergedPages),
-			fmt.Sprintf("%d", r.UnmergeBreaks),
-			fmt.Sprintf("%d", r.UnmergedPages),
-			fmt.Sprintf("%.1f%%", r.CacheHitPct),
-			fmt.Sprintf("%d", r.CacheEvictions),
-			iso,
-		}
-	}
-	writeTable(w, []string{
-		"scope", "write", "requests", "cold-start",
-		"logical peak", "resident peak", "amplification",
-		"merged", "breaks", "unmerged", "cache hit", "cache evict", "isolation",
-	}, table)
 }

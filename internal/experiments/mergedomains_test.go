@@ -86,7 +86,7 @@ func TestMergeDomainsSweep(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	PrintMergeDomains(&sb, rows)
+	printRows(&sb, "cross-tenant merge domains", rows)
 	if !strings.Contains(sb.String(), "cross-tenant merge domains") ||
 		strings.Contains(sb.String(), "VIOLATED") {
 		t.Fatalf("rendered table:\n%s", sb.String())

@@ -19,9 +19,9 @@ import (
 
 // Fig4Row reports one runtime's inactive memory after a hello-world request.
 type Fig4Row struct {
-	Platform   workload.Platform
-	Language   workload.Language
-	InactiveMB float64
+	Platform   workload.Platform `col:"platform"`
+	Language   workload.Language `col:"runtime"`
+	InactiveMB float64           `col:"inactive memory,%.0f MB"`
 }
 
 // Fig4 reproduces Figure 4: the inactive runtime-segment memory of
@@ -73,29 +73,19 @@ func findContainer(f *faas.Function) *faas.Container {
 	return c
 }
 
-// PrintFig4 renders Figure 4.
-func PrintFig4(w io.Writer, rows []Fig4Row) {
-	fmt.Fprintln(w, "Figure 4: inactive runtime-segment memory of hello-world containers")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{r.Platform.String(), r.Language.String(), fmt.Sprintf("%.0f MB", r.InactiveMB)}
-	}
-	writeTable(w, []string{"platform", "runtime", "inactive memory"}, table)
-}
-
 // ---------------------------------------------------------------- Figure 6
 
 // Fig6Row is one sample of the BERT access-scan timeline.
 type Fig6Row struct {
 	// Time since container start, seconds.
-	TimeSec float64
+	TimeSec float64 `col:"time,%.1fs"`
 	// Phase labels the lifecycle stage ("init" or "request").
-	Phase string
+	Phase string `col:"phase"`
 	// ResidentMB is the allocated footprint at this instant.
-	ResidentMB float64
+	ResidentMB float64 `col:"resident,%.0f MB"`
 	// AccessedMB is how much memory this sample accessed (allocation during
 	// init; per-request touch during execution).
-	AccessedMB float64
+	AccessedMB float64 `col:"accessed,%.0f MB"`
 }
 
 // Fig6Options sizes the scan.
@@ -162,21 +152,6 @@ func Fig6(opt Fig6Options) []Fig6Row {
 		})
 	}
 	return rows
-}
-
-// PrintFig6 renders the BERT scan series.
-func PrintFig6(w io.Writer, rows []Fig6Row) {
-	fmt.Fprintln(w, "Figure 6: BERT access-bit scan (footprint and per-sample accessed memory)")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			fmt.Sprintf("%.1fs", r.TimeSec),
-			r.Phase,
-			fmt.Sprintf("%.0f MB", r.ResidentMB),
-			fmt.Sprintf("%.0f MB", r.AccessedMB),
-		}
-	}
-	writeTable(w, []string{"time", "phase", "resident", "accessed"}, table)
 }
 
 // ---------------------------------------------------------------- Figure 9
@@ -247,17 +222,17 @@ func PrintFig9(w io.Writer, rows []Fig9Row) {
 // Fig15Row reports the wall-clock overhead of Pucket operations for one
 // benchmark's footprint.
 type Fig15Row struct {
-	Bench string
+	Bench string `col:"benchmark"`
 	// RuntimeInitBarrier is the cost of inserting the Runtime-Init barrier:
 	// allocating the runtime segment's pages and recording their range,
 	// which is the Runtime Pucket.
-	RuntimeInitBarrier time.Duration
+	RuntimeInitBarrier time.Duration `col:"runtime-init barrier,%.3f ms,ms"`
 	// InitExecBarrier is the same for the Init-Execution barrier and the
 	// init segment.
-	InitExecBarrier time.Duration
+	InitExecBarrier time.Duration `col:"init-exec barrier,%.3f ms,ms"`
 	// Rollback is the cost of one periodic rollback of both Puckets' hot
 	// pages.
-	Rollback time.Duration
+	Rollback time.Duration `col:"rollback,%.3f ms,ms"`
 }
 
 // Fig15 reproduces Figure 15: the blocking cost of time-barrier insertion
@@ -297,19 +272,4 @@ func Fig15() []Fig15Row {
 		})
 	}
 	return rows
-}
-
-// PrintFig15 renders the overhead table.
-func PrintFig15(w io.Writer, rows []Fig15Row) {
-	fmt.Fprintln(w, "Figure 15: overhead of time-barrier insertion and periodic rollback")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			r.Bench,
-			fmt.Sprintf("%.3f ms", float64(r.RuntimeInitBarrier)/1e6),
-			fmt.Sprintf("%.3f ms", float64(r.InitExecBarrier)/1e6),
-			fmt.Sprintf("%.3f ms", float64(r.Rollback)/1e6),
-		}
-	}
-	writeTable(w, []string{"benchmark", "runtime-init barrier", "init-exec barrier", "rollback"}, table)
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/cluster"
@@ -26,26 +24,26 @@ const (
 
 // PoolDensityRow is one (DRAM capacity, mode) cell of the sweep.
 type PoolDensityRow struct {
-	DRAMMB int             `json:"dram_mb"`
-	Mode   PoolDensityMode `json:"mode"`
+	DRAMMB int             `json:"dram_mb" col:"node DRAM,%d MB"`
+	Mode   PoolDensityMode `json:"mode" col:"mode"`
 	// Requests served and the cold-start ratio, to show the density win is
 	// not bought with latency regressions.
-	Requests       int     `json:"requests"`
-	ColdStartRatio float64 `json:"cold_start_ratio"`
+	Requests       int     `json:"requests" col:"requests"`
+	ColdStartRatio float64 `json:"cold_start_ratio" col:"cold-start,%.2f%%,pct"`
 	// OffloadedMB is total offload traffic accepted over the run.
-	OffloadedMB float64 `json:"offloaded_mb"`
+	OffloadedMB float64 `json:"offloaded_mb" col:"offloaded,%.0f MB"`
 	// LogicalPeakMB / ResidentPeakMB: peak bytes the compute side had
 	// offloaded vs peak bytes the node actually stored.
-	LogicalPeakMB  float64 `json:"logical_peak_mb"`
-	ResidentPeakMB float64 `json:"resident_peak_mb"`
+	LogicalPeakMB  float64 `json:"logical_peak_mb" col:"logical peak,%.0f MB"`
+	ResidentPeakMB float64 `json:"resident_peak_mb" col:"resident peak,%.0f MB"`
 	// Amplification is LogicalPeak / ResidentPeak — the effective-capacity
 	// multiplier. The off baseline is 1.0 by construction.
-	Amplification float64 `json:"amplification"`
+	Amplification float64 `json:"amplification" col:"amplification,%.2fx"`
 	// DedupSavedMB / CompressSavedMB decompose where the savings came from
 	// (values at end of run's peak tracking counters).
-	DedupHitPages   int64 `json:"dedup_hit_pages"`
-	CompressedPages int64 `json:"compressed_pages"`
-	SpilledPages    int64 `json:"spilled_pages"`
+	DedupHitPages   int64 `json:"dedup_hit_pages" col:"dedup hits"`
+	CompressedPages int64 `json:"compressed_pages" col:"compressed"`
+	SpilledPages    int64 `json:"spilled_pages" col:"spilled"`
 	FullRejectPages int64 `json:"full_reject_pages"`
 }
 
@@ -142,30 +140,4 @@ func PoolDensity(opt PoolDensityOptions) []PoolDensityRow {
 		rows[i] = run(opt.DRAMMBs[i/len(modes)], modes[i%len(modes)])
 	})
 	return rows
-}
-
-// PrintPoolDensity renders the sweep.
-func PrintPoolDensity(w io.Writer, rows []PoolDensityRow) {
-	fmt.Fprintln(w, "Extension (§9): pool-side memory node — effective-capacity amplification")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			fmt.Sprintf("%d MB", r.DRAMMB),
-			string(r.Mode),
-			fmt.Sprintf("%d", r.Requests),
-			fmt.Sprintf("%.2f%%", r.ColdStartRatio*100),
-			fmt.Sprintf("%.0f MB", r.OffloadedMB),
-			fmt.Sprintf("%.0f MB", r.LogicalPeakMB),
-			fmt.Sprintf("%.0f MB", r.ResidentPeakMB),
-			fmt.Sprintf("%.2fx", r.Amplification),
-			fmt.Sprintf("%d", r.DedupHitPages),
-			fmt.Sprintf("%d", r.CompressedPages),
-			fmt.Sprintf("%d", r.SpilledPages),
-		}
-	}
-	writeTable(w, []string{
-		"node DRAM", "mode", "requests", "cold-start", "offloaded",
-		"logical peak", "resident peak", "amplification",
-		"dedup hits", "compressed", "spilled",
-	}, table)
 }

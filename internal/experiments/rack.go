@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/cluster"
@@ -100,21 +99,21 @@ func faultRack(nodes int, d, keepAlive time.Duration, seed, faultSeed int64,
 
 // RackRow summarizes one policy's rack-wide outcome under a DRAM limit.
 type RackRow struct {
-	Policy PolicyKind
+	Policy PolicyKind `col:"policy"`
 	// ColdStartRatio across all requests (evictions manufacture cold starts).
-	ColdStartRatio float64
+	ColdStartRatio float64 `col:"cold-start ratio,%.2f%%,pct"`
 	// Evicted counts idle containers reclaimed by the memory limit.
-	Evicted int
+	Evicted int `col:"evictions"`
 	// Requests served rack-wide.
-	Requests int
+	Requests int `col:"2:requests"`
 	// AvgLocalMB is the summed average node-local memory.
-	AvgLocalMB float64
+	AvgLocalMB float64 `col:"avg rack local,%.0f MB"`
 	// OffloadBWMBps is the rack-level link's average offload bandwidth —
 	// §9 sizes the rack link from this number.
-	OffloadBWMBps float64
+	OffloadBWMBps float64 `col:"offload BW,%.2f MB/s"`
 	// Rescheduled counts warm reuses redirected off memory-strapped nodes
 	// (the §9 load-imbalance case).
-	Rescheduled int
+	Rescheduled int `col:"rescheduled"`
 }
 
 // RackDensityOptions sizes the rack study.
@@ -190,22 +189,4 @@ func RackDensity(opt RackDensityOptions) []RackRow {
 	rows := make([]RackRow, len(kinds))
 	runGrid(len(kinds), func(i int) { rows[i] = run(kinds[i]) })
 	return rows
-}
-
-// PrintRackDensity renders the rack study.
-func PrintRackDensity(w io.Writer, rows []RackRow) {
-	fmt.Fprintln(w, "Extension (§8.6/§9): rack with per-node DRAM limits and a shared pool")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			string(r.Policy),
-			fmt.Sprintf("%d", r.Requests),
-			fmt.Sprintf("%.2f%%", r.ColdStartRatio*100),
-			fmt.Sprintf("%d", r.Evicted),
-			fmt.Sprintf("%.0f MB", r.AvgLocalMB),
-			fmt.Sprintf("%.2f MB/s", r.OffloadBWMBps),
-			fmt.Sprintf("%d", r.Rescheduled),
-		}
-	}
-	writeTable(w, []string{"policy", "requests", "cold-start ratio", "evictions", "avg rack local", "offload BW", "rescheduled"}, table)
 }

@@ -27,17 +27,18 @@ type Experiment struct {
 var Registry = []Experiment{
 	{Name: "fig1", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig1(Fig1Options{Seed: seed})
-		PrintFig1(w, rows)
+		printRows(w, "Figure 1: memory inactive time and cold-start ratio vs keep-alive timeout", rows)
+		plotFig1(w, rows)
 		return rows, map[string]string{"fig1": SVGFig1(rows)}
 	}},
 	{Name: "fig2", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig2(Fig2Options{Seed: seed})
-		PrintFig2(w, rows)
+		printRows(w, "Figure 2: P95 latency when offloading via DAMON", rows)
 		return rows, map[string]string{"fig2": SVGFig2(rows)}
 	}},
 	{Name: "fig4", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig4()
-		PrintFig4(w, rows)
+		printRows(w, "Figure 4: inactive runtime-segment memory of hello-world containers", rows)
 		return rows, nil
 	}},
 	{Name: "fig5", Run: func(w io.Writer, seed int64) (any, map[string]string) {
@@ -47,12 +48,12 @@ var Registry = []Experiment{
 	}},
 	{Name: "fig6", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig6(Fig6Options{Seed: seed})
-		PrintFig6(w, rows)
+		printRows(w, "Figure 6: BERT access-bit scan (footprint and per-sample accessed memory)", rows)
 		return rows, nil
 	}},
 	{Name: "fig8", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig8(Fig8Options{Seed: seed})
-		PrintFig8(w, rows)
+		printRows(w, "Figure 8: pages recalled from the Runtime Pucket after reactive offload", rows)
 		return rows, nil
 	}},
 	{Name: "fig9", Run: func(w io.Writer, seed int64) (any, map[string]string) {
@@ -62,17 +63,18 @@ var Registry = []Experiment{
 	}},
 	{Name: "fig12", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig12(Fig12Options{Seed: seed})
-		PrintFig12(w, rows)
+		printRows(w, "Figure 12: normalized memory usage and P95 latency (Azure-like traces)", rows)
 		return rows, nil
 	}},
 	{Name: "table1", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Table1(Table1Options{Seed: seed})
-		PrintTable1(w, rows)
+		printRows(w, "Table 1: P95 latency and average memory under diverse traces", rows)
 		return rows, nil
 	}},
 	{Name: "fig13", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig13(Fig13Options{Seed: seed, WithTimeline: true})
-		PrintFig13(w, rows)
+		printRows(w, "Figure 13: ablation of Pucket and Semi-warm (Bert)", rows)
+		plotFig13(w, rows)
 		return rows, map[string]string{"fig13": SVGFig13(rows)}
 	}},
 	{Name: "fig14", Run: func(w io.Writer, seed int64) (any, map[string]string) {
@@ -82,62 +84,63 @@ var Registry = []Experiment{
 	}},
 	{Name: "fig15", WallClock: true, Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig15()
-		PrintFig15(w, rows)
+		printRows(w, "Figure 15: overhead of time-barrier insertion and periodic rollback", rows)
 		return rows, nil
 	}},
 	{Name: "fig16", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Fig16(Fig16Options{Seed: seed})
-		PrintFig16(w, rows)
+		printRows(w, "Figure 16: remote bandwidth and estimated density improvement", rows)
+		plotFig16(w, rows)
 		return rows, map[string]string{"fig16": SVGFig16(rows)}
 	}},
 	{Name: "ext-pools", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := PoolComparison(PoolComparisonOptions{Seed: seed})
-		PrintPoolComparison(w, rows)
+		printRows(w, "Extension (§9): memory-pool technology comparison (Bert, FaaSMem)", rows)
 		return rows, nil
 	}},
 	{Name: "ext-coldstart", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := ColdStartTiming(ColdStartTimingOptions{Seed: seed})
-		PrintColdStartTiming(w, rows)
+		printRows(w, "Extension (§8.3.2): cold-start-aware semi-warm timing (Bert)", rows)
 		return rows, nil
 	}},
 	{Name: "ext-readahead", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Readahead(ReadaheadOptions{Seed: seed})
-		PrintReadahead(w, rows)
+		printRows(w, "Extension (§10): swap readahead / prefetching on the recall path (Bert)", rows)
 		return rows, map[string]string{"ext-readahead": SVGReadahead(rows)}
 	}},
 	{Name: "ext-keepalive", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := KeepAliveStrategies(KeepAliveStrategiesOptions{Seed: seed})
-		PrintKeepAliveStrategies(w, rows)
+		printRows(w, "Extension (§10): composing FaaSMem with an adaptive keep-alive policy (Web)", rows)
 		return rows, nil
 	}},
 	{Name: "ext-percentile", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := PercentileSweep(PercentileSweepOptions{Seed: seed})
-		PrintPercentileSweep(w, rows)
+		printRows(w, "Extension (§6.1): semi-warm timing percentile sweep (Bert)", rows)
 		return rows, nil
 	}},
 	{Name: "ext-rack", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := RackDensity(RackDensityOptions{Seed: seed})
-		PrintRackDensity(w, rows)
+		printRows(w, "Extension (§8.6/§9): rack with per-node DRAM limits and a shared pool", rows)
 		return rows, nil
 	}},
 	{Name: "ext-attrib", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := AttribPressure(AttribPressureOptions{Seed: seed})
-		PrintAttribPressure(w, rows)
+		printRows(w, "Extension (Fig. 2 revisited): latency attribution under rising memory pressure (Bert, FaaSMem)", rows)
 		return rows, nil
 	}},
 	{Name: "ext-pool-density", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := PoolDensity(PoolDensityOptions{Seed: seed})
-		PrintPoolDensity(w, rows)
+		printRows(w, "Extension (§9): pool-side memory node — effective-capacity amplification", rows)
 		return rows, nil
 	}},
 	{Name: "ext-merge", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := MergeDomains(MergeDomainsOptions{Seed: seed})
-		PrintMergeDomains(w, rows)
+		printRows(w, "Extension (§9): cross-tenant merge domains — density vs CoW unmerge cost", rows)
 		return rows, nil
 	}},
 	{Name: "ext-resilience", Run: func(w io.Writer, seed int64) (any, map[string]string) {
 		rows := Resilience(ResilienceOptions{Seed: seed, FaultSeed: seed})
-		PrintResilience(w, rows)
+		printRows(w, "Extension: fault injection — rack degradation vs fault intensity", rows)
 		return rows, nil
 	}},
 	{Name: "ext-observe", Run: func(w io.Writer, seed int64) (any, map[string]string) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/metrics"
@@ -13,29 +11,29 @@ import (
 type ResilienceRow struct {
 	// Intensity scales every fault window's duration and severity; 0 is the
 	// fault-free baseline (no plan attached at all).
-	Intensity float64 `json:"intensity"`
+	Intensity float64 `json:"intensity" col:"intensity,%.2f"`
 	// UnhealthyPct is the share of the run the remote path was unusable
 	// (link flap or pool-node crash), from the generated plan.
-	UnhealthyPct float64 `json:"unhealthy_pct"`
+	UnhealthyPct float64 `json:"unhealthy_pct" col:"unhealthy,%.1f%%"`
 	// Submitted counts requests routed into the rack; after the drain every
 	// one lands in exactly one completion class below.
-	Submitted int `json:"submitted"`
+	Submitted int `json:"submitted" col:"submitted"`
 	// Completed are requests that finished without fault recovery.
-	Completed int `json:"completed"`
+	Completed int `json:"completed" col:"completed"`
 	// Rescheduled are requests diverted away from containers stranded
 	// behind the unhealthy pool, then completed elsewhere.
-	Rescheduled int `json:"rescheduled"`
+	Rescheduled int `json:"rescheduled" col:"rescheduled"`
 	// Failed are requests whose page fetch timed out; they completed only
 	// through recovery (local-swap fallback or a cold re-init).
-	Failed int `json:"failed"`
+	Failed int `json:"failed" col:"failed"`
 	// ColdStartRatio and P99Sec are the headline degradation metrics.
-	ColdStartRatio float64 `json:"cold_start_ratio"`
-	P99Sec         float64 `json:"p99_sec"`
+	ColdStartRatio float64 `json:"cold_start_ratio" col:"cold-start,%.2f%%,pct"`
+	P99Sec         float64 `json:"p99_sec" col:"P99,%.3fs"`
 	// Recovery-machinery activity.
-	FetchRetries  int64 `json:"fetch_retries"`
-	FetchTimeouts int64 `json:"fetch_timeouts"`
-	FallbackPages int64 `json:"fallback_pages"`
-	ColdReinits   int   `json:"cold_reinits"`
+	FetchRetries  int64 `json:"fetch_retries" col:"retries"`
+	FetchTimeouts int64 `json:"fetch_timeouts" col:"timeouts"`
+	FallbackPages int64 `json:"fallback_pages" col:"fallback pages"`
+	ColdReinits   int   `json:"cold_reinits" col:"11:re-inits"`
 	// RescheduledFault counts scheduler diversions (≥ Rescheduled: a
 	// diverted request may still end in the re-init class).
 	RescheduledFault int `json:"rescheduled_fault"`
@@ -111,31 +109,4 @@ func Resilience(opt ResilienceOptions) []ResilienceRow {
 	rows := make([]ResilienceRow, len(opt.Intensities))
 	runGrid(len(rows), func(i int) { rows[i] = run(opt.Intensities[i]) })
 	return rows
-}
-
-// PrintResilience renders the sweep.
-func PrintResilience(w io.Writer, rows []ResilienceRow) {
-	fmt.Fprintln(w, "Extension: fault injection — rack degradation vs fault intensity")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			fmt.Sprintf("%.2f", r.Intensity),
-			fmt.Sprintf("%.1f%%", r.UnhealthyPct),
-			fmt.Sprintf("%d", r.Submitted),
-			fmt.Sprintf("%d", r.Completed),
-			fmt.Sprintf("%d", r.Rescheduled),
-			fmt.Sprintf("%d", r.Failed),
-			fmt.Sprintf("%.2f%%", r.ColdStartRatio*100),
-			fmt.Sprintf("%.3fs", r.P99Sec),
-			fmt.Sprintf("%d", r.FetchRetries),
-			fmt.Sprintf("%d", r.FetchTimeouts),
-			fmt.Sprintf("%d", r.ColdReinits),
-			fmt.Sprintf("%d", r.FallbackPages),
-		}
-	}
-	writeTable(w, []string{
-		"intensity", "unhealthy", "submitted", "completed", "rescheduled",
-		"failed", "cold-start", "P99", "retries", "timeouts", "re-inits",
-		"fallback pages",
-	}, table)
 }

@@ -39,9 +39,9 @@ type Fig1Options struct {
 // Fig1Row is one point of Figure 1: memory-inactive time and cold-start
 // ratio at one keep-alive timeout.
 type Fig1Row struct {
-	Timeout          time.Duration
-	InactiveFraction float64
-	ColdStartRatio   float64
+	Timeout          time.Duration `col:"keep-alive"`
+	InactiveFraction float64       `col:"inactive-time,%.1f%%,pct"`
+	ColdStartRatio   float64       `col:"cold-start,%.1f%%,pct"`
 }
 
 // Fig1 reproduces Figure 1: sweeping the keep-alive timeout over an
@@ -91,18 +91,8 @@ func Fig1(opt Fig1Options) []Fig1Row {
 	return rows
 }
 
-// PrintFig1 renders Figure 1's series.
-func PrintFig1(w io.Writer, rows []Fig1Row) {
-	fmt.Fprintln(w, "Figure 1: memory inactive time and cold-start ratio vs keep-alive timeout")
-	table := make([][]string, len(rows))
-	for i, r := range rows {
-		table[i] = []string{
-			fmt.Sprintf("%v", r.Timeout),
-			fmt.Sprintf("%.1f%%", r.InactiveFraction*100),
-			fmt.Sprintf("%.1f%%", r.ColdStartRatio*100),
-		}
-	}
-	writeTable(w, []string{"keep-alive", "inactive-time", "cold-start"}, table)
+// plotFig1 draws the inactive-time series as an ASCII plot.
+func plotFig1(w io.Writer, rows []Fig1Row) {
 	pts := make([]report.Point, len(rows))
 	for i, r := range rows {
 		pts[i] = report.Point{X: r.Timeout.Seconds(), Y: r.InactiveFraction * 100}
