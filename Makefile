@@ -131,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzMergeDomains$$'      -fuzztime=$(FUZZTIME) ./internal/memnode
 	$(GO) test -run='^$$' -fuzz='^FuzzPoolLedger$$'        -fuzztime=$(FUZZTIME) ./internal/rmem
 	$(GO) test -run='^$$' -fuzz='^FuzzRecorderDifferential$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/timeseries
+	$(GO) test -run='^$$' -fuzz='^FuzzReadChromeTrace$$'   -fuzztime=$(FUZZTIME) ./internal/telemetry/span
 	$(GO) test -run='^$$' -fuzz='^FuzzSourceMatchesMathRand$$' -fuzztime=$(FUZZTIME) ./internal/simtime/lazyrand
 
 # Regenerate every figure/table at paper scale (see EXPERIMENTS.md).

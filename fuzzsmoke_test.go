@@ -1,11 +1,16 @@
 package faasmem
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -95,5 +100,109 @@ func TestFuzzSmokeCoversEveryTarget(t *testing.T) {
 	}
 	if len(tree) == 0 {
 		t.Fatal("no fuzz targets found under internal/")
+	}
+}
+
+// unfuzzedReaders are the input readers no fuzz target has to name, keyed by
+// package directory and function name.
+var unfuzzedReaders = map[string]string{
+	"internal/trace.Load":                         "path wrapper of Read",
+	"internal/trace.LoadAzureCSV":                 "path wrapper of ReadAzureCSV",
+	"internal/workload.LoadProfiles":              "path wrapper of ReadProfiles",
+	"internal/drilldown.ReadRun":                  "path wrapper of ParseRun",
+	"internal/telemetry/span.ReadChromeTraceFile": "path wrapper of ReadChromeTrace",
+	"internal/telemetry/chrome.Decode":            "reached through span.ReadChromeTrace",
+	"internal/memnode.ParseMergeScope":            "takes an enum name, not a file",
+}
+
+var readerName = regexp.MustCompile(`^(Read|Parse|Decode|Load)`)
+
+// takesInput reports whether fn has an io.Reader, []byte or string
+// parameter: bytes from outside the program, or the path of a file of them.
+func takesInput(fn *ast.FuncDecl) bool {
+	for _, p := range fn.Type.Params.List {
+		switch t := p.Type.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := t.X.(*ast.Ident); ok && x.Name == "io" && t.Sel.Name == "Reader" {
+				return true
+			}
+		case *ast.ArrayType:
+			if e, ok := t.Elt.(*ast.Ident); ok && t.Len == nil && e.Name == "byte" {
+				return true
+			}
+		case *ast.Ident:
+			if t.Name == "string" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestEveryReaderIsFuzzed fails when an exported Read*, Parse*, Decode* or
+// Load* function under internal/ that takes an io.Reader, []byte or string
+// is named in no Fuzz function and is not in unfuzzedReaders, so every
+// reader of outside input has a fuzz target that calls it.
+func TestEveryReaderIsFuzzed(t *testing.T) {
+	const module = "github.com/faasmem/faasmem/"
+	readers := map[string]bool{}
+	named := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(file string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(file))
+		imports := map[string]string{} // local name → package directory
+		for _, im := range f.Imports {
+			p, _ := strconv.Unquote(im.Path.Value)
+			name := path.Base(p)
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = strings.TrimPrefix(p, module)
+		}
+		test := strings.HasSuffix(file, "_test.go")
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || fn.Body == nil {
+				continue
+			}
+			switch {
+			case test && strings.HasPrefix(fn.Name.Name, "Fuzz"):
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					switch x := n.(type) {
+					case *ast.SelectorExpr:
+						if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+							named[imports[pkg.Name]+"."+x.Sel.Name] = true
+							return false
+						}
+					case *ast.Ident:
+						named[dir+"."+x.Name] = true
+					}
+					return true
+				})
+			case !test && fn.Name.IsExported() && readerName.MatchString(fn.Name.Name) && takesInput(fn):
+				readers[dir+"."+fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range readers {
+		if _, ok := unfuzzedReaders[r]; !ok && !named[r] {
+			t.Errorf("reader %s is named by no Fuzz function", r)
+		}
+	}
+	for r := range unfuzzedReaders {
+		if !readers[r] {
+			t.Errorf("unfuzzedReaders lists %s, which is not a reader under internal/", r)
+		}
 	}
 }

@@ -39,10 +39,24 @@ func ReadRun(path string) (Run, error) {
 	return ParseRun(data)
 }
 
-// ParseRun is ReadRun on bytes already in hand.
+// ParseRun is ReadRun on bytes already in hand. It rejects an exemplar
+// whose span tree holds an out-of-range phase or start kind, so rendering an
+// accepted run cannot index past a phase table.
 func ParseRun(data []byte) (Run, error) {
 	var run Run
 	if err := json.Unmarshal(data, &run); err == nil && runPopulated(run) {
+		for _, c := range run.Exemplars {
+			for _, ex := range c.Top {
+				if err := ex.Invocation.Validate(); err != nil {
+					return Run{}, fmt.Errorf("drilldown: exemplar: %w", err)
+				}
+			}
+			if c.Typical != nil {
+				if err := c.Typical.Invocation.Validate(); err != nil {
+					return Run{}, fmt.Errorf("drilldown: typical exemplar: %w", err)
+				}
+			}
+		}
 		return run, nil
 	}
 	var snap timeseries.Snapshot

@@ -89,6 +89,16 @@ func TestParseRunLenient(t *testing.T) {
 	if _, err := ParseRun([]byte(`not json`)); err == nil {
 		t.Error("garbage accepted as a run")
 	}
+	// Out-of-range enums anywhere in an exemplar tree are rejected at parse
+	// time; rendering the phase one used to index past the phase table.
+	for _, bad := range []string{
+		`{"timeline":{"summary":[{"window":0}]},"exemplars":[{"top":[{"invocation":{"root":{"start":1000000000,"children":[{"phase":17}]}}}]}]}`,
+		`{"timeline":{"summary":[{"window":0}]},"exemplars":[{"typical":{"invocation":{"kind":9,"root":{"start":1000000000}}}}]}`,
+	} {
+		if _, err := ParseRun([]byte(bad)); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("ParseRun(%s) = %v, want an out-of-range error", bad, err)
+		}
+	}
 }
 
 func TestExplainAutoPicksWorstWindow(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
@@ -79,27 +80,32 @@ func WriteChromeTraceFile(path string, r *Recorder) error {
 // back into invocation trees and background spans. Nesting is rebuilt by
 // time containment within each track, the same rule Perfetto uses to draw
 // the stacks, so export → import → Analyze gives identical attribution.
+// The writer names each track after its container, so tracks are told apart
+// by name: two tids of one name (or none, which the writer calls "sim") form
+// one track, and ties in root start order by container. Whatever this
+// returns, WriteChromeTrace writes back to a file that reads the same.
 func ReadChromeTrace(rd io.Reader) ([]Invocation, []Background, error) {
 	tr, err := chrome.Decode(rd)
 	if err != nil {
 		return nil, nil, fmt.Errorf("span: parse chrome trace: %w", err)
 	}
-	tracks := map[int]string{}
-	type rawSpan struct {
-		ev  chrome.Event
-		pos int
+	names := map[int]string{}
+	for _, ev := range tr.TraceEvents {
+		if ev.Ph == "M" && ev.Args != nil && ev.Name == "thread_name" {
+			names[ev.Tid] = ev.Args.Name
+		}
 	}
-	perTid := map[int][]rawSpan{}
+	type rawSpan struct {
+		args *chrome.Args
+		pos  int
+	}
+	perTrack := map[string][]rawSpan{}
 	var bgs []Background
-	tidOrder := []int{}
+	var trackOrder []string
 	for i, ev := range tr.TraceEvents {
 		switch {
-		case ev.Ph == "M":
-			if ev.Args != nil && ev.Name == "thread_name" {
-				tracks[ev.Tid] = ev.Args.Name
-			}
 		case ev.Ph == "X" && ev.Cat == "background":
-			bg := Background{Container: trimBGTrack(tracks[ev.Tid])}
+			bg := Background{Container: strings.TrimSuffix(names[ev.Tid], " bg")}
 			if ev.Args != nil {
 				if k, ok := bgKindByName(ev.Args.Kind); ok {
 					bg.Kind = k
@@ -110,26 +116,32 @@ func ReadChromeTrace(rd io.Reader) ([]Invocation, []Background, error) {
 				bg.Dur = time.Duration(ev.Args.DurNS)
 			}
 			bgs = append(bgs, bg)
-		case ev.Ph == "X":
-			if _, ok := perTid[ev.Tid]; !ok {
-				tidOrder = append(tidOrder, ev.Tid)
+		case ev.Ph == "X" && ev.Args != nil:
+			// An arg-less span has no exact times to nest by, so it is
+			// dropped here, before the containment sort reads them.
+			track := names[ev.Tid]
+			if track == "" {
+				track = "sim"
 			}
-			perTid[ev.Tid] = append(perTid[ev.Tid], rawSpan{ev: ev, pos: i})
+			if _, ok := perTrack[track]; !ok {
+				trackOrder = append(trackOrder, track)
+			}
+			perTrack[track] = append(perTrack[track], rawSpan{args: ev.Args, pos: i})
 		}
 	}
 
 	var invs []Invocation
-	for _, tid := range tidOrder {
-		raws := perTid[tid]
+	for _, track := range trackOrder {
+		raws := perTrack[track]
 		// Containment nesting: sort by (start asc, end desc) so parents
 		// precede their children, then fold with a stack.
 		sort.SliceStable(raws, func(a, b int) bool {
-			sa, sb := raws[a].ev.Args.StartNS, raws[b].ev.Args.StartNS
+			sa, sb := raws[a].args.StartNS, raws[b].args.StartNS
 			if sa != sb {
 				return sa < sb
 			}
-			ea := sa + raws[a].ev.Args.DurNS
-			eb := sb + raws[b].ev.Args.DurNS
+			ea := sa + raws[a].args.DurNS
+			eb := sb + raws[b].args.DurNS
 			if ea != eb {
 				return ea > eb
 			}
@@ -138,14 +150,10 @@ func ReadChromeTrace(rd io.Reader) ([]Invocation, []Background, error) {
 		type frame struct {
 			span *Span
 			end  int64
-			inv  *Invocation
 		}
 		var stack []frame
 		for _, rs := range raws {
-			a := rs.ev.Args
-			if a == nil {
-				continue
-			}
+			a := rs.args
 			s := Span{
 				Start: simtime.Time(a.StartNS),
 				Dur:   time.Duration(a.DurNS),
@@ -160,25 +168,27 @@ func ReadChromeTrace(rd io.Reader) ([]Invocation, []Background, error) {
 				stack = stack[:len(stack)-1]
 			}
 			if len(stack) == 0 {
-				inv := Invocation{Container: tracks[tid], Root: s}
-				inv.Function = a.Function
+				inv := Invocation{Container: track, Function: a.Function, Root: s}
 				if k, ok := startKindByName(a.Kind); ok {
 					inv.Kind = k
 				}
 				invs = append(invs, inv)
-				root := &invs[len(invs)-1]
-				stack = append(stack, frame{span: &root.Root, end: end, inv: root})
+				stack = append(stack, frame{span: &invs[len(invs)-1].Root, end: end})
 				continue
 			}
 			parent := stack[len(stack)-1].span
 			parent.Children = append(parent.Children, s)
-			child := &parent.Children[len(parent.Children)-1]
-			stack = append(stack, frame{span: child, end: end, inv: stack[len(stack)-1].inv})
+			stack = append(stack, frame{span: &parent.Children[len(parent.Children)-1], end: end})
 		}
 	}
-	// Restore recording order across tracks (root start, then input order is
-	// already preserved per track; merge stably by start time).
-	sort.SliceStable(invs, func(i, j int) bool { return invs[i].Root.Start < invs[j].Root.Start })
+	// The writer orders invocations and background spans by start time.
+	sort.SliceStable(invs, func(i, j int) bool {
+		if invs[i].Root.Start != invs[j].Root.Start {
+			return invs[i].Root.Start < invs[j].Root.Start
+		}
+		return invs[i].Container < invs[j].Container
+	})
+	sort.SliceStable(bgs, func(i, j int) bool { return bgs[i].Start < bgs[j].Start })
 	return invs, bgs, nil
 }
 
@@ -199,12 +209,4 @@ func bgKindByName(name string) (BackgroundKind, bool) {
 		}
 	}
 	return 0, false
-}
-
-func trimBGTrack(track string) string {
-	const suffix = " bg"
-	if len(track) > len(suffix) && track[len(track)-len(suffix):] == suffix {
-		return track[:len(track)-len(suffix)]
-	}
-	return track
 }

@@ -26,6 +26,7 @@
 package span
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -198,6 +199,28 @@ type Invocation struct {
 
 // Total is the invocation's end-to-end latency.
 func (inv Invocation) Total() time.Duration { return inv.Root.Dur }
+
+// Validate reports a start kind or a span phase, anywhere in the tree, that
+// is out of range, as an invocation decoded from a file can hold. Phase- and
+// kind-indexed attribution needs both in range.
+func (inv Invocation) Validate() error {
+	if inv.Kind >= numStartKinds {
+		return fmt.Errorf("span: invocation %q: start kind %d out of range", inv.Container, inv.Kind)
+	}
+	var check func(s Span) error
+	check = func(s Span) error {
+		if s.Phase >= NumPhases {
+			return fmt.Errorf("span: invocation %q: phase %d out of range", inv.Container, s.Phase)
+		}
+		for _, c := range s.Children {
+			if err := check(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return check(inv.Root)
+}
 
 // BackgroundKind labels link work not on any single request's critical path.
 type BackgroundKind uint8
