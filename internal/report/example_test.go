@@ -7,28 +7,6 @@ import (
 	"github.com/faasmem/faasmem/internal/report"
 )
 
-// ExampleTable renders a markdown table.
-func ExampleTable() {
-	t := &report.Table{Header: []string{"policy", "avg mem"}}
-	t.Add("baseline", "506 MB")
-	t.Add("faasmem", "149 MB")
-	fmt.Print(t.Markdown())
-	// Output:
-	// | policy | avg mem |
-	// | --- | --- |
-	// | baseline | 506 MB |
-	// | faasmem | 149 MB |
-}
-
-// ExampleHBar renders a proportional terminal bar.
-func ExampleHBar() {
-	fmt.Println(report.HBar("web", 74, 100, 20))
-	fmt.Println(report.HBar("graph", 49, 100, 20))
-	// Output:
-	// web          ███████████████····· 74
-	// graph        ██████████·········· 49
-}
-
 // ExamplePlot draws an ASCII chart of a memory timeline.
 func ExamplePlot() {
 	pts := []report.Point{{0, 1200}, {600, 700}, {1200, 500}, {1800, 480}}

@@ -1,7 +1,6 @@
-// Package report renders experiment results for humans: markdown tables for
-// EXPERIMENTS.md-style records and ASCII plots that give the figures'
-// *shape* directly in a terminal — timelines (Fig. 13), CDFs (Fig. 14), and
-// scatter trends (Fig. 16).
+// Package report renders experiment results for humans: ASCII plots that
+// give the figures' *shape* directly in a terminal — timelines (Fig. 13),
+// CDFs (Fig. 14), and scatter trends (Fig. 16) — and SVG charts.
 package report
 
 import (
@@ -9,39 +8,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Table is a simple markdown table builder.
-type Table struct {
-	Header []string
-	Rows   [][]string
-}
-
-// Add appends one row.
-func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
-
-// Markdown renders the table as GitHub-flavored markdown.
-func (t *Table) Markdown() string {
-	if len(t.Header) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(t.Header, " | ") + " |\n")
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
-	for _, row := range t.Rows {
-		cells := make([]string, len(t.Header))
-		for i := range cells {
-			if i < len(row) {
-				cells[i] = row[i]
-			}
-		}
-		b.WriteString("| " + strings.Join(cells, " | ") + " |\n")
-	}
-	return b.String()
-}
 
 // Stat formats a statistic with the given printf verb, rendering "n/a" when
 // ok is false — the companion to the metrics package's comma-ok accessors,
@@ -107,22 +73,4 @@ func CDF(values []float64, fractions []float64, width, height int) string {
 		pts[i] = Point{X: values[i], Y: fractions[i]}
 	}
 	return Plot(pts, width, height)
-}
-
-// HBar renders one horizontal bar scaled so that max spans width runes.
-func HBar(label string, value, max float64, width int) string {
-	if width < 1 {
-		width = 1
-	}
-	n := 0
-	if max > 0 {
-		n = int(math.Round(value / max * float64(width)))
-	}
-	if n < 0 {
-		n = 0
-	}
-	if n > width {
-		n = width
-	}
-	return fmt.Sprintf("%-12s %s %.4g", label, strings.Repeat("█", n)+strings.Repeat("·", width-n), value)
 }

@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-func TestTableMarkdown(t *testing.T) {
-	tb := &Table{Header: []string{"a", "b"}}
-	tb.Add("1", "2")
-	tb.Add("3") // short row pads
-	md := tb.Markdown()
-	lines := strings.Split(strings.TrimSpace(md), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d: %q", len(lines), md)
-	}
-	if lines[0] != "| a | b |" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != "| --- | --- |" {
-		t.Errorf("separator = %q", lines[1])
-	}
-	if lines[3] != "| 3 |  |" {
-		t.Errorf("padded row = %q", lines[3])
-	}
-}
-
-func TestTableEmptyHeader(t *testing.T) {
-	if (&Table{}).Markdown() != "" {
-		t.Fatal("empty table should render nothing")
-	}
-}
-
 func TestPlotBasics(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 1}, {2, 4}, {3, 9}}
 	out := Plot(pts, 40, 8)
@@ -70,26 +44,6 @@ func TestCDFHelper(t *testing.T) {
 	}
 	if CDF([]float64{1}, []float64{0.5, 1}, 30, 5) != "" {
 		t.Fatal("mismatched lengths should render nothing")
-	}
-}
-
-func TestHBar(t *testing.T) {
-	full := HBar("all", 10, 10, 10)
-	if strings.Count(full, "█") != 10 {
-		t.Errorf("full bar = %q", full)
-	}
-	half := HBar("half", 5, 10, 10)
-	if strings.Count(half, "█") != 5 || strings.Count(half, "·") != 5 {
-		t.Errorf("half bar = %q", half)
-	}
-	zero := HBar("zero", 0, 10, 10)
-	if strings.Count(zero, "█") != 0 {
-		t.Errorf("zero bar = %q", zero)
-	}
-	// Value above max clamps instead of overflowing the lane.
-	over := HBar("over", 20, 10, 10)
-	if strings.Count(over, "█") != 10 {
-		t.Errorf("overflow bar = %q", over)
 	}
 }
 
