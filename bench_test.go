@@ -173,16 +173,16 @@ func BenchmarkFig15BarrierInsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		space := pagemem.NewSpace(pagemem.DefaultPageSize)
-		space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-		space.AllocBytes(pagemem.SegInit, prof.InitBytes)
+		space.AllocBytes(prof.RuntimeBytes)
+		space.AllocBytes(prof.InitBytes)
 	}
 }
 
 func BenchmarkFig15Rollback(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-	pucket := core.Pucket{Seg: space.AllocBytes(pagemem.SegInit, prof.InitBytes)}
+	space.AllocBytes(prof.RuntimeBytes)
+	pucket := core.Pucket{Seg: space.AllocBytes(prof.InitBytes)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -336,7 +336,7 @@ func BenchmarkEngineTimerWheel(b *testing.B) {
 func BenchmarkPucketOffloadScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	seg := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
+	seg := space.AllocBytes(prof.InitBytes)
 	// Leave every 64th page inactive; the rest are already remote.
 	for id := seg.Start; id < seg.End; id += 64 {
 		space.MoveRange(pagemem.Range{Start: id + 1, End: min(id+64, seg.End)}, pagemem.Inactive, pagemem.Remote)
@@ -357,7 +357,7 @@ func BenchmarkPucketOffloadScan(b *testing.B) {
 func BenchmarkSemiWarmScan(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	seg := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
+	seg := space.AllocBytes(prof.InitBytes)
 	last := pagemem.PageID((int(seg.End) - 1) / 64 * 64)
 	space.MoveRange(pagemem.Range{Start: seg.Start, End: last}, pagemem.Inactive, pagemem.Remote)
 	space.MoveRange(pagemem.Range{Start: last, End: seg.End}, pagemem.Inactive, pagemem.Hot)
@@ -542,7 +542,7 @@ func BenchmarkDisabledExemplars(b *testing.B) {
 func BenchmarkTouchHotSet(b *testing.B) {
 	prof := workload.Bert()
 	space := pagemem.NewSpace(pagemem.DefaultPageSize)
-	r := space.AllocBytes(pagemem.SegInit, prof.InitHotBytes)
+	r := space.AllocBytes(prof.InitHotBytes)
 	b.SetBytes(prof.InitHotBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

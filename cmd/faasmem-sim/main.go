@@ -39,7 +39,7 @@ func main() {
 	spec := experiments.Spec{Bench: "bert", Policy: "faasmem", DurationSec: 30 * 60, MeanGapSec: 10, KeepAliveSec: 10 * 60, Seed: 1}
 	spec.Flags(flag.CommandLine)
 	compare := flag.Bool("compare", false, "run every policy on the same trace and print a comparison table")
-	profilesPath := flag.String("profiles", "", "JSON file with extra workload profiles (see workload.WriteProfiles)")
+	profilesPath := flag.String("profiles", "", "JSON file with extra workload profiles (see workload.ReadProfiles)")
 	azurePath := flag.String("azure", "", "replay the busiest function of a real Azure Functions Invocation Trace 2021 CSV instead of generating arrivals")
 	traceDump := flag.Bool("trace", false, "record simulation events and dump them human-readably after the run")
 	traceOut := flag.String("trace-out", "", "record simulation events and write a Chrome trace-event JSON file (load in https://ui.perfetto.dev)")

@@ -139,25 +139,38 @@ func takesInput(fn *ast.FuncDecl) bool {
 	return false
 }
 
-// TestEveryReaderIsFuzzed fails when an exported Read*, Parse*, Decode* or
-// Load* function under internal/ that takes an io.Reader, []byte or string
-// is named in no Fuzz function and is not in unfuzzedReaders, so every
-// reader of outside input has a fuzz target that calls it.
-func TestEveryReaderIsFuzzed(t *testing.T) {
+// goFile is one parsed Go file of the module.
+type goFile struct {
+	dir     string // its package directory, slash-separated, module-relative
+	test    bool   // a _test.go file
+	f       *ast.File
+	imports map[string]string // local name → imported path, module-relative for the module's own packages
+}
+
+// parseTree parses every Go file under root, skipping testdata and dot
+// directories, into one FileSet, so a token.Pos names one place in the tree.
+func parseTree(t *testing.T, root string) []goFile {
 	const module = "github.com/faasmem/faasmem/"
-	readers := map[string]bool{}
-	named := map[string]bool{}
+	var files []goFile
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(file string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(file, ".go") {
+	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
+		if err != nil {
 			return err
+		}
+		if d.IsDir() {
+			if file != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(file, ".go") {
+			return nil
 		}
 		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(file))
-		imports := map[string]string{} // local name → package directory
+		imports := map[string]string{}
 		for _, im := range f.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
 			name := path.Base(p)
@@ -166,34 +179,51 @@ func TestEveryReaderIsFuzzed(t *testing.T) {
 			}
 			imports[name] = strings.TrimPrefix(p, module)
 		}
-		test := strings.HasSuffix(file, "_test.go")
-		for _, decl := range f.Decls {
+		files = append(files, goFile{
+			dir:     filepath.ToSlash(filepath.Dir(file)),
+			test:    strings.HasSuffix(file, "_test.go"),
+			f:       f,
+			imports: imports,
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestEveryReaderIsFuzzed fails when an exported Read*, Parse*, Decode* or
+// Load* function under internal/ that takes an io.Reader, []byte or string
+// is named in no Fuzz function and is not in unfuzzedReaders, so every
+// reader of outside input has a fuzz target that calls it.
+func TestEveryReaderIsFuzzed(t *testing.T) {
+	readers := map[string]bool{}
+	named := map[string]bool{}
+	for _, gf := range parseTree(t, "internal") {
+		for _, decl := range gf.f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Recv != nil || fn.Body == nil {
 				continue
 			}
 			switch {
-			case test && strings.HasPrefix(fn.Name.Name, "Fuzz"):
+			case gf.test && strings.HasPrefix(fn.Name.Name, "Fuzz"):
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					switch x := n.(type) {
 					case *ast.SelectorExpr:
-						if pkg, ok := x.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
-							named[imports[pkg.Name]+"."+x.Sel.Name] = true
+						if pkg, ok := x.X.(*ast.Ident); ok && gf.imports[pkg.Name] != "" {
+							named[gf.imports[pkg.Name]+"."+x.Sel.Name] = true
 							return false
 						}
 					case *ast.Ident:
-						named[dir+"."+x.Name] = true
+						named[gf.dir+"."+x.Name] = true
 					}
 					return true
 				})
-			case !test && fn.Name.IsExported() && readerName.MatchString(fn.Name.Name) && takesInput(fn):
-				readers[dir+"."+fn.Name.Name] = true
+			case !gf.test && fn.Name.IsExported() && readerName.MatchString(fn.Name.Name) && takesInput(fn):
+				readers[gf.dir+"."+fn.Name.Name] = true
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for r := range readers {
 		if _, ok := unfuzzedReaders[r]; !ok && !named[r] {
@@ -203,6 +233,160 @@ func TestEveryReaderIsFuzzed(t *testing.T) {
 	for r := range unfuzzedReaders {
 		if !readers[r] {
 			t.Errorf("unfuzzedReaders lists %s, which is not a reader under internal/", r)
+		}
+	}
+}
+
+// unusedExports are the exported names under internal/ that no non-test
+// file uses, keyed by package directory and name (Type.Method for a method;
+// a receiver of * stands for every type in the package). An entry whose
+// name is used, or no longer declared, fails TestEveryExportedNameIsUsed.
+var unusedExports = map[string]string{
+	"internal/faultinject.FromWindows":                   "tests in faas, rmem, core and experiments build fault plans with it",
+	"internal/fastswap.Device.ClusterReads":              "faas and experiments tests check readahead with it",
+	"internal/memnode.Node.TenantLogicalBytes":           "sharedmem tests check copy-on-write charges with it",
+	"internal/telemetry/timeseries.Recorder.FlightTotal": "experiments tests check the flight recorder with it",
+	"internal/simtime.Engine.Pending":                    "the event-queue depth probe; the engine benchmarks and policy tests read it",
+	"internal/workload.*.MarshalJSON":                    "json.Marshaler, called by encoding/json",
+	"internal/workload.*.UnmarshalJSON":                  "json.Unmarshaler, called by encoding/json",
+}
+
+// exportedDecl is one exported name declared in a non-test file under
+// internal/, with the declaration node whose extent does not count as a use.
+type exportedDecl struct {
+	pkg, recv, name string // recv is empty for a package-level name
+	node            ast.Node
+}
+
+// key names d as unusedExports does.
+func (d exportedDecl) key(recv string) string {
+	if recv == "" {
+		return d.pkg + "." + d.name
+	}
+	return d.pkg + "." + recv + "." + d.name
+}
+
+// exportedDecls lists the exported funcs, methods (of exported types),
+// types, consts and vars that f declares.
+func exportedDecls(gf goFile) []exportedDecl {
+	var out []exportedDecl
+	add := func(recv string, id *ast.Ident, node ast.Node) {
+		if id.IsExported() {
+			out = append(out, exportedDecl{gf.dir, recv, id.Name, node})
+		}
+	}
+	for _, decl := range gf.f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add("", d.Name, d)
+				break
+			}
+			recv := d.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			switch r := recv.(type) {
+			case *ast.IndexExpr:
+				recv = r.X
+			case *ast.IndexListExpr:
+				recv = r.X
+			}
+			if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+				add(id.Name, d.Name, d)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					add("", s.Name, s)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						add("", id, s)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestEveryExportedNameIsUsed fails when an exported func, method, type,
+// const or var declared in a non-test file under internal/ has no use
+// outside its own declaration in any non-test file of the module (cmd/,
+// examples/ and the bench/ module included) and is not in unusedExports, so
+// test-only helpers live in _test.go files and dead API is deleted. It
+// reads syntax only: a package-level name is used where its package
+// qualifies it, or bare in its own package; a method is used wherever any
+// selector names it, whatever the receiver; a method's own receiver is not a
+// use of its type.
+func TestEveryExportedNameIsUsed(t *testing.T) {
+	var decls []exportedDecl
+	uses := map[string][]token.Pos{}      // package dir + "." + name → its uses
+	selectors := map[string][]token.Pos{} // name after a non-package selector → its uses
+	for _, gf := range parseTree(t, ".") {
+		if gf.test {
+			continue
+		}
+		if strings.HasPrefix(gf.dir, "internal/") {
+			decls = append(decls, exportedDecls(gf)...)
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				ast.Inspect(x.Type, visit)
+				if x.Body != nil {
+					ast.Inspect(x.Body, visit)
+				}
+				return false
+			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && gf.imports[pkg.Name] != "" {
+					key := gf.imports[pkg.Name] + "." + x.Sel.Name
+					uses[key] = append(uses[key], x.Sel.Pos())
+					return false
+				}
+				selectors[x.Sel.Name] = append(selectors[x.Sel.Name], x.Sel.Pos())
+				ast.Inspect(x.X, visit)
+				return false
+			case *ast.Ident:
+				key := gf.dir + "." + x.Name
+				uses[key] = append(uses[key], x.Pos())
+			}
+			return true
+		}
+		ast.Inspect(gf.f, visit)
+	}
+	used := func(d exportedDecl) bool {
+		pos := uses[d.pkg+"."+d.name]
+		if d.recv != "" {
+			pos = selectors[d.name]
+		}
+		for _, p := range pos {
+			if p < d.node.Pos() || p >= d.node.End() {
+				return true
+			}
+		}
+		return false
+	}
+	listed := map[string]bool{}
+	for _, d := range decls {
+		if used(d) {
+			continue
+		}
+		key := d.key(d.recv)
+		if _, ok := unusedExports[key]; !ok && d.recv != "" {
+			key = d.key("*")
+		}
+		if _, ok := unusedExports[key]; ok {
+			listed[key] = true
+			continue
+		}
+		t.Errorf("%s has no use outside tests: delete it or move it into an _test.go file", d.key(d.recv))
+	}
+	for key := range unusedExports {
+		if !listed[key] {
+			t.Errorf("unusedExports lists %s, which is used or no longer declared", key)
 		}
 	}
 }

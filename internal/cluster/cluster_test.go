@@ -222,10 +222,10 @@ func TestSchedulerStrings(t *testing.T) {
 }
 
 func TestGreedyDualEvictionPrefersCheapLargeContainers(t *testing.T) {
-	// Three functions: "precious" is slow to cold-start and small (and the
-	// LRU victim, having idled longest); "cheap" is fast to rebuild and big;
-	// "filler" pushes the node over its limit. Greedy-dual must sacrifice
-	// cheap while LRU would sacrifice precious.
+	// Three functions: "precious" is slow to cold-start and small, and idles
+	// longest; "cheap" is fast to rebuild and big; "filler" pushes the node
+	// over its limit. Eviction is longest-idle first, so precious goes
+	// although cheap frees more memory and costs less to rebuild.
 	cheap := testProfile()
 	cheap.Name = "cheap"
 	cheap.RuntimeBytes = 6 * workload.MB
@@ -239,37 +239,24 @@ func TestGreedyDualEvictionPrefersCheapLargeContainers(t *testing.T) {
 	filler := testProfile()
 	filler.Name = "filler"
 
-	run := func(ev faas.EvictionPolicy) *faas.Platform {
-		e := simtime.NewEngine()
-		c := New(e, Config{Nodes: 1, Node: faas.Config{
-			KeepAliveTimeout: 10 * time.Minute,
-			NodeMemoryLimit:  10 * workload.MB,
-			Eviction:         ev,
-		}}, baselineFactory)
-		c.Register("cheap", cheap)
-		c.Register("precious", precious)
-		c.Register("filler", filler)
-		c.ScheduleInvocations("precious", secs(0)) // idles first: LRU victim
-		c.ScheduleInvocations("cheap", secs(10))
-		c.ScheduleInvocations("filler", secs(20)) // pushes over the limit
-		e.RunUntil(time.Minute)
-		n := c.Nodes()[0]
-		if n.EvictedContainers() == 0 {
-			t.Fatal("no eviction happened")
-		}
-		return n
+	e := simtime.NewEngine()
+	c := New(e, Config{Nodes: 1, Node: faas.Config{
+		KeepAliveTimeout: 10 * time.Minute,
+		NodeMemoryLimit:  10 * workload.MB,
+	}}, baselineFactory)
+	c.Register("cheap", cheap)
+	c.Register("precious", precious)
+	c.Register("filler", filler)
+	c.ScheduleInvocations("precious", secs(0)) // idles first
+	c.ScheduleInvocations("cheap", secs(10))
+	c.ScheduleInvocations("filler", secs(20)) // pushes over the limit
+	e.RunUntil(time.Minute)
+	n := c.Nodes()[0]
+	if n.EvictedContainers() == 0 {
+		t.Fatal("no eviction happened")
 	}
-
-	lru := run(faas.EvictLongestIdle)
-	if lru.Function("precious").IdleContainer() != nil {
-		t.Fatal("LRU should have evicted the longest-idle (precious) container")
-	}
-	gd := run(faas.EvictGreedyDual)
-	if gd.Function("precious").IdleContainer() == nil {
-		t.Fatal("greedy-dual evicted the precious container")
-	}
-	if gd.Function("cheap").IdleContainer() != nil {
-		t.Fatal("greedy-dual kept the cheap/large container")
+	if n.Function("precious").IdleContainer() != nil {
+		t.Fatal("eviction should have taken the longest-idle (precious) container")
 	}
 }
 

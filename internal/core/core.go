@@ -174,15 +174,6 @@ type ContainerSample struct {
 	Lifetime time.Duration
 }
 
-// SemiWarmShares extracts the per-container semi-warm lifetime fractions.
-func (s *Stats) SemiWarmShares() []float64 {
-	out := make([]float64, len(s.Containers))
-	for i, c := range s.Containers {
-		out[i] = c.SemiWarmShare
-	}
-	return out
-}
-
 // ContainerLifetimes extracts the per-container lifetimes.
 func (s *Stats) ContainerLifetimes() []time.Duration {
 	out := make([]time.Duration, len(s.Containers))
@@ -201,8 +192,7 @@ type funcHistory struct {
 	// sorted mirrors intervals in ascending order so percentile queries are a
 	// single index instead of a copy+sort per idle transition. Every mutation
 	// of intervals updates it in place.
-	sorted   []time.Duration
-	override time.Duration // explicit semi-warm timing, 0 if unset
+	sorted []time.Duration
 	// coldStarts and reuses feed the cold-start-aware timing correction.
 	coldStarts int
 	reuses     int
@@ -260,12 +250,6 @@ func (f *FaaSMem) Stats() *Stats { return &f.stat }
 // Config returns the effective configuration.
 func (f *FaaSMem) Config() Config { return f.cfg }
 
-// SetSemiWarmTiming pins a function's semi-warm start timing, as a provider
-// would from offline profiling of its historical trace (§6.1).
-func (f *FaaSMem) SetSemiWarmTiming(fnID string, d time.Duration) {
-	f.history(fnID).override = d
-}
-
 // SeedReuseIntervals pre-populates a function's container reused-interval
 // history from an offline trace analysis. Only the last HistoryLimit
 // intervals can stay in the history, so only those are recorded.
@@ -294,16 +278,13 @@ func (f *FaaSMem) recordReuse(fnID string, idle time.Duration) {
 	h.reuses++
 }
 
-// semiWarmDelay computes a function's semi-warm start timing: the explicit
-// override if set, the configured percentile of the reuse history once there
-// is enough of it, or the fallback delay. With ColdStartAwareTiming, the
-// percentile estimate stretches by the observed cold-start fraction to
-// compensate for the censoring bias §8.3.2 describes.
+// semiWarmDelay computes a function's semi-warm start timing: the
+// configured percentile of the reuse history once there is enough of it, or
+// the fallback delay. With ColdStartAwareTiming, the percentile estimate
+// stretches by the observed cold-start fraction to compensate for the
+// censoring bias §8.3.2 describes.
 func (f *FaaSMem) semiWarmDelay(fnID string) time.Duration {
 	h := f.history(fnID)
-	if h.override > 0 {
-		return h.override
-	}
 	if len(h.intervals) < f.cfg.MinIntervalSamples {
 		return f.cfg.FallbackSemiWarmDelay
 	}

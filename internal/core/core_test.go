@@ -272,10 +272,6 @@ func TestSemiWarmTimingFallbackAndOverride(t *testing.T) {
 	if got := fm.semiWarmDelay("unknown"); got != 90*time.Second {
 		t.Fatalf("fallback delay = %v", got)
 	}
-	fm.SetSemiWarmTiming("unknown", 7*time.Second)
-	if got := fm.semiWarmDelay("unknown"); got != 7*time.Second {
-		t.Fatalf("override delay = %v", got)
-	}
 }
 
 func TestHistoryTrimming(t *testing.T) {

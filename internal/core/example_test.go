@@ -43,13 +43,3 @@ func Example() {
 	// faasmem:  101 MB avg local, P95 0.207s
 	// saved:    69%
 }
-
-// ExampleFaaSMem_SetSemiWarmTiming shows provider-side profiling: pinning a
-// function's semi-warm start timing instead of learning it online.
-func ExampleFaaSMem_SetSemiWarmTiming() {
-	fm := core.New(core.Config{})
-	fm.SetSemiWarmTiming("checkout", 45*time.Second)
-	fmt.Println(fm.Name())
-	// Output:
-	// faasmem
-}

@@ -25,16 +25,6 @@ func (p Pucket) InactivePages(s *pagemem.Space) int {
 	return s.CountInRange(p.Seg, pagemem.Inactive)
 }
 
-// HotPages counts this Pucket's pages currently in the hot page pool.
-func (p Pucket) HotPages(s *pagemem.Space) int {
-	return s.CountInRange(p.Seg, pagemem.Hot)
-}
-
-// RemotePages counts this Pucket's pages offloaded to the pool.
-func (p Pucket) RemotePages(s *pagemem.Space) int {
-	return s.CountInRange(p.Seg, pagemem.Remote)
-}
-
 // OffloadInactive offloads the whole inactive list through the view and
 // returns how many pages actually moved (the pool/link may truncate). The
 // victims are one selection, the Pucket's range in the Inactive state, so a

@@ -8,7 +8,7 @@ import (
 
 func newPucketFixture() (*pagemem.Space, Pucket) {
 	s := pagemem.NewSpace(pagemem.DefaultPageSize)
-	return s, Pucket{Seg: s.Alloc(pagemem.SegRuntime, 10)}
+	return s, Pucket{Seg: s.Alloc(10)}
 }
 
 func TestPucketCounts(t *testing.T) {
@@ -34,10 +34,10 @@ func TestPucketCounts(t *testing.T) {
 // pages outside the Pucket keep their state.
 func TestPucketRollback(t *testing.T) {
 	s := pagemem.NewSpace(pagemem.DefaultPageSize)
-	s.Alloc(pagemem.SegRuntime, 70)
+	s.Alloc(70)
 	// 130 pages so the Pucket spans three words and ends mid-word.
-	p := Pucket{Seg: s.Alloc(pagemem.SegInit, 130)}
-	s.Alloc(pagemem.SegExec, 20)
+	p := Pucket{Seg: s.Alloc(130)}
+	s.Alloc(20)
 	// States cycle Inactive, Hot, Remote.
 	want := make([]pagemem.State, numPages(s))
 	for id := pagemem.PageID(0); int(id) < numPages(s); id++ {

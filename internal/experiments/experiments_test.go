@@ -303,8 +303,8 @@ func TestFig15OverheadBounds(t *testing.T) {
 	// nanoseconds.
 	stamped := func(prof *workload.Profile) int {
 		space := pagemem.NewSpace(pagemem.DefaultPageSize)
-		space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-		initRange := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
+		space.AllocBytes(prof.RuntimeBytes)
+		initRange := space.AllocBytes(prof.InitBytes)
 		return initRange.Len()
 	}
 	if bert, js := stamped(workload.ByName("bert")), stamped(workload.ByName("json")); bert <= js {

@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/faasmem/faasmem/internal/metrics"
 )
 
 func TestPoolComparisonShape(t *testing.T) {
@@ -170,6 +169,61 @@ func TestKeepAliveStrategiesShape(t *testing.T) {
 	}
 }
 
+// pearson computes the Pearson correlation coefficient between two
+// equal-length samples, the statistic behind the paper's §8.6 claims
+// ("positively correlated with the request loads", "a negative correlation
+// with the standard deviation of request intervals"). It returns 0 for
+// fewer than two points or zero variance.
+func pearson(xs, ys []float64) float64 {
+	n := len(xs)
+	if n != len(ys) || n < 2 {
+		return 0
+	}
+	var sx, sy float64
+	for i := 0; i < n; i++ {
+		sx += xs[i]
+		sy += ys[i]
+	}
+	mx, my := sx/float64(n), sy/float64(n)
+	var cov, vx, vy float64
+	for i := 0; i < n; i++ {
+		dx, dy := xs[i]-mx, ys[i]-my
+		cov += dx * dy
+		vx += dx * dx
+		vy += dy * dy
+	}
+	if vx == 0 || vy == 0 {
+		return 0
+	}
+	return cov / math.Sqrt(vx*vy)
+}
+
+func TestPearson(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5}
+	up := []float64{2, 4, 6, 8, 10}
+	down := []float64{10, 8, 6, 4, 2}
+	if got := pearson(xs, up); math.Abs(got-1) > 1e-12 {
+		t.Errorf("perfect positive = %v", got)
+	}
+	if got := pearson(xs, down); math.Abs(got+1) > 1e-12 {
+		t.Errorf("perfect negative = %v", got)
+	}
+	if pearson(xs, []float64{5, 5, 5, 5, 5}) != 0 {
+		t.Error("zero variance should be 0")
+	}
+	if pearson(xs, xs[:3]) != 0 {
+		t.Error("length mismatch should be 0")
+	}
+	if pearson(nil, nil) != 0 {
+		t.Error("empty should be 0")
+	}
+	// Noisy positive relationship stays clearly positive.
+	noisy := []float64{2.2, 3.7, 6.1, 8.4, 9.8}
+	if got := pearson(xs, noisy); got < 0.9 {
+		t.Errorf("noisy positive = %v, want > 0.9", got)
+	}
+}
+
 func TestFig16Correlations(t *testing.T) {
 	// §8.6's correlation claims, tested with the Pearson statistic: density
 	// is positively correlated with request load and negatively with the
@@ -184,10 +238,10 @@ func TestFig16Correlations(t *testing.T) {
 		sigma = append(sigma, r.IntervalSigmaSec)
 		density = append(density, r.Density)
 	}
-	if got := metrics.Pearson(load, density); got <= 0.2 {
+	if got := pearson(load, density); got <= 0.2 {
 		t.Errorf("corr(load, density) = %.2f, want clearly positive", got)
 	}
-	if got := metrics.Pearson(sigma, density); got >= -0.2 {
+	if got := pearson(sigma, density); got >= -0.2 {
 		t.Errorf("corr(sigma, density) = %.2f, want clearly negative", got)
 	}
 }

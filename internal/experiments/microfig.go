@@ -244,11 +244,11 @@ func Fig15() []Fig15Row {
 	for _, prof := range workload.Profiles() {
 		space := pagemem.NewSpace(pagemem.DefaultPageSize)
 		t0 := time.Now()
-		runtimeRange := space.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
+		runtimeRange := space.AllocBytes(prof.RuntimeBytes)
 		d1 := time.Since(t0)
 
 		t1 := time.Now()
-		initRange := space.AllocBytes(pagemem.SegInit, prof.InitBytes)
+		initRange := space.AllocBytes(prof.InitBytes)
 		d2 := time.Since(t1)
 
 		// Populate the hot pool with the per-request hot set, then measure a

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/faasmem/faasmem/internal/telemetry"
@@ -14,21 +16,14 @@ import (
 // panics, and a spec it accepts has a bounded horizon and fault intensity.
 // A single-bench spec also asks for at most MaxInvocations, and building
 // (not running) its Scenario yields a positive duration and keep-alive and
-// at most MaxInvocations invocations.
+// at most MaxInvocations invocations. Its seeds, one /run body per line of
+// testdata/spec_seeds.txt, also seed the gateway's FuzzGatewayRun.
 func FuzzRunSpec(f *testing.F) {
-	for _, body := range []string{
-		`{}`,
-		`{"bench":"json","duration_sec":120,"keep_alive_sec":86400}`,
-		`{"bench":"json","duration_sec":120,"keep_alive_sec":9.2e9}`,
-		`{"bench":"json","duration_sec":120,"keep_alive_sec":1e10}`,
-		`{"keep_alive_sec":1e300}`,
-		`{"mean_gap_sec":5e-324}`,
-		`{"duration_sec":1e-10,"mean_gap_sec":1,"bursty":true}`,
-		`{"bench":"web","duration_sec":43200,"mean_gap_sec":0.216,"fault_intensity":1}`,
-		`{"workflow":"fanout","workflow_runs":100,"fanout_width":64}`,
-		`{"workflow":"mapreduce","workflow_runs":100,"fanout_width":64,"state_mode":"reinit"}`,
-		`{"merge_scope":"cross-tenant","merge_opt_in":["a"],"cache_mb":16384}`,
-	} {
+	seeds, err := os.ReadFile("testdata/spec_seeds.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range strings.Split(strings.TrimSpace(string(seeds)), "\n") {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

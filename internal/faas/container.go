@@ -119,7 +119,7 @@ func (p *Platform) launch(f *Function) *Container {
 // runtimeLoaded materializes the runtime segment and inserts the
 // Runtime-Init time barrier.
 func (c *Container) runtimeLoaded(now simtime.Time) {
-	c.runtimeRange = c.space.AllocBytes(pagemem.SegRuntime, c.fn.profile.RuntimeBytes)
+	c.runtimeRange = c.space.AllocBytes(c.fn.profile.RuntimeBytes)
 	c.p.account(now, c.space.BytesOf(c.runtimeRange.Len()))
 	c.loadedAt = now
 	c.p.tel.Barrier(telemetry.StageRuntime, c.launched, now, c.id, c.fn.id, c.runtimeRange.Len())
@@ -130,7 +130,7 @@ func (c *Container) runtimeLoaded(now simtime.Time) {
 // initDone materializes the init segment and inserts the Init-Execution
 // time barrier.
 func (c *Container) initDone(now simtime.Time) {
-	c.initRange = c.space.AllocBytes(pagemem.SegInit, c.fn.profile.InitBytes)
+	c.initRange = c.space.AllocBytes(c.fn.profile.InitBytes)
 	c.p.account(now, c.space.BytesOf(c.initRange.Len()))
 	c.p.tel.Barrier(telemetry.StageInit, c.loadedAt, now, c.id, c.fn.id, c.initRange.Len())
 	c.p.enforceMemoryLimit(now)
@@ -642,19 +642,6 @@ func (c *Container) Telemetry() *telemetry.Hub { return &c.p.tel }
 // IdleSince reports when the container last became idle (meaningful only
 // while Idle() is true).
 func (c *Container) IdleSince() simtime.Time { return c.idleSince }
-
-// greedyDualPriority scores an idle container for EvictGreedyDual: higher is
-// more worth keeping. Frequency is the container's served requests, cost is
-// the cold start this node avoids by keeping it warm, size is its local
-// footprint.
-func (c *Container) greedyDualPriority() float64 {
-	cost := (c.fn.profile.LaunchTime + c.fn.profile.InitTime).Seconds()
-	size := float64(c.space.LocalBytes())
-	if size <= 0 {
-		size = 1
-	}
-	return float64(c.requests) * cost / size
-}
 
 // OffloadPages implements policy.View: it moves the selected local pages to
 // the remote pool, at most max of them (max <= 0: no limit), clamped to what

@@ -58,9 +58,6 @@ type Config struct {
 	// cap today: no experiment, CLI or gateway path does, and Table 1's
 	// trace ID-5 surge comes from its bursty arrivals, not from queueing.
 	MaxContainersPerFunction int
-	// Eviction selects which idle container the node reclaims first when
-	// NodeMemoryLimit is exceeded. Default EvictLongestIdle.
-	Eviction EvictionPolicy
 	// NodeMemoryLimit caps the node's local DRAM in bytes. When a charge
 	// would exceed it, the platform evicts idle containers (longest-idle
 	// first) until the node fits — the real mechanism behind deployment
@@ -113,21 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// EvictionPolicy selects the victim when the node memory limit forces an
-// idle container out.
-type EvictionPolicy int
-
-const (
-	// EvictLongestIdle reclaims the container idle the longest (LRU).
-	EvictLongestIdle EvictionPolicy = iota
-	// EvictGreedyDual reclaims the container with the lowest
-	// frequency × cold-start-cost / size priority — the greedy-dual caching
-	// view of keep-alive (FaasCache, cited by the paper's §10): cheapness to
-	// rebuild and large footprints push a container toward eviction, high
-	// reuse frequency protects it.
-	EvictGreedyDual
-)
 
 // keepAliveFor returns the keep-alive timeout for one of f's containers
 // entering idle now.
@@ -242,9 +224,6 @@ type Function struct {
 	// is reached.
 	queue []queuedReq
 }
-
-// QueuedRequests returns the number of requests waiting for a container.
-func (f *Function) QueuedRequests() int { return len(f.queue) }
 
 // ID returns the function identifier.
 func (f *Function) ID() string { return f.id }
@@ -548,19 +527,10 @@ func (p *Platform) enforceMemoryLimit(now simtime.Time) {
 	}
 	for p.NodeLocalBytes() > limit {
 		var victim *Container
-		var victimScore float64
 		for _, f := range p.Functions() {
 			for _, c := range f.idle {
-				switch p.cfg.Eviction {
-				case EvictGreedyDual:
-					score := c.greedyDualPriority()
-					if victim == nil || score < victimScore {
-						victim, victimScore = c, score
-					}
-				default:
-					if victim == nil || c.idleSince < victim.idleSince {
-						victim = c
-					}
+				if victim == nil || c.idleSince < victim.idleSince {
+					victim = c
 				}
 			}
 		}

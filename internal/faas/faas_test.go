@@ -70,7 +70,7 @@ func TestWarmStartReusesContainer(t *testing.T) {
 		t.Fatalf("containers = %d, want 1", p.ContainersCreated())
 	}
 	// Warm latency = exec only.
-	if got := f.stats.Latency.Min(); got != 0.1 {
+	if got := f.stats.Latency.Percentile(0); got != 0.1 {
 		t.Fatalf("warm latency = %v, want 0.1", got)
 	}
 	// Reused interval = gap since idle: request done at 0.6s, next at 2s.
@@ -197,8 +197,8 @@ func TestOffloadedPagesFaultBackOnAccess(t *testing.T) {
 			f.stats.WarmStarts, f.stats.SemiWarmStarts)
 	}
 	// The faulting (second) request pays a latency penalty over pure exec.
-	if f.stats.Latency.Min() <= 0.1 {
-		t.Fatalf("faulting request latency %v did not exceed exec time", f.stats.Latency.Min())
+	if f.stats.Latency.Percentile(0) <= 0.1 {
+		t.Fatalf("faulting request latency %v did not exceed exec time", f.stats.Latency.Percentile(0))
 	}
 }
 
@@ -447,8 +447,8 @@ func TestConcurrencyCapQueuesRequests(t *testing.T) {
 	}
 	// Back-to-back service: request i completes at cold(0.6) + i*exec(0.1).
 	lat := f.stats.Latency
-	if lat.Max() < 0.75 {
-		t.Fatalf("queued request latency max = %v, want ~0.78 (wait included)", lat.Max())
+	if lat.Percentile(100) < 0.75 {
+		t.Fatalf("queued request latency max = %v, want ~0.78 (wait included)", lat.Percentile(100))
 	}
 	if f.QueuedRequests() != 0 {
 		t.Fatal("queue not drained")

@@ -192,9 +192,9 @@ func refOffloadAccepted(c *Container, cand []pagemem.PageID, accepted rmem.Class
 func walkContainer(seed int64) *Container {
 	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
 	c := &Container{space: sp, pol: policy.Base{}}
-	c.runtimeRange = sp.Alloc(pagemem.SegRuntime, 300)
-	c.initRange = sp.Alloc(pagemem.SegInit, 221)
-	sp.Alloc(pagemem.SegExec, 137) // outside both ranges: ClassOther
+	c.runtimeRange = sp.Alloc(300)
+	c.initRange = sp.Alloc(221)
+	sp.Alloc(137) // outside both ranges: ClassOther
 	rng := rand.New(rand.NewSource(seed))
 	for _, r := range []pagemem.Range{c.runtimeRange, c.initRange} {
 		for id := r.Start; id < r.End; {
@@ -216,15 +216,21 @@ func withWindow(c *Container, window int) *Container {
 }
 
 // sameContainer fails unless the two containers' pages agree in state and
-// segment counts. Both hold runtime, init and exec pages in that order.
+// per-stage counts. Both hold runtime, init and exec pages in that order.
 func sameContainer(t *testing.T, label string, got, want *Container) {
 	t.Helper()
-	segs := [pagemem.NumSegments]pagemem.Range{want.runtimeRange, want.initRange,
-		{Start: want.initRange.End, End: pagemem.PageID(numPages(want.space))}}
-	for seg, r := range segs {
+	stages := []struct {
+		name string
+		r    pagemem.Range
+	}{
+		{"runtime", want.runtimeRange},
+		{"init", want.initRange},
+		{"exec", pagemem.Range{Start: want.initRange.End, End: pagemem.PageID(numPages(want.space))}},
+	}
+	for _, stage := range stages {
 		for st := pagemem.Inactive; st <= pagemem.Remote; st++ {
-			if g, w := got.space.CountInRange(r, st), want.space.CountInRange(r, st); g != w {
-				t.Fatalf("%s: %v pages in %v = %d, want %d", label, st, pagemem.Segment(seg), g, w)
+			if g, w := got.space.CountInRange(stage.r, st), want.space.CountInRange(stage.r, st); g != w {
+				t.Fatalf("%s: %v pages in %s = %d, want %d", label, st, stage.name, g, w)
 			}
 		}
 	}
@@ -509,9 +515,9 @@ func FuzzTouchWalk(f *testing.F) {
 		build := func() *Container {
 			sp := pagemem.NewSpace(pagemem.DefaultPageSize)
 			c := &Container{space: sp, pol: policy.Base{}}
-			c.runtimeRange = sp.Alloc(pagemem.SegRuntime, 1+int(runtime)%700)
-			c.initRange = sp.Alloc(pagemem.SegInit, 1+int(init)%700)
-			sp.Alloc(pagemem.SegExec, 37) // untracked pages past the init segment
+			c.runtimeRange = sp.Alloc(1 + int(runtime)%700)
+			c.initRange = sp.Alloc(1 + int(init)%700)
+			sp.Alloc(37) // untracked pages past the init segment
 			id, end := c.runtimeRange.Start, c.initRange.End
 			for _, b := range layout {
 				st := pagemem.State(b % 3)
@@ -547,8 +553,8 @@ func BenchmarkFaultPrecount(b *testing.B) {
 	prof := workload.Web()
 	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
 	c := withWindow(&Container{space: sp}, 0)
-	c.runtimeRange = sp.AllocBytes(pagemem.SegRuntime, prof.RuntimeBytes)
-	c.initRange = sp.AllocBytes(pagemem.SegInit, prof.InitBytes)
+	c.runtimeRange = sp.AllocBytes(prof.RuntimeBytes)
+	c.initRange = sp.AllocBytes(prof.InitBytes)
 	rng := rand.New(rand.NewSource(1))
 	for w := int(c.runtimeRange.Start) / 64; w*64 < int(c.initRange.End); w++ {
 		remote := rng.Uint64() | rng.Uint64()

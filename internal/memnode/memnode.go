@@ -925,7 +925,7 @@ func (n *Node) makeRoom(pages int) int {
 			}
 			// Hot pages first: each frees a full raw page of DRAM. The
 			// compressed tier barely occupies DRAM, so it spills last.
-			k := min(e.hot, int(min64((o+ps-1)/ps, free/ps)))
+			k := min(e.hot, int(min((o+ps-1)/ps, free/ps)))
 			if k > 0 {
 				e.hot -= k
 				e.spill += k
@@ -1004,14 +1004,6 @@ func (n *Node) registerOwner(owner, fn string, key entryKey, pages int64) {
 		or.keys = append(or.keys, key)
 	}
 	or.pages += pages
-}
-
-// OwnerLogicalBytes reports one container's logical holdings.
-func (n *Node) OwnerLogicalBytes(owner string) int64 {
-	if or := n.owners[owner]; or != nil {
-		return or.pages * int64(n.cfg.PageSize)
-	}
-	return 0
 }
 
 // TenantLogicalBytes reports one tenant's logical holdings.
@@ -1281,18 +1273,4 @@ func (n *Node) checkCache() error {
 		return fmt.Errorf("cache tenant occupancies sum to %d, used is %d", perTenant, c.usedBytes)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

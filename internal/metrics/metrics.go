@@ -31,10 +31,10 @@ func (s *Sampler) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 // Count returns the number of observations.
 func (s *Sampler) Count() int { return len(s.values) }
 
-// Empty reports whether the sampler has no observations. Mean, Percentile,
-// Min and Max all return 0 in that case — indistinguishable from a genuine
-// zero observation — so report code should check Empty (or use the
-// comma-ok accessors) and render "n/a" instead of a misleading 0.
+// Empty reports whether the sampler has no observations. Mean and
+// Percentile both return 0 in that case — indistinguishable from a genuine
+// zero observation — so report code should check Empty and render "n/a"
+// instead of a misleading 0.
 func (s *Sampler) Empty() bool { return len(s.values) == 0 }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
@@ -73,7 +73,8 @@ func (s *Sampler) sort() {
 }
 
 // Percentile returns the p-th percentile (p in [0, 100]) using linear
-// interpolation between closest ranks. It returns 0 with no observations and
+// interpolation between closest ranks; Percentile(0) is the smallest
+// observation and Percentile(100) the largest. It returns 0 with no observations and
 // panics on an out-of-range p.
 func (s *Sampler) Percentile(p float64) float64 {
 	if p < 0 || p > 100 {
@@ -103,61 +104,6 @@ func (s *Sampler) P95() float64 { return s.Percentile(95) }
 
 // P99 returns the 99th percentile.
 func (s *Sampler) P99() float64 { return s.Percentile(99) }
-
-// Max returns the largest observation, or 0 with none.
-func (s *Sampler) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.values[len(s.values)-1]
-}
-
-// Min returns the smallest observation, or 0 with none.
-func (s *Sampler) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.values[0]
-}
-
-// PercentileOK is Percentile with an explicit ok=false when there are no
-// observations, removing the 0-vs-empty ambiguity.
-func (s *Sampler) PercentileOK(p float64) (float64, bool) {
-	if s.Empty() {
-		// Still validate p so misuse is caught on the empty path too.
-		if p < 0 || p > 100 {
-			panic(fmt.Sprintf("metrics: percentile %v out of [0,100]", p))
-		}
-		return 0, false
-	}
-	return s.Percentile(p), true
-}
-
-// MinOK is Min with an explicit ok=false when there are no observations.
-func (s *Sampler) MinOK() (float64, bool) {
-	if s.Empty() {
-		return 0, false
-	}
-	return s.Min(), true
-}
-
-// MaxOK is Max with an explicit ok=false when there are no observations.
-func (s *Sampler) MaxOK() (float64, bool) {
-	if s.Empty() {
-		return 0, false
-	}
-	return s.Max(), true
-}
-
-// MeanOK is Mean with an explicit ok=false when there are no observations.
-func (s *Sampler) MeanOK() (float64, bool) {
-	if s.Empty() {
-		return 0, false
-	}
-	return s.Mean(), true
-}
 
 // CDF returns the empirical distribution as (value, cumulative fraction)
 // points, one per distinct observation.
@@ -254,38 +200,3 @@ func (s *Series) Len() int { return len(s.Times) }
 
 // MB converts bytes to megabytes (10^6) for display parity with the paper.
 func MB(bytes int64) float64 { return float64(bytes) / 1e6 }
-
-// MiB converts bytes to mebibytes.
-func MiB(bytes int64) float64 { return float64(bytes) / (1 << 20) }
-
-// GiB converts bytes to gibibytes.
-func GiB(bytes int64) float64 { return float64(bytes) / (1 << 30) }
-
-// Pearson computes the Pearson correlation coefficient between two
-// equal-length samples, the statistic behind the paper's §8.6 claims
-// ("positively correlated with the request loads", "a negative correlation
-// with the standard deviation of request intervals"). It returns 0 for
-// fewer than two points or zero variance.
-func Pearson(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	var sx, sy float64
-	for i := 0; i < n; i++ {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/float64(n), sy/float64(n)
-	var cov, vx, vy float64
-	for i := 0; i < n; i++ {
-		dx, dy := xs[i]-mx, ys[i]-my
-		cov += dx * dy
-		vx += dx * dx
-		vy += dy * dy
-	}
-	if vx == 0 || vy == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(vx*vy)
-}

@@ -14,8 +14,8 @@ import (
 func BenchmarkFragmentedSpace(b *testing.B) {
 	frag, work := NewSpace(DefaultPageSize), NewSpace(DefaultPageSize)
 	bytes := workload.Bert().InitBytes
-	seg := frag.AllocBytes(SegInit, bytes)
-	work.AllocBytes(SegInit, bytes)
+	seg := frag.AllocBytes(bytes)
+	work.AllocBytes(bytes)
 	for id := seg.Start; id < seg.End; id++ {
 		frag.SetState(id, State(int(id-seg.Start)%numStates))
 	}

@@ -8,7 +8,7 @@ import "testing"
 // second 64 pages' Inactive pages to Hot leaves them all Hot.
 func TestMoveRangeMatchesSetState(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
-	s.Alloc(SegRuntime, 128)
+	s.Alloc(128)
 	for id := PageID(0); id < 128; id += 3 {
 		s.SetState(id, Hot)
 	}

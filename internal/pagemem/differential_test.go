@@ -15,13 +15,11 @@ import (
 type naiveSpace struct {
 	pageSize int
 	state    []State
-	seg      []Segment
 }
 
-func (n *naiveSpace) alloc(seg Segment, count int) {
+func (n *naiveSpace) alloc(count int) {
 	for i := 0; i < count; i++ {
 		n.state = append(n.state, Inactive)
-		n.seg = append(n.seg, seg)
 	}
 }
 
@@ -43,16 +41,6 @@ func (n *naiveSpace) countInRange(r Range, st State) int {
 	c := 0
 	for id := r.Start; id < r.End; id++ {
 		if n.state[id] == st {
-			c++
-		}
-	}
-	return c
-}
-
-func (n *naiveSpace) count(seg Segment, st State) int {
-	c := 0
-	for id := range n.state {
-		if n.seg[id] == seg && n.state[id] == st {
 			c++
 		}
 	}
@@ -130,18 +118,18 @@ func (p *spacePair) step(t *testing.T, op, a, b byte) {
 	n := len(p.slow.state)
 	switch op % 9 {
 	case 0: // grow: a few pages, or (odd multiples of 9) 64 to 1024 pages
-		// With a >= 128 the space first reserves its run lists; the
-		// reserve must change nothing the model can see.
+		// With a >= 128 the space first reserves its run list; the
+		// reserve must change nothing the model can see. a's other bits
+		// are unused.
 		if a >= 128 {
 			p.fast.Reserve()
 		}
-		seg := Segment(int(a) % int(NumSegments))
 		count := int(b) % 97
 		if op/9%2 == 1 {
 			count = 64 * (1 + int(b)%16)
 		}
-		p.fast.Alloc(seg, count)
-		p.slow.alloc(seg, count)
+		p.fast.Alloc(count)
+		p.slow.alloc(count)
 	case 1, 2: // request span: promote its Inactive pages, recall its Remote ones
 		r := p.rangeFrom(a, b)
 		for _, from := range []State{Inactive, Remote} {
@@ -248,18 +236,10 @@ func (p *spacePair) check(t *testing.T, step int) {
 		if got, want := p.fast.CountState(st), p.slow.countInRange(all, st); got != want {
 			t.Fatalf("step %d: CountState(%v) = %d, want %d", step, st, got, want)
 		}
-		for seg := Segment(0); seg < NumSegments; seg++ {
-			if got, want := p.fast.Count(seg, st), p.slow.count(seg, st); got != want {
-				t.Fatalf("step %d: Count(%v, %v) = %d, want %d", step, seg, st, got, want)
-			}
-		}
 	}
 	for id := range p.slow.state {
 		if got, want := p.fast.State(PageID(id)), p.slow.state[id]; got != want {
 			t.Fatalf("step %d: State(%d) = %v, want %v", step, id, got, want)
-		}
-		if got, want := p.fast.SegmentOf(PageID(id)), p.slow.seg[id]; got != want {
-			t.Fatalf("step %d: SegmentOf(%d) = %v, want %v", step, id, got, want)
 		}
 	}
 	p.checkRuns(t, step)

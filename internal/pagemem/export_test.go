@@ -1,9 +1,6 @@
 package pagemem
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // The helpers below read or drive a Space page by page. Only tests need
 // them: the engine itself works on ranges.
@@ -29,32 +26,8 @@ func (s *Space) SetState(id PageID, st State) {
 	}
 }
 
-// Count returns the number of pages in the given segment and state,
-// summed over the segment's allocation runs.
-func (s *Space) Count(seg Segment, st State) int {
-	n := 0
-	for i, run := range s.segRuns {
-		if run.seg != seg {
-			continue
-		}
-		end := s.n
-		if i+1 < len(s.segRuns) {
-			end = s.segRuns[i+1].start
-		}
-		n += s.CountInRange(Range{Start: PageID(run.start), End: PageID(end)}, st)
-	}
-	return n
-}
-
 // Contains reports whether id falls inside the range.
 func (r Range) Contains(id PageID) bool { return id >= r.Start && id < r.End }
 
 // NumPages returns the total number of pages allocated.
 func (s *Space) NumPages() int { return s.n }
-
-// SegmentOf returns the lifecycle segment page id was allocated in.
-func (s *Space) SegmentOf(id PageID) Segment {
-	s.checkID(id)
-	i := sort.Search(len(s.segRuns), func(j int) bool { return s.segRuns[j].start > int(id) })
-	return s.segRuns[i-1].seg
-}

@@ -1,10 +1,11 @@
 // Package pagemem models a container's memory at page granularity.
 //
 // A Space is a growable array of fixed-size pages. Each page carries the
-// state the offloading policies act on (inactive / hot / remote) and the
-// lifecycle segment it was allocated in (runtime / init / exec). Accessed
-// bits are not kept here: the paper's mechanism never reads them, and the
-// baselines that sample them (TMO, DAMON) own theirs in internal/policy.
+// state the offloading policies act on (inactive / hot / remote). A
+// lifecycle stage's pages are the Range its allocation returned, which the
+// caller keeps (a Pucket is one). Accessed bits are not kept here: the
+// paper's mechanism never reads them, and the baselines that sample them
+// (TMO, DAMON) own theirs in internal/policy.
 //
 // Every mechanism acts on page ranges — a Pucket's sealed range, a DAMON
 // region, a request span, a semi-warm drain — so page state is kept as
@@ -60,37 +61,6 @@ func (s State) String() string {
 	}
 }
 
-// Segment is the container-lifecycle stage a page was allocated in
-// (paper §3: runtime, init, and execution segments).
-type Segment uint8
-
-const (
-	// SegRuntime pages are allocated while the language runtime loads.
-	SegRuntime Segment = iota
-	// SegInit pages are allocated during user-code initialization.
-	SegInit
-	// SegExec is the segment of per-request temporaries, freed on
-	// completion. The platform charges them by count and allocates no pages
-	// for them.
-	SegExec
-	// NumSegments is the number of lifecycle segments.
-	NumSegments = iota
-)
-
-// String implements fmt.Stringer.
-func (s Segment) String() string {
-	switch s {
-	case SegRuntime:
-		return "runtime"
-	case SegInit:
-		return "init"
-	case SegExec:
-		return "exec"
-	default:
-		return fmt.Sprintf("segment(%d)", uint8(s))
-	}
-}
-
 // Range is a half-open interval of pages [Start, End).
 type Range struct {
 	Start, End PageID
@@ -108,7 +78,7 @@ func (r Range) Len() int { return int(r.End - r.Start) }
 // The list is canonical — starts strictly ascend from 0, and no two
 // adjacent runs share a state — so a page's state is one binary search and
 // every bulk move (offload, recall, rollback) rewrites only the runs it
-// overlaps. A page's segment lives only in segRuns.
+// overlaps.
 type Space struct {
 	pageSize int
 	// n is the number of page slots ever allocated.
@@ -118,9 +88,6 @@ type Space struct {
 	spare []stateRun
 	// total[st] is the number of pages in state st.
 	total [numStates]int
-	// segRuns records the contiguous allocation runs sharing a segment
-	// (segments are piecewise constant by construction).
-	segRuns []segRun
 }
 
 // stateRun is a maximal range of pages in one state; its end is the next
@@ -128,13 +95,6 @@ type Space struct {
 type stateRun struct {
 	start PageID
 	st    State
-}
-
-// segRun is a maximal range of pages allocated to one segment; its end is
-// the next run's start (or the allocated page count for the final run).
-type segRun struct {
-	start int
-	seg   Segment
 }
 
 // NewSpace returns an empty address space with the given page size in bytes.
@@ -147,30 +107,30 @@ func NewSpace(pageSize int) *Space {
 	return &Space{pageSize: pageSize}
 }
 
-// Reserve sizes the space's run lists for one state and one segment run
-// per segment, so Alloc calls allocate nothing while each segment is
-// allocated in one run. It changes no page: a container whose segment sizes
-// are known at launch reserves once instead of growing per segment.
+// reservedRuns is the run-list capacity Reserve sets: room for the runtime
+// and init allocations in different states plus one more run, so a launch
+// appends without growing the list.
+const reservedRuns = 3
+
+// Reserve sizes the space's run list for reservedRuns runs, so a
+// container's launch allocations append without growing it. It changes no
+// page: a container whose stage sizes are known at launch reserves once
+// instead of growing per stage.
 func (s *Space) Reserve() {
-	s.segRuns = slices.Grow(s.segRuns, NumSegments)
-	s.runs = slices.Grow(s.runs, NumSegments)
+	s.runs = slices.Grow(s.runs, reservedRuns)
 }
 
 // PageSize returns the page size in bytes.
 func (s *Space) PageSize() int { return s.pageSize }
 
-// Alloc appends n pages of the given segment in the Inactive state and
-// returns their range.
-func (s *Space) Alloc(seg Segment, n int) Range {
+// Alloc appends n pages in the Inactive state and returns their range.
+func (s *Space) Alloc(n int) Range {
 	if n < 0 {
 		panic("pagemem: negative allocation")
 	}
 	start := s.n
 	total := start + n
 	if n > 0 {
-		if k := len(s.segRuns); k == 0 || s.segRuns[k-1].seg != seg {
-			s.segRuns = append(s.segRuns, segRun{start: start, seg: seg})
-		}
 		s.runs = pushRun(s.runs, PageID(start), Inactive)
 	}
 	s.n = total
@@ -180,17 +140,17 @@ func (s *Space) Alloc(seg Segment, n int) Range {
 
 // AllocBytes allocates enough pages to hold the given byte count, rounding
 // up to whole pages.
-func (s *Space) AllocBytes(seg Segment, bytes int64) Range {
+func (s *Space) AllocBytes(bytes int64) Range {
 	if bytes < 0 {
 		panic("pagemem: negative byte allocation")
 	}
 	n := int((bytes + int64(s.pageSize) - 1) / int64(s.pageSize))
-	return s.Alloc(seg, n)
+	return s.Alloc(n)
 }
 
 // CopyStates makes s's page states a copy of src's — page size, page
 // count, runs and totals — for a what-if walk that must leave src alone.
-// Segments are not copied. It reuses s's run storage, so a scratch Space
+// It reuses s's run storage, so a scratch Space
 // copied into per request stops allocating once it has held the largest
 // run list.
 func (s *Space) CopyStates(src *Space) {
@@ -390,7 +350,7 @@ func (s *Space) CountInRange(r Range, st State) int {
 	}
 }
 
-// CountState returns the number of pages in a state across all segments.
+// CountState returns the number of pages in a state across the space.
 func (s *Space) CountState(st State) int { return s.total[st] }
 
 // LocalBytes reports resident local memory: inactive plus hot pages.

@@ -22,31 +22,28 @@ func TestNewSpaceRejectsBadPageSize(t *testing.T) {
 
 func TestAllocBasics(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegRuntime, 10)
+	r := s.Alloc(10)
 	if r.Len() != 10 {
 		t.Fatalf("range length = %d, want 10", r.Len())
 	}
 	if s.NumPages() != 10 {
 		t.Fatalf("NumPages = %d, want 10", s.NumPages())
 	}
-	if got := s.Count(SegRuntime, Inactive); got != 10 {
-		t.Fatalf("runtime inactive = %d, want 10", got)
+	if got := s.CountInRange(r, Inactive); got != 10 {
+		t.Fatalf("inactive = %d, want 10", got)
 	}
 	for id := r.Start; id < r.End; id++ {
 		if s.State(id) != Inactive {
 			t.Fatalf("page %d state %v, want inactive", id, s.State(id))
-		}
-		if s.SegmentOf(id) != SegRuntime {
-			t.Fatalf("page %d segment %v, want runtime", id, s.SegmentOf(id))
 		}
 	}
 }
 
 func TestAllocSegmentsAreContiguous(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
-	rt := s.Alloc(SegRuntime, 5)
-	init := s.Alloc(SegInit, 7)
-	exec := s.Alloc(SegExec, 3)
+	rt := s.Alloc(5)
+	init := s.Alloc(7)
+	exec := s.Alloc(3)
 	if rt.End != init.Start || init.End != exec.Start {
 		t.Fatalf("segments not contiguous: %+v %+v %+v", rt, init, exec)
 	}
@@ -54,24 +51,24 @@ func TestAllocSegmentsAreContiguous(t *testing.T) {
 
 func TestAllocBytesRoundsUp(t *testing.T) {
 	s := NewSpace(4096)
-	r := s.AllocBytes(SegInit, 4097)
+	r := s.AllocBytes(4097)
 	if r.Len() != 2 {
 		t.Fatalf("AllocBytes(4097) = %d pages, want 2", r.Len())
 	}
-	if s.AllocBytes(SegInit, 0).Len() != 0 {
+	if s.AllocBytes(0).Len() != 0 {
 		t.Fatal("AllocBytes(0) should allocate nothing")
 	}
 }
 
 // TestReserveMakesAllocAllocationFree allocates a container's three
-// segments into reserved spaces: no Alloc call may allocate, and the result
+// lifecycle stages into reserved spaces: no Alloc call may allocate, and the result
 // must match an unreserved space.
 func TestReserveMakesAllocAllocationFree(t *testing.T) {
 	const runtime, init, exec = 7000, 30001, 4097
 	build := func(s *Space) {
-		s.Alloc(SegRuntime, runtime)
-		s.Alloc(SegInit, init)
-		s.Alloc(SegExec, exec)
+		s.Alloc(runtime)
+		s.Alloc(init)
+		s.Alloc(exec)
 	}
 	const runs = 10
 	spaces := make([]*Space, runs+1) // AllocsPerRun adds one warm-up call
@@ -92,13 +89,8 @@ func TestReserveMakesAllocAllocationFree(t *testing.T) {
 			t.Fatalf("CountInRange(%v) = %d, want %d", st, g, w)
 		}
 	}
-	for seg := Segment(0); seg < NumSegments; seg++ {
-		if g, w := got.Count(seg, Inactive), want.Count(seg, Inactive); g != w {
-			t.Fatalf("Count(%v, inactive) = %d, want %d", seg, g, w)
-		}
-	}
 	// Growth within the reservation changes no page's state: the three
-	// segments are one Inactive run, and no page is Hot or Remote.
+	// stages are one Inactive run, and no page is Hot or Remote.
 	if want := []stateRun{{start: 0, st: Inactive}}; !slices.Equal(got.runs, want) {
 		t.Fatalf("runs after Reserve and Alloc = %v, want %v", got.runs, want)
 	}
@@ -114,26 +106,26 @@ func TestNegativeAllocPanics(t *testing.T) {
 			t.Error("Alloc(-1) did not panic")
 		}
 	}()
-	s.Alloc(SegExec, -1)
+	s.Alloc(-1)
 }
 
 func TestSetStateMaintainsCounters(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegInit, 4)
+	r := s.Alloc(4)
 	s.SetState(r.Start, Hot)
 	s.SetState(r.Start+1, Remote)
-	if got := s.Count(SegInit, Inactive); got != 2 {
+	if got := s.CountInRange(r, Inactive); got != 2 {
 		t.Errorf("inactive = %d, want 2", got)
 	}
-	if got := s.Count(SegInit, Hot); got != 1 {
+	if got := s.CountInRange(r, Hot); got != 1 {
 		t.Errorf("hot = %d, want 1", got)
 	}
-	if got := s.Count(SegInit, Remote); got != 1 {
+	if got := s.CountInRange(r, Remote); got != 1 {
 		t.Errorf("remote = %d, want 1", got)
 	}
 	// Same-state transition is a no-op.
 	s.SetState(r.Start, Hot)
-	if got := s.Count(SegInit, Hot); got != 1 {
+	if got := s.CountInRange(r, Hot); got != 1 {
 		t.Errorf("hot after no-op = %d, want 1", got)
 	}
 }
@@ -143,12 +135,11 @@ func TestSetStateMaintainsCounters(t *testing.T) {
 // the last page.
 func TestOutOfRangeIDPanics(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
-	s.Alloc(SegRuntime, 10)
+	s.Alloc(10)
 	for _, id := range []PageID{-1, 10, 63, 64, 1000} {
 		for name, probe := range map[string]func(){
-			"State":     func() { s.State(id) },
-			"SegmentOf": func() { s.SegmentOf(id) },
-			"SetState":  func() { s.SetState(id, Hot) },
+			"State":    func() { s.State(id) },
+			"SetState": func() { s.SetState(id, Hot) },
 		} {
 			func() {
 				defer func() {
@@ -164,7 +155,7 @@ func TestOutOfRangeIDPanics(t *testing.T) {
 
 func TestCountInRange(t *testing.T) {
 	s := NewSpace(DefaultPageSize)
-	r := s.Alloc(SegRuntime, 10)
+	r := s.Alloc(10)
 	s.SetState(r.Start+1, Remote)
 	s.SetState(r.Start+2, Remote)
 	s.SetState(r.Start+3, Hot)
@@ -182,7 +173,7 @@ func TestCountInRange(t *testing.T) {
 
 func TestByteAccounting(t *testing.T) {
 	s := NewSpace(4096)
-	r := s.Alloc(SegInit, 100)
+	r := s.Alloc(100)
 	s.SetState(r.Start, Remote)
 	s.SetState(r.Start+1, Remote)
 	s.SetState(r.Start+2, Hot)
@@ -234,12 +225,6 @@ func TestStateStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", st, st.String(), want)
 		}
 	}
-	segs := map[Segment]string{SegRuntime: "runtime", SegInit: "init", SegExec: "exec"}
-	for sg, want := range segs {
-		if sg.String() != want {
-			t.Errorf("segment %d String() = %q, want %q", sg, sg.String(), want)
-		}
-	}
 }
 
 // Property: counters always equal a brute-force recount after arbitrary
@@ -251,7 +236,7 @@ func TestCountersMatchBruteForce(t *testing.T) {
 		for op := 0; op < 300; op++ {
 			switch rng.Intn(3) {
 			case 0:
-				s.Alloc(Segment(rng.Intn(NumSegments)), rng.Intn(20))
+				s.Alloc(rng.Intn(20))
 			case 1:
 				if s.NumPages() > 0 {
 					s.SetState(PageID(rng.Intn(s.NumPages())), State(rng.Intn(numStates)))
@@ -264,16 +249,19 @@ func TestCountersMatchBruteForce(t *testing.T) {
 			}
 		}
 		// Brute-force recount.
-		var want [NumSegments][numStates]int
+		var want [numStates]int
 		for id := 0; id < s.NumPages(); id++ {
-			want[s.SegmentOf(PageID(id))][s.State(PageID(id))]++
+			want[s.State(PageID(id))]++
 		}
-		for seg := 0; seg < NumSegments; seg++ {
-			for st := 0; st < numStates; st++ {
-				if got := s.Count(Segment(seg), State(st)); got != want[seg][st] {
-					t.Logf("seed %d: count[%v][%v] = %d, want %d", seed, Segment(seg), State(st), got, want[seg][st])
-					return false
-				}
+		all := Range{Start: 0, End: PageID(s.NumPages())}
+		for st := State(0); st < numStates; st++ {
+			if got := s.CountState(st); got != want[st] {
+				t.Logf("seed %d: CountState(%v) = %d, want %d", seed, st, got, want[st])
+				return false
+			}
+			if got := s.CountInRange(all, st); got != want[st] {
+				t.Logf("seed %d: CountInRange(all, %v) = %d, want %d", seed, st, got, want[st])
+				return false
 			}
 		}
 		return true

@@ -30,8 +30,8 @@ func newFakeView(runtimePages, initPages int) *fakeView {
 		RuntimeBytes: s.BytesOf(runtimePages),
 		InitBytes:    s.BytesOf(initPages),
 	}}
-	v.runtimeRange = s.Alloc(pagemem.SegRuntime, runtimePages)
-	v.initRange = s.Alloc(pagemem.SegInit, initPages)
+	v.runtimeRange = s.Alloc(runtimePages)
+	v.initRange = s.Alloc(initPages)
 	return v
 }
 

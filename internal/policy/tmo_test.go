@@ -198,7 +198,7 @@ func FuzzTMOIdleWalk(f *testing.F) {
 				if op/5%2 == 1 {
 					count = 64 * (1 + int(b)%16)
 				}
-				r := s.Alloc(pagemem.Segment(int(a)%int(pagemem.NumSegments)), count)
+				r := s.Alloc(count) // a is ignored
 				c.accessed.setPages(r)
 				for range count {
 					m.state = append(m.state, pagemem.Inactive)

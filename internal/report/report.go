@@ -10,8 +10,8 @@ import (
 )
 
 // Stat formats a statistic with the given printf verb, rendering "n/a" when
-// ok is false — the companion to the metrics package's comma-ok accessors,
-// so empty samplers print as "n/a" rather than a misleading 0.
+// ok is false, so an empty sampler (metrics.Sampler.Empty) prints as "n/a"
+// rather than a misleading 0.
 func Stat(format string, v float64, ok bool) string {
 	if !ok {
 		return "n/a"

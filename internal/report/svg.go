@@ -20,13 +20,11 @@ type Series struct {
 	Scatter bool
 }
 
-// ChartOptions sizes and labels an SVG chart.
+// ChartOptions labels an SVG chart. Every chart is 640×400 pixels.
 type ChartOptions struct {
 	Title  string
 	XLabel string
 	YLabel string
-	// Width and Height in pixels. Defaults 640×400.
-	Width, Height int
 	// LogX plots the x axis on a log10 scale (keep-alive sweeps).
 	LogX bool
 	// YMin forces the y-axis floor (e.g. 0 for memory); NaN = auto.
@@ -40,13 +38,7 @@ var seriesColors = []string{
 
 // SVGChart renders the series as a complete SVG document.
 func SVGChart(opt ChartOptions, series ...Series) string {
-	w, h := opt.Width, opt.Height
-	if w <= 0 {
-		w = 640
-	}
-	if h <= 0 {
-		h = 400
-	}
+	const w, h = 640, 400
 	const marginL, marginR, marginT, marginB = 64, 16, 36, 48
 	plotW := float64(w - marginL - marginR)
 	plotH := float64(h - marginT - marginB)

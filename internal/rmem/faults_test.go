@@ -25,8 +25,7 @@ func onePageFault() ClassCounts {
 }
 
 // TestTypedFaultErrors is the table test over the fault-path error taxonomy:
-// every probe-visible state maps to exactly one typed error, and Retryable
-// classifies them for the caller's retry loop.
+// every probe-visible state maps to exactly one typed error.
 func TestTypedFaultErrors(t *testing.T) {
 	flap := faultinject.Window{Kind: faultinject.LinkFlap, Start: sec(10), End: sec(20)}
 	crash := faultinject.Window{Kind: faultinject.PoolCrash, Start: sec(30), End: sec(40)}
@@ -62,23 +61,6 @@ func TestTypedFaultErrors(t *testing.T) {
 			}
 		})
 	}
-
-	retryTable := []struct {
-		err  error
-		want bool
-	}{
-		{ErrLinkDown, true},
-		{ErrPoolDown, true},
-		{ErrPoolFull, false},
-		{ErrFetchTimeout, false},
-		{nil, false},
-		{errors.New("other"), false},
-	}
-	for _, tc := range retryTable {
-		if got := Retryable(tc.err); got != tc.want {
-			t.Errorf("Retryable(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
 }
 
 // TestFullPoolStaysErrPoolFull pins that capacity exhaustion keeps its own
@@ -93,9 +75,6 @@ func TestFullPoolStaysErrPoolFull(t *testing.T) {
 	_, err := pushBytes(p, 0, 1)
 	if !errors.Is(err, ErrPoolFull) || errors.Is(err, ErrLinkDown) {
 		t.Fatalf("full-pool err = %v, want pure ErrPoolFull", err)
-	}
-	if Retryable(err) {
-		t.Error("ErrPoolFull must not be retryable: backoff cannot free capacity")
 	}
 }
 

@@ -130,13 +130,6 @@ var (
 	ErrFetchTimeout = errors.New("rmem: page fetch timed out")
 )
 
-// Retryable reports whether err is a transient fault-path error worth
-// retrying with backoff (link or pool-node outage). Pool-full and timeout
-// are terminal.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrLinkDown) || errors.Is(err, ErrPoolDown)
-}
-
 // Direction labels a transfer for bandwidth accounting.
 type Direction int
 

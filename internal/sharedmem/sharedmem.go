@@ -114,9 +114,6 @@ func (r *Region) Pages() int { return r.pages }
 // Resident returns how many pages the pool admitted at create time.
 func (r *Region) Resident() int { return r.resident }
 
-// Refs returns the number of active mappings.
-func (r *Region) Refs() int { return r.refs }
-
 // CreateResult describes how a Create landed.
 type CreateResult struct {
 	// Done is when the offload transfer completes (pool link FIFO).

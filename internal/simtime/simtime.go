@@ -89,18 +89,6 @@ type Handle struct {
 
 func (h Handle) live() bool { return h.ev != nil && h.ev.stamp == h.stamp }
 
-// Pending reports whether the event is still queued and will fire.
-func (h Handle) Pending() bool {
-	if !h.live() {
-		return false
-	}
-	switch h.ev.state {
-	case stBucket, stReady, stSpill:
-		return true
-	}
-	return false
-}
-
 // At reports when the event is scheduled to fire. It returns 0 once the
 // event has fired or been cancelled (the storage may already be reused).
 func (h Handle) At() Time {

@@ -4,7 +4,79 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"github.com/faasmem/faasmem/internal/simtime"
 )
+
+// Analyze and its helpers read a generated function's arrival statistics:
+// the tests below and the package examples check the generator with them.
+
+// FunctionAnalysis summarizes one function's arrival dynamics — the
+// characteristics §8.2/§8.4/§8.6 correlate savings against: load level,
+// interval dispersion, and burstiness.
+type FunctionAnalysis struct {
+	// Invocations over the analyzed window.
+	Invocations int
+	// DailyRate is the normalized invocations/day.
+	DailyRate float64
+	// Class is the §8.4 load class.
+	Class LoadClass
+	// MeanGap and GapStddev describe inter-arrival gaps.
+	MeanGap, GapStddev time.Duration
+	// CV is the coefficient of variation of gaps (1 ≈ Poisson, > 1 bursty).
+	CV float64
+	// Burstiness is Goh & Barabási's index (CV−1)/(CV+1): −1 periodic,
+	// 0 Poisson, → 1 extremely bursty.
+	Burstiness float64
+	// PeakToMean is the max over mean of per-minute arrival counts; sudden
+	// surges (Table 1's ID-5) show up here.
+	PeakToMean float64
+}
+
+// Analyze computes arrival statistics for one function over window d.
+func Analyze(f *Function, d time.Duration) FunctionAnalysis {
+	a := FunctionAnalysis{
+		Invocations: len(f.Invocations),
+		DailyRate:   f.DailyRate(d),
+	}
+	a.Class = Classify(a.DailyRate)
+	iv := f.Intervals()
+	a.MeanGap, a.GapStddev = iv.Mean, iv.Stddev
+	if iv.Mean > 0 {
+		a.CV = float64(iv.Stddev) / float64(iv.Mean)
+		a.Burstiness = (a.CV - 1) / (a.CV + 1)
+	}
+	a.PeakToMean = peakToMean(f.Invocations, d, time.Minute)
+	return a
+}
+
+// peakToMean buckets arrivals into fixed windows and returns max/mean of the
+// non-empty timeline.
+func peakToMean(inv []simtime.Time, d, bucket time.Duration) float64 {
+	if len(inv) == 0 || d <= 0 || bucket <= 0 {
+		return 0
+	}
+	n := int(d/bucket) + 1
+	counts := make([]int, n)
+	for _, at := range inv {
+		idx := int(at / bucket)
+		if idx >= 0 && idx < n {
+			counts[idx]++
+		}
+	}
+	peak, sum := 0, 0
+	for _, c := range counts {
+		sum += c
+		if c > peak {
+			peak = c
+		}
+	}
+	mean := float64(sum) / float64(n)
+	if mean == 0 {
+		return 0
+	}
+	return float64(peak) / mean
+}
 
 func TestAnalyzePeriodicFunction(t *testing.T) {
 	f := &Function{ID: "p", Invocations: secs(0, 10, 20, 30, 40)}
@@ -45,19 +117,6 @@ func TestAnalyzeEmptyFunction(t *testing.T) {
 	a := Analyze(&Function{ID: "e"}, time.Hour)
 	if a.Invocations != 0 || a.CV != 0 || a.PeakToMean != 0 {
 		t.Fatalf("empty analysis = %+v", a)
-	}
-}
-
-func TestAnalyzeTraceCoversAll(t *testing.T) {
-	tr := Generate(GenConfig{NumFunctions: 12, Duration: 2 * time.Hour}, 8)
-	as := AnalyzeTrace(tr)
-	if len(as) != 12 {
-		t.Fatalf("analyses = %d", len(as))
-	}
-	for i, a := range as {
-		if a.Invocations != len(tr.Functions[i].Invocations) {
-			t.Fatalf("analysis %d count mismatch", i)
-		}
 	}
 }
 

@@ -139,16 +139,6 @@ func (t *Trace) TotalInvocations() int {
 	return n
 }
 
-// Find returns the function with the given ID, or nil.
-func (t *Trace) Find(id string) *Function {
-	for _, f := range t.Functions {
-		if f.ID == id {
-			return f
-		}
-	}
-	return nil
-}
-
 // ByClass partitions function indices by load class.
 func (t *Trace) ByClass() map[LoadClass][]*Function {
 	m := make(map[LoadClass][]*Function)
@@ -186,70 +176,4 @@ func (t *Trace) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Slice returns a copy of the trace restricted to [from, to), with
-// timestamps re-based to 0. Functions left with no invocations are dropped.
-func (t *Trace) Slice(from, to simtime.Time) *Trace {
-	if to > t.Duration {
-		to = t.Duration
-	}
-	out := &Trace{Duration: to - from}
-	for _, f := range t.Functions {
-		var inv []simtime.Time
-		for _, at := range f.Invocations {
-			if at >= from && at < to {
-				inv = append(inv, at-from)
-			}
-		}
-		if len(inv) > 0 {
-			out.Functions = append(out.Functions, &Function{ID: f.ID, Invocations: inv})
-		}
-	}
-	return out
-}
-
-// Concat appends the functions of others into a copy of t, prefixing IDs on
-// collision. The window becomes the maximum of all durations.
-func Concat(traces ...*Trace) *Trace {
-	out := &Trace{}
-	seen := map[string]int{}
-	for _, tr := range traces {
-		if tr == nil {
-			continue
-		}
-		if tr.Duration > out.Duration {
-			out.Duration = tr.Duration
-		}
-		for _, f := range tr.Functions {
-			id := f.ID
-			if n := seen[id]; n > 0 {
-				id = fmt.Sprintf("%s~%d", f.ID, n)
-			}
-			seen[f.ID]++
-			out.Functions = append(out.Functions, &Function{
-				ID:          id,
-				Invocations: append([]simtime.Time(nil), f.Invocations...),
-			})
-		}
-	}
-	return out
-}
-
-// TimeScale returns a copy of t with every timestamp (and the window)
-// multiplied by factor — compressing a day-long trace into an hour for quick
-// runs, or stretching a dense one. factor must be positive.
-func (t *Trace) TimeScale(factor float64) *Trace {
-	if factor <= 0 {
-		panic(fmt.Sprintf("trace: non-positive time scale %v", factor))
-	}
-	out := &Trace{Duration: time.Duration(float64(t.Duration) * factor)}
-	for _, f := range t.Functions {
-		nf := &Function{ID: f.ID, Invocations: make([]simtime.Time, len(f.Invocations))}
-		for i, at := range f.Invocations {
-			nf.Invocations[i] = simtime.Time(float64(at) * factor)
-		}
-		out.Functions = append(out.Functions, nf)
-	}
-	return out
 }

@@ -115,27 +115,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	tr := &Trace{Duration: time.Hour, Functions: []*Function{
-		{ID: "a", Invocations: secs(10, 100, 2000)},
-		{ID: "b", Invocations: secs(5)},
-	}}
-	s := tr.Slice(60*time.Second, 40*time.Minute)
-	if s.Duration != 39*time.Minute {
-		t.Errorf("sliced duration = %v", s.Duration)
-	}
-	if len(s.Functions) != 1 || s.Functions[0].ID != "a" {
-		t.Fatalf("sliced functions = %+v", s.Functions)
-	}
-	if got := s.Functions[0].Invocations; len(got) != 2 || got[0] != 40*time.Second || got[1] != 1940*time.Second {
-		t.Errorf("rebased invocations = %v", got)
-	}
-	// Slicing beyond the trace end clamps.
-	if c := tr.Slice(0, 2*time.Hour); c.Duration != time.Hour {
-		t.Errorf("clamped duration = %v", c.Duration)
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := GenConfig{NumFunctions: 20, Duration: 2 * time.Hour}
 	a := Generate(cfg, 7)
@@ -246,56 +225,4 @@ func TestSaveLoad(t *testing.T) {
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("loading missing file should fail")
 	}
-}
-
-func TestConcat(t *testing.T) {
-	a := &Trace{Duration: time.Hour, Functions: []*Function{{ID: "f", Invocations: secs(1)}}}
-	b := &Trace{Duration: 2 * time.Hour, Functions: []*Function{
-		{ID: "f", Invocations: secs(2)},
-		{ID: "g", Invocations: secs(3)},
-	}}
-	out := Concat(a, b, nil)
-	if out.Duration != 2*time.Hour {
-		t.Fatalf("duration = %v", out.Duration)
-	}
-	if len(out.Functions) != 3 {
-		t.Fatalf("functions = %d", len(out.Functions))
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("concat result invalid: %v", err)
-	}
-	if out.Find("f~1") == nil {
-		t.Fatal("ID collision not disambiguated")
-	}
-	// Deep copy: mutating the result must not touch the inputs.
-	out.Functions[0].Invocations[0] = 0
-	if a.Functions[0].Invocations[0] != time.Second {
-		t.Fatal("Concat aliased input slices")
-	}
-}
-
-func TestTimeScale(t *testing.T) {
-	tr := &Trace{Duration: time.Hour, Functions: []*Function{{ID: "f", Invocations: secs(10, 20)}}}
-	half := tr.TimeScale(0.5)
-	if half.Duration != 30*time.Minute {
-		t.Fatalf("scaled duration = %v", half.Duration)
-	}
-	if half.Functions[0].Invocations[0] != 5*time.Second {
-		t.Fatalf("scaled invocation = %v", half.Functions[0].Invocations[0])
-	}
-	if err := half.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Original untouched.
-	if tr.Functions[0].Invocations[0] != 10*time.Second {
-		t.Fatal("TimeScale mutated the input")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-positive scale did not panic")
-			}
-		}()
-		tr.TimeScale(0)
-	}()
 }

@@ -173,7 +173,7 @@ func ReadProfiles(r io.Reader) ([]*Profile, error) {
 	return out, nil
 }
 
-// LoadProfiles reads a profile file written by WriteProfiles (or by hand).
+// LoadProfiles reads a profile file (see ReadProfiles).
 func LoadProfiles(path string) ([]*Profile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -181,14 +181,4 @@ func LoadProfiles(path string) ([]*Profile, error) {
 	}
 	defer f.Close()
 	return ReadProfiles(f)
-}
-
-// WriteProfiles encodes profiles as indented JSON to w.
-func WriteProfiles(w io.Writer, profiles []*Profile) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(profiles); err != nil {
-		return fmt.Errorf("workload: profiles: %w", err)
-	}
-	return nil
 }

@@ -2,16 +2,17 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
 
 func TestProfileJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteProfiles(&buf, Profiles()); err != nil {
+	data, err := json.Marshal(Profiles())
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadProfiles(&buf)
+	got, err := ReadProfiles(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +77,8 @@ func TestReadProfilesErrors(t *testing.T) {
 }
 
 func FuzzReadProfiles(f *testing.F) {
-	var buf bytes.Buffer
-	_ = WriteProfiles(&buf, Profiles())
-	f.Add(buf.String())
+	seed, _ := json.MarshalIndent(Profiles(), "", "  ")
+	f.Add(string(seed))
 	f.Add(`[]`)
 	f.Add(`[{"name":"x"}]`)
 	f.Add(`not json`)

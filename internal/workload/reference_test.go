@@ -12,7 +12,7 @@ import (
 func refRequestTouches(p *Profile, rng *rand.Rand) Touches {
 	var t Touches
 	if p.RuntimeHotBytes > 0 {
-		hot := min64(p.RuntimeHotBytes, p.RuntimeBytes)
+		hot := min(p.RuntimeHotBytes, p.RuntimeBytes)
 		t.Runtime = append(t.Runtime, Span{0, hot})
 	}
 	switch p.Pattern {
@@ -21,7 +21,7 @@ func refRequestTouches(p *Profile, rng *rand.Rand) Touches {
 			t.Init = append(t.Init, Span{0, p.InitBytes})
 		}
 	case ParetoObjects:
-		shared := min64(p.InitHotBytes, p.InitBytes)
+		shared := min(p.InitHotBytes, p.InitBytes)
 		if shared > 0 {
 			t.Init = append(t.Init, Span{0, shared})
 		}
@@ -40,12 +40,12 @@ func refRequestTouches(p *Profile, rng *rand.Rand) Touches {
 					}
 					seen[idx] = true
 					start := shared + int64(idx)*objBytes
-					t.Init = append(t.Init, Span{start, min64(start+objBytes, p.InitBytes)})
+					t.Init = append(t.Init, Span{start, min(start+objBytes, p.InitBytes)})
 				}
 			}
 		}
 	default: // FixedHot
-		hot := min64(p.InitHotBytes, p.InitBytes)
+		hot := min(p.InitHotBytes, p.InitBytes)
 		if hot > 0 {
 			t.Init = append(t.Init, Span{0, hot})
 		}
@@ -54,7 +54,7 @@ func refRequestTouches(p *Profile, rng *rand.Rand) Touches {
 			if p.JitterRegionBytes > 0 && hot+p.JitterRegionBytes < regionEnd {
 				regionEnd = hot + p.JitterRegionBytes
 			}
-			span := min64(p.JitterBytes, regionEnd-hot)
+			span := min(p.JitterBytes, regionEnd-hot)
 			maxStart := regionEnd - span
 			start := hot
 			if maxStart > hot {

@@ -197,9 +197,6 @@ type Profile struct {
 	RuntimeWriteRatio float64
 }
 
-// Micro reports whether this is one of the eight micro-benchmarks.
-func (p *Profile) Micro() bool { return p.CPUShare <= 0.1 }
-
 // TotalBytes returns the peak footprint of a container: runtime + init +
 // exec segments.
 func (p *Profile) TotalBytes() int64 { return p.RuntimeBytes + p.InitBytes + p.ExecBytes }
@@ -242,7 +239,7 @@ func paretoIndex(rng *rand.Rand, alpha float64, n int) int {
 func (p *Profile) RequestTouches(rng *rand.Rand, t *Touches) {
 	t.Runtime, t.Init = t.Runtime[:0], t.Init[:0]
 	if p.RuntimeHotBytes > 0 {
-		hot := min64(p.RuntimeHotBytes, p.RuntimeBytes)
+		hot := min(p.RuntimeHotBytes, p.RuntimeBytes)
 		t.Runtime = append(t.Runtime, Span{0, hot})
 	}
 	switch p.Pattern {
@@ -251,7 +248,7 @@ func (p *Profile) RequestTouches(rng *rand.Rand, t *Touches) {
 			t.Init = append(t.Init, Span{0, p.InitBytes})
 		}
 	case ParetoObjects:
-		shared := min64(p.InitHotBytes, p.InitBytes)
+		shared := min(p.InitHotBytes, p.InitBytes)
 		if shared > 0 {
 			t.Init = append(t.Init, Span{0, shared})
 		}
@@ -273,12 +270,12 @@ func (p *Profile) RequestTouches(rng *rand.Rand, t *Touches) {
 					}
 					t.seen[idx] = struct{}{}
 					start := shared + int64(idx)*objBytes
-					t.Init = append(t.Init, Span{start, min64(start+objBytes, p.InitBytes)})
+					t.Init = append(t.Init, Span{start, min(start+objBytes, p.InitBytes)})
 				}
 			}
 		}
 	default: // FixedHot
-		hot := min64(p.InitHotBytes, p.InitBytes)
+		hot := min(p.InitHotBytes, p.InitBytes)
 		if hot > 0 {
 			t.Init = append(t.Init, Span{0, hot})
 		}
@@ -287,7 +284,7 @@ func (p *Profile) RequestTouches(rng *rand.Rand, t *Touches) {
 			if p.JitterRegionBytes > 0 && hot+p.JitterRegionBytes < regionEnd {
 				regionEnd = hot + p.JitterRegionBytes
 			}
-			span := min64(p.JitterBytes, regionEnd-hot)
+			span := min(p.JitterBytes, regionEnd-hot)
 			maxStart := regionEnd - span
 			start := hot
 			if maxStart > hot {
@@ -303,13 +300,6 @@ func (p *Profile) alpha() float64 {
 		return p.ParetoAlpha
 	}
 	return 1.16
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Validate performs sanity checks on a profile.
