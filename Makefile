@@ -126,6 +126,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadProfiles$$'      -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzRunSpec$$'           -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run='^$$' -fuzz='^FuzzGatewayRun$$'        -fuzztime=$(FUZZTIME) ./internal/gateway
+	$(GO) test -run='^$$' -fuzz='^FuzzGatewayReplay$$'     -fuzztime=$(FUZZTIME) ./internal/gateway
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRun$$'          -fuzztime=$(FUZZTIME) ./internal/drilldown
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkflowDAG$$'       -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzTouchWalk$$'         -fuzztime=$(FUZZTIME) ./internal/faas

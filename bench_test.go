@@ -617,7 +617,7 @@ func BenchmarkPoolDensity(b *testing.B) {
 func BenchmarkSharedRegionMap(b *testing.B) {
 	e := simtime.NewEngine()
 	pool := rmem.NewPool(rmem.Config{Node: &memnode.Config{}})
-	m := sharedmem.New(sharedmem.Config{PageSize: 4096, Pool: pool})
+	m := sharedmem.New(sharedmem.Config{Pool: pool})
 	if _, _, err := m.Create(e.Now(), "r", "t", 64<<20); err != nil {
 		b.Fatal(err)
 	}

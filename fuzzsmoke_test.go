@@ -390,3 +390,182 @@ func TestEveryExportedNameIsUsed(t *testing.T) {
 		}
 	}
 }
+
+// configExempt are the *Config structs whose fields no production caller
+// has to set: the compared policies' parameters, which sweeps perturb.
+var configExempt = map[string]bool{
+	"internal/core.Config":        true,
+	"internal/policy.TMOConfig":   true,
+	"internal/policy.DAMONConfig": true,
+}
+
+// unsetConfigFields are the exported *Config fields under internal/ that no
+// non-test file sets, keyed by package directory, type and field. An entry
+// whose field is set, or no longer declared, fails TestEveryConfigFieldIsSet.
+var unsetConfigFields = map[string]string{
+	"internal/faas.Config.MaxContainersPerFunction": "gates scale-out queueing, which faas tests and the reconcile invariant exercise",
+	"internal/fastswap.Config.Slots":                "gates a finite swapfile, which fastswap and faas tests exercise",
+}
+
+// typeKey names the type t spells in gf as "dir.Name", or "" if t is not a
+// (pointer to a) named type of the module.
+func typeKey(gf goFile, t ast.Expr) string {
+	switch x := t.(type) {
+	case *ast.StarExpr:
+		return typeKey(gf, x.X)
+	case *ast.Ident:
+		return gf.dir + "." + x.Name
+	case *ast.SelectorExpr:
+		if pkg, ok := x.X.(*ast.Ident); ok && gf.imports[pkg.Name] != "" {
+			return gf.imports[pkg.Name] + "." + x.Sel.Name
+		}
+	}
+	return ""
+}
+
+// TestEveryConfigFieldIsSet fails when an exported field of an exported
+// *Config struct under internal/ is set by no non-test file of the module
+// (cmd/, examples/ and the bench/ module included) and is not in
+// unsetConfigFields, so a knob no run turns is a named constant instead.
+// It reads syntax only: a field is set by a key of a composite literal of
+// its type (an elided element type included), or by an assignment to any
+// selector of its name (or to an element of one), except one through a
+// receiver or parameter of a config type of the assigning package, which
+// fills a default (withDefaults, a constructor).
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	files := parseTree(t, ".")
+	fields := map[string][]string{} // "dir.Type" → its exported field names
+	for _, gf := range files {
+		if gf.test || !strings.HasPrefix(gf.dir, "internal/") {
+			continue
+		}
+		for _, decl := range gf.f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				key := gf.dir + "." + ts.Name.Name
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") || configExempt[key] {
+					continue
+				}
+				for _, f := range st.Fields.List {
+					for _, id := range f.Names {
+						if id.IsExported() {
+							fields[key] = append(fields[key], id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	set := map[string]bool{}      // "dir.Type.Field" set by a composite literal key
+	assigned := map[string]bool{} // field name assigned through a selector
+	for _, gf := range files {
+		if gf.test {
+			continue
+		}
+		var lit func(n ast.Node, elem string) bool
+		lit = func(n ast.Node, elem string) bool {
+			cl, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			typ, inner := elem, ""
+			if cl.Type != nil {
+				typ = typeKey(gf, cl.Type)
+				switch x := cl.Type.(type) {
+				case *ast.ArrayType:
+					inner = typeKey(gf, x.Elt)
+				case *ast.MapType:
+					inner = typeKey(gf, x.Value)
+				}
+			}
+			for _, e := range cl.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && inner == "" {
+						set[typ+"."+id.Name] = true
+					}
+					e = kv.Value
+				}
+				ast.Inspect(e, func(n ast.Node) bool { return lit(n, inner) })
+			}
+			return false
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool { return lit(n, "") })
+		for _, decl := range gf.f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			// Receivers and parameters of a config type of this package:
+			// assigning their fields fills defaults (withDefaults, a
+			// constructor), it does not set them.
+			own := map[string]bool{}
+			params := fn.Type.Params.List
+			if fn.Recv != nil {
+				params = append(fn.Recv.List[:1:1], params...)
+			}
+			for _, p := range params {
+				if typ := typeKey(gf, p.Type); fields[typ] != nil && strings.HasPrefix(typ, gf.dir+".") {
+					for _, id := range p.Names {
+						own[id.Name] = true
+					}
+				}
+			}
+			target := func(lhs ast.Expr) {
+				for {
+					ix, ok := lhs.(*ast.IndexExpr)
+					if !ok {
+						break
+					}
+					lhs = ix.X
+				}
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				if id, ok := sel.X.(*ast.Ident); ok && own[id.Name] {
+					return
+				}
+				assigned[sel.Sel.Name] = true
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						target(lhs)
+					}
+				case *ast.IncDecStmt:
+					target(x.X)
+				}
+				return true
+			})
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no *Config structs found under internal/")
+	}
+	declared := map[string]bool{}
+	for typ, names := range fields {
+		for _, name := range names {
+			key := typ + "." + name
+			declared[key] = true
+			isSet := set[key] || assigned[name]
+			_, listed := unsetConfigFields[key]
+			switch {
+			case !isSet && !listed:
+				t.Errorf("%s is set by no non-test file: make it a named constant", key)
+			case isSet && listed:
+				t.Errorf("unsetConfigFields lists %s, which a non-test file sets", key)
+			}
+		}
+	}
+	for key := range unsetConfigFields {
+		if !declared[key] {
+			t.Errorf("unsetConfigFields lists %s, which is no exported *Config field under internal/", key)
+		}
+	}
+}

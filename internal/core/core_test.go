@@ -202,10 +202,8 @@ func TestSemiWarmResumesAfterPoolRefuses(t *testing.T) {
 	storm := faultinject.FromWindows([]faultinject.Window{
 		{Kind: faultinject.TierStorm, Start: 0, End: simtime.Time(30 * time.Second)},
 	})
-	pool := rmem.DefaultConfig()
-	pool.Faults = storm
 	e := simtime.NewEngine()
-	p := faas.New(e, faas.Config{KeepAliveTimeout: 10 * time.Minute, Seed: 7, Pool: pool}, fm)
+	p := faas.New(e, faas.Config{KeepAliveTimeout: 10 * time.Minute, Seed: 7, Pool: rmem.Config{Faults: storm}}, fm)
 	prof := testProfile()
 	f := p.Register(prof.Name, prof)
 	p.ScheduleInvocations(prof.Name, ts(0))

@@ -31,9 +31,8 @@ type Fig13Row struct {
 // Fig13Options sizes the ablation study.
 type Fig13Options struct {
 	// Duration of each trace. Paper: 4 h common-case window. Default 1 h.
-	Duration  time.Duration
-	KeepAlive time.Duration
-	Seed      int64
+	Duration time.Duration
+	Seed     int64
 	// WithTimeline records the memory timeline series for the common case.
 	WithTimeline bool
 }
@@ -47,9 +46,6 @@ type Fig13Options struct {
 func Fig13(opt Fig13Options) []Fig13Row {
 	if opt.Duration <= 0 {
 		opt.Duration = time.Hour
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
 	}
 	prof := workload.Bert()
 	variants := []PolicyKind{Baseline, FaaSMem, FaaSMemNoPucket, FaaSMemNoSemi}
@@ -70,7 +66,6 @@ func Fig13(opt Fig13Options) []Fig13Row {
 				Profile:     prof,
 				Invocations: inv,
 				Duration:    opt.Duration,
-				KeepAlive:   opt.KeepAlive,
 				Policy:      v,
 				SeedHistory: true,
 				Seed:        opt.Seed,

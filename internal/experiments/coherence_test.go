@@ -56,12 +56,10 @@ func TestSinksCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pageSize := int64(p.Config().PageSize)
-	regions := sharedmem.New(sharedmem.Config{PageSize: pageSize, Pool: p.Pool()})
+	regions := sharedmem.New(sharedmem.Config{Pool: p.Pool()})
 	we, err := faas.NewWorkflowEngine(faas.WorkflowConfig{
 		Engine:       e,
 		Shared:       regions,
-		PageSize:     pageSize,
 		Register:     func(id string, prof *workload.Profile) { p.Register(id, prof) },
 		Invoke:       p.InvokeStage,
 		StatePassing: true,

@@ -32,9 +32,8 @@ type Fig16Options struct {
 	// Default 20.
 	Traces int
 	// Duration per trace. Default 30 m.
-	Duration  time.Duration
-	KeepAlive time.Duration
-	Seed      int64
+	Duration time.Duration
+	Seed     int64
 	// Apps restricts the applications (nil = bert, graph, web).
 	Apps []string
 }
@@ -50,9 +49,6 @@ func Fig16(opt Fig16Options) []Fig16Row {
 	}
 	if opt.Duration <= 0 {
 		opt.Duration = 30 * time.Minute
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
 	}
 	apps := opt.Apps
 	if len(apps) == 0 {
@@ -82,7 +78,6 @@ func Fig16(opt Fig16Options) []Fig16Row {
 				Profile:     prof,
 				Invocations: fn.Invocations,
 				Duration:    opt.Duration,
-				KeepAlive:   opt.KeepAlive,
 				Policy:      FaaSMem,
 				SeedHistory: true,
 				Seed:        seed,

@@ -46,8 +46,6 @@ type DrilldownCell struct {
 type DrilldownOptions struct {
 	// Intensities are the fault-plan intensities swept. Default {0, 1}.
 	Intensities []float64
-	// Nodes is the rack's compute-node count. Default 3.
-	Nodes int
 	// Duration of the generated trace. Default 10 m.
 	Duration time.Duration
 	// KeepAlive of idle containers. Default 8 m.
@@ -55,8 +53,6 @@ type DrilldownOptions struct {
 	// Window is the rollup window shared by the timeline and exemplar
 	// recorders (cells align by index). Default 30 s.
 	Window time.Duration
-	// K is the worst-K exemplar retention depth. Default 3.
-	K int
 	// Seed drives the workload; FaultSeed drives the fault plan.
 	Seed, FaultSeed int64
 }
@@ -70,9 +66,6 @@ func Drilldown(opt DrilldownOptions) []DrilldownCell {
 	if len(opt.Intensities) == 0 {
 		opt.Intensities = []float64{0, 1}
 	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 3
-	}
 	if opt.Duration <= 0 {
 		opt.Duration = 10 * time.Minute
 	}
@@ -84,8 +77,8 @@ func Drilldown(opt DrilldownOptions) []DrilldownCell {
 	}
 	run := func(intensity float64) DrilldownCell {
 		rec := timeseries.NewRecorder(timeseries.Config{Window: opt.Window})
-		exm := exemplar.NewRecorder(exemplar.Config{Window: opt.Window, K: opt.K})
-		faultRack(opt.Nodes, opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+		exm := exemplar.NewRecorder(exemplar.Config{Window: opt.Window})
+		faultRack(opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
 			intensity, true, telemetry.Hub{Timeline: rec, Exemplars: exm})
 
 		cells := exm.Cells()

@@ -82,11 +82,9 @@ func flowLedgerRack() *timeseries.Recorder {
 	if err != nil {
 		panic(err)
 	}
-	pageSize := int64(c.Nodes()[0].Config().PageSize)
 	we, err := faas.NewWorkflowEngine(faas.WorkflowConfig{
 		Engine:       e,
-		Shared:       sharedmem.New(sharedmem.Config{PageSize: pageSize, Pool: c.Pool()}),
-		PageSize:     pageSize,
+		Shared:       sharedmem.New(sharedmem.Config{Pool: c.Pool()}),
 		Register:     func(id string, prof *workload.Profile) { c.Register(id, prof) },
 		Invoke:       c.InvokeStage,
 		StatePassing: true,

@@ -64,10 +64,8 @@ type Scenario struct {
 	// readahead window).
 	Swap fastswap.Config
 	// MemTimeline, when non-nil, receives (time, node local MB) samples
-	// every MemSampleEvery (Fig. 13's timeline plot).
+	// every 10 s (Fig. 13's timeline plot).
 	MemTimeline *metrics.Series
-	// MemSampleEvery defaults to 10 s when MemTimeline is set.
-	MemSampleEvery time.Duration
 	// Telemetry attaches the run's sinks: tracer, registry, spans, timeline
 	// and exemplars. Each nil sink falls back to the process default
 	// (telemetry.Hub.OrDefault), so cmd/experiments' -trace, -attrib,
@@ -180,10 +178,7 @@ func RunScenario(sc Scenario) Outcome {
 		fm.SeedReuseIntervals(fnID, ka.ReusedIntervals)
 	}
 	if sc.MemTimeline != nil {
-		every := sc.MemSampleEvery
-		if every <= 0 {
-			every = 10 * time.Second
-		}
+		const every = 10 * time.Second
 		simtime.NewSampler(e, every, func(from, to simtime.Time) {
 			mb := metrics.MB(p.NodeLocalBytes())
 			for at := from; at <= to; at += every {

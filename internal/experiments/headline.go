@@ -80,11 +80,9 @@ type Fig8Row struct {
 
 // Fig8Options sizes the runtime-recall study.
 type Fig8Options struct {
-	// Requests per benchmark after the first. Default 20.
+	// Requests per benchmark after the first, one a second. Default 20.
 	Requests int
-	// Gap between requests. Default 1 s.
-	Gap  time.Duration
-	Seed int64
+	Seed     int64
 }
 
 // Fig8 reproduces Figure 8: after FaaSMem offloads the Runtime Pucket upon
@@ -94,20 +92,17 @@ func Fig8(opt Fig8Options) []Fig8Row {
 	if opt.Requests <= 0 {
 		opt.Requests = 20
 	}
-	if opt.Gap <= 0 {
-		opt.Gap = time.Second
-	}
 	profs := workload.Profiles()
 	scs := make([]Scenario, len(profs))
 	for i, prof := range profs {
 		var inv []time.Duration
 		for j := 0; j <= opt.Requests; j++ {
-			inv = append(inv, time.Duration(j)*opt.Gap)
+			inv = append(inv, time.Duration(j)*time.Second)
 		}
 		scs[i] = Scenario{
 			Profile:     prof,
 			Invocations: inv,
-			Duration:    time.Duration(opt.Requests+2) * opt.Gap,
+			Duration:    time.Duration(opt.Requests+2) * time.Second,
 			Policy:      FaaSMemNoSemi, // isolate the Pucket mechanisms
 			Seed:        opt.Seed,
 		}
@@ -141,9 +136,7 @@ type Fig12Row struct {
 type Fig12Options struct {
 	// Duration of the high/low-load windows. Paper: 1 hour. Default 1 h.
 	Duration time.Duration
-	// KeepAlive defaults to 10 minutes.
-	KeepAlive time.Duration
-	Seed      int64
+	Seed     int64
 	// Benches restricts the benchmark set (nil = all 11).
 	Benches []string
 	// Policies restricts the policy set (nil = Baseline, TMO, FaaSMem).
@@ -158,9 +151,6 @@ type Fig12Options struct {
 func Fig12(opt Fig12Options) []Fig12Row {
 	if opt.Duration <= 0 {
 		opt.Duration = time.Hour
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
 	}
 	benches := opt.Benches
 	if len(benches) == 0 {
@@ -190,7 +180,6 @@ func Fig12(opt Fig12Options) []Fig12Row {
 					Profile:     prof,
 					Invocations: inv,
 					Duration:    opt.Duration,
-					KeepAlive:   opt.KeepAlive,
 					Policy:      pk,
 					SeedHistory: true,
 					Seed:        seed,
@@ -248,8 +237,7 @@ type Table1Row struct {
 // Table1Options sizes the diverse-traces study.
 type Table1Options struct {
 	// Duration per trace. Default 30 m (the paper uses 1-hour windows).
-	Duration  time.Duration
-	KeepAlive time.Duration
+	Duration time.Duration
 	// Traces is the number of high-load traces. Default 6 (IDs 1–6; ID 5 is
 	// generated with an extreme short-term surge, as in the paper).
 	Traces int
@@ -264,9 +252,6 @@ type Table1Options struct {
 func Table1(opt Table1Options) []Table1Row {
 	if opt.Duration <= 0 {
 		opt.Duration = 30 * time.Minute
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
 	}
 	if opt.Traces <= 0 {
 		opt.Traces = 6
@@ -290,7 +275,6 @@ func Table1(opt Table1Options) []Table1Row {
 					Profile:     prof,
 					Invocations: inv,
 					Duration:    opt.Duration,
-					KeepAlive:   opt.KeepAlive,
 					Policy:      pk,
 					SeedHistory: true,
 					Seed:        seed,

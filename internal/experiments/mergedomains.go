@@ -50,24 +50,11 @@ type MergeDomainsOptions struct {
 	// read-only density shape, positive values turn every function write-hot
 	// and storm the CoW unmerge path. Default {0, 0.3}.
 	WriteRatios []float64
-	// DRAMMB / SpillMB size the node's tiers. Defaults 256 / 512.
-	DRAMMB  int
-	SpillMB int
-	// CacheMB sizes the shared multi-tenant cache tier, enabled at the
-	// widened scopes (merge masters are what it caches). Default 64.
-	CacheMB int
-	// Nodes is the rack's compute-node count. Default 3.
-	Nodes int
-	// Tenants is how many tenants the 11 benchmarks are split across
-	// (round-robin). All but the last opt into cross-tenant merging, so the
-	// sweep always carries a non-consenting tenant across the security
-	// boundary. Default 3.
-	Tenants int
+	// DRAMMB sizes the node's DRAM tier. Default 256.
+	DRAMMB int
 	// Duration of the generated trace. Default 15 m.
 	Duration time.Duration
-	// KeepAlive of idle containers. Default 10 m.
-	KeepAlive time.Duration
-	Seed      int64
+	Seed     int64
 }
 
 // MergeDomains measures what widening the merge domain buys and costs: the
@@ -88,24 +75,21 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 	if opt.DRAMMB <= 0 {
 		opt.DRAMMB = 256
 	}
-	if opt.SpillMB <= 0 {
-		opt.SpillMB = 512
-	}
-	if opt.CacheMB <= 0 {
-		opt.CacheMB = 64
-	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 3
-	}
-	if opt.Tenants <= 0 {
-		opt.Tenants = 3
-	}
 	if opt.Duration <= 0 {
 		opt.Duration = 15 * time.Minute
 	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
-	}
+	// The rack: 3 compute nodes, a 512 MB spill tier, a 64 MB shared cache
+	// at the widened scopes (merge masters are what it caches), and the
+	// 11 benchmarks split round-robin across 3 tenants. All but the last
+	// tenant opt into cross-tenant merging, so the sweep always carries a
+	// non-consenting tenant across the security boundary.
+	const (
+		nodes     = 3
+		spillMB   = 512
+		cacheMB   = 64
+		tenants   = 3
+		keepAlive = 10 * time.Minute
+	)
 
 	fns := mixedWorkload(opt.Duration, opt.Seed)
 
@@ -113,36 +97,33 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 	// the last into cross-tenant merging.
 	tenantOf := make(map[string]string, len(fns))
 	for i, f := range fns {
-		tenantOf[f.prof.Name] = fmt.Sprintf("t%d", i%opt.Tenants)
+		tenantOf[f.prof.Name] = fmt.Sprintf("t%d", i%tenants)
 	}
 	var optIn []string
-	for i := 0; i < opt.Tenants-1; i++ {
+	for i := 0; i < tenants-1; i++ {
 		optIn = append(optIn, fmt.Sprintf("t%d", i))
-	}
-	if len(optIn) == 0 {
-		optIn = []string{"t0"}
 	}
 
 	run := func(scope memnode.MergeScope, ratio float64) MergeDomainsRow {
 		nodeCfg := memnode.Config{
 			DRAMBytes:          int64(opt.DRAMMB) << 20,
-			SpillBytes:         int64(opt.SpillMB) << 20,
+			SpillBytes:         spillMB << 20,
 			DisableCompression: true, // isolate merging from zswap effects
 			MergeScope:         scope,
 			MergeOptIn:         optIn,
 			TenantOf:           func(fn string) string { return tenantOf[fn] },
 		}
 		if scope != memnode.MergeFunction {
-			nodeCfg.CacheBytes = int64(opt.CacheMB) << 20
+			nodeCfg.CacheBytes = cacheMB << 20
 		}
 		c := runMixedRack(cluster.Config{
-			Nodes: opt.Nodes,
+			Nodes: nodes,
 			Node: faas.Config{
-				KeepAliveTimeout: opt.KeepAlive,
+				KeepAliveTimeout: keepAlive,
 				Seed:             opt.Seed,
 			},
 			Pool: rmem.Config{Node: &nodeCfg},
-		}, FaaSMem, fns, ratio, opt.Duration+opt.KeepAlive+time.Minute)
+		}, FaaSMem, fns, ratio, opt.Duration+keepAlive+time.Minute)
 
 		st := c.Stats()
 		row := MergeDomainsRow{Scope: scope, WriteRatio: ratio, Requests: st.Requests}

@@ -90,11 +90,9 @@ type Fig6Row struct {
 
 // Fig6Options sizes the scan.
 type Fig6Options struct {
-	// Requests after initialization. Default 10.
+	// Requests after initialization, one a second. Default 10.
 	Requests int
-	// Gap between requests. Default 1 s.
-	Gap  time.Duration
-	Seed int64
+	Seed     int64
 }
 
 // Fig6 reproduces Figure 6: BERT's memory footprint and access pattern over
@@ -103,9 +101,6 @@ type Fig6Options struct {
 func Fig6(opt Fig6Options) []Fig6Row {
 	if opt.Requests <= 0 {
 		opt.Requests = 10
-	}
-	if opt.Gap <= 0 {
-		opt.Gap = time.Second
 	}
 	prof := workload.Bert()
 	rng := lazyrand.New(opt.Seed)
@@ -145,7 +140,7 @@ func Fig6(opt Fig6Options) []Fig6Row {
 		}
 		accessed := float64(initTouched+runtimeTouched+prof.ExecBytes) / 1e6
 		rows = append(rows, Fig6Row{
-			TimeSec:    start + float64(i)*opt.Gap.Seconds(),
+			TimeSec:    start + float64(i),
 			Phase:      "request",
 			ResidentMB: resident + float64(prof.RuntimeBytes)/1e6,
 			AccessedMB: accessed,

@@ -29,8 +29,6 @@ type ObserveCell struct {
 type ObserveOptions struct {
 	// Intensities are the fault-plan intensities swept. Default {0, 1}.
 	Intensities []float64
-	// Nodes is the rack's compute-node count. Default 3.
-	Nodes int
 	// Duration of the generated trace. Default 10 m.
 	Duration time.Duration
 	// KeepAlive of idle containers. Default 8 m.
@@ -52,9 +50,6 @@ func Observe(opt ObserveOptions) []ObserveCell {
 	if len(opt.Intensities) == 0 {
 		opt.Intensities = []float64{0, 1}
 	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 3
-	}
 	if opt.Duration <= 0 {
 		opt.Duration = 10 * time.Minute
 	}
@@ -66,7 +61,7 @@ func Observe(opt ObserveOptions) []ObserveCell {
 	}
 	run := func(intensity float64) ObserveCell {
 		rec := timeseries.NewRecorder(timeseries.Config{Window: opt.Window})
-		_, plan := faultRack(opt.Nodes, opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+		_, plan := faultRack(opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
 			intensity, true, telemetry.Hub{Timeline: rec})
 
 		cell := ObserveCell{

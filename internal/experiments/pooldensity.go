@@ -51,15 +51,9 @@ type PoolDensityRow struct {
 type PoolDensityOptions struct {
 	// DRAMMBs are the node DRAM capacities swept. Default {256, 512}.
 	DRAMMBs []int
-	// SpillMB bounds the node's spill tier. Default 512.
-	SpillMB int
-	// Nodes is the rack's compute-node count. Default 3.
-	Nodes int
 	// Duration of the generated trace. Default 15 m.
 	Duration time.Duration
-	// KeepAlive of idle containers. Default 10 m.
-	KeepAlive time.Duration
-	Seed      int64
+	Seed     int64
 }
 
 // PoolDensity measures the memory node's effective-capacity amplification:
@@ -75,18 +69,16 @@ func PoolDensity(opt PoolDensityOptions) []PoolDensityRow {
 	if len(opt.DRAMMBs) == 0 {
 		opt.DRAMMBs = []int{256, 512}
 	}
-	if opt.SpillMB <= 0 {
-		opt.SpillMB = 512
-	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 3
-	}
 	if opt.Duration <= 0 {
 		opt.Duration = 15 * time.Minute
 	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
-	}
+	// The rack: 3 compute nodes and a 512 MB spill tier under the paper's
+	// 10-minute keep-alive.
+	const (
+		nodes     = 3
+		spillMB   = 512
+		keepAlive = 10 * time.Minute
+	)
 	modes := []PoolDensityMode{DensityOff, DensityDedup, DensityDedupZswap}
 
 	// Every cell runs the identical mixed workload; generate the invocation
@@ -96,18 +88,18 @@ func PoolDensity(opt PoolDensityOptions) []PoolDensityRow {
 	run := func(dramMB int, mode PoolDensityMode) PoolDensityRow {
 		nodeCfg := memnode.Config{
 			DRAMBytes:          int64(dramMB) << 20,
-			SpillBytes:         int64(opt.SpillMB) << 20,
+			SpillBytes:         spillMB << 20,
 			DisableDedup:       mode == DensityOff,
 			DisableCompression: mode != DensityDedupZswap,
 		}
 		c := runMixedRack(cluster.Config{
-			Nodes: opt.Nodes,
+			Nodes: nodes,
 			Node: faas.Config{
-				KeepAliveTimeout: opt.KeepAlive,
+				KeepAliveTimeout: keepAlive,
 				Seed:             opt.Seed,
 			},
 			Pool: rmem.Config{Node: &nodeCfg},
-		}, FaaSMem, fns, 0, opt.Duration+opt.KeepAlive+time.Minute)
+		}, FaaSMem, fns, 0, opt.Duration+keepAlive+time.Minute)
 
 		st := c.Stats()
 		row := PoolDensityRow{

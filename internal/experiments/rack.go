@@ -65,12 +65,13 @@ func runMixedRack(cfg cluster.Config, kind PolicyKind, fns []mixedFn, writeRatio
 }
 
 // faultRack runs the rack the fault sweeps (ext-resilience, ext-observe,
-// ext-drilldown) share: the mixed workload on FaaSMem nodes over a 512 MB
-// memory node, under a fault plan of the given intensity that spans the run
-// (trace, keep-alive drain and one more minute). fallback turns on the
-// local-swap fallback read path, and hub carries the sweep's recorders. The
-// run ends at the plan's horizon, so c.Engine().Now() is that horizon.
-func faultRack(nodes int, d, keepAlive time.Duration, seed, faultSeed int64,
+// ext-drilldown) share: the mixed workload on three FaaSMem nodes over a
+// 512 MB memory node, under a fault plan of the given intensity that spans
+// the run (trace, keep-alive drain and one more minute). fallback turns on
+// the local-swap fallback read path, and hub carries the sweep's
+// recorders. The run ends at the plan's horizon, so c.Engine().Now() is
+// that horizon.
+func faultRack(d, keepAlive time.Duration, seed, faultSeed int64,
 	intensity float64, fallback bool, hub telemetry.Hub) (*cluster.Cluster, *faultinject.Plan) {
 	horizon := d + keepAlive + time.Minute
 	plan := faultinject.New(faultinject.Config{
@@ -84,7 +85,7 @@ func faultRack(nodes int, d, keepAlive time.Duration, seed, faultSeed int64,
 	}
 	nodeCfg := memnode.Config{DRAMBytes: 512 << 20, SpillBytes: 512 << 20}
 	c := runMixedRack(cluster.Config{
-		Nodes: nodes,
+		Nodes: 3,
 		Node: faas.Config{
 			KeepAliveTimeout: keepAlive,
 			Seed:             seed,

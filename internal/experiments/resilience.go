@@ -44,8 +44,6 @@ type ResilienceOptions struct {
 	// Intensities are the fault-plan intensities swept.
 	// Default {0, 0.25, 0.5, 1}.
 	Intensities []float64
-	// Nodes is the rack's compute-node count. Default 3.
-	Nodes int
 	// Duration of the generated trace. Default 12 m.
 	Duration time.Duration
 	// KeepAlive of idle containers. Default 10 m.
@@ -66,9 +64,6 @@ func Resilience(opt ResilienceOptions) []ResilienceRow {
 	if len(opt.Intensities) == 0 {
 		opt.Intensities = []float64{0, 0.25, 0.5, 1}
 	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 3
-	}
 	if opt.Duration <= 0 {
 		opt.Duration = 12 * time.Minute
 	}
@@ -76,7 +71,7 @@ func Resilience(opt ResilienceOptions) []ResilienceRow {
 		opt.KeepAlive = 10 * time.Minute
 	}
 	run := func(intensity float64) ResilienceRow {
-		c, plan := faultRack(opt.Nodes, opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+		c, plan := faultRack(opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
 			intensity, false, telemetry.Hub{})
 
 		st := c.Stats()

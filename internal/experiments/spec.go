@@ -152,8 +152,9 @@ func (s *Spec) Normalize() error {
 }
 
 // Scenario builds the single-bench run of a normalized spec, reporting
-// into hub, on a synthetic arrival trace cut at MaxInvocations (a bursty or
-// diurnal trace can overshoot its mean of duration/gap).
+// into hub, on a synthetic arrival trace cut at MaxInvocations (a bursty
+// trace, or a Poisson one by chance, can overshoot its mean of
+// duration/gap).
 func (s *Spec) Scenario(hub telemetry.Hub) Scenario {
 	d := seconds(s.DurationSec)
 	invocations := trace.GenerateFunction(s.Bench, d, seconds(s.MeanGapSec), s.Bursty, s.Seed).Invocations

@@ -82,13 +82,15 @@ type StatefulOptions struct {
 	Runs int
 	// Gap separates consecutive run starts. Default 2 s.
 	Gap time.Duration
-	// Nodes is the rack's compute-node count. Default 2.
-	Nodes int
-	// KeepAlive of idle containers. Default 2 m.
-	KeepAlive time.Duration
 	// Seed drives workload randomness.
 	Seed int64
 }
+
+// Every workflow cell runs on a two-node rack with a 2-minute keep-alive.
+const (
+	statefulNodes     = 2
+	statefulKeepAlive = 2 * time.Minute
+)
 
 // statefulCell is one grid point of the sweep.
 type statefulCell struct {
@@ -117,12 +119,6 @@ func Stateful(opt StatefulOptions) []StatefulRow {
 	}
 	if opt.Gap <= 0 {
 		opt.Gap = 2 * time.Second
-	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 2
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 2 * time.Minute
 	}
 
 	const defaultPressureMB = 512
@@ -155,12 +151,6 @@ func RunWorkflowCell(opt StatefulOptions, workflow string, pool bool, width, pre
 	if opt.Gap <= 0 {
 		opt.Gap = 2 * time.Second
 	}
-	if opt.Nodes <= 0 {
-		opt.Nodes = 2
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 2 * time.Minute
-	}
 	if pressureMB <= 0 {
 		pressureMB = 512
 	}
@@ -192,9 +182,9 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 	}
 	e := simtime.NewEngine()
 	c := cluster.New(e, cluster.Config{
-		Nodes: opt.Nodes,
+		Nodes: statefulNodes,
 		Node: faas.Config{
-			KeepAliveTimeout: opt.KeepAlive,
+			KeepAliveTimeout: statefulKeepAlive,
 			Seed:             opt.Seed,
 			RequestLogSize:   1 << 14,
 			Telemetry:        telemetry.Hub{Timeline: rec},
@@ -202,12 +192,10 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 		Pool: rmem.Config{Node: &nodeCfg},
 	}, func() policy.Policy { return core.New(core.Config{}) })
 
-	pageSize := int64(c.Nodes()[0].Config().PageSize)
-	mgr := sharedmem.New(sharedmem.Config{PageSize: pageSize, Pool: c.Pool()})
+	mgr := sharedmem.New(sharedmem.Config{Pool: c.Pool()})
 	we, err := faas.NewWorkflowEngine(faas.WorkflowConfig{
 		Engine:       e,
 		Shared:       mgr,
-		PageSize:     pageSize,
 		Register:     func(id string, prof *workload.Profile) { c.Register(id, prof) },
 		Invoke:       c.InvokeStage,
 		StatePassing: cell.pool,
@@ -232,7 +220,7 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 	startRun(0)
 	// Generous horizon: chained runs finish far earlier; the tail lets
 	// keep-alives expire so the rack drains.
-	e.RunUntil(simtime.Time(opt.Runs)*simtime.Time(opt.Gap+time.Minute) + simtime.Time(opt.KeepAlive))
+	e.RunUntil(simtime.Time(opt.Runs)*simtime.Time(opt.Gap+time.Minute) + simtime.Time(statefulKeepAlive))
 
 	st := we.Stats()
 	ms := mgr.Stats()

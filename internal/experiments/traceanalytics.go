@@ -26,12 +26,6 @@ type Fig1Options struct {
 	Trace *trace.Trace
 	// Timeouts to sweep. Default: 10 s … 1000 s, log-spaced.
 	Timeouts []time.Duration
-	// ExecTime fixes one execution time for every function. When zero,
-	// per-function heavy-tailed durations are drawn instead (log-normal,
-	// median 1 s, capped at 60 s), matching the Azure trace's duration
-	// spread — without it, the inactive-time curve saturates at short
-	// timeouts.
-	ExecTime time.Duration
 	// Seed for trace generation and duration sampling.
 	Seed int64
 }
@@ -58,14 +52,13 @@ func Fig1(opt Fig1Options) []Fig1Row {
 			timeouts = append(timeouts, time.Duration(s)*time.Second)
 		}
 	}
-	// Per-function heavy-tailed execution durations unless pinned.
+	// Per-function heavy-tailed execution durations (log-normal, median
+	// 1 s, capped at 60 s), matching the Azure trace's duration spread:
+	// with one fixed execution time the inactive-time curve saturates at
+	// short timeouts.
 	durations := make([]time.Duration, len(tr.Functions))
 	rng := lazyrand.New(opt.Seed + 1)
 	for i := range durations {
-		if opt.ExecTime > 0 {
-			durations[i] = opt.ExecTime
-			continue
-		}
 		d := time.Duration(math.Exp(rng.NormFloat64()*1.5) * float64(time.Second))
 		if d > time.Minute {
 			d = time.Minute
@@ -105,10 +98,8 @@ func plotFig1(w io.Writer, rows []Fig1Row) {
 
 // Fig5Options configures the requests-per-container CDF.
 type Fig5Options struct {
-	Trace     *trace.Trace
-	ExecTime  time.Duration
-	KeepAlive time.Duration
-	Seed      int64
+	Trace *trace.Trace
+	Seed  int64
 }
 
 // Fig5Row is one step of the Figure 5 CDF.
@@ -124,13 +115,8 @@ func Fig5(opt Fig5Options) []Fig5Row {
 	if tr == nil {
 		tr = trace.Generate(trace.GenConfig{}, opt.Seed)
 	}
-	if opt.ExecTime <= 0 {
-		opt.ExecTime = 500 * time.Millisecond
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
-	}
-	res := trace.SimulateTraceKeepAlive(tr, opt.ExecTime, opt.KeepAlive)
+	// Every invocation runs 500 ms under the paper's 10-minute keep-alive.
+	res := trace.SimulateTraceKeepAlive(tr, 500*time.Millisecond, 10*time.Minute)
 	counts := append([]int(nil), res.RequestsPerContainer...)
 	sort.Ints(counts)
 	var rows []Fig5Row
@@ -173,14 +159,10 @@ func PrintFig5(w io.Writer, rows []Fig5Row) {
 
 // Fig14Options configures the semi-warm applicability study.
 type Fig14Options struct {
-	// Trace overrides the generated trace.
-	Trace *trace.Trace
 	// NumFunctions / Duration size the generated trace. Defaults 424 / 6 h.
 	NumFunctions int
 	Duration     time.Duration
-	// KeepAlive defaults to 10 minutes.
-	KeepAlive time.Duration
-	Seed      int64
+	Seed         int64
 }
 
 // Fig14Class aggregates one load class's distributions.
@@ -205,24 +187,16 @@ type Fig14Class struct {
 // profiles: semi-warm timing depends only on invocation dynamics, not on
 // footprint, so small profiles keep a 424-function run cheap.
 func Fig14(opt Fig14Options) []Fig14Class {
-	tr := opt.Trace
-	if tr == nil {
-		cfg := trace.GenConfig{NumFunctions: opt.NumFunctions, Duration: opt.Duration}
-		if cfg.NumFunctions == 0 {
-			cfg.NumFunctions = 424
-		}
-		if cfg.Duration == 0 {
-			cfg.Duration = 6 * time.Hour
-		}
-		tr = trace.Generate(cfg, opt.Seed)
+	cfg := trace.GenConfig{NumFunctions: opt.NumFunctions, Duration: opt.Duration}
+	if cfg.Duration == 0 {
+		cfg.Duration = 6 * time.Hour
 	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
-	}
+	tr := trace.Generate(cfg, opt.Seed)
+	const keepAlive = 10 * time.Minute
 
 	fm := core.New(core.Config{})
 	e := simtime.NewEngine()
-	p := faas.New(e, faas.Config{KeepAliveTimeout: opt.KeepAlive, Seed: opt.Seed}, fm)
+	p := faas.New(e, faas.Config{KeepAliveTimeout: keepAlive, Seed: opt.Seed}, fm)
 
 	classOf := make(map[string]trace.LoadClass, len(tr.Functions))
 	prof := workload.HelloWorld(workload.OpenWhisk, workload.Python)
@@ -233,10 +207,10 @@ func Fig14(opt Fig14Options) []Fig14Class {
 		p.Register(tf.ID, &fp)
 		p.ScheduleInvocations(tf.ID, tf.Invocations)
 		// Provider-side profiling: seed semi-warm timing from the trace.
-		ka := trace.SimulateKeepAlive(tf.Invocations, fp.ExecTime, opt.KeepAlive)
+		ka := trace.SimulateKeepAlive(tf.Invocations, fp.ExecTime, keepAlive)
 		fm.SeedReuseIntervals(tf.ID, ka.ReusedIntervals)
 	}
-	e.RunUntil(tr.Duration + opt.KeepAlive)
+	e.RunUntil(tr.Duration + keepAlive)
 
 	bins := map[trace.LoadClass]*struct{ share, life metrics.Sampler }{
 		trace.LowLoad:    {},

@@ -96,7 +96,7 @@ func (p *Platform) launch(f *Function) *Container {
 		id:       id,
 		fn:       f,
 		p:        p,
-		space:    pagemem.NewSpace(p.cfg.PageSize),
+		space:    pagemem.NewSpace(pagemem.DefaultPageSize),
 		psi:      cgroup.NewPSI(now),
 		rng:      lazyrand.New(p.rng.Int63()),
 		launched: now,
@@ -195,7 +195,7 @@ func (c *Container) execute(arrival simtime.Time) {
 		ra[memnode.ClassRuntime] = runtimeRA
 		ra[memnode.ClassInit] = initRA
 		if !planned {
-			stall = c.p.pool.FaultBatchOwner(now, c.owner, c.fn.id, fc, pageBytes)
+			stall = c.p.pool.FaultBatchOwner(now, c.owner, c.fn.id, fc)
 		} else if fc != preFaults || readahead != preRA {
 			// The fetch was paid for the pre-counted set; a walk that
 			// diverges from it means the wrong pages were priced.
@@ -204,7 +204,7 @@ func (c *Container) execute(arrival simtime.Time) {
 		}
 		faultLat = stall.Total
 		if readahead > 0 {
-			c.p.pool.RecallDescribed(now, c.owner, c.fn.id, ra, pageBytes)
+			c.p.pool.RecallDescribed(now, c.owner, c.fn.id, ra)
 			c.p.swap.NoteClusterRead(readahead)
 		}
 		recalled := int64(faults+readahead) * pageBytes
@@ -262,7 +262,7 @@ func (c *Container) priceRuntimeWrites(now simtime.Time) rmem.FaultStall {
 		dirty = held
 	}
 	pageBytes := int64(c.space.PageSize())
-	out, err := c.p.pool.WriteBreakOwner(now, c.owner, c.fn.id, memnode.ClassRuntime, dirty, pageBytes)
+	out, err := c.p.pool.WriteBreakOwner(now, c.owner, c.fn.id, memnode.ClassRuntime, dirty)
 	if err != nil || out.Pages+out.Recalled == 0 {
 		return rmem.FaultStall{}
 	}
@@ -680,7 +680,7 @@ func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, ma
 	if granted == 0 {
 		return 0
 	}
-	accepted, start, done, err := c.p.pool.OffloadDescribed(now, c.owner, c.fn.id, counts, pageBytes)
+	accepted, start, done, err := c.p.pool.OffloadDescribed(now, c.owner, c.fn.id, counts)
 	if err != nil {
 		// The capacity clamp above should prevent this (ErrPoolFull);
 		// candidates stay local.

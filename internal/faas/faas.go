@@ -31,8 +31,6 @@ import (
 
 // Config parameterizes a platform instance.
 type Config struct {
-	// PageSize is the page granularity in bytes. Default 4096.
-	PageSize int
 	// KeepAliveTimeout is how long an idle container survives. The paper's
 	// setup uses 10 minutes (§8.1). Default 10 m.
 	KeepAliveTimeout time.Duration
@@ -47,11 +45,9 @@ type Config struct {
 	// (Shahrad et al., §10 of the paper): once a function has enough reuse
 	// observations, its containers idle out after the 99th percentile of
 	// observed reuse intervals (with headroom), clamped to
-	// [AdaptiveKeepAliveMin, KeepAliveTimeout]. The paper suggests FaaSMem
+	// [adaptiveKeepAliveMin, KeepAliveTimeout]. The paper suggests FaaSMem
 	// composes with such keep-alive policies for further savings.
 	AdaptiveKeepAlive bool
-	// AdaptiveKeepAliveMin floors the adaptive timeout. Default 15 s.
-	AdaptiveKeepAliveMin time.Duration
 	// MaxContainersPerFunction caps how many containers one function may
 	// scale out to. Requests beyond the cap queue FIFO and are picked up as
 	// containers finish. Zero means unlimited scale-out. Only tests set the
@@ -80,12 +76,6 @@ type Config struct {
 	// tenant). The zero Hub disables all instrumentation; every disabled
 	// path is allocation-free.
 	Telemetry telemetry.Hub
-	// FetchTimeout bounds how long one request's page fetch may sit in
-	// backoff retries against an unhealthy pool link before giving up and
-	// recovering (local-swap fallback when the swap device keeps a
-	// write-through copy, cold re-init otherwise). Only exercised when the
-	// pool has a fault plan injected. Default 500 ms.
-	FetchTimeout time.Duration
 	// Seed drives all stochastic workload behaviour deterministically.
 	Seed int64
 	// NodeID names this compute node in pool-side (memnode) accounting.
@@ -95,18 +85,20 @@ type Config struct {
 	NodeID string
 }
 
+const (
+	// adaptiveKeepAliveMin floors the adaptive keep-alive timeout.
+	adaptiveKeepAliveMin = 15 * time.Second
+	// fetchTimeout bounds how long one request's page fetch may sit in
+	// backoff retries against an unhealthy pool link before giving up and
+	// recovering (local-swap fallback when the swap device keeps a
+	// write-through copy, cold re-init otherwise). Only exercised when the
+	// pool has a fault plan injected.
+	fetchTimeout = 500 * time.Millisecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.PageSize <= 0 {
-		c.PageSize = pagemem.DefaultPageSize
-	}
 	if c.KeepAliveTimeout <= 0 {
 		c.KeepAliveTimeout = 10 * time.Minute
-	}
-	if c.AdaptiveKeepAliveMin <= 0 {
-		c.AdaptiveKeepAliveMin = 15 * time.Second
-	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 500 * time.Millisecond
 	}
 	return c
 }
@@ -126,8 +118,8 @@ func (p *Platform) keepAliveFor(f *Function) time.Duration {
 	// 2x headroom over the observed tail: reuse intervals are censored by
 	// cold starts (§8.3.2), so the raw percentile underestimates.
 	to := 2 * p99
-	if to < p.cfg.AdaptiveKeepAliveMin {
-		to = p.cfg.AdaptiveKeepAliveMin
+	if to < adaptiveKeepAliveMin {
+		to = adaptiveKeepAliveMin
 	}
 	if to > p.cfg.KeepAliveTimeout {
 		to = p.cfg.KeepAliveTimeout
@@ -170,7 +162,7 @@ type FunctionStats struct {
 	// an unhealthy pool (fault injection only).
 	FetchRetries int64
 	// FetchTimeouts counts requests whose page fetch exhausted its retry
-	// budget or FetchTimeout.
+	// budget or fetchTimeout.
 	FetchTimeouts int64
 	// FallbackPages counts pages served from the local swap copy after a
 	// fetch timeout.
@@ -479,7 +471,7 @@ func (p *Platform) account(now simtime.Time, local int64, remote ...int64) {
 
 // remotePages returns the node's remote pages, which are its occupied swap
 // slots.
-func (p *Platform) remotePages() int { return int(p.NodeRemoteBytes() / int64(p.cfg.PageSize)) }
+func (p *Platform) remotePages() int { return int(p.NodeRemoteBytes() / pagemem.DefaultPageSize) }
 
 // NodeLocalBytes returns the node's current local memory consumption across
 // all containers.

@@ -105,7 +105,7 @@ func reconcile(t *testing.T, p *Platform, lp *ledgerProbe, reg *telemetry.Regist
 		t.Errorf("%s: pool used %d != container remote %d", label, got, remote)
 	}
 	slots := reg.Gauge("faasmem_swap_slots_used", "").Value()
-	if want := remote / int64(p.Config().PageSize); slots != want {
+	if want := remote / pagemem.DefaultPageSize; slots != want {
 		t.Errorf("%s: swap-slot gauge %d != remote pages %d", label, slots, want)
 	}
 }

@@ -121,24 +121,29 @@ func TestMemNodeLedgerInvariantsRandomized(t *testing.T) {
 		}
 		if seed >= 3 {
 			nodeCfg.CacheBytes = workload.MB / 2
-			nodeCfg.CacheShares = map[string]float64{"ta": 1 + rng.Float64()*3}
 		}
 		var plan *faultinject.Plan
 		if seed != 1 {
 			// Seed 1 stays fault-free as the interleaving-only control. The
-			// default cadences (75–300s between windows) would leave a
-			// 1-minute run mostly quiet, so compress them to guarantee
-			// outages overlap the invocation burst.
-			fcfg := faultinject.Config{
-				Horizon:   time.Minute,
-				Intensity: 0.6 + 0.4*rng.Float64(),
-				Seed:      seed,
-			}
+			// generated cadences (75–300s between windows) would leave a
+			// 1-minute run mostly quiet, so lay out windows of every kind
+			// 6–13 s apart to guarantee outages overlap the invocation
+			// burst.
+			var ws []faultinject.Window
 			for k := faultinject.LinkFlap; k <= faultinject.LatencySpike; k++ {
-				fcfg.Cadence[k] = time.Duration(6+rng.Intn(8)) * time.Second
-				fcfg.BaseDur[k] = time.Duration(2+rng.Intn(3)) * time.Second
+				for at := simtime.Time(0); ; {
+					at += simtime.Time(6+rng.Intn(8)) * simtime.Time(time.Second)
+					if at >= simtime.Time(time.Minute) {
+						break
+					}
+					w := faultinject.Window{Kind: k, Start: at, End: at + simtime.Time(1+rng.Intn(4))*simtime.Time(time.Second)}
+					if k == faultinject.LinkDegrade || k == faultinject.LatencySpike {
+						w.Factor = 2 + 4*rng.Float64()
+					}
+					ws = append(ws, w)
+				}
 			}
-			plan = faultinject.New(fcfg)
+			plan = faultinject.FromWindows(ws)
 		}
 		e := simtime.NewEngine()
 		p := New(e, Config{

@@ -64,7 +64,7 @@ func (c *Container) fetchPlanned() (stall rmem.FaultStall, faults rmem.ClassCoun
 	if rf+inf+readahead == 0 {
 		return stall, faults, 0, true
 	}
-	stall, err := c.p.pool.FetchRetry(c.p.engine.Now(), c.owner, c.fn.id, faults, int64(c.space.PageSize()), c.p.cfg.FetchTimeout)
+	stall, err := c.p.pool.FetchRetry(c.p.engine.Now(), c.owner, c.fn.id, faults, fetchTimeout)
 	if err != nil {
 		c.recoverFetch(stall)
 		return stall, faults, readahead, false
@@ -99,7 +99,7 @@ func (c *Container) recoverFetch(stall rmem.FaultStall) {
 		var all rmem.ClassCounts
 		all[memnode.ClassRuntime] = runtimeFaults + runtimeRA
 		all[memnode.ClassInit] = initFaults + initRA
-		c.p.pool.RecallLocal(now, c.owner, c.fn.id, all, pageBytes)
+		c.p.pool.RecallLocal(now, c.owner, c.fn.id, all)
 		recalled := int64(pages) * pageBytes
 		c.p.account(now, recalled, -recalled)
 		c.p.enforceMemoryLimit(now)

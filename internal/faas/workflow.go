@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -14,8 +15,12 @@ import (
 // pool-backed shared regions (internal/sharedmem), and dependency readiness
 // is tracked per run. With state passing disabled — or when a region is
 // lost to a pool fault — consumers replay the producer's work locally,
-// priced as a re-derivation at ReinitBandwidth (the storage-round-trip
+// priced as a re-derivation at reinitBandwidth (the storage-round-trip
 // baseline real workflow engines pay).
+
+// reinitBandwidth is the local/storage re-derivation bandwidth in bytes per
+// second.
+const reinitBandwidth = 1e9
 
 // WorkflowConfig parameterizes a WorkflowEngine.
 type WorkflowConfig struct {
@@ -24,8 +29,6 @@ type WorkflowConfig struct {
 	// Shared is the region manager used when StatePassing is on. The
 	// manager must wrap the same pool the platform offloads to.
 	Shared *sharedmem.Manager
-	// PageSize is the region page granularity in bytes.
-	PageSize int64
 	// Register registers one stage function on the target (platform or
 	// cluster). Called once per stage at engine construction.
 	Register func(id string, prof *workload.Profile)
@@ -33,11 +36,8 @@ type WorkflowConfig struct {
 	Invoke func(fnID string, hooks *StageHooks)
 	// StatePassing routes intermediate state through pool-backed shared
 	// regions. Off, every consumer re-derives its inputs at
-	// ReinitBandwidth — the cold baseline.
+	// reinitBandwidth — the cold baseline.
 	StatePassing bool
-	// ReinitBandwidth is the local/storage re-derivation bandwidth in
-	// bytes per second. Default 1 GB/s.
-	ReinitBandwidth float64
 }
 
 // WorkflowStats aggregates a workflow engine's outcomes across runs.
@@ -83,12 +83,6 @@ func NewWorkflowEngine(cfg WorkflowConfig, wf *workload.Workflow) (*WorkflowEngi
 	if cfg.StatePassing && cfg.Shared == nil {
 		return nil, fmt.Errorf("faas: state passing needs a shared-region manager")
 	}
-	if cfg.PageSize <= 0 {
-		return nil, fmt.Errorf("faas: workflow engine needs a page size")
-	}
-	if cfg.ReinitBandwidth <= 0 {
-		cfg.ReinitBandwidth = 1e9
-	}
 	e := &WorkflowEngine{
 		cfg:  cfg,
 		wf:   wf,
@@ -127,7 +121,7 @@ func (e *WorkflowEngine) fnID(i int) string { return e.wf.Name + "." + e.wf.Stag
 // reinit prices re-deriving bytes locally (or through storage) instead of
 // mapping them from the pool.
 func (e *WorkflowEngine) reinit(bytes int64) time.Duration {
-	return time.Duration(float64(bytes) / e.cfg.ReinitBandwidth * float64(time.Second))
+	return time.Duration(float64(bytes) / reinitBandwidth * float64(time.Second))
 }
 
 // Run starts one workflow run at the current virtual time. Source stages
@@ -252,7 +246,7 @@ func (r *wfRun) stateIn(now simtime.Time, i int) (time.Duration, int64, []string
 			continue
 		}
 		mapped = append(mapped, rn)
-		resBytes := int64(reg.Resident()) * e.cfg.PageSize
+		resBytes := int64(reg.Resident()) * pagemem.DefaultPageSize
 		lat += stall.Total
 		bytes += resBytes
 		if short := out - resBytes; short > 0 {
@@ -269,7 +263,7 @@ func (r *wfRun) stateIn(now simtime.Time, i int) (time.Duration, int64, []string
 				e.stats.Replays++
 			} else {
 				lat += br.Stall.Total
-				bytes += int64(br.Private) * e.cfg.PageSize
+				bytes += int64(br.Private) * pagemem.DefaultPageSize
 				e.stats.CowBreaks++
 			}
 		}
@@ -283,7 +277,7 @@ func (r *wfRun) stateIn(now simtime.Time, i int) (time.Duration, int64, []string
 // the stage's output region (replicas stream into one region); the pool's
 // link-FIFO completion is the critical-path cost. With state passing off —
 // or the pool down — the producer hands the bytes to storage at
-// ReinitBandwidth instead, and consumers replay.
+// reinitBandwidth instead, and consumers replay.
 func (r *wfRun) stateOut(now simtime.Time, i int) (time.Duration, int64) {
 	e := r.eng
 	out := e.wf.Stages[i].OutBytes
@@ -309,7 +303,7 @@ func (r *wfRun) stateOut(now simtime.Time, i int) (time.Duration, int64) {
 			if res.Done > now {
 				lat = time.Duration(res.Done - now)
 			}
-			bytes = int64(res.Resident) * e.cfg.PageSize
+			bytes = int64(res.Resident) * pagemem.DefaultPageSize
 		}
 	}
 	e.stats.StateOutTime += lat

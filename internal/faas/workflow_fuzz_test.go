@@ -148,12 +148,10 @@ func FuzzWorkflowDAG(f *testing.F) {
 			},
 			Pool: rmem.Config{Node: &nodeCfg, Faults: fuzzFaultPlan(faultMode)},
 		}, func() policy.Policy { return core.New(core.Config{}) })
-		pageSize := int64(c.Nodes()[0].Config().PageSize)
-		mgr := sharedmem.New(sharedmem.Config{PageSize: pageSize, Pool: c.Pool()})
+		mgr := sharedmem.New(sharedmem.Config{Pool: c.Pool()})
 		we, err := faas.NewWorkflowEngine(faas.WorkflowConfig{
 			Engine:       e,
 			Shared:       mgr,
-			PageSize:     pageSize,
 			Register:     func(id string, prof *workload.Profile) { c.Register(id, prof) },
 			Invoke:       c.InvokeStage,
 			StatePassing: true,

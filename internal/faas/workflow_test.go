@@ -17,7 +17,7 @@ import (
 
 // newWorkflowRig builds a platform + shared-region manager + workflow
 // engine for one built-in workflow.
-func newWorkflowRig(t *testing.T, wfName string, statePassing bool, reinitBW float64, plan *faultinject.Plan) (*simtime.Engine, *Platform, *sharedmem.Manager, *WorkflowEngine) {
+func newWorkflowRig(t *testing.T, wfName string, statePassing bool, plan *faultinject.Plan) (*simtime.Engine, *Platform, *sharedmem.Manager, *WorkflowEngine) {
 	t.Helper()
 	e := simtime.NewEngine()
 	p := New(e, Config{
@@ -25,22 +25,17 @@ func newWorkflowRig(t *testing.T, wfName string, statePassing bool, reinitBW flo
 		Seed:             1,
 		Pool:             rmem.Config{Node: &memnode.Config{}, Faults: plan},
 	}, policy.NoOffload{})
-	m := sharedmem.New(sharedmem.Config{
-		PageSize: int64(p.Config().PageSize),
-		Pool:     p.Pool(),
-	})
+	m := sharedmem.New(sharedmem.Config{Pool: p.Pool()})
 	wf, err := workload.WorkflowByName(wfName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	we, err := NewWorkflowEngine(WorkflowConfig{
-		Engine:          e,
-		Shared:          m,
-		PageSize:        int64(p.Config().PageSize),
-		Register:        func(id string, prof *workload.Profile) { p.Register(id, prof) },
-		Invoke:          p.InvokeStage,
-		StatePassing:    statePassing,
-		ReinitBandwidth: reinitBW,
+		Engine:       e,
+		Shared:       m,
+		Register:     func(id string, prof *workload.Profile) { p.Register(id, prof) },
+		Invoke:       p.InvokeStage,
+		StatePassing: statePassing,
 	}, wf)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +59,7 @@ func runWorkflowOnce(t *testing.T, e *simtime.Engine, we *WorkflowEngine) time.D
 }
 
 func TestWorkflowPipelineCompletes(t *testing.T) {
-	e, p, m, we := newWorkflowRig(t, "pipeline", true, 1e9, nil)
+	e, p, m, we := newWorkflowRig(t, "pipeline", true, nil)
 	lat := runWorkflowOnce(t, e, we)
 	st := we.Stats()
 	if st.Completed != 1 || st.Runs != 1 {
@@ -106,12 +101,12 @@ func TestWorkflowPipelineCompletes(t *testing.T) {
 
 func TestWorkflowPoolBeatsReinit(t *testing.T) {
 	// Intermediate state through the pool's 56 Gbps link vs re-derivation
-	// at a 100 MB/s storage path: pool-backed passing must win on the
+	// at the 1 GB/s storage path: pool-backed passing must win on the
 	// chained shapes.
 	for _, wfName := range []string{"pipeline", "fanout"} {
-		e1, _, _, we1 := newWorkflowRig(t, wfName, true, 100e6, nil)
+		e1, _, _, we1 := newWorkflowRig(t, wfName, true, nil)
 		poolLat := runWorkflowOnce(t, e1, we1)
-		e2, _, _, we2 := newWorkflowRig(t, wfName, false, 100e6, nil)
+		e2, _, _, we2 := newWorkflowRig(t, wfName, false, nil)
 		reinitLat := runWorkflowOnce(t, e2, we2)
 		if poolLat >= reinitLat {
 			t.Fatalf("%s: pool %v >= reinit %v", wfName, poolLat, reinitLat)
@@ -123,7 +118,7 @@ func TestWorkflowPoolBeatsReinit(t *testing.T) {
 }
 
 func TestWorkflowFanoutSharesOneCopy(t *testing.T) {
-	e, _, m, we := newWorkflowRig(t, "fanout", true, 1e9, nil)
+	e, _, m, we := newWorkflowRig(t, "fanout", true, nil)
 	runWorkflowOnce(t, e, we)
 	st := m.Stats()
 	// 4 fan replicas map the source region, the join maps the fan region:
@@ -140,7 +135,7 @@ func TestWorkflowFanoutSharesOneCopy(t *testing.T) {
 }
 
 func TestWorkflowWebsessionCowBreaks(t *testing.T) {
-	e, p, m, we := newWorkflowRig(t, "websession", true, 1e9, nil)
+	e, p, m, we := newWorkflowRig(t, "websession", true, nil)
 	runWorkflowOnce(t, e, we)
 	st := we.Stats()
 	if st.CowBreaks != 4 {
@@ -165,7 +160,7 @@ func TestWorkflowFaultReplay(t *testing.T) {
 	plan := faultinject.FromWindows([]faultinject.Window{
 		{Kind: faultinject.PoolCrash, Start: 0, End: simtime.Time(time.Hour)},
 	})
-	e, p, m, we := newWorkflowRig(t, "pipeline", true, 1e9, plan)
+	e, p, m, we := newWorkflowRig(t, "pipeline", true, plan)
 	runWorkflowOnce(t, e, we)
 	st := we.Stats()
 	if st.Completed != 1 {
@@ -194,7 +189,7 @@ func TestWorkflowStateSpansReconcile(t *testing.T) {
 		Pool:             rmem.Config{Node: &memnode.Config{}},
 		Telemetry:        telemetry.Hub{Spans: rec},
 	}, policy.NoOffload{})
-	m := sharedmem.New(sharedmem.Config{PageSize: int64(p.Config().PageSize), Pool: p.Pool()})
+	m := sharedmem.New(sharedmem.Config{Pool: p.Pool()})
 	wf, err := workload.WorkflowByName("pipeline")
 	if err != nil {
 		t.Fatal(err)
@@ -202,9 +197,8 @@ func TestWorkflowStateSpansReconcile(t *testing.T) {
 	we, err := NewWorkflowEngine(WorkflowConfig{
 		Engine:   e,
 		Shared:   m,
-		PageSize: int64(p.Config().PageSize),
 		Register: func(id string, prof *workload.Profile) { p.Register(id, prof) },
-		Invoke:   p.InvokeStage, StatePassing: true, ReinitBandwidth: 1e9,
+		Invoke:   p.InvokeStage, StatePassing: true,
 	}, wf)
 	if err != nil {
 		t.Fatal(err)

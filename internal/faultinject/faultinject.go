@@ -88,20 +88,10 @@ type Config struct {
 	// Seed drives the schedule. The same seed at different intensities
 	// yields the same window start times.
 	Seed int64
-
-	// Per-kind mean cadence between window starts; zero selects defaults
-	// (LinkFlap 90s, LinkDegrade 150s, PoolCrash 300s, TierStorm 180s,
-	// LatencySpike 75s).
-	Cadence [numKinds]time.Duration
-	// Per-kind base window duration at full intensity; zero selects
-	// defaults (LinkFlap 8s, LinkDegrade 40s, PoolCrash 25s, TierStorm 20s,
-	// LatencySpike 20s).
-	BaseDur [numKinds]time.Duration
-	// Disable switches individual kinds off.
-	Disable [numKinds]bool
 }
 
-var defaultCadence = [numKinds]time.Duration{
+// cadence is each kind's mean gap between window starts.
+var cadence = [numKinds]time.Duration{
 	LinkFlap:     90 * time.Second,
 	LinkDegrade:  150 * time.Second,
 	PoolCrash:    300 * time.Second,
@@ -109,7 +99,8 @@ var defaultCadence = [numKinds]time.Duration{
 	LatencySpike: 75 * time.Second,
 }
 
-var defaultBaseDur = [numKinds]time.Duration{
+// baseDur is each kind's base window duration at full intensity.
+var baseDur = [numKinds]time.Duration{
 	LinkFlap:     8 * time.Second,
 	LinkDegrade:  40 * time.Second,
 	PoolCrash:    25 * time.Second,
@@ -135,32 +126,21 @@ func New(cfg Config) *Plan {
 		intensity = 1
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		// One PRNG stream per kind so disabling a kind or lengthening the
-		// horizon never reshuffles the others.
+		// One PRNG stream per kind so lengthening the horizon never
+		// reshuffles the others.
 		rng := lazyrand.New(cfg.Seed*int64(numKinds) + int64(k) + 1)
-		cadence := cfg.Cadence[k]
-		if cadence <= 0 {
-			cadence = defaultCadence[k]
-		}
-		base := cfg.BaseDur[k]
-		if base <= 0 {
-			base = defaultBaseDur[k]
-		}
 		var t simtime.Time
 		for {
 			// Draws happen every iteration regardless of intensity so the
 			// schedule is intensity-invariant.
-			gap := time.Duration((0.6 + 0.8*rng.Float64()) * float64(cadence))
+			gap := time.Duration((0.6 + 0.8*rng.Float64()) * float64(cadence[k]))
 			durDraw := 0.5 + rng.Float64()
 			sevDraw := rng.Float64()
 			t += gap
 			if t >= cfg.Horizon {
 				break
 			}
-			if cfg.Disable[k] {
-				continue
-			}
-			dur := time.Duration(durDraw * intensity * float64(base))
+			dur := time.Duration(durDraw * intensity * float64(baseDur[k]))
 			if dur <= 0 {
 				continue
 			}

@@ -162,29 +162,6 @@ func TestNextTransition(t *testing.T) {
 	}
 }
 
-func TestDisableKinds(t *testing.T) {
-	cfg := Config{Horizon: time.Hour, Intensity: 1, Seed: 3}
-	for k := Kind(0); k < numKinds; k++ {
-		cfg.Disable[k] = true
-	}
-	if p := New(cfg); !p.Empty() {
-		t.Fatalf("all kinds disabled but got %d windows", len(p.Windows()))
-	}
-	// Disabling one kind must not reshuffle the others (per-kind streams).
-	full := New(Config{Horizon: time.Hour, Intensity: 1, Seed: 3})
-	var noFlap Config = Config{Horizon: time.Hour, Intensity: 1, Seed: 3}
-	noFlap.Disable[LinkFlap] = true
-	partial := New(noFlap)
-	for k := Kind(1); k < numKinds; k++ {
-		if !reflect.DeepEqual(full.byKind[k], partial.byKind[k]) {
-			t.Fatalf("disabling LinkFlap changed %v windows", k)
-		}
-	}
-	if len(partial.byKind[LinkFlap]) != 0 {
-		t.Fatal("disabled kind still has windows")
-	}
-}
-
 // checkPlanInvariants asserts structural properties every plan must satisfy.
 func checkPlanInvariants(t *testing.T, p *Plan, horizon time.Duration) {
 	t.Helper()

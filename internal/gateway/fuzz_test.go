@@ -33,3 +33,35 @@ func FuzzGatewayRun(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGatewayReplay posts any body to /replay on a fresh handler: the reply
+// must be a 2xx or 4xx with a JSON body, never a panic or a 5xx. It starts
+// from a small valid trace, with and without a memory node, and the
+// malformed bodies TestReplayValidation rejects.
+func FuzzGatewayReplay(f *testing.F) {
+	const trace = `"trace": {"duration": 60000000000, "functions": [{"id": "a", "invocations": [0, 30000000000]}, {"id": "b", "invocations": [1000000000]}]}`
+	for _, body := range []string{
+		`{` + trace + `, "profile": "json", "policy": "faasmem", "seed": 5}`,
+		`{` + trace + `, "profile": "mix", "keep_alive_sec": 30, "mem_node": {"dram_mb": 64, "spill_mb": 64, "quota_mb": 8}}`,
+		`{}`,
+		`{"trace": {"duration": -1}}`,
+		`{` + trace + `, "policy": "nope"}`,
+		`{` + trace + `, "profile": "nope"}`,
+		`{` + trace + `, "max_invocations": 2}`,
+		`{` + trace + `, "keep_alive_sec": 1e7}`,
+		`{"trace": {"duration": 9000000000000000000, "functions": [{"id":"a","invocations":[0]}]}}`,
+		`not json`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/replay", bytes.NewReader(body)))
+		if rec.Code < 200 || rec.Code >= 300 && rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("POST /replay %q: status %d, want 2xx or 4xx", body, rec.Code)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("POST /replay %q: status %d with a body that is not JSON: %q", body, rec.Code, rec.Body.Bytes())
+		}
+	})
+}

@@ -201,7 +201,6 @@ func FuzzMergeDomains(f *testing.F) {
 			return
 		}
 		cfg := Config{
-			PageSize:   ps,
 			MergeScope: MergeScopes()[int(data[0])%3],
 			TenantOf:   firstLetterTenant,
 		}

@@ -38,6 +38,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
@@ -94,8 +95,6 @@ var victimOrder = [NumClasses]Class{ClassExec, ClassOther, ClassShared, ClassRun
 
 // Config describes a memory node. The zero value gets workable defaults.
 type Config struct {
-	// PageSize in bytes. Default 4096.
-	PageSize int `json:"page_size,omitempty"`
 	// DRAMBytes is the node's DRAM, holding the hot and compressed tiers.
 	// Default 16 GiB.
 	DRAMBytes int64 `json:"dram_bytes,omitempty"`
@@ -110,16 +109,6 @@ type Config struct {
 	// CompressRatio is the zswap-style compression ratio (stored bytes =
 	// raw/ratio). Default 3.0 — typical for zeroed/initialized pages.
 	CompressRatio float64 `json:"compress_ratio,omitempty"`
-	// CompressLatency is the pool-side CPU cost of compressing one page.
-	// It is off the request critical path (compression runs on the node)
-	// but accumulated in Stats for capacity planning. Default 1 µs.
-	CompressLatency time.Duration `json:"compress_latency,omitempty"`
-	// DecompressLatency is added to a recall for each page served from the
-	// compressed tier. Default 3 µs.
-	DecompressLatency time.Duration `json:"decompress_latency,omitempty"`
-	// SpillLatency is added to a recall for each page served from the spill
-	// tier. Default 80 µs (NVMe-class read).
-	SpillLatency time.Duration `json:"spill_latency,omitempty"`
 	// TenantQuotaBytes caps any one tenant's logical bytes on the node.
 	// Zero disables quotas.
 	TenantQuotaBytes int64 `json:"tenant_quota_bytes,omitempty"`
@@ -144,33 +133,30 @@ type Config struct {
 	// merge masters: a recall or read of a cached master skips the
 	// compressed/spill tier surcharge. Zero (default) disables the cache.
 	// The cache is a dedicated DRAM partition, accounted separately from
-	// DRAMBytes.
+	// DRAMBytes. Every tenant occupying it gets an equal share.
 	CacheBytes int64 `json:"cache_bytes,omitempty"`
-	// CacheShares weights each tenant's share of the cache tier: a tenant's
-	// share is CacheBytes·w/Σw over the tenants currently occupying the
-	// cache, and fairness eviction keeps every occupant within its share.
-	// Missing or non-positive weights default to 1.
-	CacheShares map[string]float64 `json:"cache_shares,omitempty"`
 }
 
+// The node's per-page tier costs.
+const (
+	// compressLatency is the pool-side CPU cost of compressing one page. It
+	// is off the request critical path (compression runs on the node) but
+	// accumulated in Stats for capacity planning.
+	compressLatency = time.Microsecond
+	// decompressLatency is added to a recall for each page served from the
+	// compressed tier.
+	decompressLatency = 3 * time.Microsecond
+	// spillLatency is added to a recall for each page served from the spill
+	// tier (an NVMe-class read).
+	spillLatency = 80 * time.Microsecond
+)
+
 func (c Config) withDefaults() Config {
-	if c.PageSize <= 0 {
-		c.PageSize = 4096
-	}
 	if c.DRAMBytes <= 0 {
 		c.DRAMBytes = 16 << 30
 	}
 	if c.CompressRatio <= 1 {
 		c.CompressRatio = 3.0
-	}
-	if c.CompressLatency <= 0 {
-		c.CompressLatency = time.Microsecond
-	}
-	if c.DecompressLatency <= 0 {
-		c.DecompressLatency = 3 * time.Microsecond
-	}
-	if c.SpillLatency <= 0 {
-		c.SpillLatency = 80 * time.Microsecond
 	}
 	switch c.MergeScope {
 	case MergeTenant, MergeCrossTenant:
@@ -423,32 +409,32 @@ func (n *Node) compStored(pages int) int64 {
 	if pages <= 0 {
 		return 0
 	}
-	return int64(float64(pages) * float64(n.cfg.PageSize) / n.cfg.CompressRatio)
+	return int64(float64(pages) * pagemem.DefaultPageSize / n.cfg.CompressRatio)
 }
 
 // LogicalBytes is the sum of every owner's offloads — what the compute side
 // believes is stored remotely.
-func (n *Node) LogicalBytes() int64 { return n.logicalPages * int64(n.cfg.PageSize) }
+func (n *Node) LogicalBytes() int64 { return n.logicalPages * pagemem.DefaultPageSize }
 
 // DRAMUsedBytes is hot-tier raw bytes plus compressed-tier stored bytes.
 func (n *Node) DRAMUsedBytes() int64 {
-	return n.hotPages*int64(n.cfg.PageSize) + n.compStoredBytes
+	return n.hotPages*pagemem.DefaultPageSize + n.compStoredBytes
 }
 
 // SpillUsedBytes is the spill tier's stored bytes.
-func (n *Node) SpillUsedBytes() int64 { return n.spillPages * int64(n.cfg.PageSize) }
+func (n *Node) SpillUsedBytes() int64 { return n.spillPages * pagemem.DefaultPageSize }
 
 // ResidentBytes is what the node actually stores: DRAM plus spill.
 func (n *Node) ResidentBytes() int64 { return n.DRAMUsedBytes() + n.SpillUsedBytes() }
 
 // DedupSavedBytes is the logical-minus-resident page savings from sharing.
 func (n *Node) DedupSavedBytes() int64 {
-	return (n.logicalPages - n.hotPages - n.compPages - n.spillPages) * int64(n.cfg.PageSize)
+	return (n.logicalPages - n.hotPages - n.compPages - n.spillPages) * pagemem.DefaultPageSize
 }
 
 // CompressSavedBytes is the DRAM saved by storing comp-tier pages compressed.
 func (n *Node) CompressSavedBytes() int64 {
-	return n.compPages*int64(n.cfg.PageSize) - n.compStoredBytes
+	return n.compPages*pagemem.DefaultPageSize - n.compStoredBytes
 }
 
 // CompressedPages is the cumulative count of pages ever demoted into the
@@ -489,7 +475,7 @@ func (n *Node) AcceptableBytes() int64 {
 	}
 	free := n.cfg.DRAMBytes - n.DRAMUsedBytes()
 	if !n.cfg.DisableCompression {
-		free += n.hotPages*int64(n.cfg.PageSize) - n.compStored(int(n.hotPages))
+		free += n.hotPages*pagemem.DefaultPageSize - n.compStored(int(n.hotPages))
 	}
 	free += n.cfg.SpillBytes - n.SpillUsedBytes()
 	if free < 0 {
@@ -524,7 +510,7 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 		n.syncGauges()
 		return 0
 	}
-	ps := int64(n.cfg.PageSize)
+	ps := int64(pagemem.DefaultPageSize)
 	accepted := pages
 
 	if n.cfg.TenantQuotaBytes > 0 {
@@ -653,8 +639,8 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 
 // Recall releases pages an owner holds (a demand fault or bulk recall on the
 // compute side) and prices the tier surcharge: the fraction of the resident
-// copy living compressed pays DecompressLatency per page, the spilled
-// fraction SpillLatency. Releasing the last reference frees the resident
+// copy living compressed pays decompressLatency per page, the spilled
+// fraction spillLatency. Releasing the last reference frees the resident
 // copy.
 func (n *Node) Recall(owner, fn string, class Class, pages int) RecallCost {
 	if pages <= 0 {
@@ -680,7 +666,7 @@ func (n *Node) Recall(owner, fn string, class Class, pages int) RecallCost {
 
 	n.release(e, owner, pages)
 	n.logicalPages -= int64(pages)
-	n.tenants[n.tenantOf(fn)] -= int64(pages) * int64(n.cfg.PageSize)
+	n.tenants[n.tenantOf(fn)] -= int64(pages) * pagemem.DefaultPageSize
 	if or := n.owners[owner]; or != nil {
 		or.pages -= int64(pages)
 	}
@@ -690,8 +676,8 @@ func (n *Node) Recall(owner, fn string, class Class, pages int) RecallCost {
 
 // ReadCost prices reading pages an owner holds *without* releasing them —
 // the pool-side share of mapping a shared-state region read-shared: the
-// fraction of the resident copy living compressed pays DecompressLatency per
-// page, the spilled fraction SpillLatency, exactly like Recall, but the
+// fraction of the resident copy living compressed pays decompressLatency per
+// page, the spilled fraction spillLatency, exactly like Recall, but the
 // holdings, the ledger, and the resident copy are untouched so the next
 // consumer can map the same region. The entry is touched (MRU) — a region
 // under active mapping resists eviction.
@@ -720,8 +706,8 @@ func (n *Node) ReadCost(owner, fn string, class Class, pages int) RecallCost {
 }
 
 // tierSurcharge prices reading pages of e's resident copy — the fraction
-// living compressed pays DecompressLatency per page, the spilled fraction
-// SpillLatency — consulting the shared cache tier first: a cached master
+// living compressed pays decompressLatency per page, the spilled fraction
+// spillLatency — consulting the shared cache tier first: a cached master
 // serves hot copies with no surcharge, a cacheable miss pays the surcharge
 // and admits the master (charged to the reading tenant).
 func (n *Node) tierSurcharge(e *entry, pages int, tenant string) time.Duration {
@@ -734,8 +720,8 @@ func (n *Node) tierSurcharge(e *entry, pages int, tenant string) time.Duration {
 	if rt := e.residentTarget(); rt > 0 {
 		comp := float64(e.comp) / float64(rt) * float64(pages)
 		spill := float64(e.spill) / float64(rt) * float64(pages)
-		dec := time.Duration(comp * float64(n.cfg.DecompressLatency))
-		lat = dec + time.Duration(spill*float64(n.cfg.SpillLatency))
+		dec := time.Duration(comp * float64(decompressLatency))
+		lat = dec + time.Duration(spill*float64(spillLatency))
 		n.decompressTime += dec
 	}
 	if n.cache != nil && e.shared {
@@ -766,7 +752,7 @@ func (n *Node) DiscardOwner(owner string) int64 {
 	if or == nil {
 		return 0
 	}
-	ps := int64(n.cfg.PageSize)
+	ps := int64(pagemem.DefaultPageSize)
 	var freed int64
 	for _, key := range or.keys {
 		e := n.entries[key]
@@ -884,7 +870,7 @@ func (n *Node) freeEntry(e *entry) {
 // entries (LRU within the victim class order), then demote to spill, then
 // give up and report how many pages actually fit.
 func (n *Node) makeRoom(pages int) int {
-	ps := int64(n.cfg.PageSize)
+	ps := int64(pagemem.DefaultPageSize)
 	over := func() int64 {
 		return n.DRAMUsedBytes() + int64(pages)*ps - n.cfg.DRAMBytes
 	}
@@ -977,7 +963,7 @@ func (n *Node) compressEntry(e *entry) {
 	n.hotPages -= int64(k)
 	n.compPages += int64(k)
 	n.compressedPages += int64(k)
-	n.compressTime += time.Duration(k) * n.cfg.CompressLatency
+	n.compressTime += time.Duration(k) * compressLatency
 	n.met.compressed.Add(int64(k))
 }
 
@@ -1232,7 +1218,7 @@ func (n *Node) checkCache() error {
 		return nil
 	}
 	var total int64
-	ps := int64(n.cfg.PageSize)
+	ps := int64(pagemem.DefaultPageSize)
 	for key, ce := range c.entries {
 		if key != ce.key {
 			return fmt.Errorf("cache entry keyed %v carries key %v", key, ce.key)

@@ -3,20 +3,12 @@ package memnode
 import (
 	"math/rand"
 	"testing"
-	"time"
 
+	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
-const ps = 4096
-
-func newTest(t *testing.T, cfg Config) *Node {
-	t.Helper()
-	if cfg.PageSize == 0 {
-		cfg.PageSize = ps
-	}
-	return New(cfg)
-}
+const ps = pagemem.DefaultPageSize
 
 func check(t *testing.T, n *Node) {
 	t.Helper()
@@ -26,7 +18,7 @@ func check(t *testing.T, n *Node) {
 }
 
 func TestDedupSharesResidentCopy(t *testing.T) {
-	n := newTest(t, Config{})
+	n := New(Config{})
 
 	// Two containers of the same function offload the same init prefix.
 	if got := n.Offload("c1", "fn", ClassInit, 100); got != 100 {
@@ -67,7 +59,7 @@ func TestDedupSharesResidentCopy(t *testing.T) {
 }
 
 func TestLastReferenceFreesResidentCopy(t *testing.T) {
-	n := newTest(t, Config{})
+	n := New(Config{})
 	n.Offload("c1", "fn", ClassInit, 100)
 	n.Offload("c2", "fn", ClassInit, 60)
 	check(t, n)
@@ -95,7 +87,7 @@ func TestLastReferenceFreesResidentCopy(t *testing.T) {
 }
 
 func TestPrivateClassesDoNotDedup(t *testing.T) {
-	n := newTest(t, Config{})
+	n := New(Config{})
 	n.Offload("c1", "fn", ClassExec, 40)
 	n.Offload("c2", "fn", ClassExec, 40)
 	check(t, n)
@@ -105,7 +97,7 @@ func TestPrivateClassesDoNotDedup(t *testing.T) {
 }
 
 func TestDisableDedup(t *testing.T) {
-	n := newTest(t, Config{DisableDedup: true})
+	n := New(Config{DisableDedup: true})
 	n.Offload("c1", "fn", ClassInit, 100)
 	n.Offload("c2", "fn", ClassInit, 100)
 	check(t, n)
@@ -116,7 +108,7 @@ func TestDisableDedup(t *testing.T) {
 
 func TestCompressionUnderPressure(t *testing.T) {
 	// DRAM fits 100 raw pages; offloading 150 private pages must compress.
-	n := newTest(t, Config{DRAMBytes: 100 * ps, SpillBytes: 1 << 30, CompressRatio: 4})
+	n := New(Config{DRAMBytes: 100 * ps, SpillBytes: 1 << 30, CompressRatio: 4})
 	if got := n.Offload("c1", "a", ClassExec, 90); got != 90 {
 		t.Fatalf("accepted %d, want 90", got)
 	}
@@ -149,7 +141,7 @@ func TestCompressionUnderPressure(t *testing.T) {
 func TestSpillAndFullRejection(t *testing.T) {
 	// 50 raw pages of DRAM, 30 pages of spill, compression off: 100-page
 	// offload keeps 80 and rejects 20.
-	n := newTest(t, Config{
+	n := New(Config{
 		DRAMBytes: 50 * ps, SpillBytes: 30 * ps, DisableCompression: true,
 	})
 	got := n.Offload("c1", "fn", ClassExec, 100)
@@ -166,7 +158,7 @@ func TestSpillAndFullRejection(t *testing.T) {
 	}
 	// Spill recalls pay the spill latency for the spilled fraction.
 	cost := n.Recall("c1", "fn", ClassExec, 80)
-	if cost.Latency < n.Config().SpillLatency {
+	if cost.Latency < spillLatency {
 		t.Fatalf("recall latency %v too low for spilled pages", cost.Latency)
 	}
 	check(t, n)
@@ -175,7 +167,7 @@ func TestSpillAndFullRejection(t *testing.T) {
 func TestEvictionPrefersExecOverInit(t *testing.T) {
 	// Fill DRAM with an init copy and exec pages, then force a spill: the
 	// exec pages must go first.
-	n := newTest(t, Config{
+	n := New(Config{
 		DRAMBytes: 100 * ps, SpillBytes: 1 << 30, DisableCompression: true,
 	})
 	n.Offload("c1", "fn", ClassInit, 50)
@@ -200,7 +192,7 @@ func TestEvictionPrefersExecOverInit(t *testing.T) {
 }
 
 func TestTenantQuota(t *testing.T) {
-	n := newTest(t, Config{TenantQuotaBytes: 50 * ps})
+	n := New(Config{TenantQuotaBytes: 50 * ps})
 	if got := n.Offload("c1", "fn", ClassExec, 40); got != 40 {
 		t.Fatalf("accepted %d, want 40", got)
 	}
@@ -225,7 +217,7 @@ func TestTenantQuota(t *testing.T) {
 }
 
 func TestDiscardOwnerDropsEverything(t *testing.T) {
-	n := newTest(t, Config{})
+	n := New(Config{})
 	n.Offload("c1", "fn", ClassInit, 100)
 	n.Offload("c1", "fn", ClassRuntime, 50)
 	n.Offload("c1", "fn", ClassExec, 25)
@@ -252,7 +244,7 @@ func TestDiscardOwnerDropsEverything(t *testing.T) {
 
 func TestInstrumentExportsGauges(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	n := newTest(t, Config{})
+	n := New(Config{})
 	n.Instrument(reg)
 	n.Offload("c1", "fn", ClassInit, 100)
 	n.Offload("c2", "fn", ClassInit, 100)
@@ -273,7 +265,7 @@ func TestInstrumentExportsGauges(t *testing.T) {
 // accounting identities after every step — including that logical bytes
 // always equal the sum of per-container offloads.
 func TestRandomizedInvariants(t *testing.T) {
-	n := newTest(t, Config{
+	n := New(Config{
 		DRAMBytes: 200 * ps, SpillBytes: 300 * ps,
 		CompressRatio: 3, TenantQuotaBytes: 400 * ps,
 	})
@@ -321,9 +313,7 @@ func TestRandomizedInvariants(t *testing.T) {
 }
 
 func TestRecallLatencyProportions(t *testing.T) {
-	n := newTest(t, Config{
-		DRAMBytes: 1 << 30, DecompressLatency: 10 * time.Microsecond,
-	})
+	n := New(Config{DRAMBytes: 1 << 30})
 	n.Offload("c1", "fn", ClassExec, 100)
 	// Force the whole entry compressed.
 	for _, e := range n.entries {
@@ -331,7 +321,7 @@ func TestRecallLatencyProportions(t *testing.T) {
 	}
 	check(t, n)
 	cost := n.Recall("c1", "fn", ClassExec, 10)
-	if want := 100 * time.Microsecond; cost.Latency != want {
+	if want := 10 * decompressLatency; cost.Latency != want {
 		t.Fatalf("latency = %v, want %v for 10 fully-compressed pages", cost.Latency, want)
 	}
 }

@@ -34,6 +34,8 @@ package memnode
 import (
 	"fmt"
 	"time"
+
+	"github.com/faasmem/faasmem/internal/pagemem"
 )
 
 // MergeScope selects how wide runtime-page merge domains stretch.
@@ -157,7 +159,7 @@ func (n *Node) WriteBreak(owner, fn string, class Class, pages int) BreakResult 
 	if hotFit < pages {
 		spillFit = pages - hotFit
 		if n.cfg.SpillBytes > 0 {
-			ps := int64(n.cfg.PageSize)
+			ps := int64(pagemem.DefaultPageSize)
 			if free := int((n.cfg.SpillBytes - n.SpillUsedBytes()) / ps); free < spillFit {
 				spillFit = free
 			}
@@ -184,7 +186,7 @@ func (n *Node) WriteBreak(owner, fn string, class Class, pages int) BreakResult 
 	}
 	if recalled > 0 {
 		n.logicalPages -= int64(recalled)
-		n.tenants[n.tenantOf(fn)] -= int64(recalled) * int64(n.cfg.PageSize)
+		n.tenants[n.tenantOf(fn)] -= int64(recalled) * pagemem.DefaultPageSize
 		n.unmergeRecall += int64(recalled)
 	}
 	n.registerOwner(owner, fn, pk, -int64(recalled))
@@ -252,30 +254,16 @@ func insertionSort(s []string) {
 	}
 }
 
-// cacheWeight is a tenant's configured share weight (default 1).
-func (n *Node) cacheWeight(t string) float64 {
-	if w, ok := n.cfg.CacheShares[t]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
-// cacheShareOf is t's byte share of the cache over the currently active
-// occupants: CacheBytes·w/Σw, floor-divided so shares never sum past
-// capacity.
+// cacheShareOf is t's byte share of the cache: CacheBytes split evenly over
+// the tenants currently occupying it, t included, floor-divided so shares
+// never sum past capacity.
 func (n *Node) cacheShareOf(t string) int64 {
 	c := n.cache
-	var totalW float64
-	for other := range c.occ {
-		totalW += n.cacheWeight(other)
-	}
+	occupants := len(c.occ)
 	if _, ok := c.occ[t]; !ok {
-		totalW += n.cacheWeight(t)
+		occupants++
 	}
-	if totalW <= 0 {
-		return 0
-	}
-	return int64(float64(c.bytes) * n.cacheWeight(t) / totalW)
+	return c.bytes / int64(occupants)
 }
 
 // cacheHas reports whether e's master is cached, touching it MRU on a hit.
@@ -336,7 +324,7 @@ func (n *Node) cacheInsert(e *entry, tenant string) {
 		return
 	}
 	pages := e.residentTarget()
-	bytes := int64(pages) * int64(n.cfg.PageSize)
+	bytes := int64(pages) * pagemem.DefaultPageSize
 	if pages <= 0 || bytes > c.bytes {
 		return
 	}
@@ -370,7 +358,7 @@ func (n *Node) cacheResync(e *entry) {
 		n.cacheRemove(ce)
 		return
 	}
-	d := int64(pages-ce.pages) * int64(n.cfg.PageSize)
+	d := int64(pages-ce.pages) * pagemem.DefaultPageSize
 	ce.pages = pages
 	c.occ[ce.tenant] += d
 	c.usedBytes += d
@@ -396,7 +384,7 @@ func (n *Node) cacheDrop(key entryKey) {
 func (n *Node) cacheRemove(ce *cacheEntry) {
 	c := n.cache
 	n.cacheUnlink(ce)
-	bytes := int64(ce.pages) * int64(n.cfg.PageSize)
+	bytes := int64(ce.pages) * pagemem.DefaultPageSize
 	c.occ[ce.tenant] -= bytes
 	if c.occ[ce.tenant] <= 0 {
 		delete(c.occ, ce.tenant)

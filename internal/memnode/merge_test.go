@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 )
 
 // firstLetterTenant maps fn → its first byte: "a1", "a2" belong to tenant
@@ -34,7 +33,7 @@ func TestParseMergeScope(t *testing.T) {
 }
 
 func TestTenantScopeMergesAcrossFunctions(t *testing.T) {
-	n := newTest(t, Config{MergeScope: MergeTenant, TenantOf: firstLetterTenant})
+	n := New(Config{MergeScope: MergeTenant, TenantOf: firstLetterTenant})
 
 	// Two functions of tenant "a" offload runtime pages: one master.
 	n.Offload("a1#1", "a1", ClassRuntime, 100)
@@ -67,7 +66,7 @@ func TestTenantScopeMergesAcrossFunctions(t *testing.T) {
 }
 
 func TestCrossTenantMergeRequiresOptIn(t *testing.T) {
-	n := newTest(t, Config{
+	n := New(Config{
 		MergeScope: MergeCrossTenant,
 		MergeOptIn: []string{"a", "b"},
 		TenantOf:   firstLetterTenant,
@@ -97,7 +96,7 @@ func TestFunctionScopeReportsNoMergedPages(t *testing.T) {
 	// Per-function dedup (the default) is not merge activity: MergedPages
 	// must stay zero so the default telemetry is byte-identical to the
 	// pre-merge-domain behavior.
-	n := newTest(t, Config{})
+	n := New(Config{})
 	n.Offload("c1", "fn", ClassRuntime, 100)
 	n.Offload("c2", "fn", ClassRuntime, 100)
 	n.Offload("c1", "fn", ClassInit, 50)
@@ -113,7 +112,7 @@ func TestFunctionScopeReportsNoMergedPages(t *testing.T) {
 }
 
 func TestWriteBreakPrivatizesWithoutTouchingOthers(t *testing.T) {
-	n := newTest(t, Config{MergeScope: MergeTenant, TenantOf: firstLetterTenant})
+	n := New(Config{MergeScope: MergeTenant, TenantOf: firstLetterTenant})
 	n.Offload("a1#1", "a1", ClassRuntime, 100)
 	n.Offload("a2#1", "a2", ClassRuntime, 100)
 	check(t, n)
@@ -181,7 +180,7 @@ func TestWriteBreakRecallsWhenNodeFull(t *testing.T) {
 	// 100 pages of DRAM, 20 of spill, compression off: the master fills
 	// DRAM, so only 20 of the 50 dirtied pages can be re-homed (demoting 20
 	// master pages to spill); 30 come back to the writer.
-	n := newTest(t, Config{
+	n := New(Config{
 		MergeScope: MergeTenant, TenantOf: firstLetterTenant,
 		DRAMBytes: 100 * ps, SpillBytes: 20 * ps, DisableCompression: true,
 	})
@@ -212,10 +211,10 @@ func TestWriteBreakRecallsWhenNodeFull(t *testing.T) {
 }
 
 func TestWriteBreakPaysTierSurchargeOnceCached(t *testing.T) {
-	dec := 10 * time.Microsecond
-	n := newTest(t, Config{
+	const dec = decompressLatency
+	n := New(Config{
 		MergeScope: MergeTenant, TenantOf: firstLetterTenant,
-		DecompressLatency: dec, CacheBytes: 200 * ps,
+		CacheBytes: 200 * ps,
 	})
 	n.Offload("a1#1", "a1", ClassRuntime, 100)
 	n.Offload("a2#1", "a2", ClassRuntime, 100)
@@ -244,8 +243,8 @@ func TestWriteBreakPaysTierSurchargeOnceCached(t *testing.T) {
 }
 
 func TestSharedCacheWaivesRecallSurcharge(t *testing.T) {
-	dec := 10 * time.Microsecond
-	n := newTest(t, Config{CacheBytes: 200 * ps, DecompressLatency: dec})
+	const dec = decompressLatency
+	n := New(Config{CacheBytes: 200 * ps})
 	n.Offload("c1", "fn", ClassInit, 100)
 	n.Offload("c2", "fn", ClassInit, 100)
 	for _, e := range n.entries {
@@ -277,7 +276,7 @@ func TestSharedCacheWaivesRecallSurcharge(t *testing.T) {
 }
 
 func TestCacheSkipsOversizedMaster(t *testing.T) {
-	n := newTest(t, Config{CacheBytes: 20 * ps})
+	n := New(Config{CacheBytes: 20 * ps})
 	n.Offload("c1", "fn", ClassInit, 50)
 	n.ReadCost("c1", "fn", ClassInit, 10)
 	check(t, n)
@@ -290,7 +289,7 @@ func TestCacheSkipsOversizedMaster(t *testing.T) {
 }
 
 func TestCacheTracksMasterResize(t *testing.T) {
-	n := newTest(t, Config{CacheBytes: 200 * ps})
+	n := New(Config{CacheBytes: 200 * ps})
 	n.Offload("c1", "fn", ClassInit, 50)
 	n.ReadCost("c1", "fn", ClassInit, 1)
 	check(t, n)
@@ -318,13 +317,13 @@ func TestCacheTracksMasterResize(t *testing.T) {
 }
 
 // TestCacheFairnessEviction drives the admission sequences of two tenants and
-// checks the weighted-share fairness invariant: every occupant ends within
-// CacheBytes·w/Σw of the active set, over-share tenants evicted coldest-first.
+// checks the equal-share fairness invariant: every occupant ends within
+// CacheBytes/n of the n active occupants, over-share tenants evicted
+// coldest-first.
 func TestCacheFairnessEviction(t *testing.T) {
 	const masterPages = 10
 	for _, tc := range []struct {
 		name      string
-		shares    map[string]float64
 		admits    []string // tenant letter per 10-page master, in order
 		wantOcc   map[string]int64
 		wantEvict int64
@@ -334,13 +333,6 @@ func TestCacheFairnessEviction(t *testing.T) {
 			admits:    []string{"a", "a", "a", "a", "a", "a", "a", "a", "b", "b", "b", "b"},
 			wantOcc:   map[string]int64{"a": 50 * ps, "b": 40 * ps},
 			wantEvict: 3,
-		},
-		{
-			name:      "weighted shares skew the split",
-			shares:    map[string]float64{"a": 1, "b": 3},
-			admits:    []string{"a", "a", "a", "a", "a", "a", "a", "a", "b", "b", "b", "b"},
-			wantOcc:   map[string]int64{"a": 20 * ps, "b": 40 * ps},
-			wantEvict: 6,
 		},
 		{
 			name:      "sole occupant owns the whole cache",
@@ -356,10 +348,9 @@ func TestCacheFairnessEviction(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := newTest(t, Config{
-				CacheBytes:  100 * ps,
-				CacheShares: tc.shares,
-				TenantOf:    firstLetterTenant,
+			n := New(Config{
+				CacheBytes: 100 * ps,
+				TenantOf:   firstLetterTenant,
 			})
 			counts := map[string]int{}
 			for _, tenant := range tc.admits {
@@ -390,7 +381,7 @@ func TestCacheFairnessEviction(t *testing.T) {
 }
 
 func TestCacheEvictsColdestFirst(t *testing.T) {
-	n := newTest(t, Config{CacheBytes: 30 * ps, TenantOf: firstLetterTenant})
+	n := New(Config{CacheBytes: 30 * ps, TenantOf: firstLetterTenant})
 	for _, fn := range []string{"a0", "a1"} {
 		n.Offload(fn+"#1", fn, ClassInit, 10)
 		n.ReadCost(fn+"#1", fn, ClassInit, 1)
@@ -416,12 +407,12 @@ func TestCacheEvictsColdestFirst(t *testing.T) {
 // master is ever reachable from two tenants unless both opted in, and no
 // write break ever changes another owner's logical holdings.
 func TestIsolationPropertyRandomized(t *testing.T) {
-	n := newTest(t, Config{
+	n := New(Config{
 		MergeScope: MergeCrossTenant,
 		MergeOptIn: []string{"a", "b"},
 		TenantOf:   firstLetterTenant,
 		DRAMBytes:  300 * ps, SpillBytes: 200 * ps,
-		CacheBytes: 80 * ps, CacheShares: map[string]float64{"a": 2},
+		CacheBytes: 80 * ps,
 	})
 	rng := rand.New(rand.NewSource(7))
 	fns := []string{"a1", "a2", "b1", "c1", "c2"}
@@ -500,7 +491,6 @@ func TestMergeSavingsMonotoneInScope(t *testing.T) {
 	}
 	replay := func(scope MergeScope) replayResult {
 		n := New(Config{
-			PageSize:   ps,
 			MergeScope: scope,
 			MergeOptIn: []string{"a", "b"},
 			TenantOf:   firstLetterTenant,

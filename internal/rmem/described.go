@@ -32,7 +32,7 @@ func (c ClassCounts) Total() int {
 // full — dedup saves pool DRAM, not link bandwidth (the node merges after
 // receipt, as in UPM-style page merging). [start, done) is the link window
 // the transfer reserved; both are now when nothing crossed the wire.
-func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) (accepted ClassCounts, start, done simtime.Time, err error) {
+func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts ClassCounts) (accepted ClassCounts, start, done simtime.Time, err error) {
 	bytes := int64(counts.Total()) * pageBytes
 	if bytes < 0 {
 		panic(fmt.Sprintf("rmem: negative offload %d", bytes))
@@ -55,14 +55,14 @@ func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts Class
 				accepted[cls] = p.node.Offload(owner, fn, memnode.Class(cls), n)
 			}
 		}
-		p.recordTierFlows(now, fn, comp0, spill0, merged0, pageBytes)
+		p.recordTierFlows(now, fn, comp0, spill0, merged0)
 		if accepted.Total() == 0 {
 			return accepted, now, now, nil
 		}
 		bytes = int64(accepted.Total()) * pageBytes
 	}
 	start, done = p.reserve(now, bytes)
-	p.move(now, timeseries.FlowOffload, p.meter[Offload], fn, accepted, pageBytes, bytes)
+	p.move(now, timeseries.FlowOffload, p.meter[Offload], fn, accepted, bytes)
 	p.tel.LinkBytes(now, int(Offload), bytes, start, time.Duration(done-start))
 	return accepted, start, done, nil
 }
@@ -75,16 +75,16 @@ func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts Class
 // provenance releases the owner's holdings (freeing the resident copy on
 // last reference) and the tier surcharge for compressed/spilled fractions is
 // added to the stall.
-func (p *Pool) FaultBatchOwner(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) FaultStall {
+func (p *Pool) FaultBatchOwner(now simtime.Time, owner, fn string, counts ClassCounts) FaultStall {
 	n := counts.Total()
-	if n < 0 || pageBytes < 0 {
+	if n < 0 {
 		panic("rmem: negative fault batch")
 	}
 	tier := p.nodeRecall(owner, fn, counts)
 	if n == 0 {
 		return FaultStall{}
 	}
-	bytes := p.move(now, timeseries.FlowFault, p.meter[Recall], fn, counts, pageBytes, int64(n)*pageBytes)
+	bytes := p.move(now, timeseries.FlowFault, p.meter[Recall], fn, counts, int64(n)*pageBytes)
 	p.tel.LinkBytes(now, int(Recall), bytes, 0, 0)
 	return p.demandFetch(now, n, bytes, tier)
 }
@@ -94,7 +94,7 @@ func (p *Pool) FaultBatchOwner(now simtime.Time, owner, fn string, counts ClassC
 // completion time. The node's holdings are released; the tier latency is
 // absorbed by the bulk transfer (readahead pages ride the cluster read off
 // the request's critical path).
-func (p *Pool) RecallDescribed(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) simtime.Time {
+func (p *Pool) RecallDescribed(now simtime.Time, owner, fn string, counts ClassCounts) simtime.Time {
 	bytes := int64(counts.Total()) * pageBytes
 	if bytes < 0 {
 		panic(fmt.Sprintf("rmem: negative recall %d", bytes))
@@ -103,7 +103,7 @@ func (p *Pool) RecallDescribed(now simtime.Time, owner, fn string, counts ClassC
 	if bytes == 0 {
 		return now
 	}
-	bytes = p.move(now, timeseries.FlowRecall, p.meter[Recall], fn, counts, pageBytes, bytes)
+	bytes = p.move(now, timeseries.FlowRecall, p.meter[Recall], fn, counts, bytes)
 	start, done := p.reserve(now, bytes)
 	p.tel.LinkBytes(now, int(Recall), bytes, start, time.Duration(done-start))
 	return done
@@ -119,7 +119,7 @@ func (p *Pool) DiscardOwner(now simtime.Time, owner, fn string, bytes int64) {
 	if p.node != nil {
 		p.node.DiscardOwner(owner)
 	}
-	p.move(now, timeseries.FlowDiscard, nil, fn, ClassCounts{}, 0, bytes)
+	p.move(now, timeseries.FlowDiscard, nil, fn, ClassCounts{}, bytes)
 }
 
 // nodeRecall releases a described batch's holdings on the memory node and

@@ -8,52 +8,51 @@ import (
 	"github.com/faasmem/faasmem/internal/memnode"
 )
 
-const pageB = 4096
-
 // nodePool builds a pool backed by a memory node for described-path tests.
 func nodePool(node memnode.Config) *Pool {
 	return NewPool(Config{Node: &node})
 }
 
 func TestOffloadExactlyAtCapacity(t *testing.T) {
-	p := NewPool(Config{Capacity: 3 * pageB})
-	if _, err := pushBytes(p, 0, 2*pageB); err != nil {
+	p := NewPool(Config{Capacity: 3 * pageBytes})
+	if _, err := pushBytes(p, 0, 2*pageBytes); err != nil {
 		t.Fatal(err)
 	}
 	// The last page lands exactly on the boundary — must succeed.
-	if _, err := pushBytes(p, 0, pageB); err != nil {
+	if _, err := pushBytes(p, 0, pageBytes); err != nil {
 		t.Fatalf("offload to exact capacity rejected: %v", err)
 	}
-	if p.Used() != 3*pageB {
-		t.Fatalf("Used = %d, want full capacity %d", p.Used(), 3*pageB)
+	if p.Used() != 3*pageBytes {
+		t.Fatalf("Used = %d, want full capacity %d", p.Used(), 3*pageBytes)
 	}
-	// One more byte tips over.
-	if _, err := pushBytes(p, 0, 1); !errors.Is(err, ErrPoolFull) {
+	// One more page tips over.
+	if _, err := pushBytes(p, 0, pageBytes); !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}
-	if p.Used() != 3*pageB {
+	if p.Used() != 3*pageBytes {
 		t.Fatalf("failed offload changed Used to %d", p.Used())
 	}
 }
 
 func TestAcceptableBytesTruncatesAtFreeSpace(t *testing.T) {
-	// Backlog budget is huge; free capacity is the binding constraint.
-	p := NewPool(Config{Capacity: 10 * pageB, MaxBacklog: time.Hour})
-	pushBytes(p, 0, 9*pageB)
-	if got := p.AcceptableBytes(time.Hour); got != pageB {
-		t.Fatalf("budget = %d, want exact free space %d", got, pageB)
+	// An hour on, the backlog budget is a full second of link bandwidth;
+	// free capacity is the binding constraint.
+	p := NewPool(Config{Capacity: 10 * pageBytes})
+	pushBytes(p, 0, 9*pageBytes)
+	if got := p.AcceptableBytes(time.Hour); got != pageBytes {
+		t.Fatalf("budget = %d, want exact free space %d", got, pageBytes)
 	}
-	pushBytes(p, time.Hour, pageB)
+	pushBytes(p, time.Hour, pageBytes)
 	if got := p.AcceptableBytes(2 * time.Hour); got != 0 {
 		t.Fatalf("budget at full capacity = %d, want 0", got)
 	}
 }
 
 func TestOffloadDescribedNilNodeIsAllOrNothing(t *testing.T) {
-	p := NewPool(Config{Capacity: 4 * pageB})
+	p := NewPool(Config{Capacity: 4 * pageBytes})
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 5
-	acc, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
+	acc, _, _, err := p.OffloadDescribed(0, "c0", "f", counts)
 	if !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}
@@ -61,11 +60,11 @@ func TestOffloadDescribedNilNodeIsAllOrNothing(t *testing.T) {
 		t.Fatalf("failed offload accepted %d pages, used %d", acc.Total(), p.Used())
 	}
 	counts[memnode.ClassRuntime] = 4
-	acc, _, done, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
+	acc, _, done, err := p.OffloadDescribed(0, "c0", "f", counts)
 	if err != nil || acc != counts {
 		t.Fatalf("fitting offload = (%v, %v), want full acceptance", acc, err)
 	}
-	if done <= 0 || p.Used() != 4*pageB {
+	if done <= 0 || p.Used() != 4*pageBytes {
 		t.Fatalf("done = %v, used = %d", done, p.Used())
 	}
 }
@@ -74,13 +73,13 @@ func TestOffloadDescribedPartialWithNode(t *testing.T) {
 	// 8 pages of DRAM, a single page of spill, no compression: a 10-page
 	// private batch is truncated to 9.
 	p := nodePool(memnode.Config{
-		DRAMBytes:          8 * pageB,
-		SpillBytes:         pageB,
+		DRAMBytes:          8 * pageBytes,
+		SpillBytes:         pageBytes,
 		DisableCompression: true,
 	})
 	var counts ClassCounts
 	counts[memnode.ClassExec] = 10
-	acc, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB)
+	acc, _, _, err := p.OffloadDescribed(0, "c0", "f", counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +87,8 @@ func TestOffloadDescribedPartialWithNode(t *testing.T) {
 		t.Fatalf("accepted = %d pages, want 9", acc[memnode.ClassExec])
 	}
 	// The pool's byte ledger tracks what the compute side actually moved.
-	if p.Used() != 9*pageB {
-		t.Fatalf("Used = %d, want %d", p.Used(), 9*pageB)
+	if p.Used() != 9*pageBytes {
+		t.Fatalf("Used = %d, want %d", p.Used(), 9*pageBytes)
 	}
 	if st := p.Node().Stats(); st.FullRejectPages != 1 {
 		t.Fatalf("FullRejectPages = %d, want 1", st.FullRejectPages)
@@ -100,26 +99,26 @@ func TestOffloadDescribedDedupAdmitsBeyondDRAM(t *testing.T) {
 	// 8 pages of DRAM, dedup on: two containers of the same function can
 	// both park 8 init pages — the second batch shares the resident copy.
 	p := nodePool(memnode.Config{
-		DRAMBytes:          8 * pageB,
-		SpillBytes:         pageB, // bounded, so rejection is possible
+		DRAMBytes:          8 * pageBytes,
+		SpillBytes:         pageBytes, // bounded, so rejection is possible
 		DisableCompression: true,
 	})
 	var counts ClassCounts
 	counts[memnode.ClassInit] = 8
 	for _, owner := range []string{"c0", "c1"} {
-		acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB)
+		acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts)
 		if err != nil || acc != counts {
 			t.Fatalf("owner %s: accepted %v (err %v), want full batch", owner, acc, err)
 		}
 	}
 	// Both batches crossed the wire and are logically held...
-	if p.Used() != 16*pageB {
-		t.Fatalf("Used = %d, want %d", p.Used(), 16*pageB)
+	if p.Used() != 16*pageBytes {
+		t.Fatalf("Used = %d, want %d", p.Used(), 16*pageBytes)
 	}
 	st := p.Node().Stats()
-	if st.LogicalBytes != 16*pageB || st.ResidentBytes != 8*pageB {
+	if st.LogicalBytes != 16*pageBytes || st.ResidentBytes != 8*pageBytes {
 		t.Fatalf("logical/resident = %d/%d, want %d/%d",
-			st.LogicalBytes, st.ResidentBytes, 16*pageB, 8*pageB)
+			st.LogicalBytes, st.ResidentBytes, 16*pageBytes, 8*pageBytes)
 	}
 	if st.DedupHitPages != 8 {
 		t.Fatalf("DedupHitPages = %d, want 8", st.DedupHitPages)
@@ -130,37 +129,36 @@ func TestAcceptableBytesConsultsNode(t *testing.T) {
 	// Without a node this config is an unlimited pool; with one, admission
 	// stops at the node's free space.
 	p := nodePool(memnode.Config{
-		DRAMBytes:          4 * pageB,
-		SpillBytes:         pageB,
+		DRAMBytes:          4 * pageBytes,
+		SpillBytes:         pageBytes,
 		DisableCompression: true,
 	})
-	if got := p.AcceptableBytes(time.Hour); got != 5*pageB {
-		t.Fatalf("idle budget = %d, want node free space %d", got, 5*pageB)
+	if got := p.AcceptableBytes(time.Hour); got != 5*pageBytes {
+		t.Fatalf("idle budget = %d, want node free space %d", got, 5*pageBytes)
 	}
 	var counts ClassCounts
 	counts[memnode.ClassExec] = 4
-	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.AcceptableBytes(time.Hour); got != pageB {
-		t.Fatalf("budget = %d, want remaining node space %d", got, pageB)
+	if got := p.AcceptableBytes(time.Hour); got != pageBytes {
+		t.Fatalf("budget = %d, want remaining node space %d", got, pageBytes)
 	}
 }
 
 func TestFaultBatchOwnerAddsTierSurcharge(t *testing.T) {
-	spillLat := 80 * time.Microsecond
+	const spillLat = 80 * time.Microsecond // memnode's per-page spill read
 	p := nodePool(memnode.Config{
-		DRAMBytes:          4 * pageB,
-		SpillBytes:         64 * pageB,
+		DRAMBytes:          4 * pageBytes,
+		SpillBytes:         64 * pageBytes,
 		DisableCompression: true,
-		SpillLatency:       spillLat,
 	})
 	var counts ClassCounts
 	counts[memnode.ClassExec] = 10 // 4 hot + 6 spilled
-	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts); err != nil {
 		t.Fatal(err)
 	}
-	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts, pageB)
+	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts)
 	if stall.Tier <= 0 {
 		t.Fatalf("tier surcharge = %v, want > 0 for spilled pages", stall.Tier)
 	}
@@ -180,24 +178,24 @@ func TestFaultBatchOwnerAddsTierSurcharge(t *testing.T) {
 
 func TestFaultBatchOwnerNilNodeHasNoTier(t *testing.T) {
 	p := NewPool(Config{})
-	pushBytes(p, 0, 10*pageB)
+	pushBytes(p, 0, 10*pageBytes)
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 10
-	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts, pageB)
+	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts)
 	if stall.Tier != 0 {
 		t.Fatalf("nil-node tier = %v, want 0", stall.Tier)
 	}
 }
 
 func TestDiscardOwnerReleasesNodeAndLedger(t *testing.T) {
-	p := nodePool(memnode.Config{DRAMBytes: 64 * pageB, DisableCompression: true})
+	p := nodePool(memnode.Config{DRAMBytes: 64 * pageBytes, DisableCompression: true})
 	var counts ClassCounts
 	counts[memnode.ClassInit] = 4
 	counts[memnode.ClassExec] = 3
-	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts); err != nil {
 		t.Fatal(err)
 	}
-	p.DiscardOwner(0, "c0", "f", int64(counts.Total())*pageB)
+	p.DiscardOwner(0, "c0", "f", int64(counts.Total())*pageBytes)
 	if p.Used() != 0 {
 		t.Fatalf("Used after discard = %d, want 0", p.Used())
 	}

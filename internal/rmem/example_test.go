@@ -20,13 +20,13 @@ func runtimePages(n int) rmem.ClassCounts {
 func Example() {
 	pool := rmem.NewPool(rmem.Config{})
 	// 100 MiB page-out of 4 KiB pages.
-	_, _, done, err := pool.OffloadDescribed(0, "c0", "fn", runtimePages(100<<20/4096), 4096)
+	_, _, done, err := pool.OffloadDescribed(0, "c0", "fn", runtimePages(100<<20/4096))
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("offload wire time: ~%dms\n", done.Milliseconds())
 	// One 4 KiB demand fault.
-	lat := pool.FaultBatchOwner(time.Second, "c0", "fn", runtimePages(1), 4096).Total
+	lat := pool.FaultBatchOwner(time.Second, "c0", "fn", runtimePages(1)).Total
 	fmt.Printf("single fault: %dus\n", lat.Microseconds())
 	// Output:
 	// offload wire time: ~14ms
@@ -37,7 +37,7 @@ func Example() {
 // write bandwidth makes even a small offload take minutes.
 func ExampleSSDConfig() {
 	ssd := rmem.NewPool(rmem.SSDConfig())
-	_, _, done, _ := ssd.OffloadDescribed(0, "c0", "fn", runtimePages(100<<20/4096), 4096)
+	_, _, done, _ := ssd.OffloadDescribed(0, "c0", "fn", runtimePages(100<<20/4096))
 	fmt.Printf("100 MiB to SSD: ~%.0fs\n", done.Seconds())
 	// Output:
 	// 100 MiB to SSD: ~105s

@@ -61,32 +61,32 @@ func (p *Pool) noteHealth(now simtime.Time) {
 
 // FetchRetry is FaultBatchOwner behind the recovery state machine: when the
 // remote path is unhealthy it retries with exponential backoff (starting at
-// RetryBackoff, doubling, at most RetryMax attempts) until the plan shows
+// retryBackoff, doubling, at most retryMax attempts) until the plan shows
 // the path healthy again, then performs the fetch. The backoff wait is added
 // to the returned stall. It gives up with ErrFetchTimeout once the next
 // backoff would exceed timeout (0 = no per-call timeout) or the attempt
 // budget is spent; the caller then falls back to local swap or cold re-init
 // and no pool state has been touched.
-func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64, timeout time.Duration) (FaultStall, error) {
+func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts, timeout time.Duration) (FaultStall, error) {
 	if p.flt == nil {
-		return p.FaultBatchOwner(now, owner, fn, counts, pageBytes), nil
+		return p.FaultBatchOwner(now, owner, fn, counts), nil
 	}
 	p.noteHealth(now)
 	var waited time.Duration
-	backoff := p.cfg.RetryBackoff
+	backoff := retryBackoff
 	retries := 0
 	for {
 		if !p.flt.Unhealthy(now + simtime.Time(waited)) {
 			// Path (back) up: fetch now. All mutation happens at the real
 			// current time; only the plan was probed at future instants.
-			stall := p.FaultBatchOwner(now, owner, fn, counts, pageBytes)
+			stall := p.FaultBatchOwner(now, owner, fn, counts)
 			stall.Backoff = waited
 			stall.Retries = retries
 			stall.Total += waited
 			return stall, nil
 		}
 		retries++
-		if retries > p.cfg.RetryMax || (timeout > 0 && waited+backoff > timeout) {
+		if retries > retryMax || (timeout > 0 && waited+backoff > timeout) {
 			p.tel.FetchTimeout(now, waited, owner, fn, counts.Total())
 			err := ErrPoolDown
 			if !p.flt.PoolDown(now + simtime.Time(waited)) {
@@ -106,7 +106,7 @@ func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts
 // after a fetch timeout), so the bytes leave the pool ledger but no transfer
 // or fault latency is modeled here. The release lands in the flow ledger as
 // a fallback flow stamped at now.
-func (p *Pool) RecallLocal(now simtime.Time, owner, fn string, counts ClassCounts, pageBytes int64) {
+func (p *Pool) RecallLocal(now simtime.Time, owner, fn string, counts ClassCounts) {
 	p.nodeRecall(owner, fn, counts)
-	p.move(now, timeseries.FlowFallback, nil, fn, counts, pageBytes, int64(counts.Total())*pageBytes)
+	p.move(now, timeseries.FlowFallback, nil, fn, counts, int64(counts.Total())*pageBytes)
 }

@@ -50,7 +50,7 @@ func TestTypedFaultErrors(t *testing.T) {
 			}
 			var counts ClassCounts
 			counts[memnode.ClassRuntime] = 1
-			_, ferr := tc.pool.FetchRetry(tc.at, "o", "f", counts, 4096, time.Millisecond)
+			_, ferr := tc.pool.FetchRetry(tc.at, "o", "f", counts, time.Millisecond)
 			if tc.want == nil && ferr != nil {
 				t.Fatalf("FetchRetry on healthy path errored: %v", ferr)
 			}
@@ -72,7 +72,7 @@ func TestFullPoolStaysErrPoolFull(t *testing.T) {
 	if _, err := pushBytes(p, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	_, err := pushBytes(p, 0, 1)
+	_, err := pushBytes(p, 0, 4096)
 	if !errors.Is(err, ErrPoolFull) || errors.Is(err, ErrLinkDown) {
 		t.Fatalf("full-pool err = %v, want pure ErrPoolFull", err)
 	}
@@ -87,13 +87,11 @@ func TestFetchRetrySucceedsAfterFlap(t *testing.T) {
 		Faults: planWith(faultinject.Window{
 			Kind: faultinject.LinkFlap, Start: sec(1), End: sec(1) + simtime.Time(50*time.Millisecond),
 		}),
-		RetryBackoff: 20 * time.Millisecond,
-		RetryMax:     6,
 	})
 	if _, err := pushBytes(p, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 4096, 0)
+	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 0)
 	if err != nil {
 		t.Fatalf("FetchRetry: %v", err)
 	}
@@ -121,32 +119,32 @@ func TestFetchRetryTimesOutAndLeavesLedger(t *testing.T) {
 		Faults: planWith(faultinject.Window{
 			Kind: faultinject.PoolCrash, Start: sec(1), End: sec(3600),
 		}),
-		RetryBackoff: 10 * time.Millisecond,
 	})
 	if _, err := pushBytes(p, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 4096, 25*time.Millisecond)
+	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 25*time.Millisecond)
 	if !errors.Is(err, ErrFetchTimeout) {
 		t.Fatalf("err = %v, want ErrFetchTimeout", err)
 	}
 	if !errors.Is(err, ErrPoolDown) {
 		t.Fatalf("err = %v, want the ErrPoolDown cause wrapped", err)
 	}
-	// 10ms fits the 25ms budget, the next 20ms step would not: one retry.
-	if stall.Backoff != 10*time.Millisecond {
-		t.Errorf("Backoff = %v, want 10ms", stall.Backoff)
+	// The first 20ms backoff fits the 25ms budget, the next 40ms step
+	// would not: one retry.
+	if stall.Backoff != retryBackoff {
+		t.Errorf("Backoff = %v, want %v", stall.Backoff, retryBackoff)
 	}
 	if p.Used() != 4096 {
 		t.Errorf("failed fetch mutated ledger: used = %d, want 4096", p.Used())
 	}
 	// Without a timeout the attempt budget (default 6 doublings) gives up.
-	stall, err = p.FetchRetry(sec(1), "o", "f", onePageFault(), 4096, 0)
+	stall, err = p.FetchRetry(sec(1), "o", "f", onePageFault(), 0)
 	if !errors.Is(err, ErrFetchTimeout) {
 		t.Fatalf("budget-exhausted err = %v, want ErrFetchTimeout", err)
 	}
 	if stall.Retries != 7 {
-		t.Errorf("Retries = %d, want RetryMax+1 = 7", stall.Retries)
+		t.Errorf("Retries = %d, want retryMax+1 = 7", stall.Retries)
 	}
 }
 

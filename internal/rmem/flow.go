@@ -17,15 +17,15 @@ import (
 //
 // Attribution travels as arguments: the entry point knows the batch's
 // tenant (fn) and per-class page counts and passes them down, so each flow
-// lands under node "pool", the tenant and, when pageBytes is known, the page
-// class.
+// lands under node "pool", the tenant and, when the pages are known, the
+// page class.
 
 // move applies one pool byte movement of kind at now and returns the bytes
 // applied: an outflow is clamped to the bytes the pool holds, occupancy
 // moves by kind's direction, meter (nil when nothing crosses the wire)
 // records the bytes, the pool gauge is refreshed and the flow is recorded
 // under fn's provenance (see recordFlow).
-func (p *Pool) move(now simtime.Time, kind timeseries.FlowKind, meter *Meter, fn string, counts ClassCounts, pageBytes, bytes int64) int64 {
+func (p *Pool) move(now simtime.Time, kind timeseries.FlowKind, meter *Meter, fn string, counts ClassCounts, bytes int64) int64 {
 	dir := int64(kind.Direction())
 	if dir < 0 && bytes > p.used {
 		bytes = p.used
@@ -35,23 +35,23 @@ func (p *Pool) move(now simtime.Time, kind timeseries.FlowKind, meter *Meter, fn
 		meter.Record(now, bytes)
 	}
 	p.tel.PoolUsed(p.used)
-	p.recordFlow(now, kind, fn, counts, pageBytes, bytes)
+	p.recordFlow(now, kind, fn, counts, bytes)
 	return bytes
 }
 
 // recordFlow accumulates bytes of flow kind at now into the ledger and
 // checkpoints the pool's occupancy. bytes must be exactly what the caller
 // applied to p.used (after clamping); the conservation audit holds the two
-// to account. With pageBytes > 0 the bytes are split per page class by
-// counts under tenant fn, capped so the recorded total equals bytes even
-// when the caller clamped the batch; with pageBytes == 0 (DiscardOwner knows
-// bytes, not pages) they are attributed to fn alone.
-func (p *Pool) recordFlow(now simtime.Time, kind timeseries.FlowKind, fn string, counts ClassCounts, pageBytes, bytes int64) {
+// to account. The bytes are split per page class by counts under tenant fn,
+// capped so the recorded total equals bytes even when the caller clamped the
+// batch; with no counts (DiscardOwner knows bytes, not pages) they are
+// attributed to fn alone.
+func (p *Pool) recordFlow(now simtime.Time, kind timeseries.FlowKind, fn string, counts ClassCounts, bytes int64) {
 	tl := p.tel.Timeline
 	if tl == nil {
 		return
 	}
-	if pageBytes <= 0 {
+	if counts == (ClassCounts{}) {
 		tl.AddFlow(now, kind, timeseries.Dims{Node: "pool", Tenant: fn}, bytes)
 	} else {
 		rem := bytes
@@ -87,9 +87,9 @@ func (p *Pool) tierFlowsBefore() (comp, spill, merged int64) {
 // onto a widened merge master) inside the pool without changing occupancy.
 // They are attributed to the tenant whose batch triggered the movement (the
 // evicted pages themselves may belong to anyone).
-func (p *Pool) recordTierFlows(now simtime.Time, fn string, compBefore, spillBefore, mergedBefore, pageBytes int64) {
+func (p *Pool) recordTierFlows(now simtime.Time, fn string, compBefore, spillBefore, mergedBefore int64) {
 	tl := p.tel.Timeline
-	if tl == nil || p.node == nil || pageBytes <= 0 {
+	if tl == nil || p.node == nil {
 		return
 	}
 	if d := p.node.CompressedPages() - compBefore; d > 0 {

@@ -36,7 +36,6 @@ func FuzzPoolLedger(f *testing.F) {
 	f.Add([]byte("10000000000070000"))
 	f.Add([]byte("\x01\x00\x06\x04\x04\x20\x00\x00\x05\x04\x20\x00\x06\x04\x04\x10\x00\x07\x05\x04\x10\x00\x04\x04\x00\x00\x00"))
 
-	const pageBytes = 4096
 	owners := []string{"a1#1", "a1#2", "a2#1", "b1#1", "c1#1"}
 	fnOf := func(owner string) string { return owner[:strings.IndexByte(owner, '#')] }
 	classes := []memnode.Class{memnode.ClassRuntime, memnode.ClassInit, memnode.ClassExec, memnode.ClassShared}
@@ -84,28 +83,28 @@ func FuzzPoolLedger(f *testing.F) {
 			switch ops[0] % 8 {
 			case 0:
 				op = "offload"
-				p.OffloadDescribed(now, owner, fn, counts, pageBytes)
+				p.OffloadDescribed(now, owner, fn, counts)
 			case 1:
 				op = "fault"
-				p.FaultBatchOwner(now, owner, fn, counts, pageBytes)
+				p.FaultBatchOwner(now, owner, fn, counts)
 			case 2:
 				op = "recall"
-				p.RecallDescribed(now, owner, fn, counts, pageBytes)
+				p.RecallDescribed(now, owner, fn, counts)
 			case 3:
 				op = "discard"
 				p.DiscardOwner(now, owner, fn, int64(pages)*pageBytes)
 			case 4:
 				op = "recall-local"
-				p.RecallLocal(now, owner, fn, counts, pageBytes)
+				p.RecallLocal(now, owner, fn, counts)
 			case 5:
 				op = "fetch-retry"
-				p.FetchRetry(now, owner, fn, counts, pageBytes, 200*time.Millisecond)
+				p.FetchRetry(now, owner, fn, counts, 200*time.Millisecond)
 			case 6:
 				op = "share-read"
-				p.ShareRead(now, owner, fn, pages, pageBytes)
+				p.ShareRead(now, owner, fn, pages)
 			case 7:
 				op = "write-break"
-				p.WriteBreakOwner(now, owner, fn, class, pages, pageBytes)
+				p.WriteBreakOwner(now, owner, fn, class, pages)
 			}
 
 			var net int64

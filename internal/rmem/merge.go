@@ -37,8 +37,8 @@ type BreakOutcome struct {
 // nothing to unmerge and the call is free. Returns an error while the remote
 // path is down (fault plans); the caller treats the write as locally
 // buffered and retries on a later request.
-func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode.Class, pages int, pageBytes int64) (BreakOutcome, error) {
-	if pages < 0 || pageBytes < 0 {
+func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode.Class, pages int) (BreakOutcome, error) {
+	if pages < 0 {
 		panic("rmem: negative write break")
 	}
 	if pages == 0 || p.node == nil {
@@ -61,9 +61,9 @@ func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode
 	p.meter[Recall].Record(now, fetch)
 	var dirtied ClassCounts
 	dirtied[class] = broke
-	p.recordFlow(now, timeseries.FlowUnmerge, fn, dirtied, pageBytes, fetch)
+	p.recordFlow(now, timeseries.FlowUnmerge, fn, dirtied, fetch)
 	if out := min(int64(res.Recalled)*pageBytes, p.used); out > 0 {
-		p.move(now, timeseries.FlowFault, nil, fn, ClassCounts{}, 0, out)
+		p.move(now, timeseries.FlowFault, nil, fn, ClassCounts{}, out)
 	}
 	stall := p.demandFetch(now, broke, fetch, res.Latency)
 

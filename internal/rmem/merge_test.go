@@ -26,7 +26,7 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 100
 	for _, owner := range []string{"c0", "c1"} {
-		if acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB); err != nil || acc != counts {
+		if acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts); err != nil || acc != counts {
 			t.Fatalf("owner %s: accepted %v (err %v), want full batch", owner, acc, err)
 		}
 	}
@@ -37,7 +37,7 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 	usedBefore := p.Used()
 	recallBefore := p.Meter(Recall).Total()
 	offloadBefore := p.Meter(Offload).Total()
-	out, err := p.WriteBreakOwner(sec(1), "c0", "f", memnode.ClassRuntime, 30, pageB)
+	out, err := p.WriteBreakOwner(sec(1), "c0", "f", memnode.ClassRuntime, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,17 +50,17 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 	if p.Used() != usedBefore {
 		t.Fatalf("ledger moved %d -> %d on a privatizing break", usedBefore, p.Used())
 	}
-	if got := p.Meter(Recall).Total() - recallBefore; got != 30*pageB {
-		t.Fatalf("fetch traffic = %d, want %d", got, 30*pageB)
+	if got := p.Meter(Recall).Total() - recallBefore; got != 30*pageBytes {
+		t.Fatalf("fetch traffic = %d, want %d", got, 30*pageBytes)
 	}
-	if got := p.Meter(Offload).Total() - offloadBefore; got != 30*pageB {
-		t.Fatalf("writeback traffic = %d, want %d", got, 30*pageB)
+	if got := p.Meter(Offload).Total() - offloadBefore; got != 30*pageBytes {
+		t.Fatalf("writeback traffic = %d, want %d", got, 30*pageBytes)
 	}
 	// The unmerge is its own flow kind, and conservation still closes: the
 	// fetch is direction-0 (occupancy unchanged), the writeback is the node's
 	// internal re-homing, not new pool bytes.
-	if tot := tl.FlowTotals(); tot[timeseries.FlowUnmerge] != 30*pageB {
-		t.Fatalf("FlowUnmerge total = %d, want %d", tot[timeseries.FlowUnmerge], 30*pageB)
+	if tot := tl.FlowTotals(); tot[timeseries.FlowUnmerge] != 30*pageBytes {
+		t.Fatalf("FlowUnmerge total = %d, want %d", tot[timeseries.FlowUnmerge], 30*pageBytes)
 	}
 	if a := timeseries.AuditFlows(tl); !a.OK || a.Checks == 0 {
 		t.Fatalf("flow audit = %+v", a)
@@ -68,11 +68,11 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 
 	// A second break of everything clamps to the 70 still shared; breaking a
 	// privately-held class is not an unmerge and is free.
-	out, err = p.WriteBreakOwner(sec(2), "c0", "f", memnode.ClassRuntime, 200, pageB)
+	out, err = p.WriteBreakOwner(sec(2), "c0", "f", memnode.ClassRuntime, 200)
 	if err != nil || out.Pages != 70 {
 		t.Fatalf("clamped break = %+v (err %v), want 70 pages", out, err)
 	}
-	out, err = p.WriteBreakOwner(sec(3), "c0", "f", memnode.ClassRuntime, 10, pageB)
+	out, err = p.WriteBreakOwner(sec(3), "c0", "f", memnode.ClassRuntime, 10)
 	if err != nil || out.Pages != 0 || out.Recalled != 0 || out.Stall.Total != 0 {
 		t.Fatalf("break of private pages = %+v (err %v), want free no-op", out, err)
 	}
@@ -84,8 +84,8 @@ func TestWriteBreakOwnerPrivatizes(t *testing.T) {
 // folds them back into local memory, and the pool gauge follows the ledger.
 func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 	p := nodePool(memnode.Config{
-		DRAMBytes:          8 * pageB,
-		SpillBytes:         2 * pageB,
+		DRAMBytes:          8 * pageBytes,
+		SpillBytes:         2 * pageBytes,
 		DisableCompression: true,
 	})
 	tl := timeseries.NewRecorder(timeseries.Config{})
@@ -95,12 +95,12 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 8
 	for _, owner := range []string{"c0", "c1"} {
-		if acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts, pageB); err != nil || acc != counts {
+		if acc, _, _, err := p.OffloadDescribed(0, owner, "f", counts); err != nil || acc != counts {
 			t.Fatalf("owner %s: accepted %v (err %v), want full batch", owner, acc, err)
 		}
 	}
 
-	out, err := p.WriteBreakOwner(sec(1), "c0", "f", memnode.ClassRuntime, 4, pageB)
+	out, err := p.WriteBreakOwner(sec(1), "c0", "f", memnode.ClassRuntime, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 		t.Fatalf("break = %+v, want 2 privatized + 2 recalled", out)
 	}
 	// 16 pages were held; the 2 recalled left the pool.
-	if got, want := p.Used(), int64(14*pageB); got != want {
+	if got, want := p.Used(), int64(14*pageBytes); got != want {
 		t.Fatalf("ledger = %d, want %d", got, want)
 	}
 	if got, want := p.Used(), p.Node().Stats().LogicalBytes; got != want {
@@ -117,8 +117,8 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 	if got := reg.Get("faasmem_pool_used_bytes").Value(); got != p.Used() {
 		t.Fatalf("faasmem_pool_used_bytes = %d, want the ledger's %d", got, p.Used())
 	}
-	if tot := tl.FlowTotals(); tot[timeseries.FlowFault] != 2*pageB {
-		t.Fatalf("FlowFault total = %d, want recalled bytes %d", tot[timeseries.FlowFault], 2*pageB)
+	if tot := tl.FlowTotals(); tot[timeseries.FlowFault] != 2*pageBytes {
+		t.Fatalf("FlowFault total = %d, want recalled bytes %d", tot[timeseries.FlowFault], 2*pageBytes)
 	}
 	if a := timeseries.AuditFlows(tl); !a.OK {
 		t.Fatalf("flow audit = %+v", a)
@@ -133,7 +133,7 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 // surfaces so the caller buffers the write locally.
 func TestWriteBreakOwnerNilNodeAndOutage(t *testing.T) {
 	plain := NewPool(Config{})
-	out, err := plain.WriteBreakOwner(0, "c0", "f", memnode.ClassRuntime, 10, pageB)
+	out, err := plain.WriteBreakOwner(0, "c0", "f", memnode.ClassRuntime, 10)
 	if err != nil || out.Pages != 0 || out.Recalled != 0 || out.Stall.Total != 0 {
 		t.Fatalf("nil-node break = %+v (err %v), want free no-op", out, err)
 	}
@@ -149,17 +149,17 @@ func TestWriteBreakOwnerNilNodeAndOutage(t *testing.T) {
 	})
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 10
-	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts, pageB); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.WriteBreakOwner(sec(15), "c0", "f", memnode.ClassRuntime, 5, pageB); !errors.Is(err, ErrLinkDown) {
+	if _, err := p.WriteBreakOwner(sec(15), "c0", "f", memnode.ClassRuntime, 5); !errors.Is(err, ErrLinkDown) {
 		t.Fatalf("mid-flap break err = %v, want ErrLinkDown", err)
 	}
 	// Holdings untouched by the failed break; after the window it lands.
 	if got := p.OwnerClassPages("c0", "f", memnode.ClassRuntime); got != 10 {
 		t.Fatalf("failed break moved holdings: %d, want 10", got)
 	}
-	if out, err := p.WriteBreakOwner(sec(25), "c0", "f", memnode.ClassRuntime, 5, pageB); err != nil || out.Pages != 5 {
+	if out, err := p.WriteBreakOwner(sec(25), "c0", "f", memnode.ClassRuntime, 5); err != nil || out.Pages != 5 {
 		t.Fatalf("post-flap break = %+v (err %v), want 5 pages", out, err)
 	}
 }

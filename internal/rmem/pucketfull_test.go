@@ -57,11 +57,11 @@ func drainProfile() *workload.Profile {
 
 func TestErrPoolFullDirect(t *testing.T) {
 	p := rmem.NewPool(rmem.Config{Capacity: 4096})
-	if _, _, _, err := p.OffloadDescribed(0, "c0", "fn", runtimePages(1), 4096); err != nil {
+	if _, _, _, err := p.OffloadDescribed(0, "c0", "fn", runtimePages(1)); err != nil {
 		t.Fatal(err)
 	}
 	// One more byte tips over.
-	_, _, _, err := p.OffloadDescribed(0, "c0", "fn", runtimePages(1), 1)
+	_, _, _, err := p.OffloadDescribed(0, "c0", "fn", runtimePages(1))
 	if !errors.Is(err, rmem.ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
 )
@@ -47,12 +48,6 @@ type Config struct {
 	// sustains (Fastswap issues asynchronous RDMA reads). Batched faults pay
 	// FaultLatency once per pipeline-full of pages. Default 4.
 	FaultPipeline int
-	// MaxBacklog bounds how much transfer work may be queued on the link:
-	// an offload is truncated once completing it would push the link's
-	// backlog past this horizon. This is what makes a slow pool (the §9 SSD
-	// with ~1 MB/s durability-limited writes) genuinely unable to absorb
-	// offload traffic. Default 1 s.
-	MaxBacklog time.Duration
 	// Node optionally attaches a simulated pool-side memory node (dedup,
 	// compression and spill tiers, tenant quotas). When set, capacity
 	// admission consults the node's effective post-dedup/post-compression
@@ -66,50 +61,42 @@ type Config struct {
 	// empty plan is dropped at construction, keeping the fault-free path
 	// bit-identical to a pool built without this field.
 	Faults *faultinject.Plan
-	// RetryMax bounds FetchRetry's backoff attempts. Default 6.
-	RetryMax int
-	// RetryBackoff is FetchRetry's initial backoff, doubling per attempt.
-	// Default 20 ms.
-	RetryBackoff time.Duration
 }
 
-// DefaultConfig returns the 2-node CloudLab-like setup used by the paper:
-// 56 Gbps link, ~15 µs end-to-end page fault, 64 GiB pool.
-func DefaultConfig() Config {
-	return Config{
-		Capacity:         64 << 30,
-		Bandwidth:        56_000_000_000 / 8, // 56 Gbps in bytes/s
-		FaultLatency:     15 * time.Microsecond,
-		SaturationFactor: 4,
-		SaturationPoint:  0.8,
-	}
-}
+// The pool's fixed parameters.
+const (
+	// pageBytes is the size of every page the pool moves.
+	pageBytes = pagemem.DefaultPageSize
+	// maxBacklog bounds how much transfer work may be queued on the link:
+	// an offload is truncated once completing it would push the link's
+	// backlog past this horizon. This is what makes a slow pool (the §9 SSD
+	// with ~1 MB/s durability-limited writes) genuinely unable to absorb
+	// offload traffic.
+	maxBacklog = time.Second
+	// retryMax bounds FetchRetry's backoff attempts.
+	retryMax = 6
+	// retryBackoff is FetchRetry's initial backoff, doubling per attempt.
+	retryBackoff = 20 * time.Millisecond
+)
 
+// withDefaults fills zero fields with the paper's 2-node CloudLab-like
+// setup: a 56 Gbps link and a ~15 µs end-to-end page fault. Capacity stays
+// as given, so a zero Config is an unlimited pool.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.Bandwidth <= 0 {
-		c.Bandwidth = d.Bandwidth
+		c.Bandwidth = 56_000_000_000 / 8 // 56 Gbps in bytes/s
 	}
 	if c.FaultLatency <= 0 {
-		c.FaultLatency = d.FaultLatency
+		c.FaultLatency = 15 * time.Microsecond
 	}
 	if c.SaturationPoint <= 0 || c.SaturationPoint > 1 {
-		c.SaturationPoint = d.SaturationPoint
+		c.SaturationPoint = 0.8
 	}
 	if c.SaturationFactor <= 0 {
-		c.SaturationFactor = d.SaturationFactor
+		c.SaturationFactor = 4
 	}
 	if c.FaultPipeline <= 0 {
 		c.FaultPipeline = 4
-	}
-	if c.MaxBacklog <= 0 {
-		c.MaxBacklog = time.Second
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 6
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 20 * time.Millisecond
 	}
 	return c
 }
@@ -254,7 +241,7 @@ func (p *Pool) BacklogBytes(now simtime.Time) int64 {
 }
 
 // AcceptableBytes reports how many bytes the link can accept for offload at
-// time now before its queued backlog exceeds MaxBacklog, additionally capped
+// time now before its queued backlog exceeds maxBacklog, additionally capped
 // by remaining pool capacity. Offloaders should truncate their batches to
 // this budget.
 func (p *Pool) AcceptableBytes(now simtime.Time) int64 {
@@ -266,7 +253,7 @@ func (p *Pool) AcceptableBytes(now simtime.Time) int64 {
 			return 0
 		}
 	}
-	slack := p.cfg.MaxBacklog
+	slack := maxBacklog
 	if p.busyUntil > now {
 		slack -= p.busyUntil - now
 	}

@@ -10,28 +10,29 @@ import (
 )
 
 // The node-less tests below drive byte-exact movements through the
-// described calls: bytes travel as that many one-byte ClassOther pages.
+// described calls: bytes, a whole number of pages, travel as ClassOther
+// pages.
 
-func bytePages(n int64) ClassCounts {
+func bytePages(bytes int64) ClassCounts {
 	var c ClassCounts
-	c[memnode.ClassOther] = int(n)
+	c[memnode.ClassOther] = int(bytes / pageBytes)
 	return c
 }
 
 // pushBytes offloads bytes and returns the transfer's completion time.
 func pushBytes(p *Pool, now simtime.Time, bytes int64) (simtime.Time, error) {
-	_, _, done, err := p.OffloadDescribed(now, "c", "f", bytePages(bytes), 1)
+	_, _, done, err := p.OffloadDescribed(now, "c", "f", bytePages(bytes))
 	return done, err
 }
 
 // pullBytes recalls bytes in bulk and returns the completion time.
 func pullBytes(p *Pool, now simtime.Time, bytes int64) simtime.Time {
-	return p.RecallDescribed(now, "c", "f", bytePages(bytes), 1)
+	return p.RecallDescribed(now, "c", "f", bytePages(bytes))
 }
 
-// faultLat returns the latency n demand faults of pageBytes each add.
-func faultLat(p *Pool, now simtime.Time, n int, pageBytes int64) time.Duration {
-	return p.FaultBatchOwner(now, "c", "f", bytePages(int64(n)), pageBytes).Total
+// faultLat returns the latency n demand faults add.
+func faultLat(p *Pool, now simtime.Time, n int) time.Duration {
+	return p.FaultBatchOwner(now, "c", "f", bytePages(int64(n)*pageBytes)).Total
 }
 
 func TestDefaultsApplied(t *testing.T) {
@@ -75,7 +76,7 @@ func TestOffloadRespectsCapacity(t *testing.T) {
 	if _, err := pushBytes(p, 0, 8192); err != nil {
 		t.Fatal(err)
 	}
-	_, err := pushBytes(p, 0, 1)
+	_, err := pushBytes(p, 0, pageBytes)
 	if !errors.Is(err, ErrPoolFull) {
 		t.Fatalf("err = %v, want ErrPoolFull", err)
 	}
@@ -112,13 +113,13 @@ func TestTransfersSerializeOnLink(t *testing.T) {
 
 func TestRecallReturnsBytes(t *testing.T) {
 	p := NewPool(Config{})
-	pushBytes(p, 0, 10000)
-	done := pullBytes(p, time.Second, 4000)
+	pushBytes(p, 0, 10*pageBytes)
+	done := pullBytes(p, time.Second, 4*pageBytes)
 	if done < time.Second {
 		t.Errorf("recall completes at %v, before request", done)
 	}
-	if p.Used() != 6000 {
-		t.Errorf("Used after recall = %d, want 6000", p.Used())
+	if p.Used() != 6*pageBytes {
+		t.Errorf("Used after recall = %d, want %d", p.Used(), 6*pageBytes)
 	}
 	// Recalling more than stored clamps.
 	pullBytes(p, 2*time.Second, 1<<30)
@@ -130,7 +131,7 @@ func TestRecallReturnsBytes(t *testing.T) {
 func TestFaultLatencyBase(t *testing.T) {
 	p := NewPool(Config{FaultLatency: 6 * time.Microsecond})
 	pushBytes(p, 0, 4096)
-	lat := faultLat(p, time.Hour, 1, 4096) // long after, link idle
+	lat := faultLat(p, time.Hour, 1) // long after, link idle
 	if lat < 6*time.Microsecond {
 		t.Errorf("fault latency %v < base fetch latency", lat)
 	}
@@ -145,14 +146,14 @@ func TestFaultLatencyBase(t *testing.T) {
 func TestFaultLatencyGrowsWhenSaturated(t *testing.T) {
 	p := NewPool(Config{Bandwidth: 1 << 20, FaultLatency: 6 * time.Microsecond})
 	pushBytes(p, 0, 100<<20) // keep pool stocked
-	idle := faultLat(p, time.Hour, 1, 4096)
+	idle := faultLat(p, time.Hour, 1)
 
 	// Saturate: record sustained traffic near bandwidth.
 	now := 2 * time.Hour
 	for i := 0; i < 50; i++ {
 		p.meter[Offload].Record(now, 1<<20)
 	}
-	busy := faultLat(p, now, 1, 4096)
+	busy := faultLat(p, now, 1)
 	if busy <= idle {
 		t.Errorf("saturated fault %v not slower than idle fault %v", busy, idle)
 	}
@@ -160,11 +161,11 @@ func TestFaultLatencyGrowsWhenSaturated(t *testing.T) {
 
 func TestDiscardDropsWithoutTransfer(t *testing.T) {
 	p := NewPool(Config{})
-	pushBytes(p, 0, 10000)
+	pushBytes(p, 0, 10*pageBytes)
 	before := p.Meter(Recall).Total()
-	p.DiscardOwner(0, "c", "f", 4000)
-	if p.Used() != 6000 {
-		t.Errorf("Used = %d, want 6000", p.Used())
+	p.DiscardOwner(0, "c", "f", 4*pageBytes)
+	if p.Used() != 6*pageBytes {
+		t.Errorf("Used = %d, want %d", p.Used(), 6*pageBytes)
 	}
 	if p.Meter(Recall).Total() != before {
 		t.Error("DiscardOwner moved bytes through the link meter")
@@ -178,9 +179,9 @@ func TestDiscardDropsWithoutTransfer(t *testing.T) {
 func TestNegativeSizesPanic(t *testing.T) {
 	p := NewPool(Config{})
 	for name, fn := range map[string]func(){
-		"offload": func() { pushBytes(p, 0, -1) },
-		"recall":  func() { pullBytes(p, 0, -1) },
-		"fault":   func() { faultLat(p, 0, 1, -1) },
+		"offload": func() { pushBytes(p, 0, -pageBytes) },
+		"recall":  func() { pullBytes(p, 0, -pageBytes) },
+		"fault":   func() { faultLat(p, 0, -1) },
 	} {
 		func() {
 			defer func() {
@@ -303,7 +304,7 @@ func TestFaultBatchPipelines(t *testing.T) {
 	p := NewPool(Config{FaultLatency: 10 * time.Microsecond, FaultPipeline: 8})
 	pushBytes(p, 0, 1<<30)
 	// 16 pages = 2 pipeline rounds of latency + wire time.
-	lat := faultLat(p, time.Hour, 16, 4096)
+	lat := faultLat(p, time.Hour, 16)
 	if lat < 20*time.Microsecond {
 		t.Errorf("batch latency %v < 2 pipeline rounds", lat)
 	}
@@ -318,7 +319,7 @@ func TestFaultBatchPipelines(t *testing.T) {
 
 func TestFaultBatchZero(t *testing.T) {
 	p := NewPool(Config{})
-	if lat := faultLat(p, 0, 0, 4096); lat != 0 {
+	if lat := faultLat(p, 0, 0); lat != 0 {
 		t.Errorf("zero batch latency = %v", lat)
 	}
 }
@@ -330,7 +331,7 @@ func TestFaultBatchNegativePanics(t *testing.T) {
 			t.Error("negative batch did not panic")
 		}
 	}()
-	faultLat(p, 0, -1, 4096)
+	faultLat(p, 0, -1)
 }
 
 func TestPresets(t *testing.T) {
@@ -352,7 +353,7 @@ func TestPresets(t *testing.T) {
 }
 
 func TestAcceptableBytesRespectsBacklog(t *testing.T) {
-	p := NewPool(Config{Bandwidth: 1 << 20, MaxBacklog: time.Second})
+	p := NewPool(Config{Bandwidth: 1 << 20})
 	// Idle link: one second of bandwidth.
 	if got := p.AcceptableBytes(0); got != 1<<20 {
 		t.Fatalf("idle budget = %d, want 1 MiB", got)
@@ -369,7 +370,7 @@ func TestAcceptableBytesRespectsBacklog(t *testing.T) {
 }
 
 func TestAcceptableBytesRespectsCapacity(t *testing.T) {
-	p := NewPool(Config{Capacity: 8192, MaxBacklog: time.Hour})
+	p := NewPool(Config{Capacity: 8192})
 	pushBytes(p, 0, 4096)
 	if got := p.AcceptableBytes(time.Hour); got != 4096 {
 		t.Fatalf("budget = %d, want remaining capacity 4096", got)

@@ -21,8 +21,8 @@ import (
 // same saturation inflation as FaultBatchOwner. The pool's byte ledger and
 // the owner's holdings are untouched. Returns an error while the remote path
 // is down (fault plans); the caller replays the producer instead.
-func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int, pageBytes int64) (FaultStall, error) {
-	if pages < 0 || pageBytes < 0 {
+func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int) (FaultStall, error) {
+	if pages < 0 {
 		panic("rmem: negative share read")
 	}
 	if pages == 0 {
@@ -39,7 +39,7 @@ func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int, pageByte
 	p.meter[Recall].Record(now, total)
 	var shared ClassCounts
 	shared[memnode.ClassShared] = pages
-	p.recordFlow(now, timeseries.FlowShareRead, fn, shared, pageBytes, total)
+	p.recordFlow(now, timeseries.FlowShareRead, fn, shared, total)
 	stall := p.demandFetch(now, pages, total, tier)
 	p.tel.LinkBytes(now, int(Recall), total, now, stall.Total)
 	return stall, nil

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 )
@@ -35,8 +36,6 @@ var (
 
 // Config parameterizes a Manager.
 type Config struct {
-	// PageSize is the region page granularity in bytes.
-	PageSize int64
 	// Pool is the disaggregated pool regions live in. Required.
 	Pool *rmem.Pool
 }
@@ -92,11 +91,11 @@ func New(cfg Config) *Manager {
 	if cfg.Pool == nil {
 		panic("sharedmem: nil pool")
 	}
-	if cfg.PageSize <= 0 {
-		panic("sharedmem: non-positive page size")
-	}
 	return &Manager{cfg: cfg, regions: make(map[string]*Region)}
 }
+
+// pageBytes is the region page granularity.
+const pageBytes = pagemem.DefaultPageSize
 
 // Owner returns the synthetic memnode owner key a region's pages live
 // under. Exposed so telemetry and tests can find the holdings.
@@ -135,12 +134,12 @@ func (m *Manager) Create(now simtime.Time, name, tenant string, bytes int64) (*R
 	if bytes < 0 {
 		panic("sharedmem: negative region size")
 	}
-	pages := int((bytes + m.cfg.PageSize - 1) / m.cfg.PageSize)
+	pages := int((bytes + pageBytes - 1) / pageBytes)
 	r := &Region{name: name, tenant: tenant, pages: pages}
 	if pages > 0 {
 		var counts rmem.ClassCounts
 		counts[memnode.ClassShared] = pages
-		acc, _, done, err := m.cfg.Pool.OffloadDescribed(now, Owner(name), tenant, counts, m.cfg.PageSize)
+		acc, _, done, err := m.cfg.Pool.OffloadDescribed(now, Owner(name), tenant, counts)
 		if err != nil {
 			return nil, CreateResult{}, err
 		}
@@ -170,7 +169,7 @@ func (m *Manager) Map(now simtime.Time, name string) (rmem.FaultStall, error) {
 	if r.released {
 		return rmem.FaultStall{}, fmt.Errorf("%w: %s", ErrReleased, name)
 	}
-	stall, err := m.cfg.Pool.ShareRead(now, Owner(name), r.tenant, r.resident, m.cfg.PageSize)
+	stall, err := m.cfg.Pool.ShareRead(now, Owner(name), r.tenant, r.resident)
 	if err != nil {
 		return rmem.FaultStall{}, err
 	}
@@ -226,14 +225,14 @@ func (m *Manager) WriteBreak(now simtime.Time, name, writer string, dirtyBytes i
 	if dirtyBytes < 0 {
 		panic("sharedmem: negative dirty bytes")
 	}
-	dirty := int((dirtyBytes + m.cfg.PageSize - 1) / m.cfg.PageSize)
+	dirty := int((dirtyBytes + pageBytes - 1) / pageBytes)
 	if dirty > r.resident {
 		dirty = r.resident
 	}
 	if dirty == 0 {
 		return BreakResult{}, nil
 	}
-	stall, err := m.cfg.Pool.ShareRead(now, Owner(name), r.tenant, dirty, m.cfg.PageSize)
+	stall, err := m.cfg.Pool.ShareRead(now, Owner(name), r.tenant, dirty)
 	if err != nil {
 		return BreakResult{}, err
 	}
@@ -241,12 +240,12 @@ func (m *Manager) WriteBreak(now simtime.Time, name, writer string, dirtyBytes i
 	cow := cowCopy{owner: fmt.Sprintf("cow:%s#%d:%s", name, r.cowSeq, writer), tenant: writer}
 	var counts rmem.ClassCounts
 	counts[memnode.ClassShared] = dirty
-	acc, _, done, err := m.cfg.Pool.OffloadDescribed(now, cow.owner, writer, counts, m.cfg.PageSize)
+	acc, _, done, err := m.cfg.Pool.OffloadDescribed(now, cow.owner, writer, counts)
 	if err != nil {
 		return BreakResult{}, err
 	}
 	private := acc[memnode.ClassShared]
-	cow.bytes = int64(private) * m.cfg.PageSize
+	cow.bytes = int64(private) * pageBytes
 	if private > 0 {
 		r.cowOwners = append(r.cowOwners, cow)
 	}
@@ -280,7 +279,7 @@ func (m *Manager) Release(now simtime.Time, name string) error {
 // free drops the region's resident copy and every private CoW clone, then
 // forgets the name.
 func (m *Manager) free(now simtime.Time, r *Region) {
-	m.cfg.Pool.DiscardOwner(now, Owner(r.name), r.tenant, int64(r.resident)*m.cfg.PageSize)
+	m.cfg.Pool.DiscardOwner(now, Owner(r.name), r.tenant, int64(r.resident)*pageBytes)
 	for _, cow := range r.cowOwners {
 		m.cfg.Pool.DiscardOwner(now, cow.owner, cow.tenant, cow.bytes)
 	}

@@ -3,26 +3,23 @@ package sharedmem
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 )
 
-const pageSize = 4096
-
 func newManager(t *testing.T, node *memnode.Config) (*Manager, *rmem.Pool) {
 	t.Helper()
 	pool := rmem.NewPool(rmem.Config{Node: node})
-	return New(Config{PageSize: pageSize, Pool: pool}), pool
+	return New(Config{Pool: pool}), pool
 }
 
 func TestCreateMapReleaseLifecycle(t *testing.T) {
-	m, pool := newManager(t, &memnode.Config{PageSize: pageSize})
+	m, pool := newManager(t, &memnode.Config{})
 	now := simtime.Time(0)
 
-	r, res, err := m.Create(now, "stage0-out", "wf", 64*pageSize)
+	r, res, err := m.Create(now, "stage0-out", "wf", 64*pageBytes)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -32,8 +29,8 @@ func TestCreateMapReleaseLifecycle(t *testing.T) {
 	if got := pool.Node().OwnerPages(Owner("stage0-out"), "wf", memnode.ClassShared); got != 64 {
 		t.Fatalf("node holds %d shared pages, want 64", got)
 	}
-	if pool.Used() != 64*pageSize {
-		t.Fatalf("pool used %d, want %d", pool.Used(), 64*pageSize)
+	if pool.Used() != 64*pageBytes {
+		t.Fatalf("pool used %d, want %d", pool.Used(), 64*pageBytes)
 	}
 
 	// Two consumers map the same copy: occupancy must not grow.
@@ -46,8 +43,8 @@ func TestCreateMapReleaseLifecycle(t *testing.T) {
 			t.Fatalf("Map %d: zero stall for 64-page transfer", i)
 		}
 	}
-	if pool.Used() != 64*pageSize {
-		t.Fatalf("pool used %d after maps, want unchanged %d", pool.Used(), 64*pageSize)
+	if pool.Used() != 64*pageBytes {
+		t.Fatalf("pool used %d after maps, want unchanged %d", pool.Used(), 64*pageBytes)
 	}
 	if r.Refs() != 2 {
 		t.Fatalf("refs=%d, want 2", r.Refs())
@@ -88,10 +85,10 @@ func TestCreateMapReleaseLifecycle(t *testing.T) {
 }
 
 func TestWriteBreakChargesWriterTenant(t *testing.T) {
-	m, pool := newManager(t, &memnode.Config{PageSize: pageSize, DisableDedup: true})
+	m, pool := newManager(t, &memnode.Config{DisableDedup: true})
 	now := simtime.Time(0)
 
-	_, res, err := m.Create(now, "cache", "producer", 32*pageSize)
+	_, res, err := m.Create(now, "cache", "producer", 32*pageBytes)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -99,7 +96,7 @@ func TestWriteBreakChargesWriterTenant(t *testing.T) {
 	if _, err := m.Map(now, "cache"); err != nil {
 		t.Fatalf("Map: %v", err)
 	}
-	br, err := m.WriteBreak(now, "cache", "writer", 8*pageSize)
+	br, err := m.WriteBreak(now, "cache", "writer", 8*pageBytes)
 	if err != nil {
 		t.Fatalf("WriteBreak: %v", err)
 	}
@@ -110,18 +107,18 @@ func TestWriteBreakChargesWriterTenant(t *testing.T) {
 		t.Fatal("CoW break with zero stall")
 	}
 	node := pool.Node()
-	if got := node.TenantLogicalBytes("writer"); got != 8*pageSize {
-		t.Fatalf("writer tenant charged %d, want %d", got, 8*pageSize)
+	if got := node.TenantLogicalBytes("writer"); got != 8*pageBytes {
+		t.Fatalf("writer tenant charged %d, want %d", got, 8*pageBytes)
 	}
-	if got := node.TenantLogicalBytes("producer"); got != 32*pageSize {
-		t.Fatalf("producer tenant charged %d, want %d", got, 32*pageSize)
+	if got := node.TenantLogicalBytes("producer"); got != 32*pageBytes {
+		t.Fatalf("producer tenant charged %d, want %d", got, 32*pageBytes)
 	}
 	// Region copy intact; pool occupancy grew by exactly the private pages.
 	if got := pool.Node().OwnerPages(Owner("cache"), "producer", memnode.ClassShared); got != 32 {
 		t.Fatalf("region pages %d after CoW, want 32", got)
 	}
-	if pool.Used() != 40*pageSize {
-		t.Fatalf("pool used %d, want %d", pool.Used(), 40*pageSize)
+	if pool.Used() != 40*pageBytes {
+		t.Fatalf("pool used %d, want %d", pool.Used(), 40*pageBytes)
 	}
 
 	// Drain: the CoW clone goes with the region.
@@ -144,12 +141,11 @@ func TestWriteBreakChargesWriterTenant(t *testing.T) {
 
 func TestCreateShortfallUnderQuota(t *testing.T) {
 	m, _ := newManager(t, &memnode.Config{
-		PageSize:           pageSize,
-		TenantQuotaBytes:   16 * pageSize,
+		TenantQuotaBytes:   16 * pageBytes,
 		DisableDedup:       true,
 		DisableCompression: true,
 	})
-	_, res, err := m.Create(0, "big", "t0", 64*pageSize)
+	_, res, err := m.Create(0, "big", "t0", 64*pageBytes)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -165,14 +161,12 @@ func TestMapCostScalesWithTiering(t *testing.T) {
 	// Force the resident pages into the spill tier: a later map must pay
 	// the tier surcharge on top of the wire time.
 	node := &memnode.Config{
-		PageSize:           pageSize,
-		DRAMBytes:          8 * pageSize,
+		DRAMBytes:          8 * pageBytes,
 		DisableCompression: true,
 		DisableDedup:       true,
-		SpillLatency:       200 * time.Microsecond,
 	}
 	m, pool := newManager(t, node)
-	_, res, err := m.Create(0, "cold", "t0", 32*pageSize)
+	_, res, err := m.Create(0, "cold", "t0", 32*pageBytes)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -200,10 +194,10 @@ func TestErrorsAndPanics(t *testing.T) {
 	if err := m.Release(0, "nope"); !errors.Is(err, ErrUnknownRegion) {
 		t.Fatalf("Release unknown: %v", err)
 	}
-	if _, _, err := m.Create(0, "dup", "t", pageSize); err != nil {
+	if _, _, err := m.Create(0, "dup", "t", pageBytes); err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if _, _, err := m.Create(0, "dup", "t", pageSize); !errors.Is(err, ErrDuplicateRegion) {
+	if _, _, err := m.Create(0, "dup", "t", pageBytes); !errors.Is(err, ErrDuplicateRegion) {
 		t.Fatalf("Create dup: %v", err)
 	}
 	func() {
@@ -221,8 +215,8 @@ func TestDegradedPoolFailsMap(t *testing.T) {
 	// the fault-injection plans in the experiment tests. Here: the no-node
 	// pool path accepts everything and maps price pure wire time.
 	pool := rmem.NewPool(rmem.Config{})
-	m := New(Config{PageSize: pageSize, Pool: pool})
-	_, res, err := m.Create(0, "r", "t", 16*pageSize)
+	m := New(Config{Pool: pool})
+	_, res, err := m.Create(0, "r", "t", 16*pageBytes)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -83,7 +83,7 @@ func (c *refCell) sample(v int64) {
 func (o *refRecorder) push(ev FlightEvent) {
 	o.flightTotal++
 	o.flight = append(o.flight, ev)
-	if len(o.flight) > o.cfg.FlightCapacity {
+	if len(o.flight) > o.cfg.flightCapacity {
 		o.flight = o.flight[1:]
 	}
 }
@@ -109,7 +109,7 @@ func (o *refRecorder) latency(at simtime.Time, k seriesKey, v int64) {
 	if win == o.alarmWin {
 		o.alarmCount++
 		o.alarmSeries = k.name
-		if v >= int64(o.cfg.SLO) {
+		if v >= int64(slo) {
 			o.alarmOver++
 		}
 	}
@@ -118,18 +118,18 @@ func (o *refRecorder) latency(at simtime.Time, k seriesKey, v int64) {
 }
 
 func (o *refRecorder) seal(at simtime.Time) {
-	if o.alarmCount > 0 && float64(o.alarmOver) >= o.cfg.BurnThreshold*float64(o.alarmCount) {
+	if o.alarmCount > 0 && float64(o.alarmOver) >= burnThreshold*float64(o.alarmCount) {
 		o.dump(TriggerSLOBurn, o.alarmSeries, at)
 	}
 	o.alarmCount, o.alarmOver = 0, 0
 }
 
 func (o *refRecorder) dump(trigger Trigger, series string, at simtime.Time) {
-	if len(o.dumps) >= o.cfg.MaxDumps {
+	if len(o.dumps) >= maxDumps {
 		o.dropped++
 		return
 	}
-	horizon := at - simtime.Time(o.cfg.FlightWindows)*o.cfg.Window
+	horizon := at - flightWindows*o.cfg.Window
 	var events []FlightEvent
 	for _, ev := range o.flight {
 		if ev.At >= horizon {
@@ -172,7 +172,7 @@ func (o *refRecorder) mergeFrom(src *refRecorder) {
 	}
 	o.flightTotal += src.flightTotal - uint64(len(src.flight))
 	for _, d := range src.dumps {
-		if len(o.dumps) >= o.cfg.MaxDumps {
+		if len(o.dumps) >= maxDumps {
 			o.dropped++
 			continue
 		}
@@ -307,12 +307,8 @@ var (
 	diffDims = []Dims{{}, {Node: "n0"}, {Node: "n1", Tenant: "a"}, {Node: "pool", Tenant: "b", Class: "init"}}
 )
 
-// diffConfig keeps the flight ring and dump cap small so a short input
-// overflows both, and the SLO low so latency samples trip the alarm.
-var diffConfig = Config{
-	Window: time.Second, FlightWindows: 2, FlightCapacity: 16,
-	SLO: 100 * time.Millisecond, BurnThreshold: 0.5, MaxDumps: 4,
-}
+// diffConfig keeps the flight ring small so a short input overflows it.
+var diffConfig = Config{Window: time.Second, flightCapacity: 16}
 
 // diffTarget is one recorder under test beside its reference, plus the
 // series it has resolved so far (handle i resolves keys[i] to ids[i]).
@@ -384,6 +380,13 @@ func FuzzRecorderDifferential(f *testing.F) {
 	// Gauges over spans of 1 and 3 windows (opcodes 8 and 20), then a
 	// one-window reading inside the first span.
 	f.Add([]byte{0, 1, 0, 1, 0, 8, 0, 2, 128, 9, 20, 0, 5, 0, 7, 2, 0, 3, 10, 1})
+	// An over-SLO latency sample in each of windows 0-18: sealing windows
+	// 0-17 trips 18 burn-rate dumps, two past the dump cap.
+	burn := []byte{0, 10, 1, 2, 0}
+	for w := byte(0); w <= 18; w++ {
+		burn = append(burn, 3, 0, w, 0, 200)
+	}
+	f.Add(burn)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 64 ops reach every window, series and cap several times over;
 		// the bound keeps one input's run, and so its minimization, short.
@@ -424,7 +427,8 @@ func FuzzRecorderDifferential(f *testing.F) {
 				}
 			case 3:
 				if id != 0 {
-					lat := time.Duration(v) * time.Millisecond
+					// Up to 2 s, so samples reach the 1 s SLO.
+					lat := time.Duration(v) * 8 * time.Millisecond
 					d.rec.ObserveLatency(at, id, lat)
 					d.ref.latency(at, k, int64(lat))
 				}

@@ -266,7 +266,7 @@ type Snapshot struct {
 	FlowAudit *FlowAudit `json:"flow_audit,omitempty"`
 	// Dumps are the flight-recorder dumps.
 	Dumps []Dump `json:"dumps"`
-	// DumpsDropped counts triggers past the MaxDumps cap.
+	// DumpsDropped counts triggers past the maxDumps cap.
 	DumpsDropped int `json:"dumps_dropped,omitempty"`
 }
 

@@ -20,7 +20,7 @@
 //     width (each engine owns its recorder; the CI determinism gate diffs
 //     ext-observe output across widths).
 //   - Bounded memory. The flight recorder is a fixed-capacity overwrite-
-//     oldest ring (package ring); dumps are capped at MaxDumps; latency
+//     oldest ring (package ring); dumps are capped at maxDumps; latency
 //     distributions use one power-of-two bucket array (package hist) per
 //     (series, window).
 //   - Resolve once, emit by handle. Series resolves a (name, Dims, kind)
@@ -221,7 +221,7 @@ const (
 )
 
 // Dump is one flight-recorder snapshot: the retained high-resolution events
-// from the last FlightWindows windows before the trigger.
+// from the last flightWindows windows before the trigger.
 type Dump struct {
 	// Trigger says why the dump was taken.
 	Trigger Trigger `json:"trigger"`
@@ -245,39 +245,32 @@ const DefaultWindow = time.Second
 type Config struct {
 	// Window is the rollup window on the virtual clock (default 1s).
 	Window time.Duration
-	// FlightWindows is how many trailing windows a dump covers (default 8).
-	FlightWindows int
-	// FlightCapacity bounds the flight ring (default 4096 events).
-	FlightCapacity int
-	// SLO is the latency objective feeding the burn-rate alarm (default
-	// 1s). Observations via ObserveLatency above SLO burn the budget.
-	SLO time.Duration
-	// BurnThreshold is the per-window over-SLO fraction that trips a dump
-	// when a window seals (default 0.5).
-	BurnThreshold float64
-	// MaxDumps bounds retained dumps (default 16); later triggers are
-	// counted but not stored.
-	MaxDumps int
+	// flightCapacity bounds the flight ring (default 4096 events). Only
+	// the package's tests shrink it, so a short fuzz input overflows it.
+	flightCapacity int
 }
+
+// The flight recorder's fixed parameters.
+const (
+	// flightWindows is how many trailing windows a dump covers.
+	flightWindows = 8
+	// slo is the latency objective feeding the burn-rate alarm:
+	// observations via ObserveLatency at or above it burn the budget.
+	slo = time.Second
+	// burnThreshold is the per-window over-SLO fraction that trips a dump
+	// when a window seals.
+	burnThreshold = 0.5
+	// maxDumps bounds retained dumps; later triggers are counted but not
+	// stored.
+	maxDumps = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
-	if c.FlightWindows <= 0 {
-		c.FlightWindows = 8
-	}
-	if c.FlightCapacity <= 0 {
-		c.FlightCapacity = 4096
-	}
-	if c.SLO <= 0 {
-		c.SLO = time.Second
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 0.5
-	}
-	if c.MaxDumps <= 0 {
-		c.MaxDumps = 16
+	if c.flightCapacity <= 0 {
+		c.flightCapacity = 4096
 	}
 	return c
 }
@@ -325,7 +318,7 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{
 		cfg:      cfg,
 		ids:      make(map[seriesKey]SeriesID),
-		flight:   ring.New[FlightEvent](cfg.FlightCapacity),
+		flight:   ring.New[FlightEvent](cfg.flightCapacity),
 		alarmWin: noWindow,
 		flows:    make(map[flowKey]map[int64]int64),
 		occ:      make(map[int64]*occWindow),
@@ -441,7 +434,7 @@ func (r *Recorder) ObserveLatency(at simtime.Time, id SeriesID, lat time.Duratio
 	if win == r.alarmWin {
 		r.alarmCount++
 		r.alarmSeries = s.name
-		if v >= int64(r.cfg.SLO) {
+		if v >= int64(slo) {
 			r.alarmOver++
 		}
 	}
@@ -458,7 +451,7 @@ func (r *Recorder) ObserveLatency(at simtime.Time, id SeriesID, lat time.Duratio
 // sealed and resets the accumulators.
 func (r *Recorder) sealAlarmWindow(now simtime.Time) {
 	if r.alarmCount > 0 &&
-		float64(r.alarmOver) >= r.cfg.BurnThreshold*float64(r.alarmCount) {
+		float64(r.alarmOver) >= burnThreshold*float64(r.alarmCount) {
 		r.dump(TriggerSLOBurn, r.alarmSeries, now)
 	}
 	r.alarmCount = 0
@@ -521,14 +514,14 @@ func (r *Recorder) crossTriggers(now simtime.Time) {
 	}
 }
 
-// dump snapshots the flight ring's events from the last FlightWindows
+// dump snapshots the flight ring's events from the last flightWindows
 // windows before at.
 func (r *Recorder) dump(trigger Trigger, series string, at simtime.Time) {
-	if len(r.dumps) >= r.cfg.MaxDumps {
+	if len(r.dumps) >= maxDumps {
 		r.dumpsDropped++
 		return
 	}
-	horizon := at - simtime.Time(r.cfg.FlightWindows)*r.cfg.Window
+	horizon := at - flightWindows*r.cfg.Window
 	var events []FlightEvent
 	r.flight.Each(func(ev FlightEvent) {
 		if ev.At >= horizon {
@@ -556,7 +549,7 @@ func (r *Recorder) Dumps() []Dump {
 	return out
 }
 
-// DumpsDropped reports how many triggers fired past the MaxDumps cap.
+// DumpsDropped reports how many triggers fired past the maxDumps cap.
 func (r *Recorder) DumpsDropped() int {
 	if r == nil {
 		return 0
@@ -642,7 +635,7 @@ func (r *Recorder) MergeFrom(src *Recorder) error {
 	}
 	r.flight.MergeFrom(&src.flight)
 	for _, d := range src.dumps {
-		if len(r.dumps) >= r.cfg.MaxDumps {
+		if len(r.dumps) >= maxDumps {
 			r.dumpsDropped++
 			continue
 		}

@@ -92,11 +92,11 @@ func TestSampleQuantile(t *testing.T) {
 }
 
 func TestFaultWindowDump(t *testing.T) {
-	r := NewRecorder(Config{Window: time.Second, FlightWindows: 4})
+	r := NewRecorder(Config{Window: time.Second})
 	r.ArmFaultStarts([]time.Duration{10 * time.Second})
 	d := Dims{Node: "n0"}
-	r.AddCounter(7*time.Second, r.Series(SeriesRequests, d, Counter), 1)    // within 4 windows of 10s
-	r.AddCounter(2*time.Second, r.Series(SeriesRecallBytes, d, Counter), 5) // too old for the dump
+	r.AddCounter(7*time.Second, r.Series(SeriesRequests, d, Counter), 1)  // within 8 windows of 10s
+	r.AddCounter(time.Second, r.Series(SeriesRecallBytes, d, Counter), 5) // too old for the dump
 	if got := len(r.Dumps()); got != 0 {
 		t.Fatalf("dump before trigger: %d", got)
 	}
@@ -109,7 +109,7 @@ func TestFaultWindowDump(t *testing.T) {
 	if dmp.Trigger != TriggerFaultWindow || dmp.At != 10*time.Second || dmp.Window != 10 {
 		t.Fatalf("dump = %+v", dmp)
 	}
-	// The dump covers [6s, 10s): the 7s event qualifies, the 2s one does
+	// The dump covers [2s, 10s): the 7s event qualifies, the 1s one does
 	// not, and the triggering 10.5s event arrives after the snapshot.
 	if len(dmp.Events) != 1 || dmp.Events[0].At != 7*time.Second {
 		t.Fatalf("dump events = %+v, want the single 7s event", dmp.Events)
@@ -138,11 +138,11 @@ func TestFaultStartsAcrossRuns(t *testing.T) {
 }
 
 func TestBurnRateDump(t *testing.T) {
-	r := NewRecorder(Config{Window: time.Second, SLO: 100 * time.Millisecond, BurnThreshold: 0.5})
+	r := NewRecorder(Config{Window: time.Second})
 	lat := r.Series(SeriesRequestLatency, Dims{Node: "n0"}, Sample)
-	// Window 0: all observations breach the SLO.
-	r.ObserveLatency(200*time.Millisecond, lat, 500*time.Millisecond)
-	r.ObserveLatency(600*time.Millisecond, lat, 300*time.Millisecond)
+	// Window 0: all observations breach the 1 s SLO.
+	r.ObserveLatency(200*time.Millisecond, lat, 1500*time.Millisecond)
+	r.ObserveLatency(600*time.Millisecond, lat, slo)
 	if got := len(r.Dumps()); got != 0 {
 		t.Fatalf("dump before window sealed: %d", got)
 	}
@@ -165,12 +165,12 @@ func TestBurnRateDump(t *testing.T) {
 // previous run's last window, and the second run's windows, though their
 // indices were seen before, must burn the alarm again.
 func TestBurnAlarmAcrossRuns(t *testing.T) {
-	r := NewRecorder(Config{Window: time.Second, SLO: 100 * time.Millisecond, BurnThreshold: 0.5})
+	r := NewRecorder(Config{Window: time.Second})
 	lat := r.Series(SeriesRequestLatency, Dims{Node: "n0"}, Sample)
 	run := func() {
 		r.StartRun()
 		for w := 0; w < 4; w++ {
-			r.ObserveLatency(time.Duration(w)*time.Second+500*time.Millisecond, lat, 200*time.Millisecond)
+			r.ObserveLatency(time.Duration(w)*time.Second+500*time.Millisecond, lat, 2*time.Second)
 		}
 	}
 	run()
@@ -220,13 +220,14 @@ func TestTimelineEmitAllocationFree(t *testing.T) {
 }
 
 func TestFlightRingBounded(t *testing.T) {
-	r := NewRecorder(Config{Window: time.Second, FlightCapacity: 8, FlightWindows: 100})
+	r := NewRecorder(Config{Window: time.Second})
+	capacity := r.Config().flightCapacity
 	reqs := r.Series(SeriesRequests, Dims{Node: "n0"}, Counter)
-	for i := 0; i < 20; i++ {
-		r.AddCounter(time.Duration(i)*time.Millisecond, reqs, int64(i))
+	for i := 0; i < capacity+12; i++ {
+		r.AddCounter(time.Duration(i)*time.Microsecond, reqs, int64(i))
 	}
-	if got := r.FlightTotal(); got != 20 {
-		t.Fatalf("FlightTotal = %d, want 20", got)
+	if got, want := r.FlightTotal(), uint64(capacity+12); got != want {
+		t.Fatalf("FlightTotal = %d, want %d", got, want)
 	}
 	r.ArmFaultStarts([]time.Duration{30 * time.Millisecond})
 	r.AddCounter(40*time.Millisecond, reqs, 1)
@@ -235,8 +236,8 @@ func TestFlightRingBounded(t *testing.T) {
 		t.Fatalf("got %d dumps", len(dumps))
 	}
 	evs := dumps[0].Events
-	if len(evs) != 8 {
-		t.Fatalf("dump kept %d events, want ring capacity 8", len(evs))
+	if len(evs) != capacity {
+		t.Fatalf("dump kept %d events, want ring capacity %d", len(evs), capacity)
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
@@ -303,12 +304,15 @@ func TestRowsDeterministicOrder(t *testing.T) {
 }
 
 func TestMaxDumpsCap(t *testing.T) {
-	r := NewRecorder(Config{Window: time.Second, MaxDumps: 2})
-	starts := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second}
+	r := NewRecorder(Config{Window: time.Second})
+	var starts []time.Duration
+	for i := 1; i <= maxDumps+2; i++ {
+		starts = append(starts, time.Duration(i)*time.Second)
+	}
 	r.ArmFaultStarts(starts)
-	r.AddCounter(5*time.Second, r.Series(SeriesRequests, Dims{}, Counter), 1)
-	if got := len(r.Dumps()); got != 2 {
-		t.Fatalf("got %d dumps, want 2", got)
+	r.AddCounter(time.Minute, r.Series(SeriesRequests, Dims{}, Counter), 1)
+	if got := len(r.Dumps()); got != maxDumps {
+		t.Fatalf("got %d dumps, want %d", got, maxDumps)
 	}
 	if got := r.DumpsDropped(); got != 2 {
 		t.Fatalf("DumpsDropped = %d, want 2", got)

@@ -13,38 +13,38 @@ import (
 // GenConfig parameterizes the synthetic Azure-like trace generator.
 //
 // The defaults are calibrated against the statistics the paper publishes
-// about the Azure Functions Invocation Trace 2021: 424 functions, a
-// heavy-tailed per-function rate distribution (so that high/medium/low
-// classes per §8.4 are all populated), bursty arrivals for part of the
-// population (the paper's high-load traces "exhibit a sudden increase and
-// decrease"), and a diurnal load swing.
+// about the Azure Functions Invocation Trace 2021: 424 functions and a
+// heavy-tailed per-function rate distribution, so that the high, medium and
+// low classes of §8.4 are all populated. Every function's arrivals are
+// Poisson at a constant rate: there is no bursty share and no diurnal
+// swing. Bursty arrivals come only from GenerateFunction's flag.
 type GenConfig struct {
 	// NumFunctions is the number of function timelines. Default 424.
 	NumFunctions int
 	// Duration is the trace window. Default 24h.
 	Duration time.Duration
 	// MedianDailyRate is the median invocations/day. The rates follow a
-	// log-normal distribution around it. Default 300, which with the default
-	// SigmaLog puts the mean near the Azure trace's ~4,670 invocations/day
-	// per function (1,980,951 invocations / 424 functions / day) while
+	// log-normal distribution around it with sigma sigmaLog. Default 300,
+	// which puts the mean near the Azure trace's ~4,670 invocations/day per
+	// function (1,980,951 invocations / 424 functions / day) while
 	// populating all three §8.4 load classes.
 	MedianDailyRate float64
-	// SigmaLog is the log-normal sigma of per-function rates. Default 2.2.
-	SigmaLog float64
-	// BurstyFraction is the share of functions with Markov-modulated bursty
-	// arrivals rather than plain Poisson. Default 0.35.
-	BurstyFraction float64
-	// BurstMultiplier is the rate multiplier inside a burst episode.
-	// Default 5. With the default duty cycle the quiet-state rate is scaled
-	// so the long-run average stays at the function's base rate.
-	BurstMultiplier float64
-	// BurstDutyCycle is the fraction of time a bursty function spends in
-	// burst state. Default 0.1 (mean burst 60 s, mean quiet ~9 min).
-	BurstDutyCycle float64
-	// DiurnalAmplitude in [0, 1) scales the day/night rate swing. Default
-	// 0.4 (rate varies ±40% over the day).
-	DiurnalAmplitude float64
 }
+
+// The arrival model's constants.
+const (
+	// sigmaLog is the log-normal sigma of per-function daily rates.
+	sigmaLog = 2.2
+	// burstMultiplier is a bursty function's rate multiplier inside a burst
+	// episode. The quiet-state rate is scaled so the long-run average stays
+	// at the function's base rate.
+	burstMultiplier = 5.0
+	// burstDutyCycle is the fraction of time a bursty function spends in
+	// burst state: a mean burst of meanBurst, a mean quiet spell of ~9 min.
+	burstDutyCycle = 0.1
+	// meanBurst is the mean burst episode, in seconds.
+	meanBurst = 60.0
+)
 
 func (c GenConfig) withDefaults() GenConfig {
 	if c.NumFunctions <= 0 {
@@ -55,21 +55,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	if c.MedianDailyRate <= 0 {
 		c.MedianDailyRate = 300
-	}
-	if c.SigmaLog <= 0 {
-		c.SigmaLog = 2.2
-	}
-	if c.BurstyFraction < 0 || c.BurstyFraction > 1 {
-		c.BurstyFraction = 0.35
-	}
-	if c.BurstMultiplier <= 1 {
-		c.BurstMultiplier = 5
-	}
-	if c.BurstDutyCycle <= 0 || c.BurstDutyCycle >= 1 {
-		c.BurstDutyCycle = 0.1
-	}
-	if c.DiurnalAmplitude < 0 || c.DiurnalAmplitude >= 1 {
-		c.DiurnalAmplitude = 0.4
 	}
 	return c
 }
@@ -83,37 +68,37 @@ func Generate(cfg GenConfig, seed int64) *Trace {
 	for i := 0; i < c.NumFunctions; i++ {
 		// Log-normal daily rate, clamped to at least one invocation/day
 		// equivalent over the window.
-		daily := c.MedianDailyRate * math.Exp(rng.NormFloat64()*c.SigmaLog)
+		daily := c.MedianDailyRate * math.Exp(rng.NormFloat64()*sigmaLog)
 		if daily > 4e5 {
 			daily = 4e5 // cap ultra-hot tails to keep traces tractable
 		}
-		bursty := rng.Float64() < c.BurstyFraction
+		// Each function draws once for a bursty share that is zero, so
+		// every function is Poisson; the draw keeps the traces' RNG stream.
+		rng.Float64()
 		f := &Function{ID: fmt.Sprintf("func-%03d", i)}
-		f.Invocations = genArrivals(rng, c, daily, bursty)
+		f.Invocations = genArrivals(rng, c.Duration, daily, false)
 		t.Functions = append(t.Functions, f)
 	}
 	return t
 }
 
-// genArrivals simulates one function's arrival process by thinning a
-// time-varying Poisson process. The instantaneous rate combines the base
-// rate, a diurnal sinusoid, and (for bursty functions) a two-state
-// Markov-modulated multiplier.
-func genArrivals(rng *rand.Rand, c GenConfig, dailyRate float64, bursty bool) []simtime.Time {
+// genArrivals simulates one function's arrival process over the window by
+// thinning a Poisson process. The instantaneous rate is the base rate, times
+// a two-state Markov-modulated multiplier for a bursty function.
+func genArrivals(rng *rand.Rand, window time.Duration, dailyRate float64, bursty bool) []simtime.Time {
 	baseRate := dailyRate / (24 * 3600) // per second
 	if baseRate <= 0 {
 		return nil
 	}
 	// Peak rate for thinning must bound the instantaneous rate.
-	peak := baseRate * (1 + c.DiurnalAmplitude)
+	peak := baseRate
 	if bursty {
-		peak *= c.BurstMultiplier
+		peak *= burstMultiplier
 	}
 
 	// Burst-state machine: exponential dwell times chosen so the duty cycle
-	// matches BurstDutyCycle with a mean burst of 60 s.
-	const meanBurst = 60.0 // seconds
-	meanQuiet := meanBurst * (1 - c.BurstDutyCycle) / c.BurstDutyCycle
+	// matches burstDutyCycle.
+	meanQuiet := meanBurst * (1 - burstDutyCycle) / burstDutyCycle
 	inBurst := false
 	stateUntil := 0.0
 	nextState := func(now float64) {
@@ -128,12 +113,12 @@ func genArrivals(rng *rand.Rand, c GenConfig, dailyRate float64, bursty bool) []
 		}
 	}
 	// Randomize initial state/phase.
-	if bursty && rng.Float64() < c.BurstDutyCycle {
+	if bursty && rng.Float64() < burstDutyCycle {
 		inBurst = true
 	}
 	stateUntil = rng.ExpFloat64() * meanQuiet
 
-	horizon := c.Duration.Seconds()
+	horizon := window.Seconds()
 	var out []simtime.Time
 	now := 0.0
 	for {
@@ -141,17 +126,14 @@ func genArrivals(rng *rand.Rand, c GenConfig, dailyRate float64, bursty bool) []
 		if now >= horizon {
 			break
 		}
-		rate := baseRate * (1 + c.DiurnalAmplitude*math.Sin(2*math.Pi*now/86400))
+		rate := baseRate
 		if bursty {
 			nextState(now)
 			if inBurst {
-				rate *= c.BurstMultiplier
+				rate *= burstMultiplier
 			} else {
 				// Compensate so the average stays near dailyRate.
-				rate *= (1 - c.BurstDutyCycle*c.BurstMultiplier) / (1 - c.BurstDutyCycle)
-				if rate < 0 {
-					rate = baseRate * 0.05
-				}
+				rate *= (1 - burstDutyCycle*burstMultiplier) / (1 - burstDutyCycle)
 			}
 		}
 		if rng.Float64() < rate/peak {
@@ -167,7 +149,7 @@ func genArrivals(rng *rand.Rand, c GenConfig, dailyRate float64, bursty bool) []
 // trace.
 func GenerateFunction(id string, duration time.Duration, meanGap time.Duration, bursty bool, seed int64) *Function {
 	rng := lazyrand.New(seed)
-	c := GenConfig{Duration: duration}.withDefaults()
+	window := GenConfig{Duration: duration}.withDefaults().Duration // zero is a day
 	daily := 86400 / meanGap.Seconds()
-	return &Function{ID: id, Invocations: genArrivals(rng, c, daily, bursty)}
+	return &Function{ID: id, Invocations: genArrivals(rng, window, daily, bursty)}
 }
