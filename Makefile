@@ -31,10 +31,9 @@ bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 # Tier-1 figure/table benchmarks plus the page-engine and event-engine
-# micro-benches, the fault pre-count (FaultPrecount), one cold start
-# (ContainerLaunch) and one warm request on a warm container
-# (ContainerRequest, whose allocs/op is 0), all three in internal/faas
-# beside the unexported code they time, the run list's worst case
+# micro-benches, one cold start (ContainerLaunch) and one warm request on a
+# warm container (ContainerRequest, whose allocs/op is 0), both in
+# internal/faas beside the unexported code they time, the run list's worst case
 # (FragmentedSpace, in internal/pagemem) and one TMO idle-walk step on a
 # Bert-sized container (TMOStep, in internal/policy), snapshotted as machine-readable JSON (the CI perf artifact;
 # see cmd/benchjson). One run feeds three artifacts: the raw log
@@ -51,7 +50,7 @@ bench:
 # benches repeat one identical workload and keep time-based b.N.
 BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
 BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
-BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|FaultPrecount|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|FragmentedSpace|TMOStep
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|FragmentedSpace|TMOStep
 bench-json:
 	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
@@ -60,7 +59,7 @@ bench-json:
 
 # Side-by-side ns/op comparison of two trees: the test binaries of the
 # BENCH_AB_PKGS packages (the root; internal/faas, which owns
-# FaultPrecount, ContainerLaunch and ContainerRequest; internal/pagemem,
+# ContainerLaunch and ContainerRequest; internal/pagemem,
 # which owns FragmentedSpace; and internal/policy, which owns TMOStep) are
 # built from BASE
 # (a git revision, exported with git archive under a temporary directory)

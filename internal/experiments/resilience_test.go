@@ -79,8 +79,8 @@ func TestResilienceConservationAndMonotonicity(t *testing.T) {
 
 // zeroCostPlan builds a non-empty fault plan whose windows all lie beyond
 // the horizon: the fault machinery is armed (Pool.FaultsPlanned() is true,
-// so requests pre-count their remote set and fetch through FetchRetry) but
-// no window is ever active during the run.
+// so every fetch probes the plan in FetchRetry) but no window is ever
+// active during the run.
 func zeroCostPlan(horizon time.Duration) *faultinject.Plan {
 	far := simtime.Time(horizon) + simtime.Time(time.Hour)
 	return faultinject.FromWindows([]faultinject.Window{
@@ -193,9 +193,9 @@ func TestRunScenarioRecoveryField(t *testing.T) {
 }
 
 // TestReadaheadUnderFaultPlan runs swap readahead under an active fault
-// plan, so every request's fault pre-count resolves readahead runs and
-// execute's walk must reproduce them (it panics on a divergence). The run
-// must retry fetches and still fault and read ahead remote pages.
+// plan, so walks that resolve readahead runs fetch through FetchRetry's
+// backoff. The run must retry fetches and still fault and read ahead remote
+// pages.
 func TestReadaheadUnderFaultPlan(t *testing.T) {
 	const keepAlive = 4 * time.Minute
 	duration := 12 * time.Minute

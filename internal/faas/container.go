@@ -110,7 +110,7 @@ func (p *Platform) launch(f *Function) *Container {
 	c.space.Reserve()
 	c.execPages = c.space.PagesOf(f.profile.ExecBytes)
 	c.finish = func(*simtime.Engine) { c.finishRequest() }
-	c.expire = func(*simtime.Engine) { c.recycle() }
+	c.expire = func(*simtime.Engine) { c.recycle(0) }
 	p.tel.Launch(now, c.id, f.id, p.liveTotal)
 	c.pol = p.pol.Attach(p.engine, c)
 	return c
@@ -146,10 +146,9 @@ func (c *Container) wake() {
 
 // execute runs one request to completion. arrival is when the request
 // entered the system (before any cold-start work), so recorded end-to-end
-// latency includes cold-start time. When the pool has a fault plan armed the
-// remote set is pre-counted and fetched through the retry machinery before
-// the walk (see recovery.go); a fetch that times out diverts to
-// recoverFetch.
+// latency includes cold-start time. The request's spans are walked once and
+// the pages the walk faulted are fetched through Pool.FetchRetry; a fetch
+// that times out against an unhealthy pool diverts to recovery.go.
 func (c *Container) execute(arrival simtime.Time) {
 	e := c.p.engine
 	now := e.Now()
@@ -166,53 +165,49 @@ func (c *Container) execute(arrival simtime.Time) {
 
 	// Replay the request's page accesses.
 	prof.RequestTouches(c.rng, &c.touches)
-	planned := c.p.pool.FaultsPlanned()
-	var stall rmem.FaultStall
-	var preFaults rmem.ClassCounts
-	var preRA int
-	if planned {
-		var ok bool
-		if stall, preFaults, preRA, ok = c.fetchPlanned(); !ok {
-			return
-		}
-	}
 	runtimeFaults, runtimeRA := c.touchSpans(c.runtimeRange, c.touches.Runtime)
 	initFaults, initRA := c.touchSpans(c.initRange, c.touches.Init)
 	faults := runtimeFaults + initFaults
 	readahead := runtimeRA + initRA
-	c.fn.stats.RuntimeFaultPages += int64(runtimeFaults)
-	c.fn.stats.InitFaultPages += int64(initFaults)
 
 	// Remote faults stall the request and recall pages to local memory;
 	// readahead pages ride along on the cluster reads without adding fault
 	// rounds to the request's critical path.
-	var faultLat time.Duration
+	var stall rmem.FaultStall
 	if faults+readahead > 0 {
-		pageBytes := int64(c.space.PageSize())
+		recalled := int64(faults+readahead) * int64(c.space.PageSize())
 		var fc, ra rmem.ClassCounts
 		fc[memnode.ClassRuntime] = runtimeFaults
 		fc[memnode.ClassInit] = initFaults
 		ra[memnode.ClassRuntime] = runtimeRA
 		ra[memnode.ClassInit] = initRA
-		if !planned {
-			stall = c.p.pool.FaultBatchOwner(now, c.owner, c.fn.id, fc)
-		} else if fc != preFaults || readahead != preRA {
-			// The fetch was paid for the pre-counted set; a walk that
-			// diverges from it means the wrong pages were priced.
-			panic(fmt.Sprintf("faas: fault pre-count (%v faults, %d readahead) diverged from the walk (%v, %d)",
-				preFaults, preRA, fc, readahead))
+		var err error
+		stall, err = c.p.pool.FetchRetry(now, c.owner, c.fn.id, fc)
+		c.fn.stats.FetchRetries += int64(stall.Retries)
+		switch {
+		case err == nil:
+			if readahead > 0 {
+				c.p.pool.RecallDescribed(now, c.owner, c.fn.id, ra)
+				c.p.swap.NoteClusterRead(readahead)
+			}
+		case c.p.swap.FallbackEnabled():
+			stall = c.serveLocal(now, stall, fc, ra)
+		default:
+			c.reinit(stall, recalled)
+			return
 		}
-		faultLat = stall.Total
-		if readahead > 0 {
-			c.p.pool.RecallDescribed(now, c.owner, c.fn.id, ra)
-			c.p.swap.NoteClusterRead(readahead)
-		}
-		recalled := int64(faults+readahead) * pageBytes
 		c.p.account(now, recalled, -recalled)
 		c.p.enforceMemoryLimit(now)
 		c.fn.stats.FaultPages += int64(faults)
-		c.p.tel.FaultStall(now, faultLat, c.id, c.fn.id, fc, ra)
+		c.fn.stats.RuntimeFaultPages += int64(runtimeFaults)
+		c.fn.stats.InitFaultPages += int64(initFaults)
+		if err == nil {
+			c.p.tel.FaultStall(now, stall.Total, c.id, c.fn.id, fc, ra)
+		} else {
+			c.p.tel.LocalFallback(now, stall.Total, c.id, c.fn.id, faults, faults+readahead)
+		}
 	}
+	faultLat := stall.Total
 
 	if wb := c.priceRuntimeWrites(now); wb.Total > 0 {
 		// A CoW unmerge is a remote-memory stall (master fetch plus private
@@ -351,8 +346,7 @@ func (c *Container) touchRange(seg pagemem.Range, start, end pagemem.PageID, win
 // recallRemote resolves the Remote pages of r in page order and moves the
 // pages it recalls to Hot: each page not already recalled faults, and its
 // fault recalls up to window contiguous Remote successors below seg.End as
-// readahead. It serves both the request walk (on the container's Space)
-// and the fault pre-count (on a scratch copy of it).
+// readahead.
 //
 // Readahead never leaves a Remote run, so each run is resolved on its own:
 // from the run's first touched page, every (window+1)-th page faults until
@@ -567,8 +561,11 @@ func (c *Container) buildInvocation(arrival, now simtime.Time) span.Invocation {
 	}
 }
 
-// recycle tears the container down at keep-alive expiry.
-func (c *Container) recycle() {
+// recycle tears the container down (keep-alive expiry, eviction, cold
+// re-init). unfetched is the bytes of pages a timed-out fetch never
+// delivered (see reinit): the request walk booked them local, but they are
+// still remote, so they are discarded with the container's remote bytes.
+func (c *Container) recycle(unfetched int64) {
 	if c.dead {
 		return
 	}
@@ -582,8 +579,8 @@ func (c *Container) recycle() {
 	}
 	// A cold re-init recycles mid-request, so the local bytes dropped
 	// include the in-flight exec charge.
-	remote := c.space.RemoteBytes()
-	c.p.account(now, -c.localBytes(), -remote)
+	remote := c.space.RemoteBytes() + unfetched
+	c.p.account(now, unfetched-c.localBytes(), -remote)
 	c.p.pool.DiscardOwner(now, c.owner, c.fn.id, remote)
 
 	c.p.addLive(now, -1)

@@ -85,16 +85,8 @@ type Config struct {
 	NodeID string
 }
 
-const (
-	// adaptiveKeepAliveMin floors the adaptive keep-alive timeout.
-	adaptiveKeepAliveMin = 15 * time.Second
-	// fetchTimeout bounds how long one request's page fetch may sit in
-	// backoff retries against an unhealthy pool link before giving up and
-	// recovering (local-swap fallback when the swap device keeps a
-	// write-through copy, cold re-init otherwise). Only exercised when the
-	// pool has a fault plan injected.
-	fetchTimeout = 500 * time.Millisecond
-)
+// adaptiveKeepAliveMin floors the adaptive keep-alive timeout.
+const adaptiveKeepAliveMin = 15 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.KeepAliveTimeout <= 0 {
@@ -161,8 +153,8 @@ type FunctionStats struct {
 	// FetchRetries counts page-fetch attempts retried with backoff against
 	// an unhealthy pool (fault injection only).
 	FetchRetries int64
-	// FetchTimeouts counts requests whose page fetch exhausted its retry
-	// budget or fetchTimeout.
+	// FetchTimeouts counts requests whose page fetch timed out
+	// (rmem.Pool.FetchRetry returned ErrFetchTimeout).
 	FetchTimeouts int64
 	// FallbackPages counts pages served from the local swap copy after a
 	// fetch timeout.
@@ -261,11 +253,9 @@ type Platform struct {
 	containers int // ever created
 	liveTotal  int
 	evicted    int
-	// precount is the fault pre-count's scratch copy of a container's
-	// page states (see fetchPlanned), and offPieces is the OffloadPages
-	// piece scratch (see cutSelections). Containers on one platform run on
-	// one engine, one call at a time, so they share both.
-	precount  pagemem.Space
+	// offPieces is the OffloadPages piece scratch (see cutSelections).
+	// Containers on one platform run on one engine, one call at a time, so
+	// they share it.
 	offPieces []offloadPiece
 }
 
@@ -531,7 +521,7 @@ func (p *Platform) enforceMemoryLimit(now simtime.Time) {
 		}
 		p.evicted++
 		p.tel.Evict(now, victim.id, victim.fn.id, victim.space.LocalBytes())
-		victim.recycle()
+		victim.recycle(0)
 	}
 }
 

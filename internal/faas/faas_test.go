@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/fastswap"
+	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -199,6 +200,50 @@ func TestOffloadedPagesFaultBackOnAccess(t *testing.T) {
 	// The faulting (second) request pays a latency penalty over pure exec.
 	if f.stats.Latency.Percentile(0) <= 0.1 {
 		t.Fatalf("faulting request latency %v did not exceed exec time", f.stats.Latency.Percentile(0))
+	}
+}
+
+// TestFaultStatsCountDeliveredPagesOnly: fault statistics count the pages
+// a fetch delivered, never a walk whose fetch timed out. The second request
+// finds its container fully offloaded while the pool node is down, so its
+// fetch times out. With the swap fallback the walked pages are served
+// locally and count; without it the request is replayed on a cold
+// re-initialized container, which faults nothing, so nothing counts. Either
+// way the statistics equal what the completed requests recorded.
+func TestFaultStatsCountDeliveredPagesOnly(t *testing.T) {
+	for _, fallback := range []bool{true, false} {
+		swap := fastswap.Config{}
+		if fallback {
+			swap.FallbackReadLatency = 50 * time.Microsecond
+		}
+		e := simtime.NewEngine()
+		p := New(e, Config{
+			KeepAliveTimeout: 10 * time.Second,
+			Pool: rmem.Config{Faults: faultinject.FromWindows([]faultinject.Window{
+				{Kind: faultinject.PoolCrash, Start: simtime.Time(time.Second), End: simtime.Time(time.Hour)},
+			})},
+			Swap:           swap,
+			RequestLogSize: 8,
+			Seed:           1,
+		}, offloadAllPolicy{})
+		f := p.Register("f", tinyProfile())
+		p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
+		e.Run()
+		st := f.Stats()
+		var recorded int64
+		for _, r := range p.RequestLog().Items() {
+			recorded += int64(r.FaultPages)
+		}
+		if st.FetchTimeouts != 1 || st.Requests != 2 {
+			t.Fatalf("fallback %v: %d fetch timeouts over %d requests, want 1 over 2", fallback, st.FetchTimeouts, st.Requests)
+		}
+		if st.FaultPages != recorded || st.RuntimeFaultPages+st.InitFaultPages != recorded {
+			t.Errorf("fallback %v: fault pages %d (runtime %d + init %d), completed requests recorded %d",
+				fallback, st.FaultPages, st.RuntimeFaultPages, st.InitFaultPages, recorded)
+		}
+		if (recorded > 0) != fallback {
+			t.Errorf("fallback %v: completed requests recorded %d fault pages", fallback, recorded)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func TestRecycleClearsLastIdleSlot(t *testing.T) {
 		t.Fatalf("idle containers = %d, want 2", len(f.idle))
 	}
 	last := f.idle[len(f.idle)-1]
-	last.recycle()
+	last.recycle(0)
 	if len(f.idle) != 1 {
 		t.Fatalf("idle containers after recycle = %d, want 1", len(f.idle))
 	}
@@ -90,7 +90,7 @@ func BenchmarkContainerLaunch(b *testing.B) {
 		if c == nil {
 			b.Fatal("the cold request did not finish")
 		}
-		c.recycle()
+		c.recycle(0)
 	}
 	b.StopTimer()
 	if f.stats.ColdStarts != b.N {

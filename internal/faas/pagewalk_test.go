@@ -66,44 +66,6 @@ func refTouchRange(c *Container, seg pagemem.Range, start, end pagemem.PageID, w
 	return faults, readahead
 }
 
-// refCountSpans is the per-page fault pre-count: touchSpans without the
-// mutation, one state probe per touched page. flipped carries pages the
-// walk would have recalled already, so revisits within one request count
-// exactly like the mutating walk.
-func refCountSpans(c *Container, seg pagemem.Range, spans []workload.Span, flipped map[pagemem.PageID]struct{}) (faults, readahead int) {
-	ps := int64(c.space.PageSize())
-	window := c.p.swap.Readahead()
-	remote := func(id pagemem.PageID) bool {
-		if _, ok := flipped[id]; ok {
-			return false
-		}
-		return stateOf(c.space, id) == pagemem.Remote
-	}
-	for _, sp := range spans {
-		start := seg.Start + pagemem.PageID(sp.Start/ps)
-		end := seg.Start + pagemem.PageID((sp.End+ps-1)/ps)
-		if end > seg.End {
-			end = seg.End
-		}
-		for id := start; id < end; id++ {
-			if !remote(id) {
-				continue
-			}
-			faults++
-			flipped[id] = struct{}{}
-			for ra := 0; ra < window; ra++ {
-				next := id + 1 + pagemem.PageID(ra)
-				if next >= seg.End || !remote(next) {
-					break
-				}
-				readahead++
-				flipped[next] = struct{}{}
-			}
-		}
-	}
-	return faults, readahead
-}
-
 // refTouchSpans drives refTouchRange over the pages each byte span covers,
 // clipped to seg.End.
 func refTouchSpans(c *Container, seg pagemem.Range, spans []workload.Span) (faults, readahead int) {
@@ -209,7 +171,7 @@ func walkContainer(seed int64) *Container {
 }
 
 // withWindow gives c a platform whose swap device reads ahead window pages,
-// which is all the touch and pre-count walks read from it.
+// which is all the touch walk reads from it.
 func withWindow(c *Container, window int) *Container {
 	c.p = &Platform{swap: fastswap.NewDevice(fastswap.Config{ReadaheadPages: window})}
 	return c
@@ -431,46 +393,36 @@ func remoteByClass(c *Container) (n rmem.ClassCounts) {
 	return n
 }
 
-// spanCall is one touch or pre-count call: byte spans relative to seg.
+// spanCall is one touch call: byte spans relative to seg.
 type spanCall struct {
 	seg   pagemem.Range
 	spans []workload.Span
 }
 
-// checkSpanCalls replays calls through the run pre-count (one scratch copy
-// shared by every call), the per-page pre-count (one flipped map), the
-// mutating run walk and the per-page walk, on four identical containers
-// built by build. Every call's counts must agree four ways, the two walks
-// must leave identical containers, and both pre-counts must leave theirs as
-// built.
+// checkSpanCalls replays calls through the run walk and the per-page walk
+// on two identical containers built by build. Every call's counts must
+// agree and the two walks must leave identical containers.
 func checkSpanCalls(t *testing.T, label string, build func() *Container, calls []spanCall) {
 	t.Helper()
-	count, ref, walk, slow := build(), build(), build(), build()
-	var scratch pagemem.Space
-	scratch.CopyStates(count.space)
-	flipped := make(map[pagemem.PageID]struct{})
+	walk, slow := build(), build()
 	for i, call := range calls {
-		f, ra := count.countSpans(&scratch, call.seg, call.spans)
-		rf, rra := refCountSpans(ref, call.seg, call.spans, flipped)
 		wf, wra := walk.touchSpans(call.seg, call.spans)
 		sf, sra := refTouchSpans(slow, call.seg, call.spans)
-		if f != rf || ra != rra || f != wf || ra != wra || wf != sf || wra != sra {
-			t.Fatalf("%s call %d %v: faults/readahead pre-count %d/%d, per-page pre-count %d/%d, walk %d/%d, per-page walk %d/%d",
-				label, i, call.spans, f, ra, rf, rra, wf, wra, sf, sra)
+		if wf != sf || wra != sra {
+			t.Fatalf("%s call %d %v: faults/readahead walk %d/%d, per-page walk %d/%d",
+				label, i, call.spans, wf, wra, sf, sra)
 		}
 	}
 	sameContainer(t, label+": walk", walk, slow)
-	sameContainer(t, label+": pre-count", count, build())
-	sameContainer(t, label+": per-page pre-count", ref, build())
 }
 
-// TestCountSpansMatchesWalk drives random calls through the run pre-count
-// and checks it against the per-page pre-count and against what the
-// mutating walk then does. Calls alternate between the runtime and init
-// ranges at random, so a range is revisited through the shared scratch
-// copy; spans start at unaligned bytes, overlap, and clip at the segment
-// end; the readahead windows are none, one page, a few pages (8) and more
-// than a typical run (70).
+// TestCountSpansMatchesWalk drives random calls through the run walk and
+// checks the counts it returns and the container it leaves against the
+// per-page walk. Calls alternate between the runtime and init ranges at
+// random, so a range is revisited within one replay; spans start at
+// unaligned bytes, overlap, and clip at the segment end; the readahead
+// windows are none, one page, a few pages (8) and more than a typical run
+// (70).
 func TestCountSpansMatchesWalk(t *testing.T) {
 	for _, window := range []int{0, 1, 8, 70} {
 		for seed := int64(1); seed <= 40; seed++ {
@@ -497,8 +449,8 @@ func TestCountSpansMatchesWalk(t *testing.T) {
 	}
 }
 
-// FuzzTouchWalk checks the run walk and the run pre-count against their
-// per-page references on fuzzer-chosen layouts, spans and windows.
+// FuzzTouchWalk checks the run walk against its per-page reference on
+// fuzzer-chosen layouts, spans and windows.
 // runtime and init size the two monitored segments (in pages); each layout
 // byte paints the next run of pages, runtime then init, with state
 // 1+b%3 (Inactive, Hot, Remote) over 1+b/3 pages; window%80 is the
@@ -544,47 +496,4 @@ func FuzzTouchWalk(f *testing.F) {
 		}
 		checkSpanCalls(t, "fuzz", build, calls)
 	})
-}
-
-// BenchmarkFaultPrecount measures the fault-plan pre-count alone: the web
-// profile's request touches counted over a container whose runtime and init
-// segments are about three quarters Remote, the rest Hot.
-func BenchmarkFaultPrecount(b *testing.B) {
-	prof := workload.Web()
-	sp := pagemem.NewSpace(pagemem.DefaultPageSize)
-	c := withWindow(&Container{space: sp}, 0)
-	c.runtimeRange = sp.AllocBytes(prof.RuntimeBytes)
-	c.initRange = sp.AllocBytes(prof.InitBytes)
-	rng := rand.New(rand.NewSource(1))
-	for w := int(c.runtimeRange.Start) / 64; w*64 < int(c.initRange.End); w++ {
-		remote := rng.Uint64() | rng.Uint64()
-		for b := 0; b < 64 && w*64+b < int(c.initRange.End); b++ {
-			st := pagemem.Hot
-			if remote&(1<<uint(b)) != 0 {
-				st = pagemem.Remote
-			}
-			setState(sp, pagemem.PageID(w*64+b), st)
-		}
-	}
-	touches := make([]workload.Touches, 64)
-	for i := range touches {
-		prof.RequestTouches(rng, &touches[i])
-	}
-	var scratch pagemem.Space
-	precount := func(t workload.Touches) int {
-		scratch.CopyStates(c.space)
-		rf, rra := c.countSpans(&scratch, c.runtimeRange, t.Runtime)
-		inf, ira := c.countSpans(&scratch, c.initRange, t.Init)
-		return rf + rra + inf + ira
-	}
-	for _, t := range touches {
-		precount(t)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if precount(touches[i%len(touches)]) == 0 {
-			b.Fatal("pre-count found no remote pages")
-		}
-	}
 }

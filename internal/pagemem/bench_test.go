@@ -8,9 +8,10 @@ import (
 
 // BenchmarkFragmentedSpace times the run list's worst case: a Bert-sized
 // init range with one run per page, its states cycling Inactive, Hot,
-// Remote page by page. Each iteration restores that layout untimed, then
-// times one request-style promote over a 10% span, one Prefix seeking 256
-// hot pages, and one offload-style MoveRange of a 1% span.
+// Remote page by page. Each iteration restores that layout untimed (the
+// pristine run list copied over the worked one, whose storage is reused),
+// then times one request-style promote over a 10% span, one Prefix seeking
+// 256 hot pages, and one offload-style MoveRange of a 1% span.
 func BenchmarkFragmentedSpace(b *testing.B) {
 	frag, work := NewSpace(DefaultPageSize), NewSpace(DefaultPageSize)
 	bytes := workload.Bert().InitBytes
@@ -26,7 +27,7 @@ func BenchmarkFragmentedSpace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		work.CopyStates(frag)
+		work.runs, work.total = append(work.runs[:0], frag.runs...), frag.total
 		b.StartTimer()
 		work.MoveRange(touch, Inactive, Hot)
 		if _, k := work.Prefix(seg, Hot, 256); k != 256 {

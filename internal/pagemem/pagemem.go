@@ -70,8 +70,7 @@ type Range struct {
 func (r Range) Len() int { return int(r.End - r.Start) }
 
 // Space is a page-granularity address space for one container. Construct
-// it with NewSpace; the zero value is usable only as a CopyStates
-// destination.
+// it with NewSpace.
 //
 // Page state lives only in runs: runs[i] gives the state of pages
 // [runs[i].start, runs[i+1].start), the last run ending at the page count.
@@ -146,16 +145,6 @@ func (s *Space) AllocBytes(bytes int64) Range {
 	}
 	n := int((bytes + int64(s.pageSize) - 1) / int64(s.pageSize))
 	return s.Alloc(n)
-}
-
-// CopyStates makes s's page states a copy of src's — page size, page
-// count, runs and totals — for a what-if walk that must leave src alone.
-// It reuses s's run storage, so a scratch Space
-// copied into per request stops allocating once it has held the largest
-// run list.
-func (s *Space) CopyStates(src *Space) {
-	s.pageSize, s.n, s.total = src.pageSize, src.n, src.total
-	s.runs = append(s.runs[:0], src.runs...)
 }
 
 // pushRun appends a run of state st starting at page p, or extends the last

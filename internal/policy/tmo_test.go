@@ -271,20 +271,21 @@ func (v rangeView) OffloadPages(_ *simtime.Engine, sels []pagemem.Selection, max
 // BenchmarkTMOStep times one TMO step on a Bert-sized container whose
 // runtime hot span is re-touched before every step: the step clears the
 // span's bits, passes the runs it already offloaded and offloads its budget
-// of idle runtime pages. Every 32 steps the container is restored untimed,
-// before the runtime segment runs out of idle pages.
+// of idle runtime pages. Every 32 steps the container is restored untimed
+// (every page back to Inactive, as built, in place), before the runtime
+// segment runs out of idle pages.
 func BenchmarkTMOStep(b *testing.B) {
 	prof := workload.Bert()
 	s := pagemem.NewSpace(pagemem.DefaultPageSize)
 	v := rangeView{newFakeView(s.PagesOf(prof.RuntimeBytes), s.PagesOf(prof.InitBytes))}
 	c := &tmoContainer{cfg: TMOConfig{}.withDefaults(), view: v}
 	hot := pagemem.Range{Start: v.runtimeRange.Start, End: v.runtimeRange.Start + pagemem.PageID(s.PagesOf(prof.RuntimeHotBytes))}
-	fresh := pagemem.NewSpace(pagemem.DefaultPageSize)
-	fresh.CopyStates(v.space)
 	n := numPages(v.space)
+	all := pagemem.Range{End: pagemem.PageID(n)}
 	e := simtime.NewEngine()
 	restore := func() {
-		v.space.CopyStates(fresh)
+		v.space.MoveRange(all, pagemem.Hot, pagemem.Inactive)
+		v.space.MoveRange(all, pagemem.Remote, pagemem.Inactive)
 		c.accessed.SetRange(0, n)
 		c.accessed.ClearRange(0, n)
 		c.carry = 0

@@ -67,15 +67,15 @@ func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts Class
 	return accepted, start, done, nil
 }
 
-// FaultBatchOwner performs a described batch of demand faults during one
-// request execution. Fetches pipeline FaultPipeline-deep, so the request
+// faultBatchOwner performs a described batch of demand faults during one
+// request execution (FetchRetry's fetch). Fetches pipeline FaultPipeline-deep, so the request
 // observes one FaultLatency per pipeline-full plus the wire time of the
 // data, with saturation inflation once the link is busy. The pages' bytes
 // leave the pool. With a memory node attached, the recalled pages'
 // provenance releases the owner's holdings (freeing the resident copy on
 // last reference) and the tier surcharge for compressed/spilled fractions is
 // added to the stall.
-func (p *Pool) FaultBatchOwner(now simtime.Time, owner, fn string, counts ClassCounts) FaultStall {
+func (p *Pool) faultBatchOwner(now simtime.Time, owner, fn string, counts ClassCounts) FaultStall {
 	n := counts.Total()
 	if n < 0 {
 		panic("rmem: negative fault batch")

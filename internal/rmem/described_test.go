@@ -158,7 +158,7 @@ func TestFaultBatchOwnerAddsTierSurcharge(t *testing.T) {
 	if _, _, _, err := p.OffloadDescribed(0, "c0", "f", counts); err != nil {
 		t.Fatal(err)
 	}
-	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts)
+	stall := p.faultBatchOwner(time.Hour, "c0", "f", counts)
 	if stall.Tier <= 0 {
 		t.Fatalf("tier surcharge = %v, want > 0 for spilled pages", stall.Tier)
 	}
@@ -181,7 +181,7 @@ func TestFaultBatchOwnerNilNodeHasNoTier(t *testing.T) {
 	pushBytes(p, 0, 10*pageBytes)
 	var counts ClassCounts
 	counts[memnode.ClassRuntime] = 10
-	stall := p.FaultBatchOwner(time.Hour, "c0", "f", counts)
+	stall := p.faultBatchOwner(time.Hour, "c0", "f", counts)
 	if stall.Tier != 0 {
 		t.Fatalf("nil-node tier = %v, want 0", stall.Tier)
 	}

@@ -26,8 +26,11 @@ func Example() {
 	}
 	fmt.Printf("offload wire time: ~%dms\n", done.Milliseconds())
 	// One 4 KiB demand fault.
-	lat := pool.FaultBatchOwner(time.Second, "c0", "fn", runtimePages(1)).Total
-	fmt.Printf("single fault: %dus\n", lat.Microseconds())
+	stall, err := pool.FetchRetry(time.Second, "c0", "fn", runtimePages(1))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("single fault: %dus\n", stall.Total.Microseconds())
 	// Output:
 	// offload wire time: ~14ms
 	// single fault: 15us

@@ -59,17 +59,16 @@ func (p *Pool) noteHealth(now simtime.Time) {
 	p.tel.DegradedEdge(now, healthy)
 }
 
-// FetchRetry is FaultBatchOwner behind the recovery state machine: when the
-// remote path is unhealthy it retries with exponential backoff (starting at
-// retryBackoff, doubling, at most retryMax attempts) until the plan shows
-// the path healthy again, then performs the fetch. The backoff wait is added
-// to the returned stall. It gives up with ErrFetchTimeout once the next
-// backoff would exceed timeout (0 = no per-call timeout) or the attempt
-// budget is spent; the caller then falls back to local swap or cold re-init
-// and no pool state has been touched.
-func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts, timeout time.Duration) (FaultStall, error) {
+// FetchRetry is a request's demand-fault batch (faultBatchOwner) behind
+// the recovery state machine: while a fault plan shows the remote path
+// unhealthy it backs off (retryBackoff, doubling) until the path is healthy
+// again, then fetches; the backoff wait is added to the returned stall. It
+// gives up with ErrFetchTimeout once the next backoff would pass
+// fetchTimeout; the caller then falls back to local swap or cold re-init
+// and no pool state has been touched. Without a plan it is the plain batch.
+func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts) (FaultStall, error) {
 	if p.flt == nil {
-		return p.FaultBatchOwner(now, owner, fn, counts), nil
+		return p.faultBatchOwner(now, owner, fn, counts), nil
 	}
 	p.noteHealth(now)
 	var waited time.Duration
@@ -79,14 +78,14 @@ func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts
 		if !p.flt.Unhealthy(now + simtime.Time(waited)) {
 			// Path (back) up: fetch now. All mutation happens at the real
 			// current time; only the plan was probed at future instants.
-			stall := p.FaultBatchOwner(now, owner, fn, counts)
+			stall := p.faultBatchOwner(now, owner, fn, counts)
 			stall.Backoff = waited
 			stall.Retries = retries
 			stall.Total += waited
 			return stall, nil
 		}
 		retries++
-		if retries > retryMax || (timeout > 0 && waited+backoff > timeout) {
+		if waited+backoff > fetchTimeout {
 			p.tel.FetchTimeout(now, waited, owner, fn, counts.Total())
 			err := ErrPoolDown
 			if !p.flt.PoolDown(now + simtime.Time(waited)) {

@@ -50,7 +50,7 @@ func TestTypedFaultErrors(t *testing.T) {
 			}
 			var counts ClassCounts
 			counts[memnode.ClassRuntime] = 1
-			_, ferr := tc.pool.FetchRetry(tc.at, "o", "f", counts, time.Millisecond)
+			_, ferr := tc.pool.FetchRetry(tc.at, "o", "f", counts)
 			if tc.want == nil && ferr != nil {
 				t.Fatalf("FetchRetry on healthy path errored: %v", ferr)
 			}
@@ -91,7 +91,7 @@ func TestFetchRetrySucceedsAfterFlap(t *testing.T) {
 	if _, err := pushBytes(p, 0, 4096); err != nil {
 		t.Fatal(err)
 	}
-	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 0)
+	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault())
 	if err != nil {
 		t.Fatalf("FetchRetry: %v", err)
 	}
@@ -111,40 +111,53 @@ func TestFetchRetrySucceedsAfterFlap(t *testing.T) {
 }
 
 // TestFetchRetryTimesOutAndLeavesLedger: when the outage outlasts the
-// per-call timeout the fetch fails typed, after the attempt budget the
-// wrapped cause names the outage kind, and the pool ledger is untouched —
-// the caller still owns the pages for fallback or re-init.
+// backoff schedule the fetch fails typed, the wrapped cause names the
+// outage kind, and the pool ledger is untouched — the caller still owns the
+// pages for fallback or re-init. The schedule probes at +0, 20, 60, 140 and
+// 300 ms; the next wait (320 ms) would pass the 500 ms fetch timeout, so an
+// outage over by +300 ms is the longest one a fetch rides out.
 func TestFetchRetryTimesOutAndLeavesLedger(t *testing.T) {
-	p := NewPool(Config{
-		Faults: planWith(faultinject.Window{
-			Kind: faultinject.PoolCrash, Start: sec(1), End: sec(3600),
-		}),
-	})
-	if _, err := pushBytes(p, 0, 4096); err != nil {
-		t.Fatal(err)
+	const last = 300 * time.Millisecond
+	cases := []struct {
+		name    string
+		kind    faultinject.Kind
+		outage  time.Duration
+		wantErr error
+		retries int
+	}{
+		{"crash over at the last probe", faultinject.PoolCrash, last, nil, 4},
+		{"crash past the last probe", faultinject.PoolCrash, last + 1, ErrPoolDown, 5},
+		{"flap past the last probe", faultinject.LinkFlap, last + 1, ErrLinkDown, 5},
+		{"crash for an hour", faultinject.PoolCrash, time.Hour, ErrPoolDown, 5},
 	}
-	stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault(), 25*time.Millisecond)
-	if !errors.Is(err, ErrFetchTimeout) {
-		t.Fatalf("err = %v, want ErrFetchTimeout", err)
-	}
-	if !errors.Is(err, ErrPoolDown) {
-		t.Fatalf("err = %v, want the ErrPoolDown cause wrapped", err)
-	}
-	// The first 20ms backoff fits the 25ms budget, the next 40ms step
-	// would not: one retry.
-	if stall.Backoff != retryBackoff {
-		t.Errorf("Backoff = %v, want %v", stall.Backoff, retryBackoff)
-	}
-	if p.Used() != 4096 {
-		t.Errorf("failed fetch mutated ledger: used = %d, want 4096", p.Used())
-	}
-	// Without a timeout the attempt budget (default 6 doublings) gives up.
-	stall, err = p.FetchRetry(sec(1), "o", "f", onePageFault(), 0)
-	if !errors.Is(err, ErrFetchTimeout) {
-		t.Fatalf("budget-exhausted err = %v, want ErrFetchTimeout", err)
-	}
-	if stall.Retries != 7 {
-		t.Errorf("Retries = %d, want retryMax+1 = 7", stall.Retries)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPool(Config{Faults: planWith(faultinject.Window{
+				Kind: tc.kind, Start: sec(1), End: sec(1) + simtime.Time(tc.outage),
+			})})
+			if _, err := pushBytes(p, 0, 4096); err != nil {
+				t.Fatal(err)
+			}
+			stall, err := p.FetchRetry(sec(1), "o", "f", onePageFault())
+			if stall.Retries != tc.retries || stall.Backoff != last {
+				t.Errorf("Retries, Backoff = %d, %v; want %d, %v", stall.Retries, stall.Backoff, tc.retries, last)
+			}
+			if tc.wantErr == nil {
+				if err != nil {
+					t.Fatalf("FetchRetry: %v", err)
+				}
+				if p.Used() != 0 {
+					t.Errorf("fetch did not drain pool: used = %d", p.Used())
+				}
+				return
+			}
+			if !errors.Is(err, ErrFetchTimeout) || !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want ErrFetchTimeout wrapping %v", err, tc.wantErr)
+			}
+			if p.Used() != 4096 {
+				t.Errorf("failed fetch mutated ledger: used = %d, want 4096", p.Used())
+			}
+		})
 	}
 }
 

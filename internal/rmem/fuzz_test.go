@@ -86,7 +86,7 @@ func FuzzPoolLedger(f *testing.F) {
 				p.OffloadDescribed(now, owner, fn, counts)
 			case 1:
 				op = "fault"
-				p.FaultBatchOwner(now, owner, fn, counts)
+				p.faultBatchOwner(now, owner, fn, counts)
 			case 2:
 				op = "recall"
 				p.RecallDescribed(now, owner, fn, counts)
@@ -98,7 +98,7 @@ func FuzzPoolLedger(f *testing.F) {
 				p.RecallLocal(now, owner, fn, counts)
 			case 5:
 				op = "fetch-retry"
-				p.FetchRetry(now, owner, fn, counts, 200*time.Millisecond)
+				p.FetchRetry(now, owner, fn, counts)
 			case 6:
 				op = "share-read"
 				p.ShareRead(now, owner, fn, pages)

@@ -73,10 +73,11 @@ const (
 	// with ~1 MB/s durability-limited writes) genuinely unable to absorb
 	// offload traffic.
 	maxBacklog = time.Second
-	// retryMax bounds FetchRetry's backoff attempts.
-	retryMax = 6
 	// retryBackoff is FetchRetry's initial backoff, doubling per attempt.
 	retryBackoff = 20 * time.Millisecond
+	// fetchTimeout bounds FetchRetry's backoff: it gives up rather than
+	// wait past it, so a fetch waits at most 20+40+80+160 = 300 ms.
+	fetchTimeout = 500 * time.Millisecond
 )
 
 // withDefaults fills zero fields with the paper's 2-node CloudLab-like
@@ -112,8 +113,8 @@ var (
 	ErrLinkDown = errors.New("rmem: pool link is down")
 	// ErrPoolDown is returned while the pool node is crashed.
 	ErrPoolDown = errors.New("rmem: pool node is down")
-	// ErrFetchTimeout is returned when FetchRetry exhausts its retry budget
-	// or the per-container fetch timeout before the link recovers.
+	// ErrFetchTimeout is returned when FetchRetry's backoff would pass the
+	// fetch timeout before the remote path recovers.
 	ErrFetchTimeout = errors.New("rmem: page fetch timed out")
 )
 
@@ -295,7 +296,7 @@ type FaultStall struct {
 	Injected time.Duration
 	// Backoff is the retry wait FetchRetry spent before the fetch finally
 	// went through; it is included in Total. Retries counts the failed
-	// attempts. Both are zero outside FetchRetry.
+	// attempts. Both are zero without a fault plan.
 	Backoff time.Duration
 	Retries int
 }

@@ -32,7 +32,7 @@ func pullBytes(p *Pool, now simtime.Time, bytes int64) simtime.Time {
 
 // faultLat returns the latency n demand faults add.
 func faultLat(p *Pool, now simtime.Time, n int) time.Duration {
-	return p.FaultBatchOwner(now, "c", "f", bytePages(int64(n)*pageBytes)).Total
+	return p.faultBatchOwner(now, "c", "f", bytePages(int64(n)*pageBytes)).Total
 }
 
 func TestDefaultsApplied(t *testing.T) {

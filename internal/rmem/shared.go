@@ -18,7 +18,7 @@ import (
 // ShareRead prices a read-shared mapping of pages held by owner (a region's
 // synthetic owner) under tenant fn: pipelined demand fetches plus wire time
 // plus the memnode tier surcharge for compressed/spilled fractions, with the
-// same saturation inflation as FaultBatchOwner. The pool's byte ledger and
+// same saturation inflation as FetchRetry. The pool's byte ledger and
 // the owner's holdings are untouched. Returns an error while the remote path
 // is down (fault plans); the caller replays the producer instead.
 func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int) (FaultStall, error) {
