@@ -38,8 +38,7 @@ func main() {
 				NodeMemoryLimit:  limitMB * 1_000_000,
 				Seed:             7,
 			},
-			Pool:      rmem.Config{}, // the paper's 56 Gbps rack pool
-			Scheduler: cluster.WarmFirst,
+			Pool: rmem.Config{}, // the paper's 56 Gbps rack pool
 		}, newPolicy)
 		for i := 0; i < 12; i++ {
 			prof := *apps[i%len(apps)]

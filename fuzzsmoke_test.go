@@ -2,8 +2,10 @@ package faasmem
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -147,10 +149,20 @@ type goFile struct {
 	imports map[string]string // local name → imported path, module-relative for the module's own packages
 }
 
+// module is the module path of the repository's root go.mod.
+const module = "github.com/faasmem/faasmem"
+
+// modulePath is the import path of the package in module-relative dir.
+func modulePath(dir string) string {
+	if dir == "." {
+		return module
+	}
+	return module + "/" + dir
+}
+
 // parseTree parses every Go file under root, skipping testdata and dot
 // directories, into one FileSet, so a token.Pos names one place in the tree.
-func parseTree(t *testing.T, root string) []goFile {
-	const module = "github.com/faasmem/faasmem/"
+func parseTree(t *testing.T, root string) (*token.FileSet, []goFile) {
 	var files []goFile
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(file string, d fs.DirEntry, err error) error {
@@ -177,7 +189,7 @@ func parseTree(t *testing.T, root string) []goFile {
 			if im.Name != nil {
 				name = im.Name.Name
 			}
-			imports[name] = strings.TrimPrefix(p, module)
+			imports[name] = strings.TrimPrefix(p, module+"/")
 		}
 		files = append(files, goFile{
 			dir:     filepath.ToSlash(filepath.Dir(file)),
@@ -190,7 +202,7 @@ func parseTree(t *testing.T, root string) []goFile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	return fset, files
 }
 
 // TestEveryReaderIsFuzzed fails when an exported Read*, Parse*, Decode* or
@@ -200,7 +212,8 @@ func parseTree(t *testing.T, root string) []goFile {
 func TestEveryReaderIsFuzzed(t *testing.T) {
 	readers := map[string]bool{}
 	named := map[string]bool{}
-	for _, gf := range parseTree(t, "internal") {
+	_, files := parseTree(t, "internal")
+	for _, gf := range files {
 		for _, decl := range gf.f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Recv != nil || fn.Body == nil {
@@ -238,41 +251,54 @@ func TestEveryReaderIsFuzzed(t *testing.T) {
 }
 
 // unusedExports are the exported names under internal/ that no non-test
-// file uses, keyed by package directory and name (Type.Method for a method;
-// a receiver of * stands for every type in the package). An entry whose
-// name is used, or no longer declared, fails TestEveryExportedNameIsUsed.
+// file uses, keyed by package directory and name (Type.Method for a method).
+// An entry whose name is used, or no longer declared, fails
+// TestEveryExportedNameIsUsed.
 var unusedExports = map[string]string{
 	"internal/faultinject.FromWindows":                   "tests in faas, rmem, core and experiments build fault plans with it",
-	"internal/fastswap.Device.ClusterReads":              "faas and experiments tests check readahead with it",
 	"internal/memnode.Node.TenantLogicalBytes":           "sharedmem tests check copy-on-write charges with it",
 	"internal/telemetry/timeseries.Recorder.FlightTotal": "experiments tests check the flight recorder with it",
+	"internal/telemetry/timeseries.Recorder.Buckets":     "experiments' TestSinksCoherent holds every /metrics latency le count to it",
 	"internal/simtime.Engine.Pending":                    "the event-queue depth probe; the engine benchmarks and policy tests read it",
-	"internal/workload.*.MarshalJSON":                    "json.Marshaler, called by encoding/json",
-	"internal/workload.*.UnmarshalJSON":                  "json.Unmarshaler, called by encoding/json",
+}
+
+// stdInterfaces are the standard-library interfaces whose methods the
+// standard library calls on the module's values, where no module code
+// names them: fmt's verbs, error values, encoding/json, flag parsing and
+// math/rand. A method implementing one of them is used.
+var stdInterfaces = []struct{ pkg, name string }{
+	{"fmt", "Stringer"},
+	{"", "error"}, // the universe scope
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"flag", "Value"},
+	{"math/rand", "Source"},
 }
 
 // exportedDecl is one exported name declared in a non-test file under
 // internal/, with the declaration node whose extent does not count as a use.
 type exportedDecl struct {
-	pkg, recv, name string // recv is empty for a package-level name
-	node            ast.Node
+	pkg, recv string     // recv is empty for a package-level name
+	id        *ast.Ident // the declaring identifier
+	node      ast.Node
 }
 
 // key names d as unusedExports does.
-func (d exportedDecl) key(recv string) string {
-	if recv == "" {
-		return d.pkg + "." + d.name
+func (d exportedDecl) key() string {
+	if d.recv == "" {
+		return d.pkg + "." + d.id.Name
 	}
-	return d.pkg + "." + recv + "." + d.name
+	return d.pkg + "." + d.recv + "." + d.id.Name
 }
 
-// exportedDecls lists the exported funcs, methods (of exported types),
-// types, consts and vars that f declares.
+// exportedDecls lists the exported funcs, methods (of exported types, an
+// exported interface's own methods included), types, consts and vars that
+// f declares.
 func exportedDecls(gf goFile) []exportedDecl {
 	var out []exportedDecl
 	add := func(recv string, id *ast.Ident, node ast.Node) {
 		if id.IsExported() {
-			out = append(out, exportedDecl{gf.dir, recv, id.Name, node})
+			out = append(out, exportedDecl{gf.dir, recv, id, node})
 		}
 	}
 	for _, decl := range gf.f.Decls {
@@ -282,17 +308,7 @@ func exportedDecls(gf goFile) []exportedDecl {
 				add("", d.Name, d)
 				break
 			}
-			recv := d.Recv.List[0].Type
-			if star, ok := recv.(*ast.StarExpr); ok {
-				recv = star.X
-			}
-			switch r := recv.(type) {
-			case *ast.IndexExpr:
-				recv = r.X
-			case *ast.IndexListExpr:
-				recv = r.X
-			}
-			if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+			if id := recvType(d); id.IsExported() {
 				add(id.Name, d.Name, d)
 			}
 		case *ast.GenDecl:
@@ -300,6 +316,13 @@ func exportedDecls(gf goFile) []exportedDecl {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					add("", s.Name, s)
+					if it, ok := s.Type.(*ast.InterfaceType); ok && s.Name.IsExported() {
+						for _, m := range it.Methods.List {
+							for _, id := range m.Names {
+								add(s.Name.Name, id, m)
+							}
+						}
+					}
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
 						add("", id, s)
@@ -311,60 +334,160 @@ func exportedDecls(gf goFile) []exportedDecl {
 	return out
 }
 
+// recvType is the identifier naming fn's receiver type, stripped of its
+// pointer and type parameters.
+func recvType(fn *ast.FuncDecl) *ast.Ident {
+	recv := fn.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	switch r := recv.(type) {
+	case *ast.IndexExpr:
+		recv = r.X
+	case *ast.IndexListExpr:
+		recv = r.X
+	}
+	return recv.(*ast.Ident)
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// typeCheckModule type-checks every non-test package of the module, the
+// bench/ module's included, each after the module packages it imports; the
+// standard library comes from importer.Default. It returns the non-test
+// files and one Info holding every package's definitions and uses.
+func typeCheckModule(t *testing.T) ([]goFile, *types.Info, types.Importer) {
+	fset, all := parseTree(t, ".")
+	var files []goFile
+	byPath := map[string][]*ast.File{}
+	for _, gf := range all {
+		if !gf.test {
+			files = append(files, gf)
+			byPath[modulePath(gf.dir)] = append(byPath[modulePath(gf.dir)], gf.f)
+		}
+	}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	std := importer.Default()
+	checked := map[string]*types.Package{}
+	var check func(path string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if byPath[path] != nil {
+			return check(path)
+		}
+		return std.Import(path)
+	})}
+	check = func(path string) (*types.Package, error) {
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		pkg, err := conf.Check(path, fset, byPath[path], info)
+		checked[path] = pkg
+		return pkg, err
+	}
+	for path := range byPath {
+		if _, err := check(path); err != nil {
+			t.Fatalf("type-checking %s: %v", path, err)
+		}
+	}
+	return files, info, std
+}
+
+// origin is the generic declaration behind obj, or obj itself, so a use of
+// an instantiated type's method or field resolves to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
 // TestEveryExportedNameIsUsed fails when an exported func, method, type,
 // const or var declared in a non-test file under internal/ has no use
 // outside its own declaration in any non-test file of the module (cmd/,
 // examples/ and the bench/ module included) and is not in unusedExports, so
-// test-only helpers live in _test.go files and dead API is deleted. It
-// reads syntax only: a package-level name is used where its package
-// qualifies it, or bare in its own package; a method is used wherever any
-// selector names it, whatever the receiver; a method's own receiver is not a
-// use of its type.
+// test-only helpers live in _test.go files and dead API is deleted. Uses
+// are resolved by go/types: a use names the declared object itself (a
+// method of an instantiated generic type resolves to the generic one), a
+// method's own receiver is not a use of its type, and a concrete method is
+// used when a used interface method it implements is, or when it
+// implements one of stdInterfaces.
 func TestEveryExportedNameIsUsed(t *testing.T) {
+	files, info, std := typeCheckModule(t)
+	receivers := map[token.Pos]bool{} // receiver type identifiers
 	var decls []exportedDecl
-	uses := map[string][]token.Pos{}      // package dir + "." + name → its uses
-	selectors := map[string][]token.Pos{} // name after a non-package selector → its uses
-	for _, gf := range parseTree(t, ".") {
-		if gf.test {
-			continue
-		}
+	for _, gf := range files {
 		if strings.HasPrefix(gf.dir, "internal/") {
 			decls = append(decls, exportedDecls(gf)...)
 		}
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				ast.Inspect(x.Type, visit)
-				if x.Body != nil {
-					ast.Inspect(x.Body, visit)
-				}
-				return false
-			case *ast.SelectorExpr:
-				if pkg, ok := x.X.(*ast.Ident); ok && gf.imports[pkg.Name] != "" {
-					key := gf.imports[pkg.Name] + "." + x.Sel.Name
-					uses[key] = append(uses[key], x.Sel.Pos())
-					return false
-				}
-				selectors[x.Sel.Name] = append(selectors[x.Sel.Name], x.Sel.Pos())
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.Ident:
-				key := gf.dir + "." + x.Name
-				uses[key] = append(uses[key], x.Pos())
+		for _, decl := range gf.f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				receivers[recvType(fn).Pos()] = true
 			}
-			return true
 		}
-		ast.Inspect(gf.f, visit)
+	}
+	uses := map[types.Object][]token.Pos{}
+	ifaceUses := map[*types.Func]bool{} // used interface methods
+	for id, obj := range info.Uses {
+		if receivers[id.Pos()] {
+			continue
+		}
+		obj = origin(obj)
+		uses[obj] = append(uses[obj], id.Pos())
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceUses[fn] = true
+			}
+		}
+	}
+	for _, s := range stdInterfaces {
+		scope := types.Universe
+		if s.pkg != "" {
+			pkg, err := std.Import(s.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = pkg.Scope()
+		}
+		iface := scope.Lookup(s.name).Type().Underlying().(*types.Interface)
+		for i := 0; i < iface.NumMethods(); i++ {
+			ifaceUses[iface.Method(i)] = true
+		}
+	}
+	// implements reports whether method m of a concrete type implements
+	// the interface method im.
+	implements := func(m, im *types.Func) bool {
+		if m.Name() != im.Name() {
+			return false
+		}
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
+			return false
+		}
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		return types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)
 	}
 	used := func(d exportedDecl) bool {
-		pos := uses[d.pkg+"."+d.name]
-		if d.recv != "" {
-			pos = selectors[d.name]
-		}
-		for _, p := range pos {
+		obj := info.Defs[d.id]
+		for _, p := range uses[obj] {
 			if p < d.node.Pos() || p >= d.node.End() {
 				return true
+			}
+		}
+		if m, ok := obj.(*types.Func); ok && d.recv != "" {
+			for im := range ifaceUses {
+				if implements(m, im) {
+					return true
+				}
 			}
 		}
 		return false
@@ -374,15 +497,11 @@ func TestEveryExportedNameIsUsed(t *testing.T) {
 		if used(d) {
 			continue
 		}
-		key := d.key(d.recv)
-		if _, ok := unusedExports[key]; !ok && d.recv != "" {
-			key = d.key("*")
-		}
-		if _, ok := unusedExports[key]; ok {
-			listed[key] = true
+		if _, ok := unusedExports[d.key()]; ok {
+			listed[d.key()] = true
 			continue
 		}
-		t.Errorf("%s has no use outside tests: delete it or move it into an _test.go file", d.key(d.recv))
+		t.Errorf("%s has no use outside tests: delete it or move it into an _test.go file", d.key())
 	}
 	for key := range unusedExports {
 		if !listed[key] {
@@ -397,14 +516,6 @@ var configExempt = map[string]bool{
 	"internal/core.Config":        true,
 	"internal/policy.TMOConfig":   true,
 	"internal/policy.DAMONConfig": true,
-}
-
-// unsetConfigFields are the exported *Config fields under internal/ that no
-// non-test file sets, keyed by package directory, type and field. An entry
-// whose field is set, or no longer declared, fails TestEveryConfigFieldIsSet.
-var unsetConfigFields = map[string]string{
-	"internal/faas.Config.MaxContainersPerFunction": "gates scale-out queueing, which faas tests and the reconcile invariant exercise",
-	"internal/fastswap.Config.Slots":                "gates a finite swapfile, which fastswap and faas tests exercise",
 }
 
 // typeKey names the type t spells in gf as "dir.Name", or "" if t is not a
@@ -425,15 +536,15 @@ func typeKey(gf goFile, t ast.Expr) string {
 
 // TestEveryConfigFieldIsSet fails when an exported field of an exported
 // *Config struct under internal/ is set by no non-test file of the module
-// (cmd/, examples/ and the bench/ module included) and is not in
-// unsetConfigFields, so a knob no run turns is a named constant instead.
+// (cmd/, examples/ and the bench/ module included), so a knob no run turns
+// is a named constant instead.
 // It reads syntax only: a field is set by a key of a composite literal of
 // its type (an elided element type included), or by an assignment to any
 // selector of its name (or to an element of one), except one through a
 // receiver or parameter of a config type of the assigning package, which
 // fills a default (withDefaults, a constructor).
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	files := parseTree(t, ".")
+	_, files := parseTree(t, ".")
 	fields := map[string][]string{} // "dir.Type" → its exported field names
 	for _, gf := range files {
 		if gf.test || !strings.HasPrefix(gf.dir, "internal/") {
@@ -548,24 +659,11 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	if len(fields) == 0 {
 		t.Fatal("no *Config structs found under internal/")
 	}
-	declared := map[string]bool{}
 	for typ, names := range fields {
 		for _, name := range names {
-			key := typ + "." + name
-			declared[key] = true
-			isSet := set[key] || assigned[name]
-			_, listed := unsetConfigFields[key]
-			switch {
-			case !isSet && !listed:
+			if key := typ + "." + name; !set[key] && !assigned[name] {
 				t.Errorf("%s is set by no non-test file: make it a named constant", key)
-			case isSet && listed:
-				t.Errorf("unsetConfigFields lists %s, which a non-test file sets", key)
 			}
-		}
-	}
-	for key := range unsetConfigFields {
-		if !declared[key] {
-			t.Errorf("unsetConfigFields lists %s, which is no exported *Config field under internal/", key)
 		}
 	}
 }

@@ -17,39 +17,8 @@ import (
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
-
-// SchedulerKind selects how requests are routed to nodes.
-type SchedulerKind int
-
-const (
-	// WarmFirst prefers a node holding an idle container for the function,
-	// falling back to the node with the most free local memory. This is the
-	// affinity-style routing serverless schedulers use to maximize warm
-	// starts.
-	WarmFirst SchedulerKind = iota
-	// LeastMemory always routes to the node with the lowest local memory
-	// usage, ignoring container affinity.
-	LeastMemory
-	// RoundRobin rotates through nodes.
-	RoundRobin
-)
-
-// String implements fmt.Stringer.
-func (k SchedulerKind) String() string {
-	switch k {
-	case WarmFirst:
-		return "warm-first"
-	case LeastMemory:
-		return "least-memory"
-	case RoundRobin:
-		return "round-robin"
-	default:
-		return fmt.Sprintf("scheduler(%d)", int(k))
-	}
-}
 
 // Config describes a rack.
 type Config struct {
@@ -60,17 +29,13 @@ type Config struct {
 	Node faas.Config
 	// Pool configures the shared rack-level memory pool.
 	Pool rmem.Config
-	// Scheduler selects request routing. Default WarmFirst.
-	Scheduler SchedulerKind
 }
 
 // Cluster is a rack of compute nodes sharing one memory pool.
 type Cluster struct {
 	engine *simtime.Engine
-	cfg    Config
 	pool   *rmem.Pool
 	nodes  []*faas.Platform
-	rr     int
 	// rescheduled counts warm reuses redirected away from nodes without
 	// enough local headroom to recall the container's remote pages — the
 	// load-imbalance rescheduling the paper's §9 leaves as future work.
@@ -94,20 +59,15 @@ func New(engine *simtime.Engine, cfg Config, newPolicy func() policy.Policy) *Cl
 	}
 	c := &Cluster{
 		engine: engine,
-		cfg:    cfg,
 		pool:   rmem.NewPool(cfg.Pool),
 		tel:    cfg.Node.Telemetry.Attach("rack"),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeCfg := cfg.Node
 		nodeCfg.Seed = cfg.Node.Seed + int64(i)*1_000_003
-		if nodeCfg.NodeID == "" {
-			// Container IDs repeat across platforms; distinct node IDs keep
-			// described-page owners unique on the shared memory node.
-			nodeCfg.NodeID = fmt.Sprintf("n%d", i)
-		} else {
-			nodeCfg.NodeID = fmt.Sprintf("%s%d", nodeCfg.NodeID, i)
-		}
+		// Container IDs repeat across platforms; distinct node IDs keep
+		// described-page owners unique on the shared memory node.
+		nodeCfg.NodeID = fmt.Sprintf("n%d", i)
 		c.nodes = append(c.nodes, faas.NewWithPool(engine, nodeCfg, newPolicy(), c.pool))
 	}
 	return c
@@ -131,127 +91,95 @@ func (c *Cluster) Register(id string, prof *workload.Profile) {
 }
 
 // Invoke routes one request for the function at the current virtual time.
-func (c *Cluster) Invoke(fnID string) {
+// hooks carries a workflow stage's state-passing callbacks (nil for a plain
+// request).
+func (c *Cluster) Invoke(fnID string, hooks *faas.StageHooks) {
 	c.submitted++
 	n, faultResched := c.pickNode(fnID)
 	if faultResched {
 		c.rescheduledFault++
 		c.tel.RescheduledFault(c.engine.Now(), fnID)
-		n.InvokeRescheduled(fnID)
-		return
 	}
-	n.Invoke(fnID)
-}
-
-// InvokeStage routes one workflow-stage request carrying state-passing
-// hooks, with the same fault-aware node choice as Invoke.
-func (c *Cluster) InvokeStage(fnID string, hooks *faas.StageHooks) {
-	c.submitted++
-	n, faultResched := c.pickNode(fnID)
-	if faultResched {
-		c.rescheduledFault++
-		c.tel.RescheduledFault(c.engine.Now(), fnID)
-		n.InvokeStageRescheduled(fnID, hooks)
-		return
-	}
-	n.InvokeStage(fnID, hooks)
+	n.Invoke(fnID, hooks, faultResched)
 }
 
 // ScheduleInvocations schedules a timeline; routing happens at fire time so
 // decisions see current node state.
 func (c *Cluster) ScheduleInvocations(fnID string, times []simtime.Time) {
 	for _, at := range times {
-		c.engine.At(at, func(*simtime.Engine) { c.Invoke(fnID) })
+		c.engine.At(at, func(*simtime.Engine) { c.Invoke(fnID, nil) })
 	}
 }
 
-// ReplayTrace registers every function of tr under the profile mapping and
-// schedules all invocations.
-func (c *Cluster) ReplayTrace(tr *trace.Trace, pick func(i int, f *trace.Function) *workload.Profile) {
-	for i, tf := range tr.Functions {
-		prof := pick(i, tf)
-		if prof == nil {
+// pickNode routes warm-first: it prefers a node holding an idle container
+// for the function, the most recently idled one across nodes, falling back
+// to the node with the least local memory in use. This is the
+// affinity-style routing serverless schedulers use to maximize warm starts.
+// faultResched reports that the choice was diverted away from an idle
+// container whose remote pages are behind an unhealthy pool link or crashed
+// memory node — those candidates would stall in fetch retries, so the
+// request is steered to a fully-local container or a fresh launch until the
+// pool recovers.
+func (c *Cluster) pickNode(fnID string) (n *faas.Platform, faultResched bool) {
+	var warm, strapped *faas.Platform
+	var warmIdle, strappedIdle simtime.Time
+	var footprint int64
+	faultAvoided := false
+	degraded := !c.pool.Healthy(c.engine.Now())
+	for _, n := range c.nodes {
+		f := n.Function(fnID)
+		if f == nil {
 			continue
 		}
-		c.Register(tf.ID, prof)
-		c.ScheduleInvocations(tf.ID, tf.Invocations)
+		footprint = f.Profile().TotalBytes()
+		ic := f.IdleContainer()
+		if ic == nil {
+			continue
+		}
+		// While the pool is unreachable, a semi-warm candidate's remote
+		// pages cannot be recalled; skip it rather than stall the
+		// request in fetch retries. It rejoins the pool of candidates
+		// as soon as the fault window closes.
+		if degraded && ic.Space().RemoteBytes() > 0 {
+			faultAvoided = true
+			continue
+		}
+		// §9 future work: a semi-warm container needs its remote pages
+		// back; a node whose DRAM cannot absorb the recall is a strapped
+		// candidate, reused only if rescheduling has no better target.
+		if limit := n.Config().NodeMemoryLimit; limit > 0 &&
+			n.NodeLocalBytes()+ic.Space().RemoteBytes() > limit {
+			if strapped == nil || ic.IdleSince() > strappedIdle {
+				strapped = n
+				strappedIdle = ic.IdleSince()
+			}
+			continue
+		}
+		// Prefer the most recently idled container across nodes,
+		// mirroring per-node LIFO reuse.
+		if warm == nil || ic.IdleSince() > warmIdle {
+			warm = n
+			warmIdle = ic.IdleSince()
+		}
 	}
-}
-
-// pickNode applies the configured scheduling policy. faultResched reports
-// that the choice was diverted away from an idle container whose remote
-// pages are behind an unhealthy pool link or crashed memory node — those
-// candidates would stall in fetch retries, so the request is steered to a
-// fully-local container or a fresh launch until the pool recovers.
-func (c *Cluster) pickNode(fnID string) (n *faas.Platform, faultResched bool) {
-	switch c.cfg.Scheduler {
-	case RoundRobin:
-		n := c.nodes[c.rr%len(c.nodes)]
-		c.rr++
-		return n, false
-	case LeastMemory:
-		return c.leastMemoryNode(), false
-	default: // WarmFirst
-		var warm, strapped *faas.Platform
-		var warmIdle, strappedIdle simtime.Time
-		var footprint int64
-		faultAvoided := false
-		degraded := !c.pool.Healthy(c.engine.Now())
-		for _, n := range c.nodes {
-			f := n.Function(fnID)
-			if f == nil {
-				continue
-			}
-			footprint = f.Profile().TotalBytes()
-			ic := f.IdleContainer()
-			if ic == nil {
-				continue
-			}
-			// While the pool is unreachable, a semi-warm candidate's remote
-			// pages cannot be recalled; skip it rather than stall the
-			// request in fetch retries. It rejoins the pool of candidates
-			// as soon as the fault window closes.
-			if degraded && ic.Space().RemoteBytes() > 0 {
-				faultAvoided = true
-				continue
-			}
-			// §9 future work: a semi-warm container needs its remote pages
-			// back; a node whose DRAM cannot absorb the recall is a strapped
-			// candidate, reused only if rescheduling has no better target.
-			if limit := n.Config().NodeMemoryLimit; limit > 0 &&
-				n.NodeLocalBytes()+ic.Space().RemoteBytes() > limit {
-				if strapped == nil || ic.IdleSince() > strappedIdle {
-					strapped = n
-					strappedIdle = ic.IdleSince()
-				}
-				continue
-			}
-			// Prefer the most recently idled container across nodes,
-			// mirroring per-node LIFO reuse.
-			if warm == nil || ic.IdleSince() > warmIdle {
-				warm = n
-				warmIdle = ic.IdleSince()
-			}
-		}
-		if warm != nil {
-			return warm, faultAvoided
-		}
-		if strapped != nil {
-			// Reschedule only when another node can host a fresh container
-			// without blowing its own limit; otherwise the strapped reuse is
-			// still the cheapest option (eviction absorbs the overflow).
-			alt := c.leastMemoryNode()
-			if alt != strapped {
-				if limit := alt.Config().NodeMemoryLimit; limit <= 0 ||
-					alt.NodeLocalBytes()+footprint <= limit {
-					c.rescheduled++
-					return alt, faultAvoided
-				}
-			}
-			return strapped, faultAvoided
-		}
-		return c.leastMemoryNode(), faultAvoided
+	if warm != nil {
+		return warm, faultAvoided
 	}
+	if strapped != nil {
+		// Reschedule only when another node can host a fresh container
+		// without blowing its own limit; otherwise the strapped reuse is
+		// still the cheapest option (eviction absorbs the overflow).
+		alt := c.leastMemoryNode()
+		if alt != strapped {
+			if limit := alt.Config().NodeMemoryLimit; limit <= 0 ||
+				alt.NodeLocalBytes()+footprint <= limit {
+				c.rescheduled++
+				return alt, faultAvoided
+			}
+		}
+		return strapped, faultAvoided
+	}
+	return c.leastMemoryNode(), faultAvoided
 }
 
 func (c *Cluster) leastMemoryNode() *faas.Platform {

@@ -17,9 +17,8 @@ import (
 func Example() {
 	engine := simtime.NewEngine()
 	rack := cluster.New(engine, cluster.Config{
-		Nodes:     2,
-		Scheduler: cluster.WarmFirst,
-		Node:      faas.Config{KeepAliveTimeout: 5 * time.Minute, Seed: 1},
+		Nodes: 2,
+		Node:  faas.Config{KeepAliveTimeout: 5 * time.Minute, Seed: 1},
 	}, func() policy.Policy { return core.New(core.Config{}) })
 
 	rack.Register("web", workload.Web())

@@ -174,15 +174,6 @@ type ContainerSample struct {
 	Lifetime time.Duration
 }
 
-// ContainerLifetimes extracts the per-container lifetimes.
-func (s *Stats) ContainerLifetimes() []time.Duration {
-	out := make([]time.Duration, len(s.Containers))
-	for i, c := range s.Containers {
-		out[i] = c.Lifetime
-	}
-	return out
-}
-
 type funcHistory struct {
 	// intervals is a ring of the last HistoryLimit reuse intervals: it
 	// grows by append until full, then head is the oldest interval, the
@@ -229,26 +220,8 @@ func New(cfg Config) *FaaSMem {
 	return &FaaSMem{cfg: cfg.withDefaults(), fns: make(map[string]*funcHistory)}
 }
 
-// Name implements policy.Policy, reflecting ablation switches so experiment
-// output is self-describing.
-func (f *FaaSMem) Name() string {
-	switch {
-	case f.cfg.DisablePucket && f.cfg.DisableSemiWarm:
-		return "faasmem-w/o-pucket-semiwarm"
-	case f.cfg.DisablePucket:
-		return "faasmem-w/o-pucket"
-	case f.cfg.DisableSemiWarm:
-		return "faasmem-w/o-semiwarm"
-	default:
-		return "faasmem"
-	}
-}
-
 // Stats returns the accumulated policy statistics.
 func (f *FaaSMem) Stats() *Stats { return &f.stat }
-
-// Config returns the effective configuration.
-func (f *FaaSMem) Config() Config { return f.cfg }
 
 // SeedReuseIntervals pre-populates a function's container reused-interval
 // history from an offline trace analysis. Only the last HistoryLimit

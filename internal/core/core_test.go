@@ -401,23 +401,8 @@ func TestAblationDisableSemiWarm(t *testing.T) {
 	}
 }
 
-func TestPolicyNames(t *testing.T) {
-	cases := map[string]Config{
-		"faasmem":                     {},
-		"faasmem-w/o-pucket":          {DisablePucket: true},
-		"faasmem-w/o-semiwarm":        {DisableSemiWarm: true},
-		"faasmem-w/o-pucket-semiwarm": {DisablePucket: true, DisableSemiWarm: true},
-	}
-	for want, cfg := range cases {
-		if got := New(cfg).Name(); got != want {
-			t.Errorf("Name() = %q, want %q", got, want)
-		}
-	}
-}
-
 func TestDefaultsApplied(t *testing.T) {
-	fm := New(Config{})
-	c := fm.Config()
+	c := New(Config{}).cfg
 	if c.GradientEpsilon != 0.02 || c.GradientRuns != 3 || c.MaxRequestWindow != 32 {
 		t.Error("gradient defaults wrong")
 	}
@@ -480,11 +465,11 @@ func TestHotPagesLeaveOnlyViaSemiWarm(t *testing.T) {
 func TestStatsRecordedAtRecycle(t *testing.T) {
 	fm := New(Config{DisableSemiWarm: true})
 	runScenario(t, fm, testProfile(), ts(0), 0) // run to recycle
-	lifetimes := fm.Stats().ContainerLifetimes()
-	if len(lifetimes) != 1 {
-		t.Fatalf("container lifetimes = %v", lifetimes)
+	cs := fm.Stats().Containers
+	if len(cs) != 1 {
+		t.Fatalf("container samples = %v", cs)
 	}
-	if lifetimes[0] <= 0 {
+	if cs[0].Lifetime <= 0 {
 		t.Fatal("lifetime must be positive")
 	}
 	if shares := fm.Stats().SemiWarmShares(); len(shares) != 1 || shares[0] != 0 {

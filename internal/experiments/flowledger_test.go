@@ -86,7 +86,7 @@ func flowLedgerRack() *timeseries.Recorder {
 		Engine:       e,
 		Shared:       sharedmem.New(sharedmem.Config{Pool: c.Pool()}),
 		Register:     func(id string, prof *workload.Profile) { c.Register(id, prof) },
-		Invoke:       c.InvokeStage,
+		Invoke:       c.Invoke,
 		StatePassing: true,
 	}, wf)
 	if err != nil {

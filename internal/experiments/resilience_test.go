@@ -12,6 +12,7 @@ import (
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
@@ -201,6 +202,7 @@ func TestReadaheadUnderFaultPlan(t *testing.T) {
 	duration := 12 * time.Minute
 	horizon := duration + keepAlive
 	e := simtime.NewEngine()
+	reg := telemetry.NewRegistry()
 	p := faas.New(e, faas.Config{
 		KeepAliveTimeout: keepAlive,
 		Seed:             5,
@@ -209,7 +211,8 @@ func TestReadaheadUnderFaultPlan(t *testing.T) {
 			Intensity: 0.3,
 			Seed:      5,
 		})},
-		Swap: fastswap.Config{ReadaheadPages: 8},
+		Swap:      fastswap.Config{ReadaheadPages: 8},
+		Telemetry: telemetry.Hub{Reg: reg},
 	}, core.New(core.Config{}))
 	for i, name := range []string{"json", "web"} {
 		prof := workload.ByName(name)
@@ -218,7 +221,7 @@ func TestReadaheadUnderFaultPlan(t *testing.T) {
 	}
 	e.RunUntil(horizon)
 	agg, rec := p.Aggregate(), p.Recovery()
-	_, raPages := p.Swap().ClusterReads()
+	raPages := reg.Counter("faasmem_swap_cluster_pages_total", "").Value()
 	if rec.FetchRetries == 0 || agg.FaultPages == 0 || raPages == 0 {
 		t.Fatalf("readahead under the fault plan went unexercised: %d fetch retries, %d fault pages, %d readahead pages",
 			rec.FetchRetries, agg.FaultPages, raPages)

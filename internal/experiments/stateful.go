@@ -197,7 +197,7 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 		Engine:       e,
 		Shared:       mgr,
 		Register:     func(id string, prof *workload.Profile) { c.Register(id, prof) },
-		Invoke:       c.InvokeStage,
+		Invoke:       c.Invoke,
 		StatePassing: cell.pool,
 	}, wf)
 	if err != nil {

@@ -409,12 +409,12 @@ func (c *Container) finishRequest() {
 		Container: c.id, Fn: c.fn.id, Kind: span.StartKind(c.curKind),
 		Arrival: arrival, Start: c.started, End: now, Faults: c.curFaults,
 	}, func() span.Invocation { return c.buildInvocation(arrival, now) })
-	// Recovery attribution is per-request; clear it before any queued
-	// follow-on request reuses this container.
+	// Recovery attribution is per-request; clear it before the next
+	// request reuses this container.
 	c.curReinit, c.curResched = false, false
 	c.curRetryWait, c.curFallbackLat = 0, 0
 	// The workflow Done hook fires once per completed request, then the
-	// hooks clear before any queued follow-on request reuses the container.
+	// hooks clear before the next request reuses the container.
 	if h := c.curHooks; h != nil {
 		c.curHooks = nil
 		c.curStateIn, c.curStateOut = 0, 0
@@ -425,19 +425,6 @@ func (c *Container) finishRequest() {
 	}
 
 	c.pol.RequestEnd(e)
-
-	// Serve queued work before idling: a congested function keeps its
-	// containers busy back to back.
-	if len(c.fn.queue) > 0 {
-		q := c.fn.queue[0]
-		c.fn.queue = c.fn.queue[1:]
-		c.fn.stats.WarmStarts++
-		c.p.tel.WarmStart(false)
-		c.curKind = QueuedStart
-		c.curHooks = q.hooks
-		c.execute(q.at)
-		return
-	}
 
 	// Enter keep-alive.
 	c.idle = true
@@ -453,8 +440,8 @@ func (c *Container) finishRequest() {
 }
 
 // buildInvocation assembles the just-finished request's span tree. The
-// phases tile the root exactly — cold starts get launch+init children,
-// queued requests a queue child, and the exec span nests the remote-fault
+// phases tile the root exactly — cold starts get launch+init children, and
+// the exec span nests the remote-fault
 // stall (labelled a restore on semi-warm reuse) with the link-congestion
 // share as a backlog grandchild — so attribution's per-phase times sum to
 // end-to-end latency in integer nanoseconds.
@@ -464,8 +451,7 @@ func (c *Container) buildInvocation(arrival, now simtime.Time) span.Invocation {
 		Start: arrival,
 		Dur:   time.Duration(now - arrival),
 	}
-	switch c.curKind {
-	case ColdStart:
+	if c.curKind == ColdStart {
 		if c.curReinit && c.curRetryWait > 0 {
 			// A cold re-init replay: the backoff burned before the relaunch
 			// precedes the launch span (the fresh container has no remote
@@ -485,11 +471,6 @@ func (c *Container) buildInvocation(arrival, now simtime.Time) span.Invocation {
 				Phase: span.PhaseInit, Start: c.loadedAt,
 				Dur: time.Duration(c.started - c.loadedAt),
 			})
-	case QueuedStart:
-		root.Children = append(root.Children, span.Span{
-			Phase: span.PhaseQueue, Start: arrival,
-			Dur: time.Duration(c.started - arrival),
-		})
 	}
 	exec := span.Span{
 		Phase: span.PhaseExec, Start: c.started,
@@ -642,8 +623,8 @@ func (c *Container) IdleSince() simtime.Time { return c.idleSince }
 
 // OffloadPages implements policy.View: it moves the selected local pages to
 // the remote pool, at most max of them (max <= 0: no limit), clamped to what
-// the link and swap device accept and admitted per lifecycle class by the
-// pool, charging the node ledger and link bandwidth.
+// the link accepts and admitted per lifecycle class by the pool, charging
+// the node ledger and link bandwidth.
 func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, max int) int {
 	if c.dead {
 		return 0
@@ -658,13 +639,12 @@ func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, ma
 	now := e.Now()
 	pageBytes := int64(c.space.PageSize())
 	// The link caps how much offload work it accepts per call (covers both
-	// pool capacity and the queued-backlog horizon), and the swap device
-	// must have free slots; truncated pages stay local and later offload
-	// attempts pick them up.
-	if budget := int(c.p.pool.AcceptableBytes(now) / pageBytes); budget < total {
-		total = budget
+	// pool capacity and the queued-backlog horizon); truncated pages stay
+	// local and later offload attempts pick them up.
+	granted := min(total, int(c.p.pool.AcceptableBytes(now)/pageBytes))
+	if granted == 0 {
+		return 0
 	}
-	granted := c.p.swap.Grant(c.p.remotePages(), total)
 	// Describe the first granted candidates by lifecycle class; the pool
 	// (and its memory node, when attached) admits per class.
 	var counts rmem.ClassCounts
@@ -674,16 +654,13 @@ func (c *Container) OffloadPages(e *simtime.Engine, sels []pagemem.Selection, ma
 		counts[pc.cls] += k
 		left -= k
 	}
-	if granted == 0 {
-		return 0
-	}
 	accepted, start, done, err := c.p.pool.OffloadDescribed(now, c.owner, c.fn.id, counts)
 	if err != nil {
 		// The capacity clamp above should prevent this (ErrPoolFull);
 		// candidates stay local.
 		return 0
 	}
-	// Node-rejected pages stay local and hold no swap slot.
+	// Node-rejected pages stay local.
 	moved := c.movePieces(pieces, granted, accepted)
 	if moved == 0 {
 		return 0

@@ -37,8 +37,7 @@ type Config struct {
 	// Pool configures the remote memory pool and its link. Ignored when the
 	// platform is constructed with NewWithPool (rack-shared pool).
 	Pool rmem.Config
-	// Swap configures the node's swap device (slot capacity, readahead).
-	// The artifact's setup uses a 32 GiB swapfile; zero Slots = unlimited.
+	// Swap configures the node's swap device (readahead, local fallback).
 	Swap fastswap.Config
 	// AdaptiveKeepAlive replaces the fixed keep-alive timeout with a
 	// per-function adaptive one in the spirit of the hybrid-histogram policy
@@ -48,12 +47,6 @@ type Config struct {
 	// [adaptiveKeepAliveMin, KeepAliveTimeout]. The paper suggests FaaSMem
 	// composes with such keep-alive policies for further savings.
 	AdaptiveKeepAlive bool
-	// MaxContainersPerFunction caps how many containers one function may
-	// scale out to. Requests beyond the cap queue FIFO and are picked up as
-	// containers finish. Zero means unlimited scale-out. Only tests set the
-	// cap today: no experiment, CLI or gateway path does, and Table 1's
-	// trace ID-5 surge comes from its bursty arrivals, not from queueing.
-	MaxContainersPerFunction int
 	// NodeMemoryLimit caps the node's local DRAM in bytes. When a charge
 	// would exceed it, the platform evicts idle containers (longest-idle
 	// first) until the node fits — the real mechanism behind deployment
@@ -68,8 +61,7 @@ type Config struct {
 	// lifecycles, requests, faults, offloads, pool link traffic and fault
 	// recovery, and the policy's own through View.Telemetry — is one emit
 	// call fanned out to the sinks that are on: the tracer and registry,
-	// one causal span tree per completed request (queue → launch → init →
-	// exec with fault-stall / restore / backlog children) plus background
+	// one causal span tree per completed request (launch → init → exec with fault-stall / restore / backlog children) plus background
 	// link work, the timeline's per-window counters and latency with a
 	// per-window gauge sampler (local/remote bytes, live containers, pool
 	// occupancy), and the per-window worst-K exemplar cells keyed by (node,
@@ -125,7 +117,7 @@ type FunctionStats struct {
 	// including cold-start time and remote-fault stalls.
 	Latency metrics.Sampler
 	// ExecLatency samples execution-only latency (execution start →
-	// completion), excluding cold-start and queueing time.
+	// completion), excluding cold-start time.
 	ExecLatency metrics.Sampler
 	// Requests is the number of completed requests.
 	Requests int
@@ -191,12 +183,6 @@ type StageHooks struct {
 	Done func(e *simtime.Engine, finished simtime.Time)
 }
 
-// queuedReq is one request waiting behind the scale-out cap.
-type queuedReq struct {
-	at    simtime.Time
-	hooks *StageHooks
-}
-
 // Function is a registered function with its container fleet.
 type Function struct {
 	id      string
@@ -204,13 +190,7 @@ type Function struct {
 	idle    []*Container // LIFO: most recently idled last
 	live    int
 	stats   FunctionStats
-	// queue holds requests waiting for a container when the scale-out cap
-	// is reached.
-	queue []queuedReq
 }
-
-// ID returns the function identifier.
-func (f *Function) ID() string { return f.id }
 
 // Profile returns the function's workload profile.
 func (f *Function) Profile() *workload.Profile { return f.profile }
@@ -295,14 +275,8 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 	return p
 }
 
-// Engine returns the simulation engine driving the platform.
-func (p *Platform) Engine() *simtime.Engine { return p.engine }
-
 // Pool returns the attached remote memory pool.
 func (p *Platform) Pool() *rmem.Pool { return p.pool }
-
-// Swap returns the node's swap device.
-func (p *Platform) Swap() *fastswap.Device { return p.swap }
 
 // Config returns the effective configuration.
 func (p *Platform) Config() Config { return p.cfg }
@@ -335,45 +309,16 @@ func (p *Platform) Functions() []*Function {
 }
 
 // Invoke fires one request for the function at the current virtual time.
-func (p *Platform) Invoke(fnID string) {
-	f := p.fns[fnID]
-	if f == nil {
-		panic("faas: invoke of unregistered function " + fnID)
-	}
-	p.dispatch(f, p.engine.Now(), false, nil)
-}
-
-// InvokeRescheduled is Invoke for a request the cluster routed away from a
-// fault-degraded node; its completion is counted separately so resilience
+// hooks carries a workflow stage's state-passing callbacks (nil for a plain
+// request); resched marks a request the cluster routed away from a
+// fault-degraded node, whose completion is counted separately so resilience
 // experiments can prove no invocation was silently lost.
-func (p *Platform) InvokeRescheduled(fnID string) {
+func (p *Platform) Invoke(fnID string, hooks *StageHooks, resched bool) {
 	f := p.fns[fnID]
 	if f == nil {
 		panic("faas: invoke of unregistered function " + fnID)
 	}
-	p.dispatch(f, p.engine.Now(), true, nil)
-}
-
-// InvokeStage fires one workflow-stage request carrying state-passing
-// hooks. Apart from the hooks the request is an ordinary invocation: it
-// reuses idle containers, queues behind the scale-out cap, and rides the
-// fault-recovery machinery.
-func (p *Platform) InvokeStage(fnID string, hooks *StageHooks) {
-	f := p.fns[fnID]
-	if f == nil {
-		panic("faas: invoke of unregistered function " + fnID)
-	}
-	p.dispatch(f, p.engine.Now(), false, hooks)
-}
-
-// InvokeStageRescheduled is InvokeStage for a stage request the cluster
-// routed away from a fault-degraded node.
-func (p *Platform) InvokeStageRescheduled(fnID string, hooks *StageHooks) {
-	f := p.fns[fnID]
-	if f == nil {
-		panic("faas: invoke of unregistered function " + fnID)
-	}
-	p.dispatch(f, p.engine.Now(), true, hooks)
+	p.dispatch(f, p.engine.Now(), resched, hooks)
 }
 
 // ScheduleInvocations schedules a whole invocation timeline for a function.
@@ -426,12 +371,6 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 		c.curHooks = hooks
 		c.wake()
 		c.execute(arrival)
-		return
-	}
-	if p.cfg.MaxContainersPerFunction > 0 && f.live >= p.cfg.MaxContainersPerFunction {
-		// At the scale-out cap with every container busy: queue FIFO.
-		f.queue = append(f.queue, queuedReq{at: arrival, hooks: hooks})
-		p.tel.Queued(now, f.id, len(f.queue))
 		return
 	}
 	f.stats.ColdStarts++
@@ -537,14 +476,6 @@ type AggregateStats struct {
 	FaultPages int64
 	// WorstP95 is the highest per-function P95 latency in seconds.
 	WorstP95 float64
-}
-
-// ColdStartRatio is the fraction of requests that cold-started.
-func (a AggregateStats) ColdStartRatio() float64 {
-	if a.Requests == 0 {
-		return 0
-	}
-	return float64(a.ColdStarts) / float64(a.Requests)
 }
 
 // RecoveryStats aggregates the fault-recovery machinery's outcomes across

@@ -334,7 +334,7 @@ func TestInvokeUnregisteredPanics(t *testing.T) {
 			t.Fatal("Invoke of unknown function did not panic")
 		}
 	}()
-	p.Invoke("ghost")
+	p.Invoke("ghost", nil, false)
 }
 
 func TestReplayTrace(t *testing.T) {
@@ -402,30 +402,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestSwapSlotsLimitOffloading(t *testing.T) {
-	e := simtime.NewEngine()
-	p := New(e, Config{
-		KeepAliveTimeout: 10 * time.Second,
-		Swap:             fastswap.Config{Slots: 16},
-		Seed:             1,
-	}, offloadAllPolicy{})
-	f := p.Register("f", tinyProfile())
-	p.ScheduleInvocations("f", []simtime.Time{0})
-	e.RunUntil(2 * time.Second)
-	if got := p.remotePages(); got != 16 {
-		t.Fatalf("swap used = %d, want full 16 slots", got)
-	}
-	fc := f.IdleContainer()
-	if fc.Space().RemoteBytes() != 16*4096 {
-		t.Fatalf("remote bytes = %d, want 16 pages", fc.Space().RemoteBytes())
-	}
-	// Slots come back at recycle.
-	e.Run()
-	if got := p.remotePages(); got != 0 {
-		t.Fatalf("swap used after recycle = %d", got)
-	}
-}
-
 func TestSwapSlotsReleasedOnFault(t *testing.T) {
 	e := simtime.NewEngine()
 	p := New(e, Config{KeepAliveTimeout: 30 * time.Second, Seed: 1}, offloadAllPolicy{})
@@ -466,67 +442,6 @@ func TestReadaheadReducesFaults(t *testing.T) {
 	// recalled traffic).
 	if r8 < r0 {
 		t.Fatalf("readahead recalled less data: %d vs %d", r8, r0)
-	}
-}
-
-func TestConcurrencyCapQueuesRequests(t *testing.T) {
-	e := simtime.NewEngine()
-	p := New(e, Config{
-		KeepAliveTimeout:         10 * time.Second,
-		MaxContainersPerFunction: 1,
-		Seed:                     1,
-	}, policy.NoOffload{})
-	f := p.Register("f", tinyProfile())
-	// Three requests land while the single allowed container cold-starts.
-	p.ScheduleInvocations("f", []simtime.Time{0, 10 * time.Millisecond, 20 * time.Millisecond})
-	e.RunUntil(200 * time.Millisecond)
-	if got := f.QueuedRequests(); got != 2 {
-		t.Fatalf("queued = %d, want 2", got)
-	}
-	e.Run()
-	if p.ContainersCreated() != 1 {
-		t.Fatalf("containers = %d, want 1 (cap)", p.ContainersCreated())
-	}
-	if f.stats.Requests != 3 {
-		t.Fatalf("requests = %d, want 3", f.stats.Requests)
-	}
-	// Back-to-back service: request i completes at cold(0.6) + i*exec(0.1).
-	lat := f.stats.Latency
-	if lat.Percentile(100) < 0.75 {
-		t.Fatalf("queued request latency max = %v, want ~0.78 (wait included)", lat.Percentile(100))
-	}
-	if f.QueuedRequests() != 0 {
-		t.Fatal("queue not drained")
-	}
-}
-
-func TestCongestionInflatesTail(t *testing.T) {
-	// The Table-1 ID-5 shape: a surge against capped scale-out inflates the
-	// tail for every policy alike.
-	run := func(cap int) float64 {
-		e := simtime.NewEngine()
-		p := New(e, Config{
-			KeepAliveTimeout:         time.Minute,
-			MaxContainersPerFunction: cap,
-			Seed:                     2,
-		}, policy.NoOffload{})
-		f := p.Register("f", tinyProfile())
-		var inv []simtime.Time
-		for i := 0; i < 40; i++ {
-			inv = append(inv, simtime.Time(i)*simtime.Time(50*time.Millisecond))
-		}
-		p.ScheduleInvocations("f", inv)
-		e.Run()
-		return f.stats.Latency.P95()
-	}
-	uncapped := run(0)
-	capped := run(1) // service rate (10/s) below arrival rate (20/s)
-	if capped <= uncapped {
-		t.Fatalf("congestion did not inflate tail: capped %.3f vs uncapped %.3f", capped, uncapped)
-	}
-	// The backlog compounds: the worst queued request waits several seconds.
-	if capped < 1 {
-		t.Fatalf("capped P95 %.3f shows no queueing backlog", capped)
 	}
 }
 
@@ -603,7 +518,7 @@ func TestRequestLogRingEviction(t *testing.T) {
 
 func TestStartKindStrings(t *testing.T) {
 	if ColdStart.String() != "cold" || WarmStart.String() != "warm" ||
-		SemiWarmStart.String() != "semi-warm" || QueuedStart.String() != "queued" {
+		SemiWarmStart.String() != "semi-warm" {
 		t.Error("start kind strings")
 	}
 }

@@ -41,7 +41,7 @@ func warmRequests(tb testing.TB) (request func(), p *Platform) {
 	prof := workload.Web()
 	p.Register("web", prof)
 	serve := func(gap time.Duration) {
-		p.Invoke("web")
+		p.Invoke("web", nil, false)
 		e.RunUntil(e.Now() + simtime.Time(gap))
 	}
 	gap := prof.ExecTime + time.Second
@@ -84,7 +84,7 @@ func BenchmarkContainerLaunch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Invoke("web")
+		p.Invoke("web", nil, false)
 		e.RunUntil(e.Now() + cold)
 		c := f.IdleContainer()
 		if c == nil {

@@ -300,9 +300,9 @@ func offloadSelections(c *Container, shape int, rng *rand.Rand) ([]pagemem.Selec
 // through the piece count and move and through the per-page reference on
 // the expanded page list, with the budget truncating the batch and
 // admission trimming random classes. A second pass runs the same lists
-// through OffloadPages on a platform whose pool, memory node and swap
-// device truncate, and checks the pages moved and the node ledger's local
-// and remote bytes against the Space's.
+// through OffloadPages on a platform whose pool and memory node truncate,
+// and checks the pages moved and the node ledger's local and remote bytes
+// against the Space's.
 func TestOffloadMatchesPerPageMove(t *testing.T) {
 	for seed := int64(1); seed <= 80; seed++ {
 		// The piece count keeps its pieces in platform scratch.
@@ -350,18 +350,16 @@ func TestOffloadMatchesPerPageMove(t *testing.T) {
 			ids = ids[:limit]
 		}
 		pageB := int64(fast.space.PageSize())
-		dram, slots := int64(50+rng.Intn(200))*pageB, 100+rng.Intn(300)
+		dram := int64(50+rng.Intn(200)) * pageB
 		e := simtime.NewEngine()
 		p := New(e, Config{
 			Pool: rmem.Config{Node: &memnode.Config{DRAMBytes: dram, SpillBytes: pageB, DisableCompression: true}},
-			Swap: fastswap.Config{Slots: slots},
 		}, policy.NoOffload{})
 		fast.p, fast.fn, fast.owner = p, &Function{id: "f"}, "f#1"
-		// Book the container's residency in the node ledger, so its remote
-		// pages hold swap slots as they would after real offloads.
+		// Book the container's residency in the node ledger, as it would be
+		// after real offloads.
 		p.account(0, fast.space.LocalBytes(), fast.space.RemoteBytes())
-		freeSlots := max(slots-fast.space.CountState(pagemem.Remote), 0)
-		granted := min(len(ids), int(p.pool.AcceptableBytes(0)/pageB), freeSlots)
+		granted := min(len(ids), int(p.pool.AcceptableBytes(0)/pageB))
 		before := remoteByClass(fast)
 		moved := fast.OffloadPages(e, sels, limit)
 		after := remoteByClass(fast)

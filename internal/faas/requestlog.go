@@ -18,8 +18,6 @@ const (
 	// SemiWarmStart reused a container that was in its semi-warm period
 	// (some hot pages remote, recalled on access).
 	SemiWarmStart
-	// QueuedStart waited for a busy container under a scale-out cap.
-	QueuedStart
 )
 
 // String implements fmt.Stringer.
@@ -31,8 +29,6 @@ func (k StartKind) String() string {
 		return "warm"
 	case SemiWarmStart:
 		return "semi-warm"
-	case QueuedStart:
-		return "queued"
 	default:
 		return "unknown"
 	}

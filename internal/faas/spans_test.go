@@ -27,22 +27,21 @@ func reconcileSpan(t *testing.T, inv span.Invocation) {
 	}
 }
 
-// TestSpanTreesReconcileWithRequestLog drives a platform through cold, warm
-// and queued starts and checks every recorded span tree against the request
-// log: same count, same end-to-end latency, phases summing exactly.
+// TestSpanTreesReconcileWithRequestLog drives a platform through cold and
+// warm starts and checks every recorded span tree against the request log:
+// same count, same end-to-end latency, phases summing exactly.
 func TestSpanTreesReconcileWithRequestLog(t *testing.T) {
 	e := simtime.NewEngine()
 	rec := span.NewRecorder(128)
 	p := New(e, Config{
-		KeepAliveTimeout:         10 * time.Second,
-		MaxContainersPerFunction: 1,
-		RequestLogSize:           128,
-		Telemetry:                telemetry.Hub{Spans: rec},
-		Seed:                     1,
+		KeepAliveTimeout: 10 * time.Second,
+		RequestLogSize:   128,
+		Telemetry:        telemetry.Hub{Spans: rec},
+		Seed:             1,
 	}, policy.NoOffload{})
 	p.Register("f", tinyProfile())
-	// 0: cold start. 50ms: queued behind the cold start (cap 1).
-	// 2s: warm reuse.
+	// 0: cold start. 50ms: a second cold start beside the busy first
+	// container. 2s: warm reuse.
 	p.ScheduleInvocations("f", []simtime.Time{0, 50 * time.Millisecond, 2 * time.Second})
 	e.Run()
 
@@ -51,7 +50,7 @@ func TestSpanTreesReconcileWithRequestLog(t *testing.T) {
 	if len(invs) != 3 || len(recs) != 3 {
 		t.Fatalf("got %d spans / %d log records, want 3/3", len(invs), len(recs))
 	}
-	wantKinds := []span.StartKind{span.Cold, span.Queued, span.Warm}
+	wantKinds := []span.StartKind{span.Cold, span.Cold, span.Warm}
 	for i, inv := range invs {
 		reconcileSpan(t, inv)
 		if inv.Kind != wantKinds[i] {
@@ -75,12 +74,6 @@ func TestSpanTreesReconcileWithRequestLog(t *testing.T) {
 		cp[span.PhaseInit] != 200*time.Millisecond ||
 		cp[span.PhaseExec] != 100*time.Millisecond {
 		t.Fatalf("cold breakdown = %v", cp)
-	}
-	// Queued tree: the wait for the busy container is its own phase.
-	queued := invs[1]
-	qcp := span.CriticalPath(queued)
-	if qcp[span.PhaseQueue] != queued.Total()-100*time.Millisecond {
-		t.Fatalf("queue time = %v of total %v", qcp[span.PhaseQueue], queued.Total())
 	}
 }
 

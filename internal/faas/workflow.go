@@ -109,9 +109,6 @@ func NewWorkflowEngine(cfg WorkflowConfig, wf *workload.Workflow) (*WorkflowEngi
 	return e, nil
 }
 
-// Workflow returns the DAG this engine runs.
-func (e *WorkflowEngine) Workflow() *workload.Workflow { return e.wf }
-
 // Stats returns a snapshot of the engine's counters.
 func (e *WorkflowEngine) Stats() WorkflowStats { return e.stats }
 

@@ -113,7 +113,7 @@ func fuzzFaultPlan(mode byte) *faultinject.Plan {
 // FuzzWorkflowDAG decodes arbitrary stage graphs and checks three contracts:
 // cyclic graphs are rejected by Validate (differentially against a DFS
 // oracle); acyclic graphs run to completion on a fault-injected rack with
-// every stage request conserved (completed exactly Invocations() times across
+// every stage request conserved (completed exactly StageRequests times across
 // the normal/rescheduled/re-init classes); and the shared-region manager
 // drains — refcounts hit zero, nothing leaks — under every fault plan.
 func FuzzWorkflowDAG(f *testing.F) {
@@ -153,7 +153,7 @@ func FuzzWorkflowDAG(f *testing.F) {
 			Engine:       e,
 			Shared:       mgr,
 			Register:     func(id string, prof *workload.Profile) { c.Register(id, prof) },
-			Invoke:       c.InvokeStage,
+			Invoke:       c.Invoke,
 			StatePassing: true,
 		}, wf)
 		if err != nil {
@@ -166,12 +166,13 @@ func FuzzWorkflowDAG(f *testing.F) {
 		if st.Completed != 1 {
 			t.Fatalf("workflow did not complete: %+v", st)
 		}
-		if st.Invocations != wf.Invocations() {
-			t.Fatalf("invocations %d, want %d", st.Invocations, wf.Invocations())
+		want := faas.StageRequests(wf)
+		if st.Invocations != want {
+			t.Fatalf("invocations %d, want %d", st.Invocations, want)
 		}
 		cs := c.Stats()
-		if cs.Submitted != wf.Invocations() {
-			t.Fatalf("submitted %d, want %d", cs.Submitted, wf.Invocations())
+		if cs.Submitted != want {
+			t.Fatalf("submitted %d, want %d", cs.Submitted, want)
 		}
 		if done := cs.Recovery.DoneNormal + cs.Recovery.DoneRescheduled +
 			cs.Recovery.DoneReinit; done != cs.Submitted {

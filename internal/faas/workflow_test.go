@@ -34,7 +34,7 @@ func newWorkflowRig(t *testing.T, wfName string, statePassing bool, plan *faulti
 		Engine:       e,
 		Shared:       m,
 		Register:     func(id string, prof *workload.Profile) { p.Register(id, prof) },
-		Invoke:       p.InvokeStage,
+		Invoke:       func(id string, h *StageHooks) { p.Invoke(id, h, false) },
 		StatePassing: statePassing,
 	}, wf)
 	if err != nil {
@@ -65,8 +65,8 @@ func TestWorkflowPipelineCompletes(t *testing.T) {
 	if st.Completed != 1 || st.Runs != 1 {
 		t.Fatalf("completed=%d runs=%d, want 1/1", st.Completed, st.Runs)
 	}
-	if st.Invocations != we.Workflow().Invocations() {
-		t.Fatalf("invocations=%d, want %d", st.Invocations, we.Workflow().Invocations())
+	if st.Invocations != StageRequests(we.wf) {
+		t.Fatalf("invocations=%d, want %d", st.Invocations, StageRequests(we.wf))
 	}
 	if st.Replays != 0 || st.Reinits != 0 {
 		t.Fatalf("replays=%d reinits=%d on a healthy pool", st.Replays, st.Reinits)
@@ -94,7 +94,7 @@ func TestWorkflowPipelineCompletes(t *testing.T) {
 	// Every stage completed exactly one request (pipeline has no replicas).
 	for _, f := range p.Functions() {
 		if f.Stats().Requests != 1 {
-			t.Fatalf("%s completed %d requests, want 1", f.ID(), f.Stats().Requests)
+			t.Fatalf("%s completed %d requests, want 1", f.id, f.Stats().Requests)
 		}
 	}
 }
@@ -198,7 +198,7 @@ func TestWorkflowStateSpansReconcile(t *testing.T) {
 		Engine:   e,
 		Shared:   m,
 		Register: func(id string, prof *workload.Profile) { p.Register(id, prof) },
-		Invoke:   p.InvokeStage, StatePassing: true,
+		Invoke:   func(id string, h *StageHooks) { p.Invoke(id, h, false) }, StatePassing: true,
 	}, wf)
 	if err != nil {
 		t.Fatal(err)

@@ -1,29 +1,25 @@
 // Package fastswap models the swap-path bookkeeping of the paper's ported
-// Fastswap: offloaded pages occupy slots in a fixed-size swapfile (the
-// artifact provisions 32 GB), and demand faults may read ahead neighbouring
-// slots the way the kernel's swap readahead (vm.page-cluster) does.
+// Fastswap: offloaded pages occupy swapfile slots, and demand faults may
+// read ahead neighbouring slots the way the kernel's swap readahead
+// (vm.page-cluster) does.
 //
 // The remote pool (rmem) models the wire; this package models the kernel
-// side: a finite slot space that can fill up independently of pool capacity,
-// and the virtually-contiguous prefetch window that turns one fault into a
-// cluster read. Every remote page holds one slot, so the device keeps no
-// occupancy count of its own: callers pass the node's remote page count.
-// Readahead is the hook for the §10 "prefetching remote memory" (Leap)
-// extension.
+// side: the slot gauge and the virtually-contiguous prefetch window that
+// turns one fault into a cluster read. The swapfile is never the binding
+// limit (the artifact provisions 32 GiB), so the device has no capacity.
+// Every remote page holds one slot, so the device keeps no occupancy count
+// of its own: callers pass the node's remote page count. Readahead is the
+// hook for the §10 "prefetching remote memory" (Leap) extension.
 package fastswap
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
-// Config sizes a node's swap device.
+// Config configures a node's swap device: readahead and the local fallback.
 type Config struct {
-	// Slots is the swapfile capacity in pages. The artifact's setup uses a
-	// 32 GiB swapfile = 8 Mi 4 KiB slots. Zero means unlimited.
-	Slots int
 	// ReadaheadPages is how many virtually-contiguous remote neighbours one
 	// fault pulls in alongside the faulting page (vm.page-cluster=3 reads
 	// 8 pages). Zero disables readahead.
@@ -41,10 +37,7 @@ type Config struct {
 type Device struct {
 	cfg Config
 
-	clusterReads  int64             // cluster reads served (faults that pulled readahead)
-	clusterPages  int64             // pages prefetched by cluster reads
 	slotsUsed     *telemetry.Metric // gauge, nil no-op until Instrument
-	truncations   *telemetry.Metric
 	clusterReadsM *telemetry.Metric
 	clusterPagesM *telemetry.Metric
 	fallbackPgsM  *telemetry.Metric
@@ -52,17 +45,11 @@ type Device struct {
 
 // NewDevice creates a swap device.
 func NewDevice(cfg Config) *Device {
-	if cfg.Slots < 0 {
-		panic(fmt.Sprintf("fastswap: negative slot count %d", cfg.Slots))
-	}
 	if cfg.ReadaheadPages < 0 {
 		cfg.ReadaheadPages = 0
 	}
 	return &Device{cfg: cfg}
 }
-
-// Config returns the effective configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // Instrument attaches a metric registry; a nil registry leaves the device's
 // metrics as no-ops.
@@ -71,27 +58,9 @@ func (d *Device) Instrument(reg *telemetry.Registry) {
 		return
 	}
 	d.slotsUsed = reg.Gauge("faasmem_swap_slots_used", "occupied swapfile slots")
-	d.truncations = reg.Counter("faasmem_swap_full_truncations_total", "slot allocations truncated by a full swapfile")
 	d.clusterReadsM = reg.Counter("faasmem_swap_cluster_reads_total", "demand faults that pulled a readahead cluster")
 	d.clusterPagesM = reg.Counter("faasmem_swap_cluster_pages_total", "pages prefetched by readahead cluster reads")
 	d.fallbackPgsM = reg.Counter("faasmem_swap_fallback_pages_total", "pages served from the local write-through copy after a pool fetch timeout")
-}
-
-// Grant returns how many of n pages may be swapped out while used slots are
-// occupied. Swap-out beyond the grant must stay in local memory, exactly as
-// a full swapfile fails page-out in the kernel.
-func (d *Device) Grant(used, n int) int {
-	if n < 0 {
-		panic("fastswap: negative allocation")
-	}
-	if d.cfg.Slots == 0 {
-		return n
-	}
-	if free := d.cfg.Slots - used; n > free {
-		d.truncations.Inc()
-		return max(free, 0)
-	}
-	return n
 }
 
 // SetUsed records used occupied slots on the slot gauge.
@@ -108,16 +77,8 @@ func (d *Device) NoteClusterRead(pages int) {
 	if pages <= 0 {
 		return
 	}
-	d.clusterReads++
-	d.clusterPages += int64(pages)
 	d.clusterReadsM.Inc()
 	d.clusterPagesM.Add(int64(pages))
-}
-
-// ClusterReads returns how many fault batches pulled readahead, and how
-// many pages rode along in total.
-func (d *Device) ClusterReads() (reads, pages int64) {
-	return d.clusterReads, d.clusterPages
 }
 
 // FallbackEnabled reports whether the device keeps a write-through local

@@ -451,10 +451,6 @@ func (n *Node) SpilledPages() int64 { return n.spilledPages }
 // can delta it around a node call to record merge flows.
 func (n *Node) MergedPages() int64 { return n.mergedPages }
 
-// UnmergedPages is the cumulative count of pages privatized by CoW unmerge
-// breaks; monotone like MergedPages.
-func (n *Node) UnmergedPages() int64 { return n.unmergedPages }
-
 // CacheUsedBytes is the shared cache tier's occupancy (0 when disabled).
 func (n *Node) CacheUsedBytes() int64 {
 	if n.cache == nil {

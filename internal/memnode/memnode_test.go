@@ -248,13 +248,13 @@ func TestInstrumentExportsGauges(t *testing.T) {
 	n.Instrument(reg)
 	n.Offload("c1", "fn", ClassInit, 100)
 	n.Offload("c2", "fn", ClassInit, 100)
-	if got := reg.Get("faasmem_memnode_logical_bytes").Value(); got != 200*ps {
+	if got := reg.Gauge("faasmem_memnode_logical_bytes", "").Value(); got != 200*ps {
 		t.Fatalf("logical gauge = %d, want %d", got, 200*ps)
 	}
-	if got := reg.Get("faasmem_memnode_dedup_saved_bytes").Value(); got != 100*ps {
+	if got := reg.Gauge("faasmem_memnode_dedup_saved_bytes", "").Value(); got != 100*ps {
 		t.Fatalf("dedup saved gauge = %d, want %d", got, 100*ps)
 	}
-	if got := reg.Get("faasmem_memnode_dedup_hit_pages_total").Value(); got != 100 {
+	if got := reg.Counter("faasmem_memnode_dedup_hit_pages_total", "").Value(); got != 100 {
 		t.Fatalf("dedup hit counter = %d, want 100", got)
 	}
 	var nilNode *Node

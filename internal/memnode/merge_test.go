@@ -150,8 +150,8 @@ func TestWriteBreakPrivatizesWithoutTouchingOthers(t *testing.T) {
 	if st.UnmergeBreaks != 1 || st.UnmergedPages != 30 || st.UnmergeRecallPages != 0 {
 		t.Fatalf("unmerge stats = %+v", st)
 	}
-	if n.UnmergedPages() != st.UnmergedPages {
-		t.Fatalf("UnmergedPages() = %d, stats say %d", n.UnmergedPages(), st.UnmergedPages)
+	if n.unmergedPages != st.UnmergedPages {
+		t.Fatalf("UnmergedPages() = %d, stats say %d", n.unmergedPages, st.UnmergedPages)
 	}
 
 	// A second break clamps to the remaining shared holding.

@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -31,12 +30,6 @@ func (s *Sampler) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 // Count returns the number of observations.
 func (s *Sampler) Count() int { return len(s.values) }
 
-// Empty reports whether the sampler has no observations. Mean and
-// Percentile both return 0 in that case — indistinguishable from a genuine
-// zero observation — so report code should check Empty and render "n/a"
-// instead of a misleading 0.
-func (s *Sampler) Empty() bool { return len(s.values) == 0 }
-
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Sampler) Mean() float64 {
 	if len(s.values) == 0 {
@@ -47,22 +40,6 @@ func (s *Sampler) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.values))
-}
-
-// Stddev returns the population standard deviation, or 0 with fewer than two
-// observations.
-func (s *Sampler) Stddev() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.values {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n))
 }
 
 func (s *Sampler) sort() {

@@ -35,21 +35,6 @@ func TestSamplerMeanAndExtremes(t *testing.T) {
 	}
 }
 
-func TestSamplerStddev(t *testing.T) {
-	var s Sampler
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.Stddev(); math.Abs(got-2) > 1e-9 {
-		t.Errorf("Stddev = %v, want 2", got)
-	}
-	var one Sampler
-	one.Add(5)
-	if one.Stddev() != 0 {
-		t.Error("single-sample stddev should be 0")
-	}
-}
-
 func TestPercentileInterpolation(t *testing.T) {
 	var s Sampler
 	for i := 1; i <= 100; i++ {
@@ -224,13 +209,13 @@ func TestUnitConversions(t *testing.T) {
 
 func TestSamplerEmptyAccessors(t *testing.T) {
 	var s Sampler
-	if !s.Empty() {
+	if s.Count() != 0 {
 		t.Error("fresh sampler should be empty")
 	}
 
 	// A genuine zero observation is distinguishable from "no observations".
 	s.Add(0)
-	if s.Empty() {
+	if s.Count() != 1 {
 		t.Error("sampler with one zero observation reported empty")
 	}
 }

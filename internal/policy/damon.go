@@ -67,9 +67,6 @@ type DAMON struct {
 // NewDAMON builds the DAMON baseline with defaults applied.
 func NewDAMON(cfg DAMONConfig) *DAMON { return &DAMON{cfg: cfg.withDefaults()} }
 
-// Name implements Policy.
-func (d *DAMON) Name() string { return "damon" }
-
 // Attach implements Policy.
 func (d *DAMON) Attach(e *simtime.Engine, v View) ContainerPolicy {
 	c := &damonContainer{

@@ -84,8 +84,6 @@ type View interface {
 
 // Policy manufactures per-container policy instances.
 type Policy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
 	// Attach is called when a container launches and returns the hook
 	// receiver for that container's lifetime.
 	Attach(e *simtime.Engine, v View) ContainerPolicy
@@ -156,9 +154,6 @@ func (Base) Recycle(*simtime.Engine) {}
 // NoOffload is the paper's baseline: FaaSMem's platform with memory
 // offloading disabled.
 type NoOffload struct{}
-
-// Name implements Policy.
-func (NoOffload) Name() string { return "baseline" }
 
 // Attach implements Policy.
 func (NoOffload) Attach(*simtime.Engine, View) ContainerPolicy { return Base{} }

@@ -59,9 +59,6 @@ func TestNoOffloadNeverTouchesPool(t *testing.T) {
 	if f.Stats().FaultPages != 0 {
 		t.Fatal("baseline faulted")
 	}
-	if (policy.NoOffload{}).Name() == "" {
-		t.Fatal("baseline must have a name")
-	}
 }
 
 // rmemOffload mirrors rmem.Offload without importing it in this test.
@@ -187,17 +184,6 @@ func TestCollectPages(t *testing.T) {
 				t.Fatalf("Prefix(%v, %d) = %v (%d) holding %v, want %v", st, max, p, n, got, want)
 			}
 		}
-	}
-}
-
-func TestTMODefaults(t *testing.T) {
-	tmo := policy.NewTMO(policy.TMOConfig{})
-	if tmo.Name() != "tmo" {
-		t.Fatal("name")
-	}
-	damon := policy.NewDAMON(policy.DAMONConfig{})
-	if damon.Name() != "damon" {
-		t.Fatal("name")
 	}
 }
 

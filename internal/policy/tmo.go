@@ -43,9 +43,6 @@ type TMO struct {
 // NewTMO builds the TMO baseline with defaults applied.
 func NewTMO(cfg TMOConfig) *TMO { return &TMO{cfg: cfg.withDefaults()} }
 
-// Name implements Policy.
-func (t *TMO) Name() string { return "tmo" }
-
 // Attach implements Policy.
 func (t *TMO) Attach(e *simtime.Engine, v View) ContainerPolicy {
 	c := &tmoContainer{cfg: t.cfg, view: v}

@@ -118,7 +118,7 @@ func FuzzPoolLedger(f *testing.F) {
 			case used != net:
 				t.Fatalf("op %d (%s %s %v×%d): Used() = %d, net flow total = %d", i, op, owner, class, pages, used, net)
 			}
-			if g := reg.Get("faasmem_pool_used_bytes").Value(); g != used {
+			if g := reg.Gauge("faasmem_pool_used_bytes", "").Value(); g != used {
 				t.Fatalf("op %d (%s): faasmem_pool_used_bytes = %d, Used() = %d", i, op, g, used)
 			}
 			if a := timeseries.AuditFlows(tl); !a.OK {

@@ -114,7 +114,7 @@ func TestWriteBreakOwnerRecallsWhenNodeFull(t *testing.T) {
 	if got, want := p.Used(), p.Node().Stats().LogicalBytes; got != want {
 		t.Fatalf("pool ledger %d != node logical %d", got, want)
 	}
-	if got := reg.Get("faasmem_pool_used_bytes").Value(); got != p.Used() {
+	if got := reg.Gauge("faasmem_pool_used_bytes", "").Value(); got != p.Used() {
 		t.Fatalf("faasmem_pool_used_bytes = %d, want the ledger's %d", got, p.Used())
 	}
 	if tot := tl.FlowTotals(); tot[timeseries.FlowFault] != 2*pageBytes {

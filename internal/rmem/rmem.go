@@ -177,9 +177,6 @@ func (p *Pool) Node() *memnode.Node { return p.node }
 // Used returns bytes currently stored in the pool.
 func (p *Pool) Used() int64 { return p.used }
 
-// Config returns the effective configuration.
-func (p *Pool) Config() Config { return p.cfg }
-
 // Meter returns the bandwidth meter for a direction.
 func (p *Pool) Meter(d Direction) *Meter { return p.meter[d] }
 

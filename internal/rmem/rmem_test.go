@@ -37,7 +37,7 @@ func faultLat(p *Pool, now simtime.Time, n int) time.Duration {
 
 func TestDefaultsApplied(t *testing.T) {
 	p := NewPool(Config{})
-	cfg := p.Config()
+	cfg := p.cfg
 	if cfg.Bandwidth != 7_000_000_000 {
 		t.Errorf("default bandwidth = %d, want 7e9 B/s (56 Gbps)", cfg.Bandwidth)
 	}
@@ -338,16 +338,16 @@ func TestPresets(t *testing.T) {
 	cxl := NewPool(CXLConfig())
 	rdma := NewPool(Config{})
 	ssd := NewPool(SSDConfig())
-	if cxl.Config().FaultLatency >= rdma.Config().FaultLatency {
+	if cxl.cfg.FaultLatency >= rdma.cfg.FaultLatency {
 		t.Error("CXL faults should be faster than RDMA")
 	}
-	if cxl.Config().Bandwidth <= rdma.Config().Bandwidth {
+	if cxl.cfg.Bandwidth <= rdma.cfg.Bandwidth {
 		t.Error("CXL bandwidth should exceed RDMA")
 	}
-	if ssd.Config().Bandwidth != 1_000_000 {
-		t.Errorf("SSD bandwidth = %d, want durability-limited 1 MB/s", ssd.Config().Bandwidth)
+	if ssd.cfg.Bandwidth != 1_000_000 {
+		t.Errorf("SSD bandwidth = %d, want durability-limited 1 MB/s", ssd.cfg.Bandwidth)
 	}
-	if ssd.Config().FaultLatency <= rdma.Config().FaultLatency {
+	if ssd.cfg.FaultLatency <= rdma.cfg.FaultLatency {
 		t.Error("SSD faults should be slower than RDMA")
 	}
 }

@@ -101,15 +101,6 @@ const pageBytes = pagemem.DefaultPageSize
 // under. Exposed so telemetry and tests can find the holdings.
 func Owner(name string) string { return "region:" + name }
 
-// Name returns the region's name.
-func (r *Region) Name() string { return r.name }
-
-// Tenant returns the producer tenant charged for the resident copy.
-func (r *Region) Tenant() string { return r.tenant }
-
-// Pages returns the requested region size in pages.
-func (r *Region) Pages() int { return r.pages }
-
 // Resident returns how many pages the pool admitted at create time.
 func (r *Region) Resident() int { return r.resident }
 

@@ -89,15 +89,6 @@ type Handle struct {
 
 func (h Handle) live() bool { return h.ev != nil && h.ev.stamp == h.stamp }
 
-// At reports when the event is scheduled to fire. It returns 0 once the
-// event has fired or been cancelled (the storage may already be reused).
-func (h Handle) At() Time {
-	if h.live() {
-		return h.ev.at
-	}
-	return 0
-}
-
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use and starts at time 0.
 type Engine struct {

@@ -47,7 +47,7 @@ func eventCategory(k Kind) string {
 	case KindContainerLaunch, KindRuntimeLoaded, KindInitDone,
 		KindContainerIdle, KindContainerRecycle, KindContainerEvict:
 		return "lifecycle"
-	case KindRequest, KindRequestQueued:
+	case KindRequest:
 		return "request"
 	case KindBarrierInsert, KindPageOffload, KindPucketOffload,
 		KindRollback, KindWindowFixed, KindSemiWarmEnter, KindSemiWarmExit:

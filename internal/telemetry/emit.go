@@ -38,7 +38,7 @@ var stageClass = [NumStages]string{
 // handles are the registry metrics the emit methods update.
 type handles struct {
 	launches, coldStarts, warmStarts, semiWarmStarts *Metric
-	queuedReqs, requests, recycles, evictions        *Metric
+	requests, recycles, evictions                    *Metric
 	faultPages, readaheadPages, writeBreaks          *Metric
 	coldReinits, fallbackPages                       *Metric
 	offloadedPages                                   [NumStages]*Metric
@@ -63,7 +63,6 @@ func newHandles(reg *Registry, tl *timeseries.Recorder, node string) handles {
 		coldStarts:     reg.Counter("faasmem_cold_starts_total", "requests that launched a new container"),
 		warmStarts:     reg.Counter("faasmem_warm_starts_total", "requests served by a fully-local idle container"),
 		semiWarmStarts: reg.Counter("faasmem_semiwarm_starts_total", "requests served by a partially-offloaded idle container"),
-		queuedReqs:     reg.Counter("faasmem_requests_queued_total", "requests queued behind the scale-out cap"),
 		requests:       reg.Counter("faasmem_requests_completed_total", "completed requests"),
 		recycles:       reg.Counter("faasmem_container_recycles_total", "containers torn down (keep-alive expiry or eviction)"),
 		evictions:      reg.Counter("faasmem_containers_evicted_total", "idle containers evicted by the node memory limit"),
@@ -139,7 +138,7 @@ func (h *Hub) Launch(now simtime.Time, container, fn string, live int) {
 	h.trace(Event{At: now, Kind: KindContainerLaunch, Actor: container, Fn: fn})
 }
 
-// WarmStart reports a request served by an idle or just-finished container;
+// WarmStart reports a request served by an idle container;
 // semiWarm marks one whose container had offloaded part of its memory.
 func (h *Hub) WarmStart(semiWarm bool) {
 	if semiWarm {
@@ -147,13 +146,6 @@ func (h *Hub) WarmStart(semiWarm bool) {
 	} else {
 		h.met.warmStarts.Inc()
 	}
-}
-
-// Queued reports a request of fn queued behind the scale-out cap, depth
-// requests deep.
-func (h *Hub) Queued(now simtime.Time, fn string, depth int) {
-	h.met.queuedReqs.Inc()
-	h.trace(Event{At: now, Kind: KindRequestQueued, Actor: "node", Fn: fn, Value: int64(depth)})
 }
 
 // Barrier reports a lifecycle stage of pages pages completing at now: the

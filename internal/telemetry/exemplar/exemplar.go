@@ -248,16 +248,6 @@ func (r *Recorder) Record(at simtime.Time, node, tenant string, latency time.Dur
 	r.mu.Unlock()
 }
 
-// Len reports how many cells hold at least one exemplar.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.cells)
-}
-
 // MergeFrom folds src's cells into r. Because retention is a pure function
 // of the recorded entries, merging shard recorders in any order or grouping
 // yields the same cells as recording serially. Merging a nil recorder
@@ -306,16 +296,6 @@ func (r *Recorder) MergeFrom(src *Recorder) error {
 		dc.count += sc.count - retained // insert() counted the replayed ones
 	}
 	return nil
-}
-
-// Reset drops every cell, keeping configuration.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.cells = make(map[Key]*cell)
-	r.mu.Unlock()
 }
 
 // Cells exports every cell, sorted by (Window, Node, Tenant) so output is

@@ -22,11 +22,10 @@ func inv(container, function string, dur time.Duration) span.Invocation {
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Record(0, "n0", "web", time.Second, inv("c", "web", time.Second))
-	r.Reset()
 	if err := r.MergeFrom(NewRecorder(Config{})); err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != 0 || r.Cells() != nil {
+	if r.Cells() != nil {
 		t.Error("nil recorder retained state")
 	}
 	if r.Window() != DefaultWindow || r.K() != DefaultK {
@@ -195,22 +194,6 @@ func TestMergeEdgeCases(t *testing.T) {
 				t.Error("failed merge mutated the destination")
 			}
 		})
-	}
-}
-
-func TestResetClearsCells(t *testing.T) {
-	r := NewRecorder(Config{})
-	r.Record(0, "n0", "web", time.Second, inv("c", "web", time.Second))
-	if r.Len() == 0 {
-		t.Fatal("nothing recorded")
-	}
-	r.Reset()
-	if r.Len() != 0 || len(r.Cells()) != 0 {
-		t.Error("Reset left cells behind")
-	}
-	// Config survives.
-	if r.Window() != DefaultWindow || r.K() != DefaultK {
-		t.Error("Reset dropped configuration")
 	}
 }
 

@@ -33,14 +33,6 @@ type Histogram struct {
 	count   int64
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Observe records one duration. No-op on nil.
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {

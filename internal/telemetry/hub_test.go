@@ -112,7 +112,7 @@ func record(h Hub, i int) {
 
 // sinks snapshots what a hub's sinks retained.
 func sinks(h Hub) []any {
-	return []any{h.Tracer.Events(), h.Tracer.Dropped(), h.Reg.Get("requests_total").Value(),
+	return []any{h.Tracer.Events(), h.Tracer.Dropped(), h.Reg.Counter("requests_total", "").Value(),
 		h.Spans.Invocations(), timeseries.TakeSnapshot(h.Timeline), h.Exemplars.Cells()}
 }
 
@@ -186,7 +186,7 @@ func TestEmitAllocFree(t *testing.T) {
 	}
 	h := Hub{Reg: NewRegistry()}.Attach("n0")
 	h.RequestDone(Request{Fn: "web", End: time.Second}, func() span.Invocation { return span.Invocation{} })
-	if got := h.Reg.Get("faasmem_requests_completed_total").Value(); got != 1 {
+	if got := h.Reg.Counter("faasmem_requests_completed_total", "").Value(); got != 1 {
 		t.Errorf("attached registry counted %d requests, want 1", got)
 	}
 }

@@ -37,30 +37,6 @@ type Metric struct {
 	v    atomic.Int64
 }
 
-// Name returns the metric's registered name.
-func (m *Metric) Name() string {
-	if m == nil {
-		return ""
-	}
-	return m.name
-}
-
-// Help returns the metric's description.
-func (m *Metric) Help() string {
-	if m == nil {
-		return ""
-	}
-	return m.help
-}
-
-// Type returns the metric type.
-func (m *Metric) Type() MetricType {
-	if m == nil {
-		return CounterType
-	}
-	return m.typ
-}
-
 // Add increases the metric by n. No-op on nil.
 func (m *Metric) Add(n int64) {
 	if m != nil {
@@ -133,16 +109,6 @@ func (r *Registry) metric(name, help string, typ MetricType) *Metric {
 	r.byName[name] = m
 	r.order = append(r.order, m)
 	return m
-}
-
-// Get returns the named metric or nil.
-func (r *Registry) Get(name string) *Metric {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byName[sanitizeName(name)]
 }
 
 // Sample is one metric's value at snapshot time.

@@ -67,14 +67,6 @@ func (r *Ring[T]) Total() uint64 { return r.total }
 // Dropped returns how many pushed items have been overwritten.
 func (r *Ring[T]) Dropped() uint64 { return r.total - uint64(len(r.buf)) }
 
-// Reset drops every item and the counters, keeping the capacity.
-func (r *Ring[T]) Reset() {
-	clear(r.buf)
-	r.buf = r.buf[:0]
-	r.next = 0
-	r.total = 0
-}
-
 // MergeFrom pushes src's held items, oldest first, and carries src's dropped
 // count over, so shard rings folded into one sink in a fixed order hold what
 // the sink would after a serial run. src must not be r.

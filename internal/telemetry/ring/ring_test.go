@@ -53,9 +53,6 @@ func TestRingMatchesKeepLast(t *testing.T) {
 			}
 			what := fmt.Sprintf("cap %d, %d pushes", capacity, n)
 			check(t, what, &r, want)
-
-			r.Reset()
-			check(t, what+", reset", &r, &keepLast{capacity: capacity})
 		}
 	}
 }

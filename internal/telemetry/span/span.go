@@ -45,8 +45,9 @@ const (
 	PhaseOther Phase = iota
 	// PhaseRequest is the root span: request arrival to completion.
 	PhaseRequest
-	// PhaseQueue is time spent waiting for a container behind the
-	// scale-out cap.
+	// PhaseQueue is time spent waiting for a busy container. The
+	// simulator scales out without limit, so it never records one; the
+	// phase keeps its place because run files store phases by index.
 	PhaseQueue
 	// PhaseLaunch is the cold-start runtime-load phase.
 	PhaseLaunch
@@ -127,7 +128,8 @@ const (
 	Warm
 	// SemiWarm reused a container that had offloaded part of its memory.
 	SemiWarm
-	// Queued waited for a busy container under a scale-out cap.
+	// Queued waited for a busy container. Like PhaseQueue it is never
+	// recorded and keeps its place for the run-file format.
 	Queued
 	numStartKinds
 )
@@ -170,9 +172,6 @@ type Span struct {
 	// Children are the nested sub-spans, in start order.
 	Children []Span `json:"children,omitempty"`
 }
-
-// End returns the span's virtual end time.
-func (s Span) End() simtime.Time { return s.Start + simtime.Time(s.Dur) }
 
 // SelfDur returns the span's duration not covered by its children. It can
 // go negative if children overlap their parent's edges; attribution keeps
@@ -312,36 +311,6 @@ func (r *Recorder) RecordBackground(bg Background) {
 	r.mu.Unlock()
 }
 
-// Len returns the number of invocations currently held.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.invs.Len()
-}
-
-// Total returns how many invocations were ever recorded.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.invs.Total()
-}
-
-// Dropped returns how many invocations the ring has overwritten.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.invs.Dropped()
-}
-
 // Invocations returns a copy of the held invocations in recording order
 // (completion order on the virtual clock within one engine).
 func (r *Recorder) Invocations() []Invocation {
@@ -390,15 +359,4 @@ func (r *Recorder) MergeFrom(src *Recorder) {
 	defer r.mu.Unlock()
 	r.invs.MergeFrom(&src.invs)
 	r.bg.MergeFrom(&src.bg)
-}
-
-// Reset drops all held spans and counters, keeping capacity.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.invs.Reset()
-	r.bg.Reset()
-	r.mu.Unlock()
 }

@@ -47,10 +47,6 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
 	r.Record(coldInv("web", "web#1", 0))
 	r.RecordBackground(Background{Kind: BGOffload})
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || r.Dropped() != 0 {
-		t.Fatal("nil recorder must count nothing")
-	}
 	if r.Invocations() != nil || r.Backgrounds() != nil {
 		t.Fatal("nil recorder must return nil slices")
 	}
@@ -73,8 +69,8 @@ func TestRecorderRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(warmInv("f", "f#1", simtime.Time(sec(float64(i))), 0.1, 0))
 	}
-	if r.Len() != 3 || r.Total() != 5 || r.Dropped() != 2 {
-		t.Fatalf("len/total/dropped = %d/%d/%d, want 3/5/2", r.Len(), r.Total(), r.Dropped())
+	if r.invs.Len() != 3 || r.invs.Total() != 5 || r.invs.Dropped() != 2 {
+		t.Fatalf("len/total/dropped = %d/%d/%d, want 3/5/2", r.invs.Len(), r.invs.Total(), r.invs.Dropped())
 	}
 	invs := r.Invocations()
 	for i, inv := range invs {
@@ -82,10 +78,6 @@ func TestRecorderRing(t *testing.T) {
 		if inv.Root.Start != want {
 			t.Fatalf("inv %d start = %v, want %v (oldest-first after wrap)", i, inv.Root.Start, want)
 		}
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatal("reset must clear everything")
 	}
 }
 

@@ -57,10 +57,8 @@ const (
 	KindInitDone
 	// KindRequest spans one request execution (start → completion). Value is
 	// the request's remote fault count; Aux encodes the start kind
-	// (cold/warm/semi-warm/queued, the faas.StartKind values).
+	// (cold/warm/semi-warm, the faas.StartKind values).
 	KindRequest
-	// KindRequestQueued marks a request queued behind the scale-out cap.
-	KindRequestQueued
 	// KindContainerIdle marks a container entering keep-alive.
 	KindContainerIdle
 	// KindContainerRecycle marks keep-alive expiry tearing a container down.
@@ -130,7 +128,6 @@ var kindNames = [numKinds]string{
 	KindRuntimeLoaded:    "runtime-loaded",
 	KindInitDone:         "init-done",
 	KindRequest:          "request",
-	KindRequestQueued:    "request-queued",
 	KindContainerIdle:    "container-idle",
 	KindContainerRecycle: "container-recycle",
 	KindContainerEvict:   "container-evict",
@@ -328,16 +325,6 @@ func (t *Tracer) MergeFrom(src *Tracer) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ring.MergeFrom(&src.ring)
-}
-
-// Reset drops all held events and the drop counter, keeping the capacity.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ring.Reset()
-	t.mu.Unlock()
 }
 
 // Hub is the one instrumentation handle a simulation is given: every sink

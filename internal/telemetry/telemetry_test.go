@@ -42,16 +42,11 @@ func TestTracerRingWrap(t *testing.T) {
 			t.Fatalf("event %d value %d, want %d (oldest overwritten first)", i, ev.Value, want)
 		}
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("after Reset: Len/Total/Dropped = %d/%d/%d", tr.Len(), tr.Total(), tr.Dropped())
-	}
 }
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.record(Event{Kind: KindPageFault})
-	tr.Reset()
 	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must be inert")
 	}
@@ -173,10 +168,10 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	m.Inc()
 	m.Add(3)
 	m.Set(9)
-	if m.Value() != 0 || m.Name() != "" || m.Type() != CounterType {
+	if m.Value() != 0 {
 		t.Fatal("nil metric must be inert")
 	}
-	if r.Snapshot() != nil || r.Get("anything") != nil {
+	if r.Snapshot() != nil {
 		t.Fatal("nil registry reads must be empty")
 	}
 }
@@ -197,7 +192,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Get("shared_total").Value(); got != 8000 {
+	if got := r.Counter("shared_total", "").Value(); got != 8000 {
 		t.Fatalf("shared_total = %d, want 8000", got)
 	}
 }
@@ -205,11 +200,11 @@ func TestRegistryConcurrentUse(t *testing.T) {
 func TestSanitizeName(t *testing.T) {
 	r := NewRegistry()
 	m := r.Counter("faasmem/pages offloaded.total", "")
-	if m.Name() != "faasmem_pages_offloaded_total" {
-		t.Fatalf("sanitized name = %q", m.Name())
+	if m.name != "faasmem_pages_offloaded_total" {
+		t.Fatalf("sanitized name = %q", m.name)
 	}
-	if r.Get("faasmem/pages offloaded.total") != m {
-		t.Fatal("Get must sanitize the same way")
+	if r.Counter("faasmem/pages offloaded.total", "") != m {
+		t.Fatal("a second lookup must sanitize the same way")
 	}
 }
 

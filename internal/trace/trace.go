@@ -25,9 +25,6 @@ type Function struct {
 	Invocations []simtime.Time `json:"invocations"`
 }
 
-// Count returns the number of invocations.
-func (f *Function) Count() int { return len(f.Invocations) }
-
 // DailyRate returns the average invocations per day over the window d.
 func (f *Function) DailyRate(d time.Duration) float64 {
 	if d <= 0 {

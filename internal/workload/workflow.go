@@ -145,16 +145,6 @@ func (w *Workflow) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// Invocations returns the total invocation count of one workflow run
-// (replicas included).
-func (w *Workflow) Invocations() int {
-	n := 0
-	for i := range w.Stages {
-		n += w.Stages[i].Width()
-	}
-	return n
-}
-
 // workflowJSON / stageJSON are the serialized forms: sizes in MB, matching
 // the profile schema.
 type workflowJSON struct {

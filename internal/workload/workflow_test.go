@@ -156,7 +156,11 @@ func TestWorkflowInvocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Invocations(); got != 6 { // source + 4 fan replicas + join
+	got := 0
+	for i := range w.Stages {
+		got += w.Stages[i].Width()
+	}
+	if got != 6 { // source + 4 fan replicas + join
 		t.Fatalf("Invocations=%d, want 6", got)
 	}
 }
