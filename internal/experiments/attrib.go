@@ -36,12 +36,8 @@ type AttribRow struct {
 	Analysis *span.Analysis
 }
 
-// AttribPressureOptions sizes the study.
-type AttribPressureOptions struct {
-	// Duration of the generated bert trace. Default 30 m.
-	Duration time.Duration
-	Seed     int64
-}
+// attribDuration is the length of the generated bert trace.
+const attribDuration = 30 * time.Minute
 
 // stallShare extracts the remote-memory share of a breakdown's total.
 func stallShare(bd span.Breakdown) float64 {
@@ -59,12 +55,9 @@ func stallShare(bd span.Breakdown) float64 {
 // local memory falls monotonically and the remote-stall share of latency
 // rises monotonically — Fig. 2's "latency damage", now with the damage
 // pinned to the restore phase instead of inferred from end-to-end deltas.
-func AttribPressure(opt AttribPressureOptions) []AttribRow {
-	if opt.Duration <= 0 {
-		opt.Duration = 30 * time.Minute
-	}
+func AttribPressure(seed int64) []AttribRow {
 	prof := workload.Bert()
-	inv := trace.GenerateFunction("bert", opt.Duration, 25*time.Second, false, opt.Seed).Invocations
+	inv := trace.GenerateFunction("bert", attribDuration, 25*time.Second, false, seed).Invocations
 	delays := []time.Duration{
 		2 * time.Minute, time.Minute, 30 * time.Second, 10 * time.Second, 2 * time.Second,
 	}
@@ -75,7 +68,7 @@ func AttribPressure(opt AttribPressureOptions) []AttribRow {
 		scs[i] = Scenario{
 			Profile:     prof,
 			Invocations: inv,
-			Duration:    opt.Duration,
+			Duration:    attribDuration,
 			Policy:      FaaSMem,
 			CoreConfig: core.Config{
 				// Pin the drain timing: ignore collected reuse intervals so
@@ -83,7 +76,7 @@ func AttribPressure(opt AttribPressureOptions) []AttribRow {
 				MinIntervalSamples:    1 << 30,
 				FallbackSemiWarmDelay: d,
 			},
-			Seed:      opt.Seed,
+			Seed:      seed,
 			Telemetry: telemetry.Hub{Spans: recs[i]},
 		}
 	}

@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// TestAttribPressureMonotonic asserts the ext-attrib acceptance shape:
-// shrinking the semi-warm drain delay must monotonically lower average
-// local memory and monotonically raise the remote-stall share of latency.
+// TestAttribPressureMonotonic checks the structure of the shared ext-attrib
+// rows: delays descend (pressure rises) and every step's attribution
+// reconciles. The monotone memory and stall-share shape is claims
+// attrib-memory, attrib-stall and attrib-stall-p99.
 func TestAttribPressureMonotonic(t *testing.T) {
-	rows := AttribPressure(AttribPressureOptions{Duration: 12 * time.Minute, Seed: 5})
+	rows := sharedRows[AttribRow](t, "ext-attrib")
 	if len(rows) < 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -19,25 +20,6 @@ func TestAttribPressureMonotonic(t *testing.T) {
 			t.Fatalf("delays must descend (pressure rises): %v then %v",
 				rows[i-1].SemiWarmDelay, rows[i].SemiWarmDelay)
 		}
-		if rows[i].AvgLocalMB > rows[i-1].AvgLocalMB+1e-9 {
-			t.Fatalf("avg local memory must fall with pressure: %.2f MB at %v, %.2f MB at %v",
-				rows[i-1].AvgLocalMB, rows[i-1].SemiWarmDelay,
-				rows[i].AvgLocalMB, rows[i].SemiWarmDelay)
-		}
-		if rows[i].MeanStallShare < rows[i-1].MeanStallShare-1e-9 {
-			t.Fatalf("remote-stall share must rise with pressure: %.4f at %v, %.4f at %v",
-				rows[i-1].MeanStallShare, rows[i-1].SemiWarmDelay,
-				rows[i].MeanStallShare, rows[i].SemiWarmDelay)
-		}
-	}
-	first, last := rows[0], rows[len(rows)-1]
-	if last.MeanStallShare <= first.MeanStallShare {
-		t.Fatalf("sweep must show real damage growth: share %.4f -> %.4f",
-			first.MeanStallShare, last.MeanStallShare)
-	}
-	if last.StallShareP99 < first.StallShareP99 {
-		t.Fatalf("P99 stall share must not fall with pressure: %.4f -> %.4f",
-			first.StallShareP99, last.StallShareP99)
 	}
 	// Every step's attribution must reconcile: phase columns sum to the
 	// order-statistic total.

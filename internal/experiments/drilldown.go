@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/faasmem/faasmem/internal/drilldown"
 	"github.com/faasmem/faasmem/internal/telemetry"
@@ -42,43 +41,18 @@ type DrilldownCell struct {
 	Explanation *drilldown.Explanation `json:"explanation,omitempty"`
 }
 
-// DrilldownOptions sizes the ext-drilldown sweep.
-type DrilldownOptions struct {
-	// Intensities are the fault-plan intensities swept. Default {0, 1}.
-	Intensities []float64
-	// Duration of the generated trace. Default 10 m.
-	Duration time.Duration
-	// KeepAlive of idle containers. Default 8 m.
-	KeepAlive time.Duration
-	// Window is the rollup window shared by the timeline and exemplar
-	// recorders (cells align by index). Default 30 s.
-	Window time.Duration
-	// Seed drives the workload; FaultSeed drives the fault plan.
-	Seed, FaultSeed int64
-}
-
 // Drilldown replays the resilience rack with both a time-series recorder and
 // a tail-exemplar recorder attached, then drills each intensity's worst
 // window down to flows, exemplars, and phase attribution. Each cell owns its
 // engine and recorders, so rows are bit-identical at any -scenario-workers
-// width (the CI determinism gate diffs widths 1 and 8).
-func Drilldown(opt DrilldownOptions) []DrilldownCell {
-	if len(opt.Intensities) == 0 {
-		opt.Intensities = []float64{0, 1}
-	}
-	if opt.Duration <= 0 {
-		opt.Duration = 10 * time.Minute
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 8 * time.Minute
-	}
-	if opt.Window <= 0 {
-		opt.Window = 30 * time.Second
-	}
+// width (the CI determinism gate diffs widths 1 and 8). The timeline and
+// exemplar recorders share one window, so their cells align by index. seed
+// drives both the workload and the fault plan.
+func Drilldown(seed int64) []DrilldownCell {
 	run := func(intensity float64) DrilldownCell {
-		rec := timeseries.NewRecorder(timeseries.Config{Window: opt.Window})
-		exm := exemplar.NewRecorder(exemplar.Config{Window: opt.Window})
-		faultRack(opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+		rec := timeseries.NewRecorder(timeseries.Config{Window: watchWindow})
+		exm := exemplar.NewRecorder(exemplar.Config{Window: watchWindow})
+		faultRack(watchDuration, watchKeepAlive, seed,
 			intensity, true, telemetry.Hub{Timeline: rec, Exemplars: exm})
 
 		cells := exm.Cells()
@@ -116,8 +90,8 @@ func Drilldown(opt DrilldownOptions) []DrilldownCell {
 		return cell
 	}
 
-	cells := make([]DrilldownCell, len(opt.Intensities))
-	runGrid(len(cells), func(i int) { cells[i] = run(opt.Intensities[i]) })
+	cells := make([]DrilldownCell, len(watchIntensities))
+	runGrid(len(cells), func(i int) { cells[i] = run(watchIntensities[i]) })
 	return cells
 }
 

@@ -12,60 +12,27 @@ import (
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
-func shortDrilldownOpts() DrilldownOptions {
-	return DrilldownOptions{
-		Intensities: []float64{0, 1},
-		Duration:    4 * time.Minute,
-		KeepAlive:   3 * time.Minute,
-		Window:      30 * time.Second,
-		Seed:        11,
-		FaultSeed:   7,
-	}
-}
-
 // TestDrilldownDeterministicAcrossWidths pins the acceptance criterion: the
 // ext-drilldown cells — exemplar paths, flow rows, audit verdicts and all —
 // are bit-identical at any -scenario-workers width.
 func TestDrilldownDeterministicAcrossWidths(t *testing.T) {
-	opt := shortDrilldownOpts()
 	if w := DivergentWidth([]int{1, 8}, func() any {
-		return Drilldown(opt)
+		return Drilldown(11)
 	}); w != -1 {
 		t.Fatalf("drilldown cells differ between workers=1 and workers=%d", w)
 	}
 }
 
-// TestDrilldownSpikeAttribution checks the sweep's structural chain: both
-// cells audit conserved, retain exemplars, and the faulted cell's drill-down
-// lands on a concrete worst request with a dominant phase.
+// TestDrilldownSpikeAttribution checks that the shared ext-drilldown run
+// has one cell per fault intensity; each cell's audit and attribution chain
+// is claims drilldown-audit and drilldown-attribution.
 func TestDrilldownSpikeAttribution(t *testing.T) {
-	cells := Drilldown(shortDrilldownOpts())
+	cells := sharedRows[DrilldownCell](t, "ext-drilldown")
 	if len(cells) != 2 {
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
-	for _, c := range cells {
-		if !c.AuditOK {
-			t.Errorf("intensity %.2f: flow conservation violated", c.Intensity)
-		}
-		if c.AuditChecks == 0 {
-			t.Errorf("intensity %.2f: no occupancy checkpoints audited", c.Intensity)
-		}
-		if c.FlowRows == 0 {
-			t.Errorf("intensity %.2f: flow ledger empty", c.Intensity)
-		}
-		if c.ExemplarCells == 0 {
-			t.Errorf("intensity %.2f: no exemplar cells retained", c.Intensity)
-		}
-		if c.Explanation == nil {
-			t.Fatalf("intensity %.2f: no explanation", c.Intensity)
-		}
-		if c.WorstFunction == "" || c.WorstLatencyMs <= 0 {
-			t.Errorf("intensity %.2f: no worst exemplar resolved (%q, %.2fms)",
-				c.Intensity, c.WorstFunction, c.WorstLatencyMs)
-		}
-		if c.DominantPhase == "" {
-			t.Errorf("intensity %.2f: worst exemplar has no dominant phase", c.Intensity)
-		}
+	if cells[0].Intensity != 0 || cells[1].Intensity != 1 {
+		t.Fatalf("intensities = %v, %v, want 0 and 1", cells[0].Intensity, cells[1].Intensity)
 	}
 }
 
@@ -124,11 +91,9 @@ func TestFlowConservationAcrossFaultPlans(t *testing.T) {
 
 // TestPrintDrilldownRendersChain smoke-tests the printer output shape.
 func TestPrintDrilldownRendersChain(t *testing.T) {
-	opt := shortDrilldownOpts()
-	opt.Intensities = []float64{1}
-	cells := Drilldown(opt)
+	cells := sharedRows[DrilldownCell](t, "ext-drilldown")
 	var sb strings.Builder
-	PrintDrilldown(&sb, cells)
+	PrintDrilldown(&sb, cells[len(cells)-1:])
 	out := sb.String()
 	for _, want := range []string{"intensity", "dominant", "audit", "OK"} {
 		if !strings.Contains(out, want) {

@@ -155,31 +155,25 @@ type ReadaheadRow struct {
 	FaultPages int64 `col:"blocking faults"`
 }
 
-// ReadaheadOptions sizes the study.
-type ReadaheadOptions struct {
-	Duration time.Duration
-	Seed     int64
-}
+// readaheadDuration is the length of the generated bursty bert trace.
+const readaheadDuration = 20 * time.Minute
 
 // Readahead quantifies the §10 "prefetching remote memory" (Leap) direction:
 // swap readahead turns clustered demand faults on contiguous offloaded
 // ranges into one fault per window, shrinking semi-warm recall tails.
-func Readahead(opt ReadaheadOptions) []ReadaheadRow {
-	if opt.Duration <= 0 {
-		opt.Duration = 20 * time.Minute
-	}
+func Readahead(seed int64) []ReadaheadRow {
 	prof := workload.Bert()
-	inv := trace.GenerateFunction("bert", opt.Duration, 12*time.Second, true, opt.Seed).Invocations
+	inv := trace.GenerateFunction("bert", readaheadDuration, 12*time.Second, true, seed).Invocations
 	windows := []int{0, 2, 8, 32}
 	scs := make([]Scenario, len(windows))
 	for i, window := range windows {
 		scs[i] = Scenario{
 			Profile:     prof,
 			Invocations: inv,
-			Duration:    opt.Duration,
+			Duration:    readaheadDuration,
 			Policy:      FaaSMem,
 			SeedHistory: true,
-			Seed:        opt.Seed,
+			Seed:        seed,
 			Swap:        fastswap.Config{ReadaheadPages: window},
 		}
 	}

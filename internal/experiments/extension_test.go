@@ -2,68 +2,21 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestPoolComparisonShape(t *testing.T) {
-	rows := PoolComparison(PoolComparisonOptions{Duration: 8 * time.Minute, Seed: 31})
-	if len(rows) != 3 {
+	if rows := sharedRows[PoolRow](t, "ext-pools"); len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-	byName := map[string]PoolRow{}
-	for _, r := range rows {
-		byName[r.Pool] = r
-	}
-	rdma, cxl, ssd := byName["rdma-56g"], byName["cxl"], byName["ssd"]
-	// §9's prose, quantified: CXL must not be slower than RDMA at the same
-	// offloading duty; the SSD's 1 MB/s write cap strangles offloading.
-	if cxl.P99 > rdma.P99+1e-9 {
-		t.Errorf("CXL P99 %.3f worse than RDMA %.3f", cxl.P99, rdma.P99)
-	}
-	// The SSD's durability-limited 1 MB/s writes cap offloading: it moves
-	// less data, keeps more memory local, and pays slower faults at the tail.
-	if ssd.OffloadedMB >= rdma.OffloadedMB {
-		t.Errorf("SSD offloaded %.0f MB, want below RDMA's %.0f MB",
-			ssd.OffloadedMB, rdma.OffloadedMB)
-	}
-	if ssd.AvgLocalMB <= rdma.AvgLocalMB {
-		t.Errorf("SSD avg local %.0f MB should exceed RDMA's %.0f MB (less offload)",
-			ssd.AvgLocalMB, rdma.AvgLocalMB)
-	}
-	if ssd.P99 < rdma.P99 {
-		t.Errorf("SSD P99 %.3f should not beat RDMA's %.3f", ssd.P99, rdma.P99)
 	}
 }
 
 func TestColdStartTimingShape(t *testing.T) {
-	rows := ColdStartTiming(ColdStartTimingOptions{Duration: 10 * time.Minute, Seed: 33})
-	if len(rows) != 4 {
+	if rows := sharedRows[ColdStartTimingRow](t, "ext-coldstart"); len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-	get := func(cs string, corrected bool) ColdStartTimingRow {
-		for _, r := range rows {
-			if r.Case == cs && r.Corrected == corrected {
-				return r
-			}
-		}
-		t.Fatalf("missing row %s/%v", cs, corrected)
-		return ColdStartTimingRow{}
-	}
-	// The correction delays semi-warm, so it can only keep more memory
-	// resident; in exchange the bursty P99 must not get worse.
-	for _, cs := range []string{"common", "bursty"} {
-		plain := get(cs, false)
-		fixed := get(cs, true)
-		if fixed.AvgMemMB < plain.AvgMemMB-1 {
-			t.Errorf("%s: corrected timing reduced memory (%.0f < %.0f), impossible",
-				cs, fixed.AvgMemMB, plain.AvgMemMB)
-		}
-		if fixed.P99 > plain.P99+1e-9 {
-			t.Errorf("%s: corrected timing worsened P99 (%.3f > %.3f)",
-				cs, fixed.P99, plain.P99)
-		}
 	}
 }
 
@@ -79,13 +32,7 @@ func TestExtensionPrinters(t *testing.T) {
 }
 
 func TestRackDensityShape(t *testing.T) {
-	rows := RackDensity(RackDensityOptions{
-		Nodes:             2,
-		NodeMemoryLimitMB: 1500,
-		Functions:         6,
-		Duration:          10 * time.Minute,
-		Seed:              41,
-	})
+	rows := sharedRows[RackRow](t, "ext-rack")
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -96,76 +43,21 @@ func TestRackDensityShape(t *testing.T) {
 	if base.Requests == 0 || fm.Requests != base.Requests {
 		t.Fatalf("requests mismatch: %d vs %d", base.Requests, fm.Requests)
 	}
-	// The density mechanism: FaaSMem evicts fewer keep-alive containers and
-	// therefore cold-starts no more than the baseline.
-	if fm.Evicted > base.Evicted {
-		t.Errorf("FaaSMem evicted %d > baseline %d", fm.Evicted, base.Evicted)
-	}
-	if fm.ColdStartRatio > base.ColdStartRatio+1e-9 {
-		t.Errorf("FaaSMem cold ratio %.3f > baseline %.3f", fm.ColdStartRatio, base.ColdStartRatio)
-	}
-	if fm.AvgLocalMB >= base.AvgLocalMB {
-		t.Errorf("FaaSMem rack memory %.0f not below baseline %.0f", fm.AvgLocalMB, base.AvgLocalMB)
-	}
 }
 
 func TestReadaheadShape(t *testing.T) {
-	rows := Readahead(ReadaheadOptions{Duration: 8 * time.Minute, Seed: 51})
+	rows := sharedRows[ReadaheadRow](t, "ext-readahead")
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	if rows[0].Window != 0 {
 		t.Fatal("first row should be the no-readahead baseline")
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].FaultPages >= rows[0].FaultPages {
-			t.Errorf("window %d: blocking faults %d not below baseline %d",
-				rows[i].Window, rows[i].FaultPages, rows[0].FaultPages)
-		}
-	}
-	// Wider windows mean fewer blocking faults.
-	if rows[3].FaultPages >= rows[1].FaultPages {
-		t.Errorf("readahead 32 (%d faults) should beat readahead 2 (%d)",
-			rows[3].FaultPages, rows[1].FaultPages)
-	}
-	// Tail latency must not get worse with readahead.
-	if rows[3].P99 > rows[0].P99+1e-9 {
-		t.Errorf("readahead worsened P99: %.3f vs %.3f", rows[3].P99, rows[0].P99)
-	}
 }
 
 func TestKeepAliveStrategiesShape(t *testing.T) {
-	rows := KeepAliveStrategies(KeepAliveStrategiesOptions{Duration: 15 * time.Minute, Seed: 61})
-	if len(rows) != 4 {
+	if rows := sharedRows[KeepAliveRow](t, "ext-keepalive"); len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
-	}
-	get := func(strategy string, pk PolicyKind) KeepAliveRow {
-		for _, r := range rows {
-			if r.Strategy == strategy && r.Policy == pk {
-				return r
-			}
-		}
-		t.Fatalf("missing %s/%s", strategy, pk)
-		return KeepAliveRow{}
-	}
-	fixedBase := get("fixed-10m", Baseline)
-	fixedFM := get("fixed-10m", FaaSMem)
-	adaptBase := get("adaptive", Baseline)
-	adaptFM := get("adaptive", FaaSMem)
-	// Each technique helps on its own…
-	if fixedFM.AvgLocalMB >= fixedBase.AvgLocalMB {
-		t.Error("FaaSMem alone did not save memory")
-	}
-	if adaptBase.AvgLocalMB >= fixedBase.AvgLocalMB {
-		t.Error("adaptive keep-alive alone did not save memory")
-	}
-	// …and the combination is at least as good as either alone (§10:
-	// "combining the above works can gain more benefits"; when FaaSMem has
-	// already drained the idle memory, adaptive keep-alive adds little, so
-	// allow ties within 5%).
-	if adaptFM.AvgLocalMB > fixedFM.AvgLocalMB*1.05 || adaptFM.AvgLocalMB > adaptBase.AvgLocalMB*1.05 {
-		t.Errorf("combination (%.0f MB) should not lose to FaaSMem-only (%.0f) or adaptive-only (%.0f)",
-			adaptFM.AvgLocalMB, fixedFM.AvgLocalMB, adaptBase.AvgLocalMB)
 	}
 }
 
@@ -224,25 +116,25 @@ func TestPearson(t *testing.T) {
 	}
 }
 
+// TestFig16Correlations checks the sample behind §8.6's correlation claims
+// (claims fig16-corr-load and fig16-corr-sigma): each app's density is
+// correlated over 20 traces whose load and interval σ both vary.
 func TestFig16Correlations(t *testing.T) {
-	// §8.6's correlation claims, tested with the Pearson statistic: density
-	// is positively correlated with request load and negatively with the
-	// standard deviation of request intervals.
-	rows := Fig16(Fig16Options{Traces: 10, Duration: 10 * time.Minute, Seed: 77, Apps: []string{"web"}})
-	if len(rows) < 6 {
-		t.Skip("too few traces generated")
-	}
-	var load, sigma, density []float64
-	for _, r := range rows {
-		load = append(load, r.ReqPerMinute)
-		sigma = append(sigma, r.IntervalSigmaSec)
-		density = append(density, r.Density)
-	}
-	if got := pearson(load, density); got <= 0.2 {
-		t.Errorf("corr(load, density) = %.2f, want clearly positive", got)
-	}
-	if got := pearson(sigma, density); got >= -0.2 {
-		t.Errorf("corr(sigma, density) = %.2f, want clearly negative", got)
+	rows := sharedRows[Fig16Row](t, "fig16")
+	for _, app := range figApps {
+		var load, sigma []float64
+		for _, r := range rows {
+			if r.App == app {
+				load = append(load, r.ReqPerMinute)
+				sigma = append(sigma, r.IntervalSigmaSec)
+			}
+		}
+		if len(load) != 20 {
+			t.Errorf("%s: %d traces, want 20", app, len(load))
+		}
+		if slices.Min(load) == slices.Max(load) || slices.Min(sigma) == slices.Max(sigma) {
+			t.Errorf("%s: load or interval σ does not vary across traces", app)
+		}
 	}
 }
 

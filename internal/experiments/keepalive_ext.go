@@ -23,23 +23,17 @@ type KeepAliveRow struct {
 	P95 float64 `col:"P95,%.3fs"`
 }
 
-// KeepAliveStrategiesOptions sizes the study.
-type KeepAliveStrategiesOptions struct {
-	Duration time.Duration
-	Seed     int64
-}
+// keepAliveDuration is the length of the generated web trace.
+const keepAliveDuration = 30 * time.Minute
 
 // KeepAliveStrategies quantifies the §10 composition claim: FaaSMem's
 // offloading is orthogonal to smarter keep-alive policies (the
 // hybrid-histogram family), and combining both stacks their savings —
 // the adaptive timeout recycles containers that will not be reused while
 // FaaSMem shrinks the ones that stay.
-func KeepAliveStrategies(opt KeepAliveStrategiesOptions) []KeepAliveRow {
-	if opt.Duration <= 0 {
-		opt.Duration = 30 * time.Minute
-	}
+func KeepAliveStrategies(seed int64) []KeepAliveRow {
 	prof := workload.Web()
-	fn := trace.GenerateFunction("web", opt.Duration, 10*time.Second, true, opt.Seed)
+	fn := trace.GenerateFunction("web", keepAliveDuration, 10*time.Second, true, seed)
 
 	run := func(adaptive bool, kind PolicyKind) KeepAliveRow {
 		var pol policy.Policy
@@ -54,7 +48,7 @@ func KeepAliveStrategies(opt KeepAliveStrategiesOptions) []KeepAliveRow {
 		p := faas.New(e, faas.Config{
 			KeepAliveTimeout:  10 * time.Minute,
 			AdaptiveKeepAlive: adaptive,
-			Seed:              opt.Seed,
+			Seed:              seed,
 		}, pol)
 		f := p.Register("web", prof)
 		p.ScheduleInvocations("web", fn.Invocations)
@@ -62,7 +56,7 @@ func KeepAliveStrategies(opt KeepAliveStrategiesOptions) []KeepAliveRow {
 			ka := trace.SimulateKeepAlive(fn.Invocations, prof.ExecTime, 10*time.Minute)
 			fm.SeedReuseIntervals("web", ka.ReusedIntervals)
 		}
-		e.RunUntil(opt.Duration + 10*time.Minute)
+		e.RunUntil(keepAliveDuration + 10*time.Minute)
 
 		strategy := "fixed-10m"
 		if adaptive {

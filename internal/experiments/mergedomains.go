@@ -42,21 +42,6 @@ type MergeDomainsRow struct {
 	IsolationOK bool `json:"isolation_ok" col:"isolation,ok|VIOLATED"`
 }
 
-// MergeDomainsOptions sizes the sweep.
-type MergeDomainsOptions struct {
-	// Scopes swept. Default: function, tenant, cross-tenant.
-	Scopes []memnode.MergeScope
-	// WriteRatios are the RuntimeWriteRatio values swept per scope: 0 is the
-	// read-only density shape, positive values turn every function write-hot
-	// and storm the CoW unmerge path. Default {0, 0.3}.
-	WriteRatios []float64
-	// DRAMMB sizes the node's DRAM tier. Default 256.
-	DRAMMB int
-	// Duration of the generated trace. Default 15 m.
-	Duration time.Duration
-	Seed     int64
-}
-
 // MergeDomains measures what widening the merge domain buys and costs: the
 // mixed 11-benchmark workload is split across tenants and run at each
 // (scope, write ratio) cell on a rack whose pool-side node merges
@@ -65,33 +50,28 @@ type MergeDomainsOptions struct {
 // grows with scope); write-hot rows show the CoW unmerge storm that claws it
 // back. The function-scope, read-only, cache-off cell is configured exactly
 // like the ext-pool-density dedup cell and reproduces its numbers.
-func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
-	if len(opt.Scopes) == 0 {
-		opt.Scopes = memnode.MergeScopes()
-	}
-	if len(opt.WriteRatios) == 0 {
-		opt.WriteRatios = []float64{0, 0.3}
-	}
-	if opt.DRAMMB <= 0 {
-		opt.DRAMMB = 256
-	}
-	if opt.Duration <= 0 {
-		opt.Duration = 15 * time.Minute
-	}
-	// The rack: 3 compute nodes, a 512 MB spill tier, a 64 MB shared cache
-	// at the widened scopes (merge masters are what it caches), and the
-	// 11 benchmarks split round-robin across 3 tenants. All but the last
-	// tenant opt into cross-tenant merging, so the sweep always carries a
-	// non-consenting tenant across the security boundary.
+func MergeDomains(seed int64) []MergeDomainsRow {
+	// The rack: 3 compute nodes, a 256 MB DRAM tier, a 512 MB spill tier,
+	// a 64 MB shared cache at the widened scopes (merge masters are what it
+	// caches), and the 11 benchmarks split round-robin across 3 tenants over
+	// a 15-minute trace. All but the last tenant opt into cross-tenant
+	// merging, so the sweep always carries a non-consenting tenant across
+	// the security boundary.
 	const (
 		nodes     = 3
+		dramMB    = 256
 		spillMB   = 512
 		cacheMB   = 64
 		tenants   = 3
 		keepAlive = 10 * time.Minute
+		duration  = 15 * time.Minute
 	)
+	// Each scope runs read-only (0) and with every function write-hot
+	// (0.3), which storms the CoW unmerge path.
+	scopes := memnode.MergeScopes()
+	writeRatios := []float64{0, 0.3}
 
-	fns := mixedWorkload(opt.Duration, opt.Seed)
+	fns := mixedWorkload(duration, seed)
 
 	// Round-robin tenancy over the benchmark list, and opt every tenant but
 	// the last into cross-tenant merging.
@@ -106,7 +86,7 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 
 	run := func(scope memnode.MergeScope, ratio float64) MergeDomainsRow {
 		nodeCfg := memnode.Config{
-			DRAMBytes:          int64(opt.DRAMMB) << 20,
+			DRAMBytes:          dramMB << 20,
 			SpillBytes:         spillMB << 20,
 			DisableCompression: true, // isolate merging from zswap effects
 			MergeScope:         scope,
@@ -120,10 +100,10 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 			Nodes: nodes,
 			Node: faas.Config{
 				KeepAliveTimeout: keepAlive,
-				Seed:             opt.Seed,
+				Seed:             seed,
 			},
 			Pool: rmem.Config{Node: &nodeCfg},
-		}, FaaSMem, fns, ratio, opt.Duration+keepAlive+time.Minute)
+		}, FaaSMem, fns, ratio, duration+keepAlive+time.Minute)
 
 		st := c.Stats()
 		row := MergeDomainsRow{Scope: scope, WriteRatio: ratio, Requests: st.Requests}
@@ -152,9 +132,9 @@ func MergeDomains(opt MergeDomainsOptions) []MergeDomainsRow {
 		return row
 	}
 
-	rows := make([]MergeDomainsRow, len(opt.Scopes)*len(opt.WriteRatios))
+	rows := make([]MergeDomainsRow, len(scopes)*len(writeRatios))
 	runGrid(len(rows), func(i int) {
-		rows[i] = run(opt.Scopes[i/len(opt.WriteRatios)], opt.WriteRatios[i%len(opt.WriteRatios)])
+		rows[i] = run(scopes[i/len(writeRatios)], writeRatios[i%len(writeRatios)])
 	})
 	return rows
 }

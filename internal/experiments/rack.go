@@ -67,17 +67,17 @@ func runMixedRack(cfg cluster.Config, kind PolicyKind, fns []mixedFn, writeRatio
 // faultRack runs the rack the fault sweeps (ext-resilience, ext-observe,
 // ext-drilldown) share: the mixed workload on three FaaSMem nodes over a
 // 512 MB memory node, under a fault plan of the given intensity that spans
-// the run (trace, keep-alive drain and one more minute). fallback turns on
-// the local-swap fallback read path, and hub carries the sweep's
-// recorders. The run ends at the plan's horizon, so c.Engine().Now() is
-// that horizon.
-func faultRack(d, keepAlive time.Duration, seed, faultSeed int64,
+// the run (trace, keep-alive drain and one more minute); seed drives both
+// the workload and the plan. fallback turns on the local-swap fallback read
+// path, and hub carries the sweep's recorders. The run ends at the plan's
+// horizon, so c.Engine().Now() is that horizon.
+func faultRack(d, keepAlive time.Duration, seed int64,
 	intensity float64, fallback bool, hub telemetry.Hub) (*cluster.Cluster, *faultinject.Plan) {
 	horizon := d + keepAlive + time.Minute
 	plan := faultinject.New(faultinject.Config{
 		Horizon:   horizon,
 		Intensity: intensity,
-		Seed:      faultSeed,
+		Seed:      seed,
 	})
 	var swap fastswap.Config
 	if fallback {
@@ -121,15 +121,16 @@ type RackRow struct {
 type RackDensityOptions struct {
 	// Nodes in the rack. Default 4 (keeps the study fast; §9 uses ~10).
 	Nodes int
-	// NodeMemoryLimitMB is the per-node DRAM. Default 2000 MB — tight enough
-	// that the baseline must evict keep-alive containers.
-	NodeMemoryLimitMB int64
 	// Functions mapped round-robin onto the three applications. Default 12.
 	Functions int
 	// Duration of the trace. Default 20 m.
 	Duration time.Duration
 	Seed     int64
 }
+
+// rackNodeMemoryLimitMB is the per-node DRAM of the rack study: tight enough
+// that the baseline must evict keep-alive containers.
+const rackNodeMemoryLimitMB = 2000
 
 // RackDensity measures the deployment-density mechanism directly (instead of
 // Fig. 16's quota arithmetic): under the same per-node DRAM limit, FaaSMem's
@@ -138,9 +139,6 @@ type RackDensityOptions struct {
 func RackDensity(opt RackDensityOptions) []RackRow {
 	if opt.Nodes <= 0 {
 		opt.Nodes = 4
-	}
-	if opt.NodeMemoryLimitMB <= 0 {
-		opt.NodeMemoryLimitMB = 2000
 	}
 	if opt.Functions <= 0 {
 		opt.Functions = 12
@@ -168,7 +166,7 @@ func RackDensity(opt RackDensityOptions) []RackRow {
 			Nodes: opt.Nodes,
 			Node: faas.Config{
 				KeepAliveTimeout: 10 * time.Minute,
-				NodeMemoryLimit:  opt.NodeMemoryLimitMB * 1_000_000,
+				NodeMemoryLimit:  rackNodeMemoryLimitMB * 1_000_000,
 				Seed:             opt.Seed,
 			},
 		}, kind, fns, 0, opt.Duration+10*time.Minute)

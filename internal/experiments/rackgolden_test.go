@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// goldenEntries are the registry entries whose rows the golden file pins:
-// fig12, the single-node policy grid on the paper's main path, and every
-// entry that simulates a rack sharing one memory pool.
+// goldenEntries are the registry entries whose rows the golden file pins, in
+// registry order: fig12, the single-node policy grid on the paper's main
+// path, and every entry that simulates a rack sharing one memory pool.
 var goldenEntries = []string{
 	"fig12",
 	"ext-rack", "ext-pool-density", "ext-merge",
@@ -25,18 +24,13 @@ var goldenEntries = []string{
 // node grid or any rack is built, loaded or run shows up as a diff. Run with
 // -update to rewrite the golden file.
 func TestRackRowsGolden(t *testing.T) {
-	entries, err := Select(goldenEntries)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got bytes.Buffer
-	for _, e := range entries {
-		rows, _ := e.Run(io.Discard, 42)
-		fmt.Fprintf(&got, "== %s ==\n", e.Name)
+	for _, name := range goldenEntries {
+		fmt.Fprintf(&got, "== %s ==\n", name)
 		enc := json.NewEncoder(&got)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+		if err := enc.Encode(registryRun(42).rows[name]); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 	checkGolden(t, filepath.Join("testdata", "rack_rows_golden.txt"), got.Bytes())

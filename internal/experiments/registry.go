@@ -104,12 +104,12 @@ var Registry = []Experiment{
 		return rows, nil
 	}},
 	{Name: "ext-readahead", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		rows := Readahead(ReadaheadOptions{Seed: seed})
+		rows := Readahead(seed)
 		printRows(w, "Extension (§10): swap readahead / prefetching on the recall path (Bert)", rows)
 		return rows, map[string]string{"ext-readahead": SVGReadahead(rows)}
 	}},
 	{Name: "ext-keepalive", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		rows := KeepAliveStrategies(KeepAliveStrategiesOptions{Seed: seed})
+		rows := KeepAliveStrategies(seed)
 		printRows(w, "Extension (§10): composing FaaSMem with an adaptive keep-alive policy (Web)", rows)
 		return rows, nil
 	}},
@@ -124,7 +124,7 @@ var Registry = []Experiment{
 		return rows, nil
 	}},
 	{Name: "ext-attrib", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		rows := AttribPressure(AttribPressureOptions{Seed: seed})
+		rows := AttribPressure(seed)
 		printRows(w, "Extension (Fig. 2 revisited): latency attribution under rising memory pressure (Bert, FaaSMem)", rows)
 		return rows, nil
 	}},
@@ -134,22 +134,22 @@ var Registry = []Experiment{
 		return rows, nil
 	}},
 	{Name: "ext-merge", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		rows := MergeDomains(MergeDomainsOptions{Seed: seed})
+		rows := MergeDomains(seed)
 		printRows(w, "Extension (§9): cross-tenant merge domains — density vs CoW unmerge cost", rows)
 		return rows, nil
 	}},
 	{Name: "ext-resilience", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		rows := Resilience(ResilienceOptions{Seed: seed, FaultSeed: seed})
+		rows := Resilience(seed)
 		printRows(w, "Extension: fault injection — rack degradation vs fault intensity", rows)
 		return rows, nil
 	}},
 	{Name: "ext-observe", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		cells := Observe(ObserveOptions{Seed: seed, FaultSeed: seed})
+		cells := Observe(seed)
 		PrintObserve(w, cells)
 		return cells, nil
 	}},
 	{Name: "ext-drilldown", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		cells := Drilldown(DrilldownOptions{Seed: seed, FaultSeed: seed})
+		cells := Drilldown(seed)
 		PrintDrilldown(w, cells)
 		return cells, nil
 	}},

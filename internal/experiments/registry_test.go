@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -80,13 +81,47 @@ func TestSelect(t *testing.T) {
 // out. A change to any cell's format or to any entry's rows shows up as a
 // diff. Run with -update to rewrite the golden file.
 func TestRegistryStdoutGolden(t *testing.T) {
-	var got bytes.Buffer
-	for _, e := range Registry {
-		if e.WallClock {
-			continue
+	checkGolden(t, filepath.Join("testdata", "registry_stdout_golden.txt"), registryRun(42).stdout)
+}
+
+// sharedRun is one pass over every deterministic registry entry at one seed.
+type sharedRun struct {
+	once   sync.Once
+	rows   map[string]any // each entry's rows by name; never mutated
+	stdout []byte         // the entries' reports, each followed by a blank line
+}
+
+var sharedRuns sync.Map // seed → *sharedRun
+
+// registryRun runs every non-wall-clock registry entry at paper scale and
+// the given seed once per test binary, and returns the rows and report that
+// the goldens, the claims table and the shape tests all read. Callers must
+// not modify the rows.
+func registryRun(seed int64) *sharedRun {
+	v, _ := sharedRuns.LoadOrStore(seed, new(sharedRun))
+	r := v.(*sharedRun)
+	r.once.Do(func() {
+		var out bytes.Buffer
+		r.rows = map[string]any{}
+		for _, e := range Registry {
+			if e.WallClock {
+				continue
+			}
+			r.rows[e.Name], _ = e.Run(&out, seed)
+			fmt.Fprintln(&out)
 		}
-		e.Run(&got, 42)
-		fmt.Fprintln(&got)
+		r.stdout = out.Bytes()
+	})
+	return r
+}
+
+// sharedRows returns the seed-42 rows of the named registry entry from the
+// shared run, typed as the entry returns them.
+func sharedRows[R any](t *testing.T, name string) []R {
+	t.Helper()
+	rows, ok := registryRun(42).rows[name].([]R)
+	if !ok {
+		t.Fatalf("%s: rows are %T, not []%T", name, registryRun(42).rows[name], *new(R))
 	}
-	checkGolden(t, filepath.Join("testdata", "registry_stdout_golden.txt"), got.Bytes())
+	return rows
 }

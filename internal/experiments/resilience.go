@@ -39,18 +39,14 @@ type ResilienceRow struct {
 	RescheduledFault int `json:"rescheduled_fault"`
 }
 
-// ResilienceOptions sizes the ext-resilience sweep.
-type ResilienceOptions struct {
-	// Intensities are the fault-plan intensities swept.
-	// Default {0, 0.25, 0.5, 1}.
-	Intensities []float64
-	// Duration of the generated trace. Default 12 m.
-	Duration time.Duration
-	// KeepAlive of idle containers. Default 10 m.
-	KeepAlive time.Duration
-	// Seed drives the workload; FaultSeed drives the fault plan.
-	Seed, FaultSeed int64
-}
+// The ext-resilience rack replays a 12-minute trace with a 10-minute
+// keep-alive at each swept fault intensity.
+const (
+	resilienceDuration  = 12 * time.Minute
+	resilienceKeepAlive = 10 * time.Minute
+)
+
+var resilienceIntensities = []float64{0, 0.25, 0.5, 1}
 
 // Resilience measures how the rack degrades as injected faults intensify:
 // the mixed workload runs against the same pool under fault plans of
@@ -59,19 +55,11 @@ type ResilienceOptions struct {
 // cold-start ratio, and where the recovery machinery routed the affected
 // requests. The local-swap fallback is off, so a fetch timeout ends in a
 // cold re-init. Request conservation — completed + rescheduled + failed ==
-// submitted — holds on every row by construction.
-func Resilience(opt ResilienceOptions) []ResilienceRow {
-	if len(opt.Intensities) == 0 {
-		opt.Intensities = []float64{0, 0.25, 0.5, 1}
-	}
-	if opt.Duration <= 0 {
-		opt.Duration = 12 * time.Minute
-	}
-	if opt.KeepAlive <= 0 {
-		opt.KeepAlive = 10 * time.Minute
-	}
+// submitted — holds on every row by construction. seed drives both the
+// workload and the fault plan.
+func Resilience(seed int64) []ResilienceRow {
 	run := func(intensity float64) ResilienceRow {
-		c, plan := faultRack(opt.Duration, opt.KeepAlive, opt.Seed, opt.FaultSeed,
+		c, plan := faultRack(resilienceDuration, resilienceKeepAlive, seed,
 			intensity, false, telemetry.Hub{})
 
 		st := c.Stats()
@@ -101,7 +89,7 @@ func Resilience(opt ResilienceOptions) []ResilienceRow {
 		return row
 	}
 
-	rows := make([]ResilienceRow, len(opt.Intensities))
-	runGrid(len(rows), func(i int) { rows[i] = run(opt.Intensities[i]) })
+	rows := make([]ResilienceRow, len(resilienceIntensities))
+	runGrid(len(rows), func(i int) { rows[i] = run(resilienceIntensities[i]) })
 	return rows
 }

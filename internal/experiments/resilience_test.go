@@ -16,65 +16,30 @@ import (
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
-func shortResilienceOpts() ResilienceOptions {
-	return ResilienceOptions{
-		Intensities: []float64{0, 0.5, 1},
-		Duration:    4 * time.Minute,
-		KeepAlive:   4 * time.Minute,
-		Seed:        11,
-		FaultSeed:   7,
-	}
-}
-
 // TestResilienceDeterministicAcrossWidths pins the acceptance criterion that
 // ext-resilience rows are bit-identical at any scenario fan-out width.
 func TestResilienceDeterministicAcrossWidths(t *testing.T) {
-	opt := shortResilienceOpts()
 	if w := DivergentWidth([]int{1, 3}, func() any {
-		return Resilience(opt)
+		return Resilience(11)
 	}); w != -1 {
 		t.Fatalf("resilience rows differ between workers=1 and workers=%d", w)
 	}
 }
 
-// TestResilienceConservationAndMonotonicity checks the sweep's two structural
-// properties: no request is ever lost (completed + rescheduled + failed ==
-// submitted on every row), and degradation is monotone in intensity — higher
-// intensity means nested-superset fault windows, so the cold-start ratio and
-// P99 may not improve.
+// TestResilienceConservationAndMonotonicity checks that the shared
+// ext-resilience sweep starts at the fault-free baseline and raises the
+// intensity row by row. Request conservation, the quiet baseline and the
+// monotone degradation are claims resilience-conservation,
+// resilience-recovery and resilience-monotone.
 func TestResilienceConservationAndMonotonicity(t *testing.T) {
-	rows := Resilience(shortResilienceOpts())
-	for _, r := range rows {
-		if got := r.Completed + r.Rescheduled + r.Failed; got != r.Submitted {
-			t.Errorf("intensity %.2f: completed %d + rescheduled %d + failed %d = %d, want submitted %d",
-				r.Intensity, r.Completed, r.Rescheduled, r.Failed, got, r.Submitted)
-		}
-	}
-	if rows[0].Intensity != 0 {
-		t.Fatalf("first row intensity = %v, want the fault-free baseline 0", rows[0].Intensity)
-	}
-	base := rows[0]
-	if base.FetchRetries != 0 || base.FetchTimeouts != 0 || base.ColdReinits != 0 ||
-		base.Rescheduled != 0 || base.Failed != 0 {
-		t.Errorf("fault-free baseline shows recovery activity: %+v", base)
+	rows := sharedRows[ResilienceRow](t, "ext-resilience")
+	if len(rows) != 4 || rows[0].Intensity != 0 {
+		t.Fatalf("rows = %+v, want 4 rows from the fault-free baseline 0", rows)
 	}
 	for i := 1; i < len(rows); i++ {
-		prev, cur := rows[i-1], rows[i]
-		if cur.UnhealthyPct < prev.UnhealthyPct {
-			t.Errorf("unhealthy%% not monotone: %.2f%% at %.2f, %.2f%% at %.2f",
-				prev.UnhealthyPct, prev.Intensity, cur.UnhealthyPct, cur.Intensity)
+		if rows[i].Intensity <= rows[i-1].Intensity {
+			t.Errorf("intensity %.2f after %.2f, want rising", rows[i].Intensity, rows[i-1].Intensity)
 		}
-		if cur.ColdStartRatio < prev.ColdStartRatio {
-			t.Errorf("cold-start ratio not monotone: %.4f at %.2f, %.4f at %.2f",
-				prev.ColdStartRatio, prev.Intensity, cur.ColdStartRatio, cur.Intensity)
-		}
-		if cur.P99Sec < prev.P99Sec {
-			t.Errorf("P99 not monotone: %.3fs at %.2f, %.3fs at %.2f",
-				prev.P99Sec, prev.Intensity, cur.P99Sec, cur.Intensity)
-		}
-	}
-	if last := rows[len(rows)-1]; last.FetchRetries == 0 {
-		t.Errorf("full-intensity row exercised no retries: %+v", last)
 	}
 }
 

@@ -68,28 +68,18 @@ type StatefulRow struct {
 
 // StatefulOptions sizes the ext-stateful sweep.
 type StatefulOptions struct {
-	// Workflows are the DAG shapes compared in both modes.
-	// Default: every built-in shape.
-	Workflows []string
-	// Widths extends the grid with pool-mode fan-out scaling of the "fanout"
-	// shape. Default {8, 16}.
-	Widths []int
-	// PressuresMB extends the grid with pool-mode DRAM-tier pressure on the
-	// "pipeline" shape (smaller tier → more spill/compression on the map
-	// path). Default {64, 16}.
-	PressuresMB []int
 	// Runs is the number of back-to-back workflow runs per cell. Default 6.
 	Runs int
-	// Gap separates consecutive run starts. Default 2 s.
-	Gap time.Duration
 	// Seed drives workload randomness.
 	Seed int64
 }
 
-// Every workflow cell runs on a two-node rack with a 2-minute keep-alive.
+// Every workflow cell runs on a two-node rack with a 2-minute keep-alive,
+// and consecutive runs start 2 s apart.
 const (
 	statefulNodes     = 2
 	statefulKeepAlive = 2 * time.Minute
+	statefulGap       = 2 * time.Second
 )
 
 // statefulCell is one grid point of the sweep.
@@ -101,37 +91,27 @@ type statefulCell struct {
 }
 
 // Stateful measures pool-backed state passing against cold re-derivation
-// across the built-in workflow shapes, then scales fan-out width and pool
-// pressure in pool mode. Each cell owns its engine and recorders, so rows
-// are bit-identical at any -scenario-workers width.
+// across the built-in workflow shapes, then scales the "fanout" shape to
+// widths 8 and 16 and squeezes the "pipeline" shape's DRAM tier to 64 and
+// 16 MB (smaller tier → more spill/compression on the map path), both in
+// pool mode. Each cell owns its engine and recorders, so rows are
+// bit-identical at any -scenario-workers width.
 func Stateful(opt StatefulOptions) []StatefulRow {
-	if len(opt.Workflows) == 0 {
-		opt.Workflows = workload.WorkflowNames()
-	}
-	if len(opt.Widths) == 0 {
-		opt.Widths = []int{8, 16}
-	}
-	if len(opt.PressuresMB) == 0 {
-		opt.PressuresMB = []int{64, 16}
-	}
 	if opt.Runs <= 0 {
 		opt.Runs = 6
-	}
-	if opt.Gap <= 0 {
-		opt.Gap = 2 * time.Second
 	}
 
 	const defaultPressureMB = 512
 	var cells []statefulCell
-	for _, wf := range opt.Workflows {
+	for _, wf := range workload.WorkflowNames() {
 		for _, pool := range []bool{true, false} {
 			cells = append(cells, statefulCell{wf, pool, 0, defaultPressureMB})
 		}
 	}
-	for _, w := range opt.Widths {
+	for _, w := range []int{8, 16} {
 		cells = append(cells, statefulCell{"fanout", true, w, defaultPressureMB})
 	}
-	for _, p := range opt.PressuresMB {
+	for _, p := range []int{64, 16} {
 		cells = append(cells, statefulCell{"pipeline", true, 0, p})
 	}
 
@@ -147,9 +127,6 @@ func Stateful(opt StatefulOptions) []StatefulRow {
 func RunWorkflowCell(opt StatefulOptions, workflow string, pool bool, width, pressureMB int) StatefulRow {
 	if opt.Runs <= 0 {
 		opt.Runs = 4
-	}
-	if opt.Gap <= 0 {
-		opt.Gap = 2 * time.Second
 	}
 	if pressureMB <= 0 {
 		pressureMB = 512
@@ -204,23 +181,23 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 		panic(err)
 	}
 
-	// Back-to-back runs: each run starts Gap after the previous one drains,
-	// so later runs hit warm containers — the steady state a workflow engine
-	// actually operates in.
+	// Back-to-back runs: each run starts statefulGap after the previous one
+	// drains, so later runs hit warm containers — the steady state a
+	// workflow engine actually operates in.
 	var runLat metrics.Sampler
 	var startRun func(k int)
 	startRun = func(k int) {
 		we.Run(func(start, end simtime.Time) {
 			runLat.AddDuration(time.Duration(end - start))
 			if k+1 < opt.Runs {
-				e.After(opt.Gap, func(*simtime.Engine) { startRun(k + 1) })
+				e.After(statefulGap, func(*simtime.Engine) { startRun(k + 1) })
 			}
 		})
 	}
 	startRun(0)
 	// Generous horizon: chained runs finish far earlier; the tail lets
 	// keep-alives expire so the rack drains.
-	e.RunUntil(simtime.Time(opt.Runs)*simtime.Time(opt.Gap+time.Minute) + simtime.Time(statefulKeepAlive))
+	e.RunUntil(simtime.Time(opt.Runs)*simtime.Time(statefulGap+time.Minute) + simtime.Time(statefulKeepAlive))
 
 	st := we.Stats()
 	ms := mgr.Stats()

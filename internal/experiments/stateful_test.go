@@ -1,25 +1,11 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
-
-func shortStatefulOpts() StatefulOptions {
-	return StatefulOptions{
-		Workflows:   []string{"pipeline", "fanout", "websession"},
-		Widths:      []int{8},
-		PressuresMB: []int{64},
-		Runs:        3,
-		Gap:         2 * time.Second,
-		Seed:        11,
-	}
-}
+import "testing"
 
 // TestStatefulDeterministicAcrossWidths pins the acceptance criterion that
 // ext-stateful rows are bit-identical at any scenario fan-out width.
 func TestStatefulDeterministicAcrossWidths(t *testing.T) {
-	opt := shortStatefulOpts()
+	opt := StatefulOptions{Runs: 3, Seed: 11}
 	if w := DivergentWidth([]int{1, 3}, func() any {
 		return Stateful(opt)
 	}); w != -1 {
@@ -27,50 +13,13 @@ func TestStatefulDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
-// TestStatefulPoolBeatsReinit checks the sweep's headline claim — pool-backed
-// state passing beats cold re-derivation on the chained shapes — plus the
-// structural properties every row must carry: all runs complete, the flow
-// ledger conserves, regions drain, and the two modes actually took different
-// state paths.
+// TestStatefulPoolBeatsReinit checks that the shared ext-stateful run has
+// both modes of all five shapes plus the two fan-out widths and the two
+// pressures. The headline — pool-backed passing beats re-derivation — and
+// every row's integrity are claims stateful-latency, stateful-paths and
+// stateful-cow.
 func TestStatefulPoolBeatsReinit(t *testing.T) {
-	rows := Stateful(shortStatefulOpts())
-	byCell := map[string]StatefulRow{}
-	for _, r := range rows {
-		if r.Completed != r.Runs || r.Runs == 0 {
-			t.Errorf("%s/%s: %d of %d runs completed", r.Workflow, r.Mode, r.Completed, r.Runs)
-		}
-		if !r.AuditOK {
-			t.Errorf("%s/%s: flow ledger conservation violated", r.Workflow, r.Mode)
-		}
-		if !r.Drained {
-			t.Errorf("%s/%s: shared regions not drained", r.Workflow, r.Mode)
-		}
-		switch r.Mode {
-		case "pool":
-			if r.Regions == 0 || r.RegionMaps == 0 || r.ShareReadMB == 0 {
-				t.Errorf("pool row took no region path: %+v", r)
-			}
-		case "reinit":
-			if r.Regions != 0 || r.ShareReadMB != 0 || r.Reinits == 0 {
-				t.Errorf("reinit row touched the pool state path: %+v", r)
-			}
-		}
-		if r.Width == 0 && r.PressureMB == 512 {
-			byCell[r.Workflow+"/"+r.Mode] = r
-		}
-	}
-	for _, wf := range []string{"pipeline", "fanout"} {
-		pool, reinit := byCell[wf+"/pool"], byCell[wf+"/reinit"]
-		if pool.MeanRunSec >= reinit.MeanRunSec {
-			t.Errorf("%s: pool mean %.3fs >= reinit mean %.3fs", wf, pool.MeanRunSec, reinit.MeanRunSec)
-		}
-		if pool.P99RunSec >= reinit.P99RunSec {
-			t.Errorf("%s: pool P99 %.3fs >= reinit P99 %.3fs", wf, pool.P99RunSec, reinit.P99RunSec)
-		}
-	}
-	// websession's handlers dirty their shared session cache: CoW breaks must
-	// show up in pool mode and charge pages.
-	if ws := byCell["websession/pool"]; ws.CowBreaks == 0 {
-		t.Errorf("websession pool row shows no CoW breaks: %+v", ws)
+	if rows := sharedRows[StatefulRow](t, "ext-stateful"); len(rows) != 5*2+2+2 {
+		t.Fatalf("rows = %d, want 14", len(rows))
 	}
 }

@@ -24,8 +24,6 @@ import (
 type Fig1Options struct {
 	// Trace overrides the synthetic trace (nil = generate default).
 	Trace *trace.Trace
-	// Timeouts to sweep. Default: 10 s … 1000 s, log-spaced.
-	Timeouts []time.Duration
 	// Seed for trace generation and duration sampling.
 	Seed int64
 }
@@ -46,11 +44,10 @@ func Fig1(opt Fig1Options) []Fig1Row {
 	if tr == nil {
 		tr = trace.Generate(trace.GenConfig{}, opt.Seed)
 	}
-	timeouts := opt.Timeouts
-	if len(timeouts) == 0 {
-		for _, s := range []int{10, 20, 40, 60, 100, 200, 400, 600, 1000} {
-			timeouts = append(timeouts, time.Duration(s)*time.Second)
-		}
+	// The swept timeouts: 10 s … 1000 s, log-spaced.
+	var timeouts []time.Duration
+	for _, s := range []int{10, 20, 40, 60, 100, 200, 400, 600, 1000} {
+		timeouts = append(timeouts, time.Duration(s)*time.Second)
 	}
 	// Per-function heavy-tailed execution durations (log-normal, median
 	// 1 s, capped at 60 s), matching the Azure trace's duration spread:

@@ -24,11 +24,14 @@ func CXLConfig() Config {
 
 // SSDConfig returns an SSD-backed swap target with the write throttling §9
 // cites ("Meta needs to limit their write speeds to less than 1 MB/s"):
-// offload bandwidth collapses and faults pay NVMe read latency.
+// offload bandwidth collapses and faults pay NVMe read latency. The one
+// Bandwidth also prices demand-fault reads (demandFetch → transferTimeAt),
+// so faults are throttled to 1 MB/s too; a separate read rate waits for a
+// source.
 func SSDConfig() Config {
 	return Config{
 		Capacity:         256 << 30,
-		Bandwidth:        1_000_000, // durability-limited writes
+		Bandwidth:        1_000_000, // durability-limited writes; reads share it
 		FaultLatency:     90 * time.Microsecond,
 		SaturationFactor: 8,
 		SaturationPoint:  0.5,
