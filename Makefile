@@ -145,10 +145,12 @@ experiments:
 # fig13 with every sink on (trace, timeline, exemplars, attribution) and
 # diffs all four outputs across the same widths; each width writes the same
 # paths, which are renamed afterwards, so the attribution output's trace
-# line matches too. A third pass does the same for every entry at once,
-# twice at width 8 and once at width 1, so the sinks must fill the same way
-# on every run as well as at every width; it asks for 8 concurrent
-# experiments, which a sink flag must override.
+# line matches too. With a sink on, the scenario grids that record into the
+# sinks run serially at width 1 and at width 8 alike, so these diffs check
+# that a width setting cannot reorder the capture. A third pass does the
+# same for every entry at once, twice at width 8 and once at width 1, so the
+# sinks must fill the same way on every run as well as at every width; it
+# asks for 8 concurrent experiments, which a sink flag must override.
 determinism:
 	@figs=$$($(GO) run ./cmd/experiments -list | awk 'NF == 1' | paste -sd, -) && \
 	$(GO) run ./cmd/experiments -seed 42 -only "$$figs" -scenario-workers 1 > rows_w1.txt && \

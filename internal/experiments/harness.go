@@ -68,8 +68,10 @@ type Scenario struct {
 	MemTimeline *metrics.Series
 	// Telemetry attaches the run's sinks: tracer, registry, spans, timeline
 	// and exemplars. Each nil sink falls back to the process default
-	// (telemetry.Hub.OrDefault), so cmd/experiments' -trace, -attrib,
-	// -timeline and -exemplars flags capture every harness without plumbing.
+	// (telemetry.Hub.OrDefault), so cmd/experiments' -trace-out, -attrib,
+	// -timeline and -exemplars flags capture every harness that runs its
+	// scenarios through RunScenario without plumbing. Harnesses that build
+	// their platforms themselves are not captured.
 	Telemetry telemetry.Hub
 }
 

@@ -15,7 +15,8 @@ var workerCount atomic.Int64
 // concurrently. n <= 0 restores the default (GOMAXPROCS). Every grid cell is
 // an independent deterministic simulation and results land in
 // index-addressed slots, so the emitted rows are identical for any width —
-// only wall-clock changes.
+// only wall-clock changes. RunScenarios ignores the width while a
+// process-default sink is set.
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -31,7 +32,7 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runGrid evaluates fn(0..n-1), sharding the indices across Workers()
+// runGrid evaluates fn(0..n-1), spreading the indices across Workers()
 // goroutines. fn must write its result into a slot addressed by its own
 // index and must not touch other slots; post-processing (row assembly,
 // normalization against a baseline cell) stays with the caller, after the
@@ -84,34 +85,22 @@ func runGrid(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunScenarios executes every scenario through RunScenario across the worker
-// pool and returns outcomes in input order. Scenarios that would record into
-// a shared process-default sink get a shard-local one each while running
-// (telemetry.Hub.Shard); after the barrier the shards fold back into the
-// shared sink in scenario-index order. Sharding applies at every width —
-// including serial — so stateful sink behavior (ring eviction, SLO burn
-// alarms, flight dumps) is evaluated per scenario and the retained contents
-// are identical for any worker count.
+// RunScenarios executes every scenario through RunScenario and returns
+// outcomes in input order. Without a process-default sink the scenarios fan
+// out across the worker pool. With one, they run one after another in index
+// order, straight into the sinks each resolves to: a shared sink's stateful
+// behavior (ring eviction, SLO burn alarms, flight dumps) then depends on
+// recording order, which index order fixes, so the sinks retain the same
+// contents at any width.
 func RunScenarios(scs []Scenario) []Outcome {
 	outs := make([]Outcome, len(scs))
-	if len(scs) <= 1 {
+	run := func(i int) { outs[i] = RunScenario(scs[i]) }
+	if telemetry.Default() != (telemetry.Hub{}) {
 		for i := range scs {
-			outs[i] = RunScenario(scs[i])
+			run(i)
 		}
 		return outs
 	}
-	local := make([]Scenario, len(scs))
-	copy(local, scs)
-	shards := make([]telemetry.Hub, len(scs))
-	for i := range local {
-		local[i].Telemetry, shards[i] = local[i].Telemetry.Shard()
-	}
-	runGrid(len(local), func(i int) { outs[i] = RunScenario(local[i]) })
-	def := telemetry.Default()
-	for _, sh := range shards {
-		// Each shard was built from its sink's own Config, so the
-		// window-mismatch error cannot arise.
-		_ = def.MergeFrom(sh)
-	}
+	runGrid(len(scs), run)
 	return outs
 }

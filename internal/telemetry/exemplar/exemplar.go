@@ -11,19 +11,16 @@
 //     no-op; the platform's completion path pays one nil check and zero
 //     allocations when exemplars are off (BenchmarkDisabledExemplars,
 //     TestDisabledExemplarsZeroAlloc).
-//   - Deterministic at any fan-out width. Retention decisions depend only
-//     on recorded values, never on arrival order: top-K uses a total order
-//     (latency desc, then time, container, function), and the typical
-//     exemplar keeps the record with the highest size-independent hash
-//     priority. Shard recorders merged back in any grouping therefore hold
-//     bit-identical cells (TestExemplarMergeOrderInvariant).
+//   - Deterministic. Retention decisions depend only on recorded values,
+//     never on arrival order: top-K uses a total order (latency desc, then
+//     time, container, function), and the typical exemplar keeps the record
+//     with the highest size-independent hash priority (TestTopKExact,
+//     TestTypicalDeterministic).
 //   - Bounded memory. Each (window, node, tenant) cell holds at most K+1
 //     trees; windows are bounded by the run horizon.
 package exemplar
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -115,18 +112,10 @@ func worse(a, b entry) bool {
 	return a.inv.Function < b.inv.Function
 }
 
-// sameEntry reports identity under the retention key (the fields worse()
-// orders by). Invocation trees hold slices, so entries are not directly
-// comparable.
-func sameEntry(a, b entry) bool {
-	return a.at == b.at && a.latency == b.latency &&
-		a.inv.Container == b.inv.Container && a.inv.Function == b.inv.Function
-}
-
 // prio is the typical exemplar's sampling priority: an FNV-1a hash over the
 // entry's identifying fields. Keeping the max-priority entry per cell is
 // equivalent to a uniform reservoir sample but depends only on the entries
-// themselves, so merges commute.
+// themselves, not on their order.
 func prio(e entry) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -193,7 +182,7 @@ func (c *cell) insert(e entry, k int) {
 // Recorder retains tail exemplars. A nil *Recorder is the disabled
 // recorder: every method is a zero-allocation no-op. Construct with
 // NewRecorder. Safe for concurrent use; retention is order-independent, so
-// concurrent shard recording merges to the same state as a serial run.
+// concurrent recording retains the same cells as a serial run.
 type Recorder struct {
 	mu    sync.Mutex
 	cfg   Config
@@ -221,15 +210,6 @@ func (r *Recorder) K() int {
 	return r.cfg.K
 }
 
-// Config returns the recorder's effective configuration, so a shard
-// recorder can be built to merge cleanly into its sink.
-func (r *Recorder) Config() Config {
-	if r == nil {
-		return Config{}.withDefaults()
-	}
-	return r.cfg
-}
-
 // Record retains one completed request. at is the completion time (which
 // buckets the window), latency the end-to-end latency, inv the span tree.
 // No-op on nil.
@@ -246,56 +226,6 @@ func (r *Recorder) Record(at simtime.Time, node, tenant string, latency time.Dur
 	}
 	c.insert(entry{at: at, latency: latency, inv: inv}, r.cfg.K)
 	r.mu.Unlock()
-}
-
-// MergeFrom folds src's cells into r. Because retention is a pure function
-// of the recorded entries, merging shard recorders in any order or grouping
-// yields the same cells as recording serially. Merging a nil recorder
-// (either side) is a defined no-op; merging a recorder into itself or
-// merging mismatched Window/K configurations errors.
-func (r *Recorder) MergeFrom(src *Recorder) error {
-	if r == nil || src == nil {
-		return nil
-	}
-	if r == src {
-		return errors.New("exemplar: cannot merge a recorder into itself")
-	}
-	if r.cfg != src.cfg {
-		return fmt.Errorf("exemplar: cannot merge mismatched configs (%+v into %+v)", src.cfg, r.cfg)
-	}
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, sc := range src.cells {
-		dc := r.cells[k]
-		if dc == nil {
-			cp := &cell{count: 0}
-			r.cells[k] = cp
-			dc = cp
-		}
-		// Replay src's retained entries; counts add beyond what retention
-		// kept.
-		retained := int64(0)
-		for _, e := range sc.top {
-			dc.insert(e, r.cfg.K)
-			retained++
-		}
-		// The typical entry may not be in top; replay it too unless it is.
-		inTop := false
-		for _, e := range sc.top {
-			if sameEntry(e, sc.typical) {
-				inTop = true
-				break
-			}
-		}
-		if sc.count > 0 && !inTop {
-			dc.insert(sc.typical, r.cfg.K)
-			retained++
-		}
-		dc.count += sc.count - retained // insert() counted the replayed ones
-	}
-	return nil
 }
 
 // Cells exports every cell, sorted by (Window, Node, Tenant) so output is

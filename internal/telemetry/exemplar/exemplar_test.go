@@ -1,7 +1,6 @@
 package exemplar
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -22,9 +21,6 @@ func inv(container, function string, dur time.Duration) span.Invocation {
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.Record(0, "n0", "web", time.Second, inv("c", "web", time.Second))
-	if err := r.MergeFrom(NewRecorder(Config{})); err != nil {
-		t.Fatal(err)
-	}
 	if r.Cells() != nil {
 		t.Error("nil recorder retained state")
 	}
@@ -80,60 +76,6 @@ func TestTopKExact(t *testing.T) {
 	}
 }
 
-// TestMergeOrderInvariant shards one recording stream into every grouping of
-// 1, 2, and 4 shards, merges each back in different orders, and requires
-// bit-identical cells — the property the parallel scenario harness relies on.
-func TestMergeOrderInvariant(t *testing.T) {
-	cfg := Config{Window: 5 * time.Second, K: 2}
-	type rec struct {
-		at      simtime.Time
-		node    string
-		tenant  string
-		latency time.Duration
-	}
-	rng := rand.New(rand.NewSource(7))
-	var stream []rec
-	for i := 0; i < 200; i++ {
-		stream = append(stream, rec{
-			at:      simtime.Time(rng.Int63n(int64(60 * time.Second))),
-			node:    []string{"n0", "n1"}[rng.Intn(2)],
-			tenant:  []string{"web", "bert", "json"}[rng.Intn(3)],
-			latency: time.Duration(rng.Int63n(int64(2 * time.Second))),
-		})
-	}
-	record := func(r *Recorder, x rec, i int) {
-		r.Record(x.at, x.node, x.tenant, x.latency,
-			inv("c", x.tenant, x.latency))
-		_ = i
-	}
-
-	serial := NewRecorder(cfg)
-	for i, x := range stream {
-		record(serial, x, i)
-	}
-	want := serial.Cells()
-
-	for _, shards := range []int{1, 2, 4} {
-		sh := make([]*Recorder, shards)
-		for i := range sh {
-			sh[i] = NewRecorder(cfg)
-		}
-		for i, x := range stream {
-			record(sh[i%shards], x, i)
-		}
-		sink := NewRecorder(cfg)
-		// Merge in reverse order to stress order-independence.
-		for i := len(sh) - 1; i >= 0; i-- {
-			if err := sink.MergeFrom(sh[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := sink.Cells(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%d shards: merged cells differ from serial recording", shards)
-		}
-	}
-}
-
 // TestTypicalDeterministic re-records the same stream reversed; the
 // hash-priority typical pick must not depend on arrival order.
 func TestTypicalDeterministic(t *testing.T) {
@@ -159,61 +101,5 @@ func TestTypicalDeterministic(t *testing.T) {
 	fwd, rev := build(false), build(true)
 	if !reflect.DeepEqual(fwd.Typical, rev.Typical) {
 		t.Errorf("typical differs by arrival order: %+v vs %+v", fwd.Typical, rev.Typical)
-	}
-}
-
-// TestMergeEdgeCases tables the defined-error paths: self-merge and
-// mismatched configurations must error without mutating state; nil merges
-// are no-ops.
-func TestMergeEdgeCases(t *testing.T) {
-	base := Config{Window: 10 * time.Second, K: 3}
-	for _, tc := range []struct {
-		name    string
-		src     func(r *Recorder) *Recorder
-		wantErr bool
-	}{
-		{"self", func(r *Recorder) *Recorder { return r }, true},
-		{"window mismatch", func(*Recorder) *Recorder {
-			return NewRecorder(Config{Window: 20 * time.Second, K: 3})
-		}, true},
-		{"k mismatch", func(*Recorder) *Recorder {
-			return NewRecorder(Config{Window: 10 * time.Second, K: 5})
-		}, true},
-		{"nil src", func(*Recorder) *Recorder { return nil }, false},
-		{"same config", func(*Recorder) *Recorder { return NewRecorder(base) }, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := NewRecorder(base)
-			r.Record(0, "n0", "web", time.Second, inv("c", "web", time.Second))
-			before := r.Cells()
-			err := r.MergeFrom(tc.src(r))
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("err = %v, wantErr = %v", err, tc.wantErr)
-			}
-			if tc.wantErr && !reflect.DeepEqual(r.Cells(), before) {
-				t.Error("failed merge mutated the destination")
-			}
-		})
-	}
-}
-
-// TestMergePreservesCounts checks counts survive a merge beyond what top-K
-// retention kept.
-func TestMergePreservesCounts(t *testing.T) {
-	cfg := Config{Window: time.Minute, K: 1}
-	a, b := NewRecorder(cfg), NewRecorder(cfg)
-	for i := 0; i < 10; i++ {
-		d := time.Duration(i+1) * time.Millisecond
-		b.Record(simtime.Time(i), "n0", "web", d, inv("c", "web", d))
-	}
-	if err := a.MergeFrom(b); err != nil {
-		t.Fatal(err)
-	}
-	cells := a.Cells()
-	if len(cells) != 1 || cells[0].Count != 10 {
-		t.Fatalf("merged count = %+v, want 10 in one cell", cells)
-	}
-	if len(cells[0].Top) != 1 || cells[0].Top[0].Latency != 10*time.Millisecond {
-		t.Errorf("merged top = %+v, want the single 10ms worst", cells[0].Top)
 	}
 }

@@ -7,7 +7,8 @@
 //
 // Bucket i holds the values whose bit length is i, i.e. [2^(i-1), 2^i), and
 // bucket 0 holds zero and negatives. Observing is a bit-length lookup, and
-// merging is element-wise addition, so shard histograms fold back exactly.
+// merging is element-wise addition, so per-window histograms fold into
+// totals exactly.
 package hist
 
 import "math/bits"

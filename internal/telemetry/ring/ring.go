@@ -9,7 +9,7 @@
 // already holds.
 package ring
 
-// Ring keeps the last Cap pushed items. The zero Ring has capacity 0 and
+// Ring keeps the last capacity pushed items. The zero Ring has capacity 0 and
 // drops everything; construct with New.
 type Ring[T any] struct {
 	buf   []T
@@ -58,20 +58,8 @@ func (r *Ring[T]) Items() []T {
 // Len returns the number of items held.
 func (r *Ring[T]) Len() int { return len(r.buf) }
 
-// Cap returns the most items the ring holds.
-func (r *Ring[T]) Cap() int { return cap(r.buf) }
-
 // Total returns how many items were ever pushed.
 func (r *Ring[T]) Total() uint64 { return r.total }
 
 // Dropped returns how many pushed items have been overwritten.
 func (r *Ring[T]) Dropped() uint64 { return r.total - uint64(len(r.buf)) }
-
-// MergeFrom pushes src's held items, oldest first, and carries src's dropped
-// count over, so shard rings folded into one sink in a fixed order hold what
-// the sink would after a serial run. src must not be r.
-func (r *Ring[T]) MergeFrom(src *Ring[T]) {
-	dropped := src.Dropped()
-	src.Each(r.Push)
-	r.total += dropped
-}

@@ -322,17 +322,6 @@ func (r *Recorder) Invocations() []Invocation {
 	return r.invs.Items()
 }
 
-// Cap returns the invocation-ring capacity (0 on nil), so a shard recorder
-// can be sized like the sink it will merge into.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.invs.Cap()
-}
-
 // Backgrounds returns a copy of the held background spans in recording
 // order.
 func (r *Recorder) Backgrounds() []Background {
@@ -342,21 +331,4 @@ func (r *Recorder) Backgrounds() []Background {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.bg.Items()
-}
-
-// MergeFrom appends src's retained invocations and background spans to r in
-// their recorded order and carries src's drop counts over, so shard
-// recorders folded back into a shared sink in a fixed order yield the same
-// rings a serial run would. No-op when either side is nil or both are the
-// same recorder.
-func (r *Recorder) MergeFrom(src *Recorder) {
-	if r == nil || src == nil || r == src {
-		return
-	}
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.invs.MergeFrom(&src.invs)
-	r.bg.MergeFrom(&src.bg)
 }

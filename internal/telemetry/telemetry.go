@@ -27,7 +27,6 @@
 package telemetry
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -301,32 +300,6 @@ func (t *Tracer) Events() []Event {
 	return t.ring.Items()
 }
 
-// Cap returns the ring capacity (0 on nil), so a shard tracer can be sized
-// like the sink it will merge into.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.ring.Cap()
-}
-
-// MergeFrom appends src's retained events to t in their recorded order and
-// carries src's drop count over, so shard tracers folded back into a shared
-// sink in a fixed order yield the same ring a serial run would. No-op when
-// either side is nil or both are the same tracer.
-func (t *Tracer) MergeFrom(src *Tracer) {
-	if t == nil || src == nil || t == src {
-		return
-	}
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ring.MergeFrom(&src.ring)
-}
-
 // Hub is the one instrumentation handle a simulation is given: every sink
 // the simulator records into travels in it, from the CLIs and the gateway
 // through experiments.Scenario and faas.Config down to the platform, and
@@ -361,8 +334,9 @@ var defaultHub struct {
 }
 
 // SetDefault installs the process-wide fallback hub used by runs that were
-// not given a sink explicitly (cmd/experiments wires its -trace, -attrib,
-// -timeline and -exemplars flags here so every harness is captured without
+// not given a sink explicitly (cmd/experiments wires its -trace-out,
+// -attrib, -timeline and -exemplars flags here, so every harness that
+// builds its scenarios through experiments.RunScenario is captured without
 // threading a hub through each figure).
 func SetDefault(h Hub) {
 	defaultHub.mu.Lock()
@@ -395,43 +369,4 @@ func (h Hub) OrDefault() Hub {
 		h.Exemplars = def.Exemplars
 	}
 	return h
-}
-
-// Shard resolves h against the process default for one of several
-// concurrently running simulations. It returns the hub to run with, which is
-// h.OrDefault() except that every sink taken from the default is replaced by
-// a private one of the same capacity and configuration, and the hub of those
-// private sinks alone, to be folded back with Default().MergeFrom once every
-// simulation is done. The registry stays shared: its counters are atomic and
-// order-independent.
-func (h Hub) Shard() (run, shard Hub) {
-	run = h.OrDefault()
-	if run.Tracer != h.Tracer {
-		shard.Tracer = NewTracer(run.Tracer.Cap())
-		run.Tracer = shard.Tracer
-	}
-	if run.Spans != h.Spans {
-		shard.Spans = span.NewRecorder(run.Spans.Cap())
-		run.Spans = shard.Spans
-	}
-	if run.Timeline != h.Timeline {
-		shard.Timeline = timeseries.NewRecorder(run.Timeline.Config())
-		run.Timeline = shard.Timeline
-	}
-	if run.Exemplars != h.Exemplars {
-		shard.Exemplars = exemplar.NewRecorder(run.Exemplars.Config())
-		run.Exemplars = shard.Exemplars
-	}
-	return run, shard
-}
-
-// MergeFrom folds src's tracer, spans, timeline and exemplars into h's, in
-// that order; the registry is not touched. Shards merged in a fixed order
-// yield the same sink contents a serial run would. Nil sinks on either side
-// are skipped; the error joins any timeline or exemplar configuration
-// mismatch.
-func (h Hub) MergeFrom(src Hub) error {
-	h.Tracer.MergeFrom(src.Tracer)
-	h.Spans.MergeFrom(src.Spans)
-	return errors.Join(h.Timeline.MergeFrom(src.Timeline), h.Exemplars.MergeFrom(src.Exemplars))
 }

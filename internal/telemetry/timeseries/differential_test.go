@@ -23,6 +23,7 @@ type refRecorder struct {
 	cells       map[seriesKey]map[int64]*refCell
 	flight      []FlightEvent
 	flightTotal uint64
+	runFlight   uint64 // flightTotal when the current run started
 	alarmWin    int64
 	alarmCount  int64
 	alarmOver   int64
@@ -131,8 +132,9 @@ func (o *refRecorder) dump(trigger Trigger, series string, at simtime.Time) {
 	}
 	horizon := at - flightWindows*o.cfg.Window
 	var events []FlightEvent
-	for _, ev := range o.flight {
-		if ev.At >= horizon {
+	for i, ev := range o.flight {
+		pushed := o.flightTotal - uint64(len(o.flight)) + uint64(i)
+		if pushed >= o.runFlight && ev.At >= horizon {
 			events = append(events, ev)
 		}
 	}
@@ -144,41 +146,7 @@ func (o *refRecorder) startRun() {
 		o.seal(simtime.Time(o.alarmWin+1) * o.cfg.Window)
 	}
 	o.alarmWin = noWindow
-}
-
-func (o *refRecorder) mergeFrom(src *refRecorder) {
-	for k, wins := range src.cells {
-		o.resolve(k, src.kinds[k])
-		for win, c := range wins {
-			d := o.cells[k][win]
-			if d == nil {
-				d = &refCell{min: c.min, max: c.max}
-				o.cells[k][win] = d
-			}
-			d.min, d.max = min(d.min, c.min), max(d.max, c.max)
-			d.count += c.count
-			d.sum += c.sum
-			d.last = c.last
-			if c.buckets != nil {
-				if d.buckets == nil {
-					d.buckets = new(hist.Buckets)
-				}
-				d.buckets.Merge(c.buckets)
-			}
-		}
-	}
-	for _, ev := range src.flight {
-		o.push(ev)
-	}
-	o.flightTotal += src.flightTotal - uint64(len(src.flight))
-	for _, d := range src.dumps {
-		if len(o.dumps) >= maxDumps {
-			o.dropped++
-			continue
-		}
-		o.dumps = append(o.dumps, d)
-	}
-	o.dropped += src.dropped
+	o.runFlight = o.flightTotal
 }
 
 func (o *refRecorder) rows() []Row {
@@ -310,17 +278,13 @@ var (
 // diffConfig keeps the flight ring small so a short input overflows it.
 var diffConfig = Config{Window: time.Second, flightCapacity: 16}
 
-// diffTarget is one recorder under test beside its reference, plus the
+// diffTarget is the recorder under test beside its reference, plus the
 // series it has resolved so far (handle i resolves keys[i] to ids[i]).
 type diffTarget struct {
 	rec  *Recorder
 	ref  *refRecorder
 	ids  []SeriesID
 	keys []seriesKey
-}
-
-func newDiffTarget() *diffTarget {
-	return &diffTarget{rec: NewRecorder(diffConfig), ref: newRefRecorder(diffConfig)}
 }
 
 // check requires the recorder's exports to equal the reference's.
@@ -361,25 +325,28 @@ func (d *diffTarget) check(t *testing.T, label string) {
 
 // FuzzRecorderDifferential drives the dense recorder and the map-keyed
 // reference with the same operations and requires identical exports. Each
-// op is five bytes: an opcode whose high bit picks the target (a shard or
-// the sink it merges into), then four arguments. The opcodes resolve a
+// op is five bytes: an opcode, then four arguments. The opcodes resolve a
 // series, emit a counter, gauge or latency sample by a resolved handle at a
-// window and offset (a gauge over a span of windows), start a new run (so
-// later emits revisit windows), or merge the shard into the sink and start
-// a fresh shard.
+// window and offset (a gauge over a span of windows), or start a new run (so
+// later emits revisit windows and dumps leave out earlier runs' events).
 func FuzzRecorderDifferential(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 0, 0, 1, 0, 3, 0, 5, 0, 10, 1, 0, 0, 1, 0, 3, 0, 2})
+	// Over-SLO latency in windows 0-2, a new run, then over-SLO latency in
+	// its windows 0-1: the new run's dump must leave out the first run's
+	// events.
 	f.Add([]byte{
 		0, 10, 2, 2, 0, 3, 0, 0, 9, 200, 3, 0, 1, 9, 200, 3, 0, 2, 9, 200,
-		4, 0, 0, 0, 0, 3, 0, 0, 3, 150, 3, 0, 1, 0, 150, 5, 0, 0, 0, 0,
+		4, 0, 0, 0, 0, 3, 0, 0, 3, 150, 3, 0, 1, 0, 150,
 	})
+	// Two gauges, then a new run whose reading lands in the first gauge's
+	// window 7 again: the cell keeps the later run's last value.
 	f.Add([]byte{
-		0, 0, 1, 1, 0, 2, 0, 7, 0, 50, 128, 1, 1, 1, 0, 130, 0, 2, 0, 40,
-		5, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 7, 100, 60, 5, 0, 0, 0, 0,
+		0, 0, 1, 1, 0, 2, 0, 7, 0, 50, 0, 1, 1, 1, 0, 2, 1, 2, 0, 40,
+		4, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 2, 7, 100, 60,
 	})
-	// Gauges over spans of 1 and 3 windows (opcodes 8 and 20), then a
+	// Gauges over spans of 1 and 3 windows (opcodes 7 and 17), then a
 	// one-window reading inside the first span.
-	f.Add([]byte{0, 1, 0, 1, 0, 8, 0, 2, 128, 9, 20, 0, 5, 0, 7, 2, 0, 3, 10, 1})
+	f.Add([]byte{0, 1, 0, 1, 0, 7, 0, 2, 128, 9, 17, 0, 5, 0, 7, 2, 0, 3, 10, 1})
 	// An over-SLO latency sample in each of windows 0-18: sealing windows
 	// 0-17 trips 18 burn-rate dumps, two past the dump cap.
 	burn := []byte{0, 10, 1, 2, 0}
@@ -391,13 +358,9 @@ func FuzzRecorderDifferential(f *testing.F) {
 		// 64 ops reach every window, series and cap several times over;
 		// the bound keeps one input's run, and so its minimization, short.
 		data = data[:min(len(data), 64*5)]
-		shard, sink := newDiffTarget(), newDiffTarget()
+		d := &diffTarget{rec: NewRecorder(diffConfig), ref: newRefRecorder(diffConfig)}
 		for i := 0; i+5 <= len(data); i += 5 {
 			op, a, b, c, v := data[i], data[i+1], data[i+2], data[i+3], data[i+4]
-			d := shard
-			if op&0x80 != 0 {
-				d = sink
-			}
 			var k seriesKey
 			var id SeriesID
 			if len(d.ids) > 0 {
@@ -406,7 +369,7 @@ func FuzzRecorderDifferential(f *testing.F) {
 			}
 			win := simtime.Time(b % 24)
 			at := win*diffConfig.Window + simtime.Time(c)*diffConfig.Window/256
-			switch op & 0x7f % 6 {
+			switch op % 5 {
 			case 0:
 				k := seriesKey{name: diffNames[int(a)%len(diffNames)], dims: diffDims[int(b)%len(diffDims)]}
 				kind := SeriesKind(c % 3)
@@ -420,7 +383,7 @@ func FuzzRecorderDifferential(f *testing.F) {
 				}
 			case 2:
 				// The opcode's bits above the op pick a span of 0-3 windows.
-				to := at + simtime.Time(op&0x7f/6%4)*diffConfig.Window
+				to := at + simtime.Time(op/5%4)*diffConfig.Window
 				if id != 0 {
 					d.rec.SetGauge(at, to, id, int64(v)<<20)
 					d.ref.gauge(at, to, k, int64(v)<<20)
@@ -435,16 +398,8 @@ func FuzzRecorderDifferential(f *testing.F) {
 			case 4:
 				d.rec.StartRun()
 				d.ref.startRun()
-			case 5:
-				if err := sink.rec.MergeFrom(shard.rec); err != nil {
-					t.Fatal(err)
-				}
-				sink.ref.mergeFrom(shard.ref)
-				shard.check(t, "merged shard")
-				shard = newDiffTarget()
 			}
 		}
-		shard.check(t, "shard")
-		sink.check(t, "sink")
+		d.check(t, "recorder")
 	})
 }

@@ -341,34 +341,3 @@ func (r *Recorder) FlowTotals() [NumFlows]int64 {
 	}
 	return totals
 }
-
-// mergeFlowsLocked folds src's ledger into r; both mutexes are held by
-// MergeFrom. Flows merge additively per (flow, dims, window); occupancy
-// windows keep r's first checkpoint and take src's last (deterministic under
-// the fixed shard merge order); run counts add, so a multi-run sink audits
-// as Merged.
-func (r *Recorder) mergeFlowsLocked(src *Recorder) {
-	for k, wins := range src.flows {
-		dst := r.flows[k]
-		if dst == nil {
-			dst = make(map[int64]int64, len(wins))
-			r.flows[k] = dst
-		}
-		for win, bytes := range wins {
-			dst[win] += bytes
-		}
-	}
-	for win, sw := range src.occ {
-		dw := r.occ[win]
-		if dw == nil {
-			cp := *sw
-			r.occ[win] = &cp
-			continue
-		}
-		dw.lastOcc = sw.lastOcc
-		dw.lastNet = sw.lastNet
-		dw.checks += sw.checks
-	}
-	r.flowNet += src.flowNet
-	r.flowRuns += src.flowRuns
-}

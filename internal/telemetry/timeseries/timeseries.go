@@ -39,8 +39,6 @@
 package timeseries
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -304,6 +302,10 @@ type Recorder struct {
 
 	dumps        []Dump
 	dumpsDropped int
+	// runFlight is the flight ring's Total at the current run's start: a
+	// dump keeps only events pushed since, as earlier runs' events carry
+	// another clock.
+	runFlight uint64
 
 	// Page byte-flow ledger (see flow.go).
 	flows    map[flowKey]map[int64]int64
@@ -461,13 +463,15 @@ func (r *Recorder) sealAlarmWindow(now simtime.Time) {
 // StartRun marks the beginning of an independent simulation run feeding
 // this recorder; each run restarts virtual time at zero. It bounds the flow
 // ledger: once a recorder holds more than one run (a gateway's
-// service-lifetime sink, or a sink merged from scenario shards), the
-// occupancy audit reports itself not-applicable. It bounds the burn-rate
-// alarm: the previous run's last latency window, which no later window will
-// seal, is sealed as of its end, and the new run's windows count afresh.
-// It drops the previous run's fault-window starts that were never crossed:
-// the new run's clock would otherwise cross them and dump its own flight
-// ring under a fault plan it does not have.
+// service-lifetime sink, or a cmd/experiments capture sink, which records
+// scenarios one after another), the occupancy audit reports itself
+// not-applicable. It bounds the burn-rate alarm: the previous run's last
+// latency window, which no later window will seal, is sealed as of its end,
+// and the new run's windows count afresh. It drops the previous run's
+// fault-window starts that were never crossed: the new run's clock would
+// otherwise cross them and dump its own flight ring under a fault plan it
+// does not have. It bounds flight dumps: a dump holds only events pushed
+// since its run started, whose times share its clock.
 func (r *Recorder) StartRun() {
 	if r == nil {
 		return
@@ -478,6 +482,7 @@ func (r *Recorder) StartRun() {
 	}
 	r.alarmWin = noWindow
 	r.trigAt, r.trigNext = nil, 0
+	r.runFlight = r.flight.Total()
 	r.flowRuns++
 	r.mu.Unlock()
 }
@@ -514,8 +519,8 @@ func (r *Recorder) crossTriggers(now simtime.Time) {
 	}
 }
 
-// dump snapshots the flight ring's events from the last flightWindows
-// windows before at.
+// dump snapshots the current run's flight events from the last
+// flightWindows windows before at.
 func (r *Recorder) dump(trigger Trigger, series string, at simtime.Time) {
 	if len(r.dumps) >= maxDumps {
 		r.dumpsDropped++
@@ -523,10 +528,14 @@ func (r *Recorder) dump(trigger Trigger, series string, at simtime.Time) {
 	}
 	horizon := at - flightWindows*r.cfg.Window
 	var events []FlightEvent
+	// seq is each held event's push index; the oldest held one's is the
+	// ring's drop count.
+	seq := r.flight.Dropped()
 	r.flight.Each(func(ev FlightEvent) {
-		if ev.At >= horizon {
+		if seq >= r.runFlight && ev.At >= horizon {
 			events = append(events, ev)
 		}
+		seq++
 	})
 	r.dumps = append(r.dumps, Dump{
 		Trigger: trigger,
@@ -567,81 +576,4 @@ func (r *Recorder) FlightTotal() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.flight.Total()
-}
-
-// Config returns the recorder's effective configuration, so a shard
-// recorder can be built with the same windowing as the sink it will merge
-// into.
-func (r *Recorder) Config() Config {
-	if r == nil {
-		return Config{}.withDefaults()
-	}
-	return r.cfg
-}
-
-// MergeFrom folds src's rollups, flow ledger, flight events, and dumps into
-// r: series points and flow cells merge additively per window, gauge "last"
-// values take src's (the later run in merge order), and flight events append
-// in src's retained order. Shard recorders folded back into a shared sink in
-// a fixed order therefore yield the same state a serial run would.
-//
-// Merging a nil recorder (either side) is a defined no-op. Merging a
-// recorder into itself errors — the additive fold would double every point —
-// as does merging recorders with different rollup windows, whose window
-// indices are incommensurable.
-func (r *Recorder) MergeFrom(src *Recorder) error {
-	if r == nil || src == nil {
-		return nil
-	}
-	if r == src {
-		return errors.New("timeseries: cannot merge a recorder into itself")
-	}
-	if r.cfg.Window != src.cfg.Window {
-		return fmt.Errorf("timeseries: cannot merge mismatched windows (%s into %s)",
-			src.cfg.Window, r.cfg.Window)
-	}
-	src.mu.Lock()
-	defer src.mu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range src.series {
-		ss := &src.series[i]
-		id := r.resolve(seriesKey{name: ss.name, dims: ss.dims}, ss.kind)
-		dst := &r.series[id-1]
-		if n := len(ss.cells) - len(dst.cells); n > 0 {
-			dst.cells = append(dst.cells, make([]point, n)...)
-		}
-		for win := range ss.cells {
-			p, dp := &ss.cells[win], &dst.cells[win]
-			if p.count == 0 {
-				continue
-			}
-			if dp.count == 0 || p.min < dp.min {
-				dp.min = p.min
-			}
-			if dp.count == 0 || p.max > dp.max {
-				dp.max = p.max
-			}
-			dp.count += p.count
-			dp.sum += p.sum
-			dp.last = p.last
-			if p.buckets != nil {
-				if dp.buckets == nil {
-					dp.buckets = new(hist.Buckets)
-				}
-				dp.buckets.Merge(p.buckets)
-			}
-		}
-	}
-	r.flight.MergeFrom(&src.flight)
-	for _, d := range src.dumps {
-		if len(r.dumps) >= maxDumps {
-			r.dumpsDropped++
-			continue
-		}
-		r.dumps = append(r.dumps, d)
-	}
-	r.dumpsDropped += src.dumpsDropped
-	r.mergeFlowsLocked(src)
-	return nil
 }

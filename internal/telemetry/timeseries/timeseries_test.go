@@ -221,7 +221,7 @@ func TestTimelineEmitAllocationFree(t *testing.T) {
 
 func TestFlightRingBounded(t *testing.T) {
 	r := NewRecorder(Config{Window: time.Second})
-	capacity := r.Config().flightCapacity
+	capacity := r.cfg.flightCapacity
 	reqs := r.Series(SeriesRequests, Dims{Node: "n0"}, Counter)
 	for i := 0; i < capacity+12; i++ {
 		r.AddCounter(time.Duration(i)*time.Microsecond, reqs, int64(i))
@@ -243,6 +243,30 @@ func TestFlightRingBounded(t *testing.T) {
 		if evs[i].At < evs[i-1].At {
 			t.Fatalf("dump events out of order: %+v", evs)
 		}
+	}
+}
+
+// TestFlightDumpsScopedToRun: a dump holds only its own run's flight
+// events. Run 1 records one event a minute for an hour; run 2 restarts the
+// clock, so run 1's later events sit past run 2's fault-window dump horizon
+// on the shared time axis, yet belong to another run.
+func TestFlightDumpsScopedToRun(t *testing.T) {
+	r := NewRecorder(Config{Window: time.Second})
+	reqs := r.Series(SeriesRequests, Dims{Node: "n0"}, Counter)
+	r.StartRun()
+	for at := time.Duration(0); at < time.Hour; at += time.Minute {
+		r.AddCounter(at, reqs, 1)
+	}
+	r.StartRun()
+	r.ArmFaultStarts([]time.Duration{50 * time.Second})
+	r.AddCounter(45*time.Second, reqs, 2)
+	r.AddCounter(50*time.Second, reqs, 2)
+	dumps := r.Dumps()
+	if len(dumps) != 1 {
+		t.Fatalf("got %d dumps, want 1", len(dumps))
+	}
+	if evs := dumps[0].Events; len(evs) != 1 || evs[0].Value != 2 {
+		t.Fatalf("run 2's dump holds %d events, want 1: its own 45 s event", len(evs))
 	}
 }
 
