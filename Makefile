@@ -34,8 +34,10 @@ bench:
 # micro-benches, one cold start (ContainerLaunch) and one warm request on a
 # warm container (ContainerRequest, whose allocs/op is 0), both in
 # internal/faas beside the unexported code they time, the run list's worst case
-# (FragmentedSpace, in internal/pagemem) and one TMO idle-walk step on a
-# Bert-sized container (TMOStep, in internal/policy), snapshotted as machine-readable JSON (the CI perf artifact;
+# (FragmentedSpace, in internal/pagemem), one TMO idle-walk step on a
+# Bert-sized container (TMOStep, in internal/policy) and one GET /flows after
+# a fixed list of /run requests (GatewayFlows, in internal/gateway),
+# snapshotted as machine-readable JSON (the CI perf artifact;
 # see cmd/benchjson). One run feeds three artifacts: the raw log
 # (bench_gate.txt, which records allocs/op for the regression gate), the JSON
 # snapshot, and a per-bench speedup table against the latest committed
@@ -50,18 +52,18 @@ bench:
 # benches repeat one identical workload and keep time-based b.N.
 BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
 BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
-BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|FragmentedSpace|TMOStep
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|FragmentedSpace|TMOStep|GatewayFlows
 bench-json:
 	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
-	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ./internal/faas ./internal/pagemem ./internal/policy ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
+	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_TIMED))$$' -benchmem . ./internal/faas ./internal/pagemem ./internal/policy ./internal/gateway ; } 2>&1 | tee bench_gate.txt | $(GO) run ./cmd/benchjson -baseline BENCH_BASELINE.json -latest 'BENCH_*.json' -allocs-gate 10 $(if $(BENCH_OUT),-o $(BENCH_OUT))
 	@echo "raw log with allocs/op: bench_gate.txt"
 
 # Side-by-side ns/op comparison of two trees: the test binaries of the
 # BENCH_AB_PKGS packages (the root; internal/faas, which owns
 # ContainerLaunch and ContainerRequest; internal/pagemem,
-# which owns FragmentedSpace; and internal/policy, which owns TMOStep) are
-# built from BASE
+# which owns FragmentedSpace; internal/policy, which owns TMOStep; and
+# internal/gateway, which owns GatewayFlows) are built from BASE
 # (a git revision, exported with git archive under a temporary directory)
 # and from the working tree, and the two sides run the BENCH_AB benchmarks
 # (default: the BENCH_TIMED list) alternately COUNT times, the side that
@@ -74,7 +76,7 @@ bench-json:
 #   make bench-ab BASE=HEAD~1 COUNT=10 BENCH_AB='PucketOffloadScan|ContainerLaunch'
 COUNT ?= 10
 BENCH_AB ?= $(BENCH_TIMED)
-BENCH_AB_PKGS = . internal/faas internal/pagemem internal/policy
+BENCH_AB_PKGS = . internal/faas internal/pagemem internal/policy internal/gateway
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [COUNT=10] [BENCH_AB='A|B']"; exit 2; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
@@ -126,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRunSpec$$'           -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run='^$$' -fuzz='^FuzzGatewayRun$$'        -fuzztime=$(FUZZTIME) ./internal/gateway
 	$(GO) test -run='^$$' -fuzz='^FuzzGatewayReplay$$'     -fuzztime=$(FUZZTIME) ./internal/gateway
+	$(GO) test -run='^$$' -fuzz='^FuzzIndentMatchesEncoder$$' -fuzztime=$(FUZZTIME) ./internal/gateway
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRun$$'          -fuzztime=$(FUZZTIME) ./internal/drilldown
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkflowDAG$$'       -fuzztime=$(FUZZTIME) ./internal/faas
 	$(GO) test -run='^$$' -fuzz='^FuzzTouchWalk$$'         -fuzztime=$(FUZZTIME) ./internal/faas

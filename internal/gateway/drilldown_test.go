@@ -2,7 +2,9 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -84,5 +86,32 @@ func TestExemplarsAndFlowsEndpoints(t *testing.T) {
 	}
 	if !flResp.Audit.OK || flResp.Audit.Checks == 0 {
 		t.Errorf("audit = %+v, want ok with nonzero checks after one run", flResp.Audit)
+	}
+}
+
+// BenchmarkGatewayFlows times one GET /flows on a gateway that has served a
+// fixed list of /run requests: bursty json and web runs alternating, every
+// fourth under a fault plan, as a scraper reads a busy service's ledger.
+func BenchmarkGatewayFlows(b *testing.B) {
+	h := Handler()
+	for i := 0; i < 8; i++ {
+		body := fmt.Sprintf(`{"bench":%q,"duration_sec":300,"mean_gap_sec":6,"bursty":true,"seed":%d`,
+			[]string{"json", "web"}[i%2], i+1)
+		if i%4 == 3 {
+			body += fmt.Sprintf(`,"fault_intensity":0.3,"fault_seed":%d`, i+1)
+		}
+		if rec := doOn(b, h, http.MethodPost, "/run", body+"}"); rec.Code != http.StatusOK {
+			b.Fatalf("/run status = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, "/flows", nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("/flows status = %d", rec.Code)
+		}
 	}
 }

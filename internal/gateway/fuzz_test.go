@@ -65,3 +65,52 @@ func FuzzGatewayReplay(f *testing.F) {
 		}
 	})
 }
+
+// FuzzIndentMatchesEncoder holds the reply indenter to the standard
+// library: on any valid JSON, compacted as json.Marshal would leave it,
+// appendIndent must produce json.Indent's bytes plus a newline, and
+// writeJSON must write exactly what json.Encoder with SetIndent("", "  ")
+// writes for the same value.
+func FuzzIndentMatchesEncoder(f *testing.F) {
+	for _, s := range []string{
+		`{"quote \", then {punctuation}: [inside]":"\"}"}`,
+		`["back\\slash\\",{"k":"\\"},"\\\"[]"]`,
+		"\"raw line\u2028and paragraph\u2029separators\"",
+		`{"html":"<&>"}`,
+		`{"a":{},"b":[],"c":[{},[],{}],"d":[[[]]],"e":{"f":{}}}`,
+		`{"k:,{}[]":"v,:[]{}","n":null,"t":true,"f":false}`,
+		`[1e10,-2.5E-3,0,1.5e+300,-0]`,
+		strings.Repeat(`[{"x":`, 40) + `1` + strings.Repeat(`}]`, 40),
+		` { "spaced" : [ 1 , 2 ] } `,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !json.Valid(data) {
+			return
+		}
+		var compact, want bytes.Buffer
+		if err := json.Compact(&compact, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		want.WriteByte('\n')
+		if got := appendIndent(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendIndent(%q)\n got %q\nwant %q", compact.Bytes(), got, want.Bytes())
+		}
+
+		var enc bytes.Buffer
+		e := json.NewEncoder(&enc)
+		e.SetIndent("", "  ")
+		if err := e.Encode(json.RawMessage(data)); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, 200, json.RawMessage(data))
+		if !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
+			t.Fatalf("writeJSON(%q)\n got %q\nwant %q", data, rec.Body.Bytes(), enc.Bytes())
+		}
+	})
+}

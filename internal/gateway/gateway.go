@@ -211,12 +211,71 @@ func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"experiment": e.Name, "seed": seed, "rows": rows})
 }
 
+// writeJSON writes v as the reply: the bytes json.Encoder with
+// SetIndent("", "  ") would write, without re-validating what json.Marshal
+// has just produced. A value that does not marshal leaves the body empty,
+// as the encoder would.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	b, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	// Indenting a row-shaped reply such as /flows or /timeline grows it
+	// about 1.6×, so twice the compact size holds it without regrowing.
+	_, _ = w.Write(appendIndent(make([]byte, 0, 2*len(b)), b))
+}
+
+// appendIndent appends src, compact JSON from json.Marshal, to dst indented
+// as json.Indent(src, "", "  ") would, followed by a newline. It does not
+// validate src: strings are copied verbatim, escapes included, and only the
+// punctuation outside them is spaced out. Empty objects and arrays stay on
+// one line.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '"':
+			j := i + 1
+			for j < len(src) && src[j] != '"' {
+				if src[j] == '\\' {
+					j++
+				}
+				j++
+			}
+			j = min(j+1, len(src))
+			dst = append(dst, src[i:j]...)
+			i = j - 1
+		case '{', '[':
+			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
+				dst = append(dst, c, src[i+1])
+				i++
+				continue
+			}
+			depth++
+			dst = newline(append(dst, c), depth)
+		case '}', ']':
+			depth--
+			dst = append(newline(dst, depth), c)
+		case ',':
+			dst = newline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '\n')
+}
+
+// newline appends a newline and depth levels of two-space indent.
+func newline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

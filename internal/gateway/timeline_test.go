@@ -11,7 +11,7 @@ import (
 
 // doOn issues a request against a specific handler so state (the shared
 // timeline recorder) persists across calls within one test.
-func doOn(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+func doOn(t testing.TB, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(method, path, bytes.NewReader([]byte(body)))
 	rec := httptest.NewRecorder()

@@ -117,13 +117,14 @@ func (c *tmoContainer) idleStretches(s *pagemem.Space, r pagemem.Range, sels []p
 	for it := s.Runs(r, pagemem.Local); it.Next(); {
 		p, end := int(max(it.Run.Start, r.Start)), int(min(it.Run.End, r.End))
 		for p < end {
-			if q := c.accessed.next(p, end, true); p < q {
-				n := min(q-p, left)
+			// Look for the next accessed page no further than the budget
+			// reaches; left may be math.MaxInt, so p+left could overflow.
+			if q := c.accessed.next(p, p+min(left, end-p), true); p < q {
 				sels = append(sels, pagemem.Selection{
-					R:  pagemem.Range{Start: pagemem.PageID(p), End: pagemem.PageID(p + n)},
+					R:  pagemem.Range{Start: pagemem.PageID(p), End: pagemem.PageID(q)},
 					St: pagemem.Local,
 				})
-				if left -= n; left == 0 {
+				if left -= q - p; left == 0 {
 					return sels, 0
 				}
 				p = q

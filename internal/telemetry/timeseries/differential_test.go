@@ -14,9 +14,10 @@ import (
 // refRecorder is the reference the dense recorder is checked against: every
 // series is a map from window to cell, looked up by its key on every emit,
 // flight events live in a plain slice, and each method is written for
-// clarity rather than speed. It covers the series, the flight recorder and
-// the burn-rate alarm (fault-window triggers and the flow ledger are out of
-// scope).
+// clarity rather than speed. It covers the series, the flight recorder, the
+// burn-rate alarm and the flow ledger, whose flows are a map of maps and
+// whose occupancy checkpoints are a map keyed by window (fault-window
+// triggers are out of scope).
 type refRecorder struct {
 	cfg         Config
 	kinds       map[seriesKey]SeriesKind
@@ -30,6 +31,10 @@ type refRecorder struct {
 	alarmSeries string
 	dumps       []Dump
 	dropped     int
+	flows       map[flowKey]map[int64]int64
+	occ         map[int64]*occWindow
+	flowNet     int64
+	flowRuns    int
 }
 
 type refCell struct {
@@ -43,6 +48,8 @@ func newRefRecorder(cfg Config) *refRecorder {
 		kinds:    map[seriesKey]SeriesKind{},
 		cells:    map[seriesKey]map[int64]*refCell{},
 		alarmWin: noWindow,
+		flows:    map[flowKey]map[int64]int64{},
+		occ:      map[int64]*occWindow{},
 	}
 }
 
@@ -147,6 +154,117 @@ func (o *refRecorder) startRun() {
 	}
 	o.alarmWin = noWindow
 	o.runFlight = o.flightTotal
+	o.flowRuns++
+}
+
+func (o *refRecorder) addFlow(at simtime.Time, kind FlowKind, d Dims, bytes int64) {
+	if bytes == 0 {
+		return
+	}
+	k := flowKey{kind: kind, dims: d}
+	if o.flows[k] == nil {
+		o.flows[k] = map[int64]int64{}
+	}
+	o.flows[k][int64(at/o.cfg.Window)] += bytes
+	o.flowNet += int64(kind.Direction()) * bytes
+}
+
+func (o *refRecorder) flowOccupancy(at simtime.Time, occ int64) {
+	if o.flowRuns == 0 {
+		o.flowRuns = 1
+	}
+	win := int64(at / o.cfg.Window)
+	w := o.occ[win]
+	if w == nil {
+		w = &occWindow{firstOcc: occ, firstNet: o.flowNet}
+		o.occ[win] = w
+	}
+	w.lastOcc, w.lastNet = occ, o.flowNet
+	w.checks++
+}
+
+// flowRows flattens every cell and sorts the rows, ranking flow names by a
+// scan of the name table.
+func (o *refRecorder) flowRows() []FlowRow {
+	var out []FlowRow
+	for k, wins := range o.flows {
+		for win, bytes := range wins {
+			out = append(out, FlowRow{
+				Window: win, Start: simtime.Time(win) * o.cfg.Window,
+				Flow: k.kind.String(), Direction: k.kind.Direction(),
+				Node: k.dims.Node, Tenant: k.dims.Tenant, Class: k.dims.Class, Bytes: bytes,
+			})
+		}
+	}
+	flowOrder := func(name string) int {
+		for i, n := range flowNames {
+			if n == name {
+				return i
+			}
+		}
+		return len(flowNames)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Window != b.Window {
+			return a.Window < b.Window
+		}
+		if a.Flow != b.Flow {
+			return flowOrder(a.Flow) < flowOrder(b.Flow)
+		}
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		if a.Tenant != b.Tenant {
+			return a.Tenant < b.Tenant
+		}
+		return a.Class < b.Class
+	})
+	return out
+}
+
+func (o *refRecorder) flowTotals() (totals [NumFlows]int64) {
+	for k, wins := range o.flows {
+		for _, bytes := range wins {
+			totals[k.kind] += bytes
+		}
+	}
+	return totals
+}
+
+func (o *refRecorder) auditFlows() FlowAudit {
+	a := FlowAudit{Runs: o.flowRuns, OK: true}
+	if o.flowRuns > 1 {
+		a.Merged = true
+		for _, w := range o.occ {
+			a.Checks += w.checks
+		}
+		return a
+	}
+	var wins []int64
+	for win := range o.occ {
+		wins = append(wins, win)
+	}
+	sort.Slice(wins, func(i, j int) bool { return wins[i] < wins[j] })
+	var prev *occWindow
+	for _, win := range wins {
+		w := o.occ[win]
+		wa := FlowWindowAudit{Window: win, Checks: w.checks}
+		if prev != nil {
+			wa.OccDelta, wa.FlowDelta = w.lastOcc-prev.lastOcc, w.lastNet-prev.lastNet
+		} else {
+			wa.OccDelta, wa.FlowDelta = w.lastOcc-w.firstOcc, w.lastNet-w.firstNet
+		}
+		wa.OK = wa.OccDelta == wa.FlowDelta
+		if !wa.OK {
+			a.Violations++
+			a.OK = false
+		}
+		a.Checks += w.checks
+		a.Windows = append(a.Windows, wa)
+		prev = w
+	}
+	return a
 }
 
 func (o *refRecorder) rows() []Row {
@@ -273,7 +391,17 @@ var (
 		SeriesColdReinits, SeriesFaultActiveKinds, SeriesRequestLatency, "other",
 	}
 	diffDims = []Dims{{}, {Node: "n0"}, {Node: "n1", Tenant: "a"}, {Node: "pool", Tenant: "b", Class: "init"}}
+	// diffFlowDims are the flow ledger's keys: one tenant's flows in no
+	// class and in two classes, and a second tenant.
+	diffFlowDims = []Dims{
+		{Node: "pool", Tenant: "a"}, {Node: "pool", Tenant: "a", Class: "init"},
+		{Node: "pool", Tenant: "a", Class: "runtime"}, {Node: "pool", Tenant: "b", Class: "init"},
+	}
 )
+
+// flowOps is the first opcode that drives the flow ledger; every seed's
+// opcodes below it keep their meaning.
+const flowOps = 128
 
 // diffConfig keeps the flight ring small so a short input overflows it.
 var diffConfig = Config{Window: time.Second, flightCapacity: 16}
@@ -287,9 +415,25 @@ type diffTarget struct {
 	keys []seriesKey
 }
 
+// checkFlows requires the recorder's flow ledger exports to equal the
+// reference's.
+func (d *diffTarget) checkFlows(t *testing.T, label string) {
+	t.Helper()
+	if got, want := d.rec.FlowRows(), d.ref.flowRows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: FlowRows\n got %+v\nwant %+v", label, got, want)
+	}
+	if got, want := d.rec.FlowTotals(), d.ref.flowTotals(); got != want {
+		t.Fatalf("%s: FlowTotals = %v, want %v", label, got, want)
+	}
+	if got, want := AuditFlows(d.rec), d.ref.auditFlows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: AuditFlows\n got %+v\nwant %+v", label, got, want)
+	}
+}
+
 // check requires the recorder's exports to equal the reference's.
 func (d *diffTarget) check(t *testing.T, label string) {
 	t.Helper()
+	d.checkFlows(t, label)
 	if got, want := d.rec.Rows(), d.ref.rows(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: Rows\n got %+v\nwant %+v", label, got, want)
 	}
@@ -315,7 +459,7 @@ func (d *diffTarget) check(t *testing.T, label string) {
 	if err := WriteText(&got, d.rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeText(&want, d.ref.cfg.Window, sum, nil, d.ref.dumps, d.ref.dropped); err != nil {
+	if err := writeText(&want, d.ref.cfg.Window, sum, d.ref.flowTotals(), d.ref.auditFlows(), d.ref.dumps, d.ref.dropped); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
@@ -325,10 +469,12 @@ func (d *diffTarget) check(t *testing.T, label string) {
 
 // FuzzRecorderDifferential drives the dense recorder and the map-keyed
 // reference with the same operations and requires identical exports. Each
-// op is five bytes: an opcode, then four arguments. The opcodes resolve a
-// series, emit a counter, gauge or latency sample by a resolved handle at a
-// window and offset (a gauge over a span of windows), or start a new run (so
-// later emits revisit windows and dumps leave out earlier runs' events).
+// op is five bytes: an opcode, then four arguments. The opcodes below
+// flowOps resolve a series, emit a counter, gauge or latency sample by a
+// resolved handle at a window and offset (a gauge over a span of windows),
+// or start a new run (so later emits revisit windows and dumps leave out
+// earlier runs' events). The opcodes from flowOps up record a flow or an
+// occupancy checkpoint, after which the flow ledger's exports are compared.
 func FuzzRecorderDifferential(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 0, 0, 1, 0, 3, 0, 5, 0, 10, 1, 0, 0, 1, 0, 3, 0, 2})
 	// Over-SLO latency in windows 0-2, a new run, then over-SLO latency in
@@ -354,6 +500,23 @@ func FuzzRecorderDifferential(f *testing.F) {
 		burn = append(burn, 3, 0, w, 0, 200)
 	}
 	f.Add(burn)
+	// Offloads and a recall for one tenant in three classes with conserving
+	// checkpoints (two in window 2, around a flow), then a checkpoint off by
+	// 3 pages in window 4: the audit flags window 4 and, through the carry,
+	// window 5.
+	f.Add([]byte{
+		flowOps, 10, 2, 0, 4, flowOps + 1, 0, 2, 0, 0, flowOps, 20, 2, 9, 2, flowOps + 1, 0, 2, 0, 0,
+		flowOps, 1, 3, 0, 1, flowOps + 1, 0, 3, 0, 0, flowOps, 30, 4, 0, 5, flowOps + 1, 0, 4, 0, 3,
+		flowOps, 0, 5, 0, 1, flowOps + 1, 0, 5, 0, 0,
+	})
+	// Flows and checkpoints in windows 1 and 6, a new run, then a flow into
+	// the same cell of window 1, a checkpoint in window 6 and a new key in
+	// window 1: the cell adds up across runs, and the audit reports itself
+	// merged.
+	f.Add([]byte{
+		flowOps, 10, 1, 0, 8, flowOps + 1, 0, 1, 0, 0, flowOps, 13, 6, 0, 1, flowOps + 1, 0, 6, 0, 0,
+		4, 0, 0, 0, 0, flowOps, 10, 1, 0, 2, flowOps + 1, 0, 6, 0, 0, flowOps, 32, 1, 0, 3,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// 64 ops reach every window, series and cap several times over;
 		// the bound keeps one input's run, and so its minimization, short.
@@ -369,6 +532,22 @@ func FuzzRecorderDifferential(f *testing.F) {
 			}
 			win := simtime.Time(b % 24)
 			at := win*diffConfig.Window + simtime.Time(c)*diffConfig.Window/256
+			if op >= flowOps {
+				if op%2 == 0 {
+					// a picks the kind and the key; v counts pages.
+					kind := FlowKind(a % byte(NumFlows))
+					fd := diffFlowDims[int(a/byte(NumFlows))%len(diffFlowDims)]
+					d.rec.AddFlow(at, kind, fd, int64(v)<<12)
+					d.ref.addFlow(at, kind, fd, int64(v)<<12)
+				} else {
+					// The occupancy the flows imply, or off by v pages.
+					occ := d.ref.flowNet + int64(v)<<12
+					d.rec.FlowOccupancy(at, occ)
+					d.ref.flowOccupancy(at, occ)
+				}
+				d.checkFlows(t, "flows")
+				continue
+			}
 			switch op % 5 {
 			case 0:
 				k := seriesKey{name: diffNames[int(a)%len(diffNames)], dims: diffDims[int(b)%len(diffDims)]}

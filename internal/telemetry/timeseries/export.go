@@ -302,13 +302,13 @@ func WriteText(w io.Writer, r *Recorder) error {
 		_, err := fmt.Fprintln(w, "timeline: recording disabled")
 		return err
 	}
-	return writeText(w, r.Window(), Summarize(r), r, r.Dumps(), r.DumpsDropped())
+	return writeText(w, r.Window(), Summarize(r), r.FlowTotals(), AuditFlows(r), r.Dumps(), r.DumpsDropped())
 }
 
 // writeText is WriteText over its parts: the rollup window, the summary
-// rows, the recorder whose flow ledger is digested (nil for none) and the
-// flight dumps with the count dropped past the cap.
-func writeText(w io.Writer, window time.Duration, rows []SummaryRow, flows *Recorder, dumps []Dump, dropped int) error {
+// rows, the flow ledger's per-kind totals and audit, and the flight dumps
+// with the count dropped past the cap.
+func writeText(w io.Writer, window time.Duration, rows []SummaryRow, totals [NumFlows]int64, audit FlowAudit, dumps []Dump, dropped int) error {
 	if len(rows) == 0 {
 		_, err := fmt.Fprintf(w, "timeline: no samples recorded (window %s)\n", window)
 		return err
@@ -319,7 +319,7 @@ func writeText(w io.Writer, window time.Duration, rows []SummaryRow, flows *Reco
 	if _, err := w.Write(summaryTable(rows)); err != nil {
 		return err
 	}
-	if err := writeFlowDigest(w, flows); err != nil {
+	if err := writeFlowDigest(w, totals, audit); err != nil {
 		return err
 	}
 	if len(dumps) == 0 && dropped == 0 {
@@ -353,8 +353,7 @@ func writeText(w io.Writer, window time.Duration, rows []SummaryRow, flows *Reco
 // per-kind total line plus the conservation audit's verdict. The full
 // per-window matrix stays in the JSON snapshot (and behind faasmem-stat
 // explain / the gateway's GET /flows), where its size is not a problem.
-func writeFlowDigest(w io.Writer, r *Recorder) error {
-	totals := r.FlowTotals()
+func writeFlowDigest(w io.Writer, totals [NumFlows]int64, audit FlowAudit) error {
 	var any bool
 	for _, t := range totals {
 		if t != 0 {
@@ -375,7 +374,6 @@ func writeFlowDigest(w io.Writer, r *Recorder) error {
 	if _, err := fmt.Fprintf(w, "\nflows: %s\n", strings.Join(parts, ", ")); err != nil {
 		return err
 	}
-	audit := AuditFlows(r)
 	switch {
 	case audit.Merged:
 		_, err := fmt.Fprintf(w, "flow audit: n/a (merged across %d runs; %d checkpoints)\n",

@@ -1,7 +1,8 @@
 package timeseries
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/faasmem/faasmem/internal/simtime"
 )
@@ -106,11 +107,19 @@ type flowKey struct {
 	dims Dims
 }
 
+// flowSeries is one flow key's bytes, indexed by absolute window like a
+// series' cells. A zero cell is a window the key moved nothing in: AddFlow
+// drops zero counts, and no caller passes a negative one.
+type flowSeries struct {
+	key   flowKey
+	cells []int64
+}
+
 // occWindow holds one window's occupancy checkpoints: the first and last
 // (occupancy, cumulative-net-flow) pair seen in the window. Conservation
 // inside the window is lastOcc-firstOcc == lastNet-firstNet; across adjacent
 // checkpointed windows it is firstOcc(w)-lastOcc(prev) ==
-// firstNet(w)-lastNet(prev).
+// firstNet(w)-lastNet(prev). A window with no checks holds no checkpoint.
 type occWindow struct {
 	firstOcc, firstNet int64
 	lastOcc, lastNet   int64
@@ -120,7 +129,8 @@ type occWindow struct {
 // AddFlow accumulates bytes into the flow ledger for the window containing
 // at. Call it at the instrumentation site that mutates pool occupancy, with
 // the same (clamped) byte count the mutation applied, then checkpoint with
-// FlowOccupancy; the audit verifies the two agree per window. No-op on nil.
+// FlowOccupancy; the audit verifies the two agree per window. bytes is
+// never negative; a zero count is dropped. No-op on nil.
 func (r *Recorder) AddFlow(at simtime.Time, kind FlowKind, d Dims, bytes int64) {
 	if r == nil || bytes == 0 {
 		return
@@ -128,12 +138,16 @@ func (r *Recorder) AddFlow(at simtime.Time, kind FlowKind, d Dims, bytes int64) 
 	r.mu.Lock()
 	r.crossTriggers(at)
 	k := flowKey{kind: kind, dims: d}
-	m := r.flows[k]
-	if m == nil {
-		m = make(map[int64]int64)
-		r.flows[k] = m
+	i, ok := r.flowIDs[k]
+	if !ok {
+		i = len(r.flows)
+		r.flows = append(r.flows, flowSeries{key: k})
+		r.flowIDs[k] = i
 	}
-	m[r.windowOf(at)] += bytes
+	s := &r.flows[i]
+	win := r.windowOf(at)
+	s.cells = reach(s.cells, win)
+	s.cells[win] += bytes
 	r.flowNet += int64(kind.Direction()) * bytes
 	r.mu.Unlock()
 }
@@ -150,10 +164,10 @@ func (r *Recorder) FlowOccupancy(at simtime.Time, occ int64) {
 		r.flowRuns = 1
 	}
 	win := r.windowOf(at)
-	w := r.occ[win]
-	if w == nil {
-		w = &occWindow{firstOcc: occ, firstNet: r.flowNet}
-		r.occ[win] = w
+	r.occ = reach(r.occ, win)
+	w := &r.occ[win]
+	if w.checks == 0 {
+		w.firstOcc, w.firstNet = occ, r.flowNet
 	}
 	w.lastOcc = occ
 	w.lastNet = r.flowNet
@@ -181,56 +195,58 @@ type FlowRow struct {
 }
 
 // FlowRows flattens the ledger, sorted by (Window, Flow kind, Node, Tenant,
-// Class) so output is deterministic regardless of map iteration order.
+// Class): windows ascend, and within one the keys read in page-lifecycle
+// order.
 func (r *Recorder) FlowRows() []FlowRow {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []FlowRow
-	for k, wins := range r.flows {
-		for win, bytes := range wins {
+	var rows, wins int
+	for i := range r.flows {
+		cells := r.flows[i].cells
+		wins = max(wins, len(cells))
+		for _, bytes := range cells {
+			if bytes != 0 {
+				rows++
+			}
+		}
+	}
+	if rows == 0 {
+		return nil
+	}
+	keys := make([]*flowSeries, len(r.flows))
+	for i := range r.flows {
+		keys[i] = &r.flows[i]
+	}
+	slices.SortFunc(keys, func(a, b *flowSeries) int {
+		return cmp.Or(
+			cmp.Compare(a.key.kind, b.key.kind),
+			cmp.Compare(a.key.dims.Node, b.key.dims.Node),
+			cmp.Compare(a.key.dims.Tenant, b.key.dims.Tenant),
+			cmp.Compare(a.key.dims.Class, b.key.dims.Class),
+		)
+	})
+	out := make([]FlowRow, 0, rows)
+	for win := 0; win < wins; win++ {
+		for _, s := range keys {
+			if win >= len(s.cells) || s.cells[win] == 0 {
+				continue
+			}
 			out = append(out, FlowRow{
-				Window:    win,
+				Window:    int64(win),
 				Start:     simtime.Time(win) * r.cfg.Window,
-				Flow:      k.kind.String(),
-				Direction: k.kind.Direction(),
-				Node:      k.dims.Node,
-				Tenant:    k.dims.Tenant,
-				Class:     k.dims.Class,
-				Bytes:     bytes,
+				Flow:      s.key.kind.String(),
+				Direction: s.key.kind.Direction(),
+				Node:      s.key.dims.Node,
+				Tenant:    s.key.dims.Tenant,
+				Class:     s.key.dims.Class,
+				Bytes:     s.cells[win],
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Window != b.Window {
-			return a.Window < b.Window
-		}
-		if a.Flow != b.Flow {
-			return flowOrder(a.Flow) < flowOrder(b.Flow)
-		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		return a.Class < b.Class
-	})
 	return out
-}
-
-// flowOrder ranks flow names in enum order so tables read in page-lifecycle
-// order rather than alphabetically.
-func flowOrder(name string) int {
-	for i, n := range flowNames {
-		if n == name {
-			return i
-		}
-	}
-	return len(flowNames)
 }
 
 // FlowWindowAudit is one window's conservation arithmetic: the occupancy
@@ -292,16 +308,13 @@ func AuditFlows(r *Recorder) FlowAudit {
 		}
 		return a
 	}
-	wins := make([]int64, 0, len(r.occ))
-	for win := range r.occ {
-		wins = append(wins, win)
-	}
-	sort.Slice(wins, func(i, j int) bool { return wins[i] < wins[j] })
 	var havePrev bool
 	var prevOcc, prevNet int64
-	for _, win := range wins {
-		w := r.occ[win]
-		wa := FlowWindowAudit{Window: win, Checks: w.checks}
+	for win, w := range r.occ {
+		if w.checks == 0 {
+			continue
+		}
+		wa := FlowWindowAudit{Window: int64(win), Checks: w.checks}
 		if havePrev {
 			// Carry from the previous checkpointed window: flows recorded
 			// after its last checkpoint land here.
@@ -334,9 +347,10 @@ func (r *Recorder) FlowTotals() [NumFlows]int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k, wins := range r.flows {
-		for _, bytes := range wins {
-			totals[k.kind] += bytes
+	for i := range r.flows {
+		s := &r.flows[i]
+		for _, bytes := range s.cells {
+			totals[s.key.kind] += bytes
 		}
 	}
 	return totals

@@ -31,7 +31,10 @@
 //     by window, not appended in arrival order, because windows are
 //     revisited: a service-lifetime recorder (the gateway's) restarts
 //     virtual time at 0 on every run. Memory is bounded by the highest
-//     window a series has seen.
+//     window a series has seen. The byte-flow ledger has the same layout:
+//     a flow key maps once to its series of per-window byte cells, and
+//     occupancy checkpoints sit in one slice indexed by window, so
+//     FlowRows walks windows in order and sorts only the keys.
 //   - Gauges are read, not emitted. A platform samples its occupancy
 //     gauges with a simtime.Sampler, which fires once per quiet span (a run
 //     of windows in which nothing else happens, so no reading can change),
@@ -307,9 +310,12 @@ type Recorder struct {
 	// another clock.
 	runFlight uint64
 
-	// Page byte-flow ledger (see flow.go).
-	flows    map[flowKey]map[int64]int64
-	occ      map[int64]*occWindow
+	// Page byte-flow ledger (see flow.go): flowIDs maps each key to its
+	// index in flows, and occ holds the occupancy checkpoints by absolute
+	// window.
+	flowIDs  map[flowKey]int
+	flows    []flowSeries
+	occ      []occWindow
 	flowNet  int64
 	flowRuns int
 }
@@ -322,8 +328,7 @@ func NewRecorder(cfg Config) *Recorder {
 		ids:      make(map[seriesKey]SeriesID),
 		flight:   ring.New[FlightEvent](cfg.flightCapacity),
 		alarmWin: noWindow,
-		flows:    make(map[flowKey]map[int64]int64),
-		occ:      make(map[int64]*occWindow),
+		flowIDs:  make(map[flowKey]int),
 	}
 }
 
@@ -375,10 +380,16 @@ func (r *Recorder) resolve(k seriesKey, kind SeriesKind) SeriesID {
 func (r *Recorder) cell(id SeriesID, at simtime.Time) (*seriesData, *point) {
 	s := &r.series[id-1]
 	win := r.windowOf(at)
-	if n := win + 1 - int64(len(s.cells)); n > 0 {
-		s.cells = append(s.cells, make([]point, n)...)
-	}
+	s.cells = reach(s.cells, win)
 	return s, &s.cells[win]
+}
+
+// reach grows cells, indexed by absolute window, to hold window win.
+func reach[T any](cells []T, win int64) []T {
+	if n := win + 1 - int64(len(cells)); n > 0 {
+		cells = append(cells, make([]T, n)...)
+	}
+	return cells
 }
 
 // AddCounter accumulates a delta into counter series id for the window
