@@ -148,12 +148,14 @@ experiments:
 # fig13 with every sink on (trace, timeline, exemplars, attribution) and
 # diffs all four outputs across the same widths; each width writes the same
 # paths, which are renamed afterwards, so the attribution output's trace
-# line matches too. With a sink on, the scenario grids that record into the
-# sinks run serially at width 1 and at width 8 alike, so these diffs check
-# that a width setting cannot reorder the capture. A third pass does the
-# same for every entry at once, twice at width 8 and once at width 1, so the
-# sinks must fill the same way on every run as well as at every width; it
-# asks for 8 concurrent experiments, which a sink flag must override.
+# line matches too. With a sink on, every grid runs its cells serially at
+# width 1 and at width 8 alike, so these diffs check that a width setting
+# cannot reorder the capture. A third pass does the same for every entry at
+# once, twice at width 8 and once at width 1, so the sinks must fill the
+# same way on every run as well as at every width; it asks for 8 concurrent
+# experiments, which a sink flag must override. Every platform, rack and
+# pool attaches the sinks, so this capture covers every simulating entry
+# (only fig1, fig5, fig6, fig9 and fig15 build none and record nothing).
 determinism:
 	@figs=$$($(GO) run ./cmd/experiments -list | awk 'NF == 1' | paste -sd, -) && \
 	$(GO) run ./cmd/experiments -seed 42 -only "$$figs" -scenario-workers 1 > rows_w1.txt && \
@@ -177,7 +179,7 @@ determinism:
 	for f in trace.json timeline.txt exemplars.txt attrib.txt; do \
 		diff all_w8_$$f all_w8again_$$f && diff all_w1_$$f all_w8_$$f || exit 1; \
 	done && \
-	echo "determinism: all-entries trace, timeline, exemplars and attribution identical across runs and at widths 1 and 8"
+	echo "determinism: all-entries trace, timeline, exemplars and attribution of every simulating entry identical across runs and at widths 1 and 8"
 
 # Figures + machine-readable rows.
 results:

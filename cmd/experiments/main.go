@@ -16,15 +16,14 @@
 // and rows assemble in canonical order, so output is identical at any
 // width. When a sink flag (-trace-out, -attrib, -timeline, -exemplars) is
 // set, experiments run one after another in registry order instead, and
-// each records its scenarios into the shared sinks one at a time in index
+// each records its grid cells into the shared sinks one at a time in index
 // order at any -scenario-workers width, so the captures are identical at
-// any width too. The sinks capture only the experiments whose scenarios run
-// through experiments.RunScenario: fig1, fig5, fig14 and fig15 simulate no
-// platform, and fig4, fig6, fig9, ext-keepalive, ext-rack,
-// ext-pool-density, ext-merge, ext-resilience, ext-observe, ext-drilldown
-// and ext-stateful build their platforms themselves, so all of them record
-// nothing; ext-attrib keeps its spans in its own recorders. -cpuprofile and
-// -memprofile capture pprof profiles of the run.
+// any width too. The sinks capture every platform, rack and pool an
+// experiment builds, so fig1, fig5, fig6, fig9 and fig15, which build none,
+// are the only entries that record nothing. A sink an experiment sets
+// itself is kept: ext-attrib's spans, the ext-observe, ext-drilldown and
+// ext-stateful timelines, and ext-drilldown's exemplars stay in their own
+// recorders. -cpuprofile and -memprofile capture pprof profiles of the run.
 package main
 
 import (
@@ -49,9 +48,6 @@ import (
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
-// uncaptured names the simulating experiments the sink flags miss.
-const uncaptured = "not fig4, fig6, fig9, ext-keepalive, ext-rack, ext-pool-density, ext-merge, ext-resilience, ext-observe, ext-drilldown or ext-stateful"
-
 func main() {
 	only := flag.String("only", "", "comma-separated subset of the experiments (see -list)")
 	list := flag.Bool("list", false, "print the experiment names, one per line, and exit; wall-clock experiments, whose rows differ between runs, carry a second column 'wall-clock'")
@@ -59,15 +55,15 @@ func main() {
 	jsonDir := flag.String("json", "", "also write each experiment's rows as JSON files into this directory (like the artifact's result files)")
 	svgDir := flag.String("svg", "", "also write SVG charts of the main figures into this directory (like the artifact's draw scripts)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "number of experiments to run concurrently (1 when a sink flag is set)")
-	scenarioWorkers := flag.Int("scenario-workers", 0, "scenario-level fan-out inside each figure's grid (0 = GOMAXPROCS); rows are identical for any width; with a sink flag set, the grids that record into the sinks run serially")
+	scenarioWorkers := flag.Int("scenario-workers", 0, "scenario-level fan-out inside each figure's grid (0 = GOMAXPROCS); rows are identical for any width; with a sink flag set, every grid runs serially")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	traceOut := flag.String("trace-out", "", "record the experiments' simulation events into one Chrome trace-event JSON file ("+uncaptured+")")
+	traceOut := flag.String("trace-out", "", "record the experiments' simulation events into one Chrome trace-event JSON file")
 	traceBuffer := flag.Int("trace-buffer", telemetry.DefaultCapacity, "event ring capacity for -trace-out")
-	attrib := flag.Bool("attrib", false, "record the experiments' causal spans and print one latency-attribution table at the end ("+uncaptured+"; ext-attrib keeps its spans)")
-	timelineOut := flag.String("timeline", "", "record the experiments' per-window time-series rollups and write the timeline table to this file ('-' for stdout; "+uncaptured+")")
+	attrib := flag.Bool("attrib", false, "record the experiments' causal spans and print one latency-attribution table at the end (ext-attrib keeps its spans)")
+	timelineOut := flag.String("timeline", "", "record the experiments' per-window time-series rollups and write the timeline table to this file ('-' for stdout; ext-observe, ext-drilldown and ext-stateful keep their timelines)")
 	timelineWindow := flag.Duration("timeline-window", 10*time.Second, "rollup window for -timeline (virtual time)")
-	exemplarsOut := flag.String("exemplars", "", "retain the experiments' worst-K span trees per window and write the exemplar digest to this file ('-' for stdout; "+uncaptured+")")
+	exemplarsOut := flag.String("exemplars", "", "retain the experiments' worst-K span trees per window and write the exemplar digest to this file ('-' for stdout; ext-drilldown keeps its exemplars)")
 	exemplarK := flag.Int("exemplar-k", exemplar.DefaultK, "worst-K retention depth for -exemplars")
 	flag.Parse()
 
@@ -124,10 +120,9 @@ func main() {
 		}
 	}
 
-	// Harnesses that run their scenarios through experiments.RunScenario
-	// pick up the process-default hub (each nil sink of Scenario.Telemetry
-	// falls back to it), so one flag per sink captures them without
-	// plumbing.
+	// Every platform, rack and pool picks up the process-default hub when it
+	// attaches its own (each nil sink falls back to it), so one flag per sink
+	// captures every experiment without plumbing.
 	var hub telemetry.Hub
 	if *traceOut != "" {
 		hub.Tracer = telemetry.NewTracer(*traceBuffer)
@@ -147,7 +142,7 @@ func main() {
 	// Run experiments in a bounded worker pool; buffer output per experiment
 	// so the report prints in canonical order regardless of completion order.
 	// With a sink on, experiments run one at a time, in registry order, and
-	// each records its scenarios serially in index order, so the sinks fill
+	// each records its grid cells serially in index order, so the sinks fill
 	// the same way on every run.
 	type result struct {
 		out  bytes.Buffer

@@ -67,11 +67,10 @@ type Scenario struct {
 	// every 10 s (Fig. 13's timeline plot).
 	MemTimeline *metrics.Series
 	// Telemetry attaches the run's sinks: tracer, registry, spans, timeline
-	// and exemplars. Each nil sink falls back to the process default
-	// (telemetry.Hub.OrDefault), so cmd/experiments' -trace-out, -attrib,
-	// -timeline and -exemplars flags capture every harness that runs its
-	// scenarios through RunScenario without plumbing. Harnesses that build
-	// their platforms themselves are not captured.
+	// and exemplars. Like every hub, it fills each nil sink from the process
+	// default when the platform attaches it (telemetry.Hub.Attach), so
+	// cmd/experiments' -trace-out, -attrib, -timeline and -exemplars flags
+	// capture every harness that builds a platform, without plumbing.
 	Telemetry telemetry.Hub
 }
 
@@ -169,7 +168,7 @@ func RunScenario(sc Scenario) Outcome {
 		Seed:             sc.Seed,
 		Pool:             sc.Pool,
 		Swap:             sc.Swap,
-		Telemetry:        sc.Telemetry.OrDefault(),
+		Telemetry:        sc.Telemetry,
 	}, pol)
 	fnID := sc.Profile.Name
 	f := p.Register(fnID, sc.Profile)

@@ -15,8 +15,8 @@ var workerCount atomic.Int64
 // concurrently. n <= 0 restores the default (GOMAXPROCS). Every grid cell is
 // an independent deterministic simulation and results land in
 // index-addressed slots, so the emitted rows are identical for any width —
-// only wall-clock changes. RunScenarios ignores the width while a
-// process-default sink is set.
+// only wall-clock changes. Grids ignore the width while a process-default
+// sink is set (runGrid).
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -38,12 +38,21 @@ func Workers() int {
 // normalization against a baseline cell) stays with the caller, after the
 // barrier, so row order never depends on completion order.
 //
+// While a process-default sink is set, the cells run one after another in
+// index order instead, straight into the shared sinks every platform
+// attaches: a shared sink's stateful behavior (ring eviction, SLO burn
+// alarms, flight dumps) depends on recording order, which index order fixes,
+// so the sinks retain the same contents at any width.
+//
 // Workers claim chunks of adjacent indices from a shared cursor, guided
 // self-scheduling style: early claims take bigger chunks (amortizing the
 // atomic over cheap cells), late claims shrink toward single cells so a
 // straggler cell cannot leave the other workers idle behind a big chunk.
 func runGrid(n int, fn func(i int)) {
 	w := Workers()
+	if telemetry.Default() != (telemetry.Hub{}) {
+		w = 1
+	}
 	if w > n {
 		w = n
 	}
@@ -85,22 +94,10 @@ func runGrid(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunScenarios executes every scenario through RunScenario and returns
-// outcomes in input order. Without a process-default sink the scenarios fan
-// out across the worker pool. With one, they run one after another in index
-// order, straight into the sinks each resolves to: a shared sink's stateful
-// behavior (ring eviction, SLO burn alarms, flight dumps) then depends on
-// recording order, which index order fixes, so the sinks retain the same
-// contents at any width.
+// RunScenarios executes every scenario through RunScenario on runGrid and
+// returns outcomes in input order.
 func RunScenarios(scs []Scenario) []Outcome {
 	outs := make([]Outcome, len(scs))
-	run := func(i int) { outs[i] = RunScenario(scs[i]) }
-	if telemetry.Default() != (telemetry.Hub{}) {
-		for i := range scs {
-			run(i)
-		}
-		return outs
-	}
-	runGrid(len(scs), run)
+	runGrid(len(scs), func(i int) { outs[i] = RunScenario(scs[i]) })
 	return outs
 }

@@ -112,13 +112,7 @@ func PoolDensity(opt PoolDensityOptions) []PoolDensityRow {
 			row.ColdStartRatio = float64(st.ColdStarts) / float64(st.Requests)
 		}
 		if mn := st.MemNode; mn != nil {
-			row.LogicalPeakMB = float64(mn.PeakLogicalBytes) / 1e6
-			row.ResidentPeakMB = float64(mn.PeakResidentBytes) / 1e6
-			if mn.PeakResidentBytes > 0 {
-				row.Amplification = float64(mn.PeakLogicalBytes) / float64(mn.PeakResidentBytes)
-			} else {
-				row.Amplification = 1
-			}
+			row.LogicalPeakMB, row.ResidentPeakMB, row.Amplification = memNodePeaks(mn)
 			row.DedupHitPages = mn.DedupHitPages
 			row.CompressedPages = mn.CompressedPages
 			row.SpilledPages = mn.SpilledPages

@@ -10,6 +10,7 @@ import (
 	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
@@ -62,6 +63,29 @@ func runMixedRack(cfg cluster.Config, kind PolicyKind, fns []mixedFn, writeRatio
 	}
 	e.RunUntil(horizon)
 	return c
+}
+
+// memNodePeaks returns the memory node's peak logical and resident bytes in
+// MB and their ratio, the effective-capacity amplification (1 when nothing
+// was ever resident).
+func memNodePeaks(mn *memnode.Stats) (logicalMB, residentMB, amplification float64) {
+	amplification = 1
+	if mn.PeakResidentBytes > 0 {
+		amplification = float64(mn.PeakLogicalBytes) / float64(mn.PeakResidentBytes)
+	}
+	return float64(mn.PeakLogicalBytes) / 1e6, float64(mn.PeakResidentBytes) / 1e6, amplification
+}
+
+// rackRequestP99 is the P99 latency, in seconds, over every record in the
+// rack nodes' request logs.
+func rackRequestP99(c *cluster.Cluster) float64 {
+	var lat metrics.Sampler
+	for _, n := range c.Nodes() {
+		for _, rec := range n.RequestLog().Items() {
+			lat.AddDuration(rec.Latency)
+		}
+	}
+	return lat.P99()
 }
 
 // faultRack runs the rack the fault sweeps (ext-resilience, ext-observe,

@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
@@ -75,17 +74,11 @@ func Resilience(seed int64) []ResilienceRow {
 			FallbackPages:    st.Recovery.FallbackPages,
 			ColdReinits:      st.Recovery.ColdReinits,
 			RescheduledFault: st.RescheduledFault,
+			P99Sec:           rackRequestP99(c),
 		}
 		if st.Requests > 0 {
 			row.ColdStartRatio = float64(st.ColdStarts) / float64(st.Requests)
 		}
-		var lat metrics.Sampler
-		for _, n := range c.Nodes() {
-			for _, rec := range n.RequestLog().Items() {
-				lat.AddDuration(rec.Latency)
-			}
-		}
-		row.P99Sec = lat.P99()
 		return row
 	}
 

@@ -23,9 +23,9 @@ type sinkState struct {
 	cells    []exemplar.Cell
 }
 
-// runWithSharedSinks installs fresh process-default sinks, runs the grid at
-// the given width, and returns what the sinks retained.
-func runWithSharedSinks(t *testing.T, scs []Scenario, width int) sinkState {
+// runWithSharedSinks installs fresh process-default sinks, calls run at the
+// given width, and returns what the sinks retained.
+func runWithSharedSinks(t *testing.T, run func(), width int) sinkState {
 	t.Helper()
 	tr := telemetry.NewTracer(1 << 14)
 	sp := span.NewRecorder(1 << 12)
@@ -36,7 +36,7 @@ func runWithSharedSinks(t *testing.T, scs []Scenario, width int) sinkState {
 	prev := Workers()
 	SetWorkers(width)
 	defer SetWorkers(prev)
-	RunScenarios(scs)
+	run()
 	return sinkState{
 		events:   tr.Events(),
 		dropped:  tr.Dropped(),
@@ -50,26 +50,42 @@ func runWithSharedSinks(t *testing.T, scs []Scenario, width int) sinkState {
 
 // TestSharedSinksDeterministicAcrossWidths is the shared-sink contract: a
 // grid recording into process-default tracer, span, timeline and exemplar
-// sinks retains bit-identical contents at any width, because RunScenarios
-// records into them in scenario-index order whatever the width.
+// sinks retains bit-identical contents at any width, because every grid
+// (runGrid) records into them in cell-index order whatever the width. It
+// covers RunScenarios and harnesses that build their own platforms (Fig4)
+// and racks (KeepAliveStrategies, RackDensity), whose hubs pick the default
+// sinks up in Attach.
 func TestSharedSinksDeterministicAcrossWidths(t *testing.T) {
 	scs := gridScenarios(t)
-	want := runWithSharedSinks(t, scs, 1)
-	if len(want.events) == 0 || len(want.invs) == 0 || len(want.timeline.Rows) == 0 || len(want.cells) == 0 {
-		t.Fatalf("serial run retained no telemetry (events=%d invs=%d rows=%d cells=%d); test is vacuous",
-			len(want.events), len(want.invs), len(want.timeline.Rows), len(want.cells))
-	}
-	for _, w := range []int{2, 8} {
-		got := runWithSharedSinks(t, scs, w)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("shared-sink contents differ between workers=1 and workers=%d:\n"+
-				"events %d vs %d, dropped %d vs %d, invs %d vs %d, bgs %d vs %d, flight %d vs %d, "+
-				"timeline rows %d vs %d, dumps %d vs %d, exemplar cells %d vs %d",
-				w, len(want.events), len(got.events), want.dropped, got.dropped,
-				len(want.invs), len(got.invs), len(want.bgs), len(got.bgs),
-				want.flight, got.flight, len(want.timeline.Rows), len(got.timeline.Rows),
-				len(want.timeline.Dumps), len(got.timeline.Dumps), len(want.cells), len(got.cells))
-		}
+	for _, tc := range []struct {
+		name   string
+		run    func()
+		widths []int
+	}{
+		{"RunScenarios", func() { RunScenarios(scs) }, []int{2, 8}},
+		{"Fig4", func() { Fig4() }, []int{2}},
+		{"KeepAliveStrategies", func() { KeepAliveStrategies(11) }, []int{2}},
+		{"RackDensity", func() { RackDensity(RackDensityOptions{Seed: 11}) }, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runWithSharedSinks(t, tc.run, 1)
+			if len(want.events) == 0 || len(want.invs) == 0 || len(want.timeline.Rows) == 0 || len(want.cells) == 0 {
+				t.Fatalf("serial run retained no telemetry (events=%d invs=%d rows=%d cells=%d); test is vacuous",
+					len(want.events), len(want.invs), len(want.timeline.Rows), len(want.cells))
+			}
+			for _, w := range tc.widths {
+				got := runWithSharedSinks(t, tc.run, w)
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("shared-sink contents differ between workers=1 and workers=%d:\n"+
+						"events %d vs %d, dropped %d vs %d, invs %d vs %d, bgs %d vs %d, flight %d vs %d, "+
+						"timeline rows %d vs %d, dumps %d vs %d, exemplar cells %d vs %d",
+						w, len(want.events), len(got.events), want.dropped, got.dropped,
+						len(want.invs), len(got.invs), len(want.bgs), len(got.bgs),
+						want.flight, got.flight, len(want.timeline.Rows), len(got.timeline.Rows),
+						len(want.timeline.Dumps), len(got.timeline.Dumps), len(want.cells), len(got.cells))
+				}
+			}
+		})
 	}
 }
 

@@ -215,6 +215,7 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 		Invocations: st.Invocations,
 		MeanRunSec:  runLat.Mean(),
 		P99RunSec:   runLat.P99(),
+		P99StageSec: rackRequestP99(c),
 		StateInSec:  st.StateInTime.Seconds(),
 		StateOutSec: st.StateOutTime.Seconds(),
 		StateInMB:   metrics.MB(st.StateInBytes),
@@ -226,13 +227,6 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 		Reinits:     st.Reinits,
 		Drained:     mgr.Drained() && mgr.CheckInvariants() == nil,
 	}
-	var stageLat metrics.Sampler
-	for _, n := range c.Nodes() {
-		for _, r := range n.RequestLog().Items() {
-			stageLat.AddDuration(r.Latency)
-		}
-	}
-	row.P99StageSec = stageLat.P99()
 	for _, fr := range rec.FlowRows() {
 		if fr.Flow == timeseries.FlowShareRead.String() {
 			row.ShareReadMB += metrics.MB(fr.Bytes)

@@ -65,8 +65,9 @@ type Config struct {
 	// link work, the timeline's per-window counters and latency with a
 	// per-window gauge sampler (local/remote bytes, live containers, pool
 	// occupancy), and the per-window worst-K exemplar cells keyed by (node,
-	// tenant). The zero Hub disables all instrumentation; every disabled
-	// path is allocation-free.
+	// tenant). Each nil sink falls back to the process default
+	// (telemetry.SetDefault); with none set, the zero Hub disables all
+	// instrumentation, and every disabled path is allocation-free.
 	Telemetry telemetry.Hub
 	// Seed drives all stochastic workload behaviour deterministically.
 	Seed int64

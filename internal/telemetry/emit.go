@@ -102,13 +102,14 @@ func newHandles(reg *Registry, tl *timeseries.Recorder, node string) handles {
 	}
 }
 
-// Attach returns h bound to one emitting component: node labels the
-// timeline dimensions and exemplar cells of everything it emits ("n0" for a
-// compute node, "pool", "rack"), and the registry handles and node-level
-// timeline series are resolved now, so set the sinks before attaching. An
-// unattached hub's emit methods skip the registry and the node-level
-// timeline series.
+// Attach returns h bound to one emitting component: each sink h leaves nil
+// is filled from the process default (SetDefault), node labels the timeline
+// dimensions and exemplar cells of everything it emits ("n0" for a compute
+// node, "pool", "rack"), and the registry handles and node-level timeline
+// series are resolved now, so set the sinks before attaching. An unattached
+// hub's emit methods skip the registry and the node-level timeline series.
 func (h Hub) Attach(node string) Hub {
+	h = h.orDefault()
 	h.node = node
 	h.met = newHandles(h.Reg, h.Timeline, node)
 	return h

@@ -20,9 +20,9 @@ func fullHub() Hub {
 	}
 }
 
-// TestHubDefault pins the per-sink fallback: every nil sink comes from the
-// process default, an explicit sink is never replaced, and Tracer/Reg fall
-// back together.
+// TestHubDefault pins the per-sink fallback Attach applies: every nil sink
+// comes from the process default, an explicit sink is never replaced,
+// Tracer/Reg fall back together, and with no default a sink stays off.
 func TestHubDefault(t *testing.T) {
 	if Default() != (Hub{}) {
 		t.Fatal("default hub must start disabled")
@@ -50,8 +50,10 @@ func TestHubDefault(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			SetDefault(tc.def)
-			if got := tc.h.OrDefault(); got != tc.want {
-				t.Fatalf("OrDefault = %+v, want %+v", got, tc.want)
+			a := tc.h.Attach("n0")
+			got := Hub{Tracer: a.Tracer, Reg: a.Reg, Spans: a.Spans, Timeline: a.Timeline, Exemplars: a.Exemplars}
+			if got != tc.want {
+				t.Fatalf("Attach sinks = %+v, want %+v", got, tc.want)
 			}
 		})
 	}

@@ -305,8 +305,9 @@ func (t *Tracer) Events() []Event {
 // through experiments.Scenario and faas.Config down to the platform, and
 // every occurrence the simulator reports is one of its emit methods
 // (emit.go), called on a hub bound by Attach. The zero Hub is fully
-// disabled; every field may be nil independently, and each emit method pays
-// one nil check per sink it feeds (a timeline-only run does no tracer work).
+// disabled unless a process default is set (SetDefault); every field may be
+// nil independently, and each emit method pays one nil check per sink it
+// feeds (a timeline-only run does no tracer work).
 type Hub struct {
 	// Tracer receives typed events; nil disables tracing.
 	Tracer *Tracer
@@ -333,11 +334,10 @@ var defaultHub struct {
 	h  Hub
 }
 
-// SetDefault installs the process-wide fallback hub used by runs that were
-// not given a sink explicitly (cmd/experiments wires its -trace-out,
-// -attrib, -timeline and -exemplars flags here, so every harness that
-// builds its scenarios through experiments.RunScenario is captured without
-// threading a hub through each figure).
+// SetDefault installs the process-wide fallback hub: Attach fills every
+// sink a hub leaves nil from it, so each platform, rack and pool built while
+// it is set records into it (cmd/experiments wires its -trace-out, -attrib,
+// -timeline and -exemplars flags here). A sink a caller sets itself is kept.
 func SetDefault(h Hub) {
 	defaultHub.mu.Lock()
 	defaultHub.h = h
@@ -351,10 +351,10 @@ func Default() Hub {
 	return defaultHub.h
 }
 
-// OrDefault fills each sink h leaves nil from the process default. Tracer and
+// orDefault fills each sink h leaves nil from the process default. Tracer and
 // Reg are one sink for this purpose: they fall back together, and only when
 // both are nil. A sink h sets is never replaced.
-func (h Hub) OrDefault() Hub {
+func (h Hub) orDefault() Hub {
 	def := Default()
 	if h.Tracer == nil && h.Reg == nil {
 		h.Tracer, h.Reg = def.Tracer, def.Reg
