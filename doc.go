@@ -4,7 +4,7 @@
 //
 // The repository contains a discrete-event serverless-platform simulator
 // with a page-granularity memory model (internal/faas, internal/pagemem,
-// internal/rmem, internal/fastswap, internal/cgroup for the node ledger and PSI), the
+// internal/rmem, internal/cgroup for the node ledger and PSI), the
 // paper's FaaSMem policy (internal/core), the TMO and region-based DAMON
 // baselines (internal/policy), an Azure-like trace generator with real-CSV
 // import (internal/trace), the 11 benchmark workload profiles

@@ -26,7 +26,7 @@ func main() {
 	}
 
 	// Attach a tracer and a metric registry to the platform; every subsystem
-	// (containers, policy, pool link, swap device) reports into them.
+	// (containers, policy, pool link, swap path) reports into them.
 	hub := telemetry.Hub{
 		Tracer: telemetry.NewTracer(0), // 0 = default 64 Ki event ring
 		Reg:    telemetry.NewRegistry(),

@@ -7,7 +7,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -24,7 +23,8 @@ import (
 // TestSinksCoherent runs one scenario with all five sinks on and every
 // emitting path exercised — a merging memory node with write-hot runtime
 // pages (copy-on-write unmerge), a workflow passing state through shared
-// regions, and a fault plan recovered through the local swap copy — and
+// regions, and a fault plan recovered through the local swap copy on one
+// node and through cold re-inits on a second node sharing the pool — and
 // checks that each occurrence reads the same in every sink that counts it.
 func TestSinksCoherent(t *testing.T) {
 	const d = 20 * time.Minute
@@ -43,14 +43,24 @@ func TestSinksCoherent(t *testing.T) {
 			Node:   &memnode.Config{MergeScope: memnode.MergeFunction},
 			Faults: faultinject.New(faultinject.Config{Horizon: d, Intensity: 0.8, Seed: 5}),
 		},
-		Swap:      fastswap.Config{FallbackReadLatency: 50 * time.Microsecond},
+		Swap:      faas.SwapConfig{FallbackReadLatency: 50 * time.Microsecond},
 		Telemetry: h,
 	}, core.New(core.Config{}))
-	for _, name := range []string{"json", "web"} {
-		prof := *workload.ByName(name)
-		prof.RuntimeWriteRatio = 0.3
-		p.Register(prof.Name, &prof)
-		p.ScheduleInvocations(prof.Name, HighLoadInvocations(d, 11))
+	// A second node on the same pool keeps no local copy, so its timed-out
+	// fetches force cold re-inits.
+	p1 := faas.NewWithPool(e, faas.Config{
+		KeepAliveTimeout: 8 * time.Minute,
+		Seed:             11,
+		NodeID:           "n1",
+		Telemetry:        h,
+	}, core.New(core.Config{}), p.Pool())
+	for _, node := range []*faas.Platform{p, p1} {
+		for _, name := range []string{"json", "web"} {
+			prof := *workload.ByName(name)
+			prof.RuntimeWriteRatio = 0.3
+			node.Register(prof.Name, &prof)
+			node.ScheduleInvocations(prof.Name, HighLoadInvocations(d, 11))
+		}
 	}
 	wf, err := workload.WorkflowByName("pipeline")
 	if err != nil {
@@ -78,7 +88,22 @@ func TestSinksCoherent(t *testing.T) {
 	}
 
 	// Sum each sink's view of the run.
-	counter := func(name string) int64 { return h.Reg.Counter(name, "").Value() }
+	// Counters are read from a snapshot, so a name no emitter registered
+	// fails instead of reading a fresh zero.
+	counters := map[string]int64{}
+	for _, s := range h.Reg.Snapshot() {
+		if s.Type == telemetry.CounterType {
+			counters[s.Name] = s.Value
+		}
+	}
+	counter := func(name string) int64 {
+		t.Helper()
+		v, ok := counters[name]
+		if !ok {
+			t.Fatalf("registry has no counter %s", name)
+		}
+		return v
+	}
 	timeline := map[string]int64{}
 	for _, r := range h.Timeline.Rows() {
 		if r.Kind == timeseries.Counter.String() {
@@ -198,6 +223,7 @@ func TestSinksCoherent(t *testing.T) {
 		"fetch retries":      events[telemetry.KindFetchRetry],
 		"fetch timeouts":     events[telemetry.KindFetchTimeout],
 		"fallback pages":     eventValue[telemetry.KindLocalFallback],
+		"cold re-inits":      events[telemetry.KindColdReinit],
 		"requests":           events[telemetry.KindRequest],
 		"shared-region maps": int64(regions.Stats().Maps),
 	} {

@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/core"
-	"github.com/faasmem/faasmem/internal/fastswap"
+	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -174,7 +174,7 @@ func Readahead(seed int64) []ReadaheadRow {
 			Policy:      FaaSMem,
 			SeedHistory: true,
 			Seed:        seed,
-			Swap:        fastswap.Config{ReadaheadPages: window},
+			Swap:        faas.SwapConfig{ReadaheadPages: window},
 		}
 	}
 	outs := RunScenarios(scs)

@@ -13,7 +13,6 @@ import (
 	"github.com/faasmem/faasmem/internal/cluster"
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/policy"
@@ -61,7 +60,7 @@ func flowLedgerRack() *timeseries.Recorder {
 		Node: faas.Config{
 			KeepAliveTimeout: keepAlive,
 			Seed:             3,
-			Swap: fastswap.Config{
+			Swap: faas.SwapConfig{
 				ReadaheadPages:      8,
 				FallbackReadLatency: 50 * time.Microsecond,
 			},

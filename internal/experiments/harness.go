@@ -11,7 +11,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/policy"
@@ -60,9 +59,9 @@ type Scenario struct {
 	// 56 Gbps RDMA defaults). Use rmem.CXLConfig or rmem.SSDConfig for the
 	// §9 technology comparison.
 	Pool rmem.Config
-	// Swap overrides the swap-device configuration (slot capacity,
-	// readahead window).
-	Swap fastswap.Config
+	// Swap overrides the swap-path configuration (readahead window, local
+	// fallback).
+	Swap faas.SwapConfig
 	// MemTimeline, when non-nil, receives (time, node local MB) samples
 	// every 10 s (Fig. 13's timeline plot).
 	MemTimeline *metrics.Series

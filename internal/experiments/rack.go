@@ -7,7 +7,6 @@ import (
 	"github.com/faasmem/faasmem/internal/cluster"
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/metrics"
@@ -103,7 +102,7 @@ func faultRack(d, keepAlive time.Duration, seed int64,
 		Intensity: intensity,
 		Seed:      seed,
 	})
-	var swap fastswap.Config
+	var swap faas.SwapConfig
 	if fallback {
 		swap.FallbackReadLatency = 50 * time.Microsecond
 	}

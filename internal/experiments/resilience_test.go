@@ -7,7 +7,6 @@ import (
 
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/faas"
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -176,7 +175,7 @@ func TestReadaheadUnderFaultPlan(t *testing.T) {
 			Intensity: 0.3,
 			Seed:      5,
 		})},
-		Swap:      fastswap.Config{ReadaheadPages: 8},
+		Swap:      faas.SwapConfig{ReadaheadPages: 8},
 		Telemetry: telemetry.Hub{Reg: reg},
 	}, core.New(core.Config{}))
 	for i, name := range []string{"json", "web"} {
@@ -186,7 +185,7 @@ func TestReadaheadUnderFaultPlan(t *testing.T) {
 	}
 	e.RunUntil(horizon)
 	agg, rec := p.Aggregate(), p.Recovery()
-	raPages := reg.Counter("faasmem_swap_cluster_pages_total", "").Value()
+	raPages := reg.Counter("faasmem_readahead_pages_total", "").Value()
 	if rec.FetchRetries == 0 || agg.FaultPages == 0 || raPages == 0 {
 		t.Fatalf("readahead under the fault plan went unexercised: %d fetch retries, %d fault pages, %d readahead pages",
 			rec.FetchRetries, agg.FaultPages, raPages)

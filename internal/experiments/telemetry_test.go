@@ -53,7 +53,7 @@ func TestRunScenarioTelemetry(t *testing.T) {
 	}
 
 	for _, name := range []string{
-		"faasmem_containers_launched_total",
+		"faasmem_cold_starts_total",
 		"faasmem_requests_completed_total",
 		"faasmem_fault_pages_total",
 		"faasmem_link_offload_bytes_total",

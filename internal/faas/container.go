@@ -46,9 +46,9 @@ type Container struct {
 
 	requests  int
 	idle      bool
-	arrival   simtime.Time // current request's arrival, before any cold start
-	started   simtime.Time // current request's execution start
-	curKind   StartKind    // how the current request found this container
+	arrival   simtime.Time   // current request's arrival, before any cold start
+	started   simtime.Time   // current request's execution start
+	curKind   span.StartKind // how the current request found this container
 	curFaults int
 	curRA     int // readahead pages recalled with the current faults
 	curStall  time.Duration
@@ -188,9 +188,8 @@ func (c *Container) execute(arrival simtime.Time) {
 		case err == nil:
 			if readahead > 0 {
 				c.p.pool.RecallDescribed(now, c.owner, c.fn.id, ra)
-				c.p.swap.NoteClusterRead(readahead)
 			}
-		case c.p.swap.FallbackEnabled():
+		case c.p.cfg.Swap.FallbackReadLatency > 0:
 			stall = c.serveLocal(now, stall, fc, ra)
 		default:
 			c.reinit(stall, recalled)
@@ -304,7 +303,7 @@ func (c *Container) priceStateHooks(now simtime.Time) time.Duration {
 // the readahead window of virtually-contiguous remote neighbours, which are
 // recalled (counted separately) without their own fault rounds.
 func (c *Container) touchSpans(seg pagemem.Range, spans []workload.Span) (faults, readahead int) {
-	window := c.p.swap.Readahead()
+	window := c.p.cfg.Swap.ReadaheadPages
 	for _, s := range spans {
 		r, ok := spanPages(c.space, seg, s)
 		if !ok {
@@ -406,7 +405,7 @@ func (c *Container) finishRequest() {
 		StallTime:   c.curStall,
 	})
 	c.p.tel.RequestDone(telemetry.Request{
-		Container: c.id, Fn: c.fn.id, Kind: span.StartKind(c.curKind),
+		Container: c.id, Fn: c.fn.id, Kind: c.curKind,
 		Arrival: arrival, Start: c.started, End: now, Faults: c.curFaults,
 	}, func() span.Invocation { return c.buildInvocation(arrival, now) })
 	// Recovery attribution is per-request; clear it before the next
@@ -451,7 +450,7 @@ func (c *Container) buildInvocation(arrival, now simtime.Time) span.Invocation {
 		Start: arrival,
 		Dur:   time.Duration(now - arrival),
 	}
-	if c.curKind == ColdStart {
+	if c.curKind == span.Cold {
 		if c.curReinit && c.curRetryWait > 0 {
 			// A cold re-init replay: the backoff burned before the relaunch
 			// precedes the launch span (the fresh container has no remote
@@ -480,7 +479,7 @@ func (c *Container) buildInvocation(arrival, now simtime.Time) span.Invocation {
 		// The batch faults at exec start in this model, so the stall leads
 		// the exec span.
 		phase := span.PhaseFaultStall
-		if c.curKind == SemiWarmStart {
+		if c.curKind == span.SemiWarm {
 			phase = span.PhaseRestore
 		}
 		stall := span.Span{
@@ -537,7 +536,7 @@ func (c *Container) buildInvocation(arrival, now simtime.Time) span.Invocation {
 	return span.Invocation{
 		Function:  c.fn.id,
 		Container: c.id,
-		Kind:      span.StartKind(c.curKind),
+		Kind:      c.curKind,
 		Root:      root,
 	}
 }

@@ -16,15 +16,14 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/cgroup"
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/metrics"
-	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/ring"
+	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -37,8 +36,8 @@ type Config struct {
 	// Pool configures the remote memory pool and its link. Ignored when the
 	// platform is constructed with NewWithPool (rack-shared pool).
 	Pool rmem.Config
-	// Swap configures the node's swap device (readahead, local fallback).
-	Swap fastswap.Config
+	// Swap configures the node's swap path (readahead, local fallback).
+	Swap SwapConfig
 	// AdaptiveKeepAlive replaces the fixed keep-alive timeout with a
 	// per-function adaptive one in the spirit of the hybrid-histogram policy
 	// (Shahrad et al., §10 of the paper): once a function has enough reuse
@@ -78,12 +77,34 @@ type Config struct {
 	NodeID string
 }
 
+// SwapConfig configures the swap path of the paper's ported Fastswap:
+// offloaded pages occupy swapfile slots (the node's remote pages; the
+// artifact's 32 GiB swapfile never fills, so there is no capacity), and
+// demand faults may read ahead neighbouring slots the way the kernel's swap
+// readahead (vm.page-cluster) does — the hook for the §10 "prefetching
+// remote memory" (Leap) extension.
+type SwapConfig struct {
+	// ReadaheadPages is how many virtually-contiguous remote neighbours one
+	// fault pulls in alongside the faulting page (vm.page-cluster=3 reads
+	// 8 pages). Zero disables readahead; a negative value clamps to zero.
+	ReadaheadPages int
+	// FallbackReadLatency, when positive, models a write-through local copy
+	// of every offloaded page (dual swap backends: RDMA primary, disk
+	// secondary). A fetch that times out against the pool can then be
+	// served locally at this per-page read latency instead of forcing a
+	// cold re-init. Zero disables the fallback.
+	FallbackReadLatency time.Duration
+}
+
 // adaptiveKeepAliveMin floors the adaptive keep-alive timeout.
 const adaptiveKeepAliveMin = 15 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.KeepAliveTimeout <= 0 {
 		c.KeepAliveTimeout = 10 * time.Minute
+	}
+	if c.Swap.ReadaheadPages < 0 {
+		c.Swap.ReadaheadPages = 0
 	}
 	return c
 }
@@ -228,7 +249,6 @@ type Platform struct {
 	mem        cgroup.Ledger
 	liveTW     *metrics.TimeWeighted
 	governor   *rmem.Governor
-	swap       *fastswap.Device
 	reqLog     ring.Ring[RequestRecord]
 	tel        telemetry.Hub
 	containers int // ever created
@@ -261,14 +281,12 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 		mem:      cgroup.NewLedger(engine.Now()),
 		liveTW:   metrics.NewTimeWeighted(engine.Now(), 0),
 		governor: rmem.NewGovernor(pool, 0.7),
-		swap:     fastswap.NewDevice(c.Swap),
 	}
 	node := c.NodeID
 	if node == "" {
 		node = "n0"
 	}
 	p.tel = c.Telemetry.Attach(node)
-	p.swap.Instrument(p.tel.Reg)
 	if c.RequestLogSize > 0 {
 		p.reqLog = ring.New[RequestRecord](c.RequestLogSize)
 	}
@@ -362,12 +380,12 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 		f.stats.ReusedIntervals = append(f.stats.ReusedIntervals, idleFor)
 		if sw, ok := c.pol.(policy.SemiWarmer); ok && sw.InSemiWarm() {
 			f.stats.SemiWarmStarts++
-			c.curKind = SemiWarmStart
+			c.curKind = span.SemiWarm
 		} else {
 			f.stats.WarmStarts++
-			c.curKind = WarmStart
+			c.curKind = span.Warm
 		}
-		p.tel.WarmStart(c.curKind == SemiWarmStart)
+		p.tel.WarmStart(c.curKind == span.SemiWarm)
 		c.curResched = resched
 		c.curHooks = hooks
 		c.wake()
@@ -376,7 +394,7 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 	}
 	f.stats.ColdStarts++
 	c := p.launch(f)
-	c.curKind = ColdStart
+	c.curKind = span.Cold
 	c.curResched = resched
 	c.curHooks = hooks
 	// Cold start: the runtime loads, then the function initializes, then the
@@ -391,17 +409,11 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 }
 
 // account applies one container's residency change at now to the node
-// ledger (see cgroup.Ledger.Apply) and syncs the node memory and swap-slot
-// gauges.
+// ledger (see cgroup.Ledger.Apply) and syncs the node memory gauges.
 func (p *Platform) account(now simtime.Time, local int64, remote ...int64) {
 	p.mem.Apply(now, local, remote...)
 	p.tel.NodeMemory(p.NodeLocalBytes(), p.NodeRemoteBytes())
-	p.swap.SetUsed(p.remotePages())
 }
-
-// remotePages returns the node's remote pages, which are its occupied swap
-// slots.
-func (p *Platform) remotePages() int { return int(p.NodeRemoteBytes() / pagemem.DefaultPageSize) }
 
 // NodeLocalBytes returns the node's current local memory consumption across
 // all containers.

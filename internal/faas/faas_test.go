@@ -4,13 +4,13 @@ import (
 	"testing"
 	"time"
 
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
+	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
 )
@@ -212,7 +212,7 @@ func TestOffloadedPagesFaultBackOnAccess(t *testing.T) {
 // way the statistics equal what the completed requests recorded.
 func TestFaultStatsCountDeliveredPagesOnly(t *testing.T) {
 	for _, fallback := range []bool{true, false} {
-		swap := fastswap.Config{}
+		swap := SwapConfig{}
 		if fallback {
 			swap.FallbackReadLatency = 50 * time.Microsecond
 		}
@@ -407,10 +407,12 @@ func TestSwapSlotsReleasedOnFault(t *testing.T) {
 	p := New(e, Config{KeepAliveTimeout: 30 * time.Second, Seed: 1}, offloadAllPolicy{})
 	p.Register("f", tinyProfile())
 	p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
-	var afterOffload, afterFault int
-	e.At(1500*time.Millisecond, func(*simtime.Engine) { afterOffload = p.remotePages() })
+	// Every remote page holds one swap slot.
+	slots := func() int64 { return p.NodeRemoteBytes() / pagemem.DefaultPageSize }
+	var afterOffload, afterFault int64
+	e.At(1500*time.Millisecond, func(*simtime.Engine) { afterOffload = slots() })
 	// Sample mid-execution of the second request (it re-offloads at idle).
-	e.At(2050*time.Millisecond, func(*simtime.Engine) { afterFault = p.remotePages() })
+	e.At(2050*time.Millisecond, func(*simtime.Engine) { afterFault = slots() })
 	e.RunUntil(5 * time.Second)
 	if afterOffload == 0 {
 		t.Fatal("no slots allocated by offload")
@@ -420,12 +422,55 @@ func TestSwapSlotsReleasedOnFault(t *testing.T) {
 	}
 }
 
+func TestReleaseReturnsSlots(t *testing.T) {
+	// Slots freed by swap-in or teardown leave the node's remote gauge: it
+	// follows the node's remote bytes, down to zero once the container is
+	// recycled.
+	e := simtime.NewEngine()
+	reg := telemetry.NewRegistry()
+	p := New(e, Config{KeepAliveTimeout: 10 * time.Second, Seed: 1, Telemetry: telemetry.Hub{Reg: reg}}, offloadAllPolicy{})
+	p.Register("f", tinyProfile())
+	p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
+	gauge := reg.Gauge("faasmem_node_remote_bytes", "")
+	var offloaded int64
+	check := func(at time.Duration) {
+		e.At(simtime.Time(at), func(*simtime.Engine) {
+			if got, want := gauge.Value(), p.NodeRemoteBytes(); got != want {
+				t.Errorf("at %v: remote gauge = %d, node remote = %d", at, got, want)
+			}
+			offloaded = max(offloaded, gauge.Value())
+		})
+	}
+	check(1500 * time.Millisecond) // offloaded while idle
+	check(2050 * time.Millisecond) // mid-request, after its faults
+	e.Run()
+	if offloaded == 0 {
+		t.Fatal("no slots allocated by offload")
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Fatalf("remote gauge = %d after recycle, want 0", got)
+	}
+}
+
+func TestReadaheadConfig(t *testing.T) {
+	window := func(ra int) int {
+		p := New(simtime.NewEngine(), Config{Swap: SwapConfig{ReadaheadPages: ra}}, policy.NoOffload{})
+		return p.Config().Swap.ReadaheadPages
+	}
+	if window(8) != 8 {
+		t.Error("readahead not configured")
+	}
+	if window(-1) != 0 {
+		t.Error("negative readahead should clamp to 0")
+	}
+}
+
 func TestReadaheadReducesFaults(t *testing.T) {
 	run := func(ra int) (faults int64, recalled int64) {
 		e := simtime.NewEngine()
 		p := New(e, Config{
 			KeepAliveTimeout: 30 * time.Second,
-			Swap:             fastswap.Config{ReadaheadPages: ra},
+			Swap:             SwapConfig{ReadaheadPages: ra},
 			Seed:             1,
 		}, offloadAllPolicy{})
 		f := p.Register("f", tinyProfile())
@@ -472,7 +517,7 @@ func TestRequestLogRecordsPaths(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("records = %d, want 2", len(recs))
 	}
-	if recs[0].Kind != ColdStart || recs[1].Kind != WarmStart {
+	if recs[0].Kind != span.Cold || recs[1].Kind != span.Warm {
 		t.Fatalf("kinds = %v/%v, want cold/warm", recs[0].Kind, recs[1].Kind)
 	}
 	if recs[1].FaultPages == 0 || recs[1].StallTime == 0 {
@@ -517,8 +562,8 @@ func TestRequestLogRingEviction(t *testing.T) {
 }
 
 func TestStartKindStrings(t *testing.T) {
-	if ColdStart.String() != "cold" || WarmStart.String() != "warm" ||
-		SemiWarmStart.String() != "semi-warm" {
+	if span.Cold.String() != "cold" || span.Warm.String() != "warm" ||
+		span.SemiWarm.String() != "semi-warm" {
 		t.Error("start kind strings")
 	}
 }

@@ -3,7 +3,7 @@ package faas
 // Invariant tests: a container's residency is derived from its page Space
 // (plus an in-flight request's exec charge), and the node books the same
 // bytes once more in its time-weighted ledger, the pool in its remote
-// ledger, and the swap device's slot gauge in pages. A policy or platform
+// ledger, and the registry in its node remote gauge. A policy or platform
 // path that moved pages without booking them, or booked them twice, would
 // silently invalidate every figure, so these checks run random workloads,
 // with and without every remote-memory feature on, and reconcile the books
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/core"
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/pagemem"
@@ -104,9 +103,8 @@ func reconcile(t *testing.T, p *Platform, lp *ledgerProbe, reg *telemetry.Regist
 	if got := p.Pool().Used(); got != remote {
 		t.Errorf("%s: pool used %d != container remote %d", label, got, remote)
 	}
-	slots := reg.Gauge("faasmem_swap_slots_used", "").Value()
-	if want := remote / pagemem.DefaultPageSize; slots != want {
-		t.Errorf("%s: swap-slot gauge %d != remote pages %d", label, slots, want)
+	if got := reg.Gauge("faasmem_node_remote_bytes", "").Value(); got != remote {
+		t.Errorf("%s: node remote gauge %d != container remote %d", label, got, remote)
 	}
 }
 
@@ -251,7 +249,7 @@ func TestAccountingInvariantsUnderFaults(t *testing.T) {
 			var breaks, breakRecalls int64
 			for seed := int64(1); seed <= 4; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				swap := fastswap.Config{ReadaheadPages: 4}
+				swap := SwapConfig{ReadaheadPages: 4}
 				if fallback {
 					swap.FallbackReadLatency = 50 * time.Microsecond
 				}

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/faasmem/faasmem/internal/fastswap"
 	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
@@ -74,7 +73,7 @@ func refTouchSpans(c *Container, seg pagemem.Range, spans []workload.Span) (faul
 		start := seg.Start + pagemem.PageID(sp.Start/ps)
 		end := min(seg.Start+pagemem.PageID((sp.End+ps-1)/ps), seg.End)
 		if start < end {
-			f, ra := refTouchRange(c, seg, start, end, c.p.swap.Readahead())
+			f, ra := refTouchRange(c, seg, start, end, c.p.cfg.Swap.ReadaheadPages)
 			faults += f
 			readahead += ra
 		}
@@ -170,10 +169,10 @@ func walkContainer(seed int64) *Container {
 	return c
 }
 
-// withWindow gives c a platform whose swap device reads ahead window pages,
+// withWindow gives c a platform whose swap path reads ahead window pages,
 // which is all the touch walk reads from it.
 func withWindow(c *Container, window int) *Container {
-	c.p = &Platform{swap: fastswap.NewDevice(fastswap.Config{ReadaheadPages: window})}
+	c.p = &Platform{cfg: Config{Swap: SwapConfig{ReadaheadPages: window}}}
 	return c
 }
 

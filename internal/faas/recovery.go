@@ -1,8 +1,11 @@
 package faas
 
 import (
+	"time"
+
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry/span"
 )
 
 // This file is the container side of the fault-recovery state machine.
@@ -21,7 +24,7 @@ import (
 // discards them as the remote bytes they still are.
 
 // serveLocal serves a timed-out fetch's pages (demand faults fc and
-// readahead ra) from the swap device's local write-through copy: they are
+// readahead ra) from the swap path's local write-through copy: they are
 // read at the fallback read latency and leave the pool ledger without wire
 // traffic. It returns stall, which carries the backoff already spent, with
 // the fallback read added to its total.
@@ -31,7 +34,7 @@ func (c *Container) serveLocal(now simtime.Time, stall rmem.FaultStall, fc, ra r
 		all[cls] = fc[cls] + ra[cls]
 	}
 	pages := all.Total()
-	fbLat := c.p.swap.FallbackRead(pages)
+	fbLat := time.Duration(pages) * c.p.cfg.Swap.FallbackReadLatency
 	c.p.pool.RecallLocal(now, c.owner, c.fn.id, all)
 	c.fn.stats.FetchTimeouts++
 	c.fn.stats.FallbackPages += int64(pages)
@@ -65,7 +68,7 @@ func (c *Container) reinit(stall rmem.FaultStall, unfetched int64) {
 	relaunch := func(e *simtime.Engine) {
 		f.stats.ColdStarts++
 		nc := c.p.launch(f)
-		nc.curKind = ColdStart
+		nc.curKind = span.Cold
 		nc.curResched = resched
 		nc.curReinit = true
 		nc.curRetryWait = waited

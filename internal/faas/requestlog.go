@@ -4,35 +4,8 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
+	"github.com/faasmem/faasmem/internal/telemetry/span"
 )
-
-// StartKind labels how a request found its container.
-type StartKind int
-
-const (
-	// ColdStart launched a fresh container (runtime + init on the critical
-	// path).
-	ColdStart StartKind = iota
-	// WarmStart reused an idle container with its hot set local.
-	WarmStart
-	// SemiWarmStart reused a container that was in its semi-warm period
-	// (some hot pages remote, recalled on access).
-	SemiWarmStart
-)
-
-// String implements fmt.Stringer.
-func (k StartKind) String() string {
-	switch k {
-	case ColdStart:
-		return "cold"
-	case WarmStart:
-		return "warm"
-	case SemiWarmStart:
-		return "semi-warm"
-	default:
-		return "unknown"
-	}
-}
 
 // RequestRecord traces one request end to end.
 type RequestRecord struct {
@@ -40,7 +13,7 @@ type RequestRecord struct {
 	Function  string `json:"function"`
 	Container string `json:"container"`
 	// Kind is the start path.
-	Kind StartKind `json:"kind"`
+	Kind span.StartKind `json:"kind"`
 	// Arrival and Start are virtual times; Start excludes cold-start work.
 	Arrival simtime.Time `json:"arrival"`
 	Start   simtime.Time `json:"start"`

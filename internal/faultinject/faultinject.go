@@ -2,8 +2,8 @@
 // the remote-memory path: virtual-time schedules of link flaps, bandwidth
 // degradation windows, pool-node crashes, memnode tier-full storms, and
 // fault-latency spikes. A plan is built once before a run and injected
-// beneath rmem/fastswap; the recovery machinery (bounded retry, fetch
-// timeouts, local-swap fallback, cold re-init, degraded-mode governor
+// beneath rmem and the swap path; the recovery machinery (bounded retry,
+// fetch timeouts, local-swap fallback, cold re-init, degraded-mode governor
 // clamps, cluster rescheduling) reacts to the plan's windows.
 //
 // Design constraints, matching the rest of the simulator:

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,7 +55,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 
 	run := scrape(t, h, http.MethodPost, "/run",
-		`{"bench":"json","policy":"faasmem","duration_sec":120,"mean_gap_sec":10,"seed":3}`)
+		`{"bench":"json","policy":"faasmem","duration_sec":120,"mean_gap_sec":10,"seed":3,`+
+			`"merge_scope":"tenant","fault_intensity":0.5}`)
 	if run.Code != http.StatusOK {
 		t.Fatalf("run status = %d: %s", run.Code, run.Body.String())
 	}
@@ -74,9 +76,74 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := metricValue(t, after, "faasmem_requests_completed_total"); v == 0 {
 		t.Error("faasmem_requests_completed_total = 0 after a run")
 	}
-	if v := metricValue(t, after, "faasmem_containers_launched_total"); v == 0 {
-		t.Error("faasmem_containers_launched_total = 0 after a run")
+	if v := metricValue(t, after, "faasmem_cold_starts_total"); v == 0 {
+		t.Error("faasmem_cold_starts_total = 0 after a run")
 	}
+	// The exposed families are pinned, so a family that only copies another
+	// cannot come back unnoticed.
+	var families []string
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(after, -1) {
+		families = append(families, m[1])
+	}
+	slices.Sort(families)
+	if !slices.Equal(families, metricsFamilies) {
+		t.Errorf("/metrics families (%d):\n%s\nwant (%d):\n%s", len(families), strings.Join(families, "\n"),
+			len(metricsFamilies), strings.Join(metricsFamilies, "\n"))
+	}
+}
+
+// metricsFamilies is every family /metrics exposes after a merging /run
+// under a fault plan, sorted.
+var metricsFamilies = []string{
+	"faasmem_cold_reinits_total",
+	"faasmem_cold_starts_total",
+	"faasmem_container_recycles_total",
+	"faasmem_containers_evicted_total",
+	"faasmem_degraded_transitions_total",
+	"faasmem_fallback_pages_total",
+	"faasmem_fault_pages_total",
+	"faasmem_fetch_retries_total",
+	"faasmem_fetch_timeouts_total",
+	"faasmem_injected_stall_us_total",
+	"faasmem_link_offload_bytes_total",
+	"faasmem_link_recall_bytes_total",
+	"faasmem_link_saturation_events_total",
+	"faasmem_live_containers",
+	"faasmem_memnode_cache_hit_pages_total",
+	"faasmem_memnode_cache_miss_pages_total",
+	"faasmem_memnode_cache_used_bytes",
+	"faasmem_memnode_compress_saved_bytes",
+	"faasmem_memnode_compressed_pages_total",
+	"faasmem_memnode_dedup_hit_pages_total",
+	"faasmem_memnode_dedup_saved_bytes",
+	"faasmem_memnode_dram_used_bytes",
+	"faasmem_memnode_evictions_total",
+	"faasmem_memnode_full_reject_pages_total",
+	"faasmem_memnode_logical_bytes",
+	"faasmem_memnode_merged_pages_total",
+	"faasmem_memnode_quota_reject_pages_total",
+	"faasmem_memnode_resident_bytes",
+	"faasmem_memnode_spill_used_bytes",
+	"faasmem_memnode_spilled_pages_total",
+	"faasmem_node_local_bytes",
+	"faasmem_node_remote_bytes",
+	"faasmem_pages_offloaded_exec_total",
+	"faasmem_pages_offloaded_init_total",
+	"faasmem_pages_offloaded_runtime_total",
+	"faasmem_pages_offloaded_shared_total",
+	"faasmem_pages_offloaded_unsegmented_total",
+	"faasmem_pool_used_bytes",
+	"faasmem_readahead_pages_total",
+	"faasmem_request_latency_seconds",
+	"faasmem_requests_completed_total",
+	"faasmem_semiwarm_starts_total",
+	"faasmem_swap_cluster_reads_total",
+	"faasmem_warm_starts_total",
+	"faasmem_write_break_pages_total",
+	"gateway_errors_total",
+	"gateway_experiments_total",
+	"gateway_replays_total",
+	"gateway_runs_total",
 }
 
 // TestMetricsConcurrentScrape exercises /metrics while runs are in flight —

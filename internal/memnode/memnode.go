@@ -339,7 +339,6 @@ type nodeMetrics struct {
 	quotaRejects *telemetry.Metric
 	fullRejects  *telemetry.Metric
 	merged       *telemetry.Metric
-	unmerged     *telemetry.Metric
 	cacheHits    *telemetry.Metric
 	cacheMisses  *telemetry.Metric
 	cacheUsed    *telemetry.Metric
@@ -389,7 +388,6 @@ func (n *Node) Instrument(reg *telemetry.Registry) {
 		quotaRejects: reg.Counter("faasmem_memnode_quota_reject_pages_total", "offloaded pages rejected by tenant quota"),
 		fullRejects:  reg.Counter("faasmem_memnode_full_reject_pages_total", "offloaded pages rejected because DRAM and spill were full"),
 		merged:       reg.Counter("faasmem_memnode_merged_pages_total", "pages admitted onto a merge master wider than their function"),
-		unmerged:     reg.Counter("faasmem_memnode_unmerged_pages_total", "pages privatized by copy-on-write unmerge breaks"),
 		cacheHits:    reg.Counter("faasmem_memnode_cache_hit_pages_total", "recalled pages served from the shared cache tier"),
 		cacheMisses:  reg.Counter("faasmem_memnode_cache_miss_pages_total", "recalled shared pages that missed the cache tier"),
 		cacheUsed:    reg.Gauge("faasmem_memnode_cache_used_bytes", "shared cache tier occupancy"),

@@ -193,7 +193,6 @@ func (n *Node) WriteBreak(owner, fn string, class Class, pages int) BreakResult 
 
 	n.unmergeBreaks++
 	n.unmergedPages += int64(private)
-	n.met.unmerged.Add(int64(private))
 	if rb := n.ResidentBytes(); rb > n.peakResidentBytes {
 		n.peakResidentBytes = rb
 	}

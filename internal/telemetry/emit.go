@@ -37,13 +37,13 @@ var stageClass = [NumStages]string{
 
 // handles are the registry metrics the emit methods update.
 type handles struct {
-	launches, coldStarts, warmStarts, semiWarmStarts *Metric
-	requests, recycles, evictions                    *Metric
-	faultPages, readaheadPages, writeBreaks          *Metric
-	coldReinits, fallbackPages                       *Metric
-	offloadedPages                                   [NumStages]*Metric
-	live, localBytes, remoteBytes                    *Metric
-	reqLatency                                       *Histogram
+	coldStarts, warmStarts, semiWarmStarts   *Metric
+	requests, recycles, evictions            *Metric
+	faultPages, readaheadPages, writeBreaks  *Metric
+	clusterReads, coldReinits, fallbackPages *Metric
+	offloadedPages                           [NumStages]*Metric
+	live, localBytes, remoteBytes            *Metric
+	reqLatency                               *Histogram
 	// linkBytes is indexed by link direction (0 offload, 1 recall).
 	linkBytes                              [2]*Metric
 	poolUsed                               *Metric
@@ -59,7 +59,6 @@ type handles struct {
 func newHandles(reg *Registry, tl *timeseries.Recorder, node string) handles {
 	nd := timeseries.Dims{Node: node}
 	return handles{
-		launches:       reg.Counter("faasmem_containers_launched_total", "containers ever cold-started"),
 		coldStarts:     reg.Counter("faasmem_cold_starts_total", "requests that launched a new container"),
 		warmStarts:     reg.Counter("faasmem_warm_starts_total", "requests served by a fully-local idle container"),
 		semiWarmStarts: reg.Counter("faasmem_semiwarm_starts_total", "requests served by a partially-offloaded idle container"),
@@ -68,6 +67,7 @@ func newHandles(reg *Registry, tl *timeseries.Recorder, node string) handles {
 		evictions:      reg.Counter("faasmem_containers_evicted_total", "idle containers evicted by the node memory limit"),
 		faultPages:     reg.Counter("faasmem_fault_pages_total", "remote pages demand-faulted on request critical paths"),
 		readaheadPages: reg.Counter("faasmem_readahead_pages_total", "remote pages recalled by swap readahead"),
+		clusterReads:   reg.Counter("faasmem_swap_cluster_reads_total", "fault batches that pulled a readahead cluster"),
 		writeBreaks:    reg.Counter("faasmem_write_break_pages_total", "runtime pages privatized by copy-on-write unmerge breaks"),
 		coldReinits:    reg.Counter("faasmem_cold_reinits_total", "containers discarded and relaunched after a fetch timeout"),
 		fallbackPages:  reg.Counter("faasmem_fallback_pages_total", "remote pages served from the local swap copy during outages"),
@@ -133,7 +133,6 @@ func (h *Hub) trace(ev Event) {
 // Launch reports a cold start: a container launched for fn, leaving live
 // containers on the node.
 func (h *Hub) Launch(now simtime.Time, container, fn string, live int) {
-	h.met.launches.Inc()
 	h.met.coldStarts.Inc()
 	h.met.live.Set(int64(live))
 	h.trace(Event{At: now, Kind: KindContainerLaunch, Actor: container, Fn: fn})
@@ -238,8 +237,12 @@ func (h *Hub) RequestDone(r Request, tree func() span.Invocation) {
 }
 
 // FaultStall reports a request stalled for dur from now on demand faults:
-// faults[st] pages of each stage faulted and readahead[st] more rode along.
+// faults[st] pages of each stage faulted and readahead[st] more rode along,
+// so a batch with any readahead is one cluster read.
 func (h *Hub) FaultStall(now simtime.Time, dur time.Duration, container, fn string, faults, readahead [NumStages]int) {
+	if readahead != ([NumStages]int{}) {
+		h.met.clusterReads.Inc()
+	}
 	for st := range faults {
 		h.met.faultPages.Add(int64(faults[st]))
 		h.met.readaheadPages.Add(int64(readahead[st]))

@@ -116,8 +116,8 @@ func PhaseByName(name string) (Phase, bool) {
 	return PhaseOther, false
 }
 
-// StartKind mirrors the platform's request start paths (faas.StartKind
-// values, in the same order) without importing the platform.
+// StartKind labels how a request found its container: the platform's
+// request start paths.
 type StartKind uint8
 
 // The start kinds.

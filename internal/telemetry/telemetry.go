@@ -56,7 +56,7 @@ const (
 	KindInitDone
 	// KindRequest spans one request execution (start → completion). Value is
 	// the request's remote fault count; Aux encodes the start kind
-	// (cold/warm/semi-warm, the faas.StartKind values).
+	// (cold/warm/semi-warm, the span.StartKind values).
 	KindRequest
 	// KindContainerIdle marks a container entering keep-alive.
 	KindContainerIdle

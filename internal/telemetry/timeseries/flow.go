@@ -31,7 +31,7 @@ const (
 	// FlowFault brings bytes back on a demand page fault.
 	FlowFault
 	// FlowFallback releases pool bytes whose content was served from the
-	// local swap device after a failed remote fetch.
+	// local swap copy after a failed remote fetch.
 	FlowFallback
 	// FlowDiscard drops a recycled container's pool bytes.
 	FlowDiscard
