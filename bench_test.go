@@ -706,7 +706,7 @@ func BenchmarkMergeLookup(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if node.MergedPages() == 0 {
+	if node.Stats().MergedPages == 0 {
 		b.Fatal("loop never exercised the widened-domain merge path")
 	}
 	if err := node.CheckInvariants(); err != nil {

@@ -21,9 +21,10 @@
 // any width too. The sinks capture every platform, rack and pool an
 // experiment builds, so fig1, fig5, fig6, fig9 and fig15, which build none,
 // are the only entries that record nothing. A sink an experiment sets
-// itself is kept: ext-attrib's spans, the ext-observe, ext-drilldown and
-// ext-stateful timelines, and ext-drilldown's exemplars stay in their own
-// recorders. -cpuprofile and -memprofile capture pprof profiles of the run.
+// itself is kept: ext-attrib's spans, the ext-stateful timeline, and the
+// timelines and exemplars of the fault-rack runs ext-observe and
+// ext-drilldown share stay in their own recorders. -cpuprofile and
+// -memprofile capture pprof profiles of the run.
 package main
 
 import (
@@ -43,6 +44,7 @@ import (
 	"github.com/faasmem/faasmem/internal/drilldown"
 	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/telemetry"
+	"github.com/faasmem/faasmem/internal/telemetry/chrome"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
@@ -63,7 +65,7 @@ func main() {
 	attrib := flag.Bool("attrib", false, "record the experiments' causal spans and print one latency-attribution table at the end (ext-attrib keeps its spans)")
 	timelineOut := flag.String("timeline", "", "record the experiments' per-window time-series rollups and write the timeline table to this file ('-' for stdout; ext-observe, ext-drilldown and ext-stateful keep their timelines)")
 	timelineWindow := flag.Duration("timeline-window", 10*time.Second, "rollup window for -timeline (virtual time)")
-	exemplarsOut := flag.String("exemplars", "", "retain the experiments' worst-K span trees per window and write the exemplar digest to this file ('-' for stdout; ext-drilldown keeps its exemplars)")
+	exemplarsOut := flag.String("exemplars", "", "retain the experiments' worst-K span trees per window and write the exemplar digest to this file ('-' for stdout; ext-observe and ext-drilldown keep theirs)")
 	exemplarK := flag.Int("exemplar-k", exemplar.DefaultK, "worst-K retention depth for -exemplars")
 	flag.Parse()
 
@@ -195,32 +197,25 @@ func main() {
 		}
 	}
 	if hub.Timeline != nil {
-		out := io.Writer(os.Stdout)
-		if *timelineOut != "-" {
-			f, err := os.Create(*timelineOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := timeseries.WriteText(out, hub.Timeline); err != nil {
-			fatal(err)
-		}
+		writeSink(*timelineOut, func(w io.Writer) error { return timeseries.WriteText(w, hub.Timeline) })
 	}
 	if hub.Exemplars != nil {
-		out := io.Writer(os.Stdout)
-		if *exemplarsOut != "-" {
-			f, err := os.Create(*exemplarsOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := drilldown.WriteExemplarsText(out, hub.Exemplars.Cells()); err != nil {
-			fatal(err)
-		}
+		writeSink(*exemplarsOut, func(w io.Writer) error {
+			return drilldown.WriteExemplarsText(w, hub.Exemplars.Cells())
+		})
+	}
+}
+
+// writeSink writes one sink's text to path, or to stdout for '-'.
+func writeSink(path string, write func(io.Writer) error) {
+	var err error
+	if path == "-" {
+		err = write(os.Stdout)
+	} else {
+		err = chrome.WriteFile(path, write)
+	}
+	if err != nil {
+		fatal(err)
 	}
 }
 

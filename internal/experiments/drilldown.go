@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/faasmem/faasmem/internal/drilldown"
-	"github.com/faasmem/faasmem/internal/telemetry"
 	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
@@ -41,58 +40,43 @@ type DrilldownCell struct {
 	Explanation *drilldown.Explanation `json:"explanation,omitempty"`
 }
 
-// Drilldown replays the resilience rack with both a time-series recorder and
-// a tail-exemplar recorder attached, then drills each intensity's worst
-// window down to flows, exemplars, and phase attribution. Each cell owns its
-// engine and recorders, so rows are bit-identical at any -scenario-workers
-// width (the CI determinism gate diffs widths 1 and 8). The timeline and
-// exemplar recorders share one window, so their cells align by index. seed
-// drives both the workload and the fault plan.
-func Drilldown(seed int64) []DrilldownCell {
-	run := func(intensity float64) DrilldownCell {
-		rec := timeseries.NewRecorder(timeseries.Config{Window: watchWindow})
-		exm := exemplar.NewRecorder(exemplar.Config{Window: watchWindow})
-		faultRack(watchDuration, watchKeepAlive, seed,
-			intensity, true, telemetry.Hub{Timeline: rec, Exemplars: exm})
-
-		cells := exm.Cells()
-		cell := DrilldownCell{
-			Intensity:     intensity,
-			ExemplarCells: len(cells),
-			FlowRows:      len(rec.FlowRows()),
-		}
-		audit := timeseries.AuditFlows(rec)
-		cell.AuditOK = audit.OK
-		cell.AuditChecks = audit.Checks
-		ex, err := drilldown.Explain(drilldown.Run{
-			Timeline:  timeseries.TakeSnapshot(rec),
-			Exemplars: cells,
-		}, -1)
-		if err != nil {
-			return cell
-		}
-		cell.Explanation = ex
-		cell.SpikeWindow = ex.Window
-		cell.SpikeStartSec = ex.StartSec
-		if ex.Summary != nil {
-			cell.SpikeP99Ms = ex.Summary.P99Ms
-		}
-		for _, bd := range ex.Exemplars {
-			for _, top := range bd.Top {
-				if top.LatencyMs > cell.WorstLatencyMs {
-					cell.WorstLatencyMs = top.LatencyMs
-					cell.WorstFunction = top.Function
-					cell.WorstKind = top.Kind
-					cell.DominantPhase = top.Dominant
-				}
-			}
-		}
+// drilldownCell drills one Watch run's worst window down to flows,
+// exemplars, and phase attribution. The timeline and exemplar recorders
+// share one window, so their cells align by index.
+func drilldownCell(intensity float64, rec *timeseries.Recorder, exm *exemplar.Recorder) DrilldownCell {
+	cells := exm.Cells()
+	cell := DrilldownCell{
+		Intensity:     intensity,
+		ExemplarCells: len(cells),
+		FlowRows:      len(rec.FlowRows()),
+	}
+	audit := timeseries.AuditFlows(rec)
+	cell.AuditOK = audit.OK
+	cell.AuditChecks = audit.Checks
+	ex, err := drilldown.Explain(drilldown.Run{
+		Timeline:  timeseries.TakeSnapshot(rec),
+		Exemplars: cells,
+	}, -1)
+	if err != nil {
 		return cell
 	}
-
-	cells := make([]DrilldownCell, len(watchIntensities))
-	runGrid(len(cells), func(i int) { cells[i] = run(watchIntensities[i]) })
-	return cells
+	cell.Explanation = ex
+	cell.SpikeWindow = ex.Window
+	cell.SpikeStartSec = ex.StartSec
+	if ex.Summary != nil {
+		cell.SpikeP99Ms = ex.Summary.P99Ms
+	}
+	for _, bd := range ex.Exemplars {
+		for _, top := range bd.Top {
+			if top.LatencyMs > cell.WorstLatencyMs {
+				cell.WorstLatencyMs = top.LatencyMs
+				cell.WorstFunction = top.Function
+				cell.WorstKind = top.Kind
+				cell.DominantPhase = top.Dominant
+			}
+		}
+	}
+	return cell
 }
 
 // PrintDrilldown renders the spike → exemplar → phase attribution chain, one

@@ -17,7 +17,8 @@ import (
 // are bit-identical at any -scenario-workers width.
 func TestDrilldownDeterministicAcrossWidths(t *testing.T) {
 	if w := DivergentWidth([]int{1, 8}, func() any {
-		return Drilldown(11)
+		_, cells := Watch(11)
+		return cells
 	}); w != -1 {
 		t.Fatalf("drilldown cells differ between workers=1 and workers=%d", w)
 	}

@@ -15,6 +15,7 @@ import (
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
@@ -32,8 +33,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // pages (copy-on-write unmerge), readahead and demand faults (recall,
 // fault), a fault plan recovered through the local swap copy (fallback),
 // recycled containers (discard), and a workflow passing state through pool
-// regions (share-read). It returns the run's timeline recorder.
-func flowLedgerRack() *timeseries.Recorder {
+// regions (share-read). It returns the run's timeline recorder and metric
+// registry.
+func flowLedgerRack() (*timeseries.Recorder, *telemetry.Registry) {
 	const (
 		d         = 6 * time.Minute
 		keepAlive = 4 * time.Minute
@@ -54,6 +56,7 @@ func flowLedgerRack() *timeseries.Recorder {
 		CacheBytes: 32 << 20,
 	}
 	rec := timeseries.NewRecorder(timeseries.Config{Window: 30 * time.Second})
+	reg := telemetry.NewRegistry()
 	e := simtime.NewEngine()
 	c := cluster.New(e, cluster.Config{
 		Nodes: 2,
@@ -64,7 +67,7 @@ func flowLedgerRack() *timeseries.Recorder {
 				ReadaheadPages:      8,
 				FallbackReadLatency: 50 * time.Microsecond,
 			},
-			Telemetry: telemetry.Hub{Timeline: rec},
+			Telemetry: telemetry.Hub{Timeline: rec, Reg: reg},
 		},
 		Pool: rmem.Config{
 			Node:   &nodeCfg,
@@ -95,7 +98,7 @@ func flowLedgerRack() *timeseries.Recorder {
 		e.At(simtime.Time(at), func(*simtime.Engine) { we.Run(nil) })
 	}
 	e.RunUntil(horizon)
-	return rec
+	return rec, reg
 }
 
 // flowLedgerText renders the ledger's byte totals per (flow, node, tenant,
@@ -146,13 +149,33 @@ func flowOrderOf(name string) int {
 // bytes per node, tenant and page class, and the conservation audit's
 // checkpoint count — for a rack run that exercises all ten flow kinds, so
 // any change to how a pool byte movement is attributed or checkpointed
-// shows up as a diff. Run with -update to rewrite the golden file.
+// shows up as a diff. The memory node's tier moves must read the same in
+// /metrics as in the ledger. Run with -update to rewrite the golden file.
 func TestFlowLedgerGolden(t *testing.T) {
-	rec := flowLedgerRack()
+	rec, reg := flowLedgerRack()
 	tot := rec.FlowTotals()
 	for k := timeseries.FlowKind(0); k < timeseries.NumFlows; k++ {
 		if tot[k] == 0 {
 			t.Errorf("flow kind %s moved no bytes; the run must exercise all %d kinds", k, timeseries.NumFlows)
+		}
+	}
+	pages := map[string]int64{}
+	for _, s := range reg.Snapshot() {
+		pages[s.Name] = s.Value
+	}
+	for _, tier := range []struct {
+		family string
+		kind   timeseries.FlowKind
+	}{
+		{"faasmem_memnode_compressed_pages_total", timeseries.FlowCompress},
+		{"faasmem_memnode_spilled_pages_total", timeseries.FlowSpill},
+		{"faasmem_memnode_merged_pages_total", timeseries.FlowMerge},
+	} {
+		n, ok := pages[tier.family]
+		if !ok {
+			t.Errorf("/metrics has no %s", tier.family)
+		} else if b := n * pagemem.DefaultPageSize; b != tot[tier.kind] {
+			t.Errorf("%s is %d B in pages, but the %s flow is %d B", tier.family, b, tier.kind, tot[tier.kind])
 		}
 	}
 	if a := timeseries.AuditFlows(rec); !a.OK || a.Checks == 0 {

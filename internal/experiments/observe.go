@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/telemetry"
+	"github.com/faasmem/faasmem/internal/telemetry/exemplar"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
 )
 
@@ -25,10 +27,10 @@ type ObserveCell struct {
 	DumpEvents int `json:"dump_events"`
 }
 
-// The ext-observe and ext-drilldown sweeps replay the same faulted rack: a
-// 10-minute trace, an 8-minute keep-alive and fault intensities 0 and 1,
-// rolled up in 30 s windows (coarse enough for a readable table over a
-// 10-minute run).
+// The ext-observe and ext-drilldown sweeps read the same faulted rack runs
+// (Watch): a 10-minute trace, an 8-minute keep-alive and fault intensities 0
+// and 1, rolled up in 30 s windows (coarse enough for a readable table over
+// a 10-minute run).
 const (
 	watchDuration  = 10 * time.Minute
 	watchKeepAlive = 8 * time.Minute
@@ -37,34 +39,61 @@ const (
 
 var watchIntensities = []float64{0, 1}
 
-// Observe replays the resilience rack, with the local-swap fallback on and a
-// time-series recorder attached to every node, and renders one timeline per
-// fault intensity. seed drives both the workload and the fault plan. Each
-// cell owns its engine and recorder, so rows are bit-identical at any
-// -scenario-workers width (the CI determinism gate diffs widths 1 and 8),
-// and the fault-free cell doubles as the zero-cost baseline the disabled-
-// timeline benchmark guards.
-func Observe(seed int64) []ObserveCell {
-	run := func(intensity float64) ObserveCell {
+// Watch replays the resilience rack once per fault intensity, with the
+// local-swap fallback on and a time-series and a tail-exemplar recorder
+// attached to every node, and derives both the ext-observe and the
+// ext-drilldown cells from each run. seed drives both the workload and the
+// fault plan. Each run owns its engine and recorders, so the cells are
+// bit-identical at any -scenario-workers width (the CI determinism gate
+// diffs widths 1 and 8), and the fault-free run doubles as the zero-cost
+// baseline the disabled-timeline benchmark guards.
+func Watch(seed int64) ([]ObserveCell, []DrilldownCell) {
+	observe := make([]ObserveCell, len(watchIntensities))
+	drill := make([]DrilldownCell, len(watchIntensities))
+	runGrid(len(watchIntensities), func(i int) {
+		intensity := watchIntensities[i]
 		rec := timeseries.NewRecorder(timeseries.Config{Window: watchWindow})
+		exm := exemplar.NewRecorder(exemplar.Config{Window: watchWindow})
 		_, plan := faultRack(watchDuration, watchKeepAlive, seed,
-			intensity, true, telemetry.Hub{Timeline: rec})
-
-		cell := ObserveCell{
+			intensity, true, telemetry.Hub{Timeline: rec, Exemplars: exm})
+		observe[i] = ObserveCell{
 			Intensity:    intensity,
 			FaultWindows: len(plan.Windows()),
 			Windows:      timeseries.Summarize(rec),
 			Dumps:        len(rec.Dumps()),
 		}
 		for _, d := range rec.Dumps() {
-			cell.DumpEvents += len(d.Events)
+			observe[i].DumpEvents += len(d.Events)
 		}
-		return cell
-	}
+		drill[i] = drilldownCell(intensity, rec, exm)
+	})
+	return observe, drill
+}
 
-	cells := make([]ObserveCell, len(watchIntensities))
-	runGrid(len(cells), func(i int) { cells[i] = run(watchIntensities[i]) })
-	return cells
+// watchMemo is the last Watch run, keyed by its seed and the process-default
+// hub it recorded into, so the ext-observe and ext-drilldown entries of one
+// registry pass share one run. Watch is deterministic, so a hit returns
+// exactly what a fresh run would, and only the last seed is kept.
+var watchMemo struct {
+	sync.Mutex
+	ok      bool
+	seed    int64
+	hub     telemetry.Hub
+	observe []ObserveCell
+	drill   []DrilldownCell
+}
+
+// watchCells returns Watch(seed), reusing the last run when it was at the
+// same seed under the same default sinks.
+func watchCells(seed int64) ([]ObserveCell, []DrilldownCell) {
+	m := &watchMemo
+	m.Lock()
+	defer m.Unlock()
+	if hub := telemetry.Default(); !m.ok || m.seed != seed || m.hub != hub {
+		m.observe, m.drill = Watch(seed)
+		m.ok, m.seed, m.hub = true, seed, hub
+	}
+	return m.observe, m.drill
 }
 
 // PrintObserve renders one per-window timeline table per intensity.

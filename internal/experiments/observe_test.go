@@ -10,7 +10,8 @@ import (
 // -scenario-workers width.
 func TestObserveDeterministicAcrossWidths(t *testing.T) {
 	if w := DivergentWidth([]int{1, 8}, func() any {
-		return Observe(11)
+		cells, _ := Watch(11)
+		return cells
 	}); w != -1 {
 		t.Fatalf("observe timelines differ between workers=1 and workers=%d", w)
 	}

@@ -144,12 +144,12 @@ var Registry = []Experiment{
 		return rows, nil
 	}},
 	{Name: "ext-observe", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		cells := Observe(seed)
+		cells, _ := watchCells(seed)
 		PrintObserve(w, cells)
 		return cells, nil
 	}},
 	{Name: "ext-drilldown", Run: func(w io.Writer, seed int64) (any, map[string]string) {
-		cells := Drilldown(seed)
+		_, cells := watchCells(seed)
 		PrintDrilldown(w, cells)
 		return cells, nil
 	}},

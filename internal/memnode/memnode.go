@@ -26,7 +26,9 @@
 // offloads are truncated and counted.
 //
 // The node is pure bookkeeping on virtual time: it returns latencies for the
-// caller (rmem.Pool) to fold into fault stalls, and never blocks. All state
+// caller (rmem.Pool) to fold into fault stalls, and never blocks. It holds
+// no telemetry: the pool reads Stats after each node call and reports the
+// change as metrics and tier flows from that one place. All state
 // is deterministic — eviction scans walk insertion/recency-ordered lists,
 // never Go map iteration order.
 package memnode
@@ -39,7 +41,6 @@ import (
 	"time"
 
 	"github.com/faasmem/faasmem/internal/pagemem"
-	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
 // Class is the lifecycle class of a described page batch. The numbering
@@ -319,29 +320,6 @@ type Node struct {
 	// offload batches outright — the tier-full storm injected by a fault
 	// plan. Recalls and discards still work.
 	forceFull bool
-
-	met nodeMetrics
-}
-
-// nodeMetrics are the node's exported gauges and counters; every field is a
-// no-op nil *telemetry.Metric until Instrument attaches a registry.
-type nodeMetrics struct {
-	logical      *telemetry.Metric
-	resident     *telemetry.Metric
-	dramUsed     *telemetry.Metric
-	spillUsed    *telemetry.Metric
-	dedupSaved   *telemetry.Metric
-	compSaved    *telemetry.Metric
-	dedupHits    *telemetry.Metric
-	compressed   *telemetry.Metric
-	spilled      *telemetry.Metric
-	evictions    *telemetry.Metric
-	quotaRejects *telemetry.Metric
-	fullRejects  *telemetry.Metric
-	merged       *telemetry.Metric
-	cacheHits    *telemetry.Metric
-	cacheMisses  *telemetry.Metric
-	cacheUsed    *telemetry.Metric
 }
 
 // New creates a node from cfg, applying defaults for zero fields.
@@ -367,33 +345,6 @@ func New(cfg Config) *Node {
 
 // Config returns the effective configuration.
 func (n *Node) Config() Config { return n.cfg }
-
-// Instrument attaches a metric registry. Nil-safe on both sides; later calls
-// with a nil registry are ignored.
-func (n *Node) Instrument(reg *telemetry.Registry) {
-	if n == nil || reg == nil {
-		return
-	}
-	n.met = nodeMetrics{
-		logical:      reg.Gauge("faasmem_memnode_logical_bytes", "bytes offloaded to the memory node (pre-dedup/compression)"),
-		resident:     reg.Gauge("faasmem_memnode_resident_bytes", "bytes the node actually stores (post-dedup/compression, DRAM+spill)"),
-		dramUsed:     reg.Gauge("faasmem_memnode_dram_used_bytes", "node DRAM in use (hot + compressed tiers)"),
-		spillUsed:    reg.Gauge("faasmem_memnode_spill_used_bytes", "node spill tier in use"),
-		dedupSaved:   reg.Gauge("faasmem_memnode_dedup_saved_bytes", "bytes saved by content-class dedup"),
-		compSaved:    reg.Gauge("faasmem_memnode_compress_saved_bytes", "bytes saved by the compression tier"),
-		dedupHits:    reg.Counter("faasmem_memnode_dedup_hit_pages_total", "offloaded pages admitted without a new resident copy"),
-		compressed:   reg.Counter("faasmem_memnode_compressed_pages_total", "pages moved into the compression tier"),
-		spilled:      reg.Counter("faasmem_memnode_spilled_pages_total", "pages demoted to the spill tier"),
-		evictions:    reg.Counter("faasmem_memnode_evictions_total", "LRU-by-class eviction (demotion) events"),
-		quotaRejects: reg.Counter("faasmem_memnode_quota_reject_pages_total", "offloaded pages rejected by tenant quota"),
-		fullRejects:  reg.Counter("faasmem_memnode_full_reject_pages_total", "offloaded pages rejected because DRAM and spill were full"),
-		merged:       reg.Counter("faasmem_memnode_merged_pages_total", "pages admitted onto a merge master wider than their function"),
-		cacheHits:    reg.Counter("faasmem_memnode_cache_hit_pages_total", "recalled pages served from the shared cache tier"),
-		cacheMisses:  reg.Counter("faasmem_memnode_cache_miss_pages_total", "recalled shared pages that missed the cache tier"),
-		cacheUsed:    reg.Gauge("faasmem_memnode_cache_used_bytes", "shared cache tier occupancy"),
-	}
-	n.syncGauges()
-}
 
 func (n *Node) tenantOf(fn string) string {
 	if n.cfg.TenantOf != nil {
@@ -434,20 +385,6 @@ func (n *Node) DedupSavedBytes() int64 {
 func (n *Node) CompressSavedBytes() int64 {
 	return n.compPages*pagemem.DefaultPageSize - n.compStoredBytes
 }
-
-// CompressedPages is the cumulative count of pages ever demoted into the
-// compressed tier. Monotone, so callers can delta it around a node call to
-// learn how much tier movement the call triggered.
-func (n *Node) CompressedPages() int64 { return n.compressedPages }
-
-// SpilledPages is the cumulative count of pages ever demoted to the spill
-// tier; monotone like CompressedPages.
-func (n *Node) SpilledPages() int64 { return n.spilledPages }
-
-// MergedPages is the cumulative count of pages admitted onto a merge master
-// wider than their own function; monotone like CompressedPages, so callers
-// can delta it around a node call to record merge flows.
-func (n *Node) MergedPages() int64 { return n.mergedPages }
 
 // CacheUsedBytes is the shared cache tier's occupancy (0 when disabled).
 func (n *Node) CacheUsedBytes() int64 {
@@ -500,8 +437,6 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 	}
 	if n.forceFull {
 		n.fullRejectPages += int64(pages)
-		n.met.fullRejects.Add(int64(pages))
-		n.syncGauges()
 		return 0
 	}
 	ps := int64(pagemem.DefaultPageSize)
@@ -515,11 +450,9 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 		}
 		if accepted > freePages {
 			n.quotaRejectPages += int64(accepted - freePages)
-			n.met.quotaRejects.Add(int64(accepted - freePages))
 			accepted = freePages
 		}
 		if accepted == 0 {
-			n.syncGauges()
 			return 0
 		}
 	}
@@ -551,12 +484,10 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 		}
 		hits := int64(accepted - growth)
 		n.dedupHitPages += hits
-		n.met.dedupHits.Add(hits)
 		if hits > 0 && key.dom != fn {
 			// The master is a widened merge domain: these pages merged
 			// across owners beyond this function's own dedup.
 			n.mergedPages += hits
-			n.met.merged.Add(hits)
 		}
 	}
 
@@ -578,7 +509,6 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 			rejected := growth - hotFit - spillFit
 			if rejected > 0 {
 				n.fullRejectPages += int64(rejected)
-				n.met.fullRejects.Add(int64(rejected))
 				accepted -= rejected
 				growth -= rejected
 			}
@@ -588,7 +518,6 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 		if created {
 			n.freeEntry(e)
 		}
-		n.syncGauges()
 		return 0
 	}
 
@@ -597,7 +526,6 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 	e.spill += spillFit
 	n.spillPages += int64(spillFit)
 	n.spilledPages += int64(spillFit)
-	n.met.spilled.Add(int64(spillFit))
 	newCount := cur + accepted
 	if e.shared {
 		if cur == e.maxPages && e.maxPages > 0 {
@@ -627,7 +555,6 @@ func (n *Node) Offload(owner, fn string, class Class, pages int) int {
 	if rb := n.ResidentBytes(); rb > n.peakResidentBytes {
 		n.peakResidentBytes = rb
 	}
-	n.syncGauges()
 	return accepted
 }
 
@@ -664,7 +591,6 @@ func (n *Node) Recall(owner, fn string, class Class, pages int) RecallCost {
 	if or := n.owners[owner]; or != nil {
 		or.pages -= int64(pages)
 	}
-	n.syncGauges()
 	return RecallCost{Pages: pages, Latency: lat}
 }
 
@@ -707,7 +633,6 @@ func (n *Node) ReadCost(owner, fn string, class Class, pages int) RecallCost {
 func (n *Node) tierSurcharge(e *entry, pages int, tenant string) time.Duration {
 	if n.cacheHas(e) {
 		n.cacheHitPages += int64(pages)
-		n.met.cacheHits.Add(int64(pages))
 		return 0
 	}
 	var lat time.Duration
@@ -720,7 +645,6 @@ func (n *Node) tierSurcharge(e *entry, pages int, tenant string) time.Duration {
 	}
 	if n.cache != nil && e.shared {
 		n.cacheMissPages += int64(pages)
-		n.met.cacheMisses.Add(int64(pages))
 		n.cacheInsert(e, tenant)
 	}
 	return lat
@@ -768,7 +692,6 @@ func (n *Node) DiscardOwner(owner string) int64 {
 	n.tenants[n.tenantOf(or.fn)] -= freed * ps
 	n.logicalPages -= freed
 	delete(n.owners, owner)
-	n.syncGauges()
 	return freed * ps
 }
 
@@ -958,14 +881,11 @@ func (n *Node) compressEntry(e *entry) {
 	n.compPages += int64(k)
 	n.compressedPages += int64(k)
 	n.compressTime += time.Duration(k) * compressLatency
-	n.met.compressed.Add(int64(k))
 }
 
 func (n *Node) noteSpill(pages int) {
 	n.spilledPages += int64(pages)
 	n.evictions++
-	n.met.spilled.Add(int64(pages))
-	n.met.evictions.Inc()
 }
 
 // registerOwner indexes the owner's association with key for DiscardOwner.
@@ -1040,18 +960,6 @@ func (n *Node) Stats() Stats {
 		CacheUsedBytes:     n.CacheUsedBytes(),
 		CompressTime:       n.compressTime,
 		DecompressTime:     n.decompressTime,
-	}
-}
-
-func (n *Node) syncGauges() {
-	n.met.logical.Set(n.LogicalBytes())
-	n.met.resident.Set(n.ResidentBytes())
-	n.met.dramUsed.Set(n.DRAMUsedBytes())
-	n.met.spillUsed.Set(n.SpillUsedBytes())
-	n.met.dedupSaved.Set(n.DedupSavedBytes())
-	n.met.compSaved.Set(n.CompressSavedBytes())
-	if n.cache != nil {
-		n.met.cacheUsed.Set(n.cache.usedBytes)
 	}
 }
 

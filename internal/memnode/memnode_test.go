@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/faasmem/faasmem/internal/pagemem"
-	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
 const ps = pagemem.DefaultPageSize
@@ -240,25 +239,6 @@ func TestDiscardOwnerDropsEverything(t *testing.T) {
 	if n.LogicalBytes() != 0 || n.Stats().Entries != 0 || n.Stats().Owners != 0 {
 		t.Fatalf("node not empty after all discards: %+v", n.Stats())
 	}
-}
-
-func TestInstrumentExportsGauges(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	n := New(Config{})
-	n.Instrument(reg)
-	n.Offload("c1", "fn", ClassInit, 100)
-	n.Offload("c2", "fn", ClassInit, 100)
-	if got := reg.Gauge("faasmem_memnode_logical_bytes", "").Value(); got != 200*ps {
-		t.Fatalf("logical gauge = %d, want %d", got, 200*ps)
-	}
-	if got := reg.Gauge("faasmem_memnode_dedup_saved_bytes", "").Value(); got != 100*ps {
-		t.Fatalf("dedup saved gauge = %d, want %d", got, 100*ps)
-	}
-	if got := reg.Counter("faasmem_memnode_dedup_hit_pages_total", "").Value(); got != 100 {
-		t.Fatalf("dedup hit counter = %d, want 100", got)
-	}
-	var nilNode *Node
-	nilNode.Instrument(reg) // must not panic
 }
 
 // TestRandomizedInvariants drives a random mix of operations and checks the

@@ -175,7 +175,6 @@ func (n *Node) WriteBreak(owner, fn string, class Class, pages int) BreakResult 
 	pe.spill += spillFit
 	n.spillPages += int64(spillFit)
 	n.spilledPages += int64(spillFit)
-	n.met.spilled.Add(int64(spillFit))
 	pe.pages += private
 	if pe.pages == 0 {
 		if created {
@@ -196,7 +195,6 @@ func (n *Node) WriteBreak(owner, fn string, class Class, pages int) BreakResult 
 	if rb := n.ResidentBytes(); rb > n.peakResidentBytes {
 		n.peakResidentBytes = rb
 	}
-	n.syncGauges()
 	return BreakResult{Pages: private, Recalled: recalled, Latency: lat}
 }
 

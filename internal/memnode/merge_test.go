@@ -42,7 +42,7 @@ func TestTenantScopeMergesAcrossFunctions(t *testing.T) {
 	if n.ResidentBytes() != 100*ps {
 		t.Fatalf("resident = %d, want one tenant-wide master %d", n.ResidentBytes(), 100*ps)
 	}
-	if got := n.MergedPages(); got != 80 {
+	if got := n.Stats().MergedPages; got != 80 {
 		t.Fatalf("merged pages = %d, want 80 (a2's pages merged onto a1's master)", got)
 	}
 

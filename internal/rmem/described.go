@@ -49,13 +49,12 @@ func (p *Pool) OffloadDescribed(now simtime.Time, owner, fn string, counts Class
 		}
 		accepted = counts
 	} else {
-		comp0, spill0, merged0 := p.tierFlowsBefore()
 		for cls, n := range counts {
 			if n != 0 {
 				accepted[cls] = p.node.Offload(owner, fn, memnode.Class(cls), n)
 			}
 		}
-		p.recordTierFlows(now, fn, comp0, spill0, merged0)
+		p.noteNode(now, fn)
 		if accepted.Total() == 0 {
 			return accepted, now, now, nil
 		}
@@ -80,7 +79,7 @@ func (p *Pool) faultBatchOwner(now simtime.Time, owner, fn string, counts ClassC
 	if n < 0 {
 		panic("rmem: negative fault batch")
 	}
-	tier := p.nodeRecall(owner, fn, counts)
+	tier := p.nodeRecall(now, owner, fn, counts)
 	if n == 0 {
 		return FaultStall{}
 	}
@@ -99,7 +98,7 @@ func (p *Pool) RecallDescribed(now simtime.Time, owner, fn string, counts ClassC
 	if bytes < 0 {
 		panic(fmt.Sprintf("rmem: negative recall %d", bytes))
 	}
-	p.nodeRecall(owner, fn, counts)
+	p.nodeRecall(now, owner, fn, counts)
 	if bytes == 0 {
 		return now
 	}
@@ -118,6 +117,7 @@ func (p *Pool) RecallDescribed(now simtime.Time, owner, fn string, counts ClassC
 func (p *Pool) DiscardOwner(now simtime.Time, owner, fn string, bytes int64) {
 	if p.node != nil {
 		p.node.DiscardOwner(owner)
+		p.noteNode(now, fn)
 	}
 	p.move(now, timeseries.FlowDiscard, nil, fn, ClassCounts{}, bytes)
 }
@@ -125,7 +125,7 @@ func (p *Pool) DiscardOwner(now simtime.Time, owner, fn string, bytes int64) {
 // nodeRecall releases a described batch's holdings on the memory node and
 // returns the tier surcharge for its compressed/spilled fractions (zero
 // without a node).
-func (p *Pool) nodeRecall(owner, fn string, counts ClassCounts) time.Duration {
+func (p *Pool) nodeRecall(now simtime.Time, owner, fn string, counts ClassCounts) time.Duration {
 	if p.node == nil {
 		return 0
 	}
@@ -135,5 +135,6 @@ func (p *Pool) nodeRecall(owner, fn string, counts ClassCounts) time.Duration {
 			tier += p.node.Recall(owner, fn, memnode.Class(cls), n).Latency
 		}
 	}
+	p.noteNode(now, fn)
 	return tier
 }

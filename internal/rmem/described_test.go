@@ -2,10 +2,12 @@ package rmem
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/telemetry"
 )
 
 // nodePool builds a pool backed by a memory node for described-path tests.
@@ -205,5 +207,45 @@ func TestDiscardOwnerReleasesNodeAndLedger(t *testing.T) {
 	}
 	if err := p.Node().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInstrumentExportsGauges: two owners offloading the same init prefix
+// read as 200 logical pages on the node's gauges, 100 of them deduped.
+func TestInstrumentExportsGauges(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p := nodePool(memnode.Config{})
+	p.Instrument(telemetry.Hub{Reg: reg})
+	var counts ClassCounts
+	counts[memnode.ClassInit] = 100
+	for _, owner := range []string{"c1", "c2"} {
+		if _, _, _, err := p.OffloadDescribed(0, owner, "fn", counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := reg.Gauge("faasmem_memnode_logical_bytes", "").Value(); got != 200*pageBytes {
+		t.Fatalf("logical gauge = %d, want %d", got, 200*pageBytes)
+	}
+	if got := reg.Gauge("faasmem_memnode_dedup_saved_bytes", "").Value(); got != 100*pageBytes {
+		t.Fatalf("dedup saved gauge = %d, want %d", got, 100*pageBytes)
+	}
+	if got := reg.Counter("faasmem_memnode_dedup_hit_pages_total", "").Value(); got != 100 {
+		t.Fatalf("dedup hit counter = %d, want 100", got)
+	}
+}
+
+// TestInstrumentWithoutNodeRegistersNoMemNodeFamily: the memory node's
+// families belong to pools that have one.
+func TestInstrumentWithoutNodeRegistersNoMemNodeFamily(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	p := NewPool(Config{})
+	p.Instrument(telemetry.Hub{Reg: reg})
+	if _, _, _, err := p.OffloadDescribed(0, "c1", "fn", ClassCounts{memnode.ClassInit: 10}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range reg.Snapshot() {
+		if strings.HasPrefix(s.Name, "faasmem_memnode_") {
+			t.Errorf("pool without a node registered %s", s.Name)
+		}
 	}
 }

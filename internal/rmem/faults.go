@@ -106,6 +106,6 @@ func (p *Pool) FetchRetry(now simtime.Time, owner, fn string, counts ClassCounts
 // or fault latency is modeled here. The release lands in the flow ledger as
 // a fallback flow stamped at now.
 func (p *Pool) RecallLocal(now simtime.Time, owner, fn string, counts ClassCounts) {
-	p.nodeRecall(owner, fn, counts)
+	p.nodeRecall(now, owner, fn, counts)
 	p.move(now, timeseries.FlowFallback, nil, fn, counts, int64(counts.Total())*pageBytes)
 }

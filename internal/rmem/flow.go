@@ -13,7 +13,9 @@ import (
 // checkpoints the resulting occupancy — the pair the conservation audit
 // (timeseries.AuditFlows) verifies per window. Movements that leave
 // occupancy unchanged (ShareRead, WriteBreakOwner's unmerge fetch) call
-// recordFlow directly with a direction-0 kind.
+// recordFlow directly with a direction-0 kind. The memory node's tier moves
+// (compress, spill, merge) also leave occupancy unchanged; noteNode records
+// them, with the node's metrics, after every node call.
 //
 // Attribution travels as arguments: the entry point knows the batch's
 // tenant (fn) and per-class page counts and passes them down, so each flow
@@ -72,36 +74,24 @@ func (p *Pool) recordFlow(now simtime.Time, kind timeseries.FlowKind, fn string,
 	tl.FlowOccupancy(now, p.used)
 }
 
-// tierFlowsBefore snapshots the memory node's cumulative compressed/spilled/
-// merged page counters ahead of a node call that may evict or merge (zeros
-// when flows are off or no node is attached).
-func (p *Pool) tierFlowsBefore() (comp, spill, merged int64) {
-	if p.tel.Timeline == nil || p.node == nil {
-		return 0, 0, 0
-	}
-	return p.node.CompressedPages(), p.node.SpilledPages(), p.node.MergedPages()
-}
-
-// recordTierFlows records the compress/spill/merge movement since
-// tierFlowsBefore as zero-direction flows: bytes changing tier (or collapsing
-// onto a widened merge master) inside the pool without changing occupancy.
-// They are attributed to the tenant whose batch triggered the movement (the
-// evicted pages themselves may belong to anyone).
-func (p *Pool) recordTierFlows(now simtime.Time, fn string, compBefore, spillBefore, mergedBefore int64) {
-	tl := p.tel.Timeline
-	if tl == nil || p.node == nil {
+// noteNode is the memory node's one emission point, called after every node
+// call: it reads the node's Stats once, advances the hub's memnode metrics by
+// the change since the last note, and records the compress, spill and merge
+// flows from the same change under fn, the tenant whose call caused it
+// (evicted pages may belong to anyone). The counts are cumulative, so a
+// missed note is caught up at the next one. A pool without a node, or a hub
+// without a registry and a timeline, pays nothing.
+func (p *Pool) noteNode(now simtime.Time, fn string) {
+	if p.node == nil || (p.tel.Reg == nil && p.tel.Timeline == nil) {
 		return
 	}
-	if d := p.node.CompressedPages() - compBefore; d > 0 {
-		tl.AddFlow(now, timeseries.FlowCompress,
-			timeseries.Dims{Node: "pool", Tenant: fn}, d*pageBytes)
-	}
-	if d := p.node.SpilledPages() - spillBefore; d > 0 {
-		tl.AddFlow(now, timeseries.FlowSpill,
-			timeseries.Dims{Node: "pool", Tenant: fn}, d*pageBytes)
-	}
-	if d := p.node.MergedPages() - mergedBefore; d > 0 {
-		tl.AddFlow(now, timeseries.FlowMerge,
-			timeseries.Dims{Node: "pool", Tenant: fn, Class: memnode.ClassRuntime.String()}, d*pageBytes)
-	}
+	cur := p.node.Stats()
+	prev := &p.nodeSeen
+	p.tel.MemNode(prev, &cur)
+	tl, d := p.tel.Timeline, timeseries.Dims{Node: "pool", Tenant: fn}
+	tl.AddFlow(now, timeseries.FlowCompress, d, (cur.CompressedPages-prev.CompressedPages)*pageBytes)
+	tl.AddFlow(now, timeseries.FlowSpill, d, (cur.SpilledPages-prev.SpilledPages)*pageBytes)
+	d.Class = memnode.ClassRuntime.String()
+	tl.AddFlow(now, timeseries.FlowMerge, d, (cur.MergedPages-prev.MergedPages)*pageBytes)
+	p.nodeSeen = cur
 }

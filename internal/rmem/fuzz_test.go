@@ -17,7 +17,8 @@ import (
 // occupancy agree: Used() never goes negative and equals the net signed
 // total of the flow ledger, the faasmem_pool_used_bytes gauge reads the
 // same value, the ledger's conservation audit holds, and the memory node
-// (when attached) keeps its invariants.
+// (when attached) keeps its invariants and its compressed, spilled and
+// merged page counters equal the ledger's tier flows.
 //
 // data[0] picks the setup: bit 0 attaches a tiny-DRAM memory node with
 // cross-tenant merging (tenant a and b opted in, c not) and a small shared
@@ -127,6 +128,19 @@ func FuzzPoolLedger(f *testing.F) {
 			if n := p.Node(); n != nil {
 				if err := n.CheckInvariants(); err != nil {
 					t.Fatalf("op %d (%s): %v", i, op, err)
+				}
+				tot := tl.FlowTotals()
+				for _, tier := range []struct {
+					family string
+					kind   timeseries.FlowKind
+				}{
+					{"faasmem_memnode_compressed_pages_total", timeseries.FlowCompress},
+					{"faasmem_memnode_spilled_pages_total", timeseries.FlowSpill},
+					{"faasmem_memnode_merged_pages_total", timeseries.FlowMerge},
+				} {
+					if got := reg.Counter(tier.family, "").Value() * pageBytes; got != tot[tier.kind] {
+						t.Fatalf("op %d (%s): %s = %d B, %s flow = %d B", i, op, tier.family, got, tier.kind, tot[tier.kind])
+					}
 				}
 			}
 		}

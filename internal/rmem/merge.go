@@ -48,6 +48,7 @@ func (p *Pool) WriteBreakOwner(now simtime.Time, owner, fn string, class memnode
 		return BreakOutcome{}, err
 	}
 	res := p.node.WriteBreak(owner, fn, class, pages)
+	p.noteNode(now, fn)
 	broke := res.Pages + res.Recalled
 	if broke == 0 {
 		return BreakOutcome{}, nil

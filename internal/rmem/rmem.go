@@ -138,6 +138,8 @@ type Pool struct {
 	node      *memnode.Node
 	// tel is the attached telemetry (Instrument), labelled "pool".
 	tel telemetry.Hub
+	// nodeSeen is the memory node's Stats at the last noteNode.
+	nodeSeen memnode.Stats
 
 	// flt is the injected fault plan; nil when no (or an empty) plan is
 	// configured, so every fault branch below is a single nil check on the

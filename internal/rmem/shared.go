@@ -34,6 +34,7 @@ func (p *Pool) ShareRead(now simtime.Time, owner, fn string, pages int) (FaultSt
 	var tier time.Duration
 	if p.node != nil {
 		tier = p.node.ReadCost(owner, fn, memnode.ClassShared, pages).Latency
+		p.noteNode(now, fn)
 	}
 	total := int64(pages) * pageBytes
 	p.meter[Recall].Record(now, total)

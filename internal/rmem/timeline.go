@@ -29,7 +29,11 @@ func (p *Pool) Instrument(h telemetry.Hub) (owner bool) {
 		return false
 	}
 	p.tel = h.Attach(poolDims.Node)
-	p.node.Instrument(h.Reg)
+	if p.node != nil {
+		// Reset the gauges a registry shared across runs keeps from the last node.
+		p.tel.AttachMemNode()
+		p.tel.MemNode(&p.nodeSeen, &p.nodeSeen)
+	}
 	if p.flt != nil && h.Tracer != nil && !p.windowsTraced {
 		p.windowsTraced = true
 		for _, w := range p.flt.Windows() {

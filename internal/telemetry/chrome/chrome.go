@@ -9,6 +9,7 @@
 package chrome
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"os"
@@ -129,15 +130,19 @@ func Decode(r io.Reader) (Trace, error) {
 	return tr, err
 }
 
-// WriteFile creates or truncates path and writes it with write.
+// WriteFile creates or truncates path and writes it with write through a
+// buffer, returning the first error of the write, the flush and the close.
 func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
+	bw := bufio.NewWriter(f)
+	if err = write(bw); err == nil {
+		err = bw.Flush()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"time"
 
+	"github.com/faasmem/faasmem/internal/memnode"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/telemetry/timeseries"
@@ -22,8 +23,11 @@ import (
 // dimension is resolved at its emit site, one key probe. No method
 // allocates once its timeline window exists.
 //
-// State samples (node and pool gauges, the timeline's byte-flow ledger) are
-// not occurrences and stay with their owners.
+// The pool-side memory node is bookkeeping with no telemetry of its own:
+// the pool reports it through MemNode after every node call, whose handles
+// AttachMemNode resolves only for a pool that has a node. Other state
+// samples (node and pool gauges, the timeline's byte-flow ledger) are not
+// occurrences and stay with their owners.
 
 // NumStages sizes Stage-indexed arrays; Stage numbering matches
 // memnode.Class, so a per-class page count indexes by stage directly.
@@ -49,6 +53,8 @@ type handles struct {
 	poolUsed                               *Metric
 	saturation, fetchRetries, fetchTimeout *Metric
 	degraded, injectedStall                *Metric
+	// mem is nil-valued until AttachMemNode.
+	mem memNodeHandles
 
 	// The timeline series with only the node dimension. linkSeries is
 	// indexed like linkBytes.
@@ -102,6 +108,17 @@ func newHandles(reg *Registry, tl *timeseries.Recorder, node string) handles {
 	}
 }
 
+// memNodeHandles are the memory node's registry metrics: counters that
+// MemNode advances by the change between two node snapshots, and gauges it
+// sets to the later one.
+type memNodeHandles struct {
+	dedupHits, compressed, spilled, evictions *Metric
+	quotaRejects, fullRejects, merged         *Metric
+	cacheHits, cacheMisses                    *Metric
+	logical, resident, dramUsed, spillUsed    *Metric
+	dedupSaved, compSaved, cacheUsed          *Metric
+}
+
 // Attach returns h bound to one emitting component: each sink h leaves nil
 // is filled from the process default (SetDefault), node labels the timeline
 // dimensions and exemplar cells of everything it emits ("n0" for a compute
@@ -113,6 +130,31 @@ func (h Hub) Attach(node string) Hub {
 	h.node = node
 	h.met = newHandles(h.Reg, h.Timeline, node)
 	return h
+}
+
+// AttachMemNode resolves the memory node's registry handles on an attached
+// hub. Only a pool with a memory node calls it, so a run without one
+// registers none of the node's families.
+func (h *Hub) AttachMemNode() {
+	reg := h.Reg
+	h.met.mem = memNodeHandles{
+		dedupHits:    reg.Counter("faasmem_memnode_dedup_hit_pages_total", "offloaded pages admitted without a new resident copy"),
+		compressed:   reg.Counter("faasmem_memnode_compressed_pages_total", "pages moved into the compression tier"),
+		spilled:      reg.Counter("faasmem_memnode_spilled_pages_total", "pages demoted to the spill tier"),
+		evictions:    reg.Counter("faasmem_memnode_evictions_total", "LRU-by-class eviction (demotion) events"),
+		quotaRejects: reg.Counter("faasmem_memnode_quota_reject_pages_total", "offloaded pages rejected by tenant quota"),
+		fullRejects:  reg.Counter("faasmem_memnode_full_reject_pages_total", "offloaded pages rejected because DRAM and spill were full"),
+		merged:       reg.Counter("faasmem_memnode_merged_pages_total", "pages admitted onto a merge master wider than their function"),
+		cacheHits:    reg.Counter("faasmem_memnode_cache_hit_pages_total", "recalled pages served from the shared cache tier"),
+		cacheMisses:  reg.Counter("faasmem_memnode_cache_miss_pages_total", "recalled shared pages that missed the cache tier"),
+		logical:      reg.Gauge("faasmem_memnode_logical_bytes", "bytes offloaded to the memory node (pre-dedup/compression)"),
+		resident:     reg.Gauge("faasmem_memnode_resident_bytes", "bytes the node actually stores (post-dedup/compression, DRAM+spill)"),
+		dramUsed:     reg.Gauge("faasmem_memnode_dram_used_bytes", "node DRAM in use (hot + compressed tiers)"),
+		spillUsed:    reg.Gauge("faasmem_memnode_spill_used_bytes", "node spill tier in use"),
+		dedupSaved:   reg.Gauge("faasmem_memnode_dedup_saved_bytes", "bytes saved by content-class dedup"),
+		compSaved:    reg.Gauge("faasmem_memnode_compress_saved_bytes", "bytes saved by the compression tier"),
+		cacheUsed:    reg.Gauge("faasmem_memnode_cache_used_bytes", "shared cache tier occupancy"),
+	}
 }
 
 // Node returns the label Attach bound.
@@ -366,6 +408,28 @@ func (h *Hub) LinkBytes(now simtime.Time, dir int, bytes int64, start simtime.Ti
 
 // PoolUsed samples the pool's occupancy into the registry gauge.
 func (h *Hub) PoolUsed(used int64) { h.met.poolUsed.Set(used) }
+
+// MemNode reports the memory node's activity between two of its snapshots:
+// each counter grows by cur − prev, and each gauge reads cur.
+func (h *Hub) MemNode(prev, cur *memnode.Stats) {
+	m := &h.met.mem
+	m.dedupHits.Add(cur.DedupHitPages - prev.DedupHitPages)
+	m.compressed.Add(cur.CompressedPages - prev.CompressedPages)
+	m.spilled.Add(cur.SpilledPages - prev.SpilledPages)
+	m.evictions.Add(cur.Evictions - prev.Evictions)
+	m.quotaRejects.Add(cur.QuotaRejectPages - prev.QuotaRejectPages)
+	m.fullRejects.Add(cur.FullRejectPages - prev.FullRejectPages)
+	m.merged.Add(cur.MergedPages - prev.MergedPages)
+	m.cacheHits.Add(cur.CacheHitPages - prev.CacheHitPages)
+	m.cacheMisses.Add(cur.CacheMissPages - prev.CacheMissPages)
+	m.logical.Set(cur.LogicalBytes)
+	m.resident.Set(cur.ResidentBytes)
+	m.dramUsed.Set(cur.DRAMUsedBytes)
+	m.spillUsed.Set(cur.SpillUsedBytes)
+	m.dedupSaved.Set(cur.DedupSavedBytes)
+	m.compSaved.Set(cur.CompressSavedBytes)
+	m.cacheUsed.Set(cur.CacheUsedBytes)
+}
 
 // LinkSaturation reports a fault served while link utilization util was
 // past the saturation point.
