@@ -104,11 +104,15 @@ func (c *Cluster) Invoke(fnID string, hooks *faas.StageHooks) {
 }
 
 // ScheduleInvocations schedules a timeline; routing happens at fire time so
-// decisions see current node state.
+// decisions see current node state. Like the platform's, it keeps one
+// arrival pending at a time, so times is read while the run proceeds and
+// must not change afterwards. An unregistered function panics here, before
+// any request is counted.
 func (c *Cluster) ScheduleInvocations(fnID string, times []simtime.Time) {
-	for _, at := range times {
-		c.engine.At(at, func(*simtime.Engine) { c.Invoke(fnID, nil) })
+	if c.nodes[0].Function(fnID) == nil {
+		panic("cluster: schedule for unregistered function " + fnID)
 	}
+	c.engine.Arrivals(times, func(*simtime.Engine) { c.Invoke(fnID, nil) })
 }
 
 // pickNode routes warm-first: it prefers a node holding an idle container

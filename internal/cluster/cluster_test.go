@@ -70,6 +70,29 @@ func TestWarmFirstPrefersIdleContainer(t *testing.T) {
 	}
 }
 
+// TestScheduleUnregisteredPanics checks that scheduling an unknown
+// function fails at once, before the run counts a submission for it.
+func TestScheduleUnregisteredPanics(t *testing.T) {
+	e := simtime.NewEngine()
+	c := New(e, Config{Nodes: 2}, baselineFactory)
+	c.Register("t", testProfile())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ScheduleInvocations of an unregistered function did not panic")
+			}
+		}()
+		c.ScheduleInvocations("ghost", secs(0, 1))
+	}()
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the refused schedule, want 0", e.Pending())
+	}
+	e.Run()
+	if st := c.Stats(); st.Submitted != 0 {
+		t.Fatalf("submitted = %d, want 0", st.Submitted)
+	}
+}
+
 // checkOneContainerPerNode fails unless every node of c launched exactly one
 // container, so a test's load really spread across the rack.
 func checkOneContainerPerNode(t *testing.T, c *Cluster) {

@@ -341,15 +341,14 @@ func (p *Platform) Invoke(fnID string, hooks *StageHooks, resched bool) {
 }
 
 // ScheduleInvocations schedules a whole invocation timeline for a function.
+// It keeps one arrival pending at a time (simtime's Engine.Arrivals), so
+// times is read while the run proceeds and must not change afterwards.
 func (p *Platform) ScheduleInvocations(fnID string, times []simtime.Time) {
 	f := p.fns[fnID]
 	if f == nil {
 		panic("faas: schedule for unregistered function " + fnID)
 	}
-	for _, at := range times {
-		at := at
-		p.engine.At(at, func(*simtime.Engine) { p.dispatch(f, at, false, nil) })
-	}
+	p.engine.Arrivals(times, func(e *simtime.Engine) { p.dispatch(f, e.Now(), false, nil) })
 }
 
 // ReplayTrace registers every function of tr under the given profile mapping

@@ -356,6 +356,32 @@ func TestReplayTrace(t *testing.T) {
 	}
 }
 
+// TestScheduleKeepsOneArrivalPerFunction checks that a scheduled timeline
+// holds one pending event per function, not one per invocation, and that
+// every invocation still arrives.
+func TestScheduleKeepsOneArrivalPerFunction(t *testing.T) {
+	e, p := newTestPlatform(policy.NoOffload{})
+	ids := []string{"a", "b", "c"}
+	var want int
+	for i, id := range ids {
+		p.Register(id, tinyProfile())
+		tr := trace.GenerateFunction(id, 10*time.Minute, 5*time.Second, true, int64(i))
+		p.ScheduleInvocations(id, tr.Invocations)
+		want += len(tr.Invocations)
+	}
+	if e.Pending() != len(ids) {
+		t.Fatalf("Pending() = %d after scheduling %d invocations, want %d (one per function)", e.Pending(), want, len(ids))
+	}
+	e.Run()
+	var got int
+	for _, f := range p.Functions() {
+		got += f.Stats().Requests
+	}
+	if got != want {
+		t.Fatalf("requests = %d, want %d", got, want)
+	}
+}
+
 func TestNodeLocalAvgPositive(t *testing.T) {
 	e, p := newTestPlatform(policy.NoOffload{})
 	p.Register("f", tinyProfile())

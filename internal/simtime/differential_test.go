@@ -7,8 +7,9 @@ import (
 )
 
 // The differential harness drives the timer-wheel Engine and the heap
-// Reference through the same program of schedule/cancel/reschedule/step
-// operations and asserts both fire the exact same (time, id) sequence.
+// Reference through the same program of schedule/cancel/reschedule/step/
+// arrivals operations and asserts both fire the exact same (time, id)
+// sequence with the same Fired() count after every step.
 
 // fireRec is one observed firing.
 type fireRec struct {
@@ -21,6 +22,10 @@ type testEngine interface {
 	now() Time
 	// schedule returns a cancel thunk and a pending probe for the new event.
 	schedule(at Time, fn func()) (cancel func(), pending func() bool)
+	// arrivals schedules fn at every time in times: Engine.Arrivals on
+	// the wheel, one At per time in index order on the Reference.
+	arrivals(times []Time, fn func())
+	fired() uint64
 	step() bool
 	run()
 	runUntil(Time)
@@ -34,6 +39,10 @@ func (a wheelAdapter) schedule(at Time, fn func()) (func(), func() bool) {
 	h := a.e.At(at, func(*Engine) { fn() })
 	return func() { a.e.Cancel(h) }, h.Pending
 }
+func (a wheelAdapter) arrivals(times []Time, fn func()) {
+	a.e.Arrivals(times, func(*Engine) { fn() })
+}
+func (a wheelAdapter) fired() uint64     { return a.e.Fired() }
 func (a wheelAdapter) step() bool        { return a.e.Step() }
 func (a wheelAdapter) run()              { a.e.Run() }
 func (a wheelAdapter) runUntil(d Time)   { a.e.RunUntil(d) }
@@ -46,6 +55,12 @@ func (a refAdapter) schedule(at Time, fn func()) (func(), func() bool) {
 	ev := a.e.At(at, func(*Reference) { fn() })
 	return func() { a.e.Cancel(ev) }, ev.Pending
 }
+func (a refAdapter) arrivals(times []Time, fn func()) {
+	for _, at := range times {
+		a.e.At(at, func(*Reference) { fn() })
+	}
+}
+func (a refAdapter) fired() uint64     { return a.e.Fired() }
 func (a refAdapter) step() bool        { return a.e.Step() }
 func (a refAdapter) run()              { a.e.Run() }
 func (a refAdapter) runUntil(d Time)   { a.e.RunUntil(d) }
@@ -65,12 +80,12 @@ func decodeDelay(a, b, c byte) time.Duration {
 }
 
 // interpret runs one byte program against an engine, returning the firing
-// log. The interpretation is fully deterministic: ids are assigned in
-// program order, and follow-up events scheduled from inside callbacks take
-// ids from the same counter — so any ordering divergence between two
-// engines shows up directly in the logs.
-func interpret(data []byte, eng testEngine) []fireRec {
-	var log []fireRec
+// log and the engine's Fired() count after every step, run-until and the
+// final run. The interpretation is fully deterministic: ids are assigned in
+// program order, and follow-up events scheduled from inside callbacks, and
+// arrivals as they fire, take ids from the same counter — so any ordering
+// divergence between two engines shows up directly in the logs.
+func interpret(data []byte, eng testEngine) (log []fireRec, fired []uint64) {
 	nextID := 0
 	type handle struct {
 		cancel  func()
@@ -106,7 +121,7 @@ func interpret(data []byte, eng testEngine) []fireRec {
 	steps := 0
 	for i < len(data) && steps < 4096 {
 		steps++
-		op := next() % 8
+		op := next() % 9
 		switch op {
 		case 0, 1, 2: // schedule (weighted: most common op)
 			d := decodeDelay(next(), next(), next())
@@ -133,20 +148,44 @@ func interpret(data []byte, eng testEngine) []fireRec {
 			schedule(eng.now()+d, id, 0)
 		case 6: // fire one event
 			eng.step()
+			fired = append(fired, eng.fired())
 		case 7: // run up to a deadline
 			eng.runUntil(eng.now() + decodeDelay(next(), next(), next()))
+			fired = append(fired, eng.fired())
+		case 8: // an arrival timeline: unsorted, with duplicate times
+			base := eng.now() + decodeDelay(next(), next(), next())
+			times := make([]Time, 1+next()%16)
+			for k := range times {
+				// An offset byte with low bits 0 repeats base; the
+				// rest scatter up to ~6 s either side of sorted.
+				b := next()
+				times[k] = base + Time(b&3)<<(b>>2&31)
+			}
+			eng.arrivals(times, func() {
+				id := nextID
+				nextID++
+				log = append(log, fireRec{at: eng.now(), id: id})
+				if id%2 == 0 {
+					// A follow-up at the same instant (id%3 == 0)
+					// or just after, behind later arrivals' ties.
+					fid := nextID
+					nextID++
+					schedule(eng.now()+time.Duration(id%3)*500*time.Microsecond, fid, 0)
+				}
+			})
 		}
 	}
 	eng.run()
-	return log
+	fired = append(fired, eng.fired())
+	return log, fired
 }
 
 // runBoth interprets the program on both engines and fails the test on any
 // divergence in the firing sequence.
 func runBoth(t *testing.T, data []byte) {
 	t.Helper()
-	got := interpret(data, wheelAdapter{NewEngine()})
-	want := interpret(data, refAdapter{NewReference()})
+	got, gotFired := interpret(data, wheelAdapter{NewEngine()})
+	want, wantFired := interpret(data, refAdapter{NewReference()})
 	if len(got) != len(want) {
 		t.Fatalf("wheel fired %d events, reference fired %d\nwheel: %v\nref:   %v", len(got), len(want), tail(got), tail(want))
 	}
@@ -154,6 +193,11 @@ func runBoth(t *testing.T, data []byte) {
 		if got[i] != want[i] {
 			t.Fatalf("firing %d diverges: wheel (at=%v id=%d) vs reference (at=%v id=%d)",
 				i, got[i].at, got[i].id, want[i].at, want[i].id)
+		}
+	}
+	for i := range wantFired {
+		if gotFired[i] != wantFired[i] {
+			t.Fatalf("Fired() after run %d diverges: wheel %d vs reference %d", i, gotFired[i], wantFired[i])
 		}
 	}
 }

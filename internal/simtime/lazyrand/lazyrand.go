@@ -8,7 +8,9 @@
 // state word i from outputs 21+3i, 22+3i and 23+3i XORed with a fixed
 // seeding table. Output n of that chain is x0·48271ⁿ mod (2³¹−1), so with
 // the powers tabulated once any word costs three multiply-mods. A container
-// that draws a handful of values then pays for a handful of words.
+// that draws a handful of values then pays for a handful of words, and the
+// 4,856-byte state array itself is allocated at the first draw, so a
+// generator that is never drawn from costs only its two small structs.
 package lazyrand
 
 import "math/rand"
@@ -85,12 +87,13 @@ func seedPart(x0 uint64, i int) int64 {
 // fresh feed word rngLen−rngTap−1−k while k < rngLen−rngTap, and fresh tap
 // word rngLen−1−k while k < rngTap; every other read finds a word computed
 // (and maybe fed back) by an earlier draw. fresh counts the draws that
-// still read a fresh word, so no per-word bookkeeping is needed.
+// still read a fresh word, so no per-word bookkeeping is needed. vec is nil
+// until the first draw.
 type source struct {
 	tap, feed int
 	fresh     int
 	x0        uint64
-	vec       [rngLen]int64
+	vec       *[rngLen]int64
 }
 
 // New returns a generator seeded with seed whose every draw equals
@@ -118,8 +121,13 @@ func (s *source) Seed(seed int64) {
 }
 
 // fill computes the fresh words the current draw reads: always the feed
-// word, and the tap word during the first rngTap draws.
+// word, and the tap word during the first rngTap draws. The first draw
+// allocates the state; a reseed keeps it, since fill rewrites every word
+// before it is read again.
 func (s *source) fill() {
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
 	s.fresh--
 	s.vec[s.feed] = seedPart(s.x0, s.feed) ^ cooked[s.feed]
 	if s.fresh >= rngLen-2*rngTap {

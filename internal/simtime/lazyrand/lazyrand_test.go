@@ -3,6 +3,7 @@ package lazyrand
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -46,25 +47,48 @@ func TestStreamsMatchMathRand(t *testing.T) {
 	}
 }
 
-// TestReseed checks that Rand.Seed restarts the stream, both while fresh
-// words remain and after every word has been computed and fed back.
+// TestReseed checks that Rand.Seed restarts the stream as math/rand's, to
+// the same or another seed: before the first draw (no state allocated yet),
+// while fresh words remain, and after every word has been computed and fed
+// back.
 func TestReseed(t *testing.T) {
-	want := make([]int64, 1000)
-	r := New(7)
-	for i := range want {
-		want[i] = r.Int63()
-	}
-	for _, drawn := range []int{5, 300, 1000} {
-		r := New(7)
-		for range drawn {
-			r.Int63()
-		}
-		r.Seed(7)
-		for i, w := range want {
-			if g := r.Int63(); g != w {
-				t.Fatalf("draw %d after %d draws and a reseed: got %d, want %d", i, drawn, g, w)
+	for _, seed := range []int64{7, 11} {
+		want := rand.New(rand.NewSource(seed))
+		for _, drawn := range []int{0, 5, 300, 1000} {
+			r := New(7)
+			for range drawn {
+				r.Int63()
+			}
+			r.Seed(seed)
+			want.Seed(seed)
+			for i := range 1000 {
+				if g, w := r.Int63(), want.Int63(); g != w {
+					t.Fatalf("draw %d after %d draws and a reseed to %d: got %d, math/rand %d", i, drawn, seed, g, w)
+				}
 			}
 		}
+	}
+}
+
+// sink keeps the generators TestUndrawnIsSmall builds on the heap.
+var sink *rand.Rand
+
+// TestUndrawnIsSmall checks that a generator nothing draws from holds no
+// state array: its two structs, well under 1 KB, where the first draw
+// allocates 4,856 bytes.
+func TestUndrawnIsSmall(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { sink = New(42) }); n > 2 {
+		t.Fatalf("New allocates %.0f objects, want at most 2", n)
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range runs {
+		sink = New(int64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b >= 1024 {
+		t.Fatalf("an undrawn New allocates %d B, want under 1 KB", b)
 	}
 }
 

@@ -2,8 +2,9 @@
 // that drive every simulation in this repository.
 //
 // All experiments run in virtual time: an Engine owns a pending-event set
-// ordered by (time, sequence number). Ties are broken by insertion order, so
-// a simulation with a fixed seed is fully deterministic and repeatable.
+// ordered by (time, sequence number). Ties are broken by scheduling order
+// (Arrivals reserves its numbers when called), so a simulation with a fixed
+// seed is fully deterministic and repeatable.
 // Nothing in this package touches the wall clock.
 //
 // The Engine is a hierarchical timer wheel: near-future events live in
@@ -134,17 +135,70 @@ func (e *Engine) At(at Time, fn Func) Handle {
 	if fn == nil {
 		panic("simtime: nil event func")
 	}
+	h := e.schedule(at, e.seq, fn)
+	e.seq++
+	return h
+}
+
+// schedule queues fn at (at, seq). At passes the next sequence number;
+// Arrivals passes the one it reserved for the arrival.
+func (e *Engine) schedule(at Time, seq uint64, fn Func) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
-	e.seq++
 	e.live++
 	e.place(ev)
 	return Handle{ev: ev, stamp: ev.stamp}
+}
+
+// Arrivals schedules fn at every time in times: the same firings, in the
+// same order, as calling At for each time in index order, but with one
+// event pending at a time. It reserves len(times) sequence numbers now,
+// the ones that At loop would take, and each firing re-arms the next
+// arrival under that arrival's reserved number before calling fn, so
+// same-instant ties break as they would. Unsorted times fire from a sorted
+// copy. A time before now panics, as At does. Sorted times are read while
+// the run proceeds, so the caller must not change them afterwards.
+func (e *Engine) Arrivals(times []Time, fn Func) {
+	if fn == nil {
+		panic("simtime: nil event func")
+	}
+	if len(times) == 0 {
+		return
+	}
+	if !slices.IsSorted(times) {
+		times = slices.Clone(times)
+		slices.Sort(times)
+	}
+	a := &arrivals{times: times, fn: fn, base: e.seq}
+	a.arrive = a.fire
+	a.arm(e)
+	e.seq += uint64(len(times))
+}
+
+// arrivals is the state of one Arrivals call.
+type arrivals struct {
+	times  []Time // sorted
+	fn     Func
+	base   uint64 // sequence number reserved for times[0]
+	next   int    // index of the pending arrival
+	arrive Func   // fire, bound once
+}
+
+// arm queues the arrival at index next under its reserved number.
+func (a *arrivals) arm(e *Engine) {
+	e.schedule(a.times[a.next], a.base+uint64(a.next), a.arrive)
+}
+
+func (a *arrivals) fire(e *Engine) {
+	if a.next++; a.next < len(a.times) {
+		a.arm(e)
+	}
+	a.fn(e)
 }
 
 // After schedules fn after delay d from the current time. Negative delays
@@ -293,13 +347,14 @@ func (e *Engine) place(ev *event) {
 }
 
 // insertReady merges a newly scheduled event into the undrained remainder of
-// the ready run. The new event carries the largest seq, so it sorts after
-// every equal-time entry already present.
+// the ready run by (at, seq). An arrival re-armed by Arrivals carries a
+// reserved seq, which may be smaller than that of an equal-time entry
+// already present.
 func (e *Engine) insertReady(ev *event) {
 	lo, hi := e.readyIdx, len(e.ready)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if e.ready[mid].at <= ev.at {
+		if r := e.ready[mid]; r.at < ev.at || r.at == ev.at && r.seq < ev.seq {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -87,6 +87,46 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestArrivalsKeepOnePending checks that Engine.Arrivals keeps one event
+// pending however long the timeline, fires unsorted times in time order
+// without reordering the caller's slice, and breaks a tie with an event
+// scheduled after the call the way an At per time would: by the arrival's
+// reserved number.
+func TestArrivalsKeepOnePending(t *testing.T) {
+	e := NewEngine()
+	times := []Time{3 * time.Second, time.Second, 3 * time.Second, time.Second, 2 * time.Second}
+	given := slices.Clone(times)
+	// An arrival logs its time; the later At logs its time negated.
+	var order []Time
+	e.Arrivals(times, func(e *Engine) { order = append(order, e.Now()) })
+	e.At(time.Second, func(e *Engine) { order = append(order, -e.Now()) })
+	if e.Pending() != 2 {
+		t.Fatalf("Pending() = %d after scheduling, want 2", e.Pending())
+	}
+	e.Run()
+	s := time.Second
+	if want := []Time{s, s, -s, 2 * s, 3 * s, 3 * s}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if !slices.Equal(times, given) {
+		t.Fatalf("Arrivals reordered the caller's times: %v", times)
+	}
+	if e.Fired() != 6 {
+		t.Fatalf("Fired() = %d, want 6", e.Fired())
+	}
+}
+
+func TestArrivalsInPastPanics(t *testing.T) {
+	e := NewEngine()
+	e.RunUntil(10 * time.Second)
+	defer func() {
+		if recover() == nil {
+			t.Error("an arrival before now did not panic")
+		}
+	}()
+	e.Arrivals([]Time{20 * time.Second, time.Second}, func(*Engine) {})
+}
+
 func TestNilFuncPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -164,7 +164,6 @@ func Summarize(r *Recorder) []SummaryRow {
 		requests, retries, timeouts   int64
 		fallback, reinits, faultKinds int64
 		latCount, latMax              int64
-		latBuckets                    hist.Buckets
 	}
 	// aggs is indexed by window, like the series cells it sums; lo is the
 	// first window with a sample (-1 while there is none).
@@ -174,6 +173,9 @@ func Summarize(r *Recorder) []SummaryRow {
 	}
 	aggs := make([]agg, n)
 	lo := -1
+	// lat holds the latency series, whose buckets are merged per window
+	// only where the window has latency samples.
+	var lat []*seriesData
 	for i := range r.series {
 		s := &r.series[i]
 		for win := range s.cells {
@@ -213,10 +215,10 @@ func Summarize(r *Recorder) []SummaryRow {
 				if p.max > a.latMax {
 					a.latMax = p.max
 				}
-				if p.buckets != nil {
-					a.latBuckets.Merge(p.buckets)
-				}
 			}
+		}
+		if s.name == SeriesRequestLatency {
+			lat = append(lat, s)
 		}
 	}
 	if lo < 0 {
@@ -243,7 +245,13 @@ func Summarize(r *Recorder) []SummaryRow {
 			FaultKinds:    a.faultKinds,
 		}
 		if a.latCount > 0 {
-			row.P99Ms = float64(a.latBuckets.Quantile(0.99, a.latCount, a.latMax)) / float64(time.Millisecond)
+			var b hist.Buckets
+			for _, s := range lat {
+				if win < len(s.cells) && s.cells[win].buckets != nil {
+					b.Merge(s.cells[win].buckets)
+				}
+			}
+			row.P99Ms = float64(b.Quantile(0.99, a.latCount, a.latMax)) / float64(time.Millisecond)
 		}
 		out = append(out, row)
 	}
