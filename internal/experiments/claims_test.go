@@ -126,6 +126,12 @@ func fig13At(rows []Fig13Row, cs string, v PolicyKind) Fig13Row {
 	return find(rows, func(r Fig13Row) bool { return r.Case == cs && r.Variant == v })
 }
 
+// fig13OrderSeeds states where fig13-common-order holds over seeds 1–10 and
+// 42, measured by a Fig13-only sweep of those seeds at the registry's 1 h
+// window and the paper's 4 h one: seeds 4, 7 and 42 at 1 h, and 7, 10 and 42
+// at 4 h.
+const fig13OrderSeeds = "holds at 3/11 seeds at 1 h, 3/11 at 4 h"
+
 // fig13Costs renders what removing one mechanism costs in one case, as a
 // multiple of FaaSMem's memory, and fails unless it costs memory.
 func fig13Costs(cs string, without PolicyKind) func([]Fig13Row) (string, error) {
@@ -502,6 +508,15 @@ var claims = []claim{
 	})},
 	{id: "fig13-common-nopucket", entry: "fig13", paper: "+19.3%", eval: on(fig13Costs("common", FaaSMemNoPucket))},
 	{id: "fig13-common-nosemi", entry: "fig13", paper: "+28.6%", eval: on(fig13Costs("common", FaaSMemNoSemi))},
+	{id: "fig13-common-order", entry: "fig13", paper: "w/o Semi-warm +28.6% > w/o Pucket +19.3%", eval: on(func(rows []Fig13Row) (string, error) {
+		full := fig13At(rows, "common", FaaSMem)
+		noP, noS := fig13At(rows, "common", FaaSMemNoPucket), fig13At(rows, "common", FaaSMemNoSemi)
+		var v violations
+		v.check(noS.AvgMemMB > noP.AvgMemMB, "common: w/o Semi-warm mem %.0f MB not above w/o Pucket's %.0f MB",
+			noS.AvgMemMB, noP.AvgMemMB)
+		return fmt.Sprintf("%.2f× vs %.2f×; %s", noS.AvgMemMB/full.AvgMemMB, noP.AvgMemMB/full.AvgMemMB,
+			fig13OrderSeeds), v.err()
+	})},
 	{id: "fig13-bursty-nopucket", entry: "fig13", paper: "w/o Pucket ≈ enabled", eval: on(fig13Costs("bursty", FaaSMemNoPucket))},
 	{id: "fig13-bursty-nosemi", entry: "fig13", paper: "semi-warm recovers most of Pucket's benefit", eval: on(fig13Costs("bursty", FaaSMemNoSemi))},
 	{id: "fig13-bursty-p99", entry: "fig13", paper: "+25.0% vs w/o semi-warm", eval: on(func(rows []Fig13Row) (string, error) {

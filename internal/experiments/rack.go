@@ -75,13 +75,13 @@ func memNodePeaks(mn *memnode.Stats) (logicalMB, residentMB, amplification float
 	return float64(mn.PeakLogicalBytes) / 1e6, float64(mn.PeakResidentBytes) / 1e6, amplification
 }
 
-// rackRequestP99 is the P99 latency, in seconds, over every record in the
-// rack nodes' request logs.
+// rackRequestP99 is the P99 end-to-end latency, in seconds, over every
+// request the rack's nodes completed.
 func rackRequestP99(c *cluster.Cluster) float64 {
 	var lat metrics.Sampler
 	for _, n := range c.Nodes() {
-		for _, rec := range n.RequestLog().Items() {
-			lat.AddDuration(rec.Latency)
+		for _, f := range n.Functions() {
+			lat.Merge(&f.Stats().Latency)
 		}
 	}
 	return lat.P99()
@@ -113,7 +113,6 @@ func faultRack(d, keepAlive time.Duration, seed int64,
 			KeepAliveTimeout: keepAlive,
 			Seed:             seed,
 			Swap:             swap,
-			RequestLogSize:   1 << 16,
 			Telemetry:        hub,
 		},
 		Pool: rmem.Config{Node: &nodeCfg, Faults: plan},

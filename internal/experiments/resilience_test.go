@@ -9,9 +9,11 @@ import (
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/faultinject"
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/telemetry"
+	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/workload"
 )
 
@@ -42,6 +44,27 @@ func TestResilienceConservationAndMonotonicity(t *testing.T) {
 	}
 }
 
+// TestRackRequestP99MatchesSpanRoots checks the rack P99 that
+// ext-resilience and ext-stateful report, merged from every node's
+// per-function latency samplers, against an independent record of the same
+// fault-rack run: the end-to-end durations of the span roots, one per
+// completed request.
+func TestRackRequestP99MatchesSpanRoots(t *testing.T) {
+	spans := span.NewRecorder(1 << 14)
+	c, _ := faultRack(resilienceDuration, resilienceKeepAlive, 42, 1, false, telemetry.Hub{Spans: spans})
+	invs := spans.Invocations()
+	if n := c.Stats().Requests; n == 0 || len(invs) != n {
+		t.Fatalf("span recorder kept %d trees for %d completed requests", len(invs), n)
+	}
+	var roots metrics.Sampler
+	for _, inv := range invs {
+		roots.AddDuration(inv.Total())
+	}
+	if got, want := rackRequestP99(c), roots.P99(); got != want {
+		t.Fatalf("rack P99 %v s, span roots' P99 %v s", got, want)
+	}
+}
+
 // zeroCostPlan builds a non-empty fault plan whose windows all lie beyond
 // the horizon: the fault machinery is armed (Pool.FaultsPlanned() is true,
 // so every fetch probes the plan in FetchRetry) but no window is ever
@@ -56,7 +79,8 @@ func zeroCostPlan(horizon time.Duration) *faultinject.Plan {
 
 // TestFaultPlanZeroCostWhenOff pins the zero-cost-when-off contract at the
 // platform level: a run under an armed-but-never-active fault plan produces
-// a request log and aggregate stats bit-identical to the plan-free run.
+// span trees (container, kind, arrival, latency, fault stall and its pages
+// for every request) and aggregate stats bit-identical to the plan-free run.
 // This is the strongest check on the pre-count design — the request path
 // under a plan must reproduce the plan-free path exactly whenever the plan
 // is quiet, including runs with real remote page faults and, against a
@@ -68,7 +92,7 @@ func TestFaultPlanZeroCostWhenOff(t *testing.T) {
 
 	type result struct {
 		agg         faas.AggregateStats
-		log         []faas.RequestRecord
+		invs        []span.Invocation
 		rec         faas.RecoveryStats
 		writeBreaks int64
 	}
@@ -84,18 +108,19 @@ func TestFaultPlanZeroCostWhenOff(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(plan *faultinject.Plan) result {
 				e := simtime.NewEngine()
+				spans := span.NewRecorder(1 << 14)
 				p := faas.New(e, faas.Config{
 					KeepAliveTimeout: keepAlive,
 					Seed:             11,
 					Pool:             rmem.Config{Faults: plan, Node: tc.node},
-					RequestLogSize:   1 << 14,
+					Telemetry:        telemetry.Hub{Spans: spans},
 				}, core.New(core.Config{}))
 				prof := *workload.ByName("json")
 				prof.RuntimeWriteRatio = tc.writeRatio
 				p.Register(prof.Name, &prof)
 				p.ScheduleInvocations(prof.Name, tc.invs)
 				e.RunUntil(horizon)
-				return result{p.Aggregate(), p.RequestLog().Items(), p.Recovery(),
+				return result{p.Aggregate(), spans.Invocations(), p.Recovery(),
 					p.Function(prof.Name).Stats().WriteBreakPages}
 			}
 
@@ -113,11 +138,14 @@ func TestFaultPlanZeroCostWhenOff(t *testing.T) {
 			if !reflect.DeepEqual(want.agg, got.agg) {
 				t.Errorf("aggregate stats diverge under a quiet fault plan:\n  off: %+v\n  on:  %+v", want.agg, got.agg)
 			}
-			if !reflect.DeepEqual(want.log, got.log) {
-				t.Errorf("request logs diverge under a quiet fault plan (%d vs %d records)", len(want.log), len(got.log))
-				for i := range want.log {
-					if i < len(got.log) && !reflect.DeepEqual(want.log[i], got.log[i]) {
-						t.Errorf("first divergent record %d:\n  off: %+v\n  on:  %+v", i, want.log[i], got.log[i])
+			if len(want.invs) != want.agg.Requests {
+				t.Fatalf("span recorder kept %d of %d requests; the parity check would be partial", len(want.invs), want.agg.Requests)
+			}
+			if !reflect.DeepEqual(want.invs, got.invs) {
+				t.Errorf("span trees diverge under a quiet fault plan (%d vs %d invocations)", len(want.invs), len(got.invs))
+				for i := range want.invs {
+					if i < len(got.invs) && !reflect.DeepEqual(want.invs[i], got.invs[i]) {
+						t.Errorf("first divergent invocation %d:\n  off: %+v\n  on:  %+v", i, want.invs[i], got.invs[i])
 						break
 					}
 				}

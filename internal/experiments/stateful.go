@@ -163,7 +163,6 @@ func runStatefulCell(opt StatefulOptions, cell statefulCell) StatefulRow {
 		Node: faas.Config{
 			KeepAliveTimeout: statefulKeepAlive,
 			Seed:             opt.Seed,
-			RequestLogSize:   1 << 14,
 			Telemetry:        telemetry.Hub{Timeline: rec},
 		},
 		Pool: rmem.Config{Node: &nodeCfg},

@@ -392,18 +392,6 @@ func (c *Container) finishRequest() {
 		c.fn.stats.DoneNormal++
 	}
 	c.fn.stats.Latency.AddDuration(now - arrival)
-	c.fn.stats.ExecLatency.AddDuration(now - c.started)
-	c.p.reqLog.Push(RequestRecord{
-		Function:    c.fn.id,
-		Container:   c.id,
-		Kind:        c.curKind,
-		Arrival:     arrival,
-		Start:       c.started,
-		Latency:     now - arrival,
-		ExecLatency: now - c.started,
-		FaultPages:  c.curFaults,
-		StallTime:   c.curStall,
-	})
 	c.p.tel.RequestDone(telemetry.Request{
 		Container: c.id, Fn: c.fn.id, Kind: c.curKind,
 		Arrival: arrival, Start: c.started, End: now, Faults: c.curFaults,

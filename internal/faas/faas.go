@@ -22,7 +22,6 @@ import (
 	"github.com/faasmem/faasmem/internal/simtime"
 	"github.com/faasmem/faasmem/internal/simtime/lazyrand"
 	"github.com/faasmem/faasmem/internal/telemetry"
-	"github.com/faasmem/faasmem/internal/telemetry/ring"
 	"github.com/faasmem/faasmem/internal/telemetry/span"
 	"github.com/faasmem/faasmem/internal/trace"
 	"github.com/faasmem/faasmem/internal/workload"
@@ -52,9 +51,6 @@ type Config struct {
 	// density: a node that offloads more keeps more containers warm within
 	// the same DRAM. Zero means unlimited.
 	NodeMemoryLimit int64
-	// RequestLogSize keeps a ring of the most recent N request records for
-	// inspection (gateway, debugging). Zero disables the log.
-	RequestLogSize int
 	// Telemetry attaches the platform's sinks (telemetry.Hub), bound to
 	// NodeID ("n0" when empty). Every occurrence on the node — container
 	// lifecycles, requests, faults, offloads, pool link traffic and fault
@@ -138,9 +134,6 @@ type FunctionStats struct {
 	// Latency samples end-to-end request latency (arrival → completion),
 	// including cold-start time and remote-fault stalls.
 	Latency metrics.Sampler
-	// ExecLatency samples execution-only latency (execution start →
-	// completion), excluding cold-start time.
-	ExecLatency metrics.Sampler
 	// Requests is the number of completed requests.
 	Requests int
 	// ColdStarts counts requests that launched a new container.
@@ -164,23 +157,9 @@ type FunctionStats struct {
 	// re-home privately, recalled back to local memory instead.
 	WriteBreakPages       int64
 	WriteBreakRecallPages int64
-	// FetchRetries counts page-fetch attempts retried with backoff against
-	// an unhealthy pool (fault injection only).
-	FetchRetries int64
-	// FetchTimeouts counts requests whose page fetch timed out
-	// (rmem.Pool.FetchRetry returned ErrFetchTimeout).
-	FetchTimeouts int64
-	// FallbackPages counts pages served from the local swap copy after a
-	// fetch timeout.
-	FallbackPages int64
-	// ColdReinits counts containers discarded and cold re-initialized
-	// because their remote pages stayed unreachable past the timeout.
-	ColdReinits int
-	// DoneNormal, DoneRescheduled and DoneReinit classify completed
-	// requests by recovery path: untouched by faults, routed away from a
-	// degraded node by the cluster, or replayed through a cold re-init.
-	// They always sum to Requests.
-	DoneNormal, DoneRescheduled, DoneReinit int
+	// RecoveryStats counts the fault-recovery outcomes of the function's
+	// requests.
+	RecoveryStats
 	// ReusedIntervals collects idle durations at reuse (semi-warm inputs).
 	ReusedIntervals []time.Duration
 }
@@ -249,7 +228,6 @@ type Platform struct {
 	mem        cgroup.Ledger
 	liveTW     *metrics.TimeWeighted
 	governor   *rmem.Governor
-	reqLog     ring.Ring[RequestRecord]
 	tel        telemetry.Hub
 	containers int // ever created
 	liveTotal  int
@@ -287,9 +265,6 @@ func NewWithPool(engine *simtime.Engine, cfg Config, pol policy.Policy, pool *rm
 		node = "n0"
 	}
 	p.tel = c.Telemetry.Attach(node)
-	if c.RequestLogSize > 0 {
-		p.reqLog = ring.New[RequestRecord](c.RequestLogSize)
-	}
 	p.armTimeline(pool.Instrument(p.tel))
 	return p
 }
@@ -442,10 +417,6 @@ func (p *Platform) LiveContainersAvg() float64 { return p.liveTW.Average(p.engin
 // ContainersCreated returns how many containers were ever launched.
 func (p *Platform) ContainersCreated() int { return p.containers }
 
-// RequestLog exposes the platform's ring of recent request records, oldest
-// first in Items. It holds nothing unless Config.RequestLogSize is set.
-func (p *Platform) RequestLog() *ring.Ring[RequestRecord] { return &p.reqLog }
-
 // EvictedContainers counts idle containers force-recycled to keep the node
 // within its memory limit.
 func (p *Platform) EvictedContainers() int { return p.evicted }
@@ -490,8 +461,10 @@ type AggregateStats struct {
 	WorstP95 float64
 }
 
-// RecoveryStats aggregates the fault-recovery machinery's outcomes across
-// the node. All fields are zero on a run without an injected fault plan.
+// RecoveryStats counts the fault-recovery machinery's outcomes, per
+// function (FunctionStats) or summed across a node (Platform.Recovery). All
+// fields are zero on a run without an injected fault plan, except the
+// DoneNormal count.
 type RecoveryStats struct {
 	// FetchRetries counts backoff retries of failed page fetches.
 	FetchRetries int64 `json:"fetch_retries"`
@@ -501,8 +474,10 @@ type RecoveryStats struct {
 	FallbackPages int64 `json:"fallback_pages"`
 	// ColdReinits counts containers cold re-initialized after a timeout.
 	ColdReinits int `json:"cold_reinits"`
-	// DoneNormal/DoneRescheduled/DoneReinit classify completed requests by
-	// recovery path; they sum to the node's completed request count.
+	// DoneNormal, DoneRescheduled and DoneReinit classify completed
+	// requests by recovery path: untouched by faults, routed away from a
+	// degraded node by the cluster, or replayed through a cold re-init.
+	// They sum to the completed request count.
 	DoneNormal      int `json:"done_normal"`
 	DoneRescheduled int `json:"done_rescheduled"`
 	DoneReinit      int `json:"done_reinit"`
@@ -523,14 +498,7 @@ func (r *RecoveryStats) Add(other RecoveryStats) {
 func (p *Platform) Recovery() RecoveryStats {
 	var r RecoveryStats
 	for _, f := range p.Functions() {
-		st := f.Stats()
-		r.FetchRetries += st.FetchRetries
-		r.FetchTimeouts += st.FetchTimeouts
-		r.FallbackPages += st.FallbackPages
-		r.ColdReinits += st.ColdReinits
-		r.DoneNormal += st.DoneNormal
-		r.DoneRescheduled += st.DoneRescheduled
-		r.DoneReinit += st.DoneReinit
+		r.Add(f.stats.RecoveryStats)
 	}
 	return r
 }

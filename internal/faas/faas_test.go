@@ -217,22 +217,24 @@ func TestFaultStatsCountDeliveredPagesOnly(t *testing.T) {
 			swap.FallbackReadLatency = 50 * time.Microsecond
 		}
 		e := simtime.NewEngine()
+		tr := telemetry.NewTracer(0)
 		p := New(e, Config{
 			KeepAliveTimeout: 10 * time.Second,
 			Pool: rmem.Config{Faults: faultinject.FromWindows([]faultinject.Window{
 				{Kind: faultinject.PoolCrash, Start: simtime.Time(time.Second), End: simtime.Time(time.Hour)},
 			})},
-			Swap:           swap,
-			RequestLogSize: 8,
-			Seed:           1,
+			Swap:      swap,
+			Telemetry: telemetry.Hub{Tracer: tr},
+			Seed:      1,
 		}, offloadAllPolicy{})
 		f := p.Register("f", tinyProfile())
 		p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
 		e.Run()
 		st := f.Stats()
+		// Each completed request's trace event carries its fault count.
 		var recorded int64
-		for _, r := range p.RequestLog().Items() {
-			recorded += int64(r.FaultPages)
+		for _, ev := range requestEvents(tr.Events()) {
+			recorded += ev.Value
 		}
 		if st.FetchTimeouts != 1 || st.Requests != 2 {
 			t.Fatalf("fallback %v: %d fetch timeouts over %d requests, want 1 over 2", fallback, st.FetchTimeouts, st.Requests)
@@ -513,77 +515,6 @@ func TestReadaheadReducesFaults(t *testing.T) {
 	// recalled traffic).
 	if r8 < r0 {
 		t.Fatalf("readahead recalled less data: %d vs %d", r8, r0)
-	}
-}
-
-func TestExecLatencyExcludesColdStart(t *testing.T) {
-	e, p := newTestPlatform(policy.NoOffload{})
-	f := p.Register("f", tinyProfile())
-	p.ScheduleInvocations("f", []simtime.Time{0})
-	e.Run()
-	if got := f.stats.ExecLatency.Mean(); got != 0.1 {
-		t.Fatalf("exec latency = %v, want 0.1 (exec only)", got)
-	}
-	if got := f.stats.Latency.Mean(); got != 0.6 {
-		t.Fatalf("e2e latency = %v, want 0.6 (incl. cold start)", got)
-	}
-}
-
-func TestRequestLogRecordsPaths(t *testing.T) {
-	e := simtime.NewEngine()
-	p := New(e, Config{
-		KeepAliveTimeout: 30 * time.Second,
-		RequestLogSize:   8,
-		Seed:             1,
-	}, offloadAllPolicy{})
-	p.Register("f", tinyProfile())
-	p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
-	e.RunUntil(5 * time.Second)
-	recs := p.RequestLog().Items()
-	if len(recs) != 2 {
-		t.Fatalf("records = %d, want 2", len(recs))
-	}
-	if recs[0].Kind != span.Cold || recs[1].Kind != span.Warm {
-		t.Fatalf("kinds = %v/%v, want cold/warm", recs[0].Kind, recs[1].Kind)
-	}
-	if recs[1].FaultPages == 0 || recs[1].StallTime == 0 {
-		t.Fatalf("warm record missing fault accounting: %+v", recs[1])
-	}
-	if recs[0].Latency <= recs[0].ExecLatency {
-		t.Fatal("cold record should have latency > exec latency")
-	}
-}
-
-func TestRequestLogRingEviction(t *testing.T) {
-	arrivals := []simtime.Time{0, 2 * time.Second, 4 * time.Second, 6 * time.Second, 8 * time.Second}
-	run := func(size int) []RequestRecord {
-		e := simtime.NewEngine()
-		p := New(e, Config{
-			KeepAliveTimeout: 30 * time.Second,
-			RequestLogSize:   size,
-			Seed:             1,
-		}, offloadAllPolicy{})
-		p.Register("f", tinyProfile())
-		p.ScheduleInvocations("f", arrivals)
-		e.RunUntil(15 * time.Second)
-		if got := p.RequestLog().Total(); got != uint64(len(arrivals)) {
-			t.Fatalf("size %d: pushed %d records, want %d", size, got, len(arrivals))
-		}
-		return p.RequestLog().Items()
-	}
-	for _, size := range []int{0, -1} {
-		if recs := run(size); len(recs) != 0 {
-			t.Fatalf("size %d should keep no records, got %d", size, len(recs))
-		}
-	}
-	recs := run(3)
-	if len(recs) != 3 {
-		t.Fatalf("len = %d, want 3", len(recs))
-	}
-	for i, r := range recs {
-		if want := arrivals[len(arrivals)-3+i]; r.Arrival != want {
-			t.Fatalf("record %d arrived at %v, want %v (ring order wrong)", i, r.Arrival, want)
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -27,28 +28,43 @@ func reconcileSpan(t *testing.T, inv span.Invocation) {
 	}
 }
 
+// requestEvents filters traced events to the request events, one per
+// completed request in completion order.
+func requestEvents(evs []telemetry.Event) []telemetry.Event {
+	var reqs []telemetry.Event
+	for _, ev := range evs {
+		if ev.Kind == telemetry.KindRequest {
+			reqs = append(reqs, ev)
+		}
+	}
+	return reqs
+}
+
 // TestSpanTreesReconcileWithRequestLog drives a platform through cold and
-// warm starts and checks every recorded span tree against the request log:
-// same count, same end-to-end latency, phases summing exactly.
+// warm starts and checks every recorded span tree against the requests:
+// each root starts at its scheduled arrival, its exec child is the tracer's
+// request event (same container, function, kind, start and end), and its
+// phases sum exactly to its end-to-end latency.
 func TestSpanTreesReconcileWithRequestLog(t *testing.T) {
 	e := simtime.NewEngine()
 	rec := span.NewRecorder(128)
+	tr := telemetry.NewTracer(0)
 	p := New(e, Config{
 		KeepAliveTimeout: 10 * time.Second,
-		RequestLogSize:   128,
-		Telemetry:        telemetry.Hub{Spans: rec},
+		Telemetry:        telemetry.Hub{Tracer: tr, Spans: rec},
 		Seed:             1,
 	}, policy.NoOffload{})
 	p.Register("f", tinyProfile())
 	// 0: cold start. 50ms: a second cold start beside the busy first
-	// container. 2s: warm reuse.
-	p.ScheduleInvocations("f", []simtime.Time{0, 50 * time.Millisecond, 2 * time.Second})
+	// container. 2s: warm reuse. They complete in arrival order.
+	arrivals := []simtime.Time{0, 50 * time.Millisecond, 2 * time.Second}
+	p.ScheduleInvocations("f", arrivals)
 	e.Run()
 
 	invs := rec.Invocations()
-	recs := p.RequestLog().Items()
-	if len(invs) != 3 || len(recs) != 3 {
-		t.Fatalf("got %d spans / %d log records, want 3/3", len(invs), len(recs))
+	reqs := requestEvents(tr.Events())
+	if len(invs) != 3 || len(reqs) != 3 {
+		t.Fatalf("got %d spans / %d request events, want 3/3", len(invs), len(reqs))
 	}
 	wantKinds := []span.StartKind{span.Cold, span.Cold, span.Warm}
 	for i, inv := range invs {
@@ -56,9 +72,19 @@ func TestSpanTreesReconcileWithRequestLog(t *testing.T) {
 		if inv.Kind != wantKinds[i] {
 			t.Fatalf("inv %d kind = %v, want %v", i, inv.Kind, wantKinds[i])
 		}
-		if inv.Root.Start != recs[i].Arrival || inv.Total() != recs[i].Latency {
-			t.Fatalf("inv %d [%v, %v] disagrees with log record [%v, %v]",
-				i, inv.Root.Start, inv.Total(), recs[i].Arrival, recs[i].Latency)
+		if inv.Root.Start != arrivals[i] {
+			t.Fatalf("inv %d root starts at %v, want its arrival %v", i, inv.Root.Start, arrivals[i])
+		}
+		ev := reqs[i]
+		if ev.Actor != inv.Container || ev.Fn != inv.Function || ev.Aux != int64(inv.Kind) {
+			t.Fatalf("inv %d (%s, %s, %v) disagrees with request event (%s, %s, %d)",
+				i, inv.Container, inv.Function, inv.Kind, ev.Actor, ev.Fn, ev.Aux)
+		}
+		exec := inv.Root.Children[len(inv.Root.Children)-1]
+		if exec.Phase != span.PhaseExec || exec.Start != ev.At || exec.Dur != ev.Dur ||
+			inv.Root.Start+inv.Total() != ev.At+ev.Dur {
+			t.Fatalf("inv %d root [%v, +%v] exec %v [%v, +%v] disagrees with request event [%v, +%v]",
+				i, inv.Root.Start, inv.Total(), exec.Phase, exec.Start, exec.Dur, ev.At, ev.Dur)
 		}
 	}
 	// Cold tree: launch + init + exec children covering the root end to end.
@@ -140,29 +166,41 @@ func TestSpanStallChildren(t *testing.T) {
 }
 
 // TestSpansDisabledMatchesEnabledLatency pins the observer-effect contract:
-// recording spans must not change simulation outcomes.
+// recording spans must not change simulation outcomes. With the tracer on
+// in both runs, every traced event and the function's statistics (latency
+// samples included) must be identical with spans off and on.
 func TestSpansDisabledMatchesEnabledLatency(t *testing.T) {
-	run := func(rec *span.Recorder) []RequestRecord {
+	type result struct {
+		events []telemetry.Event
+		stats  FunctionStats
+	}
+	run := func(rec *span.Recorder) result {
 		e := simtime.NewEngine()
+		tr := telemetry.NewTracer(0)
 		p := New(e, Config{
 			KeepAliveTimeout: 10 * time.Second,
-			RequestLogSize:   64,
-			Telemetry:        telemetry.Hub{Spans: rec},
+			Telemetry:        telemetry.Hub{Tracer: tr, Spans: rec},
 			Seed:             7,
 		}, policy.NoOffload{})
-		p.Register("f", tinyProfile())
+		f := p.Register("f", tinyProfile())
 		p.ScheduleInvocations("f", []simtime.Time{0, time.Second, 2 * time.Second})
 		e.Run()
-		return p.RequestLog().Items()
+		return result{tr.Events(), *f.Stats()}
 	}
 	off := run(nil)
 	on := run(span.NewRecorder(64))
-	if len(off) != len(on) {
-		t.Fatalf("record counts differ: %d vs %d", len(off), len(on))
+	if n := len(requestEvents(off.events)); n != 3 {
+		t.Fatalf("spans-off run traced %d requests, want 3", n)
 	}
-	for i := range off {
-		if off[i] != on[i] {
-			t.Fatalf("record %d differs with spans on: %+v vs %+v", i, off[i], on[i])
+	if len(off.events) != len(on.events) {
+		t.Fatalf("event counts differ: %d vs %d", len(off.events), len(on.events))
+	}
+	for i := range off.events {
+		if off.events[i] != on.events[i] {
+			t.Fatalf("event %d differs with spans on: %+v vs %+v", i, off.events[i], on.events[i])
 		}
+	}
+	if !reflect.DeepEqual(off.stats, on.stats) {
+		t.Fatalf("function stats differ with spans on:\n  off: %+v\n  on:  %+v", off.stats, on.stats)
 	}
 }

@@ -189,8 +189,8 @@ func TestReplayEndpoint(t *testing.T) {
 	if resp.AvgLocalMB <= 0 {
 		t.Fatal("missing memory stats")
 	}
-	if len(resp.Recent) != 3 {
-		t.Fatalf("recent records = %d, want 3", len(resp.Recent))
+	if n := resp.ColdStarts + resp.WarmStarts + resp.SemiWarmStarts; n != 3 {
+		t.Fatalf("start paths sum to %d requests, want 3", n)
 	}
 }
 

@@ -149,8 +149,6 @@ type ReplayResponse struct {
 	WorstP95Sec    float64 `json:"worst_p95_sec"`
 	// MemNode is present when the request enabled a memory node.
 	MemNode *ReplayMemNodeStats `json:"mem_node,omitempty"`
-	// Recent lists the tail of the request log for inspection.
-	Recent []faas.RequestRecord `json:"recent"`
 }
 
 func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
@@ -181,7 +179,6 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	p := faas.New(engine, faas.Config{
 		KeepAliveTimeout: time.Duration(req.KeepAliveSec * float64(time.Second)),
 		Pool:             poolCfg,
-		RequestLogSize:   64,
 		Seed:             req.Seed,
 		Telemetry:        s.tel,
 	}, pol)
@@ -198,7 +195,6 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		PeakLocalMB:   float64(p.NodeLocalPeak()) / 1e6,
 		OffloadedMB:   float64(p.Pool().Meter(rmem.Offload).Total()) / 1e6,
 		OffloadBWMBps: p.Pool().Meter(rmem.Offload).Average(engine.Now()) / 1e6,
-		Recent:        p.RequestLog().Items(),
 	}
 	agg := p.Aggregate()
 	resp.Requests = agg.Requests

@@ -27,6 +27,12 @@ func (s *Sampler) Add(v float64) {
 // AddDuration records a duration observation in seconds.
 func (s *Sampler) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 
+// Merge adds every observation of other to s.
+func (s *Sampler) Merge(other *Sampler) {
+	s.values = append(s.values, other.values...)
+	s.sorted = false
+}
+
 // Count returns the number of observations.
 func (s *Sampler) Count() int { return len(s.values) }
 

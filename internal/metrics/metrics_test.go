@@ -115,16 +115,23 @@ func TestCDFMonotone(t *testing.T) {
 }
 
 // Property: percentiles are order statistics — P0 = min, P100 = max, and
-// monotone in p.
+// monotone in p — and merging two samplers is feeding one sampler both
+// streams.
 func TestPercentileProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var s Sampler
+		var s, merged, rest, empty Sampler
 		n := 1 + rng.Intn(200)
+		cut := rng.Intn(n + 1)
 		vals := make([]float64, n)
 		for i := range vals {
 			vals[i] = rng.NormFloat64() * 100
 			s.Add(vals[i])
+			if i < cut {
+				merged.Add(vals[i])
+			} else {
+				rest.Add(vals[i])
+			}
 		}
 		sort.Float64s(vals)
 		if s.Percentile(0) != vals[0] || s.Percentile(100) != vals[n-1] {
@@ -138,7 +145,17 @@ func TestPercentileProperties(t *testing.T) {
 			}
 			prev = v
 		}
-		return true
+		// The first part is queried, so sorted, before the merge, which
+		// must re-sort; merging an empty sampler changes nothing. Both
+		// samplers answer percentiles before Mean, so both are sorted and
+		// Mean sums the same values in the same order.
+		merged.P50()
+		merged.Merge(&rest)
+		merged.Merge(&empty)
+		if merged.P50() != s.P50() || merged.P95() != s.P95() || merged.P99() != s.P99() {
+			return false
+		}
+		return merged.Count() == n && merged.Mean() == s.Mean()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,8 @@
 // Package ring is the bounded "keep the last N" buffer under every sink that
 // retains individual records: the event tracer, the span recorder's
-// invocation and background rings, the timeline's flight recorder and the
-// platform's request log. Once full, each push overwrites the oldest item
-// and counts it as dropped, so recording a multi-hour simulation cannot
-// exhaust the host.
+// invocation and background rings, and the timeline's flight recorder. Once
+// full, each push overwrites the oldest item and counts it as dropped, so
+// recording a multi-hour simulation cannot exhaust the host.
 //
 // A Ring does no locking; the sink that owns it guards it with the lock it
 // already holds.
