@@ -18,6 +18,7 @@ import (
 	"github.com/faasmem/faasmem/internal/core"
 	"github.com/faasmem/faasmem/internal/experiments"
 	"github.com/faasmem/faasmem/internal/memnode"
+	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/rmem"
 	"github.com/faasmem/faasmem/internal/sharedmem"
@@ -370,19 +371,19 @@ func BenchmarkSemiWarmScan(b *testing.B) {
 	}
 }
 
-// BenchmarkSeedReuseIntervals seeds one function's reuse history from a
+// BenchmarkSeedReuseIntervals fills one function's reuse history from a
 // 100k-interval offline trace analysis, in the unsorted order a trace yields
-// them. Only the last HistoryLimit intervals can survive the trim, so the
-// cost is bounded by the limit rather than by the trace's length.
+// them, and seeds FaaSMem with it. The history keeps the last 512 in a ring
+// and sorts nothing until queried, so the fill is one ring write per
+// interval and the seed one copy.
 func BenchmarkSeedReuseIntervals(b *testing.B) {
-	iv := make([]time.Duration, 100_000)
-	for i := range iv {
-		iv[i] = time.Duration(i*7919%100_003) * time.Millisecond
-	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.New(core.Config{}).SeedReuseIntervals("f", iv)
+		var h metrics.Recent
+		for j := 0; j < 100_000; j++ {
+			h.Push(time.Duration(j*7919%100_003) * time.Millisecond)
+		}
+		core.New(core.Config{}).SeedReuseIntervals("f", h)
 	}
 }
 

@@ -17,16 +17,16 @@
 //     parameter t apart), hot-pool pages roll back to their Puckets; pages
 //     not re-promoted within the next window are offloaded.
 //   - Semi-warm (§6): after a per-function timing chosen as a high
-//     percentile of the container reused-interval distribution, an idle
-//     container's remaining memory — including hot pages — is gradually
-//     offloaded (percentile- or amount-based), throttled by the global
-//     bandwidth governor and aborted on request arrival.
+//     percentile of the function's last 512 container reused intervals,
+//     an idle container's remaining memory — including hot pages — is
+//     gradually offloaded (percentile- or amount-based), throttled by the
+//     global bandwidth governor and aborted on request arrival.
 package core
 
 import (
-	"slices"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/simtime"
@@ -85,10 +85,6 @@ type Config struct {
 	// OffloadTick is the granularity of gradual offloading. Default 1 s.
 	OffloadTick time.Duration
 
-	// HistoryLimit bounds the per-function reused-interval history kept for
-	// timing estimation. Default 512.
-	HistoryLimit int
-
 	// ColdStartAwareTiming enables the correction the paper's §8.3.2 points
 	// at as an opportunity: under bursty load, cold starts are not reflected
 	// in the reused-interval data, so the collected 99%-ile underestimates
@@ -133,9 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.OffloadTick <= 0 {
 		c.OffloadTick = time.Second
 	}
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 512
-	}
 	return c
 }
 
@@ -175,44 +168,11 @@ type ContainerSample struct {
 }
 
 type funcHistory struct {
-	// intervals is a ring of the last HistoryLimit reuse intervals: it
-	// grows by append until full, then head is the oldest interval, the
-	// next to be overwritten.
-	intervals []time.Duration
-	head      int
-	// sorted mirrors intervals in ascending order so percentile queries are a
-	// single index instead of a copy+sort per idle transition. Every mutation
-	// of intervals updates it in place.
-	sorted []time.Duration
+	// intervals holds the last 512 reuse intervals, seeded or recorded.
+	intervals metrics.Recent
 	// coldStarts and reuses feed the cold-start-aware timing correction.
 	coldStarts int
 	reuses     int
-}
-
-// push records one reuse interval in a history of at most limit: it
-// appends until the history is full, then overwrites the oldest interval
-// and replaces it in the sorted mirror with one shifted copy.
-func (h *funcHistory) push(d time.Duration, limit int) {
-	if len(h.intervals) < limit {
-		h.intervals = append(h.intervals, d)
-		i, _ := slices.BinarySearch(h.sorted, d)
-		h.sorted = slices.Insert(h.sorted, i, d)
-		return
-	}
-	old := h.intervals[h.head]
-	h.intervals[h.head] = d
-	if h.head++; h.head == limit {
-		h.head = 0
-	}
-	i, _ := slices.BinarySearch(h.sorted, old)
-	j, _ := slices.BinarySearch(h.sorted, d)
-	if j <= i {
-		copy(h.sorted[j+1:i+1], h.sorted[j:i])
-		h.sorted[j] = d
-	} else {
-		copy(h.sorted[i:j-1], h.sorted[i+1:j])
-		h.sorted[j-1] = d
-	}
 }
 
 // New builds a FaaSMem policy with defaults applied.
@@ -223,17 +183,11 @@ func New(cfg Config) *FaaSMem {
 // Stats returns the accumulated policy statistics.
 func (f *FaaSMem) Stats() *Stats { return &f.stat }
 
-// SeedReuseIntervals pre-populates a function's container reused-interval
-// history from an offline trace analysis. Only the last HistoryLimit
-// intervals can stay in the history, so only those are recorded.
-func (f *FaaSMem) SeedReuseIntervals(fnID string, intervals []time.Duration) {
-	h := f.history(fnID)
-	if over := len(intervals) - f.cfg.HistoryLimit; over > 0 {
-		intervals = intervals[over:]
-	}
-	for _, d := range intervals {
-		h.push(d, f.cfg.HistoryLimit)
-	}
+// SeedReuseIntervals installs a copy of an offline trace analysis's
+// reused-interval history (§6.1's provider-side profiling) as fnID's,
+// replacing what it held, so seed before the run.
+func (f *FaaSMem) SeedReuseIntervals(fnID string, intervals metrics.Recent) {
+	f.history(fnID).intervals = intervals.Clone()
 }
 
 func (f *FaaSMem) history(fnID string) *funcHistory {
@@ -247,7 +201,7 @@ func (f *FaaSMem) history(fnID string) *funcHistory {
 
 func (f *FaaSMem) recordReuse(fnID string, idle time.Duration) {
 	h := f.history(fnID)
-	h.push(idle, f.cfg.HistoryLimit)
+	h.intervals.Push(idle)
 	h.reuses++
 }
 
@@ -258,15 +212,10 @@ func (f *FaaSMem) recordReuse(fnID string, idle time.Duration) {
 // censoring bias §8.3.2 describes.
 func (f *FaaSMem) semiWarmDelay(fnID string) time.Duration {
 	h := f.history(fnID)
-	if len(h.intervals) < f.cfg.MinIntervalSamples {
+	if h.intervals.Len() < f.cfg.MinIntervalSamples {
 		return f.cfg.FallbackSemiWarmDelay
 	}
-	s := h.sorted
-	idx := int(f.cfg.SemiWarmPercentile / 100 * float64(len(s)-1))
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	delay := s[idx]
+	delay := h.intervals.Percentile(f.cfg.SemiWarmPercentile)
 	if f.cfg.ColdStartAwareTiming {
 		if launches := h.coldStarts + h.reuses; launches > 0 {
 			coldFrac := float64(h.coldStarts) / float64(launches)

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/faas"
 	"github.com/faasmem/faasmem/internal/faultinject"
+	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/pagemem"
 	"github.com/faasmem/faasmem/internal/policy"
 	"github.com/faasmem/faasmem/internal/rmem"
@@ -251,17 +250,53 @@ func TestSemiWarmAbortsOnRequest(t *testing.T) {
 	_ = p
 }
 
-func TestSemiWarmTimingFromSeededHistory(t *testing.T) {
-	fm := New(Config{MinIntervalSamples: 4})
-	intervals := []time.Duration{
-		time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second,
-		5 * time.Second, 6 * time.Second, 7 * time.Second, 100 * time.Second,
+// recent builds a reuse-interval history from ds, oldest first.
+func recent(ds ...time.Duration) metrics.Recent {
+	var r metrics.Recent
+	for _, d := range ds {
+		r.Push(d)
 	}
+	return r
+}
+
+// TestSemiWarmTimingFromSeededHistory checks semiWarmDelay against a seeded
+// history: the fallback below MinIntervalSamples, the configured percentile
+// from there on (recorded reuses count towards both), and the
+// ColdStartAwareTiming stretch by the cold-start fraction.
+func TestSemiWarmTimingFromSeededHistory(t *testing.T) {
+	fm := New(Config{MinIntervalSamples: 4, FallbackSemiWarmDelay: time.Minute})
+	intervals := recent(
+		time.Second, 2*time.Second, 3*time.Second, 4*time.Second,
+		5*time.Second, 6*time.Second, 7*time.Second, 100*time.Second,
+	)
 	fm.SeedReuseIntervals("f", intervals)
-	got := fm.semiWarmDelay("f")
-	// P99 of 8 samples → index 6 (0-based int truncation) or the tail.
-	if got < 7*time.Second {
-		t.Fatalf("semi-warm delay = %v, want high percentile of history", got)
+	// P99 of 8 samples is rank ⌊0.99·7⌋ = 6.
+	if got := fm.semiWarmDelay("f"); got != 7*time.Second {
+		t.Fatalf("semi-warm delay = %v, want 7s (rank 6 of the history)", got)
+	}
+
+	fm.SeedReuseIntervals("g", recent(10*time.Second, 20*time.Second, 30*time.Second))
+	if got := fm.semiWarmDelay("g"); got != time.Minute {
+		t.Fatalf("3 of 4 samples: delay = %v, want the 1m fallback", got)
+	}
+	fm.recordReuse("g", 40*time.Second)
+	if got := fm.semiWarmDelay("g"); got != 30*time.Second {
+		t.Fatalf("4 samples: delay = %v, want 30s (rank 2)", got)
+	}
+
+	fm = New(Config{SemiWarmPercentile: 50, ColdStartAwareTiming: true})
+	fm.SeedReuseIntervals("f", intervals)
+	if got := fm.semiWarmDelay("f"); got != 4*time.Second {
+		t.Fatalf("P50 with no launches = %v, want 4s (rank 3)", got)
+	}
+	fm.history("f").coldStarts = 1
+	for _, d := range []time.Duration{8 * time.Second, 9 * time.Second, 10 * time.Second} {
+		fm.recordReuse("f", d)
+	}
+	// 11 samples, rank 5 is 6s; one cold start in four launches stretches
+	// it by a quarter.
+	if got, want := fm.semiWarmDelay("f"), 6*time.Second+1500*time.Millisecond; got != want {
+		t.Fatalf("cold-start-aware delay = %v, want %v", got, want)
 	}
 }
 
@@ -272,113 +307,40 @@ func TestSemiWarmTimingFallbackAndOverride(t *testing.T) {
 	}
 }
 
+// TestHistoryTrimming: seeding installs a copy of the given history, kept
+// to its last 512 intervals, in place of what the function held; reuses
+// recorded afterwards go to the copy and leave the seed as it was.
 func TestHistoryTrimming(t *testing.T) {
-	fm := New(Config{HistoryLimit: 10})
-	var iv []time.Duration
-	for i := 0; i < 50; i++ {
-		iv = append(iv, time.Duration(i)*time.Second)
+	var long metrics.Recent
+	for i := 0; i < 600; i++ {
+		long.Push(time.Duration(i) * time.Second)
 	}
-	fm.SeedReuseIntervals("f", iv)
-	if got := len(fm.history("f").intervals); got != 10 {
-		t.Fatalf("history length = %d, want 10", got)
+	fm := New(Config{})
+	fm.SeedReuseIntervals("f", long)
+	h := fm.history("f")
+	if got := h.intervals.Len(); got != 512 {
+		t.Fatalf("history length = %d, want 512", got)
 	}
-	// Trim keeps the most recent entries.
-	if fm.history("f").intervals[0] != 40*time.Second {
-		t.Fatalf("trim kept wrong window: %v", fm.history("f").intervals[0])
+	if lo, hi := h.intervals.Percentile(0), h.intervals.Percentile(100); lo != 88*time.Second || hi != 599*time.Second {
+		t.Fatalf("history spans %v..%v, want the last 512 seeds, 88s..599s", lo, hi)
 	}
 
-	// A prior history, then more unsorted seeds (with duplicates) than the
-	// limit, then recorded reuses: the history keeps the last 10 values in
-	// arrival order and its sorted mirror stays the sorted copy of them.
-	fm = New(Config{HistoryLimit: 10})
-	fm.SeedReuseIntervals("g", []time.Duration{5, 3, 8})
-	seeds := []time.Duration{9, 1, 4, 4, 7, 2, 9, 6, 3, 3, 8, 1, 5}
-	fm.SeedReuseIntervals("g", seeds)
-	for _, d := range []time.Duration{4, 0, 9} {
-		fm.recordReuse("g", d)
+	// Reuses recorded into the full history overwrite its oldest intervals,
+	// not the seed's.
+	for range 10 {
+		fm.recordReuse("f", time.Hour)
 	}
-	h := fm.history("g")
-	want := append(slices.Clone(seeds[6:]), 4, 0, 9)
-	if got := arrivalOrder(h); !slices.Equal(got, want) {
-		t.Fatalf("intervals = %v, want %v", got, want)
+	if got := h.intervals.Percentile(100); got != time.Hour {
+		t.Fatalf("after 10 reuses of 1h: largest interval %v, want 1h", got)
 	}
-	sorted := slices.Clone(h.intervals)
-	slices.Sort(sorted)
-	if !slices.Equal(h.sorted, sorted) {
-		t.Fatalf("sorted = %v, want sorted %v", h.sorted, h.intervals)
+	if got := long.Percentile(100); got != 599*time.Second {
+		t.Fatalf("recorded reuses reached the seed: its largest interval is %v, want 599s", got)
 	}
-}
 
-// arrivalOrder unrolls a history's ring, oldest interval first.
-func arrivalOrder(h *funcHistory) []time.Duration {
-	return append(slices.Clone(h.intervals[h.head:]), h.intervals[:h.head]...)
-}
-
-// appendTrimHistory is the history the ring replaces: every interval is
-// appended to both slices, then the oldest beyond limit are trimmed from
-// the front of each, one shift per trimmed value.
-type appendTrimHistory struct {
-	limit             int
-	intervals, sorted []time.Duration
-	reuses            int
-}
-
-func (h *appendTrimHistory) add(d time.Duration) {
-	h.intervals = append(h.intervals, d)
-	i, _ := slices.BinarySearch(h.sorted, d)
-	h.sorted = slices.Insert(h.sorted, i, d)
-	if over := len(h.intervals) - h.limit; over > 0 {
-		for _, old := range h.intervals[:over] {
-			if i, ok := slices.BinarySearch(h.sorted, old); ok {
-				h.sorted = slices.Delete(h.sorted, i, i+1)
-			}
-		}
-		h.intervals = append(h.intervals[:0], h.intervals[over:]...)
-	}
-}
-
-// TestReuseRingMatchesAppendTrim drives random seed and record sequences,
-// with small value ranges so duplicates are common, through the ring
-// history and the append-and-trim oracle, and checks the sorted mirror,
-// the arrival order and semiWarmDelay after every step. Limits include 1,
-// and seeds often run longer than the limit.
-func TestReuseRingMatchesAppendTrim(t *testing.T) {
-	for _, limit := range []int{1, 2, 3, 7, 16} {
-		for seed := int64(1); seed <= 20; seed++ {
-			rng := rand.New(rand.NewSource(seed*97 + int64(limit)))
-			fm := New(Config{HistoryLimit: limit, MinIntervalSamples: 1 + rng.Intn(limit+1),
-				SemiWarmPercentile: float64(rng.Intn(101)), ColdStartAwareTiming: rng.Intn(2) == 0})
-			fm.history("f").coldStarts = rng.Intn(5)
-			ref := &appendTrimHistory{limit: limit}
-			for step := 0; step < 60; step++ {
-				if rng.Intn(4) == 0 {
-					seeds := make([]time.Duration, rng.Intn(3*limit+2))
-					for i := range seeds {
-						seeds[i] = time.Duration(rng.Intn(10)) * time.Second
-					}
-					fm.SeedReuseIntervals("f", seeds)
-					for _, d := range seeds {
-						ref.add(d)
-					}
-				} else {
-					d := time.Duration(rng.Intn(10)) * time.Second
-					fm.recordReuse("f", d)
-					ref.add(d)
-					ref.reuses++
-				}
-				h := fm.history("f")
-				if !slices.Equal(h.sorted, ref.sorted) || !slices.Equal(arrivalOrder(h), ref.intervals) {
-					t.Fatalf("limit %d seed %d step %d: ring %v sorted %v, want %v sorted %v",
-						limit, seed, step, arrivalOrder(h), h.sorted, ref.intervals, ref.sorted)
-				}
-				oracle := &FaaSMem{cfg: fm.cfg, fns: map[string]*funcHistory{"f": {
-					intervals: ref.intervals, sorted: ref.sorted, coldStarts: h.coldStarts, reuses: ref.reuses,
-				}}}
-				if got, want := fm.semiWarmDelay("f"), oracle.semiWarmDelay("f"); got != want {
-					t.Fatalf("limit %d seed %d step %d: semiWarmDelay %v, want %v", limit, seed, step, got, want)
-				}
-			}
-		}
+	// A second seed replaces the first instead of appending to it.
+	fm.SeedReuseIntervals("f", recent(9, 1, 4, 4, 7))
+	if n, lo, hi := h.intervals.Len(), h.intervals.Percentile(0), h.intervals.Percentile(100); n != 5 || lo != 1 || hi != 9 {
+		t.Fatalf("after reseeding: %d intervals spanning %v..%v, want the 5 seeds, 1ns..9ns", n, lo, hi)
 	}
 }
 

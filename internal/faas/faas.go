@@ -41,7 +41,7 @@ type Config struct {
 	// per-function adaptive one in the spirit of the hybrid-histogram policy
 	// (Shahrad et al., §10 of the paper): once a function has enough reuse
 	// observations, its containers idle out after the 99th percentile of
-	// observed reuse intervals (with headroom), clamped to
+	// its last 512 reuse intervals (with headroom), clamped to
 	// [adaptiveKeepAliveMin, KeepAliveTimeout]. The paper suggests FaaSMem
 	// composes with such keep-alive policies for further savings.
 	AdaptiveKeepAlive bool
@@ -108,25 +108,13 @@ func (c Config) withDefaults() Config {
 // keepAliveFor returns the keep-alive timeout for one of f's containers
 // entering idle now.
 func (p *Platform) keepAliveFor(f *Function) time.Duration {
-	if !p.cfg.AdaptiveKeepAlive {
-		return p.cfg.KeepAliveTimeout
-	}
 	const minSamples = 16
-	iv := f.stats.ReusedIntervals
-	if len(iv) < minSamples {
+	if !p.cfg.AdaptiveKeepAlive || f.reuse.Len() < minSamples {
 		return p.cfg.KeepAliveTimeout
 	}
-	p99 := trace.ReusedIntervalPercentile(iv, 99)
 	// 2x headroom over the observed tail: reuse intervals are censored by
 	// cold starts (§8.3.2), so the raw percentile underestimates.
-	to := 2 * p99
-	if to < adaptiveKeepAliveMin {
-		to = adaptiveKeepAliveMin
-	}
-	if to > p.cfg.KeepAliveTimeout {
-		to = p.cfg.KeepAliveTimeout
-	}
-	return to
+	return min(max(2*f.reuse.Percentile(99), adaptiveKeepAliveMin), p.cfg.KeepAliveTimeout)
 }
 
 // FunctionStats aggregates per-function observations over a run.
@@ -160,8 +148,6 @@ type FunctionStats struct {
 	// RecoveryStats counts the fault-recovery outcomes of the function's
 	// requests.
 	RecoveryStats
-	// ReusedIntervals collects idle durations at reuse (semi-warm inputs).
-	ReusedIntervals []time.Duration
 }
 
 // StageHooks attaches workflow state-passing callbacks to one invocation.
@@ -191,6 +177,7 @@ type Function struct {
 	idle    []*Container // LIFO: most recently idled last
 	live    int
 	stats   FunctionStats
+	reuse   metrics.Recent // idle durations at reuse; pushed only with AdaptiveKeepAlive on
 }
 
 // Profile returns the function's workload profile.
@@ -350,8 +337,9 @@ func (p *Platform) dispatch(f *Function, arrival simtime.Time, resched bool, hoo
 	if n := len(f.idle); n > 0 {
 		c := f.idle[n-1]
 		f.idle = f.idle[:n-1]
-		idleFor := now - c.idleSince
-		f.stats.ReusedIntervals = append(f.stats.ReusedIntervals, idleFor)
+		if p.cfg.AdaptiveKeepAlive {
+			f.reuse.Push(now - c.idleSince)
+		}
 		if sw, ok := c.pol.(policy.SemiWarmer); ok && sw.InSemiWarm() {
 			f.stats.SemiWarmStarts++
 			c.curKind = span.SemiWarm

@@ -74,9 +74,83 @@ func TestWarmStartReusesContainer(t *testing.T) {
 	if got := f.stats.Latency.Percentile(0); got != 0.1 {
 		t.Fatalf("warm latency = %v, want 0.1", got)
 	}
-	// Reused interval = gap since idle: request done at 0.6s, next at 2s.
-	if len(f.stats.ReusedIntervals) != 1 || f.stats.ReusedIntervals[0] != 1400*time.Millisecond {
-		t.Fatalf("reused intervals = %v, want [1.4s]", f.stats.ReusedIntervals)
+	// Adaptive keep-alive is off, so no reuse interval is recorded.
+	if n := f.reuse.Len(); n != 0 {
+		t.Fatalf("recorded %d reuse intervals with adaptive keep-alive off", n)
+	}
+
+	// With it on, the reuse interval is the gap since idle: the first
+	// request is done at 0.6s, the next arrives at 2s.
+	e = simtime.NewEngine()
+	p = New(e, Config{KeepAliveTimeout: 10 * time.Second, AdaptiveKeepAlive: true, Seed: 1}, policy.NoOffload{})
+	f = p.Register("f", tinyProfile())
+	p.ScheduleInvocations("f", []simtime.Time{0, 2 * time.Second})
+	e.Run()
+	if f.reuse.Len() != 1 || f.reuse.Percentile(0) != 1400*time.Millisecond {
+		t.Fatalf("%d reuse intervals from %v, want one of 1.4s", f.reuse.Len(), f.reuse.Percentile(0))
+	}
+}
+
+// TestAdaptiveKeepAlive holds keepAliveFor to its rule: the fixed timeout
+// below 16 recorded reuses, then twice the P99 of the last 512 reuse
+// intervals, clamped to [15 s, KeepAliveTimeout].
+func TestAdaptiveKeepAlive(t *testing.T) {
+	newFn := func() (*Platform, *Function) {
+		p := New(simtime.NewEngine(), Config{KeepAliveTimeout: 10 * time.Minute, AdaptiveKeepAlive: true}, policy.NoOffload{})
+		return p, p.Register("f", tinyProfile())
+	}
+	push := func(f *Function, n int, d time.Duration) {
+		for range n {
+			f.reuse.Push(d)
+		}
+	}
+
+	p, f := newFn()
+	push(f, 15, 20*time.Second)
+	if got := p.keepAliveFor(f); got != 10*time.Minute {
+		t.Fatalf("15 reuses: keep-alive %v, want the fixed 10m", got)
+	}
+	push(f, 1, 20*time.Second)
+	if got := p.keepAliveFor(f); got != 40*time.Second {
+		t.Fatalf("16 reuses of 20s: keep-alive %v, want 40s", got)
+	}
+	// The P99 of 100 reuses is rank 98: one outlier does not move it, two do.
+	push(f, 83, 20*time.Second)
+	push(f, 1, 100*time.Second)
+	if got := p.keepAliveFor(f); got != 40*time.Second {
+		t.Fatalf("one 100s outlier in 100: keep-alive %v, want 40s", got)
+	}
+	push(f, 1, 100*time.Second)
+	if got := p.keepAliveFor(f); got != 200*time.Second {
+		t.Fatalf("two 100s outliers in 101: keep-alive %v, want 200s", got)
+	}
+
+	p, f = newFn()
+	push(f, 16, 5*time.Second)
+	if got := p.keepAliveFor(f); got != 15*time.Second {
+		t.Fatalf("reuses of 5s: keep-alive %v, want the 15s floor", got)
+	}
+	push(f, 16, 8*time.Minute)
+	if got := p.keepAliveFor(f); got != 10*time.Minute {
+		t.Fatalf("reuses of 8m: keep-alive %v, want the 10m ceiling", got)
+	}
+
+	// Only the last 512 reuses count: 88 long ones followed by 512 short
+	// ones leave a P99 of 30s.
+	p, f = newFn()
+	push(f, 88, 4*time.Minute)
+	push(f, 512, 30*time.Second)
+	if n := f.reuse.Len(); n != 512 {
+		t.Fatalf("history holds %d reuses, want 512", n)
+	}
+	if got := p.keepAliveFor(f); got != time.Minute {
+		t.Fatalf("after 600 reuses: keep-alive %v, want 1m from the last 512", got)
+	}
+
+	// With the flag off the fixed timeout applies, whatever the history.
+	p.cfg.AdaptiveKeepAlive = false
+	if got := p.keepAliveFor(f); got != 10*time.Minute {
+		t.Fatalf("adaptive off: keep-alive %v, want 10m", got)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package metrics provides the statistical primitives the evaluation relies
-// on: latency percentile samplers, empirical CDFs, and time-weighted series
-// for memory-usage timelines.
+// on: latency percentile samplers, empirical CDFs, bounded reuse histories,
+// and time-weighted series for memory-usage timelines.
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -111,6 +112,75 @@ func (s *Sampler) CDF() []CDFPoint {
 type CDFPoint struct {
 	Value    float64
 	Fraction float64
+}
+
+// recentCap is how many durations a Recent keeps.
+const recentCap = 512
+
+// Recent keeps the last 512 durations pushed, in a ring, and answers rank
+// queries over them: the one record of container reused intervals (§6.1),
+// for the offline profile, semi-warm timing and adaptive keep-alive. The
+// first Percentile builds a sorted mirror, which each later Push keeps
+// current with one shifted copy. The zero value is ready to use; an
+// assigned copy shares storage with its source, a Clone does not.
+type Recent struct {
+	ring   []time.Duration // full at 512; then ring[head] is the oldest
+	head   int
+	sorted []time.Duration // ring in ascending order; nil until a Percentile
+}
+
+// Push records d, dropping the oldest duration once 512 are kept.
+func (r *Recent) Push(d time.Duration) {
+	if len(r.ring) < recentCap {
+		r.ring = append(r.ring, d)
+		if r.sorted != nil {
+			i, _ := slices.BinarySearch(r.sorted, d)
+			r.sorted = slices.Insert(r.sorted, i, d)
+		}
+		return
+	}
+	old := r.ring[r.head]
+	r.ring[r.head] = d
+	if r.head++; r.head == recentCap {
+		r.head = 0
+	}
+	if r.sorted == nil {
+		return
+	}
+	i, _ := slices.BinarySearch(r.sorted, old)
+	j, _ := slices.BinarySearch(r.sorted, d)
+	if j <= i {
+		copy(r.sorted[j+1:i+1], r.sorted[j:i])
+		r.sorted[j] = d
+	} else {
+		copy(r.sorted[i:j-1], r.sorted[i+1:j])
+		r.sorted[j-1] = d
+	}
+}
+
+// Len returns how many durations are kept, at most 512.
+func (r *Recent) Len() int { return len(r.ring) }
+
+// Percentile returns the kept duration of ascending rank ⌊p/100·(Len−1)⌋,
+// without interpolating; 0 when nothing is kept. It panics on a p outside
+// [0, 100].
+func (r *Recent) Percentile(p float64) time.Duration {
+	if p < 0 || p > 100 {
+		panic(fmt.Sprintf("metrics: percentile %v out of [0,100]", p))
+	}
+	if len(r.ring) == 0 {
+		return 0
+	}
+	if r.sorted == nil {
+		r.sorted = slices.Clone(r.ring)
+		slices.Sort(r.sorted)
+	}
+	return r.sorted[int(p/100*float64(len(r.sorted)-1))]
+}
+
+// Clone returns a copy of r that shares no storage with it.
+func (r *Recent) Clone() Recent {
+	return Recent{ring: slices.Clone(r.ring), head: r.head, sorted: slices.Clone(r.sorted)}
 }
 
 // TimeWeighted tracks a piecewise-constant quantity over virtual time (for

@@ -2,9 +2,9 @@ package trace
 
 import (
 	"slices"
-	"sort"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/simtime"
 )
 
@@ -22,13 +22,10 @@ type KeepAliveResult struct {
 	InactiveTime time.Duration
 	// RequestsPerContainer lists how many requests each container served.
 	RequestsPerContainer []int
-	// ReusedIntervals lists, for every warm start, how long the container
-	// had been idle when the request arrived (the "container reused
-	// interval" distribution of §6.1).
-	ReusedIntervals []time.Duration
-	// ContainerLifetimes lists each container's total lifetime from launch
-	// to recycling.
-	ContainerLifetimes []time.Duration
+	// ReusedIntervals keeps, for the last 512 warm starts, how long the
+	// container had been idle (the "container reused interval" of §6.1).
+	// Merge leaves it out: no reader wants a cross-function one.
+	ReusedIntervals metrics.Recent
 }
 
 // Lifetime is active plus inactive container time.
@@ -53,15 +50,13 @@ func (r KeepAliveResult) ColdStartRatio() float64 {
 	return float64(r.ColdStarts) / float64(total)
 }
 
-// Merge accumulates other into r.
+// Merge accumulates other into r, all but its ReusedIntervals.
 func (r *KeepAliveResult) Merge(other KeepAliveResult) {
 	r.ColdStarts += other.ColdStarts
 	r.WarmStarts += other.WarmStarts
 	r.ActiveTime += other.ActiveTime
 	r.InactiveTime += other.InactiveTime
 	r.RequestsPerContainer = append(r.RequestsPerContainer, other.RequestsPerContainer...)
-	r.ReusedIntervals = append(r.ReusedIntervals, other.ReusedIntervals...)
-	r.ContainerLifetimes = append(r.ContainerLifetimes, other.ContainerLifetimes...)
 }
 
 // container tracks one simulated container's occupancy.
@@ -90,10 +85,11 @@ func SimulateKeepAlive(invocations []simtime.Time, execTime, timeout time.Durati
 	return simulateKeepAlive(invocations, execTime, timeout, true)
 }
 
-// SimulateKeepAliveScalars is SimulateKeepAlive minus the per-container
-// distribution slices: only the counters and active/inactive times are
-// filled. Sweeps that read aggregate ratios alone (Figure 1 runs one
-// simulation per trace function per timeout) skip the slice churn entirely.
+// SimulateKeepAliveScalars is SimulateKeepAlive minus the distributions
+// (RequestsPerContainer and ReusedIntervals): only the counters and
+// active/inactive times are filled. Sweeps that read aggregate ratios alone
+// (Figure 1 runs one simulation per trace function per timeout) skip their
+// churn entirely.
 func SimulateKeepAliveScalars(invocations []simtime.Time, execTime, timeout time.Duration) KeepAliveResult {
 	return simulateKeepAlive(invocations, execTime, timeout, false)
 }
@@ -118,7 +114,6 @@ func simulateKeepAlive(invocations []simtime.Time, execTime, timeout time.Durati
 		res.InactiveTime += (at - c.launched) - c.active
 		if collect {
 			res.RequestsPerContainer = append(res.RequestsPerContainer, c.requests)
-			res.ContainerLifetimes = append(res.ContainerLifetimes, at-c.launched)
 		}
 	}
 
@@ -148,7 +143,7 @@ func simulateKeepAlive(invocations []simtime.Time, execTime, timeout time.Durati
 			head++
 			res.WarmStarts++
 			if collect {
-				res.ReusedIntervals = append(res.ReusedIntervals, at-c.idleSince)
+				res.ReusedIntervals.Push(at - c.idleSince)
 			}
 		} else {
 			c = kaContainer{launched: at, seq: seq}
@@ -203,24 +198,4 @@ func SimulateTraceKeepAliveScalarsFunc(t *Trace, execOf func(i int, f *Function)
 		res.Merge(SimulateKeepAliveScalars(f.Invocations, execOf(i, f), timeout))
 	}
 	return res
-}
-
-// ReusedIntervalPercentile returns the p-th percentile of the reused
-// intervals (p in [0,100]); zero if there are none. FaaSMem's semi-warm
-// timing uses the 99th percentile of this distribution.
-func ReusedIntervalPercentile(intervals []time.Duration, p float64) time.Duration {
-	if len(intervals) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(intervals))
-	copy(s, intervals)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(p / 100 * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/faasmem/faasmem/internal/metrics"
 	"github.com/faasmem/faasmem/internal/simtime"
 )
 
@@ -42,13 +43,9 @@ func TestKeepAliveAllWarm(t *testing.T) {
 	}
 	// Reused intervals: requests at 5,10,15 each found the container idle
 	// since completion of the previous request (gap - exec = 4s).
-	if len(res.ReusedIntervals) != 3 {
-		t.Fatalf("reused intervals = %v", res.ReusedIntervals)
-	}
-	for _, ri := range res.ReusedIntervals {
-		if ri != 4*time.Second {
-			t.Fatalf("reused interval = %v, want 4s", ri)
-		}
+	ri := &res.ReusedIntervals
+	if ri.Len() != 3 || ri.Percentile(0) != 4*time.Second || ri.Percentile(100) != 4*time.Second {
+		t.Fatalf("%d reused intervals spanning %v..%v, want 3 of 4s", ri.Len(), ri.Percentile(0), ri.Percentile(100))
 	}
 }
 
@@ -67,9 +64,6 @@ func TestKeepAliveAccounting(t *testing.T) {
 	want := 10.0 / 11.0
 	if math.Abs(res.InactiveFraction()-want) > 1e-9 {
 		t.Errorf("InactiveFraction = %v, want %v", res.InactiveFraction(), want)
-	}
-	if len(res.ContainerLifetimes) != 1 || res.ContainerLifetimes[0] != 11*time.Second {
-		t.Errorf("ContainerLifetimes = %v", res.ContainerLifetimes)
 	}
 }
 
@@ -133,28 +127,6 @@ func TestSimulateTraceKeepAliveMerges(t *testing.T) {
 	}
 }
 
-func TestReusedIntervalPercentile(t *testing.T) {
-	var iv []time.Duration
-	for i := 1; i <= 100; i++ {
-		iv = append(iv, time.Duration(i)*time.Second)
-	}
-	if got := ReusedIntervalPercentile(iv, 99); got != 99*time.Second {
-		t.Errorf("P99 = %v, want 99s", got)
-	}
-	if got := ReusedIntervalPercentile(iv, 0); got != time.Second {
-		t.Errorf("P0 = %v, want 1s", got)
-	}
-	if got := ReusedIntervalPercentile(nil, 99); got != 0 {
-		t.Errorf("empty P99 = %v, want 0", got)
-	}
-	// Input must not be mutated (sorted copy).
-	shuffled := []time.Duration{3 * time.Second, 1 * time.Second, 2 * time.Second}
-	ReusedIntervalPercentile(shuffled, 50)
-	if shuffled[0] != 3*time.Second {
-		t.Error("percentile sorted the caller's slice")
-	}
-}
-
 // TestFig1Shape checks the headline trace analytic: with a 10-minute
 // keep-alive the inactive fraction is very high (the paper reports 89.2%),
 // and with 1 minute it is still above 50% (paper: 70.1%).
@@ -204,7 +176,7 @@ func TestKeepAliveScalars(t *testing.T) {
 			sc.ActiveTime != full.ActiveTime || sc.InactiveTime != full.InactiveTime {
 			t.Fatalf("%s: scalars diverge: %+v vs %+v", f.ID, sc, full)
 		}
-		if sc.RequestsPerContainer != nil || sc.ReusedIntervals != nil || sc.ContainerLifetimes != nil {
+		if sc.RequestsPerContainer != nil || sc.ReusedIntervals.Len() != 0 {
 			t.Fatalf("%s: scalars mode filled distribution slices", f.ID)
 		}
 	}
@@ -213,12 +185,17 @@ func TestKeepAliveScalars(t *testing.T) {
 // TestKeepAliveDifferential replays random sorted timelines (with deliberate
 // duplicate timestamps, which exercise the idle-tie handling) through the
 // O(n) deque implementation and the O(n·pool) reference, asserting identical
-// aggregates, identical reuse intervals, and multiset-identical per-container
-// distributions (the retire *order* may legitimately differ).
+// aggregates, the reference's last 512 reuse intervals in order, and a
+// multiset-identical requests-per-container distribution (the retire
+// *order* may legitimately differ). Half the timelines run long enough to
+// reuse containers more than 512 times.
 func TestKeepAliveDifferential(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 50 + rng.Intn(400)
+		if seed%2 == 1 {
+			n += 1000
+		}
 		inv := make([]simtime.Time, n)
 		var at simtime.Time
 		for i := range inv {
@@ -229,6 +206,9 @@ func TestKeepAliveDifferential(t *testing.T) {
 		}
 		exec := time.Duration(1+rng.Intn(2000)) * time.Millisecond
 		timeout := time.Duration(1+rng.Intn(600)) * time.Second
+		if seed%2 == 1 {
+			timeout += 3 * time.Minute // longer than any gap: mostly reuses
+		}
 
 		got := SimulateKeepAlive(inv, exec, timeout)
 		want := simulateKeepAliveReference(inv, exec, timeout)
@@ -241,24 +221,25 @@ func TestKeepAliveDifferential(t *testing.T) {
 			t.Fatalf("seed %d: active/inactive = %v/%v, want %v/%v",
 				seed, got.ActiveTime, got.InactiveTime, want.ActiveTime, want.InactiveTime)
 		}
-		if !reflect.DeepEqual(got.ReusedIntervals, want.ReusedIntervals) {
-			t.Fatalf("seed %d: reuse intervals diverge", seed)
+		if seed%2 == 1 && len(want.reused) <= 512 {
+			t.Fatalf("seed %d: %d reuses do not wrap the history", seed, len(want.reused))
+		}
+		// Recent keeps the last 512 of what it is pushed, in a ring: one
+		// fed the reference's full list must equal the replay's.
+		var wantRecent metrics.Recent
+		for _, d := range want.reused {
+			wantRecent.Push(d)
+		}
+		if !reflect.DeepEqual(got.ReusedIntervals, wantRecent) {
+			t.Fatalf("seed %d: reuse intervals diverge from the reference's last 512", seed)
 		}
 		sortedInts := func(s []int) []int {
 			c := append([]int(nil), s...)
 			sort.Ints(c)
 			return c
 		}
-		sortedDurs := func(s []time.Duration) []time.Duration {
-			c := append([]time.Duration(nil), s...)
-			sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-			return c
-		}
 		if !reflect.DeepEqual(sortedInts(got.RequestsPerContainer), sortedInts(want.RequestsPerContainer)) {
 			t.Fatalf("seed %d: requests-per-container multisets diverge", seed)
-		}
-		if !reflect.DeepEqual(sortedDurs(got.ContainerLifetimes), sortedDurs(want.ContainerLifetimes)) {
-			t.Fatalf("seed %d: container-lifetime multisets diverge", seed)
 		}
 	}
 }
@@ -290,19 +271,25 @@ func TestKeepAliveUnsortedFallback(t *testing.T) {
 	}
 }
 
+// referenceResult is the reference replay's outcome: a KeepAliveResult
+// without reuse intervals, and every reuse interval in arrival order.
+type referenceResult struct {
+	KeepAliveResult
+	reused []time.Duration
+}
+
 // simulateKeepAliveReference is the retired O(n·pool) pool-walk
 // implementation, kept as the oracle for the differential tests. Its
 // per-container bookkeeping defines the semantics SimulateKeepAlive must
 // reproduce on a sorted timeline.
-func simulateKeepAliveReference(invocations []simtime.Time, execTime, timeout time.Duration) KeepAliveResult {
-	var res KeepAliveResult
+func simulateKeepAliveReference(invocations []simtime.Time, execTime, timeout time.Duration) referenceResult {
+	var res referenceResult
 	var pool []*kaContainer // containers, alive
 
 	retire := func(c *kaContainer, at simtime.Time) {
 		res.ActiveTime += c.active
 		res.InactiveTime += (at - c.launched) - c.active
 		res.RequestsPerContainer = append(res.RequestsPerContainer, c.requests)
-		res.ContainerLifetimes = append(res.ContainerLifetimes, at-c.launched)
 	}
 
 	for _, at := range invocations {
@@ -326,7 +313,7 @@ func simulateKeepAliveReference(invocations []simtime.Time, execTime, timeout ti
 		}
 		if pick != nil {
 			res.WarmStarts++
-			res.ReusedIntervals = append(res.ReusedIntervals, (at - pick.idleSince))
+			res.reused = append(res.reused, at-pick.idleSince)
 		} else {
 			res.ColdStarts++
 			pick = &kaContainer{launched: at}

@@ -4,8 +4,8 @@
 // package provides a calibrated synthetic generator plus the analytics the
 // paper derives from the trace: cold-start ratio and memory-inactive time
 // under a keep-alive policy (Fig. 1), requests handled per container
-// (Fig. 5), container reused intervals (semi-warm timing, §6.1), and
-// high/medium/low load classification (§8.4).
+// (Fig. 5), each function's last 512 container reused intervals (semi-warm
+// timing, §6.1), and high/medium/low load classification (§8.4).
 package trace
 
 import (
