@@ -35,8 +35,9 @@ bench:
 # warm container (ContainerRequest, whose allocs/op is 0), both in
 # internal/faas beside the unexported code they time, the run list's worst case
 # (FragmentedSpace, in internal/pagemem), one TMO idle-walk step on a
-# Bert-sized container (TMOStep, in internal/policy) and one GET /flows after
-# a fixed list of /run requests (GatewayFlows, in internal/gateway),
+# Bert-sized container (TMOStep, in internal/policy) and one GET /flows and
+# one GET /timeline after a fixed list of /run requests (GatewayFlows and
+# GatewayTimeline, in internal/gateway),
 # snapshotted as machine-readable JSON (the CI perf artifact;
 # see cmd/benchjson). One run feeds three artifacts: the raw log
 # (bench_gate.txt, which records allocs/op for the regression gate), the JSON
@@ -52,7 +53,7 @@ bench:
 # benches repeat one identical workload and keep time-based b.N.
 BENCH_SEEDED = Fig2DamonLatency|Fig8RuntimeRecalls|Fig12AzureHighLoad|Fig12AzureLowLoad|Table1DiverseTraces|Fig13Ablation|Fig14SemiWarmApplicability|Fig16Density|PoolDensity|DAGPipeline
 BENCH_SEEDED_SMALL = Fig6BertScan|Fig9WebScan
-BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|FragmentedSpace|TMOStep|GatewayFlows
+BENCH_TIMED = Fig1KeepAliveSweep|Fig4RuntimeFootprint|Fig5RequestsPerContainer|Fig15BarrierInsert|Fig15Rollback|Fig15Overhead|PucketOffloadScan|SemiWarmScan|SeedReuseIntervals|ContainerLaunch|ContainerRequest|HarnessParallelFanout|DisabledSpans|DisabledTimeline|DisabledExemplars|MemnodeOffload|MergeLookup|EngineSchedule|EngineTimerWheel|SharedRegionMap|FragmentedSpace|TMOStep|GatewayFlows|GatewayTimeline
 bench-json:
 	{ $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED))$$' -benchtime=10x -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='^Benchmark($(BENCH_SEEDED_SMALL))$$' -benchtime=1000x -benchmem . ; \
@@ -63,7 +64,7 @@ bench-json:
 # BENCH_AB_PKGS packages (the root; internal/faas, which owns
 # ContainerLaunch and ContainerRequest; internal/pagemem,
 # which owns FragmentedSpace; internal/policy, which owns TMOStep; and
-# internal/gateway, which owns GatewayFlows) are built from BASE
+# internal/gateway, which owns GatewayFlows and GatewayTimeline) are built from BASE
 # (a git revision, exported with git archive under a temporary directory)
 # and from the working tree, and the two sides run the BENCH_AB benchmarks
 # (default: the BENCH_TIMED list) alternately COUNT times, the side that

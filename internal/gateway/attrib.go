@@ -12,20 +12,28 @@ import (
 // handleAttrib serves the latency attribution of every span recorded since
 // the gateway started (across /run and /replay scenarios). ?format selects
 // the rendering: text (default, the faasmem-stat table), json (the full
-// span.Analysis), or prometheus (per-phase gauges for scraping).
+// span.Analysis), or prometheus (per-phase gauges for scraping). An unknown
+// format is a 400 before any span is analyzed.
 func (s *server) handleAttrib(w http.ResponseWriter, r *http.Request) {
-	an := span.Analyze(s.tel.Spans.Invocations())
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = span.WriteText(w, an)
-	case "json":
-		writeJSON(w, http.StatusOK, an)
-	case "prometheus":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = writeAttribPrometheus(w, an)
+	format := r.URL.Query().Get("format")
+	switch format {
+	case "", "text", "json", "prometheus":
 	default:
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want text, json, or prometheus)", format))
+		return
+	}
+	an := span.Analyze(s.tel.Spans.Invocations())
+	switch format {
+	case "json":
+		s.writeJSON(w, http.StatusOK, an)
+	case "prometheus":
+		s.writeText(w, "text/plain; version=0.0.4; charset=utf-8", func(rep *reply) {
+			_ = writeAttribPrometheus(rep, an)
+		})
+	default:
+		s.writeText(w, "text/plain; charset=utf-8", func(rep *reply) {
+			_ = span.WriteText(rep, an)
+		})
 	}
 }
 

@@ -17,7 +17,7 @@ func (s *server) handleExemplars(w http.ResponseWriter, _ *http.Request) {
 	if cells == nil {
 		cells = []exemplar.Cell{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"window_sec": s.tel.Exemplars.Window().Seconds(),
 		"k":          s.tel.Exemplars.K(),
 		"cells":      cells,
@@ -28,13 +28,21 @@ func (s *server) handleExemplars(w http.ResponseWriter, _ *http.Request) {
 // plus its conservation self-audit. With several runs folded into one
 // recorder the audit reports per-run occupancy checks where it can and marks
 // the aggregate as merged otherwise — the flows themselves stay additive.
+// The rows are read into the reply's own row slice and appended as compact
+// JSON without reflection, then indented with every other reply.
 func (s *server) handleFlows(w http.ResponseWriter, _ *http.Request) {
-	rows := s.tel.Timeline.FlowRows()
-	if rows == nil {
-		rows = []timeseries.FlowRow{}
+	rep := s.takeReply()
+	defer s.putReply(rep)
+	rep.rows = s.tel.Timeline.AppendFlowRows(rep.rows)
+	rep.raw = append(rep.raw, `{"audit":`...)
+	_ = rep.enc.Encode(timeseries.AuditFlows(s.tel.Timeline))
+	rep.raw = append(rep.raw[:len(rep.raw)-1], `,"flows":[`...)
+	for i := range rep.rows {
+		if i > 0 {
+			rep.raw = append(rep.raw, ',')
+		}
+		rep.raw = appendFlowRow(rep.raw, &rep.rows[i])
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"flows": rows,
-		"audit": timeseries.AuditFlows(s.tel.Timeline),
-	})
+	rep.raw = append(rep.raw, "]}\n"...)
+	sendJSON(w, http.StatusOK, rep)
 }

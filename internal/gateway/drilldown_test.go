@@ -89,10 +89,10 @@ func TestExemplarsAndFlowsEndpoints(t *testing.T) {
 	}
 }
 
-// BenchmarkGatewayFlows times one GET /flows on a gateway that has served a
-// fixed list of /run requests: bursty json and web runs alternating, every
-// fourth under a fault plan, as a scraper reads a busy service's ledger.
-func BenchmarkGatewayFlows(b *testing.B) {
+// servedGateway returns a gateway that has served a fixed list of /run
+// requests: bursty json and web runs alternating, every fourth under a fault
+// plan, as a scraper finds a busy service.
+func servedGateway(b *testing.B) http.Handler {
 	h := Handler()
 	for i := 0; i < 8; i++ {
 		body := fmt.Sprintf(`{"bench":%q,"duration_sec":300,"mean_gap_sec":6,"bursty":true,"seed":%d`,
@@ -104,14 +104,28 @@ func BenchmarkGatewayFlows(b *testing.B) {
 			b.Fatalf("/run status = %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	req := httptest.NewRequest(http.MethodGet, "/flows", nil)
+	return h
+}
+
+// benchmarkGet times one GET of path on a served gateway.
+func benchmarkGet(b *testing.B, path string) {
+	h := servedGateway(b)
+	req := httptest.NewRequest(http.MethodGet, path, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			b.Fatalf("/flows status = %d", rec.Code)
+			b.Fatalf("%s status = %d", path, rec.Code)
 		}
 	}
 }
+
+// BenchmarkGatewayFlows times one GET /flows on a served gateway: the
+// ledger's rows rendered into the reply.
+func BenchmarkGatewayFlows(b *testing.B) { benchmarkGet(b, "/flows") }
+
+// BenchmarkGatewayTimeline times one GET /timeline on a served gateway: the
+// per-window summary table rendered from the recorder's cells.
+func BenchmarkGatewayTimeline(b *testing.B) { benchmarkGet(b, "/timeline") }

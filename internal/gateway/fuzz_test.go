@@ -66,11 +66,13 @@ func FuzzGatewayReplay(f *testing.F) {
 	})
 }
 
-// FuzzIndentMatchesEncoder holds the reply indenter to the standard
+// FuzzIndentMatchesEncoder holds the reply renderers to the standard
 // library: on any valid JSON, compacted as json.Marshal would leave it,
 // appendIndent must produce json.Indent's bytes plus a newline, and
 // writeJSON must write exactly what json.Encoder with SetIndent("", "  ")
-// writes for the same value.
+// writes for the same value — and then for a second, shorter value, so a
+// reply buffer reused with a stale tail fails. Every input, valid or not,
+// must also come out of appendJSONString as json.Marshal quotes it.
 func FuzzIndentMatchesEncoder(f *testing.F) {
 	for _, s := range []string{
 		`{"quote \", then {punctuation}: [inside]":"\"}"}`,
@@ -82,35 +84,44 @@ func FuzzIndentMatchesEncoder(f *testing.F) {
 		`[1e10,-2.5E-3,0,1.5e+300,-0]`,
 		strings.Repeat(`[{"x":`, 40) + `1` + strings.Repeat(`}]`, 40),
 		` { "spaced" : [ 1 , 2 ] } `,
+		"bad utf-8 \xff\xfe, a control \x01 and DEL \x7f",
+		`fn<b>&amp;`,
 	} {
 		f.Add([]byte(s))
 	}
+	s := newServer()
 	f.Fuzz(func(t *testing.T, data []byte) {
+		want, _ := json.Marshal(string(data))
+		if got := appendJSONString(nil, string(data)); !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONString(%q) = %q, want %q", data, got, want)
+		}
 		if !json.Valid(data) {
 			return
 		}
-		var compact, want bytes.Buffer
+		var compact, indented bytes.Buffer
 		if err := json.Compact(&compact, data); err != nil {
 			t.Fatal(err)
 		}
-		if err := json.Indent(&want, compact.Bytes(), "", "  "); err != nil {
+		if err := json.Indent(&indented, compact.Bytes(), "", "  "); err != nil {
 			t.Fatal(err)
 		}
-		want.WriteByte('\n')
-		if got := appendIndent(nil, compact.Bytes()); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("appendIndent(%q)\n got %q\nwant %q", compact.Bytes(), got, want.Bytes())
+		indented.WriteByte('\n')
+		if got := appendIndent(nil, compact.Bytes()); !bytes.Equal(got, indented.Bytes()) {
+			t.Fatalf("appendIndent(%q)\n got %q\nwant %q", compact.Bytes(), got, indented.Bytes())
 		}
 
-		var enc bytes.Buffer
-		e := json.NewEncoder(&enc)
-		e.SetIndent("", "  ")
-		if err := e.Encode(json.RawMessage(data)); err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		writeJSON(rec, 200, json.RawMessage(data))
-		if !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
-			t.Fatalf("writeJSON(%q)\n got %q\nwant %q", data, rec.Body.Bytes(), enc.Bytes())
+		for _, v := range []json.RawMessage{data, json.RawMessage(`0`)} {
+			var enc bytes.Buffer
+			e := json.NewEncoder(&enc)
+			e.SetIndent("", "  ")
+			if err := e.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			s.writeJSON(rec, 200, v)
+			if !bytes.Equal(rec.Body.Bytes(), enc.Bytes()) {
+				t.Fatalf("writeJSON(%q)\n got %q\nwant %q", v, rec.Body.Bytes(), enc.Bytes())
+			}
 		}
 	})
 }

@@ -75,8 +75,8 @@ type WorkflowRunResponse struct {
 }
 
 // server holds the gateway's shared state: the service-lifetime telemetry
-// hub every simulation run reports into, plus the gateway's own request
-// counters.
+// hub every simulation run reports into, the gateway's own request
+// counters, and the free list of reply buffers.
 type server struct {
 	// tel is passed whole into every /run and /replay simulation. Metrics
 	// aggregate into its registry, and spans, timeline and exemplars
@@ -87,6 +87,8 @@ type server struct {
 	replays     *telemetry.Metric
 	experiments *telemetry.Metric
 	errors      *telemetry.Metric
+	// free holds idle replies for reuse (see reply.go).
+	free chan *reply
 }
 
 func newServer() *server {
@@ -102,30 +104,33 @@ func newServer() *server {
 		replays:     reg.Counter("gateway_replays_total", "POST /replay traces executed"),
 		experiments: reg.Counter("gateway_experiments_total", "POST /experiments regenerations executed"),
 		errors:      reg.Counter("gateway_errors_total", "requests rejected with an error status"),
+		free:        make(chan *reply, replyFree),
 	}
 }
 
 // Handler builds the gateway's HTTP handler.
-func Handler() http.Handler {
-	s := newServer()
+func Handler() http.Handler { return newServer().handler() }
+
+// handler routes every endpoint to s.
+func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.Handle("GET /metrics", telemetry.PrometheusHandler(s.tel.Reg))
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /attrib", s.handleAttrib)
 	mux.HandleFunc("GET /timeline", s.handleTimeline)
 	mux.HandleFunc("GET /flight", s.handleFlight)
 	mux.HandleFunc("GET /exemplars", s.handleExemplars)
 	mux.HandleFunc("GET /flows", s.handleFlows)
 	mux.HandleFunc("GET /benchmarks", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, workload.Profiles())
+		s.writeJSON(w, http.StatusOK, workload.Profiles())
 	})
 	mux.HandleFunc("GET /policies", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, experiments.PolicyKinds())
+		s.writeJSON(w, http.StatusOK, experiments.PolicyKinds())
 	})
 	mux.HandleFunc("GET /experiments", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, experiments.Names())
+		s.writeJSON(w, http.StatusOK, experiments.Names())
 	})
 	mux.HandleFunc("POST /run", s.handleRun)
 	mux.HandleFunc("POST /replay", s.handleReplay)
@@ -173,7 +178,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 			Runs: req.WorkflowRuns,
 			Seed: req.Seed,
 		}, req.Workflow, req.StateMode == "pool", req.FanoutWidth, 0)
-		writeJSON(w, http.StatusOK, WorkflowRunResponse{
+		s.writeJSON(w, http.StatusOK, WorkflowRunResponse{
 			Workflow: req.Workflow,
 			Mode:     req.StateMode,
 			Row:      row,
@@ -181,11 +186,19 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := experiments.RunScenario(req.Scenario(s.tel))
-	writeJSON(w, http.StatusOK, RunResponse{
+	s.writeJSON(w, http.StatusOK, RunResponse{
 		Bench:    req.Bench,
 		Policy:   req.Policy,
 		Requests: out.Requests,
 		Outcome:  out,
+	})
+}
+
+// handleMetrics serves the registry as a Prometheus scrape target. Metric
+// reads are atomic snapshots, so it is safe beside running simulations.
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	s.writeText(w, "text/plain; version=0.0.4; charset=utf-8", func(rep *reply) {
+		_ = telemetry.WritePrometheus(rep, s.tel.Reg)
 	})
 }
 
@@ -208,82 +221,11 @@ func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	e := sel[0]
 	rows, _ := e.Run(io.Discard, seed)
-	writeJSON(w, http.StatusOK, map[string]any{"experiment": e.Name, "seed": seed, "rows": rows})
-}
-
-// writeJSON writes v as the reply: the bytes json.Encoder with
-// SetIndent("", "  ") would write, without re-validating what json.Marshal
-// has just produced. A value that does not marshal leaves the body empty,
-// as the encoder would.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	b, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	// Indenting a row-shaped reply such as /flows or /timeline grows it
-	// about 1.6×, so twice the compact size holds it without regrowing.
-	_, _ = w.Write(appendIndent(make([]byte, 0, 2*len(b)), b))
-}
-
-// appendIndent appends src, compact JSON from json.Marshal, to dst indented
-// as json.Indent(src, "", "  ") would, followed by a newline. It does not
-// validate src: strings are copied verbatim, escapes included, and only the
-// punctuation outside them is spaced out. Empty objects and arrays stay on
-// one line.
-func appendIndent(dst, src []byte) []byte {
-	depth := 0
-	for i := 0; i < len(src); i++ {
-		switch c := src[i]; c {
-		case '"':
-			j := i + 1
-			for j < len(src) && src[j] != '"' {
-				if src[j] == '\\' {
-					j++
-				}
-				j++
-			}
-			j = min(j+1, len(src))
-			dst = append(dst, src[i:j]...)
-			i = j - 1
-		case '{', '[':
-			if i+1 < len(src) && (src[i+1] == '}' || src[i+1] == ']') {
-				dst = append(dst, c, src[i+1])
-				i++
-				continue
-			}
-			depth++
-			dst = newline(append(dst, c), depth)
-		case '}', ']':
-			depth--
-			dst = append(newline(dst, depth), c)
-		case ',':
-			dst = newline(append(dst, c), depth)
-		case ':':
-			dst = append(dst, ':', ' ')
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '\n')
-}
-
-// newline appends a newline and depth levels of two-space indent.
-func newline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for ; depth > 0; depth-- {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	s.writeJSON(w, http.StatusOK, map[string]any{"experiment": e.Name, "seed": seed, "rows": rows})
 }
 
 // fail writes an error response and counts it.
 func (s *server) fail(w http.ResponseWriter, status int, err error) {
 	s.errors.Inc()
-	writeError(w, status, err)
+	s.writeJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -214,5 +214,5 @@ func (s *server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			FullRejectPages:  st.FullRejectPages,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }

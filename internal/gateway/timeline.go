@@ -13,14 +13,18 @@ import (
 // at zero, so concurrent runs fold into the same windows — the surface is a
 // service-lifetime aggregate, not a per-run trace (POST /run returns per-run
 // outcomes). ?format selects text (default, the faasmem-stat timeline table)
-// or json (the full snapshot: rows, summary, flight dumps).
+// or json (the full snapshot: rows, summary, flight dumps). The text table
+// is rendered straight from the recorder's cells into a server-owned reply
+// (timeseries.AppendText), so a read allocates about nothing beyond what the
+// ResponseWriter keeps.
 func (s *server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = timeseries.WriteText(w, s.tel.Timeline)
+		s.writeText(w, "text/plain; charset=utf-8", func(rep *reply) {
+			rep.raw = timeseries.AppendText(rep.raw, s.tel.Timeline)
+		})
 	case "json":
-		writeJSON(w, http.StatusOK, timeseries.TakeSnapshot(s.tel.Timeline))
+		s.writeJSON(w, http.StatusOK, timeseries.TakeSnapshot(s.tel.Timeline))
 	default:
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown format %q (want text or json)", format))
 	}
@@ -34,7 +38,7 @@ func (s *server) handleFlight(w http.ResponseWriter, _ *http.Request) {
 	if dumps == nil {
 		dumps = []timeseries.Dump{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, http.StatusOK, map[string]any{
 		"dumps":         dumps,
 		"dumps_dropped": s.tel.Timeline.DumpsDropped(),
 	})

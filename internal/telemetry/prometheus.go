@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net/http"
 	"strconv"
 	"strings"
 )
@@ -60,14 +59,4 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 // representation that round-trips, no exponent for typical bucket bounds.
 func formatLabelFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// PrometheusHandler serves the registry as a Prometheus scrape target —
-// wire it at /metrics. Safe for concurrent use with running simulations:
-// metric reads are atomic snapshots.
-func PrometheusHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WritePrometheus(w, r)
-	})
 }

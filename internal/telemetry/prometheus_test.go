@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -49,25 +48,5 @@ func TestEscapeLabelValue(t *testing.T) {
 		if got := EscapeLabelValue(c.in); got != c.want {
 			t.Errorf("EscapeLabelValue(%q) = %q, want %q", c.in, got, c.want)
 		}
-	}
-}
-
-func TestPrometheusHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits_total", "").Inc()
-	srv := httptest.NewServer(PrometheusHandler(r))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-	buf := make([]byte, 1024)
-	n, _ := resp.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "hits_total 1") {
-		t.Fatalf("body = %q", buf[:n])
 	}
 }

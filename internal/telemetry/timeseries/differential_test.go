@@ -455,15 +455,21 @@ func (d *diffTarget) check(t *testing.T, label string) {
 	if got, want := d.rec.FlightTotal(), d.ref.flightTotal; got != want {
 		t.Fatalf("%s: FlightTotal = %d, want %d", label, got, want)
 	}
-	var got, want bytes.Buffer
+	var got bytes.Buffer
 	if err := WriteText(&got, d.rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeText(&want, d.ref.cfg.Window, sum, d.ref.flowTotals(), d.ref.auditFlows(), d.ref.dumps, d.ref.dropped); err != nil {
-		t.Fatal(err)
+	each := func(fn func(SummaryRow)) {
+		for _, row := range sum {
+			fn(row)
+		}
 	}
-	if got.String() != want.String() {
-		t.Fatalf("%s: WriteText\n got:\n%s\nwant:\n%s", label, got.String(), want.String())
+	want := appendText(nil, d.ref.cfg.Window, each, d.ref.flowTotals(), d.ref.auditFlows(), d.ref.dumps, d.ref.dropped)
+	if got.String() != string(want) {
+		t.Fatalf("%s: WriteText\n got:\n%s\nwant:\n%s", label, got.String(), want)
+	}
+	if app := AppendText([]byte("kept"), d.rec); string(app) != "kept"+string(want) {
+		t.Fatalf("%s: AppendText after a prefix\n got:\n%s\nwant:\nkept%s", label, app, want)
 	}
 }
 

@@ -1,12 +1,12 @@
 package timeseries
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/faasmem/faasmem/internal/simtime"
@@ -159,103 +159,90 @@ func Summarize(r *Recorder) []SummaryRow {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	type agg struct {
-		local, pool, offload, recall  int64
-		requests, retries, timeouts   int64
-		fallback, reinits, faultKinds int64
-		latCount, latMax              int64
-	}
-	// aggs is indexed by window, like the series cells it sums; lo is the
-	// first window with a sample (-1 while there is none).
-	var n int
+	var out []SummaryRow
+	r.eachSummary(func(row SummaryRow) { out = append(out, row) })
+	return out
+}
+
+// eachSummary calls fn with Summarize's rows in window order. Each row is
+// summed from its own window's cells as it is reached, so no per-window
+// aggregate is kept, and a caller that renders each row as it comes keeps
+// no rows either. r.mu must be held.
+func (r *Recorder) eachSummary(fn func(SummaryRow)) {
+	// lo is the first window with a sample (-1 while there is none); a
+	// series' last cell always holds a sample, so hi-1 is the last one.
+	lo, hi := -1, 0
 	for i := range r.series {
-		n = max(n, len(r.series[i].cells))
-	}
-	aggs := make([]agg, n)
-	lo := -1
-	// lat holds the latency series, whose buckets are merged per window
-	// only where the window has latency samples.
-	var lat []*seriesData
-	for i := range r.series {
-		s := &r.series[i]
-		for win := range s.cells {
-			p := &s.cells[win]
-			if p.count == 0 {
-				continue
-			}
-			if lo < 0 || win < lo {
-				lo = win
-			}
-			a := &aggs[win]
-			switch s.name {
-			case SeriesNodeLocalBytes:
-				a.local += p.last
-			case SeriesPoolUsedBytes:
-				a.pool += p.last
-			case SeriesOffloadBytes:
-				a.offload += p.sum
-			case SeriesRecallBytes:
-				a.recall += p.sum
-			case SeriesRequests:
-				a.requests += p.sum
-			case SeriesFetchRetries:
-				a.retries += p.sum
-			case SeriesFetchTimeouts:
-				a.timeouts += p.sum
-			case SeriesFallbackPages:
-				a.fallback += p.sum
-			case SeriesColdReinits:
-				a.reinits += p.sum
-			case SeriesFaultActiveKinds:
-				if p.max > a.faultKinds {
-					a.faultKinds = p.max
+		cells := r.series[i].cells
+		hi = max(hi, len(cells))
+		for win := range cells {
+			if cells[win].count != 0 {
+				if lo < 0 || win < lo {
+					lo = win
 				}
-			case SeriesRequestLatency:
-				a.latCount += p.count
-				if p.max > a.latMax {
-					a.latMax = p.max
-				}
+				break
 			}
-		}
-		if s.name == SeriesRequestLatency {
-			lat = append(lat, s)
 		}
 	}
 	if lo < 0 {
-		return nil
+		return
 	}
 	const mb = 1 << 20
-	// A series' last cell always holds a sample, so the last window of aggs
-	// is the last window seen.
-	out := make([]SummaryRow, 0, len(aggs)-lo)
-	for win := lo; win < len(aggs); win++ {
-		a := &aggs[win]
+	for win := lo; win < hi; win++ {
+		var local, pool, offload, recall, latCount, latMax int64
+		// lat merges the window's latency buckets across dimensions.
+		var lat hist.Buckets
 		row := SummaryRow{
-			Window:        int64(win),
-			StartSec:      (simtime.Time(win) * r.cfg.Window).Seconds(),
-			LocalMB:       float64(a.local) / mb,
-			PoolMB:        float64(a.pool) / mb,
-			OffloadMB:     float64(a.offload) / mb,
-			RecallMB:      float64(a.recall) / mb,
-			Requests:      a.requests,
-			Retries:       a.retries,
-			Timeouts:      a.timeouts,
-			FallbackPages: a.fallback,
-			Reinits:       a.reinits,
-			FaultKinds:    a.faultKinds,
+			Window:   int64(win),
+			StartSec: (simtime.Time(win) * r.cfg.Window).Seconds(),
 		}
-		if a.latCount > 0 {
-			var b hist.Buckets
-			for _, s := range lat {
-				if win < len(s.cells) && s.cells[win].buckets != nil {
-					b.Merge(s.cells[win].buckets)
-				}
+		for i := range r.series {
+			s := &r.series[i]
+			if win >= len(s.cells) {
+				continue
 			}
-			row.P99Ms = float64(b.Quantile(0.99, a.latCount, a.latMax)) / float64(time.Millisecond)
+			p := &s.cells[win]
+			if s.name == SeriesRequestLatency && p.buckets != nil {
+				lat.Merge(p.buckets)
+			}
+			if p.count == 0 {
+				continue
+			}
+			switch s.name {
+			case SeriesNodeLocalBytes:
+				local += p.last
+			case SeriesPoolUsedBytes:
+				pool += p.last
+			case SeriesOffloadBytes:
+				offload += p.sum
+			case SeriesRecallBytes:
+				recall += p.sum
+			case SeriesRequests:
+				row.Requests += p.sum
+			case SeriesFetchRetries:
+				row.Retries += p.sum
+			case SeriesFetchTimeouts:
+				row.Timeouts += p.sum
+			case SeriesFallbackPages:
+				row.FallbackPages += p.sum
+			case SeriesColdReinits:
+				row.Reinits += p.sum
+			case SeriesFaultActiveKinds:
+				row.FaultKinds = max(row.FaultKinds, p.max)
+			case SeriesRequestLatency:
+				latCount += p.count
+				latMax = max(latMax, p.max)
+			}
 		}
-		out = append(out, row)
+		row.LocalMB = float64(local) / mb
+		row.PoolMB = float64(pool) / mb
+		row.OffloadMB = float64(offload) / mb
+		row.RecallMB = float64(recall) / mb
+		if latCount > 0 {
+			row.P99Ms = float64(lat.Quantile(0.99, latCount, latMax)) / float64(time.Millisecond)
+		}
+		fn(row)
 	}
-	return out
 }
 
 // Snapshot is the full JSON form: configuration, flattened rows, the
@@ -306,110 +293,119 @@ func WriteJSON(w io.Writer, r *Recorder) error {
 // the shared text form behind faasmem-stat timeline, faasmem-sim -timeline,
 // and the gateway's GET /timeline.
 func WriteText(w io.Writer, r *Recorder) error {
-	if r == nil {
-		_, err := fmt.Fprintln(w, "timeline: recording disabled")
-		return err
-	}
-	return writeText(w, r.Window(), Summarize(r), r.FlowTotals(), AuditFlows(r), r.Dumps(), r.DumpsDropped())
+	_, err := w.Write(AppendText(nil, r))
+	return err
 }
 
-// writeText is WriteText over its parts: the rollup window, the summary
-// rows, the flow ledger's per-kind totals and audit, and the flight dumps
-// with the count dropped past the cap.
-func writeText(w io.Writer, window time.Duration, rows []SummaryRow, totals [NumFlows]int64, audit FlowAudit, dumps []Dump, dropped int) error {
-	if len(rows) == 0 {
-		_, err := fmt.Fprintf(w, "timeline: no samples recorded (window %s)\n", window)
-		return err
+// AppendText appends WriteText's rendering of r to dst. It keeps no rows:
+// the summary table is rendered straight from the series cells, so a reader
+// that reuses dst, like the gateway's GET /timeline, allocates next to
+// nothing.
+func AppendText(dst []byte, r *Recorder) []byte {
+	if r == nil {
+		return append(dst, "timeline: recording disabled\n"...)
 	}
-	if _, err := fmt.Fprintf(w, "timeline: %d windows of %s\n\n", len(rows), window); err != nil {
-		return err
+	totals, audit := r.FlowTotals(), AuditFlows(r)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return appendText(dst, r.cfg.Window, r.eachSummary, totals, audit, r.dumps, r.dumpsDropped)
+}
+
+// appendText is AppendText over its parts: the rollup window, the summary
+// rows (each calls its argument with every row, in order), the flow
+// ledger's per-kind totals and audit, and the flight dumps with the count
+// dropped past the cap.
+func appendText(dst []byte, window time.Duration, each func(func(SummaryRow)), totals [NumFlows]int64, audit FlowAudit, dumps []Dump, dropped int) []byte {
+	// dst is the table's only storage. Every cell is formatted once, each
+	// followed by a NUL, past dst's end while the columns are sized; then
+	// the text is laid out after those cells and moved down over them.
+	var widths [len(summaryHeader)]int
+	for col, h := range summaryHeader {
+		widths[col] = len(h)
 	}
-	if _, err := w.Write(summaryTable(rows)); err != nil {
-		return err
-	}
-	if err := writeFlowDigest(w, totals, audit); err != nil {
-		return err
-	}
-	if len(dumps) == 0 && dropped == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "\nflight dumps: %d", len(dumps)); err != nil {
-		return err
-	}
-	if dropped > 0 {
-		if _, err := fmt.Fprintf(w, " (+%d past cap)", dropped); err != nil {
-			return err
+	mark, rows := len(dst), 0
+	each(func(row SummaryRow) {
+		rows++
+		for col := range widths {
+			start := len(dst)
+			dst = appendSummaryCell(dst, &row, col)
+			widths[col] = max(widths[col], len(dst)-start)
+			dst = append(dst, 0)
 		}
+	})
+	if rows == 0 {
+		return fmt.Appendf(dst, "timeline: no samples recorded (window %s)\n", window)
 	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
+	cells := len(dst)
+	dst = fmt.Appendf(dst, "timeline: %d windows of %s\n\n", rows, window)
+	for col, h := range summaryHeader {
+		dst = appendTableCell(dst, col, widths[col], []byte(h))
 	}
+	for i, k := mark, 0; i < cells; k++ {
+		end := i + bytes.IndexByte(dst[i:cells], 0)
+		col := k % len(widths)
+		dst = appendTableCell(dst, col, widths[col], dst[i:end])
+		i = end + 1
+	}
+	dst = dst[:mark+copy(dst[mark:], dst[cells:])]
+	dst = appendFlowDigest(dst, totals, audit)
+	if len(dumps) == 0 && dropped == 0 {
+		return dst
+	}
+	dst = fmt.Appendf(dst, "\nflight dumps: %d", len(dumps))
+	if dropped > 0 {
+		dst = fmt.Appendf(dst, " (+%d past cap)", dropped)
+	}
+	dst = append(dst, '\n')
 	for i, d := range dumps {
 		series := ""
 		if d.Series != "" {
 			series = " (" + d.Series + ")"
 		}
-		if _, err := fmt.Fprintf(w, "  dump %d: %-12s at %7.1fs window %d, %d events%s\n",
-			i, d.Trigger, d.At.Seconds(), d.Window, len(d.Events), series); err != nil {
-			return err
-		}
+		dst = fmt.Appendf(dst, "  dump %d: %-12s at %7.1fs window %d, %d events%s\n",
+			i, d.Trigger, d.At.Seconds(), d.Window, len(d.Events), series)
 	}
-	return nil
+	return dst
 }
 
-// writeFlowDigest prints the page byte-flow ledger's compact text form: one
-// per-kind total line plus the conservation audit's verdict. The full
+// appendFlowDigest appends the page byte-flow ledger's compact text form:
+// one per-kind total line plus the conservation audit's verdict. The full
 // per-window matrix stays in the JSON snapshot (and behind faasmem-stat
 // explain / the gateway's GET /flows), where its size is not a problem.
-func writeFlowDigest(w io.Writer, totals [NumFlows]int64, audit FlowAudit) error {
-	var any bool
-	for _, t := range totals {
-		if t != 0 {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
+func appendFlowDigest(dst []byte, totals [NumFlows]int64, audit FlowAudit) []byte {
 	const mb = 1 << 20
-	parts := make([]string, 0, NumFlows)
+	sep := "\nflows: "
 	for k := FlowKind(0); k < NumFlows; k++ {
 		if totals[k] == 0 {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s %.2f MB", k, float64(totals[k])/mb))
+		dst = append(append(append(dst, sep...), k.String()...), ' ')
+		dst = append(strconv.AppendFloat(dst, float64(totals[k])/mb, 'f', 2, 64), " MB"...)
+		sep = ", "
 	}
-	if _, err := fmt.Fprintf(w, "\nflows: %s\n", strings.Join(parts, ", ")); err != nil {
-		return err
+	if sep != ", " {
+		return dst
 	}
+	dst = append(dst, '\n')
 	switch {
 	case audit.Merged:
-		_, err := fmt.Fprintf(w, "flow audit: n/a (merged across %d runs; %d checkpoints)\n",
+		return fmt.Appendf(dst, "flow audit: n/a (merged across %d runs; %d checkpoints)\n",
 			audit.Runs, audit.Checks)
-		return err
 	case audit.Checks == 0:
-		_, err := fmt.Fprintln(w, "flow audit: no occupancy checkpoints")
-		return err
+		return append(dst, "flow audit: no occupancy checkpoints\n"...)
 	case audit.OK:
-		_, err := fmt.Fprintf(w, "flow audit: conservation OK over %d windows (%d checkpoints)\n",
+		return fmt.Appendf(dst, "flow audit: conservation OK over %d windows (%d checkpoints)\n",
 			len(audit.Windows), audit.Checks)
-		return err
-	default:
-		if _, err := fmt.Fprintf(w, "flow audit: %d of %d windows VIOLATE conservation\n",
-			audit.Violations, len(audit.Windows)); err != nil {
-			return err
-		}
-		for _, wa := range audit.Windows {
-			if wa.OK {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "  window %d: occupancy delta %d != net flow %d\n",
-				wa.Window, wa.OccDelta, wa.FlowDelta); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
+	dst = fmt.Appendf(dst, "flow audit: %d of %d windows VIOLATE conservation\n",
+		audit.Violations, len(audit.Windows))
+	for _, wa := range audit.Windows {
+		if !wa.OK {
+			dst = fmt.Appendf(dst, "  window %d: occupancy delta %d != net flow %d\n",
+				wa.Window, wa.OccDelta, wa.FlowDelta)
+		}
+	}
+	return dst
 }
 
 // summaryHeader names the summary table's columns.
@@ -418,67 +414,53 @@ var summaryHeader = [...]string{
 	"reqs", "p99(ms)", "retries", "timeouts", "fallback", "reinits", "faults",
 }
 
-// summaryTable renders the summary rows as a fixed-width table with
-// right-aligned columns two spaces apart, matching the experiment harness's
-// rendering so timeline output sits naturally beside figure tables. A
-// service-lifetime timeline is re-rendered on every read, so the cells are
-// appended into one buffer rather than formatted into a string each.
-func summaryTable(rows []SummaryRow) []byte {
-	const cols = len(summaryHeader)
-	var widths [cols]int
-	for col, h := range summaryHeader {
-		widths[col] = len(h)
+// appendSummaryCell appends column col of row as the summary table prints
+// it.
+func appendSummaryCell(dst []byte, row *SummaryRow, col int) []byte {
+	switch col {
+	case 0:
+		return strconv.AppendInt(dst, row.Window, 10)
+	case 1:
+		return strconv.AppendFloat(dst, row.StartSec, 'f', 0, 64)
+	case 2:
+		return strconv.AppendFloat(dst, row.LocalMB, 'f', 1, 64)
+	case 3:
+		return strconv.AppendFloat(dst, row.PoolMB, 'f', 1, 64)
+	case 4:
+		return strconv.AppendFloat(dst, row.OffloadMB, 'f', 2, 64)
+	case 5:
+		return strconv.AppendFloat(dst, row.RecallMB, 'f', 2, 64)
+	case 6:
+		return strconv.AppendInt(dst, row.Requests, 10)
+	case 7:
+		return strconv.AppendFloat(dst, row.P99Ms, 'f', 2, 64)
+	case 8:
+		return strconv.AppendInt(dst, row.Retries, 10)
+	case 9:
+		return strconv.AppendInt(dst, row.Timeouts, 10)
+	case 10:
+		return strconv.AppendInt(dst, row.FallbackPages, 10)
+	case 11:
+		return strconv.AppendInt(dst, row.Reinits, 10)
+	default:
+		return strconv.AppendInt(dst, row.FaultKinds, 10)
 	}
-	// Cell k is cells[ends[k-1]:ends[k]]; cell takes cells with one more
-	// cell appended.
-	cells := make([]byte, 0, 64*len(rows))
-	ends := make([]int, 0, cols*len(rows))
-	cell := func(b []byte) {
-		col := len(ends) % cols
-		widths[col] = max(widths[col], len(b)-len(cells))
-		cells = b
-		ends = append(ends, len(cells))
-	}
-	for _, r := range rows {
-		cell(strconv.AppendInt(cells, r.Window, 10))
-		cell(strconv.AppendFloat(cells, r.StartSec, 'f', 0, 64))
-		cell(strconv.AppendFloat(cells, r.LocalMB, 'f', 1, 64))
-		cell(strconv.AppendFloat(cells, r.PoolMB, 'f', 1, 64))
-		cell(strconv.AppendFloat(cells, r.OffloadMB, 'f', 2, 64))
-		cell(strconv.AppendFloat(cells, r.RecallMB, 'f', 2, 64))
-		cell(strconv.AppendInt(cells, r.Requests, 10))
-		cell(strconv.AppendFloat(cells, r.P99Ms, 'f', 2, 64))
-		cell(strconv.AppendInt(cells, r.Retries, 10))
-		cell(strconv.AppendInt(cells, r.Timeouts, 10))
-		cell(strconv.AppendInt(cells, r.FallbackPages, 10))
-		cell(strconv.AppendInt(cells, r.Reinits, 10))
-		cell(strconv.AppendInt(cells, r.FaultKinds, 10))
-	}
+}
 
-	line := 2*cols - 1
-	for _, w := range widths {
-		line += w
+// appendTableCell appends cell c of the summary table's column col, right
+// aligned to width: columns sit two spaces apart, matching the experiment
+// harness's rendering so timeline output sits naturally beside figure
+// tables, and the last one ends the line.
+func appendTableCell(dst []byte, col, width int, c []byte) []byte {
+	if col > 0 {
+		dst = append(dst, "  "...)
 	}
-	out := make([]byte, 0, line*(len(rows)+1))
-	put := func(col int, c []byte) {
-		if col > 0 {
-			out = append(out, "  "...)
-		}
-		for n := len(c); n < widths[col]; n++ {
-			out = append(out, ' ')
-		}
-		out = append(out, c...)
-		if col == cols-1 {
-			out = append(out, '\n')
-		}
+	for n := len(c); n < width; n++ {
+		dst = append(dst, ' ')
 	}
-	for col, h := range summaryHeader {
-		put(col, []byte(h))
+	dst = append(dst, c...)
+	if col == len(summaryHeader)-1 {
+		dst = append(dst, '\n')
 	}
-	start := 0
-	for k, stop := range ends {
-		put(k%cols, cells[start:stop])
-		start = stop
-	}
-	return out
+	return dst
 }

@@ -197,9 +197,13 @@ type FlowRow struct {
 // FlowRows flattens the ledger, sorted by (Window, Flow kind, Node, Tenant,
 // Class): windows ascend, and within one the keys read in page-lifecycle
 // order.
-func (r *Recorder) FlowRows() []FlowRow {
+func (r *Recorder) FlowRows() []FlowRow { return r.AppendFlowRows(nil) }
+
+// AppendFlowRows appends FlowRows' rows to dst, so a reader that reuses dst,
+// like the gateway's GET /flows, allocates no rows.
+func (r *Recorder) AppendFlowRows(dst []FlowRow) []FlowRow {
 	if r == nil {
-		return nil
+		return dst
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -214,8 +218,9 @@ func (r *Recorder) FlowRows() []FlowRow {
 		}
 	}
 	if rows == 0 {
-		return nil
+		return dst
 	}
+	dst = slices.Grow(dst, rows)
 	keys := make([]*flowSeries, len(r.flows))
 	for i := range r.flows {
 		keys[i] = &r.flows[i]
@@ -228,13 +233,12 @@ func (r *Recorder) FlowRows() []FlowRow {
 			cmp.Compare(a.key.dims.Class, b.key.dims.Class),
 		)
 	})
-	out := make([]FlowRow, 0, rows)
 	for win := 0; win < wins; win++ {
 		for _, s := range keys {
 			if win >= len(s.cells) || s.cells[win] == 0 {
 				continue
 			}
-			out = append(out, FlowRow{
+			dst = append(dst, FlowRow{
 				Window:    int64(win),
 				Start:     simtime.Time(win) * r.cfg.Window,
 				Flow:      s.key.kind.String(),
@@ -246,7 +250,7 @@ func (r *Recorder) FlowRows() []FlowRow {
 			})
 		}
 	}
-	return out
+	return dst
 }
 
 // FlowWindowAudit is one window's conservation arithmetic: the occupancy
